@@ -36,6 +36,8 @@ valid, just not O(touched).
 
 from __future__ import annotations
 
+from collections import namedtuple
+
 from repro.errors import DocumentError
 from repro.pul.ops import (
     Delete,
@@ -63,6 +65,9 @@ _PARENT_SITE_OPS = (InsertBefore.op_name, InsertAfter.op_name,
 
 #: operations that remove the target's subtree from the document
 _REMOVING_OPS = (Delete.op_name, ReplaceNode.op_name)
+
+#: operations that change the target's own name or value in place
+_VALUE_OPS = (Rename.op_name, ReplaceValue.op_name)
 
 
 class _Snapshot:
@@ -92,6 +97,62 @@ class _Snapshot:
         node.parent = self.parent
 
 
+#: What a reduced batch touches on the document it is about to be
+#: applied to: ``targets`` — the resolved target node of every
+#: operation, in PUL order; ``site_ids`` — anchor sites (elements whose
+#: child/attribute lists change), first-seen order; ``removed_ids`` —
+#: every node of every subtree leaving the document; ``touched_ids`` —
+#: rename/replace-value targets, first-seen order; ``needs_sync`` — a
+#: parent-site operation hit the root, so no labeled anchor exists and
+#: repairs cannot be localized.
+Footprint = namedtuple(
+    "Footprint", "targets site_ids removed_ids touched_ids needs_sync")
+
+
+def classify(document, pul):
+    """Classify ``pul`` against the *pre-batch* ``document`` — the one
+    site classification shared by the live apply, the catch-up replay
+    and the index delta; returns its :class:`Footprint`. Operations
+    whose target is absent are skipped:
+    :func:`~repro.pul.semantics.apply_pul` resolves every target
+    before mutating anything, so the miss raises there with the tree
+    still untouched."""
+    targets = []
+    site_ids = []
+    seen_sites = set()
+    removed_ids = []
+    touched_ids = []
+    seen_touched = set()
+    needs_sync = False
+    for op in pul:
+        target = document.find(op.target)
+        if target is None:
+            continue
+        targets.append(target)
+        kind = op.op_name
+        site = None
+        if kind in _TARGET_SITE_OPS:
+            site = target
+        elif kind in _PARENT_SITE_OPS:
+            site = target.parent
+            if site is None:
+                needs_sync = True  # root replaced/deleted/flanked
+        if site is not None and site.node_id not in seen_sites:
+            seen_sites.add(site.node_id)
+            site_ids.append(site.node_id)
+        if kind in _REMOVING_OPS:
+            removed_ids.extend(n.node_id for n in target.iter_subtree())
+        elif kind == ReplaceChildren.op_name:
+            for child in target.children:
+                removed_ids.extend(n.node_id
+                                   for n in child.iter_subtree())
+        elif kind in _VALUE_OPS and target.node_id not in seen_touched:
+            seen_touched.add(target.node_id)
+            touched_ids.append(target.node_id)
+    return Footprint(targets, site_ids, removed_ids, touched_ids,
+                     needs_sync)
+
+
 def apply_batch_in_place(document, labeling, pul, preserve_ids=True):
     """Make ``pul`` effective on ``document`` in place, maintaining
     ``labeling`` incrementally.
@@ -102,79 +163,34 @@ def apply_batch_in_place(document, labeling, pul, preserve_ids=True):
     pre-call structure (and the labeling is untouched) before the
     exception propagates.
     """
+    footprint = classify(document, pul)
     snapshots = {}
-    site_ids = []
-    seen_sites = set()
-    removed_ids = []
-    needs_sync = False
+    for target in footprint.targets:
+        for node in (target, target.parent):
+            if node is not None and id(node) not in snapshots:
+                snapshots[id(node)] = _Snapshot(node)
     root = document.root
-    for op in pul:
-        target = document.find(op.target)
-        if target is None:
-            # apply_pul resolves every target before mutating anything,
-            # so the miss raises there with the tree still untouched
-            continue
-        if id(target) not in snapshots:
-            snapshots[id(target)] = _Snapshot(target)
-        parent = target.parent
-        if parent is not None and id(parent) not in snapshots:
-            snapshots[id(parent)] = _Snapshot(parent)
-        kind = op.op_name
-        if kind in _TARGET_SITE_OPS:
-            if target.node_id not in seen_sites:
-                seen_sites.add(target.node_id)
-                site_ids.append(target.node_id)
-        elif kind in _PARENT_SITE_OPS:
-            if parent is None:
-                needs_sync = True  # root replaced/deleted/flanked
-            elif parent.node_id not in seen_sites:
-                seen_sites.add(parent.node_id)
-                site_ids.append(parent.node_id)
-        if kind in _REMOVING_OPS:
-            removed_ids.extend(n.node_id for n in target.iter_subtree())
-        elif kind == ReplaceChildren.op_name:
-            for child in target.children:
-                removed_ids.extend(n.node_id
-                                   for n in child.iter_subtree())
     try:
         apply_pul(document, pul, check=False, preserve_ids=preserve_ids,
                   reindex=False)
-        if needs_sync or document.root is not root:
-            # root-level structural change: localized repair has no
-            # labeled anchor, re-derive index and labels wholesale
+        site_runs = None
+        if not footprint.needs_sync and document.root is root:
+            document.forget_ids(footprint.removed_ids)
+            for node_id in footprint.removed_ids:
+                labeling.forget(node_id)
+            site_runs = _site_runs(document, labeling, footprint.site_ids)
+        if site_runs is None:
+            # root-level structural change, or a site with no labeled
+            # anchor: localized repair is impossible, re-derive index
+            # and labels wholesale
             document.rebuild_index()
             labeling.sync(document)
             return "sync"
-        document.forget_ids(removed_ids)
-        for node_id in removed_ids:
-            labeling.forget(node_id)
-        runs = []
-        repoint = []
-        for site_id in site_ids:
-            site = document.find(site_id)
-            if site is None:
-                continue  # the site itself was removed by a sibling op
-            site_label = labeling.find(site_id)
-            if site_label is None:
-                # no labeled anchor (the site was created by this very
-                # batch — shouldn't survive reduction, but a wholesale
-                # repair is always correct)
-                document.rebuild_index()
-                labeling.sync(document)
-                return "sync"
-            _collect_runs(labeling, site, site_label, runs)
-            repoint.append(site)
-        # fresh identifiers must come out in document order across every
-        # insertion site — exactly what a whole-document rebuild_index
-        # would assign. Runs occupy disjoint code gaps and start-code
-        # order is document order, so sorting by each run's left bound
-        # reproduces the rebuild's scan order; within a run, tree order.
-        runs.sort(key=lambda entry: entry[0])
+        runs, repoint = site_runs
         # duplicate detection first, exactly like rebuild_index: a clash
         # must raise before any fresh id is burned, or a failed batch
         # would advance the allocator and diverge later assignments
         seen = set()
-        highest = -1
         for __, __, __, run in runs:
             for tree in run:
                 for node in tree.iter_subtree():
@@ -185,12 +201,7 @@ def apply_batch_in_place(document, labeling, pul, preserve_ids=True):
                         raise DocumentError(
                             "duplicate node id: {}".format(node_id))
                     seen.add(node_id)
-                    if node_id > highest:
-                        highest = node_id
-        document.allocator.reserve_at_least(highest + 1)
-        for __, __, __, run in runs:
-            for tree in run:
-                document.register_tree(tree)
+        _register_runs(document, runs)
     except Exception:
         for snapshot in snapshots.values():
             snapshot.restore()
@@ -229,62 +240,58 @@ def replay_batch(document, labeling, pul):
     id-keyed label map wholesale instead of re-deriving per-site
     codes, which is the costly half of a live apply. ``labeling`` is
     the copy's own *pre-batch* labels, used only to order the
-    insertion runs: fresh identifiers must come out in document order
-    across every site exactly as the live apply assigned them (a
-    replay allocating different ids would desynchronize every later
-    batch's targets), and sorting the runs by their left code bound
-    reproduces that order — including the nested-site interleavings a
-    per-site walk would get wrong. Run collection sees the same tree,
-    the same labels and the same reduced PUL as the live apply did,
-    so the runs — and therefore the ids — come out identical.
+    insertion runs: run collection sees the same tree, the same labels
+    and the same reduced PUL as the live apply did, so the runs — and
+    therefore the fresh ids — come out identical (a replay allocating
+    different ids would desynchronize every later batch's targets).
     """
-    site_ids = []
-    seen_sites = set()
-    removed_ids = []
-    needs_sync = False
+    footprint = classify(document, pul)
     root = document.root
-    for op in pul:
-        target = document.find(op.target)
-        if target is None:
-            continue
-        parent = target.parent
-        kind = op.op_name
-        if kind in _TARGET_SITE_OPS:
-            if target.node_id not in seen_sites:
-                seen_sites.add(target.node_id)
-                site_ids.append(target.node_id)
-        elif kind in _PARENT_SITE_OPS:
-            if parent is None:
-                needs_sync = True
-            elif parent.node_id not in seen_sites:
-                seen_sites.add(parent.node_id)
-                site_ids.append(parent.node_id)
-        if kind in _REMOVING_OPS:
-            removed_ids.extend(n.node_id for n in target.iter_subtree())
-        elif kind == ReplaceChildren.op_name:
-            for child in target.children:
-                removed_ids.extend(n.node_id
-                                   for n in child.iter_subtree())
     apply_pul(document, pul, check=False, preserve_ids=True,
               reindex=False)
-    if needs_sync or document.root is not root:
-        # root-level structural change: the live apply fell back to a
-        # wholesale reindex, whose document-order id assignment a
-        # rebuild here reproduces exactly
+    site_runs = None
+    if not footprint.needs_sync and document.root is root:
+        document.forget_ids(footprint.removed_ids)
+        site_runs = _site_runs(document, labeling, footprint.site_ids)
+    if site_runs is None:
+        # the live apply fell back to a wholesale reindex, whose
+        # document-order id assignment a rebuild here reproduces exactly
         document.rebuild_index()
         return
-    document.forget_ids(removed_ids)
+    _register_runs(document, site_runs[0])
+
+
+def _site_runs(document, labeling, site_ids):
+    """Collect the unlabeled runs under every surviving site; returns
+    ``(runs, sites)``, or ``None`` when a site has no labeled anchor
+    (it was created by this very batch — shouldn't survive reduction,
+    but a wholesale repair is always correct).
+
+    Fresh identifiers must come out in document order across every
+    insertion site — exactly what a whole-document rebuild_index would
+    assign, including the nested-site interleavings a per-site walk
+    would get wrong. Runs occupy disjoint code gaps and start-code
+    order is document order, so sorting by each run's left bound
+    reproduces the rebuild's scan order; within a run, tree order.
+    """
     runs = []
+    sites = []
     for site_id in site_ids:
         site = document.find(site_id)
         if site is None:
             continue  # the site itself was removed by a sibling op
         site_label = labeling.find(site_id)
         if site_label is None:
-            document.rebuild_index()
-            return
+            return None
         _collect_runs(labeling, site, site_label, runs)
+        sites.append(site)
     runs.sort(key=lambda entry: entry[0])
+    return runs, sites
+
+
+def _register_runs(document, runs):
+    """Enter the runs' subtrees into the id index, fresh identifiers
+    assigned in run order above every identifier they carry."""
     highest = -1
     for __, __, __, run in runs:
         for tree in run:

@@ -2,259 +2,126 @@
 
 A mirror rebuilds resident documents from the **raw** event stream
 (``decode=False`` subscriptions) exactly the way crash recovery and
-replicas replay the log: snapshot-form ``open`` payloads restore the
-producer's node identifiers, ``batch`` records are reduced sequentially
-and made effective with the in-memory evaluator preserving those
-identifiers, and the per-document version counter absorbs at-least-once
-redelivery. Byte-identity of a mirror against the leader (and against
-:class:`~repro.store.store.StatelessBaseline`) is the CDC correctness
-property the e2e suite pins.
-
-With ``index=True`` the mirror additionally maintains the producer's
-*labeling* and *secondary index* (:mod:`repro.index`): the snapshot
-payloads carry the exact label codes, batches repair them per-site with
-the same :func:`~repro.apply.inplace.apply_batch_in_place` the leader
-runs (including the headroom full-relabel rule, so the label timeline
-stays digit-identical when ``max_code_length`` matches the producer's),
-and the index is derived incrementally from each reduced batch — or
-rebuilt on any relabel — exactly like the leader's flush. The CDC index
-parity the suite pins: after any delivery schedule, the mirror's index
-equals an index rebuilt from scratch over the leader's final tree.
-
-The apply switch mirrors :func:`repro.store.durability.replay_oracle`
-on purpose — a CDC consumer is a replayer that happens to live outside
-the process.
+replicas replay the log — not by imitation but by construction: it is
+an adapter over a WAL-less :class:`~repro.cluster.replica.ReplicaStore`,
+and every event goes through the store's one record switch
+(:meth:`~repro.store.store.DocumentStore._apply_record`). Snapshot-form
+``open`` payloads restore the producer's node identifiers and label
+codes, ``batch`` records run the leader's own flush (in-place apply,
+headroom full-relabel rule, incremental index derivation — the label
+timeline stays digit-identical when ``max_code_length`` matches the
+producer's), and the per-document version counter absorbs
+at-least-once redelivery. What the adapter adds is the subscriber's
+framing: event unwrapping, the changed/absorbed answer, and typed
+``cluster`` errors. Byte-, label- and index-identity of a mirror
+against the leader (and byte-identity against
+:func:`~repro.store.durability.replay_oracle`) is the CDC correctness
+property the suites pin.
 """
 
 from __future__ import annotations
 
-from repro.errors import ClusterError
-from repro.index.structural import build_index
-from repro.pul.semantics import apply_pul
-from repro.pul.serialize import pul_from_xml
-from repro.reduction import reduce_deterministic
-from repro.store.durability.snapshot import restore_document
-from repro.xdm.serializer import serialize
+from repro.cluster.replica import ReplicaStore
+from repro.errors import ClusterError, RecoveryError
+from repro.store.store import DEFAULT_MAX_CODE_LENGTH
 
 
 class DocumentMirror:
-    """Idempotent document reconstruction from raw change events."""
+    """Idempotent document reconstruction from raw change events.
 
-    def __init__(self, index=False, max_code_length=None):
-        self._docs = {}       # doc_id -> Document
-        self._versions = {}   # doc_id -> applied version
-        self._index_enabled = bool(index)
-        self._labelings = {}  # doc_id -> ContainmentLabeling (index mode)
-        self._indexes = {}    # doc_id -> DocumentIndex (index mode)
-        if max_code_length is None:
-            from repro.store.store import DEFAULT_MAX_CODE_LENGTH
-            max_code_length = DEFAULT_MAX_CODE_LENGTH
-        #: the producer's headroom threshold: a mirror that relabels at
-        #: a different watermark than its leader would diverge from the
-        #: leader's label timeline on the next incremental repair
-        self._max_code_length = max_code_length
+    ``max_code_length`` is the producer's headroom threshold: a mirror
+    that relabels at a different watermark than its leader would
+    diverge from the leader's label timeline on the next incremental
+    repair.
+    """
 
-    # -- bootstrap ------------------------------------------------------------
+    def __init__(self, max_code_length=DEFAULT_MAX_CODE_LENGTH):
+        # serial reduction, no WAL: the store owns no thread, pool or
+        # file, so a mirror needs no close()
+        self._store = ReplicaStore(workers=1, backend="serial",
+                                   max_code_length=max_code_length,
+                                   metrics=False)
 
     def bootstrap(self, payloads):
         """Reset the mirror from snapshot-form payloads (an ``export``
         in ``state`` form). Pair with the export's resume token: the
         token was read *before* the payloads were pinned, so resuming
         from it re-delivers at most changes the payloads already
-        contain — absorbed below by the version check."""
-        self._docs = {}
-        self._versions = {}
-        self._labelings = {}
-        self._indexes = {}
-        for payload in payloads:
-            restored = restore_document(payload)
-            self._install(restored)
-
-    def _install(self, restored):
-        self._docs[restored.doc_id] = restored.document
-        self._versions[restored.doc_id] = restored.counters["version"]
-        if self._index_enabled:
-            self._labelings[restored.doc_id] = restored.labeling
-            self._indexes[restored.doc_id] = build_index(
-                restored.document, restored.labeling)
-
-    # -- the apply switch -----------------------------------------------------
+        contain — absorbed by the version check."""
+        self._store.bootstrap(payloads, seq=0)
 
     def apply(self, event):
         """Make one raw subscription event effective.
 
         Accepts the event objects a ``decode=False`` subscription
         delivers (``{"seq", "token", "record"}``). Returns ``True``
-        when the event changed mirror state, ``False`` when it was
-        absorbed as a duplicate or carried no document change
-        (``relabel`` events rebuild labels and index in index mode,
-        but never the document bytes).
+        when the event changed a mirrored document, ``False`` when it
+        was absorbed as a duplicate or carried no document change
+        (``relabel`` events rebuild labels and index, never the
+        document bytes).
         """
         record = event["record"] if "record" in event else event
-        kind = record.get("kind")
-        if kind == "open":
-            return self._apply_open(record)
-        if kind == "close":
-            doc_id = record["doc_id"]
-            present = doc_id in self._docs
-            self._docs.pop(doc_id, None)
-            self._versions.pop(doc_id, None)
-            self._labelings.pop(doc_id, None)
-            self._indexes.pop(doc_id, None)
-            return present
-        if kind == "batch":
-            return self._apply_batch(record)
-        if kind == "relabel":
-            # labels/index change, document bytes never do
-            self._rebuild(record.get("doc_id"))
-            return False
-        if kind == "repl-pos":
-            return False  # cursors never change document bytes
-        raise ClusterError(
-            "unknown change-event kind {!r}".format(kind))
+        if (record.get("kind") == "relabel"
+                and record.get("doc_id") not in self._store):
+            return False  # labels of a document this mirror never held
+        try:
+            outcome = self._store._apply_record(record)
+        except RecoveryError as error:
+            # a gap in the feed, a batch with no base state, a record
+            # kind from a newer producer: the stream cannot advance
+            # this mirror from where it stands
+            raise ClusterError(
+                "change event cannot be applied ({}) — bootstrap the "
+                "mirror from an export and resume from its "
+                "token".format(error)) from error
+        return outcome in ("open", "close", "batch")
 
     def apply_all(self, events):
         """Apply a poll's worth of events; returns the applied count."""
         return sum(1 for event in events if self.apply(event))
 
-    def _apply_open(self, record):
-        restored = restore_document(record["doc"])
-        if restored.doc_id in self._docs:
-            return False  # redelivered open of a resident document
-        self._install(restored)
-        return True
-
-    def _apply_batch(self, record):
-        doc_id = record["doc_id"]
-        document = self._docs.get(doc_id)
-        if document is None:
-            raise ClusterError(
-                "change event targets {!r} but the mirror holds no "
-                "base state for it — bootstrap from an export "
-                "first".format(doc_id))
-        version = record["version"]
-        current = self._versions[doc_id]
-        if version <= current:
-            return False  # at-least-once redelivery, already covered
-        if version > current + 1:
-            raise ClusterError(
-                "change feed gap on {!r}: event names version {} but "
-                "the mirror is at {}".format(doc_id, version, current))
-        if self._index_enabled:
-            return self._apply_batch_indexed(doc_id, document, record,
-                                             version)
-        try:
-            reduced = reduce_deterministic(pul_from_xml(record["pul"]))
-            reduced.check_compatible()
-            working = document.copy()
-            apply_pul(working, reduced, check=False, preserve_ids=True)
-        except Exception:
-            # the leader skipped this logged batch too (failed flush);
-            # its version number will be reused by the next batch
-            return False
-        self._docs[doc_id] = working
-        self._versions[doc_id] = version
-        return True
-
-    def _apply_batch_indexed(self, doc_id, document, record, version):
-        """The index-mode batch arm: the leader's flush replayed.
-
-        Same in-place applier, same headroom rule, same
-        incremental-index derivation — so labels stay digit-identical
-        to the producer's and the index delta mirrors the leader's.
-        A failed application matches the leader's failed-flush recovery
-        (labels rebuilt on the unchanged tree, version number reused).
-        """
-        from repro.apply.inplace import apply_batch_in_place
-
-        labeling = self._labelings[doc_id]
-        previous_index = self._indexes[doc_id]
-        try:
-            reduced = reduce_deterministic(pul_from_xml(record["pul"]))
-            reduced.check_compatible()
-            working = document.copy()
-            working_labels = labeling.copy()
-            apply_mode = apply_batch_in_place(working, working_labels,
-                                              reduced)
-        except Exception:
-            # the leader's failed flush republished with labels rebuilt
-            # from the unchanged tree (rebuild_labeling); mirror that so
-            # the label timeline of later batches stays digit-identical
-            labeling.build(document)
-            self._indexes[doc_id] = build_index(document, labeling)
-            return False
-        if working_labels.max_code_length > self._max_code_length:
-            working_labels.build(working)
-            relabel = "full"
-        else:
-            relabel = "incremental"
-        index = None
-        if apply_mode == "incremental" and relabel == "incremental":
-            index = previous_index.derive(document, working,
-                                          working_labels, reduced)
-        if index is None:
-            index = build_index(working, working_labels)
-        self._docs[doc_id] = working
-        self._labelings[doc_id] = working_labels
-        self._indexes[doc_id] = index
-        self._versions[doc_id] = version
-        return True
-
-    def _rebuild(self, doc_id):
-        """Rebuild labels + index from the resident tree (the leader
-        published a wholesale relabel at an unchanged version)."""
-        if not self._index_enabled or doc_id not in self._docs:
-            return
-        document = self._docs[doc_id]
-        labeling = self._labelings[doc_id]
-        labeling.build(document)
-        self._indexes[doc_id] = build_index(document, labeling)
-
     # -- reads ----------------------------------------------------------------
 
+    def _published(self, doc_id):
+        """The mirrored document's published version, or ``None``."""
+        entry = self._store._entries.get(doc_id)
+        return None if entry is None else entry.published
+
+    def _require(self, doc_id):
+        if doc_id not in self._store:
+            raise ClusterError(
+                "mirror holds no document {!r}".format(doc_id))
+
     def doc_ids(self):
-        return sorted(self._docs, key=str)
+        return self._store.doc_ids()
 
     def version(self, doc_id):
-        return self._versions.get(doc_id)
+        published = self._published(doc_id)
+        return None if published is None else published.version
 
     def text(self, doc_id):
         """Serialized bytes of the mirrored document."""
-        document = self._docs.get(doc_id)
-        if document is None:
-            raise ClusterError(
-                "mirror holds no document {!r}".format(doc_id))
-        return serialize(document)
+        self._require(doc_id)
+        return self._store.text(doc_id)
 
     def labeling(self, doc_id):
-        """The maintained labeling (index mode only)."""
-        return self._labelings.get(doc_id)
+        """The maintained labeling (``None`` when not mirrored)."""
+        published = self._published(doc_id)
+        return None if published is None else published.labeling
 
     def index(self, doc_id):
-        """The maintained :class:`~repro.index.DocumentIndex` (index
-        mode only)."""
-        return self._indexes.get(doc_id)
+        """The maintained :class:`~repro.index.DocumentIndex` (``None``
+        when not mirrored)."""
+        published = self._published(doc_id)
+        return None if published is None else published.index
 
     def query(self, doc_id, path, engine="auto"):
         """Indexed read over the mirrored document — the fan-out read
-        surface CDC consumers exist for. Requires index mode."""
-        from repro.index.planner import run_query
-        from repro.xdm.serializer import serialize_node
-        from repro.xquery import parse_path
-
-        document = self._docs.get(doc_id)
-        if document is None:
-            raise ClusterError(
-                "mirror holds no document {!r}".format(doc_id))
-        nodes, plan = run_query(
-            parse_path(path), document,
-            labeling=self._labelings.get(doc_id),
-            index=self._indexes.get(doc_id), engine=engine)
-        rendered = [serialize_node(node) for node in nodes]
-        return {"doc_id": doc_id,
-                "version": self._versions.get(doc_id),
-                "count": len(rendered), "nodes": rendered,
-                "plan": plan}
+        surface CDC consumers exist for."""
+        self._require(doc_id)
+        return self._store.query(doc_id, path, explain=True,
+                                 engine=engine)
 
     def __repr__(self):
-        return "DocumentMirror(documents={})".format(len(self._docs))
+        return "DocumentMirror(documents={})".format(
+            len(self._store.doc_ids()))

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import threading
 
-from repro.errors import ClusterError, NotLeaderError, RecoveryError
+from repro.errors import ClusterError, NotLeaderError
 from repro.store.durability.snapshot import restore_document
 from repro.store.store import DocumentStore
 
@@ -81,10 +81,6 @@ class ReplicaStore(DocumentStore):
     def submit_xquery(self, doc_id, expression, client=None):
         self._reject_write("submit-xquery")
         return super().submit_xquery(doc_id, expression, client=client)
-
-    def submit_message(self, message):
-        self._reject_write("submit")
-        return super().submit_message(message)
 
     def discard_pending(self, doc_id):
         self._reject_write("discard")
@@ -153,11 +149,14 @@ class ReplicaStore(DocumentStore):
         ``[{"seq", "record"}, ...]`` list, ``next_seq`` the cursor the
         leader handed back for the follow-up request.
 
-        Applied strictly in sequence through the same switch recovery
-        replays: already-applied sequences are skipped (idempotent
-        redelivery), a gap is a stream bug and raises. A durable
-        replica write-ahead logs each record into its own WAL before
-        applying it, then records the advanced cursor.
+        Applied strictly in sequence through the switch recovery
+        replays (:meth:`DocumentStore._apply_record`, run live):
+        already-applied sequences are skipped (idempotent redelivery),
+        a gap is a stream bug and raises. A durable replica write-ahead
+        logs each record into its own WAL before applying it, then
+        records the advanced cursor. Reads never block on the apply
+        path — they pin published versions — so a replica serves reads
+        at full speed while the sync thread streams.
         """
         with self._apply_lock:
             for item in records:
@@ -172,7 +171,7 @@ class ReplicaStore(DocumentStore):
                     raise ClusterError(
                         "replication stream gap: expected seq {}, got "
                         "{}".format(self.applied_seq, seq))
-                self._apply_one(item.get("record") or {})
+                self._apply_record(item.get("record") or {})
                 self.applied_seq = seq + 1
             if next_seq > self.applied_seq:
                 raise ClusterError(
@@ -182,72 +181,6 @@ class ReplicaStore(DocumentStore):
                 self._durability.log_position(self.applied_seq,
                                               stream=self.stream_id)
         return self.applied_seq
-
-    def _apply_one(self, record):
-        """Apply one streamed record, *idempotently* and under the
-        entry's flush lock.
-
-        Idempotence: a crash between applying a record and advancing
-        the durable cursor (the per-segment ``repl-pos``) makes the
-        leader re-ship it after restart — so re-applying any record at
-        the cursor must be a no-op, never an error, and must not write
-        a duplicate into the replica's own WAL (a second ``open``
-        would poison its next recovery with "log opens twice").
-
-        Locking: the apply path is the replica's only mutator, and
-        reads never block on it — ``text`` / ``stats`` / read-only
-        ``query`` pin the entry's published version (store-README
-        invariant 9), so a replica serves reads at full speed while
-        the sync thread streams. ``entry.flush_lock`` is still taken
-        around each mutation for writer-side serialization (promotion
-        can hand the same entry to live flushes).
-        """
-        kind = record.get("kind")
-        durability = self._durability
-        if kind == "open":
-            restored = restore_document(record["doc"])
-            with self._lock:
-                if restored.doc_id in self._entries:
-                    return   # redelivered after a crash-before-cursor
-            if durability is not None:
-                durability.log_open(record["doc"])
-            self._install_restored(restored)
-        elif kind == "close":
-            with self._lock:
-                entry = self._entries.get(record["doc_id"])
-            if entry is None:
-                return   # redelivered: already evicted
-            # same order as the leader's close_document: wait out an
-            # in-flight apply of this entry before evicting it (pinned
-            # readers keep their version; eviction never tears a read)
-            with entry.flush_lock:
-                if durability is not None:
-                    durability.log_close(record["doc_id"])
-                with self._lock:
-                    self._entries.pop(record["doc_id"], None)
-        elif kind == "relabel":
-            entry = self._replay_entry(record["doc_id"])
-            with entry.flush_lock:
-                # republish first, log second: a concurrent capture of
-                # this replica's own WAL may then *lead* the record
-                # (idempotent rebuild at replay), never lag it
-                entry.rebuild_labeling()
-                if durability is not None:
-                    durability.log_relabel(entry.doc_id)
-        elif kind == "repl-pos":
-            pass  # the upstream was itself once a replica; its cursor
-        elif kind == "batch":
-            entry = self._replay_entry(record["doc_id"])
-            with entry.flush_lock:
-                # the shared replay switch (invariant 8): version
-                # checks, application through the incremental-relabel
-                # machinery, failed-batch skip + labeling rebuild —
-                # and, because we are not ``_replaying``, _run_batch
-                # write-ahead logs into the replica's own WAL first
-                self._replay_batch_record(entry, record)
-        else:
-            raise RecoveryError(
-                "unknown replicated record kind {!r}".format(kind))
 
     # -- failover -------------------------------------------------------------
 

@@ -31,12 +31,7 @@ from __future__ import annotations
 
 from bisect import insort
 
-from repro.apply.inplace import (
-    _PARENT_SITE_OPS,
-    _REMOVING_OPS,
-    _TARGET_SITE_OPS,
-)
-from repro.pul.ops import Rename, ReplaceChildren, ReplaceValue
+from repro.apply.inplace import classify
 
 
 def _tokenize(value):
@@ -111,46 +106,17 @@ class DocumentIndex:
         bucket with ``self``, or ``None`` when the delta cannot be
         derived (the caller rebuilds from scratch — always correct).
 
-        The op scan mirrors the applier's site classification: removing
-        ops and ``replaceChildren`` name the subtrees that left the
-        tree; rename/replace-value targets may have moved buckets; the
+        The delta is read off the applier's own site classification
+        (:func:`~repro.apply.inplace.classify`, run against the
+        pre-batch tree): removed subtrees leave their buckets,
+        rename/replace-value targets may have moved buckets, and the
         anchor sites' fresh (previously unknown) children and
         attributes are the inserted subtrees.
         """
-        removed_ids = []
-        touched_ids = []
-        seen_touched = set()
-        site_ids = []
-        seen_sites = set()
-        for op in reduced:
-            target = old_document.find(op.target)
-            if target is None:
-                continue
-            kind = op.op_name
-            if kind in _TARGET_SITE_OPS:
-                site = target
-            elif kind in _PARENT_SITE_OPS:
-                site = target.parent
-                if site is None:
-                    return None  # root-level change: applier synced
-            else:
-                site = None
-            if site is not None and site.node_id not in seen_sites:
-                seen_sites.add(site.node_id)
-                site_ids.append(site.node_id)
-            if kind in _REMOVING_OPS:
-                removed_ids.extend(
-                    n.node_id for n in target.iter_subtree())
-            elif kind == ReplaceChildren.op_name:
-                for child in target.children:
-                    removed_ids.extend(
-                        n.node_id for n in child.iter_subtree())
-            elif kind in (Rename.op_name, ReplaceValue.op_name):
-                if target.node_id not in seen_touched:
-                    seen_touched.add(target.node_id)
-                    touched_ids.append(target.node_id)
-
-        removed_set = set(removed_ids)
+        footprint = classify(old_document, reduced)
+        if footprint.needs_sync:
+            return None  # root-level change: the applier synced
+        removed_set = set(footprint.removed_ids)
         removals = {}   # bucket key -> set of node ids leaving it
         additions = {}  # bucket key -> [entry]
 
@@ -170,7 +136,7 @@ class DocumentIndex:
         try:
             for node_id in removed_set:
                 remove(old_document.get(node_id))
-            for node_id in touched_ids:
+            for node_id in footprint.touched_ids:
                 if node_id in removed_set:
                     continue
                 old_keys = self._keys_for(old_document.get(node_id))
@@ -189,7 +155,7 @@ class DocumentIndex:
                     removals.setdefault(key, set()).add(node_id)
                 for key in new_keys:
                     additions.setdefault(key, []).append(entry)
-            for site_id in site_ids:
+            for site_id in footprint.site_ids:
                 site = new_document.find(site_id)
                 if site is None:
                     continue  # the site itself was removed by a sibling op

@@ -646,8 +646,8 @@ def replay_oracle(directory):
     resident at the end of the log. Byte-equality of the recovered
     store against this oracle is the recovery correctness property: it
     holds because logged batches carry their labels, per-shard reduction
-    merges to the sequential reduction, and the streaming and in-memory
-    evaluators assign identical fresh identifiers.
+    merges to the sequential reduction, and the store's in-place applier
+    and the in-memory evaluator assign identical fresh identifiers.
     """
     state = load_durable_state(directory, repair=False)
     entries = {}

@@ -5,11 +5,11 @@ single-document :class:`~repro.distributed.executor.Executor`: it keeps
 many parsed documents *and their containment labelings* resident between
 update batches, accepts PUL submissions from concurrent clients, coalesces
 them into per-document batches, routes every batch through the sharded
-reduction pipeline (:mod:`repro.pipeline`) and makes it effective through
-the streaming evaluator — which maintains the labeling *incrementally*:
-only the nodes of touched subtrees gain or lose labels, existing
-containment codes are never rewritten (the update-tolerance property of
-Section 4.1).
+reduction pipeline (:mod:`repro.pipeline`) and makes it effective in place
+(:func:`repro.apply.inplace.apply_batch_in_place`) — which maintains the
+labeling *incrementally*: only the nodes of touched subtrees gain or lose
+labels, existing containment codes are never rewritten (the
+update-tolerance property of Section 4.1).
 
 Incremental maintenance is not free forever: every insertion between two
 adjacent codes lengthens the fresh code by about one digit, so a hot spot
@@ -36,11 +36,11 @@ from __future__ import annotations
 
 import threading
 import time
+from collections import Counter
 
 from repro.aggregation import aggregate
 from repro.apply.inplace import apply_batch_in_place
 from repro.index.structural import build_index
-from repro.distributed.messages import ShardEnvelope
 from repro.errors import (
     ClusterError,
     DurabilityError,
@@ -795,19 +795,6 @@ class DocumentStore:
                 "version": result["version"], "path": path,
                 "count": result["count"], "plan": result["plan"]}
 
-    def submit_message(self, message):
-        """Route a :class:`~repro.distributed.messages.PULMessage` to the
-        resident document named by its ``doc_id``."""
-        if message.doc_id is None:
-            raise ReproError(
-                "message {!r} carries no doc_id; the store cannot route "
-                "it".format(message))
-        pul = pul_from_xml(message.payload)
-        if pul.origin is None:
-            pul.origin = message.origin
-        return self.submit(message.doc_id, pul,
-                           client=message.origin or pul.origin)
-
     # -- batch execution -----------------------------------------------------
 
     def flush(self, doc_id, num_shards=None):
@@ -815,11 +802,12 @@ class DocumentStore:
 
         Returns a :class:`BatchResult`, or ``None`` when nothing was
         pending. Concurrent flushes of the same document are serialized
-        (submissions stay concurrent). On a coalescing or application
-        error the pending queue is restored untouched and the labeling —
-        which the streaming evaluator mutates in place — is rebuilt from
-        the unchanged document, so no partial batch state is ever
-        published.
+        (submissions stay concurrent). On any error the pending queue
+        is restored untouched and no partial batch state is ever
+        published: a batch rejected while coalescing (a cross-client
+        conflict) has touched nothing, and one that fails later — on
+        the private working pair, readers never see it — is unwound by
+        republishing the unchanged document with rebuilt labels.
         """
         start = time.perf_counter()
         entry = self._require(doc_id)
@@ -844,19 +832,6 @@ class DocumentStore:
                 self._m_flush_failures.inc()
                 with entry.lock:
                     entry.pending = pending + entry.pending
-                # a mid-stream failure may have left working labels for
-                # nodes that were never published; republish the same
-                # version with a labeling rebuilt from the (unchanged)
-                # document — readers pinned mid-failure keep the old
-                # published version, both have consistent labels
-                entry.rebuild_labeling()
-                if self._durability is not None:
-                    # replay must rebuild at the same point, or the label
-                    # timeline of every later batch diverges. Logged
-                    # *after* the republish so a concurrent capture's
-                    # payload never lags the record (leading is safe:
-                    # replaying the rebuild is idempotent)
-                    self._durability.log_relabel(entry.doc_id)
                 raise
         duration = time.perf_counter() - start
         self._m_flushes.inc()
@@ -897,12 +872,31 @@ class DocumentStore:
         return results
 
     def _execute_batch(self, entry, pending, num_shards):
+        # a failure here precedes the logged-version fence: nothing was
+        # logged, nothing checked out — the caller restores the queue
+        # and that is the whole recovery
         with self.obs.stage("coalesce"):
             batch = coalesce_batch(pending, entry.labeling,
                                    on_conflict=self.on_conflict,
                                    policies=self.policies)
         clients = len({client for __, client, __unused in pending})
-        return self._run_batch(entry, batch, num_shards, clients)
+        try:
+            return self._run_batch(entry, batch, num_shards, clients)
+        except Exception:
+            # at or past the fence: the batch record may be in the log
+            # and the working labels mid-repair. Republish the same
+            # version with a labeling rebuilt from the (unchanged)
+            # document — readers pinned mid-failure keep the old
+            # published version, both have consistent labels
+            entry.rebuild_labeling()
+            if self._durability is not None:
+                # replay must rebuild at the same point, or the label
+                # timeline of every later batch diverges. Logged
+                # *after* the republish so a concurrent capture's
+                # payload never lags the record (leading is safe:
+                # replaying the rebuild is idempotent)
+                self._durability.log_relabel(entry.doc_id)
+            raise
 
     def _run_batch(self, entry, batch, num_shards, clients):
         """Make one coalesced ``batch`` effective on ``entry``.
@@ -938,8 +932,8 @@ class DocumentStore:
         # recycled spare or a copy — entry.checkout): identifiers of
         # removed nodes stay burned (the allocator is the pair's own,
         # position-identical to the published tree's), fresh ids are
-        # assigned in document order by the index rebuild — identical
-        # to the streaming evaluator's assignment, per the differential
+        # assigned in document order across the insertion sites —
+        # identical to the stateless baseline's, per the differential
         # suite. Readers keep walking the published version untouched.
         document, labeling = entry.checkout()
         previous = entry.published
@@ -1149,43 +1143,12 @@ class DocumentStore:
     def _recover_state(self, state):
         """Replay a :class:`~repro.store.durability.LoadedState`."""
         self._replaying = True
-        replayed = 0
-        skipped = 0
+        outcomes = Counter()
         try:
             for payload in state.documents:
                 self._install_restored(restore_document(payload))
             for record in state.records:
-                kind = record.get("kind")
-                if kind == "open":
-                    # leading snapshots (captured after the log rotated)
-                    # may already contain a document whose open record
-                    # sits in a replayed segment: skip the redelivery
-                    restored = restore_document(record["doc"])
-                    with self._lock:
-                        present = restored.doc_id in self._entries
-                    if present:
-                        skipped += 1
-                    else:
-                        self._install_restored(restored)
-                elif kind == "close":
-                    with self._lock:
-                        self._entries.pop(record["doc_id"], None)
-                elif kind == "relabel":
-                    entry = self._replay_entry(record["doc_id"])
-                    entry.rebuild_labeling()
-                elif kind == "repl-pos":
-                    # a replica's replication cursor; the base store
-                    # ignores it, ReplicaStore recovers its position
-                    self._replay_position(record)
-                elif kind == "batch":
-                    entry = self._replay_entry(record["doc_id"])
-                    if self._replay_batch_record(entry, record):
-                        replayed += 1
-                    else:
-                        skipped += 1
-                else:
-                    raise RecoveryError(
-                        "unknown record kind {!r}".format(kind))
+                outcomes[self._apply_record(record)] += 1
         finally:
             self._replaying = False
         with self._lock:
@@ -1193,61 +1156,116 @@ class DocumentStore:
                 (entry.doc_id, entry.version)
                 for entry in self._entries.values())
         self.recovery = RecoveryReport(
-            documents=documents, replayed_batches=replayed,
-            skipped_records=skipped,
+            documents=documents, replayed_batches=outcomes["batch"],
+            skipped_records=outcomes["skipped"],
             snapshot_generation=state.snapshot_generation,
             clean=state.clean, truncated_bytes=state.truncated_bytes)
         return self.recovery
 
-    def _replay_batch_record(self, entry, record):
-        """Make one logged ``batch`` record effective on ``entry``.
+    def _apply_record(self, record):
+        """Advance the resident state by one logged ``record`` — THE
+        record switch, run by crash recovery (``_replaying`` set:
+        nothing is logged, ``repl-pos`` cursors are restored) and by
+        the replica/mirror streaming path (live: every applied record
+        is write-ahead logged into this store's own WAL, when it has
+        one). Store-README invariants 7-8 are structural only as long
+        as every host of a log runs this one routine.
 
-        THE replay switch's batch arm, shared verbatim by crash
-        recovery and by the replica streaming-apply path
-        (:mod:`repro.cluster.replica`) — store-README invariant 8
-        ("replica state ≡ leader replay") is structural only as long
-        as both run this one routine. Returns ``True`` when the batch
-        applied, ``False`` when it was skipped: either its version is
-        already covered (idempotent redelivery / post-divergence
-        duplicate), or its application failed — breadth matching the
-        live flush path's handler: the original flush failed on this
-        logged batch (whatever it raised) and rebuilt its labeling, so
-        the labeling is rebuilt here too. The crash may have landed
-        after the fsynced batch record but before the matching relabel
-        record; without the rebuild the labeling would stay in the
-        mid-apply mutated state and every later batch's codes would
-        diverge. When the relabel record *did* make it to disk,
-        replaying it is an idempotent second build.
+        Returns the record's kind (``"open"``/``"close"``/``"batch"``)
+        when resident documents changed, ``"skipped"`` when an open or
+        batch was absorbed, ``None`` for records that never change
+        document bytes.
+
+        Idempotence: leading snapshots, a crash between applying a
+        record and advancing the durable cursor, and at-least-once
+        subscribers all redeliver records — so re-applying one must be
+        a no-op, never an error, and must not write a duplicate into
+        this store's own WAL (a second ``open`` would poison its next recovery
+        with "log opens twice"). Opens skip when present, closes
+        tolerate a missing document, relabels rebuild
+        deterministically, batches are version-gated.
+
+        Locking: this is a writer like :meth:`flush` — each mutation
+        runs under the entry's ``flush_lock`` (promotion can hand the
+        same entry to live flushes) and reads never block on it, they
+        pin published versions (invariant 9).
         """
-        version = record["version"]
-        if version <= entry.version:
-            return False
-        if version != entry.version + 1:
+        kind = record.get("kind")
+        durability = None if self._replaying else self._durability
+        if kind == "open":
+            restored = restore_document(record["doc"])
+            with self._lock:
+                if restored.doc_id in self._entries:
+                    return "skipped"
+            if durability is not None:
+                durability.log_open(record["doc"])
+            self._install_restored(restored)
+            return kind
+        if kind == "repl-pos":
+            # a replica's replication cursor: restored from its own
+            # log, meaningless when streamed (the upstream was itself
+            # once a replica)
+            if self._replaying:
+                self._replay_position(record)
+            return None
+        if kind not in ("close", "relabel", "batch"):
             raise RecoveryError(
-                "log names version {} of {!r} but the replay "
-                "reached version {}".format(
-                    version, entry.doc_id, entry.version))
-        try:
-            self._run_batch(entry, pul_from_xml(record["pul"]),
-                            num_shards=None,
-                            clients=record.get("clients", 0))
-        except Exception:
-            entry.rebuild_labeling()
-            return False
-        return True
+                "unknown record kind {!r}".format(kind))
+        with self._lock:
+            entry = self._entries.get(record["doc_id"])
+        if entry is None:
+            if kind == "close":
+                return None   # redelivered: already evicted
+            raise RecoveryError(
+                "log record targets {!r} which the log never "
+                "opened".format(record["doc_id"]))
+        with entry.flush_lock:
+            if kind == "close":
+                # same order as close_document: an in-flight apply of
+                # this entry is waited out before the eviction
+                if durability is not None:
+                    durability.log_close(entry.doc_id)
+                with self._lock:
+                    self._entries.pop(entry.doc_id, None)
+                return kind
+            if kind == "relabel":
+                # republish first, log second: a concurrent capture
+                # may then *lead* the record (idempotent rebuild at
+                # replay), never lag it
+                entry.rebuild_labeling()
+                if durability is not None:
+                    durability.log_relabel(entry.doc_id)
+                return None
+            version = record["version"]
+            if version <= entry.version:
+                return "skipped"   # redelivery, already covered
+            if version != entry.version + 1:
+                raise RecoveryError(
+                    "version gap on {!r}: the log names version {} but "
+                    "the replay reached version {}".format(
+                        entry.doc_id, version, entry.version))
+            try:
+                # live, _run_batch write-ahead logs into our own WAL
+                self._run_batch(entry, pul_from_xml(record["pul"]),
+                                num_shards=None,
+                                clients=record.get("clients", 0))
+            except Exception:
+                # breadth matching the live flush path's handler: the
+                # original flush failed on this logged batch (whatever
+                # it raised) and rebuilt its labeling, so it is rebuilt
+                # here too — the crash may have landed after the
+                # fsynced batch record but before the matching relabel
+                # record, and every later batch's codes would diverge.
+                # When the relabel record *did* make it to disk,
+                # applying it is an idempotent second build.
+                entry.rebuild_labeling()
+                return "skipped"
+            return kind
 
     def _replay_position(self, record):
         """Hook for ``repl-pos`` records during replay (no-op here;
         :class:`~repro.cluster.replica.ReplicaStore` restores its
         streaming cursor from them)."""
-
-    def _replay_entry(self, doc_id):
-        entry = self._entries.get(doc_id)
-        if entry is None:
-            raise RecoveryError(
-                "log record targets {!r} which the log never "
-                "opened".format(doc_id))
-        return entry
 
     @staticmethod
     def _restored_entry(restored):
@@ -1265,33 +1283,6 @@ class DocumentStore:
                         restored.doc_id))
             self._entries[restored.doc_id] = entry
         return entry
-
-    # -- distributed hand-off ------------------------------------------------
-
-    def dispatch_shards(self, doc_id, pul, num_shards, network=None):
-        """Partition ``pul`` against the resident labeling and wrap the
-        shards as doc-targeted :class:`ShardEnvelope` messages, so remote
-        reduction workers can name the resident document they serve."""
-        entry = self._require(doc_id)
-        version = entry.pin()
-        try:
-            pul = pul.copy()
-            pul.attach_labels(version.labeling)
-            shards = shard_pul(pul, num_shards)
-        finally:
-            entry.unpin(version)
-        envelopes = []
-        for index, shard in enumerate(shards):
-            envelope = ShardEnvelope(
-                pul_to_xml(shard), origin=pul.origin,
-                shard_index=index, shard_count=len(shards),
-                base_version=version.version, doc_id=doc_id)
-            if network is not None:
-                network.send("store/{}".format(doc_id),
-                             "reducer-{}".format(index), envelope,
-                             kind="shard")
-            envelopes.append(envelope)
-        return envelopes
 
     # -- lifecycle -----------------------------------------------------------
 

@@ -170,12 +170,17 @@ class TestBootstrap:
             assert replay["events"] == []     # paired seq was the tail
 
 
+def _mirror_codes(mirror, doc_id):
+    return _label_codes(mirror._store.document(doc_id),
+                        mirror.labeling(doc_id))
+
+
 class TestIndexParity:
-    """Index mode: the mirror maintains the leader's labeling and
-    secondary index from the stream alone."""
+    """The mirror maintains the leader's labeling and secondary index
+    from the stream alone."""
 
     def _replayed(self, events):
-        mirror = DocumentMirror(index=True)
+        mirror = DocumentMirror()
         mirror.apply_all(events)
         return mirror
 
@@ -189,18 +194,17 @@ class TestIndexParity:
             # streamed maintenance == the leader's maintained index
             # == a from-scratch rebuild over the mirror's own tree
             assert maintained == leader_index
-            assert maintained == build_index(mirror._docs[doc_id],
-                                             mirror.labeling(doc_id))
+            assert maintained == build_index(
+                mirror._store.document(doc_id), mirror.labeling(doc_id))
             # and the label timeline is digit-identical, not just
             # order-isomorphic — the leader's exact codes, replayed
-            assert _label_codes(mirror._docs[doc_id],
-                                mirror.labeling(doc_id)) == leader_codes
+            assert _mirror_codes(mirror, doc_id) == leader_codes
 
     @settings(deadline=None, max_examples=15)
     @given(data=st.data())
     def test_redelivery_converges_to_the_same_index(self, trace, data):
         events, expected, leader = trace
-        mirror = DocumentMirror(index=True)
+        mirror = DocumentMirror()
         position = 0
         steps = 0
         while position < len(events):
@@ -290,10 +294,8 @@ class TestIndexParityAcrossRelabels:
 
     def test_parity_across_full_relabel_boundaries(self, tight_trace):
         events, text, leader_index, leader_codes = tight_trace
-        mirror = DocumentMirror(index=True,
-                                max_code_length=self.HEADROOM)
+        mirror = DocumentMirror(max_code_length=self.HEADROOM)
         mirror.apply_all(events)
         assert mirror.text("a") == text
         assert mirror.index("a") == leader_index
-        assert _label_codes(mirror._docs["a"],
-                            mirror.labeling("a")) == leader_codes
+        assert _mirror_codes(mirror, "a") == leader_codes

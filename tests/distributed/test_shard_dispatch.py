@@ -83,6 +83,15 @@ class TestMessageRoundTrips:
             len(envelope.payload.encode("utf-8"))
         assert "2/4" in repr(envelope)
 
+    def test_doc_id_addresses_a_resident_document(self):
+        message = PULMessage("<pul/>", origin="alice", doc_id="d1")
+        envelope = ShardEnvelope("<pul/>", origin="alice", shard_index=0,
+                                 shard_count=1, doc_id="d1")
+        assert message.doc_id == envelope.doc_id == "d1"
+        assert "doc='d1'" in repr(message)
+        assert "doc='d1'" in repr(envelope)
+        assert "doc=" not in repr(PULMessage("<pul/>", origin="alice"))
+
     def test_shard_envelope_rejects_bad_index(self):
         with pytest.raises(ValueError):
             ShardEnvelope("<pul/>", origin=None, shard_index=4,

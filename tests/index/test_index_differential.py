@@ -13,17 +13,39 @@ all three engines. The properties pinned after **every** flush:
   some examples to force them mid-session);
 * **recovery parity** — a store recovered from the WAL serves the same
   bytes for every query as the leader that wrote it (the restore-time
-  index rebuild meets the leader's incrementally maintained one).
+  index rebuild meets the leader's incrementally maintained one);
+* **one schedule, every host** — the leader's log then drives every
+  other host of the replay path (crash recovery, a WAL-less streaming
+  replica, a CDC mirror under at-least-once rewinds): at every log
+  position each host equals the leader in text, label codes and index,
+  and the final text equals the stateless ``replay_oracle``.
 """
+
+import tempfile
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cdc import ChangeFeed, DocumentMirror
+from repro.cluster import ReplicaStore
 from repro.errors import ReproError
 from repro.index import build_index
-from repro.store import DocumentStore, StatelessBaseline
+from repro.pul.ops import (
+    InsertAttributes,
+    InsertIntoAsFirst,
+    Rename,
+    ReplaceNode,
+)
+from repro.pul.pul import PUL
+from repro.store import (
+    DocumentStore,
+    DurabilityPolicy,
+    StatelessBaseline,
+    replay_oracle,
+)
 from repro.workloads import generate_client_batches, generate_xmark
+from repro.xdm.node import Node
 from repro.xdm.serializer import serialize, serialize_node
 from repro.xquery import parse_path
 from repro.xquery.xpath import evaluate_path
@@ -82,49 +104,228 @@ def assert_index_is_rebuild(store):
                                         version.labeling)
 
 
+def _state(version):
+    """Everything a host of the replay path must reproduce of one
+    published version: bytes, digit-exact label codes, index."""
+    labeling = version.labeling
+    codes = {}
+    for node in version.document.nodes():
+        label = labeling.label_of(node.node_id)
+        codes[node.node_id] = (label.start, label.end)
+    return serialize(version.document), codes, version.index
+
+
+def _assert_tracks_leader(host, timeline, position):
+    """``host`` has applied ``position`` log records; where the leader
+    stood still at that position (between flushes), they agree."""
+    expected = timeline.get(position)
+    if expected is not None:
+        assert _state(host._entries["d"].published) == expected
+
+
+class _Schedule:
+    """The special steps every schedule contains besides its random
+    PUL rounds; each returns the submissions of one flush attempt as
+    ``[(client, pul), ...]``."""
+
+    def __init__(self):
+        self.serial = 50000
+
+    def _stamped(self, tree):
+        for node in tree.iter_subtree():
+            node.node_id = self.serial
+            self.serial += 1
+        return tree
+
+    def duplicate_attribute(self, root):
+        """Run twice back to back: the second is a *failing batch* —
+        logged write-ahead, then rejected by the applier."""
+        attr = self._stamped(Node.attribute("dup", "w"))
+        return [("c", PUL([InsertAttributes(root.node_id, [attr])]))]
+
+    def conflict(self, root):
+        """Incompatible parallel renames: rejected while coalescing,
+        before anything is logged."""
+        return [("c", PUL([Rename(root.node_id, "rn1")])),
+                ("other", PUL([Rename(root.node_id, "rn2")]))]
+
+    def hot_spot(self, root):
+        tree = Node.element("b")
+        tree.append_attribute(Node.attribute("k0", "x"))
+        tree.append_child(Node.text("w"))
+        return [("c", PUL([InsertIntoAsFirst(root.node_id,
+                                             [self._stamped(tree)])]))]
+
+    def replace_root(self, root):
+        """A root-level parent-site op: the sync fallback of every
+        consumer of the batch classification."""
+        tree = Node.element("a")
+        tree.append_child(Node.element("b"))
+        return [("c", PUL([ReplaceNode(root.node_id,
+                                       [self._stamped(tree)])]))]
+
+
+def _durable(store_class, wal_dir, headroom):
+    return store_class(workers=1, backend="serial",
+                       max_code_length=headroom,
+                       durability=DurabilityPolicy("log", fsync=False),
+                       wal_dir=wal_dir)
+
+
+def _stream_to_replica(source, seq0, headroom, timeline, final):
+    """Host: a WAL-less replica streaming record by record."""
+    with ReplicaStore(workers=1, backend="serial",
+                      max_code_length=headroom) as replica:
+        replica.bootstrap([], seq0, stream=source.stream_id)
+        while replica.applied_seq < source.next_seq:
+            records, next_seq, __ = source.read_from(
+                replica.applied_seq, limit=1)
+            replica.apply_records(records, next_seq)
+            _assert_tracks_leader(replica, timeline,
+                                  replica.applied_seq - seq0)
+        assert _state(replica._entries["d"].published) == final
+
+
+def _deliver_to_mirror(data, events, headroom, timeline, final):
+    """Host: a CDC mirror under at-least-once redelivery.
+
+    A ``relabel`` event is not version-gated (it names only the
+    document), so re-delivering one *after* later batches re-balances
+    codes the leader kept — bytes never move, digits do. Rewinds
+    therefore stop at the last relabel delivered.
+    """
+    mirror = DocumentMirror(max_code_length=headroom)
+    # delivery position -> how far the subscriber falls back there
+    rewinds = data.draw(st.dictionaries(
+        st.integers(1, len(events)), st.integers(1, len(events)),
+        max_size=4), label="rewinds")
+    position = applied = floor = 0
+    while position < len(events):
+        mirror.apply(events[position])
+        if events[position]["record"]["kind"] == "relabel":
+            floor = max(floor, position + 1)
+        position += 1
+        applied = max(applied, position)
+        _assert_tracks_leader(mirror._store, timeline, applied)
+        position = max(floor, position - rewinds.pop(position, 0))
+    assert _state(mirror._store._entries["d"].published) == final
+
+
+def _recover(wal_dir, headroom, timeline, final):
+    """Host: crash recovery, checked after every replayed record."""
+
+    class CheckedRecovery(DocumentStore):
+        applied = 0
+
+        def _apply_record(self, record):
+            outcome = super()._apply_record(record)
+            self.applied += 1
+            _assert_tracks_leader(self, timeline, self.applied)
+            return outcome
+
+    with _durable(CheckedRecovery, wal_dir, headroom) as recovered:
+        assert recovered.applied == max(timeline)
+        assert _state(recovered._entries["d"].published) == final
+
+
 class TestEngineDifferential:
     @settings(deadline=None, max_examples=40)
     @given(data=st.data())
-    def test_indexed_equals_walker_equals_baseline(self, data):
+    def test_one_schedule_every_host(self, data):
         document = data.draw(documents(), label="document")
         text = serialize(document)
-        headroom = data.draw(st.sampled_from((64, 64, 10)),
+        headroom = data.draw(st.sampled_from((64, 64, 8)),
                              label="max_code_length")
+        queries = data.draw(
+            st.lists(path_queries(), min_size=1, max_size=4),
+            label="queries")
+        steps = data.draw(st.permutations(
+            ["pul"] * data.draw(st.integers(1, 3), label="rounds")
+            + ["failing batch", "conflict", "hot spot", "root"]),
+            label="schedule")
+        schedule = _Schedule()
         baseline = StatelessBaseline(measure_parse=False)
-        with DocumentStore(workers=1, backend="serial",
-                           max_code_length=headroom) as store:
-            store.open("d", text)
-            baseline.open("d", text)
-            queries = data.draw(
-                st.lists(path_queries(), min_size=1, max_size=4),
-                label="queries")
-            assert_engines_agree(store, baseline, queries)
-            for round_index in range(data.draw(st.integers(1, 3),
-                                               label="rounds")):
-                resident = store._entries["d"].published.document
-                pul = data.draw(
-                    applicable_puls(resident, max_ops=5,
-                                    stamp_ids=True),
-                    label="round {} pul".format(round_index))
-                if not len(pul):
-                    continue
-                store.submit("d", pul.copy(), client="c")
-                baseline.submit("d", pul.copy(), client="c")
-                outcomes = []
-                for executor in (store, baseline):
-                    try:
-                        executor.flush("d")
-                        outcomes.append("applied")
-                    except ReproError:
-                        # e.g. a duplicate attribute name across
-                        # rounds — a dynamic error both sides must
-                        # reject identically, leaving state untouched
-                        executor.discard_pending("d")
-                        outcomes.append("rejected")
-                assert outcomes[0] == outcomes[1]
-                assert store.text("d") == baseline.text("d")
-                assert_index_is_rebuild(store)
+        with tempfile.TemporaryDirectory() as wal_dir:
+            with _durable(DocumentStore, wal_dir, headroom) as store:
+                source = store.enable_replication()
+                feed = ChangeFeed(source)
+                anchor = feed.tail_token()
+                seq0 = source.next_seq
+                #: log position -> the leader's state while it stood there
+                timeline = {}
+
+                def flush(submissions):
+                    """One flush attempt on leader and baseline: same
+                    outcome, same bytes, maintained index = rebuild, all
+                    engines agree — and the leader's state enters the
+                    timeline under its log position."""
+                    before = store._entries["d"].published
+                    outcomes = []
+                    for executor in (store, baseline):
+                        for client, pul in submissions:
+                            executor.submit("d", pul.copy(), client=client)
+                        try:
+                            executor.flush("d")
+                            outcomes.append("applied")
+                        except ReproError:
+                            # a dynamic error both sides must reject
+                            # identically, leaving state untouched
+                            executor.discard_pending("d")
+                            outcomes.append("rejected")
+                    assert outcomes[0] == outcomes[1]
+                    assert store.text("d") == baseline.text("d")
+                    assert_index_is_rebuild(store)
+                    assert_engines_agree(store, baseline, queries)
+                    position = source.next_seq - seq0
+                    if position in timeline:
+                        # nothing was logged: nothing may have changed
+                        assert store._entries["d"].published is before
+                    timeline[position] = _state(
+                        store._entries["d"].published)
+                    return outcomes[0]
+
+                store.open("d", text)
+                baseline.open("d", text)
+                timeline[source.next_seq - seq0] = _state(
+                    store._entries["d"].published)
                 assert_engines_agree(store, baseline, queries)
+                for step in steps:
+                    resident = store._entries["d"].published.document
+                    if step == "pul":
+                        pul = data.draw(
+                            applicable_puls(resident, max_ops=5,
+                                            stamp_ids=True), label="pul")
+                        if len(pul):
+                            flush([("c", pul)])
+                    elif step == "failing batch":
+                        flush(schedule.duplicate_attribute(resident.root))
+                        assert flush(schedule.duplicate_attribute(
+                            resident.root)) == "rejected"
+                    elif step == "conflict":
+                        assert flush(
+                            schedule.conflict(resident.root)) == "rejected"
+                    elif step == "root":
+                        flush(schedule.replace_root(resident.root))
+                    else:
+                        for __ in range(4 if headroom > 8 else 16):
+                            flush(schedule.hot_spot(resident.root))
+                            if headroom == 8 and \
+                                    store.stats("d")["full_relabels"]:
+                                break
+                if headroom == 8:  # the budget actually forced a relabel
+                    assert store.stats("d")["full_relabels"] >= 1
+                kinds = [item["record"]["kind"] for item in
+                         source.read_from(seq0, limit=500)[0]]
+                assert "relabel" in kinds  # the failing batch's, shipped
+                final = _state(store._entries["d"].published)
+                _stream_to_replica(source, seq0, headroom, timeline,
+                                   final)
+                _deliver_to_mirror(
+                    data, feed.read(from_token=anchor, decode=False,
+                                    max_events=500)["events"],
+                    headroom, timeline, final)
+            _recover(wal_dir, headroom, timeline, final)
+            assert replay_oracle(wal_dir)["d"][0] == final[0]
 
     @settings(deadline=None, max_examples=25)
     @given(queries=st.lists(path_queries(), min_size=1, max_size=5))

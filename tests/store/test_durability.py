@@ -164,17 +164,31 @@ class TestRecovery:
         with _durable_store(tmp_path, "log") as recovered:
             assert recovered.doc_ids() == ["b"]
 
-    def test_failed_coalesce_keeps_label_timeline(self, tmp_path):
-        """A rejected batch rebuilds the labeling; the relabel record
-        replays that rebuild so later incremental codes match."""
+    def test_conflict_rejected_flush_touches_nothing(self, tmp_path):
+        """A flush rejected while coalescing fails *before* the
+        logged-version fence: nothing was logged or applied, so nothing
+        is relabeled, republished or shipped — and the next good batch
+        lands on the untouched label timeline everywhere."""
+        from repro.cdc import ChangeFeed, DocumentMirror
         from repro.pul.ops import Rename
         from repro.pul.pul import PUL
         from repro.xdm.parser import parse_document
 
         document = parse_document(DOC)
         title = next(document.elements_by_name("title"))
+        wal_dir = str(tmp_path / "wal")
+
+        def logged_kinds():
+            state = load_durable_state(wal_dir, repair=False)
+            return [record["kind"] for record in state.records]
+
         with _durable_store(tmp_path, "log") as store:
+            store.enable_replication()
+            feed = ChangeFeed(store.replication)
+            anchor = feed.tail_token()
             store.open("d", DOC)
+            token = feed.tail_token()
+            published = store._require("d").published
             # two clients renaming the same node differently: the union
             # is incompatible, the flush is rejected
             store.submit("d", PUL([Rename(title.node_id, "x")]),
@@ -183,13 +197,27 @@ class TestRecovery:
                          client="bob")
             with pytest.raises(ReproError):
                 store.flush("d")
+            assert logged_kinds() == ["open"]
+            assert store._require("d").published is published
+            assert store.stats("d")["pending"] == 2   # queue restored
+            assert feed.read(from_token=token, decode=False,
+                             max_events=10)["events"] == []
             store.discard_pending("d")
             store.submit("d", PUL([Rename(title.node_id, "headline")]),
                          client="alice")
             store.flush("d")
+            assert logged_kinds() == ["open", "batch"]
             before = _full_state(store, "d")
+            mirror = DocumentMirror()
+            mirror.apply_all(feed.read(from_token=anchor, decode=False,
+                                       max_events=10)["events"])
+            assert mirror.text("d") == before["text"]
+            assert {node_id: label.to_string() for node_id, label in
+                    mirror.labeling("d").as_mapping().items()} \
+                == before["labels"]
         with _durable_store(tmp_path, "log") as recovered:
             assert _full_state(recovered, "d") == before
+        assert replay_oracle(wal_dir)["d"] == (before["text"], 1)
 
     def test_crash_before_relabel_record_still_converges(
             self, tmp_path, monkeypatch):

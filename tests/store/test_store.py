@@ -4,8 +4,6 @@ import threading
 
 import pytest
 
-from repro.distributed.messages import PULMessage
-from repro.distributed.network import SimulatedNetwork
 from repro.errors import MergeError, ReproError
 from repro.pul.ops import (
     Delete,
@@ -15,7 +13,6 @@ from repro.pul.ops import (
     ReplaceValue,
 )
 from repro.pul.pul import PUL
-from repro.pul.serialize import pul_to_xml
 from repro.store import DocumentStore
 from repro.xdm.node import Node
 
@@ -250,46 +247,6 @@ class TestHeadroomFallback:
             # a full relabel rebalanced the codes below the budget
             assert store.labeling("d1").max_code_length <= 10
             assert len(store.labeling("d1")) == len(store.document("d1"))
-
-
-class TestMessageRouting:
-    def test_submit_message_routes_by_doc_id(self, store):
-        store.open("d1", DOC)
-        title = _ids_by_name(store.document("d1"), "title")[0]
-        pul = PUL([Rename(title, "headline")])
-        message = PULMessage(pul_to_xml(pul), origin="alice",
-                             doc_id="d1")
-        assert "doc='d1'" in repr(message)
-        store.submit_message(message)
-        store.flush("d1")
-        assert "<headline>" in store.text("d1")
-
-    def test_message_without_doc_id_rejected(self, store):
-        store.open("d1", DOC)
-        message = PULMessage("<pul/>", origin="alice")
-        with pytest.raises(ReproError):
-            store.submit_message(message)
-
-    def test_dispatch_shards_stamps_doc_id(self, store):
-        store.open("d1", DOC)
-        document = store.document("d1")
-        titles = _ids_by_name(document, "title")
-        pul = PUL([Rename(titles[0], "headline"),
-                   Rename(titles[1], "caption")], origin="alice")
-        network = SimulatedNetwork()
-        envelopes = store.dispatch_shards("d1", pul, 2, network=network)
-        assert len(envelopes) >= 1
-        assert all(e.doc_id == "d1" for e in envelopes)
-        assert all("doc='d1'" in repr(e) for e in envelopes)
-        assert [r.sender for r in network.log] == \
-            ["store/d1"] * len(envelopes)
-
-    def test_dispatch_does_not_mutate_the_pul(self, store):
-        store.open("d1", DOC)
-        title = _ids_by_name(store.document("d1"), "title")[0]
-        pul = PUL([Rename(title, "headline")])
-        store.dispatch_shards("d1", pul, 2)
-        assert pul.labels == {}
 
 
 class TestConcurrency:
