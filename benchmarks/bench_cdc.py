@@ -9,8 +9,8 @@ a :class:`~repro.cdc.DocumentMirror`. Reported:
   token mint, wire, mirror apply);
 * ``freshness_ms`` — median flush→event latency: the wall time from a
   durable flush ack to the subscriber holding the matching batch event
-  via a parked long-poll (the push-latency equivalent of the follower
-  ``wal-segment`` path);
+  via a parked long-poll (the same ``subscribe`` poll cluster
+  replicas follow through);
 * byte-identity of the mirror against the leader, asserted, so the
   bench cannot drift from correctness.
 

@@ -2,9 +2,9 @@
 
 Two clients with the same method surface — ``open`` / ``submit`` /
 ``submit_xquery`` / ``flush`` / ``flush_all`` / ``discard`` / ``text``
-/ ``stats`` / ``docs`` / ``snapshot`` / ``query`` plus the replication
-ops (``replicate_subscribe`` / ``wal_segment`` / ``snapshot_transfer``
-/ ``promote``) — over the versioned frame protocol of
+/ ``stats`` / ``docs`` / ``snapshot`` / ``query`` / ``promote`` plus
+the follower surface (``subscribe`` / ``export``, which replicas and
+every other consumer share) — over the versioned frame protocol of
 :mod:`repro.api.protocol`:
 
 :class:`StoreClient`
@@ -170,30 +170,6 @@ class _MethodSurface:
         return self._call("metrics", **args)
 
     # -- replication (see repro.cluster) --------------------------------------
-
-    def replicate_subscribe(self, replica=None):
-        """Announce this connection as a follower; returns the stream
-        shape (``seq`` / ``first_seq`` / ``backlog`` / ``stream``)."""
-        args = {} if replica is None else {"replica": replica}
-        return self._call("replicate-subscribe", **args)
-
-    def wal_segment(self, from_seq, replica=None, max_records=None,
-                    wait_s=None):
-        """Pull leader log records from ``from_seq`` on (long-polling
-        up to ``wait_s`` seconds when caught up)."""
-        args = {"from_seq": from_seq}
-        if replica is not None:
-            args["replica"] = replica
-        if max_records is not None:
-            args["max_records"] = max_records
-        if wait_s is not None:
-            args["wait_s"] = wait_s
-        return self._call("wal-segment", **args)
-
-    def snapshot_transfer(self):
-        """Fetch the leader's full resident state plus the stream
-        position it describes (the replica bootstrap payload)."""
-        return self._call("snapshot-transfer")
 
     def promote(self, allow_non_durable=False):
         """Convert the connected replica into a leader (manual

@@ -206,36 +206,6 @@ class StoreDispatcher:
                 "with `repro cluster serve --role leader`)")
         return source
 
-    def replicate_subscribe(self, replica=None):
-        """Register a follower; returns the stream shape it must join
-        (or bootstrap against)."""
-        if replica is not None and not isinstance(replica, str):
-            raise ProtocolError(
-                "replicate-subscribe \"replica\" must be a string")
-        return self._source().subscribe(replica=replica)
-
-    def wal_segment(self, from_seq, replica=None, max_records=None,
-                    wait_s=None):
-        """Stream log records from ``from_seq`` on (long-poll up to
-        ``wait_s`` when caught up)."""
-        from repro.cluster.feed import DEFAULT_SEGMENT_RECORDS
-
-        records, next_seq, end_seq = self._source().read_from(
-            from_seq,
-            limit=(DEFAULT_SEGMENT_RECORDS if max_records is None
-                   else max_records),
-            wait_s=0.0 if wait_s is None else wait_s,
-            replica=replica)
-        return {"from_seq": from_seq, "records": records,
-                "next_seq": next_seq, "end_seq": end_seq}
-
-    def snapshot_transfer(self):
-        """Full resident state plus the exact stream position it
-        describes — the replica bootstrap payload."""
-        source = self._source()
-        payloads, seq = self.store.capture_state()
-        return {"docs": payloads, "seq": seq, "stream": source.stream_id}
-
     # -- CDC & bulk ETL (see repro.cdc / repro.etl) ---------------------------
 
     def subscribe(self, from_token=None, doc_ids=None, decode=None,
@@ -245,7 +215,7 @@ class StoreDispatcher:
         ``doc_ids``, decoded (PUL op summaries) unless ``decode`` is
         false. Stateless server-side — the resume token in the result
         is the whole subscription state."""
-        # imported lazily, like the cluster surface below
+        # imported lazily: repro.cdc imports the store package
         from repro.cdc.feed import ChangeFeed
 
         if from_token is not None and not isinstance(from_token, str):

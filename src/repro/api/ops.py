@@ -46,6 +46,12 @@ class OpSpec:
         return "OpSpec({!r}, code={})".format(self.name, self.code)
 
 
+#: 12-14 were replicate-subscribe / wal-segment / snapshot-transfer
+#: (replicas now follow through subscribe + export). Retired codes are
+#: never reassigned: an old peer still sending one must get "unknown
+#: op", never another operation's behaviour
+RETIRED_CODES = frozenset({12, 13, 14})
+
 #: every operation, in op-code order. Codes are append-only.
 OPS = (
     OpSpec(
@@ -98,27 +104,7 @@ OPS = (
         required=("doc_id", "path"),
         result="`doc_id`, `version`, `count`, `nodes` (serialized, "
                "document order)"),
-    OpSpec(
-        "replicate-subscribe", 12, "replicate_subscribe",
-        optional=("replica",), group="replication",
-        result="`seq`, `first_seq`, `backlog`, `stream` (the stream "
-               "epoch id)"),
-    OpSpec(
-        "wal-segment", 13, "wal_segment",
-        required=("from_seq",),
-        optional=("replica", "max_records", "wait_s"),
-        group="replication", poll=True,
-        result="`records` (`[{seq, record}]`), `next_seq`, `end_seq`; "
-               "long-polls up to `wait_s` when caught up; "
-               "`replication-reset` when `from_seq` fell out of the "
-               "retained backlog"),
-    OpSpec(
-        "snapshot-transfer", 14, "snapshot_transfer",
-        group="replication",
-        result="`docs` (full per-document state payloads), `seq`, "
-               "`stream` — published versions captured after `seq` is "
-               "read (payloads may lead `seq`, never lag it; replay "
-               "absorbs the overlap), the replica bootstrap payload"),
+    # 12-14: RETIRED_CODES
     OpSpec(
         "promote", 15, "promote",
         optional=("allow_non_durable",), group="replication",
@@ -132,11 +118,13 @@ OPS = (
         optional=("from_token", "doc_ids", "decode", "max_events",
                   "wait_s", "subscriber"),
         group="cdc", poll=True,
-        result="`events`, `token` (resume token covering everything "
-               "scanned), `end_seq`, `stream`; long-polls up to "
-               "`wait_s`; `subscription-lagged` when the token fell "
-               "out of the backlog, `resume-expired` on a stream-epoch "
-               "mismatch"),
+        result="`events` (decoded, or raw `{seq, token, record}` log "
+               "records with `decode: false` — what replicas apply), "
+               "`token` (resume token covering everything scanned), "
+               "`end_seq`, `stream`; long-polls up to `wait_s`; "
+               "`subscription-lagged` when the token fell out of the "
+               "backlog, `resume-expired` on a stream-epoch mismatch "
+               "or a sequence past the stream end"),
     OpSpec(
         "unsubscribe", 17, "unsubscribe",
         required=("subscriber",), group="cdc",
@@ -151,8 +139,10 @@ OPS = (
         optional=("doc_ids", "cursor", "max_docs", "format"),
         group="cdc",
         result="`docs`, `cursor` (pagination key), `done`, `seq`, "
-               "`stream`, `token` (CDC anchor read before the "
-               "payloads were pinned; `None` without replication)"),
+               "`stream`, `token` (resume anchor read before the "
+               "payloads were pinned; `None` without replication). "
+               "`format: \"state\"` pages are the follower bootstrap: "
+               "anchor at the *first* page's token"),
     # secondary indexes & query planning (PR 9)
     OpSpec(
         "explain", 20, "explain",
@@ -192,16 +182,18 @@ def dispatch_table():
             for spec in OPS if spec.method is not None}
 
 
-def _check_registry():
-    codes = [spec.code for spec in OPS]
+def _check_registry(ops=OPS):
+    codes = [spec.code for spec in ops]
     if len(set(codes)) != len(codes):
         raise ValueError("duplicate op codes in the registry")
-    if len(OP_SPECS) != len(OPS):
+    if len({spec.name for spec in ops}) != len(ops):
         raise ValueError("duplicate op names in the registry")
     if codes != sorted(codes):
         raise ValueError("registry must stay in op-code order")
     if any(code >= 0xFF for code in codes):
         raise ValueError("op code collides with the named-op escape")
+    if RETIRED_CODES.intersection(codes):
+        raise ValueError("op code was retired and is never reassigned")
 
 
 _check_registry()

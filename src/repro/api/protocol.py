@@ -64,7 +64,7 @@ JSON-representable scalars plus lists and string-keyed maps, with
 strings as raw length-prefixed UTF-8. That raw-string rule is the
 codec's point: v1 must JSON-escape-and-scan every document and PUL
 payload it carries, v2 copies the bytes — the hot ops (``submit``,
-``text``, ``wal-segment``) move XML by the kilobyte. Decoded v2 frames
+``text``, ``subscribe``) move XML by the kilobyte. Decoded v2 frames
 reconstruct exactly the v1 message dicts, so dispatch, clients and the
 error surface are codec-neutral.
 """
@@ -330,8 +330,11 @@ def _decode_message_v2(payload):
         else:
             op = OP_NAMES.get(op_code)
             if op is None:
-                raise ProtocolError(
-                    "unknown op code 0x{:02x}".format(op_code))
+                # a code this build does not serve (retired, or minted
+                # by a newer peer) leaves the framing intact: the
+                # request is answered "unknown op" under its own id,
+                # the connection lives on
+                op = "0x{:02x}".format(op_code)
         args, offset = _decode_value(payload, offset)
         if not isinstance(args, dict):
             raise ProtocolError("request args must be a map")

@@ -187,11 +187,11 @@ class StoreServer:
         self._executor = concurrent.futures.ThreadPoolExecutor(
             max_workers=executor_workers,
             thread_name_prefix="store-server")
-        # long-polls (`wal-segment` / `subscribe` with wait_s) park a
-        # thread for seconds at a time; on the shared pool, enough
-        # followers would occupy every worker and stall each write
-        # until a poll deadline expired — so polls get their own pool
-        # and the write path never queues behind a parked follower
+        # long-polls (`subscribe` with wait_s) park a thread for
+        # seconds at a time; on the shared pool, enough followers would
+        # occupy every worker and stall each write until a poll
+        # deadline expired — so polls get their own pool and the write
+        # path never queues behind a parked follower
         self._poll_executor = concurrent.futures.ThreadPoolExecutor(
             max_workers=max(executor_workers, 16),
             thread_name_prefix="store-server-poll")
@@ -397,19 +397,6 @@ class StoreServer:
         executor = (self._poll_executor if op in ops.POLL_OPS
                     else self._executor)
         return executor, functools.partial(method, **call_args)
-
-    async def _execute(self, session, request_id, op, args):
-        """Run one parsed request; always returns a response object."""
-        try:
-            executor, thunk = self._plan(session, op, args)
-            result = await asyncio.get_running_loop().run_in_executor(
-                executor, thunk)
-        except Exception as error:
-            # ReproError subclasses ship their stable code; anything
-            # else (a TypeError from garbage argument types, ...) is
-            # still a response, never a dead connection
-            return protocol.error_response(request_id, error)
-        return protocol.ok_response(request_id, result)
 
     async def _execute_many(self, session, messages):
         """Execute a contiguous pipelined run; responses in request

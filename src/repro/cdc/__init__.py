@@ -1,9 +1,10 @@
 """Change-data-capture: the replication feed as a public surface.
 
 :mod:`repro.cluster` treats the write-ahead log as replication
-transport — followers speak raw ``wal-segment`` pulls and replay every
-record. This package turns the same numbered, epoch-fenced stream into
-an integration surface for downstream consumers:
+transport. This package turns that numbered, epoch-fenced stream into
+the one follower surface: replicas (raw records, replayed one by one)
+and downstream consumers (decoded, filtered events) speak the same
+``subscribe`` / ``export`` ops:
 
 - :mod:`repro.cdc.tokens` — opaque, checksummed resume tokens binding
   a stream epoch to a log sequence;

@@ -31,11 +31,7 @@ from repro.cluster.feed import (
     DEFAULT_SEGMENT_RECORDS,
     MAX_WAIT_S,
 )
-from repro.errors import (
-    ReplicationResetError,
-    ResumeExpiredError,
-    SubscriptionLaggedError,
-)
+from repro.errors import ResumeExpiredError
 from repro.pul.serialize import pul_from_xml
 
 
@@ -82,9 +78,10 @@ class ChangeFeed:
         ``wait_s`` seconds (capped at :data:`MAX_WAIT_S`) when no event
         matching the ``doc_ids`` filter is available yet.
 
-        Raises :class:`SubscriptionLaggedError` when the token names a
-        sequence the backlog no longer retains, and
-        :class:`ResumeExpiredError` on an epoch mismatch.
+        Raises :class:`~repro.errors.SubscriptionLaggedError` when the
+        token names a sequence the backlog no longer retains, and
+        :class:`ResumeExpiredError` on an epoch mismatch or a sequence
+        past the stream end.
         """
         source = self.source
         if from_token is None:
@@ -100,13 +97,9 @@ class ChangeFeed:
         events = []
         while True:
             remaining = max(0.0, deadline - time.monotonic())
-            try:
-                records, cursor, end_seq = source.read_from(
-                    cursor, limit=limit, wait_s=remaining,
-                    replica=subscriber)
-            except ReplicationResetError as exc:
-                raise SubscriptionLaggedError(
-                    cursor, exc.first_seq) from exc
+            records, cursor, end_seq = source.read_from(
+                cursor, limit=limit, wait_s=remaining,
+                replica=subscriber)
             for item in records:
                 event = self._event(item, filters, decode)
                 if event is not None:

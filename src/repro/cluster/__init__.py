@@ -6,8 +6,8 @@ write-ahead log doubles as the replication stream
 (:class:`~repro.cluster.feed.ReplicationSource` numbers every synced
 record and serves bounded backlog reads). *Replicas*
 (:class:`~repro.cluster.replica.ReplicaStore` fed by
-:class:`~repro.cluster.sync.ReplicaSync`) bootstrap from a snapshot
-transfer, apply the streamed records through the PR 3 replay machinery
+:class:`~repro.cluster.sync.ReplicaSync`) bootstrap from a paged
+state export, apply the streamed records through the PR 3 replay machinery
 and serve reads; writes bounce with the typed ``not-leader`` error.
 :class:`~repro.cluster.client.ClusterClient` consistent-hashes
 documents across shards, follows redirects and fans reads out across
@@ -15,9 +15,11 @@ replicas. Manual failover is ``promote``: a caught-up replica becomes
 a leader (its own WAL already holds everything it acknowledged) and
 starts a fresh stream epoch its followers re-bootstrap from.
 
-Protocol surface: ``replicate-subscribe`` / ``wal-segment`` /
-``snapshot-transfer`` / ``promote`` ops plus the replication block in
-extended ``stats`` (see ``src/repro/api/README.md``).
+Protocol surface: replicas follow through the same ``subscribe``
+(raw records) / ``export`` (state form) ops every other consumer speaks
+(:mod:`repro.cdc`); the cluster adds only ``promote`` and the
+replication block in extended ``stats`` (see
+``src/repro/api/README.md``).
 """
 
 from repro.cluster.client import ClusterClient, HashRing

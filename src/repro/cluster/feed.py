@@ -4,7 +4,8 @@ A source attaches to a store's :class:`DurabilityManager` and turns the
 write-ahead log into a *numbered record stream*: every record appended
 after the source starts gets a monotonically increasing sequence number
 (``seq``), and followers pull contiguous ranges with
-``read_from(seq)``. Ingestion goes through the
+``read_from(seq)`` (the ``subscribe`` op, through
+:class:`~repro.cdc.feed.ChangeFeed`). Ingestion goes through the
 :class:`~repro.store.durability.wal.WalTailReader` — records are read
 back from the segment files, never forked off the in-memory write path
 — bounded by the writer's synced offset, so the feed can never ship a
@@ -16,13 +17,13 @@ Compaction safety: when the manager rotates the active segment, its
 superseded files are deleted (the hook runs under the manager lock,
 ahead of the unlink). The feed itself retains a bounded backlog
 (:attr:`backlog` records); a follower that falls further behind than
-that gets :class:`~repro.errors.ReplicationResetError` and must
-re-bootstrap from a full snapshot transfer
-(:meth:`~repro.store.store.DocumentStore.capture_state`), exactly like
+that gets :class:`~repro.errors.SubscriptionLaggedError` and must
+re-bootstrap from a state export
+(:meth:`~repro.store.store.DocumentStore.export_state`), exactly like
 a fresh replica.
 
-Snapshot-transfer pairing: ``capture_state`` reads :attr:`next_seq`
-*first* and captures published document versions *after*. That order is
+Export pairing: ``export_state`` reads :attr:`next_seq` *first* and
+captures published document versions *after*. That order is
 leading-safe — ingestion is lazy, so the seq read can only under-count
 what the payloads already reflect, and a follower streaming from it
 re-receives at most records the replica apply path absorbs idempotently.
@@ -43,20 +44,25 @@ import time
 import uuid
 from collections import deque
 
-from repro.errors import ClusterError, ProtocolError, ReplicationResetError
+from repro.errors import (
+    ClusterError,
+    ProtocolError,
+    ResumeExpiredError,
+    SubscriptionLaggedError,
+)
 from repro.obs import StoreObs
 from repro.store.durability.recovery import decode_payload
 from repro.store.durability.wal import WalTailReader
 
 #: default bound on retained records; a follower behind by more than
-#: this re-bootstraps from a snapshot transfer
+#: this re-bootstraps from a state export
 DEFAULT_BACKLOG = 4096
 
 #: server-side cap on one long-poll wait (seconds) — a follower asking
 #: for more parks an executor thread for that long
 MAX_WAIT_S = 30.0
 
-#: default records per wal-segment response
+#: default records per subscribe page
 DEFAULT_SEGMENT_RECORDS = 256
 
 #: a subscriber that has not polled for this long is presumed gone and
@@ -71,8 +77,7 @@ class ReplicationSource:
 
     Construct via :meth:`DocumentStore.enable_replication` (the store
     wires the manager hooks up); followers are served through the
-    ``replicate-subscribe`` / ``wal-segment`` / ``snapshot-transfer``
-    protocol ops, which delegate here.
+    ``subscribe`` / ``export`` protocol ops, which delegate here.
     """
 
     def __init__(self, manager, backlog=DEFAULT_BACKLOG):
@@ -104,13 +109,13 @@ class ReplicationSource:
             help_text="Records currently held in the feed backlog")
         self._m_shipped = self._obs.counter(
             "repro_replication_records_shipped_total",
-            help_text="WAL records served to followers via wal-segment")
+            help_text="WAL records served to followers via subscribe")
         self._m_max_lag = self._obs.gauge(
             "repro_replication_max_lag_records",
             help_text="Largest follower lag in records (0 when every "
                       "acked follower is caught up)")
         # anchor at the current durable end of the log: history before
-        # the source existed is served via snapshot transfer, never as
+        # the source existed is served via state export, never as
         # records. Anchoring and hook attachment are one atomic step
         # (manager lock) — a rotation slipping between them would
         # advance the generation with no on_rotate ever delivered,
@@ -190,7 +195,7 @@ class ReplicationSource:
 
         Ingestion is pull-based, so the returned value is a *lower
         bound* on what the log already holds — which is exactly the
-        safe direction for ``capture_state``'s seq-before-payloads
+        safe direction for ``export_state``'s seq-before-payloads
         pairing (the payloads may lead the seq, never lag it)."""
         self._ingest()
         with self._lock:
@@ -213,18 +218,9 @@ class ReplicationSource:
                      if now - state["at"] > SUBSCRIBER_TTL_S]:
             del self.subscribers[name]
         self._m_subscribers.set(len(self.subscribers))
-        lags = [self._next_seq - state["acked_seq"]
-                for state in self.subscribers.values()
-                if state["acked_seq"] is not None]
-        self._m_max_lag.set(max(lags) if lags else 0)
-
-    def subscribe(self, replica=None):
-        """Register (or refresh) a follower; returns the stream shape."""
-        self._ingest()
-        with self._lock:
-            self._note_subscriber(replica, None)
-            return {"seq": self._next_seq, "first_seq": self._first_seq,
-                    "backlog": self.backlog, "stream": self.stream_id}
+        self._m_max_lag.set(max(
+            (self._next_seq - state["acked_seq"]
+             for state in self.subscribers.values()), default=0))
 
     def forget_subscriber(self, replica):
         """Drop a named subscriber from the lag stats.
@@ -249,14 +245,16 @@ class ReplicationSource:
         is the cursor for the follower's next call and ``end_seq`` the
         stream end at response time. ``from_seq`` acknowledges that
         everything below it is applied (feeds the leader's lag stats).
-        Raises :class:`ReplicationResetError` when ``from_seq`` is
-        older than the retained backlog.
+        Raises :class:`SubscriptionLaggedError` when ``from_seq`` is
+        older than the retained backlog and :class:`ResumeExpiredError`
+        when it is past the stream end (a position this epoch never
+        issued); either way the follower re-bootstraps.
         """
         if not isinstance(from_seq, int) or isinstance(from_seq, bool) \
                 or from_seq < 0:
             raise ProtocolError(
-                "wal-segment needs a non-negative integer from_seq, "
-                "got {!r}".format(from_seq))
+                "the feed is read from a non-negative integer "
+                "sequence, got {!r}".format(from_seq))
         limit = max(1, int(limit))
         deadline = time.monotonic() + min(max(0.0, float(wait_s)),
                                           MAX_WAIT_S)
@@ -265,11 +263,11 @@ class ReplicationSource:
             with self._lock:
                 self._note_subscriber(replica, from_seq)
                 if from_seq > self._next_seq:
-                    raise ProtocolError(
-                        "wal-segment from_seq {} is past the stream end "
-                        "{}".format(from_seq, self._next_seq))
+                    raise ResumeExpiredError(self.stream_id,
+                                             self.stream_id)
                 if from_seq < self._first_seq:
-                    raise ReplicationResetError(from_seq, self._first_seq)
+                    raise SubscriptionLaggedError(from_seq,
+                                                  self._first_seq)
                 if from_seq < self._next_seq:
                     start = from_seq - self._first_seq
                     records = [{"seq": seq, "record": record}
@@ -290,8 +288,7 @@ class ReplicationSource:
         with self._lock:
             subscribers = {
                 name: {"acked_seq": state["acked_seq"],
-                       "lag": (None if state["acked_seq"] is None
-                               else self._next_seq - state["acked_seq"])}
+                       "lag": self._next_seq - state["acked_seq"]}
                 for name, state in self.subscribers.items()}
             return {"seq": self._next_seq,
                     "first_seq": self._first_seq,

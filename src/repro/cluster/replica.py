@@ -2,7 +2,7 @@
 
 A replica is a :class:`~repro.store.store.DocumentStore` that gets its
 batches from a leader's record stream instead of from clients: it
-bootstraps from a snapshot transfer (the leader's full resident state
+bootstraps from a state export (the leader's full resident state
 paired with the stream position it describes), then applies streamed
 WAL records through the exact replay machinery PR 3 recovery uses — so
 replica state is, by construction, what the leader would recover to at
@@ -15,7 +15,7 @@ routing clients follow the redirect instead of failing.
 
 A replica may itself be durable (its own ``wal_dir``): applied records
 are write-ahead logged *locally* before application, and a ``repl-pos``
-cursor record after every applied segment remembers how far the stream
+cursor record after every applied page remembers how far the stream
 got — a SIGKILLed replica replays its own WAL tail on restart and
 resumes streaming from the recovered position. That same local WAL is
 what :meth:`ReplicaStore.promote` turns into leadership: the promoted
@@ -109,11 +109,11 @@ class ReplicaStore(DocumentStore):
         self._sync = sync
 
     def bootstrap(self, payloads, seq, stream=None):
-        """Install a snapshot transfer: full leader state at position
-        ``seq`` of stream epoch ``stream``.
+        """Install a state export: full leader state at (or past)
+        position ``seq`` of stream epoch ``stream``.
 
         Replaces whatever was resident (the re-bootstrap path after a
-        :class:`~repro.errors.ReplicationResetError` or a stream-epoch
+        :class:`~repro.errors.SubscriptionLaggedError` or a stream-epoch
         change). A durable replica seals the transfer into its own
         snapshot generation immediately — its WAL must describe the
         *new* timeline, not prepend stale opens to it — and logs the
@@ -125,7 +125,7 @@ class ReplicaStore(DocumentStore):
                 entry = self._restored_entry(restore_document(payload))
                 if entry.doc_id in fresh:
                     raise ClusterError(
-                        "snapshot transfer names {!r} twice".format(
+                        "state export names {!r} twice".format(
                             entry.doc_id))
                 fresh[entry.doc_id] = entry
             with self._lock:
@@ -145,9 +145,9 @@ class ReplicaStore(DocumentStore):
         return {"docs": sorted(fresh), "seq": seq}
 
     def apply_records(self, records, next_seq):
-        """Apply one ``wal-segment`` response: ``records`` is the
-        ``[{"seq", "record"}, ...]`` list, ``next_seq`` the cursor the
-        leader handed back for the follow-up request.
+        """Apply one raw ``subscribe`` page: ``records`` is the
+        ``[{"seq", "record"}, ...]`` list, ``next_seq`` the position
+        the leader's resume token names for the follow-up request.
 
         Applied strictly in sequence through the switch recovery
         replays (:meth:`DocumentStore._apply_record`, run live):

@@ -2,19 +2,21 @@
 
 One daemon thread per replica that dials the leader (with
 reconnect-and-backoff, so cluster bootstrap races never surface as raw
-``ConnectionRefusedError``), subscribes, bootstraps from a snapshot
-transfer when the stream cannot be joined in place, then long-polls
-``wal-segment`` and applies each batch of records through
-:meth:`~repro.cluster.replica.ReplicaStore.apply_records`.
+``ConnectionRefusedError``) and follows it through the one follower
+protocol every consumer speaks: long-poll ``subscribe`` for raw log
+records, applied through
+:meth:`~repro.cluster.replica.ReplicaStore.apply_records`, and paged
+``export`` in state form whenever the stream cannot be joined in place.
 
-Bootstrap decision (the only subtle part): a replica joins the stream
-in place only when its recorded position belongs to the leader's
-current *stream epoch* and still falls inside the retained window —
-anything else (fresh replica, epoch change after a leader restart or
-promotion, fell behind the backlog) installs a full snapshot transfer
-first. The leader also answers
-:class:`~repro.errors.ReplicationResetError` mid-stream when the
-window slides past the cursor; the loop re-bootstraps and carries on.
+Bootstrap decision: the *leader* makes it. A replica that recorded a
+position resumes from the token naming it; the leader answers
+:class:`~repro.errors.ResumeExpiredError` when that position belongs to
+another stream epoch (it restarted, or a promotion renumbered the
+stream) and :class:`~repro.errors.SubscriptionLaggedError` when the
+retained window slid past it — on connect or mid-stream alike — and
+the loop re-bootstraps on the same connection and carries on. A fresh
+replica has no token and bootstraps first. Pages after the first may
+*lead* the anchor (the first page's token); replay absorbs the overlap.
 
 Leader loss is survived, not fatal: the loop keeps retrying with capped
 exponential backoff until it is stopped or the replica is promoted. A
@@ -28,13 +30,21 @@ import threading
 import time
 
 from repro.api.client import StoreClient
+from repro.cdc.tokens import decode_token, encode_token
 from repro.errors import (
+    ClusterError,
     NotLeaderError,
     ProtocolError,
-    ReplicationResetError,
+    RecoveryError,
     ReproError,
+    ResumeExpiredError,
+    SubscriptionLaggedError,
 )
 from repro.obs import StoreObs
+
+#: documents per ``export`` page of a bootstrap: bounds the frame a
+#: transfer needs by the page, not by the size of the store
+BOOTSTRAP_PAGE_DOCS = 64
 
 
 def parse_address(address):
@@ -65,9 +75,10 @@ class ReplicaSync:
         Name announced to the leader (feeds its lag stats) and used as
         the connection identity.
     wait_s / max_records:
-        Long-poll window and batch size of each ``wal-segment`` pull.
+        Long-poll window and page size of each ``subscribe`` pull.
     backoff / max_backoff:
-        Reconnect schedule after a connection failure.
+        Retry schedule after a failed attempt (doubling up to the cap;
+        a streamed page resets it).
     """
 
     def __init__(self, replica, leader, replica_id,
@@ -81,6 +92,7 @@ class ReplicaSync:
         self.backoff = backoff
         self.max_backoff = max_backoff
         self._stop = threading.Event()
+        self._delay = backoff
         self._client = None
         self._client_lock = threading.Lock()
         self._thread = threading.Thread(
@@ -115,7 +127,7 @@ class ReplicaSync:
 
     def stop(self, join=True, timeout=30.0):
         """Stop the loop; ``join=True`` waits until the in-flight
-        segment (if any) has been applied, so callers observe a settled
+        page (if any) has been applied, so callers observe a settled
         replica."""
         self._stop.set()
         with self._client_lock:
@@ -144,13 +156,11 @@ class ReplicaSync:
     # -- the loop ------------------------------------------------------------
 
     def _run(self):
-        delay = self.backoff
         while not self._stop.is_set():
             try:
                 client = self._connect()
                 if client is None:
                     return
-                delay = self.backoff      # a successful dial resets it
                 self._stream(client)
             except (ConnectionError, OSError, ProtocolError) as exc:
                 self._note_error(exc)
@@ -161,13 +171,20 @@ class ReplicaSync:
                 if exc.leader:
                     self.leader = str(exc.leader)
                     self.replica.leader_address = self.leader
+            except RecoveryError as exc:
+                # the stream does not apply to what this replica holds
+                # (a bootstrap page led its anchor across a close):
+                # retrying the position can only fail again, so forget
+                # it — the next attempt bootstraps
+                self._note_error(exc)
+                self.replica.stream_id = None
             except ReproError as exc:
                 self._note_error(exc)
             finally:
                 self._drop_client()
-            if self._stop.wait(delay):
+            if self._stop.wait(self._delay):
                 return
-            delay = min(delay * 2, self.max_backoff)
+            self._delay = min(self._delay * 2, self.max_backoff)
 
     def _connect(self):
         host, port = parse_address(self.leader)
@@ -193,33 +210,58 @@ class ReplicaSync:
             client.close()
 
     def _stream(self, client):
-        info = client.replicate_subscribe(replica=self.replica_id)
-        if self._needs_bootstrap(info):
-            transfer = client.snapshot_transfer()
-            self.replica.bootstrap(transfer["docs"], transfer["seq"],
-                                   stream=transfer.get("stream"))
+        replica = self.replica
+        token = (None if replica.stream_id is None else
+                 encode_token(replica.stream_id, replica.applied_seq))
         while not self._stop.is_set():
             try:
-                segment = client.wal_segment(
-                    from_seq=self.replica.applied_seq,
-                    replica=self.replica_id,
-                    max_records=self.max_records, wait_s=self.wait_s)
-            except ReplicationResetError:
-                # the retained window slid past our cursor: start over
-                # from a fresh transfer on this same connection
-                transfer = client.snapshot_transfer()
-                self.replica.bootstrap(transfer["docs"], transfer["seq"],
-                                       stream=transfer.get("stream"))
+                if token is None:
+                    token = self._bootstrap(client)
+                page = client.subscribe_once(
+                    from_token=token, decode=False,
+                    max_events=self.max_records, wait_s=self.wait_s,
+                    subscriber=self.replica_id)
+            except (ResumeExpiredError, SubscriptionLaggedError) as exc:
+                # our position means nothing to this leader (another
+                # epoch, past its stream end) or slid out of its
+                # retained window: start over on this same connection
+                self._note_error(exc)
+                token = None
                 continue
-            self.replica.apply_records(segment["records"],
-                                       segment["next_seq"])
-            self.last_end_seq = segment["end_seq"]
+            token = page["token"]
+            replica.apply_records(page["events"], decode_token(token)[1])
+            self.last_end_seq = page["end_seq"]
             self.last_error = None
-            self._note_progress(len(segment["records"]),
-                                segment["end_seq"])
+            # a page streamed resets the schedule; a dial alone does
+            # not — an upstream that connects but cannot be followed
+            # is backed off from like one that is down
+            self._delay = self.backoff
+            self._note_progress(len(page["events"]), page["end_seq"])
+
+    def _bootstrap(self, client):
+        """Install the upstream's state from paged ``export``; returns
+        the token to stream from — the *first* page's, which every
+        later page can only lead."""
+        first = page = client.export(max_docs=BOOTSTRAP_PAGE_DOCS,
+                                     format="state")
+        if first["token"] is None:
+            # no feed behind this state. The upstream's own answer to a
+            # subscribe says why: not-leader (with the redirect) from a
+            # replica, a cluster error from a plain store
+            client.subscribe_once(max_events=1)
+            raise ClusterError(
+                "{} exported no resume token".format(self.leader))
+        docs = list(first["docs"])
+        while not page["done"]:
+            page = client.export(cursor=page["cursor"],
+                                 max_docs=BOOTSTRAP_PAGE_DOCS,
+                                 format="state")
+            docs.extend(page["docs"])
+        self.replica.bootstrap(docs, first["seq"], stream=first["stream"])
+        return first["token"]
 
     def _note_progress(self, applied, end_seq):
-        """Feed the replication gauges after one segment: how far
+        """Feed the replication gauges after one page: how far
         behind the stream end we are (records) and for how long
         (seconds since we were last fully caught up)."""
         if applied:
@@ -232,16 +274,6 @@ class ReplicaSync:
                             else round(now - self._caught_up_at, 3))
         self._m_behind.set(behind)
         self._m_lag.set(self.lag_seconds)
-
-    def _needs_bootstrap(self, info):
-        replica = self.replica
-        if replica.stream_id != info.get("stream"):
-            return True               # different epoch: seqs don't mean
-        if replica.applied_seq < info["first_seq"]:
-            return True               # fell out of the retained window
-        if replica.applied_seq > info["seq"]:
-            return True               # ahead of the stream: impossible
-        return False                  # join the stream in place
 
     def _note_error(self, exc):
         self.last_error = "{}: {}".format(type(exc).__name__, exc)

@@ -292,36 +292,17 @@ class NotLeaderError(ClusterError):
         self.leader = leader
 
 
-class ReplicationResetError(ClusterError):
-    """Raised when a follower asks for a log sequence the leader no
-    longer retains (fell behind the bounded backlog, or the leader was
-    restarted/promoted and renumbered). The follower must re-bootstrap
-    from a full snapshot transfer."""
-
-    code = "replication-reset"
-    wire_doc = ("the follower's `from_seq` is older than the "
-                "leader's retained backlog (`details.first_seq`); "
-                "re-bootstrap from `snapshot-transfer`")
-    detail_attrs = ("first_seq",)
-
-    def __init__(self, requested, first_seq):
-        super().__init__(
-            "log sequence {} is no longer retained (oldest available: "
-            "{}); re-bootstrap from a snapshot transfer".format(
-                requested, first_seq))
-        self.first_seq = first_seq
-
-
 class SubscriptionLaggedError(ClusterError):
-    """Raised when a CDC subscriber resumes from a sequence the leader
-    has already trimmed from its bounded backlog. The subscriber missed
-    events that can never be redelivered; it must re-bootstrap (e.g.
-    from an ``export`` of the current state) before resuming."""
+    """Raised when a follower (a replica or any other subscriber)
+    resumes from a sequence the leader has already trimmed from its
+    bounded backlog. It missed records that can never be redelivered;
+    it must re-bootstrap from an ``export`` of the current state before
+    resuming."""
 
     code = "subscription-lagged"
-    wire_doc = ("a CDC resume point fell out of the retained backlog "
-                "(`details.first_seq`); re-bootstrap (e.g. via "
-                "`export`) before resuming")
+    wire_doc = ("a resume point fell out of the retained backlog "
+                "(`details.first_seq`); re-bootstrap via `export` "
+                "before resuming")
     detail_attrs = ("first_seq",)
 
     def __init__(self, requested, first_seq):
@@ -333,24 +314,25 @@ class SubscriptionLaggedError(ClusterError):
 
 
 class ResumeExpiredError(ClusterError):
-    """Raised when a resume token names a different stream epoch than
-    the one the server is publishing (the node restarted or a failover
-    promoted a new leader, renumbering the feed). Positions never carry
-    across epochs; the subscriber must re-bootstrap and take a fresh
-    token."""
+    """Raised when a resume token names a position this feed never
+    issued: a different stream epoch (the node restarted or a failover
+    promoted a new leader, renumbering the feed), or a sequence past
+    the stream end. Positions never carry across epochs; the follower
+    must re-bootstrap and take a fresh token."""
 
     code = "resume-expired"
-    wire_doc = ("the resume token's stream epoch does not match the "
-                "feed (a restart or failover renumbered it); "
-                "re-bootstrap and take a fresh token")
+    wire_doc = ("the resume token names a position this feed never "
+                "issued (a restart or failover renumbered the stream, "
+                "or the sequence is past its end); re-bootstrap and "
+                "take a fresh token")
     detail_attrs = ("token_stream", "stream")
 
     def __init__(self, token_stream, stream):
         super().__init__(
-            "resume token belongs to stream epoch {} but this feed is "
-            "epoch {}; positions do not carry across epochs — "
-            "re-bootstrap and take a fresh token".format(
-                token_stream, stream))
+            "resume token of stream epoch {} names a position this "
+            "feed (epoch {}) never issued; positions do not carry "
+            "across restarts or failovers — re-bootstrap and take a "
+            "fresh token".format(token_stream, stream))
         self.token_stream = token_stream
         self.stream = stream
 

@@ -1,9 +1,8 @@
 """The structural secondary index: name buckets of label-code entries.
 
 A :class:`DocumentIndex` is a set of *buckets* — one per element name,
-attribute name, attribute ``(name, value)`` pair, one for text nodes,
-and (optionally) one per whitespace-separated text token. Each bucket
-is a list of ``(start, end, node_id, parent_id)`` entries sorted by the
+attribute name, attribute ``(name, value)`` pair, and one for text
+nodes. Each bucket is a list of ``(start, end, node_id, parent_id)`` entries sorted by the
 node's *start code*. The paper's containment property makes this the
 only order the query engine ever needs: start codes are unique,
 compare lexicographically, and **start-code order is document order**,
@@ -34,31 +33,24 @@ from bisect import insort
 from repro.apply.inplace import classify
 
 
-def _tokenize(value):
-    return value.split() if value else ()
-
-
 class DocumentIndex:
     """Versioned per-document secondary index over label codes."""
 
-    __slots__ = ("elements", "attributes", "values", "texts", "tokens")
+    __slots__ = ("elements", "attributes", "values", "texts")
 
     def __init__(self, elements=None, attributes=None, values=None,
-                 texts=None, tokens=None):
+                 texts=None):
         self.elements = elements if elements is not None else {}
         self.attributes = attributes if attributes is not None else {}
         self.values = values if values is not None else {}
         self.texts = texts if texts is not None else []
-        #: token -> entries of text nodes containing the token; ``None``
-        #: when the optional text-token index is disabled
-        self.tokens = tokens
 
     # -- construction ---------------------------------------------------------
 
     @classmethod
-    def build(cls, document, labeling, text_tokens=False):
+    def build(cls, document, labeling):
         """Index ``document`` from scratch against ``labeling``."""
-        index = cls(tokens={} if text_tokens else None)
+        index = cls()
         root = document.root
         if root is None:
             return index
@@ -77,9 +69,6 @@ class DocumentIndex:
                 (node.name, node.value), []).append(entry)
         else:
             self.texts.append(entry)
-            if self.tokens is not None:
-                for token in _tokenize(node.value):
-                    self.tokens.setdefault(token, []).append(entry)
 
     def _sort(self):
         for bucket in self.elements.values():
@@ -89,9 +78,6 @@ class DocumentIndex:
         for bucket in self.values.values():
             bucket.sort()
         self.texts.sort()
-        if self.tokens is not None:
-            for bucket in self.tokens.values():
-                bucket.sort()
 
     # -- incremental maintenance ----------------------------------------------
 
@@ -171,16 +157,12 @@ class DocumentIndex:
 
     def _keys_for(self, node):
         """The bucket keys ``node`` occupies. A key is ``("e", name)``,
-        ``("a", name)``, ``("v", name, value)``, ``("t",)`` or
-        ``("k", token)``."""
+        ``("a", name)``, ``("v", name, value)`` or ``("t",)``."""
         if node.is_element:
             return (("e", node.name),)
         if node.is_attribute:
             return (("a", node.name), ("v", node.name, node.value))
-        keys = [("t",)]
-        if self.tokens is not None:
-            keys.extend(("k", token) for token in _tokenize(node.value))
-        return tuple(keys)
+        return (("t",),)
 
     def _bucket_map(self, key):
         kind = key[0]
@@ -190,8 +172,6 @@ class DocumentIndex:
             return self.attributes, key[1]
         if kind == "v":
             return self.values, (key[1], key[2])
-        if kind == "k":
-            return self.tokens, key[1]
         return None, None  # ("t",): the single text bucket
 
     def _rewrite(self, removals, additions):
@@ -202,9 +182,7 @@ class DocumentIndex:
             elements=dict(self.elements),
             attributes=dict(self.attributes),
             values=dict(self.values),
-            texts=self.texts,
-            tokens=dict(self.tokens) if self.tokens is not None
-            else None)
+            texts=self.texts)
         for key in set(removals) | set(additions):
             mapping, name = new._bucket_map(key)
             if mapping is None:
@@ -239,14 +217,12 @@ class DocumentIndex:
             "attribute_names": len(self.attributes),
             "value_keys": len(self.values),
             "text_nodes": len(self.texts),
-            "tokens": (len(self.tokens)
-                       if self.tokens is not None else None),
             "entries": self.entry_count(),
         }
 
     def as_dict(self):
         """Canonical comparable form (used by the parity suites)."""
-        payload = {
+        return {
             "elements": {name: list(bucket)
                          for name, bucket in self.elements.items()},
             "attributes": {name: list(bucket)
@@ -255,10 +231,6 @@ class DocumentIndex:
                        for key, bucket in self.values.items()},
             "texts": list(self.texts),
         }
-        if self.tokens is not None:
-            payload["tokens"] = {token: list(bucket)
-                                 for token, bucket in self.tokens.items()}
-        return payload
 
     def __eq__(self, other):
         if not isinstance(other, DocumentIndex):
@@ -276,7 +248,6 @@ class DocumentIndex:
                 .format(len(self.elements), self.entry_count()))
 
 
-def build_index(document, labeling, text_tokens=False):
+def build_index(document, labeling):
     """Module-level alias of :meth:`DocumentIndex.build`."""
-    return DocumentIndex.build(document, labeling,
-                               text_tokens=text_tokens)
+    return DocumentIndex.build(document, labeling)

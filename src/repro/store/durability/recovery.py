@@ -538,8 +538,11 @@ class DurabilityManager:
                               "pul": pul_xml})
         self.batches_since_snapshot += 1
 
-    def log_relabel(self, doc_id):
-        self._append({"kind": "relabel", "doc_id": doc_id})
+    def log_relabel(self, doc_id, version):
+        """A labeling rebuild taken at entry ``version``: replay skips
+        it once the entry is past that version."""
+        self._append({"kind": "relabel", "doc_id": doc_id,
+                      "version": version})
 
     def log_close(self, doc_id):
         self._append({"kind": "close", "doc_id": doc_id})
@@ -558,18 +561,6 @@ class DurabilityManager:
                 and self.batches_since_snapshot >= self.policy.snapshot_every)
 
     # -- compaction ----------------------------------------------------------
-
-    def write_snapshot(self, document_payloads):
-        """Snapshot ``document_payloads`` and truncate the log.
-
-        The quiesced form — payloads are captured *before* the rotation
-        (caller holds whatever locks make that sound) and the whole
-        sequence runs back to back. The store's lock-free compaction
-        uses the two halves directly: :meth:`begin_rotation`, then an
-        unlocked capture, then :meth:`commit_snapshot`.
-        """
-        sealed = self.begin_rotation()
-        return self.commit_snapshot(sealed, document_payloads)
 
     def begin_rotation(self):
         """Seal the active segment and open the next one; return the

@@ -895,7 +895,7 @@ class DocumentStore:
                 # *after* the republish so a concurrent capture's
                 # payload never lags the record (leading is safe:
                 # replaying the rebuild is idempotent)
-                self._durability.log_relabel(entry.doc_id)
+                self._durability.log_relabel(entry.doc_id, entry.version)
             raise
 
     def _run_batch(self, entry, batch, num_shards, clients):
@@ -1005,9 +1005,8 @@ class DocumentStore:
         where a batch is logged but not yet published — and possibly a
         prefix of the new segment's records too. Leading payloads are
         harmless: recovery replays the overlap idempotently
-        (version-skip for batches, skip-if-present for opens,
-        tolerated-missing for closes, deterministic rebuild for
-        relabels). Lagging payloads — the failure mode a capture-first
+        (version-skip for batches and relabels, skip-if-present for
+        opens, tolerated-missing for closes). Lagging payloads — the failure mode a capture-first
         ordering would risk — cannot happen.
 
         The non-blocking ``_compacting`` guard keeps two concurrent
@@ -1018,27 +1017,10 @@ class DocumentStore:
             return None
         try:
             sealed = self._durability.begin_rotation()
-            payloads = self._capture_payloads()
-            return self._durability.commit_snapshot(sealed, payloads)
+            return self._durability.commit_snapshot(
+                sealed, self.export_state()["docs"])
         finally:
             self._compacting.release()
-
-    def _capture_payloads(self, timeout=CAPTURE_TIMEOUT):
-        """Snapshot-form payloads of every resident document's published
-        version, each pinned only for the duration of its own
-        serialization (a :class:`~repro.store.versions.DocumentVersion`
-        duck-types as a payload source)."""
-        with self._lock:
-            entries = sorted(self._entries.values(),
-                             key=lambda entry: str(entry.doc_id))
-        payloads = []
-        for entry in entries:
-            version = entry.wait_published(timeout)
-            try:
-                payloads.append(document_payload(version))
-            finally:
-                entry.unpin(version)
-        return payloads
 
     # -- replication ---------------------------------------------------------
 
@@ -1060,28 +1042,6 @@ class DocumentStore:
                 backlog=DEFAULT_BACKLOG if backlog is None else backlog)
         return self.replication
 
-    def capture_state(self):
-        """Capture the full resident state for a snapshot transfer:
-        ``(document payloads, seq)`` — without stopping writers.
-
-        Pairing rule: the sequence is read *first*, the payloads are
-        captured *after* — and each payload waits until its document's
-        published version covers every batch already logged
-        (:meth:`StoredDocument.wait_published`). The payloads therefore
-        describe a state at or *past* ``seq``, never behind it: a
-        follower that installs them and streams records from ``seq``
-        misses nothing (the fatal direction), and re-receives at most
-        the records the payloads already reflect — which the replica
-        apply path absorbs idempotently (batch version-skip, open
-        skip-if-present, tolerated-missing close, deterministic
-        relabel rebuild). ``seq`` is ``None`` when replication is not
-        enabled.
-        """
-        seq = None
-        if self.replication is not None:
-            seq = self.replication.next_seq
-        return self._capture_payloads(), seq
-
     def export_state(self, doc_ids=None, cursor=None, limit=None,
                      form="state", timeout=CAPTURE_TIMEOUT):
         """One page of a filtered, resumable corpus export.
@@ -1094,14 +1054,23 @@ class DocumentStore:
 
         ``form`` selects the payload shape: ``"state"`` returns
         snapshot-form payloads (node identifiers and labels preserved —
-        what :meth:`DocumentMirror.bootstrap` and a re-import need to
-        stay batch-addressable), ``"xml"`` returns serialized text.
+        what a replica or mirror bootstrap, a re-import and snapshot
+        compaction need to stay batch-addressable; a
+        :class:`~repro.store.versions.DocumentVersion` duck-types as a
+        payload source), ``"xml"`` returns serialized text.
 
         Stream pairing: when replication is enabled, ``(stream, seq)``
-        are read **before** any payload is pinned — the same
-        leading-safe order as :meth:`capture_state` — so a subscriber
-        that bootstraps from this page and resumes from the matching
-        token re-receives at most changes the payloads already contain.
+        are read **before** any payload is pinned, and each payload
+        waits until its document's published version covers every batch
+        already logged (:meth:`StoredDocument.wait_published`). The
+        payloads therefore describe a state at or *past* ``seq``, never
+        behind it: a follower that installs them and streams records
+        from ``seq`` misses nothing (the fatal direction), and
+        re-receives at most records the payloads already reflect —
+        which the apply path absorbs idempotently (batch and relabel
+        version-skip, open skip-if-present, tolerated-missing close).
+        A multi-page bootstrap anchors at the *first* page's position:
+        later pages only lead it further.
 
         Returns ``{"docs", "cursor", "done", "seq", "stream"}``.
         """
@@ -1182,8 +1151,9 @@ class DocumentStore:
         a no-op, never an error, and must not write a duplicate into
         this store's own WAL (a second ``open`` would poison its next recovery
         with "log opens twice"). Opens skip when present, closes
-        tolerate a missing document, relabels rebuild
-        deterministically, batches are version-gated.
+        tolerate a missing document, batches and relabels are
+        version-gated (a relabel at the entry's own version rebuilds
+        again, deterministically).
 
         Locking: this is a writer like :meth:`flush` — each mutation
         runs under the entry's ``flush_lock`` (promotion can hand the
@@ -1229,12 +1199,17 @@ class DocumentStore:
                     self._entries.pop(entry.doc_id, None)
                 return kind
             if kind == "relabel":
+                # a redelivered rebuild the entry has moved past must
+                # not run: it would re-balance codes that later batches
+                # maintained incrementally (same bytes, other digits)
+                if record.get("version", entry.version) < entry.version:
+                    return None
                 # republish first, log second: a concurrent capture
                 # may then *lead* the record (idempotent rebuild at
                 # replay), never lag it
                 entry.rebuild_labeling()
                 if durability is not None:
-                    durability.log_relabel(entry.doc_id)
+                    durability.log_relabel(entry.doc_id, entry.version)
                 return None
             version = record["version"]
             if version <= entry.version:

@@ -15,9 +15,32 @@ from repro.errors import (
 
 class TestOpRegistry:
     def test_codes_are_dense_append_only_and_unique(self):
+        # live and retired codes together fill 0..N: nothing skipped,
+        # nothing handed out twice
         codes = [spec.code for spec in ops.OPS]
-        assert codes == list(range(len(ops.OPS)))
+        assert sorted(codes + list(ops.RETIRED_CODES)) == \
+            list(range(len(ops.OPS) + len(ops.RETIRED_CODES)))
         assert len({spec.name for spec in ops.OPS}) == len(ops.OPS)
+
+    def test_released_codes_never_move(self):
+        """Removing ops 12-14 renumbered nothing: the map below only
+        ever grows."""
+        assert ops.OP_CODES == {
+            "hello": 0, "open": 1, "submit": 2, "submit_xquery": 3,
+            "flush": 4, "flush_all": 5, "discard": 6, "text": 7,
+            "stats": 8, "docs": 9, "snapshot": 10, "query": 11,
+            "promote": 15, "subscribe": 16, "unsubscribe": 17,
+            "bulk-import": 18, "export": 19, "explain": 20,
+            "metrics": 21}
+        assert ops.RETIRED_CODES == {12, 13, 14}
+
+    @pytest.mark.parametrize("code", sorted(ops.RETIRED_CODES))
+    def test_a_retired_code_cannot_be_reassigned(self, code):
+        reuse = ops.OpSpec("follow", code, "subscribe", result="x")
+        registry = sorted(ops.OPS + (reuse,),
+                          key=lambda spec: spec.code)
+        with pytest.raises(ValueError, match="retired"):
+            ops._check_registry(registry)
 
     def test_protocol_op_codes_come_from_the_registry(self):
         assert protocol.OP_CODES == ops.OP_CODES
@@ -32,7 +55,7 @@ class TestOpRegistry:
 
     def test_poll_ops_ride_the_follower_executor(self):
         # exactly the long-polling ops; a new parked op must opt in here
-        assert ops.POLL_OPS == {"wal-segment", "subscribe"}
+        assert ops.POLL_OPS == {"subscribe"}
 
     def test_dispatch_table_covers_every_served_op(self):
         from repro.api.server import StoreServer

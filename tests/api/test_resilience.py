@@ -194,12 +194,16 @@ class TestNotLeaderOnTheWire:
                 client = await AsyncStoreClient.connect(host=host,
                                                         port=port)
                 with pytest.raises(ReproError) as excinfo:
-                    await client.replicate_subscribe(replica="r1")
+                    await client.subscribe_once(subscriber="r1")
                 assert excinfo.value.code == "cluster"
                 with pytest.raises(ReproError) as excinfo:
-                    await client.wal_segment(0)
+                    await client.unsubscribe("r1")
                 assert excinfo.value.code == "cluster"
+                # the state itself exports; there is just no feed to
+                # anchor a follower at
+                export = await client.export(format="state")
+                assert export["token"] is None
                 with pytest.raises(ProtocolError):
-                    await client._call("wal-segment")  # missing from_seq
+                    await client._call("unsubscribe")  # no subscriber
                 await client.aclose()
         run(scenario())

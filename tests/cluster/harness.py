@@ -9,8 +9,19 @@ real cross-thread wakeups.
 
 import asyncio
 import threading
+import time
 
 from repro.api.server import StoreServer
+
+
+def wait_until(predicate, timeout=30.0, interval=0.05):
+    """Poll ``predicate`` until it holds or ``timeout`` elapses."""
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        if predicate():
+            return True
+        time.sleep(interval)
+    return predicate()
 
 
 class ServerThread:

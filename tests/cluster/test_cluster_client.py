@@ -1,25 +1,14 @@
 """The consistent-hash router and the live sync loop over real
 sockets (in-process :class:`StoreServer` nodes)."""
 
-import time
-
 import pytest
 
 from repro.cluster import ClusterClient, HashRing, ReplicaStore, ReplicaSync
 from repro.errors import ClusterError, NotLeaderError, ReproError
 from repro.store import DocumentStore
-from tests.cluster.harness import ServerThread
+from tests.cluster.harness import ServerThread, wait_until
 
 DOC = "<doc><items/></doc>"
-
-
-def wait_until(predicate, timeout=30.0, interval=0.05):
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        if predicate():
-            return True
-        time.sleep(interval)
-    return False
 
 
 def make_leader_store(tmp_path, name):
@@ -192,7 +181,7 @@ class TestSyncLoop:
                 assert wait_until(
                     lambda: replica.applied_seq == leader_seq)
                 assert replica.text("d1") == leader_store.text("d1")
-                # "behind" fills in with the first wal-segment answer
+                # "behind" fills in with the first subscribe answer
                 # (a bootstrap alone can already satisfy catch-up)
                 assert wait_until(
                     lambda: sync.status()["behind"] == 0)

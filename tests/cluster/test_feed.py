@@ -6,7 +6,12 @@ import time
 
 import pytest
 
-from repro.errors import ClusterError, ProtocolError, ReplicationResetError
+from repro.errors import (
+    ClusterError,
+    ProtocolError,
+    ResumeExpiredError,
+    SubscriptionLaggedError,
+)
 from repro.store import DocumentStore
 
 DOC = "<doc><items/></doc>"
@@ -57,9 +62,12 @@ class TestNumbering:
             empty, cursor2, __ = source.read_from(cursor)
             assert empty == [] and cursor2 == cursor
 
-    def test_future_seq_is_a_protocol_error(self, tmp_path):
+    def test_future_seq_is_expired_and_garbage_a_protocol_error(
+            self, tmp_path):
         with make_leader(tmp_path) as store:
-            with pytest.raises(ProtocolError):
+            # a position this epoch never issued: the follower must
+            # re-bootstrap, so the answer is the typed one it acts on
+            with pytest.raises(ResumeExpiredError):
                 store.replication.read_from(7)
             with pytest.raises(ProtocolError):
                 store.replication.read_from(-1)
@@ -68,7 +76,7 @@ class TestNumbering:
 
     def test_history_before_the_source_is_not_streamed(self, tmp_path):
         """A source attached to a store with existing durable state
-        anchors at the log end: old records are snapshot-transfer
+        anchors at the log end: old records are state-export
         territory, never stream records."""
         wal_dir = str(tmp_path / "pre")
         with DocumentStore(workers=1, backend="serial",
@@ -92,7 +100,7 @@ class TestBacklog:
             for __ in range(5):
                 flush_insert(store)
             # 6 records total, 3 retained: seq 0 is gone
-            with pytest.raises(ReplicationResetError) as excinfo:
+            with pytest.raises(SubscriptionLaggedError) as excinfo:
                 source.read_from(0)
             assert excinfo.value.first_seq == source.first_seq > 0
             records, __, __unused = source.read_from(source.first_seq)
@@ -167,21 +175,21 @@ class TestLongPoll:
 
 
 class TestCaptureAndStats:
-    def test_capture_state_pairs_payloads_with_seq(self, tmp_path):
+    def test_export_state_pairs_payloads_with_seq(self, tmp_path):
         with make_leader(tmp_path) as store:
             store.open("d1", DOC)
             flush_insert(store)
-            payloads, seq = store.capture_state()
-            assert [p["doc_id"] for p in payloads] == ["d1"]
-            assert payloads[0]["version"] == 1
-            assert seq == store.replication.next_seq == 2
+            export = store.export_state()
+            assert [p["doc_id"] for p in export["docs"]] == ["d1"]
+            assert export["docs"][0]["version"] == 1
+            assert export["seq"] == store.replication.next_seq == 2
+            assert export["stream"] == store.replication.stream_id
 
     def test_subscriber_lag_in_stats(self, tmp_path):
         with make_leader(tmp_path) as store:
             source = store.replication
             store.open("d1", DOC)
             flush_insert(store)
-            source.subscribe(replica="r1")
             source.read_from(1, replica="r1")
             stats = source.stats()
             assert stats["seq"] == 2

@@ -39,9 +39,9 @@ def pump(leader, replica, limit=500):
 
 
 def bootstrap(leader, replica):
-    payloads, seq = leader.capture_state()
-    replica.bootstrap(payloads, seq,
-                      stream=leader.replication.stream_id)
+    export = leader.export_state()
+    replica.bootstrap(export["docs"], export["seq"],
+                      stream=export["stream"])
 
 
 def writes(leader, doc_id="d1", rounds=3, client="c1"):
@@ -289,9 +289,7 @@ class TestPromote:
             # and a follower of the promoted node bootstraps cleanly
             follower = make_replica(leader_address="promoted:0")
             try:
-                payloads, seq = replica.capture_state()
-                follower.bootstrap(payloads, seq,
-                                   stream=replica.replication.stream_id)
+                bootstrap(replica, follower)
                 writes(replica, rounds=1)
                 pump(replica, follower)
                 assert follower.text("d1") == replica.text("d1")

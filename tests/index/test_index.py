@@ -82,15 +82,6 @@ class TestBuild:
         assert index.entry_count() == 0
         assert index.stats()["entries"] == 0
 
-    def test_token_index_is_opt_in(self):
-        document, labeling = fresh()
-        plain = build_index(document, labeling)
-        assert plain.tokens is None
-        tokened = build_index(document, labeling, text_tokens=True)
-        assert sorted(tokened.tokens) == ["A", "Alpha", "B", "Beta",
-                                          "One", "n"]
-        assert len(tokened.tokens["Alpha"]) == 1
-
     def test_equality_is_structural(self):
         document, labeling = fresh()
         assert build_index(document, labeling) == \
@@ -186,22 +177,6 @@ class TestDerive:
         assert derived.elements["paper"] is old.elements["paper"]
         assert derived.attributes["id"] is old.attributes["id"]
         assert derived.texts is not None
-
-    def test_rename_with_token_index_shares_token_buckets(self):
-        old_document, old_labeling = fresh()
-        index = build_index(old_document, old_labeling,
-                            text_tokens=True)
-        (note,) = by_name(old_document, "note")
-        working = old_document.copy()
-        labeling = old_labeling.copy()
-        reduced = reduce_deterministic(
-            PUL([Rename(note.node_id, "remark")]),
-            structure=DocumentOracle(old_document))
-        apply_batch_in_place(working, labeling, reduced)
-        derived = index.derive(old_document, working, labeling, reduced)
-        assert derived == build_index(working, labeling,
-                                      text_tokens=True)
-        assert derived.tokens["Alpha"] is index.tokens["Alpha"]
 
 
 class TestSweep:

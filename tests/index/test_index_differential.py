@@ -189,25 +189,23 @@ def _stream_to_replica(source, seq0, headroom, timeline, final):
 def _deliver_to_mirror(data, events, headroom, timeline, final):
     """Host: a CDC mirror under at-least-once redelivery.
 
-    A ``relabel`` event is not version-gated (it names only the
-    document), so re-delivering one *after* later batches re-balances
-    codes the leader kept — bytes never move, digits do. Rewinds
-    therefore stop at the last relabel delivered.
+    Rewinds are unrestricted: every record kind is version-gated — a
+    ``relabel`` carries the entry version it was taken at, so one
+    re-delivered *after* later batches is skipped instead of
+    re-balancing codes the leader kept.
     """
     mirror = DocumentMirror(max_code_length=headroom)
     # delivery position -> how far the subscriber falls back there
     rewinds = data.draw(st.dictionaries(
         st.integers(1, len(events)), st.integers(1, len(events)),
         max_size=4), label="rewinds")
-    position = applied = floor = 0
+    position = applied = 0
     while position < len(events):
         mirror.apply(events[position])
-        if events[position]["record"]["kind"] == "relabel":
-            floor = max(floor, position + 1)
         position += 1
         applied = max(applied, position)
         _assert_tracks_leader(mirror._store, timeline, applied)
-        position = max(floor, position - rewinds.pop(position, 0))
+        position = max(0, position - rewinds.pop(position, 0))
     assert _state(mirror._store._entries["d"].published) == final
 
 

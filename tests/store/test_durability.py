@@ -249,7 +249,7 @@ class TestRecovery:
             # simulate the crash window: the batch record reached disk,
             # the relabel record never did
             monkeypatch.setattr(DurabilityManager, "log_relabel",
-                                lambda self, doc_id: None)
+                                lambda self, doc_id, version: None)
             with pytest.raises(ReproError):
                 store.flush("d")
             monkeypatch.setattr(DurabilityManager, "log_relabel",
