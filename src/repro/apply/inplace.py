@@ -4,7 +4,7 @@ The store's original hot path rebuilt the whole resident document per
 batch: the streaming evaluator walked every node into an event stream,
 transformed it, and materialized a fresh tree — O(document) work with
 large constants for batches that touch a handful of subtrees. This module
-applies the reduced batch PUL *to the resident tree itself* (the
+applies the reduced batch PUL *to the tree it is handed* (the
 :func:`~repro.pul.semantics.apply_pul` semantics, which the differential
 suite proves byte- and id-identical to the streaming path) and then
 repairs the containment labeling only around the touched sites:
@@ -18,15 +18,14 @@ repairs the containment labeling only around the touched sites:
 * sibling pointers are re-derived for exactly the parents whose child
   lists changed.
 
-Atomicity is the delicate part. The streaming path was atomic by
-construction (the old tree survived a failed batch untouched); in-place
-application mutates the published tree, and two XQUF dynamic checks fire
-*after* mutation (duplicate-attribute detection and the id-index
-rebuild). The applier therefore journals an undo snapshot of every node
-an operation can touch — each target and its parent, a set linear in the
-batch, not the document — and restores structure, parent pointers and the
-root on any failure before re-raising, so the "no partial state is ever
-published" contract of :meth:`DocumentStore.flush` holds unchanged.
+Atomicity is not this module's job. The store never hands it a tree a
+reader, log or follower can see: the writer applies on a private working
+pair (:meth:`repro.store.store.StoredDocument.checkout`) and publishes
+it only when the whole batch went through. Two XQUF dynamic checks fire
+*after* mutation (duplicate-attribute detection and a duplicate node
+id at registration); when either raises, the pair is left mid-mutation
+and the caller drops it — the published version was never touched, so
+there is nothing to undo.
 
 Structural edits the per-site repair cannot localize (replacing or
 deleting the document root) fall back to a whole-tree
@@ -38,7 +37,6 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from repro.errors import DocumentError
 from repro.pul.ops import (
     Delete,
     InsertAfter,
@@ -70,43 +68,15 @@ _REMOVING_OPS = (Delete.op_name, ReplaceNode.op_name)
 _VALUE_OPS = (Rename.op_name, ReplaceValue.op_name)
 
 
-class _Snapshot:
-    """Undo record of one node's mutable state."""
-
-    __slots__ = ("node", "name", "value", "children", "attributes",
-                 "parent")
-
-    def __init__(self, node):
-        self.node = node
-        self.name = node.name
-        self.value = node.value
-        self.children = list(node.children)
-        self.attributes = list(node.attributes)
-        self.parent = node.parent
-
-    def restore(self):
-        node = self.node
-        node.name = self.name
-        node.value = self.value
-        node.children[:] = self.children
-        for child in node.children:
-            child.parent = node
-        node.attributes[:] = self.attributes
-        for attr in node.attributes:
-            attr.parent = node
-        node.parent = self.parent
-
-
 #: What a reduced batch touches on the document it is about to be
-#: applied to: ``targets`` — the resolved target node of every
-#: operation, in PUL order; ``site_ids`` — anchor sites (elements whose
+#: applied to: ``site_ids`` — anchor sites (elements whose
 #: child/attribute lists change), first-seen order; ``removed_ids`` —
 #: every node of every subtree leaving the document; ``touched_ids`` —
 #: rename/replace-value targets, first-seen order; ``needs_sync`` — a
 #: parent-site operation hit the root, so no labeled anchor exists and
 #: repairs cannot be localized.
 Footprint = namedtuple(
-    "Footprint", "targets site_ids removed_ids touched_ids needs_sync")
+    "Footprint", "site_ids removed_ids touched_ids needs_sync")
 
 
 def classify(document, pul):
@@ -117,7 +87,6 @@ def classify(document, pul):
     :func:`~repro.pul.semantics.apply_pul` resolves every target
     before mutating anything, so the miss raises there with the tree
     still untouched."""
-    targets = []
     site_ids = []
     seen_sites = set()
     removed_ids = []
@@ -128,7 +97,6 @@ def classify(document, pul):
         target = document.find(op.target)
         if target is None:
             continue
-        targets.append(target)
         kind = op.op_name
         site = None
         if kind in _TARGET_SITE_OPS:
@@ -149,116 +117,78 @@ def classify(document, pul):
         elif kind in _VALUE_OPS and target.node_id not in seen_touched:
             seen_touched.add(target.node_id)
             touched_ids.append(target.node_id)
-    return Footprint(targets, site_ids, removed_ids, touched_ids,
-                     needs_sync)
+    return Footprint(site_ids, removed_ids, touched_ids, needs_sync)
 
 
 def apply_batch_in_place(document, labeling, pul, preserve_ids=True):
     """Make ``pul`` effective on ``document`` in place, maintaining
-    ``labeling`` incrementally.
+    ``labeling`` incrementally: :func:`replay_batch`'s structural
+    routine, then label repair around the touched sites.
 
     Returns ``"incremental"`` when the labeling was repaired per-site, or
     ``"sync"`` when a root-level structural change forced a whole-tree
-    sync. On any application failure the document is restored to its
-    pre-call structure (and the labeling is untouched) before the
-    exception propagates.
+    sync. A failure leaves both arguments mid-mutation: they are the
+    writer's private pair and the caller drops them.
     """
-    footprint = classify(document, pul)
-    snapshots = {}
-    for target in footprint.targets:
-        for node in (target, target.parent):
-            if node is not None and id(node) not in snapshots:
-                snapshots[id(node)] = _Snapshot(node)
-    root = document.root
-    try:
-        apply_pul(document, pul, check=False, preserve_ids=preserve_ids,
-                  reindex=False)
-        site_runs = None
-        if not footprint.needs_sync and document.root is root:
-            document.forget_ids(footprint.removed_ids)
-            for node_id in footprint.removed_ids:
-                labeling.forget(node_id)
-            site_runs = _site_runs(document, labeling, footprint.site_ids)
-        if site_runs is None:
-            # root-level structural change, or a site with no labeled
-            # anchor: localized repair is impossible, re-derive index
-            # and labels wholesale
-            document.rebuild_index()
-            labeling.sync(document)
-            return "sync"
-        runs, repoint = site_runs
-        # duplicate detection first, exactly like rebuild_index: a clash
-        # must raise before any fresh id is burned, or a failed batch
-        # would advance the allocator and diverge later assignments
-        seen = set()
-        for __, __, __, run in runs:
-            for tree in run:
-                for node in tree.iter_subtree():
-                    node_id = node.node_id
-                    if node_id is None:
-                        continue
-                    if node_id in document or node_id in seen:
-                        raise DocumentError(
-                            "duplicate node id: {}".format(node_id))
-                    seen.add(node_id)
-        _register_runs(document, runs)
-    except Exception:
-        for snapshot in snapshots.values():
-            snapshot.restore()
-        document.root = root
-        # the failure may have left the id index mid-maintenance;
-        # re-derive it from the restored tree (every node keeps its
-        # original id, so no fresh identifiers are burned)
-        document.rebuild_index()
-        raise
+    site_runs = replay_batch(document, labeling, pul,
+                             preserve_ids=preserve_ids)
+    if site_runs is None:
+        labeling.sync(document)
+        return "sync"
+    runs, repoint = site_runs
     try:
         for left, right, site_label, run in runs:
             labeling.assign_run(site_label, run, left, right)
         for site in repoint:
             labeling.repoint_children(site)
     except Exception:
-        # the batch is committed (tree and index maintained); a label
-        # repair that cannot be localized is finished wholesale instead
-        # of unwinding a successfully applied batch
+        # the tree and its id index are complete; a label repair that
+        # cannot be localized is finished wholesale instead of failing
+        # a batch that applied
         labeling.sync(document)
         return "sync"
     return "incremental"
 
 
-def replay_batch(document, labeling, pul):
-    """Re-apply an already-committed reduced batch to a lagging copy's
-    *tree*, maintaining the id index but no labels.
+def replay_batch(document, labeling, pul, preserve_ids=True):
+    """Apply the reduced batch ``pul`` to ``document``'s *tree*,
+    maintaining the id index; of ``labeling`` only the labels of removed
+    nodes are forgotten. Returns the ``(runs, sites)`` still to be
+    labeled, or ``None`` when the change could not be localized and the
+    id index was rebuilt wholesale.
 
-    The MVCC store hands each retired published version back to the
-    writer as the next flush's working copy; before the writer can
-    mutate it, the copy must catch up by one version — exactly the
-    reduced batch that produced the version it lags behind. This is
-    :func:`apply_batch_in_place` stripped to its structural core: no
-    undo journal (the batch already committed once, it cannot fail
-    here), no duplicate pre-scan, and **no label maintenance** — the
-    catch-up's caller copies the published version's immutable
-    id-keyed label map wholesale instead of re-deriving per-site
-    codes, which is the costly half of a live apply. ``labeling`` is
-    the copy's own *pre-batch* labels, used only to order the
-    insertion runs: run collection sees the same tree, the same labels
-    and the same reduced PUL as the live apply did, so the runs — and
-    therefore the fresh ids — come out identical (a replay allocating
-    different ids would desynchronize every later batch's targets).
+    This is the structure of a batch, shared by its two consumers. The
+    live apply (:func:`apply_batch_in_place`) labels the returned runs.
+    The MVCC store's catch-up stops here: each retired published
+    version is handed back to the writer as the next flush's working
+    copy and must first catch up by the one batch it lags, but its
+    labels are never re-derived — the caller copies the published
+    version's immutable id-keyed label map wholesale, the costly half
+    of a live apply. There ``labeling`` is the copy's own *pre-batch*
+    labels, used only to delimit the insertion runs: run collection
+    sees the same tree, the same labels and the same reduced PUL as the
+    live apply did, so the runs — and therefore the fresh ids — come
+    out identical (a replay allocating different ids would
+    desynchronize every later batch's targets).
     """
     footprint = classify(document, pul)
     root = document.root
-    apply_pul(document, pul, check=False, preserve_ids=True,
+    apply_pul(document, pul, check=False, preserve_ids=preserve_ids,
               reindex=False)
     site_runs = None
     if not footprint.needs_sync and document.root is root:
         document.forget_ids(footprint.removed_ids)
+        for node_id in footprint.removed_ids:
+            labeling.forget(node_id)
         site_runs = _site_runs(document, labeling, footprint.site_ids)
     if site_runs is None:
-        # the live apply fell back to a wholesale reindex, whose
-        # document-order id assignment a rebuild here reproduces exactly
+        # root-level structural change, or a site with no labeled
+        # anchor: re-derive the id index wholesale — document-order id
+        # assignment, which every replay of this batch reproduces
         document.rebuild_index()
-        return
+        return None
     _register_runs(document, site_runs[0])
+    return site_runs
 
 
 def _site_runs(document, labeling, site_ids):
@@ -291,7 +221,8 @@ def _site_runs(document, labeling, site_ids):
 
 def _register_runs(document, runs):
     """Enter the runs' subtrees into the id index, fresh identifiers
-    assigned in run order above every identifier they carry."""
+    assigned in run order above every identifier they carry; an
+    identifier already in the index raises (``register_tree``)."""
     highest = -1
     for __, __, __, run in runs:
         for tree in run:

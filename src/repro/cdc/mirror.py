@@ -56,14 +56,9 @@ class DocumentMirror:
         Accepts the event objects a ``decode=False`` subscription
         delivers (``{"seq", "token", "record"}``). Returns ``True``
         when the event changed a mirrored document, ``False`` when it
-        was absorbed as a duplicate or carried no document change
-        (``relabel`` events rebuild labels and index, never the
-        document bytes).
+        was absorbed as a duplicate or carried no document change.
         """
         record = event["record"] if "record" in event else event
-        if (record.get("kind") == "relabel"
-                and record.get("doc_id") not in self._store):
-            return False  # labels of a document this mirror never held
         try:
             outcome = self._store._apply_record(record)
         except RecoveryError as error:

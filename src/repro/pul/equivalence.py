@@ -42,16 +42,26 @@ def substitutable(pul1, pul2, document, limit=20000, with_ids=False):
 
 
 def equivalent_by_canonical(pul1, pul2, structure=None):
-    """Sufficient syntactic test for equivalence: equal canonical forms
-    (Definition 9) imply equal obtainable sets on any document both PULs
-    are applicable on.
+    """Syntactic test for a *common outcome*: equal canonical forms
+    (Definition 9) mean one deterministic PUL — the canonical form
+    itself — is :func:`substitutable` for both, on any document both
+    PULs are applicable on.
+
+    That is weaker than :func:`equivalent`. The canonical form is the
+    deterministic reduction ``∆^H``, which *resolves* the freedom a
+    PUL leaves open: an ``ins↓`` becomes an ``ins↙``, same-target
+    insertions are collapsed in one fixed order. ``[ins→(v, p),
+    ins→(v, q)]`` and ``[ins→(v, pq)]`` share a canonical form, yet
+    only the first can also yield ``qp``. Equal canonical forms imply
+    equal obtainable sets exactly when each PUL has a single outcome
+    to begin with.
 
     This is the executor-friendly check the paper motivates the canonical
     form with — it needs only the labels the PULs carry, never the
     document, and runs in O(k log k) instead of enumerating outcomes.
-    ``False`` means "not syntactically identical", NOT "inequivalent":
-    semantically equal PULs of different shapes (Example 4) need the exact
-    :func:`equivalent` oracle.
+    ``False`` means "not syntactically identical", NOT "no common
+    outcome": semantically equal PULs of different shapes (Example 4)
+    need the exact :func:`equivalent` oracle.
     """
     from repro.reduction import canonical_form
 

@@ -20,11 +20,9 @@ Record payloads are JSON objects (framed by :mod:`.wal`):
 ``{"kind": "batch", "doc_id": ..., "version": n, "clients": k,
 "pul": <exchange XML>}``
     one coalesced batch, logged *before* application (write-ahead) —
-    version ``n`` is the version the batch produces;
-``{"kind": "relabel", "doc_id": ...}``
-    the store rebuilt the document's labeling outside the headroom rule
-    (the failed-flush recovery path); replayed so the label timeline
-    stays digit-identical;
+    version ``n`` is the version the batch produces. A batch whose
+    application failed stays in the log and fails again, changing
+    nothing, wherever it is replayed;
 ``{"kind": "close", "doc_id": ...}``
     the document was evicted;
 ``{"kind": "repl-pos", "seq": n}``
@@ -32,6 +30,10 @@ Record payloads are JSON objects (framed by :mod:`.wal`):
     ``n`` has been applied (the replication cursor, recovered so a
     restarted replica resumes streaming where it left off — see
     :mod:`repro.cluster`).
+
+Read but never written: ``{"kind": "relabel", "doc_id": ...}``, the
+label rebuild older stores logged after a failed batch. It never
+changed document bytes; every reader of a log skips it.
 """
 
 from __future__ import annotations
@@ -426,6 +428,9 @@ class DurabilityManager:
                 end = writer.append(payload, sync=False)
                 epoch = writer.rollback_epoch
                 self._train_pending += 1
+                # only batch records ride the train. Counted here,
+                # under the lock begin_rotation resets the count under
+                self.batches_since_snapshot += 1
             # outside the manager lock: the append critical section is
             # the group commit's contention point
             self._m_records.inc()
@@ -536,13 +541,6 @@ class DurabilityManager:
         self._append_grouped({"kind": "batch", "doc_id": doc_id,
                               "version": version, "clients": clients,
                               "pul": pul_xml})
-        self.batches_since_snapshot += 1
-
-    def log_relabel(self, doc_id, version):
-        """A labeling rebuild taken at entry ``version``: replay skips
-        it once the entry is past that version."""
-        self._append({"kind": "relabel", "doc_id": doc_id,
-                      "version": version})
 
     def log_close(self, doc_id):
         self._append({"kind": "close", "doc_id": doc_id})
@@ -657,7 +655,7 @@ def replay_oracle(directory):
             entries.pop(record["doc_id"], None)
             versions.pop(record["doc_id"], None)
         elif kind == "relabel":
-            continue  # labels never change document bytes
+            continue  # from an older store; never changed document bytes
         elif kind == "repl-pos":
             continue  # a replica's replication cursor, not state
         elif kind == "batch":

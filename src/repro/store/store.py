@@ -6,10 +6,12 @@ many parsed documents *and their containment labelings* resident between
 update batches, accepts PUL submissions from concurrent clients, coalesces
 them into per-document batches, routes every batch through the sharded
 reduction pipeline (:mod:`repro.pipeline`) and makes it effective in place
-(:func:`repro.apply.inplace.apply_batch_in_place`) — which maintains the
-labeling *incrementally*: only the nodes of touched subtrees gain or lose
-labels, existing containment codes are never rewritten (the
-update-tolerance property of Section 4.1).
+on the writer's private working copy of the document
+(:func:`repro.apply.inplace.apply_batch_in_place`, then one atomic
+publish — :mod:`repro.store.versions`) — which maintains the labeling
+*incrementally*: only the nodes of touched subtrees gain or lose labels,
+existing containment codes are never rewritten (the update-tolerance
+property of Section 4.1).
 
 Incremental maintenance is not free forever: every insertion between two
 adjacent codes lengthens the fresh code by about one digit, so a hot spot
@@ -27,9 +29,13 @@ Batch coalescing follows the paper's two intents: submissions from the
 with the aggregation engine (later PULs may target nodes inserted by
 earlier ones — rule D6); the per-client aggregates are then parallel
 intents and are merged as a union (Definition 5). An incompatible union
-either fails the batch (``on_conflict="error"``, the default — no partial
-state is published) or is reconciled under per-client policies
-(``on_conflict="reconcile"``).
+either fails the batch (``on_conflict="error"``, the default) or is
+reconciled under per-client policies (``on_conflict="reconcile"``).
+
+A batch that fails — while coalescing, or later with an XQUF dynamic
+error found only after mutation — changes nothing: the working copy is
+dropped, the published version, its labels and its index are the same
+objects as before, and the pending queue is restored.
 """
 
 from __future__ import annotations
@@ -145,8 +151,8 @@ class StoredDocument:
     """One resident document: pending queue, writer state, published
     version chain (see :mod:`repro.store.versions`).
 
-    The writer side (``version`` and the relabel counters, the working
-    pair, ``checkout``/``publish``) is serialized by ``flush_lock``;
+    The writer side (``version`` and the relabel counters,
+    ``checkout``/``publish``/``abandon``) is serialized by ``flush_lock``;
     the reader side pins :attr:`published` under the publish condition
     and never touches a lock a writer holds across a batch. ``pending``
     keeps its own small lock so submissions stay concurrent with both.
@@ -155,7 +161,7 @@ class StoredDocument:
     __slots__ = ("doc_id", "version", "lock", "flush_lock", "pending",
                  "batches", "incremental_relabels", "full_relabels",
                  "published", "logged_version", "_publish_cond",
-                 "_working", "_spare", "_catchup")
+                 "_spare", "_catchup")
 
     def __init__(self, doc_id, document, labeling, counters=None):
         self.doc_id = doc_id
@@ -173,8 +179,7 @@ class StoredDocument:
         #: and the logged-version fence live under it, and nothing is
         #: ever acquired while holding it
         self._publish_cond = threading.Condition()
-        self._working = None    # the writer's private (document, labeling)
-        self._catchup = None    # what the spare lags by (versions.replay_catchup)
+        self._catchup = None    # reduced PUL the spare lags by, if any
         #: highest batch version write-ahead logged so far; a state
         #: capture must wait until the published version covers it, or
         #: the captured payload would *lag* the log/stream position it
@@ -265,12 +270,10 @@ class StoredDocument:
         Steals the retired spare when no reader pins it — catching it
         up by the one batch it lags (O(touched), the common case) — and
         falls back to a deep copy of the published version when a slow
-        reader still holds the spare or the catch-up replay fails.
-        Idempotent until :meth:`publish`: a repeated checkout (the
-        failed-flush recovery path) returns the same working pair.
+        reader still holds the spare, the catch-up replay fails, or the
+        previous batch failed and took the spare with it. The pair
+        belongs to the caller: :meth:`publish` it or drop it.
         """
-        if self._working is not None:
-            return self._working
         with self._publish_cond:
             spare, catchup = self._spare, self._catchup
             self._spare = None
@@ -290,43 +293,45 @@ class StoredDocument:
         if working is None:
             working = (published.document.copy(),
                        published.labeling.copy())
-        self._working = working
         return working
 
-    def publish(self, document, labeling, catchup=None, index=None):
-        """Atomically publish the working pair as version
-        ``self.version``; the old published version retires into the
-        spare with ``catchup`` describing what it lags by. ``index`` is
-        the version's secondary index — derived incrementally from the
-        retiring version's by the caller, or rebuilt here when the
-        delta could not be localized."""
+    def publish(self, document, labeling, reduced, full_relabel=False,
+                index=None):
+        """Atomically publish the working pair as the next version —
+        the one place ``version``, ``batches`` and the relabel counters
+        advance, so they never run ahead of what readers can pin. The
+        old published version retires into the spare, lagging by the
+        batch ``reduced``. ``index`` is the version's secondary index —
+        derived incrementally from the retiring version's by the
+        caller, or rebuilt here when the delta could not be
+        localized."""
         if index is None:
             index = build_index(document, labeling)
+        full = 1 if full_relabel else 0
         version = DocumentVersion(
-            self.doc_id, self.version, document, labeling, self.batches,
-            self.incremental_relabels, self.full_relabels, index=index)
+            self.doc_id, self.version + 1, document, labeling,
+            self.batches + 1, self.incremental_relabels + 1 - full,
+            self.full_relabels + full, index=index)
         with self._publish_cond:
-            retired = self.published
+            self.version = version.version
+            self.batches = version.batches
+            self.incremental_relabels = version.incremental_relabels
+            self.full_relabels = version.full_relabels
+            self._spare = self.published
+            self._catchup = reduced
             self.published = version
-            self._spare = retired
-            self._catchup = catchup
-            self._working = None
-            if self.logged_version > self.version:
-                # the logged batch failed to apply: release captures
-                # waiting on a publish that will never come
-                self.logged_version = self.version
             self._publish_cond.notify_all()
         return version
 
-    def rebuild_labeling(self):
-        """The failed-batch recovery publish: republish at the *same*
-        version number with a labeling rebuilt from the (unchanged)
-        document, mirroring what WAL replay reconstructs at this point
-        so the label timeline of every later batch stays
-        digit-identical."""
-        document, labeling = self.checkout()
-        labeling.build(document)
-        return self.publish(document, labeling, catchup=("relabel",))
+    def abandon(self):
+        """A batch failed at or past the logged-version fence: its
+        working pair is simply dropped by the caller — no reader, log
+        or follower ever saw it — and the fence is clamped back so
+        captures waiting on a publish that will never come are
+        released."""
+        with self._publish_cond:
+            self.logged_version = self.version
+            self._publish_cond.notify_all()
 
     def stats(self):
         version = self.pin()
@@ -803,11 +808,11 @@ class DocumentStore:
         Returns a :class:`BatchResult`, or ``None`` when nothing was
         pending. Concurrent flushes of the same document are serialized
         (submissions stay concurrent). On any error the pending queue
-        is restored untouched and no partial batch state is ever
-        published: a batch rejected while coalescing (a cross-client
-        conflict) has touched nothing, and one that fails later — on
-        the private working pair, readers never see it — is unwound by
-        republishing the unchanged document with rebuilt labels.
+        is restored and nothing else has changed: a batch rejected
+        while coalescing (a cross-client conflict) has touched nothing,
+        and one that fails later fails on the private working pair,
+        which is dropped — the published version, its labels and its
+        index stay the very objects they were.
         """
         start = time.perf_counter()
         entry = self._require(doc_id)
@@ -872,31 +877,16 @@ class DocumentStore:
         return results
 
     def _execute_batch(self, entry, pending, num_shards):
-        # a failure here precedes the logged-version fence: nothing was
-        # logged, nothing checked out — the caller restores the queue
-        # and that is the whole recovery
+        # whichever step fails, the caller restoring the queue is the
+        # whole recovery: coalescing precedes the logged-version fence
+        # (nothing logged, nothing checked out) and _run_batch drops
+        # its own working pair
         with self.obs.stage("coalesce"):
             batch = coalesce_batch(pending, entry.labeling,
                                    on_conflict=self.on_conflict,
                                    policies=self.policies)
         clients = len({client for __, client, __unused in pending})
-        try:
-            return self._run_batch(entry, batch, num_shards, clients)
-        except Exception:
-            # at or past the fence: the batch record may be in the log
-            # and the working labels mid-repair. Republish the same
-            # version with a labeling rebuilt from the (unchanged)
-            # document — readers pinned mid-failure keep the old
-            # published version, both have consistent labels
-            entry.rebuild_labeling()
-            if self._durability is not None:
-                # replay must rebuild at the same point, or the label
-                # timeline of every later batch diverges. Logged
-                # *after* the republish so a concurrent capture's
-                # payload never lags the record (leading is safe:
-                # replaying the rebuild is idempotent)
-                self._durability.log_relabel(entry.doc_id, entry.version)
-            raise
+        return self._run_batch(entry, batch, num_shards, clients)
 
     def _run_batch(self, entry, batch, num_shards, clients):
         """Make one coalesced ``batch`` effective on ``entry``.
@@ -907,17 +897,31 @@ class DocumentStore:
         headroom rule — so a replayed batch reproduces the original
         flush exactly. On the live path the batch is appended to the
         write-ahead log (and made durable) *before* application; a batch
-        whose application then fails restores the tree untouched and is
-        skipped identically at replay time.
+        whose application then fails is a no-op — the working pair is
+        dropped, the entry's counters never moved, only the batch record
+        stays behind — and fails the same way on every host that
+        replays the record.
         """
+        try:
+            result = self._publish_batch(entry, batch, num_shards,
+                                         clients)
+        except Exception:
+            entry.abandon()
+            raise
+        if self._durability is not None and not self._replaying \
+                and self._durability.snapshot_due():
+            self._write_snapshot()
+        return result
+
+    def _publish_batch(self, entry, batch, num_shards, clients):
+        """:meth:`_run_batch` from the fence to the publish; raising
+        anywhere in between leaves ``entry`` as it was."""
         obs = self.obs
         if self._durability is not None and not self._replaying:
             # fence first, then append: a group-commit train may expose
             # the record to the replication feed before log_batch
             # returns, and from that instant a state capture must wait
-            # for the matching publish (entry.mark_logged docs). A
-            # failed append is unwound by the caller's rebuild_labeling
-            # publish, which clamps the fence back.
+            # for the matching publish (entry.mark_logged docs)
             entry.mark_logged(entry.version + 1)
             with obs.stage("log"):
                 self._durability.log_batch(
@@ -940,16 +944,11 @@ class DocumentStore:
         with obs.stage("apply"):
             apply_mode = apply_batch_in_place(document, labeling,
                                               reduced)
-        entry.version += 1
-        entry.batches += 1
+        relabel = "incremental"
         if labeling.max_code_length > self.max_code_length:
             with obs.stage("relabel"):
                 labeling.build(document)
-            entry.full_relabels += 1
             relabel = "full"
-        else:
-            entry.incremental_relabels += 1
-            relabel = "incremental"
         # the secondary index rides the same publish: derived from the
         # retiring version's index by re-reading the reduced PUL when
         # the label repair stayed per-site, rebuilt from the tree when
@@ -964,11 +963,8 @@ class DocumentStore:
         # retired version becomes the next checkout's working copy,
         # lagging by exactly this batch
         with obs.stage("publish"):
-            entry.publish(document, labeling,
-                          catchup=("batch", reduced), index=index)
-        if self._durability is not None and not self._replaying \
-                and self._durability.snapshot_due():
-            self._write_snapshot()
+            entry.publish(document, labeling, reduced,
+                          full_relabel=(relabel == "full"), index=index)
         return BatchResult(
             doc_id=entry.doc_id, version=entry.version,
             clients=clients,
@@ -1005,9 +1001,9 @@ class DocumentStore:
         where a batch is logged but not yet published — and possibly a
         prefix of the new segment's records too. Leading payloads are
         harmless: recovery replays the overlap idempotently
-        (version-skip for batches and relabels, skip-if-present for
-        opens, tolerated-missing for closes). Lagging payloads — the failure mode a capture-first
-        ordering would risk — cannot happen.
+        (version-skip for batches, skip-if-present for opens,
+        tolerated-missing for closes). Lagging payloads — the failure
+        mode a capture-first ordering would risk — cannot happen.
 
         The non-blocking ``_compacting`` guard keeps two concurrent
         triggering flushes safe: the loser skips and retries after its
@@ -1067,8 +1063,8 @@ class DocumentStore:
         behind it: a follower that installs them and streams records
         from ``seq`` misses nothing (the fatal direction), and
         re-receives at most records the payloads already reflect —
-        which the apply path absorbs idempotently (batch and relabel
-        version-skip, open skip-if-present, tolerated-missing close).
+        which the apply path absorbs idempotently (batch version-skip,
+        open skip-if-present, tolerated-missing close).
         A multi-page bootstrap anchors at the *first* page's position:
         later pages only lead it further.
 
@@ -1149,11 +1145,12 @@ class DocumentStore:
         record and advancing the durable cursor, and at-least-once
         subscribers all redeliver records — so re-applying one must be
         a no-op, never an error, and must not write a duplicate into
-        this store's own WAL (a second ``open`` would poison its next recovery
-        with "log opens twice"). Opens skip when present, closes
-        tolerate a missing document, batches and relabels are
-        version-gated (a relabel at the entry's own version rebuilds
-        again, deterministically).
+        this store's own WAL (a second ``open`` would poison its next
+        recovery with "log opens twice"). Opens skip when present,
+        closes tolerate a missing document, batches are version-gated.
+
+        A batch that fails here failed on the host that logged it too
+        (invariant 5): on both it changed nothing, so it is skipped.
 
         Locking: this is a writer like :meth:`flush` — each mutation
         runs under the entry's ``flush_lock`` (promotion can hand the
@@ -1178,7 +1175,11 @@ class DocumentStore:
             if self._replaying:
                 self._replay_position(record)
             return None
-        if kind not in ("close", "relabel", "batch"):
+        if kind == "relabel":
+            # logs written before failed batches became no-ops carry
+            # these; a label rebuild never changed document bytes
+            return None
+        if kind not in ("close", "batch"):
             raise RecoveryError(
                 "unknown record kind {!r}".format(kind))
         with self._lock:
@@ -1198,19 +1199,6 @@ class DocumentStore:
                 with self._lock:
                     self._entries.pop(entry.doc_id, None)
                 return kind
-            if kind == "relabel":
-                # a redelivered rebuild the entry has moved past must
-                # not run: it would re-balance codes that later batches
-                # maintained incrementally (same bytes, other digits)
-                if record.get("version", entry.version) < entry.version:
-                    return None
-                # republish first, log second: a concurrent capture
-                # may then *lead* the record (idempotent rebuild at
-                # replay), never lag it
-                entry.rebuild_labeling()
-                if durability is not None:
-                    durability.log_relabel(entry.doc_id, entry.version)
-                return None
             version = record["version"]
             if version <= entry.version:
                 return "skipped"   # redelivery, already covered
@@ -1225,15 +1213,9 @@ class DocumentStore:
                                 num_shards=None,
                                 clients=record.get("clients", 0))
             except Exception:
-                # breadth matching the live flush path's handler: the
-                # original flush failed on this logged batch (whatever
-                # it raised) and rebuilt its labeling, so it is rebuilt
-                # here too — the crash may have landed after the
-                # fsynced batch record but before the matching relabel
-                # record, and every later batch's codes would diverge.
-                # When the relabel record *did* make it to disk,
-                # applying it is an idempotent second build.
-                entry.rebuild_labeling()
+                # breadth matching the live flush path: whatever the
+                # original flush raised on this logged batch, it left
+                # no trace there — and _run_batch left none here
                 return "skipped"
             return kind
 

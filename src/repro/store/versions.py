@@ -28,10 +28,16 @@ tree), copies the published version's immutable id-keyed label map
 wholesale, and mutates on. A spare still pinned by a slow reader is
 abandoned to its readers and the writer falls back to one deep copy;
 the common case pays one extra structural apply plus a dict copy per
-flush, never O(document) tree copying or label re-derivation. Entries are even *born* with a
-seeded spare — a copy made at open/restore, where the store is already
-doing O(document) work — so no flush in a document's life, not even
-the first, pays an O(document) copy.
+flush, never O(document) tree copying or label re-derivation. Entries
+are even *born* with a seeded spare — a copy made at open/restore,
+where the store is already doing O(document) work — so no successful
+flush in a document's life, not even the first, pays an O(document)
+copy.
+
+A batch that fails on the working copy is not undone — the copy is
+dropped. Nothing of it was published, so readers, the log and every
+follower still see version N exactly as it was; the writer has lost
+its spare and the next flush pays the one deep copy.
 
 Durability-facing duck typing: a :class:`DocumentVersion` carries the
 same ``doc_id`` / ``document`` / ``labeling`` / counter attribute names
@@ -44,7 +50,6 @@ capture published versions without quiescing writers.
 from __future__ import annotations
 
 from repro.apply.inplace import replay_batch
-from repro.errors import ReproError
 
 
 class DocumentVersion:
@@ -85,23 +90,19 @@ def replay_catchup(spare, published, catchup):
     """Catch the retired ``spare`` up to ``published``; returns the
     caught-up ``(document, labeling)`` working pair.
 
-    Only the *tree* is replayed: ``catchup`` is what the publish that
-    retired the spare recorded — ``("batch", reduced_pul)`` replays the
-    flushed batch's structural effect
+    Only the *tree* is replayed: ``catchup`` is the reduced PUL of the
+    batch whose publish retired the spare — the only thing a spare can
+    lag by, since nothing but a successful batch ever publishes — or
+    ``None`` for the seed made at open/restore, which lags nothing.
+    Its structural effect is replayed
     (:func:`repro.apply.inplace.replay_batch`, deterministic and
-    therefore byte- and id-identical to the published tree),
-    ``("relabel",)`` and ``None`` change no structure. The labeling is
-    never re-derived: labels are immutable and keyed by node id, and
-    the caught-up tree carries exactly the published tree's ids, so the
-    published label map is *copied* wholesale — one dict copy instead
-    of per-site code generation, which keeps the catch-up strictly
-    cheaper than the live apply it mirrors.
+    therefore byte- and id-identical to the published tree). The
+    labeling is never re-derived: labels are immutable and keyed by
+    node id, and the caught-up tree carries exactly the published
+    tree's ids, so the published label map is *copied* wholesale — one
+    dict copy instead of per-site code generation, which keeps the
+    catch-up strictly cheaper than the live apply it mirrors.
     """
     if catchup is not None:
-        kind = catchup[0]
-        if kind == "batch":
-            replay_batch(spare.document, spare.labeling, catchup[1])
-        elif kind != "relabel":
-            raise ReproError(
-                "unknown version catch-up kind {!r}".format(kind))
+        replay_batch(spare.document, spare.labeling, catchup)
     return spare.document, published.labeling.copy()

@@ -87,7 +87,6 @@ def test_footprint_and_consumer_agreement(row):
     assert pul[0].op_name == row.split()[0]
 
     footprint = classify(document, pul)
-    assert footprint.targets == [named[target]]
     assert footprint.site_ids == [named[n].node_id for n in sites]
     assert footprint.removed_ids == [named[n].node_id for n in removed]
     assert footprint.touched_ids == [named[n].node_id for n in touched]

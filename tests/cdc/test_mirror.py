@@ -239,9 +239,10 @@ class TestIndexParity:
 
 
 class TestIndexParityAcrossRelabels:
-    """A tight-headroom leader emits ``relabel`` records mid-stream;
-    a mirror configured with the producer's budget stays digit- and
-    index-identical across them."""
+    """A tight-headroom leader fully relabels mid-stream (the headroom
+    rule — nothing in the stream says so) and rejects a batch it had
+    already shipped; a mirror configured with the producer's budget
+    stays digit- and index-identical across both."""
 
     HEADROOM = 8
 
@@ -260,9 +261,8 @@ class TestIndexParityAcrossRelabels:
                     "a",
                     'insert node <x k0="v"/> as first into /doc/items')
                 store.flush("a")
-            # a failing batch (duplicate attribute) makes the leader
-            # republish with rebuilt labels and log a ``relabel``
-            # record — the wholesale-relabel arm of the stream
+            # a failing batch (duplicate attribute): shipped
+            # write-ahead, then a no-op on leader and mirror alike
             from repro.pul.ops import InsertAttributes
             from repro.pul.pul import PUL
             from repro.errors import ReproError
@@ -287,10 +287,12 @@ class TestIndexParityAcrossRelabels:
             return (events, store.text("a"), version.index,
                     _label_codes(version.document, version.labeling))
 
-    def test_stream_carries_relabel_records(self, tight_trace):
+    def test_stream_carries_no_relabel_records(self, tight_trace):
+        """Was ``test_stream_carries_relabel_records``: a failed batch
+        no longer rebuilds labels, so there is nothing to ship."""
         events, __, __, __ = tight_trace
         kinds = {e["record"]["kind"] for e in events}
-        assert "relabel" in kinds
+        assert kinds == {"open", "batch"}
 
     def test_parity_across_full_relabel_boundaries(self, tight_trace):
         events, text, leader_index, leader_codes = tight_trace

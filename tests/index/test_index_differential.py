@@ -189,10 +189,8 @@ def _stream_to_replica(source, seq0, headroom, timeline, final):
 def _deliver_to_mirror(data, events, headroom, timeline, final):
     """Host: a CDC mirror under at-least-once redelivery.
 
-    Rewinds are unrestricted: every record kind is version-gated — a
-    ``relabel`` carries the entry version it was taken at, so one
-    re-delivered *after* later batches is skipped instead of
-    re-balancing codes the leader kept.
+    Rewinds are unrestricted: every record kind is idempotent — a
+    re-delivered batch is version-skipped, failed or not.
     """
     mirror = DocumentMirror(max_code_length=headroom)
     # delivery position -> how far the subscriber falls back there
@@ -314,7 +312,8 @@ class TestEngineDifferential:
                     assert store.stats("d")["full_relabels"] >= 1
                 kinds = [item["record"]["kind"] for item in
                          source.read_from(seq0, limit=500)[0]]
-                assert "relabel" in kinds  # the failing batch's, shipped
+                # a failing batch ships its write-ahead record, nothing else
+                assert set(kinds) == {"open", "batch"}
                 final = _state(store._entries["d"].published)
                 _stream_to_replica(source, seq0, headroom, timeline,
                                    final)

@@ -146,6 +146,121 @@ def test_sigkill_mid_flush_recovers_consistently(tmp_path, kill_seed,
     assert version <= ROUNDS
 
 
+FAILED_FLUSH_DOC = ("<bib><paper year=\"2011\"><title>T1</title></paper>"
+                   "<paper year=\"2024\"><title>T2</title></paper></bib>")
+
+#: one session, cut short by ``die_after`` (sys.argv[2]): a good batch,
+#: a batch that is logged write-ahead and then fails on the duplicate
+#: attribute, another good batch — printing the observable state last
+FAILED_FLUSH_SCRIPT = textwrap.dedent("""
+    import json
+    import os
+    import signal
+    import sys
+
+    from repro.errors import ReproError
+    from repro.pul.ops import InsertAttributes, Rename
+    from repro.pul.pul import PUL
+    from repro.store import DocumentStore
+    from repro.xdm.node import Node
+
+    wal_dir, die_after = sys.argv[1], sys.argv[2]
+    store = DocumentStore(workers=2, backend="serial",
+                          durability="log", wal_dir=wal_dir)
+    store.open("d", {doc!r})
+    nodes = list(store.document("d").nodes())
+    title = next(n.node_id for n in nodes if n.name == "title")
+    paper = next(n.node_id for n in nodes if n.name == "paper")
+
+    def report():
+        version = store._entries["d"].published
+        print(json.dumps({{
+            "text": store.text("d"), "version": version.version,
+            "labels": {{str(node_id): label.to_string()
+                        for node_id, label
+                        in version.labeling.as_mapping().items()}},
+            "paths": store.query("d", "//paper/@year")["nodes"],
+        }}), flush=True)
+
+    store.submit("d", PUL([Rename(title, "headline")]))
+    store.flush("d")
+    store.submit("d", PUL([InsertAttributes(
+        paper, [Node.attribute("year", "1999")])]))
+    try:
+        store.flush("d")
+    except ReproError:
+        store.discard_pending("d")
+    else:
+        raise SystemExit("the duplicate attribute was accepted")
+    if die_after == "failed-flush":
+        report()
+        os.kill(os.getpid(), signal.SIGKILL)
+    store.submit("d", PUL([InsertAttributes(
+        paper, [Node.attribute("lang", "en")])]))
+    store.flush("d")
+    report()
+    store.close()
+""").format(doc=FAILED_FLUSH_DOC)
+
+
+def test_sigkill_right_after_a_failed_flush(tmp_path):
+    """The failed batch's write-ahead record is the last thing on disk
+    when the process dies. Recovery fails the batch the same way and is
+    left exactly where the dead process stood — text, label digits,
+    indexed reads — and a good batch applied after recovery lands where
+    it lands in a session that never crashed. (Until this PR the dead
+    process would have been between a label rebuild and the ``relabel``
+    record meant to replay it.)"""
+    import json
+
+    from repro.pul.ops import InsertAttributes
+    from repro.pul.pul import PUL
+    from repro.store.durability import load_durable_state
+    from repro.xdm.node import Node
+
+    script = tmp_path / "child.py"
+    script.write_text(FAILED_FLUSH_SCRIPT, encoding="utf-8")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = _SRC + os.pathsep + env.get("PYTHONPATH", "")
+
+    def run(wal_dir, die_after):
+        child = subprocess.run(
+            [sys.executable, "-u", str(script), wal_dir, die_after],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+            timeout=60)
+        return child.returncode, json.loads(
+            child.stdout.splitlines()[-1]), child.stderr
+
+    def observed(store):
+        version = store._entries["d"].published
+        return {"text": store.text("d"), "version": version.version,
+                "labels": {str(node_id): label.to_string()
+                           for node_id, label
+                           in version.labeling.as_mapping().items()},
+                "paths": store.query("d", "//paper/@year")["nodes"]}
+
+    crashed_dir = str(tmp_path / "crashed")
+    returncode, at_death, err = run(crashed_dir, "failed-flush")
+    assert returncode == -signal.SIGKILL, err
+    returncode, uncrashed, err = run(str(tmp_path / "whole"), "never")
+    assert returncode == 0, err
+    kinds = [record["kind"] for record in
+             load_durable_state(crashed_dir, repair=False).records]
+    assert kinds == ["open", "batch", "batch"]
+    assert replay_oracle(crashed_dir)["d"] == (at_death["text"], 1)
+    with DocumentStore(workers=2, backend="serial", durability="log",
+                       wal_dir=crashed_dir) as recovered:
+        assert recovered.recovery.replayed_batches == 1
+        assert recovered.recovery.skipped_records == 1
+        assert observed(recovered) == at_death
+        paper = next(n.node_id for n in recovered.document("d").nodes()
+                     if n.name == "paper")
+        recovered.submit("d", PUL([InsertAttributes(
+            paper, [Node.attribute("lang", "en")])]))
+        recovered.flush("d")
+        assert observed(recovered) == uncrashed
+
+
 def test_truncation_point_sweep_recovers_a_valid_prefix(
         tmp_path, expected_states):
     """Crash = the log ends at an arbitrary byte. Sample cut points over

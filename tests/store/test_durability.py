@@ -63,11 +63,11 @@ def _run_session(store, batches, doc_id="d"):
         store.flush(doc_id)
 
 
-def _durable_store(tmp_path, spec, **kwargs):
+def _durable_store(tmp_path, spec, store_class=DocumentStore, **kwargs):
     kwargs.setdefault("workers", 2)
     kwargs.setdefault("backend", "serial")
-    return DocumentStore(durability=spec, wal_dir=str(tmp_path / "wal"),
-                         **kwargs)
+    return store_class(durability=spec, wal_dir=str(tmp_path / "wal"),
+                       **kwargs)
 
 
 class TestPolicy:
@@ -219,50 +219,171 @@ class TestRecovery:
             assert _full_state(recovered, "d") == before
         assert replay_oracle(wal_dir)["d"] == (before["text"], 1)
 
-    def test_crash_before_relabel_record_still_converges(
-            self, tmp_path, monkeypatch):
-        """A batch that fails mid-apply is logged write-ahead; the live
-        flush rebuilds the labeling and then logs a relabel record. A
-        crash can land *between* those two appends, leaving the failing
-        batch on disk with no relabel after it — replay must rebuild on
-        its own or the labeling stays in the mid-apply mutated state
-        and every later batch's incremental codes diverge."""
+    def test_failed_batch_leaves_no_trace(self, tmp_path):
+        """A batch that fails mid-apply (the XQUF duplicate attribute,
+        found only after mutation) is logged write-ahead and then
+        changes nothing, on any host of the log: nothing is published,
+        relabeled, index-rebuilt or logged beyond that one record, and
+        the next good batch lands on the untouched label timeline
+        everywhere.
+
+        Replaces ``test_crash_before_relabel_record_still_converges``:
+        the failed flush used to republish rebuilt labels and log a
+        ``relabel`` record, and a crash between the two appends was a
+        window replay had to close. Neither the record nor the window
+        exists any more."""
+        import random
+
+        from repro.cdc import ChangeFeed, DocumentMirror
+        from repro.cluster import ReplicaStore
         from repro.pul.ops import InsertAttributes, Rename
         from repro.pul.pul import PUL
-        from repro.store.durability.recovery import DurabilityManager
         from repro.xdm.node import Node
         from repro.xdm.parser import parse_document
 
         document = parse_document(DOC)
         paper = next(document.elements_by_name("paper"))
         title = next(document.elements_by_name("title"))
-        real_relabel = DurabilityManager.log_relabel
+        wal_dir = str(tmp_path / "wal")
+
+        def deliver(host, event, apply):
+            """One event into ``host``; the failing batch's must leave
+            the published version the same object."""
+            entry = host._entries.get("d")
+            before = entry and entry.published
+            apply(event)
+            if event["record"] is failing:
+                assert host._entries["d"].published is before
+
         with _durable_store(tmp_path, "log") as store:
-            store.open("d", DOC)
-            # a duplicate attribute passes coalescing and reduction, is
-            # logged write-ahead, labels the fresh attribute node, and
-            # only then fails — deterministically, live and at replay
+            source = store.enable_replication()
+            feed = ChangeFeed(source)
+            anchor = feed.tail_token()
+            seq0 = source.next_seq
+            entry = store.open("d", DOC)
+            published = entry.published
+            pinned = entry.pin()
+            fsyncs = store.obs.counter("repro_wal_fsyncs_total")
+            fsyncs_before = fsyncs.value
+            stats_before = store.stats("d")
             store.submit(
                 "d", PUL([InsertAttributes(
                     paper.node_id, [Node.attribute("year", "1999")])]),
                 client="alice")
-            # simulate the crash window: the batch record reached disk,
-            # the relabel record never did
-            monkeypatch.setattr(DurabilityManager, "log_relabel",
-                                lambda self, doc_id, version: None)
             with pytest.raises(ReproError):
                 store.flush("d")
-            monkeypatch.setattr(DurabilityManager, "log_relabel",
-                                real_relabel)
-            store.discard_pending("d")
-            # a later good batch: its incremental codes depend on the
-            # post-failure rebuild
+            # the leader: the very objects it published before
+            assert entry.published is published
+            assert entry.published.index is published.index
+            assert entry.pin() is pinned
+            entry.unpin(pinned)
+            entry.unpin(pinned)
+            assert pinned.pins == 0
+            assert store.stats("d") == dict(stats_before, pending=1)
+            assert entry.logged_version == entry.version == 0
+            assert fsyncs.value == fsyncs_before + 1   # the batch record
+            state = load_durable_state(wal_dir, repair=False)
+            assert [r["kind"] for r in state.records] == ["open", "batch"]
+            assert store.discard_pending("d") == 1
             store.submit("d", PUL([Rename(title.node_id, "headline")]),
                          client="alice")
             store.flush("d")
             before = _full_state(store, "d")
-        with _durable_store(tmp_path, "log") as recovered:
-            assert _full_state(recovered, "d") == before
+            index = entry.published.index
+
+            def equals_leader(host):
+                return (_full_state(host, "d") == before and
+                        host._entries["d"].published.index == index)
+
+            events = feed.read(from_token=anchor, decode=False,
+                               max_events=10)["events"]
+            records = [event["record"] for event in events]
+            assert [r["kind"] for r in records] \
+                == ["open", "batch", "batch"]
+            failing = records[1]
+
+            # a replica streaming record by record
+            with ReplicaStore(workers=1, backend="serial") as replica:
+                replica.bootstrap([], seq0, stream=source.stream_id)
+                for event in events:
+                    deliver(replica, event,
+                            lambda event: replica.apply_records(
+                                [event], event["seq"] + 1))
+                assert equals_leader(replica)
+
+            # a mirror under at-least-once rewinds
+            mirror = DocumentMirror()
+            rng = random.Random(7)
+            position = 0
+            while position < len(events):
+                deliver(mirror._store, events[position], mirror.apply)
+                position += 1
+                if rng.random() < 0.5:
+                    position = rng.randrange(position + 1)
+            assert equals_leader(mirror._store)
+
+        # crash recovery, record by record
+        class CheckedRecovery(DocumentStore):
+            def _apply_record(self, record):
+                entry = self._entries.get("d")
+                before = entry and entry.published
+                outcome = super()._apply_record(record)
+                if record.get("version") == 1 and outcome == "skipped":
+                    assert self._entries["d"].published is before
+                    self.saw_failure = True
+                return outcome
+
+        with _durable_store(tmp_path, "log",
+                            store_class=CheckedRecovery) as recovered:
+            assert recovered.saw_failure
+            assert equals_leader(recovered)
+        assert replay_oracle(wal_dir)["d"] == (before["text"], 1)
+
+    def test_a_relabel_record_from_an_older_log_is_skipped(self, tmp_path):
+        """Stores before this behaviour was removed logged a
+        ``relabel`` record after a failed batch (with the entry version
+        since PR 14, bare before). Nothing writes one now; a log that
+        holds them still recovers, streams and replays to the same
+        bytes, because the record never changed any."""
+        from repro.cluster import ReplicaStore
+        from repro.pul.ops import Rename
+        from repro.pul.pul import PUL
+        from repro.store.durability.recovery import encode_payload
+        from repro.store.durability.wal import WalWriter
+        from repro.xdm.parser import parse_document
+
+        title = next(parse_document(DOC).elements_by_name("title"))
+        with _durable_store(tmp_path, "log") as store:
+            store.open("d", DOC)
+            for name in ("headline", "heading"):
+                store.submit("d", PUL([Rename(title.node_id, name)]))
+                store.flush("d")
+            expected = _full_state(store, "d")
+        opened, first, second = load_durable_state(
+            str(tmp_path / "wal"), repair=False).records
+        records = [opened,
+                   {"kind": "relabel", "doc_id": "d"},
+                   first,
+                   {"kind": "relabel", "doc_id": "d", "version": 1},
+                   {"kind": "relabel", "doc_id": "never-opened"},
+                   second]
+        old = tmp_path / "old"
+        os.makedirs(str(old / "wal"))
+        writer = WalWriter(str(old / "wal" / "wal-00000000.log"))
+        for record in records:
+            writer.append(encode_payload(record))
+        writer.close()
+        with _durable_store(old, "log") as recovered:
+            assert recovered.recovery.replayed_batches == 2
+            assert _full_state(recovered, "d") == expected
+        assert replay_oracle(str(old / "wal"))["d"] \
+            == (expected["text"], 2)
+        with ReplicaStore(workers=1, backend="serial") as replica:
+            replica.bootstrap([], 0)
+            replica.apply_records(
+                [{"seq": seq, "record": record}
+                 for seq, record in enumerate(records)], len(records))
+            assert _full_state(replica, "d") == expected
 
     def test_environmental_apply_failure_skips_on_replay(
             self, tmp_path, workload, monkeypatch):

@@ -8,6 +8,7 @@ its old end offset (the false-durable hazard).
 """
 
 import os
+import sys
 import threading
 import time
 
@@ -98,6 +99,64 @@ class TestCommitTrain:
             checked("d", version, 1, "<x/>")
         manager.close()
         assert all(horizons)
+
+
+    def test_snapshot_counter_is_exact_under_concurrent_batches(
+            self, tmp_path):
+        """``batches_since_snapshot`` is reset by ``begin_rotation``
+        under the manager lock; ``log_batch`` used to bump it after
+        the lock was released, so two documents flushing at once could
+        lose an increment or write a pre-rotation count back over the
+        reset. Every write now happens under the lock, and the count
+        is exact."""
+        unlocked_writes, counted = [], []
+
+        class Audited(DurabilityManager):
+            @property
+            def batches_since_snapshot(self):
+                return self._count
+
+            @batches_since_snapshot.setter
+            def batches_since_snapshot(self, value):
+                if self._writer is not None:
+                    if not self._lock.locked():
+                        unlocked_writes.append(value)
+                    if value == 0:      # a rotation: bank the count
+                        counted.append(self._count)
+                self._count = value
+
+        manager = Audited(str(tmp_path / "wal"),
+                          DurabilityPolicy("snapshot", snapshot_every=10**9,
+                                           fsync=False))
+        manager.start()
+        threads, per_thread = 4, 150
+
+        def hammer(name):
+            for version in range(per_thread):
+                manager.log_batch(name, version, 1, "<x/>")
+
+        def rotate():
+            for __ in range(20):
+                time.sleep(0.002)
+                manager.begin_rotation()
+
+        workers = [threading.Thread(target=hammer, args=("d%d" % i,))
+                   for i in range(threads)]
+        workers.append(threading.Thread(target=rotate))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        counted.append(manager.batches_since_snapshot)
+        manager.close()
+        assert unlocked_writes == []
+        assert sum(counted) == threads * per_thread
 
 
 class TestFsyncFailure:

@@ -266,3 +266,55 @@ class TestCaptureFence:
                            wal_dir=wal_dir) as recovered:
             assert recovered.text("d") == final
             assert recovered.version("d") == 1
+
+    def test_a_failed_batch_releases_the_captures_it_parked(
+            self, tmp_path, monkeypatch):
+        """A batch that is logged and then fails to apply owes no
+        publish: the failure clamps the fence back, and a capture that
+        was waiting on it is handed the published version — the very
+        one from before the flush, since the failure changed nothing."""
+        from repro.errors import ReproError
+        from repro.pul.ops import InsertAttributes
+        from repro.xdm.node import Node
+
+        with DocumentStore(backend="serial", durability="log",
+                           wal_dir=str(tmp_path / "wal")) as store:
+            entry = store.open("d", DOC)
+            published = entry.published
+            paper = _id_of(store.document("d"), "paper")
+            for client in ("alice", "bob"):     # a duplicate attribute
+                store.submit("d", PUL([InsertAttributes(
+                    paper, [Node.attribute("dup", client)])]),
+                    client=client)
+            window = _StalledApplyWindow(monkeypatch)
+
+            failures = []
+
+            def flush():
+                try:
+                    store.flush("d")
+                except ReproError as error:
+                    failures.append(error)
+
+            flusher = threading.Thread(target=flush, daemon=True)
+            flusher.start()
+            assert window.in_window.wait(10)
+            assert store.stats("d")["pending_batches"] == 1
+
+            captured = []
+            capture = threading.Thread(
+                target=lambda: captured.append(entry.wait_published(10)),
+                daemon=True)
+            capture.start()
+            capture.join(0.3)
+            assert capture.is_alive(), \
+                "capture did not wait for the logged batch"
+            window.release.set()
+            flusher.join(10)
+            capture.join(10)
+            assert failures and not capture.is_alive()
+            assert captured == [published]
+            entry.unpin(published)
+            assert entry.published is published
+            stats = store.stats("d")
+            assert (stats["pending"], stats["pending_batches"]) == (2, 0)

@@ -142,10 +142,13 @@ class TestBatches:
 
     def test_failed_apply_rolls_back_labeling(self, store):
         """A batch that dies mid-apply (XQUF duplicate-attribute error)
-        must leave the labeling consistent with the unchanged document
-        — the streaming evaluator mutates it in place."""
+        died on the writer's private copy: what is published afterwards
+        is not an equal document with consistent labels, it is the same
+        document, labeling and index objects as before."""
         from repro.errors import NotApplicableError
-        store.open("d1", DOC)
+        published = store.open("d1", DOC).published
+        parts = (published.document, published.labeling, published.index)
+        stats = store.stats("d1")
         paper = _ids_by_name(store.document("d1"), "paper")[0]
         store.submit("d1", PUL([InsertAttributes(
             paper, [Node.attribute("dup", "1")])]), client="alice")
@@ -155,6 +158,11 @@ class TestBatches:
             store.flush("d1")
         assert store.text("d1") == DOC
         assert store.version("d1") == 0
+        assert store._entries["d1"].published is published
+        assert all(now is then for now, then in zip(
+            (published.document, published.labeling, published.index),
+            parts))
+        assert store.stats("d1") == dict(stats, pending=2)
         labeling = store.labeling("d1")
         document = store.document("d1")
         assert len(labeling) == len(document)
