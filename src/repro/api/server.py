@@ -662,11 +662,16 @@ class _Connection:
         """Write one frame; ``False`` when the peer is gone."""
         try:
             frame = protocol.encode_frame(message, self._codec_version)
-        except ProtocolError as error:
-            # a result too large to frame (e.g. `text` of a >MAX_FRAME
-            # document) must degrade to an error response, not kill the
-            # connection with an unhandled exception
+        except Exception as error:
+            # a result that cannot be framed — too large (`text` of a
+            # >MAX_FRAME document), or refused by the codec itself (a
+            # lone surrogate in a document an older log let in) — must
+            # degrade to an error response, not kill the connection
+            # with an unhandled exception
             if message.get("ok"):
+                if not isinstance(error, ProtocolError):
+                    error = ProtocolError(
+                        "result cannot be encoded: {}".format(error))
                 return await self._send(protocol.error_response(
                     message.get("id"), error), drain=drain)
             return False

@@ -5,9 +5,9 @@ document order, so an event stream parsed from text and one walked from the
 corresponding :class:`Document` are identical.
 
 * :func:`document_events` — walk a live document;
-* :func:`parse_events` — iterative XML parser (O(depth) memory), assigning
-  identifiers by position exactly like
-  :func:`repro.xdm.parser.parse_document` does;
+* :func:`parse_events` — an adapter over the tokens of the shared scanner
+  (:mod:`repro.xdm.parser`; O(depth) memory), assigning identifiers by
+  position exactly like :func:`repro.xdm.parser.parse_document` does;
 * :func:`events_to_xml` — serialize an event stream back to text;
 * :func:`events_to_document` — materialize an event stream as a document
   (mainly for tests).
@@ -18,7 +18,7 @@ from __future__ import annotations
 from repro.errors import SerializationError, XMLSyntaxError
 from repro.xdm.document import Document
 from repro.xdm.node import Node
-from repro.xdm.parser import _Parser
+from repro.xdm.parser import _END, _TEXT, _document_tokens
 from repro.xdm.serializer import escape_attribute, escape_text
 
 
@@ -92,139 +92,27 @@ def _node_events(node):
 
 
 def parse_events(text, keep_whitespace=False):
-    """Iterative XML parsing into events, assigning node identifiers in
-    document order (O(depth) memory — this is the "specialized SAX parser"
-    of Section 4.3)."""
-    parser = _Parser(text, keep_whitespace=keep_whitespace)
-    parser.skip_misc()
-    if parser.peek() != "<":
-        parser.error("expected an element")
+    """Turn the scanner's tokens into events, assigning node identifiers
+    in document order as they arrive (O(depth) memory — with the shared
+    scanner underneath, this is the "specialized SAX parser" of
+    Section 4.3)."""
     next_id = 0
-    stack = []  # [name, node_id] frames of open elements
-    while True:
-        event, closed = _next_event(parser, stack, keep_whitespace)
-        if event is None:
-            break
-        if isinstance(event, StartElement):
-            event.node_id = next_id
+    open_ids = []
+    for kind, value, extra in _document_tokens(text, keep_whitespace):
+        if kind == _END:
+            yield EndElement(value, open_ids.pop())
+            continue
+        node_id = next_id
+        next_id += 1
+        if kind == _TEXT:
+            yield TextEvent(value, node_id)
+            continue
+        attributes = []
+        for name, attr_value in extra.items():
+            attributes.append(AttributeEvent(name, attr_value, next_id))
             next_id += 1
-            for attr in event.attributes:
-                attr.node_id = next_id
-                next_id += 1
-            if stack and stack[-1][1] is None and \
-                    stack[-1][0] == event.name:
-                stack[-1][1] = event.node_id
-            if closed is not None:
-                closed.node_id = event.node_id
-        elif isinstance(event, TextEvent):
-            event.node_id = next_id
-            next_id += 1
-        yield event
-        if closed is not None:
-            yield closed
-        if not stack:
-            break
-    parser.skip_misc()
-    if not parser.eof():
-        parser.error("trailing content after document element")
-
-
-def _next_event(parser, stack, keep_whitespace):
-    """Produce the next event (plus an immediate EndElement for
-    self-closing tags)."""
-    text_parts = []
-    while True:
-        if parser.eof():
-            if stack:
-                parser.error("unexpected end of input")
-            return None, None
-        ch = parser.peek()
-        if ch == "<":
-            if text_parts:
-                value = "".join(text_parts)
-                if keep_whitespace or value.strip():
-                    return TextEvent(value), None
-                text_parts = []
-            if parser.peek(2) == "</":
-                parser.advance(2)
-                name = parser.read_name()
-                parser.skip_whitespace()
-                parser.expect(">")
-                if not stack or stack[-1][0] != name:
-                    parser.error("mismatched end tag </{}>".format(name))
-                __, node_id = stack.pop()
-                return EndElement(name, node_id=node_id), None
-            if parser.peek(4) == "<!--":
-                end = parser.text.find("-->", parser.pos + 4)
-                if end < 0:
-                    parser.error("unterminated comment")
-                parser.pos = end + 3
-                continue
-            if parser.peek(9) == "<![CDATA[":
-                end = parser.text.find("]]>", parser.pos + 9)
-                if end < 0:
-                    parser.error("unterminated CDATA section")
-                text_parts.append(parser.text[parser.pos + 9:end])
-                parser.pos = end + 3
-                continue
-            if parser.peek(2) == "<?":
-                end = parser.text.find("?>", parser.pos + 2)
-                if end < 0:
-                    parser.error("unterminated processing instruction")
-                parser.pos = end + 2
-                continue
-            start, self_closing = _parse_start_tag(parser)
-            if self_closing:
-                return start, EndElement(start.name, node_id=None)
-            stack.append([start.name, None])
-            return start, None
-        if ch == "&":
-            text_parts.append(parser.read_reference())
-        else:
-            text_parts.append(ch)
-            parser.advance()
-
-
-def _parse_start_tag(parser):
-    parser.expect("<")
-    name = parser.read_name()
-    attributes = []
-    seen = set()
-    while True:
-        parser.skip_whitespace()
-        if parser.peek(2) == "/>":
-            parser.advance(2)
-            return StartElement(name, attributes), True
-        if parser.peek() == ">":
-            parser.advance()
-            return StartElement(name, attributes), False
-        attr_name = parser.read_name()
-        if attr_name in seen:
-            parser.error("duplicate attribute: {}".format(attr_name))
-        seen.add(attr_name)
-        parser.skip_whitespace()
-        parser.expect("=")
-        parser.skip_whitespace()
-        quote = parser.peek()
-        if quote not in ("'", '"'):
-            parser.error("attribute value must be quoted")
-        parser.advance()
-        parts = []
-        while True:
-            if parser.eof():
-                parser.error("unterminated attribute value")
-            ch = parser.text[parser.pos]
-            if ch == quote:
-                parser.advance()
-                break
-            if ch == "&":
-                parts.append(parser.read_reference())
-            elif ch == "<":
-                parser.error("'<' in attribute value")
-            else:
-                parts.append(ch)
-                parser.advance()
-        attributes.append(AttributeEvent(attr_name, "".join(parts)))
+        open_ids.append(node_id)
+        yield StartElement(value, attributes, node_id)
 
 
 class XMLEventWriter:

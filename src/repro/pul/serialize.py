@@ -22,6 +22,14 @@ Example::
       </op>
       <op name="rename" target="5" label="..." value="title"/>
     </pul>
+
+Both directions work on text without an intermediate tree of the
+envelope: :func:`pul_to_xml` writes parts, :func:`pul_from_xml` reads the
+tokens of the shared XML scanner (:mod:`repro.xdm.parser`) and builds
+each parameter tree — wrappers and ``repro:id`` resolved — as its tokens
+arrive. Anything but the format above is a :class:`SerializationError`
+(identifiers and targets are ``[0-9]+``); XML that is not well-formed is
+the scanner's :class:`~repro.errors.XMLSyntaxError`.
 """
 
 from __future__ import annotations
@@ -37,7 +45,7 @@ from repro.pul.ops import (
 )
 from repro.pul.pul import PUL
 from repro.xdm.node import Node
-from repro.xdm.parser import parse_fragment
+from repro.xdm.parser import _END, _TEXT, _document_tokens
 from repro.xdm.serializer import (
     ID_ATTRIBUTE,
     escape_attribute,
@@ -64,7 +72,7 @@ def tree_to_xml(node):
 
 def tree_from_xml(text):
     """Parse one :func:`tree_to_xml` document back into a detached tree."""
-    return _read_tree(parse_fragment(text, keep_whitespace=True))
+    return _build_trees(_document_tokens(text, True))[0]
 
 
 # -- writing -------------------------------------------------------------------
@@ -149,49 +157,71 @@ def pul_to_xml(pul):
 # -- reading -------------------------------------------------------------------
 
 
-def _read_tree(element):
-    """Convert one parsed wrapper child back into a parameter tree."""
-    if element.is_text:
-        return Node.text(element.value)
-    attrs = {attr.name: attr.value for attr in element.attributes}
-    if element.name == _TEXT_WRAPPER:
-        value = "".join(child.value for child in element.children
-                        if child.is_text)
-        node = Node.text(value)
-        if ID_ATTRIBUTE in attrs:
-            node.node_id = int(attrs[ID_ATTRIBUTE])
-        return node
-    if element.name == _ATTR_WRAPPER:
-        try:
-            node = Node.attribute(attrs["name"], attrs.get("value", ""))
-        except KeyError:
-            raise SerializationError(
-                "repro:attr wrapper without a name") from None
-        if ID_ATTRIBUTE in attrs:
-            node.node_id = int(attrs[ID_ATTRIBUTE])
-        return node
-    node = Node.element(element.name)
-    if ID_ATTRIBUTE in attrs:
-        node.node_id = int(attrs[ID_ATTRIBUTE])
-    for attr in element.attributes:
-        if attr.name == ID_ATTRIBUTE:
-            continue
-        node.append_attribute(Node.attribute(attr.name, attr.value))
-    for child in element.children:
-        restored = _read_tree(child)
-        if restored.is_attribute:
-            node.append_attribute(restored)
-        else:
-            node.append_child(restored)
-    return node
+def _identifier(text):
+    """A node identifier off the wire: ASCII digits, nothing else."""
+    try:
+        if text.isascii() and text.isdigit():
+            return int(text)
+    except ValueError:  # more digits than int() converts
+        pass
+    raise SerializationError(
+        "not a node identifier: {!r}".format(text[:40]))
 
 
-def _parse_parameter_trees(op_element):
+def _build_trees(tokens):
+    """Build parameter trees straight off the token stream, up to the end
+    tag of the element the stream is inside (or to the stream's end),
+    resolving ``repro:id``, ``repro:text`` and ``repro:attr`` as the
+    tokens arrive."""
     trees = []
-    for child in op_element.children:
-        if child.is_text and not child.value.strip():
-            continue
-        trees.append(_read_tree(child))
+    path = []  # the open nodes: elements, and wrappers as what they wrap
+    for kind, value, extra in tokens:
+        parent = path[-1] if path else None
+        if kind == _END:
+            if parent is None:
+                break
+            path.pop()
+        elif kind == _TEXT:
+            if parent is None:
+                # between trees only whitespace-only text is formatting
+                if value.strip():
+                    trees.append(Node.text(value))
+            elif parent.is_element:
+                parent.append_child(Node.text(value))
+            elif parent.is_text:
+                parent.value = value
+            else:
+                raise SerializationError("content in a repro:attr wrapper")
+        else:
+            if parent is not None and not parent.is_element:
+                raise SerializationError(
+                    "<{}> inside a wrapper element".format(value))
+            if value == _TEXT_WRAPPER or value == _ATTR_WRAPPER:
+                if value == _TEXT_WRAPPER:
+                    node = Node.text("")
+                elif "name" in extra:
+                    node = Node.attribute(extra["name"],
+                                          extra.get("value", ""))
+                else:
+                    raise SerializationError(
+                        "repro:attr wrapper without a name")
+                if ID_ATTRIBUTE in extra:
+                    node.node_id = _identifier(extra[ID_ATTRIBUTE])
+            else:
+                node = Node.element(value)
+                for name, attr_value in extra.items():
+                    if name == ID_ATTRIBUTE:
+                        node.node_id = _identifier(attr_value)
+                    else:
+                        node.append_attribute(
+                            Node.attribute(name, attr_value))
+            if parent is None:
+                trees.append(node)
+            elif node.is_attribute:
+                parent.append_attribute(node)
+            else:
+                parent.append_child(node)
+            path.append(node)
     return trees
 
 
@@ -199,46 +229,47 @@ def pul_from_xml(text):
     """Parse a PUL exchange document back into a :class:`PUL`."""
     # our own serializer emits no inter-element whitespace, so whitespace
     # can be kept verbatim — it only matters inside <repro:text> wrappers
-    root = parse_fragment(text, keep_whitespace=True)
-    if root.name != "pul":
+    tokens = _document_tokens(text, True)
+    __, root, root_attrs = next(tokens)
+    if root != "pul":
         raise SerializationError(
-            "expected <pul> root, got <{}>".format(root.name))
-    origin = None
-    for attr in root.attributes:
-        if attr.name == "producer":
-            origin = attr.value
+            "expected <pul> root, got <{}>".format(root))
     operations = []
     labels = {}
-    for op_element in root.children:
-        if op_element.is_text:
+    for kind, value, attrs in tokens:
+        if kind == _END:  # of <pul>: the stream ends, or raises, next
             continue
-        if op_element.name != "op":
+        if kind == _TEXT:
+            if value.strip():
+                raise SerializationError(
+                    "text between the operations of a PUL")
+            continue
+        if value != "op":
             raise SerializationError(
-                "unexpected element <{}> in PUL".format(op_element.name))
-        attrs = {attr.name: attr.value for attr in op_element.attributes}
-        try:
-            name = attrs["name"]
-            target = int(attrs["target"])
-        except (KeyError, ValueError) as exc:
+                "unexpected element <{}> in PUL".format(value))
+        if "name" not in attrs or "target" not in attrs:
             raise SerializationError(
-                "malformed operation element: {}".format(exc)) from exc
-        op_class = OPERATION_TYPES.get(name)
+                "operation element without a name or a target")
+        op_class = OPERATION_TYPES.get(attrs["name"])
         if op_class is None:
             raise SerializationError(
-                "unknown operation name: {!r}".format(name))
+                "unknown operation name: {!r}".format(attrs["name"]))
+        target = _identifier(attrs["target"])
         if "label" in attrs:
-            labels[target] = ExtendedLabel.from_string(attrs["label"])
+            try:
+                labels[target] = ExtendedLabel.from_string(attrs["label"])
+            except ValueError as exc:
+                raise SerializationError(
+                    "malformed label: {}".format(exc)) from exc
+        trees = _build_trees(tokens)
         if op_class is Delete:
             operations.append(Delete(target))
-        elif op_class is ReplaceValue:
-            operations.append(ReplaceValue(target, attrs.get("value", "")))
-        elif op_class is Rename:
-            operations.append(Rename(target, attrs.get("value", "")))
+        elif op_class is ReplaceValue or op_class is Rename:
+            operations.append(op_class(target, attrs.get("value", "")))
         elif op_class is ReplaceChildren:
-            trees = _parse_parameter_trees(op_element)
             strict = attrs.get("strict", "true") != "false"
             operations.append(ReplaceChildren(target, trees, strict=strict))
         else:
-            trees = _parse_parameter_trees(op_element)
             operations.append(op_class(target, trees))
-    return PUL(operations, labels=labels, origin=origin)
+    return PUL(operations, labels=labels,
+               origin=root_attrs.get("producer"))

@@ -27,10 +27,11 @@ class NodeType(enum.Enum):
     @classmethod
     def from_code(cls, code):
         """Return the node type for a one-letter code (``e``/``a``/``t``)."""
-        for member in cls:
-            if member.value == code:
-                return member
-        raise DocumentError("unknown node type code: {!r}".format(code))
+        try:
+            return cls(code)
+        except ValueError:
+            raise DocumentError(
+                "unknown node type code: {!r}".format(code)) from None
 
 
 class Node:

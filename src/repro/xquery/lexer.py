@@ -1,14 +1,15 @@
 """Tokenizer for the XQuery Update subset.
 
 XML constructors embedded in expressions (``insert node <a>x</a> ...``)
-are tokenized as single ``XML`` tokens by delegating to the XML parser, so
-the updating-expression grammar never needs to understand markup.
+are tokenized as single ``XML`` tokens by delegating to the XML scanner
+and tree builder of :mod:`repro.xdm.parser`, so neither this lexer nor the
+updating-expression grammar needs to understand markup.
 """
 
 from __future__ import annotations
 
-from repro.errors import QuerySyntaxError
-from repro.xdm.parser import _Parser
+from repro.errors import QuerySyntaxError, XMLSyntaxError
+from repro.xdm.parser import _build, _tokens
 
 #: token kinds
 NAME = "name"
@@ -55,18 +56,16 @@ def tokenize(text):
             pos += 1
             continue
         if ch == "<":
-            # an XML constructor: delegate to the XML fragment parser,
-            # which tells us how much input it consumed
-            parser = _Parser(text)
-            parser.pos = pos
+            # an XML constructor: the XML tree builder reads one element
+            # from here and tells us where it ended
             try:
-                node = parser.parse_element()
-            except Exception as exc:
+                (node,), end = _build(_tokens(text, pos, False))
+            except XMLSyntaxError as exc:
                 raise QuerySyntaxError(
                     "bad XML constructor: {}".format(exc),
                     position=pos) from exc
             tokens.append(Token(XML, node, pos))
-            pos = parser.pos
+            pos = end
             continue
         if ch in "'\"":
             end = text.find(ch, pos + 1)

@@ -11,8 +11,14 @@ import pytest
 
 from repro.api import AsyncStoreClient, StoreClient, StoreServer
 from repro.cluster import ReplicaStore
-from repro.errors import NotLeaderError, ProtocolError, ReproError
+from repro.errors import (
+    NotLeaderError,
+    ProtocolError,
+    ReproError,
+    XMLSyntaxError,
+)
 from repro.store import DocumentStore
+from repro.xdm import Document, Node
 
 DOC = "<bib><paper><title>T1</title></paper></bib>"
 
@@ -205,5 +211,57 @@ class TestNotLeaderOnTheWire:
                 assert export["token"] is None
                 with pytest.raises(ProtocolError):
                     await client._call("unsubscribe")  # no subscriber
+                await client.aclose()
+        run(scenario())
+
+
+class TestUnencodableContent:
+    """One request must not poison a document for every later reader:
+    character references no XML document may contain are refused at
+    the door, and a result the codec cannot encode costs its reader an
+    error response, not the connection."""
+
+    def test_hostile_submit_is_refused_and_the_connection_lives(self):
+        hostile = ('<pul><op name="insertInto" target="1">'
+                   '<c>&#xD800;</c></op></pul>')
+
+        async def scenario():
+            server = StoreServer(
+                DocumentStore(workers=1, backend="serial"),
+                host="127.0.0.1", port=0)
+            async with server:
+                client = await AsyncStoreClient.connect(
+                    *server.tcp_address)
+                await client.open("d1", DOC)
+                with pytest.raises(XMLSyntaxError) as info:
+                    await client.submit("d1", hostile)
+                assert hostile[info.value.position] == "&"
+                assert (await client.docs()) == {"docs": ["d1"]}
+                assert (await client.text("d1"))["text"] == DOC
+                await client.aclose()
+        run(scenario())
+
+    @pytest.mark.parametrize("versions", [(1,), (1, 2)])
+    def test_unencodable_result_is_a_typed_error(self, versions):
+        """A document poisoned before the parser refused such
+        references (replayed from an old log, say) must not kill its
+        readers' connections either."""
+        root = Node.element("a")
+        root.append_child(Node.text("\ud800"))
+        store = DocumentStore(workers=1, backend="serial")
+        store.open("poisoned", Document(root=root))
+
+        async def scenario():
+            async with StoreServer(store, host="127.0.0.1",
+                                   port=0) as server:
+                client = await AsyncStoreClient.connect(
+                    *server.tcp_address, versions=versions)
+                if client.protocol_version == 2:
+                    with pytest.raises(ProtocolError):
+                        await client.text("poisoned")
+                else:
+                    # JSON escapes the surrogate; nothing to refuse
+                    await client.text("poisoned")
+                assert (await client.docs()) == {"docs": ["poisoned"]}
                 await client.aclose()
         run(scenario())

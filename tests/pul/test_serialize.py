@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import SerializationError
+from repro.errors import SerializationError, XMLSyntaxError
 from repro.labeling import ContainmentLabeling
 from repro.pul.ops import (
     Delete,
@@ -114,3 +114,49 @@ class TestErrors:
     def test_unexpected_element(self):
         with pytest.raises(SerializationError):
             pul_from_xml("<pul><operation/></pul>")
+
+    @pytest.mark.parametrize("wire", [
+        # identifiers and targets are [0-9]+, not whatever int() takes
+        '<pul><op name="insertInto" target="1">'
+        '<c repro:id="abc"/></op></pul>',
+        '<pul><op name="insertInto" target="1">'
+        '<repro:text repro:id="1_0">t</repro:text></op></pul>',
+        '<pul><op name="insertAttributes" target="1">'
+        '<repro:attr name="k" value="v" repro:id=" 7"/></op></pul>',
+        '<pul><op name="delete" target="1_0"/></pul>',
+        '<pul><op name="delete" target=" 7"/></pul>',
+        '<pul><op name="delete" target="-1"/></pul>',
+        '<pul><op name="delete" target="٣"/></pul>',
+        '<pul><op name="delete" target="' + "9" * 5000 + '"/></pul>',
+        # a label whose integer fields are not integers
+        '<pul><op name="delete" target="1" label="x;e;01;1;2;-;-;-"/>'
+        '</pul>',
+        '<pul><op name="delete" target="1" label="1;e;01;1;2;-;y;-"/>'
+        '</pul>',
+        # text directly inside <pul> is not formatting
+        '<pul>garbage<op name="delete" target="1"/></pul>',
+        '<pul><op name="delete" target="1"/>garbage</pul>',
+        # wrappers wrap a value, not markup
+        '<pul><op name="insertInto" target="1">'
+        '<repro:text><b/></repro:text></op></pul>',
+        '<pul><op name="insertAttributes" target="1">'
+        '<repro:attr name="k">v</repro:attr></op></pul>',
+        '<pul><op name="insertAttributes" target="1">'
+        '<repro:attr value="v"/></op></pul>',
+    ])
+    def test_malformed_exchange_document(self, wire):
+        with pytest.raises(SerializationError):
+            pul_from_xml(wire)
+
+    def test_formatting_whitespace_is_accepted(self):
+        pul = pul_from_xml(
+            '<?xml version="1.0"?>\n<pul producer="p">\n'
+            '  <op name="insertInto" target="1">\n    <c/>\n  </op>\n'
+            '  <op name="delete" target="2"/>\n</pul>\n')
+        assert pul.origin == "p"
+        assert [op.op_name for op in pul] == ["insertInto", "delete"]
+        assert [t.name for t in pul[0].trees] == ["c"]
+
+    def test_trailing_content_is_refused(self):
+        with pytest.raises(XMLSyntaxError):
+            pul_from_xml('<pul><op name="delete" target="1"/></pul><pul/>')

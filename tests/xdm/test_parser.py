@@ -56,6 +56,25 @@ class TestEntitiesAndSections:
         doc = parse_document("<a>&#65;&#x42;</a>")
         assert doc.root.children[0].value == "AB"
 
+    def test_numeric_references_reach_every_xml_char(self):
+        doc = parse_document(
+            "<a>&#9;&#x20;&#xD7FF;&#xE000;&#xFFFD;&#x10000;&#x10FFFF;"
+            "&#0000000065;</a>")
+        assert doc.root.children[0].value == \
+            "\t \ud7ff\ue000\ufffd\U00010000\U0010ffffA"
+
+    @pytest.mark.parametrize("reference", [
+        "&#xD800;", "&#xDFFF;", "&#0;", "&#8;", "&#xFFFE;", "&#x110000;",
+        "&#6_5;", "&# 65;", "&#+65;", "&#x 41;", "&#99999999999;",
+        "&#" + "9" * 5000 + ";",
+    ])
+    def test_references_to_no_xml_char_are_refused(self, reference):
+        for text in ("<a>ok {}</a>".format(reference),
+                     "<a k='ok {}'/>".format(reference)):
+            with pytest.raises(XMLSyntaxError) as info:
+                parse_document(text)
+            assert info.value.position == text.index("&")
+
     def test_entity_in_attribute(self):
         doc = parse_document("<a k='&amp;x'/>")
         assert doc.root.attributes[0].value == "&x"
