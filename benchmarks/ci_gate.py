@@ -65,8 +65,6 @@ SMOKE_RUNS = (
     ("bench_replication.py",
      ["--replicas", "0", "2", "--reads", "300", "--readers", "4",
       "--write-rounds", "15", "--repeats", "2"]),
-    ("bench_wire_codec.py",
-     ["--messages", "2000", "--xml-bytes", "4096", "--repeats", "3"]),
     ("bench_group_commit.py",
      ["--threads", "8", "--flushes", "25", "--repeats", "3"]),
     ("bench_query_serving.py",
@@ -85,7 +83,6 @@ SMOKE_RUNS = (
 #: property of the current code.
 METRIC_FLOORS = {
     "bench_server_concurrency": {"pipelining_speedup": 1.3},
-    "bench_wire_codec": {"speedup_vs_json": 1.0},
     # reads served during active writes, MVCC over flush-locked, same
     # machine/run: a dimensionless proof that writes don't block reads
     # (the real ratio is ~10x; 2x holds on any hardware).

@@ -1,9 +1,8 @@
 """The store's network API: wire protocol, server, clients.
 
-One dispatch core (:class:`StoreDispatcher`) serves every transport:
-the asyncio :class:`StoreServer` (TCP + Unix sockets, versioned
-length-prefixed JSON frames) and the legacy stdin/stdout line protocol
-(:class:`repro.store.service.StoreService`, now a thin adapter). The
+The asyncio :class:`StoreServer` (TCP + Unix sockets, versioned
+length-prefixed frames: a JSON hello, binary ever after) is the store's
+one front door; it hosts the command core, :class:`StoreDispatcher`. The
 clients — blocking :class:`StoreClient` and pipelining
 :class:`AsyncStoreClient` — share one method surface and raise
 reconstructed :class:`~repro.errors.ReproError` subclasses. See this
@@ -12,7 +11,7 @@ error-code table.
 """
 
 from repro.api.client import AsyncStoreClient, StoreClient
-from repro.api.dispatch import StoreDispatcher, stats_payload
+from repro.api.dispatch import StoreDispatcher
 from repro.api.protocol import (
     MAX_FRAME,
     PROTOCOL_VERSION,
@@ -32,5 +31,4 @@ __all__ = [
     "StoreDispatcher",
     "StoreServer",
     "encode_frame",
-    "stats_payload",
 ]

@@ -15,8 +15,9 @@ every other consumer share) — over the versioned frame protocol of
     (``await asyncio.gather(*[client.submit(...) ...])``), responses
     are correlated by request id.
 
-Both perform the hello negotiation on connect (the negotiated protocol
-version is on :attr:`protocol_version`) and both surface server-side
+Both perform the hello negotiation on connect (one JSON frame each
+way; the session after it runs the binary codec, its version is on
+:attr:`protocol_version`) and both surface server-side
 failures as reconstructed :class:`~repro.errors.ReproError` subclasses:
 ``except QueryEvaluationError:`` around a remote ``submit_xquery``
 works exactly as it does around the local compiler, and the stable
@@ -84,6 +85,20 @@ class _MethodSurface:
         (empty tuple against pre-observability servers)."""
         info = self.server_info or {}
         return tuple(info.get("features", ()))
+
+    def _adopt_hello(self, result):
+        """Take the session parameters out of the hello ``result`` and
+        switch the decoder from the hello's JSON to the agreed codec."""
+        version = result.get("version") if isinstance(result, dict) \
+            else None
+        if version not in protocol.SUPPORTED_VERSIONS:
+            raise ProtocolError(
+                "server chose protocol version {!r}, which this client "
+                "did not offer".format(version))
+        self.protocol_version = version
+        self.server_info = result
+        self.client = result.get("client", self.client)
+        self._decoder.use_version(version)
 
     def _outbound_trace(self, trace):
         """The trace id to send — ``None`` unless the caller supplied
@@ -241,21 +256,18 @@ class StoreClient(_MethodSurface):
     closed")``.
     """
 
-    def __init__(self, sock, client=None,
-                 versions=protocol.SUPPORTED_VERSIONS):
+    def __init__(self, sock, client=None):
         self._sock = sock
         self._decoder = protocol.FrameDecoder()
         self._frames = []
         self._next_id = 0
-        self._versions = tuple(versions)
         self.client = client
         self.protocol_version = None
         self.server_info = None
 
     @classmethod
     def connect(cls, host=None, port=None, unix_path=None, client=None,
-                timeout=None, retries=0, backoff=0.1, max_backoff=2.0,
-                versions=protocol.SUPPORTED_VERSIONS):
+                timeout=None, retries=0, backoff=0.1, max_backoff=2.0):
         """Connect over TCP (``host``/``port``) or a Unix socket
         (``unix_path``) and negotiate the protocol version.
 
@@ -264,9 +276,7 @@ class StoreClient(_MethodSurface):
         races — a cluster node dialing a peer that is still binding
         should wait it out, not surface a raw
         ``ConnectionRefusedError``. The *last* failure is re-raised
-        when every attempt fails. ``versions`` restricts the offered
-        protocol versions (e.g. ``(1,)`` forces the JSON codec against
-        a v2-capable server).
+        when every attempt fails.
         """
         if unix_path is None and (host is None or port is None):
             raise ProtocolError("connect needs host+port or unix_path")
@@ -292,7 +302,7 @@ class StoreClient(_MethodSurface):
                     raise
                 time.sleep(delay)
                 continue
-            instance = cls(sock, client=client, versions=versions)
+            instance = cls(sock, client=client)
             try:
                 instance._hello()
             except BaseException:
@@ -301,15 +311,8 @@ class StoreClient(_MethodSurface):
             return instance
 
     def _hello(self):
-        result = self._roundtrip(protocol.hello_request(
-            self._take_id(), client=self.client,
-            versions=self._versions))
-        self.protocol_version = result["version"]
-        self.server_info = result
-        self.client = result.get("client", self.client)
-        # the hello exchange ran as v1 JSON; switch both directions to
-        # the negotiated codec for everything after it
-        self._decoder.use_version(self.protocol_version)
+        self._adopt_hello(self._roundtrip(protocol.hello_request(
+            self._take_id(), client=self.client)))
 
     def _take_id(self):
         self._next_id += 1
@@ -394,8 +397,7 @@ class AsyncStoreClient(_MethodSurface):
     future as its response arrives.
     """
 
-    def __init__(self, reader, writer, client=None,
-                 versions=protocol.SUPPORTED_VERSIONS):
+    def __init__(self, reader, writer, client=None):
         self._reader = reader
         self._writer = writer
         self._decoder = protocol.FrameDecoder()
@@ -403,7 +405,6 @@ class AsyncStoreClient(_MethodSurface):
         self._next_id = 0
         self._reader_task = None
         self._closed = False
-        self._versions = tuple(versions)
         self.client = client
         self.protocol_version = None
         self.server_info = None
@@ -411,8 +412,7 @@ class AsyncStoreClient(_MethodSurface):
     @classmethod
     async def connect(cls, host=None, port=None, unix_path=None,
                       client=None, retries=0, backoff=0.1,
-                      max_backoff=2.0,
-                      versions=protocol.SUPPORTED_VERSIONS):
+                      max_backoff=2.0):
         """Connect over TCP or a Unix socket and negotiate.
 
         ``retries``/``backoff``/``max_backoff`` behave as on
@@ -436,7 +436,7 @@ class AsyncStoreClient(_MethodSurface):
                 if delay is None:
                     raise
                 await asyncio.sleep(delay)
-        instance = cls(reader, writer, client=client, versions=versions)
+        instance = cls(reader, writer, client=client)
         try:
             await instance._hello()
         except BaseException:
@@ -450,8 +450,7 @@ class AsyncStoreClient(_MethodSurface):
         """Negotiate before the reader task exists (strict
         request/response, nothing else is in flight yet)."""
         message = protocol.hello_request(self._take_id(),
-                                         client=self.client,
-                                         versions=self._versions)
+                                         client=self.client)
         self._writer.write(protocol.encode_frame(message))
         await self._writer.drain()
         frames = []
@@ -465,11 +464,7 @@ class AsyncStoreClient(_MethodSurface):
         if frames:
             raise ProtocolError(
                 "server sent frames before any request was made")
-        self.protocol_version = result["version"]
-        self.server_info = result
-        self.client = result.get("client", self.client)
-        # everything after the (v1 JSON) hello runs the agreed codec
-        self._decoder.use_version(self.protocol_version)
+        self._adopt_hello(result)
 
     def _take_id(self):
         self._next_id += 1

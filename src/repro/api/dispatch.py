@@ -1,14 +1,12 @@
-"""The transport-neutral command core over one :class:`DocumentStore`.
+"""The command core over one :class:`DocumentStore`.
 
-Every transport the store speaks — the asyncio network server
-(:mod:`repro.api.server`), the line-oriented compatibility protocol
-(:mod:`repro.store.service`) — routes its commands through one
-:class:`StoreDispatcher`: structured arguments in, JSON-representable
-dicts out, :class:`~repro.errors.ReproError` subclasses raised on
-failure (each carrying its stable ``code``). The transports only
-(de)serialize; the command semantics, argument validation and result
-shapes live here once, so the wire protocol and the line protocol can
-never drift apart.
+The asyncio network server (:mod:`repro.api.server`) — the store's one
+front door — and the CLI commands that work on a local durability
+directory route their commands through a :class:`StoreDispatcher`:
+structured arguments in, JSON-representable dicts out,
+:class:`~repro.errors.ReproError` subclasses raised on failure (each
+carrying its stable ``code``). The server only (de)serializes; the
+command semantics, argument validation and result shapes live here.
 """
 
 from __future__ import annotations
@@ -22,27 +20,10 @@ from repro.errors import (
 from repro.pul.serialize import pul_from_xml
 
 
-def stats_payload(stats, uptime_seconds=None):
-    """The shared machine-readable form of per-document counters: one
-    serializer for the line protocol's ``--json`` form and the network
-    protocol's ``stats`` result. ``uptime_seconds`` (when known) rides
-    at the top level next to the per-document entries."""
-    payload = {"stats": [dict(entry) for entry in stats]}
-    if uptime_seconds is not None:
-        payload["uptime_seconds"] = round(uptime_seconds, 3)
-    return payload
-
-
 class StoreDispatcher:
-    """Structured command surface shared by every transport."""
+    """Structured command surface over ``store``."""
 
-    def __init__(self, store=None):
-        if store is None:
-            # imported lazily: repro.store.service (loaded by the
-            # repro.store package) imports this module, so a top-level
-            # import of repro.store.store here would be circular
-            from repro.store.store import DocumentStore
-            store = DocumentStore()
+    def __init__(self, store):
         self.store = store
 
     # -- documents -----------------------------------------------------------
@@ -57,14 +38,14 @@ class StoreDispatcher:
         return {"docs": self.store.doc_ids()}
 
     def stats(self, doc_id=None):
-        uptime = getattr(self.store, "uptime_seconds", None)
-        uptime = uptime() if callable(uptime) else None
-        if doc_id is not None:
-            payload = stats_payload([self.store.stats(doc_id)],
-                                    uptime_seconds=uptime)
-        else:
-            payload = stats_payload(self.store.stats(),
-                                    uptime_seconds=uptime)
+        """Per-document counters, the store's uptime at the top level
+        next to them, and the ``replication`` block on a cluster
+        node."""
+        stats = (self.store.stats() if doc_id is None
+                 else [self.store.stats(doc_id)])
+        payload = {
+            "stats": [dict(entry) for entry in stats],
+            "uptime_seconds": round(self.store.uptime_seconds(), 3)}
         replication = self._replication_block()
         if replication is not None:
             payload["replication"] = replication
@@ -180,14 +161,13 @@ class StoreDispatcher:
         single-node store, so the pre-cluster result shape is
         unchanged."""
         store = self.store
-        if getattr(store, "role", "leader") == "replica":
+        if store.role == "replica":
             block = {"role": "replica",
                      "leader": store.leader_address,
                      "applied_seq": store.applied_seq,
                      "stream": store.stream_id}
-            sync = getattr(store, "_sync", None)
-            if sync is not None:
-                block.update(sync.status())
+            if store._sync is not None:
+                block.update(store._sync.status())
             return block
         if store.replication is not None:
             block = {"role": "leader"}
@@ -198,7 +178,7 @@ class StoreDispatcher:
     def _source(self):
         source = self.store.replication
         if source is None:
-            if getattr(self.store, "role", "leader") == "replica":
+            if self.store.role == "replica":
                 raise NotLeaderError(self.store.leader_address,
                                      operation="the replication stream")
             raise ClusterError(
@@ -278,11 +258,8 @@ class StoreDispatcher:
 
     def promote(self, allow_non_durable=None):
         """Convert a replica into a leader (manual failover)."""
-        promote = getattr(self.store, "promote", None)
-        if promote is None:
-            raise ClusterError(
-                "this node is not a replica (nothing to promote)")
-        return promote(allow_non_durable=bool(allow_non_durable))
+        return self.store.promote(
+            allow_non_durable=bool(allow_non_durable))
 
     # -- durability ----------------------------------------------------------
 

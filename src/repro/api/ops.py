@@ -2,8 +2,8 @@
 
 Every protocol operation is declared here exactly once: its wire name,
 its **append-only v2 op code** (codes are never reused for a different
-meaning once released; new ops on old peers ride the v1 JSON fallback
-or the 0xFF named-op escape), the dispatcher method that implements it,
+meaning once released; new ops on old peers ride the 0xFF named-op
+escape), the dispatcher method that implements it,
 its argument contract, and the documentation cells the generated
 tables in ``api/README.md`` are built from.
 
@@ -59,7 +59,7 @@ OPS = (
         required=("versions",), optional=("client",),
         result="`version`, `server`, `client`, `features` (negotiated "
                "extras, e.g. `trace` = requests may carry a trace id)",
-        doc="version negotiation; always rides v1 JSON"),
+        doc="version negotiation; always one JSON frame each way"),
     OpSpec(
         "open", 1, "open",
         required=("doc_id", "xml"),

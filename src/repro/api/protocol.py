@@ -1,10 +1,10 @@
-"""The versioned, length-prefixed JSON wire protocol.
+"""The versioned, length-prefixed wire protocol.
 
 One frame is a 4-byte big-endian payload length followed by that many
-bytes of UTF-8 JSON::
+payload bytes::
 
     +--------------+------------------------+
-    | length (u32) | JSON payload (UTF-8)   |
+    | length (u32) | payload                |
     +--------------+------------------------+
 
 The length covers the payload only, must be at least 2 (the smallest
@@ -15,7 +15,8 @@ purpose: the protocol runs over stream transports (TCP, Unix sockets)
 that already guarantee integrity; torn frames only appear at connection
 teardown and are surfaced as a clean "incomplete trailing frame".
 
-Requests and responses are JSON objects:
+Requests and responses are message dicts (JSON objects in the hello
+exchange, binary terms of the same shape everywhere else):
 
 ``{"id": n, "op": name, "args": {...}}``
     a request; ``id`` is an arbitrary JSON value echoed verbatim in the
@@ -32,14 +33,16 @@ Version negotiation is the first exchange on every connection: the
 client's first frame must be a ``hello`` request announcing the
 protocol versions it speaks; the server picks the highest version both
 sides share and echoes it (plus its software version) in the response.
-A connection with no shared version is answered with a ``protocol``
+A connection with no shared version — a peer offering only the retired
+v1, whose whole session was JSON — is answered with a ``protocol``
 error and closed. Everything after the hello is ordinary requests under
 the negotiated version.
 
-**Protocol v2 — the binary frame codec.** The hello exchange always
-runs as v1 JSON (it is what an unknown peer is guaranteed to read);
-when both sides support v2, every frame *after* the hello response
-carries a struct-packed binary payload instead of JSON::
+**Protocol v2 — the binary frame codec.** The hello exchange is one
+JSON frame each way (``version=1`` of :func:`encode_frame` /
+:class:`FrameDecoder`: it is what an unknown peer is guaranteed to
+read); every frame *after* the hello response carries a struct-packed
+binary payload::
 
     +--------------+----------+-------------------------------------+
     | length (u32) | kind(u8) | kind-specific struct-packed fields  |
@@ -55,18 +58,17 @@ carries a struct-packed binary payload instead of JSON::
                          Feature-negotiated: clients emit it only to
                          servers whose hello result advertises
                          ``"trace"`` in ``features``, so a pre-trace
-                         peer never sees the kind. (Under v1 the trace
-                         id rides as an extra top-level ``"trace"``
-                         key, which old servers ignore by design.)
+                         peer never sees the kind.
 
 ``value`` is a type-tagged binary term (see ``_encode_value``): the
 JSON-representable scalars plus lists and string-keyed maps, with
 strings as raw length-prefixed UTF-8. That raw-string rule is the
-codec's point: v1 must JSON-escape-and-scan every document and PUL
+codec's point: JSON must escape-and-scan every document and PUL
 payload it carries, v2 copies the bytes — the hot ops (``submit``,
-``text``, ``subscribe``) move XML by the kilobyte. Decoded v2 frames
-reconstruct exactly the v1 message dicts, so dispatch, clients and the
-error surface are codec-neutral.
+``text``, ``subscribe``) move XML by the kilobyte. Lists and maps nest
+at most :data:`MAX_NESTING` deep; decoded v2 frames reconstruct exactly
+the message dicts the JSON codec yields, so dispatch, clients and the
+error surface never see the codec.
 """
 
 from __future__ import annotations
@@ -77,10 +79,11 @@ import struct
 from repro.api.ops import OP_CODES
 from repro.errors import ProtocolError, ReproError
 
-#: protocol versions this implementation can speak, ascending. A wire
-#: change that an old peer could misread gets a new number appended
-#: here; dropping support for an old number removes it.
-SUPPORTED_VERSIONS = (1, 2)
+#: session protocol versions this implementation can speak, ascending.
+#: A wire change that an old peer could misread gets a new number
+#: appended here; dropping support for an old number removes it. The
+#: hello exchange is JSON whatever this says.
+SUPPORTED_VERSIONS = (2,)
 
 #: the version this implementation prefers (the newest supported)
 PROTOCOL_VERSION = SUPPORTED_VERSIONS[-1]
@@ -93,6 +96,12 @@ _LENGTH = struct.Struct(">I")
 
 #: byte length of the frame header
 HEADER_SIZE = _LENGTH.size
+
+#: bound on list/map nesting inside one decoded term — several times
+#: what the deepest real message (a span tree under ``metrics``)
+#: reaches. Without it a few hundred KB of list headers recurse the
+#: decoder past the interpreter's stack.
+MAX_NESTING = 64
 
 
 def encode_frame(obj, version=1):
@@ -117,7 +126,7 @@ def decode_payload(payload, version=1):
         return _decode_message_v2(payload)
     try:
         obj = json.loads(payload.decode("utf-8"))
-    except (UnicodeDecodeError, ValueError) as exc:
+    except (UnicodeDecodeError, ValueError, RecursionError) as exc:
         raise ProtocolError(
             "frame payload is not valid JSON: {}".format(exc)) from exc
     if not isinstance(obj, dict):
@@ -212,8 +221,9 @@ def _encode_value(value, out):
     return out
 
 
-def _decode_value(data, offset):
-    """Decode one term at ``offset``; returns ``(value, next offset)``."""
+def _decode_value(data, offset, depth=0):
+    """Decode one term at ``offset``; returns ``(value, next offset)``.
+    ``depth`` counts the lists and maps the term sits inside."""
     try:
         tag = data[offset]
         offset += 1
@@ -235,6 +245,9 @@ def _decode_value(data, offset):
                 raise ProtocolError("truncated string term")
             text = bytes(data[offset:end]).decode("utf-8")
             return (int(text) if tag == _T_BIGINT else text), end
+        if tag in (_T_LIST, _T_DICT) and depth >= MAX_NESTING:
+            raise ProtocolError(
+                "term nests deeper than {} levels".format(MAX_NESTING))
         if tag == _T_LIST:
             (count,) = _U32.unpack_from(data, offset)
             offset += 4
@@ -242,7 +255,7 @@ def _decode_value(data, offset):
                 raise ProtocolError("list count exceeds the payload")
             items = []
             for __ in range(count):
-                item, offset = _decode_value(data, offset)
+                item, offset = _decode_value(data, offset, depth + 1)
                 items.append(item)
             return items, offset
         if tag == _T_DICT:
@@ -258,7 +271,8 @@ def _decode_value(data, offset):
                 if end > len(data):
                     raise ProtocolError("truncated map key")
                 key = bytes(data[offset:end]).decode("utf-8")
-                mapping[key], offset = _decode_value(data, end)
+                mapping[key], offset = _decode_value(data, end,
+                                                     depth + 1)
             return mapping, offset
     except (IndexError, struct.error, UnicodeDecodeError,
             ValueError) as exc:
@@ -268,7 +282,7 @@ def _decode_value(data, offset):
 
 
 def _encode_message_v2(message):
-    """A message dict (the v1 JSON shape) as a v2 binary payload."""
+    """A message dict (the JSON shape) as a v2 binary payload."""
     out = bytearray()
     if "op" in message:
         trace = message.get("trace")
@@ -303,7 +317,7 @@ def _encode_message_v2(message):
 
 
 def _decode_message_v2(payload):
-    """A v2 binary payload back into the v1-shaped message dict, so
+    """A v2 binary payload back into the JSON-shaped message dict, so
     everything above the codec stays version-blind."""
     if not payload:
         raise ProtocolError("empty binary frame")
@@ -382,9 +396,10 @@ class FrameDecoder:
     :class:`ProtocolError` immediately — the stream has lost framing
     and cannot be resynchronized, so the connection must be dropped.
 
-    The decoder starts in v1 (JSON); after the hello negotiation the
-    connection switches it with :meth:`use_version` and every later
-    frame decodes under the agreed codec.
+    The decoder starts on the JSON codec (``version=1``, the hello
+    exchange); after the negotiation the connection switches it with
+    :meth:`use_version` and every later frame decodes under the agreed
+    codec.
 
     Consumed frames advance a cursor instead of deleting the buffer
     prefix per frame — ``del buffer[:end]`` is O(buffer) *each*, which
@@ -449,8 +464,7 @@ class FrameDecoder:
 
 def request(request_id, op, args=None, trace=None):
     """Build a request object. ``trace`` attaches a trace id to the
-    envelope (an extra top-level key under v1 — ignored by pre-trace
-    servers — and the 0x04 traced frame kind under v2)."""
+    envelope (the 0x04 traced frame kind on the wire)."""
     message = {"id": request_id, "op": op}
     if trace is not None:
         message["trace"] = trace
@@ -459,9 +473,9 @@ def request(request_id, op, args=None, trace=None):
     return message
 
 
-def hello_request(request_id, client=None, versions=SUPPORTED_VERSIONS):
+def hello_request(request_id, client=None):
     """The negotiation request that must open every connection."""
-    args = {"versions": list(versions)}
+    args = {"versions": list(SUPPORTED_VERSIONS)}
     if client is not None:
         args["client"] = client
     return request(request_id, "hello", args)

@@ -24,16 +24,15 @@ Per-connection behaviour:
   fire-hose client cannot balloon server memory;
 * responses go out in request order (one worker per connection), so a
   client may correlate by order as well as by ``id``;
-* a malformed frame (bad length, non-JSON payload, EOF mid-frame)
+* a malformed frame (bad length, undecodable payload, EOF mid-frame)
   kills only that connection — framing is lost and cannot be
   resynchronized — after a best-effort error frame; other connections
   and the store are untouched.
 
-Shutdown is *drain-first*, matching the line protocol's PR 3 semantics:
-``SIGTERM`` (or :meth:`StoreServer.aclose`) stops accepting, lets every
-already-queued pipelined request finish, flushes all pending
-submissions (with a durable store they reach the write-ahead log), and
-only then closes the store.
+Shutdown is *drain-first*: ``SIGTERM`` (or :meth:`StoreServer.aclose`)
+stops accepting, lets every already-queued pipelined request finish,
+flushes all pending submissions (with a durable store they reach the
+write-ahead log), and only then closes the store.
 """
 
 from __future__ import annotations
@@ -50,7 +49,7 @@ import sys
 from repro.api import ops, protocol
 from repro.api.dispatch import StoreDispatcher
 from repro.errors import ProtocolError, ReproError
-from repro.obs import SIZE_BUCKETS, StoreObs
+from repro.obs import SIZE_BUCKETS
 
 #: optional capabilities advertised in the hello result; a client only
 #: uses a feature (e.g. sending trace ids) when the server lists it,
@@ -119,16 +118,6 @@ def _unlink_stale_unix_socket(path):
         probe.close()
 
 
-class _Session:
-    """Per-connection state: identity and negotiated version."""
-
-    __slots__ = ("client", "version")
-
-    def __init__(self, client, version):
-        self.client = client
-        self.version = version
-
-
 class _ReaderFailure:
     """Queue item: the reader lost framing; send this and stop."""
 
@@ -159,14 +148,12 @@ class StoreServer:
         and real work; the event loop must not).
     """
 
-    #: ``op -> (dispatcher method, required args, optional args)`` —
-    #: the dispatch table both transports are built from (the line
-    #: protocol reaches the same methods through its own arg parsing).
-    #: Derived from the operation registry (:mod:`repro.api.ops`), the
+    #: ``op -> (dispatcher method, required args, optional args)``,
+    #: derived from the operation registry (:mod:`repro.api.ops`), the
     #: same declaration the v2 op codes and the generated docs use.
     DISPATCH = ops.dispatch_table()
 
-    def __init__(self, store=None, host=None, port=0, unix_path=None,
+    def __init__(self, store, host=None, port=0, unix_path=None,
                  max_pipeline=DEFAULT_MAX_PIPELINE, executor_workers=8,
                  metrics_listen=None):
         if host is None and unix_path is None:
@@ -179,7 +166,7 @@ class StoreServer:
             raise ReproError(
                 "max_pipeline must be >= 1, got {}".format(max_pipeline))
         self.dispatcher = StoreDispatcher(store)
-        self.store = self.dispatcher.store
+        self.store = store
         self.host = host
         self.port = port
         self.unix_path = unix_path
@@ -203,25 +190,16 @@ class StoreServer:
         #: (``None`` disables it); serves ``GET /metrics``
         self.metrics_listen = metrics_listen
         self._metrics_server = None
-        #: the store's observability facade; a bare store object
-        #: without one gets a disabled stand-in so the instrumentation
-        #: sites below stay unconditional
-        self.obs = getattr(self.store, "obs", None) or StoreObs(
-            enabled=False)
+        #: the store's observability facade
+        self.obs = store.obs
         self._m_connections = self.obs.gauge(
             "repro_server_connections", "Open client connections")
         self._m_connections_total = self.obs.counter(
             "repro_server_connections_total", "Connections accepted")
-        self._m_frames_in = {
-            version: self.obs.counter(
-                "repro_server_frames_in_total",
-                "Request frames decoded", codec="v{}".format(version))
-            for version in protocol.SUPPORTED_VERSIONS}
-        self._m_frames_out = {
-            version: self.obs.counter(
-                "repro_server_frames_out_total",
-                "Response frames written", codec="v{}".format(version))
-            for version in protocol.SUPPORTED_VERSIONS}
+        self._m_frames_in = self.obs.counter(
+            "repro_server_frames_in_total", "Request frames decoded")
+        self._m_frames_out = self.obs.counter(
+            "repro_server_frames_out_total", "Response frames written")
         self._m_pipeline = self.obs.histogram(
             "repro_server_pipeline_batch",
             "Requests executed per pipelined batch",
@@ -281,9 +259,7 @@ class StoreServer:
                 if header in (b"\r\n", b"\n", b""):
                     break
             if path.split("?", 1)[0] == "/metrics":
-                render = getattr(self.store, "metrics_text", None)
-                body = (render() if callable(render) else "")
-                body = body.encode("utf-8")
+                body = self.store.metrics_text().encode("utf-8")
                 status = "200 OK"
                 ctype = "text/plain; version=0.0.4; charset=utf-8"
             else:
@@ -349,14 +325,14 @@ class StoreServer:
             # a replica holds no pending submissions (writes bounce
             # with not-leader), so its drain would only raise; role is
             # read at shutdown time because promote may have flipped it
-            if drain and getattr(self.store, "role", "leader") != "replica":
+            if drain and self.store.role != "replica":
                 loop = asyncio.get_running_loop()
                 try:
                     await loop.run_in_executor(self._executor,
                                                self.store.flush_all)
                 except ReproError as error:
-                    # same contract as the line protocol's drain: every
-                    # healthy document flushed, the failure reported
+                    # every healthy document flushed, the failure
+                    # reported
                     sys.stderr.write(
                         "store-server: drain failed: {}\n".format(error))
         finally:
@@ -374,9 +350,10 @@ class StoreServer:
 
     # -- request execution ---------------------------------------------------
 
-    def _plan(self, session, op, args):
-        """Validate one parsed request; returns ``(executor, thunk)``
-        where the thunk is the blocking store call."""
+    def _plan(self, client, op, args):
+        """Validate one parsed request of the connection named
+        ``client``; returns ``(executor, thunk)`` where the thunk is
+        the blocking store call."""
         spec = self.DISPATCH.get(op)
         if spec is None:
             raise ProtocolError("unknown op {!r}".format(op))
@@ -392,13 +369,13 @@ class StoreServer:
         call_args = {name: value for name, value in args.items()
                      if isinstance(name, str)}
         if op in ("submit", "submit_xquery"):
-            call_args.setdefault("client", session.client)
+            call_args.setdefault("client", client)
         method = getattr(self.dispatcher, method_name)
         executor = (self._poll_executor if op in ops.POLL_OPS
                     else self._executor)
         return executor, functools.partial(method, **call_args)
 
-    async def _execute_many(self, session, messages):
+    async def _execute_many(self, client, messages):
         """Execute a contiguous pipelined run; responses in request
         order.
 
@@ -439,7 +416,7 @@ class StoreServer:
             request_id = message.get("id")
             try:
                 request_id, op, args = protocol.parse_request(message)
-                executor, thunk = self._plan(session, op, args)
+                executor, thunk = self._plan(client, op, args)
             except Exception as error:
                 await flush_run()
                 responses.append(protocol.error_response(request_id,
@@ -492,8 +469,8 @@ class _Connection:
         self.writer = writer
         self.decoder = protocol.FrameDecoder()
         self.queue = asyncio.Queue(maxsize=server.max_pipeline)
-        self.session = None
-        self._codec_version = 1
+        #: the identity the hello gave this connection
+        self.client = None
         self._frames = []
         self._reader_task = None
         self._worker_task = None
@@ -561,16 +538,14 @@ class _Connection:
         except ProtocolError as error:
             await self._send(protocol.error_response(request_id, error))
             return False
-        self.session = _Session(
-            client or self.server._next_session_name(), version)
-        # the hello response itself always travels as v1 JSON (the
+        self.client = client or self.server._next_session_name()
+        # the hello response itself always travels as JSON (the
         # client cannot know the outcome before reading it); both
         # sides switch codecs right after this frame
         sent = await self._send(protocol.ok_response(request_id, {
             "version": version, "server": "repro-store",
-            "client": self.session.client,
+            "client": self.client,
             "features": list(SERVER_FEATURES)}))
-        self._codec_version = version
         self.decoder.use_version(version)
         return sent
 
@@ -620,7 +595,7 @@ class _Connection:
                     batch.append(item)
             self.server._m_pipeline.observe(len(batch))
             responses = await self.server._execute_many(
-                self.session, batch)
+                self.client, batch)
             if not await self._send_many(responses):
                 return
             if tail is _EOF:
@@ -652,16 +627,15 @@ class _Connection:
                 return None
             decoded = self.decoder.feed(data)
             if decoded:
-                counter = self.server._m_frames_in.get(
-                    self._codec_version)
-                if counter is not None:
-                    counter.inc(len(decoded))
-            self._frames.extend(decoded)
+                self.server._m_frames_in.inc(len(decoded))
+                self._frames.extend(decoded)
 
     async def _send(self, message, drain=True):
         """Write one frame; ``False`` when the peer is gone."""
         try:
-            frame = protocol.encode_frame(message, self._codec_version)
+            # both directions share the codec: JSON for the hello
+            # exchange, the negotiated version after it
+            frame = protocol.encode_frame(message, self.decoder.version)
         except Exception as error:
             # a result that cannot be framed — too large (`text` of a
             # >MAX_FRAME document), or refused by the codec itself (a
@@ -681,9 +655,7 @@ class _Connection:
                 await self.writer.drain()
         except (ConnectionError, OSError):
             return False
-        counter = self.server._m_frames_out.get(self._codec_version)
-        if counter is not None:
-            counter.inc()
+        self.server._m_frames_out.inc()
         return True
 
     async def _send_many(self, responses):

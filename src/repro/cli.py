@@ -16,9 +16,7 @@ Subcommands mirror the library's pipeline (``-`` reads stdin):
 * ``store``     — the resident multi-document update store:
   ``store serve --listen host:port|unix:PATH`` serves the versioned
   network protocol of :mod:`repro.api` (asyncio, many concurrent
-  clients, pipelined requests); without ``--listen`` it speaks the
-  line protocol of :mod:`repro.store.service` on stdin/stdout (or
-  ``--script FILE``) as the compatibility transport — either way
+  clients, pipelined requests) — the store's one front door —
   optionally durable (``--wal-dir``, ``--durability log+snapshot:N``);
   ``store recover`` rebuilds state from a durability directory
   (``--verify`` byte-compares against the stateless replay oracle);
@@ -71,7 +69,6 @@ from repro.store import (
     DEFAULT_MAX_CODE_LENGTH,
     DocumentStore,
     DurabilityPolicy,
-    StoreService,
     replay_oracle,
 )
 from repro.store.bench import run_store_benchmark
@@ -256,62 +253,49 @@ def _observability_kwargs(args):
 
 
 def cmd_store_serve(args, out):
+    import asyncio
+
+    from repro.api.server import StoreServer
+
     policy, wal_dir = _durability_policy(args)
-    if args.listen and args.script:
-        raise ReproError("--script drives the line protocol; it cannot "
-                         "be combined with --listen")
-    if args.metrics_listen and not args.listen:
-        raise ReproError("--metrics-listen rides the network server; "
-                         "it needs --listen")
+    host, port, unix_path = _parse_listen(args.listen)
     store = DocumentStore(workers=args.workers, backend=args.backend,
                           max_code_length=args.max_code_length,
                           on_conflict=args.on_conflict,
                           durability=policy, wal_dir=wal_dir,
                           **_observability_kwargs(args))
-    if getattr(args, "replicate", False):
+    if args.replicate:
         # standalone CDC: publish the WAL as a change feed so
         # `subscribe`/`export` work without a cluster deployment
         store.enable_replication()
     if store.recovery is not None:
-        # the report goes to stderr so the protocol stream stays a pure
-        # one-response-per-command channel
+        # the report goes to stderr: stdout carries the listen banner
         for line in store.recovery.lines():
             sys.stderr.write("recover: {}\n".format(line))
-    if args.listen:
-        import asyncio
+    server = StoreServer(store, host=host, port=port,
+                         unix_path=unix_path,
+                         max_pipeline=args.max_pipeline,
+                         metrics_listen=(
+                             _parse_metrics_listen(args.metrics_listen)
+                             if args.metrics_listen else None))
 
-        from repro.api.server import StoreServer
+    async def _serve():
+        await server.start()
+        address = server.tcp_address
+        # the bound address goes to stdout (and flushes) so a
+        # supervisor using port 0 can discover the ephemeral port
+        if address is not None:
+            out.write("listening tcp {}:{}\n".format(*address))
+        if unix_path is not None:
+            out.write("listening unix {}\n".format(unix_path))
+        metrics_address = server.metrics_http_address
+        if metrics_address is not None:
+            out.write("metrics http {}:{}\n".format(*metrics_address))
+        out.flush()
+        await server.serve_forever()
 
-        host, port, unix_path = _parse_listen(args.listen)
-        server = StoreServer(store, host=host, port=port,
-                             unix_path=unix_path,
-                             max_pipeline=args.max_pipeline,
-                             metrics_listen=(
-                                 _parse_metrics_listen(args.metrics_listen)
-                                 if args.metrics_listen else None))
-
-        async def _serve():
-            await server.start()
-            address = server.tcp_address
-            # the bound address goes to stdout (and flushes) so a
-            # supervisor using port 0 can discover the ephemeral port
-            if address is not None:
-                out.write("listening tcp {}:{}\n".format(*address))
-            if unix_path is not None:
-                out.write("listening unix {}\n".format(unix_path))
-            metrics_address = server.metrics_http_address
-            if metrics_address is not None:
-                out.write("metrics http {}:{}\n".format(*metrics_address))
-            out.flush()
-            await server.serve_forever()
-
-        asyncio.run(_serve())
-        return 0
-    service = StoreService(store)
-    if args.script:
-        with open(args.script, "r", encoding="utf-8") as handle:
-            return service.serve(handle, out)
-    return service.serve(sys.stdin, out)
+    asyncio.run(_serve())
+    return 0
 
 
 def cmd_store_recover(args, out):
@@ -894,8 +878,7 @@ def build_parser():
         parser_.add_argument("--metrics-listen", default=None,
                              metavar="HOST:PORT",
                              help="also serve GET /metrics (Prometheus "
-                                  "text exposition) over HTTP "
-                                  "(network mode)")
+                                  "text exposition) over HTTP")
         parser_.add_argument("--slow-query-s", type=float, default=None,
                              metavar="S",
                              help="log queries slower than S seconds "
@@ -910,23 +893,17 @@ def build_parser():
                                   "only)")
 
     serve_cmd = store_commands.add_parser(
-        "serve", help="drive the store over the line protocol "
-                      "(stdin/stdout)")
+        "serve", help="serve the store over the network protocol")
     _store_options(serve_cmd)
     _durability_options(serve_cmd)
     _observability_options(serve_cmd)
-    serve_cmd.add_argument("--script", default=None,
-                           help="read commands from a file instead of "
-                                "stdin")
-    serve_cmd.add_argument("--listen", default=None,
+    serve_cmd.add_argument("--listen", required=True,
                            metavar="HOST:PORT|unix:PATH",
-                           help="serve the network protocol instead of "
-                                "the stdin/stdout line protocol "
-                                "(port 0 picks an ephemeral port, "
-                                "reported on stdout)")
+                           help="address to serve on (port 0 picks an "
+                                "ephemeral port, reported on stdout)")
     serve_cmd.add_argument("--max-pipeline", type=int, default=32,
                            help="per-connection bound on queued "
-                                "pipelined requests (network mode)")
+                                "pipelined requests")
     serve_cmd.add_argument("--on-conflict", default="error",
                            choices=("error", "reconcile"))
     serve_cmd.add_argument("--replicate", action="store_true",

@@ -5,9 +5,9 @@ between update batches, coalesces concurrent-client PUL streams, routes
 batches through the sharded reduction pipeline and maintains labels
 incrementally (full-relabel fallback on code-headroom exhaustion). See
 ``store.py`` for the machinery, ``baseline.py`` for the stateless
-differential oracle, ``service.py`` for the line protocol,
-``durability/`` for the write-ahead log, snapshot compaction and crash
-recovery, and this package's README for the invariants.
+differential oracle, ``durability/`` for the write-ahead log, snapshot
+compaction and crash recovery, and this package's README for the
+invariants. The store is served by :mod:`repro.api` and nothing else.
 """
 
 from repro.store.baseline import StatelessBaseline
@@ -17,7 +17,6 @@ from repro.store.durability import (
     RecoveryReport,
     replay_oracle,
 )
-from repro.store.service import StoreService
 from repro.store.store import (
     DEFAULT_MAX_CODE_LENGTH,
     BatchResult,
@@ -35,7 +34,6 @@ __all__ = [
     "RecoveryReport",
     "StatelessBaseline",
     "StoredDocument",
-    "StoreService",
     "coalesce_batch",
     "replay_oracle",
 ]

@@ -1038,6 +1038,12 @@ class DocumentStore:
                 backlog=DEFAULT_BACKLOG if backlog is None else backlog)
         return self.replication
 
+    def promote(self, allow_non_durable=False):
+        """A store that never followed a leader has nothing to promote
+        (:class:`~repro.cluster.replica.ReplicaStore` overrides)."""
+        raise ClusterError(
+            "this node is not a replica (nothing to promote)")
+
     def export_state(self, doc_ids=None, cursor=None, limit=None,
                      form="state", timeout=CAPTURE_TIMEOUT):
         """One page of a filtered, resumable corpus export.

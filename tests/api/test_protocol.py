@@ -182,8 +182,10 @@ class TestMessages:
         assert "boom" in str(excinfo.value)
 
     def test_negotiation_picks_newest_shared_version(self):
-        assert protocol.negotiate_version([1]) == 1
-        assert protocol.negotiate_version([1, 99]) == 1
+        assert protocol.negotiate_version([2]) == 2
+        assert protocol.negotiate_version([1, 2, 99]) == 2
+        with pytest.raises(ProtocolError, match="no shared"):
+            protocol.negotiate_version([1])      # v1 sessions: retired
         with pytest.raises(ProtocolError):
             protocol.negotiate_version([99])
         with pytest.raises(ProtocolError):

@@ -1,21 +1,23 @@
 """The protocol-v2 binary codec and the version negotiation matrix.
 
-Three layers of guarantee:
+Two layers of guarantee:
 
-* codec — every v1-shaped message (request / ok / error, with the full
-  JSON value range: unicode, floats, unbounded ints, nesting) encodes
-  to a v2 binary payload and decodes back to the *identical* dict, and
-  malformed payloads only ever raise :class:`ProtocolError`;
-* negotiation — a v1-only peer on either side of the connection lands
-  on v1 JSON and keeps full functionality; two v2 peers switch after
-  the hello response and never exchange a JSON frame again;
-* end-to-end — a v1-only client and a v2 client driving one server
-  produce stores byte-identical to the :class:`StatelessBaseline`
-  oracle (the codec must not influence results, only their encoding).
+* codec — every JSON-shaped message (request / ok / error, with the
+  full JSON value range: unicode, floats, unbounded ints, nesting)
+  encodes to a v2 binary payload and decodes back to the *identical*
+  dict (the JSON codec is the reference), and malformed or hostile
+  payloads — arbitrary bytes, terms nested past any stack — only ever
+  raise :class:`ProtocolError`, under either codec;
+* negotiation — the hello is one JSON frame each way and every session
+  after it is v2: a peer offering v2 among other versions lands on it,
+  a v1-only peer (whole sessions in JSON, retired) on either side of
+  the connection is refused with a typed answer, and an old peer still
+  sending a retired op gets "unknown op" on a connection that lives on.
 """
 
 import asyncio
 import json
+import struct
 import time
 
 import pytest
@@ -36,11 +38,7 @@ from repro.api.protocol import (
     encode_frame,
 )
 from repro.errors import ProtocolError, RemoteOSError, UnknownNodeError
-from repro.pul.ops import ReplaceValue
-from repro.pul.pul import PUL
-from repro.store import DocumentStore, StatelessBaseline
-from repro.xdm.parser import parse_document
-from repro.xquery import compile_pul
+from repro.store import DocumentStore
 
 json_values = st.recursive(
     st.none() | st.booleans()
@@ -199,6 +197,109 @@ class TestV2Malformed:
             encode_frame({"id": 1}, version=2)
 
 
+def nested_v2(kinds):
+    """The v2 bytes of ``None`` wrapped in one list or one-key map per
+    entry of ``kinds`` (outermost first), built without recursion."""
+    u32 = struct.Struct(">I").pack
+    headers = {"list": b"\x06" + u32(1),
+               "map": b"\x07" + u32(1) + u32(1) + b"k"}
+    return b"".join(headers[kind] for kind in kinds) + b"\x00"
+
+
+def nested_json(kinds):
+    opening = {"list": "[", "map": '{"k":'}
+    closing = {"list": "]", "map": "}"}
+    return ("".join(opening[kind] for kind in kinds) + "null"
+            + "".join(closing[kind] for kind in reversed(kinds)))
+
+
+def nested_value(kinds):
+    value = None
+    for kind in reversed(kinds):
+        value = [value] if kind == "list" else {"k": value}
+    return value
+
+
+#: shallow terms around the bound, and terms far past any stack
+nestings = st.one_of(
+    st.lists(st.sampled_from(["list", "map"]),
+             max_size=protocol.MAX_NESTING + 4),
+    st.builds(lambda kind, depth: [kind] * depth,
+              st.sampled_from(["list", "map"]),
+              st.sampled_from([900, 5_000, 100_000])))
+
+
+class TestHostilePayloads:
+    """Bytes from an unknown peer reach two decoders — JSON for the
+    hello, v2 for everything after — and each must answer a message
+    dict or :class:`ProtocolError`, never another exception."""
+
+    @given(st.binary(max_size=64))
+    def test_arbitrary_bytes(self, payload):
+        for version in (1, 2):
+            try:
+                assert isinstance(decode_payload(payload, version), dict)
+            except ProtocolError:
+                pass
+
+    @given(v2_messages, st.data())
+    def test_a_truncated_message_is_refused(self, message, data):
+        payload = encode_frame(message, 2)[protocol.HEADER_SIZE:]
+        cut = data.draw(st.integers(0, len(payload) - 1))
+        with pytest.raises(ProtocolError):
+            decode_payload(payload[:cut], 2)
+
+    @given(v2_messages, st.data())
+    def test_a_damaged_message_decodes_or_is_refused(self, message, data):
+        """Random bytes die at the first tag; a real message with one
+        byte changed reaches the length, count and key paths."""
+        payload = bytearray(encode_frame(message, 2)[
+            protocol.HEADER_SIZE:])
+        payload[data.draw(st.integers(0, len(payload) - 1))] = \
+            data.draw(st.integers(0, 255))
+        try:
+            assert isinstance(decode_payload(bytes(payload), 2), dict)
+        except ProtocolError:
+            pass
+
+    @given(nestings)
+    def test_v2_nesting_decodes_up_to_the_bound_and_is_refused_past_it(
+            self, kinds):
+        payload = b"\x02\x00" + nested_v2(kinds)    # ok frame, id None
+        if len(kinds) <= protocol.MAX_NESTING:
+            assert decode_payload(payload, 2) == protocol.ok_response(
+                None, nested_value(kinds))
+        else:
+            with pytest.raises(ProtocolError, match="nests deeper"):
+                decode_payload(payload, 2)
+
+    @given(nestings)
+    def test_json_nesting_decodes_or_is_refused(self, kinds):
+        payload = ('{"id":null,"ok":true,"result":' + nested_json(kinds)
+                   + "}").encode()
+        try:
+            decoded = decode_payload(payload, 1)
+        except ProtocolError:
+            # the interpreter's own limit, wherever it sits
+            assert len(kinds) > protocol.MAX_NESTING
+        else:
+            # (comparing very deep values would itself recurse)
+            assert isinstance(decoded, dict)
+            if len(kinds) <= protocol.MAX_NESTING:
+                assert decoded == protocol.ok_response(
+                    None, nested_value(kinds))
+
+    def test_the_bound_clears_every_real_message(self):
+        """The deepest result the store produces is a span tree; the
+        bound must sit well above one nested a dozen spans deep."""
+        spans = {"name": "leaf", "children": []}
+        for level in range(12):
+            spans = {"name": "s{}".format(level), "children": [spans]}
+        message = protocol.ok_response(
+            1, {"traces": [{"trace_id": "t", "spans": spans}]})
+        assert v2_roundtrip(message) == message
+
+
 class TestDecoderPerformance:
     def test_many_small_frames_in_one_chunk_stay_linear(self):
         """The satellite regression: 20k pipelined tiny frames arriving
@@ -287,6 +388,22 @@ def make_server():
                        host="127.0.0.1", port=0)
 
 
+async def raw_connection(server):
+    host, port = server.tcp_address
+    return await asyncio.open_connection(host, port)
+
+
+async def read_frame(reader, decoder):
+    """The next decoded frame off ``reader``."""
+    while True:
+        data = await reader.read(64 * 1024)
+        assert data, "connection closed before a whole frame arrived"
+        frames = decoder.feed(data)
+        if frames:
+            (frame,) = frames
+            return frame
+
+
 class TestNegotiationMatrix:
     def test_default_peers_land_on_v2(self):
         async def scenario():
@@ -300,49 +417,93 @@ class TestNegotiationMatrix:
                 await client.aclose()
         run(scenario())
 
-    def test_v1_only_client_against_a_v2_server(self):
+    @pytest.mark.parametrize("offer", [[1], [0, 1], [3, 99], []])
+    def test_a_peer_without_v2_is_refused_with_a_typed_json_answer(
+            self, offer):
+        """v1 — whole sessions in JSON — is retired like any version
+        this build never spoke: the peer gets the ``protocol`` answer
+        in the one codec it can read, and the server carries on."""
         async def scenario():
             async with make_server() as server:
-                host, port = server.tcp_address
+                reader, writer = await raw_connection(server)
+                writer.write(encode_frame(protocol.request(
+                    7, "hello", {"versions": offer})))
+                await writer.drain()
+                answer = await read_frame(reader, FrameDecoder())
+                assert answer["id"] == 7 and answer["ok"] is False
+                assert answer["error"]["code"] == "protocol"
+                assert "no shared protocol version" in \
+                    answer["error"]["message"]
+                assert await reader.read(4096) == b""
+                writer.close()
                 client = await AsyncStoreClient.connect(
-                    host=host, port=port, versions=(1,))
-                assert client.protocol_version == 1
-                await client.open("d", DOC)
-                assert (await client.docs()) == {"docs": ["d"]}
+                    *server.tcp_address)
+                assert (await client.docs()) == {"docs": []}
                 await client.aclose()
         run(scenario())
 
-    def test_v2_client_against_a_v1_only_server(self, monkeypatch):
-        # an old server: its negotiation only knows v1
-        monkeypatch.setattr(protocol, "SUPPORTED_VERSIONS", (1,))
+    @pytest.mark.parametrize("offer", [[1, 2], [2], [2, 3]])
+    def test_a_peer_offering_v2_lands_on_it(self, offer):
+        """A client built when v1 sessions still existed offers
+        ``[1, 2]``; it keeps working, on v2 — as will one from after
+        a v3 exists."""
         async def scenario():
             async with make_server() as server:
-                host, port = server.tcp_address
-                client = await AsyncStoreClient.connect(host=host,
-                                                        port=port)
-                assert client.protocol_version == 1
-                await client.open("d", DOC)
-                assert (await client.docs()) == {"docs": ["d"]}
-                await client.aclose()
+                reader, writer = await raw_connection(server)
+                decoder = FrameDecoder()
+                writer.write(encode_frame(protocol.request(
+                    1, "hello", {"versions": offer})))
+                await writer.drain()
+                answer = await read_frame(reader, decoder)
+                assert answer["ok"] and answer["result"]["version"] == 2
+                decoder.use_version(2)
+                writer.write(encode_frame(protocol.request(2, "docs"),
+                                          version=2))
+                await writer.drain()
+                assert await read_frame(reader, decoder) == \
+                    protocol.ok_response(2, {"docs": []})
+                writer.close()
         run(scenario())
 
-    def test_sync_client_can_force_v1(self):
+    @pytest.mark.parametrize("result", [
+        {"version": 1, "server": "old"}, {"version": "2"}, {}, None,
+        [2]])
+    def test_a_server_picking_an_unoffered_version_is_refused(
+            self, result):
+        """The other side of the retirement: a server that answers the
+        hello with v1 — or with nothing a version can be read from —
+        does not get a session, from either client."""
+        async def old_server(reader, writer):
+            (hello,) = FrameDecoder().feed(await reader.read(4096))
+            writer.write(encode_frame(protocol.ok_response(
+                hello["id"], result)))
+            await writer.drain()
+            writer.close()
+
         async def scenario():
-            async with make_server() as server:
-                host, port = server.tcp_address
+            server = await asyncio.start_server(old_server,
+                                                "127.0.0.1", 0)
+            async with server:
+                host, port = server.sockets[0].getsockname()[:2]
+                with pytest.raises(ProtocolError, match="did not offer"):
+                    await AsyncStoreClient.connect(host=host, port=port)
 
-                def blocking_session():
-                    with StoreClient.connect(host=host, port=port,
-                                             versions=(1,)) as client:
-                        assert client.protocol_version == 1
-                        client.open("d", DOC)
-                        return client.text("d")["text"]
+                def blocking():
+                    with pytest.raises(ProtocolError,
+                                       match="did not offer"):
+                        StoreClient.connect(host=host, port=port)
 
-                loop = asyncio.get_running_loop()
-                text = await loop.run_in_executor(None,
-                                                  blocking_session)
-                assert "<owner>c</owner>" in text
+                await asyncio.get_running_loop().run_in_executor(
+                    None, blocking)
         run(scenario())
+
+    @pytest.mark.parametrize("entry", [
+        StoreClient, StoreClient.connect,
+        AsyncStoreClient, AsyncStoreClient.connect])
+    def test_no_client_entry_point_takes_a_version_list(self, entry):
+        import inspect
+        assert protocol.SUPPORTED_VERSIONS == (2,)
+        assert "versions" not in inspect.signature(entry).parameters
 
     def test_v2_connection_frames_are_binary_after_hello(self):
         """Only the hello exchange is JSON; everything after rides the
@@ -365,7 +526,7 @@ RETIRED_OPS = {"-".join(words): code for words, code in [
 
 class TestRetiredOps:
     @pytest.mark.parametrize("name,code", sorted(RETIRED_OPS.items()))
-    @pytest.mark.parametrize("wire", ["v1", "v2-code", "v2-name"])
+    @pytest.mark.parametrize("wire", ["v2-code", "v2-name"])
     def test_an_old_peer_gets_unknown_op_not_a_dead_connection(
             self, monkeypatch, wire, name, code):
         assert code in ops.RETIRED_CODES and name not in ops.OP_CODES
@@ -378,9 +539,8 @@ class TestRetiredOps:
         async def scenario():
             async with make_server() as server:
                 host, port = server.tcp_address
-                client = await AsyncStoreClient.connect(
-                    host=host, port=port,
-                    versions=(1,) if wire == "v1" else (1, 2))
+                client = await AsyncStoreClient.connect(host=host,
+                                                        port=port)
                 with pytest.raises(ProtocolError,
                                    match="unknown op") as excinfo:
                     await client._call(name, from_seq=0, replica="r1")
@@ -390,64 +550,3 @@ class TestRetiredOps:
                 assert (await client.docs()) == {"docs": []}
                 await client.aclose()
         run(scenario())
-
-
-class TestCrossVersionEndToEnd:
-    def test_mixed_version_clients_match_the_stateless_oracle(self):
-        """A v1-only client and a v2 client drive sibling documents on
-        one server; both final stores must be byte-identical to a
-        :class:`StatelessBaseline` fed the same submissions — the
-        codec may change the bytes on the wire, never the result."""
-        rounds = 3
-        final = {}
-
-        def owner_text_id(doc_text):
-            document = parse_document(doc_text)
-            owner = next(n for n in document.nodes()
-                         if n.is_element and n.name == "owner")
-            return owner.children[0].node_id
-
-        async def session(server, doc_id, versions):
-            host, port = server.tcp_address
-            client = await AsyncStoreClient.connect(
-                host=host, port=port, client=doc_id,
-                versions=versions)
-            text_id = owner_text_id(DOC)
-            await client.open(doc_id, DOC)
-            for index in range(rounds):
-                await client.submit_xquery(
-                    doc_id,
-                    'insert node <item r="{}"/> as last into '
-                    '/doc/items'.format(index))
-                await client.submit(doc_id, PUL(
-                    [ReplaceValue(text_id, "v{}".format(index))],
-                    origin=doc_id))
-                flushed = await client.flush(doc_id)
-                assert flushed["version"] == index + 1
-            final[doc_id] = (await client.text(doc_id))["text"]
-            await client.aclose()
-
-        async def scenario():
-            async with make_server() as server:
-                await asyncio.gather(
-                    session(server, "legacy", (1,)),
-                    session(server, "binary",
-                            protocol.SUPPORTED_VERSIONS))
-        run(scenario())
-
-        baseline = StatelessBaseline(measure_parse=False)
-        for doc_id in ("legacy", "binary"):
-            text_id = owner_text_id(DOC)
-            baseline.open(doc_id, DOC)
-            for index in range(rounds):
-                baseline.submit(doc_id, compile_pul(
-                    'insert node <item r="{}"/> as last into '
-                    '/doc/items'.format(index),
-                    baseline.document(doc_id)), client=doc_id)
-                baseline.submit(doc_id, PUL(
-                    [ReplaceValue(text_id, "v{}".format(index))],
-                    origin=doc_id), client=doc_id)
-                baseline.flush(doc_id)
-            assert final[doc_id] == baseline.text(doc_id), doc_id
-        # the two clients did identical work: identical results
-        assert final["legacy"] == final["binary"]

@@ -6,6 +6,7 @@ from an executor thread so its socket calls cannot starve the loop.
 """
 
 import asyncio
+import gc
 import struct
 
 import pytest
@@ -18,7 +19,7 @@ from repro.errors import (
     ReproError,
     WalPoisonedError,
 )
-from repro.pul.ops import Rename
+from repro.pul.ops import Rename, ReplaceValue
 from repro.pul.pul import PUL
 from repro.pul.serialize import pul_to_xml
 from repro.store import DocumentStore
@@ -73,6 +74,34 @@ class TestSession:
                 assert (await client.discard("d1"))["discarded"] == 0
                 idle = await client.flush("d1")
                 assert idle == {"doc_id": "d1", "flushed": False}
+                await client.aclose()
+        run(scenario())
+
+    def test_flush_all_and_idle_stats(self):
+        async def scenario():
+            async with make_server() as server:
+                client = await connect(server, client="alice")
+                assert (await client.stats())["stats"] == []
+                await client.open("d1", DOC)
+                await client.open("d2", DOC)
+                assert (await client.flush_all())["batches"] == 0
+                await client.submit("d2", title_rename_pul())
+                flushed = await client.flush_all()
+                assert flushed["batches"] == 1 and flushed["ops"] == 1
+                assert [r["version"] for r in flushed["results"]] == [1]
+                await client.aclose()
+        run(scenario())
+
+    def test_text_travels_verbatim(self):
+        """Newlines and non-ASCII text need no escaping on this
+        transport: they come back exactly as opened."""
+        text = "<a>line1\nline2 caf\u00e9 \U0001f600</a>"
+
+        async def scenario():
+            async with make_server() as server:
+                client = await connect(server)
+                await client.open("d1", text)
+                assert (await client.text("d1"))["text"] == text
                 await client.aclose()
         run(scenario())
 
@@ -221,7 +250,10 @@ class TestErrors:
                 await client.open("d1", DOC)
                 with pytest.raises(QuerySyntaxError):
                     await client.submit_xquery("d1", "delete delete")
-                with pytest.raises(DurabilityError) as excinfo:
+                with pytest.raises(ReproError):
+                    await client.open("d1", DOC)      # already resident
+                with pytest.raises(DurabilityError,
+                                   match="not durable") as excinfo:
                     await client.snapshot()
                 assert excinfo.value.code == "durability"
                 # the connection survived all of it
@@ -244,6 +276,51 @@ class TestErrors:
                 with pytest.raises(ReproError):
                     await client._call("open", doc_id=["x"], xml=DOC)
                 assert (await client.docs()) == {"docs": []}
+                await client.aclose()
+        run(scenario())
+
+    def test_discard_unwedges_a_rejected_batch(self):
+        """Two clients replacing one value is a conflict the flush
+        rejects, every time, with the queue intact; ``discard`` is the
+        way out."""
+        document = parse_document(DOC)
+        victim = next(n.node_id for n in document.nodes() if n.is_text)
+
+        async def scenario():
+            async with make_server() as server:
+                client = await connect(server)
+                await client.open("d1", DOC)
+                for name in ("alice", "bob"):
+                    await client.submit(
+                        "d1", PUL([ReplaceValue(victim, "from-" + name)]),
+                        client=name)
+                for __ in range(2):
+                    with pytest.raises(ReproError):
+                        await client.flush("d1")
+                assert (await client.discard("d1")) == \
+                    {"doc_id": "d1", "discarded": 2}
+                assert (await client.flush("d1"))["flushed"] is False
+                assert (await client.text("d1"))["text"] == DOC
+                await client.aclose()
+        run(scenario())
+
+    def test_busy_compaction_is_not_reported_as_non_durable(
+            self, tmp_path):
+        async def scenario():
+            store = DocumentStore(workers=2, backend="serial",
+                                  durability="log",
+                                  wal_dir=str(tmp_path / "wal"))
+            async with StoreServer(store, host="127.0.0.1",
+                                   port=0) as server:
+                client = await connect(server)
+                store._compacting.acquire()
+                try:
+                    with pytest.raises(DurabilityError,
+                                       match="snapshot skipped.*retry"):
+                        await client.snapshot()
+                finally:
+                    store._compacting.release()
+                assert (await client.snapshot()) == {"generation": 0}
                 await client.aclose()
         run(scenario())
 
@@ -348,13 +425,105 @@ class TestMalformedStreams:
             async with make_server() as server:
                 reader, writer = await self._raw_connection(server)
                 writer.write(protocol.encode_frame(
-                    protocol.hello_request(1, versions=(99,))))
+                    protocol.request(1, "hello", {"versions": [99]})))
                 await writer.drain()
                 decoder = protocol.FrameDecoder()
                 (message,) = decoder.feed(await reader.read(4096))
                 assert message["ok"] is False
                 assert "version" in message["error"]["message"]
                 writer.close()
+        run(scenario())
+
+
+    @pytest.mark.parametrize("codec", ["json", "v2", "v2-maps"])
+    def test_hostile_nesting_gets_a_typed_answer(self, codec):
+        """A frame nested past the interpreter's stack — list headers
+        under v2, ``[[[[`` in the JSON hello — is one more malformed
+        term: the requests pipelined ahead of it are answered, then
+        comes the ``protocol`` error frame, and the server serves the
+        next connection. No task dies of a ``RecursionError``."""
+        depth = 100_000
+        unretrieved = []
+
+        async def scenario():
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: unretrieved.append(context))
+            async with make_server() as server:
+                reader, writer = await self._raw_connection(server)
+                decoder = protocol.FrameDecoder()
+                answers = []
+                if codec == "json":
+                    hostile = b"[" * depth + b"]" * depth
+                else:
+                    writer.write(protocol.encode_frame(
+                        protocol.hello_request(0)))
+                    answers.extend(decoder.feed(await reader.read(4096)))
+                    decoder.use_version(2)
+                    for number in (1, 2, 3):
+                        writer.write(protocol.encode_frame(
+                            protocol.request(number, "docs"), 2))
+                    level = (b"\x06\x00\x00\x00\x01" if codec == "v2"
+                             else b"\x07\x00\x00\x00\x01"
+                                  b"\x00\x00\x00\x01k")
+                    hostile = b"\x02\x00" + level * depth + b"\x00"
+                writer.write(struct.pack(">I", len(hostile)) + hostile)
+                await writer.drain()
+                while True:
+                    data = await reader.read(64 * 1024)
+                    if not data:
+                        break
+                    answers.extend(decoder.feed(data))
+                writer.close()
+                *answered, refusal = answers
+                assert [a["id"] for a in answered] == \
+                    ([] if codec == "json" else [0, 1, 2, 3])
+                assert all(a["ok"] for a in answered)
+                assert refusal["ok"] is False and refusal["id"] is None
+                assert refusal["error"]["code"] == "protocol"
+                client = await connect(server)
+                assert (await client.docs()) == {"docs": []}
+                await client.aclose()
+            gc.collect()
+
+        run(scenario())
+        assert unretrieved == []
+
+    def test_hostile_response_fails_the_call_typed(self):
+        """The same frame from a hostile *server*: the waiting call
+        gets a ``ProtocolError``, not a dead reader task."""
+        hostile = b"\x02\x00" + b"\x06\x00\x00\x00\x01" * 100_000 \
+            + b"\x00"
+
+        async def hostile_server(reader, writer):
+            (hello,) = protocol.FrameDecoder().feed(
+                await reader.read(4096))
+            writer.write(protocol.encode_frame(protocol.ok_response(
+                hello["id"], {"version": 2})))
+            await reader.read(4096)               # the docs request
+            writer.write(struct.pack(">I", len(hostile)) + hostile)
+            await writer.drain()
+            writer.close()
+
+        async def scenario():
+            server = await asyncio.start_server(hostile_server,
+                                                "127.0.0.1", 0)
+            async with server:
+                host, port = server.sockets[0].getsockname()[:2]
+                client = await AsyncStoreClient.connect(host=host,
+                                                        port=port)
+                with pytest.raises(ProtocolError, match="nests deeper"):
+                    await client.docs()
+                await client.aclose()
+
+                def blocking():
+                    with StoreClient.connect(host=host,
+                                             port=port) as sync_client:
+                        with pytest.raises(ProtocolError,
+                                           match="nests deeper"):
+                            sync_client.docs()
+
+                await asyncio.get_running_loop().run_in_executor(
+                    None, blocking)
         run(scenario())
 
 

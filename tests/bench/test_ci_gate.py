@@ -76,6 +76,26 @@ class TestCompare:
         current = {"bench": {"median_wall_s": 0.1}, "other": {}}
         assert not ci_gate.compare(current, self.PREVIOUS, 0.30)
 
+    def test_bench_retired_since_the_baseline_is_skipped(self):
+        # a committed trajectory keeps the numbers of benches deleted
+        # after it (BENCH_10.json: bench_wire_codec); they gate nothing
+        previous = {"bench": {"ops_per_sec": 500.0},
+                    "bench_wire_codec": {"ops_per_sec": 9e9}}
+        assert not ci_gate.compare(self.CURRENT, previous, 0.30)
+
+    def test_the_committed_baseline_gates_only_benches_that_still_run(
+            self):
+        import json
+        path = ci_gate.committed_trajectories()[10]
+        with open(path, "r", encoding="utf-8") as handle:
+            previous = json.load(handle)["benches"]
+        smoke_names = {script.replace(".py", "")
+                       for script, __ in ci_gate.SMOKE_RUNS}
+        assert "bench_wire_codec" in set(previous) - smoke_names
+        current = {name: previous[name]
+                   for name in set(previous) & smoke_names}
+        assert current and not ci_gate.compare(current, previous, 0.30)
+
     def test_io_bound_bench_floor_is_never_raised_by_fast_cpu(self):
         # fast CPU, slow disk: the CPU ratio must not raise the
         # fsync-bound bench's floor above its committed number

@@ -352,8 +352,8 @@ class TestStoreIntegration:
             assert explained["nodes"] == plain["nodes"]
 
     def test_explain_surface_omits_the_nodes(self):
-        dispatcher = StoreDispatcher()
-        with dispatcher.store as store:
+        with DocumentStore(workers=1, backend="serial") as store:
+            dispatcher = StoreDispatcher(store)
             store.open("d", DOC)
             result = dispatcher.explain("d", "//paper//author")
             assert result["count"] == 2
@@ -363,8 +363,8 @@ class TestStoreIntegration:
 
     def test_explain_requires_text(self):
         from repro.errors import ProtocolError
-        dispatcher = StoreDispatcher()
-        with dispatcher.store as store:
+        with DocumentStore(workers=1, backend="serial") as store:
+            dispatcher = StoreDispatcher(store)
             store.open("d", DOC)
             with pytest.raises(ProtocolError):
                 dispatcher.explain("d", 42)

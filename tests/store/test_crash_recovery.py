@@ -292,85 +292,3 @@ def test_truncation_point_sweep_recovers_a_valid_prefix(
         if version is not None:
             seen_versions.add(version)
     assert seen_versions, "no cut point recovered"
-
-
-def test_sigterm_drains_queued_submissions(tmp_path):
-    """``repro store serve``: SIGTERM flushes queued-but-unflushed PULs
-    into the WAL before the store closes."""
-    from repro.pul.ops import Rename
-    from repro.pul.pul import PUL
-    from repro.pul.serialize import pul_to_xml
-    from repro.xdm.parser import parse_document
-
-    doc_text = "<bib><paper><title>T1</title></paper></bib>"
-    doc_path = tmp_path / "doc.xml"
-    doc_path.write_text(doc_text, encoding="utf-8")
-    document = parse_document(doc_text)
-    title = next(document.elements_by_name("title"))
-    pul_path = tmp_path / "rename.pul"
-    pul_path.write_text(
-        pul_to_xml(PUL([Rename(title.node_id, "headline")],
-                       origin="alice")),
-        encoding="utf-8")
-    wal_dir = str(tmp_path / "wal")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = _SRC + os.pathsep + env.get("PYTHONPATH", "")
-    child = subprocess.Popen(
-        [sys.executable, "-u", "-m", "repro.cli", "store", "serve",
-         "--backend", "serial", "--wal-dir", wal_dir],
-        stdin=subprocess.PIPE, stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE, env=env)
-    try:
-        child.stdin.write("open d1 {}\nsubmit d1 {} alice\n".format(
-            doc_path, pul_path).encode("utf-8"))
-        child.stdin.flush()
-        assert child.stdout.readline().startswith(b"ok opened")
-        assert child.stdout.readline().startswith(b"ok queued")
-        # stdin stays open: the only way out is the signal
-        child.send_signal(signal.SIGTERM)
-        out, err = child.communicate(timeout=30)
-    finally:
-        if child.poll() is None:
-            child.kill()
-            child.communicate()
-    assert child.returncode == 0, err
-    assert b"ok drained batches=1" in out
-    with DocumentStore(workers=2, backend="serial", durability="log",
-                       wal_dir=wal_dir) as recovered:
-        assert recovered.version("d1") == 1
-        assert "<headline>T1</headline>" in recovered.text("d1")
-
-
-def test_eof_drains_queued_submissions(tmp_path):
-    """EOF on the command stream flushes pending work before close (the
-    in-process path — no signals involved)."""
-    import io
-
-    from repro.pul.ops import Rename
-    from repro.pul.pul import PUL
-    from repro.pul.serialize import pul_to_xml
-    from repro.store import StoreService
-    from repro.xdm.parser import parse_document
-
-    doc_text = "<bib><paper><title>T1</title></paper></bib>"
-    doc_path = tmp_path / "doc.xml"
-    doc_path.write_text(doc_text, encoding="utf-8")
-    document = parse_document(doc_text)
-    title = next(document.elements_by_name("title"))
-    pul_path = tmp_path / "rename.pul"
-    pul_path.write_text(
-        pul_to_xml(PUL([Rename(title.node_id, "headline")])),
-        encoding="utf-8")
-    store = DocumentStore(workers=2, backend="serial",
-                          durability="log",
-                          wal_dir=str(tmp_path / "wal"))
-    service = StoreService(store)
-    out = io.StringIO()
-    commands = "open d1 {}\nsubmit d1 {}\n".format(doc_path, pul_path)
-    service.serve(io.StringIO(commands), out)
-    assert service.closed
-    assert "ok drained batches=1" in out.getvalue()
-    with DocumentStore(workers=2, backend="serial", durability="log",
-                       wal_dir=str(tmp_path / "wal")) as recovered:
-        assert recovered.version("d1") == 1
-        assert "<headline>T1</headline>" in recovered.text("d1")

@@ -474,32 +474,6 @@ class TestWriterFailure:
         writer.close()
 
 
-class TestServiceSnapshot:
-    def test_busy_compaction_is_not_reported_as_non_durable(
-            self, tmp_path):
-        from repro.store import StoreService
-
-        with _durable_store(tmp_path, "log") as store:
-            service = StoreService(store)
-            store._compacting.acquire()
-            try:
-                response = service.handle_line("snapshot")
-            finally:
-                store._compacting.release()
-            assert response.startswith("error snapshot skipped")
-            assert "retry" in response
-            assert service.handle_line("snapshot") \
-                == "ok snapshot generation=0"
-
-    def test_non_durable_store_is_reported_as_such(self):
-        from repro.store import StoreService
-
-        with DocumentStore(backend="serial") as store:
-            response = StoreService(store).handle_line("snapshot")
-            assert response == ("error store is not durable (no "
-                                "snapshot written)")
-
-
 class TestCompaction:
     def test_snapshot_rotates_and_deletes(self, tmp_path, workload):
         text, batches, __ = workload

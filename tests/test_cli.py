@@ -1,10 +1,17 @@
-"""CLI tests (in-process, via main())."""
+"""CLI tests (in-process, via main(); the server as a subprocess)."""
 
+import contextlib
 import io
+import os
+import signal
+import subprocess
+import sys
 
 import pytest
 
+from repro.api import StoreClient
 from repro.cli import main
+from repro.errors import ReproError
 from repro.pul.serialize import pul_from_xml
 
 DOC = ("<bib><paper><title>T</title><authors><author>A</author>"
@@ -158,54 +165,67 @@ class TestAggregateApplyInvert:
         assert code == 2
 
 
+@contextlib.contextmanager
+def served(*options):
+    """``repro store serve --listen`` as a subprocess on an ephemeral
+    port; yields a connected :class:`StoreClient`, stops the server
+    with ``SIGTERM`` and waits for its drain-first exit."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = "src" + os.pathsep + env.get("PYTHONPATH", "")
+    process = subprocess.Popen(
+        [sys.executable, "-m", "repro.cli", "store", "serve",
+         "--listen", "127.0.0.1:0", "--backend", "serial", *options],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        env=env)
+    try:
+        banner = process.stdout.readline().strip()
+        assert banner.startswith("listening tcp "), banner
+        with StoreClient.connect(
+                host="127.0.0.1",
+                port=int(banner.rsplit(":", 1)[1])) as client:
+            yield client
+        process.send_signal(signal.SIGTERM)
+        assert process.wait(timeout=60) == 0
+    finally:
+        if process.poll() is None:
+            process.kill()
+        process.communicate()
+
+
 class TestStore:
-    def test_serve_script(self, doc_path, tmp_path):
+    def test_serve_session(self, doc_path, tmp_path):
         pul_path = produce(doc_path, tmp_path,
                            "rename node //title as headline",
                            origin="alice")
-        script = tmp_path / "session.txt"
-        script.write_text(
-            "open d1 {doc}\n"
-            "submit d1 {pul} alice\n"
-            "flush d1\n"
-            "text d1\n"
-            "quit\n".format(doc=doc_path, pul=pul_path))
-        code, output = run(["store", "serve", "--backend", "serial",
-                            "--script", str(script)])
-        assert code == 0
-        lines = output.splitlines()
-        assert lines[0].startswith("ok opened d1")
-        assert any("relabel=incremental" in line for line in lines)
-        assert any("<headline>T</headline>" in line for line in lines)
-        assert lines[-1] == "ok bye"
+        with open(pul_path) as handle:
+            pul = handle.read()
+        with served() as client:
+            assert client.open("d1", DOC)["doc_id"] == "d1"
+            client.submit("d1", pul, client="alice")
+            assert client.flush("d1")["relabel"] == "incremental"
+            assert "<headline>T</headline>" in client.text("d1")["text"]
+            with pytest.raises(ReproError):
+                client.flush("nowhere")
 
-    def test_serve_reports_command_errors(self, tmp_path):
-        script = tmp_path / "session.txt"
-        script.write_text("flush nowhere\nquit\n")
-        code, output = run(["store", "serve", "--backend", "serial",
-                            "--script", str(script)])
-        assert code == 0
-        assert output.splitlines()[0].startswith("error")
+    @pytest.mark.parametrize("argv", [
+        ["--backend", "serial"],
+        ["--listen", "127.0.0.1:0", "--script", "/dev/null"]])
+    def test_serve_has_one_mode(self, argv, capsys):
+        """No ``--listen``, no server: argparse usage, exit 2 (the
+        stdin line protocol and ``--script`` are gone)."""
+        with pytest.raises(SystemExit) as excinfo:
+            run(["store", "serve"] + argv)
+        assert excinfo.value.code == 2
+        assert "usage:" in capsys.readouterr().err
 
-    def test_snapshot_every_implies_snapshot_mode(self, doc_path,
-                                                  tmp_path):
-        import os
-
-        pul_path = produce(doc_path, tmp_path,
-                           "rename node //title as headline",
-                           origin="alice")
-        script = tmp_path / "session.txt"
-        script.write_text(
-            "open d1 {doc}\n"
-            "submit d1 {pul} alice\n"
-            "flush d1\n"
-            "quit\n".format(doc=doc_path, pul=pul_path))
+    def test_snapshot_every_implies_snapshot_mode(self, tmp_path):
         wal_dir = tmp_path / "wal"
-        code, __ = run(["store", "serve", "--backend", "serial",
-                        "--wal-dir", str(wal_dir),
-                        "--snapshot-every", "1",
-                        "--script", str(script)])
-        assert code == 0
+        with served("--wal-dir", str(wal_dir),
+                    "--snapshot-every", "1") as client:
+            client.open("d1", DOC)
+            client.submit_xquery("d1", "rename node //title as headline",
+                                 client="alice")
+            client.flush("d1")
         # the interval alone must buy compaction, not be dropped
         assert any(name.startswith("snapshot-")
                    for name in os.listdir(str(wal_dir)))
@@ -213,7 +233,7 @@ class TestStore:
     def test_snapshot_every_requires_wal_dir(self):
         code, __ = run(["store", "serve", "--backend", "serial",
                         "--snapshot-every", "4",
-                        "--script", "/dev/null"])
+                        "--listen", "127.0.0.1:0"])
         assert code == 2
 
     def test_snapshot_every_rejects_non_snapshot_mode(self, tmp_path):
@@ -221,7 +241,7 @@ class TestStore:
                         "--wal-dir", str(tmp_path / "wal"),
                         "--durability", "log",
                         "--snapshot-every", "4",
-                        "--script", "/dev/null"])
+                        "--listen", "127.0.0.1:0"])
         assert code == 2
 
     def test_recover_refuses_missing_wal_dir(self, tmp_path):
@@ -234,26 +254,22 @@ class TestStore:
 
     def test_query_against_a_durability_directory(self, doc_path,
                                                   tmp_path):
-        script = tmp_path / "session.txt"
-        script.write_text("open d1 {doc}\nquit\n".format(doc=doc_path))
         wal_dir = str(tmp_path / "wal")
-        code, __ = run(["store", "serve", "--backend", "serial",
-                        "--wal-dir", wal_dir, "--script", str(script)])
+        code, __ = run(["store", "import", "--backend", "serial",
+                        "--wal-dir", wal_dir, doc_path])
         assert code == 0
         code, output = run(["store", "query", "--backend", "serial",
-                            "--wal-dir", wal_dir, "d1", "//author"])
+                            "--wal-dir", wal_dir, "doc", "//author"])
         assert code == 0
-        assert "doc d1 version 0: 1 node(s)" in output
+        assert "doc doc version 0: 1 node(s)" in output
         assert "<author>A</author>" in output
 
     def test_query_explain_prints_the_plan(self, doc_path, tmp_path):
-        script = tmp_path / "session.txt"
-        script.write_text("open d1 {doc}\nquit\n".format(doc=doc_path))
         wal_dir = str(tmp_path / "wal")
-        run(["store", "serve", "--backend", "serial",
-             "--wal-dir", wal_dir, "--script", str(script)])
+        run(["store", "import", "--backend", "serial",
+             "--wal-dir", wal_dir, doc_path])
         code, output = run(["store", "query", "--backend", "serial",
-                            "--wal-dir", wal_dir, "d1",
+                            "--wal-dir", wal_dir, "doc",
                             "//paper//author", "--explain"])
         assert code == 0
         assert "plan: indexed execution" in output
