@@ -3,9 +3,10 @@
 The ETL claim behind ``repro store import``: making a corpus resident
 through per-document :meth:`DocumentStore.open` pays one WAL
 append+fsync per document, while :meth:`DocumentStore.bulk_load`
-chunks amortize one group ``sync`` over the whole chunk
-(:meth:`DurabilityManager.log_open_many`) — so durable load throughput
-rises with chunk size while fsyncs-per-document falls toward ``1/N``.
+chunks amortize one ``sync`` over the whole chunk (its ``open``
+records board one commit train of :meth:`DurabilityManager.append`) —
+so durable load throughput rises with chunk size while
+fsyncs-per-document falls toward ``1/N``.
 
 Each pass loads ``--docs`` synthetic documents into a fresh log-durable
 store, once per document and once in ``--chunk-docs`` chunks; both

@@ -392,9 +392,13 @@ class FrameDecoder:
 
     Feed arbitrary chunks with :meth:`feed`; complete frames come back
     decoded, partial ones wait for more bytes. A malformed header
-    (length 0..1 or beyond :data:`MAX_FRAME`) raises
-    :class:`ProtocolError` immediately — the stream has lost framing
-    and cannot be resynchronized, so the connection must be dropped.
+    (length 0..1 or beyond :data:`MAX_FRAME`) or payload ends the
+    stream with a :class:`ProtocolError` — framing is lost and cannot
+    be resynchronized, so the connection must be dropped. The frames
+    decoded ahead of it in the same chunk are returned first (requests
+    pipelined before the damage are still owed their answers): the
+    error is kept in :attr:`error` and raised by that very ``feed`` when
+    nothing precedes it, and by every later one.
 
     The decoder starts on the JSON codec (``version=1``, the hello
     exchange); after the negotiation the connection switches it with
@@ -408,12 +412,14 @@ class FrameDecoder:
     compacted mid-stream once it exceeds a threshold.
     """
 
-    __slots__ = ("_buffer", "_offset", "version")
+    __slots__ = ("_buffer", "_offset", "version", "error")
 
     def __init__(self, version=1):
         self._buffer = bytearray()
         self._offset = 0
         self.version = version
+        #: the :class:`ProtocolError` that ended the stream, if any
+        self.error = None
 
     def use_version(self, version):
         """Switch the payload codec (after a completed negotiation)."""
@@ -421,25 +427,33 @@ class FrameDecoder:
 
     def feed(self, data):
         """Consume ``data``; returns the list of decoded objects."""
+        if self.error is not None:
+            raise self.error
         buffer = self._buffer
         buffer.extend(data)
         frames = []
         total = len(buffer)
         offset = self._offset
-        while True:
-            if total - offset < HEADER_SIZE:
-                break
-            (length,) = _LENGTH.unpack_from(buffer, offset)
-            if length < 2 or length > MAX_FRAME:
-                raise ProtocolError(
-                    "invalid frame length {} (bounds 2..{})".format(
-                        length, MAX_FRAME))
-            end = offset + HEADER_SIZE + length
-            if total < end:
-                break
-            payload = bytes(buffer[offset + HEADER_SIZE:end])
-            offset = self._offset = end
-            frames.append(decode_payload(payload, self.version))
+        try:
+            while True:
+                if total - offset < HEADER_SIZE:
+                    break
+                (length,) = _LENGTH.unpack_from(buffer, offset)
+                if length < 2 or length > MAX_FRAME:
+                    raise ProtocolError(
+                        "invalid frame length {} (bounds 2..{})".format(
+                            length, MAX_FRAME))
+                end = offset + HEADER_SIZE + length
+                if total < end:
+                    break
+                payload = bytes(buffer[offset + HEADER_SIZE:end])
+                offset = self._offset = end
+                frames.append(decode_payload(payload, self.version))
+        except ProtocolError as error:
+            self.error = error
+            if not frames:
+                raise
+            return frames
         if offset == total:
             del buffer[:]
             self._offset = 0

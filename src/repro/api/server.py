@@ -613,6 +613,10 @@ class _Connection:
         while True:
             if self._frames:
                 return self._frames.pop(0)
+            if self.decoder.error is not None:
+                # the damage arrived in one read with the requests
+                # ahead of it; those are queued, now report it
+                raise self.decoder.error
             try:
                 data = await self.reader.read(_READ_CHUNK)
             except (ConnectionError, OSError):

@@ -1,39 +1,44 @@
 """The leader side of WAL shipping: :class:`ReplicationSource`.
 
 A source attaches to a store's :class:`DurabilityManager` and turns the
-write-ahead log into a *numbered record stream*: every record appended
-after the source starts gets a monotonically increasing sequence number
-(``seq``), and followers pull contiguous ranges with
+write-ahead log into a *numbered record stream*: every record committed
+after the source attached gets a monotonically increasing sequence
+number (``seq``), and followers pull contiguous ranges with
 ``read_from(seq)`` (the ``subscribe`` op, through
-:class:`~repro.cdc.feed.ChangeFeed`). Ingestion goes through the
-:class:`~repro.store.durability.wal.WalTailReader` — records are read
-back from the segment files, never forked off the in-memory write path
-— bounded by the writer's synced offset, so the feed can never ship a
-record that a failed append might still roll back. An fsynced record is
-on the wire-visible stream; an unsynced one never is.
+:class:`~repro.cdc.feed.ChangeFeed`).
 
-Compaction safety: when the manager rotates the active segment, its
-``on_rotate`` hook drains the sealed file into the feed *before* the
-superseded files are deleted (the hook runs under the manager lock,
-ahead of the unlink). The feed itself retains a bounded backlog
-(:attr:`backlog` records); a follower that falls further behind than
-that gets :class:`~repro.errors.SubscriptionLaggedError` and must
-re-bootstrap from a state export
+Ingestion: the stream is what the commit train committed. Every record
+enters the log through :meth:`DurabilityManager.append`, and after each
+successful sync — a train leader's, or the seal of a segment rotation —
+the manager hands the payload bytes it just made durable to
+:meth:`ReplicationSource.on_commit`, in log order, before any writer of
+that train is acknowledged. A train whose fsync failed is rolled back
+and handed to nobody. So an fsynced record is on the stream by the time
+its writer returns, an unsynced one never is, and nothing is read back
+from the segment files.
+
+Compaction safety follows from the same hand-off: a rotation's seal has
+delivered everything the sealed segment holds before compaction deletes
+it. The feed retains a bounded backlog (:attr:`backlog` records); a
+follower that falls further behind than that gets
+:class:`~repro.errors.SubscriptionLaggedError` and must re-bootstrap
+from a state export
 (:meth:`~repro.store.store.DocumentStore.export_state`), exactly like
 a fresh replica.
 
 Export pairing: ``export_state`` reads :attr:`next_seq` *first* and
-captures published document versions *after*. That order is
-leading-safe — ingestion is lazy, so the seq read can only under-count
-what the payloads already reflect, and a follower streaming from it
-re-receives at most records the replica apply path absorbs idempotently.
-The reverse order (capture, then seq) could pair payloads with a seq
-*past* what they contain, silently losing the gap.
+captures published document versions *after*. A batch record is on the
+stream before its version is published and a residency record before
+the document is installed or evicted, so in that order the payloads can
+only lead the seq, and a follower streaming from it re-receives at most
+records the replica apply path absorbs idempotently. The reverse order
+(capture, then seq) could pair payloads with a seq *past* what they
+contain, silently losing the gap.
 
 Lock order (deadlock discipline): flush/store locks -> manager lock ->
-feed lock. The manager's hooks hold the manager lock and only ever take
-the feed lock; the feed only calls :meth:`DurabilityManager
-.wal_position` *before* taking its own lock.
+feed lock. The manager's hook holds the manager lock and only ever
+takes the feed lock; the feed never takes the manager's while holding
+its own.
 """
 
 from __future__ import annotations
@@ -52,7 +57,6 @@ from repro.errors import (
 )
 from repro.obs import StoreObs
 from repro.store.durability.recovery import decode_payload
-from repro.store.durability.wal import WalTailReader
 
 #: default bound on retained records; a follower behind by more than
 #: this re-bootstraps from a state export
@@ -75,9 +79,10 @@ SUBSCRIBER_TTL_S = 600.0
 class ReplicationSource:
     """Numbered, bounded record stream over one store's write-ahead log.
 
-    Construct via :meth:`DocumentStore.enable_replication` (the store
-    wires the manager hooks up); followers are served through the
-    ``subscribe`` / ``export`` protocol ops, which delegate here.
+    Construct via :meth:`DocumentStore.enable_replication` (the source
+    registers itself as the manager's listener); followers are served
+    through the ``subscribe`` / ``export`` protocol ops, which delegate
+    here.
     """
 
     def __init__(self, manager, backlog=DEFAULT_BACKLOG):
@@ -88,9 +93,12 @@ class ReplicationSource:
         self.backlog = backlog
         self._lock = threading.Lock()
         self._wakeup = threading.Condition(self._lock)
-        self._records = deque()     # (seq, decoded record dict)
+        #: retained payload bytes, oldest first; ``_records[i]`` is seq
+        #: ``_first_seq + i``. Decoded per read, so the commit path only
+        #: pays an append and trimmed records are never decoded at all
+        self._records = deque(maxlen=backlog)
         self._next_seq = 0
-        self._first_seq = 0         # seq of _records[0] when non-empty
+        self._first_seq = 0
         self.subscribers = {}       # replica id -> {"acked_seq", "at"}
         #: stream epoch: sequence numbers are meaningless across leader
         #: restarts and promotions (each renumbers from zero), so every
@@ -114,90 +122,27 @@ class ReplicationSource:
             "repro_replication_max_lag_records",
             help_text="Largest follower lag in records (0 when every "
                       "acked follower is caught up)")
-        # anchor at the current durable end of the log: history before
-        # the source existed is served via state export, never as
-        # records. Anchoring and hook attachment are one atomic step
-        # (manager lock) — a rotation slipping between them would
-        # advance the generation with no on_rotate ever delivered,
-        # freezing the feed forever.
-        generation, path, synced = manager.attach_feed(self)
-        self._generation = generation
-        self._reader = WalTailReader(path, offset=synced)
+        # history before the source existed is served via state export,
+        # never as records: the stream starts with the next commit
+        manager.feed_listener = self
 
-    # -- manager hooks (called under the manager lock) ------------------------
+    # -- the manager hook (called under the manager lock) ---------------------
 
-    def on_append(self):
-        """A record was appended and synced; wake pollers.
-
-        Decoding happens lazily in :meth:`_ingest` on the next read —
-        the hook must stay cheap, it runs inside the manager's append
-        path.
-        """
+    def on_commit(self, payloads):
+        """The manager made ``payloads`` durable, in this order; number
+        them and wake pollers."""
         with self._wakeup:
+            self._records.extend(payloads)
+            self._next_seq += len(payloads)
+            self._first_seq = self._next_seq - len(self._records)
+            self._m_retained.set(len(self._records))
             self._wakeup.notify_all()
-
-    def on_rotate(self, sealed_generation, sealed_path, new_generation,
-                  new_path):
-        """Compaction sealed a segment: drain it before it is deleted."""
-        with self._lock:
-            if sealed_generation != self._generation:
-                # the feed is already past the sealed segment (promoted
-                # mid-rotation or re-anchored); nothing to drain
-                self._generation = new_generation
-                self._reader = WalTailReader(new_path, offset=0)
-                self._wakeup.notify_all()
-                return
-            # the sealed file is closed and fully synced: read to EOF
-            self._absorb(self._reader.read())
-            self._generation = new_generation
-            self._reader = WalTailReader(new_path, offset=0)
-            self._wakeup.notify_all()
-
-    # -- ingestion -----------------------------------------------------------
-
-    def _absorb(self, raw_records):
-        # records that cannot survive the backlog trim are counted but
-        # never decoded — a rotation drain of a long-lived segment must
-        # not pay O(segment) JSON decoding under the compaction locks
-        survivors_from = max(0, len(raw_records) - self.backlog)
-        for index, (__, payload) in enumerate(raw_records):
-            if index >= survivors_from:
-                self._records.append(
-                    (self._next_seq, decode_payload(payload)))
-            self._next_seq += 1
-        while len(self._records) > self.backlog:
-            self._records.popleft()
-        if self._records:
-            self._first_seq = self._records[0][0]
-        else:
-            self._first_seq = self._next_seq
-        self._m_retained.set(len(self._records))
-
-    def _ingest(self):
-        """Pull newly synced records off the active segment."""
-        # position read *before* the feed lock (manager -> feed order);
-        # a rotation between the two is caught by the generation check
-        generation, __, synced = self.manager.wal_position()
-        with self._lock:
-            if generation != self._generation:
-                # a rotation happened after our position read; since
-                # the listener was attached atomically with the anchor,
-                # on_rotate has (or will have) drained the sealed
-                # segment and advanced the reader — nothing to do here
-                return
-            self._absorb(self._reader.read(up_to=synced))
 
     # -- the follower surface -------------------------------------------------
 
     @property
     def next_seq(self):
-        """Sequence number the next logged record will get.
-
-        Ingestion is pull-based, so the returned value is a *lower
-        bound* on what the log already holds — which is exactly the
-        safe direction for ``export_state``'s seq-before-payloads
-        pairing (the payloads may lead the seq, never lag it)."""
-        self._ingest()
+        """Sequence number the next committed record will get."""
         with self._lock:
             return self._next_seq
 
@@ -258,9 +203,8 @@ class ReplicationSource:
         limit = max(1, int(limit))
         deadline = time.monotonic() + min(max(0.0, float(wait_s)),
                                           MAX_WAIT_S)
-        while True:
-            self._ingest()
-            with self._lock:
+        with self._lock:
+            while True:
                 self._note_subscriber(replica, from_seq)
                 if from_seq > self._next_seq:
                     raise ResumeExpiredError(self.stream_id,
@@ -268,23 +212,22 @@ class ReplicationSource:
                 if from_seq < self._first_seq:
                     raise SubscriptionLaggedError(from_seq,
                                                   self._first_seq)
-                if from_seq < self._next_seq:
-                    start = from_seq - self._first_seq
-                    records = [{"seq": seq, "record": record}
-                               for seq, record in itertools.islice(
-                                   self._records, start, start + limit)]
-                    next_seq = from_seq + len(records)
-                    self._m_shipped.inc(len(records))
-                    return records, next_seq, self._next_seq
                 remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    return [], from_seq, self._next_seq
+                if from_seq < self._next_seq or remaining <= 0:
+                    break
                 self._wakeup.wait(remaining)
+            start = from_seq - self._first_seq
+            payloads = list(itertools.islice(self._records, start,
+                                             start + limit))
+            end_seq = self._next_seq
+        records = [{"seq": seq, "record": decode_payload(payload)}
+                   for seq, payload in enumerate(payloads, from_seq)]
+        self._m_shipped.inc(len(records))
+        return records, from_seq + len(records), end_seq
 
     def stats(self):
         """The leader's replication block for extended ``stats``."""
-        self._ingest()
-        generation, __, synced = self.manager.wal_position()
+        generation, synced = self.manager.wal_position()
         with self._lock:
             subscribers = {
                 name: {"acked_seq": state["acked_seq"],

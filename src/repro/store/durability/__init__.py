@@ -29,7 +29,6 @@ from repro.store.durability.snapshot import (
     restore_document,
 )
 from repro.store.durability.wal import (
-    WalTailReader,
     WalWriter,
     encode_record,
     read_single_record,
@@ -46,7 +45,6 @@ __all__ = [
     "LoadedState",
     "RecoveryReport",
     "RestoredDocument",
-    "WalTailReader",
     "WalWriter",
     "document_payload",
     "encode_record",

@@ -34,6 +34,20 @@ Record payloads are JSON objects (framed by :mod:`.wal`):
 Read but never written: ``{"kind": "relabel", "doc_id": ...}``, the
 label rebuild older stores logged after a failed batch. It never
 changed document bytes; every reader of a log skips it.
+
+One commit path: every record kind above enters the log through
+:meth:`DurabilityManager.append` and nothing else calls
+``WalWriter.append``. A caller's frames are buffered under the manager
+lock, then the caller waits on the *commit train* — one leader fsync
+covers everything buffered while the previous one was in flight. After
+each successful sync (a leader's, or the seal of a segment rotation)
+the manager hands the payloads it just made durable to the replication
+listener, still under its lock and before it advances the horizon that
+releases the waiters; a train whose fsync failed was rolled back by the
+writer and is dropped instead. Hence: acknowledged => durable => on the
+stream, and destroyed => raised in its caller => on neither. This is
+the seam a fault plane plugs into: one method in, ``os.fsync`` and
+``write`` underneath.
 """
 
 from __future__ import annotations
@@ -44,7 +58,7 @@ import re
 import threading
 import time
 
-from repro.errors import DurabilityError, RecoveryError
+from repro.errors import DurabilityError, RecoveryError, WalPoisonedError
 from repro.obs import SIZE_BUCKETS, StoreObs
 from repro.pul.serialize import pul_from_xml
 from repro.pul.semantics import apply_pul
@@ -272,9 +286,9 @@ def load_durable_state(directory, repair=True):
 class DurabilityManager:
     """Owns one durability directory on behalf of one store.
 
-    Thread-safe: appends from concurrent per-document flushes are
-    serialized on an internal lock; compaction swaps the active segment
-    under the same lock.
+    Thread-safe: :meth:`append` calls from concurrent flushes, opens and
+    closes buffer their frames under an internal lock and share fsyncs;
+    compaction swaps the active segment under the same lock.
     """
 
     def __init__(self, directory, policy, group_window=0.0, obs=None):
@@ -300,11 +314,8 @@ class DurabilityManager:
             "repro_wal_train_records",
             "Records made durable by one group-commit fsync",
             buckets=SIZE_BUCKETS)
-        #: records appended but not yet covered by a counted fsync —
-        #: the occupancy the next train leader's fsync reports
-        self._train_pending = 0
         #: extra seconds a commit-train leader waits before its fsync so
-        #: more concurrent flushes can board (0 = fsync immediately; the
+        #: more concurrent appends can board (0 = fsync immediately; the
         #: train still forms naturally while a previous fsync is in
         #: flight, so the default adds no latency under low concurrency)
         self.group_window = group_window
@@ -312,15 +323,22 @@ class DurabilityManager:
         self._commit_cv = threading.Condition()
         self._sync_leader = False
         self._writer = None
+        #: payloads buffered since the last sync, in log order: the
+        #: train the next sync makes durable (and hands to the feed) or
+        #: destroys (and drops)
+        self._boarded = []
+        #: ``(writer, offset)``: the horizon waiters are released by.
+        #: It trails ``writer.synced_size`` by the hand-off to the feed,
+        #: so a caller told "durable" finds its record on the stream
+        self._settled = (None, 0)
         self.generation = 0
         self.batches_since_snapshot = 0
-        #: optional replication hook (see :mod:`repro.cluster.feed`):
-        #: ``on_append()`` after every synced record, ``on_rotate(sealed
-        #: generation, sealed path, new generation, new path)`` when
-        #: compaction rotates the active segment — called *before* the
-        #: sealed files are deleted, so a feed can drain them first.
-        #: Lock order is manager -> listener: the hooks run under the
-        #: manager lock and must never call back into the manager.
+        #: optional replication listener (see :mod:`repro.cluster.feed`):
+        #: ``on_commit(payloads)`` with the records each successful sync
+        #: made durable, in log order, before any of their writers is
+        #: acknowledged. Lock order is manager -> listener: the hook runs
+        #: under the manager lock and must never call back into the
+        #: manager.
         self.feed_listener = None
         os.makedirs(directory, exist_ok=True)
 
@@ -346,143 +364,130 @@ class DurabilityManager:
         """Open the active segment for appending (idempotent)."""
         with self._lock:
             if self._writer is None:
-                self._writer = WalWriter(self._wal_path(self.generation),
-                                         fsync=self.policy.fsync)
+                self._open_segment()
+
+    def _open_segment(self):
+        self._writer = WalWriter(self._wal_path(self.generation),
+                                 fsync=self.policy.fsync)
+        self._settled = (self._writer, self._writer.synced_size)
 
     def close(self):
         with self._lock:
             if self._writer is not None:
-                self._writer.close()
+                self._settle(self._writer.close)
                 self._writer = None
-
-    # -- logging -------------------------------------------------------------
+                self._settled = (None, 0)
 
     def wal_position(self):
-        """``(generation, segment path, synced byte offset)`` of the
-        write-ahead log right now — the durable horizon a concurrent
-        tail reader may safely read up to."""
+        """``(generation, synced byte offset)`` of the write-ahead log
+        right now (what ``cluster status`` shows for a leader)."""
         with self._lock:
-            return self._position_locked()
+            return self.generation, self._settled[1]
 
-    def _position_locked(self):
-        synced = (self._writer.synced_size
-                  if self._writer is not None else 0)
-        return self.generation, self._wal_path(self.generation), synced
+    # -- the commit path -----------------------------------------------------
 
-    def attach_feed(self, listener):
-        """Register the replication listener and return its anchor
-        position, atomically: no append or rotation can slip between
-        the anchor read and the hook attachment, so from the returned
-        position on, the listener sees *every* event — the property
-        the feed's generation bookkeeping is built on."""
-        with self._lock:
-            self.feed_listener = listener
-            return self._position_locked()
+    def append(self, records):
+        """Make ``records`` durable — THE way anything enters the log.
 
-    def _append(self, record, sync=True):
-        payload = encode_payload(record)
-        with self._lock:
-            if self._writer is None:
-                raise DurabilityError(
-                    "durability manager is not started (or already "
-                    "closed)")
-            self._writer.append(payload, sync=sync)
-            if sync:
-                train = self._train_pending + 1
-                self._train_pending = 0
-            else:
-                train = 0
-                self._train_pending += 1
-            if self.feed_listener is not None:
-                self.feed_listener.on_append()
-        # metric updates happen outside the manager lock — each metric
-        # has its own, and the append critical section is the group
-        # commit's contention point
-        self._m_records.inc()
-        self._m_bytes.inc(len(payload))
-        if sync:
-            self._m_fsyncs.inc()
-            self._m_train.observe(train)
-
-    # -- group commit --------------------------------------------------------
-
-    def _append_grouped(self, record):
-        """Append ``record`` and ride the commit train.
-
-        The append itself only buffers the frame (``sync=False``) under
-        the manager lock; durability comes from one *leader* fsync that
-        covers every record appended while the previous fsync was in
-        flight. N concurrent flushes therefore pay ~1 fsync instead of
-        N — the cross-client group commit — and no caller ever returns
-        before its own record is behind the synced horizon (the
-        replication feed and crash recovery read nothing past it).
+        The frames are only buffered (``sync=False``) under the manager
+        lock, all of them together; durability comes from one *leader*
+        fsync that covers every record buffered while the previous fsync
+        was in flight. N concurrent callers therefore pay ~1 fsync
+        instead of N — the cross-client group commit — and no caller
+        returns before its own records are behind the synced horizon
+        and on the replication stream. A failed fsync destroys every
+        record of its train and raises in each of their callers. (A
+        *write* that fails midway through ``records`` raises with the
+        earlier ones still buffered: they ride the next train.)
         """
-        payload = encode_payload(record)
+        payloads = [encode_payload(record) for record in records]
+        if not payloads:
+            return
+        batches = sum(record["kind"] == "batch" for record in records)
         with self._obs.stage("wal-append"):
             with self._lock:
-                if self._writer is None:
+                writer = self._writer
+                if writer is None:
                     raise DurabilityError(
                         "durability manager is not started (or already "
                         "closed)")
-                writer = self._writer
-                end = writer.append(payload, sync=False)
                 epoch = writer.rollback_epoch
-                self._train_pending += 1
-                # only batch records ride the train. Counted here,
-                # under the lock begin_rotation resets the count under
-                self.batches_since_snapshot += 1
+                for payload in payloads:
+                    end = writer.append(payload, sync=False)
+                    self._boarded.append(payload)
+                # counted here, under the lock begin_rotation resets
+                # the count under
+                self.batches_since_snapshot += batches
             # outside the manager lock: the append critical section is
             # the group commit's contention point
-            self._m_records.inc()
-            self._m_bytes.inc(len(payload))
+            self._m_records.inc(len(payloads))
+            self._m_bytes.inc(sum(map(len, payloads)))
         with self._obs.stage("fsync-wait"):
-            while True:
+            self._ride_train(writer, end, epoch)
+
+    def _ride_train(self, writer, end, epoch):
+        """Return once the record ending at ``end`` is durable; raise
+        when a failed fsync destroyed it."""
+        led = False
+        while True:
+            with self._commit_cv:
+                while True:
+                    status = self._commit_status(writer, end, epoch)
+                    if status is not None or not self._sync_leader:
+                        break
+                    # every sync ends in a notify: the leader's below,
+                    # rotation's seal in begin_rotation
+                    self._commit_cv.wait()
+                if status == "durable":
+                    return
+                if status == "lost":
+                    raise DurabilityError(
+                        "log record was destroyed by a failed-fsync "
+                        "rollback before it reached disk")
+                if led:
+                    # our own sync settled nothing: the writer refuses
+                    # to (a torn append it could not roll back)
+                    raise WalPoisonedError(
+                        "log writer for {} is poisoned: the record "
+                        "cannot be made durable".format(writer.path))
+                self._sync_leader = True
+            # leader: one fsync for every record buffered so far
+            try:
+                if self.group_window:
+                    time.sleep(self.group_window)
+                with self._lock:
+                    if self._writer is writer:
+                        try:
+                            self._settle(writer.sync)
+                        except DurabilityError:
+                            # the epoch bump marks every destroyed
+                            # record; each waiter (and this thread, via
+                            # the re-check above) raises for its own
+                            pass
+            finally:
                 with self._commit_cv:
-                    while True:
-                        status = self._commit_status(writer, end, epoch)
-                        if status is not None:
-                            break
-                        if not self._sync_leader:
-                            self._sync_leader = True
-                            status = "lead"
-                            break
-                        # the timeout is a safety net for horizons
-                        # advanced outside the train (segment rotation
-                        # seals and syncs the writer without notifying
-                        # the cv)
-                        self._commit_cv.wait(0.05)
-                    if status == "durable":
-                        return
-                    if status == "lost":
-                        raise DurabilityError(
-                            "log record was destroyed by a failed-fsync "
-                            "rollback before it reached disk")
-                # leader: one fsync for every record appended so far
-                try:
-                    if self.group_window:
-                        time.sleep(self.group_window)
-                    with self._lock:
-                        if self._writer is writer and not writer.closed:
-                            train = self._train_pending
-                            try:
-                                writer.sync()
-                            except DurabilityError:
-                                # the epoch bump marks every destroyed
-                                # record; each waiter (and this thread,
-                                # via the re-check below) raises for its
-                                # own
-                                pass
-                            else:
-                                self._m_fsyncs.inc()
-                                if train:
-                                    self._m_train.observe(train)
-                                self._train_pending = 0
-                                if self.feed_listener is not None:
-                                    self.feed_listener.on_append()
-                finally:
-                    with self._commit_cv:
-                        self._sync_leader = False
-                        self._commit_cv.notify_all()
+                    self._sync_leader = False
+                    self._commit_cv.notify_all()
+            led = True
+
+    def _settle(self, sync):
+        """Run ``sync`` (the active writer's ``sync`` or ``close``) and
+        settle the train it covers: hand the boarded payloads to the
+        feed listener and only then advance the horizon waiters watch.
+        A sync that raises has rolled the train's bytes back, so its
+        payloads are dropped with them: synced <=> on the stream.
+        Caller holds the manager lock."""
+        writer = self._writer
+        boarded, self._boarded = self._boarded, []
+        sync()
+        if writer.synced_size < writer.size:
+            return      # a poisoned writer returns without syncing
+        self._m_fsyncs.inc()
+        if boarded:
+            self._m_train.observe(len(boarded))
+            if self.feed_listener is not None:
+                self.feed_listener.on_commit(boarded)
+        self._settled = (writer, writer.synced_size)
 
     def _commit_status(self, writer, end, epoch):
         """``"durable"`` / ``"lost"`` / ``None`` (still in flight) for a
@@ -496,54 +501,27 @@ class DurabilityManager:
             # record's byte range and pushed it beyond ``end``.
             return ("durable" if writer.rollback_targets[epoch] >= end
                     else "lost")
-        if writer.synced_size >= end:
-            return "durable"
-        if writer.closed or writer is not self._writer:
-            # rotation sealed the segment: close() syncs every record,
-            # and a failed seal would have bumped the epoch above
+        settled_writer, horizon = self._settled
+        if writer is not settled_writer or horizon >= end:
+            # a writer no longer active was sealed by rotation or close:
+            # that synced every record, and a failed seal would have
+            # bumped the epoch above
             return "durable"
         return None
 
-    def log_open(self, document_payload_dict):
-        self._append({"kind": "open", "doc": document_payload_dict})
-
-    def log_open_many(self, document_payload_dicts):
-        """Log a chunk of ``open`` records under **one** fsync.
-
-        The bulk-load path: each payload is buffered unsynced and a
-        single sync covers the whole chunk, so importing N documents
-        pays ~1 fsync instead of N (the same economics as the batch
-        commit train, but for residency). All-or-nothing durability is
-        not promised — a crash mid-chunk recovers a prefix — which is
-        fine because the caller installs residency only after this
-        returns, and an import retry re-submits the chunk."""
-        with self._lock:
-            if self._writer is None:
-                raise DurabilityError(
-                    "durability manager is not started (or already "
-                    "closed)")
-            appended = 0
-            for payload in document_payload_dicts:
-                encoded = encode_payload({"kind": "open",
-                                          "doc": payload})
-                self._writer.append(encoded, sync=False)
-                self._m_records.inc()
-                self._m_bytes.inc(len(encoded))
-                appended += 1
-            self._writer.sync()
-            self._m_fsyncs.inc()
-            self._m_train.observe(self._train_pending + appended)
-            self._train_pending = 0
-            if self.feed_listener is not None:
-                self.feed_listener.on_append()
+    def log_open(self, *document_payloads):
+        """One ``open`` record per payload; several board one train (a
+        bulk-load chunk pays ~1 fsync, not one per document)."""
+        self.append([{"kind": "open", "doc": payload}
+                     for payload in document_payloads])
 
     def log_batch(self, doc_id, version, clients, pul_xml):
-        self._append_grouped({"kind": "batch", "doc_id": doc_id,
-                              "version": version, "clients": clients,
-                              "pul": pul_xml})
+        self.append([{"kind": "batch", "doc_id": doc_id,
+                      "version": version, "clients": clients,
+                      "pul": pul_xml}])
 
     def log_close(self, doc_id):
-        self._append({"kind": "close", "doc_id": doc_id})
+        self.append([{"kind": "close", "doc_id": doc_id}])
 
     def log_position(self, seq, stream=None):
         """A replica's replication cursor: every leader record below
@@ -552,7 +530,7 @@ class DurabilityManager:
         record = {"kind": "repl-pos", "seq": seq}
         if stream is not None:
             record["stream"] = stream
-        self._append(record)
+        self.append([record])
 
     def snapshot_due(self):
         return (self.policy.mode == "snapshot"
@@ -569,28 +547,21 @@ class DurabilityManager:
         file is deleted — a crash between this call and
         :meth:`commit_snapshot` leaves a fully contiguous
         snapshot+segment chain, the rotation simply never happened as
-        far as recovery is concerned. The feed listener is drained
-        before the method returns so a lagging replication feed keeps
-        the sealed tail.
+        far as recovery is concerned. The seal is a sync like a train
+        leader's: what it made durable is on the feed before the method
+        returns, so compaction may delete the sealed files.
         """
         with self._lock:
             sealed = self.generation
             if self._writer is not None:
-                self._writer.close()   # syncs every buffered record
-                self._writer = None
-                self._m_fsyncs.inc()
-                self._train_pending = 0
+                self._settle(self._writer.close)
             self._m_rotations.inc()
             self.generation = sealed + 1
-            self._writer = WalWriter(self._wal_path(self.generation),
-                                     fsync=self.policy.fsync)
+            self._open_segment()
             self.batches_since_snapshot = 0
-            if self.feed_listener is not None:
-                # drained now, while every sealed file still exists
-                self.feed_listener.on_rotate(
-                    sealed, self._wal_path(sealed),
-                    self.generation, self._wal_path(self.generation))
-            return sealed
+        with self._commit_cv:
+            self._commit_cv.notify_all()
+        return sealed
 
     def commit_snapshot(self, sealed, document_payloads):
         """Write ``snapshot-<sealed>.snap`` atomically and delete the

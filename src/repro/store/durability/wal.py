@@ -15,10 +15,17 @@ after it is unreachable (frame boundaries are lost) — which the scan
 reports as a non-clean tail so callers can distinguish "torn final
 record" from "log ends cleanly".
 
-Writes are fsync-batched: :meth:`WalWriter.append` buffers records and
-:meth:`WalWriter.sync` pushes them to disk in one ``fsync`` — the store
-calls it once per flushed batch, not per client submission, which is
-where the group-commit throughput comes from.
+Writes are fsync-batched: :meth:`WalWriter.append` with ``sync=False``
+buffers a record and :meth:`WalWriter.sync` pushes every buffered one to
+disk in one ``fsync``. The store's only caller is
+:meth:`~repro.store.durability.recovery.DurabilityManager.append`, whose
+commit train issues one sync for all the records concurrent callers
+buffered meanwhile — which is where the group-commit throughput comes
+from. A failed fsync rolls the file back to the synced horizon and says
+so (:attr:`WalWriter.rollback_epoch`), so the records it destroyed fail
+their callers and are never replicated. Nothing reads a segment while
+it is being written: recovery scans closed files, and the replication
+feed is handed the synced payloads by the manager.
 """
 
 from __future__ import annotations
@@ -97,89 +104,6 @@ def truncate_torn_tail(path, valid_bytes):
         handle.truncate(valid_bytes)
         handle.flush()
         os.fsync(handle.fileno())
-
-
-class WalTailReader:
-    """Incremental reader over a (possibly still growing) log file.
-
-    The reader remembers a byte position and, on every :meth:`read`,
-    decodes the records that became *fully* valid since the previous
-    call — so tailing a file chunk by chunk yields exactly the records
-    one :func:`scan_records` pass over the final bytes would (the
-    property the hypothesis suite proves). A torn or incomplete tail is
-    indistinguishable from an append still in flight, so the reader
-    never errors on it: the bytes stay buffered and are retried on the
-    next call, once the writer has finished (or rolled back) the
-    record.
-
-    This is the feed side of WAL shipping: the replication source tails
-    the active segment up to the writer's :attr:`~WalWriter.synced_size`
-    (the durable horizon — unsynced bytes may yet be torn away by a
-    failed append's rollback) and ships each record with its sequence
-    position.
-    """
-
-    __slots__ = ("path", "position", "records_read")
-
-    def __init__(self, path, offset=0):
-        self.path = path
-        #: byte offset of the next unread record (only ever advances
-        #: past *complete, validated* records)
-        self.position = offset
-        #: records decoded over the reader's lifetime
-        self.records_read = 0
-
-    def read(self, limit=None, up_to=None):
-        """Decode records that became valid since the last call.
-
-        Returns a list of ``(offset, payload)`` pairs — ``offset`` is
-        the record's byte position in the file (its stable address
-        within the segment). ``limit`` bounds the record count;
-        ``up_to`` bounds the bytes considered (pass the writer's
-        ``synced_size`` to stay behind the durable horizon). A missing
-        file reads as empty (the segment may not have been created
-        yet).
-        """
-        try:
-            with open(self.path, "rb") as handle:
-                handle.seek(self.position)
-                if up_to is not None:
-                    if up_to <= self.position:
-                        return []
-                    data = handle.read(up_to - self.position)
-                else:
-                    data = handle.read()
-        except FileNotFoundError:
-            return []
-        records = []
-        base = self.position
-        offset = 0
-        total = len(data)
-        while offset < total:
-            if limit is not None and len(records) >= limit:
-                break
-            if offset + _HEADER.size > total:
-                break
-            magic, length, crc = _HEADER.unpack_from(data, offset)
-            if magic != MAGIC or length > MAX_PAYLOAD:
-                # a torn record the writer may still roll back and
-                # rewrite; never advance past it
-                break
-            end = offset + _HEADER.size + length
-            if end > total:
-                break
-            payload = data[offset + _HEADER.size:end]
-            if zlib.crc32(payload) & 0xFFFFFFFF != crc:
-                break
-            records.append((base + offset, payload))
-            offset = end
-        self.position = base + offset
-        self.records_read += len(records)
-        return records
-
-    def __repr__(self):
-        return "WalTailReader({!r}, position={}, records_read={})".format(
-            self.path, self.position, self.records_read)
 
 
 class WalWriter:
@@ -275,9 +199,8 @@ class WalWriter:
         """Byte offset of the last *synced* record's end.
 
         Everything below this offset is durable and will never be
-        rolled back — the safe horizon for a concurrent
-        :class:`WalTailReader` (bytes past it may still be torn away by
-        a failed append's repair).
+        rolled back (bytes past it may still be torn away by a failed
+        append's or fsync's repair).
         """
         return self._synced_size
 

@@ -502,19 +502,7 @@ class DocumentStore:
             source = parse_document(source)
         labeling = ContainmentLabeling().build(source)
         entry = StoredDocument(doc_id, source, labeling)
-        with self._lock:
-            if doc_id in self._entries:
-                raise ReproError(
-                    "document {!r} is already resident".format(doc_id))
-            self._entries[doc_id] = entry
-            if self._durability is not None:
-                # the open record carries the full snapshot-form state,
-                # so recovery restores the same identifiers and labels
-                # even when the caller's source text differs from our
-                # serialization. Logged under the store lock so a
-                # concurrent compaction cannot strand the record in a
-                # segment its snapshot supersedes.
-                self._durability.log_open(document_payload(entry))
+        self._make_resident([entry])
         self._op_latency["open"].observe(time.perf_counter() - start)
         return entry
 
@@ -526,11 +514,10 @@ class DocumentStore:
         :class:`Document`). Parsing and labeling — the expensive part —
         run outside the store lock; residency is then installed
         atomically: either every document in the chunk becomes resident
-        (and its ``open`` record is logged under **one** group fsync via
-        :meth:`DurabilityManager.log_open_many`) or none does. A
-        duplicate ``doc_id`` — against the store or within the chunk —
-        fails the whole chunk, so an ETL retry can resubmit it
-        verbatim.
+        (their ``open`` records board one commit train, so the chunk
+        pays ~1 fsync, not one per document) or none does. A duplicate
+        ``doc_id`` — against the store or within the chunk — fails the
+        whole chunk, so an ETL retry can resubmit it verbatim.
 
         Returns ``{"loaded", "nodes", "doc_ids"}``.
         """
@@ -554,19 +541,33 @@ class DocumentStore:
             labeling = ContainmentLabeling().build(source)
             prepared.append(StoredDocument(doc_id, source, labeling))
             nodes += len(source)
+        self._make_resident(prepared)
+        return {"loaded": len(prepared), "nodes": nodes,
+                "doc_ids": [entry.doc_id for entry in prepared]}
+
+    def _make_resident(self, entries):
+        """Install ``entries`` (all of them or none) behind their
+        durable ``open`` records: residency changes only after the log
+        acknowledged them, so a failed fsync leaves no trace.
+
+        The records carry the full snapshot-form state, so recovery
+        restores the same identifiers and labels even when the caller's
+        source text differs from our serialization. Logging and
+        installing share one hold of the store lock: a concurrent
+        compaction cannot strand the records in a segment its snapshot
+        supersedes, and an export that read a stream position past them
+        finds the documents."""
         with self._lock:
-            for entry in prepared:
+            for entry in entries:
                 if entry.doc_id in self._entries:
                     raise ReproError(
                         "document {!r} is already resident".format(
                             entry.doc_id))
-            for entry in prepared:
+            if self._durability is not None:
+                self._durability.log_open(
+                    *[document_payload(entry) for entry in entries])
+            for entry in entries:
                 self._entries[entry.doc_id] = entry
-            if self._durability is not None and prepared:
-                self._durability.log_open_many(
-                    [document_payload(entry) for entry in prepared])
-        return {"loaded": len(prepared), "nodes": nodes,
-                "doc_ids": [entry.doc_id for entry in prepared]}
 
     def close_document(self, doc_id):
         """Evict a resident document (pending submissions are lost)."""
@@ -581,9 +582,10 @@ class DocumentStore:
                     raise ReproError(
                         "document {!r} was closed concurrently".format(
                             entry.doc_id))
-                self._entries.pop(entry.doc_id)
+                # logged first: a close the log refused evicts nothing
                 if self._durability is not None:
                     self._durability.log_close(entry.doc_id)
+                del self._entries[entry.doc_id]
         with entry.lock:
             self._m_pending.dec(len(entry.pending))
 

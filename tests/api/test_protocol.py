@@ -131,6 +131,27 @@ class TestTornAndGarbage:
         with pytest.raises(ProtocolError):
             FrameDecoder().feed(struct.pack(">I", length) + b"{}")
 
+    @pytest.mark.parametrize("damage", [
+        struct.pack(">I", 0),
+        struct.pack(">I", MAX_FRAME + 1),
+        struct.pack(">I", 3) + b"\xff\xfe\xfd",
+    ], ids=["tiny-header", "huge-header", "payload"])
+    def test_frames_ahead_of_the_damage_in_one_chunk_are_returned(
+            self, damage):
+        """Decoded frames are not raised away with a malformed one that
+        arrives in the same read; the error follows them."""
+        objs = [{"id": n, "op": "docs"} for n in (1, 2, 3)]
+        decoder = FrameDecoder()
+        data = b"".join(encode_frame(obj) for obj in objs) + damage
+        assert decoder.feed(data) == objs
+        assert isinstance(decoder.error, ProtocolError)
+        with pytest.raises(ProtocolError) as raised:
+            decoder.feed(b"")
+        assert raised.value is decoder.error
+        # nothing resynchronizes a stream that lost framing
+        with pytest.raises(ProtocolError):
+            decoder.feed(encode_frame(objs[0]))
+
     def test_non_json_payload_is_a_protocol_error(self):
         data = struct.pack(">I", 3) + b"\xff\xfe\xfd"
         with pytest.raises(ProtocolError):

@@ -488,6 +488,37 @@ class TestMalformedStreams:
         run(scenario())
         assert unretrieved == []
 
+    def test_requests_in_one_write_with_a_bad_header_are_answered(self):
+        """Three pipelined requests and a malformed header in a single
+        ``write`` reach the server in one read: the requests are
+        answered first, then comes the ``protocol`` error frame."""
+        async def scenario():
+            async with make_server() as server:
+                reader, writer = await self._raw_connection(server)
+                decoder = protocol.FrameDecoder()
+                writer.write(protocol.encode_frame(
+                    protocol.hello_request(0)))
+                (hello,) = decoder.feed(await reader.read(4096))
+                assert hello["ok"]
+                decoder.use_version(2)
+                writer.write(b"".join(
+                    protocol.encode_frame(protocol.request(n, "docs"), 2)
+                    for n in (1, 2, 3)) + struct.pack(">I", 0))
+                await writer.drain()
+                answers = []
+                while True:
+                    data = await reader.read(64 * 1024)
+                    if not data:
+                        break
+                    answers.extend(decoder.feed(data))
+                writer.close()
+                *answered, refusal = answers
+                assert [a["id"] for a in answered] == [1, 2, 3]
+                assert all(a["ok"] for a in answered)
+                assert refusal["ok"] is False and refusal["id"] is None
+                assert refusal["error"]["code"] == "protocol"
+        run(scenario())
+
     def test_hostile_response_fails_the_call_typed(self):
         """The same frame from a hostile *server*: the waiting call
         gets a ``ProtocolError``, not a dead reader task."""

@@ -120,7 +120,7 @@ class TestRotation:
     def test_compaction_rotations_do_not_lose_feed_records(self,
                                                            tmp_path):
         """Snapshot compaction seals and *deletes* segments; the
-        on_rotate drain must keep every record readable from the
+        seal's hand-off must keep every record readable from the
         feed."""
         with make_leader(tmp_path, durability="log+snapshot:2") as store:
             source = store.replication
