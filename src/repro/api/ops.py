@@ -17,6 +17,9 @@ Downstream derivations:
 - :data:`POLL_OPS` — operations that long-poll (park a thread waiting
   for feed progress) and therefore run on the server's dedicated
   follower executor, never queueing behind or ahead of writes;
+- :data:`LOCK_FREE_OPS` — reads that only pin a published version and
+  never wait on a store, flush or WAL lock, which the server may
+  therefore run on its event loop when their input is small;
 - the op tables of ``api/README.md`` via :mod:`repro.api.docgen`
   (drift-checked in CI).
 """
@@ -28,10 +31,11 @@ class OpSpec:
     """One operation's complete wire-facing declaration."""
 
     __slots__ = ("name", "code", "method", "required", "optional",
-                 "result", "doc", "group", "poll")
+                 "result", "doc", "group", "poll", "lock_free")
 
     def __init__(self, name, code, method, required=(), optional=(),
-                 result="", doc="", group="core", poll=False):
+                 result="", doc="", group="core", poll=False,
+                 lock_free=False):
         self.name = name
         self.code = code
         self.method = method
@@ -41,6 +45,7 @@ class OpSpec:
         self.doc = doc
         self.group = group
         self.poll = poll
+        self.lock_free = lock_free
 
     def __repr__(self):
         return "OpSpec({!r}, code={})".format(self.name, self.code)
@@ -87,7 +92,7 @@ OPS = (
         result="`doc_id`, `discarded`"),
     OpSpec(
         "text", 7, "text",
-        required=("doc_id",),
+        required=("doc_id",), lock_free=True,
         result="`doc_id`, `text`, `version`"),
     OpSpec(
         "stats", 8, "stats",
@@ -101,7 +106,7 @@ OPS = (
         result="`generation`"),
     OpSpec(
         "query", 11, "query",
-        required=("doc_id", "path"),
+        required=("doc_id", "path"), lock_free=True,
         result="`doc_id`, `version`, `count`, `nodes` (serialized, "
                "document order)"),
     # 12-14: RETIRED_CODES
@@ -146,7 +151,7 @@ OPS = (
     # secondary indexes & query planning (PR 9)
     OpSpec(
         "explain", 20, "explain",
-        required=("doc_id", "path"),
+        required=("doc_id", "path"), lock_free=True,
         result="`doc_id`, `version`, `path`, `count`, `plan` — the "
                "recorded per-step plan (`index-scan` vs. `walk`, "
                "bucket and estimate sizes) the cost model chose; the "
@@ -172,6 +177,12 @@ OP_CODES = {spec.name: spec.code for spec in OPS}
 
 #: long-polling ops served from the dedicated follower executor
 POLL_OPS = frozenset(spec.name for spec in OPS if spec.poll)
+
+#: ops that pin one published version and take no lock a writer, an
+#: ``open`` or the log can hold (``docs`` and ``stats`` do not qualify:
+#: they take the store lock, which ``open`` and ``close`` hold while
+#: their record is made durable)
+LOCK_FREE_OPS = frozenset(spec.name for spec in OPS if spec.lock_free)
 
 
 def dispatch_table():

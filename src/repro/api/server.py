@@ -5,9 +5,13 @@ every connection onto one :class:`~repro.store.store.DocumentStore`
 through the shared :class:`~repro.api.dispatch.StoreDispatcher`. The
 store's locking already serializes what must be serial (per-document
 flushes) and keeps the rest concurrent (submissions), so connection
-handlers simply run each command on a small thread pool — the event
-loop never blocks on a flush, and two clients flushing different
-documents genuinely overlap.
+handlers run every command that can wait on a lock on a small thread
+pool — the event loop never blocks on a flush, and two clients
+flushing different documents genuinely overlap. Reads that only pin a
+published version (:data:`repro.api.ops.LOCK_FREE_OPS`) cannot wait on
+anything, and when their input is small (:data:`INLINE_MAX_NODES`)
+they run right on the loop that decoded them: the thread hop would
+cost more than the read.
 
 Per-connection behaviour:
 
@@ -50,6 +54,7 @@ from repro.api import ops, protocol
 from repro.api.dispatch import StoreDispatcher
 from repro.errors import ProtocolError, ReproError
 from repro.obs import SIZE_BUCKETS
+from repro.xquery.parser import MAX_CACHED_PATH_CHARS
 
 #: optional capabilities advertised in the hello result; a client only
 #: uses a feature (e.g. sending trace ids) when the server lists it,
@@ -58,6 +63,19 @@ SERVER_FEATURES = ("trace", "metrics")
 
 #: default bound on queued-but-unexecuted requests per connection
 DEFAULT_MAX_PIPELINE = 32
+
+#: a lock-free read runs on the event loop only against a document of
+#: at most this many nodes (and with a path of at most
+#: ``MAX_CACHED_PATH_CHARS``). While it runs no other connection is
+#: served, so it may cost what a pool neighbour already costs them and
+#: no more: one interpreter switch interval (5 ms — beside a pooled
+#: walker query a small query waits p50 5.6 / p90 8.2 / p99 15 ms).
+#: The costliest plain walk measured, ``//*//*//*`` with its result
+#: serialized, takes 9-12 us per node: 4.6 ms at this limit (it was
+#: 1024 first: 8.6-11.7 ms, and the neighbour's p90 rose from 8.2 to
+#: 14.3 ms). Inlined unconditionally, a 264 ms query on 21k nodes held
+#: every other connection for its whole length
+INLINE_MAX_NODES = 512
 
 _READ_CHUNK = 64 * 1024
 
@@ -127,6 +145,14 @@ class _ReaderFailure:
         self.response = response
 
 
+def _answer(request_id, thunk):
+    """Run one planned request; its response frame either way."""
+    try:
+        return protocol.ok_response(request_id, thunk())
+    except Exception as error:
+        return protocol.error_response(request_id, error)
+
+
 class StoreServer:
     """Serve one :class:`DocumentStore` to many network clients.
 
@@ -144,8 +170,10 @@ class StoreServer:
     max_pipeline:
         Bound on queued requests per connection (backpressure).
     executor_workers:
-        Threads executing store commands (store calls block on locks
-        and real work; the event loop must not).
+        Threads executing the store commands that can block on a lock
+        or do unbounded work — every write, ``docs``/``stats`` (store
+        lock), and reads of large documents; the event loop must not,
+        and runs only small lock-free reads itself.
     """
 
     #: ``op -> (dispatcher method, required args, optional args)``,
@@ -182,6 +210,9 @@ class StoreServer:
         self._poll_executor = concurrent.futures.ThreadPoolExecutor(
             max_workers=max(executor_workers, 16),
             thread_name_prefix="store-server-poll")
+        #: how long reads may hold the loop before it runs the other
+        #: connections: what the interpreter grants a pool thread
+        self._loop_slice_s = sys.getswitchinterval()
         self._servers = []
         self._connections = {}   # _Connection -> its handler task
         self._sessions = 0
@@ -204,6 +235,11 @@ class StoreServer:
             "repro_server_pipeline_batch",
             "Requests executed per pipelined batch",
             buckets=SIZE_BUCKETS)
+        self._m_route = {
+            route: self.obs.counter(
+                "repro_server_requests_total",
+                "Requests executed, by where they ran", route=route)
+            for route in ("loop", "pool")}
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -353,7 +389,9 @@ class StoreServer:
     def _plan(self, client, op, args):
         """Validate one parsed request of the connection named
         ``client``; returns ``(executor, thunk)`` where the thunk is
-        the blocking store call."""
+        the store call and the executor the pool it may block in —
+        ``None`` for a lock-free read with a short path, whose route
+        :meth:`_execute_many` picks when its turn comes."""
         spec = self.DISPATCH.get(op)
         if spec is None:
             raise ProtocolError("unknown op {!r}".format(op))
@@ -371,9 +409,27 @@ class StoreServer:
         if op in ("submit", "submit_xquery"):
             call_args.setdefault("client", client)
         method = getattr(self.dispatcher, method_name)
-        executor = (self._poll_executor if op in ops.POLL_OPS
-                    else self._executor)
+        path = args.get("path", "")
+        if op in ops.POLL_OPS:
+            executor = self._poll_executor
+        elif (op in ops.LOCK_FREE_OPS and isinstance(path, str)
+                and len(path) <= MAX_CACHED_PATH_CHARS):
+            executor = None
+        else:
+            executor = self._executor
         return executor, functools.partial(method, **call_args)
+
+    def _fits_the_loop(self, doc_id):
+        """Whether a lock-free read of ``doc_id`` as it is published
+        *now* is bounded below what a pool neighbour already costs the
+        other connections — decided from what the server can see,
+        never from a setting. A document that is not resident does
+        not fit: what a queued ``open`` will bring is unknown, and the
+        hop costs a refusal nothing that matters."""
+        try:
+            return len(self.store.document(doc_id)) <= INLINE_MAX_NODES
+        except (ReproError, TypeError):     # absent, or no doc id at all
+            return False
 
     async def _execute_many(self, client, messages):
         """Execute a contiguous pipelined run; responses in request
@@ -383,34 +439,32 @@ class StoreServer:
         event-loop <-> worker-thread handoff: depth-8 pipelining paid
         8 executor round trips plus 8 drains. Here consecutive
         shared-executor commands run in ONE executor hop (sequentially
-        in the worker, preserving per-connection order) — only
-        long-poll ops (:data:`repro.api.ops.POLL_OPS`, which park
-        their thread) and
+        in the worker, preserving per-connection order). A lock-free
+        read pays no hop at all when nothing of its connection is
+        queued ahead of it and its document, as published at that
+        moment, is small (:meth:`_fits_the_loop`): it runs here, with
+        no ``await`` between the size check and the read. Behind
+        queued pool work it joins that hop instead — the work may be
+        the ``open`` or ``flush`` that decides how large the document
+        is, and the hop is already paid — so a read neither overtakes
+        its own connection's writes nor runs here against a document
+        nobody has measured. Long-poll ops
+        (:data:`repro.api.ops.POLL_OPS`, which park their thread) and
         planning failures break the run.
         """
         loop = asyncio.get_running_loop()
         responses = []
         run = []   # (request_id, thunk) pending for the shared hop
+        held_s = 0.0   # spent in reads on the loop since it last ran
 
         async def flush_run():
             if not run:
                 return
             batch = run[:]
             del run[:]
-
-            def execute_all():
-                out = []
-                for request_id, thunk in batch:
-                    try:
-                        out.append(protocol.ok_response(request_id,
-                                                        thunk()))
-                    except Exception as error:
-                        out.append(protocol.error_response(request_id,
-                                                           error))
-                return out
-
             responses.extend(await loop.run_in_executor(
-                self._executor, execute_all))
+                self._executor,
+                lambda: [_answer(*planned) for planned in batch]))
 
         for message in messages:
             request_id = message.get("id")
@@ -424,23 +478,32 @@ class StoreServer:
                 continue
             trace = message.get("trace")
             if isinstance(trace, str) and trace:
-                # the traced thunk still runs synchronously inside its
-                # worker hop, so the contextvar set by run_traced
-                # propagates through dispatch -> store -> durability
+                # the traced thunk runs synchronously wherever it runs
+                # (worker hop or loop), so the contextvar set by
+                # run_traced propagates through dispatch -> store ->
+                # durability
                 thunk = functools.partial(self.obs.run_traced, trace,
                                           op, thunk)
+            if executor is None and (
+                    run or not self._fits_the_loop(args["doc_id"])):
+                executor = self._executor
+            self._m_route["loop" if executor is None else "pool"].inc()
             if executor is self._executor:
                 run.append((request_id, thunk))
                 continue
-            await flush_run()
-            try:
-                result = await loop.run_in_executor(executor, thunk)
-            except Exception as error:
-                responses.append(protocol.error_response(request_id,
-                                                         error))
-            else:
-                responses.append(protocol.ok_response(request_id,
-                                                      result))
+            if executor is not None:
+                await flush_run()
+                responses.append(await loop.run_in_executor(
+                    executor, _answer, request_id, thunk))
+                continue
+            started = loop.time()
+            responses.append(_answer(request_id, thunk))
+            held_s += loop.time() - started
+            if held_s > self._loop_slice_s:
+                # a pipelined run of reads at the size limit: let the
+                # other connections in as often as a pool thread would
+                await asyncio.sleep(0)
+                held_s = 0.0
         await flush_run()
         return responses
 
@@ -634,44 +697,46 @@ class _Connection:
                 self.server._m_frames_in.inc(len(decoded))
                 self._frames.extend(decoded)
 
-    async def _send(self, message, drain=True):
-        """Write one frame; ``False`` when the peer is gone."""
+    def _frame(self, message):
+        """``message`` framed in the connection's codec (JSON for the
+        hello exchange, the negotiated version after it). A result
+        that cannot be framed — too large (`text` of a >MAX_FRAME
+        document), or refused by the codec itself (a lone surrogate in
+        a document an older log let in) — degrades to an error
+        response instead of killing the connection with an unhandled
+        exception; ``None`` when not even that can be framed."""
         try:
-            # both directions share the codec: JSON for the hello
-            # exchange, the negotiated version after it
-            frame = protocol.encode_frame(message, self.decoder.version)
+            return protocol.encode_frame(message, self.decoder.version)
         except Exception as error:
-            # a result that cannot be framed — too large (`text` of a
-            # >MAX_FRAME document), or refused by the codec itself (a
-            # lone surrogate in a document an older log let in) — must
-            # degrade to an error response, not kill the connection
-            # with an unhandled exception
-            if message.get("ok"):
-                if not isinstance(error, ProtocolError):
-                    error = ProtocolError(
-                        "result cannot be encoded: {}".format(error))
-                return await self._send(protocol.error_response(
-                    message.get("id"), error), drain=drain)
-            return False
-        try:
-            self.writer.write(frame)
-            if drain:
-                await self.writer.drain()
-        except (ConnectionError, OSError):
-            return False
-        self.server._m_frames_out.inc()
-        return True
+            if not message.get("ok"):
+                return None
+            if not isinstance(error, ProtocolError):
+                error = ProtocolError(
+                    "result cannot be encoded: {}".format(error))
+            return self._frame(protocol.error_response(
+                message.get("id"), error))
 
-    async def _send_many(self, responses):
-        """Write a batch of frames with one flush at the end."""
-        for response in responses:
-            if not await self._send(response, drain=False):
-                return False
+    async def _send(self, message):
+        """Write one frame; ``False`` when the peer is gone."""
+        return await self._send_many([message])
+
+    async def _send_many(self, messages):
+        """Write a batch of frames with one write and one flush;
+        ``False`` when the peer is gone or a frame could not be
+        made."""
+        frames = []
+        for message in messages:
+            frame = self._frame(message)
+            if frame is None:
+                break
+            frames.append(frame)
         try:
+            self.writer.write(b"".join(frames))
             await self.writer.drain()
         except (ConnectionError, OSError):
             return False
-        return True
+        self.server._m_frames_out.inc(len(frames))
+        return len(frames) == len(messages)
 
     async def _close_writer(self):
         try:

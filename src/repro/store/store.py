@@ -40,6 +40,7 @@ objects as before, and the pending queue is restored.
 
 from __future__ import annotations
 
+import functools
 import threading
 import time
 from collections import Counter
@@ -51,6 +52,7 @@ from repro.errors import (
     ClusterError,
     DurabilityError,
     QueryEvaluationError,
+    QuerySyntaxError,
     RecoveryError,
     ReproError,
 )
@@ -73,6 +75,11 @@ from repro.store.versions import DocumentVersion, replay_catchup
 from repro.xdm.document import Document
 from repro.xdm.parser import parse_document
 from repro.xdm.serializer import serialize, serialize_node
+from repro.xquery.parser import (
+    MAX_CACHED_PATH_CHARS,
+    PATH_MEMO_ENTRIES,
+    parse_path,
+)
 
 #: default headroom budget: containment codes may grow to this many digits
 #: before the store schedules a full relabel of the document
@@ -230,6 +237,15 @@ class StoredDocument:
         with self._publish_cond:
             version.pins -= 1
 
+    def keep_text(self, version, text):
+        """Memoize ``text`` as the serialization of ``version`` — only
+        while it is still the published one: a version that retired
+        while the reader serialized it stays without (see
+        :mod:`repro.store.versions`)."""
+        with self._publish_cond:
+            if version is self.published:
+                version.text = text
+
     def wait_published(self, timeout):
         """Pin the published version once it covers every logged batch.
 
@@ -317,6 +333,9 @@ class StoredDocument:
             self.batches = version.batches
             self.incremental_relabels = version.incremental_relabels
             self.full_relabels = version.full_relabels
+            # the retiring tree is about to be mutated in place as the
+            # next working copy: it must not keep its text
+            self.published.text = None
             self._spare = self.published
             self._catchup = reduced
             self.published = version
@@ -466,6 +485,19 @@ class DocumentStore:
             "repro_planner_bucket_rows",
             "Index bucket sizes scanned by index-scan steps",
             buckets=SIZE_BUCKETS)
+        #: parsed paths by their text, behind :meth:`_parsed_path`
+        self._paths = functools.lru_cache(PATH_MEMO_ENTRIES)(parse_path)
+        self._path_cache = {
+            result: obs.counter("repro_store_path_cache_total",
+                                "Parsed-path memo lookups of query",
+                                result=result)
+            for result in ("hit", "miss", "uncached")}
+        self._text_cache = {
+            result: obs.counter("repro_store_text_cache_total",
+                                "Version-text memo lookups of text "
+                                "and export",
+                                result=result)
+            for result in ("hit", "miss")}
         if isinstance(durability, str):
             durability = DurabilityPolicy.parse(durability)
         if durability is None:
@@ -622,15 +654,29 @@ class DocumentStore:
         version — a consistent pair even while a flush applies: the
         reader pins the published version and serializes it with no
         flush lock, so a slow serialization never stalls the write
-        path and a slow batch never stalls the reader."""
+        path and a slow batch never stalls the reader. A version is
+        immutable, so it is serialized once (:meth:`_version_text`)."""
         start = time.perf_counter()
         entry = self._require(doc_id)
         version = entry.pin()
         try:
-            return serialize(version.document), version.version
+            return self._version_text(entry, version), version.version
         finally:
             entry.unpin(version)
             self._op_latency["text"].observe(time.perf_counter() - start)
+
+    def _version_text(self, entry, version):
+        """Serialized text of the pinned ``version`` of ``entry`` —
+        the one place a version's text is produced: read from the
+        version's memo, or serialized and offered to it."""
+        text = version.text
+        if text is not None:
+            self._text_cache["hit"].inc()
+            return text
+        self._text_cache["miss"].inc()
+        text = serialize(version.document)
+        entry.keep_text(version, text)
+        return text
 
     def stats(self, doc_id=None):
         if doc_id is not None:
@@ -748,7 +794,6 @@ class DocumentStore:
         # local import: the read path should not drag the query stack
         # into store-only deployments
         from repro.index.planner import run_query
-        from repro.xquery import parse_path
 
         start = time.perf_counter()
         entry = self._require(doc_id)
@@ -756,7 +801,7 @@ class DocumentStore:
         try:
             with self.obs.span("query"):
                 nodes, plan = run_query(
-                    parse_path(path), version.document,
+                    self._parsed_path(path), version.document,
                     labeling=version.labeling, index=version.index,
                     engine=engine)
                 rendered = [serialize_node(node) for node in nodes]
@@ -769,6 +814,29 @@ class DocumentStore:
         if explain:
             result["plan"] = plan
         return result
+
+    def _parsed_path(self, path):
+        """``path`` parsed — the one place this store obtains a parsed
+        path. Clients send the same few strings again and again, and
+        planner and engines only read the tree they are handed, so
+        every evaluation of one string shares one tree: a bounded LRU
+        over the pure parser. A string too long to keep (the memo is
+        bounded in bytes, not only in entries) is parsed every time;
+        a syntax error is raised every time, never kept."""
+        if not isinstance(path, str):
+            raise QuerySyntaxError("a path is text, not {}".format(
+                type(path).__name__))
+        if len(path) > MAX_CACHED_PATH_CHARS:
+            self._path_cache["uncached"].inc()
+            return parse_path(path)
+        # a concurrent reader's miss between the two looks can make a
+        # hit count as a miss: the counters are telemetry
+        misses = self._paths.cache_info().misses
+        parsed = self._paths(path)
+        self._path_cache[
+            "hit" if self._paths.cache_info().misses == misses
+            else "miss"].inc()
+        return parsed
 
     def _observe_query(self, doc_id, path, duration, plan):
         """Feed the read-path telemetry from one executed query: the
@@ -1104,7 +1172,8 @@ class DocumentStore:
                     docs.append(document_payload(version))
                 else:
                     docs.append({"doc_id": entry.doc_id,
-                                 "text": serialize(version.document),
+                                 "text": self._version_text(entry,
+                                                            version),
                                  "version": version.version})
             finally:
                 entry.unpin(version)

@@ -34,6 +34,17 @@ where the store is already doing O(document) work — so no successful
 flush in a document's life, not even the first, pays an O(document)
 copy.
 
+Invariant of the text memo: a version is immutable, so the first
+reader that asks for its text serializes it and leaves the string on
+the version (``DocumentVersion.text``) for the next — but only the
+*published* version may hold one. A version is born without a text,
+:meth:`StoredDocument.keep_text` installs one only while the version is
+still published, and ``publish`` clears it under the same lock before
+the version retires into the spare, whose tree the next flush mutates
+in place. A reader that still pins a retired version serializes for
+itself. No document therefore holds two texts, and a document that is
+only written never holds any.
+
 A batch that fails on the working copy is not undone — the copy is
 dropped. Nothing of it was published, so readers, the log and every
 follower still see version N exactly as it was; the writer has lost
@@ -64,7 +75,7 @@ class DocumentVersion:
 
     __slots__ = ("doc_id", "version", "document", "labeling", "batches",
                  "incremental_relabels", "full_relabels", "pins",
-                 "index")
+                 "index", "text")
 
     def __init__(self, doc_id, version, document, labeling, batches=0,
                  incremental_relabels=0, full_relabels=0, index=None):
@@ -80,6 +91,9 @@ class DocumentVersion:
         #: with the pair so a pinned reader queries exactly its version;
         #: ``None`` only on working copies, which are never queried
         self.index = index
+        #: memo of ``serialize(document)``; only the published version
+        #: ever holds one (see the module docstring)
+        self.text = None
 
     def __repr__(self):
         return "DocumentVersion(doc={!r}, v{}, pins={})".format(

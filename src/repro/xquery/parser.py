@@ -19,11 +19,20 @@ from repro.xquery.lexer import (
     tokenize,
 )
 
+#: predicates nested deeper than this are refused. Every level costs
+#: three parser frames, four evaluator frames and about ten in the plan
+#: record's ``repr`` — which overflowed the interpreter's stack between
+#: 60 and 100 levels (an untyped ``RecursionError`` out of ``query``) —
+#: so the bound sits well under that from any calling depth; the
+#: deepest path of any workload or test nests two
+MAX_PREDICATE_NESTING = 32
+
 
 class _Cursor:
     def __init__(self, tokens):
         self.tokens = tokens
         self.index = 0
+        self.depth = 0   # predicates open around the current token
 
     @property
     def current(self):
@@ -80,6 +89,21 @@ def parse_path(text):
     if cursor.current.kind != EOF:
         cursor.fail("trailing input after path")
     return path
+
+
+#: a path longer than this is parsed on every use and never kept, so
+#: the memo is bounded in bytes and not only in entries; the server
+#: also runs no longer path on its event loop, because evaluation costs
+#: up to ~0.85 us per character and node (a path made of nothing but
+#: descendant predicates; 27 ms at 63 characters on 510 nodes). The
+#: longest path of the benchmark's workloads has 40 characters
+MAX_CACHED_PATH_CHARS = 64
+
+#: parsed paths a store keeps (``functools.lru_cache`` over
+#: :func:`parse_path`, least recently used out first; the benchmark's
+#: read workloads cycle through 56 and 69 distinct paths; parsing one
+#: costs ~17 us, keeping one under 2 KB)
+PATH_MEMO_ENTRIES = 256
 
 
 def _parse_expression(cursor):
@@ -249,8 +273,13 @@ def _parse_step(cursor, descendant):
             name = None
     predicates = []
     while cursor.at_symbol("["):
+        if cursor.depth == MAX_PREDICATE_NESTING:
+            cursor.fail("predicates nested deeper than {}".format(
+                MAX_PREDICATE_NESTING))
         cursor.advance()
+        cursor.depth += 1
         predicates.append(_parse_predicate(cursor))
+        cursor.depth -= 1
         cursor.expect_symbol("]")
     step = ast.Step(axis, test, name=name, predicates=predicates)
     return step

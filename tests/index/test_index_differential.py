@@ -270,6 +270,10 @@ class TestEngineDifferential:
                             outcomes.append("rejected")
                     assert outcomes[0] == outcomes[1]
                     assert store.text("d") == baseline.text("d")
+                    # asked twice: the version's memoized text is still
+                    # the published tree, failed batch or not
+                    assert store.text("d") == serialize(
+                        store._entries["d"].published.document)
                     assert_index_is_rebuild(store)
                     assert_engines_agree(store, baseline, queries)
                     position = source.next_seq - seq0

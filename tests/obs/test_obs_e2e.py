@@ -8,6 +8,7 @@ import pytest
 
 from repro.api import AsyncStoreClient, StoreClient, StoreServer
 from repro.errors import ProtocolError
+from repro.obs import series_key
 from repro.store import DocumentStore
 from repro.cli import main as cli_main
 from tests.cluster.harness import ServerThread
@@ -76,6 +77,66 @@ class TestMetricsOp:
                 await server.aclose()
 
         run(scenario())
+
+    def test_a_read_burst_shows_its_route_and_its_memo_hits(self):
+        """An ``indexed_reads``-shaped burst — a few dozen paths over
+        a few small documents, one request in twenty a ``text`` — is
+        readable from the running system: it ran on the loop, and the
+        path and text memos answered more than nine lookups in ten."""
+        paths = ["//title", "/bib/paper/title", "//paper[title]",
+                 "//title/text()", '//paper[title = "T1"]', "//@id"]
+
+        async def scenario(metrics):
+            server = await StoreServer(
+                DocumentStore(workers=2, backend="serial",
+                              metrics=metrics),
+                host="127.0.0.1", port=0).start()
+            try:
+                client = await connect(server)
+                try:
+                    for number in range(3):
+                        await client.open("d{}".format(number), DOC)
+                    before = (await client.metrics())["counters"]
+                    for number in range(400):
+                        doc_id = "d{}".format(number % 3)
+                        if number % 20 == 19:
+                            await client.text(doc_id)
+                        else:
+                            await client.query(
+                                doc_id, paths[number % len(paths)])
+                    after = (await client.metrics())["counters"]
+                    text = (await client.metrics(
+                        format="prometheus"))["text"]
+                finally:
+                    await client.aclose()
+            finally:
+                await server.aclose()
+            return before, after, text
+
+        before, after, text = run(scenario(True))
+
+        def moved(name, **labels):
+            key = series_key(name, labels)
+            return after.get(key, 0) - before.get(key, 0)
+
+        # the burst on the loop; the closing metrics call on the pool
+        assert moved("repro_server_requests_total", route="loop") == 400
+        assert moved("repro_server_requests_total", route="pool") == 1
+        hits = moved("repro_store_path_cache_total", result="hit")
+        misses = moved("repro_store_path_cache_total", result="miss")
+        assert (hits, misses) == (380 - len(paths), len(paths))
+        assert moved("repro_store_path_cache_total",
+                     result="uncached") == 0
+        assert hits / (hits + misses) > 0.9
+        assert moved("repro_store_text_cache_total", result="hit") == 17
+        assert moved("repro_store_text_cache_total", result="miss") == 3
+        for line in ('repro_server_requests_total{route="loop"} 400',
+                     'repro_store_path_cache_total{result="hit"} 374',
+                     'repro_store_text_cache_total{result="miss"} 3'):
+            assert line in text.splitlines()
+        # metrics=False: same answers, nothing counted
+        before, after, text = run(scenario(False))
+        assert before == after == {} and text.startswith("# TYPE repro_up")
 
     def test_traces_and_slow_sections_are_opt_in(self):
         async def scenario():

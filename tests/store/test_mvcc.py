@@ -19,6 +19,7 @@ from repro.errors import DurabilityError
 from repro.pul.ops import Rename
 from repro.pul.pul import PUL
 from repro.store import DocumentStore, StatelessBaseline
+from repro.xdm.parser import parse_document
 from repro.xdm.serializer import serialize
 
 DOC = ("<bib><paper><title>T1</title><authors><author>A</author>"
@@ -318,3 +319,229 @@ class TestCaptureFence:
             assert entry.published is published
             stats = store.stats("d")
             assert (stats["pending"], stats["pending_batches"]) == (2, 0)
+
+
+class TestVersionTextMemo:
+    """A version's text is serialized once, is never stale, and never
+    outlives the version's time as the published one."""
+
+    def test_text_is_the_published_tree_after_every_publish(self):
+        with DocumentStore(backend="serial") as store:
+            store.open("d", DOC)
+            entry = store._entries["d"]
+            baseline = StatelessBaseline(measure_parse=False)
+            baseline.open("d", DOC)
+            for spec in _batch_specs(store.document("d"), 5):
+                for executor in (store, baseline):
+                    executor.submit("d", PUL(
+                        [Rename(t, name) for t, name in spec]))
+                    executor.flush("d")
+                assert entry.published.text is None   # born without one
+                first = store.text("d")
+                assert first == serialize(entry.published.document)
+                assert first == baseline.text("d")
+                # asked again: the very same string, not a second one
+                assert store.text("d") is first
+                assert entry.published.text is first
+
+    def test_export_and_text_share_the_one_memo(self):
+        with DocumentStore(backend="serial") as store:
+            store.open("d", DOC)
+            exported = store.export_state(form="xml")["docs"][0]["text"]
+            assert store.text("d") is exported
+            assert store.text_version("d") == (exported, 0)
+
+    def test_a_retired_version_keeps_no_text(self):
+        """A reader that pinned N before a flush still reads N's text
+        after N retired — and then nothing reachable from the entry
+        holds it: the retired tree is the next working copy."""
+        with DocumentStore(backend="serial") as store:
+            store.open("d", DOC)
+            entry = store._entries["d"]
+            text0 = store.text("d")
+            pinned = entry.pin()
+            assert pinned.text is text0
+            title = _id_of(store.document("d"), "title")
+            store.submit("d", PUL([Rename(title, "renamed")]))
+            store.flush("d")
+            assert entry._spare is pinned
+            assert pinned.text is None          # cleared, not just unread
+            assert entry.published.text is None
+            # the pinned reader still gets N's bytes, and leaves none
+            assert store._version_text(entry, pinned) == text0
+            assert pinned.text is None
+            entry.unpin(pinned)
+            assert "<renamed>" in store.text("d")
+            assert [v.text for v in (entry.published, entry._spare)
+                    ].count(None) == 1
+
+    def test_a_write_heavy_document_never_holds_a_text(self):
+        with DocumentStore(backend="serial") as store:
+            store.open("d", DOC)
+            entry = store._entries["d"]
+            for spec in _batch_specs(store.document("d"), 4):
+                store.submit("d", PUL(
+                    [Rename(t, name) for t, name in spec]))
+                store.flush("d")
+                assert entry.published.text is None
+                assert entry._spare.text is None
+
+    def test_a_failed_batch_leaves_the_memo_valid(self):
+        from repro.errors import ReproError
+        from repro.pul.ops import InsertAttributes
+        from repro.xdm.node import Node
+
+        with DocumentStore(backend="serial") as store:
+            store.open("d", DOC)
+            entry = store._entries["d"]
+            text0 = store.text("d")
+            paper = _id_of(store.document("d"), "paper")
+            for client in ("alice", "bob"):     # a duplicate attribute
+                store.submit("d", PUL([InsertAttributes(
+                    paper, [Node.attribute("dup", client)])]),
+                    client=client)
+            with pytest.raises(ReproError):
+                store.flush("d")
+            assert entry.published.text is text0
+            assert store.text("d") is text0
+            assert text0 == serialize(entry.published.document)
+
+    def test_threaded_readers_never_see_a_stale_text(self):
+        """Readers hammer ``text`` while the writer publishes: every
+        ``(text, version)`` pair is on the baseline's timeline."""
+        specs = _batch_specs(parse_document(DOC), 25)
+        timeline = _baseline_timeline(specs)
+        with DocumentStore(backend="serial") as store:
+            store.open("d", DOC)
+            stop = threading.Event()
+            wrong = []
+
+            def reader():
+                while not stop.is_set():
+                    text, version = store.text_version("d")
+                    if timeline[version] != text:
+                        wrong.append(version)
+
+            readers = [threading.Thread(target=reader, daemon=True)
+                       for __ in range(4)]
+            for thread in readers:
+                thread.start()
+            for spec in specs:
+                store.submit("d", PUL(
+                    [Rename(t, name) for t, name in spec]))
+                store.flush("d")
+            stop.set()
+            for thread in readers:
+                thread.join(10)
+                assert not thread.is_alive()
+            assert not wrong
+            entry = store._entries["d"]
+            assert store.text("d") == timeline[len(specs)]
+            assert entry._spare is None or entry._spare.text is None
+
+
+def _ast_dump(node):
+    """Every attribute of a parsed path, recursively, as plain data."""
+    if isinstance(node, (list, tuple)):
+        return [_ast_dump(item) for item in node]
+    slots = getattr(type(node), "__slots__", None)
+    if slots is None:
+        return node
+    return (type(node).__name__,
+            [(name, _ast_dump(getattr(node, name))) for name in slots])
+
+
+class TestPathMemo:
+    @staticmethod
+    def _outcomes(store):
+        """``(hits, misses, uncached)`` as the store counted them."""
+        return tuple(store._path_cache[result].value
+                     for result in ("hit", "miss", "uncached"))
+
+    def test_a_repeated_path_is_the_identical_tree(self):
+        with DocumentStore(backend="serial") as store:
+            store.open("d", DOC)
+            store.query("d", "//title")
+            first = store._parsed_path("//title")
+            assert self._outcomes(store) == (1, 1, 0)
+            store.query("d", "//title")
+            assert store._parsed_path("//title") is first
+
+    def test_evaluation_never_mutates_the_shared_tree(self):
+        """The memo hands one tree to every evaluation: planner, index
+        engine and walker must only read it."""
+        paths = ['//paper[title = "T1"]/authors/author', "//paper[1]/title",
+                 "//paper[authors[author]]", "/bib/*/title/text()",
+                 "//@*", "//paper[last()]"]
+        with DocumentStore(backend="serial") as store:
+            store.open("d", DOC)
+            for path in paths:
+                parsed = store._parsed_path(path)
+                before = _ast_dump(parsed)
+                for engine in ("auto", "index", "walk"):
+                    store.query("d", path, engine=engine)
+                store.explain("d", path)
+                assert store._parsed_path(path) is parsed
+                assert _ast_dump(parsed) == before
+            assert self._outcomes(store) == (5 * len(paths), len(paths), 0)
+
+    def test_a_syntax_error_is_never_cached(self):
+        from repro.errors import QuerySyntaxError
+
+        with DocumentStore(backend="serial") as store:
+            store.open("d", DOC)
+            for __ in range(2):
+                with pytest.raises(QuerySyntaxError):
+                    store.query("d", "//title[")
+            assert store._paths.cache_info().currsize == 0
+            with pytest.raises(QuerySyntaxError, match="not int"):
+                store.query("d", 7)
+
+    def test_a_long_path_is_never_kept(self):
+        from repro.xquery.parser import MAX_CACHED_PATH_CHARS
+
+        at_bound = "//" + "t" * (MAX_CACHED_PATH_CHARS - 2)
+        with DocumentStore(backend="serial") as store:
+            store.open("d", DOC)
+            store._parsed_path(at_bound)
+            store._parsed_path(at_bound)
+            assert self._outcomes(store) == (1, 1, 0)
+            for __ in range(2):
+                store._parsed_path(at_bound + "t")
+            assert self._outcomes(store) == (1, 1, 2)
+            assert store._paths.cache_info().currsize == 1
+            assert store.query("d", at_bound + "t")["count"] == 0
+
+    def test_distinct_paths_leave_a_constant_number_of_entries(self):
+        from repro.xquery.parser import PATH_MEMO_ENTRIES
+
+        with DocumentStore(backend="serial") as store:
+            store.open("d", DOC)
+            for number in range(10000):
+                store._parsed_path("//t{}".format(number))
+            assert store._paths.cache_info().currsize == PATH_MEMO_ENTRIES
+            # least recently used went first: the newest are all kept
+            store._parsed_path("//t9999")
+            assert self._outcomes(store) == (1, 10000, 0)
+            store._parsed_path("//t0")
+            assert self._outcomes(store) == (1, 10001, 0)
+
+    def test_lookups_are_counted(self):
+        with DocumentStore(backend="serial") as store:
+            store.open("d", DOC)
+            for __ in range(3):
+                store.query("d", "//title")
+            store.query("d", "//title" + " " * 80)
+            store.text("d")
+            store.text("d")
+            counters = store.metrics_snapshot()["counters"]
+            assert counters[
+                'repro_store_path_cache_total{result="hit"}'] == 2
+            assert counters[
+                'repro_store_path_cache_total{result="miss"}'] == 1
+            assert counters[
+                'repro_store_path_cache_total{result="uncached"}'] == 1
+            assert counters[
+                'repro_store_text_cache_total{result="hit"}'] == 1
+            assert counters[
+                'repro_store_text_cache_total{result="miss"}'] == 1

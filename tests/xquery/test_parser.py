@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import QuerySyntaxError
 from repro.xquery import ast
-from repro.xquery.parser import parse_program
+from repro.xquery.parser import parse_path, parse_program
 
 
 def single(text):
@@ -143,3 +143,53 @@ class TestErrors:
     def test_rejects(self, text):
         with pytest.raises(QuerySyntaxError):
             parse_program(text)
+
+
+class TestPredicateNesting:
+    """Predicate nesting is bounded: a path nested past the bound is a
+    syntax error at the offending ``[``, however deep it goes on —
+    never the interpreter's ``RecursionError`` out of the parser, the
+    planner's plan record or the evaluator."""
+
+    @staticmethod
+    def nested(levels):
+        return "/a" + "[b" * levels + "]" * levels
+
+    def test_the_bound_itself_parses_and_evaluates(self):
+        from repro.store import DocumentStore
+        from repro.xquery.parser import MAX_PREDICATE_NESTING
+
+        text = self.nested(MAX_PREDICATE_NESTING)
+        path = parse_path(text)
+        depth = 0
+        while path.steps[0].predicates:
+            path = path.steps[0].predicates[0].path
+            depth += 1
+        assert depth == MAX_PREDICATE_NESTING
+        with DocumentStore(backend="serial") as store:
+            store.open("d", "<a><b/></a>")
+            assert store.query("d", text)["count"] == 0
+            assert store.explain("d", text)["plan"]["steps"]
+
+    @pytest.mark.parametrize("beyond", [1, 2000])
+    def test_past_the_bound_is_a_syntax_error_at_the_bracket(
+            self, beyond):
+        from repro.xquery.parser import MAX_PREDICATE_NESTING
+
+        text = self.nested(MAX_PREDICATE_NESTING + beyond)
+        # "/a" then "[b" per level: the first bracket past the bound
+        offending = 2 + 2 * MAX_PREDICATE_NESTING
+        assert text[offending] == "["
+        with pytest.raises(QuerySyntaxError) as excinfo:
+            parse_path(text)
+        assert excinfo.value.position == offending
+        prefix = "delete nodes "
+        with pytest.raises(QuerySyntaxError) as excinfo:
+            parse_program(prefix + text)
+        assert excinfo.value.position == len(prefix) + offending
+
+    def test_siblings_do_not_count_as_nesting(self):
+        from repro.xquery.parser import MAX_PREDICATE_NESTING
+
+        path = parse_path("/a" + "[b]" * (4 * MAX_PREDICATE_NESTING))
+        assert len(path.steps[0].predicates) == 4 * MAX_PREDICATE_NESTING
