@@ -2,7 +2,7 @@
 steady-state replication lag.
 
 The experiment behind the PR 5 scale-out claim. Every node is a real
-``repro cluster serve`` *process* (own interpreter, own GIL, ephemeral
+``repro store serve`` *process* (own interpreter, own GIL, ephemeral
 TCP port; replicas stream the leader's WAL through the live
 :class:`ReplicaSync` path) — in-process "nodes" would share one GIL
 and could never show genuine read scaling. Two measurements:
@@ -71,7 +71,7 @@ class _Cluster:
 
     def _spawn(self, extra):
         process = subprocess.Popen(
-            [sys.executable, "-m", "repro.cli", "cluster", "serve",
+            [sys.executable, "-m", "repro.cli", "store", "serve",
              "--listen", "127.0.0.1:0",
              "--workers", str(self.workers),
              "--backend", self.backend,
@@ -87,11 +87,11 @@ class _Cluster:
 
     def __enter__(self):
         self.leader_address = self._spawn(
-            ["--role", "leader", "--durability", "log",
+            ["--replicate", "--durability", "log",
              "--wal-dir", os.path.join(self.tmp_dir, "leader")])
         for index in range(self.replica_count):
             self.replica_addresses.append(self._spawn(
-                ["--role", "replica", "--leader", self.leader_address,
+                ["--follow", self.leader_address,
                  "--replica-id", "bench-r{}".format(index)]))
         return self
 

@@ -1,89 +1,76 @@
-"""Cloud scenario: updates travel over the network and are batched.
+"""Cloud scenario: update requests arrive over the network and are batched.
 
-Many producers spread over a (simulated) network send update requests
-against an XMark auction site; the executor collects them and applies them
-in batches. The example contrasts the two execution strategies the paper
-evaluates (Figure 6d): applying each PUL in its own streamed pass versus
-aggregating each batch into one PUL and streaming the document once —
-and reports the virtual-network cost of shipping PULs instead of
-documents.
+A client sends a chain of update requests against an XMark auction site
+to the store that holds the authoritative copy. Each request is a PUL
+in the exchange format; its new nodes carry the client's identifiers,
+so later requests can target them. The example contrasts the two
+execution strategies the paper evaluates (Figure 6d): one streamed pass
+over the document per PUL, versus the store's way — the client's chain
+submitted as it arrives and flushed once, coalescing aggregating it
+into a single PUL first. Both must produce the same bytes, node
+identifiers included. It also reports what shipping PULs instead of
+the document costs.
 
 Run: ``python examples/cloud_updates.py``
 """
 
 import time
 
-from repro.aggregation import aggregate
-from repro.apply.events import events_to_xml, parse_events
+from repro.apply.events import document_events, events_to_document
 from repro.apply.streaming import apply_streaming
-from repro.distributed import SimulatedNetwork
-from repro.pul.serialize import pul_from_xml, pul_to_xml
+from repro.pul.serialize import pul_from_xml, pul_to_xml, tree_to_xml
+from repro.store import DocumentStore
 from repro.workloads import generate_sequential_puls, generate_xmark
 from repro.xdm.serializer import serialize
 
 
 def main():
-    document = generate_xmark(scale=0.2, seed=42)
+    document = generate_xmark(scale=0.1, seed=42)
     text = serialize(document)
     print("authoritative document: {:.0f} KB, {} nodes".format(
         len(text) / 1e3, len(document)))
 
-    # a batch of sequential update requests arriving from the cloud
-    batch_size = 8
+    # the client's chain: later requests edit nodes earlier ones inserted
     puls, expected = generate_sequential_puls(
-        document, batch_size, 150, new_node_ratio=0.4, seed=7)
+        document, 8, 100, new_node_ratio=0.4, seed=7, origin="cloud")
+    wires = [pul_to_xml(pul) for pul in puls]
+    print("{} PULs received, {} bytes in total; shipping the document "
+          "instead costs {} bytes per trip".format(
+              len(wires), sum(len(wire.encode()) for wire in wires),
+              len(text.encode())))
 
-    network = SimulatedNetwork(latency=0.03, bandwidth=2_000_000)
-    wires = []
-    for index, pul in enumerate(puls):
-        payload = pul_to_xml(pul)
-        wires.append(payload)
-        network.send("node{}".format(index), "executor",
-                     _Sized(payload), kind="pul")
-    print("{} PULs received, {} bytes total, virtual clock {:.3f}s"
-          .format(len(wires), network.bytes_transferred, network.clock))
-    # shipping the whole document back and forth would have cost:
-    print("(shipping the document instead would cost {} bytes per trip)"
-          .format(len(text.encode())))
-
-    received = [pul_from_xml(wire) for wire in wires]
-
-    # strategy 1: one streamed pass per PUL
+    # strategy 1: one streamed pass per PUL; the events carry the node
+    # ids from one pass to the next
     start = time.perf_counter()
-    current = text
-    for pul in received:
-        current = events_to_xml(apply_streaming(
-            parse_events(current), pul, check=False))
+    current = document.copy()
+    for wire in wires:
+        current = events_to_document(
+            apply_streaming(document_events(current), pul_from_xml(wire),
+                            fresh_start=current.allocator.next_value),
+            allocator=current.allocator)
     sequential_time = time.perf_counter() - start
 
-    # strategy 2: aggregate, then a single streamed pass
-    start = time.perf_counter()
-    combined = aggregate(received)
-    batched = events_to_xml(apply_streaming(
-        parse_events(text), combined, check=False))
-    aggregated_time = time.perf_counter() - start
-    assert batched == current, "the two strategies must agree"
+    # strategy 2: the store — submit the chain, flush once
+    with DocumentStore(workers=1, backend="serial") as store:
+        store.open("site", text)
+        start = time.perf_counter()
+        for wire in wires:
+            store.submit("site", pul_from_xml(wire), client="cloud")
+        batch = store.flush("site")
+        aggregated_time = time.perf_counter() - start
+        aggregated = tree_to_xml(store.document("site").root)
 
-    print("\nsequential passes: {:.3f}s".format(sequential_time))
-    print("aggregate + one pass: {:.3f}s  ({} ops collapsed to {})"
-          .format(aggregated_time, sum(len(p) for p in received),
-                  len(combined)))
-    print("speedup: {:.2f}x (grows with the number of PULs — Figure 6d)"
-          .format(sequential_time / aggregated_time))
+    assert aggregated == tree_to_xml(current.root), \
+        "the two strategies must agree"
+    assert aggregated == tree_to_xml(expected.root)
 
-
-class _Sized:
-    """Adapter giving plain strings the message interface."""
-
-    def __init__(self, payload):
-        self.payload = payload
-
-    def size_bytes(self):
-        return len(self.payload.encode("utf-8"))
-
-
-def main_guard():
-    main()
+    print("\nsequential passes:      {:.3f}s".format(sequential_time))
+    print("one flush of the chain: {:.3f}s  ({} ops aggregated to {})"
+          .format(aggregated_time, sum(len(pul) for pul in puls),
+                  batch.submitted_ops))
+    print("speedup: {:.2f}x (grows with the number of PULs — Figure 6d); "
+          "same bytes, node ids included".format(
+              sequential_time / aggregated_time))
 
 
 if __name__ == "__main__":

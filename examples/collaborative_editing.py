@@ -1,19 +1,22 @@
 """Collaborative editing: parallel PULs, conflicts, policies.
 
-Reproduces the check-out / check-in workflow of the paper's introduction:
-an executor holds the authoritative article, three collaborators check it
-out, each produces a PUL against the *same* base version, and the executor
-integrates them. Some intentions clash — the conflicts are detected
-(Figure 3 / Algorithm 1) and reconciled under the producers' policies
-(Algorithm 3), mirroring the paper's Example 9; the failing all-demand-
-order variant is shown too.
+Reproduces the check-out / check-in workflow of the paper's
+introduction: a store holds the authoritative article, three
+collaborators check it out, each produces a PUL against the *same*
+version and submits it under its own client name, and the store's
+coalescing integrates them. Some intentions clash — the conflicts are
+detected (Figure 3 / Algorithm 1) and reconciled under the producers'
+policies (Algorithm 3), mirroring the paper's Example 9; the failing
+all-demand-order variant is shown too.
 
 Run: ``python examples/collaborative_editing.py``
 """
 
-from repro import ProducerPolicy
-from repro.distributed import Executor, Producer, SimulatedNetwork
+from repro import ProducerPolicy, integrate
 from repro.errors import ReconciliationError
+from repro.store import DocumentStore
+from repro.store.durability import restore_document
+from repro.xquery import compile_pul
 
 ARTICLE = """\
 <article>
@@ -25,71 +28,80 @@ ARTICLE = """\
   <status>draft</status>
 </article>"""
 
+# everyone edits the same regions of the document
+EDITS = {
+    "giovanna": """
+        insert node <author>G. Guerrini</author>
+            after /article/authors/author[1],
+        replace value of node /article/status/text() with "submitted"
+    """,
+    "marco": """
+        insert node <author>M. Mesiti</author>
+            after /article/authors/author[1],
+        replace value of node /article/status/text() with "camera-ready"
+    """,
+    "federico": """
+        rename node /article/abstract as summary
+    """,
+}
+
+POLICIES = {
+    "giovanna": ProducerPolicy(preserve_insertion_order=True,
+                               preserve_inserted_data=True),
+    "marco": ProducerPolicy(),
+    "federico": ProducerPolicy(preserve_inserted_data=True),
+}
+
+
+def produce(store):
+    """Each collaborator checks the article out and produces its PUL
+    locally, against the same version."""
+    payload = store.export_state(doc_ids=["article"])["docs"][0]
+    puls = []
+    for name, query in EDITS.items():
+        checkout = restore_document(payload)
+        puls.append(compile_pul(query, checkout.document,
+                                labeling=checkout.labeling, origin=name))
+    return puls
+
+
+def check_in(store, puls):
+    for pul in puls:
+        store.submit("article", pul, client=pul.origin)
+    return store.flush("article")
+
 
 def main():
-    network = SimulatedNetwork(latency=0.02)
-    executor = Executor(ARTICLE)
-    executor.register_producer("giovanna", ProducerPolicy(
-        preserve_insertion_order=True, preserve_inserted_data=True))
-    executor.register_producer("marco", ProducerPolicy())
-    executor.register_producer("federico", ProducerPolicy(
-        preserve_inserted_data=True))
-
-    producers = {name: Producer(name)
-                 for name in ("giovanna", "marco", "federico")}
-    for name, producer in producers.items():
-        snapshot = executor.snapshot_for(name)
-        network.send("executor", name, snapshot, kind="checkout")
-        producer.checkout(snapshot)
-
-    # everyone edits the same regions of the document
-    edits = {
-        "giovanna": """
-            insert node <author>G. Guerrini</author>
-                after /article/authors/author[1],
-            replace value of node /article/status/text() with "submitted"
-        """,
-        "marco": """
-            insert node <author>M. Mesiti</author>
-                after /article/authors/author[1],
-            replace value of node /article/status/text() with "camera-ready"
-        """,
-        "federico": """
-            rename node /article/abstract as summary
-        """,
-    }
-    messages = []
-    for name, query in edits.items():
-        pul = producers[name].produce(query)
-        message = producers[name].message_for(pul)
-        network.send(name, "executor", message)
-        messages.append(message)
-
-    version, conflicts = executor.execute_parallel(messages)
-    print("Detected conflicts:")
-    for conflict in conflicts:
-        print("   ", conflict.describe())
-    print("\nReconciled and executed as version", version)
-    print("\nAuthoritative document now:\n")
-    print(executor.text())
-    print("\nNetwork summary:", network.summary())
+    with DocumentStore(workers=1, backend="serial",
+                       on_conflict="reconcile",
+                       policies=POLICIES) as store:
+        store.open("article", ARTICLE)
+        puls = produce(store)
+        print("Detected conflicts:")
+        for conflict in integrate(puls).conflicts:
+            print("   ", conflict.describe())
+        result = check_in(store, puls)
+        print("\nReconciled the PULs of {} clients and executed them as "
+              "version {}".format(result.clients, result.version))
+        print("\nAuthoritative document now:\n")
+        print(store.text("article"))
 
     # a variant that cannot be reconciled: everyone demands order
-    strict = Executor(ARTICLE)
-    for name in producers:
-        strict.register_producer(name, ProducerPolicy(
-            preserve_insertion_order=True))
-    strict_messages = []
-    for name, query in edits.items():
-        producer = Producer(name)
-        producer.checkout(strict.snapshot_for(name))
-        strict_messages.append(producer.message_for(
-            producer.produce(edits[name])))
-    try:
-        strict.execute_parallel(strict_messages)
-    except ReconciliationError as error:
-        print("\nAll-producers-demand-order variant correctly fails:")
-        print("   ", error)
+    strict = {name: ProducerPolicy(preserve_insertion_order=True)
+              for name in EDITS}
+    with DocumentStore(workers=1, backend="serial",
+                       on_conflict="reconcile", policies=strict) as store:
+        store.open("article", ARTICLE)
+        try:
+            check_in(store, produce(store))
+        except ReconciliationError as error:
+            print("\nAll-producers-demand-order variant correctly fails:")
+            print("   ", error)
+        else:
+            raise AssertionError("the strict variant must not reconcile")
+        # the refused batch changed nothing and stays queued
+        assert store.version("article") == 0
+        assert store.stats("article")["pending"] == len(EDITS)
 
 
 if __name__ == "__main__":

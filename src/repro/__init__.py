@@ -26,9 +26,12 @@ Producing PULs from XQuery Update expressions and applying them::
 
     from repro import compile_pul, apply_streaming, apply_in_memory
 
-The distributed architecture::
+The distributed architecture — producers are clients of one store, which
+reasons on their PULs (aggregating each client's sequence, integrating or
+reconciling parallel clients) and makes them effective::
 
-    from repro.distributed import Executor, Producer, SimulatedNetwork
+    from repro.store import DocumentStore     # in-process
+    from repro.api import StoreClient         # `repro store serve`
 """
 
 from repro.aggregation import aggregate

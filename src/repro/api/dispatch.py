@@ -183,7 +183,7 @@ class StoreDispatcher:
                                      operation="the replication stream")
             raise ClusterError(
                 "replication is not enabled on this node (serve it "
-                "with `repro cluster serve --role leader`)")
+                "with `repro store serve --replicate`)")
         return source
 
     # -- CDC & bulk ETL (see repro.cdc / repro.etl) ---------------------------

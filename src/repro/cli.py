@@ -17,7 +17,10 @@ Subcommands mirror the library's pipeline (``-`` reads stdin):
   ``store serve --listen host:port|unix:PATH`` serves the versioned
   network protocol of :mod:`repro.api` (asyncio, many concurrent
   clients, pipelined requests) — the store's one front door —
-  optionally durable (``--wal-dir``, ``--durability log+snapshot:N``);
+  optionally durable (``--wal-dir``, ``--durability log+snapshot:N``),
+  as a replication leader (``--replicate``: the write-ahead log is
+  the change feed) or as a read replica following one (``--follow
+  HOST:PORT``);
   ``store recover`` rebuilds state from a durability directory
   (``--verify`` byte-compares against the stateless replay oracle);
   ``store bench`` reports resident-incremental vs parse+full-relabel
@@ -29,10 +32,8 @@ Subcommands mirror the library's pipeline (``-`` reads stdin):
   (Prometheus text or ``--json``) and ``store top`` is a live,
   curses-free dashboard over a running server (ops/sec, latency
   percentiles, fsync rate, replication lag);
-* ``cluster``   — the replicated multi-node deployment:
-  ``cluster serve --role leader|replica`` runs one node (leaders ship
-  their write-ahead log, replicas stream it and serve reads),
-  ``cluster promote --node HOST:PORT`` manually fails over to a
+* ``cluster``   — operating a replicated deployment of ``store serve``
+  nodes: ``cluster promote --node HOST:PORT`` manually fails over to a
   caught-up replica, ``cluster status`` reports role, stream position
   and replication lag per node.
 
@@ -259,15 +260,28 @@ def cmd_store_serve(args, out):
 
     policy, wal_dir = _durability_policy(args)
     host, port, unix_path = _parse_listen(args.listen)
-    store = DocumentStore(workers=args.workers, backend=args.backend,
-                          max_code_length=args.max_code_length,
-                          on_conflict=args.on_conflict,
-                          durability=policy, wal_dir=wal_dir,
-                          **_observability_kwargs(args))
-    if args.replicate:
-        # standalone CDC: publish the WAL as a change feed so
-        # `subscribe`/`export` work without a cluster deployment
-        store.enable_replication()
+    options = dict(workers=args.workers, backend=args.backend,
+                   max_code_length=args.max_code_length,
+                   on_conflict=args.on_conflict,
+                   durability=policy, wal_dir=wal_dir,
+                   **_observability_kwargs(args))
+    sync = None
+    if args.follow is not None:
+        # a follower: streams the leader's log and serves reads
+        from repro.cluster import ReplicaStore, ReplicaSync, parse_address
+
+        parse_address(args.follow)
+        store = ReplicaStore(leader_address=args.follow, **options)
+        sync = ReplicaSync(
+            store, args.follow,
+            args.replica_id or "replica-{}".format(os.getpid()),
+            wait_s=args.poll_wait)
+    else:
+        store = DocumentStore(**options)
+        if args.replicate:
+            # a leader: the WAL doubles as the change feed that
+            # followers and `subscribe`/`export` consumers read
+            store.enable_replication(backlog=args.backlog)
     if store.recovery is not None:
         # the report goes to stderr: stdout carries the listen banner
         for line in store.recovery.lines():
@@ -291,10 +305,21 @@ def cmd_store_serve(args, out):
         metrics_address = server.metrics_http_address
         if metrics_address is not None:
             out.write("metrics http {}:{}\n".format(*metrics_address))
+        if args.replicate or sync is not None:
+            out.write("role {}\n".format(store.role))
         out.flush()
+        # the sync loop starts after the listeners are up, so a peer
+        # probing this node's status can already reach it while the
+        # leader connection is still backing off
+        if sync is not None:
+            sync.start()
         await server.serve_forever()
 
-    asyncio.run(_serve())
+    try:
+        asyncio.run(_serve())
+    finally:
+        if sync is not None:
+            sync.stop()
     return 0
 
 
@@ -652,70 +677,6 @@ def cmd_invert(args, out):
     return 0
 
 
-def cmd_cluster_serve(args, out):
-    import asyncio
-
-    from repro.api.server import StoreServer
-    from repro.cluster import ReplicaStore, ReplicaSync
-
-    policy, wal_dir = _durability_policy(args)
-    host, port, unix_path = _parse_listen(args.listen)
-    common = dict(workers=args.workers, backend=args.backend,
-                  max_code_length=args.max_code_length,
-                  durability=policy, wal_dir=wal_dir,
-                  **_observability_kwargs(args))
-    sync = None
-    if args.role == "leader":
-        if wal_dir is None:
-            raise ReproError(
-                "a leader ships its write-ahead log: --wal-dir is "
-                "required with --role leader")
-        store = DocumentStore(on_conflict=args.on_conflict, **common)
-        store.enable_replication(backlog=args.backlog)
-    else:
-        if not args.leader:
-            raise ReproError("--role replica needs --leader HOST:PORT")
-        store = ReplicaStore(leader_address=args.leader, **common)
-        replica_id = args.replica_id or "replica-{}".format(os.getpid())
-        sync = ReplicaSync(store, args.leader, replica_id,
-                           wait_s=args.poll_wait)
-    if store.recovery is not None:
-        for line in store.recovery.lines():
-            sys.stderr.write("recover: {}\n".format(line))
-    server = StoreServer(store, host=host, port=port,
-                         unix_path=unix_path,
-                         max_pipeline=args.max_pipeline,
-                         metrics_listen=(
-                             _parse_metrics_listen(args.metrics_listen)
-                             if args.metrics_listen else None))
-
-    async def _serve():
-        await server.start()
-        address = server.tcp_address
-        if address is not None:
-            out.write("listening tcp {}:{}\n".format(*address))
-        if unix_path is not None:
-            out.write("listening unix {}\n".format(unix_path))
-        metrics_address = server.metrics_http_address
-        if metrics_address is not None:
-            out.write("metrics http {}:{}\n".format(*metrics_address))
-        out.write("role {}\n".format(store.role))
-        out.flush()
-        # the sync loop starts after the listeners are up, so a peer
-        # probing this node's status can already reach it while the
-        # leader connection is still backing off
-        if sync is not None:
-            sync.start()
-        await server.serve_forever()
-
-    try:
-        asyncio.run(_serve())
-    finally:
-        if sync is not None:
-            sync.stop()
-    return 0
-
-
 def cmd_cluster_promote(args, out):
     from repro.cluster import parse_address
 
@@ -906,10 +867,25 @@ def build_parser():
                                 "pipelined requests")
     serve_cmd.add_argument("--on-conflict", default="error",
                            choices=("error", "reconcile"))
-    serve_cmd.add_argument("--replicate", action="store_true",
-                           help="publish the write-ahead log as a "
-                                "change feed (enables subscribe/export "
-                                "CDC ops; needs --wal-dir)")
+    role = serve_cmd.add_mutually_exclusive_group()
+    role.add_argument("--replicate", action="store_true",
+                      help="serve as a replication leader: publish the "
+                           "write-ahead log as a change feed for "
+                           "followers and subscribe/export (needs "
+                           "--wal-dir)")
+    role.add_argument("--follow", default=None, metavar="HOST:PORT",
+                      help="serve as a read replica streaming this "
+                           "leader's write-ahead log")
+    serve_cmd.add_argument("--backlog", type=int, default=None,
+                           help="records a leader retains for followers "
+                                "before they must re-bootstrap "
+                                "(--replicate)")
+    serve_cmd.add_argument("--replica-id", default=None,
+                           help="name announced to the leader (--follow; "
+                                "default: replica-<pid>)")
+    serve_cmd.add_argument("--poll-wait", type=float, default=2.0,
+                           help="replica long-poll window in seconds "
+                                "(--follow)")
     serve_cmd.set_defaults(func=cmd_store_serve)
 
     recover_cmd = store_commands.add_parser(
@@ -1049,46 +1025,10 @@ def build_parser():
     top_cmd.set_defaults(func=cmd_store_top)
 
     cluster_cmd = commands.add_parser(
-        "cluster", help="replicated multi-node deployment "
-                        "(WAL-shipping leaders, read replicas)")
+        "cluster", help="operate replicated `store serve` nodes "
+                        "(manual failover, replication status)")
     cluster_commands = cluster_cmd.add_subparsers(dest="cluster_command",
                                                   required=True)
-
-    cluster_serve_cmd = cluster_commands.add_parser(
-        "serve", help="serve one cluster node (leader or replica) on "
-                      "the network protocol")
-    _store_options(cluster_serve_cmd)
-    _durability_options(cluster_serve_cmd)
-    _observability_options(cluster_serve_cmd)
-    cluster_serve_cmd.add_argument("--role", required=True,
-                                   choices=("leader", "replica"))
-    cluster_serve_cmd.add_argument("--listen", required=True,
-                                   metavar="HOST:PORT|unix:PATH",
-                                   help="listen address (port 0 picks "
-                                        "an ephemeral port, reported "
-                                        "on stdout)")
-    cluster_serve_cmd.add_argument("--leader", default=None,
-                                   metavar="HOST:PORT",
-                                   help="leader to stream from "
-                                        "(replicas only)")
-    cluster_serve_cmd.add_argument("--replica-id", default=None,
-                                   help="name announced to the leader "
-                                        "(default: replica-<pid>)")
-    cluster_serve_cmd.add_argument("--backlog", type=int, default=None,
-                                   help="records the leader retains "
-                                        "for followers before they "
-                                        "must re-bootstrap")
-    cluster_serve_cmd.add_argument("--poll-wait", type=float,
-                                   default=2.0,
-                                   help="replica long-poll window in "
-                                        "seconds")
-    cluster_serve_cmd.add_argument("--max-pipeline", type=int,
-                                   default=32,
-                                   help="per-connection bound on "
-                                        "queued pipelined requests")
-    cluster_serve_cmd.add_argument("--on-conflict", default="error",
-                                   choices=("error", "reconcile"))
-    cluster_serve_cmd.set_defaults(func=cmd_cluster_serve)
 
     promote_cmd = cluster_commands.add_parser(
         "promote", help="convert a caught-up replica into a leader "

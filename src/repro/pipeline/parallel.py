@@ -187,9 +187,9 @@ class ParallelReducer:
 
     def reduce_wire(self, payloads):
         """Reduce serialized shard payloads (the exchange-format texts of
-        a :class:`~repro.distributed.messages.ShardEnvelope` batch)
-        without decoding them in the calling process: each worker decodes,
-        reduces and re-encodes its shard. Returns
+        the shards of one PUL, as :func:`~repro.pul.serialize.pul_to_xml`
+        writes them) without decoding them in the calling process: each
+        worker decodes, reduces and re-encodes its shard. Returns
         ``(reduced_payloads, failures)`` in shard order."""
         reduced, failures, __ = self._map(_reduce_shard_wire, payloads)
         return reduced, failures

@@ -396,9 +396,10 @@ class DurabilityManager:
         instead of N — the cross-client group commit — and no caller
         returns before its own records are behind the synced horizon
         and on the replication stream. A failed fsync destroys every
-        record of its train and raises in each of their callers. (A
-        *write* that fails midway through ``records`` raises with the
-        earlier ones still buffered: they ride the next train.)
+        record of its train and raises in each of their callers. The
+        records of one call are written together: a *write* that fails
+        midway through them cuts the segment back to where the call
+        began, so a refused call leaves nothing for the next train.
         """
         payloads = [encode_payload(record) for record in records]
         if not payloads:
@@ -412,9 +413,8 @@ class DurabilityManager:
                         "durability manager is not started (or already "
                         "closed)")
                 epoch = writer.rollback_epoch
-                for payload in payloads:
-                    end = writer.append(payload, sync=False)
-                    self._boarded.append(payload)
+                end = writer.append(*payloads, sync=False)
+                self._boarded.extend(payloads)
                 # counted here, under the lock begin_rotation resets
                 # the count under
                 self.batches_since_snapshot += batches

@@ -16,8 +16,9 @@ reports as a non-clean tail so callers can distinguish "torn final
 record" from "log ends cleanly".
 
 Writes are fsync-batched: :meth:`WalWriter.append` with ``sync=False``
-buffers a record and :meth:`WalWriter.sync` pushes every buffered one to
-disk in one ``fsync``. The store's only caller is
+buffers records (the ones of one call together or not at all) and
+:meth:`WalWriter.sync` pushes every buffered one to disk in one
+``fsync``. The store's only caller is
 :meth:`~repro.store.durability.recovery.DurabilityManager.append`, whose
 commit train issues one sync for all the records concurrent callers
 buffered meanwhile — which is where the group-commit throughput comes
@@ -109,7 +110,7 @@ def truncate_torn_tail(path, valid_bytes):
 class WalWriter:
     """Append-only record writer with batched fsync.
 
-    ``append(payload, sync=True)`` frames and writes one record;
+    ``append(*payloads, sync=True)`` frames and writes records;
     ``sync=False`` defers durability to the next :meth:`sync` call
     (group commit). The writer opens in append mode, so recovery can
     resume a truncated segment in place.
@@ -145,8 +146,10 @@ class WalWriter:
         self.rollback_targets = []
         self._broken = False
 
-    def append(self, payload, sync=True):
-        """Write one record; returns its end offset in the segment."""
+    def append(self, *payloads, sync=True):
+        """Write ``payloads`` as consecutive records in one write — all
+        of them or, when the write fails, none; returns the end offset
+        of the last one in the segment."""
         if self._file is None:
             raise WalPoisonedError(
                 "append on a closed log writer ({})".format(self.path))
@@ -156,20 +159,20 @@ class WalWriter:
                 "left a torn record that could not be rolled back, and "
                 "a record framed after it would be unreachable to "
                 "recovery".format(self.path))
-        record = encode_record(payload)
+        records = b"".join(encode_record(payload) for payload in payloads)
         try:
-            view = memoryview(record)
+            view = memoryview(records)
             while view:
                 view = view[self._file.write(view):]
         except OSError as exc:
-            # a torn append is cut back to the end of the last
-            # *complete* record — which, under group commit, may lie
-            # past the synced horizon: earlier appended-but-unsynced
-            # records belong to other waiters and must survive
+            # a torn append is cut back to where this call began: none
+            # of its records survive, while earlier appended-but-unsynced
+            # records — past the synced horizon under group commit —
+            # belong to other waiters and must
             self._repair(self._size, exc, "log append failed")
-        self._size += len(record)
-        self._unsynced += 1
-        self.appended += 1
+        self._size += len(records)
+        self._unsynced += len(payloads)
+        self.appended += len(payloads)
         if sync:
             self.sync()
         return self._size

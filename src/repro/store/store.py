@@ -1,12 +1,14 @@
 """The multi-document update store.
 
-A :class:`DocumentStore` is the serving-system generalization of the
-single-document :class:`~repro.distributed.executor.Executor`: it keeps
-many parsed documents *and their containment labelings* resident between
-update batches, accepts PUL submissions from concurrent clients, coalesces
-them into per-document batches, routes every batch through the sharded
-reduction pipeline (:mod:`repro.pipeline`) and makes it effective in place
-on the writer's private working copy of the document
+A :class:`DocumentStore` is the executor of the paper's distributed
+setting (Section 4): producers — its clients, each a ``client=`` name —
+ship PULs, and the store reasons on them and makes them effective. It
+keeps many parsed documents *and their containment labelings* resident
+between update batches, accepts PUL submissions from concurrent
+clients, coalesces them into per-document batches, routes every batch
+through the sharded reduction pipeline (:mod:`repro.pipeline`) and makes
+it effective in place on the writer's private working copy of the
+document
 (:func:`repro.apply.inplace.apply_batch_in_place`, then one atomic
 publish — :mod:`repro.store.versions`) — which maintains the labeling
 *incrementally*: only the nodes of touched subtrees gain or lose labels,

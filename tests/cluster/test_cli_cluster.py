@@ -1,6 +1,9 @@
-"""The ``repro cluster`` command group, in-process via ``main()``."""
+"""The ``repro cluster`` command group and the replication arguments
+of ``repro store serve``, in-process via ``main()``."""
 
 import io
+
+import pytest
 
 from repro.cli import main
 from repro.cluster import ReplicaStore, ReplicaSync
@@ -16,16 +19,25 @@ def run(argv):
     return code, out.getvalue()
 
 
-def test_serve_argument_validation():
-    code, __ = run(["cluster", "serve", "--role", "leader",
+def test_serve_argument_validation(tmp_path):
+    code, __ = run(["store", "serve", "--replicate",
                     "--listen", "127.0.0.1:0"])
     assert code == 2          # a leader must ship a WAL
-    code, __ = run(["cluster", "serve", "--role", "replica",
-                    "--listen", "127.0.0.1:0"])
-    assert code == 2          # a replica must name its leader
-    code, __ = run(["cluster", "serve", "--role", "leader",
+    with pytest.raises(SystemExit) as refused:
+        run(["store", "serve", "--listen", "127.0.0.1:0", "--follow"])
+    assert refused.value.code == 2    # a replica must name its leader
+    code, __ = run(["store", "serve", "--replicate",
                     "--listen", "nonsense", "--wal-dir", "ignored"])
     assert code == 2          # bad listen spec
+    # a node is a leader or a follower, never both
+    with pytest.raises(SystemExit) as refused:
+        run(["store", "serve", "--listen", "127.0.0.1:0",
+             "--wal-dir", str(tmp_path / "wal"), "--replicate",
+             "--follow", "127.0.0.1:1"])
+    assert refused.value.code == 2
+    code, __ = run(["store", "serve", "--listen", "127.0.0.1:0",
+                    "--follow", "nonsense"])
+    assert code == 2          # the leader's address is host:port
 
 
 def test_status_and_promote_against_live_nodes(tmp_path):

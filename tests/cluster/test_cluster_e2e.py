@@ -1,6 +1,6 @@
 """The 3-node acceptance path, real processes end to end.
 
-``repro cluster serve`` spawns a leader and two replicas (one durable,
+``repro store serve`` spawns a leader and two replicas (one durable,
 one memory-only); concurrent clients drive writes through the leader;
 the replicas catch up; the leader is SIGKILLed — no drain, no
 goodbye — and a replica is promoted with the CLI. Every acknowledged
@@ -41,7 +41,7 @@ def insert_expr(round_index):
 
 def spawn_node(env, extra):
     process = subprocess.Popen(
-        [sys.executable, "-m", "repro.cli", "cluster", "serve",
+        [sys.executable, "-m", "repro.cli", "store", "serve",
          "--listen", "127.0.0.1:0", "--backend", "thread",
          "--poll-wait", "0.5"] + extra,
         stdout=subprocess.PIPE, stderr=subprocess.PIPE,
@@ -80,16 +80,16 @@ def test_leader_sigkill_promote_preserves_every_acked_batch(tmp_path):
     processes = []
     try:
         leader, leader_addr = spawn_node(
-            env, ["--role", "leader", "--wal-dir", leader_wal,
+            env, ["--replicate", "--wal-dir", leader_wal,
                   "--durability", "log"])
         processes.append(leader)
         durable_replica, durable_addr = spawn_node(
-            env, ["--role", "replica", "--leader", leader_addr,
+            env, ["--follow", leader_addr,
                   "--replica-id", "r-durable",
                   "--wal-dir", replica_wal, "--durability", "log"])
         processes.append(durable_replica)
         memory_replica, memory_addr = spawn_node(
-            env, ["--role", "replica", "--leader", leader_addr,
+            env, ["--follow", leader_addr,
                   "--replica-id", "r-memory"])
         processes.append(memory_replica)
 

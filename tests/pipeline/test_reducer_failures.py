@@ -1,7 +1,6 @@
-"""Failure paths of the distributed execution layer.
+"""Failure paths of :class:`ParallelReducer`.
 
-PR 1 added mid-batch failure recovery (crashed workers, broken pools,
-poisoned shards) but only smoke-tested it; these tests pin the contract:
+The contract:
 
 * a failed shard is recomputed in-process and recorded as telemetry —
   the batch still converges to the sequential result;
@@ -9,9 +8,7 @@ poisoned shards) but only smoke-tested it; these tests pin the contract:
 * a broken process pool (on ``submit`` or on ``result``) is discarded so
   the next batch gets a fresh pool;
 * domain errors (``ReproError``) are *not* swallowed by recovery — a
-  poisoned shard fails the batch loudly on every backend;
-* the executor's warm-pool cache survives failures and stays keyed by
-  ``(workers, backend)``.
+  poisoned shard fails the batch loudly on every backend.
 """
 
 from concurrent.futures.process import BrokenProcessPool
@@ -19,14 +16,16 @@ from concurrent.futures.process import BrokenProcessPool
 import pytest
 
 import repro.pipeline.parallel as parallel_mod
-from repro.distributed.executor import Executor
 from repro.errors import ReproError
+from repro.labeling import ContainmentLabeling
+from repro.pipeline.merge import merge_shards
 from repro.pipeline.parallel import ParallelReducer
 from repro.pipeline.shard import shard_pul
 from repro.pul.ops import InsertIntoAsLast, Rename, ReplaceValue
 from repro.pul.pul import PUL
 from repro.pul.serialize import pul_to_xml
 from repro.reduction import reduce_deterministic
+from repro.xdm import parse_document
 from repro.xdm.node import Node
 
 DOC = ("<bib><paper><title>T1</title><authors><author>A</author>"
@@ -34,10 +33,15 @@ DOC = ("<bib><paper><title>T1</title><authors><author>A</author>"
        "<note>n</note></bib>")
 
 
-def _make_pul(executor):
+@pytest.fixture
+def pul():
+    """Operations on four structurally independent targets (the two
+    titles, the author text, the note), labeled against ``DOC``."""
+    document = parse_document(DOC)
+    labeling = ContainmentLabeling().build(document)
     elements = {}
     texts = {}
-    for node in executor.document.nodes():
+    for node in document.nodes():
         if node.is_element:
             elements.setdefault(node.name, []).append(node)
         elif node.is_text:
@@ -49,19 +53,8 @@ def _make_pul(executor):
         ReplaceValue(texts["A"].node_id, "Anna"),
         ReplaceValue(texts["n"].node_id, "updated"),
     ], origin="alice")
-    pul.attach_labels(executor.labeling)
+    pul.attach_labels(labeling)
     return pul
-
-
-@pytest.fixture
-def executor():
-    with Executor(DOC) as executor:
-        yield executor
-
-
-@pytest.fixture
-def pul(executor):
-    return _make_pul(executor)
 
 
 def _flaky(real, crash_times):
@@ -119,7 +112,6 @@ class TestWorkerDeathMidBatch:
                    for f in outcome.failures)
         assert "shard=" in repr(outcome.failures[0])
         # the batch still equals the sequential reduction
-        from repro.pipeline.merge import merge_shards
         assert merge_shards(outcome.reduced) == reduce_deterministic(pul)
 
     def test_retry_serial_false_propagates(self, monkeypatch, pul):
@@ -163,7 +155,6 @@ class TestBrokenPool:
         assert all(isinstance(f.error, BrokenProcessPool)
                    for f in outcome.failures)
         # every shard was recomputed in-process
-        from repro.pipeline.merge import merge_shards
         assert merge_shards(outcome.reduced) == reduce_deterministic(pul)
         # the broken pool was shut down and dropped
         assert fake.shutdowns >= 1
@@ -177,7 +168,6 @@ class TestBrokenPool:
         outcome = reducer.reduce(pul)
         assert len(outcome.failures) == 1
         assert outcome.failures[0].shard_index is None
-        from repro.pipeline.merge import merge_shards
         assert merge_shards(outcome.reduced) == reduce_deterministic(pul)
         reducer.close()
 
@@ -193,44 +183,3 @@ class TestBrokenPool:
             assert reducer._pool is not None
             assert reducer._pool is not first_pool
             assert outcome.failures == []
-
-
-class TestExecutorPipelineFailures:
-    def test_executor_converges_despite_worker_death(self, monkeypatch):
-        flaky = _flaky(parallel_mod._reduce_shard, crash_times=1)
-        monkeypatch.setattr(parallel_mod, "_reduce_shard", flaky)
-        with Executor(DOC) as victim, Executor(DOC) as reference:
-            pul = _make_pul(victim)
-            reference.execute(pul.copy(), reduce_first=True)
-            version, outcome = victim.execute_pipeline(
-                pul.copy(), workers=4, backend="thread")
-            assert version == 1
-            assert len(outcome.failures) == 1
-            assert victim.text() == reference.text()
-
-    def test_warm_pool_cache_survives_failures(self, monkeypatch):
-        flaky = _flaky(parallel_mod._reduce_shard, crash_times=1)
-        monkeypatch.setattr(parallel_mod, "_reduce_shard", flaky)
-        with Executor(DOC) as executor:
-            pul = _make_pul(executor)
-            executor.execute_pipeline(pul.copy(), workers=4,
-                                      backend="thread")
-            assert set(executor._reducers) == {(4, "thread")}
-            # second batch reuses the same warm reducer and succeeds
-            second = PUL([Rename(executor.document.root.node_id, "lib")])
-            second.attach_labels(executor.labeling)
-            version, outcome = executor.execute_pipeline(
-                second, workers=4, backend="thread")
-            assert version == 2
-            assert outcome.failures == []
-            assert set(executor._reducers) == {(4, "thread")}
-            assert executor.text().startswith("<lib>")
-
-    def test_executor_close_shuts_reducers_idempotently(self):
-        executor = Executor(DOC)
-        pul = _make_pul(executor)
-        executor.execute_pipeline(pul, workers=2, backend="thread")
-        assert executor._reducers
-        executor.close()
-        assert executor._reducers == {}
-        executor.close()  # idempotent

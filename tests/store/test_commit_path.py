@@ -128,6 +128,61 @@ class TestResidencyFollowsTheLog:
             assert _resident(reopened) == expected
 
 
+class _FillingDisk:
+    """A segment on a disk that fills up: writes land until ``room``
+    bytes are used (the one straddling the limit lands partly, like a
+    real short write), then raise ``ENOSPC``."""
+
+    def __init__(self, inner, room):
+        self.inner = inner
+        self.room = room
+
+    def write(self, data):
+        if self.room <= 0:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        written = self.inner.write(data[:self.room])
+        self.room -= written
+        return written
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+
+class TestRefusedChunk:
+    def test_a_write_failing_midway_leaves_none_of_the_chunk(
+            self, tmp_path):
+        """The disk fills up in the middle of a bulk-load chunk's
+        records: the call is refused, and none of its records may
+        reach the log, the stream or a restart — not even the ones
+        written before the write failed."""
+        chunk = [{"doc_id": "x{}".format(i), "xml": DOC} for i in (1, 2, 3)]
+        with _store(tmp_path / "probe") as probe:
+            start = probe._durability._writer.size
+            probe.bulk_load(chunk)
+            record = (probe._durability._writer.size - start) // 3
+        wal_dir = tmp_path / "wal"
+        with _store(wal_dir) as store:
+            store.open("base", DOC)
+            source = store.enable_replication()
+            writer = store._durability._writer
+            writer._file = _FillingDisk(writer._file, record + record // 2)
+            with pytest.raises(DurabilityError):
+                store.bulk_load(chunk)
+            writer._file = writer._file.inner
+            assert store.doc_ids() == ["base"]
+            # one more acknowledged record: its train must carry nothing
+            # of the refused chunk
+            store.close_document("base")
+            assert [item["kind"] for item in _stream(source)] == ["close"]
+            assert replay_oracle(str(wal_dir)) == {}
+        with _store(wal_dir) as restarted:
+            assert restarted.doc_ids() == []
+            restarted.bulk_load(chunk)
+            assert restarted.doc_ids() == ["x1", "x2", "x3"]
+            expected = _resident(restarted)
+        assert replay_oracle(str(wal_dir)) == expected
+
+
 class _Worker(threading.Thread):
     """One thread of the schedule. It owns the documents it opens, so
     its own bookkeeping says what each call must have left behind."""
