@@ -2,17 +2,19 @@
 
 A log-durable leader is served by a :class:`StoreServer` on its own
 thread; a writer client flushes batches while a subscriber client
-streams the raw feed through ``subscribe`` long-polls and applies it to
-a :class:`~repro.cdc.DocumentMirror`. Reported:
+streams the raw feed through ``subscribe`` long-polls and applies each
+page to a WAL-less :class:`~repro.cluster.ReplicaStore` it bootstrapped
+from ``export`` (the consumer loop of ``ReplicaSync``, by hand).
+Reported:
 
 * ``events_per_sec`` — drain rate of the subscription path (decode,
-  token mint, wire, mirror apply);
+  token mint, wire, replica apply);
 * ``freshness_ms`` — median flush→event latency: the wall time from a
   durable flush ack to the subscriber holding the matching batch event
   via a parked long-poll (the same ``subscribe`` poll cluster
   replicas follow through);
-* byte-identity of the mirror against the leader, asserted, so the
-  bench cannot drift from correctness.
+* byte-identity of the consumer's replica against the leader,
+  asserted, so the bench cannot drift from correctness.
 
 Usage::
 
@@ -31,7 +33,7 @@ import time
 
 from repro.api.client import StoreClient
 from repro.api.server import StoreServer
-from repro.cdc import DocumentMirror
+from repro.cluster import ReplicaStore
 from repro.store import DocumentStore
 
 DOC_TEXT = "<doc><meta><owner>bench</owner></meta><items/></doc>"
@@ -87,16 +89,16 @@ class _ServerThread:
         self._thread.join()
 
 
-def drain(client, mirror, token, max_events):
+def drain(client, replica, token, max_events):
     """Poll until dry; returns ``(next token, events applied)``."""
     applied = 0
     while True:
         page = client.subscribe_once(from_token=token, decode=False,
                                      max_events=max_events)
+        replica.apply_records(page)
         token = page["token"]
         if not page["events"]:
             return token, applied
-        mirror.apply_all(page["events"])
         applied += len(page["events"])
 
 
@@ -105,18 +107,21 @@ def run_pass(address, writes, poll_writes, max_events):
     writer = StoreClient.connect(host=host, port=port, client="writer")
     subscriber = StoreClient.connect(host=host, port=port,
                                      client="subscriber")
-    mirror = DocumentMirror()
+    replica = ReplicaStore(workers=1, backend="serial")
     try:
-        token = subscriber.subscribe_once()["token"]
+        export = subscriber.export(format="state")
+        replica.bootstrap(export["docs"], export["seq"],
+                          stream=export["stream"])
+        token = export["token"]
         writer.open("d", DOC_TEXT)
         for __ in range(writes):
             writer.submit_xquery("d", EXPR)
             writer.flush("d")
         # throughput: drain the whole backlog through the wire
         start = time.perf_counter()
-        token, applied = drain(subscriber, mirror, token, max_events)
+        token, applied = drain(subscriber, replica, token, max_events)
         drain_wall = time.perf_counter() - start
-        assert mirror.text("d") == writer.text("d")["text"]
+        assert replica.text("d") == writer.text("d")["text"]
 
         # freshness: a parked long-poll races each durable flush
         latencies = []
@@ -138,13 +143,14 @@ def run_pass(address, writes, poll_writes, max_events):
             page = box["page"]
             assert page["events"], "long-poll returned dry"
             latencies.append(max(0.0, box["at"] - flushed_at))
-            mirror.apply_all(page["events"])
+            replica.apply_records(page)
             token = page["token"]
-        token, __ = drain(subscriber, mirror, token, max_events)
-        assert mirror.text("d") == writer.text("d")["text"]
+        token, __ = drain(subscriber, replica, token, max_events)
+        assert replica.text("d") == writer.text("d")["text"]
     finally:
         subscriber.close()
         writer.close()
+        replica.close()
     return applied, drain_wall, latencies
 
 
@@ -187,7 +193,7 @@ def main(argv=None):
           "polls (p max {:.2f} ms)".format(
               freshness_ms, len(latencies),
               1000 * max(latencies)))
-    print("\ncdc summary: mirror byte-identical to the leader at "
+    print("\ncdc summary: replica byte-identical to the leader at "
           "{:>6.0f} events/s, {:.2f} ms freshness".format(
               rate, freshness_ms))
 

@@ -41,7 +41,8 @@ generator and :meth:`AsyncStoreClient.subscribe` an async iterator —
 ``for event in client.subscribe(doc_ids=["d1"])`` long-polls the
 server's change feed and yields events as they are published; each
 event carries its own resume ``token``. The underlying single-poll op
-is :meth:`subscribe_once` on both.
+is :meth:`subscribe_once` on both; a ``decode=False`` page from it is
+what :meth:`repro.cluster.replica.ReplicaStore.apply_records` applies.
 """
 
 from __future__ import annotations
@@ -194,7 +195,7 @@ class _MethodSurface:
             return self._call("promote", allow_non_durable=True)
         return self._call("promote")
 
-    # -- CDC & bulk ETL (see repro.cdc / repro.etl) ---------------------------
+    # -- CDC & bulk ETL (see repro.cluster.feed / repro.etl) ------------------
 
     @staticmethod
     def _subscribe_args(from_token, doc_ids, decode, max_events,

@@ -11,6 +11,8 @@ command semantics, argument validation and result shapes live here.
 
 from __future__ import annotations
 
+import math
+
 from repro.errors import (
     ClusterError,
     DurabilityError,
@@ -186,7 +188,7 @@ class StoreDispatcher:
                 "with `repro store serve --replicate`)")
         return source
 
-    # -- CDC & bulk ETL (see repro.cdc / repro.etl) ---------------------------
+    # -- CDC & bulk ETL (see repro.cluster.feed / repro.etl) ------------------
 
     def subscribe(self, from_token=None, doc_ids=None, decode=None,
                   max_events=None, wait_s=None, subscriber=None):
@@ -195,9 +197,6 @@ class StoreDispatcher:
         ``doc_ids``, decoded (PUL op summaries) unless ``decode`` is
         false. Stateless server-side — the resume token in the result
         is the whole subscription state."""
-        # imported lazily: repro.cdc imports the store package
-        from repro.cdc.feed import ChangeFeed
-
         if from_token is not None and not isinstance(from_token, str):
             raise ProtocolError("subscribe \"from_token\" must be a "
                                 "string")
@@ -207,8 +206,14 @@ class StoreDispatcher:
         if subscriber is not None and not isinstance(subscriber, str):
             raise ProtocolError("subscribe \"subscriber\" must be a "
                                 "string")
-        feed = ChangeFeed(self._source())
-        return feed.read(
+        _positive_int("subscribe", "max_events", max_events)
+        if wait_s is not None and (
+                isinstance(wait_s, bool)
+                or not isinstance(wait_s, (int, float))
+                or not (math.isfinite(wait_s) and wait_s >= 0)):
+            raise ProtocolError("subscribe \"wait_s\" must be a finite "
+                                "non-negative number")
+        return self._source().read(
             from_token=from_token, doc_ids=doc_ids,
             decode=True if decode is None else bool(decode),
             max_events=max_events,
@@ -243,11 +248,16 @@ class StoreDispatcher:
         """One page of a filtered, resumable corpus export, read from
         pinned MVCC versions; carries the CDC resume token matching
         the exported state when replication is enabled."""
-        from repro.cdc.tokens import encode_token
+        # imported lazily: a store that does not replicate never loads
+        # the cluster package
+        from repro.cluster.tokens import encode_token
 
         if doc_ids is not None and not isinstance(doc_ids,
                                                   (list, tuple)):
             raise ProtocolError("export \"doc_ids\" must be a list")
+        if cursor is not None and not isinstance(cursor, str):
+            raise ProtocolError("export \"cursor\" must be a string")
+        _positive_int("export", "max_docs", max_docs)
         result = self.store.export_state(
             doc_ids=doc_ids, cursor=cursor, limit=max_docs,
             form="xml" if format is None else format)
@@ -275,3 +285,13 @@ class StoreDispatcher:
                 "snapshot skipped: another compaction is in flight "
                 "(retry)")
         return {"generation": generation}
+
+
+def _positive_int(op, name, value):
+    """Refuse an optional count argument that is not a positive int
+    (``True`` is not 1 on the wire)."""
+    if value is not None and (isinstance(value, bool)
+                              or not isinstance(value, int)
+                              or value < 1):
+        raise ProtocolError("{} \"{}\" must be a positive "
+                            "integer".format(op, name))

@@ -964,7 +964,7 @@ def build_parser():
     export_cmd.add_argument("--format", default="xml",
                             choices=("xml", "state"),
                             help="payload form: serialized xml or "
-                                 "snapshot-form state (mirrors)")
+                                 "snapshot-form state (follower bootstrap)")
     export_cmd.set_defaults(func=cmd_store_export)
 
     query_cmd = store_commands.add_parser(

@@ -15,10 +15,13 @@ replicas. Manual failover is ``promote``: a caught-up replica becomes
 a leader (its own WAL already holds everything it acknowledged) and
 starts a fresh stream epoch its followers re-bootstrap from.
 
-Protocol surface: replicas follow through the same ``subscribe``
-(raw records) / ``export`` (state form) ops every other consumer speaks
-(:mod:`repro.cdc`); the cluster adds only ``promote`` and the
-replication block in extended ``stats`` (see
+Protocol surface: every follower reads the stream through one method,
+:meth:`ReplicationSource.read` (the ``subscribe`` op, anchored by the
+resume tokens of :mod:`repro.cluster.tokens`), and bootstraps from
+paged ``export`` in state form. A consumer that wants documents rather
+than events is a WAL-less :class:`ReplicaStore` driven by hand the way
+:class:`ReplicaSync` drives one. The cluster adds only ``promote`` and
+the replication block in extended ``stats`` (see
 ``src/repro/api/README.md``).
 """
 

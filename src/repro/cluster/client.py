@@ -332,7 +332,7 @@ class ClusterClient:
             results.extend(outcome["results"])
         return {"batches": batches, "ops": ops, "results": results}
 
-    # -- CDC & bulk ETL (see repro.cdc / repro.etl) ---------------------------
+    # -- CDC & bulk ETL (see repro.cluster.feed / repro.etl) ------------------
 
     def _shard_for_all(self, doc_ids, op):
         """The single shard owning every id in ``doc_ids`` (document

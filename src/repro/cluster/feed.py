@@ -3,9 +3,17 @@
 A source attaches to a store's :class:`DurabilityManager` and turns the
 write-ahead log into a *numbered record stream*: every record committed
 after the source attached gets a monotonically increasing sequence
-number (``seq``), and followers pull contiguous ranges with
-``read_from(seq)`` (the ``subscribe`` op, through
-:class:`~repro.cdc.feed.ChangeFeed`).
+number (``seq``), and every follower — a replica applying raw
+records, a consumer reading decoded events — pulls through one method,
+:meth:`ReplicationSource.read` (the ``subscribe`` op), anchored by a
+resume token (:mod:`repro.cluster.tokens`) that binds the stream epoch
+to a sequence. Subscription state is entirely client-side: the source
+holds no per-subscriber cursor, so a subscriber can disconnect, crash
+or move and resume from its last token, and a failover invalidates
+nothing but the tokens (the epoch fence turns them into a typed
+:class:`~repro.errors.ResumeExpiredError`). Delivery is at-least-once;
+followers absorb redelivery by sequence and, after a bootstrap, by the
+per-document version every ``open``/``batch`` record carries.
 
 Ingestion: the stream is what the commit train committed. Every record
 enters the log through :meth:`DurabilityManager.append`, and after each
@@ -49,13 +57,14 @@ import time
 import uuid
 from collections import deque
 
+from repro.cluster.tokens import decode_token, encode_token
 from repro.errors import (
     ClusterError,
-    ProtocolError,
     ResumeExpiredError,
     SubscriptionLaggedError,
 )
 from repro.obs import StoreObs
+from repro.pul.serialize import pul_from_xml
 from repro.store.durability.recovery import decode_payload
 
 #: default bound on retained records; a follower behind by more than
@@ -180,50 +189,112 @@ class ReplicationSource:
             self._m_subscribers.set(len(self.subscribers))
             return forgotten
 
-    def read_from(self, from_seq, limit=DEFAULT_SEGMENT_RECORDS,
-                  wait_s=0.0, replica=None):
-        """Records ``from_seq ..`` (at most ``limit``), long-polling up
-        to ``wait_s`` seconds when the follower is already caught up.
-
-        Returns ``(records, next_seq, end_seq)`` where ``records`` is a
-        list of ``{"seq": n, "record": {...}}`` objects, ``next_seq``
-        is the cursor for the follower's next call and ``end_seq`` the
-        stream end at response time. ``from_seq`` acknowledges that
-        everything below it is applied (feeds the leader's lag stats).
-        Raises :class:`SubscriptionLaggedError` when ``from_seq`` is
-        older than the retained backlog and :class:`ResumeExpiredError`
-        when it is past the stream end (a position this epoch never
-        issued); either way the follower re-bootstraps.
-        """
-        if not isinstance(from_seq, int) or isinstance(from_seq, bool) \
-                or from_seq < 0:
-            raise ProtocolError(
-                "the feed is read from a non-negative integer "
-                "sequence, got {!r}".format(from_seq))
-        limit = max(1, int(limit))
-        deadline = time.monotonic() + min(max(0.0, float(wait_s)),
-                                          MAX_WAIT_S)
+    def tail_token(self):
+        """A token anchored at the live end of the stream (records
+        committed after this call will be delivered; history will
+        not)."""
         with self._lock:
-            while True:
-                self._note_subscriber(replica, from_seq)
-                if from_seq > self._next_seq:
-                    raise ResumeExpiredError(self.stream_id,
-                                             self.stream_id)
-                if from_seq < self._first_seq:
-                    raise SubscriptionLaggedError(from_seq,
-                                                  self._first_seq)
-                remaining = deadline - time.monotonic()
-                if from_seq < self._next_seq or remaining <= 0:
-                    break
-                self._wakeup.wait(remaining)
-            start = from_seq - self._first_seq
-            payloads = list(itertools.islice(self._records, start,
-                                             start + limit))
-            end_seq = self._next_seq
-        records = [{"seq": seq, "record": decode_payload(payload)}
-                   for seq, payload in enumerate(payloads, from_seq)]
-        self._m_shipped.inc(len(records))
-        return records, from_seq + len(records), end_seq
+            return encode_token(self.stream_id, self._next_seq)
+
+    def read(self, from_token=None, doc_ids=None, decode=True,
+             max_events=None, wait_s=0.0, subscriber=None):
+        """One subscription poll.
+
+        Returns ``{"events", "token", "end_seq", "stream"}``: up to
+        ``max_events`` (default :data:`DEFAULT_SEGMENT_RECORDS`) events
+        at or after ``from_token`` (the live tail when ``None``), the
+        resume token covering everything scanned, and the stream
+        end/epoch at response time. Raw events (``decode=False``, what
+        replicas apply) are ``{"seq", "token", "record"}``; decoded
+        ones name the kind, document, version and PUL op summaries.
+        Filtered-out records are acknowledged, not redelivered: the
+        token covers them. Long-polls up to ``wait_s`` seconds (capped
+        at :data:`MAX_WAIT_S`) while no event matching ``doc_ids`` is
+        available. The token's sequence acknowledges that everything
+        below it is applied (feeds the lag stats under the
+        ``subscriber`` name).
+
+        Raises :class:`ResumeExpiredError` when the token belongs to
+        another stream epoch or names a sequence past the stream end,
+        and :class:`SubscriptionLaggedError` when it names one the
+        backlog no longer retains; either way the follower
+        re-bootstraps.
+        """
+        if from_token is None:
+            cursor = None
+        else:
+            stream, cursor = decode_token(from_token)
+            if stream != self.stream_id:
+                raise ResumeExpiredError(stream, self.stream_id)
+        limit = (DEFAULT_SEGMENT_RECORDS if max_events is None
+                 else max_events)
+        filters = (None if doc_ids is None
+                   else {str(doc_id) for doc_id in doc_ids})
+        deadline = time.monotonic() + min(wait_s, MAX_WAIT_S)
+        events = []
+        while True:
+            with self._lock:
+                if cursor is None:
+                    cursor = self._next_seq
+                while True:
+                    self._note_subscriber(subscriber, cursor)
+                    if cursor > self._next_seq:
+                        raise ResumeExpiredError(self.stream_id,
+                                                 self.stream_id)
+                    if cursor < self._first_seq:
+                        raise SubscriptionLaggedError(cursor,
+                                                      self._first_seq)
+                    remaining = deadline - time.monotonic()
+                    if cursor < self._next_seq or remaining <= 0:
+                        break
+                    self._wakeup.wait(remaining)
+                start = cursor - self._first_seq
+                payloads = list(itertools.islice(
+                    self._records, start, start + limit))
+                end_seq = self._next_seq
+            # decoded outside the lock: the commit hand-off waits on it
+            for seq, payload in enumerate(payloads, cursor):
+                event = self._event(seq, decode_payload(payload),
+                                    filters, decode)
+                if event is not None:
+                    events.append(event)
+            cursor += len(payloads)
+            self._m_shipped.inc(len(payloads))
+            # an empty slice means the wait ran out; a page that was
+            # entirely filtered out scans on (the time budget is
+            # shared, not per slice)
+            if events or not payloads:
+                return {"events": events,
+                        "token": encode_token(self.stream_id, cursor),
+                        "end_seq": end_seq,
+                        "stream": self.stream_id}
+
+    def _event(self, seq, record, filters, decode):
+        kind = record.get("kind")
+        doc_id = record.get("doc_id")
+        if kind == "open" and doc_id is None:
+            doc_id = (record.get("doc") or {}).get("doc_id")
+        if filters is not None and (
+                doc_id is None or str(doc_id) not in filters):
+            return None
+        # each event carries its own resume token — the position
+        # *after* it — so a consumer can checkpoint mid-page
+        token = encode_token(self.stream_id, seq + 1)
+        if not decode:
+            return {"seq": seq, "token": token, "record": record}
+        if kind == "repl-pos":
+            # internal cursor bookkeeping, not a document change
+            return None
+        event = {"seq": seq, "token": token, "kind": kind,
+                 "doc_id": doc_id}
+        if kind == "open":
+            event["version"] = (record.get("doc") or {}).get("version")
+        elif kind == "batch":
+            event["version"] = record.get("version")
+            event["clients"] = record.get("clients")
+            event["pul"] = record.get("pul")
+            event["ops"] = _describe_pul(record.get("pul"))
+        return event
 
     def stats(self):
         """The leader's replication block for extended ``stats``."""
@@ -246,3 +317,14 @@ class ReplicationSource:
                     "subscribers={})".format(
                         self._next_seq, len(self._records),
                         len(self.subscribers)))
+
+
+def _describe_pul(text):
+    """Human-readable op summaries for a logged PUL document."""
+    if not text:
+        return []
+    try:
+        pul = pul_from_xml(text)
+    except Exception:  # noqa: BLE001 - describe, never fail delivery
+        return ["<undecodable pul>"]
+    return [op.describe() for op in pul.operations()]

@@ -22,12 +22,20 @@ what :meth:`ReplicaStore.promote` turns into leadership: the promoted
 node's log already holds everything it acknowledged applying, so it
 attaches a :class:`~repro.cluster.feed.ReplicationSource` and starts
 serving followers of its own.
+
+A replica with no ``wal_dir`` is also the one host for any downstream
+consumer that wants documents rather than events: it calls
+:meth:`ReplicaStore.bootstrap` with a paged ``export`` in state form
+and :meth:`ReplicaStore.apply_records` with each raw ``subscribe``
+page, exactly as :class:`~repro.cluster.sync.ReplicaSync` does, and
+reads the result through the store's own ``text`` / ``query``.
 """
 
 from __future__ import annotations
 
 import threading
 
+from repro.cluster.tokens import decode_token
 from repro.errors import ClusterError, NotLeaderError
 from repro.store.durability.snapshot import restore_document
 from repro.store.store import DocumentStore
@@ -144,21 +152,28 @@ class ReplicaStore(DocumentStore):
                 self._durability.log_position(seq, stream=stream)
         return {"docs": sorted(fresh), "seq": seq}
 
-    def apply_records(self, records, next_seq):
-        """Apply one raw ``subscribe`` page: ``records`` is the
-        ``[{"seq", "record"}, ...]`` list, ``next_seq`` the position
-        the leader's resume token names for the follow-up request.
+    def apply_records(self, page):
+        """Apply one raw ``subscribe`` page as the leader sends it:
+        ``page["events"]`` the ``[{"seq", "record", ...}, ...]`` list,
+        ``page["token"]`` the resume token for the follow-up request.
 
         Applied strictly in sequence through the switch recovery
         replays (:meth:`DocumentStore._apply_record`, run live):
         already-applied sequences are skipped (idempotent redelivery),
-        a gap is a stream bug and raises. A durable replica write-ahead
-        logs each record into its own WAL before applying it, then
-        records the advanced cursor. Reads never block on the apply
-        path — they pin published versions — so a replica serves reads
-        at full speed while the sync thread streams.
+        a gap or a page of another stream epoch is a stream bug and
+        raises. A durable replica write-ahead logs each record into its
+        own WAL before applying it, then records the advanced cursor.
+        Reads never block on the apply path — they pin published
+        versions — so a replica serves reads at full speed while the
+        sync thread streams.
         """
+        stream, next_seq = decode_token(page["token"])
+        records = page["events"]
         with self._apply_lock:
+            if stream != self.stream_id:
+                raise ClusterError(
+                    "page of stream {} applied to a replica on stream "
+                    "{} — bootstrap first".format(stream, self.stream_id))
             for item in records:
                 seq = item.get("seq")
                 if not isinstance(seq, int) or isinstance(seq, bool):

@@ -30,7 +30,7 @@ import threading
 import time
 
 from repro.api.client import StoreClient
-from repro.cdc.tokens import decode_token, encode_token
+from repro.cluster.tokens import encode_token
 from repro.errors import (
     ClusterError,
     NotLeaderError,
@@ -229,7 +229,7 @@ class ReplicaSync:
                 token = None
                 continue
             token = page["token"]
-            replica.apply_records(page["events"], decode_token(token)[1])
+            replica.apply_records(page)
             self.last_end_seq = page["end_seq"]
             self.last_error = None
             # a page streamed resets the schedule; a dial alone does

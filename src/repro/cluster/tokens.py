@@ -1,4 +1,4 @@
-"""Opaque resume tokens for the change feed.
+"""Opaque resume tokens for the replication stream.
 
 A token binds a **stream epoch** (the :attr:`ReplicationSource.stream_id`
 fence minted at feed creation) to a **log sequence** (the position the
@@ -10,8 +10,8 @@ resuming from the wrong position.
 
 The format is ``{stream}:{seq}:{crc32-hex}`` — stable, but callers must
 treat tokens as opaque: the epoch check in
-:meth:`repro.cdc.feed.ChangeFeed.read` is what makes resumption safe,
-and it only works when tokens round-trip unmodified.
+:meth:`repro.cluster.feed.ReplicationSource.read` is what makes
+resumption safe, and it only works when tokens round-trip unmodified.
 """
 
 from __future__ import annotations

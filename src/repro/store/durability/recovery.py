@@ -31,10 +31,6 @@ Record payloads are JSON objects (framed by :mod:`.wal`):
     restarted replica resumes streaming where it left off — see
     :mod:`repro.cluster`).
 
-Read but never written: ``{"kind": "relabel", "doc_id": ...}``, the
-label rebuild older stores logged after a failed batch. It never
-changed document bytes; every reader of a log skips it.
-
 One commit path: every record kind above enters the log through
 :meth:`DurabilityManager.append` and nothing else calls
 ``WalWriter.append``. A caller's frames are buffered under the manager
@@ -625,8 +621,6 @@ def replay_oracle(directory):
         elif kind == "close":
             entries.pop(record["doc_id"], None)
             versions.pop(record["doc_id"], None)
-        elif kind == "relabel":
-            continue  # from an older store; never changed document bytes
         elif kind == "repl-pos":
             continue  # a replica's replication cursor, not state
         elif kind == "batch":

@@ -1128,7 +1128,7 @@ class DocumentStore:
 
         ``form`` selects the payload shape: ``"state"`` returns
         snapshot-form payloads (node identifiers and labels preserved —
-        what a replica or mirror bootstrap, a re-import and snapshot
+        what a replica bootstrap, a re-import and snapshot
         compaction need to stay batch-addressable; a
         :class:`~repro.store.versions.DocumentVersion` duck-types as a
         payload source), ``"xml"`` returns serialized text.
@@ -1210,7 +1210,7 @@ class DocumentStore:
         """Advance the resident state by one logged ``record`` — THE
         record switch, run by crash recovery (``_replaying`` set:
         nothing is logged, ``repl-pos`` cursors are restored) and by
-        the replica/mirror streaming path (live: every applied record
+        the replica streaming path (live: every applied record
         is write-ahead logged into this store's own WAL, when it has
         one). Store-README invariants 7-8 are structural only as long
         as every host of a log runs this one routine.
@@ -1253,10 +1253,6 @@ class DocumentStore:
             # once a replica)
             if self._replaying:
                 self._replay_position(record)
-            return None
-        if kind == "relabel":
-            # logs written before failed batches became no-ops carry
-            # these; a label rebuild never changed document bytes
             return None
         if kind not in ("close", "batch"):
             raise RecoveryError(

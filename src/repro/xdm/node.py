@@ -232,7 +232,7 @@ class Node:
             # XQUF ``replace value of`` on an element stores its text on
             # the node's value slot (invisible to serialization); a copy
             # must carry it faithfully or re-copying an updated tree —
-            # the mirror's and the MVCC fallback's per-batch path — fails
+            # the replica's and the MVCC fallback's per-batch path — fails
             # the constructor's freshness check
             copy.value = self.value
             for attr in self.attributes:

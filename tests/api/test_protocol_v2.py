@@ -550,3 +550,61 @@ class TestRetiredOps:
                 assert (await client.docs()) == {"docs": []}
                 await client.aclose()
         run(scenario())
+
+
+class TestHostileArguments:
+    """A malformed ``subscribe`` / ``export`` argument answers a typed
+    ``protocol`` error on a connection that lives on — never a raw
+    ``ValueError`` under the generic ``repro`` code, and never a
+    silent coercion (``max_events: true`` is not 1)."""
+
+    CASES = [
+        ("subscribe", {"from_token": 7}),
+        ("subscribe", {"doc_ids": "d"}),
+        ("subscribe", {"subscriber": 5}),
+        ("subscribe", {"max_events": "x"}),
+        ("subscribe", {"max_events": True}),
+        ("subscribe", {"max_events": 0}),
+        ("subscribe", {"max_events": 1.5}),
+        ("subscribe", {"wait_s": "x"}),
+        ("subscribe", {"wait_s": True}),
+        ("subscribe", {"wait_s": -1}),
+        ("subscribe", {"wait_s": float("nan")}),
+        ("subscribe", {"wait_s": float("inf")}),
+        ("export", {"doc_ids": "d"}),
+        ("export", {"max_docs": "x"}),
+        ("export", {"max_docs": True}),
+        ("export", {"max_docs": 0}),
+        ("export", {"cursor": 7}),
+    ]
+
+    @pytest.mark.parametrize("op,args", CASES, ids=[
+        "{}-{}={!r}".format(op, *next(iter(args.items())))
+        for op, args in CASES])
+    def test_a_malformed_argument_is_a_typed_protocol_error(
+            self, tmp_path, op, args):
+        store = DocumentStore(workers=2, backend="serial",
+                              durability="log",
+                              wal_dir=str(tmp_path / "wal"))
+        store.enable_replication()
+
+        async def scenario():
+            async with StoreServer(store, host="127.0.0.1",
+                                   port=0) as server:
+                host, port = server.tcp_address
+                client = await AsyncStoreClient.connect(host=host,
+                                                        port=port)
+                await client.open("d", DOC)
+                with pytest.raises(ProtocolError) as excinfo:
+                    await client._call(op, **args)
+                assert excinfo.value.code == "protocol"
+                assert op in str(excinfo.value)
+                # the connection carries on, and the well-formed
+                # neighbours of the refused value are answered
+                page = await client.subscribe_once(max_events=1,
+                                                   wait_s=0)
+                assert page["events"] == []
+                page = await client.export(cursor="", max_docs=1)
+                assert [d["doc_id"] for d in page["docs"]] == ["d"]
+                await client.aclose()
+        run(scenario())

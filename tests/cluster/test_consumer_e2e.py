@@ -1,14 +1,15 @@
-"""CDC end to end, over real sockets: a subscriber's mirror stays
-byte-identical to the leader *and* to the stateless baseline — across
-disconnects and resumes, and across a leader failover (``promote``),
-where the epoch fence forces a typed re-bootstrap."""
+"""CDC end to end, over real sockets: a subscriber's WAL-less
+:class:`ReplicaStore`, bootstrapped from ``export`` and fed raw
+``subscribe`` pages by hand, stays byte-identical to the leader *and*
+to the stateless baseline — across disconnects and resumes, and across
+a leader failover (``promote``), where the epoch fence forces a typed
+re-bootstrap."""
 
 import time
 
 import pytest
 
 from repro.api.client import StoreClient
-from repro.cdc import DocumentMirror
 from repro.cluster import ReplicaStore, ReplicaSync, parse_address
 from repro.errors import ResumeExpiredError
 from repro.pul.serialize import pul_to_xml
@@ -30,15 +31,28 @@ def connect(node):
     return StoreClient.connect(host=host, port=port)
 
 
-def drain(client, mirror, token, **kwargs):
+def consumer():
+    return ReplicaStore(workers=1, backend="serial")
+
+
+def bootstrap(client, replica):
+    """Install the leader's state from one ``export`` in state form;
+    returns the token to stream from."""
+    page = client.export(format="state")
+    assert page["done"]
+    replica.bootstrap(page["docs"], page["seq"], stream=page["stream"])
+    return page["token"]
+
+
+def drain(client, replica, token, **kwargs):
     """Poll raw pages until the feed is dry; returns the next token."""
     while True:
         page = client.subscribe_once(from_token=token, decode=False,
                                      **kwargs)
+        replica.apply_records(page)
         token = page["token"]
         if not page["events"]:
             return token
-        mirror.apply_all(page["events"])
 
 
 def wait_until(predicate, timeout=30.0):
@@ -58,15 +72,15 @@ def workload():
     return serialize(document), batches, serialize(expected)
 
 
-class TestMirrorIdentity:
+class TestConsumerIdentity:
     def test_subscriber_matches_leader_and_baseline(self, tmp_path,
                                                     workload):
         text, batches, expected = workload
         baseline = StatelessBaseline(measure_parse=False)
         with make_leader_store(tmp_path) as store, \
                 ServerThread(store) as node, connect(node) as client:
-            token = client.subscribe_once()["token"]    # live anchor
-            mirror = DocumentMirror()
+            subscriber = consumer()
+            token = bootstrap(client, subscriber)
             client.open("d", text)
             baseline.open("d", text)
             for submissions in batches:
@@ -75,26 +89,26 @@ class TestMirrorIdentity:
                     baseline.submit("d", pul.copy(), client=producer)
                 client.flush("d")
                 baseline.flush("d")
-                # drain after every flush: the mirror tracks the
+                # drain after every flush: the subscriber tracks the
                 # leader batch by batch, not only at the end
-                token = drain(client, mirror, token)
-                assert mirror.text("d") == baseline.text("d")
-            assert mirror.text("d") == client.text("d")["text"]
-            assert mirror.text("d") == expected
+                token = drain(client, subscriber, token)
+                assert subscriber.text("d") == baseline.text("d")
+            assert subscriber.text("d") == client.text("d")["text"]
+            assert subscriber.text("d") == expected
 
     def test_disconnect_and_resume_from_the_persisted_token(
             self, tmp_path, workload):
         text, batches, expected = workload
         with make_leader_store(tmp_path) as store, \
                 ServerThread(store) as node:
-            mirror = DocumentMirror()
+            subscriber = consumer()
             with connect(node) as client:
-                token = client.subscribe_once()["token"]
+                token = bootstrap(client, subscriber)
                 client.open("d", text)
                 for producer, pul in batches[0]:
                     client.submit("d", pul_to_xml(pul), client=producer)
                 client.flush("d")
-                token = drain(client, mirror, token)
+                token = drain(client, subscriber, token)
             # the subscriber process "dies"; only the token survives.
             # the leader keeps writing while nobody is listening
             with connect(node) as client:
@@ -104,9 +118,9 @@ class TestMirrorIdentity:
                                       client=producer)
                     client.flush("d")
             with connect(node) as client:
-                drain(client, mirror, token)
-                assert mirror.text("d") == client.text("d")["text"]
-                assert mirror.text("d") == expected
+                drain(client, subscriber, token)
+                assert subscriber.text("d") == client.text("d")["text"]
+                assert subscriber.text("d") == expected
 
     def test_streaming_generator_surface(self, tmp_path):
         doc = "<doc><items/></doc>"
@@ -138,17 +152,17 @@ class TestFailover:
                                wal_dir=str(tmp_path / "replica-wal"))
         sync = ReplicaSync(replica, leader_node.address, "r1",
                            wait_s=0.2).start()
-        mirror = DocumentMirror()
+        subscriber = consumer()
         try:
             with ServerThread(replica) as replica_node:
                 with connect(leader_node) as client:
-                    token = client.subscribe_once()["token"]
+                    token = bootstrap(client, subscriber)
                     client.open("d", text)
                     for producer, pul in batches[0]:
                         client.submit("d", pul_to_xml(pul),
                                       client=producer)
                     client.flush("d")
-                    token = drain(client, mirror, token)
+                    token = drain(client, subscriber, token)
                     leader_seq = leader_store.replication.next_seq
                 assert wait_until(
                     lambda: replica.applied_seq == leader_seq)
@@ -161,11 +175,8 @@ class TestFailover:
                         client.subscribe_once(from_token=token)
                     # re-bootstrap: a state-form export carries the
                     # paired resume token of the new epoch
-                    page = client.export(format="state")
-                    assert page["done"]
-                    mirror.bootstrap(page["docs"])
-                    token = page["token"]
-                    # the new leader keeps writing; the mirror follows
+                    token = bootstrap(client, subscriber)
+                    # the new leader keeps writing; the subscriber follows
                     baseline = StatelessBaseline(measure_parse=False)
                     baseline.open("d", text)
                     for submissions in batches:
@@ -178,10 +189,10 @@ class TestFailover:
                             client.submit("d", pul_to_xml(pul),
                                           client=producer)
                         client.flush("d")
-                    token = drain(client, mirror, token)
-                    assert mirror.text("d") == client.text("d")["text"]
-                    assert mirror.text("d") == baseline.text("d")
-                    assert mirror.text("d") == expected
+                    token = drain(client, subscriber, token)
+                    assert subscriber.text("d") == client.text("d")["text"]
+                    assert subscriber.text("d") == baseline.text("d")
+                    assert subscriber.text("d") == expected
         finally:
             sync.stop()
             leader_node.stop()

@@ -6,9 +6,9 @@ speaks: ``subscribe(decode=False)`` from a resume token, paged
 schedule of ``tests/index/test_index_differential.py`` (a failing
 batch, a conflict-rejected flush, a hot spot that forces a full
 relabel, a root replacement) against a leader followed by a
-:class:`ReplicaSync`-fed replica *and* a :class:`DocumentMirror` fed
-by ``StoreClient.subscribe_once(decode=False)``, through one backlog
-overrun (``subscription-lagged``) and one leader restart
+:class:`ReplicaSync`-fed replica *and* a WAL-less replica the test
+feeds itself from ``StoreClient.subscribe_once(decode=False)``, through
+one backlog overrun (``subscription-lagged``) and one leader restart
 (``resume-expired``): at quiescence both equal the leader in text,
 label codes and index. The rest pin each replica behaviour the
 protocol swap had to keep.
@@ -21,9 +21,9 @@ import pytest
 from repro.api import protocol
 from repro.api.client import StoreClient
 from repro.api.dispatch import StoreDispatcher
-from repro.cdc import DocumentMirror, encode_token
 from repro.cluster import ReplicaStore, ReplicaSync, parse_address
 from repro.cluster.sync import BOOTSTRAP_PAGE_DOCS
+from repro.cluster.tokens import encode_token
 from repro.errors import (
     NotLeaderError,
     ReproError,
@@ -115,14 +115,14 @@ def exports(monkeypatch):
     return served
 
 
-class MirrorFollower:
+class ClientFollower:
     """The loop of ``cluster/sync.py`` as any other consumer writes
-    it: a mirror behind a blocking client, re-bootstrapping on the two
-    typed answers. One document per page, so later pages lead the
-    anchor whenever the leader keeps writing."""
+    it: a WAL-less replica behind a blocking client, re-bootstrapping
+    on the two typed answers. One document per page, so later pages
+    lead the anchor whenever the leader keeps writing."""
 
     def __init__(self):
-        self.mirror = DocumentMirror(max_code_length=HEADROOM)
+        self.replica = make_replica(None, max_code_length=HEADROOM)
         self.token = None
         self.bootstraps = 0
 
@@ -136,10 +136,10 @@ class MirrorFollower:
             except (ResumeExpiredError, SubscriptionLaggedError):
                 self.token = None
                 continue
+            self.replica.apply_records(page)
             self.token = page["token"]
             if not page["events"]:
                 return
-            self.mirror.apply_all(page["events"])
 
     def _bootstrap(self, client):
         self.bootstraps += 1
@@ -149,19 +149,21 @@ class MirrorFollower:
             page = client.export(cursor=page["cursor"], max_docs=1,
                                  format="state")
             docs.extend(page["docs"])
-        self.mirror.bootstrap(docs)
+        self.replica.bootstrap(docs, first["seq"],
+                               stream=first["stream"])
         return first["token"]
 
 
 class TestOneScheduleEveryTransport:
-    def test_replica_and_mirror_track_the_leader(self, tmp_path):
+    def test_synced_and_client_fed_replicas_track_the_leader(
+            self, tmp_path):
         schedule = _Schedule()
         leader = make_leader(tmp_path, backlog=6,
                              max_code_length=HEADROOM)
         node = ServerThread(leader).start()
         replica = make_replica(node.address, max_code_length=HEADROOM)
         bootstraps = count_bootstraps(replica)
-        follower = MirrorFollower()
+        follower = ClientFollower()
         sync = None
 
         def root():
@@ -183,9 +185,9 @@ class TestOneScheduleEveryTransport:
             expected = _state(leader._entries["d"].published)
             assert _state(replica._entries["d"].published) == expected
             assert _state(
-                follower.mirror._store._entries["d"].published) == expected
+                follower.replica._entries["d"].published) == expected
             assert replica.text("other") == leader.text("other") \
-                == follower.mirror.text("other")
+                == follower.replica.text("other")
 
         try:
             leader.open("d", DOC)
@@ -223,9 +225,11 @@ class TestOneScheduleEveryTransport:
             flush(schedule.hot_spot(root()))
             quiesce()
             assert (len(bootstraps), follower.bootstraps) == (3, 3)
-            kinds = [item["record"]["kind"] for item in
-                     leader.replication.read_from(
-                         leader.replication.first_seq, limit=50)[0]]
+            source = leader.replication
+            kinds = [item["record"]["kind"] for item in source.read(
+                from_token=encode_token(source.stream_id,
+                                        source.first_seq),
+                decode=False, max_events=50)["events"]]
             # a failing batch ships its write-ahead record, nothing else
             assert set(kinds) == {"batch"}
         finally:

@@ -4,6 +4,7 @@ enforcement, durable restart, and promotion."""
 import pytest
 
 from repro.cluster import ReplicaStore
+from repro.cluster.tokens import encode_token
 from repro.errors import ClusterError, NotLeaderError
 from repro.store import DocumentStore, replay_oracle
 
@@ -30,12 +31,18 @@ def make_replica(tmp_path=None, name="replica-wal", **kwargs):
     return ReplicaStore(**kwargs)
 
 
+def read_page(leader, seq, limit=500):
+    """The raw ``subscribe`` page from sequence ``seq``."""
+    source = leader.replication
+    return source.read(from_token=encode_token(source.stream_id, seq),
+                       decode=False, max_events=limit)
+
+
 def pump(leader, replica, limit=500):
     """Ship everything the replica has not applied yet."""
-    records, next_seq, __ = leader.replication.read_from(
-        replica.applied_seq, limit=limit)
-    replica.apply_records(records, next_seq)
-    return records
+    page = read_page(leader, replica.applied_seq, limit)
+    replica.apply_records(page)
+    return page["events"]
 
 
 def bootstrap(leader, replica):
@@ -86,7 +93,7 @@ class TestStreaming:
                 assert replica.text(doc_id) == text
                 assert replica.version(doc_id) == version
 
-    def test_open_close_and_relabel_records_stream(self, tmp_path):
+    def test_open_close_and_full_relabels_stream(self, tmp_path):
         with make_leader(tmp_path, max_code_length=2) as leader, \
                 make_replica(max_code_length=2) as replica:
             bootstrap(leader, replica)
@@ -110,20 +117,18 @@ class TestStreaming:
             writes(leader, rounds=2)
             bootstrap(leader, replica)
             writes(leader, rounds=1)
-            records, next_seq, __ = leader.replication.read_from(
-                replica.applied_seq)
-            replica.apply_records(records, next_seq)
+            page = read_page(leader, replica.applied_seq)
+            next_seq = replica.apply_records(page)
             before = replica.text("d1")
-            # the exact same segment again: a no-op
-            replica.apply_records(records, next_seq)
+            # the exact same page again: a no-op
+            replica.apply_records(page)
             assert replica.text("d1") == before
             assert replica.applied_seq == next_seq
             # a gap is a stream bug, never silently applied
             writes(leader, rounds=2)
-            gapped, gapped_next, __ = leader.replication.read_from(
-                replica.applied_seq + 1)
+            gapped = read_page(leader, replica.applied_seq + 1)
             with pytest.raises(ClusterError):
-                replica.apply_records(gapped, gapped_next)
+                replica.apply_records(gapped)
 
     def test_failed_leader_batch_is_skipped_identically(self, tmp_path):
         """Two clients renaming one node is an incompatible union: the
@@ -219,14 +224,13 @@ class TestDurableReplica:
             writes(leader, rounds=1)
             leader.open("d2", "<doc><items/></doc>")
             leader.close_document("d2")
-            records, next_seq, __ = leader.replication.read_from(
-                replica.applied_seq)
-            replica.apply_records(records, next_seq)
+            page = read_page(leader, replica.applied_seq)
+            next_seq = replica.apply_records(page)
             expected = replica.text("d1")
             # simulate the lost cursor: the state was applied but the
             # repl-pos record never reached the replica's WAL
-            replica.applied_seq = next_seq - len(records)
-            replica.apply_records(records, next_seq)   # redelivery
+            replica.applied_seq = next_seq - len(page["events"])
+            replica.apply_records(page)   # redelivery
             assert replica.text("d1") == expected
             assert replica.applied_seq == next_seq
             replica.close()

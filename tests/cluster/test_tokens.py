@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.cdc.tokens import decode_token, encode_token
+from repro.cluster.tokens import decode_token, encode_token
 from repro.errors import ProtocolError
 
 # stream epochs are uuid4().hex in production, but the token format

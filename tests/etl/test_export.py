@@ -6,7 +6,7 @@ import os
 import pytest
 
 from repro.api.dispatch import StoreDispatcher
-from repro.cdc import ChangeFeed, decode_token
+from repro.cluster.tokens import decode_token, encode_token
 from repro.errors import ReproError
 from repro.etl import export_corpus, safe_filename
 from repro.store import DocumentStore
@@ -55,19 +55,20 @@ class TestExportState:
             assert doc == {"doc_id": "d2", "text": "<r><v>2</v></r>",
                            "version": 0}
 
-    def test_state_form_round_trips_through_a_mirror(self):
-        from repro.cdc import DocumentMirror
+    def test_state_form_round_trips_through_a_replica(self):
+        from repro.cluster import ReplicaStore
 
-        with loaded_store() as store:
+        with loaded_store() as store, \
+                ReplicaStore(workers=1, backend="serial") as replica:
             store.submit_xquery(
                 "d0", 'insert node <x/> as last into /r')
             store.flush("d0")
             page = store.export_state(form="state")
-            mirror = DocumentMirror()
-            mirror.bootstrap(page["docs"])
+            replica.bootstrap(page["docs"], page["seq"],
+                              stream=page["stream"])
             for doc_id in store.doc_ids():
-                assert mirror.text(doc_id) == store.text(doc_id)
-            assert mirror.version("d0") == 1
+                assert replica.text(doc_id) == store.text(doc_id)
+            assert replica.version("d0") == 1
 
     def test_unknown_form_is_typed(self):
         with loaded_store() as store:
@@ -81,10 +82,9 @@ class TestExportState:
             assert page["stream"] == store.replication.stream_id
             assert page["seq"] == store.replication.next_seq
             # replaying from the paired position redelivers nothing
-            feed = ChangeFeed(store.replication)
-            from repro.cdc import encode_token
             token = encode_token(page["stream"], page["seq"])
-            assert feed.read(from_token=token)["events"] == []
+            assert store.replication.read(
+                from_token=token)["events"] == []
 
     def test_without_replication_there_is_no_pairing(self):
         with loaded_store() as store:

@@ -164,12 +164,12 @@ class TestBulkLoad:
         with DocumentStore(workers=1, backend="serial",
                            durability="log",
                            wal_dir=str(tmp_path / "wal")) as store:
-            store.enable_replication()
+            anchor = store.enable_replication().tail_token()
             store.bulk_load([{"doc_id": "a", "xml": DOC},
                              {"doc_id": "b", "xml": DOC}])
-            records, __, __ = store.replication.read_from(0)
-            assert [(r["record"]["kind"], r["record"]["doc"]["doc_id"])
-                    for r in records] == [("open", "a"), ("open", "b")]
+            events = store.replication.read(from_token=anchor)["events"]
+            assert [(e["kind"], e["doc_id"]) for e in events] == \
+                [("open", "a"), ("open", "b")]
 
     def test_replicas_refuse_bulk_loads(self):
         from repro.cluster import ReplicaStore

@@ -15,10 +15,12 @@ all three engines. The properties pinned after **every** flush:
   bytes for every query as the leader that wrote it (the restore-time
   index rebuild meets the leader's incrementally maintained one);
 * **one schedule, every host** — the leader's log then drives every
-  other host of the replay path (crash recovery, a WAL-less streaming
-  replica, a CDC mirror under at-least-once rewinds): at every log
-  position each host equals the leader in text, label codes and index,
-  and the final text equals the stateless ``replay_oracle``.
+  other host of the replay path (crash recovery; a WAL-less replica
+  streaming page by page under at-least-once rewinds and one
+  re-bootstrap from a paged ``export`` whose anchor precedes its
+  payloads): at every log position each host equals the leader in
+  text, label codes and index, and the final text equals the stateless
+  ``replay_oracle``.
 """
 
 import tempfile
@@ -27,8 +29,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cdc import ChangeFeed, DocumentMirror
+from repro.api.dispatch import StoreDispatcher
 from repro.cluster import ReplicaStore
+from repro.cluster.tokens import decode_token, encode_token
 from repro.errors import ReproError
 from repro.index import build_index
 from repro.pul.ops import (
@@ -172,39 +175,56 @@ def _durable(store_class, wal_dir, headroom):
                        wal_dir=wal_dir)
 
 
-def _stream_to_replica(source, seq0, headroom, timeline, final):
-    """Host: a WAL-less replica streaming record by record."""
-    with ReplicaStore(workers=1, backend="serial",
-                      max_code_length=headroom) as replica:
-        replica.bootstrap([], seq0, stream=source.stream_id)
-        while replica.applied_seq < source.next_seq:
-            records, next_seq, __ = source.read_from(
-                replica.applied_seq, limit=1)
-            replica.apply_records(records, next_seq)
-            _assert_tracks_leader(replica, timeline,
-                                  replica.applied_seq - seq0)
-        assert _state(replica._entries["d"].published) == final
+def _stream_to_replica(data, source, seq0, headroom, timeline, final,
+                       export):
+    """Host: a WAL-less replica streaming one record per page.
 
-
-def _deliver_to_mirror(data, events, headroom, timeline, final):
-    """Host: a CDC mirror under at-least-once redelivery.
-
-    Rewinds are unrestricted: every record kind is idempotent — a
-    re-delivered batch is version-skipped, failed or not.
+    Drawn rewinds re-deliver pages from an earlier token (skipped by
+    sequence). One drawn re-bootstrap installs ``export`` — the pages
+    of a paged state export, the first taken when the leader stood at
+    the anchor, the rest at ``pinned_at`` — and streams on from the
+    anchor: until the stream passes ``pinned_at`` every record it
+    re-delivers is one the payloads already hold, version-skipped, so
+    the host stands still at the ``pinned`` state.
     """
-    mirror = DocumentMirror(max_code_length=headroom)
+    first, payloads, pinned_at, pinned = export
+    stream = source.stream_id
+    total = source.next_seq - seq0
     # delivery position -> how far the subscriber falls back there
     rewinds = data.draw(st.dictionaries(
-        st.integers(1, len(events)), st.integers(1, len(events)),
-        max_size=4), label="rewinds")
-    position = applied = 0
-    while position < len(events):
-        mirror.apply(events[position])
-        position += 1
-        applied = max(applied, position)
-        _assert_tracks_leader(mirror._store, timeline, applied)
-        position = max(0, position - rewinds.pop(position, 0))
-    assert _state(mirror._store._entries["d"].published) == final
+        st.integers(1, total), st.integers(1, total), max_size=4),
+        label="rewinds")
+    rebootstrap_at = data.draw(st.integers(0, total),
+                               label="re-bootstrap after page")
+    with ReplicaStore(workers=1, backend="serial",
+                      max_code_length=headroom) as replica:
+        replica.bootstrap([], seq0, stream=stream)
+        position = pages = 0
+        rebootstrapped = False
+        while not (rebootstrapped
+                   and replica.applied_seq == source.next_seq):
+            if not rebootstrapped and (
+                    pages == rebootstrap_at
+                    or replica.applied_seq == source.next_seq):
+                replica.bootstrap(payloads, first["seq"],
+                                  stream=first["stream"])
+                position = first["seq"] - seq0
+                rebootstrapped = True
+            else:
+                page = source.read(
+                    from_token=encode_token(stream, seq0 + position),
+                    decode=False, max_events=1)
+                replica.apply_records(page)
+                pages += 1
+                position = decode_token(page["token"])[1] - seq0
+                position = max(0, position - rewinds.pop(position, 0))
+            applied = replica.applied_seq - seq0
+            if rebootstrapped and applied < pinned_at:
+                assert _state(replica._entries["d"].published) == pinned
+            else:
+                _assert_tracks_leader(replica, timeline, applied)
+        assert replica.doc_ids() == ["c", "d"]
+        assert _state(replica._entries["d"].published) == final
 
 
 def _recover(wal_dir, headroom, timeline, final):
@@ -244,8 +264,7 @@ class TestEngineDifferential:
         with tempfile.TemporaryDirectory() as wal_dir:
             with _durable(DocumentStore, wal_dir, headroom) as store:
                 source = store.enable_replication()
-                feed = ChangeFeed(source)
-                anchor = feed.tail_token()
+                dispatcher = StoreDispatcher(store)
                 seq0 = source.next_seq
                 #: log position -> the leader's state while it stood there
                 timeline = {}
@@ -284,12 +303,32 @@ class TestEngineDifferential:
                         store._entries["d"].published)
                     return outcomes[0]
 
+                # a side document paging ahead of "d", so a paged
+                # export's first page (the anchor) can precede the page
+                # carrying "d"
+                store.open("c", "<s/>")
                 store.open("d", text)
                 baseline.open("d", text)
                 timeline[source.next_seq - seq0] = _state(
                     store._entries["d"].published)
                 assert_engines_agree(store, baseline, queries)
-                for step in steps:
+                exports_at = sorted(data.draw(st.lists(
+                    st.integers(0, len(steps)), min_size=2, max_size=2),
+                    label="export pages before step"))
+                for index, step in enumerate(steps + [None]):
+                    if index == exports_at[0]:
+                        first = dispatcher.export(max_docs=1,
+                                                  format="state")
+                    if index == exports_at[1]:
+                        rest = dispatcher.export(
+                            cursor=first["cursor"], max_docs=1,
+                            format="state")
+                        assert rest["done"]
+                        export = (first, first["docs"] + rest["docs"],
+                                  source.next_seq - seq0,
+                                  _state(store._entries["d"].published))
+                    if step is None:
+                        break
                     resident = store._entries["d"].published.document
                     if step == "pul":
                         pul = data.draw(
@@ -314,17 +353,14 @@ class TestEngineDifferential:
                                 break
                 if headroom == 8:  # the budget actually forced a relabel
                     assert store.stats("d")["full_relabels"] >= 1
-                kinds = [item["record"]["kind"] for item in
-                         source.read_from(seq0, limit=500)[0]]
+                kinds = [item["record"]["kind"] for item in source.read(
+                    from_token=encode_token(source.stream_id, seq0),
+                    decode=False, max_events=500)["events"]]
                 # a failing batch ships its write-ahead record, nothing else
                 assert set(kinds) == {"open", "batch"}
                 final = _state(store._entries["d"].published)
-                _stream_to_replica(source, seq0, headroom, timeline,
-                                   final)
-                _deliver_to_mirror(
-                    data, feed.read(from_token=anchor, decode=False,
-                                    max_events=500)["events"],
-                    headroom, timeline, final)
+                _stream_to_replica(data, source, seq0, headroom,
+                                   timeline, final, export)
             _recover(wal_dir, headroom, timeline, final)
             assert replay_oracle(wal_dir)["d"][0] == final[0]
 

@@ -8,7 +8,7 @@ Two contracts, both under injected ``fsync`` faults:
   ``bulk_load``, ``close_document``) and whose log record does not
   reach disk raises and leaves no trace — the resident set, the log and
   a restarted store all stand where they stood before the call;
-* ``ReplicationSource.read_from`` yields the records of the log, in log
+* ``ReplicationSource.read`` yields the records of the log, in log
   order, from the source's anchor on: a record whose fsync failed is on
   neither, a record behind an acknowledged call is already on both.
   (What the deleted ``WalTailReader`` suite proved by re-reading
@@ -26,6 +26,7 @@ import time
 
 import pytest
 
+from repro.cluster.tokens import decode_token, encode_token
 from repro.errors import DurabilityError, WalPoisonedError
 from repro.store import DocumentStore
 from repro.store.durability import (
@@ -261,10 +262,13 @@ class _Worker(threading.Thread):
 
 
 def _stream(source):
-    records, next_seq, end_seq = source.read_from(0, limit=1 << 20)
-    assert [item["seq"] for item in records] == list(range(next_seq))
-    assert next_seq == end_seq
-    return [item["record"] for item in records]
+    page = source.read(from_token=encode_token(source.stream_id, 0),
+                       decode=False, max_events=1 << 20)
+    next_seq = decode_token(page["token"])[1]
+    assert [item["seq"] for item in page["events"]] == \
+        list(range(next_seq))
+    assert next_seq == page["end_seq"]
+    return [item["record"] for item in page["events"]]
 
 
 def _find(records, kind, doc_id, marker):

@@ -169,7 +169,8 @@ class TestRecovery:
         logged-version fence: nothing was logged or applied, so nothing
         is relabeled, republished or shipped — and the next good batch
         lands on the untouched label timeline everywhere."""
-        from repro.cdc import ChangeFeed, DocumentMirror
+        from repro.cluster import ReplicaStore
+        from repro.cluster.tokens import decode_token
         from repro.pul.ops import Rename
         from repro.pul.pul import PUL
         from repro.xdm.parser import parse_document
@@ -183,11 +184,10 @@ class TestRecovery:
             return [record["kind"] for record in state.records]
 
         with _durable_store(tmp_path, "log") as store:
-            store.enable_replication()
-            feed = ChangeFeed(store.replication)
-            anchor = feed.tail_token()
+            source = store.enable_replication()
+            anchor = source.tail_token()
             store.open("d", DOC)
-            token = feed.tail_token()
+            token = source.tail_token()
             published = store._require("d").published
             # two clients renaming the same node differently: the union
             # is incompatible, the flush is rejected
@@ -200,21 +200,20 @@ class TestRecovery:
             assert logged_kinds() == ["open"]
             assert store._require("d").published is published
             assert store.stats("d")["pending"] == 2   # queue restored
-            assert feed.read(from_token=token, decode=False,
-                             max_events=10)["events"] == []
+            assert source.read(from_token=token, decode=False,
+                               max_events=10)["events"] == []
             store.discard_pending("d")
             store.submit("d", PUL([Rename(title.node_id, "headline")]),
                          client="alice")
             store.flush("d")
             assert logged_kinds() == ["open", "batch"]
             before = _full_state(store, "d")
-            mirror = DocumentMirror()
-            mirror.apply_all(feed.read(from_token=anchor, decode=False,
-                                       max_events=10)["events"])
-            assert mirror.text("d") == before["text"]
-            assert {node_id: label.to_string() for node_id, label in
-                    mirror.labeling("d").as_mapping().items()} \
-                == before["labels"]
+            with ReplicaStore(workers=1, backend="serial") as replica:
+                stream, seq = decode_token(anchor)
+                replica.bootstrap([], seq, stream=stream)
+                replica.apply_records(source.read(
+                    from_token=anchor, decode=False, max_events=10))
+                assert _full_state(replica, "d") == before
         with _durable_store(tmp_path, "log") as recovered:
             assert _full_state(recovered, "d") == before
         assert replay_oracle(wal_dir)["d"] == (before["text"], 1)
@@ -234,8 +233,8 @@ class TestRecovery:
         exists any more."""
         import random
 
-        from repro.cdc import ChangeFeed, DocumentMirror
         from repro.cluster import ReplicaStore
+        from repro.cluster.tokens import encode_token
         from repro.pul.ops import InsertAttributes, Rename
         from repro.pul.pul import PUL
         from repro.xdm.node import Node
@@ -246,19 +245,20 @@ class TestRecovery:
         title = next(document.elements_by_name("title"))
         wal_dir = str(tmp_path / "wal")
 
-        def deliver(host, event, apply):
-            """One event into ``host``; the failing batch's must leave
-            the published version the same object."""
-            entry = host._entries.get("d")
+        def deliver(replica, position):
+            """The page of event ``position`` into ``replica``; the
+            failing batch's must leave the published version the same
+            object."""
+            event = events[position]
+            entry = replica._entries.get("d")
             before = entry and entry.published
-            apply(event)
+            replica.apply_records({"events": [event],
+                                   "token": event["token"]})
             if event["record"] is failing:
-                assert host._entries["d"].published is before
+                assert replica._entries["d"].published is before
 
         with _durable_store(tmp_path, "log") as store:
             source = store.enable_replication()
-            feed = ChangeFeed(source)
-            anchor = feed.tail_token()
             seq0 = source.next_seq
             entry = store.open("d", DOC)
             published = entry.published
@@ -295,32 +295,27 @@ class TestRecovery:
                 return (_full_state(host, "d") == before and
                         host._entries["d"].published.index == index)
 
-            events = feed.read(from_token=anchor, decode=False,
-                               max_events=10)["events"]
+            events = source.read(
+                from_token=encode_token(source.stream_id, seq0),
+                decode=False, max_events=10)["events"]
             records = [event["record"] for event in events]
             assert [r["kind"] for r in records] \
                 == ["open", "batch", "batch"]
             failing = records[1]
 
-            # a replica streaming record by record
-            with ReplicaStore(workers=1, backend="serial") as replica:
-                replica.bootstrap([], seq0, stream=source.stream_id)
-                for event in events:
-                    deliver(replica, event,
-                            lambda event: replica.apply_records(
-                                [event], event["seq"] + 1))
-                assert equals_leader(replica)
-
-            # a mirror under at-least-once rewinds
-            mirror = DocumentMirror()
-            rng = random.Random(7)
-            position = 0
-            while position < len(events):
-                deliver(mirror._store, events[position], mirror.apply)
-                position += 1
-                if rng.random() < 0.5:
-                    position = rng.randrange(position + 1)
-            assert equals_leader(mirror._store)
+            # a replica streaming record by record, in order and
+            # under at-least-once rewinds
+            for rewind in (0.0, 0.5):
+                rng = random.Random(7)
+                with ReplicaStore(workers=1, backend="serial") as replica:
+                    replica.bootstrap([], seq0, stream=source.stream_id)
+                    position = 0
+                    while position < len(events):
+                        deliver(replica, position)
+                        position += 1
+                        if rng.random() < rewind:
+                            position = rng.randrange(position + 1)
+                    assert equals_leader(replica)
 
         # crash recovery, record by record
         class CheckedRecovery(DocumentStore):
@@ -339,13 +334,16 @@ class TestRecovery:
             assert equals_leader(recovered)
         assert replay_oracle(wal_dir)["d"] == (before["text"], 1)
 
-    def test_a_relabel_record_from_an_older_log_is_skipped(self, tmp_path):
-        """Stores before this behaviour was removed logged a
-        ``relabel`` record after a failed batch (with the entry version
-        since PR 14, bare before). Nothing writes one now; a log that
-        holds them still recovers, streams and replays to the same
-        bytes, because the record never changed any."""
+    def test_a_relabel_record_is_refused_by_every_reader(self, tmp_path):
+        """Stores before PR 15 logged a ``relabel`` record after a
+        failed batch. Nothing writes one now, and no reader knows the
+        kind: recovery, ``replay_oracle`` and a replica's
+        ``apply_records`` each refuse it with the typed
+        :class:`RecoveryError` every unknown kind gets — none skips it
+        and serves a state the log does not describe."""
         from repro.cluster import ReplicaStore
+        from repro.cluster.tokens import encode_token
+        from repro.errors import RecoveryError
         from repro.pul.ops import Rename
         from repro.pul.pul import PUL
         from repro.store.durability.recovery import encode_payload
@@ -355,35 +353,32 @@ class TestRecovery:
         title = next(parse_document(DOC).elements_by_name("title"))
         with _durable_store(tmp_path, "log") as store:
             store.open("d", DOC)
-            for name in ("headline", "heading"):
-                store.submit("d", PUL([Rename(title.node_id, name)]))
-                store.flush("d")
-            expected = _full_state(store, "d")
-        opened, first, second = load_durable_state(
+            store.submit("d", PUL([Rename(title.node_id, "headline")]))
+            store.flush("d")
+        opened, batch = load_durable_state(
             str(tmp_path / "wal"), repair=False).records
-        records = [opened,
-                   {"kind": "relabel", "doc_id": "d"},
-                   first,
-                   {"kind": "relabel", "doc_id": "d", "version": 1},
-                   {"kind": "relabel", "doc_id": "never-opened"},
-                   second]
+        records = [opened, {"kind": "relabel", "doc_id": "d"}, batch]
         old = tmp_path / "old"
         os.makedirs(str(old / "wal"))
         writer = WalWriter(str(old / "wal" / "wal-00000000.log"))
         for record in records:
             writer.append(encode_payload(record))
         writer.close()
-        with _durable_store(old, "log") as recovered:
-            assert recovered.recovery.replayed_batches == 2
-            assert _full_state(recovered, "d") == expected
-        assert replay_oracle(str(old / "wal"))["d"] \
-            == (expected["text"], 2)
+        with pytest.raises(RecoveryError, match="relabel"):
+            _durable_store(old, "log")
+        with pytest.raises(RecoveryError, match="relabel"):
+            replay_oracle(str(old / "wal"))
         with ReplicaStore(workers=1, backend="serial") as replica:
-            replica.bootstrap([], 0)
-            replica.apply_records(
-                [{"seq": seq, "record": record}
-                 for seq, record in enumerate(records)], len(records))
-            assert _full_state(replica, "d") == expected
+            replica.bootstrap([], 0, stream="s")
+            with pytest.raises(RecoveryError, match="relabel"):
+                replica.apply_records({
+                    "events": [{"seq": seq, "record": record}
+                               for seq, record in enumerate(records)],
+                    "token": encode_token("s", len(records))})
+            # the records before it were applied; the cursor stops
+            # short of the refused one
+            assert replica.applied_seq == 1
+            assert replica.version("d") == 0
 
     def test_environmental_apply_failure_skips_on_replay(
             self, tmp_path, workload, monkeypatch):
