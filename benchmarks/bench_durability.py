@@ -172,7 +172,7 @@ def main(argv=None):
                         help="operations per round")
     parser.add_argument("--workers", type=int, default=2)
     parser.add_argument("--backend", default="serial",
-                        choices=("process", "thread", "serial"))
+                        choices=("thread", "serial"))
     parser.add_argument("--seed", type=int, default=11)
     parser.add_argument("--repeats", type=int, default=3)
     parser.add_argument("--policy", action="append", default=None,

@@ -154,7 +154,7 @@ def main(argv=None):
     parser.add_argument("--workers", type=int, default=2,
                         help="store reduction workers")
     parser.add_argument("--backend", default="thread",
-                        choices=("process", "thread", "serial"))
+                        choices=("thread", "serial"))
     parser.add_argument("--repeats", type=int, default=1,
                         help="runs per depth; the summary keeps the "
                              "best (variance control for the CI gate)")

@@ -49,9 +49,6 @@ BENCH_DIR = os.path.join(REPO_ROOT, "benchmarks")
 #: large enough that each timed section runs >~100ms best-of-N — the
 #: ±30% gate needs measurements steadier than the tolerance.
 SMOKE_RUNS = (
-    ("bench_pipeline_scaling.py",
-     ["--ops", "4000", "--scale", "0.05", "--repeats", "5",
-      "--workers", "1", "2"]),
     ("bench_store_throughput.py",
      ["--scale", "0.05", "--rounds", "5", "--ops", "60",
       "--repeats", "3"]),

@@ -5,9 +5,9 @@ setup(
     version="0.3.0",
     description=(
         "Reproduction of 'Updating XML documents through PULs' "
-        "(EDBT 2011): PUL reduction, aggregation, integration, a "
-        "sharded parallel pipeline, and a resident multi-document "
-        "update store with incremental relabeling"),
+        "(EDBT 2011): PUL reduction, aggregation, integration, and a "
+        "resident multi-document update store with incremental "
+        "relabeling"),
     author="paper-repo-growth",
     license="MIT",
     package_dir={"": "src"},

@@ -10,8 +10,6 @@ Subcommands mirror the library's pipeline (``-`` reads stdin):
 * ``aggregate`` — aggregate a sequence of PULs into one delta;
 * ``apply``     — make a PUL effective on a document (streaming by
   default);
-* ``pipeline``  — shard a PUL, reduce the shards in parallel
-  (``--workers N``), merge and apply through the batched streaming path;
 * ``invert``    — compute the inverse of a PUL against its document;
 * ``store``     — the resident multi-document update store:
   ``store serve --listen host:port|unix:PATH`` serves the versioned
@@ -58,10 +56,10 @@ from repro.apply.events import events_to_xml, parse_events
 from repro.apply.inmemory import apply_in_memory
 from repro.apply.streaming import apply_streaming
 from repro.errors import ReproError
+from repro.etl.exporter import safe_filename
 from repro.etl.importer import DEFAULT_CHUNK_DOCS
 from repro.integration import ProducerPolicy, integrate, reconcile
 from repro.labeling import ContainmentLabeling
-from repro.pipeline import DEFAULT_BATCH_SIZE, run_pipeline
 from repro.pul.inverse import invert_pul
 from repro.pul.serialize import pul_from_xml, pul_to_xml
 from repro.reasoning import DocumentOracle
@@ -171,24 +169,6 @@ def cmd_apply(args, out):
             parse_events(text), pul,
             fresh_start=document.allocator.next_value))
     out.write(result + "\n")
-    return 0
-
-
-def cmd_pipeline(args, out):
-    text = _read(args.document)
-    pul = _load_pul(args.pul)
-    if args.sequential:
-        workers, backend, shards = 1, "serial", 1
-    else:
-        workers, backend, shards = args.workers, args.backend, args.shards
-    result = run_pipeline(text, pul, workers=workers, backend=backend,
-                          num_shards=shards, batch_size=args.batch_size)
-    out.write(result.text + "\n")
-    stats = result.stats()
-    sys.stderr.write(
-        "{shards} shards {shard_sizes} | {input_ops} -> {reduced_ops} ops "
-        "| backend={backend} workers={workers} failures={failures}\n"
-        .format(**stats))
     return 0
 
 
@@ -344,8 +324,7 @@ def cmd_store_recover(args, out):
         if args.dump_dir is not None:
             os.makedirs(args.dump_dir, exist_ok=True)
             for doc_id, __ in report.documents:
-                path = os.path.join(args.dump_dir,
-                                    "{}.xml".format(doc_id))
+                path = os.path.join(args.dump_dir, safe_filename(doc_id))
                 with open(path, "w", encoding="utf-8") as handle:
                     handle.write(store.text(doc_id))
                 out.write("wrote {}\n".format(path))
@@ -786,24 +765,6 @@ def build_parser():
                            help="use the in-memory evaluator")
     apply_cmd.set_defaults(func=cmd_apply)
 
-    pipeline_cmd = commands.add_parser(
-        "pipeline",
-        help="reduce a PUL in parallel shards and apply it (streaming)")
-    pipeline_cmd.add_argument("document")
-    pipeline_cmd.add_argument("pul")
-    pipeline_cmd.add_argument("--workers", type=int, default=2,
-                              help="concurrent reduction workers")
-    pipeline_cmd.add_argument("--backend", default="process",
-                              choices=("process", "thread", "serial"))
-    pipeline_cmd.add_argument("--shards", type=int, default=None,
-                              help="shard count (defaults to --workers)")
-    pipeline_cmd.add_argument("--batch-size", type=int,
-                              default=DEFAULT_BATCH_SIZE,
-                              help="output events per serialized batch")
-    pipeline_cmd.add_argument("--sequential", action="store_true",
-                              help="single-shard serial reference run")
-    pipeline_cmd.set_defaults(func=cmd_pipeline)
-
     store_cmd = commands.add_parser(
         "store", help="resident multi-document update store")
     store_commands = store_cmd.add_subparsers(dest="store_command",
@@ -813,17 +774,24 @@ def build_parser():
         parser_.add_argument("--workers", type=int, default=2,
                              help="concurrent reduction workers")
         parser_.add_argument("--backend", default="thread",
-                             choices=("process", "thread", "serial"))
+                             choices=("thread", "serial"))
         parser_.add_argument("--max-code-length", type=int,
                              default=DEFAULT_MAX_CODE_LENGTH,
                              help="containment-code headroom budget "
                                   "before a full relabel")
 
-    def _durability_options(parser_):
-        parser_.add_argument("--wal-dir", default=None,
-                             help="durability directory (write-ahead "
-                                  "log + snapshots); existing state is "
-                                  "recovered on start")
+    def _durability_options(parser_, target=None):
+        """``target`` (its help text) also adds ``--target``, in one
+        mutually exclusive group with ``--wal-dir``."""
+        where = parser_
+        if target is not None:
+            where = parser_.add_mutually_exclusive_group()
+            where.add_argument("--target", default=None,
+                               metavar="HOST:PORT", help=target)
+        where.add_argument("--wal-dir", default=None,
+                           help="durability directory (write-ahead "
+                                "log + snapshots); existing state is "
+                                "recovered on start")
         parser_.add_argument("--durability", default=None,
                              help="off, log, or log+snapshot[:N] "
                                   "(default: log when --wal-dir is set)")
@@ -920,11 +888,8 @@ def build_parser():
     store_bench_cmd.set_defaults(func=cmd_store_bench)
 
     def _etl_target_options(parser_):
-        parser_.add_argument("--target", default=None,
-                             metavar="HOST:PORT",
-                             help="a running store server (the leader "
-                                  "in a cluster); mutually exclusive "
-                                  "with --wal-dir")
+        _durability_options(parser_, target="a running store server (the "
+                                            "leader in a cluster)")
         parser_.add_argument("--verbose", action="store_true",
                              help="report per-chunk/per-page progress")
 
@@ -932,7 +897,6 @@ def build_parser():
         "import", help="streaming bulk load: XML files/directories -> "
                        "parse -> label -> group-committed chunks")
     _store_options(import_cmd)
-    _durability_options(import_cmd)
     _etl_target_options(import_cmd)
     import_cmd.add_argument("paths", nargs="+",
                             help=".xml files or directories (walked "
@@ -952,7 +916,6 @@ def build_parser():
         "export", help="filtered, resumable corpus dump from pinned "
                        "MVCC versions")
     _store_options(export_cmd)
-    _durability_options(export_cmd)
     _etl_target_options(export_cmd)
     export_cmd.add_argument("--out-dir", default=None,
                             help="write each document's XML here "
@@ -972,7 +935,6 @@ def build_parser():
                       "version (server or local WAL directory); "
                       "--explain prints the chosen plan per step")
     _store_options(query_cmd)
-    _durability_options(query_cmd)
     _etl_target_options(query_cmd)
     query_cmd.add_argument("doc", help="document id")
     query_cmd.add_argument("path",
@@ -986,11 +948,7 @@ def build_parser():
         "metrics", help="dump the observability metrics (Prometheus "
                         "text exposition by default)")
     _store_options(metrics_cmd)
-    _durability_options(metrics_cmd)
-    metrics_cmd.add_argument("--target", default=None,
-                             metavar="HOST:PORT",
-                             help="a running store server; mutually "
-                                  "exclusive with --wal-dir")
+    _durability_options(metrics_cmd, target="a running store server")
     metrics_cmd.add_argument("--retries", type=int, default=1,
                              help="connect retries with backoff")
     metrics_cmd.add_argument("--json", action="store_true",

@@ -1,39 +1,21 @@
-"""Document-partitioned parallel PUL pipeline.
+"""The store's sharded reduction step.
 
-Shard a PUL into structurally independent partitions (containment
-intervals of the extended labels), reduce the shards concurrently, merge
-the results through the aggregation engine, and apply the merged PUL with
-the batched streaming evaluator. The pipeline is an *optimization layer*:
-its output is equivalent to the sequential reduce-then-apply path, a
+A flushed batch is sharded into structurally independent partitions
+(containment intervals of the extended labels), the shards are reduced
+by a :class:`ParallelReducer` (``thread`` or ``serial`` backend) and
+merged back through the aggregation engine:
+``shard_pul → ParallelReducer.reduce_shards → merge_shards``. The result
+equals the sequential ``reduce_deterministic`` of the whole batch, a
 contract the property suite checks differentially.
 """
 
-from repro.pipeline.batch import (
-    DEFAULT_BATCH_SIZE,
-    apply_batched,
-    apply_batched_text,
-    serialize_batches,
-)
 from repro.pipeline.merge import merge_shards
-from repro.pipeline.parallel import (
-    ParallelReducer,
-    ReduceOutcome,
-    ShardFailure,
-)
-from repro.pipeline.runner import PipelineResult, run_pipeline
+from repro.pipeline.parallel import ParallelReducer
 from repro.pipeline.shard import partition_targets, shard_pul
 
 __all__ = [
-    "DEFAULT_BATCH_SIZE",
     "ParallelReducer",
-    "PipelineResult",
-    "ReduceOutcome",
-    "ShardFailure",
-    "apply_batched",
-    "apply_batched_text",
     "merge_shards",
     "partition_targets",
-    "run_pipeline",
-    "serialize_batches",
     "shard_pul",
 ]

@@ -131,11 +131,11 @@ class BatchResult:
     """Telemetry of one flushed batch."""
 
     __slots__ = ("doc_id", "version", "clients", "submitted_ops",
-                 "reduced_ops", "shard_sizes", "relabel", "failures",
+                 "reduced_ops", "shard_sizes", "relabel",
                  "max_code_length", "index_maintenance")
 
     def __init__(self, doc_id, version, clients, submitted_ops,
-                 reduced_ops, shard_sizes, relabel, failures,
+                 reduced_ops, shard_sizes, relabel,
                  max_code_length, index_maintenance="rebuild"):
         self.doc_id = doc_id
         self.version = version
@@ -144,7 +144,6 @@ class BatchResult:
         self.reduced_ops = reduced_ops
         self.shard_sizes = shard_sizes
         self.relabel = relabel          # "incremental" | "full"
-        self.failures = failures
         self.max_code_length = max_code_length
         # "incremental" (derived from the reduced PUL) or "rebuild"
         self.index_maintenance = index_maintenance
@@ -383,8 +382,9 @@ class DocumentStore:
     Parameters
     ----------
     workers / backend:
-        Concurrency of the per-batch shard reduction (a single warm
-        :class:`ParallelReducer` pool is shared by all documents).
+        Concurrency of the per-batch shard reduction: ``backend`` is
+        ``"thread"`` (a single warm :class:`ParallelReducer` pool shared
+        by all documents) or ``"serial"``.
     max_code_length:
         Headroom budget: when the labeling's longest containment code
         exceeds this many digits after a batch, the document is fully
@@ -1002,8 +1002,7 @@ class DocumentStore:
         submitted = len(batch)
         with obs.stage("reduce"):
             shards = shard_pul(batch, num_shards or self.workers)
-            outcome = self._reducer.reduce_shards(shards)
-            reduced = merge_shards(outcome.reduced)
+            reduced = merge_shards(self._reducer.reduce_shards(shards))
         # in-place application on the *private working pair* (the
         # recycled spare or a copy — entry.checkout): identifiers of
         # removed nodes stay burned (the allocator is the pair's own,
@@ -1042,7 +1041,6 @@ class DocumentStore:
             clients=clients,
             submitted_ops=submitted, reduced_ops=len(reduced),
             shard_sizes=[len(s) for s in shards], relabel=relabel,
-            failures=list(outcome.failures),
             max_code_length=labeling.max_code_length,
             index_maintenance=("incremental" if index is not None
                                else "rebuild"))

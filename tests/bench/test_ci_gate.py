@@ -91,7 +91,8 @@ class TestCompare:
             previous = json.load(handle)["benches"]
         smoke_names = {script.replace(".py", "")
                        for script, __ in ci_gate.SMOKE_RUNS}
-        assert "bench_wire_codec" in set(previous) - smoke_names
+        assert {"bench_wire_codec", "bench_pipeline_scaling"} <= \
+            set(previous) - smoke_names
         current = {name: previous[name]
                    for name in set(previous) & smoke_names}
         assert current and not ci_gate.compare(current, previous, 0.30)

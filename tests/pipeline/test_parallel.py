@@ -1,24 +1,31 @@
-"""ParallelReducer backends, telemetry and failure recovery."""
+"""ParallelReducer: backends, the warm pool, and failing shards."""
+
+import sys
+import threading
+import time
 
 import pytest
 
 import repro.pipeline.parallel as parallel_mod
+from repro.apply.inmemory import apply_in_memory
 from repro.errors import ReproError
 from repro.labeling import ContainmentLabeling
-from repro.pipeline import ParallelReducer, merge_shards
+from repro.pipeline import ParallelReducer, merge_shards, shard_pul
 from repro.pul.ops import Delete, InsertIntoAsLast, Rename
 from repro.pul.pul import PUL
 from repro.reduction import reduce_deterministic
+from repro.store import DocumentStore
+from repro.workloads import generate_pul
 from repro.xdm import parse_document
 from repro.xdm.node import Node
+from repro.xdm.serializer import serialize
+
+DOC = "<r>" + "".join(
+    "<s{0}><c{0}>t</c{0}></s{0}>".format(i) for i in range(8)) + "</r>"
 
 
-@pytest.fixture
-def pul():
-    """A PUL spanning eight independent subtrees (shards > 1 guaranteed)."""
-    document = parse_document("<r>" + "".join(
-        "<s{0}><c{0}>t</c{0}></s{0}>".format(i) for i in range(8)) + "</r>")
-    labeling = ContainmentLabeling().build(document)
+def _independent_ops(document):
+    """Operations on eight independent subtrees (shards > 1 guaranteed)."""
     ops = []
     for index, subtree in enumerate(document.root.children):
         # target the inner children: unlike the subtree roots they are
@@ -30,14 +37,25 @@ def pul():
         else:
             ops.append(InsertIntoAsLast(child.node_id,
                                         [Node.element("n")]))
-    pul = PUL(ops)
-    pul.attach_labels(labeling)
+    return ops
+
+
+@pytest.fixture
+def pul():
+    document = parse_document(DOC)
+    pul = PUL(_independent_ops(document))
+    pul.attach_labels(ContainmentLabeling().build(document))
     return pul
 
 
 def test_rejects_unknown_backend():
-    with pytest.raises(ReproError):
+    with pytest.raises(ReproError, match="unknown pipeline backend"):
         ParallelReducer(backend="gpu")
+
+
+def test_rejects_the_retired_process_backend():
+    with pytest.raises(ReproError, match="thread/serial"):
+        ParallelReducer(backend="process")
 
 
 def test_rejects_bad_worker_count():
@@ -47,96 +65,220 @@ def test_rejects_bad_worker_count():
 
 @pytest.mark.parametrize("backend", ("serial", "thread"))
 def test_backends_match_sequential_reduction(backend, pul):
-    outcome = ParallelReducer(workers=4, backend=backend).reduce(pul)
-    assert merge_shards(outcome.reduced) == reduce_deterministic(pul)
-    assert outcome.input_ops == len(pul)
-    assert outcome.output_ops == sum(len(s) for s in outcome.reduced)
-    assert outcome.failures == []
+    shards = shard_pul(pul, 4)
+    assert len(shards) == 4
+    reducer = ParallelReducer(workers=4, backend=backend)
+    try:
+        reduced = reducer.reduce_shards(shards)
+    finally:
+        reducer.close()
+    assert len(reduced) == len(shards)
+    assert merge_shards(reduced) == reduce_deterministic(pul)
 
 
-@pytest.mark.slow
-def test_process_backend_matches_sequential_reduction(pul):
-    outcome = ParallelReducer(workers=2, backend="process").reduce(pul)
-    assert merge_shards(outcome.reduced) == reduce_deterministic(pul)
+@pytest.mark.parametrize("backend", ("serial", "thread"))
+def test_reduce_shards_keeps_shard_order(backend, pul):
+    shards = shard_pul(pul, 4)
+    reducer = ParallelReducer(workers=4, backend=backend)
+    try:
+        reduced = reducer.reduce_shards(shards)
+    finally:
+        reducer.close()
+    assert reduced == [reduce_deterministic(shard) for shard in shards]
 
 
-def test_wire_mode_matches_sequential_reduction(pul):
-    from repro.pipeline.shard import shard_pul
-    from repro.pul.serialize import pul_from_xml, pul_to_xml
+@pytest.mark.parametrize("backend", ("serial", "thread"))
+def test_input_pul_is_not_mutated(backend, pul):
+    ops = [op.describe() for op in pul]
+    labels = dict(pul.labels)
+    shards = shard_pul(pul, 4)
+    shard_ops = [[op.describe() for op in shard] for shard in shards]
+    reducer = ParallelReducer(workers=4, backend=backend)
+    try:
+        merge_shards(reducer.reduce_shards(shards))
+    finally:
+        reducer.close()
+    assert [op.describe() for op in pul] == ops
+    assert pul.labels == labels
+    assert [[op.describe() for op in shard] for shard in shards] == \
+        shard_ops
 
-    payloads = [pul_to_xml(s) for s in shard_pul(pul, 4)]
-    with ParallelReducer(workers=4, backend="thread") as reducer:
-        reduced, failures = reducer.reduce_wire(payloads)
-    assert failures == []
-    merged = merge_shards([pul_from_xml(p) for p in reduced])
-    assert merged == reduce_deterministic(pul)
+
+@pytest.mark.parametrize("backend", ("serial", "thread"))
+def test_empty_batch_reduces_to_empty(backend):
+    reducer = ParallelReducer(workers=4, backend=backend)
+    try:
+        reduced = reducer.reduce_shards(shard_pul(PUL([]), 4))
+    finally:
+        reducer.close()
+    assert [len(shard) for shard in reduced] == [0]
+    assert len(merge_shards(reduced)) == 0
+
+
+@pytest.mark.parametrize("backend", ("serial", "thread"))
+def test_matches_sequential_reference(backend, figure1, figure1_labeling):
+    """On the Figure 1 document, the applied result of the sharded step
+    is the sequential reduce + apply, byte for byte, at any shard
+    count."""
+    pul = generate_pul(figure1, 30, seed=7, labeling=figure1_labeling)
+    text = serialize(figure1)
+    expected = apply_in_memory(text, reduce_deterministic(pul))
+    reducer = ParallelReducer(workers=4, backend=backend)
+    try:
+        for count in (1, 2, 4, 8):
+            merged = merge_shards(reducer.reduce_shards(
+                shard_pul(pul, count)))
+            assert apply_in_memory(text, merged) == expected
+    finally:
+        reducer.close()
+
+
+def test_one_thread_reduces_many_shards(pul):
+    reducer = ParallelReducer(workers=1, backend="thread")
+    try:
+        reduced = reducer.reduce_shards(shard_pul(pul, 4))
+    finally:
+        reducer.close()
+    assert len(reduced) == 4
+    assert merge_shards(reduced) == reduce_deterministic(pul)
 
 
 def test_close_is_idempotent_and_pool_rewarms(pul):
     reducer = ParallelReducer(workers=2, backend="thread")
-    first = reducer.reduce(pul)
+    shards = shard_pul(pul, 2)
+    first = reducer.reduce_shards(shards)
+    warm = reducer._pool
     reducer.close()
     reducer.close()
-    second = reducer.reduce(pul)
+    assert reducer._pool is None
+    second = reducer.reduce_shards(shards)
+    assert reducer._pool is not None and reducer._pool is not warm
     reducer.close()
-    assert merge_shards(first.reduced) == merge_shards(second.reduced)
+    assert merge_shards(first) == merge_shards(second)
+
+
+def test_concurrent_first_calls_share_one_pool(monkeypatch, pul):
+    """Flushes of different documents share the store's reducer: the
+    first calls racing each other must warm exactly one pool."""
+    built = []
+    real = parallel_mod.concurrent.futures.ThreadPoolExecutor
+
+    def slow_pool(**kwargs):
+        time.sleep(0.01)          # widen the check-then-create window
+        built.append(real(**kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(parallel_mod.concurrent.futures,
+                        "ThreadPoolExecutor", slow_pool)
+    reducer = ParallelReducer(workers=2, backend="thread")
+    shards = shard_pul(pul, 2)
+    expected = merge_shards(reducer.reduce_shards(shards))
+    reducer.close()
+    built.clear()
+    start = threading.Barrier(8)
+    results = []
+
+    def flush():
+        start.wait(timeout=10)
+        results.append(merge_shards(reducer.reduce_shards(shards)))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=flush) for __ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+        reducer.close()
+    assert len(built) == 1
+    assert results == [expected] * 8
 
 
 def test_single_shard_short_circuits_to_serial(pul):
     reducer = ParallelReducer(workers=4, backend="thread")
-    outcome = reducer.reduce(pul, num_shards=1)
-    assert outcome.backend == "serial"
-    assert len(outcome.shards) == 1
+    [reduced] = reducer.reduce_shards(shard_pul(pul, 1))
+    assert reducer._pool is None
+    assert reduced == reduce_deterministic(pul)
 
 
-class _FlakyReduce:
-    """Fails the first pool-side attempt on every other shard."""
+@pytest.mark.parametrize("error", (ReproError, RuntimeError))
+@pytest.mark.parametrize("backend", ("serial", "thread"))
+def test_a_failing_shard_fails_the_call(monkeypatch, pul, backend, error):
+    """No shard is retried or skipped: the first error propagates."""
+    def failing(shard):
+        if any(op.op_name == "delete" for op in shard):
+            raise error("shard is semantically broken")
+        return reduce_deterministic(shard)
 
-    def __init__(self, real):
-        self.real = real
-        self.calls = 0
-        self.failed = set()
-
-    def __call__(self, shard, deterministic):
-        self.calls += 1
-        key = id(shard)
-        if self.calls % 2 == 1 and key not in self.failed:
-            self.failed.add(key)
-            raise RuntimeError("worker crashed mid-batch")
-        return self.real(shard, deterministic)
+    monkeypatch.setattr(parallel_mod, "reduce_deterministic", failing)
+    reducer = ParallelReducer(workers=4, backend=backend)
+    try:
+        with pytest.raises(error, match="semantically broken"):
+            reducer.reduce_shards(shard_pul(pul, 4))
+    finally:
+        reducer.close()
 
 
-def test_worker_failure_mid_batch_is_recovered(monkeypatch, pul):
-    real = parallel_mod._reduce_shard
-    flaky = _FlakyReduce(real)
-    monkeypatch.setattr(parallel_mod, "_reduce_shard", flaky)
+def _count_failing_reductions(monkeypatch, pul, error):
+    """Reduce four shards on the thread pool with every reduction
+    raising ``error``; returns (raised exception, shards attempted). A
+    failed call cancels the shards not yet started, so each shard is
+    attempted at most once."""
+    calls = []
+
+    def failing(shard):
+        calls.append(shard)
+        raise error("shard is semantically broken")
+
+    monkeypatch.setattr(parallel_mod, "reduce_deterministic", failing)
     reducer = ParallelReducer(workers=4, backend="thread")
-    outcome = reducer.reduce(pul)
-    assert outcome.failures, "expected at least one recovered failure"
-    assert all(f.shard_index is not None for f in outcome.failures)
-    monkeypatch.setattr(parallel_mod, "_reduce_shard", real)
-    assert merge_shards(outcome.reduced) == reduce_deterministic(pul)
-
-
-def test_worker_failure_without_retry_raises(monkeypatch, pul):
-    def always_broken(shard, deterministic):
-        raise RuntimeError("worker crashed mid-batch")
-
-    monkeypatch.setattr(parallel_mod, "_reduce_shard", always_broken)
-    reducer = ParallelReducer(workers=4, backend="thread",
-                              retry_serial=False)
-    with pytest.raises(ReproError, match="pipeline workers failed"):
-        reducer.reduce(pul)
+    try:
+        with pytest.raises(error) as excinfo:
+            reducer.reduce_shards(shard_pul(pul, 4))
+    finally:
+        reducer.close()
+    return excinfo.value, calls
 
 
 def test_domain_errors_propagate_not_retried(monkeypatch, pul):
-    calls = []
+    raised, calls = _count_failing_reductions(monkeypatch, pul, ReproError)
+    assert "semantically broken" in str(raised)
+    # no serial retry: no shard is reduced twice
+    assert 1 <= len(calls) == len({id(shard) for shard in calls}) <= 4
 
-    def domain_error(shard, deterministic):
-        calls.append(1)
-        raise ReproError("shard is semantically broken")
 
-    monkeypatch.setattr(parallel_mod, "_reduce_shard", domain_error)
-    reducer = ParallelReducer(workers=4, backend="thread")
-    with pytest.raises(ReproError, match="semantically broken"):
-        reducer.reduce(pul)
+def test_worker_failure_without_retry_raises(monkeypatch, pul):
+    """A crash inside a pool worker reaches the caller as raised — not
+    wrapped in a ReproError, not retried serially."""
+    raised, calls = _count_failing_reductions(monkeypatch, pul,
+                                              RuntimeError)
+    assert not isinstance(raised, ReproError)
+    assert 1 <= len(calls) == len({id(shard) for shard in calls}) <= 4
+
+
+@pytest.mark.parametrize("backend", ("serial", "thread"))
+def test_a_failing_shard_fails_the_batch(monkeypatch, backend):
+    """Through the store: the flush raises, the published version is the
+    same object, the queue is restored, and the next flush succeeds."""
+    with DocumentStore(workers=4, backend=backend) as store:
+        store.open("d", DOC)
+        store.submit("d", PUL(_independent_ops(store.document("d"))))
+        published = store._entries["d"].published
+        real = parallel_mod.reduce_deterministic
+
+        def poisoned(shard):
+            raise ReproError("poisoned shard")
+
+        monkeypatch.setattr(parallel_mod, "reduce_deterministic", poisoned)
+        with pytest.raises(ReproError, match="poisoned"):
+            store.flush("d")
+        assert store._entries["d"].published is published
+        assert len(store._entries["d"].pending) == 1
+        monkeypatch.setattr(parallel_mod, "reduce_deterministic", real)
+        result = store.flush("d")
+        assert result.version == 1
+        assert result.shard_sizes == [4, 4, 4, 4]

@@ -1,11 +1,12 @@
-"""Differential properties of the sharded pipeline.
+"""Differential properties of the store's sharded reduction step.
 
-The pipeline is correct iff it is indistinguishable from the sequential
-engine: for any document and applicable PUL, sharding + parallel reduction
-+ merge must yield the sequential reduction (as a PUL, up to multiset
-equality), and the applied result must be byte-identical to the
-sequential ``reduction.engine`` + ``apply.inmemory`` path — for every
-shard count.
+The step is correct iff it is indistinguishable from the sequential
+engine: for any document and applicable PUL, ``shard_pul`` +
+``ParallelReducer.reduce_shards`` + ``merge_shards`` must yield the
+sequential reduction (as a PUL, up to multiset equality) for every shard
+count and on both backends, and so apply to the same bytes. The CLI's
+``reduce --deterministic | apply`` chain is held to the same sequential
+path in ``tests/test_cli.py``.
 """
 
 import pytest
@@ -15,8 +16,7 @@ from hypothesis import strategies as st
 from repro.apply.inmemory import apply_in_memory
 from repro.errors import NotApplicableError
 from repro.labeling import ContainmentLabeling
-from repro.pipeline import ParallelReducer, merge_shards, run_pipeline, \
-    shard_pul
+from repro.pipeline import ParallelReducer, merge_shards, shard_pul
 from repro.reduction import reduce_deterministic
 from repro.xdm.serializer import serialize
 
@@ -28,60 +28,69 @@ _SETTINGS = dict(
     suppress_health_check=[HealthCheck.too_slow],
 )
 
-_WORKER_COUNTS = (1, 2, 8)
+_SHARD_COUNTS = (1, 2, 8)
+
+
+@pytest.fixture(scope="module")
+def reducers():
+    """One warm reducer per backend, shared by every example."""
+    pool = [ParallelReducer(workers=8, backend=backend)
+            for backend in ("serial", "thread")]
+    yield pool
+    for reducer in pool:
+        reducer.close()
 
 
 @st.composite
 def document_and_pul(draw):
     document = draw(documents())
     pul = draw(applicable_puls(document, max_ops=8))
+    pul.attach_labels(ContainmentLabeling().build(document))
     return document, pul
 
 
 @settings(**_SETTINGS)
 @given(document_and_pul())
-def test_pipeline_document_equals_sequential_path(case):
-    """Flagship contract: sharded pipeline ≡ sequential reduce + apply —
-    including the XQUF dynamic error cases (e.g. renames that collide on
-    an attribute name), where both paths must reject the PUL."""
+def test_pipeline_document_equals_sequential_path(reducers, case):
+    """The merged PUL applies to the bytes of the sequential reduce +
+    apply — including the XQUF dynamic error cases (e.g. renames that
+    collide on an attribute name), where both must reject the PUL."""
     document, pul = case
     text = serialize(document)
-    labeling = ContainmentLabeling().build(document)
-    pul.attach_labels(labeling)
     try:
         expected = apply_in_memory(text, reduce_deterministic(pul))
     except NotApplicableError:
-        for workers in _WORKER_COUNTS:
-            with pytest.raises(NotApplicableError):
-                run_pipeline(text, pul, workers=workers, backend="serial")
-        return
-    for workers in _WORKER_COUNTS:
-        result = run_pipeline(text, pul, workers=workers, backend="serial")
-        assert result.text == expected
+        expected = None
+    for reducer in reducers:
+        for count in _SHARD_COUNTS:
+            merged = merge_shards(reducer.reduce_shards(
+                shard_pul(pul, count)))
+            if expected is None:
+                with pytest.raises(NotApplicableError):
+                    apply_in_memory(text, merged)
+            else:
+                assert apply_in_memory(text, merged) == expected
 
 
 @settings(**_SETTINGS)
 @given(document_and_pul())
-def test_reduction_invariant_under_shard_count(case):
-    """shard + reduce + merge yields the same PUL for 1, 2 and 8 shards,
-    and that PUL is the sequential reduction (multiset equality)."""
-    document, pul = case
-    labeling = ContainmentLabeling().build(document)
-    pul.attach_labels(labeling)
+def test_reduction_invariant_under_shard_count(reducers, case):
+    """shard + reduce + merge yields the same PUL for 1, 2 and 8 shards
+    on either backend, and that PUL is the sequential reduction
+    (multiset equality)."""
+    __, pul = case
     sequential = reduce_deterministic(pul)
-    for workers in _WORKER_COUNTS:
-        reducer = ParallelReducer(workers=workers, backend="serial")
-        outcome = reducer.reduce(pul)
-        assert merge_shards(outcome.reduced) == sequential
+    for reducer in reducers:
+        for count in _SHARD_COUNTS:
+            reduced = reducer.reduce_shards(shard_pul(pul, count))
+            assert merge_shards(reduced) == sequential
 
 
 @settings(**_SETTINGS)
 @given(document_and_pul())
 def test_shards_partition_operations(case):
     """Sharding loses nothing, duplicates nothing, splits no target."""
-    document, pul = case
-    labeling = ContainmentLabeling().build(document)
-    pul.attach_labels(labeling)
+    __, pul = case
     for count in (2, 8):
         shards = shard_pul(pul, count)
         rejoined = sorted(op.describe() for s in shards for op in s)
@@ -94,29 +103,10 @@ def test_shards_partition_operations(case):
 
 @settings(**_SETTINGS)
 @given(document_and_pul())
-def test_merge_is_union_of_reduced_shards(case):
-    document, pul = case
-    labeling = ContainmentLabeling().build(document)
-    pul.attach_labels(labeling)
-    shards = shard_pul(pul, 4)
-    reduced = [reduce_deterministic(shard) for shard in shards]
-    merged = merge_shards(reduced)
-    assert sorted(op.describe() for op in merged) == \
-        sorted(op.describe() for shard in reduced for op in shard)
-
-
-@settings(max_examples=25, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(document_and_pul(), st.integers(1, 64))
-def test_batch_size_never_changes_the_output(case, batch_size):
-    document, pul = case
-    text = serialize(document)
-    labeling = ContainmentLabeling().build(document)
-    pul.attach_labels(labeling)
-    try:
-        expected = apply_in_memory(text, reduce_deterministic(pul))
-    except NotApplicableError:
-        return
-    result = run_pipeline(text, pul, workers=2, backend="serial",
-                          batch_size=batch_size)
-    assert result.text == expected
+def test_merge_is_union_of_reduced_shards(reducers, case):
+    __, pul = case
+    for reducer in reducers:
+        reduced = reducer.reduce_shards(shard_pul(pul, 4))
+        merged = merge_shards(reduced)
+        assert sorted(op.describe() for op in merged) == \
+            sorted(op.describe() for shard in reduced for op in shard)

@@ -6,13 +6,27 @@ import os
 import signal
 import subprocess
 import sys
+import tempfile
+from unittest import mock
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from repro.api import StoreClient
-from repro.cli import main
-from repro.errors import ReproError
-from repro.pul.serialize import pul_from_xml
+from repro.apply.inmemory import apply_in_memory
+from repro.cli import build_parser, main
+from repro.errors import NotApplicableError, ReproError
+from repro.labeling import ContainmentLabeling
+from repro.pul.ops import Rename
+from repro.pul.pul import PUL
+from repro.pul.serialize import pul_from_xml, pul_to_xml
+from repro.reduction import reduce_deterministic
+from repro.store import DocumentStore
+from repro.xdm import parse_document
+from repro.xdm.serializer import serialize
+
+from tests.strategies import applicable_puls, documents
 
 DOC = ("<bib><paper><title>T</title><authors><author>A</author>"
        "</authors></paper></bib>")
@@ -87,6 +101,11 @@ class TestReduce:
         assert code == 0
         (op,) = pul_from_xml(output.strip())
         assert op.op_name == "insertIntoAsFirst"
+
+    def test_missing_file_fails_cleanly(self, doc_path):
+        code, __ = run(["reduce", "--deterministic", doc_path,
+                        "/nonexistent.pul"])
+        assert code == 2
 
 
 class TestIntegrate:
@@ -163,6 +182,66 @@ class TestAggregateApplyInvert:
     def test_missing_file(self, doc_path):
         code, __ = run(["apply", doc_path, "/nonexistent.pul"])
         assert code == 2
+
+
+@st.composite
+def document_and_pul(draw):
+    document = draw(documents())
+    pul = draw(applicable_puls(document, max_ops=8))
+    pul.attach_labels(ContainmentLabeling().build(document))
+    return document, pul
+
+
+def _colliding_renames():
+    """Two attributes renamed to one name: a dynamic error at apply."""
+    document = parse_document('<a x="1" y="2"><b/></a>')
+    pul = PUL([Rename(attr.node_id, "z")
+               for attr in document.root.attributes])
+    pul.attach_labels(ContainmentLabeling().build(document))
+    return document, pul
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(document_and_pul())
+@example(_colliding_renames())
+def test_reduce_piped_into_apply_equals_sequential_path(case):
+    """``repro reduce --deterministic DOC P | repro apply DOC -`` prints
+    ``apply_in_memory(text, reduce_deterministic(pul))``; where that
+    raises, the chain exits 2 with the same error code."""
+    document, pul = case
+    text = serialize(document)
+    try:
+        expected = apply_in_memory(text, reduce_deterministic(pul))
+    except NotApplicableError as error:
+        expected, refusal = None, error
+    with tempfile.TemporaryDirectory() as scratch:
+        doc_path = os.path.join(scratch, "doc.xml")
+        pul_path = os.path.join(scratch, "p.pul")
+        with open(doc_path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        with open(pul_path, "w", encoding="utf-8") as handle:
+            handle.write(pul_to_xml(pul))
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr):
+            code, reduced = run(["reduce", "--deterministic", doc_path,
+                                 pul_path])
+            if code == 0:
+                with mock.patch("sys.stdin", io.StringIO(reduced)):
+                    code, output = run(["apply", doc_path, "-"])
+    if expected is None:
+        assert code == 2
+        assert "error [{}]:".format(refusal.code) in stderr.getvalue()
+    else:
+        assert code == 0
+        assert output == expected + "\n"
+
+
+def test_pipeline_command_is_an_invalid_choice(doc_path, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        run(["pipeline", doc_path, "p.pul"])
+    assert excinfo.value.code == 2
+    assert "invalid choice: 'pipeline'" in capsys.readouterr().err
 
 
 @contextlib.contextmanager
@@ -251,6 +330,57 @@ class TestStore:
         assert code == 2
         # and the typo'd path was not conjured into existence
         assert not missing.exists()
+
+    def test_recover_dump_stays_inside_its_directory(self, tmp_path):
+        """Document ids name dump files the way ``store export
+        --out-dir`` names them: separators and ``..`` cannot leave the
+        directory, and every document is dumped."""
+        wal_dir = str(tmp_path / "wal")
+        with DocumentStore(backend="serial", wal_dir=wal_dir) as store:
+            store.open("../escaped", DOC)
+            store.open("sub/dir", DOC)
+        dump_dir = tmp_path / "dump" / "inner"
+        code, output = run(["store", "recover", "--backend", "serial",
+                            "--wal-dir", wal_dir,
+                            "--dump-dir", str(dump_dir)])
+        assert code == 0
+        assert sorted(os.listdir(str(dump_dir))) == [
+            ".._escaped.xml", "sub_dir.xml"]
+        assert os.listdir(str(tmp_path / "dump")) == ["inner"]
+        assert (dump_dir / "sub_dir.xml").read_text() == DOC
+
+    @pytest.mark.parametrize("argv", [
+        ["serve", "--listen", "127.0.0.1:0"],
+        ["recover", "--wal-dir", "unused"],
+        ["bench"],
+        ["import", "doc.xml"],
+        ["export"],
+        ["query", "d1", "//author"],
+        ["metrics"]])
+    def test_process_backend_is_an_invalid_choice(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            run(["store"] + argv + ["--backend", "process"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'process'" in capsys.readouterr().err
+
+    def test_serve_parses_the_serial_single_worker_argv(self):
+        args = build_parser().parse_args(
+            ["store", "serve", "--listen", "unix:s.sock",
+             "--workers", "1", "--backend", "serial"])
+        assert (args.workers, args.backend) == (1, "serial")
+
+    @pytest.mark.parametrize("argv", [
+        ["import", "doc.xml"],
+        ["export"],
+        ["query", "d1", "//author"],
+        ["metrics"]])
+    def test_target_and_wal_dir_are_mutually_exclusive(self, argv,
+                                                       capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            run(["store"] + argv + ["--target", "127.0.0.1:1",
+                                    "--wal-dir", "unused"])
+        assert excinfo.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
 
     def test_query_against_a_durability_directory(self, doc_path,
                                                   tmp_path):
