@@ -8,7 +8,8 @@
 
 Both evaluators assign identifiers (and, when a labeling is supplied,
 containment labels) to new nodes in final-document order with identical
-tie-breaking, so their outputs are directly comparable.
+tie-breaking, so their outputs are directly comparable, and refuse the
+same PULs with the same message.
 """
 
 from repro.apply.events import (

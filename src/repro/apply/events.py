@@ -8,12 +8,19 @@ corresponding :class:`Document` are identical.
 * :func:`parse_events` — an adapter over the tokens of the shared scanner
   (:mod:`repro.xdm.parser`; O(depth) memory), assigning identifiers by
   position exactly like :func:`repro.xdm.parser.parse_document` does;
-* :func:`events_to_xml` — serialize an event stream back to text;
+* :func:`events_to_xml` / :func:`events_to_file` — serialize an event
+  stream back to text (one loop serves both);
 * :func:`events_to_document` — materialize an event stream as a document
   (mainly for tests).
+
+Events are shared, not copied: the streaming evaluator forwards an event
+the PUL does not touch as the very object its source yielded, and a
+:class:`StartElement` keeps the attribute list it is given.
 """
 
 from __future__ import annotations
+
+from itertools import islice
 
 from repro.errors import SerializationError, XMLSyntaxError
 from repro.xdm.document import Document
@@ -41,7 +48,7 @@ class StartElement:
 
     def __init__(self, name, attributes=(), node_id=None):
         self.name = name
-        self.attributes = list(attributes)
+        self.attributes = attributes
         self.node_id = node_id
 
     def __repr__(self):
@@ -115,97 +122,75 @@ def parse_events(text, keep_whitespace=False):
         yield StartElement(value, attributes, node_id)
 
 
-class XMLEventWriter:
-    """Serialize an event stream to XML text incrementally.
-
-    ``write(event)`` then ``result()``; or use :func:`events_to_xml`.
-    """
-
-    def __init__(self, with_ids=False, labels=None):
-        self._parts = []
-        self._open_start = None  # pending "<name attr..." of the last start
-        self.with_ids = with_ids
-        self.labels = labels
-
-    def write(self, event):
-        if isinstance(event, StartElement):
-            self._close_pending(full=False)
-            chunk = ["<", event.name]
-            if self.with_ids and event.node_id is not None:
-                chunk.append(' repro:id="{}"'.format(event.node_id))
-            if self.labels is not None and event.node_id in self.labels:
-                chunk.append(' repro:label="{}"'.format(
-                    escape_attribute(str(self.labels[event.node_id]))))
-            for attr in event.attributes:
-                chunk.append(' {}="{}"'.format(
-                    attr.name, escape_attribute(attr.value)))
-            self._open_start = "".join(chunk)
-        elif isinstance(event, EndElement):
-            if self._open_start is not None:
-                self._parts.append(self._open_start + "/>")
-                self._open_start = None
+def _write_events(events, write, with_ids, labels, batch):
+    """The one serializer loop: ``write`` the XML text of ``events``, one
+    call per ``batch`` events (``None``: one call for all). A start tag is
+    written open and closed by what follows it (``/>`` when that is its
+    end tag), so every chunk can go out at once. Returns the number of
+    characters written."""
+    events = iter(events)
+    open_tag = False
+    written = 0
+    while True:
+        parts = []
+        append = parts.append
+        for event in islice(events, batch):
+            kind = type(event)
+            if kind is EndElement:
+                if open_tag:
+                    append("/>")
+                    open_tag = False
+                else:
+                    append("</" + event.name + ">")
+                continue
+            if open_tag:
+                append(">")
+            if kind is TextEvent:
+                append(escape_text(event.value))
+                open_tag = False
+            elif kind is StartElement:
+                append("<" + event.name)
+                node_id = event.node_id
+                if with_ids and node_id is not None:
+                    append(' repro:id="{}"'.format(node_id))
+                if labels is not None and node_id in labels:
+                    append(' repro:label="{}"'.format(
+                        escape_attribute(str(labels[node_id]))))
+                for attr in event.attributes:
+                    append(" " + attr.name + '="'
+                           + escape_attribute(attr.value) + '"')
+                open_tag = True
             else:
-                self._parts.append("</{}>".format(event.name))
-        elif isinstance(event, TextEvent):
-            self._close_pending(full=False)
-            self._parts.append(escape_text(event.value))
-        else:
-            raise SerializationError(
-                "unknown event: {!r}".format(event))
-
-    def _close_pending(self, full):
-        if self._open_start is not None:
-            self._parts.append(self._open_start + ">")
-            self._open_start = None
-
-    def drain(self):
-        """Return and clear the completed output so far, or ``""`` while
-        a start tag is still pending (nothing can be flushed safely)."""
-        if self._open_start is not None:
-            return ""
-        chunk = "".join(self._parts)
-        self._parts.clear()
-        return chunk
-
-    def result(self):
-        if self._open_start is not None:
-            raise SerializationError("unterminated element in event stream")
-        return "".join(self._parts)
+                raise SerializationError(
+                    "unknown event: {!r}".format(event))
+        if not parts:
+            break
+        chunk = "".join(parts)
+        write(chunk)
+        written += len(chunk)
+    if open_tag:
+        raise SerializationError("unterminated element in event stream")
+    return written
 
 
 def events_to_xml(events, with_ids=False, labels=None):
     """Serialize an event stream to XML text."""
-    writer = XMLEventWriter(with_ids=with_ids, labels=labels)
-    for event in events:
-        writer.write(event)
-    return writer.result()
+    chunks = []
+    _write_events(events, chunks.append, with_ids, labels, None)
+    return "".join(chunks)
 
 
 def events_to_file(events, handle, with_ids=False, labels=None,
                    flush_every=256):
     """Serialize an event stream incrementally to an open text file.
 
-    The writer's buffer is drained every ``flush_every`` events, so memory
-    stays proportional to document depth — the disk-serialization mode of
-    the paper's streamed evaluation (Section 4.3). Returns the number of
-    bytes written.
+    Text is written every ``flush_every`` events, so memory stays
+    proportional to document depth — the disk-serialization mode of the
+    paper's streamed evaluation (Section 4.3). Returns the number of
+    characters written.
     """
-    writer = XMLEventWriter(with_ids=with_ids, labels=labels)
-    written = 0
-    pending = 0
-    for event in events:
-        writer.write(event)
-        pending += 1
-        if pending >= flush_every:
-            chunk = writer.drain()
-            if chunk:
-                handle.write(chunk)
-                written += len(chunk)
-                pending = 0
-    chunk = writer.result()
-    handle.write(chunk)
-    written += len(chunk)
-    return written
+    return _write_events(events, handle.write, with_ids, labels,
+                         flush_every)
 
 
 def events_to_document(events, allocator=None):

@@ -6,24 +6,43 @@ transformed stream is serialized immediately. No in-memory representation
 of the document is ever built: memory is proportional to document depth
 plus PUL size, decoupling memory requirements from document size.
 
+Pass-through: with no labeling to maintain, an event whose node and
+attributes have no plan, outside a deleted, replaced or ``repC``-suppressed
+subtree, leaves as the very object that came in — no new event, no frame,
+no lookahead. Frames exist only for the elements a plan targets.
+
 Identifier assignment to new nodes matches the in-memory evaluator: fresh
 identifiers in final-document order starting from ``fresh_start`` (the
 executor's allocator position — the original node count for a freshly
-parsed document). When a :class:`ContainmentLabeling` is supplied, new
-nodes also receive containment codes generated between surviving neighbor
-codes (no existing label is ever touched — update tolerance), and sibling
-pointers are restitched as elements close. One event of lookahead keeps
-new-attribute and children-prefix codes below the first original child's
-start code.
+parsed document). When a :class:`ContainmentLabeling` is supplied, every
+element gets a frame and new nodes also receive containment codes
+generated between surviving neighbor codes (no existing label is ever
+touched — update tolerance), and sibling pointers are restitched as
+elements close. One event of lookahead keeps new-attribute and
+children-prefix codes below the first original child's start code.
+
+Refusals match the in-memory evaluator. With ``check`` (the default) each
+planned node is checked against the conditions of Table 2 as it streams
+past, inside removed subtrees too; the first violation ends the output,
+the rest of the input is only looked at, and the end of the stream raises
+:class:`NotApplicableError` with the message
+:meth:`repro.pul.pul.PUL.require_applicable` gives (targets never seen
+included). The XQUF duplicate-attribute error is raised at the end of the
+stream as well, for the element the in-memory evaluator names. A consumer
+such as :func:`repro.apply.events.events_to_xml` then returns nothing; a
+supplied labeling keeps what the stream changed before the refusal.
 """
 
 from __future__ import annotations
+
+from itertools import chain
 
 from repro.apply.events import (
     AttributeEvent,
     EndElement,
     StartElement,
     TextEvent,
+    _node_events,
 )
 from repro.errors import NotApplicableError
 from repro.pul.ops import (
@@ -46,7 +65,7 @@ class _Plan:
 
     __slots__ = ("rename", "replace_value", "delete", "replace_node",
                  "replace_children", "ins_before", "ins_after", "ins_first",
-                 "ins_last", "ins_into", "ins_attributes")
+                 "ins_last", "ins_into", "ins_attributes", "ops")
 
     def __init__(self):
         self.rename = None
@@ -60,6 +79,7 @@ class _Plan:
         self.ins_last = []
         self.ins_into = []
         self.ins_attributes = []
+        self.ops = []                  # the operations, for the checks
 
 
 def _build_plans(pul):
@@ -68,6 +88,7 @@ def _build_plans(pul):
         plan = plans.get(op.target)
         if plan is None:
             plan = plans[op.target] = _Plan()
+        plan.ops.append(op)
         name = op.op_name
         if name == Rename.op_name:
             plan.rename = op.name
@@ -96,6 +117,26 @@ def _build_plans(pul):
     return plans
 
 
+class _Seen:
+    """A planned node as the stream shows it: all that the conditions of
+    Table 2 (``UpdateOperation._conditions``) read of a node."""
+
+    __slots__ = ("is_element", "is_attribute", "is_text", "parent")
+
+    def __init__(self, kind, has_parent):
+        self.is_element = kind is StartElement
+        self.is_attribute = kind is AttributeEvent
+        self.is_text = kind is TextEvent
+        self.parent = True if has_parent else None  # only tested for None
+
+
+class _Sightings(dict):
+    """The planned nodes the stream has shown, by identifier: the document
+    :meth:`repro.pul.pul.PUL.applicability_errors` checks against."""
+
+    find = dict.get
+
+
 class _Frame:
     """State of one open *emitted* element."""
 
@@ -111,7 +152,7 @@ class _Frame:
 
 
 class _Peekable:
-    """One-event lookahead over the input stream."""
+    """One-event lookahead over the input stream (labeled runs only)."""
 
     __slots__ = ("_iter", "_buffer")
     _EMPTY = object()
@@ -143,13 +184,22 @@ class StreamingEvaluator:
     """Single-pass PUL evaluator over an event stream."""
 
     def __init__(self, pul, fresh_start=None, labeling=None, check=True):
-        if check:
-            pul.check_compatible()
+        self.pul = pul
         self.plans = _build_plans(pul)
         self.next_id = fresh_start
         self.labeling = labeling
         self._last_code = None
         self._frames = []
+        # with ``check``: the planned nodes seen so far, and whether the
+        # PUL is refused (an incompatible pair is: the output then ends at
+        # the first planned node)
+        self._sightings = _Sightings() if check else None
+        self._refused = check and next(pul.incompatible_pairs(),
+                                       None) is not None
+        # duplicate-attribute errors by element id, and the original
+        # attribute ids of those elements (to name the in-memory one)
+        self._duplicates = {}
+        self._owners = {}
 
     # -- id / label helpers ---------------------------------------------------
 
@@ -190,62 +240,140 @@ class StreamingEvaluator:
         if self.labeling is not None:
             self.labeling.forget(node_id)
 
+    def _adopt(self, node_id):
+        """Record a child of the innermost open element (restitching)."""
+        if self.labeling is not None and self._frames:
+            self._frames[-1].child_ids.append(node_id)
+
+    # -- applicability ---------------------------------------------------
+
+    def _sight(self, event, has_parent):
+        """Record the planned nodes ``event`` shows (itself and its
+        attributes); False once the PUL is refused — here, or before."""
+        self._check(event.node_id, type(event), has_parent)
+        if type(event) is StartElement:
+            for attr in event.attributes:
+                self._check(attr.node_id, AttributeEvent, True)
+        return not self._refused
+
+    def _check(self, node_id, kind, has_parent):
+        """Record one node, if planned, against its operations' Table 2
+        conditions."""
+        plan = self.plans.get(node_id)
+        if plan is not None:
+            seen = self._sightings[node_id] = _Seen(kind, has_parent)
+            for op in plan.ops:
+                if op._conditions(seen):
+                    self._refused = True
+
+    def _finish(self, stream, root):
+        """End of the stream: raise what the in-memory evaluator raises."""
+        sightings = self._sightings
+        if sightings is not None:
+            if self._refused:
+                for event in stream:  # the output has ended: only look
+                    if type(event) is not EndElement:
+                        self._sight(event, event is not root)
+            if self._refused or len(sightings) < len(self.plans):
+                raise NotApplicableError("; ".join(
+                    self.pul.applicability_errors(sightings)))
+        if self._duplicates:
+            raise NotApplicableError(self._first_duplicate())
+
+    def _first_duplicate(self):
+        """The duplicate-attribute error of the first element, in PUL
+        order, whose attribute set an ``insA`` or an attribute's
+        ``ren``/``repN`` modifies — the one the in-memory evaluator
+        reports."""
+        for op in self.pul:
+            if op.op_name == InsertAttributes.op_name:
+                element = op.target
+            elif op.op_name in (Rename.op_name, ReplaceNode.op_name):
+                element = self._owners.get(op.target)
+            else:
+                continue
+            if element in self._duplicates:
+                return self._duplicates[element]
+        return next(iter(self._duplicates.values()))
+
     # -- transformation ---------------------------------------------------------
 
     def transform(self, events):
         """Yield the transformed event stream."""
-        stream = _Peekable(events)
+        plans = self.plans
+        labeled = self.labeling is not None
+        checked = self._sightings is not None
+        stream = iter(events)
+        root = next(stream, None)  # the one node without a parent
+        if root is not None:
+            stream = chain((root,), stream)
+        if labeled:
+            stream = _Peekable(stream)
         skip_depth = 0
         suppress_depth = 0  # inside a repC'd element: children suppressed
         for event in stream:
-            if isinstance(event, StartElement):
-                if skip_depth or suppress_depth:
+            kind = type(event)
+            if kind is EndElement:
+                if skip_depth:
+                    skip_depth -= 1
+                    if skip_depth == 0:
+                        self._forget(event.node_id)
+                elif suppress_depth > 1:
+                    suppress_depth -= 1
+                elif suppress_depth or labeled or event.node_id in plans:
+                    # (suppress depth 1: the repC'd element itself closes)
+                    suppress_depth = 0
+                    yield from self._leave_element(event)
+                else:
+                    yield event
+                continue
+            planned = event.node_id in plans
+            if not planned and kind is StartElement:
+                for attr in event.attributes:
+                    if attr.node_id in plans:
+                        planned = True
+                        break
+            if planned and checked and \
+                    not self._sight(event, event is not root):
+                break
+            if skip_depth or suppress_depth:
+                if kind is StartElement:
                     if skip_depth:
                         skip_depth += 1
                     else:
                         suppress_depth += 1
-                    self._forget(event.node_id)
-                    for attr in event.attributes:
-                        self._forget(attr.node_id)
-                    continue
+                    if labeled:
+                        for attr in event.attributes:
+                            self._forget(attr.node_id)
+                self._forget(event.node_id)
+                continue
+            if not planned and not labeled:
+                yield event
+                continue
+            if kind is StartElement:
                 outcome = yield from self._enter_element(event, stream)
                 if outcome == "skip":
                     skip_depth = 1
                 elif outcome == "suppress":
                     suppress_depth = 1
-            elif isinstance(event, TextEvent):
-                if skip_depth or suppress_depth:
-                    self._forget(event.node_id)
-                    continue
+            else:
                 yield from self._text(event)
-            elif isinstance(event, EndElement):
-                if skip_depth:
-                    skip_depth -= 1
-                    if skip_depth == 0:
-                        self._forget(event.node_id)
-                    continue
-                if suppress_depth:
-                    suppress_depth -= 1
-                    if suppress_depth:
-                        continue
-                    # depth hit zero: close the repC'd element itself
-                yield from self._leave_element(event)
+        self._finish(stream, root)
 
     # -- element handling --------------------------------------------------------
 
     def _emit_trees(self, tree_lists, right_code):
-        """Emit new subtrees (id + label assignment + frame bookkeeping)."""
+        """Emit new subtrees (id + label assignment + frame bookkeeping);
+        the PUL's own trees when there is nothing to assign."""
+        bare = self.next_id is None and self.labeling is None
         for trees in tree_lists:
-            copies = [tree.deep_copy(keep_ids=True) for tree in trees]
+            copies = trees if bare else \
+                [tree.deep_copy(keep_ids=True) for tree in trees]
             self._assign_ids(copies)
             self._label_trees(copies, right_code)
             for copy in copies:
-                if self._frames:
-                    self._frames[-1].child_ids.append(copy.node_id)
-                yield from _tree_events(copy)
-
-    def _plan_of(self, node_id):
-        return self.plans.get(node_id)
+                self._adopt(copy.node_id)
+                yield from _node_events(copy)
 
     def _after_code(self, label):
         """The next original boundary after this node's subtree: the right
@@ -261,7 +389,7 @@ class StreamingEvaluator:
         return None
 
     def _enter_element(self, event, stream):
-        plan = self._plan_of(event.node_id)
+        plan = self.plans.get(event.node_id)
         label = self._original_label(event.node_id)
         if plan is not None and plan.ins_before:
             yield from self._emit_trees(
@@ -279,17 +407,18 @@ class StreamingEvaluator:
         # the element survives
         name = plan.rename if plan is not None and plan.rename else \
             event.name
-        if self._frames:
-            self._frames[-1].child_ids.append(event.node_id)
+        self._adopt(event.node_id)
         self._note_code(event.node_id, 0)
         first_bound = self._first_content_bound(event, label, stream)
         attributes = self._transform_attributes(event, plan, label,
                                                 first_bound)
+        yield StartElement(name, attributes, node_id=event.node_id)
+        if plan is None and self.labeling is None:
+            return None  # only its attributes were planned: no frame
         frame = _Frame(
             event.node_id,
             label.level if label is not None else len(self._frames),
             label.end if label is not None else None)
-        yield StartElement(name, attributes, node_id=event.node_id)
         self._frames.append(frame)
         if plan is not None and plan.replace_children is not None:
             yield from self._emit_trees(
@@ -331,7 +460,7 @@ class StreamingEvaluator:
                         or attr_label.end > self._last_code):
                     self._last_code = attr_label.end
         for attr in event.attributes:
-            attr_plan = self._plan_of(attr.node_id)
+            attr_plan = self.plans.get(attr.node_id)
             if attr_plan is None:
                 result.append(attr)
                 continue
@@ -365,9 +494,11 @@ class StreamingEvaluator:
                     for t in copies)
         names = [attr.name for attr in result]
         if len(names) != len(set(names)):
-            raise NotApplicableError(
+            self._duplicates[event.node_id] = \
                 "duplicate attribute on element {}: {}".format(
-                    event.node_id, sorted(names)))
+                    event.node_id, sorted(names))
+            for attr in event.attributes:
+                self._owners[attr.node_id] = event.node_id
         return result
 
     def _label_attributes(self, trees, event, element_label, first_bound):
@@ -385,7 +516,7 @@ class StreamingEvaluator:
         self._frames.pop()
         self._stitch_children(frame)
         self._note_code(event.node_id, 1)
-        plan = self._plan_of(event.node_id)
+        plan = self.plans.get(event.node_id)
         name = plan.rename if plan is not None and plan.rename else \
             event.name
         yield EndElement(name, node_id=event.node_id)
@@ -421,10 +552,9 @@ class StreamingEvaluator:
     # -- text nodes ----------------------------------------------------------------
 
     def _text(self, event):
-        plan = self._plan_of(event.node_id)
+        plan = self.plans.get(event.node_id)
         if plan is None:
-            if self._frames:
-                self._frames[-1].child_ids.append(event.node_id)
+            self._adopt(event.node_id)
             self._note_code(event.node_id, 1)
             yield event
             return
@@ -441,27 +571,12 @@ class StreamingEvaluator:
         else:
             value = event.value if plan.replace_value is None \
                 else plan.replace_value
-            if self._frames:
-                self._frames[-1].child_ids.append(event.node_id)
+            self._adopt(event.node_id)
             self._note_code(event.node_id, 1)
             yield TextEvent(value, node_id=event.node_id)
         if plan.ins_after:
             yield from self._emit_trees(
                 list(reversed(plan.ins_after)), self._after_code(label))
-
-
-def _tree_events(node):
-    if node.is_text:
-        yield TextEvent(node.value, node_id=node.node_id)
-        return
-    yield StartElement(
-        node.name,
-        [AttributeEvent(a.name, a.value, node_id=a.node_id)
-         for a in node.attributes],
-        node_id=node.node_id)
-    for child in node.children:
-        yield from _tree_events(child)
-    yield EndElement(node.name, node_id=node.node_id)
 
 
 def apply_streaming(events, pul, fresh_start=None, labeling=None,
@@ -473,6 +588,8 @@ def apply_streaming(events, pul, fresh_start=None, labeling=None,
     ``labeling``: a :class:`ContainmentLabeling` of the original document,
     updated in place (labels added for inserted nodes, dropped for removed
     ones; existing codes never change).
+    ``check``: refuse, as the in-memory evaluator does, a PUL that is not
+    applicable on the streamed document (see the module docstring).
     """
     evaluator = StreamingEvaluator(pul, fresh_start=fresh_start,
                                    labeling=labeling, check=check)

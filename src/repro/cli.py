@@ -164,10 +164,9 @@ def cmd_apply(args, out):
     if args.in_memory:
         result = apply_in_memory(text, pul)
     else:
-        document = parse_document(text)
-        result = events_to_xml(apply_streaming(
-            parse_events(text), pul,
-            fresh_start=document.allocator.next_value))
+        # no tree (Section 4.3's memory bound) and no fresh ids: the
+        # output carries none
+        result = events_to_xml(apply_streaming(parse_events(text), pul))
     out.write(result + "\n")
     return 0
 

@@ -18,12 +18,13 @@ from repro.apply.inmemory import apply_in_memory
 from repro.cli import build_parser, main
 from repro.errors import NotApplicableError, ReproError
 from repro.labeling import ContainmentLabeling
-from repro.pul.ops import Rename
+from repro.pul.ops import InsertBefore, Rename
 from repro.pul.pul import PUL
 from repro.pul.serialize import pul_from_xml, pul_to_xml
 from repro.reduction import reduce_deterministic
 from repro.store import DocumentStore
 from repro.xdm import parse_document
+from repro.xdm.parser import parse_forest
 from repro.xdm.serializer import serialize
 
 from tests.strategies import applicable_puls, documents
@@ -168,6 +169,35 @@ class TestAggregateApplyInvert:
         assert code_s == code_m == 0
         assert out_s == out_m
         assert "<maintitle>" in out_s
+
+    def test_streaming_apply_builds_no_tree(self, doc_path, tmp_path,
+                                            monkeypatch):
+        pul_path = produce(doc_path, tmp_path,
+                           "insert node <note>n</note> as last into //paper,"
+                           " rename node //title as maintitle")
+        with open(pul_path) as handle:
+            expected = apply_in_memory(DOC, pul_from_xml(handle.read()))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("streaming apply built a tree")
+
+        monkeypatch.setattr("repro.cli.parse_document", refuse)
+        code, output = run(["apply", doc_path, pul_path])
+        assert code == 0
+        assert output == expected + "\n"
+
+    def test_apply_refuses_like_in_memory(self, doc_path, tmp_path, capsys):
+        """``ins←`` on the root: both modes exit 2 with one message."""
+        pul_path = tmp_path / "root.pul"
+        pul_path.write_text(pul_to_xml(PUL([InsertBefore(
+            0, parse_forest("<q/>"))])))
+        refusals = []
+        for mode in ([], ["--in-memory"]):
+            code, output = run(["apply"] + mode + [doc_path, str(pul_path)])
+            assert (code, output) == (2, "")
+            refusals.append(capsys.readouterr().err)
+        assert refusals[0] == refusals[1]
+        assert refusals[0].startswith("error [not-applicable]: ins←(0, ")
 
     def test_invert_roundtrip(self, doc_path, tmp_path):
         pul_path = produce(doc_path, tmp_path, "delete nodes //author")
