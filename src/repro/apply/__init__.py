@@ -6,10 +6,12 @@
   flows through as an event stream, transformed on the fly; memory is
   independent of document size.
 
-Both evaluators assign identifiers (and, when a labeling is supplied,
-containment labels) to new nodes in final-document order with identical
-tie-breaking, so their outputs are directly comparable, and refuse the
-same PULs with the same message.
+Both evaluators assign identifiers to new nodes in final-document order
+with identical tie-breaking, so their outputs are directly comparable,
+and refuse the same PULs with the same message. Only the in-memory one
+maintains a labeling (``InMemoryEvaluator(labeling=...)``, through
+:meth:`~repro.labeling.scheme.ContainmentLabeling.sync`); the store's
+in-place applier (:mod:`repro.apply.inplace`) repairs labels per site.
 """
 
 from repro.apply.events import (

@@ -122,7 +122,7 @@ def parse_events(text, keep_whitespace=False):
         yield StartElement(value, attributes, node_id)
 
 
-def _write_events(events, write, with_ids, labels, batch):
+def _write_events(events, write, with_ids, batch):
     """The one serializer loop: ``write`` the XML text of ``events``, one
     call per ``batch`` events (``None``: one call for all). A start tag is
     written open and closed by what follows it (``/>`` when that is its
@@ -150,12 +150,8 @@ def _write_events(events, write, with_ids, labels, batch):
                 open_tag = False
             elif kind is StartElement:
                 append("<" + event.name)
-                node_id = event.node_id
-                if with_ids and node_id is not None:
-                    append(' repro:id="{}"'.format(node_id))
-                if labels is not None and node_id in labels:
-                    append(' repro:label="{}"'.format(
-                        escape_attribute(str(labels[node_id]))))
+                if with_ids and event.node_id is not None:
+                    append(' repro:id="{}"'.format(event.node_id))
                 for attr in event.attributes:
                     append(" " + attr.name + '="'
                            + escape_attribute(attr.value) + '"')
@@ -173,15 +169,14 @@ def _write_events(events, write, with_ids, labels, batch):
     return written
 
 
-def events_to_xml(events, with_ids=False, labels=None):
+def events_to_xml(events, with_ids=False):
     """Serialize an event stream to XML text."""
     chunks = []
-    _write_events(events, chunks.append, with_ids, labels, None)
+    _write_events(events, chunks.append, with_ids, None)
     return "".join(chunks)
 
 
-def events_to_file(events, handle, with_ids=False, labels=None,
-                   flush_every=256):
+def events_to_file(events, handle, with_ids=False, flush_every=256):
     """Serialize an event stream incrementally to an open text file.
 
     Text is written every ``flush_every`` events, so memory stays
@@ -189,8 +184,7 @@ def events_to_file(events, handle, with_ids=False, labels=None,
     paper's streamed evaluation (Section 4.3). Returns the number of
     characters written.
     """
-    return _write_events(events, handle.write, with_ids, labels,
-                         flush_every)
+    return _write_events(events, handle.write, with_ids, flush_every)
 
 
 def events_to_document(events, allocator=None):

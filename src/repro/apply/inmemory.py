@@ -29,7 +29,7 @@ class InMemoryEvaluator:
     def __init__(self, labeling=None):
         self.labeling = labeling
 
-    def evaluate(self, source, pul, with_ids=False, emit_labels=False):
+    def evaluate(self, source, pul, with_ids=False):
         """Apply ``pul`` to ``source`` (XML text or a Document).
 
         Returns the serialized result. Text input is parsed first (ids in
@@ -40,19 +40,14 @@ class InMemoryEvaluator:
         else:
             document = parse_document(source)
         apply_pul(document, pul)
-        labels = None
         if self.labeling is not None:
             self.labeling.sync(document)
-            if emit_labels:
-                labels = {node_id: label.to_string() for node_id, label
-                          in self.labeling.as_mapping().items()}
         if document.root is None:
             return ""
-        return serialize(document, with_ids=with_ids, labels=labels)
+        return serialize(document, with_ids=with_ids)
 
 
-def apply_in_memory(source, pul, labeling=None, with_ids=False,
-                    emit_labels=False):
+def apply_in_memory(source, pul, labeling=None, with_ids=False):
     """One-shot convenience wrapper around :class:`InMemoryEvaluator`."""
     return InMemoryEvaluator(labeling=labeling).evaluate(
-        source, pul, with_ids=with_ids, emit_labels=emit_labels)
+        source, pul, with_ids=with_ids)

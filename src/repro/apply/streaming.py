@@ -6,20 +6,17 @@ transformed stream is serialized immediately. No in-memory representation
 of the document is ever built: memory is proportional to document depth
 plus PUL size, decoupling memory requirements from document size.
 
-Pass-through: with no labeling to maintain, an event whose node and
-attributes have no plan, outside a deleted, replaced or ``repC``-suppressed
-subtree, leaves as the very object that came in — no new event, no frame,
-no lookahead. Frames exist only for the elements a plan targets.
+Pass-through: an event whose node and attributes have no plan, outside a
+deleted, replaced or ``repC``-suppressed subtree, leaves as the very
+object that came in — no new event, no frame. Frames exist only for the
+elements a plan targets.
 
 Identifier assignment to new nodes matches the in-memory evaluator: fresh
 identifiers in final-document order starting from ``fresh_start`` (the
 executor's allocator position — the original node count for a freshly
-parsed document). When a :class:`ContainmentLabeling` is supplied, every
-element gets a frame and new nodes also receive containment codes
-generated between surviving neighbor codes (no existing label is ever
-touched — update tolerance), and sibling pointers are restitched as
-elements close. One event of lookahead keeps new-attribute and
-children-prefix codes below the first original child's start code.
+parsed document). The evaluator maintains no labels: a host that keeps a
+labeling materializes the document and applies in place
+(:func:`repro.apply.inplace.apply_batch_in_place`).
 
 Refusals match the in-memory evaluator. With ``check`` (the default) each
 planned node is checked against the conditions of Table 2 as it streams
@@ -29,8 +26,7 @@ the rest of the input is only looked at, and the end of the stream raises
 :meth:`repro.pul.pul.PUL.require_applicable` gives (targets never seen
 included). The XQUF duplicate-attribute error is raised at the end of the
 stream as well, for the element the in-memory evaluator names. A consumer
-such as :func:`repro.apply.events.events_to_xml` then returns nothing; a
-supplied labeling keeps what the stream changed before the refusal.
+such as :func:`repro.apply.events.events_to_xml` then returns nothing.
 """
 
 from __future__ import annotations
@@ -137,58 +133,15 @@ class _Sightings(dict):
     find = dict.get
 
 
-class _Frame:
-    """State of one open *emitted* element."""
-
-    __slots__ = ("node_id", "level", "end_code", "child_ids",
-                 "pending_last")
-
-    def __init__(self, node_id, level, end_code):
-        self.node_id = node_id
-        self.level = level
-        self.end_code = end_code
-        self.child_ids = []
-        self.pending_last = None  # ins↘ tree lists to emit before closing
-
-
-class _Peekable:
-    """One-event lookahead over the input stream (labeled runs only)."""
-
-    __slots__ = ("_iter", "_buffer")
-    _EMPTY = object()
-
-    def __init__(self, events):
-        self._iter = iter(events)
-        self._buffer = self._EMPTY
-
-    def __iter__(self):
-        return self
-
-    def __next__(self):
-        if self._buffer is not self._EMPTY:
-            value = self._buffer
-            self._buffer = self._EMPTY
-            return value
-        return next(self._iter)
-
-    def peek(self):
-        if self._buffer is self._EMPTY:
-            try:
-                self._buffer = next(self._iter)
-            except StopIteration:
-                return None
-        return self._buffer
-
-
 class StreamingEvaluator:
     """Single-pass PUL evaluator over an event stream."""
 
-    def __init__(self, pul, fresh_start=None, labeling=None, check=True):
+    def __init__(self, pul, fresh_start=None, check=True):
         self.pul = pul
         self.plans = _build_plans(pul)
         self.next_id = fresh_start
-        self.labeling = labeling
-        self._last_code = None
+        # per open planned element, its ins↘ tree lists (emitted before
+        # it closes)
         self._frames = []
         # with ``check``: the planned nodes seen so far, and whether the
         # PUL is refused (an incompatible pair is: the output then ends at
@@ -201,7 +154,7 @@ class StreamingEvaluator:
         self._duplicates = {}
         self._owners = {}
 
-    # -- id / label helpers ---------------------------------------------------
+    # -- id assignment ---------------------------------------------------
 
     def _assign_ids(self, trees):
         if self.next_id is None:
@@ -211,39 +164,6 @@ class StreamingEvaluator:
                 if node.node_id is None:
                     node.node_id = self.next_id
                     self.next_id += 1
-
-    def _label_trees(self, trees, right_code):
-        """Containment codes for new trees, strictly between the last
-        emitted boundary and ``right_code``."""
-        if self.labeling is None or not trees:
-            return
-        frame = self._frames[-1] if self._frames else None
-        parent_id = frame.node_id if frame else None
-        parent_level = frame.level if frame else -1
-        self.labeling.assign_tree(trees, parent_id, parent_level,
-                                  self._last_code, right_code)
-        self._last_code = self.labeling.label_of(trees[-1].node_id).end
-
-    def _note_code(self, node_id, which):
-        if self.labeling is None:
-            return
-        label = self.labeling.find(node_id)
-        if label is not None:
-            self._last_code = label.start if which == 0 else label.end
-
-    def _original_label(self, node_id):
-        if self.labeling is None:
-            return None
-        return self.labeling.find(node_id)
-
-    def _forget(self, node_id):
-        if self.labeling is not None:
-            self.labeling.forget(node_id)
-
-    def _adopt(self, node_id):
-        """Record a child of the innermost open element (restitching)."""
-        if self.labeling is not None and self._frames:
-            self._frames[-1].child_ids.append(node_id)
 
     # -- applicability ---------------------------------------------------
 
@@ -301,14 +221,11 @@ class StreamingEvaluator:
     def transform(self, events):
         """Yield the transformed event stream."""
         plans = self.plans
-        labeled = self.labeling is not None
         checked = self._sightings is not None
         stream = iter(events)
         root = next(stream, None)  # the one node without a parent
         if root is not None:
             stream = chain((root,), stream)
-        if labeled:
-            stream = _Peekable(stream)
         skip_depth = 0
         suppress_depth = 0  # inside a repC'd element: children suppressed
         for event in stream:
@@ -316,11 +233,9 @@ class StreamingEvaluator:
             if kind is EndElement:
                 if skip_depth:
                     skip_depth -= 1
-                    if skip_depth == 0:
-                        self._forget(event.node_id)
                 elif suppress_depth > 1:
                     suppress_depth -= 1
-                elif suppress_depth or labeled or event.node_id in plans:
+                elif suppress_depth or event.node_id in plans:
                     # (suppress depth 1: the repC'd element itself closes)
                     suppress_depth = 0
                     yield from self._leave_element(event)
@@ -342,16 +257,12 @@ class StreamingEvaluator:
                         skip_depth += 1
                     else:
                         suppress_depth += 1
-                    if labeled:
-                        for attr in event.attributes:
-                            self._forget(attr.node_id)
-                self._forget(event.node_id)
                 continue
-            if not planned and not labeled:
+            if not planned:
                 yield event
                 continue
             if kind is StartElement:
-                outcome = yield from self._enter_element(event, stream)
+                outcome = yield from self._enter_element(event)
                 if outcome == "skip":
                     skip_depth = 1
                 elif outcome == "suppress":
@@ -362,103 +273,49 @@ class StreamingEvaluator:
 
     # -- element handling --------------------------------------------------------
 
-    def _emit_trees(self, tree_lists, right_code):
-        """Emit new subtrees (id + label assignment + frame bookkeeping);
-        the PUL's own trees when there is nothing to assign."""
-        bare = self.next_id is None and self.labeling is None
+    def _emit_trees(self, tree_lists):
+        """Emit new subtrees (ids assigned); the PUL's own trees when
+        there are no ids to assign."""
         for trees in tree_lists:
-            copies = trees if bare else \
+            copies = trees if self.next_id is None else \
                 [tree.deep_copy(keep_ids=True) for tree in trees]
             self._assign_ids(copies)
-            self._label_trees(copies, right_code)
             for copy in copies:
-                self._adopt(copy.node_id)
                 yield from _node_events(copy)
 
-    def _after_code(self, label):
-        """The next original boundary after this node's subtree: the right
-        sibling's start, or the enclosing (parent) element's end code."""
-        if label is None:
-            return None
-        if label.right_sibling_id is not None:
-            sibling = self._original_label(label.right_sibling_id)
-            if sibling is not None:
-                return sibling.start
-        if self._frames:
-            return self._frames[-1].end_code
-        return None
-
-    def _enter_element(self, event, stream):
+    def _enter_element(self, event):
         plan = self.plans.get(event.node_id)
-        label = self._original_label(event.node_id)
         if plan is not None and plan.ins_before:
-            yield from self._emit_trees(
-                plan.ins_before, label.start if label else None)
+            yield from self._emit_trees(plan.ins_before)
         if plan is not None and (plan.replace_node is not None
                                  or plan.delete):
-            bound = self._after_code(label)
             if plan.replace_node is not None:
-                yield from self._emit_trees([plan.replace_node], bound)
+                yield from self._emit_trees([plan.replace_node])
             if plan.ins_after:
-                yield from self._emit_trees(
-                    list(reversed(plan.ins_after)), bound)
-            self._forget(event.node_id)
+                yield from self._emit_trees(list(reversed(plan.ins_after)))
             return "skip"
         # the element survives
         name = plan.rename if plan is not None and plan.rename else \
             event.name
-        self._adopt(event.node_id)
-        self._note_code(event.node_id, 0)
-        first_bound = self._first_content_bound(event, label, stream)
-        attributes = self._transform_attributes(event, plan, label,
-                                                first_bound)
+        attributes = self._transform_attributes(event, plan)
         yield StartElement(name, attributes, node_id=event.node_id)
-        if plan is None and self.labeling is None:
+        if plan is None:
             return None  # only its attributes were planned: no frame
-        frame = _Frame(
-            event.node_id,
-            label.level if label is not None else len(self._frames),
-            label.end if label is not None else None)
-        self._frames.append(frame)
-        if plan is not None and plan.replace_children is not None:
-            yield from self._emit_trees(
-                [plan.replace_children], frame.end_code)
+        if plan.replace_children is not None:
+            self._frames.append(())
+            yield from self._emit_trees([plan.replace_children])
             return "suppress"
-        if plan is not None:
-            # in-memory order: ins↙ blocks (reversed) precede ins↓ blocks
-            # (reversed) at the children front
-            prefix = list(reversed(plan.ins_first)) + \
-                list(reversed(plan.ins_into))
-            if prefix:
-                yield from self._emit_trees(prefix, first_bound)
-            frame.pending_last = plan.ins_last
+        self._frames.append(plan.ins_last)
+        # in-memory order: ins↙ blocks (reversed) precede ins↓ blocks
+        # (reversed) at the children front
+        prefix = list(reversed(plan.ins_first)) + \
+            list(reversed(plan.ins_into))
+        if prefix:
+            yield from self._emit_trees(prefix)
         return None
 
-    def _first_content_bound(self, event, label, stream):
-        """Upper bound for codes generated right after the start tag: the
-        first original child's start code (one event of lookahead), or the
-        element's own end code when it has no children."""
-        if self.labeling is None or label is None:
-            return None
-        upcoming = stream.peek()
-        if isinstance(upcoming, (StartElement, TextEvent)):
-            child_label = self._original_label(upcoming.node_id)
-            if child_label is not None:
-                return child_label.start
-        return label.end
-
-    def _transform_attributes(self, event, plan, element_label,
-                              first_bound):
+    def _transform_attributes(self, event, plan):
         result = []
-        # advance the code cursor past the original attributes first, so
-        # new attribute codes land after them
-        if self.labeling is not None:
-            for attr in event.attributes:
-                attr_label = self.labeling.find(attr.node_id)
-                if attr_label is not None and (
-                        self._last_code is None
-                        or attr_label.end > self._last_code):
-                    self._last_code = attr_label.end
         for attr in event.attributes:
             attr_plan = self.plans.get(attr.node_id)
             if attr_plan is None:
@@ -468,15 +325,11 @@ class StreamingEvaluator:
                 trees = [t.deep_copy(keep_ids=True)
                          for t in attr_plan.replace_node]
                 self._assign_ids(trees)
-                self._label_attributes(trees, event, element_label,
-                                       first_bound)
-                self._forget(attr.node_id)
                 result.extend(
                     AttributeEvent(t.name, t.value, node_id=t.node_id)
                     for t in trees)
                 continue
             if attr_plan.delete:
-                self._forget(attr.node_id)
                 continue
             name = attr_plan.rename or attr.name
             value = attr.value if attr_plan.replace_value is None \
@@ -487,8 +340,6 @@ class StreamingEvaluator:
             for trees in plan.ins_attributes:
                 copies = [t.deep_copy(keep_ids=True) for t in trees]
                 self._assign_ids(copies)
-                self._label_attributes(copies, event, element_label,
-                                       first_bound)
                 result.extend(
                     AttributeEvent(t.name, t.value, node_id=t.node_id)
                     for t in copies)
@@ -501,96 +352,42 @@ class StreamingEvaluator:
                 self._owners[attr.node_id] = event.node_id
         return result
 
-    def _label_attributes(self, trees, event, element_label, first_bound):
-        if self.labeling is None or element_label is None:
-            return
-        self.labeling.assign_tree(trees, event.node_id,
-                                  element_label.level,
-                                  self._last_code, first_bound)
-        self._last_code = self.labeling.label_of(trees[-1].node_id).end
-
     def _leave_element(self, event):
-        frame = self._frames[-1]
-        if frame.pending_last:
-            yield from self._emit_trees(frame.pending_last, frame.end_code)
-        self._frames.pop()
-        self._stitch_children(frame)
-        self._note_code(event.node_id, 1)
-        plan = self.plans.get(event.node_id)
-        name = plan.rename if plan is not None and plan.rename else \
-            event.name
-        yield EndElement(name, node_id=event.node_id)
-        if plan is not None and plan.ins_after:
-            label = self._original_label(event.node_id)
-            yield from self._emit_trees(
-                list(reversed(plan.ins_after)), self._after_code(label))
-
-    def _stitch_children(self, frame):
-        """Recompute the sibling pointers of the element's final children."""
-        if self.labeling is None:
-            return
-        previous_id = None
-        for child_id in frame.child_ids:
-            label = self.labeling.find(child_id)
-            if label is None:
-                continue
-            if label.left_sibling_id != previous_id:
-                self.labeling.import_label(
-                    label.replaced(left_sibling_id=previous_id))
-            if previous_id is not None:
-                previous = self.labeling.find(previous_id)
-                if previous.right_sibling_id != child_id:
-                    self.labeling.import_label(
-                        previous.replaced(right_sibling_id=child_id))
-            previous_id = child_id
-        if previous_id is not None:
-            last = self.labeling.find(previous_id)
-            if last.right_sibling_id is not None:
-                self.labeling.import_label(
-                    last.replaced(right_sibling_id=None))
+        """Close a planned element (one :meth:`_enter_element` gave a
+        frame)."""
+        pending_last = self._frames.pop()
+        if pending_last:
+            yield from self._emit_trees(pending_last)
+        plan = self.plans[event.node_id]
+        yield EndElement(plan.rename or event.name, node_id=event.node_id)
+        if plan.ins_after:
+            yield from self._emit_trees(list(reversed(plan.ins_after)))
 
     # -- text nodes ----------------------------------------------------------------
 
     def _text(self, event):
-        plan = self.plans.get(event.node_id)
-        if plan is None:
-            self._adopt(event.node_id)
-            self._note_code(event.node_id, 1)
-            yield event
-            return
-        label = self._original_label(event.node_id)
+        """Transform a planned text node."""
+        plan = self.plans[event.node_id]
         if plan.ins_before:
-            yield from self._emit_trees(
-                plan.ins_before, label.start if label else None)
+            yield from self._emit_trees(plan.ins_before)
         if plan.replace_node is not None:
-            yield from self._emit_trees(
-                [plan.replace_node], self._after_code(label))
-            self._forget(event.node_id)
-        elif plan.delete:
-            self._forget(event.node_id)
-        else:
+            yield from self._emit_trees([plan.replace_node])
+        elif not plan.delete:
             value = event.value if plan.replace_value is None \
                 else plan.replace_value
-            self._adopt(event.node_id)
-            self._note_code(event.node_id, 1)
             yield TextEvent(value, node_id=event.node_id)
         if plan.ins_after:
-            yield from self._emit_trees(
-                list(reversed(plan.ins_after)), self._after_code(label))
+            yield from self._emit_trees(list(reversed(plan.ins_after)))
 
 
-def apply_streaming(events, pul, fresh_start=None, labeling=None,
-                    check=True):
+def apply_streaming(events, pul, fresh_start=None, check=True):
     """Transform ``events`` by ``pul``; returns the output event iterator.
 
     ``fresh_start``: first identifier for new nodes (the executor's
     allocator position); ``None`` leaves new nodes id-less.
-    ``labeling``: a :class:`ContainmentLabeling` of the original document,
-    updated in place (labels added for inserted nodes, dropped for removed
-    ones; existing codes never change).
     ``check``: refuse, as the in-memory evaluator does, a PUL that is not
     applicable on the streamed document (see the module docstring).
     """
     evaluator = StreamingEvaluator(pul, fresh_start=fresh_start,
-                                   labeling=labeling, check=check)
+                                   check=check)
     return evaluator.transform(events)

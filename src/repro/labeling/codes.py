@@ -13,18 +13,12 @@ what makes the containment labeling update-tolerant.
   digits (two bits per digit on the wire), insertion via a midpoint search;
   codes are shorter at equal fan-out, trading slightly more work per digit.
 
-Two representations coexist. The *string* form (``"1011"``) is canonical:
-it is what labels store, what travels on the wire and in snapshots, and —
-because single-character digits without trailing zeros compare as their
-fractional values — ordering is a plain ``str`` comparison (a memcmp, the
-fastest comparison CPython has; an int-tuple form would compare slower).
-The *interned* form (``(1, 0, 1, 1)``, a tuple of digit ints) backs the
-code *arithmetic*: midpoint search and neighbor construction work on
-digits, and reconstructing them with ``int(code[index])`` on every call is
-where the string form loses. ``intern_code``/``code_str`` convert, and the
-encoders expose interned variants of every generator; string and interned
-generators are defined to produce identical codes (the differential the
-hypothesis suite pins).
+Codes have one representation, the digit string (``"1011"``): it is what
+labels store, what travels on the wire and in snapshots, and what the
+generators compute on. Single-character digits without trailing zeros
+compare as their fractional values, so ordering is a plain ``str``
+comparison; the CDQS midpoint search likewise compares digit characters
+and converts only the first pair that differs to numbers.
 """
 
 from __future__ import annotations
@@ -34,26 +28,6 @@ from repro.errors import LabelingError
 #: digit characters, indexed by digit value (bases beyond 10 would need a
 #: wider alphabet; both paper encoders use base <= 4)
 _DIGITS = "0123456789"
-
-
-def intern_code(code):
-    """The interned (tuple-of-ints) form of a digit-string code.
-
-    ``None`` (an open bound) interns to ``None``.
-    """
-    if code is None:
-        return None
-    return tuple(code if isinstance(code, tuple)
-                 else (int(ch) for ch in code))
-
-
-def code_str(interned):
-    """Render an interned code back to its canonical string form."""
-    if interned is None:
-        return None
-    if isinstance(interned, str):
-        return interned
-    return "".join(_DIGITS[d] for d in interned)
 
 
 def code_between(left, right, base):
@@ -75,25 +49,29 @@ def code_between(left, right, base):
         raise LabelingError(
             "cannot insert between {!r} and {!r}".format(left, right))
     # scan with zero-padding on the left code, since e.g. "1" and "1001"
-    # agree on the first three (virtual) digits
+    # agree on the first three (virtual) digits; digit characters order
+    # like their values, so only the differing pair is converted
     index = 0
+    len_left = len(left)
     while True:
         if index >= len(right):
             raise LabelingError(
                 "right code {!r} does not exceed left code {!r}".format(
                     right, left))
-        a = int(left[index]) if index < len(left) else 0
-        b = int(right[index])
+        a = left[index] if index < len_left else "0"
+        b = right[index]
         if a != b:
             break
         index += 1
+    a = int(a)
+    b = int(b)
     prefix = right[:index]
     if b - a >= 2:
-        return prefix + str((a + b) // 2)
+        return prefix + _DIGITS[(a + b) // 2]
     # Adjacent digits: keep left's digit and make something bigger than
     # left's remainder.
-    rest = left[index + 1:] if index < len(left) else ""
-    return prefix + str(a) + _after(rest, top)
+    rest = left[index + 1:] if index < len_left else ""
+    return prefix + _DIGITS[a] + _after(rest, top)
 
 
 def _after(code, top):
@@ -103,7 +81,7 @@ def _after(code, top):
         return "1"
     last = int(code[-1])
     if last < top:
-        return code[:-1] + str(last + 1)
+        return code[:-1] + _DIGITS[last + 1]
     return code + "1"
 
 
@@ -113,65 +91,9 @@ def _before(code):
     # result would end in 0 (codes must not end with 0).
     last = int(code[-1])
     if last >= 2:
-        return code[:-1] + str(last - 1)
+        return code[:-1] + _DIGITS[last - 1]
     # last == 1 -> prepend a 0 level: x...x1 -> x...x01
     return code[:-1] + "01"
-
-
-# -- interned arithmetic ------------------------------------------------------
-#
-# Digit-for-digit mirrors of the string constructions above, operating on
-# tuples of ints. No ``int(...)`` per digit, no string slicing: the hot
-# incremental-fill path (labels for freshly inserted subtrees) runs here
-# and converts to the canonical string form once, at install time.
-
-def code_between_interned(left, right, base):
-    """Interned-form :func:`code_between`; bounds and result are tuples."""
-    top = base - 1
-    if left is None and right is None:
-        return (1,)
-    if left is None:
-        return _before_interned(right)
-    if right is None:
-        return _after_interned(left, top)
-    if not left < right:
-        raise LabelingError(
-            "cannot insert between {!r} and {!r}".format(left, right))
-    index = 0
-    len_left = len(left)
-    while True:
-        if index >= len(right):
-            raise LabelingError(
-                "right code {!r} does not exceed left code {!r}".format(
-                    right, left))
-        a = left[index] if index < len_left else 0
-        b = right[index]
-        if a != b:
-            break
-        index += 1
-    prefix = right[:index]
-    if b - a >= 2:
-        return prefix + ((a + b) // 2,)
-    rest = left[index + 1:] if index < len_left else ()
-    return prefix + (a,) + _after_interned(rest, top)
-
-
-def _after_interned(code, top):
-    """Interned-form :func:`_after`."""
-    if not code:
-        return (1,)
-    last = code[-1]
-    if last < top:
-        return code[:-1] + (last + 1,)
-    return code + (1,)
-
-
-def _before_interned(code):
-    """Interned-form :func:`_before`."""
-    last = code[-1]
-    if last >= 2:
-        return code[:-1] + (last - 1,)
-    return code[:-1] + (0, 1)
 
 
 class _EncoderBase:
@@ -183,19 +105,7 @@ class _EncoderBase:
     def initial_codes(self, count):
         """Assign ``count`` codes in increasing order, balanced so code
         length grows logarithmically with ``count`` (bulk loading)."""
-        codes = [None] * count
-
-        def assign(lo, hi, left, right):
-            if lo > hi:
-                return
-            mid = (lo + hi) // 2
-            code = self.between(left, right)
-            codes[mid] = code
-            assign(lo, mid - 1, left, code)
-            assign(mid + 1, hi, code, right)
-
-        assign(0, count - 1, None, None)
-        return codes
+        return self.codes_between(None, None, count)
 
     def between(self, left, right):
         """A fresh code strictly between ``left`` and ``right``."""
@@ -204,32 +114,7 @@ class _EncoderBase:
     def codes_between(self, left, right, count):
         """``count`` fresh increasing codes strictly between the bounds."""
         codes = [None] * count
-
-        def assign(lo, hi, lo_code, hi_code):
-            if lo > hi:
-                return
-            mid = (lo + hi) // 2
-            code = self.between(lo_code, hi_code)
-            codes[mid] = code
-            assign(lo, mid - 1, lo_code, code)
-            assign(mid + 1, hi, code, hi_code)
-
-        assign(0, count - 1, left, right)
-        return codes
-
-    # -- interned variants ---------------------------------------------------
-
-    def between_interned(self, left, right):
-        """Interned-form :meth:`between` (bounds and result are tuples)."""
-        raise NotImplementedError
-
-    def codes_between_interned(self, left, right, count):
-        """Interned-form :meth:`codes_between`: ``count`` increasing
-        interned codes strictly between the interned bounds. Produces the
-        same code sequence as the string variant (the property the
-        hypothesis differential pins)."""
-        codes = [None] * count
-        between = self.between_interned
+        between = self.between
 
         def assign(lo, hi, lo_code, hi_code):
             if lo > hi:
@@ -242,10 +127,6 @@ class _EncoderBase:
 
         assign(0, count - 1, left, right)
         return codes
-
-    def initial_codes_interned(self, count):
-        """Interned-form :meth:`initial_codes`."""
-        return self.codes_between_interned(None, None, count)
 
 
 class CDBSEncoder(_EncoderBase):
@@ -275,20 +156,6 @@ class CDBSEncoder(_EncoderBase):
             return left + "1"
         return right[:-1] + "01"
 
-    def between_interned(self, left, right):
-        if left is None and right is None:
-            return (1,)
-        if left is None:
-            return right[:-1] + (0, 1)
-        if right is None:
-            return left + (1,)
-        if not left < right:
-            raise LabelingError(
-                "cannot insert between {!r} and {!r}".format(left, right))
-        if len(left) >= len(right):
-            return left + (1,)
-        return right[:-1] + (0, 1)
-
 
 class CDQSEncoder(_EncoderBase):
     """Compact Dynamic Quaternary String encoder ([15]).
@@ -302,6 +169,3 @@ class CDQSEncoder(_EncoderBase):
 
     def between(self, left, right):
         return code_between(left, right, self.base)
-
-    def between_interned(self, left, right):
-        return code_between_interned(left, right, self.base)

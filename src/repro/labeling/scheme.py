@@ -12,9 +12,8 @@ which is the update-tolerance property the paper requires (Section 4.1:
 from __future__ import annotations
 
 from repro.errors import LabelingError
-from repro.labeling.codes import CDBSEncoder, code_str, intern_code
+from repro.labeling.codes import CDBSEncoder
 from repro.labeling.containment import ExtendedLabel
-from repro.xdm.navigation import depth as node_depth
 
 
 class ContainmentLabeling:
@@ -110,9 +109,8 @@ class ContainmentLabeling:
         self._max_code_len = 0
         if document.root is None:
             return self
-        slots = _boundary_slots(document.root)
-        codes = self.encoder.initial_codes(len(slots))
-        self._install(document.root, slots, codes, base_level=0)
+        slots = _leveled_slots(document.root, 0, [])
+        self._install(slots, self.encoder.initial_codes(len(slots)))
         self._refresh_pointers(document.root)
         return self
 
@@ -128,14 +126,12 @@ class ContainmentLabeling:
             self._labels = {}
             self._max_code_len = 0
             return self
-        slots = _boundary_slots(document.root)
-        live = {node.node_id for node, _ in slots}
+        slots = _leveled_slots(document.root, 0, [])
+        live = {node.node_id for node, __, __ in slots}
         for node_id in list(self._labels):
             if node_id not in live:
                 del self._labels[node_id]
-        codes = self._fill_codes(slots)
-        self._install(document.root, slots, codes, base_level=0,
-                      only_missing=True)
+        self._install(slots, self._fill_codes(slots))
         self._refresh_pointers(document.root)
         return self
 
@@ -143,7 +139,7 @@ class ContainmentLabeling:
         """Produce the full code sequence for ``slots``, reusing existing
         codes and generating fresh ones for unlabeled runs."""
         codes = [None] * len(slots)
-        for index, (node, which) in enumerate(slots):
+        for index, (node, which, __) in enumerate(slots):
             existing = self._labels.get(node.node_id)
             if existing is not None:
                 codes[index] = existing.start if which == 0 else existing.end
@@ -162,26 +158,31 @@ class ContainmentLabeling:
             codes[run_start:index] = fresh
         return codes
 
-    def _install(self, root, slots, codes, base_level, only_missing=False):
-        """Create labels from the boundary sequence."""
+    def _install(self, slots, codes):
+        """Label the unlabeled nodes of the boundary sequence ``slots``
+        with the parallel ``codes`` (labeled nodes keep their label) —
+        the one install loop of :meth:`build`, :meth:`sync` and
+        :meth:`assign_run`. Sibling pointers are left to the caller."""
+        labels = self._labels
         open_code = {}
-        for index, (node, which) in enumerate(slots):
+        for index, (node, which, level) in enumerate(slots):
             if which == 0:
                 open_code[id(node)] = codes[index]
-            else:
-                start = open_code.pop(id(node))
-                if only_missing and node.node_id in self._labels:
-                    continue
-                self._labels[node.node_id] = ExtendedLabel(
-                    node_id=node.node_id,
-                    node_type=node.node_type,
-                    start=start,
-                    end=codes[index],
-                    level=base_level + node_depth(node),
-                    parent_id=(node.parent.node_id
-                               if node.parent is not None else None),
-                )
-                self._track(start, codes[index])
+                continue
+            start = open_code.pop(id(node))
+            if node.node_id in labels:
+                continue
+            end = codes[index]
+            labels[node.node_id] = ExtendedLabel(
+                node_id=node.node_id,
+                node_type=node.node_type,
+                start=start,
+                end=end,
+                level=level,
+                parent_id=(node.parent.node_id
+                           if node.parent is not None else None),
+            )
+            self._track(start, end)
         if open_code:
             raise LabelingError("unbalanced boundary sequence")
 
@@ -189,18 +190,7 @@ class ContainmentLabeling:
         """Recompute the sibling pointers of every label under ``root``."""
         for node in root.iter_subtree():
             if node.is_element:
-                previous = None
-                for child in node.children:
-                    self._set_pointers(child, previous)
-                    previous = child
-                if previous is not None:
-                    self._point(previous, right_sibling_id=None)
-
-    def _set_pointers(self, child, previous):
-        left_id = previous.node_id if previous is not None else None
-        self._point(child, left_sibling_id=left_id)
-        if previous is not None:
-            self._point(previous, right_sibling_id=child.node_id)
+                self.repoint_children(node)
 
     def _point(self, node, **changes):
         label = self._labels.get(node.node_id)
@@ -211,56 +201,11 @@ class ContainmentLabeling:
         if updated:
             self._labels[node.node_id] = label.replaced(**updated)
 
-    # -- direct assignment (used by the streaming evaluator) ----------------
-
-    def assign_tree(self, trees, parent_id, parent_level, left_code,
-                    right_code):
-        """Label the detached ``trees`` (ids already assigned), with codes
-        strictly between ``left_code`` and ``right_code``.
-
-        Sibling pointers are set among the trees themselves; the caller is
-        responsible for stitching the outer pointers (the trees' neighbors
-        in the final document).
-        """
-        slots = []
-        for tree in trees:
-            if tree.parent is not None:
-                raise LabelingError("assign_tree requires detached trees")
-            slots.extend(_boundary_slots(tree))
-        codes = self.encoder.codes_between(left_code, right_code, len(slots))
-        open_code = {}
-        for index, (node, which) in enumerate(slots):
-            if which == 0:
-                open_code[id(node)] = codes[index]
-            else:
-                start = open_code.pop(id(node))
-                self._labels[node.node_id] = ExtendedLabel(
-                    node_id=node.node_id,
-                    node_type=node.node_type,
-                    start=start,
-                    end=codes[index],
-                    level=parent_level + 1 + node_depth(node),
-                    parent_id=(node.parent.node_id
-                               if node.parent is not None else parent_id),
-                )
-                self._track(start, codes[index])
-        for tree in trees:
-            self._refresh_pointers(tree)
-        previous = None
-        for tree in trees:
-            self._set_pointers(tree, previous)
-            previous = tree
-
-    def drop_subtree(self, node):
-        """Forget the labels of ``node``'s subtree (after a delete)."""
-        for item in node.iter_subtree():
-            self._labels.pop(item.node_id, None)
+    # -- per-site maintenance (used by the in-place batch applier) ----------
 
     def forget(self, node_id):
-        """Forget one node's label (streaming evaluator: removed nodes)."""
+        """Forget one node's label (a node the batch removed)."""
         self._labels.pop(node_id, None)
-
-    # -- per-site maintenance (used by the in-place batch applier) ----------
 
     def assign_run(self, parent_label, nodes, left_code, right_code):
         """Label a run of freshly inserted *attached* subtrees.
@@ -272,36 +217,14 @@ class ContainmentLabeling:
         neighbors inside the parent's interval, so containment holds by
         construction). This is the per-site counterpart of a whole-tree
         :meth:`sync` — the in-place applier calls it once per insertion
-        site. Code generation runs on the interned representation and
-        renders strings once at install time. Sibling pointers are *not*
-        touched; callers finish the site with :meth:`repoint_children`.
+        site. Sibling pointers are *not* touched; callers finish the site
+        with :meth:`repoint_children`.
         """
         slots = []
-        base_level = parent_label.level + 1
         for node in nodes:
-            _leveled_slots(node, base_level, slots)
-        codes = self.encoder.codes_between_interned(
-            intern_code(left_code), intern_code(right_code), len(slots))
-        labels = self._labels
-        open_code = {}
-        for index, (node, which, level) in enumerate(slots):
-            if which == 0:
-                open_code[id(node)] = codes[index]
-            else:
-                start = code_str(open_code.pop(id(node)))
-                end = code_str(codes[index])
-                labels[node.node_id] = ExtendedLabel(
-                    node_id=node.node_id,
-                    node_type=node.node_type,
-                    start=start,
-                    end=end,
-                    level=level,
-                    parent_id=(node.parent.node_id
-                               if node.parent is not None else None),
-                )
-                self._track(start, end)
-        if open_code:
-            raise LabelingError("unbalanced boundary sequence")
+            _leveled_slots(node, parent_label.level + 1, slots)
+        self._install(slots, self.encoder.codes_between(
+            left_code, right_code, len(slots)))
 
     def repoint_children(self, parent):
         """Recompute the sibling pointers of ``parent``'s direct children
@@ -309,41 +232,27 @@ class ContainmentLabeling:
         child list an in-place batch changed)."""
         previous = None
         for child in parent.children:
-            self._set_pointers(child, previous)
+            if previous is None:
+                self._point(child, left_sibling_id=None)
+            else:
+                self._point(child, left_sibling_id=previous.node_id)
+                self._point(previous, right_sibling_id=child.node_id)
             previous = child
         if previous is not None:
             self._point(previous, right_sibling_id=None)
 
 
-def _leveled_slots(root, base_level, slots):
-    """Append ``root``'s boundary slots as ``(node, which, level)`` triples
-    (document order, attribute boundaries right after the owner's start).
-    ``base_level`` is the absolute level of ``root`` itself."""
-    slots.append((root, 0, base_level))
+def _leveled_slots(root, level, slots):
+    """Append ``root``'s boundary slots to ``slots`` as ``(node, 0=start /
+    1=end, level)`` triples, in document order (attributes contribute both
+    boundaries right after their owner's start); ``level`` is the absolute
+    level of ``root`` itself. Returns ``slots``."""
+    slots.append((root, 0, level))
     if root.is_element:
         for attr in root.attributes:
-            slots.append((attr, 0, base_level + 1))
-            slots.append((attr, 1, base_level + 1))
+            slots.append((attr, 0, level + 1))
+            slots.append((attr, 1, level + 1))
         for child in root.children:
-            _leveled_slots(child, base_level + 1, slots)
-    slots.append((root, 1, base_level))
-
-
-def _boundary_slots(root):
-    """The (node, 0=start / 1=end) boundary sequence of a subtree, in
-    document order; attributes contribute both boundaries right after their
-    owner's start."""
-    slots = []
-
-    def visit(node):
-        slots.append((node, 0))
-        if node.is_element:
-            for attr in node.attributes:
-                slots.append((attr, 0))
-                slots.append((attr, 1))
-            for child in node.children:
-                visit(child)
-        slots.append((node, 1))
-
-    visit(root)
+            _leveled_slots(child, level + 1, slots)
+    slots.append((root, 1, level))
     return slots

@@ -15,6 +15,8 @@ later stages single-pass.
 
 from __future__ import annotations
 
+import heapq
+
 from repro.pul.ops import InsertIntoAsFirst
 from repro.reasoning.oracle import oracle_for
 from repro.reduction.rules import (
@@ -31,6 +33,25 @@ from repro.reduction.rules import (
 )
 
 _INSERT_NAMES = frozenset({INS_B, INS_A, INS_F, INS_L, INS_I, INS_ATTR})
+
+
+def _collapse_canonical(group):
+    """I5 on one same-variant same-target group in Definition 9's order:
+    merge the ``<p``-minimal pair first, and rank the merged parameter by
+    its own serialization (a plain sort differs once one parameter's
+    serialization is a prefix of another's). A forest serializes as the
+    concatenation of its trees, so the merged key is the two keys joined."""
+    heap = [(op.param_key(), i, list(op.trees))
+            for i, op in enumerate(group)]
+    heapq.heapify(heap)
+    serial = len(heap)
+    while len(heap) > 1:
+        first_key, __, first = heapq.heappop(heap)
+        second_key, __, second = heapq.heappop(heap)
+        heapq.heappush(heap, (first_key + second_key, serial,
+                              first + second))
+        serial += 1
+    return group[0].with_trees(heap[0][2])
 
 
 class _Engine:
@@ -126,7 +147,8 @@ class _Engine:
                 continue
             if name in _INSERT_NAMES:
                 if self.canonical:
-                    group.sort(key=lambda op: op.param_key())
+                    self.singles[key] = _collapse_canonical(group)
+                    continue
                 trees = []
                 for op in group:
                     trees.extend(op.trees)

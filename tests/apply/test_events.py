@@ -75,11 +75,6 @@ class TestWriter:
         text = events_to_xml(document_events(small_doc), with_ids=True)
         assert 'repro:id="0"' in text
 
-    def test_with_labels(self, small_doc):
-        text = events_to_xml(document_events(small_doc),
-                             labels={0: "LBL"})
-        assert 'repro:label="LBL"' in text
-
     def test_escaping(self):
         doc = parse_document('<a k="&quot;">&lt;</a>')
         assert events_to_xml(document_events(doc)) == serialize(doc)

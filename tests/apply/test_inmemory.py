@@ -26,12 +26,5 @@ class TestInMemory:
         new_id = document.root.children[-1].node_id
         assert labeling.find(new_id) is not None
 
-    def test_emit_labels(self):
-        document = parse_document("<a><b/></a>")
-        labeling = ContainmentLabeling().build(document)
-        out = apply_in_memory(document, PUL([Rename(1, "nb")]),
-                              labeling=labeling, emit_labels=True)
-        assert "repro:label=" in out
-
     def test_root_delete_yields_empty(self):
         assert apply_in_memory("<a/>", PUL([Delete(0)])) == ""

@@ -1,6 +1,6 @@
 """Streaming evaluator tests: byte-equivalence with the in-memory
-evaluator (refusals included), identifier assignment, label maintenance,
-memory independent of document size."""
+evaluator (refusals included), identifier assignment, memory independent
+of document size."""
 
 import io
 import tracemalloc
@@ -19,8 +19,6 @@ from repro.apply.events import (
 from repro.apply.inmemory import apply_in_memory
 from repro.apply.streaming import apply_streaming
 from repro.errors import NotApplicableError
-from repro.labeling import ContainmentLabeling
-from repro.labeling import predicates as P
 from repro.pul.ops import (
     Delete,
     InsertAfter,
@@ -37,11 +35,6 @@ from repro.pul.ops import (
 from repro.pul.pul import PUL
 from repro.workloads import generate_pul, generate_xmark
 from repro.xdm import parse_document, serialize
-from repro.xdm.navigation import (
-    is_ancestor,
-    is_left_sibling,
-    is_parent,
-)
 from repro.xdm.node import Node
 from repro.xdm.parser import parse_forest
 
@@ -320,77 +313,3 @@ def test_memory_independent_of_document_size():
             tracemalloc.stop()
     assert peaks[1] < 1.5 * peaks[0], peaks
 
-
-class TestLabelMaintenance:
-    def _run(self, xml, pul):
-        document = parse_document(xml)
-        labeling = ContainmentLabeling().build(document)
-        events = apply_streaming(parse_events(xml), pul,
-                                 fresh_start=len(document),
-                                 labeling=labeling)
-        return events_to_document(events), labeling
-
-    def _check(self, output, labeling):
-        nodes = {n.node_id: n for n in output.nodes()}
-        for node in nodes.values():
-            assert labeling.find(node.node_id) is not None, node
-        for a in nodes.values():
-            la = labeling.find(a.node_id)
-            for b in nodes.values():
-                if a is b:
-                    continue
-                lb = labeling.find(b.node_id)
-                assert P.is_descendant(la, lb) == is_ancestor(b, a), (a, b)
-                assert P.is_child(la, lb) == is_parent(b, a), (a, b)
-                assert P.is_left_sibling(la, lb) == \
-                    is_left_sibling(a, b), (a, b)
-
-    def test_mixed_update_labels(self):
-        xml = "<a k='v'><b>x</b><c/><d/></a>"
-        pul = PUL([
-            InsertBefore(4, parse_forest("<w1/>")),
-            InsertAfter(4, parse_forest("<w2/>")),
-            Delete(5),
-            ReplaceNode(2, parse_forest("<nb><deep/></nb>")),
-            InsertAttributes(0, [Node.attribute("k2", "2")]),
-            InsertIntoAsLast(4, parse_forest("<in>t</in>")),
-        ])
-        output, labeling = self._run(xml, pul)
-        self._check(output, labeling)
-
-    def test_original_codes_untouched(self):
-        xml = "<a><b/><c/></a>"
-        document = parse_document(xml)
-        labeling = ContainmentLabeling().build(document)
-        before = {nid: (lab.start, lab.end)
-                  for nid, lab in labeling.as_mapping().items()}
-        pul = PUL([InsertAfter(1, parse_forest("<m/>"))])
-        list(apply_streaming(parse_events(xml), pul, fresh_start=3,
-                             labeling=labeling))
-        for node_id, codes in before.items():
-            label = labeling.find(node_id)
-            assert (label.start, label.end) == codes
-
-    def test_removed_labels_forgotten(self):
-        xml = "<a><b><c/></b></a>"
-        __, labeling = self._run(xml, PUL([Delete(1)]))
-        assert labeling.find(1) is None
-        assert labeling.find(2) is None
-
-    @settings(max_examples=30, deadline=None)
-    @given(st.data())
-    def test_random_label_consistency(self, data):
-        document = data.draw(documents(max_depth=2, max_children=2))
-        pul = data.draw(applicable_puls(document, max_ops=4))
-        xml = serialize(document)
-        labeling = ContainmentLabeling().build(parse_document(xml))
-        try:
-            events = apply_streaming(parse_events(xml), pul,
-                                     fresh_start=len(document),
-                                     labeling=labeling)
-            output = events_to_document(events)
-        except NotApplicableError:
-            return
-        if output.root is None:
-            return
-        self._check(output, labeling)

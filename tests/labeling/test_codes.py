@@ -75,24 +75,60 @@ class TestBetween:
         assert "1" < new < "3"
 
 
+#: CDQS midpoints as the generator has always produced them (digit
+#: characters compared, only the differing pair converted): label digits
+#: travel in PULs, WAL records and snapshots, so they must never change
+CDQS_GOLDEN = [
+    ("1", "3", "2"),            # digits two apart: their midpoint
+    ("1", "2", "11"),           # adjacent digits: left, then after ""
+    ("1", "1001", "10001"),     # left shorter: virtual zero padding
+    ("12", "121", "1201"),
+    ("0131", "02", "0132"),     # left's remainder bumped
+    ("133", "2", "1331"),       # remainder at the top digit: extended
+    (None, "1", "01"),
+    (None, "23", "22"),
+    ("3", None, "31"),
+    ("123", None, "1231"),
+]
+
+
+@pytest.mark.parametrize("left,right,expected", CDQS_GOLDEN)
+def test_cdqs_golden(left, right, expected):
+    assert CDQSEncoder().between(left, right) == expected
+
+
+def test_cdqs_golden_runs():
+    encoder = CDQSEncoder()
+    assert encoder.codes_between("1", "2", 5) == \
+        ["101", "102", "11", "12", "13"]
+    assert encoder.initial_codes(7) == \
+        ["001", "01", "02", "1", "11", "2", "3"]
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data(), st.sampled_from([CDBSEncoder, CDQSEncoder]))
 def test_arbitrary_insertion_sequences_stay_ordered(data, encoder_cls):
-    """Insert codes at random positions for a while: order is always
-    strict and no existing code ever changes (update tolerance)."""
+    """Insert runs of codes at random positions for a while: every fresh
+    code lies strictly between its bounds, never ends in ``0`` and has
+    every digit inside the base; order is always strict and no existing
+    code ever changes (update tolerance)."""
     encoder = encoder_cls()
+    digits = "0123456789"[:encoder.base]
     codes = encoder.initial_codes(
         data.draw(st.integers(0, 8), label="initial"))
     for __ in range(data.draw(st.integers(1, 40), label="rounds")):
         index = data.draw(st.integers(0, len(codes)), label="slot")
         left = codes[index - 1] if index > 0 else None
         right = codes[index] if index < len(codes) else None
-        fresh = encoder.between(left, right)
-        if left is not None:
-            assert left < fresh
-        if right is not None:
-            assert fresh < right
-        assert fresh[-1] != "0"
-        codes.insert(index, fresh)
+        fresh = encoder.codes_between(
+            left, right, data.draw(st.integers(1, 3), label="run"))
+        for code in fresh:
+            if left is not None:
+                assert left < code
+            if right is not None:
+                assert code < right
+            assert code[-1] != "0"
+            assert all(digit in digits for digit in code)
+        codes[index:index] = fresh
     assert codes == sorted(codes)
     assert len(set(codes)) == len(codes)

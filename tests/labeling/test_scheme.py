@@ -71,6 +71,16 @@ class TestBuild:
         with pytest.raises(LabelingError):
             labeling.label_of(999)
 
+    @pytest.mark.parametrize("encoder", [None, CDQSEncoder()],
+                             ids=["CDBS", "CDQS"])
+    def test_codes_are_one_balanced_run(self, small_doc, encoder):
+        """``build`` hands out exactly ``initial_codes`` over the
+        document's boundary slots: every start and end, in order."""
+        labeling = ContainmentLabeling(encoder=encoder).build(small_doc)
+        codes = sorted(code for label in labeling.as_mapping().values()
+                       for code in (label.start, label.end))
+        assert codes == labeling.encoder.initial_codes(2 * len(labeling))
+
     @settings(max_examples=30, deadline=None)
     @given(documents())
     def test_random_documents(self, document):
@@ -143,30 +153,59 @@ class TestSync:
             assert (label.start, label.end) == codes
 
 
-class TestAssignTree:
-    def test_assign_between_children(self, small_doc):
-        labeling = ContainmentLabeling().build(small_doc)
-        first = labeling.label_of(2)
-        second = labeling.label_of(4)
-        tree = Node.element("wedge", node_id=100)
-        labeling.assign_tree([tree], parent_id=0, parent_level=0,
-                             left_code=first.end, right_code=second.start)
-        wedge = labeling.label_of(100)
-        assert P.is_child(wedge, labeling.label_of(0))
-        assert P.precedes(first, wedge)
-        assert P.precedes(wedge, second)
+def test_forget(small_doc):
+    labeling = ContainmentLabeling().build(small_doc)
+    labeling.forget(2)
+    assert 2 not in labeling
+    labeling.forget(2)  # idempotent
 
-    def test_attached_tree_rejected(self, small_doc):
-        from repro.errors import LabelingError
-        labeling = ContainmentLabeling().build(small_doc)
-        with pytest.raises(LabelingError):
-            labeling.assign_tree([small_doc.get(2)], 0, 0, None, None)
 
-    def test_forget(self, small_doc):
-        labeling = ContainmentLabeling().build(small_doc)
-        labeling.forget(2)
-        assert 2 not in labeling
-        labeling.forget(2)  # idempotent
+@pytest.mark.parametrize("encoder", [None, CDQSEncoder()],
+                         ids=["CDBS", "CDQS"])
+def test_assign_run_labels_as_sync_does(small_doc, encoder):
+    """A run of attached subtrees labeled by ``assign_run`` between its
+    neighbors' codes, then ``repoint_children``, carries the labels a
+    whole-tree ``sync`` from the same pre-state gives it: codes, levels,
+    parent and sibling pointers."""
+    labeling = ContainmentLabeling(encoder=encoder).build(small_doc)
+    before = labeling.copy()
+    host = small_doc.get(5)  # <d k='v'>tail<e/></d>
+    kid = Node.element("kid")
+    kid.append_child(Node.text("payload"))
+    run = [kid, Node.element("kin")]
+    for offset, node in enumerate(run):
+        host.insert_child(offset, node)
+        small_doc.register_tree(node)
+    labeling.assign_run(labeling.label_of(5), run,
+                        labeling.label_of(6).end, labeling.label_of(7).start)
+    labeling.repoint_children(host)
+    expected = before.sync(small_doc)
+    assert {node_id: label.to_string()
+            for node_id, label in labeling.as_mapping().items()} == \
+        {node_id: label.to_string()
+         for node_id, label in expected.as_mapping().items()}
+    assert_labels_match_tree(small_doc, labeling)
+
+
+def hot_spot(document, labeling, count):
+    """Insert ``count`` elements into ``document``, each right after the
+    previous one, between the root's children ``b`` (2) and ``c`` (4);
+    label each attached node with ``assign_run`` as the in-place applier
+    does. Returns ``max_code_length`` before and after every insertion."""
+    root = document.root
+    right = labeling.label_of(4).start
+    previous = document.get(2)
+    observed = [labeling.max_code_length]
+    for __ in range(count):
+        node = Node.element("hot")
+        root.insert_child(root.children.index(previous) + 1, node)
+        document.register_tree(node)
+        labeling.assign_run(labeling.label_of(0), [node],
+                            labeling.label_of(previous.node_id).end, right)
+        labeling.repoint_children(root)
+        previous = node
+        observed.append(labeling.max_code_length)
+    return observed
 
 
 class TestMaxCodeLength:
@@ -178,36 +217,22 @@ class TestMaxCodeLength:
         assert labeling.max_code_length == expected
         assert ContainmentLabeling().max_code_length == 0
 
-    def test_grows_under_hot_spot_insertions(self, small_doc):
+    @pytest.mark.parametrize("encoder", [None, CDQSEncoder()],
+                             ids=["CDBS", "CDQS"])
+    def test_grows_under_hot_spot_insertions(self, small_doc, encoder):
         """Repeated insertion between the same neighbors lengthens codes
         monotonically — the headroom signal the store's full-relabel
         fallback watches."""
-        labeling = ContainmentLabeling().build(small_doc)
-        baseline = labeling.max_code_length
-        left = labeling.label_of(2).end
-        right = labeling.label_of(4).start
-        observed = [baseline]
-        for serial in range(8):
-            tree = Node.element("hot", node_id=200 + serial)
-            labeling.assign_tree([tree], parent_id=0, parent_level=0,
-                                 left_code=left, right_code=right)
-            left = labeling.label_of(tree.node_id).end
-            observed.append(labeling.max_code_length)
+        labeling = ContainmentLabeling(encoder=encoder).build(small_doc)
+        observed = hot_spot(small_doc, labeling, 8)
         assert observed == sorted(observed)
-        assert observed[-1] > baseline
+        assert observed[-1] > observed[0]
+        assert_labels_match_tree(small_doc, labeling)
 
     def test_full_rebuild_rebalances(self, small_doc):
         labeling = ContainmentLabeling().build(small_doc)
-        left = labeling.label_of(2).end
-        right = labeling.label_of(4).start
-        for serial in range(8):
-            tree = Node.element("hot", node_id=300 + serial)
-            labeling.assign_tree([tree], parent_id=0, parent_level=0,
-                                 left_code=left, right_code=right)
-            left = labeling.label_of(tree.node_id).end
-        degraded = labeling.max_code_length
-        document = small_doc.copy()
-        labeling.build(document)
+        degraded = hot_spot(small_doc, labeling, 8)[-1]
+        labeling.build(small_doc)
         assert labeling.max_code_length < degraded
 
     def test_import_label_tracks(self, small_doc):

@@ -62,6 +62,20 @@ class TestStage1:
         names = sorted(op.op_name for op in reduced)
         assert names == ["replaceChildren", "replaceValue"]
 
+    def test_canonical_collapse_reranks_merged_parameters(self):
+        # Definition 9 merges the <p-minimal pair ("p", "p") first; the
+        # merged "pp" then sorts after "p<a/>" ('<' < 'p'), so a one-time
+        # sort of the three parameters would give "ppp<a/>"
+        from repro.reduction import canonical_form, reduce_naive
+        doc = parse_document("<a><b/></a>")
+        oracle = DocumentOracle(doc)
+        pul = PUL([InsertBefore(1, parse_forest("p")),
+                   InsertBefore(1, parse_forest("p")),
+                   InsertBefore(1, parse_forest("p<a/>"))])
+        reduced = canonical_form(pul, oracle)
+        assert [op.param_key() for op in reduced] == ["p<a/>pp"]
+        assert reduced == reduce_naive(pul, oracle, canonical=True)
+
     def test_sibling_inserts_survive_killers(self, small_doc):
         oracle = DocumentOracle(small_doc)
         pul = PUL([InsertBefore(2, parse_forest("<p/>")), Delete(2)])

@@ -7,6 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.pul.equivalence import obtainable_strings
+from repro.pul.ops import (
+    InsertAfter,
+    InsertBefore,
+    InsertInto,
+    InsertIntoAsFirst,
+    InsertIntoAsLast,
+)
 from repro.pul.pul import PUL
 from repro.pul.semantics import ObtainableLimitExceeded
 from repro.reasoning import DocumentOracle
@@ -16,6 +23,8 @@ from repro.reduction import (
     reduce_naive,
     reduce_pul,
 )
+from repro.xdm import parse_document
+from repro.xdm.parser import parse_forest
 
 from tests.strategies import applicable_puls, documents
 
@@ -97,6 +106,28 @@ def test_optimized_engine_matches_naive_reference(data):
     fast = canonical_form(pul, oracle)
     slow = reduce_naive(pul, oracle, canonical=True)
     assert fast == slow
+
+
+#: insertion parameters, several a prefix of another's serialization
+_PARAMETERS = ["p", "pp", "q", "<a/>", "p<a/>", "<a/>p", "<b>p</b>"]
+_INSERTIONS = [InsertBefore, InsertAfter, InsertInto, InsertIntoAsFirst,
+               InsertIntoAsLast]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(_INSERTIONS),
+                          st.sampled_from(_PARAMETERS)),
+                min_size=2, max_size=6))
+def test_optimized_engine_matches_naive_on_one_target(insertions):
+    """Many insertions on one node: the staged engine merges their
+    parameters in the naive engine's Definition 9 order, also when a
+    merged parameter sorts differently from its parts."""
+    document = parse_document("<r><t/></r>")
+    oracle = DocumentOracle(document)
+    pul = PUL([op_class(1, parse_forest(parameter))
+               for op_class, parameter in insertions])
+    assert canonical_form(pul, oracle) == \
+        reduce_naive(pul, oracle, canonical=True)
 
 
 @settings(max_examples=30, deadline=None)
