@@ -325,12 +325,16 @@ class StoreClient(_MethodSurface):
             self._take_id(), op, args, trace=trace))
 
     def _roundtrip(self, message):
-        if self._sock is None:
+        # one read of the socket: a close() from another thread (a
+        # replica sync being stopped) then fails the call with the
+        # closed socket's OSError instead of pulling it from under it
+        sock = self._sock
+        if sock is None:
             raise ProtocolError("client is closed")
-        self._sock.sendall(protocol.encode_frame(
+        sock.sendall(protocol.encode_frame(
             message, self.protocol_version or 1))
         while not self._frames:
-            data = self._sock.recv(64 * 1024)
+            data = sock.recv(64 * 1024)
             if not data:
                 raise ConnectionLostError(
                     "server closed the connection mid-response")

@@ -140,7 +140,9 @@ class ReplicaStore(DocumentStore):
                 # swapped in as one assignment: a concurrent read sees
                 # the old timeline or the new one, never a half-empty
                 # store mid-rebootstrap
-                self._entries = fresh
+                replaced, self._entries = self._entries, fresh
+            for entry in replaced.values():
+                self._evicted(entry)
             self.applied_seq = seq
             self.stream_id = stream
             if self._durability is not None:

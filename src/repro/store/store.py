@@ -73,7 +73,11 @@ from repro.store.durability import (
     document_payload,
     restore_document,
 )
-from repro.store.versions import DocumentVersion, replay_catchup
+from repro.store.versions import (
+    DocumentVersion,
+    answer_size,
+    replay_catchup,
+)
 from repro.xdm.document import Document
 from repro.xdm.parser import parse_document
 from repro.xdm.serializer import serialize, serialize_node
@@ -91,6 +95,12 @@ DEFAULT_MAX_CODE_LENGTH = 64
 #: declaring the writer stalled — generous, the window it bridges is a
 #: single batch application
 CAPTURE_TIMEOUT = 60.0
+
+#: store-wide byte budget of the published versions' query-answer
+#: memos (:mod:`repro.store.versions`), counted by ``answer_size``. A
+#: Zipf read load over 160 resident documents fills it (keeping every
+#: answer would take ~3 MB) for +2% of the server's resident memory
+ANSWER_MEMO_BYTES = 2 * 1024 * 1024
 
 
 def coalesce_batch(pending, labeling, on_conflict="error", policies=None):
@@ -247,6 +257,27 @@ class StoredDocument:
             if version is self.published:
                 version.text = text
 
+    def keep_answer(self, version, path, nodes, size):
+        """Memoize ``nodes`` as the answer of ``path`` on ``version`` —
+        under :meth:`keep_text`'s rule, and only while the entry is
+        resident and no other reader kept one first. ``size`` is what
+        the caller charged to the store's budget; returns whether the
+        answer was kept (if not, the caller hands ``size`` back)."""
+        with self._publish_cond:
+            answers = version.answers
+            if (version is self.published and answers is not None
+                    and path not in answers):
+                answers[path] = nodes
+                version.answer_bytes += size
+                return True
+            return False
+
+    def drop_answers(self):
+        """The entry left the store: its published version keeps no
+        answers from now on. Returns the bytes they held."""
+        with self._publish_cond:
+            return self.published.forget_answers()
+
     def wait_published(self, timeout):
         """Pin the published version once it covers every logged batch.
 
@@ -321,7 +352,8 @@ class StoredDocument:
         batch ``reduced``. ``index`` is the version's secondary index —
         derived incrementally from the retiring version's by the
         caller, or rebuilt here when the delta could not be
-        localized."""
+        localized. Returns the answer-memo bytes the retiring version
+        gave up, for the caller to hand back to the budget."""
         if index is None:
             index = build_index(document, labeling)
         full = 1 if full_relabel else 0
@@ -335,13 +367,14 @@ class StoredDocument:
             self.incremental_relabels = version.incremental_relabels
             self.full_relabels = version.full_relabels
             # the retiring tree is about to be mutated in place as the
-            # next working copy: it must not keep its text
+            # next working copy: it must not keep its memos
             self.published.text = None
+            freed = self.published.forget_answers()
             self._spare = self.published
             self._catchup = reduced
             self.published = version
             self._publish_cond.notify_all()
-        return version
+        return freed
 
     def abandon(self):
         """A batch failed at or past the logged-version fence: its
@@ -371,6 +404,7 @@ class StoredDocument:
                 "incremental_relabels": version.incremental_relabels,
                 "full_relabels": version.full_relabels,
                 "max_code_length": version.labeling.max_code_length,
+                "answer_memo_bytes": version.answer_bytes,
             }
         finally:
             self.unpin(version)
@@ -500,6 +534,18 @@ class DocumentStore:
                                 "and export",
                                 result=result)
             for result in ("hit", "miss")}
+        self._answer_cache = {
+            result: obs.counter("repro_store_answer_cache_total",
+                                "Query-answer memo lookups of query",
+                                result=result)
+            for result in ("hit", "miss", "unkept")}
+        self._m_answer_bytes = obs.gauge(
+            "repro_store_answer_memo_bytes",
+            "Bytes the query-answer memos of published versions hold")
+        #: bytes charged to ANSWER_MEMO_BYTES; a leaf lock of its own,
+        #: since the entries' publish locks do not serialize it
+        self._answer_bytes = 0
+        self._answer_lock = threading.Lock()
         if isinstance(durability, str):
             durability = DurabilityPolicy.parse(durability)
         if durability is None:
@@ -620,8 +666,14 @@ class DocumentStore:
                 if self._durability is not None:
                     self._durability.log_close(entry.doc_id)
                 del self._entries[entry.doc_id]
+        self._evicted(entry)
         with entry.lock:
             self._m_pending.dec(len(entry.pending))
+
+    def _evicted(self, entry):
+        """``entry`` left ``_entries``: it keeps no answers from now on,
+        and the bytes it held come back to the budget."""
+        self._give_answer_bytes(entry.drop_answers())
 
     def doc_ids(self):
         with self._lock:
@@ -792,30 +844,84 @@ class DocumentStore:
         ``"index"`` execution (the differential harness's lever);
         every engine returns identical bytes. With ``explain=True``
         the response carries the recorded per-step plan.
-        """
-        # local import: the read path should not drag the query stack
-        # into store-only deployments
-        from repro.index.planner import run_query
 
+        A version never changes, so a planned (``engine="auto"``),
+        unexplained query is answered once per version and path
+        (:meth:`_version_answer`); ``explain`` and a forced engine
+        always evaluate.
+        """
         start = time.perf_counter()
         entry = self._require(doc_id)
         version = entry.pin()
         try:
             with self.obs.span("query"):
-                nodes, plan = run_query(
-                    self._parsed_path(path), version.document,
-                    labeling=version.labeling, index=version.index,
-                    engine=engine)
-                rendered = [serialize_node(node) for node in nodes]
+                if explain or engine != "auto":
+                    nodes, plan = self._evaluate(version, path, engine)
+                else:
+                    nodes, plan = self._version_answer(entry, version,
+                                                       path)
         finally:
             entry.unpin(version)
         self._observe_query(doc_id, path,
                             time.perf_counter() - start, plan)
         result = {"doc_id": doc_id, "version": version.version,
-                  "count": len(rendered), "nodes": rendered}
+                  "count": len(nodes), "nodes": list(nodes)}
         if explain:
             result["plan"] = plan
         return result
+
+    def _evaluate(self, version, path, engine):
+        """Run ``path`` on the pinned ``version``: ``(tuple of
+        serialized nodes in document order, recorded plan)``."""
+        # local import: the read path should not drag the query stack
+        # into store-only deployments
+        from repro.index.planner import run_query
+
+        nodes, plan = run_query(
+            self._parsed_path(path), version.document,
+            labeling=version.labeling, index=version.index, engine=engine)
+        return tuple(serialize_node(node) for node in nodes), plan
+
+    def _version_answer(self, entry, version, path):
+        """``(nodes, plan)`` of ``path`` on the pinned ``version`` of
+        ``entry`` — the one place a query answer is memoized: read from
+        the version's memo (``plan`` is then ``None``: nothing was
+        planned), or evaluated and offered to it. A path too long for
+        the path memo is never kept, and neither is an answer the byte
+        budget has no room for."""
+        keepable = (isinstance(path, str)
+                    and len(path) <= MAX_CACHED_PATH_CHARS)
+        answers = version.answers if keepable else None
+        if answers:
+            nodes = answers.get(path)
+            if nodes is not None:
+                self._answer_cache["hit"].inc()
+                return nodes, None
+        nodes, plan = self._evaluate(version, path, "auto")
+        kept = False
+        if keepable:
+            size = answer_size(path, nodes)
+            if self._take_answer_bytes(size):
+                kept = entry.keep_answer(version, path, nodes, size)
+                if not kept:
+                    self._give_answer_bytes(size)
+        self._answer_cache["miss" if kept else "unkept"].inc()
+        return nodes, plan
+
+    def _take_answer_bytes(self, size):
+        """Charge ``size`` to the answer budget, if it has room."""
+        with self._answer_lock:
+            if self._answer_bytes + size > ANSWER_MEMO_BYTES:
+                return False
+            self._answer_bytes += size
+            self._m_answer_bytes.set(self._answer_bytes)
+            return True
+
+    def _give_answer_bytes(self, size):
+        if size:
+            with self._answer_lock:
+                self._answer_bytes -= size
+                self._m_answer_bytes.set(self._answer_bytes)
 
     def _parsed_path(self, path):
         """``path`` parsed — the one place this store obtains a parsed
@@ -844,7 +950,9 @@ class DocumentStore:
         """Feed the read-path telemetry from one executed query: the
         op latency, the route counter for the plan's overall mode, the
         scanned-bucket-size histogram for every index-scan step, and —
-        past the threshold — the slow-query log (plan embedded)."""
+        past the threshold — the slow-query log (plan embedded). An
+        answer read from the memo has ``plan`` ``None``: nothing was
+        planned, so the two planner metrics do not move."""
         self._op_latency["query"].observe(duration)
         mode = plan.get("mode") if isinstance(plan, dict) else None
         counter = self._route_counters.get(mode)
@@ -1034,8 +1142,9 @@ class DocumentStore:
         # retired version becomes the next checkout's working copy,
         # lagging by exactly this batch
         with obs.stage("publish"):
-            entry.publish(document, labeling, reduced,
-                          full_relabel=(relabel == "full"), index=index)
+            self._give_answer_bytes(entry.publish(
+                document, labeling, reduced,
+                full_relabel=(relabel == "full"), index=index))
         return BatchResult(
             doc_id=entry.doc_id, version=entry.version,
             clients=clients,
@@ -1271,6 +1380,7 @@ class DocumentStore:
                     durability.log_close(entry.doc_id)
                 with self._lock:
                     self._entries.pop(entry.doc_id, None)
+                self._evicted(entry)
                 return kind
             version = record["version"]
             if version <= entry.version:

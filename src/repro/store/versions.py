@@ -34,16 +34,31 @@ where the store is already doing O(document) work — so no successful
 flush in a document's life, not even the first, pays an O(document)
 copy.
 
-Invariant of the text memo: a version is immutable, so the first
-reader that asks for its text serializes it and leaves the string on
-the version (``DocumentVersion.text``) for the next — but only the
-*published* version may hold one. A version is born without a text,
-:meth:`StoredDocument.keep_text` installs one only while the version is
-still published, and ``publish`` clears it under the same lock before
-the version retires into the spare, whose tree the next flush mutates
-in place. A reader that still pins a retired version serializes for
-itself. No document therefore holds two texts, and a document that is
-only written never holds any.
+Invariant of the memos: a version is immutable, so the first reader
+that asks for its text serializes it and leaves the string on the
+version (``DocumentVersion.text``) for the next, and the first
+``query`` of a path leaves the answer — the tuple of serialized nodes —
+in ``DocumentVersion.answers`` under the path. One rule covers both:
+only the *published* version may hold a memo.
+:meth:`StoredDocument.keep_text` and :meth:`StoredDocument.keep_answer`
+install one only while the version is still published, and ``publish``
+clears both under the same lock before the version retires into the
+spare, whose tree the next flush mutates in place. A reader that still
+pins a retired version computes for itself and leaves nothing behind.
+No document therefore holds two texts or two answers to one path, and
+a document that is only written never holds any. Since only the
+constructor and ``publish`` install a published version, the one clear
+in ``publish`` covers the leader, recovery and every replica alike.
+
+Answers, unlike texts, are bounded: every answer the store keeps is
+charged to one store-wide byte budget
+(:data:`repro.store.store.ANSWER_MEMO_BYTES`, counted as string and
+tuple sizes by :func:`answer_size`). An answer that does not fit is
+served and not kept — nothing is evicted — and the bytes come back at
+exactly two points: when ``publish`` retires the version holding them,
+and when the entry leaves the store (``close``, a replayed ``close``
+record, a replica's re-bootstrap), where
+:meth:`StoredDocument.drop_answers` takes the memo away for good.
 
 A batch that fails on the working copy is not undone — the copy is
 dropped. Nothing of it was published, so readers, the log and every
@@ -60,7 +75,17 @@ capture published versions without quiescing writers.
 
 from __future__ import annotations
 
+import sys
+
 from repro.apply.inplace import replay_batch
+
+
+def answer_size(path, nodes):
+    """Bytes one memoized answer holds: the path key, the tuple and
+    every node string, as ``sys.getsizeof`` counts them (object headers
+    included)."""
+    return (sys.getsizeof(path) + sys.getsizeof(nodes)
+            + sum(map(sys.getsizeof, nodes)))
 
 
 class DocumentVersion:
@@ -75,7 +100,7 @@ class DocumentVersion:
 
     __slots__ = ("doc_id", "version", "document", "labeling", "batches",
                  "incremental_relabels", "full_relabels", "pins",
-                 "index", "text")
+                 "index", "text", "answers", "answer_bytes")
 
     def __init__(self, doc_id, version, document, labeling, batches=0,
                  incremental_relabels=0, full_relabels=0, index=None):
@@ -94,6 +119,20 @@ class DocumentVersion:
         #: memo of ``serialize(document)``; only the published version
         #: ever holds one (see the module docstring)
         self.text = None
+        #: memo of ``query`` answers, path -> tuple of node strings;
+        #: ``None`` once the version retired or its entry left the
+        #: store (see the module docstring)
+        self.answers = {}
+        #: what ``answers`` holds, by :func:`answer_size`
+        self.answer_bytes = 0
+
+    def forget_answers(self):
+        """Take the answer memo away for good; returns the bytes it
+        held. The caller holds the owning entry's publish lock."""
+        freed = self.answer_bytes
+        self.answers = None
+        self.answer_bytes = 0
+        return freed
 
     def __repr__(self):
         return "DocumentVersion(doc={!r}, v{}, pins={})".format(

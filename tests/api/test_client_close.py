@@ -51,6 +51,34 @@ class TestStoreClient:
             client.open("d", DOC)
         assert client.closed
 
+    def test_a_close_racing_a_call_fails_it_like_a_dropped_socket(
+            self, node):
+        """A replica sync is stopped by closing its client from another
+        thread: the call in flight fails with the closed socket's
+        ``OSError``, which the sync loop handles, never with an
+        ``AttributeError`` that kills its thread."""
+        client = connect(node)
+
+        class ClosedMidResponse:
+            def __init__(self, sock):
+                self.sock = sock
+
+            def sendall(self, data):
+                self.sock.sendall(data)
+
+            def recv(self, size):
+                data = self.sock.recv(1)    # part of the response...
+                client.close()              # ...then the other thread
+                return data
+
+            def close(self):
+                self.sock.close()
+
+        client._sock = ClosedMidResponse(client._sock)
+        with pytest.raises(OSError):
+            client.docs()
+        assert client.closed
+
 
 class TestAsyncStoreClient:
     def test_aclose_is_idempotent_and_observable(self, node):

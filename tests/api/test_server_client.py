@@ -911,11 +911,9 @@ class TestHeadOfLine:
             alone = await head_of_line.probe(client, 150)
             await client.aclose()
             above, above_cost = await head_of_line.beside(
-                connect, lambda hog: hog.query("above", head_of_line.HOG),
-                150)
+                connect, head_of_line.hog("above"), 150)
             at, at_cost = await head_of_line.beside(
-                connect, lambda hog: hog.query("at", head_of_line.HOG),
-                400)
+                connect, head_of_line.hog("at"), 400)
             return alone, above, above_cost, at, at_cost
 
         alone, above, above_cost, at, at_cost = run(scenario(), 120)

@@ -81,8 +81,10 @@ class TestMetricsOp:
     def test_a_read_burst_shows_its_route_and_its_memo_hits(self):
         """An ``indexed_reads``-shaped burst — a few dozen paths over
         a few small documents, one request in twenty a ``text`` — is
-        readable from the running system: it ran on the loop, and the
-        path and text memos answered more than nine lookups in ten."""
+        readable from the running system: it ran on the loop, the
+        answer and text memos answered more than nine lookups in ten,
+        and the path memo and the planner saw only the answer memo's
+        misses."""
         paths = ["//title", "/bib/paper/title", "//paper[title]",
                  "//title/text()", '//paper[title = "T1"]', "//@id"]
 
@@ -122,16 +124,26 @@ class TestMetricsOp:
         # the burst on the loop; the closing metrics call on the pool
         assert moved("repro_server_requests_total", route="loop") == 400
         assert moved("repro_server_requests_total", route="pool") == 1
-        hits = moved("repro_store_path_cache_total", result="hit")
-        misses = moved("repro_store_path_cache_total", result="miss")
+        # each (document, path) pair of the burst is planned once
+        hits = moved("repro_store_answer_cache_total", result="hit")
+        misses = moved("repro_store_answer_cache_total", result="miss")
         assert (hits, misses) == (380 - len(paths), len(paths))
+        assert moved("repro_store_answer_cache_total",
+                     result="unkept") == 0
+        assert hits / (hits + misses) > 0.9
+        assert (moved("repro_store_path_cache_total", result="hit"),
+                moved("repro_store_path_cache_total", result="miss")) \
+            == (0, len(paths))
         assert moved("repro_store_path_cache_total",
                      result="uncached") == 0
-        assert hits / (hits + misses) > 0.9
+        assert sum(moved("repro_planner_route_total", mode=mode)
+                   for mode in ("indexed", "mixed", "walker")) \
+            == len(paths)
         assert moved("repro_store_text_cache_total", result="hit") == 17
         assert moved("repro_store_text_cache_total", result="miss") == 3
         for line in ('repro_server_requests_total{route="loop"} 400',
-                     'repro_store_path_cache_total{result="hit"} 374',
+                     'repro_store_answer_cache_total{result="hit"} 374',
+                     'repro_store_path_cache_total{result="hit"} 0',
                      'repro_store_text_cache_total{result="miss"} 3'):
             assert line in text.splitlines()
         # metrics=False: same answers, nothing counted

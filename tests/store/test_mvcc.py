@@ -9,22 +9,30 @@ concurrent reader then observes from the MVCC store must byte-match
 that timeline.
 """
 
+import sys
 import threading
 import time
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import repro.store.store as store_module
-from repro.errors import DurabilityError
+from repro.errors import DurabilityError, ReproError
 from repro.pul.ops import Rename
 from repro.pul.pul import PUL
 from repro.store import DocumentStore, StatelessBaseline
+from repro.store.versions import answer_size
 from repro.xdm.parser import parse_document
 from repro.xdm.serializer import serialize
 
 DOC = ("<bib><paper><title>T1</title><authors><author>A</author>"
        "</authors></paper><paper><title>T2</title></paper>"
        "<note>n</note></bib>")
+#: a different document under the same ids, for close + re-open
+OTHER_DOC = ("<bib><paper><title>Z</title><authors><author>B</author>"
+             "<author>C</author></authors></paper><note>m</note></bib>")
 
 
 def _id_of(document, name):
@@ -527,14 +535,25 @@ class TestPathMemo:
             assert self._outcomes(store) == (1, 10001, 0)
 
     def test_lookups_are_counted(self):
+        """A planned query asks the answer memo first and parses only
+        what it missed; a forced engine parses without asking it."""
         with DocumentStore(backend="serial") as store:
             store.open("d", DOC)
+            store.open("e", DOC)
             for __ in range(3):
                 store.query("d", "//title")
+            store.query("e", "//title")
+            store.query("d", "//title", engine="walk")
             store.query("d", "//title" + " " * 80)
             store.text("d")
             store.text("d")
             counters = store.metrics_snapshot()["counters"]
+            assert counters[
+                'repro_store_answer_cache_total{result="hit"}'] == 2
+            assert counters[
+                'repro_store_answer_cache_total{result="miss"}'] == 2
+            assert counters[
+                'repro_store_answer_cache_total{result="unkept"}'] == 1
             assert counters[
                 'repro_store_path_cache_total{result="hit"}'] == 2
             assert counters[
@@ -545,3 +564,284 @@ class TestPathMemo:
                 'repro_store_text_cache_total{result="hit"}'] == 1
             assert counters[
                 'repro_store_text_cache_total{result="miss"}'] == 1
+
+
+#: paths the answer-memo tests read: element, text, predicate,
+#: positional and wildcard steps — indexed, mixed and walker routes
+MEMO_PATHS = ["//title", "/bib/paper/title", "//author",
+              "/bib/note/text()", "//paper[title]", "/bib/*[1]", "//*"]
+#: writes that compile to one operation on DOC and OTHER_DOC alike, at
+#: any point of a schedule (a rename keeps /bib/*[1] the first child)
+MEMO_WRITES = ["insert node <title>t{}</title> as last into /bib",
+               'replace value of node /bib/note with "v{}"',
+               'rename node /bib/*[1] as "x{}"']
+
+
+def _write(store, doc_id, number):
+    store.submit_xquery(
+        doc_id, MEMO_WRITES[number % len(MEMO_WRITES)].format(number))
+    store.flush(doc_id)
+
+
+def _assert_memo_accounting(store):
+    """Only published versions hold answers; each one's byte count is
+    what its answers hold, and the store's count — and gauge — is their
+    sum, within the budget."""
+    held = 0
+    for entry in store._entries.values():
+        version = entry.published
+        assert version.answer_bytes == sum(
+            answer_size(path, nodes)
+            for path, nodes in version.answers.items())
+        held += version.answer_bytes
+        assert entry._spare is None or not entry._spare.answers
+    assert store._answer_bytes == held <= store_module.ANSWER_MEMO_BYTES
+    assert store.metrics_snapshot()["gauges"][
+        "repro_store_answer_memo_bytes"] == held
+
+
+def _answer_counts(store):
+    """``(hits, misses, unkept)`` as the store counted them."""
+    counters = store.metrics_snapshot()["counters"]
+    return tuple(counters['repro_store_answer_cache_total{{result="{}"}}'
+                          .format(result)]
+                 for result in ("hit", "miss", "unkept"))
+
+
+_STEPS = st.lists(st.tuples(
+    st.sampled_from(["write", "read", "pin", "reopen"]),
+    st.integers(0, 1), st.integers(0, len(MEMO_PATHS) - 1)), max_size=30)
+
+
+class TestAnswerMemo:
+    """A version's query answers are evaluated once, are never stale,
+    and live exactly as long as its text may (the text memo's rule)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(steps=_STEPS,
+           budget=st.sampled_from([0, 700, store_module.ANSWER_MEMO_BYTES]))
+    @example(steps=[("read", 0, 0), ("reopen", 0, 0), ("read", 0, 0)],
+             budget=store_module.ANSWER_MEMO_BYTES)
+    @example(steps=[("read", 1, 6), ("pin", 1, 6), ("read", 1, 6)],
+             budget=store_module.ANSWER_MEMO_BYTES)
+    def test_a_memoized_answer_is_never_stale(self, steps, budget):
+        """Writes, repeated reads, a reader pinning a version across the
+        publish that retires it, and close + re-open of an id with
+        another document (its version restarts at 0): every answer
+        equals the walker's at the version it reports."""
+        with mock.patch.object(store_module, "ANSWER_MEMO_BYTES", budget), \
+                DocumentStore(backend="serial") as store:
+            sources = {"a": DOC, "b": DOC}
+            for doc_id, source in sources.items():
+                store.open(doc_id, source)
+            for kind, slot, number in steps:
+                doc_id, path = "ab"[slot], MEMO_PATHS[number]
+                if kind == "write":
+                    _write(store, doc_id, number)
+                elif kind == "read":
+                    for __ in range(2):     # a hit once the first is kept
+                        assert store.query(doc_id, path) == store.query(
+                            doc_id, path, engine="walk")
+                elif kind == "pin":
+                    entry = store._entries[doc_id]
+                    pinned = entry.pin()
+                    try:
+                        store.query(doc_id, path)   # kept on `pinned`
+                        _write(store, doc_id, number)
+                        assert pinned.answers is None
+                        nodes, __ = store._version_answer(entry, pinned,
+                                                          path)
+                        assert nodes == store._evaluate(pinned, path,
+                                                        "walk")[0]
+                        assert pinned.answers is None
+                    finally:
+                        entry.unpin(pinned)
+                else:
+                    store.close_document(doc_id)
+                    sources[doc_id] = (OTHER_DOC if sources[doc_id] == DOC
+                                       else DOC)
+                    store.open(doc_id, sources[doc_id])
+                _assert_memo_accounting(store)
+
+    def test_threaded_readers_never_see_a_stale_answer(self):
+        """Readers hammer ``query`` while the writer publishes one
+        document and closes and re-opens another, with a budget that
+        fills: every answer is the walker's at its version, and the
+        byte count is exact afterwards."""
+        specs = _batch_specs(parse_document(DOC), 25)
+        timeline = _baseline_timeline(specs)
+        with DocumentStore(backend="serial") as oracle:
+            for version, text in timeline.items():
+                oracle.open(version, text)
+            expected = {
+                version: {path: oracle.query(version, path,
+                                             engine="walk")["nodes"]
+                          for path in MEMO_PATHS}
+                for version in timeline}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with mock.patch.object(store_module, "ANSWER_MEMO_BYTES",
+                                   3000), \
+                    DocumentStore(backend="serial") as store:
+                store.open("d", DOC)
+                store.open("e", DOC)
+                stop = threading.Event()
+                wrong = []
+
+                def reader():
+                    while not stop.is_set():
+                        for path in MEMO_PATHS:
+                            answer = store.query("d", path)
+                            if answer["nodes"] != \
+                                    expected[answer["version"]][path]:
+                                wrong.append((answer["version"], path))
+                            try:
+                                answer = store.query("e", path)
+                            except ReproError:
+                                continue    # between close and re-open
+                            if answer["nodes"] != expected[0][path]:
+                                wrong.append(("e", path))
+                            if store._answer_bytes > 3000:
+                                wrong.append("over budget")
+
+                readers = [threading.Thread(target=reader, daemon=True)
+                           for __ in range(4)]
+                for thread in readers:
+                    thread.start()
+                for spec in specs:
+                    store.submit("d", PUL(
+                        [Rename(t, name) for t, name in spec]))
+                    store.flush("d")
+                    store.close_document("e")
+                    store.open("e", DOC)
+                stop.set()
+                for thread in readers:
+                    thread.join(10)
+                    assert not thread.is_alive()
+                assert not wrong
+                hits, misses, unkept = _answer_counts(store)
+                assert hits and misses
+                _assert_memo_accounting(store)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_only_a_planned_unexplained_short_query_reads_the_memo(self):
+        """A forged memo entry shows which reads consult the memo:
+        ``explain``, a forced engine and a long path never do."""
+        from repro.xquery.parser import MAX_CACHED_PATH_CHARS
+
+        padded = "//title" + " " * MAX_CACHED_PATH_CHARS
+        with DocumentStore(backend="serial") as store:
+            store.open("d", DOC)
+            expected = store.query("d", "//title")["nodes"]
+            answers = store._entries["d"].published.answers
+            answers["//title"] = answers[padded] = ("<forged/>",)
+            assert store.query("d", "//title")["nodes"] == ["<forged/>"]
+            for engine in ("walk", "index"):
+                assert store.query("d", "//title",
+                                   engine=engine)["nodes"] == expected
+            assert store.query("d", "//title",
+                               explain=True)["nodes"] == expected
+            assert store.explain("d", "//title")["count"] == len(expected)
+            assert store.query("d", padded)["nodes"] == expected
+            assert set(answers) == {"//title", padded}
+
+    def test_a_returned_list_is_the_callers_own(self):
+        with DocumentStore(backend="serial") as store:
+            store.open("d", DOC)
+            first = store.query("d", "//title")
+            expected = list(first["nodes"])
+            first["nodes"][0] = "<forged/>"
+            first["nodes"].append("<forged/>")
+            second = store.query("d", "//title")
+            assert second["nodes"] == expected
+            second["nodes"].clear()
+            assert store.query("d", "//title")["nodes"] == expected
+            assert _answer_counts(store) == (2, 1, 0)
+
+
+class TestAnswerBudget:
+    def test_the_budget_holds_and_comes_back_on_close(self):
+        with mock.patch.object(store_module, "ANSWER_MEMO_BYTES", 2000), \
+                DocumentStore(backend="serial") as store:
+            doc_ids = ["d{}".format(number) for number in range(6)]
+            for doc_id in doc_ids:
+                store.open(doc_id, DOC)
+            kept_by_the_first = None
+            for doc_id in doc_ids:
+                for path in MEMO_PATHS:
+                    store.query(doc_id, path)
+                    assert store._answer_bytes <= 2000
+                if kept_by_the_first is None:
+                    kept_by_the_first = _answer_counts(store)[1]
+            hits, misses, unkept = _answer_counts(store)
+            assert misses > kept_by_the_first and unkept
+            assert store._answer_bytes == sum(
+                stats["answer_memo_bytes"] for stats in store.stats())
+            _assert_memo_accounting(store)
+            for doc_id in doc_ids:
+                store.close_document(doc_id)
+            assert store._answer_bytes == 0
+            _assert_memo_accounting(store)
+            # the whole budget is there again
+            store.open("d", DOC)
+            for path in MEMO_PATHS:
+                store.query("d", path)
+            assert _answer_counts(store)[1] == misses + kept_by_the_first
+
+    def test_a_replayed_close_and_a_rebootstrap_hand_back(self, tmp_path):
+        """The two other ways an entry leaves a store: a ``close``
+        record applied by a replica, and a re-bootstrap replacing every
+        entry."""
+        from repro.cluster import ReplicaStore
+        from repro.cluster.tokens import decode_token
+
+        with DocumentStore(workers=1, backend="serial", durability="log",
+                           wal_dir=str(tmp_path / "wal")) as leader:
+            source = leader.enable_replication()
+            anchor = source.tail_token()
+            leader.open("a", DOC)
+            leader.open("b", DOC)
+            leader.close_document("a")
+            events = source.read(from_token=anchor, decode=False,
+                                 max_events=10)["events"]
+            page = leader.export_state(form="state")
+        assert len(events) == 3
+        stream, seq = decode_token(anchor)
+        with ReplicaStore(workers=1, backend="serial") as replica:
+            replica.bootstrap([], seq, stream=stream)
+            replica.apply_records({"events": events[:2],
+                                   "token": events[1]["token"]})
+            for doc_id in ("a", "b"):
+                replica.query(doc_id, "//title")
+            held = replica.stats("b")["answer_memo_bytes"]
+            assert replica._answer_bytes == 2 * held > 0
+            replica.apply_records({"events": events[2:],
+                                   "token": events[2]["token"]})
+            assert replica.doc_ids() == ["b"]
+            assert replica._answer_bytes == held
+            replica.bootstrap(page["docs"], page["seq"],
+                              stream=page["stream"])
+            assert replica._answer_bytes == 0
+            replica.query("b", "//title")
+            assert replica._answer_bytes == held
+            _assert_memo_accounting(replica)
+
+    def test_an_answer_larger_than_what_is_left_is_served_not_kept(self):
+        with DocumentStore(backend="serial") as store:
+            store.open("d", DOC)
+            room = answer_size("//note", tuple(store.query(
+                "d", "//note")["nodes"]))
+        with mock.patch.object(store_module, "ANSWER_MEMO_BYTES", room), \
+                DocumentStore(backend="serial") as store:
+            store.open("d", DOC)
+            store.query("d", "//note")
+            assert store._answer_bytes == room
+            for __ in range(2):
+                assert store.query("d", "//*") == store.query(
+                    "d", "//*", engine="walk")
+            assert set(store._entries["d"].published.answers) \
+                == {"//note"}
+            assert _answer_counts(store) == (0, 1, 2)
+            _assert_memo_accounting(store)

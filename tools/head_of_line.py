@@ -6,9 +6,12 @@ runs" in ``src/repro/api/README.md``).
 Spawns ``repro store serve`` from a checkout on a Unix socket, opens a
 4-node document, an at-limit one and an above-limit one (~21k nodes).
 Connection B times ``//needle`` on the small document — alone, beside
-connection A looping ``//*//*//*`` on the above-limit document, and
-beside A looping it on the at-limit one — and prints p50/p90/p99 per
-phase with the hog's own median run time. Only the server comes from
+connection A looping ``explain`` of ``//*//*//*`` on the above-limit
+document, and beside A looping it on the at-limit one — and prints
+p50/p90/p99 per phase with the hog's own median run time. The hog is
+an ``explain``: lock-free and routed like a ``query``, but evaluated
+every time, where a repeated ``query`` is answered from the version's
+memo after its first run. Only the server comes from
 CHECKOUT; client, documents and the limit are this checkout's, so a
 run against the parent and one against the change ask the same
 questions::
@@ -16,7 +19,7 @@ questions::
     python3 tools/head_of_line.py CHECKOUT [--samples N] [--limit NODES]
 
 ``tests/api/test_server_client.py::TestHeadOfLine`` asserts on the same
-routines (``serve``, ``probe``, ``beside``).
+routines (``serve``, ``probe``, ``beside``, ``hog``).
 """
 
 import argparse
@@ -86,6 +89,11 @@ async def probe(client, samples):
     return latencies
 
 
+def hog(doc_id):
+    """The expensive read ``beside`` loops: ``explain`` of ``HOG``."""
+    return lambda client: client.explain(doc_id, HOG)
+
+
 async def beside(connect, busy, samples):
     """Latencies of the small query while ``busy(client)`` loops on
     another connection, and the median time one ``busy`` call took."""
@@ -124,8 +132,8 @@ async def measure(connect, samples, limit):
             ("beside above-limit hog ({} nodes)".format(above_nodes),
              "above"),
             ("beside at-limit hog ({} nodes)".format(at_nodes), "at")):
-        rows.append((name,) + await beside(
-            connect, lambda hog: hog.query(doc_id, HOG), samples))
+        rows.append((name,) + await beside(connect, hog(doc_id),
+                                           samples))
     for name, latencies, cost in rows:
         print("{:<40} p50 {:7.2f}  p90 {:7.2f}  p99 {:7.2f} ms{}".format(
             name, *(percentile(latencies, share) * 1e3
