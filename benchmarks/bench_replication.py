@@ -8,10 +8,11 @@ TCP port; replicas stream the leader's WAL through the live
 and could never show genuine read scaling. Two measurements:
 
 **Read scaling** — one leader plus R replicas. A fixed read workload
-(``text`` + ``query``, round-robined by :class:`ClusterClient` across
-the replica set; the leader serves the R=0 baseline) is driven from
-``--readers`` concurrent threads; ops/sec per replica count shows
-reads fanning out across processes instead of re-serializing on one.
+(``text`` + ``query``) is driven from ``--readers`` concurrent
+threads, reader *k* keeping one :class:`StoreClient` on replica
+``k mod R`` (the leader serves the R=0 baseline); ops/sec per replica
+count shows reads spreading across processes instead of re-serializing
+on one.
 
 **Steady-state lag** — with a writer continuously submitting and
 flushing against the leader, the replica's acknowledged position is
@@ -41,7 +42,7 @@ if REPO_SRC not in sys.path:       # direct `python benchmarks/...` runs
     sys.path.insert(0, REPO_SRC)
 
 from repro.api.client import StoreClient          # noqa: E402
-from repro.cluster import ClusterClient, parse_address  # noqa: E402
+from repro.cluster import parse_address  # noqa: E402
 
 DOC_TEXT = ("<doc><items>{}</items><meta><owner>bench</owner></meta>"
             "</doc>".format("".join(
@@ -109,10 +110,13 @@ class _Cluster:
 
     # -- remote observation ---------------------------------------------------
 
-    def _stats(self, address):
+    def connect(self, address, client=None):
         host, port = parse_address(address)
-        with StoreClient.connect(host=host, port=port,
-                                 retries=4) as client:
+        return StoreClient.connect(host=host, port=port, client=client,
+                                   retries=4)
+
+    def _stats(self, address):
+        with self.connect(address) as client:
             return client.stats()
 
     def leader_seq(self):
@@ -133,32 +137,28 @@ class _Cluster:
         raise RuntimeError("replicas never caught up")
 
 
-def _router(cluster):
-    return ClusterClient(
-        [{"leader": cluster.leader_address,
-          "replicas": list(cluster.replica_addresses)}],
-        client="bench-router", retries=4)
-
-
 def measure_read_scaling(replica_count, reads, readers, workers,
                          backend, repeats):
     """Best-of-``repeats`` read throughput with ``replica_count``
-    replica processes serving the fan-out."""
+    replica processes serving the readers."""
     best = None
     for __ in range(max(1, repeats)):
         with _Cluster(replica_count, workers, backend) as cluster:
-            with _router(cluster) as seed:
+            with cluster.connect(cluster.leader_address,
+                                 client="bench-seed") as seed:
                 seed.open("d1", DOC_TEXT)
                 seed.submit_xquery("d1", WRITE_EXPR)
                 seed.flush("d1")
             if cluster.replica_addresses:
                 cluster.wait_caught_up()
+            nodes = cluster.replica_addresses or [cluster.leader_address]
 
             errors = []
 
-            def reader():
+            def reader(index):
                 try:
-                    with _router(cluster) as client:
+                    with cluster.connect(nodes[index % len(nodes)],
+                                         client="bench-reader") as client:
                         for serial in range(reads // readers):
                             if serial % 2:
                                 client.text("d1")
@@ -167,8 +167,8 @@ def measure_read_scaling(replica_count, reads, readers, workers,
                 except Exception as exc:      # noqa: BLE001 — reported
                     errors.append(exc)
 
-            threads = [threading.Thread(target=reader)
-                       for __unused in range(readers)]
+            threads = [threading.Thread(target=reader, args=(index,))
+                       for index in range(readers)]
             start = time.perf_counter()
             for thread in threads:
                 thread.start()
@@ -187,7 +187,8 @@ def measure_lag(write_rounds, workers, backend):
     """Steady-state lag: a continuous writer vs one streaming replica."""
     with _Cluster(1, workers, backend) as cluster:
         replica = cluster.replica_addresses[0]
-        with _router(cluster) as writer:
+        with cluster.connect(cluster.leader_address,
+                             client="bench-writer") as writer:
             writer.open("d1", DOC_TEXT)
             cluster.wait_caught_up()
             samples = []

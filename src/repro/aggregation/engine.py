@@ -96,9 +96,11 @@ class _Aggregator:
         # rule D6: apply the new-target operations inside their hosts
         for host, ops in host_batches.values():
             self._apply_inside(host, ops)
-        # rules A2 + B3/C4/C5 for the old-target operations
+        # rules A2 + B3/C4/C5 for the old-target operations, in the
+        # PUL's own stage order: its ins↓ lands before its ins↙ goes in
+        # front, also when both cumulate into an earlier repC
         merged = self._collapse_same_pul(old_batch)
-        for op in merged:
+        for op in sorted(merged, key=lambda op: op.stage):
             self._merge_old(op)
 
     def _collapse_same_pul(self, ops):

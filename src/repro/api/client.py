@@ -29,10 +29,10 @@ the expression form (:meth:`submit_xquery`) is the preferred surface:
 the server compiles it against the resident document, so the client
 needs no copy of the tree at all.
 
-**Close semantics (uniform across StoreClient, AsyncStoreClient and
-ClusterClient):** every client is a context manager (``with`` /
-``async with``); ``close()`` / ``aclose()`` is idempotent, in-flight
-requests fail, and **any call after close raises**
+**Close semantics (uniform across StoreClient and AsyncStoreClient):**
+every client is a context manager (``with`` / ``async with``);
+``close()`` / ``aclose()`` is idempotent, in-flight requests fail, and
+**any call after close raises**
 ``ProtocolError("client is closed")`` — never a raw ``AttributeError``
 or a hung socket. ``closed`` reports the state.
 

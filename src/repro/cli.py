@@ -196,23 +196,19 @@ def _durability_policy(args):
 
 
 def _parse_listen(spec):
-    """``host:port`` or ``unix:PATH`` -> (host, port, unix_path)."""
+    """``host:port`` or ``unix:PATH`` -> (host, port, unix_path); an
+    empty host listens on 127.0.0.1."""
+    from repro.cluster import parse_address
+
     if spec.startswith("unix:"):
         path = spec[len("unix:"):]
         if not path:
             raise ReproError("--listen unix: needs a socket path")
         return None, 0, path
-    host, sep, port = spec.rpartition(":")
-    if not sep:
-        raise ReproError(
-            "--listen takes host:port or unix:PATH, got {!r}".format(
-                spec))
-    try:
-        port = int(port)
-    except ValueError:
-        raise ReproError(
-            "--listen port must be an integer, got {!r}".format(port))
-    return host or "127.0.0.1", port, None
+    if spec.startswith(":"):
+        spec = "127.0.0.1" + spec
+    host, port = parse_address(spec)
+    return host, port, None
 
 
 def _parse_metrics_listen(spec):
@@ -239,6 +235,9 @@ def cmd_store_serve(args, out):
 
     policy, wal_dir = _durability_policy(args)
     host, port, unix_path = _parse_listen(args.listen)
+    # every address is checked before the store is built
+    metrics_listen = (_parse_metrics_listen(args.metrics_listen)
+                      if args.metrics_listen else None)
     options = dict(workers=args.workers, backend=args.backend,
                    max_code_length=args.max_code_length,
                    on_conflict=args.on_conflict,
@@ -268,9 +267,7 @@ def cmd_store_serve(args, out):
     server = StoreServer(store, host=host, port=port,
                          unix_path=unix_path,
                          max_pipeline=args.max_pipeline,
-                         metrics_listen=(
-                             _parse_metrics_listen(args.metrics_listen)
-                             if args.metrics_listen else None))
+                         metrics_listen=metrics_listen)
 
     async def _serve():
         await server.start()
@@ -675,9 +672,10 @@ def cmd_cluster_status(args, out):
     from repro.api.client import StoreClient
     from repro.cluster import parse_address
 
+    # every address is checked before the first node is dialed
+    addresses = [parse_address(node) for node in args.nodes]
     failures = 0
-    for node in args.nodes:
-        host, port = parse_address(node)
+    for node, (host, port) in zip(args.nodes, addresses):
         try:
             with StoreClient.connect(host=host, port=port,
                                      retries=args.retries) as client:

@@ -11,7 +11,7 @@ the same log position (store-README invariant 8).
 Reads (``text`` / ``stats`` / ``docs`` / read-only ``query``) are
 served locally; every write is rejected with a typed
 :class:`~repro.errors.NotLeaderError` carrying the leader's address, so
-routing clients follow the redirect instead of failing.
+a client that dialed the wrong node knows which one to dial.
 
 A replica may itself be durable (its own ``wal_dir``): applied records
 are write-ahead logged *locally* before application, and a ``repl-pos``

@@ -48,17 +48,19 @@ BOOTSTRAP_PAGE_DOCS = 64
 
 
 def parse_address(address):
-    """``host:port`` -> ``(host, port)`` (the cluster's address form)."""
+    """``host:port`` -> ``(host, port)``: the one parser of TCP
+    addresses, whether listened on or dialed. The port is decimal
+    digits only and at most 65535 (``int()`` alone would take ``+80``
+    or ``8_0``, and a socket wraps ``70000`` to another port)."""
     host, sep, port = str(address).rpartition(":")
     if not sep or not host:
         raise ReproError(
-            "cluster addresses are host:port, got {!r}".format(address))
-    try:
-        return host, int(port)
-    except ValueError:
+            "addresses are host:port, got {!r}".format(address))
+    if not (port.isascii() and port.isdigit()) or int(port) > 65535:
         raise ReproError(
-            "cluster address port must be an integer, got "
-            "{!r}".format(port)) from None
+            "address port must be a number in 0-65535, got "
+            "{!r}".format(port))
+    return host, int(port)
 
 
 class ReplicaSync:

@@ -249,15 +249,15 @@ class ProtocolError(ReproError):
 class ConnectionLostError(ProtocolError):
     """Raised client-side when the transport died mid-conversation
     (EOF mid-response, reset while sending). Distinct from a
-    server-*reported* protocol violation so routing clients know the
-    failure names the node, not the request — retrying elsewhere is
-    sound."""
+    server-*reported* protocol violation: the failure names the node,
+    not the request — re-dialing (the same node, or the promoted
+    leader) and retrying is sound."""
 
     code = "connection-lost"
     wire_doc = ("client-side only: the transport died "
                 "mid-conversation (EOF mid-response, reset) — the "
-                "failure names the node, not the request, so routers "
-                "retry elsewhere")
+                "failure names the node, not the request, so a client "
+                "may re-dial and retry")
 
 
 class ClusterError(ReproError):
@@ -272,14 +272,13 @@ class ClusterError(ReproError):
 
 class NotLeaderError(ClusterError):
     """Raised when a write (or any leader-only operation) reaches a
-    replica. Carries the leader's address so routing clients
-    (:class:`~repro.cluster.client.ClusterClient`) can follow the
-    redirect instead of surfacing the failure."""
+    replica. Carries the leader's address (:attr:`leader`), so a
+    client that wants to retry re-dials that node."""
 
     code = "not-leader"
     wire_doc = ("a write (or replication-stream op) reached a "
                 "replica; `details.leader` carries the leader's "
-                "`host:port` so routing clients follow the redirect")
+                "`host:port` for the client to re-dial")
     detail_attrs = ("leader",)
 
     def __init__(self, leader=None, operation=None):

@@ -30,6 +30,7 @@ from repro.reduction.rules import (
     REP_C,
     REP_N,
     _O2_VICTIMS,
+    tree_keys,
 )
 
 _INSERT_NAMES = frozenset({INS_B, INS_A, INS_F, INS_L, INS_I, INS_ATTR})
@@ -40,18 +41,20 @@ def _collapse_canonical(group):
     merge the ``<p``-minimal pair first, and rank the merged parameter by
     its own serialization (a plain sort differs once one parameter's
     serialization is a prefix of another's). A forest serializes as the
-    concatenation of its trees, so the merged key is the two keys joined."""
-    heap = [(op.param_key(), i, list(op.trees))
+    concatenation of its trees, so the merged key is the two keys joined,
+    and so are the two tuples of per-tree keys that break its ties."""
+    heap = [(op.param_key(), tree_keys(op), i, list(op.trees))
             for i, op in enumerate(group)]
     heapq.heapify(heap)
     serial = len(heap)
     while len(heap) > 1:
-        first_key, __, first = heapq.heappop(heap)
-        second_key, __, second = heapq.heappop(heap)
-        heapq.heappush(heap, (first_key + second_key, serial,
+        first_key, first_trees, __, first = heapq.heappop(heap)
+        second_key, second_trees, __, second = heapq.heappop(heap)
+        heapq.heappush(heap, (first_key + second_key,
+                              first_trees + second_trees, serial,
                               first + second))
         serial += 1
-    return group[0].with_trees(heap[0][2])
+    return group[0].with_trees(heap[0][3])
 
 
 class _Engine:
@@ -67,8 +70,11 @@ class _Engine:
         self.singles = {}
 
     def _op_key(self, op):
-        return (self.oracle.order_key(op.target), op.op_name,
-                op.param_key())
+        key = (self.oracle.order_key(op.target), op.op_name,
+               op.param_key())
+        # only Definition 9 needs the order total; the other reductions
+        # merely iterate in it, and ops of one kind never tie there
+        return key + (tree_keys(op),) if self.canonical else key
 
     # -- stage 1 -------------------------------------------------------------
 

@@ -12,14 +12,19 @@ from __future__ import annotations
 
 from repro.pul.ops import InsertInto, InsertIntoAsFirst
 from repro.reasoning.oracle import oracle_for
-from repro.reduction.rules import LAST_RULE_STAGE, RULES_BY_STAGE
+from repro.reduction.rules import (
+    LAST_RULE_STAGE,
+    RULES_BY_STAGE,
+    tree_keys,
+)
 
 
 def _pair_key(op1, op2, oracle):
     """``<p`` of Definition 9: document order of targets, then
-    lexicographic order of serialized parameters."""
-    return (oracle.order_key(op1.target), op1.param_key(),
-            oracle.order_key(op2.target), op2.param_key())
+    lexicographic order of serialized parameters, then of their per-tree
+    serializations (equal serializations are left unordered by ``<p``)."""
+    return (oracle.order_key(op1.target), op1.param_key(), tree_keys(op1),
+            oracle.order_key(op2.target), op2.param_key(), tree_keys(op2))
 
 
 def reduce_naive(pul, structure=None, deterministic=False, canonical=False):

@@ -29,6 +29,7 @@ from repro.pul.ops import (
     ReplaceNode,
     ReplaceValue,
 )
+from repro.xdm.serializer import serialize_forest
 
 # convenient wire-name tokens
 INS_B = InsertBefore.op_name
@@ -68,6 +69,14 @@ class ReductionRule:
 
     def __repr__(self):
         return "ReductionRule({})".format(self.rule_id)
+
+
+def tree_keys(op):
+    """The per-tree serializations of ``op``'s parameter: the secondary
+    key after ``param_key()`` that makes Definition 9's ``<p`` total.
+    ``[p, p]`` and ``[pp]`` serialize alike but are different operations;
+    without it both engines fall back on input position between them."""
+    return tuple(serialize_forest((tree,)) for tree in op.trees)
 
 
 def _cat(op, trees_before, trees_after):

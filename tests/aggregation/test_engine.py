@@ -9,6 +9,7 @@ from repro.pul.ops import (
     InsertAfter,
     InsertAttributes,
     InsertBefore,
+    InsertInto,
     InsertIntoAsFirst,
     InsertIntoAsLast,
     Rename,
@@ -216,6 +217,17 @@ class TestRepCExtension:
              PUL([InsertIntoAsFirst(0, [tree("<p/>", 10)])])])
         (op,) = combined
         assert op.param_key() == "<p/>txt"
+
+    def test_into_lands_before_first_of_the_same_pul(self):
+        """Within one PUL ins↓ (stage 1) is placed before ins↙ (stage
+        2) puts its trees in front, whatever the list order."""
+        combined = check_matches_sequence(
+            "<a><b/></a>",
+            [PUL([ReplaceChildren(0, "txt")]),
+             PUL([InsertIntoAsFirst(0, [tree("<p/>", 10)]),
+                  InsertInto(0, [tree("<q/>", 20)])])])
+        (op,) = combined
+        assert op.param_key() == "<p/><q/>txt"
 
     def test_strict_mode_refuses(self):
         puls = [PUL([ReplaceChildren(0, "txt")]),

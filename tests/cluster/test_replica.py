@@ -7,6 +7,7 @@ from repro.cluster import ReplicaStore
 from repro.cluster.tokens import encode_token
 from repro.errors import ClusterError, NotLeaderError
 from repro.store import DocumentStore, replay_oracle
+from repro.xquery import compile_pul
 
 DOC = "<doc><items/><meta><owner>o</owner></meta></doc>"
 LEADER_ADDR = "127.0.0.1:7000"
@@ -159,6 +160,8 @@ class TestReadOnly:
             pump(leader, replica)
             calls = [
                 lambda: replica.open("d2", DOC),
+                lambda: replica.submit("d1", compile_pul(
+                    'delete nodes /doc/items', leader.document("d1"))),
                 lambda: replica.submit_xquery(
                     "d1", 'delete nodes /doc/items'),
                 lambda: replica.flush("d1"),

@@ -3,7 +3,7 @@ plus agreement between the optimized and the naive reference engine."""
 
 import random
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.pul.equivalence import obtainable_strings
@@ -23,7 +23,7 @@ from repro.reduction import (
     reduce_naive,
     reduce_pul,
 )
-from repro.xdm import parse_document
+from repro.xdm import Node, parse_document
 from repro.xdm.parser import parse_forest
 
 from tests.strategies import applicable_puls, documents
@@ -118,6 +118,7 @@ _INSERTIONS = [InsertBefore, InsertAfter, InsertInto, InsertIntoAsFirst,
 @given(st.lists(st.tuples(st.sampled_from(_INSERTIONS),
                           st.sampled_from(_PARAMETERS)),
                 min_size=2, max_size=6))
+@example([(InsertBefore, "p")] * 3 + [(InsertBefore, "pp")])
 def test_optimized_engine_matches_naive_on_one_target(insertions):
     """Many insertions on one node: the staged engine merges their
     parameters in the naive engine's Definition 9 order, also when a
@@ -128,6 +129,37 @@ def test_optimized_engine_matches_naive_on_one_target(insertions):
                for op_class, parameter in insertions])
     assert canonical_form(pul, oracle) == \
         reduce_naive(pul, oracle, canonical=True)
+
+
+@st.composite
+def _permuted_text_insertions(draw):
+    """Insertions on one node whose parameters are forests of text
+    nodes (``[p, p]`` and ``[pp]`` serialize alike), and an order."""
+    segmented = st.lists(st.sampled_from(["p", "pp", "q"]), min_size=1,
+                         max_size=3)
+    insertions = draw(st.lists(
+        st.tuples(st.sampled_from(_INSERTIONS), segmented),
+        min_size=2, max_size=5))
+    return insertions, draw(st.permutations(range(len(insertions))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_permuted_text_insertions())
+@example(([(InsertBefore, ["p", "p"]), (InsertBefore, ["pp"]),
+           (InsertBefore, ["q"])], [1, 0, 2]))
+def test_canonical_form_ignores_order_of_alike_parameters(case):
+    """Definition 9 leaves parameters that serialize alike unordered;
+    the canonical form must still not depend on which came first."""
+    insertions, order = case
+    oracle = DocumentOracle(parse_document("<r><t/></r>"))
+
+    def pul(positions):
+        return PUL([insertions[i][0](1, [Node.text(segment)
+                                         for segment in insertions[i][1]])
+                    for i in positions])
+
+    assert canonical_form(pul(order), oracle) == \
+        canonical_form(pul(range(len(insertions))), oracle)
 
 
 @settings(max_examples=30, deadline=None)

@@ -4,6 +4,7 @@ import contextlib
 import io
 import os
 import signal
+import socket
 import subprocess
 import sys
 import tempfile
@@ -15,7 +16,8 @@ from hypothesis import strategies as st
 
 from repro.api import StoreClient
 from repro.apply.inmemory import apply_in_memory
-from repro.cli import build_parser, main
+from repro.cli import _parse_listen, build_parser, main
+from repro.cluster import parse_address
 from repro.errors import NotApplicableError, ReproError
 from repro.labeling import ContainmentLabeling
 from repro.pul.ops import InsertBefore, Rename
@@ -448,3 +450,51 @@ class TestStore:
         assert "resident-incremental" in output
         assert "parse+full-relabel" in output
         assert "byte-identical" in output
+
+
+#: ports a host:port address refuses: out of range, signed, with an
+#: underscore, not a number, missing
+BAD_PORTS = ["70000", "-5", "+80", "8_0", "abc", ""]
+
+
+class TestAddresses:
+    """One parser takes every host:port the CLI listens on or dials. A
+    bad port exits 2 with a typed error before any socket is bound or
+    connected (a socket would wrap 70000 round to port 4464)."""
+
+    @staticmethod
+    def _refused(argv, capsys):
+        used = mock.Mock(side_effect=AssertionError("a socket was used"))
+        with mock.patch.object(socket.socket, "bind", used), \
+                mock.patch.object(socket.socket, "connect", used):
+            code, __ = run(argv)
+        assert code == 2, argv
+        assert "error [repro]: " in capsys.readouterr().err, argv
+
+    @pytest.mark.parametrize("port", BAD_PORTS)
+    def test_listen_refuses_bad_ports(self, port, capsys):
+        address = "127.0.0.1:" + port
+        for argv in (["--listen", address],
+                     ["--listen", "127.0.0.1:0", "--metrics-listen",
+                      address]):
+            self._refused(["store", "serve"] + argv, capsys)
+
+    @pytest.mark.parametrize("port", BAD_PORTS)
+    def test_dial_refuses_bad_ports(self, port, capsys):
+        address = "127.0.0.1:" + port
+        for argv in (["store", "serve", "--listen", "127.0.0.1:0",
+                      "--follow", address],
+                     ["store", "import", "--target", address, "doc.xml"],
+                     ["store", "export", "--target", address],
+                     ["store", "query", "--target", address, "d1", "//a"],
+                     ["store", "metrics", "--target", address],
+                     ["store", "top", "--target", address],
+                     ["cluster", "status", "127.0.0.1:1", address],
+                     ["cluster", "promote", "--node", address]):
+            self._refused(argv, capsys)
+
+    def test_good_addresses_parse(self):
+        assert parse_address("127.0.0.1:65535") == ("127.0.0.1", 65535)
+        assert parse_address("node:080") == ("node", 80)
+        assert _parse_listen(":0") == ("127.0.0.1", 0, None)
+        assert _parse_listen("unix:s.sock") == (None, 0, "s.sock")
