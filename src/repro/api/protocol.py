@@ -403,7 +403,9 @@ class FrameDecoder:
     The decoder starts on the JSON codec (``version=1``, the hello
     exchange); after the negotiation the connection switches it with
     :meth:`use_version` and every later frame decodes under the agreed
-    codec.
+    codec. A peer may send its first request in the same write as the
+    hello, so the hello is fed with ``limit=1``: the bytes after it stay
+    buffered until ``feed(b"")`` under the agreed codec.
 
     Consumed frames advance a cursor instead of deleting the buffer
     prefix per frame — ``del buffer[:end]`` is O(buffer) *each*, which
@@ -425,8 +427,9 @@ class FrameDecoder:
         """Switch the payload codec (after a completed negotiation)."""
         self.version = version
 
-    def feed(self, data):
-        """Consume ``data``; returns the list of decoded objects."""
+    def feed(self, data, limit=None):
+        """Consume ``data``; returns the list of decoded objects, at
+        most ``limit`` of them (the rest stays buffered)."""
         if self.error is not None:
             raise self.error
         buffer = self._buffer
@@ -435,7 +438,7 @@ class FrameDecoder:
         total = len(buffer)
         offset = self._offset
         try:
-            while True:
+            while limit is None or len(frames) < limit:
                 if total - offset < HEADER_SIZE:
                     break
                 (length,) = _LENGTH.unpack_from(buffer, offset)

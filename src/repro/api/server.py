@@ -4,37 +4,49 @@
 every connection onto one :class:`~repro.store.store.DocumentStore`
 through the shared :class:`~repro.api.dispatch.StoreDispatcher`. The
 store's locking already serializes what must be serial (per-document
-flushes) and keeps the rest concurrent (submissions), so connection
-handlers run every command that can wait on a lock on a small thread
-pool — the event loop never blocks on a flush, and two clients
-flushing different documents genuinely overlap. Reads that only pin a
-published version (:data:`repro.api.ops.LOCK_FREE_OPS`) cannot wait on
-anything, and when their input is small (:data:`INLINE_MAX_NODES`)
-they run right on the loop that decoded them: the thread hop would
+flushes) and keeps the rest concurrent (submissions), so every
+command that can wait on a lock runs on a small thread pool — the
+event loop never blocks on a flush, and two clients flushing different
+documents genuinely overlap. Reads that only pin a published version
+(:data:`repro.api.ops.LOCK_FREE_OPS`) cannot wait on anything, and
+when their input is small (:data:`INLINE_MAX_NODES`) they run right on
+the loop, in the callback that received them: the thread hop would
 cost more than the read.
 
-Per-connection behaviour:
+Each connection is one :class:`asyncio.Protocol` — no reader task, no
+worker task, no queue:
 
 * the first frame must be the ``hello`` negotiation (see
   :mod:`repro.api.protocol`); it also carries the connection's *client
   identity*, which stamps every submission that does not name an
   explicit client — so the store's per-client coalescing (sequential
   chains per client, parallel merge across clients) sees network
-  sessions exactly like it sees local producers;
-* requests are **pipelined**: the reader keeps accepting frames while
-  earlier commands execute, queueing them on a bounded per-connection
-  queue (:attr:`StoreServer.max_pipeline`). A full queue stops the
-  reader — TCP flow control then pushes back on the client — so a
-  fire-hose client cannot balloon server memory;
-* responses go out in request order (one worker per connection), so a
-  client may correlate by order as well as by ``id``;
+  sessions exactly like it sees local producers. The frames after it
+  decode under the agreed codec, even when they came in one write;
+* requests are **pipelined**: ``data_received`` decodes what arrived
+  and answers the loop-route prefix of the backlog in place, writing
+  its responses with one ``transport.write``; the first request that
+  needs a pool hands the requests after it to one executor hop
+  (:meth:`StoreServer._execute_many`), and the backlog waits for that
+  hop;
+* backpressure both ways: past :attr:`StoreServer.max_pipeline`
+  decoded-but-unanswered requests the transport stops reading — TCP
+  flow control then pushes back on the client — and while the
+  transport's write buffer is over its high-water mark
+  (``pause_writing``) nothing is executed, so neither a fire-hose
+  client nor one that never reads its answers can balloon server
+  memory;
+* responses go out in request order, so a client may correlate by
+  order as well as by ``id``;
 * a malformed frame (bad length, undecodable payload, EOF mid-frame)
   kills only that connection — framing is lost and cannot be
   resynchronized — after a best-effort error frame; other connections
-  and the store are untouched.
+  and the store are untouched. A peer that closes or resets the
+  connection still has every request it sent executed; nothing more
+  is written to it.
 
 Shutdown is *drain-first*: ``SIGTERM`` (or :meth:`StoreServer.aclose`)
-stops accepting, lets every already-queued pipelined request finish,
+stops accepting, answers every request the connections have received,
 flushes all pending submissions (with a durable store they reach the
 write-ahead log), and only then closes the store.
 """
@@ -42,6 +54,7 @@ write-ahead log), and only then closes the store.
 from __future__ import annotations
 
 import asyncio
+import collections
 import concurrent.futures
 import functools
 import os
@@ -61,7 +74,7 @@ from repro.xquery.parser import MAX_CACHED_PATH_CHARS
 #: so old peers on either side are unaffected
 SERVER_FEATURES = ("trace", "metrics")
 
-#: default bound on queued-but-unexecuted requests per connection
+#: default bound on decoded-but-unanswered requests per connection
 DEFAULT_MAX_PIPELINE = 32
 
 #: a lock-free read runs on the event loop only against a document of
@@ -76,11 +89,6 @@ DEFAULT_MAX_PIPELINE = 32
 #: 14.3 ms). Inlined unconditionally, a 264 ms query on 21k nodes held
 #: every other connection for its whole length
 INLINE_MAX_NODES = 512
-
-_READ_CHUNK = 64 * 1024
-
-#: queue sentinel: no more requests will arrive
-_EOF = object()
 
 
 def _bind_unix_socket(path):
@@ -136,21 +144,22 @@ def _unlink_stale_unix_socket(path):
         probe.close()
 
 
-class _ReaderFailure:
-    """Queue item: the reader lost framing; send this and stop."""
-
-    __slots__ = ("response",)
-
-    def __init__(self, response):
-        self.response = response
-
-
 def _answer(request_id, thunk):
     """Run one planned request; its response frame either way."""
     try:
         return protocol.ok_response(request_id, thunk())
     except Exception as error:
         return protocol.error_response(request_id, error)
+
+
+def _answer_all(planned):
+    """A pool hop: ``(request_id, thunk)`` pairs answered in order."""
+    return [_answer(request_id, thunk) for request_id, thunk in planned]
+
+
+def _raise(error):
+    """The thunk of a request that failed to plan."""
+    raise error
 
 
 class StoreServer:
@@ -168,7 +177,9 @@ class StoreServer:
     unix_path:
         Unix-domain socket path (``None`` disables the Unix listener).
     max_pipeline:
-        Bound on queued requests per connection (backpressure).
+        Bound on decoded-but-unanswered requests per connection: past
+        it the connection stops reading (backpressure). Also the most
+        requests answered per write.
     executor_workers:
         Threads executing the store commands that can block on a lock
         or do unbounded work — every write, ``docs``/``stats`` (store
@@ -189,8 +200,8 @@ class StoreServer:
                 "StoreServer needs a TCP host/port or a unix_path to "
                 "listen on")
         if max_pipeline < 1:
-            # Queue(maxsize=0) means *unbounded* — silently dropping
-            # the documented backpressure is worse than refusing
+            # a connection would pause reading at its first request —
+            # refusing is better than a server that never answers
             raise ReproError(
                 "max_pipeline must be >= 1, got {}".format(max_pipeline))
         self.dispatcher = StoreDispatcher(store)
@@ -214,7 +225,7 @@ class StoreServer:
         #: connections: what the interpreter grants a pool thread
         self._loop_slice_s = sys.getswitchinterval()
         self._servers = []
-        self._connections = {}   # _Connection -> its handler task
+        self._connections = set()   # open _ServerProtocol instances
         self._sessions = 0
         self._closed = False
         #: ``(host, port)`` of the opt-in Prometheus HTTP endpoint
@@ -233,7 +244,7 @@ class StoreServer:
             "repro_server_frames_out_total", "Response frames written")
         self._m_pipeline = self.obs.histogram(
             "repro_server_pipeline_batch",
-            "Requests executed per pipelined batch",
+            "Requests decoded per received chunk",
             buckets=SIZE_BUCKETS)
         self._m_route = {
             route: self.obs.counter(
@@ -245,16 +256,17 @@ class StoreServer:
 
     async def start(self):
         """Bind the listeners; returns ``self``."""
+        loop = asyncio.get_running_loop()
+        factory = functools.partial(_ServerProtocol, self)
         if self.host is not None:
-            self._servers.append(await asyncio.start_server(
-                self._handle_connection, host=self.host, port=self.port))
+            self._servers.append(await loop.create_server(
+                factory, host=self.host, port=self.port))
         if self.unix_path is not None:
             # bound by hand: asyncio's path= would silently unlink
             # whatever sits at the path — even a *live* server's
             # socket. Probing first steals only provably dead inodes.
-            self._servers.append(await asyncio.start_unix_server(
-                self._handle_connection,
-                sock=_bind_unix_socket(self.unix_path)))
+            self._servers.append(await loop.create_unix_server(
+                factory, sock=_bind_unix_socket(self.unix_path)))
         if self.metrics_listen is not None:
             host, port = self.metrics_listen
             self._metrics_server = await asyncio.start_server(
@@ -337,8 +349,8 @@ class StoreServer:
             await self.aclose()
 
     async def aclose(self, drain=True):
-        """Stop accepting, finish queued requests, drain the store's
-        pending submissions (``drain=True``) and close it."""
+        """Stop accepting, answer the requests already received, drain
+        the store's pending submissions (``drain=True``) and close it."""
         if self._closed:
             return
         self._closed = True
@@ -347,16 +359,15 @@ class StoreServer:
             await self._metrics_server.wait_closed()
         for server in self._servers:
             server.close()
+        connections = list(self._connections)
+        for connection in connections:
+            connection.shutdown()
+        # wait for the connections to write their final responses and
+        # close — leaving them running would race the store close below
+        await asyncio.gather(*(connection.finished
+                               for connection in connections))
+        for server in self._servers:
             await server.wait_closed()
-        connections = list(self._connections.items())
-        for connection, __ in connections:
-            await connection.shutdown()
-        # wait for the handlers to flush their final responses and
-        # close their writers — leaving them running would race the
-        # store close below (and leak noisy cancelled tasks)
-        tasks = [task for __, task in connections if task is not None]
-        if tasks:
-            await asyncio.gather(*tasks, return_exceptions=True)
         try:
             # a replica holds no pending submissions (writes bounce
             # with not-leader), so its drain would only raise; role is
@@ -386,38 +397,60 @@ class StoreServer:
 
     # -- request execution ---------------------------------------------------
 
-    def _plan(self, client, op, args):
-        """Validate one parsed request of the connection named
-        ``client``; returns ``(executor, thunk)`` where the thunk is
-        the store call and the executor the pool it may block in —
-        ``None`` for a lock-free read with a short path, whose route
-        :meth:`_execute_many` picks when its turn comes."""
-        spec = self.DISPATCH.get(op)
-        if spec is None:
-            raise ProtocolError("unknown op {!r}".format(op))
-        method_name, required, optional = spec
-        unknown = set(args) - set(required) - set(optional)
-        if unknown:
-            raise ProtocolError("op {!r} does not take {}".format(
-                op, ", ".join(sorted(unknown))))
-        missing = [name for name in required if name not in args]
-        if missing:
-            raise ProtocolError("op {!r} needs {}".format(
-                op, ", ".join(missing)))
-        call_args = {name: value for name, value in args.items()
-                     if isinstance(name, str)}
+    def _route(self, client, message, queued):
+        """Plan one decoded request of the connection named ``client``
+        now that its turn has come; returns ``(request_id, executor,
+        thunk)``. The thunk is the store call, the executor the pool it
+        may block in — ``None`` to answer it here, on the loop: a
+        lock-free read with a short path of a document that fits
+        (:meth:`_fits_the_loop`), when nothing of its connection is
+        ``queued`` for the pool ahead of it. A request that fails to
+        plan is a thunk raising the failure, answered where it stands:
+        here, or in the hop it would have joined."""
+        request_id = message.get("id")
+        try:
+            request_id, op, args = protocol.parse_request(message)
+            spec = self.DISPATCH.get(op)
+            if spec is None:
+                raise ProtocolError("unknown op {!r}".format(op))
+            method_name, required, optional = spec
+            unknown = [name for name in args
+                       if name not in required and name not in optional]
+            if unknown:
+                raise ProtocolError("op {!r} does not take {}".format(
+                    op, ", ".join(sorted(unknown))))
+            missing = [name for name in required if name not in args]
+            if missing:
+                raise ProtocolError("op {!r} needs {}".format(
+                    op, ", ".join(missing)))
+        except Exception as error:
+            return (request_id, self._executor if queued else None,
+                    functools.partial(_raise, error))
+        call_args = dict(args)
         if op in ("submit", "submit_xquery"):
             call_args.setdefault("client", client)
-        method = getattr(self.dispatcher, method_name)
+        thunk = functools.partial(getattr(self.dispatcher, method_name),
+                                  **call_args)
+        trace = message.get("trace")
+        if isinstance(trace, str) and trace:
+            # the traced thunk runs synchronously wherever it runs
+            # (worker hop or loop), so the contextvar set by
+            # run_traced propagates through dispatch -> store ->
+            # durability
+            thunk = functools.partial(self.obs.run_traced, trace, op,
+                                      thunk)
         path = args.get("path", "")
         if op in ops.POLL_OPS:
             executor = self._poll_executor
-        elif (op in ops.LOCK_FREE_OPS and isinstance(path, str)
-                and len(path) <= MAX_CACHED_PATH_CHARS):
+        elif (op in ops.LOCK_FREE_OPS and not queued
+                and isinstance(path, str)
+                and len(path) <= MAX_CACHED_PATH_CHARS
+                and self._fits_the_loop(args["doc_id"])):
             executor = None
         else:
             executor = self._executor
-        return executor, functools.partial(method, **call_args)
+        self._m_route["loop" if executor is None else "pool"].inc()
+        return request_id, executor, thunk
 
     def _fits_the_loop(self, doc_id):
         """Whether a lock-free read of ``doc_id`` as it is published
@@ -431,161 +464,165 @@ class StoreServer:
         except (ReproError, TypeError):     # absent, or no doc id at all
             return False
 
-    async def _execute_many(self, client, messages):
-        """Execute a contiguous pipelined run; responses in request
-        order.
+    def _execute_many(self, client, messages, responses):
+        """Answer the requests at the head of ``messages`` — one
+        connection's pipelined backlog, consumed from the left — in
+        request order, appending their responses to ``responses``.
 
         The head-of-line cost of the naive loop is the per-request
         event-loop <-> worker-thread handoff: depth-8 pipelining paid
-        8 executor round trips plus 8 drains. Here consecutive
-        shared-executor commands run in ONE executor hop (sequentially
-        in the worker, preserving per-connection order). A lock-free
-        read pays no hop at all when nothing of its connection is
-        queued ahead of it and its document, as published at that
-        moment, is small (:meth:`_fits_the_loop`): it runs here, with
-        no ``await`` between the size check and the read. Behind
-        queued pool work it joins that hop instead — the work may be
-        the ``open`` or ``flush`` that decides how large the document
-        is, and the hop is already paid — so a read neither overtakes
-        its own connection's writes nor runs here against a document
-        nobody has measured. Long-poll ops
-        (:data:`repro.api.ops.POLL_OPS`, which park their thread) and
-        planning failures break the run.
+        8 executor round trips plus 8 writes. Here a lock-free read
+        pays no hop at all when nothing of its connection is queued
+        ahead of it and its document, as published at that moment, is
+        small (:meth:`_route`): it is answered right here, in the
+        callback that received it, with no ``await`` between the size
+        check and the read. The first request that needs a pool takes
+        every consecutive request after it into ONE executor hop
+        (sequentially in the worker, preserving per-connection order),
+        reads included — the work ahead may be the ``open`` or
+        ``flush`` that decides how large the document is, and the hop
+        is already paid — so a read neither overtakes its own
+        connection's writes nor runs here against a document nobody
+        has measured. A long poll (:data:`repro.api.ops.POLL_OPS`,
+        which parks its thread) hops alone.
+
+        Takes at most :attr:`max_pipeline` requests, and stops early
+        once the reads answered here have held the loop for one
+        interpreter switch interval. Returns ``None`` when what it took
+        is answered — the caller lets the other connections in before
+        it comes back for what is left — or the future of the hop that
+        answers the rest of what it took.
         """
         loop = asyncio.get_running_loop()
-        responses = []
-        run = []   # (request_id, thunk) pending for the shared hop
-        held_s = 0.0   # spent in reads on the loop since it last ran
-
-        async def flush_run():
-            if not run:
-                return
-            batch = run[:]
-            del run[:]
-            responses.extend(await loop.run_in_executor(
-                self._executor,
-                lambda: [_answer(*planned) for planned in batch]))
-
-        for message in messages:
-            request_id = message.get("id")
-            try:
-                request_id, op, args = protocol.parse_request(message)
-                executor, thunk = self._plan(client, op, args)
-            except Exception as error:
-                await flush_run()
-                responses.append(protocol.error_response(request_id,
-                                                         error))
+        deadline = loop.time() + self._loop_slice_s
+        run = []      # (request_id, thunk) for the hop
+        hop = None    # the pool they hop to
+        for __ in range(min(len(messages), self.max_pipeline)):
+            if run and messages[0].get("op") in ops.POLL_OPS:
+                break
+            request_id, executor, thunk = self._route(
+                client, messages.popleft(), bool(run))
+            if executor is None:
+                responses.append(_answer(request_id, thunk))
+                if loop.time() > deadline:
+                    break
                 continue
-            trace = message.get("trace")
-            if isinstance(trace, str) and trace:
-                # the traced thunk runs synchronously wherever it runs
-                # (worker hop or loop), so the contextvar set by
-                # run_traced propagates through dispatch -> store ->
-                # durability
-                thunk = functools.partial(self.obs.run_traced, trace,
-                                          op, thunk)
-            if executor is None and (
-                    run or not self._fits_the_loop(args["doc_id"])):
-                executor = self._executor
-            self._m_route["loop" if executor is None else "pool"].inc()
-            if executor is self._executor:
-                run.append((request_id, thunk))
-                continue
-            if executor is not None:
-                await flush_run()
-                responses.append(await loop.run_in_executor(
-                    executor, _answer, request_id, thunk))
-                continue
-            started = loop.time()
-            responses.append(_answer(request_id, thunk))
-            held_s += loop.time() - started
-            if held_s > self._loop_slice_s:
-                # a pipelined run of reads at the size limit: let the
-                # other connections in as often as a pool thread would
-                await asyncio.sleep(0)
-                held_s = 0.0
-        await flush_run()
-        return responses
-
-    async def _handle_connection(self, reader, writer):
-        connection = _Connection(self, reader, writer)
-        self._connections[connection] = asyncio.current_task()
-        self._m_connections.inc()
-        self._m_connections_total.inc()
-        try:
-            await connection.run()
-        finally:
-            self._connections.pop(connection, None)
-            self._m_connections.dec()
+            run.append((request_id, thunk))
+            hop = executor
+            if executor is self._poll_executor:
+                break
+        if not run:
+            return None
+        return loop.run_in_executor(hop, _answer_all, run)
 
     def _next_session_name(self):
         self._sessions += 1
         return "conn-{}".format(self._sessions)
 
 
-class _Connection:
-    """One client connection: negotiation, reader, ordered worker."""
+class _ServerProtocol(asyncio.Protocol):
+    """One client connection: the hello, then pipelined requests
+    answered in order — in the callback that received them where the
+    route allows it, otherwise by one pool hop at a time, which the
+    rest of the backlog waits for."""
 
-    def __init__(self, server, reader, writer):
+    def __init__(self, server):
         self.server = server
-        self.reader = reader
-        self.writer = writer
+        self.transport = None
         self.decoder = protocol.FrameDecoder()
-        self.queue = asyncio.Queue(maxsize=server.max_pipeline)
         #: the identity the hello gave this connection
         self.client = None
-        self._frames = []
-        self._reader_task = None
-        self._worker_task = None
+        #: done once the connection is closed and owes nothing
+        self.finished = asyncio.get_running_loop().create_future()
+        self._backlog = collections.deque()   # decoded, not yet run
+        self._unanswered = 0     # decoded requests without a response
+        self._busy = None        # the pool hop or the deferred turn
+        self._refusal = None     # the protocol error owed at the end
+        self._eof = False        # no more requests will be read
+        self._over = False       # no more responses will be written
+        self._reading_paused = False
+        self._writing_paused = False
 
-    async def run(self):
-        try:
-            if not await self._negotiate():
+    # -- transport callbacks -------------------------------------------------
+
+    def connection_made(self, transport):
+        self.transport = transport
+        self.server._connections.add(self)
+        self.server._m_connections.inc()
+        self.server._m_connections_total.inc()
+
+    def data_received(self, data):
+        server = self.server
+        if self.client is None:
+            if not self._hello(data):
                 return
-            self._worker_task = asyncio.ensure_future(self._work())
-            self._reader_task = asyncio.ensure_future(self._read())
-            await asyncio.wait({self._reader_task})
-            await self.queue.put(_EOF)
-            await self._worker_task
-        finally:
-            for task in (self._reader_task, self._worker_task):
-                if task is not None and not task.done():
-                    task.cancel()
-            await self._close_writer()
+            data = b""
+        try:
+            frames = self.decoder.feed(data)
+        except ProtocolError:
+            frames = []
+        if self.decoder.error is not None and self._refusal is None:
+            # framing is lost: the requests ahead of the damage are
+            # answered first, then this, and the connection closes
+            self._refusal = protocol.error_response(None,
+                                                    self.decoder.error)
+            self._stop_reading()
+        if frames:
+            server._m_frames_in.inc(len(frames))
+            server._m_pipeline.observe(len(frames))
+            self._backlog.extend(frames)
+            self._unanswered += len(frames)
+        self._pump()
+        if self._unanswered > server.max_pipeline and not (
+                self._reading_paused or self._eof):
+            self._reading_paused = True
+            self.transport.pause_reading()
 
-    async def shutdown(self):
-        """Server-initiated close: stop reading; ``run`` then finishes
-        the already-queued requests and flushes their responses out."""
-        if self._reader_task is not None and not self._reader_task.done():
-            self._reader_task.cancel()
-            try:
-                await self._reader_task
-            except asyncio.CancelledError:
-                pass
-            except Exception:
-                pass
-        elif self._reader_task is None:
-            # still negotiating: the handler is blocked reading the
-            # hello frame, and only closing the transport unblocks it
-            # (otherwise a silent pre-hello connection parks aclose
-            # forever)
-            try:
-                self.writer.close()
-            except (ConnectionError, OSError):
-                pass
+    def eof_received(self):
+        if not self.decoder.at_boundary() and self._refusal is None:
+            self._refusal = protocol.error_response(None, ProtocolError(
+                "connection closed mid-frame ({} trailing bytes)".format(
+                    self.decoder.pending_bytes)))
+        self._eof = True
+        self._settle()
+        return True     # half-closed: the answers still go out
+
+    def connection_lost(self, exc):
+        # a reset peer is gone like a closed one: what it sent is still
+        # executed, and nothing more is written
+        self.transport = None
+        self._eof = self._over = True
+        self._writing_paused = False    # nobody will resume it now
+        self._pump()
+
+    def pause_writing(self):
+        self._writing_paused = True
+
+    def resume_writing(self):
+        self._writing_paused = False
+        self._pump()
+
+    def shutdown(self):
+        """Server-initiated close: stop reading; the requests already
+        received are answered, then the connection closes."""
+        self._stop_reading()
+        self._settle()
 
     # -- negotiation ---------------------------------------------------------
 
-    async def _negotiate(self):
-        """Handle the mandatory hello frame; ``False`` closes the
-        connection (an error response was already sent best-effort)."""
+    def _hello(self, data):
+        """Take the mandatory hello frame out of ``data`` and answer it;
+        ``True`` once the session is open. The bytes after the hello
+        stay in the decoder for the codec it agrees on."""
         try:
-            message = await self._next_frame()
+            frames = self.decoder.feed(data, limit=1)
         except ProtocolError as error:
-            await self._send(protocol.error_response(None, error))
+            self._close_with(protocol.error_response(None, error))
             return False
-        if message is None:
+        if not frames:
             return False
+        self.server._m_frames_in.inc()
+        (message,) = frames
         request_id = message.get("id")
         try:
             request_id, op, args = protocol.parse_request(message)
@@ -599,103 +636,85 @@ class _Connection:
             if client is not None and not isinstance(client, str):
                 raise ProtocolError("hello \"client\" must be a string")
         except ProtocolError as error:
-            await self._send(protocol.error_response(request_id, error))
+            self._close_with(protocol.error_response(request_id, error))
             return False
         self.client = client or self.server._next_session_name()
         # the hello response itself always travels as JSON (the
         # client cannot know the outcome before reading it); both
         # sides switch codecs right after this frame
-        sent = await self._send(protocol.ok_response(request_id, {
+        self._send([protocol.ok_response(request_id, {
             "version": version, "server": "repro-store",
             "client": self.client,
-            "features": list(SERVER_FEATURES)}))
+            "features": list(SERVER_FEATURES)})])
         self.decoder.use_version(version)
-        return sent
+        return True
 
-    # -- reader / worker -----------------------------------------------------
+    # -- execution -----------------------------------------------------------
 
-    async def _read(self):
-        """Feed well-formed requests into the bounded queue."""
-        while True:
-            try:
-                message = await self._next_frame()
-            except ProtocolError as error:
-                # framing is gone: the worker sends this after every
-                # already-queued request and the connection closes
-                await self.queue.put(_ReaderFailure(
-                    protocol.error_response(None, error)))
-                return
-            if message is None:
-                return
-            await self.queue.put(message)
+    def _pump(self):
+        """Take the next turn of the backlog, unless a hop is out or the
+        peer is not reading its answers; then settle."""
+        if self._backlog and self._busy is None and \
+                not self._writing_paused:
+            responses = []
+            hop = self.server._execute_many(self.client, self._backlog,
+                                            responses)
+            self._answered(responses)
+            if hop is not None:
+                self._busy = hop
+                hop.add_done_callback(self._hop_done)
+            elif self._backlog:
+                # a switch interval or a pipeline's worth was answered:
+                # the other connections go first
+                self._busy = asyncio.get_running_loop().call_soon(
+                    self._next_turn)
+        self._settle()
 
-    async def _work(self):
-        """Execute queued requests in order; the only writer.
+    def _hop_done(self, hop):
+        self._busy = None
+        self._answered(hop.result())
+        self._pump()
 
-        Pipelined requests already sitting in the queue are drained
-        into one batch, executed in a single worker hop
-        (:meth:`StoreServer._execute_many`) and answered with one
-        write + drain — the per-request handoff and flush latency is
-        what capped the pipelining speedup (see api/README.md).
-        """
-        while True:
-            item = await self.queue.get()
-            if item is _EOF:
-                return
-            if isinstance(item, _ReaderFailure):
-                await self._send(item.response)
-                return
-            batch = [item]
-            tail = None
-            while tail is None:
-                try:
-                    item = self.queue.get_nowait()
-                except asyncio.QueueEmpty:
-                    break
-                if item is _EOF or isinstance(item, _ReaderFailure):
-                    tail = item
-                else:
-                    batch.append(item)
-            self.server._m_pipeline.observe(len(batch))
-            responses = await self.server._execute_many(
-                self.client, batch)
-            if not await self._send_many(responses):
-                return
-            if tail is _EOF:
-                return
-            if tail is not None:
-                await self._send(tail.response)
-                return
+    def _next_turn(self):
+        self._busy = None
+        self._pump()
 
-    async def _next_frame(self):
-        """One decoded frame, or ``None`` on EOF at a frame boundary.
+    def _answered(self, responses):
+        self._unanswered -= len(responses)
+        self._send(responses)
+        if self._reading_paused and not self._eof and \
+                self._unanswered <= self.server.max_pipeline:
+            self._reading_paused = False
+            self.transport.resume_reading()
 
-        EOF mid-frame is a torn trailing frame: reported as a
-        :class:`ProtocolError` (the peer died mid-send), never a crash.
-        """
-        while True:
-            if self._frames:
-                return self._frames.pop(0)
-            if self.decoder.error is not None:
-                # the damage arrived in one read with the requests
-                # ahead of it; those are queued, now report it
-                raise self.decoder.error
-            try:
-                data = await self.reader.read(_READ_CHUNK)
-            except (ConnectionError, OSError):
-                # an abrupt peer death (RST, not FIN) reads the same as
-                # EOF: the connection is simply over
-                return None
-            if not data:
-                if not self.decoder.at_boundary():
-                    raise ProtocolError(
-                        "connection closed mid-frame ({} trailing "
-                        "bytes)".format(self.decoder.pending_bytes))
-                return None
-            decoded = self.decoder.feed(data)
-            if decoded:
-                self.server._m_frames_in.inc(len(decoded))
-                self._frames.extend(decoded)
+    def _settle(self):
+        """Close the connection once it owes nothing: no more requests
+        coming, none waiting, no hop out."""
+        if not self._eof or self._busy is not None or self._backlog:
+            return
+        if self.transport is not None:
+            if self._refusal is not None:
+                self._send([self._refusal])
+                self._refusal = None
+            self._over = True
+            self.transport.close()     # connection_lost follows
+        elif not self.finished.done():
+            self.server._connections.discard(self)
+            self.server._m_connections.dec()
+            self.finished.set_result(None)
+
+    def _stop_reading(self):
+        self._eof = True
+        if self.transport is not None:
+            self.transport.pause_reading()
+
+    def _close_with(self, response):
+        """Refuse the hello: ``response``, then close."""
+        self._refusal = response
+        self._stop_reading()
+        self._settle()
+
+    # -- writing -------------------------------------------------------------
 
     def _frame(self, message):
         """``message`` framed in the connection's codec (JSON for the
@@ -716,31 +735,19 @@ class _Connection:
             return self._frame(protocol.error_response(
                 message.get("id"), error))
 
-    async def _send(self, message):
-        """Write one frame; ``False`` when the peer is gone."""
-        return await self._send_many([message])
-
-    async def _send_many(self, messages):
-        """Write a batch of frames with one write and one flush;
-        ``False`` when the peer is gone or a frame could not be
-        made."""
+    def _send(self, messages):
+        """Write ``messages`` with one ``transport.write``. A response
+        that cannot be framed at all ends the answers there: the
+        connection closes once it has executed what it received."""
+        if self._over or not messages:
+            return
         frames = []
         for message in messages:
             frame = self._frame(message)
             if frame is None:
+                self._over = True
+                self._stop_reading()
                 break
             frames.append(frame)
-        try:
-            self.writer.write(b"".join(frames))
-            await self.writer.drain()
-        except (ConnectionError, OSError):
-            return False
+        self.transport.write(b"".join(frames))
         self.server._m_frames_out.inc(len(frames))
-        return len(frames) == len(messages)
-
-    async def _close_writer(self):
-        try:
-            self.writer.close()
-            await self.writer.wait_closed()
-        except (ConnectionError, OSError):
-            pass

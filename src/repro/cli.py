@@ -828,8 +828,8 @@ def build_parser():
                            help="address to serve on (port 0 picks an "
                                 "ephemeral port, reported on stdout)")
     serve_cmd.add_argument("--max-pipeline", type=int, default=32,
-                           help="per-connection bound on queued "
-                                "pipelined requests")
+                           help="per-connection bound on decoded but "
+                                "unanswered pipelined requests")
     serve_cmd.add_argument("--on-conflict", default="error",
                            choices=("error", "reconcile"))
     role = serve_cmd.add_mutually_exclusive_group()

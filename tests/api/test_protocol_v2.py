@@ -334,6 +334,20 @@ class TestDecoderPerformance:
         assert decoded == frames
         assert decoder.at_boundary()
 
+    def test_a_limited_feed_leaves_the_rest_for_the_next_codec(self):
+        """The hello and the first v2 request in one chunk: the hello
+        codec decodes one frame, the bytes after it wait for the codec
+        the hello agrees on."""
+        hello = protocol.hello_request(1)
+        docs = protocol.request(2, "docs")
+        decoder = FrameDecoder()
+        assert decoder.feed(encode_frame(hello) + encode_frame(docs, 2),
+                            limit=1) == [hello]
+        assert not decoder.at_boundary()
+        decoder.use_version(2)
+        assert decoder.feed(b"") == [docs]
+        assert decoder.at_boundary()
+
     def test_mid_stream_compaction_keeps_decoding(self):
         big = protocol.ok_response(1, "y" * (80 * 1024))
         tail = protocol.ok_response(2, "z")
@@ -462,6 +476,35 @@ class TestNegotiationMatrix:
                 await writer.drain()
                 assert await read_frame(reader, decoder) == \
                     protocol.ok_response(2, {"docs": []})
+                writer.close()
+        run(scenario())
+
+    def test_a_request_in_the_hello_write_is_answered(self):
+        """A client offering only ``[2]`` knows the session codec before
+        the answer arrives, so it may send its first request in the same
+        write as the hello. The server decodes the hello as JSON and what
+        follows it as v2, answers both, and the connection stays open."""
+        async def scenario():
+            async with make_server() as server:
+                reader, writer = await raw_connection(server)
+                writer.write(
+                    encode_frame(protocol.request(
+                        1, "hello", {"versions": [2]}))
+                    + encode_frame(protocol.request(2, "docs"), version=2))
+                await writer.drain()
+                header = await reader.readexactly(protocol.HEADER_SIZE)
+                (length,) = struct.unpack(">I", header)
+                (hello,) = FrameDecoder().feed(
+                    header + await reader.readexactly(length))
+                assert hello["ok"] and hello["result"]["version"] == 2
+                decoder = FrameDecoder(version=2)
+                assert await read_frame(reader, decoder) == \
+                    protocol.ok_response(2, {"docs": []})
+                writer.write(encode_frame(protocol.request(3, "docs"),
+                                          version=2))
+                await writer.drain()
+                assert await read_frame(reader, decoder) == \
+                    protocol.ok_response(3, {"docs": []})
                 writer.close()
         run(scenario())
 

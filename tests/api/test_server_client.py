@@ -9,8 +9,11 @@ import asyncio
 import gc
 import importlib.util
 import os
+import socket
 import struct
 import sys
+import threading
+import time
 
 import pytest
 
@@ -864,6 +867,211 @@ class TestReadRoutes:
                 await hog.aclose()
                 await other.aclose()
         run(scenario())
+
+
+async def _hello(server, sock=None):
+    """A raw connection past its hello; ``(reader, writer)``."""
+    if sock is None:
+        reader, writer = await asyncio.open_connection(*server.tcp_address)
+    else:
+        reader, writer = await asyncio.open_connection(sock=sock)
+    writer.write(protocol.encode_frame(protocol.hello_request(0)))
+    header = await reader.readexactly(protocol.HEADER_SIZE)
+    (length,) = struct.unpack(">I", header)
+    (hello,) = protocol.FrameDecoder().feed(
+        header + await reader.readexactly(length))
+    assert hello["ok"]
+    return reader, writer
+
+
+async def _settled(read, quiet_s=0.3, timeout_s=20.0):
+    """``read()`` once it has stopped changing for ``quiet_s``."""
+    value = read()
+    quiet_since = time.monotonic()
+    deadline = quiet_since + timeout_s
+    while time.monotonic() < deadline:
+        await asyncio.sleep(0.02)
+        now = read()
+        if now != value:
+            value, quiet_since = now, time.monotonic()
+        elif time.monotonic() - quiet_since >= quiet_s:
+            break
+    return value
+
+
+async def _answers(reader, count):
+    decoder = protocol.FrameDecoder(version=2)
+    answers = []
+    while len(answers) < count:
+        data = await reader.read(1 << 20)
+        assert data, "connection closed after {} answers".format(
+            len(answers))
+        answers.extend(decoder.feed(data))
+    return answers
+
+
+def _write_buffers(server):
+    """Bytes each connection's transport holds beyond the kernel's
+    socket buffer."""
+    return [connection.transport.get_write_buffer_size()
+            for connection in server._connections]
+
+
+class TestBackpressure:
+    """Neither direction buffers without bound. A client that writes
+    requests and never reads makes the server stop reading; one that
+    never reads its answers makes it stop executing. Once the client
+    reads again, every answer arrives, in order."""
+
+    PIPELINE = 4
+
+    #: the largest read either transport makes (asyncio's protocol
+    #: transports read 256 KiB; stream readers were fed 64 KiB); a
+    #: request larger than it makes "one read's frames" at most two:
+    #: the end of one and the start of the next
+    READ = 256 * 1024
+
+    def _server(self):
+        return StoreServer(DocumentStore(workers=1, backend="serial"),
+                           host="127.0.0.1", port=0,
+                           max_pipeline=self.PIPELINE)
+
+    def test_a_client_that_never_reads_stops_the_server_reading(self):
+        gate = threading.Event()
+        total = 10 * self.PIPELINE
+        padding = "x" * (self.READ + 1024)
+
+        def held_stats(**kwargs):
+            gate.wait(30)
+            return {"held": True}
+
+        async def scenario():
+            async with self._server() as server:
+                server.dispatcher.stats = held_stats
+                reader, writer = await _hello(server)
+                writer.write(b"".join(
+                    protocol.encode_frame(protocol.request(
+                        number, "stats", {"doc_id": padding}), 2)
+                    for number in range(1, total + 1)))
+                try:
+                    # requests decoded while none can be answered (the
+                    # counter's first frame is the hello)
+                    decoded = await _settled(lambda: _counter(
+                        server, "repro_server_frames_in_total")) - 1
+                finally:
+                    gate.set()
+                answers = await _answers(reader, total)
+                writer.close()
+                return decoded, answers
+
+        decoded, answers = run(scenario())
+        # the server stopped reading while nothing could be answered:
+        # the pipeline, the request in the hop and one read's frames
+        # (measured: 6 with a stream reader feeding a queue, 5 with
+        # the protocol pausing its transport)
+        assert decoded <= self.PIPELINE + 1 + 2 < total
+        assert [a["id"] for a in answers] == list(range(1, total + 1))
+        assert all(a["result"] == {"held": True} for a in answers)
+
+    def test_a_client_that_never_reads_its_answers_stops_execution(self):
+        text = "<a>{}</a>".format("x" * (1 << 20))   # 2 nodes: the loop
+        total = 10 * self.PIPELINE
+        frame = len(protocol.encode_frame(protocol.ok_response(
+            total, {"doc_id": "big", "text": text, "version": 0}), 2))
+
+        def executed(server):
+            return sum(_routes(server).values())
+
+        async def scenario():
+            async with self._server() as server:
+                client = await connect(server)
+                await client.open("big", text)
+                await client.aclose()
+                sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+                sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+                sock.setblocking(False)
+                await asyncio.get_running_loop().sock_connect(
+                    sock, server.tcp_address)
+                reader, writer = await _hello(server, sock)
+                before = executed(server)
+                writer.write(b"".join(
+                    protocol.encode_frame(protocol.request(
+                        number, "text", {"doc_id": "big"}), 2)
+                    for number in range(1, total + 1)))
+                ran = await _settled(lambda: executed(server)) - before
+                buffered = max(_write_buffers(server))
+                answers = await _answers(reader, total)
+                writer.close()
+                return ran, buffered, answers
+
+        ran, buffered, answers = run(scenario())
+        # execution paused after one pipeline's worth of answers
+        # (measured: 4 of 40, behind a stream writer's drain and
+        # behind the protocol's pause_writing alike)
+        assert ran < total // 2
+        # the server holds at most one pipeline's worth of answers
+        # beyond the transport's 64 KiB high-water mark (measured:
+        # 1.39 MB of the 4.2 MB written; the kernel took the rest)
+        assert buffered <= self.PIPELINE * frame + 64 * 1024
+        assert [a["id"] for a in answers] == list(range(1, total + 1))
+        assert all(a["result"]["text"] == text for a in answers)
+
+
+class TestPeerVanishes:
+    """Requests the server received before its peer vanished are
+    executed, in order, whether the peer closed (FIN) or reset (RST) —
+    with nothing written to the dead transport and no task left to
+    fail unobserved."""
+
+    @pytest.mark.parametrize("close", ["fin", "rst"])
+    def test_requests_received_before_the_peer_vanishes_are_executed(
+            self, close, caplog):
+        opened = []
+        unretrieved = []
+
+        async def scenario():
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: unretrieved.append(context))
+            async with make_server() as server:
+                open_document = server.dispatcher.open
+
+                def recorded_open(**kwargs):
+                    opened.append(kwargs["doc_id"])
+                    return open_document(**kwargs)
+
+                server.dispatcher.open = recorded_open
+                reader, writer = await _hello(server)
+                requests = []
+                for index in range(5):
+                    doc_id = "d{}".format(index)
+                    requests.append(protocol.request(
+                        2 * index + 1, "open", {"doc_id": doc_id,
+                                                "xml": DOC}))
+                    requests.append(protocol.request(
+                        2 * index + 2, "query", {"doc_id": doc_id,
+                                                 "path": "//title"}))
+                if close == "rst":
+                    writer.get_extra_info("socket").setsockopt(
+                        socket.SOL_SOCKET, socket.SO_LINGER,
+                        struct.pack("ii", 1, 0))
+                writer.write(b"".join(protocol.encode_frame(request, 2)
+                                      for request in requests))
+                await writer.drain()
+                writer.close()
+                def open_connections():
+                    return server.store.metrics_snapshot()["gauges"][
+                        "repro_server_connections"]
+
+                assert await _settled(open_connections) == 0
+                assert server.store.doc_ids() == opened
+
+        with caplog.at_level("WARNING", logger="asyncio"):
+            run(scenario())
+        assert opened == ["d{}".format(index) for index in range(5)]
+        assert unretrieved == []
+        # asyncio's complaint about writes to a connection it has lost
+        assert not [record for record in caplog.records
+                    if "socket.send()" in record.getMessage()]
 
 
 def _load_head_of_line():
