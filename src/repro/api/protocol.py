@@ -100,7 +100,8 @@ HEADER_SIZE = _LENGTH.size
 #: bound on list/map nesting inside one decoded term — several times
 #: what the deepest real message (a span tree under ``metrics``)
 #: reaches. Without it a few hundred KB of list headers recurse the
-#: decoder past the interpreter's stack.
+#: decoder past the interpreter's stack. XML text inside a term has
+#: its own bound, :data:`repro.xdm.parser.MAX_ELEMENT_NESTING`.
 MAX_NESTING = 64
 
 

@@ -48,12 +48,6 @@ class ContainmentLabeling:
         """Read-only view of the id -> label map (for serializers)."""
         return dict(self._labels)
 
-    def import_label(self, label):
-        """Register a label received from a peer (PUL deserialization)."""
-        self._labels[label.node_id] = label
-        self._track(label.start, label.end)
-        return label
-
     def copy(self):
         """Structural copy sharing the (immutable) labels.
 
@@ -90,16 +84,20 @@ class ContainmentLabeling:
             if len(code) > self._max_code_len:
                 self._max_code_len = len(code)
 
-    def note_code_length(self, length):
-        """Raise the max-code-length watermark to ``length``.
+    @classmethod
+    def restored(cls, labels, max_code_length):
+        """A labeling over ``labels`` (an ``id -> label`` dict it takes
+        over) with the watermark a durability snapshot recorded.
 
-        Restoring a labeling from a durability snapshot must preserve the
-        watermark exactly: the tracker is monotone between rebuilds, so it
-        may exceed the longest code currently installed, and recomputing
-        it from the imported labels would under-read the spent headroom.
+        The watermark is restored verbatim, not recomputed: the tracker
+        is monotone between rebuilds, so it may exceed the longest code
+        currently installed, and recomputing it from the labels would
+        under-read the spent headroom.
         """
-        if length > self._max_code_len:
-            self._max_code_len = length
+        labeling = cls()
+        labeling._labels = labels
+        labeling._max_code_len = max_code_length
+        return labeling
 
     # -- construction --------------------------------------------------------
 
@@ -217,14 +215,18 @@ class ContainmentLabeling:
         neighbors inside the parent's interval, so containment holds by
         construction). This is the per-site counterpart of a whole-tree
         :meth:`sync` — the in-place applier calls it once per insertion
-        site. Sibling pointers are *not* touched; callers finish the site
-        with :meth:`repoint_children`.
+        site. The sibling pointers *inside* the inserted subtrees are
+        set here; those of the run itself are the site's, which callers
+        finish with :meth:`repoint_children`.
         """
         slots = []
         for node in nodes:
             _leveled_slots(node, parent_label.level + 1, slots)
         self._install(slots, self.encoder.codes_between(
             left_code, right_code, len(slots)))
+        for node, which, __ in slots:
+            if which == 0 and len(node.children) > 1:
+                self.repoint_children(node)
 
     def repoint_children(self, parent):
         """Recompute the sibling pointers of ``parent``'s direct children

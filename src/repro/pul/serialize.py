@@ -61,18 +61,13 @@ def tree_to_xml(node):
 
     Unlike :func:`repro.xdm.serializer.serialize_node`, identifiers of
     *every* node kind survive (text nodes are wrapped as ``repro:text``,
-    identified attributes hoisted as ``repro:attr``), so the round trip
-    through :func:`tree_from_xml` is lossless — the representation the
-    durability snapshots rely on.
+    identified attributes hoisted as ``repro:attr``): the form a
+    parameter tree takes inside :func:`pul_to_xml`, and a text in which
+    two trees compare together with their ids.
     """
     parts = []
     _write_tree(node, parts, top=True)
     return "".join(parts)
-
-
-def tree_from_xml(text):
-    """Parse one :func:`tree_to_xml` document back into a detached tree."""
-    return _build_trees(_document_tokens(text, True))[0]
 
 
 # -- writing -------------------------------------------------------------------

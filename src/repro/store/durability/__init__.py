@@ -8,7 +8,9 @@ resident state deterministically. The package splits into
 * :mod:`.wal` — CRC-framed, fsync-batched record framing (torn-tail
   tolerant);
 * :mod:`.snapshot` — exact serialization of resident document state
-  (tree with identifiers, allocator position, labels, watermark);
+  (node rows with identifiers and containment codes, allocator
+  position, watermark), the one payload form of snapshots, ``open``
+  records and state exports;
 * :mod:`.recovery` — policies, the generation-numbered directory with
   snapshot compaction, state loading, and the stateless replay oracle
   recovery is verified against.

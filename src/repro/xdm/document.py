@@ -123,6 +123,18 @@ class Document:
         self.register_tree(root)
         return root
 
+    @classmethod
+    def indexed(cls, root, nodes, allocator):
+        """A document over the detached element ``root`` whose id index
+        the caller already built: ``nodes`` maps the id of every node of
+        the tree, and nothing else, to the node (a durability restore
+        checks the ids as it builds the tree, so it skips
+        :meth:`register_tree`'s walk)."""
+        document = cls(allocator=allocator)
+        document.root = root
+        document._nodes = nodes
+        return document
+
     def register_tree(self, root):
         """Register every node of ``root``'s subtree in the id index,
         allocating identifiers for nodes lacking one."""

@@ -13,7 +13,8 @@ tokens.
 
 The subset supported is what the paper's documents and PUL exchange format
 need: elements, attributes, text, the five predefined entities and
-numeric character references (of XML ``Char`` code points only). Every
+numeric character references (of XML ``Char`` code points only), nested
+at most :data:`MAX_ELEMENT_NESTING` elements deep. Every
 :class:`XMLSyntaxError` carries the offset of the offending ``<`` or
 ``&`` — for input that ends early, of the start tag left open.
 
@@ -36,6 +37,15 @@ from repro.xdm.node import Node
 #: ``(_END, name, offset just past the tag)``, ``(_TEXT, characters, None)``.
 #: An empty-element tag yields a start token and an end token.
 _START, _END, _TEXT = range(3)
+
+#: bound on element nesting: a start tag inside ``MAX_ELEMENT_NESTING``
+#: open elements is a syntax error. The store's label slot walk, its
+#: spare copy and its serializer recurse once per level and exhaust the
+#: interpreter's stack near 1000 levels, so a document that deep could
+#: be acknowledged by ``open`` and then fail every restart; the bound
+#: leaves those walks half the stack. Wire terms have their own bound,
+#: :data:`repro.api.protocol.MAX_NESTING`.
+MAX_ELEMENT_NESTING = 512
 
 _ENTITIES = {"amp": "&", "lt": "<", "gt": ">", "quot": '"', "apos": "'"}
 
@@ -160,6 +170,10 @@ def _tokens(text, pos, keep_whitespace, forest=False):
             pos = gt + 1
             yield _END, open_tags.pop()[0], pos
         else:
+            if len(open_tags) >= MAX_ELEMENT_NESTING:
+                raise XMLSyntaxError(
+                    "elements nest deeper than {} levels".format(
+                        MAX_ELEMENT_NESTING), position=lt)
             tag = _START_TAG(text, lt)
             if tag is None:
                 raise XMLSyntaxError("malformed start tag", position=lt)

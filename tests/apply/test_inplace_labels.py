@@ -41,3 +41,26 @@ def test_inplace_repair_equals_sync(data, encoder_cls):
         except NotApplicableError:
             return  # a failed batch: the writer drops its pair
         assert _strings(labeling) == _strings(before.sync(document))
+
+
+def test_pointers_inside_an_inserted_tree_equal_sync():
+    """A run's own pointers are its site's; those between the children
+    of an inserted element are set by the run's labeling itself."""
+    from repro.pul.ops import InsertIntoAsLast
+    from repro.pul.pul import PUL
+    from repro.xdm.node import Node
+    from repro.xdm.parser import parse_document
+
+    document = parse_document("<r><a/></r>")
+    labeling = ContainmentLabeling().build(document)
+    tree = Node.element("x")
+    for child in (Node.element("y"), Node.text("t"), Node.element("z")):
+        tree.append_child(child)
+    pul = PUL([InsertIntoAsLast(document.root.node_id, [tree])])
+    pul.attach_labels(labeling)
+    before = labeling.copy()
+    assert apply_batch_in_place(document, labeling, pul) == "incremental"
+    assert _strings(labeling) == _strings(before.sync(document))
+    y, text, z = document.root.children[-1].children
+    assert labeling.label_of(text.node_id).left_sibling_id == y.node_id
+    assert labeling.label_of(text.node_id).right_sibling_id == z.node_id

@@ -235,12 +235,12 @@ class TestMaxCodeLength:
         labeling.build(small_doc)
         assert labeling.max_code_length < degraded
 
-    def test_import_label_tracks(self, small_doc):
-        labeling = ContainmentLabeling().build(small_doc)
-        from repro.labeling.containment import ExtendedLabel
-        from repro.xdm.node import NodeType
-        long_code = "1" * (labeling.max_code_length + 5)
-        labeling.import_label(ExtendedLabel(
-            node_id=999, node_type=NodeType.ELEMENT,
-            start=long_code, end=long_code + "1", level=1))
-        assert labeling.max_code_length == len(long_code) + 1
+    def test_restored_keeps_the_recorded_watermark(self, small_doc):
+        """The watermark is monotone between rebuilds, so a restored
+        labeling keeps the one recorded, above its longest code."""
+        built = ContainmentLabeling().build(small_doc)
+        watermark = built.max_code_length + 5
+        restored = ContainmentLabeling.restored(built.as_mapping(),
+                                                watermark)
+        assert restored.max_code_length == watermark
+        assert restored.as_mapping() == built.as_mapping()

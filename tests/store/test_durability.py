@@ -7,23 +7,49 @@ runs through the incremental-relabel machinery — in every containment
 label digit. The helpers below capture and compare that full state.
 """
 
+import copy
+import json
 import os
 import threading
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from repro.errors import DurabilityError, ReproError
+from repro.errors import (
+    DurabilityError,
+    RecoveryError,
+    ReproError,
+    XMLSyntaxError,
+)
+from repro.pul.ops import (
+    Delete,
+    InsertAfter,
+    InsertAttributes,
+    InsertBefore,
+    InsertIntoAsFirst,
+    InsertIntoAsLast,
+    Rename,
+    ReplaceValue,
+)
+from repro.pul.pul import PUL
+from repro.pul.serialize import tree_to_xml
 from repro.store import (
     DocumentStore,
     DurabilityPolicy,
     replay_oracle,
 )
 from repro.store.durability import (
+    DurabilityManager,
     document_payload,
     load_durable_state,
     restore_document,
 )
+from repro.store.store import DEFAULT_MAX_CODE_LENGTH
 from repro.workloads import generate_client_batches, generate_xmark
+from repro.xdm.document import Document
+from repro.xdm.node import Node
+from repro.xdm.parser import MAX_ELEMENT_NESTING
 from repro.xdm.serializer import serialize
 
 DOC = ("<bib><paper year=\"2011\"><title>T1</title></paper>"
@@ -92,21 +118,299 @@ class TestPolicy:
             assert store.durability_policy.mode == "log"
 
 
+# -- payload fidelity ------------------------------------------------------
+
+#: text values that stress a text form: empty, whitespace-only, markup
+_VALUES = ("", " ", "\n\t ", "x", "y z", "<&>\"'")
+
+
+@st.composite
+def _trees(draw, depth=0):
+    """A detached element with attributes, whose children include
+    adjacent, empty and whitespace-only text nodes."""
+    element = Node.element(draw(st.sampled_from(("a", "b", "c"))))
+    for name in draw(st.lists(st.sampled_from(("p", "q", "r")),
+                              unique=True, max_size=2)):
+        element.append_attribute(
+            Node.attribute(name, draw(st.sampled_from(_VALUES))))
+    for __ in range(draw(st.integers(0, 3 if depth < 3 else 0))):
+        if draw(st.booleans()):
+            element.append_child(Node.text(draw(st.sampled_from(_VALUES))))
+        else:
+            element.append_child(draw(_trees(depth + 1)))
+    return element
+
+
+@st.composite
+def _operations(draw, document):
+    """One valid-looking operation on a node of ``document`` (a batch
+    of them may still conflict or fail; the store then refuses it)."""
+    node = draw(st.sampled_from(list(document.nodes())))
+    content = draw(st.lists(
+        st.one_of(st.sampled_from(_VALUES).map(Node.text),
+                  _trees(depth=2)), min_size=1, max_size=3))
+    if node.is_attribute or node.is_text:
+        if node.parent is not None and draw(st.booleans()):
+            return Delete(node.node_id)
+        if node.is_text and draw(st.booleans()):
+            return InsertAfter(node.node_id, content)
+        return ReplaceValue(node.node_id, draw(st.sampled_from(_VALUES)))
+    kind = draw(st.sampled_from(
+        ("delete", "before", "into", "first", "attributes", "rename")))
+    if node.parent is not None and kind == "delete":
+        return Delete(node.node_id)
+    if node.parent is not None and kind == "before":
+        return InsertBefore(node.node_id, content)
+    if kind == "first":
+        return InsertIntoAsFirst(node.node_id, content)
+    if kind == "attributes":
+        taken = {attr.name for attr in node.attributes}
+        name = draw(st.sampled_from(("s", "t", "u")))
+        if name not in taken:
+            return InsertAttributes(node.node_id, [
+                Node.attribute(name, draw(st.sampled_from(_VALUES)))])
+    if kind == "rename":
+        return Rename(node.node_id, draw(st.sampled_from(("d", "e"))))
+    return InsertIntoAsLast(node.node_id, content)
+
+
+def _assert_restores_exactly(entry):
+    """``restore_document(document_payload(entry))`` is ``entry``: text,
+    node ids, allocator, watermark, counters and every label field."""
+    restored = restore_document(document_payload(entry))
+    document, labeling = entry.document, entry.labeling
+    assert restored.doc_id == entry.doc_id
+    assert serialize(restored.document) == serialize(document)
+    # the exchange form keeps every id and every text node, empty ones
+    # and adjacent ones included
+    assert tree_to_xml(restored.document.root) == tree_to_xml(document.root)
+    assert sorted(restored.document.node_ids()) \
+        == sorted(document.node_ids())
+    for node in restored.document.nodes():
+        assert restored.document.get(node.node_id) is node
+    assert restored.document.allocator.next_value \
+        == document.allocator.next_value
+    assert restored.labeling.max_code_length == labeling.max_code_length
+    assert {node_id: label.to_string()
+            for node_id, label in restored.labeling.as_mapping().items()} \
+        == {node_id: label.to_string()
+            for node_id, label in labeling.as_mapping().items()}
+    assert restored.counters == {
+        "version": entry.version, "batches": entry.batches,
+        "incremental_relabels": entry.incremental_relabels,
+        "full_relabels": entry.full_relabels}
+
+
 class TestSnapshotFidelity:
-    def test_document_payload_round_trip(self, tmp_path):
+    """A payload restores exactly what it was taken from — which also
+    pins that a label's type, level, parent and sibling ids are what
+    the tree says they are, since the payload carries only the codes."""
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow,
+                                     HealthCheck.data_too_large])
+    @given(st.data())
+    def test_document_payload_round_trip(self, data):
+        root = data.draw(_trees(), label="document")
+        # the same batches under two code-length budgets: the default
+        # relabels incrementally, a budget of one digit relabels every
+        # batch that inserts anything in full
+        stores = [DocumentStore(workers=1, backend="serial",
+                                max_code_length=budget)
+                  for budget in (DEFAULT_MAX_CODE_LENGTH, 1)]
+        try:
+            for store in stores:
+                store.open("d", Document(root=root.deep_copy()))
+                _assert_restores_exactly(store._require("d"))
+            for __ in range(data.draw(st.integers(1, 4), label="flushes")):
+                operations = data.draw(st.lists(
+                    _operations(stores[0].document("d")),
+                    min_size=1, max_size=3), label="batch")
+                for store in stores:
+                    store.submit("d", PUL([op.copy() for op in operations]))
+                    try:
+                        store.flush("d")
+                    except ReproError:
+                        store.discard_pending("d")
+                    _assert_restores_exactly(store._require("d"))
+                    _assert_restores_exactly(store._require("d").published)
+            assert stores[0].text("d") == stores[1].text("d")
+        finally:
+            for store in stores:
+                store.close()
+
+    def test_relabels_of_both_kinds_round_trip(self, workload):
+        """The fixed workload relabels incrementally under the default
+        budget and in full under a tight one; both restore exactly."""
+        text, batches, __ = workload
+        for budget, counter in ((DEFAULT_MAX_CODE_LENGTH,
+                                 "incremental_relabels"),
+                                (4, "full_relabels")):
+            with DocumentStore(workers=1, backend="serial",
+                               max_code_length=budget) as store:
+                store.open("d", text)
+                _run_session(store, batches)
+                entry = store._require("d")
+                assert getattr(entry, counter) > 0
+                _assert_restores_exactly(entry)
+
+
+def _entry_of(text):
+    with DocumentStore(workers=1, backend="serial") as store:
+        return store.open("d", text)
+
+
+def _hostile_payloads():
+    """``(case, payload)`` pairs no restore may accept."""
+    entry = _entry_of('<r k="v"><a>one</a><b x="1" y="2"><c/>two</b></r>')
+    document, labeling = entry.document, entry.labeling
+    good = document_payload(entry)
+    rows = json.loads(good["nodes"])
+
+    def with_rows(edit):
+        edited = copy.deepcopy(rows)
+        edit(edited)
+        return dict(good, nodes=json.dumps(edited))
+
+    def set_field(index, field, value):
+        def edit(edited):
+            edited[index][field] = value
+        return edit
+
+    def swap_codes(edited):
+        edited[0][4], edited[0][5] = edited[0][5], edited[0][4]
+
+    retired = {key: good[key] for key in good if key != "nodes"}
+    retired["tree"] = tree_to_xml(document.root)
+    retired["labels"] = [label.to_string()
+                         for label in labeling.as_mapping().values()]
+    return [
+        ("cut-short", with_rows(lambda edited: edited.pop())),
+        ("child-count-past-the-end", with_rows(set_field(0, 3, 9))),
+        ("left-over-row", with_rows(
+            lambda edited: edited.append([99, "z", "0", "1"]))),
+        ("left-over-root", with_rows(
+            lambda edited: edited.append([99, "r", 0, 0, "0", "1"]))),
+        ("short-row", with_rows(lambda edited: edited[2].pop())),
+        ("long-row", with_rows(lambda edited: edited[2].append("x"))),
+        ("empty-row", with_rows(lambda edited: edited.insert(2, []))),
+        ("row-not-a-list", with_rows(
+            lambda edited: edited.__setitem__(2, "row"))),
+        ("attribute-row-as-child", with_rows(set_field(0, 2, 0))),
+        ("child-row-as-attribute", with_rows(set_field(0, 2, 2))),
+        ("name-not-a-string", with_rows(set_field(0, 1, 7))),
+        ("code-not-a-string", with_rows(set_field(3, 2, 1))),
+        ("count-not-an-integer", with_rows(set_field(0, 3, "2"))),
+        ("negative-count", with_rows(set_field(0, 3, -1))),
+        ("duplicate-id", with_rows(set_field(2, 0, rows[0][0]))),
+        ("string-id", with_rows(set_field(2, 0, "3"))),
+        ("float-id", with_rows(set_field(2, 0, 3.5))),
+        ("boolean-id", with_rows(set_field(2, 0, True))),
+        ("start-after-end", with_rows(swap_codes)),
+        ("start-equals-end", with_rows(set_field(2, -2, rows[2][-1]))),
+        ("first-row-not-an-element", with_rows(
+            lambda edited: edited.insert(0, [99, "t", "0", "1"]))),
+        ("no-rows", dict(good, nodes="[]")),
+        ("rows-not-json", dict(good, nodes="[[1,")),
+        ("rows-as-a-list", dict(good, nodes=rows)),
+        ("rows-nested-past-the-stack", dict(
+            good, nodes="[" * 100000 + "]" * 100000)),
+        ("next-id-not-an-integer", dict(good, next_id="9")),
+        ("counter-missing", {key: good[key] for key in good
+                             if key != "version"}),
+        ("not-an-object", ["d"]),
+        ("retired-tree-and-labels-form", retired),
+    ]
+
+
+_HOSTILE = _hostile_payloads()
+
+
+class TestHostilePayloads:
+    """Every malformed payload is the typed :class:`RecoveryError` —
+    from a restore, from a restart of a directory that holds it (as an
+    ``open`` record or in a snapshot) and from a replica's bootstrap;
+    never a bare ``StopIteration``, ``IndexError`` or
+    ``RecursionError``."""
+
+    @pytest.mark.parametrize("case,payload", _HOSTILE,
+                             ids=[case for case, __ in _HOSTILE])
+    def test_restore_refuses(self, case, payload):
+        with pytest.raises(RecoveryError):
+            restore_document(payload)
+
+    @pytest.mark.parametrize("holder", ["open-record", "snapshot"])
+    @pytest.mark.parametrize("case,payload", _HOSTILE,
+                             ids=[case for case, __ in _HOSTILE])
+    def test_restart_refuses(self, tmp_path, case, payload, holder):
+        wal_dir = str(tmp_path / "wal")
+        manager = DurabilityManager(wal_dir, DurabilityPolicy("log"))
+        manager.start()
+        if holder == "open-record":
+            manager.log_open(payload)
+        else:
+            manager.commit_snapshot(manager.begin_rotation(), [payload])
+        manager.close()
+        with pytest.raises(RecoveryError):
+            _durable_store(tmp_path, "log")
+        with pytest.raises(RecoveryError):
+            replay_oracle(wal_dir)
+
+    @pytest.mark.parametrize("case,payload", _HOSTILE,
+                             ids=[case for case, __ in _HOSTILE])
+    def test_bootstrap_refuses(self, case, payload):
+        from repro.cluster import ReplicaStore
+
+        with ReplicaStore(workers=1, backend="serial") as replica:
+            replica.bootstrap([document_payload(_entry_of(DOC))], 0,
+                              stream="s")
+            with pytest.raises(RecoveryError):
+                replica.bootstrap([payload], 1, stream="s")
+            # the refused page replaced nothing
+            assert replica.doc_ids() == ["d"]
+            assert replica.applied_seq == 0
+
+
+class TestNestingBound:
+    """A document ``open`` acknowledges must restart: nesting past
+    :data:`~repro.xdm.parser.MAX_ELEMENT_NESTING` is refused by the
+    scanner before anything is logged, and a document at the bound
+    survives a snapshot and a restart byte for byte."""
+
+    @staticmethod
+    def nested(levels):
+        return "<a>" * levels + "</a>" * levels
+
+    def test_past_the_bound_is_refused_and_not_logged(self, tmp_path):
         with _durable_store(tmp_path, "log") as store:
-            entry = store.open("d", DOC)
-            before = _full_state(store, "d")
-            restored = restore_document(document_payload(entry))
-        assert serialize(restored.document) == before["text"]
-        assert sorted(restored.document.node_ids()) == before["ids"]
-        assert restored.document.allocator.next_value == before["next_id"]
-        assert {node_id: label.to_string()
-                for node_id, label
-                in restored.labeling.as_mapping().items()} \
-            == before["labels"]
-        assert restored.labeling.max_code_length \
-            == before["max_code_length"]
+            store.open("other", DOC)
+            with pytest.raises(XMLSyntaxError) as refused:
+                store.open("deep", self.nested(MAX_ELEMENT_NESTING + 1))
+            # at the start tag that opens one level too many
+            assert refused.value.position == 3 * MAX_ELEMENT_NESTING
+            assert store.doc_ids() == ["other"]
+        state = load_durable_state(str(tmp_path / "wal"), repair=False)
+        assert [record["doc"]["doc_id"] for record in state.records] \
+            == ["other"]
+        with _durable_store(tmp_path, "log") as recovered:
+            assert recovered.doc_ids() == ["other"]
+            assert recovered.text("other") == DOC
+
+    def test_the_bound_itself_opens_snapshots_and_restarts(self, tmp_path):
+        text = self.nested(MAX_ELEMENT_NESTING)
+        with _durable_store(tmp_path, "log") as store:
+            store.open("deep", text)
+            store.open("other", DOC)
+            assert store.text("deep") == "<a>" * (
+                MAX_ELEMENT_NESTING - 1) + "<a/>" + "</a>" * (
+                MAX_ELEMENT_NESTING - 1)
+            before = store.text("deep")
+            assert store.snapshot() is not None
+        with _durable_store(tmp_path, "log") as recovered:
+            assert recovered.recovery.snapshot_generation is not None
+            assert recovered.text("deep") == before
+            assert recovered.text("other") == DOC
+        assert replay_oracle(str(tmp_path / "wal"))["deep"] == (before, 0)
 
 
 class TestRecovery:

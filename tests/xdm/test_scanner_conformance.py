@@ -34,7 +34,7 @@ from repro.pul.serialize import pul_from_xml, pul_to_xml
 from repro.xdm import parse_document, parse_fragment
 from repro.xdm.compare import documents_equal
 from repro.xdm.node import Node
-from repro.xdm.parser import parse_forest
+from repro.xdm.parser import MAX_ELEMENT_NESTING, parse_forest
 from repro.xquery.lexer import NAME, XML, tokenize
 
 from tests.strategies import documents
@@ -280,6 +280,23 @@ class TestRefusal:
             position = info.value.position
             assert cut == position == 0 or (
                 position < cut and wire[position] in "<&"), cut
+
+    @pytest.mark.parametrize("consumer", sorted(_CONSUMERS))
+    def test_nesting_past_the_bound_is_refused_at_its_start_tag(
+            self, consumer):
+        # a PUL's parameter trees sit two levels down, in <pul><op>
+        head = ('<pul><op name="insertInto" target="0">'
+                if consumer == "pul_from_xml" else "")
+        levels = MAX_ELEMENT_NESTING - (2 if head else 0)
+
+        def nested(depth):
+            return (head + "<a>" * depth + "</a>" * depth
+                    + ("</op></pul>" if head else ""))
+
+        _CONSUMERS[consumer](nested(levels))
+        with pytest.raises(XMLSyntaxError) as info:
+            _CONSUMERS[consumer](nested(levels + 1))
+        assert info.value.position == len(head) + 3 * levels
 
 
 # -- (d) the name grammar -----------------------------------------------------
