@@ -71,12 +71,12 @@ class _SlowApply:
         self._real = store_module.apply_batch_in_place
 
     def __enter__(self):
-        def slow_apply(document, labeling, pul, preserve_ids=True):
+        def slow_apply(document, labeling, pul, **options):
             self.applying.set()
             try:
                 time.sleep(self.sleep_s)
                 return self._real(document, labeling, pul,
-                                  preserve_ids=preserve_ids)
+                                  **options)
             finally:
                 self.applying.clear()
 

@@ -490,8 +490,9 @@ class StoreServer:
         once the reads answered here have held the loop for one
         interpreter switch interval. Returns ``None`` when what it took
         is answered — the caller lets the other connections in before
-        it comes back for what is left — or the future of the hop that
-        answers the rest of what it took.
+        it comes back for what is left, or before the connection's
+        next request when this turn held the loop for the interval —
+        or the future of the hop that answers the rest of what it took.
         """
         loop = asyncio.get_running_loop()
         deadline = loop.time() + self._loop_slice_s
@@ -537,6 +538,7 @@ class _ServerProtocol(asyncio.Protocol):
         self._backlog = collections.deque()   # decoded, not yet run
         self._unanswered = 0     # decoded requests without a response
         self._busy = None        # the pool hop or the deferred turn
+        self._held = False       # the last turn held the loop a slice
         self._refusal = None     # the protocol error owed at the end
         self._eof = False        # no more requests will be read
         self._over = False       # no more responses will be written
@@ -656,7 +658,17 @@ class _ServerProtocol(asyncio.Protocol):
         peer is not reading its answers; then settle."""
         if self._backlog and self._busy is None and \
                 not self._writing_paused:
+            loop = asyncio.get_running_loop()
+            if self._held:
+                # the last turn held the loop for a switch interval and
+                # this connection's next request is ready again: the
+                # others that became ready meanwhile go first (epoll
+                # reports the socket just read ahead of them)
+                self._held = False
+                self._busy = loop.call_soon(self._next_turn)
+                return
             responses = []
+            start = loop.time()
             hop = self.server._execute_many(self.client, self._backlog,
                                             responses)
             self._answered(responses)
@@ -666,8 +678,10 @@ class _ServerProtocol(asyncio.Protocol):
             elif self._backlog:
                 # a switch interval or a pipeline's worth was answered:
                 # the other connections go first
-                self._busy = asyncio.get_running_loop().call_soon(
-                    self._next_turn)
+                self._busy = loop.call_soon(self._next_turn)
+            else:
+                self._held = loop.time() - start >= \
+                    self.server._loop_slice_s
         self._settle()
 
     def _hop_done(self, hop):

@@ -18,14 +18,29 @@ repairs the containment labeling only around the touched sites:
 * sibling pointers are re-derived for exactly the parents whose child
   lists changed.
 
+The batch is classified once (:func:`classify`) against the tree it is
+about to change; the resulting :class:`Footprint` names every node
+whose child list, attribute list, name or value the batch changes. The
+store uses that one footprint three times: to path-copy the published
+version above those nodes
+(:meth:`repro.store.store.StoredDocument.checkout`), for this module's
+apply and label repair, and for the index delta
+(:meth:`repro.index.structural.DocumentIndex.derive`).
+
 Atomicity is not this module's job. The store never hands it a tree a
-reader, log or follower can see: the writer applies on a private working
-pair (:meth:`repro.store.store.StoredDocument.checkout`) and publishes
-it only when the whole batch went through. Two XQUF dynamic checks fire
-*after* mutation (duplicate-attribute detection and a duplicate node
-id at registration); when either raises, the pair is left mid-mutation
-and the caller drops it — the published version was never touched, so
-there is nothing to undo.
+reader, log or follower can see: the writer applies on its private path
+copy and publishes it only when the whole batch went through. Two XQUF
+dynamic checks fire *after* mutation (duplicate-attribute detection and
+a duplicate node id at registration); when either raises, the copy is
+left mid-mutation and the caller abandons it — the published version's
+lists, names and values were never touched, and the parent pointers
+the copy moved are pointed back.
+
+One check fires *before* anything is logged or copied:
+:func:`check_nesting` refuses a batch whose insertion would nest
+elements deeper than :data:`~repro.xdm.parser.MAX_ELEMENT_NESTING`,
+the bound a parsed document already keeps — the label slot walk and
+the serializer recurse once per level.
 
 Structural edits the per-site repair cannot localize (replacing or
 deleting the document root) fall back to a whole-tree
@@ -37,6 +52,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
+from repro.errors import NotApplicableError
 from repro.pul.ops import (
     Delete,
     InsertAfter,
@@ -51,6 +67,7 @@ from repro.pul.ops import (
     ReplaceValue,
 )
 from repro.pul.semantics import apply_pul
+from repro.xdm.parser import MAX_ELEMENT_NESTING
 
 #: operations whose label repair anchors at the *target* element
 _TARGET_SITE_OPS = (InsertInto.op_name, InsertIntoAsFirst.op_name,
@@ -81,8 +98,8 @@ Footprint = namedtuple(
 
 def classify(document, pul):
     """Classify ``pul`` against the *pre-batch* ``document`` — the one
-    site classification shared by the live apply, the catch-up replay
-    and the index delta; returns its :class:`Footprint`. Operations
+    site classification shared by the store's path copy, the apply and
+    the index delta; returns its :class:`Footprint`. Operations
     whose target is absent are skipped:
     :func:`~repro.pul.semantics.apply_pul` resolves every target
     before mutating anything, so the miss raises there with the tree
@@ -120,18 +137,59 @@ def classify(document, pul):
     return Footprint(site_ids, removed_ids, touched_ids, needs_sync)
 
 
-def apply_batch_in_place(document, labeling, pul, preserve_ids=True):
+def check_nesting(pul, labeling):
+    """Refuse ``pul`` when one of its insertions would put an element
+    deeper than :data:`~repro.xdm.parser.MAX_ELEMENT_NESTING` (the root
+    element is at depth 1). The target's label level places the new
+    trees' parent, and each tree adds its own element height. An
+    operation whose target has no label is left to the apply, which
+    refuses an absent target anyway."""
+    for op in pul:
+        if not op.trees:
+            continue
+        label = labeling.find(op.target)
+        if label is None:
+            continue
+        # the parent's depth: the target (level + 1) for the
+        # target-site operations, the target's parent (level) else
+        parent_depth = label.level + (op.op_name in _TARGET_SITE_OPS)
+        height = max(map(_element_height, op.trees))
+        if parent_depth + height > MAX_ELEMENT_NESTING:
+            raise NotApplicableError(
+                "{} on node {} would nest elements {} deep, past the "
+                "bound of {}".format(op.op_name, op.target,
+                                     parent_depth + height,
+                                     MAX_ELEMENT_NESTING))
+
+
+def _element_height(tree):
+    """Levels of nested elements in ``tree``: 0 for a text or an
+    attribute node, 1 for an element with no element children."""
+    height = 0
+    level = [tree] if tree.is_element else []
+    while level:
+        height += 1
+        level = [child for node in level for child in node.children
+                 if child.is_element]
+    return height
+
+
+def apply_batch_in_place(document, labeling, pul, preserve_ids=True,
+                         footprint=None):
     """Make ``pul`` effective on ``document`` in place, maintaining
     ``labeling`` incrementally: :func:`replay_batch`'s structural
-    routine, then label repair around the touched sites.
+    routine, then label repair around the touched sites. ``footprint``
+    is the batch's :func:`classify` result when the caller already has
+    it (same ids on a path copy of the classified tree).
 
     Returns ``"incremental"`` when the labeling was repaired per-site, or
     ``"sync"`` when a root-level structural change forced a whole-tree
     sync. A failure leaves both arguments mid-mutation: they are the
-    writer's private pair and the caller drops them.
+    writer's private pair and the caller abandons them.
     """
     site_runs = replay_batch(document, labeling, pul,
-                             preserve_ids=preserve_ids)
+                             preserve_ids=preserve_ids,
+                             footprint=footprint)
     if site_runs is None:
         labeling.sync(document)
         return "sync"
@@ -150,28 +208,23 @@ def apply_batch_in_place(document, labeling, pul, preserve_ids=True):
     return "incremental"
 
 
-def replay_batch(document, labeling, pul, preserve_ids=True):
+def replay_batch(document, labeling, pul, preserve_ids=True,
+                 footprint=None):
     """Apply the reduced batch ``pul`` to ``document``'s *tree*,
     maintaining the id index; of ``labeling`` only the labels of removed
     nodes are forgotten. Returns the ``(runs, sites)`` still to be
     labeled, or ``None`` when the change could not be localized and the
     id index was rebuilt wholesale.
 
-    This is the structure of a batch, shared by its two consumers. The
-    live apply (:func:`apply_batch_in_place`) labels the returned runs.
-    The MVCC store's catch-up stops here: each retired published
-    version is handed back to the writer as the next flush's working
-    copy and must first catch up by the one batch it lags, but its
-    labels are never re-derived — the caller copies the published
-    version's immutable id-keyed label map wholesale, the costly half
-    of a live apply. There ``labeling`` is the copy's own *pre-batch*
-    labels, used only to delimit the insertion runs: run collection
-    sees the same tree, the same labels and the same reduced PUL as the
-    live apply did, so the runs — and therefore the fresh ids — come
-    out identical (a replay allocating different ids would
-    desynchronize every later batch's targets).
+    This is the structural half of :func:`apply_batch_in_place`, which
+    labels the returned runs. On its own it replays a batch's tree
+    effect (``benchmarks/e2e/layers.py`` times it that way).
+    ``labeling`` holds the *pre-batch* labels, which delimit the
+    insertion runs: the same tree, labels and reduced PUL always yield
+    the same runs, and therefore the same fresh ids.
     """
-    footprint = classify(document, pul)
+    if footprint is None:
+        footprint = classify(document, pul)
     root = document.root
     apply_pul(document, pul, check=False, preserve_ids=preserve_ids,
               reindex=False)

@@ -81,7 +81,8 @@ class DocumentIndex:
 
     # -- incremental maintenance ----------------------------------------------
 
-    def derive(self, old_document, new_document, new_labeling, reduced):
+    def derive(self, old_document, new_document, new_labeling, reduced,
+               footprint=None):
         """Derive the post-batch index from this (pre-batch) one.
 
         ``old_document`` is the still-intact previous published tree,
@@ -93,13 +94,16 @@ class DocumentIndex:
         derived (the caller rebuilds from scratch — always correct).
 
         The delta is read off the applier's own site classification
-        (:func:`~repro.apply.inplace.classify`, run against the
-        pre-batch tree): removed subtrees leave their buckets,
-        rename/replace-value targets may have moved buckets, and the
-        anchor sites' fresh (previously unknown) children and
-        attributes are the inserted subtrees.
+        (:func:`~repro.apply.inplace.classify` against the pre-batch
+        tree; ``footprint`` when the caller already has it): removed
+        subtrees leave their buckets, rename/replace-value targets may
+        have moved buckets, and the anchor sites' fresh (previously
+        unknown) children and attributes are the inserted subtrees.
+        ``old_document`` is only read by id, never walked: on a path
+        copy it still holds every pre-batch name and value.
         """
-        footprint = classify(old_document, reduced)
+        if footprint is None:
+            footprint = classify(old_document, reduced)
         if footprint.needs_sync:
             return None  # root-level change: the applier synced
         removed_set = set(footprint.removed_ids)

@@ -7,8 +7,8 @@ only, safe to tail). Slow queries embed the exact plan the cost-based
 planner recorded for that execution (the same shape ``explain``
 returns), so a slow entry answers "which route did it take and why"
 without re-running anything; slow flushes embed the per-stage timing
-map (reduce / wal-append / fsync-wait / apply / index-derive /
-publish).
+map (coalesce / log / wal-append / fsync-wait / reduce / copy / apply
+/ relabel / index-derive / publish / snapshot).
 
 Thresholds default to ``None`` — disabled. The hot-path cost of a
 disabled log is one comparison.

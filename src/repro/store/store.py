@@ -7,10 +7,10 @@ keeps many parsed documents *and their containment labelings* resident
 between update batches, accepts PUL submissions from concurrent
 clients, coalesces them into per-document batches, routes every batch
 through the sharded reduction pipeline (:mod:`repro.pipeline`) and makes
-it effective in place on the writer's private working copy of the
-document
-(:func:`repro.apply.inplace.apply_batch_in_place`, then one atomic
-publish — :mod:`repro.store.versions`) — which maintains the labeling
+it effective in place on the writer's private path copy of the
+document — only the nodes the batch changes and their ancestors are
+copied (:func:`repro.apply.inplace.apply_batch_in_place`, then one
+atomic publish — :mod:`repro.store.versions`) — which maintains the labeling
 *incrementally*: only the nodes of touched subtrees gain or lose labels,
 existing containment codes are never rewritten (the update-tolerance
 property of Section 4.1).
@@ -34,10 +34,11 @@ intents and are merged as a union (Definition 5). An incompatible union
 either fails the batch (``on_conflict="error"``, the default) or is
 reconciled under per-client policies (``on_conflict="reconcile"``).
 
-A batch that fails — while coalescing, or later with an XQUF dynamic
-error found only after mutation — changes nothing: the working copy is
-dropped, the published version, its labels and its index are the same
-objects as before, and the pending queue is restored.
+A batch that fails — while coalescing, on the nesting bound, or later
+with an XQUF dynamic error found only after mutation — changes
+nothing: the path copy is abandoned, the published version, its labels
+and its index are the same objects as before, and the pending queue is
+restored.
 """
 
 from __future__ import annotations
@@ -46,9 +47,14 @@ import functools
 import threading
 import time
 from collections import Counter
+from itertools import chain
 
 from repro.aggregation import aggregate
-from repro.apply.inplace import apply_batch_in_place
+from repro.apply.inplace import (
+    apply_batch_in_place,
+    check_nesting,
+    classify,
+)
 from repro.index.structural import build_index
 from repro.errors import (
     ClusterError,
@@ -73,12 +79,8 @@ from repro.store.durability import (
     document_payload,
     restore_document,
 )
-from repro.store.versions import (
-    DocumentVersion,
-    answer_size,
-    replay_catchup,
-)
-from repro.xdm.document import Document
+from repro.store.versions import DocumentVersion, answer_size
+from repro.xdm.document import Document, restore_parents
 from repro.xdm.parser import parse_document
 from repro.xdm.serializer import serialize, serialize_node
 from repro.xquery.parser import (
@@ -179,7 +181,7 @@ class StoredDocument:
     __slots__ = ("doc_id", "version", "lock", "flush_lock", "pending",
                  "batches", "incremental_relabels", "full_relabels",
                  "published", "logged_version", "_publish_cond",
-                 "_spare", "_catchup")
+                 "_originals")
 
     def __init__(self, doc_id, document, labeling, counters=None):
         self.doc_id = doc_id
@@ -197,7 +199,9 @@ class StoredDocument:
         #: and the logged-version fence live under it, and nothing is
         #: ever acquired while holding it
         self._publish_cond = threading.Condition()
-        self._catchup = None    # reduced PUL the spare lags by, if any
+        #: the nodes of the published tree the in-flight batch's path
+        #: copy copied (``checkout``), until it publishes or is abandoned
+        self._originals = None
         #: highest batch version write-ahead logged so far; a state
         #: capture must wait until the published version covers it, or
         #: the captured payload would *lag* the log/stream position it
@@ -208,16 +212,6 @@ class StoredDocument:
             doc_id, self.version, document, labeling, self.batches,
             self.incremental_relabels, self.full_relabels,
             index=build_index(document, labeling))
-        #: pre-seeded working-copy donor. Spare recycling means every
-        #: written document permanently holds two trees; the one
-        #: O(document) copy that steady state requires is paid *here*,
-        #: where open/restore is already doing O(document) work (parse,
-        #: index, label build), so no flush — not even the first —
-        #: ever pays it. ``catchup`` stays ``None``: the seed is
-        #: content-identical to the published version it shadows.
-        self._spare = DocumentVersion(
-            doc_id, self.version, document.copy(), labeling.copy(),
-            self.batches, self.incremental_relabels, self.full_relabels)
 
     # -- compatibility accessors (the latest published objects) -------------
 
@@ -234,10 +228,11 @@ class StoredDocument:
     def pin(self):
         """Pin and return the current published version.
 
-        The pin count keeps the version's tree out of the writer's
-        recycling (``checkout`` never steals a pinned spare), so the
-        caller may walk ``version.document``/``version.labeling`` with
-        no locks at all. Balance every pin with :meth:`unpin`.
+        No writer edits a version's tree, so the caller may walk
+        ``version.document``/``version.labeling`` with no locks at all
+        — top-down only (the parent-pointer rule of
+        :mod:`repro.store.versions`). Balance every pin with
+        :meth:`unpin`.
         """
         with self._publish_cond:
             version = self.published
@@ -312,48 +307,27 @@ class StoredDocument:
         with self._publish_cond:
             self.logged_version = version
 
-    def checkout(self):
-        """The writer's private ``(document, labeling)`` working pair.
+    def checkout(self, footprint):
+        """The writer's private ``(document, labeling)`` working pair
+        for a batch with ``footprint`` (classified against the
+        published version): the published tree path-copied above the
+        footprint's sites and touched nodes, and a copy of its label
+        map. The published version stays as it was; :meth:`publish`
+        the pair or :meth:`abandon` it."""
+        published = self.published
+        document, self._originals = published.document.path_copy(
+            chain(footprint.site_ids, footprint.touched_ids))
+        return document, published.labeling.copy()
 
-        Steals the retired spare when no reader pins it — catching it
-        up by the one batch it lags (O(touched), the common case) — and
-        falls back to a deep copy of the published version when a slow
-        reader still holds the spare, the catch-up replay fails, or the
-        previous batch failed and took the spare with it. The pair
-        belongs to the caller: :meth:`publish` it or drop it.
-        """
-        with self._publish_cond:
-            spare, catchup = self._spare, self._catchup
-            self._spare = None
-            self._catchup = None
-            if spare is not None and spare.pins:
-                spare = None    # abandoned to its readers
-            published = self.published
-        working = None
-        if spare is not None:
-            try:
-                working = replay_catchup(spare, published, catchup)
-            except Exception:
-                # a catch-up that diverges from the published tree is a
-                # bug, but never one worth corrupting the working copy
-                # over — fall back to copying the published version
-                working = None
-        if working is None:
-            working = (published.document.copy(),
-                       published.labeling.copy())
-        return working
-
-    def publish(self, document, labeling, reduced, full_relabel=False,
-                index=None):
+    def publish(self, document, labeling, full_relabel=False, index=None):
         """Atomically publish the working pair as the next version —
         the one place ``version``, ``batches`` and the relabel counters
-        advance, so they never run ahead of what readers can pin. The
-        old published version retires into the spare, lagging by the
-        batch ``reduced``. ``index`` is the version's secondary index —
-        derived incrementally from the retiring version's by the
-        caller, or rebuilt here when the delta could not be
-        localized. Returns the answer-memo bytes the retiring version
-        gave up, for the caller to hand back to the budget."""
+        advance, so they never run ahead of what readers can pin.
+        ``index`` is the version's secondary index — derived
+        incrementally from the retiring version's by the caller, or
+        rebuilt here when the delta could not be localized. Returns
+        the answer-memo bytes the retiring version gave up, for the
+        caller to hand back to the budget."""
         if index is None:
             index = build_index(document, labeling)
         full = 1 if full_relabel else 0
@@ -361,27 +335,37 @@ class StoredDocument:
             self.doc_id, self.version + 1, document, labeling,
             self.batches + 1, self.incremental_relabels + 1 - full,
             self.full_relabels + full, index=index)
+        originals, self._originals = self._originals, None
+        document.commit()
         with self._publish_cond:
             self.version = version.version
             self.batches = version.batches
             self.incremental_relabels = version.incremental_relabels
             self.full_relabels = version.full_relabels
-            # the retiring tree is about to be mutated in place as the
-            # next working copy: it must not keep its memos
+            # the retiring version keeps no memo (the memo rule of
+            # repro.store.versions)
             self.published.text = None
             freed = self.published.forget_answers()
-            self._spare = self.published
-            self._catchup = reduced
             self.published = version
             self._publish_cond.notify_all()
+        # the retired tree's copied nodes drop their parent pointers,
+        # which mean nothing on a retired version (the parent-pointer
+        # rule of repro.store.versions): no reference cycle then runs
+        # through them, and they are freed with the version by reference
+        # counting rather than left to the cyclic collector
+        for node in originals:
+            node.parent = None
         return freed
 
     def abandon(self):
-        """A batch failed at or past the logged-version fence: its
-        working pair is simply dropped by the caller — no reader, log
-        or follower ever saw it — and the fence is clamped back so
-        captures waiting on a publish that will never come are
-        released."""
+        """A batch failed: its working pair is dropped by the caller —
+        no reader, log or follower ever saw it — the published tree's
+        parent pointers are restored where the path copy moved them,
+        and the logged-version fence is clamped back so captures
+        waiting on a publish that will never come are released."""
+        if self._originals is not None:
+            restore_parents(self._originals)
+            self._originals = None
         with self._publish_cond:
             self.logged_version = self.version
             self._publish_cond.notify_all()
@@ -989,10 +973,11 @@ class DocumentStore:
         pending. Concurrent flushes of the same document are serialized
         (submissions stay concurrent). On any error the pending queue
         is restored and nothing else has changed: a batch rejected
-        while coalescing (a cross-client conflict) has touched nothing,
-        and one that fails later fails on the private working pair,
-        which is dropped — the published version, its labels and its
-        index stay the very objects they were.
+        while coalescing (a cross-client conflict, an insert nesting
+        elements past :data:`~repro.xdm.parser.MAX_ELEMENT_NESTING`) has
+        touched nothing, and one that fails later fails on the private
+        working pair, which is abandoned — the published version, its
+        labels and its index stay the very objects they were.
         """
         start = time.perf_counter()
         entry = self._require(doc_id)
@@ -1058,13 +1043,14 @@ class DocumentStore:
 
     def _execute_batch(self, entry, pending, num_shards):
         # whichever step fails, the caller restoring the queue is the
-        # whole recovery: coalescing precedes the logged-version fence
-        # (nothing logged, nothing checked out) and _run_batch drops
-        # its own working pair
+        # whole recovery: coalescing and the nesting check precede the
+        # logged-version fence (nothing logged, nothing checked out)
+        # and _run_batch abandons its own working pair
         with self.obs.stage("coalesce"):
             batch = coalesce_batch(pending, entry.labeling,
                                    on_conflict=self.on_conflict,
                                    policies=self.policies)
+            check_nesting(batch, entry.labeling)
         clients = len({client for __, client, __unused in pending})
         return self._run_batch(entry, batch, num_shards, clients)
 
@@ -1078,8 +1064,8 @@ class DocumentStore:
         flush exactly. On the live path the batch is appended to the
         write-ahead log (and made durable) *before* application; a batch
         whose application then fails is a no-op — the working pair is
-        dropped, the entry's counters never moved, only the batch record
-        stays behind — and fails the same way on every host that
+        abandoned, the entry's counters never moved, only the batch
+        record stays behind — and fails the same way on every host that
         replays the record.
         """
         try:
@@ -1090,7 +1076,8 @@ class DocumentStore:
             raise
         if self._durability is not None and not self._replaying \
                 and self._durability.snapshot_due():
-            self._write_snapshot()
+            with self.obs.stage("snapshot"):
+                self._write_snapshot()
         return result
 
     def _publish_batch(self, entry, batch, num_shards, clients):
@@ -1111,18 +1098,21 @@ class DocumentStore:
         with obs.stage("reduce"):
             shards = shard_pul(batch, num_shards or self.workers)
             reduced = merge_shards(self._reducer.reduce_shards(shards))
-        # in-place application on the *private working pair* (the
-        # recycled spare or a copy — entry.checkout): identifiers of
-        # removed nodes stay burned (the allocator is the pair's own,
-        # position-identical to the published tree's), fresh ids are
-        # assigned in document order across the insertion sites —
-        # identical to the stateless baseline's, per the differential
-        # suite. Readers keep walking the published version untouched.
-        document, labeling = entry.checkout()
+        # one classification against the published version serves the
+        # path copy, the apply and the index delta
         previous = entry.published
+        with obs.stage("copy"):
+            footprint = classify(previous.document, reduced)
+            document, labeling = entry.checkout(footprint)
+        # in-place application on the *private working pair*:
+        # identifiers of removed nodes stay burned (the allocator is the
+        # pair's own, position-identical to the published tree's), fresh
+        # ids are assigned in document order across the insertion sites
+        # — identical to the stateless baseline's, per the differential
+        # suite. Readers keep walking the published version untouched.
         with obs.stage("apply"):
             apply_mode = apply_batch_in_place(document, labeling,
-                                              reduced)
+                                              reduced, footprint=footprint)
         relabel = "incremental"
         if labeling.max_code_length > self.max_code_length:
             with obs.stage("relabel"):
@@ -1137,13 +1127,12 @@ class DocumentStore:
                 and previous.index is not None):
             with obs.stage("index-derive"):
                 index = previous.index.derive(
-                    previous.document, document, labeling, reduced)
-        # one atomic reference swap makes the batch visible; the
-        # retired version becomes the next checkout's working copy,
-        # lagging by exactly this batch
+                    previous.document, document, labeling, reduced,
+                    footprint=footprint)
+        # one atomic reference swap makes the batch visible
         with obs.stage("publish"):
             self._give_answer_bytes(entry.publish(
-                document, labeling, reduced,
+                document, labeling,
                 full_relabel=(relabel == "full"), index=index))
         return BatchResult(
             doc_id=entry.doc_id, version=entry.version,

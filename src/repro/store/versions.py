@@ -16,23 +16,47 @@ decouples them:
   atomic reference swap — readers mid-walk keep the version they
   pinned, new readers see N+1.
 
-The working copy is not a per-flush deep copy: that would turn the
-O(touched) in-place apply back into O(document) per batch. Instead the
-version retired by a publish becomes the *spare*: it lags the new
-published version by exactly one batch, and the entry remembers that
-batch's reduced PUL as the spare's *catch-up*. The next flush steals
-the spare — provided no reader still pins it — replays the batch's
-structural effect (:func:`repro.apply.inplace.replay_batch`,
-deterministic and therefore byte- and id-identical to the published
-tree), copies the published version's immutable id-keyed label map
-wholesale, and mutates on. A spare still pinned by a slow reader is
-abandoned to its readers and the writer falls back to one deep copy;
-the common case pays one extra structural apply plus a dict copy per
-flush, never O(document) tree copying or label re-derivation. Entries
-are even *born* with a seeded spare — a copy made at open/restore,
-where the store is already doing O(document) work — so no successful
-flush in a document's life, not even the first, pays an O(document)
-copy.
+Version N+1 is derived from version N, and nothing is recycled. The
+writer classifies the reduced batch once against N
+(:func:`repro.apply.inplace.classify`) and *path-copies* N
+(:meth:`repro.xdm.document.Document.path_copy`): every node whose
+child list, attribute list, name or value the batch changes — the
+footprint's sites and touched nodes — and every ancestor of those is
+copied shallowly, with its own child and attribute lists; every other
+node is shared with N. The copy shares N's id index but keeps its
+own entries apart until ``publish`` folds them in
+(:meth:`repro.xdm.document.Document.commit`); from then on N answers
+id lookups from an index of its own tree, built only if a reader
+still pinning N asks. The copy has its own allocator, and N's label
+map is copied (labels are immutable and shared). The batch is applied
+in place to that copy and published. A flush thus copies O(touched ×
+depth) nodes and no per-node table but the label map, and a resident
+document holds one tree plus whatever its retired versions' readers
+still pin.
+
+**The parent-pointer rule.** Copying a node re-points its children and
+attributes to the copy. So the *newest* version's parent pointers are
+exact — the writer's classification, apply, relabel and
+``Node.detach`` rely on them — while a retired version's shared nodes
+may point into a newer version (and a node a later batch removed
+points nowhere). Publishing N+1 even clears the parent pointers of N's
+copied nodes: then no reference cycle runs through them, and they are
+freed by reference counting when the retired version's last reader
+lets go, instead of waiting for the cyclic collector. Therefore no
+reader of a version follows ``.parent``: the serializer,
+:func:`document_payload`, the index build and the query walker all
+descend from the root, and the walker orders its results by the
+version's own label codes (``run_query(...,
+labeling=version.labeling)``; its predicates never order at all).
+``submit_xquery`` compiles through the same walker.
+
+A batch that fails on the copy leaves no trace: the copy is dropped,
+and :meth:`StoredDocument.abandon` points the children and attributes
+of every copied original back at it
+(:func:`repro.xdm.document.restore_parents`) — O(copy set), and it also
+restores the parent of a node the batch had detached, because that
+parent is a site. Nothing of it was published, so readers, the log and
+every follower still see version N exactly as it was.
 
 Invariant of the memos: a version is immutable, so the first reader
 that asks for its text serializes it and leaves the string on the
@@ -42,13 +66,18 @@ in ``DocumentVersion.answers`` under the path. One rule covers both:
 only the *published* version may hold a memo.
 :meth:`StoredDocument.keep_text` and :meth:`StoredDocument.keep_answer`
 install one only while the version is still published, and ``publish``
-clears both under the same lock before the version retires into the
-spare, whose tree the next flush mutates in place. A reader that still
-pins a retired version computes for itself and leaves nothing behind.
-No document therefore holds two texts or two answers to one path, and
-a document that is only written never holds any. Since only the
-constructor and ``publish`` install a published version, the one clear
-in ``publish`` covers the leader, recovery and every replica alike.
+clears both under the same lock as the version retires. A retired
+tree no longer changes, so a memo on it would stay correct; it is
+cleared for what it costs. A document then holds at most one text,
+however many retired versions slow readers still pin; and an
+answer's bytes return to the store's budget at a known point,
+``publish``, instead of whenever the last pin drops and the collector
+takes the version. A reader that still pins a retired version
+computes for itself and leaves nothing behind. No document therefore
+holds two texts or two answers to one path, and a document that is
+only written never holds any. Since only the constructor and
+``publish`` install a published version, the one clear in ``publish``
+covers the leader, recovery and every replica alike.
 
 Answers, unlike texts, are bounded: every answer the store keeps is
 charged to one store-wide byte budget
@@ -59,11 +88,6 @@ exactly two points: when ``publish`` retires the version holding them,
 and when the entry leaves the store (``close``, a replayed ``close``
 record, a replica's re-bootstrap), where
 :meth:`StoredDocument.drop_answers` takes the memo away for good.
-
-A batch that fails on the working copy is not undone — the copy is
-dropped. Nothing of it was published, so readers, the log and every
-follower still see version N exactly as it was; the writer has lost
-its spare and the next flush pays the one deep copy.
 
 Durability-facing duck typing: a :class:`DocumentVersion` carries the
 same ``doc_id`` / ``document`` / ``labeling`` / counter attribute names
@@ -76,8 +100,6 @@ capture published versions without quiescing writers.
 from __future__ import annotations
 
 import sys
-
-from repro.apply.inplace import replay_batch
 
 
 def answer_size(path, nodes):
@@ -92,9 +114,9 @@ class DocumentVersion:
     """One immutable published version of a resident document.
 
     ``pins`` counts readers currently walking this version; it is
-    guarded by the owning entry's publish lock, not by this object. A
-    retired version with live pins is never recycled into a working
-    copy — its tree stays frozen until the last reader unpins and the
+    guarded by the owning entry's publish lock, not by this object. No
+    writer ever edits a version's tree, published or retired: a retired
+    version stays as it was until the last reader unpins and the
     garbage collector takes it.
     """
 
@@ -113,8 +135,7 @@ class DocumentVersion:
         self.full_relabels = full_relabels
         self.pins = 0
         #: the version's secondary index (:mod:`repro.index`), published
-        #: with the pair so a pinned reader queries exactly its version;
-        #: ``None`` only on working copies, which are never queried
+        #: with the pair so a pinned reader queries exactly its version
         self.index = index
         #: memo of ``serialize(document)``; only the published version
         #: ever holds one (see the module docstring)
@@ -137,25 +158,3 @@ class DocumentVersion:
     def __repr__(self):
         return "DocumentVersion(doc={!r}, v{}, pins={})".format(
             self.doc_id, self.version, self.pins)
-
-
-def replay_catchup(spare, published, catchup):
-    """Catch the retired ``spare`` up to ``published``; returns the
-    caught-up ``(document, labeling)`` working pair.
-
-    Only the *tree* is replayed: ``catchup`` is the reduced PUL of the
-    batch whose publish retired the spare — the only thing a spare can
-    lag by, since nothing but a successful batch ever publishes — or
-    ``None`` for the seed made at open/restore, which lags nothing.
-    Its structural effect is replayed
-    (:func:`repro.apply.inplace.replay_batch`, deterministic and
-    therefore byte- and id-identical to the published tree). The
-    labeling is never re-derived: labels are immutable and keyed by
-    node id, and the caught-up tree carries exactly the published
-    tree's ids, so the published label map is *copied* wholesale — one
-    dict copy instead of per-site code generation, which keeps the
-    catch-up strictly cheaper than the live apply it mirrors.
-    """
-    if catchup is not None:
-        replay_batch(spare.document, spare.labeling, catchup)
-    return spare.document, published.labeling.copy()

@@ -218,6 +218,19 @@ class Node:
 
     # -- copying -----------------------------------------------------------
 
+    def shallow_copy(self):
+        """A detached copy of this node alone: same id, kind, name and
+        value, and empty child and attribute lists of its own."""
+        copy = Node.__new__(Node)
+        copy.node_id = self.node_id
+        copy.node_type = self.node_type
+        copy.name = self.name
+        copy.value = self.value
+        copy.children = []
+        copy.attributes = []
+        copy.parent = None
+        return copy
+
     def deep_copy(self, keep_ids=False):
         """Return a detached deep copy of this subtree.
 
@@ -231,9 +244,8 @@ class Node:
         if self.is_element:
             # XQUF ``replace value of`` on an element stores its text on
             # the node's value slot (invisible to serialization); a copy
-            # must carry it faithfully or re-copying an updated tree —
-            # the replica's and the MVCC fallback's per-batch path — fails
-            # the constructor's freshness check
+            # must carry it faithfully or re-copying an updated tree
+            # fails the constructor's freshness check
             copy.value = self.value
             for attr in self.attributes:
                 copy.append_attribute(attr.deep_copy(keep_ids=keep_ids))

@@ -39,12 +39,13 @@ from repro.xdm.node import Node
 _START, _END, _TEXT = range(3)
 
 #: bound on element nesting: a start tag inside ``MAX_ELEMENT_NESTING``
-#: open elements is a syntax error. The store's label slot walk, its
-#: spare copy and its serializer recurse once per level and exhaust the
-#: interpreter's stack near 1000 levels, so a document that deep could
-#: be acknowledged by ``open`` and then fail every restart; the bound
-#: leaves those walks half the stack. Wire terms have their own bound,
-#: :data:`repro.api.protocol.MAX_NESTING`.
+#: open elements is a syntax error. The store's label slot walk and its
+#: serializer recurse once per level and exhaust the interpreter's
+#: stack near 1000 levels, so a document that deep could be
+#: acknowledged by ``open`` and then fail every restart; the bound
+#: leaves those walks half the stack. The store refuses a batch that
+#: would nest past it too (:func:`repro.apply.inplace.check_nesting`).
+#: Wire terms have their own bound, :data:`repro.api.protocol.MAX_NESTING`.
 MAX_ELEMENT_NESTING = 512
 
 _ENTITIES = {"amp": "&", "lt": "<", "gt": ">", "quot": '"', "apos": "'"}

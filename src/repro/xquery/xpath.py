@@ -18,6 +18,16 @@ def evaluate_path(path, document=None, context=None, labeling=None):
     paths require ``document``. When ``labeling`` is given the final
     sort orders by label start code (see :func:`document_order`).
     """
+    return document_order(_select(path, document, context), labeling)
+
+
+def _select(path, document=None, context=None):
+    """The nodes ``path`` selects, duplicate-free, in the walker's
+    accumulation order. Predicates use it as it is: they only ask
+    whether anything, or anything equal to a literal, was selected, so
+    they never sort — and never re-derive tree positions through parent
+    pointers, which a retired store version does not keep (the rule of
+    :mod:`repro.store.versions`)."""
     if path.absolute:
         if document is None or document.root is None:
             raise QueryEvaluationError(
@@ -35,7 +45,7 @@ def evaluate_path(path, document=None, context=None, labeling=None):
         current = _evaluate_step(step, current)
         if not current:
             return []
-    return document_order(current, labeling)
+    return current
 
 
 class _Root:
@@ -122,11 +132,11 @@ def _apply_predicate(predicate, nodes):
         return [nodes[index - 1]]
     if isinstance(predicate, ast.ExistsPredicate):
         return [node for node in nodes
-                if evaluate_path(predicate.path, context=[node])]
+                if _select(predicate.path, context=[node])]
     if isinstance(predicate, ast.ComparePredicate):
         kept = []
         for node in nodes:
-            selected = evaluate_path(predicate.path, context=[node])
+            selected = _select(predicate.path, context=[node])
             if any(item.string_value() == predicate.literal
                    for item in selected):
                 kept.append(node)

@@ -868,6 +868,39 @@ class TestReadRoutes:
                 await other.aclose()
         run(scenario())
 
+    def test_a_connection_that_held_the_loop_lets_the_others_go_first(
+            self):
+        """A turn that held the loop for a switch interval hands the
+        loop to the connections that became ready meanwhile before its
+        own connection's next request runs. epoll reports the socket
+        just read ahead of the others, so without the hand-over a
+        connection looping at-limit reads answered its next one ahead
+        of a cheap read that arrived during the last."""
+        async def scenario():
+            async with make_server() as server:
+                hog = await connect(server)
+                other = await connect(server)
+                await hog.open("d1", DOC)
+                await other.query("d1", "//title")
+                server._loop_slice_s = 0.0     # every turn holds a slice
+                await hog.query("d1", "//title")
+                before = _routes(server)
+                order = []
+
+                async def tagged(tag, call):
+                    await call
+                    order.append(tag)
+
+                await asyncio.gather(
+                    tagged("hog", hog.query("d1", "//title")),
+                    tagged("other", other.text("d1")))
+                assert order == ["other", "hog"]
+                assert _routes(server) == {"loop": before["loop"] + 2,
+                                           "pool": before["pool"]}
+                await hog.aclose()
+                await other.aclose()
+        run(scenario())
+
 
 async def _hello(server, sock=None):
     """A raw connection past its hello; ``(reader, writer)``."""

@@ -1,14 +1,13 @@
 """The batch classification (:func:`repro.apply.inplace.classify`): one
-row per PUL operation kind, and the three consumers of the footprint
-agreeing on when repairs cannot be localized."""
+row per PUL operation kind, and the three consumers of the footprint —
+the store's path copy, the apply and the index delta — agreeing on when
+repairs cannot be localized, with the classified tree left as it was."""
+
+from itertools import chain
 
 import pytest
 
-from repro.apply.inplace import (
-    apply_batch_in_place,
-    classify,
-    replay_batch,
-)
+from repro.apply.inplace import apply_batch_in_place, classify
 from repro.index import build_index
 from repro.labeling import ContainmentLabeling
 from repro.pul.ops import (
@@ -92,23 +91,32 @@ def test_footprint_and_consumer_agreement(row):
     assert footprint.touched_ids == [named[n].node_id for n in touched]
     assert footprint.needs_sync is needs_sync
 
-    # live apply, index delta and catch-up replay read the same
-    # footprint: either all three localize, or all three fall back
-    live, live_labels = document.copy(), labeling.copy()
-    mode = apply_batch_in_place(live, live_labels, pul)
-    derived = build_index(document, labeling).derive(
-        document, live, live_labels, pul)
-    lagging = document.copy()
+    # path copy, apply and index delta read the same footprint:
+    # either all of them localize, or all of them fall back
+    before = serialize(document, with_ids=True)
+    working, __ = document.path_copy(
+        chain(footprint.site_ids, footprint.touched_ids))
+    working_labels = labeling.copy()
     rebuilds = []
-    rebuild_index = lagging.rebuild_index
-    lagging.rebuild_index = lambda: rebuilds.append(rebuild_index())
-    replay_batch(lagging, labeling.copy(), pul)
+    rebuild_index = working.rebuild_index
+    working.rebuild_index = lambda: rebuilds.append(rebuild_index())
+    mode = apply_batch_in_place(working, working_labels, pul,
+                                footprint=footprint)
+    derived = build_index(document, labeling).derive(
+        document, working, working_labels, pul, footprint=footprint)
     assert (mode == "sync") is (derived is None) is bool(rebuilds) \
         is needs_sync
-    assert serialize(lagging) == serialize(live)
-    assert sorted(lagging.node_ids()) == sorted(live.node_ids())
+    # the copy covered everything the batch changed
+    assert serialize(document, with_ids=True) == before
+    # and it equals the same batch applied to a whole deep copy
+    fresh, fresh_labels = document.copy(), labeling.copy()
+    apply_batch_in_place(fresh, fresh_labels, pul)
+    assert serialize(working, with_ids=True) \
+        == serialize(fresh, with_ids=True)
+    assert sorted(working.node_ids()) == sorted(fresh.node_ids())
+    assert working_labels.as_mapping() == fresh_labels.as_mapping()
     if derived is not None:
-        assert derived == build_index(live, live_labels)
+        assert derived == build_index(working, working_labels)
 
 
 def test_every_operation_kind_has_a_row():

@@ -49,14 +49,14 @@ class _TornApplyWindow:
         self.release = threading.Event()
         real_apply = store_module.apply_batch_in_place
 
-        def torn_apply(document, labeling, pul, preserve_ids=True):
+        def torn_apply(document, labeling, pul, **options):
             first = document.root.children[0]
             document.detach_node(first)
             self.in_window.set()
             self.release.wait(10)
             document.insert_children(document.root, 0, [first])
             return real_apply(document, labeling, pul,
-                              preserve_ids=preserve_ids)
+                              **options)
 
         monkeypatch.setattr(store_module, "apply_batch_in_place",
                             torn_apply)

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from repro.errors import (
     DurabilityError,
+    NotApplicableError,
     RecoveryError,
     ReproError,
     XMLSyntaxError,
@@ -372,14 +373,57 @@ class TestHostilePayloads:
 
 
 class TestNestingBound:
-    """A document ``open`` acknowledges must restart: nesting past
-    :data:`~repro.xdm.parser.MAX_ELEMENT_NESTING` is refused by the
-    scanner before anything is logged, and a document at the bound
-    survives a snapshot and a restart byte for byte."""
+    """A document ``open`` or a flush acknowledges must restart: nesting
+    past :data:`~repro.xdm.parser.MAX_ELEMENT_NESTING` is refused — by
+    the scanner at ``open``, by the flush for a batch's insertions —
+    before anything is logged, and a document at the bound survives a
+    snapshot and a restart byte for byte."""
 
     @staticmethod
     def nested(levels):
         return "<a>" * levels + "</a>" * levels
+
+    @staticmethod
+    def chain(levels):
+        """A detached chain of ``levels`` nested ``<b>`` elements, each
+        with a text child too (text adds no element level)."""
+        top = node = Node.element("b")
+        for __ in range(levels - 1):
+            node.append_child(Node.text("t"))
+            node = node.append_child(Node.element("b"))
+        node.append_child(Node.text("t"))
+        return top
+
+    def test_a_batch_past_the_bound_is_refused_before_the_log(
+            self, tmp_path):
+        depth = 500
+        with _durable_store(tmp_path, "log") as store:
+            store.open("deep", self.nested(depth))
+            store.open("other", DOC)
+            leaf = max(store.document("deep").node_ids())
+            for levels in (400, MAX_ELEMENT_NESTING - depth + 1):
+                store.submit("deep", PUL([InsertIntoAsLast(
+                    leaf, [self.chain(levels)])]))
+                with pytest.raises(NotApplicableError,
+                                   match="{} deep".format(depth + levels)):
+                    store.flush("deep")
+                # refused like any failed flush: the queue is kept
+                assert store.stats("deep")["pending"] == 1
+                assert store.version("deep") == 0
+                store.discard_pending("deep")
+            # exactly at the bound
+            store.submit("deep", PUL([InsertIntoAsLast(
+                leaf, [self.chain(MAX_ELEMENT_NESTING - depth)])]))
+            store.flush("deep")
+            at_bound = store.text("deep")
+            assert at_bound.count("<b>") == MAX_ELEMENT_NESTING - depth
+        state = load_durable_state(str(tmp_path / "wal"), repair=False)
+        assert [record["kind"] for record in state.records] \
+            == ["open", "open", "batch"]
+        with _durable_store(tmp_path, "log") as recovered:
+            assert recovered.text("deep") == at_bound
+            assert recovered.text("other") == DOC
+        assert replay_oracle(str(tmp_path / "wal"))["deep"] == (at_bound, 1)
 
     def test_past_the_bound_is_refused_and_not_logged(self, tmp_path):
         with _durable_store(tmp_path, "log") as store:

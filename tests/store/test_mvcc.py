@@ -72,11 +72,11 @@ class _StalledApplyWindow:
         self.release = threading.Event()
         real_apply = store_module.apply_batch_in_place
 
-        def stalled_apply(document, labeling, pul, preserve_ids=True):
+        def stalled_apply(document, labeling, pul, **options):
             self.in_window.set()
             self.release.wait(10)
             return real_apply(document, labeling, pul,
-                              preserve_ids=preserve_ids)
+                              **options)
 
         monkeypatch.setattr(store_module, "apply_batch_in_place",
                             stalled_apply)
@@ -98,10 +98,10 @@ class TestReadersVersusWriter:
 
         real_apply = store_module.apply_batch_in_place
 
-        def slowed_apply(document, labeling, pul, preserve_ids=True):
+        def slowed_apply(document, labeling, pul, **options):
             time.sleep(0.002)  # widen the apply window the readers race
             return real_apply(document, labeling, pul,
-                              preserve_ids=preserve_ids)
+                              **options)
 
         monkeypatch.setattr(store_module, "apply_batch_in_place",
                             slowed_apply)
@@ -182,9 +182,8 @@ class TestReadersVersusWriter:
 
 class TestVersionPinning:
     def test_pinned_version_is_immutable_across_later_flushes(self):
-        """A pinned version's tree never changes — even though retired
-        versions are normally recycled into the next working copy, a
-        live pin forces the writer onto the deep-copy fallback."""
+        """A pinned version's tree never changes: every later flush
+        path-copies the version it derives from and edits the copy."""
         with DocumentStore(backend="serial") as store:
             store.open("d", DOC)
             entry = store._entries["d"]
@@ -201,13 +200,15 @@ class TestVersionPinning:
             entry.unpin(pinned)
             assert "<v2>" in store.text("d")
 
-    def test_recycled_working_copy_matches_a_fresh_deep_copy(self):
-        """The spare-recycling catch-up must be byte- and id-identical
-        to what a from-scratch copy of the published version yields —
-        consecutive unpinned flushes exercise exactly that path, and
-        the inserts make the catch-up's deterministic fresh-id
-        assignment observable (a replay allocating different ids would
-        desynchronize every later batch's targets)."""
+    def test_path_copied_pair_matches_a_fresh_deep_copy(self):
+        """The writer's path-copied working pair is byte-, id- and
+        label-identical to a from-scratch deep copy of the published
+        version; it shares every node off the copied paths, and an
+        abandon leaves the published tree's parent pointers as a
+        fresh parse of its text would have them."""
+        from repro.apply.inplace import classify
+        from repro.xquery import compile_pul
+
         with DocumentStore(backend="serial") as store:
             store.open("d", DOC)
             title = _id_of(store.document("d"), "title")
@@ -217,13 +218,38 @@ class TestVersionPinning:
                     "d", "insert node <w{0}/> as last into /bib".format(i))
                 store.flush("d")
             entry = store._entries["d"]
-            document, labeling = entry.checkout()
             published = entry.published
-            assert serialize(document) == store.text("d")
+            fresh = published.document.copy()
+            pul = compile_pul('rename node /bib/paper[1]/authors/author '
+                              'as "writer"', published.document)
+            footprint = classify(published.document, pul)
+            document, labeling = entry.checkout(footprint)
+            assert serialize(document, with_ids=True) \
+                == serialize(fresh, with_ids=True)
             assert sorted(document.node_ids()) \
                 == sorted(published.document.node_ids())
             assert labeling.as_mapping() \
                 == published.labeling.as_mapping()
+            assert labeling is not published.labeling
+            assert document.allocator.next_value \
+                == published.document.allocator.next_value
+            copied = {node.node_id for node in entry._originals}
+            # the renamed node and its ancestors, nothing else
+            assert copied == {_id_of(published.document, name)
+                              for name in ("bib", "paper", "authors",
+                                           "author")}
+            for node in published.document.nodes():
+                shared = document.get(node.node_id) is node
+                assert shared is (node.node_id not in copied)
+            for node in document.nodes():
+                for item in node.children + node.attributes:
+                    assert item.parent is node
+            entry.abandon()
+            assert entry._originals is None
+            for node in published.document.nodes():
+                for item in node.children + node.attributes:
+                    assert item.parent is node
+            assert serialize(published.document) == store.text("d")
 
 
 class TestCaptureFence:
@@ -362,7 +388,8 @@ class TestVersionTextMemo:
     def test_a_retired_version_keeps_no_text(self):
         """A reader that pinned N before a flush still reads N's text
         after N retired — and then nothing reachable from the entry
-        holds it: the retired tree is the next working copy."""
+        holds it: a document keeps one text, however many retired
+        versions readers still pin."""
         with DocumentStore(backend="serial") as store:
             store.open("d", DOC)
             entry = store._entries["d"]
@@ -372,7 +399,7 @@ class TestVersionTextMemo:
             title = _id_of(store.document("d"), "title")
             store.submit("d", PUL([Rename(title, "renamed")]))
             store.flush("d")
-            assert entry._spare is pinned
+            assert entry.published is not pinned
             assert pinned.text is None          # cleared, not just unread
             assert entry.published.text is None
             # the pinned reader still gets N's bytes, and leaves none
@@ -380,19 +407,20 @@ class TestVersionTextMemo:
             assert pinned.text is None
             entry.unpin(pinned)
             assert "<renamed>" in store.text("d")
-            assert [v.text for v in (entry.published, entry._spare)
-                    ].count(None) == 1
+            assert entry.published.text is not None
+            assert pinned.text is None
 
     def test_a_write_heavy_document_never_holds_a_text(self):
         with DocumentStore(backend="serial") as store:
             store.open("d", DOC)
             entry = store._entries["d"]
             for spec in _batch_specs(store.document("d"), 4):
+                retired = entry.published
                 store.submit("d", PUL(
                     [Rename(t, name) for t, name in spec]))
                 store.flush("d")
                 assert entry.published.text is None
-                assert entry._spare.text is None
+                assert retired.text is None
 
     def test_a_failed_batch_leaves_the_memo_valid(self):
         from repro.errors import ReproError
@@ -443,9 +471,7 @@ class TestVersionTextMemo:
                 thread.join(10)
                 assert not thread.is_alive()
             assert not wrong
-            entry = store._entries["d"]
             assert store.text("d") == timeline[len(specs)]
-            assert entry._spare is None or entry._spare.text is None
 
 
 def _ast_dump(node):
@@ -578,9 +604,12 @@ MEMO_WRITES = ["insert node <title>t{}</title> as last into /bib",
 
 
 def _write(store, doc_id, number):
+    """One write; the version it retires keeps no memo."""
+    retired = store._entries[doc_id].published
     store.submit_xquery(
         doc_id, MEMO_WRITES[number % len(MEMO_WRITES)].format(number))
     store.flush(doc_id)
+    assert retired.answers is None and retired.text is None
 
 
 def _assert_memo_accounting(store):
@@ -594,7 +623,6 @@ def _assert_memo_accounting(store):
             answer_size(path, nodes)
             for path, nodes in version.answers.items())
         held += version.answer_bytes
-        assert entry._spare is None or not entry._spare.answers
     assert store._answer_bytes == held <= store_module.ANSWER_MEMO_BYTES
     assert store.metrics_snapshot()["gauges"][
         "repro_store_answer_memo_bytes"] == held
@@ -845,3 +873,273 @@ class TestAnswerBudget:
                 == {"//note"}
             assert _answer_counts(store) == (0, 1, 2)
             _assert_memo_accounting(store)
+
+
+#: the document the pinned-version schedule edits, and what it reads of
+#: every version: walker and index routes, predicates included
+PIN_DOC = ('<r><p k="v">t<q/></p><p><q>u</q><s k="w">x</s></p>'
+           '<s/></r>')
+PIN_PATHS = ["//p[q]", '//*[@k = "v"]', "//text()", "/r/p[2]/*", "//@k",
+             "//q"]
+PIN_UPDATE = 'insert node <z/> as last into /*, delete node //p[q]/q'
+#: schedule steps; ``number`` picks the target among eligible nodes
+_PIN_STEPS = st.lists(st.tuples(
+    st.sampled_from(["insert", "before", "attribute", "delete", "rename",
+                     "value", "children", "relabel", "fail", "pin",
+                     "unpin"]),
+    st.integers(0, 60)), max_size=24)
+
+
+def _pin_op(document, kind, number):
+    """One operation of ``kind`` on the ``number``-th eligible node of
+    ``document``, or ``None`` when no node is eligible."""
+    from repro.pul.ops import (
+        Delete,
+        InsertAttributes,
+        InsertBefore,
+        InsertIntoAsLast,
+        ReplaceChildren,
+        ReplaceValue,
+    )
+    from repro.xdm.node import Node
+
+    nodes = list(document.nodes())
+    eligible = {
+        "insert": [node for node in nodes if node.is_element],
+        "before": [node for node in nodes[1:] if not node.is_attribute],
+        "attribute": [node for node in nodes if node.is_element],
+        "delete": nodes[1:],
+        "rename": [node for node in nodes if not node.is_text],
+        "value": [node for node in nodes if not node.is_element],
+        "children": [node for node in nodes if node.is_element],
+    }[kind]
+    if not eligible:
+        return None
+    target = eligible[number % len(eligible)].node_id
+    if kind == "insert":
+        fresh = Node.element("n{}".format(number))
+        fresh.append_child(Node.text("i{}".format(number)))
+        return InsertIntoAsLast(target, [fresh])
+    if kind == "before":
+        return InsertBefore(target, [Node.element("b")])
+    if kind == "attribute":
+        return InsertAttributes(
+            target, [Node.attribute("a{}".format(number % 3), "1")])
+    if kind == "delete":
+        return Delete(target)
+    if kind == "rename":
+        return Rename(target, "m{}".format(number % 4))
+    if kind == "value":
+        return ReplaceValue(target, "w{}".format(number))
+    return ReplaceChildren(target, "c{}".format(number))
+
+
+def _version_view(store, version):
+    """What a reader of ``version`` can see, computed afresh (no memo):
+    its text, every path on the walker and on the index, its payload,
+    and an XQuery update compiled against it."""
+    from repro.pul.serialize import pul_to_xml
+    from repro.store.durability import document_payload
+    from repro.xquery import compile_pul
+
+    return {
+        "text": serialize(version.document),
+        "walk": [store._evaluate(version, path, "walk")[0]
+                 for path in PIN_PATHS],
+        "index": [store._evaluate(version, path, "index")[0]
+                  for path in PIN_PATHS],
+        "payload": document_payload(version),
+        "xquery": pul_to_xml(compile_pul(
+            PIN_UPDATE, version.document, labeling=version.labeling)),
+    }
+
+
+class TestPinnedVersionNeverMoves:
+    """Store-README invariant 9 under path copying: every flush derives
+    its version from the published one by copying only the paths above
+    what the batch touches, so versions share most of their nodes — and
+    still, whatever a schedule of inserts, deletes, renames,
+    replace-values, replace-children, full relabels and failed batches
+    does afterwards, a pinned version reads exactly as it did when it
+    was published, and the store after a failed batch is the one
+    ``replay_oracle`` rebuilds from the log."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(steps=_PIN_STEPS)
+    @example(steps=[("pin", 0), ("fail", 0), ("rename", 3), ("pin", 0),
+                    ("relabel", 5), ("delete", 2), ("children", 1)])
+    @example(steps=[("fail", 1), ("rename", 4)])
+    def test_a_pinned_version_never_moves(self, steps):
+        import tempfile
+
+        from repro.pul.ops import InsertAttributes
+        from repro.store import replay_oracle
+        from repro.xdm.node import Node
+
+        with tempfile.TemporaryDirectory() as wal_dir, \
+                DocumentStore(backend="serial", durability="log",
+                              wal_dir=wal_dir) as store:
+            entry = store.open("d", PIN_DOC)
+            budget = store.max_code_length
+            published = {0: _version_view(store, entry.published)}
+            pinned = []
+
+            def flush(puls):
+                for client, pul in puls:
+                    store.submit("d", pul, client=client)
+                try:
+                    store.flush("d")
+                except ReproError:
+                    store.discard_pending("d")
+                    return
+                published[store.version("d")] = _version_view(
+                    store, entry.published)
+                assert replay_oracle(wal_dir)["d"] == (
+                    store.text("d"), store.version("d"))
+
+            for kind, number in steps:
+                document = store.document("d")
+                if kind == "pin":
+                    version = entry.pin()
+                    pinned.append((version, published[version.version]))
+                elif kind == "unpin":
+                    if pinned:
+                        version, __ = pinned.pop(number % len(pinned))
+                        entry.unpin(version)
+                elif kind == "fail":
+                    # a duplicate attribute: found after the path copy
+                    # was edited, so the batch fails on the copy
+                    target = _pin_op(document, "attribute", number).target
+                    flush([(client, PUL([InsertAttributes(
+                        target, [Node.attribute("dup", client)])]))
+                        for client in ("alice", "bob")])
+                elif kind == "relabel":
+                    store.max_code_length = 1   # forces a full relabel
+                    try:
+                        flush([("c", PUL([_pin_op(document, "insert",
+                                                  number)]))])
+                    finally:
+                        store.max_code_length = budget
+                else:
+                    op = _pin_op(document, kind, number)
+                    if op is not None:
+                        flush([("c", PUL([op]))])
+                for version, view in pinned:
+                    assert _version_view(store, version) == view
+            for version, __ in pinned:
+                entry.unpin(version)
+
+
+class TestNoWholeDocumentCopy:
+    """One tree per document: the store's flush and replay paths copy
+    the paths a batch touches and never a whole document — not for a
+    plain flush, not after a failed batch, not while a reader pins the
+    published version, and not in a restart that replays a batch
+    tail — and they classify each batch once."""
+
+    @staticmethod
+    def _refuse_copies(monkeypatch, store):
+        """From now on, copying a resident document, or deep-copying
+        with ids any node of a published tree, raises. Parameter trees
+        (deep-copied with their ids by the apply) stay copyable."""
+        from repro.xdm.document import Document
+        from repro.xdm.node import Node
+
+        real_deep_copy = Node.deep_copy
+
+        def refused(*args, **kwargs):
+            raise AssertionError("a whole document was copied")
+
+        def deep_copy(node, keep_ids=False):
+            if keep_ids and any(
+                    entry.published.document.find(node.node_id) is node
+                    for entry in list(store._entries.values())):
+                raise AssertionError("a resident tree was deep-copied")
+            return real_deep_copy(node, keep_ids=keep_ids)
+
+        monkeypatch.setattr(Document, "copy", refused)
+        monkeypatch.setattr(Node, "deep_copy", deep_copy)
+
+    def test_flush_failure_pin_and_restart_copy_no_document(
+            self, tmp_path, monkeypatch):
+        from repro.pul.ops import InsertAttributes, InsertIntoAsLast
+        from repro.store import replay_oracle
+        from repro.xdm.node import Node
+
+        wal_dir = str(tmp_path / "wal")
+
+        def store_at(directory):
+            return DocumentStore(backend="serial", durability="log",
+                                 wal_dir=directory)
+
+        with store_at(wal_dir) as store:
+            store.open("d", DOC)
+            with monkeypatch.context() as patch:
+                self._refuse_copies(patch, store)
+                bib = _id_of(store.document("d"), "bib")
+                title = _id_of(store.document("d"), "title")
+                store.submit("d", PUL([Rename(title, "headline")]))
+                store.submit("d", PUL([InsertIntoAsLast(
+                    bib, [Node.element("extra")])]), client="other")
+                store.flush("d")
+                # a batch failing after its copy was edited
+                for client in ("alice", "bob"):
+                    store.submit("d", PUL([InsertAttributes(
+                        bib, [Node.attribute("dup", client)])]),
+                        client=client)
+                with pytest.raises(ReproError):
+                    store.flush("d")
+                store.discard_pending("d")
+                store.submit("d", PUL([Rename(title, "after")]))
+                store.flush("d")
+                # a flush while a reader pins the published version
+                entry = store._entries["d"]
+                pinned = entry.pin()
+                text = serialize(pinned.document)
+                store.submit("d", PUL([Rename(title, "pinned")]))
+                store.flush("d")
+                assert serialize(pinned.document) == text
+                entry.unpin(pinned)
+                final = store.text("d"), store.version("d")
+        assert final[1] == 3
+        with monkeypatch.context() as patch:
+            # the restart replays the whole log: the open and four
+            # batch records, the failed one skipped
+            recovered = store_at(wal_dir)
+            try:
+                self._refuse_copies(patch, recovered)
+                recovered.submit("d", PUL([Rename(title, "restarted")]))
+                recovered.flush("d")
+                assert recovered.recovery.replayed_batches == 3
+                assert (store.text("d"), store.version("d")) == final
+            finally:
+                recovered.close()
+        assert replay_oracle(wal_dir)["d"] == (
+            final[0].replace("pinned", "restarted"), 4)
+
+    def test_a_flush_classifies_its_batch_once(self, monkeypatch):
+        import repro.apply.inplace as inplace
+        import repro.index.structural as structural
+        from repro.pul.ops import Delete, InsertIntoAsLast
+        from repro.xdm.node import Node
+
+        calls = []
+        real_classify = inplace.classify
+
+        def counted(document, pul):
+            calls.append(len(pul))
+            return real_classify(document, pul)
+
+        for module in (inplace, structural, store_module):
+            monkeypatch.setattr(module, "classify", counted)
+        with DocumentStore(backend="serial") as store:
+            store.open("d", DOC)
+            document = store.document("d")
+            store.submit("d", PUL([
+                Rename(_id_of(document, "title"), "headline"),
+                InsertIntoAsLast(_id_of(document, "authors"),
+                                 [Node.element("author")]),
+                Delete(_id_of(document, "note"))]))
+            result = store.flush("d")
+            assert result.index_maintenance == "incremental"
+            assert calls == [3]

@@ -135,3 +135,38 @@ class TestDocument:
         document = Document()
         assert len(document) == 0
         assert list(document.nodes()) == []
+
+
+class TestPathCopy:
+    """A path copy shares its document's id index and keeps its own
+    changes apart until it commits; from then on the document it was
+    copied from answers lookups from an index of its own tree."""
+
+    def test_copy_and_original_each_answer_for_their_own_tree(self):
+        from repro.xdm.parser import parse_document
+
+        document = parse_document('<r><a><b/>t</a><c x="1"/></r>')
+        by_name = {node.name: node for node in document.nodes()
+                   if node.name is not None}
+        copy, originals = document.path_copy([by_name["b"].node_id])
+        assert {node.name for node in originals} == {"r", "a", "b"}
+        assert copy.get(by_name["c"].node_id) is by_name["c"]  # shared
+        copied_a = copy.get(by_name["a"].node_id)
+        assert copied_a is not by_name["a"]
+        copy.detach_node(by_name["c"])      # c and its attribute x
+        fresh = Node.element("d")
+        copy.insert_children(copied_a, 0, [fresh])
+        ids = sorted(document.node_ids())
+        assert len(copy) == len(ids) - 1
+        assert fresh.node_id in copy and fresh.node_id not in document
+        assert by_name["c"].node_id not in copy
+        assert by_name["c"].node_id in document
+        copy.commit()
+        assert sorted(document.node_ids()) == ids
+        assert len(document) == len(ids) and len(copy) == len(ids) - 1
+        assert document.get(by_name["a"].node_id) is by_name["a"]
+        assert document.get(by_name["c"].node_id) is by_name["c"]
+        assert document.find(fresh.node_id) is None
+        assert copy.get(by_name["a"].node_id) is copied_a
+        assert copy.find(by_name["c"].node_id) is None
+        assert copy.get(fresh.node_id) is fresh
