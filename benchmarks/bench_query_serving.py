@@ -1,4 +1,4 @@
-"""Read serving: MVCC pinned reads under write load, and indexed
+"""Read serving: MVCC reads under write load, and indexed
 query execution against the tree walker.
 
 The experiment behind the MVCC PR's claim: a reader must never wait for
@@ -9,8 +9,8 @@ GIL, so on any core count the readers *could* run; whether they *do* is
 pure locking policy). Against that write load, ``--readers`` threads
 hammer ``text`` two ways:
 
-* **mvcc** — the store's real read path: pin the published version,
-  serialize, unpin. Never touches the flush lock.
+* **mvcc** — the store's real read path: hold the published version
+  and serialize it. Never touches the flush lock.
 * **locked baseline** — what every read paid before this PR: acquire
   the entry's ``flush_lock``, serialize, release. Blocks for the full
   apply window of any in-flight batch.

@@ -32,9 +32,9 @@ class StoreDispatcher:
 
     def open(self, doc_id, xml):
         """Make ``xml`` (document text) resident under ``doc_id``."""
-        entry = self.store.open(doc_id, xml)
-        return {"doc_id": doc_id, "nodes": len(entry.document),
-                "version": entry.version}
+        version = self.store.open(_doc_id("open", doc_id), xml).published
+        return {"doc_id": doc_id, "nodes": len(version.document),
+                "version": version.version}
 
     def docs(self):
         return {"docs": self.store.doc_ids()}
@@ -44,7 +44,7 @@ class StoreDispatcher:
         next to them, and the ``replication`` block on a cluster
         node."""
         stats = (self.store.stats() if doc_id is None
-                 else [self.store.stats(doc_id)])
+                 else [self.store.stats(_doc_id("stats", doc_id))])
         payload = {
             "stats": [dict(entry) for entry in stats],
             "uptime_seconds": round(self.store.uptime_seconds(), 3)}
@@ -82,12 +82,13 @@ class StoreDispatcher:
         return value
 
     def text(self, doc_id):
-        text, version = self.store.text_version(doc_id)
+        text, version = self.store.text_version(_doc_id("text", doc_id))
         return {"doc_id": doc_id, "text": text, "version": version}
 
     def query(self, doc_id, path):
         """Evaluate a read-only path expression against the resident
         document (replica-safe: queues nothing, mutates nothing)."""
+        _doc_id("query", doc_id)
         if not isinstance(path, str):
             raise ProtocolError(
                 "query needs the path expression as text, got "
@@ -98,6 +99,7 @@ class StoreDispatcher:
         """Run ``path`` and return the plan the cost model chose —
         per step: index-scan vs. walk, bucket and estimate sizes —
         without the serialized nodes (replica-safe like ``query``)."""
+        _doc_id("explain", doc_id)
         if not isinstance(path, str):
             raise ProtocolError(
                 "explain needs the path expression as text, got "
@@ -108,6 +110,7 @@ class StoreDispatcher:
 
     def submit(self, doc_id, pul, client=None):
         """Queue a PUL (exchange-format XML text) against ``doc_id``."""
+        _doc_id("submit", doc_id)
         if not isinstance(pul, str):
             raise ProtocolError(
                 "submit needs the PUL exchange document as text, got "
@@ -119,6 +122,7 @@ class StoreDispatcher:
     def submit_xquery(self, doc_id, query, client=None):
         """Compile an XQuery Update expression server-side and queue
         the resulting PUL (the client never builds a PUL itself)."""
+        _doc_id("submit_xquery", doc_id)
         if not isinstance(query, str):
             raise ProtocolError(
                 "submit_xquery needs the expression as text, got "
@@ -128,13 +132,13 @@ class StoreDispatcher:
         return {"doc_id": doc_id, "ops": ops, "depth": depth}
 
     def discard(self, doc_id):
-        return {"doc_id": doc_id,
-                "discarded": self.store.discard_pending(doc_id)}
+        return {"doc_id": doc_id, "discarded": self.store.discard_pending(
+            _doc_id("discard", doc_id))}
 
     # -- batch execution -----------------------------------------------------
 
     def flush(self, doc_id):
-        result = self.store.flush(doc_id)
+        result = self.store.flush(_doc_id("flush", doc_id))
         if result is None:
             return {"doc_id": doc_id, "flushed": False}
         return {"doc_id": doc_id, "flushed": True,
@@ -241,13 +245,15 @@ class StoreDispatcher:
                 raise ProtocolError(
                     "bulk-import documents must be objects, got "
                     "{}".format(type(doc).__name__))
+            _doc_id("bulk-import", doc.get("doc_id"))
         return self.store.bulk_load(docs)
 
     def export(self, doc_ids=None, cursor=None, max_docs=None,
                format=None):
-        """One page of a filtered, resumable corpus export, read from
-        pinned MVCC versions; carries the CDC resume token matching
-        the exported state when replication is enabled."""
+        """One page of a filtered, resumable corpus export, each
+        document read from its published MVCC version once that covers
+        the logged batches; carries the CDC resume token matching the
+        exported state when replication is enabled."""
         # imported lazily: a store that does not replicate never loads
         # the cluster package
         from repro.cluster.tokens import encode_token
@@ -285,6 +291,17 @@ class StoreDispatcher:
                 "snapshot skipped: another compaction is in flight "
                 "(retry)")
         return {"generation": generation}
+
+
+def _doc_id(op, doc_id):
+    """``doc_id``, if it is text. The store keeps any hashable id, but
+    export cursors and filters, ``docs`` and dump file names know an id
+    by its text: ``5`` beside ``"5"`` would be two documents of one
+    name, and ``true`` the same key as ``1``."""
+    if not isinstance(doc_id, str):
+        raise ProtocolError("{} \"doc_id\" must be a string, got "
+                            "{}".format(op, type(doc_id).__name__))
+    return doc_id
 
 
 def _positive_int(op, name, value):

@@ -17,7 +17,7 @@ Downstream derivations:
 - :data:`POLL_OPS` — operations that long-poll (park a thread waiting
   for feed progress) and therefore run on the server's dedicated
   follower executor, never queueing behind or ahead of writes;
-- :data:`LOCK_FREE_OPS` — reads that only pin a published version and
+- :data:`LOCK_FREE_OPS` — reads that only hold a published version and
   never wait on a store, flush or WAL lock, which the server may
   therefore run on its event loop when their input is small;
 - the op tables of ``api/README.md`` via :mod:`repro.api.docgen`
@@ -145,7 +145,7 @@ OPS = (
         group="cdc",
         result="`docs`, `cursor` (pagination key), `done`, `seq`, "
                "`stream`, `token` (resume anchor read before the "
-               "payloads were pinned; `None` without replication). "
+               "payloads were captured; `None` without replication). "
                "`format: \"state\"` pages are the follower bootstrap: "
                "anchor at the *first* page's token"),
     # secondary indexes & query planning (PR 9)
@@ -155,7 +155,7 @@ OPS = (
         result="`doc_id`, `version`, `path`, `count`, `plan` — the "
                "recorded per-step plan (`index-scan` vs. `walk`, "
                "bucket and estimate sizes) the cost model chose; the "
-               "query runs against one pinned version, so `count` "
+               "query runs against one published version, so `count` "
                "matches what `query` would return"),
     # observability (PR 10)
     OpSpec(
@@ -178,7 +178,7 @@ OP_CODES = {spec.name: spec.code for spec in OPS}
 #: long-polling ops served from the dedicated follower executor
 POLL_OPS = frozenset(spec.name for spec in OPS if spec.poll)
 
-#: ops that pin one published version and take no lock a writer, an
+#: ops that hold one published version and take no lock a writer, an
 #: ``open`` or the log can hold (``docs`` and ``stats`` do not qualify:
 #: they take the store lock, which ``open`` and ``close`` hold while
 #: their record is made durable)

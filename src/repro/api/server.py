@@ -7,7 +7,7 @@ store's locking already serializes what must be serial (per-document
 flushes) and keeps the rest concurrent (submissions), so every
 command that can wait on a lock runs on a small thread pool — the
 event loop never blocks on a flush, and two clients flushing different
-documents genuinely overlap. Reads that only pin a published version
+documents genuinely overlap. Reads that only hold a published version
 (:data:`repro.api.ops.LOCK_FREE_OPS`) cannot wait on anything, and
 when their input is small (:data:`INLINE_MAX_NODES`) they run right on
 the loop, in the callback that received them: the thread hop would

@@ -910,7 +910,7 @@ def build_parser():
     import_cmd.set_defaults(func=cmd_store_import)
 
     export_cmd = store_commands.add_parser(
-        "export", help="filtered, resumable corpus dump from pinned "
+        "export", help="filtered, resumable corpus dump from published "
                        "MVCC versions")
     _store_options(export_cmd)
     _etl_target_options(export_cmd)
@@ -928,7 +928,7 @@ def build_parser():
     export_cmd.set_defaults(func=cmd_store_export)
 
     query_cmd = store_commands.add_parser(
-        "query", help="read-only path query against a pinned MVCC "
+        "query", help="read-only path query against a published MVCC "
                       "version (server or local WAL directory); "
                       "--explain prints the chosen plan per step")
     _store_options(query_cmd)

@@ -38,7 +38,7 @@ import threading
 from repro.cluster.tokens import decode_token
 from repro.errors import ClusterError, NotLeaderError
 from repro.store.durability.snapshot import restore_document
-from repro.store.store import DocumentStore
+from repro.store.store import DocumentStore, StoredDocument
 
 
 class ReplicaStore(DocumentStore):
@@ -130,7 +130,7 @@ class ReplicaStore(DocumentStore):
         with self._apply_lock:
             fresh = {}
             for payload in payloads:
-                entry = self._restored_entry(restore_document(payload))
+                entry = StoredDocument(restore_document(payload))
                 if entry.doc_id in fresh:
                     raise ClusterError(
                         "state export names {!r} twice".format(
@@ -152,7 +152,7 @@ class ReplicaStore(DocumentStore):
                         "bootstrap could not seal its snapshot (another "
                         "compaction in flight?)")
                 self._durability.log_position(seq, stream=stream)
-        return {"docs": sorted(fresh), "seq": seq}
+        return {"docs": sorted(fresh, key=str), "seq": seq}
 
     def apply_records(self, page):
         """Apply one raw ``subscribe`` page as the leader sends it:
@@ -165,7 +165,7 @@ class ReplicaStore(DocumentStore):
         a gap or a page of another stream epoch is a stream bug and
         raises. A durable replica write-ahead logs each record into its
         own WAL before applying it, then records the advanced cursor.
-        Reads never block on the apply path — they pin published
+        Reads never block on the apply path — they hold published
         versions — so a replica serves reads at full speed while the
         sync thread streams.
         """

@@ -9,8 +9,8 @@ gate trips), and accepted documents are loaded in chunks so the store's
 group fsync over each chunk.
 
 The export side (:mod:`repro.etl.exporter`) drives the paged,
-resumable ``export`` operation: filtered corpus dumps read from pinned
-MVCC versions, with the first page's resume token returned as the CDC
+resumable ``export`` operation: filtered corpus dumps read from
+published MVCC versions, with the first page's resume token returned as the CDC
 anchor for a subscriber that wants to follow the exported state.
 """
 

@@ -5,7 +5,7 @@ is any callable with the operation's contract (the dispatcher method or
 :meth:`StoreClient.export`), so local and remote dumps share one
 driver. Pages resume on the ``cursor`` (last document key of the
 previous page); the **first** page's resume token is the CDC anchor —
-it was read before any payload was pinned, so a subscriber resuming
+it was read before any payload was captured, so a subscriber resuming
 from it re-receives at most changes the exported state already
 contains.
 """

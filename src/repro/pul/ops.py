@@ -207,10 +207,6 @@ class _TreeParameterOperation(UpdateOperation):
         aggregation when collapsing operations)."""
         return type(self)(self.target, trees)
 
-    def inserts_attributes(self):
-        """Whether the parameter roots are attribute nodes."""
-        return bool(self._trees) and self._trees[0].is_attribute
-
 
 # -- insertions --------------------------------------------------------------
 

@@ -26,7 +26,6 @@ from repro.store.durability.recovery import (
     replay_oracle,
 )
 from repro.store.durability.snapshot import (
-    RestoredDocument,
     document_payload,
     restore_document,
 )
@@ -46,7 +45,6 @@ __all__ = [
     "DurabilityPolicy",
     "LoadedState",
     "RecoveryReport",
-    "RestoredDocument",
     "WalWriter",
     "document_payload",
     "encode_record",

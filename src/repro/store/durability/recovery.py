@@ -611,13 +611,13 @@ def replay_oracle(directory):
     for payload in state.documents:
         restored = restore_document(payload)
         entries[restored.doc_id] = restored.document
-        versions[restored.doc_id] = restored.counters["version"]
+        versions[restored.doc_id] = restored.version
     for record in state.records:
         kind = record["kind"]
         if kind == "open":
             restored = restore_document(record["doc"])
             entries[restored.doc_id] = restored.document
-            versions[restored.doc_id] = restored.counters["version"]
+            versions[restored.doc_id] = restored.version
         elif kind == "close":
             entries.pop(record["doc_id"], None)
             versions.pop(record["doc_id"], None)

@@ -1,6 +1,6 @@
 """Snapshot serialization of resident document state.
 
-A snapshot must reconstruct a :class:`~repro.store.store.StoredDocument`
+A snapshot must reconstruct a :class:`~repro.store.versions.DocumentVersion`
 *exactly* — not just the same bytes of XML, but the same node
 identifiers, the same allocator position (burnt ids stay burnt), the
 same containment labels digit for digit, and the same code-length
@@ -38,10 +38,11 @@ import json
 from repro.errors import LabelingError, RecoveryError
 from repro.labeling.containment import ExtendedLabel
 from repro.labeling.scheme import ContainmentLabeling
+from repro.store.versions import DocumentVersion
 from repro.xdm.document import Document, IdAllocator
 from repro.xdm.node import Node, NodeType
 
-#: counters carried verbatim between a StoredDocument and its payload
+#: counters carried verbatim between a DocumentVersion and its payload
 _COUNTERS = ("version", "batches", "incremental_relabels", "full_relabels")
 
 _ELEMENT, _ATTRIBUTE, _TEXT = NodeType.ELEMENT, NodeType.ATTRIBUTE, \
@@ -55,13 +56,13 @@ _ROW_TYPES = {
 }
 
 
-def document_payload(entry):
-    """Serialize one resident entry (a ``StoredDocument``, or a
-    published ``DocumentVersion``) to a payload dict (JSON-compatible)."""
-    labels = entry.labeling.as_mapping()
+def document_payload(version):
+    """Serialize one :class:`DocumentVersion` to a payload dict
+    (JSON-compatible)."""
+    labels = version.labeling.as_mapping()
     rows = []
     append = rows.append
-    for node in entry.document.root.iter_subtree():
+    for node in version.document.root.iter_subtree():
         label = labels[node.node_id]
         kind = node.node_type
         if kind is _ELEMENT:
@@ -73,37 +74,34 @@ def document_payload(entry):
         else:
             append([node.node_id, node.value, label.start, label.end])
     payload = {
-        "doc_id": entry.doc_id,
-        "next_id": entry.document.allocator.next_value,
+        "doc_id": version.doc_id,
+        "next_id": version.document.allocator.next_value,
         "nodes": json.dumps(rows, ensure_ascii=False,
                             separators=(",", ":")),
-        "max_code_len": entry.labeling.max_code_length,
+        "max_code_len": version.labeling.max_code_length,
     }
     for counter in _COUNTERS:
-        payload[counter] = getattr(entry, counter)
+        payload[counter] = getattr(version, counter)
     return payload
 
 
-class RestoredDocument:
-    """The deserialized form of :func:`document_payload` — everything a
-    store needs to rebuild its resident entry."""
-
-    __slots__ = ("doc_id", "document", "labeling", "counters")
-
-    def __init__(self, doc_id, document, labeling, counters):
-        self.doc_id = doc_id
-        self.document = document
-        self.labeling = labeling
-        self.counters = counters
-
-
 def restore_document(payload):
-    """Rebuild a :class:`RestoredDocument` from a payload dict; anything
-    malformed is a :class:`RecoveryError`."""
+    """Rebuild the :class:`DocumentVersion` a payload dict describes —
+    unpublished, and with no index (a store entry builds one when it
+    publishes the version; the replay oracle needs none). Anything
+    malformed, a missing or unhashable ``doc_id`` among it, is a
+    :class:`RecoveryError`."""
     if not isinstance(payload, dict):
         raise RecoveryError("a document payload is an object, not a "
                             "{}".format(type(payload).__name__))
-    doc_id = payload.get("doc_id")
+    if "doc_id" not in payload:
+        raise RecoveryError("malformed document payload: no doc_id")
+    doc_id = payload["doc_id"]
+    try:
+        hash(doc_id)
+    except TypeError as exc:
+        raise RecoveryError("malformed document payload: doc_id {!r} "
+                            "names no document".format(doc_id)) from exc
     try:
         root, nodes, labels = _rebuild(json.loads(payload["nodes"]))
         allocator = IdAllocator()
@@ -112,7 +110,7 @@ def restore_document(payload):
         document = Document.indexed(root, nodes, allocator)
         labeling = ContainmentLabeling.restored(
             labels, _integer(payload["max_code_len"]))
-        counters = {name: _integer(payload[name]) for name in _COUNTERS}
+        counters = [_integer(payload[name]) for name in _COUNTERS]
     except KeyError as exc:
         raise RecoveryError(
             "malformed document payload for {!r}: no {} field{}".format(
@@ -122,7 +120,9 @@ def restore_document(payload):
         raise RecoveryError(
             "malformed document payload for {!r}: {}".format(
                 doc_id, exc)) from exc
-    return RestoredDocument(doc_id, document, labeling, counters)
+    version, batches, incremental_relabels, full_relabels = counters
+    return DocumentVersion(doc_id, version, document, labeling, batches,
+                           incremental_relabels, full_relabels)
 
 
 def _integer(value):

@@ -168,36 +168,30 @@ class BatchResult:
 
 
 class StoredDocument:
-    """One resident document: pending queue, writer state, published
-    version chain (see :mod:`repro.store.versions`).
+    """One resident document: pending queue, writer state and its
+    published :class:`~repro.store.versions.DocumentVersion` — the one
+    holder of the document's state (see :mod:`repro.store.versions`).
 
-    The writer side (``version`` and the relabel counters,
-    ``checkout``/``publish``/``abandon``) is serialized by ``flush_lock``;
-    the reader side pins :attr:`published` under the publish condition
-    and never touches a lock a writer holds across a batch. ``pending``
-    keeps its own small lock so submissions stay concurrent with both.
+    The writer side (``checkout``/``publish``/``abandon``) is
+    serialized by ``flush_lock``; a reader reads :attr:`published` once
+    and never touches a lock a writer holds across a batch.
+    ``pending`` keeps its own small lock so submissions stay concurrent
+    with both.
     """
 
-    __slots__ = ("doc_id", "version", "lock", "flush_lock", "pending",
-                 "batches", "incremental_relabels", "full_relabels",
-                 "published", "logged_version", "_publish_cond",
-                 "_originals")
+    __slots__ = ("doc_id", "lock", "flush_lock", "pending", "published",
+                 "logged_version", "_publish_cond", "_originals")
 
-    def __init__(self, doc_id, document, labeling, counters=None):
-        self.doc_id = doc_id
-        self.version = 0
+    def __init__(self, version):
+        """Publish ``version`` — a fresh or restored one — as the
+        entry's first, building its index if it has none."""
+        self.doc_id = version.doc_id
         self.lock = threading.Lock()         # guards `pending`
         self.flush_lock = threading.Lock()   # serializes batch execution
         self.pending = []   # (arrival index, client, PUL) in arrival order
-        self.batches = 0
-        self.incremental_relabels = 0
-        self.full_relabels = 0
-        if counters:
-            for counter, value in counters.items():
-                setattr(self, counter, value)
-        #: leaf lock of the whole store: publication swaps, pin counts
-        #: and the logged-version fence live under it, and nothing is
-        #: ever acquired while holding it
+        #: leaf lock of the whole store: publication swaps, the memos'
+        #: installs and the logged-version fence live under it, and
+        #: nothing is ever acquired while holding it
         self._publish_cond = threading.Condition()
         #: the nodes of the published tree the in-flight batch's path
         #: copy copied (``checkout``), until it publishes or is abandoned
@@ -207,41 +201,12 @@ class StoredDocument:
         #: the captured payload would *lag* the log/stream position it
         #: is paired with (leading is safe — replay is idempotent —
         #: lagging loses acknowledged records)
-        self.logged_version = self.version
-        self.published = DocumentVersion(
-            doc_id, self.version, document, labeling, self.batches,
-            self.incremental_relabels, self.full_relabels,
-            index=build_index(document, labeling))
-
-    # -- compatibility accessors (the latest published objects) -------------
-
-    @property
-    def document(self):
-        return self.published.document
-
-    @property
-    def labeling(self):
-        return self.published.labeling
+        self.logged_version = version.version
+        if version.index is None:
+            version.index = build_index(version.document, version.labeling)
+        self.published = version
 
     # -- the reader side -----------------------------------------------------
-
-    def pin(self):
-        """Pin and return the current published version.
-
-        No writer edits a version's tree, so the caller may walk
-        ``version.document``/``version.labeling`` with no locks at all
-        — top-down only (the parent-pointer rule of
-        :mod:`repro.store.versions`). Balance every pin with
-        :meth:`unpin`.
-        """
-        with self._publish_cond:
-            version = self.published
-            version.pins += 1
-            return version
-
-    def unpin(self, version):
-        with self._publish_cond:
-            version.pins -= 1
 
     def keep_text(self, version, text):
         """Memoize ``text`` as the serialization of ``version`` — only
@@ -274,12 +239,12 @@ class StoredDocument:
             return self.published.forget_answers()
 
     def wait_published(self, timeout):
-        """Pin the published version once it covers every logged batch.
+        """The published version, once it covers every logged batch.
 
         The capture-side half of the logged-version fence: a batch
         record enters the WAL (and the replication stream) *before* its
         version is published, so a capture pairing payloads with a
-        log/stream position must wait out that window — the pinned
+        log/stream position must wait out that window — the returned
         version may lead the position (idempotent replay absorbs the
         overlap) but never lag it.
         """
@@ -293,9 +258,7 @@ class StoredDocument:
                         "published it (writer stalled?)".format(
                             self.doc_id, self.logged_version))
                 self._publish_cond.wait(remaining)
-            version = self.published
-            version.pins += 1
-            return version
+            return self.published
 
     # -- the writer side (callers hold flush_lock) ---------------------------
 
@@ -320,10 +283,9 @@ class StoredDocument:
         return document, published.labeling.copy()
 
     def publish(self, document, labeling, full_relabel=False, index=None):
-        """Atomically publish the working pair as the next version —
-        the one place ``version``, ``batches`` and the relabel counters
-        advance, so they never run ahead of what readers can pin.
-        ``index`` is the version's secondary index — derived
+        """Atomically publish the working pair as the next version,
+        whose counters are the retiring version's advanced by one
+        batch. ``index`` is the version's secondary index — derived
         incrementally from the retiring version's by the caller, or
         rebuilt here when the delta could not be localized. Returns
         the answer-memo bytes the retiring version gave up, for the
@@ -331,21 +293,18 @@ class StoredDocument:
         if index is None:
             index = build_index(document, labeling)
         full = 1 if full_relabel else 0
+        previous = self.published
         version = DocumentVersion(
-            self.doc_id, self.version + 1, document, labeling,
-            self.batches + 1, self.incremental_relabels + 1 - full,
-            self.full_relabels + full, index=index)
+            self.doc_id, previous.version + 1, document, labeling,
+            previous.batches + 1, previous.incremental_relabels + 1 - full,
+            previous.full_relabels + full, index=index)
         originals, self._originals = self._originals, None
         document.commit()
         with self._publish_cond:
-            self.version = version.version
-            self.batches = version.batches
-            self.incremental_relabels = version.incremental_relabels
-            self.full_relabels = version.full_relabels
             # the retiring version keeps no memo (the memo rule of
             # repro.store.versions)
-            self.published.text = None
-            freed = self.published.forget_answers()
+            previous.text = None
+            freed = previous.forget_answers()
             self.published = version
             self._publish_cond.notify_all()
         # the retired tree's copied nodes drop their parent pointers,
@@ -367,31 +326,28 @@ class StoredDocument:
             restore_parents(self._originals)
             self._originals = None
         with self._publish_cond:
-            self.logged_version = self.version
+            self.logged_version = self.published.version
             self._publish_cond.notify_all()
 
     def stats(self):
-        version = self.pin()
-        try:
-            with self._publish_cond:
-                logged = self.logged_version
-            return {
-                "doc_id": self.doc_id,
-                "version": version.version,
-                "nodes": len(version.document),
-                "pending": len(self.pending),
-                # batches already write-ahead logged whose publish is
-                # still owed (nonzero only inside the log->publish
-                # window of an in-flight flush)
-                "pending_batches": max(0, logged - version.version),
-                "batches": version.batches,
-                "incremental_relabels": version.incremental_relabels,
-                "full_relabels": version.full_relabels,
-                "max_code_length": version.labeling.max_code_length,
-                "answer_memo_bytes": version.answer_bytes,
-            }
-        finally:
-            self.unpin(version)
+        version = self.published
+        with self._publish_cond:
+            logged = self.logged_version
+        return {
+            "doc_id": self.doc_id,
+            "version": version.version,
+            "nodes": len(version.document),
+            "pending": len(self.pending),
+            # batches already write-ahead logged whose publish is still
+            # owed (nonzero only inside the log->publish window of an
+            # in-flight flush)
+            "pending_batches": max(0, logged - version.version),
+            "batches": version.batches,
+            "incremental_relabels": version.incremental_relabels,
+            "full_relabels": version.full_relabels,
+            "max_code_length": version.labeling.max_code_length,
+            "answer_memo_bytes": version.answer_bytes,
+        }
 
 
 class DocumentStore:
@@ -565,7 +521,7 @@ class DocumentStore:
         if not isinstance(source, Document):
             source = parse_document(source)
         labeling = ContainmentLabeling().build(source)
-        entry = StoredDocument(doc_id, source, labeling)
+        entry = StoredDocument(DocumentVersion(doc_id, 0, source, labeling))
         self._make_resident([entry])
         self._op_latency["open"].observe(time.perf_counter() - start)
         return entry
@@ -603,7 +559,8 @@ class DocumentStore:
             if not isinstance(source, Document):
                 source = parse_document(source)
             labeling = ContainmentLabeling().build(source)
-            prepared.append(StoredDocument(doc_id, source, labeling))
+            prepared.append(StoredDocument(
+                DocumentVersion(doc_id, 0, source, labeling)))
             nodes += len(source)
         self._make_resident(prepared)
         return {"loaded": len(prepared), "nodes": nodes,
@@ -629,7 +586,8 @@ class DocumentStore:
                             entry.doc_id))
             if self._durability is not None:
                 self._durability.log_open(
-                    *[document_payload(entry) for entry in entries])
+                    *[document_payload(entry.published)
+                      for entry in entries])
             for entry in entries:
                 self._entries[entry.doc_id] = entry
 
@@ -660,8 +618,10 @@ class DocumentStore:
         self._give_answer_bytes(entry.drop_answers())
 
     def doc_ids(self):
+        """The resident ids in ``str(doc_id)`` order — the order of
+        ``export_state`` — so ids of mixed types still sort."""
         with self._lock:
-            return sorted(self._entries)
+            return sorted(self._entries, key=str)
 
     def __contains__(self, doc_id):
         with self._lock:
@@ -675,10 +635,10 @@ class DocumentStore:
         return entry
 
     def document(self, doc_id):
-        return self._require(doc_id).document
+        return self._require(doc_id).published.document
 
     def labeling(self, doc_id):
-        return self._require(doc_id).labeling
+        return self._require(doc_id).published.labeling
 
     def version(self, doc_id):
         return self._require(doc_id).published.version
@@ -688,23 +648,21 @@ class DocumentStore:
         return self.text_version(doc_id)[0]
 
     def text_version(self, doc_id):
-        """``(serialized text, version)`` of one pinned published
-        version — a consistent pair even while a flush applies: the
-        reader pins the published version and serializes it with no
-        flush lock, so a slow serialization never stalls the write
-        path and a slow batch never stalls the reader. A version is
-        immutable, so it is serialized once (:meth:`_version_text`)."""
+        """``(serialized text, version)`` of one published version — a
+        consistent pair even while a flush applies: the reader holds
+        the published version and serializes it with no flush lock, so
+        a slow serialization never stalls the write path and a slow
+        batch never stalls the reader. A version is immutable, so it is
+        serialized once (:meth:`_version_text`)."""
         start = time.perf_counter()
         entry = self._require(doc_id)
-        version = entry.pin()
-        try:
-            return self._version_text(entry, version), version.version
-        finally:
-            entry.unpin(version)
-            self._op_latency["text"].observe(time.perf_counter() - start)
+        version = entry.published
+        text = self._version_text(entry, version)
+        self._op_latency["text"].observe(time.perf_counter() - start)
+        return text, version.version
 
     def _version_text(self, entry, version):
-        """Serialized text of the pinned ``version`` of ``entry`` —
+        """Serialized text of the held ``version`` of ``entry`` —
         the one place a version's text is produced: read from the
         version's memo, or serialized and offered to it."""
         text = version.text
@@ -783,7 +741,7 @@ class DocumentStore:
         evaluated against the latest *published* version (the
         labeling's labels travel with the PUL) and the compiled PUL
         joins the document's pending queue like any raw submission.
-        Compilation pins the published version instead of taking the
+        Compilation holds the published version instead of taking the
         flush lock, so a concurrent in-place flush neither tears the
         paths nor blocks behind a slow compilation.
 
@@ -794,13 +752,9 @@ class DocumentStore:
         # which the store core does not otherwise need
         from repro.xquery.compiler import compile_pul
 
-        entry = self._require(doc_id)
-        version = entry.pin()
-        try:
-            pul = compile_pul(expression, version.document,
-                              labeling=version.labeling, origin=client)
-        finally:
-            entry.unpin(version)
+        version = self._require(doc_id).published
+        pul = compile_pul(expression, version.document,
+                          labeling=version.labeling, origin=client)
         ops = len(pul)
         if not ops:
             raise QueryEvaluationError(
@@ -818,7 +772,7 @@ class DocumentStore:
 
         This is the read surface replicas scale out: unlike
         :meth:`submit_xquery` it queues nothing and never mutates, so a
-        read-only node serves it freely. Evaluation pins one published
+        read-only node serves it freely. Evaluation holds one published
         version — tree, labeling *and* secondary index travel together
         — and runs the planner (:mod:`repro.index.planner`) over it
         with no locks: a slow path expression never stalls the
@@ -836,16 +790,12 @@ class DocumentStore:
         """
         start = time.perf_counter()
         entry = self._require(doc_id)
-        version = entry.pin()
-        try:
-            with self.obs.span("query"):
-                if explain or engine != "auto":
-                    nodes, plan = self._evaluate(version, path, engine)
-                else:
-                    nodes, plan = self._version_answer(entry, version,
-                                                       path)
-        finally:
-            entry.unpin(version)
+        version = entry.published
+        with self.obs.span("query"):
+            if explain or engine != "auto":
+                nodes, plan = self._evaluate(version, path, engine)
+            else:
+                nodes, plan = self._version_answer(entry, version, path)
         self._observe_query(doc_id, path,
                             time.perf_counter() - start, plan)
         result = {"doc_id": doc_id, "version": version.version,
@@ -855,7 +805,7 @@ class DocumentStore:
         return result
 
     def _evaluate(self, version, path, engine):
-        """Run ``path`` on the pinned ``version``: ``(tuple of
+        """Run ``path`` on the held ``version``: ``(tuple of
         serialized nodes in document order, recorded plan)``."""
         # local import: the read path should not drag the query stack
         # into store-only deployments
@@ -867,7 +817,7 @@ class DocumentStore:
         return tuple(serialize_node(node) for node in nodes), plan
 
     def _version_answer(self, entry, version, path):
-        """``(nodes, plan)`` of ``path`` on the pinned ``version`` of
+        """``(nodes, plan)`` of ``path`` on the held ``version`` of
         ``entry`` — the one place a query answer is memoized: read from
         the version's memo (``plan`` is then ``None``: nothing was
         planned), or evaluated and offered to it. A path too long for
@@ -958,7 +908,7 @@ class DocumentStore:
         and estimate sizes — without the serialized nodes. The query
         *is* executed (plans depend on per-step context sizes), so
         ``count`` and ``version`` match what :meth:`query` would have
-        returned for the same pinned version."""
+        returned for the same published version."""
         result = self.query(doc_id, path, explain=True)
         return {"doc_id": result["doc_id"],
                 "version": result["version"], "path": path,
@@ -1046,11 +996,12 @@ class DocumentStore:
         # whole recovery: coalescing and the nesting check precede the
         # logged-version fence (nothing logged, nothing checked out)
         # and _run_batch abandons its own working pair
+        labeling = entry.published.labeling
         with self.obs.stage("coalesce"):
-            batch = coalesce_batch(pending, entry.labeling,
+            batch = coalesce_batch(pending, labeling,
                                    on_conflict=self.on_conflict,
                                    policies=self.policies)
-            check_nesting(batch, entry.labeling)
+            check_nesting(batch, labeling)
         clients = len({client for __, client, __unused in pending})
         return self._run_batch(entry, batch, num_shards, clients)
 
@@ -1064,9 +1015,9 @@ class DocumentStore:
         flush exactly. On the live path the batch is appended to the
         write-ahead log (and made durable) *before* application; a batch
         whose application then fails is a no-op — the working pair is
-        abandoned, the entry's counters never moved, only the batch
-        record stays behind — and fails the same way on every host that
-        replays the record.
+        abandoned, the published version stays the one from before, and
+        only the batch record is left behind — and fails the same way on
+        every host that replays the record.
         """
         try:
             result = self._publish_batch(entry, batch, num_shards,
@@ -1084,23 +1035,24 @@ class DocumentStore:
         """:meth:`_run_batch` from the fence to the publish; raising
         anywhere in between leaves ``entry`` as it was."""
         obs = self.obs
+        # the version the batch is classified against and derived from
+        previous = entry.published
+        version = previous.version + 1
         if self._durability is not None and not self._replaying:
             # fence first, then append: a group-commit train may expose
             # the record to the replication feed before log_batch
             # returns, and from that instant a state capture must wait
             # for the matching publish (entry.mark_logged docs)
-            entry.mark_logged(entry.version + 1)
+            entry.mark_logged(version)
             with obs.stage("log"):
                 self._durability.log_batch(
-                    entry.doc_id, entry.version + 1, clients,
-                    pul_to_xml(batch))
+                    entry.doc_id, version, clients, pul_to_xml(batch))
         submitted = len(batch)
         with obs.stage("reduce"):
             shards = shard_pul(batch, num_shards or self.workers)
             reduced = merge_shards(self._reducer.reduce_shards(shards))
         # one classification against the published version serves the
         # path copy, the apply and the index delta
-        previous = entry.published
         with obs.stage("copy"):
             footprint = classify(previous.document, reduced)
             document, labeling = entry.checkout(footprint)
@@ -1135,7 +1087,7 @@ class DocumentStore:
                 document, labeling,
                 full_relabel=(relabel == "full"), index=index))
         return BatchResult(
-            doc_id=entry.doc_id, version=entry.version,
+            doc_id=entry.doc_id, version=version,
             clients=clients,
             submitted_ops=submitted, reduced_ops=len(reduced),
             shard_sizes=[len(s) for s in shards], relabel=relabel,
@@ -1219,18 +1171,18 @@ class DocumentStore:
         Documents are walked in stable ``str(doc_id)`` order; ``cursor``
         (the last key of the previous page) resumes after it, ``limit``
         bounds the page, ``doc_ids`` restricts the walk. Each document
-        is read from its *pinned published version* — the MVCC read
-        path — so a concurrent flush never tears a page.
+        is read from its *published version* — the MVCC read path — so
+        a concurrent flush never tears a page.
 
         ``form`` selects the payload shape: ``"state"`` returns
         snapshot-form payloads (node identifiers and labels preserved —
         what a replica bootstrap, a re-import and snapshot
-        compaction need to stay batch-addressable; a
-        :class:`~repro.store.versions.DocumentVersion` duck-types as a
-        payload source), ``"xml"`` returns serialized text.
+        compaction need to stay batch-addressable — made from the
+        :class:`~repro.store.versions.DocumentVersion` itself),
+        ``"xml"`` returns serialized text.
 
         Stream pairing: when replication is enabled, ``(stream, seq)``
-        are read **before** any payload is pinned, and each payload
+        are read **before** any payload is captured, and each payload
         waits until its document's published version covers every batch
         already logged (:meth:`StoredDocument.wait_published`). The
         payloads therefore describe a state at or *past* ``seq``, never
@@ -1265,16 +1217,12 @@ class DocumentStore:
         docs = []
         for entry in page:
             version = entry.wait_published(timeout)
-            try:
-                if form == "state":
-                    docs.append(document_payload(version))
-                else:
-                    docs.append({"doc_id": entry.doc_id,
-                                 "text": self._version_text(entry,
-                                                            version),
-                                 "version": version.version})
-            finally:
-                entry.unpin(version)
+            if form == "state":
+                docs.append(document_payload(version))
+            else:
+                docs.append({"doc_id": entry.doc_id,
+                             "text": self._version_text(entry, version),
+                             "version": version.version})
         return {"docs": docs,
                 "cursor": (str(page[-1].doc_id) if page else cursor),
                 "done": len(page) == len(selected),
@@ -1293,8 +1241,9 @@ class DocumentStore:
             self._replaying = False
         with self._lock:
             documents = sorted(
-                (entry.doc_id, entry.version)
-                for entry in self._entries.values())
+                ((entry.doc_id, entry.published.version)
+                 for entry in self._entries.values()),
+                key=lambda document: str(document[0]))
         self.recovery = RecoveryReport(
             documents=documents, replayed_batches=outcomes["batch"],
             skipped_records=outcomes["skipped"],
@@ -1330,7 +1279,7 @@ class DocumentStore:
         Locking: this is a writer like :meth:`flush` — each mutation
         runs under the entry's ``flush_lock`` (promotion can hand the
         same entry to live flushes) and reads never block on it, they
-        pin published versions (invariant 9).
+        hold published versions (invariant 9).
         """
         kind = record.get("kind")
         durability = None if self._replaying else self._durability
@@ -1372,13 +1321,14 @@ class DocumentStore:
                 self._evicted(entry)
                 return kind
             version = record["version"]
-            if version <= entry.version:
+            reached = entry.published.version
+            if version <= reached:
                 return "skipped"   # redelivery, already covered
-            if version != entry.version + 1:
+            if version != reached + 1:
                 raise RecoveryError(
                     "version gap on {!r}: the log names version {} but "
                     "the replay reached version {}".format(
-                        entry.doc_id, version, entry.version))
+                        entry.doc_id, version, reached))
             try:
                 # live, _run_batch write-ahead logs into our own WAL
                 self._run_batch(entry, pul_from_xml(record["pul"]),
@@ -1396,15 +1346,9 @@ class DocumentStore:
         :class:`~repro.cluster.replica.ReplicaStore` restores its
         streaming cursor from them)."""
 
-    @staticmethod
-    def _restored_entry(restored):
-        """A resident entry rebuilt from a snapshot-form payload."""
-        return StoredDocument(restored.doc_id, restored.document,
-                              restored.labeling,
-                              counters=restored.counters)
-
     def _install_restored(self, restored):
-        entry = self._restored_entry(restored)
+        """Make the restored version resident (recovery and replay)."""
+        entry = StoredDocument(restored)
         with self._lock:
             if restored.doc_id in self._entries:
                 raise RecoveryError(

@@ -8,13 +8,15 @@ decouples them:
 
 * every resident document has exactly one *published*
   :class:`DocumentVersion` — an immutable ``(document, labeling)`` pair
-  stamped with the version counter it represents;
-* readers *pin* the published version (a refcount under the entry's
-  publish lock), walk it freely with no further locking, and unpin;
+  stamped with the version counter it represents, and the one holder
+  of the document's state: its tree, labels, index and counters;
+* a reader reads ``entry.published`` once — one atomic attribute read,
+  no lock and no count — and walks that version freely: it is a value
+  the reader holds, and nothing ever changes it;
 * the single writer (serialized by the flush lock as before) builds
   version N+1 on a *private working copy* and publishes it with one
   atomic reference swap — readers mid-walk keep the version they
-  pinned, new readers see N+1.
+  hold, new readers see N+1.
 
 Version N+1 is derived from version N, and nothing is recycled. The
 writer classifies the reduced batch once against N
@@ -27,12 +29,12 @@ node is shared with N. The copy shares N's id index but keeps its
 own entries apart until ``publish`` folds them in
 (:meth:`repro.xdm.document.Document.commit`); from then on N answers
 id lookups from an index of its own tree, built only if a reader
-still pinning N asks. The copy has its own allocator, and N's label
+still holding N asks. The copy has its own allocator, and N's label
 map is copied (labels are immutable and shared). The batch is applied
 in place to that copy and published. A flush thus copies O(touched ×
 depth) nodes and no per-node table but the label map, and a resident
 document holds one tree plus whatever its retired versions' readers
-still pin.
+still hold.
 
 **The parent-pointer rule.** Copying a node re-points its children and
 attributes to the copy. So the *newest* version's parent pointers are
@@ -42,7 +44,7 @@ may point into a newer version (and a node a later batch removed
 points nowhere). Publishing N+1 even clears the parent pointers of N's
 copied nodes: then no reference cycle runs through them, and they are
 freed by reference counting when the retired version's last reader
-lets go, instead of waiting for the cyclic collector. Therefore no
+drops it, instead of waiting for the cyclic collector. Therefore no
 reader of a version follows ``.parent``: the serializer,
 :func:`document_payload`, the index build and the query walker all
 descend from the root, and the walker orders its results by the
@@ -69,15 +71,15 @@ install one only while the version is still published, and ``publish``
 clears both under the same lock as the version retires. A retired
 tree no longer changes, so a memo on it would stay correct; it is
 cleared for what it costs. A document then holds at most one text,
-however many retired versions slow readers still pin; and an
+however many retired versions slow readers still hold; and an
 answer's bytes return to the store's budget at a known point,
-``publish``, instead of whenever the last pin drops and the collector
-takes the version. A reader that still pins a retired version
-computes for itself and leaves nothing behind. No document therefore
-holds two texts or two answers to one path, and a document that is
-only written never holds any. Since only the constructor and
-``publish`` install a published version, the one clear in ``publish``
-covers the leader, recovery and every replica alike.
+``publish``, instead of whenever the last reader drops the version. A
+reader that still holds a retired version computes for itself and
+leaves nothing behind. No document therefore holds two texts or two
+answers to one path, and a document that is only written never holds
+any. Since only the constructor and ``publish`` install a published
+version, the one clear in ``publish`` covers the leader, recovery and
+every replica alike.
 
 Answers, unlike texts, are bounded: every answer the store keeps is
 charged to one store-wide byte budget
@@ -89,12 +91,13 @@ and when the entry leaves the store (``close``, a replayed ``close``
 record, a replica's re-bootstrap), where
 :meth:`StoredDocument.drop_answers` takes the memo away for good.
 
-Durability-facing duck typing: a :class:`DocumentVersion` carries the
-same ``doc_id`` / ``document`` / ``labeling`` / counter attribute names
-as a resident entry, so
+A version is also what a payload is made from and restored to:
 :func:`repro.store.durability.snapshot.document_payload` serializes a
-pinned version directly — snapshot compaction and snapshot transfer
-capture published versions without quiescing writers.
+held version — snapshot compaction and snapshot transfer capture
+published versions without quiescing writers — and
+:func:`~repro.store.durability.snapshot.restore_document` returns an
+unpublished one, which :class:`~repro.store.store.StoredDocument`
+publishes.
 """
 
 from __future__ import annotations
@@ -111,17 +114,16 @@ def answer_size(path, nodes):
 
 
 class DocumentVersion:
-    """One immutable published version of a resident document.
+    """One immutable version of a resident document: its tree, labels,
+    index and the counters of the batches that made it.
 
-    ``pins`` counts readers currently walking this version; it is
-    guarded by the owning entry's publish lock, not by this object. No
-    writer ever edits a version's tree, published or retired: a retired
-    version stays as it was until the last reader unpins and the
-    garbage collector takes it.
+    No writer ever edits a version's tree, published or retired: a
+    retired version stays as it was until its last reader drops its
+    reference, and is freed then.
     """
 
     __slots__ = ("doc_id", "version", "document", "labeling", "batches",
-                 "incremental_relabels", "full_relabels", "pins",
+                 "incremental_relabels", "full_relabels",
                  "index", "text", "answers", "answer_bytes")
 
     def __init__(self, doc_id, version, document, labeling, batches=0,
@@ -133,9 +135,9 @@ class DocumentVersion:
         self.batches = batches
         self.incremental_relabels = incremental_relabels
         self.full_relabels = full_relabels
-        self.pins = 0
         #: the version's secondary index (:mod:`repro.index`), published
-        #: with the pair so a pinned reader queries exactly its version
+        #: with the pair so a reader queries exactly the version it holds;
+        #: ``None`` on a restored version until an entry publishes it
         self.index = index
         #: memo of ``serialize(document)``; only the published version
         #: ever holds one (see the module docstring)
@@ -156,5 +158,5 @@ class DocumentVersion:
         return freed
 
     def __repr__(self):
-        return "DocumentVersion(doc={!r}, v{}, pins={})".format(
-            self.doc_id, self.version, self.pins)
+        return "DocumentVersion(doc={!r}, v{})".format(
+            self.doc_id, self.version)

@@ -226,12 +226,6 @@ class Document:
             parent.insert_child(index + offset, tree)
             self.register_tree(tree)
 
-    def append_attributes(self, element, attrs):
-        """Attach detached attribute nodes to ``element``, registering them."""
-        for attr in attrs:
-            element.append_attribute(attr)
-            self.register_tree(attr)
-
     def replace_node(self, node, trees):
         """Replace ``node`` with the detached ``trees`` (possibly empty)."""
         parent = node.parent

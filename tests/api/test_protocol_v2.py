@@ -596,10 +596,12 @@ class TestRetiredOps:
 
 
 class TestHostileArguments:
-    """A malformed ``subscribe`` / ``export`` argument answers a typed
-    ``protocol`` error on a connection that lives on — never a raw
-    ``ValueError`` under the generic ``repro`` code, and never a
-    silent coercion (``max_events: true`` is not 1)."""
+    """A malformed ``subscribe`` / ``export`` argument, or a document
+    id that is not a string, answers a typed ``protocol`` error on a
+    connection that lives on — never a raw ``ValueError`` or
+    ``TypeError`` under the generic ``repro`` code, and never a silent
+    coercion (``max_events: true`` is not 1, ``doc_id: 5`` is not
+    ``"5"``)."""
 
     CASES = [
         ("subscribe", {"from_token": 7}),
@@ -619,6 +621,19 @@ class TestHostileArguments:
         ("export", {"max_docs": True}),
         ("export", {"max_docs": 0}),
         ("export", {"cursor": 7}),
+        ("open", {"doc_id": 5, "xml": DOC}),
+        ("open", {"doc_id": None, "xml": DOC}),
+        ("open", {"doc_id": 1.5, "xml": DOC}),
+        ("open", {"doc_id": True, "xml": DOC}),
+        ("open", {"doc_id": ["d"], "xml": DOC}),
+        ("bulk-import", {"docs": [{"doc_id": 5, "xml": DOC}]}),
+        ("text", {"doc_id": ["d"]}),
+        ("query", {"doc_id": 5, "path": "//a"}),
+        ("explain", {"doc_id": 5, "path": "//a"}),
+        ("stats", {"doc_id": ["d"]}),
+        ("submit_xquery", {"doc_id": 5, "query": "delete node //a"}),
+        ("flush", {"doc_id": ["d"]}),
+        ("discard", {"doc_id": 5}),
     ]
 
     @pytest.mark.parametrize("op,args", CASES, ids=[
@@ -649,5 +664,8 @@ class TestHostileArguments:
                 assert page["events"] == []
                 page = await client.export(cursor="", max_docs=1)
                 assert [d["doc_id"] for d in page["docs"]] == ["d"]
+                # nothing was let in under the refused id
+                assert (await client.docs()) == {"docs": ["d"]}
+                assert (await client.flush_all())["batches"] == 0
                 await client.aclose()
         run(scenario())

@@ -67,19 +67,19 @@ def workload():
 
 def _full_state(store, doc_id):
     """Everything recovery must reproduce, as a comparable value."""
-    entry = store._require(doc_id)
+    version = store._require(doc_id).published
     return {
         "text": store.text(doc_id),
-        "ids": sorted(entry.document.node_ids()),
-        "next_id": entry.document.allocator.next_value,
-        "version": entry.version,
-        "batches": entry.batches,
-        "incremental_relabels": entry.incremental_relabels,
-        "full_relabels": entry.full_relabels,
+        "ids": sorted(version.document.node_ids()),
+        "next_id": version.document.allocator.next_value,
+        "version": version.version,
+        "batches": version.batches,
+        "incremental_relabels": version.incremental_relabels,
+        "full_relabels": version.full_relabels,
         "labels": {node_id: label.to_string()
                    for node_id, label
-                   in entry.labeling.as_mapping().items()},
-        "max_code_length": entry.labeling.max_code_length,
+                   in version.labeling.as_mapping().items()},
+        "max_code_length": version.labeling.max_code_length,
     }
 
 
@@ -175,12 +175,14 @@ def _operations(draw, document):
     return InsertIntoAsLast(node.node_id, content)
 
 
-def _assert_restores_exactly(entry):
-    """``restore_document(document_payload(entry))`` is ``entry``: text,
-    node ids, allocator, watermark, counters and every label field."""
-    restored = restore_document(document_payload(entry))
-    document, labeling = entry.document, entry.labeling
-    assert restored.doc_id == entry.doc_id
+def _assert_restores_exactly(version):
+    """``restore_document(document_payload(version))`` is ``version``:
+    text, node ids, allocator, watermark, counters and every label
+    field — as an unpublished version with no index."""
+    restored = restore_document(document_payload(version))
+    document, labeling = version.document, version.labeling
+    assert restored.doc_id == version.doc_id
+    assert restored.index is None
     assert serialize(restored.document) == serialize(document)
     # the exchange form keeps every id and every text node, empty ones
     # and adjacent ones included
@@ -196,10 +198,9 @@ def _assert_restores_exactly(entry):
             for node_id, label in restored.labeling.as_mapping().items()} \
         == {node_id: label.to_string()
             for node_id, label in labeling.as_mapping().items()}
-    assert restored.counters == {
-        "version": entry.version, "batches": entry.batches,
-        "incremental_relabels": entry.incremental_relabels,
-        "full_relabels": entry.full_relabels}
+    for counter in ("version", "batches", "incremental_relabels",
+                    "full_relabels"):
+        assert getattr(restored, counter) == getattr(version, counter)
 
 
 class TestSnapshotFidelity:
@@ -222,7 +223,7 @@ class TestSnapshotFidelity:
         try:
             for store in stores:
                 store.open("d", Document(root=root.deep_copy()))
-                _assert_restores_exactly(store._require("d"))
+                _assert_restores_exactly(store._require("d").published)
             for __ in range(data.draw(st.integers(1, 4), label="flushes")):
                 operations = data.draw(st.lists(
                     _operations(stores[0].document("d")),
@@ -233,7 +234,6 @@ class TestSnapshotFidelity:
                         store.flush("d")
                     except ReproError:
                         store.discard_pending("d")
-                    _assert_restores_exactly(store._require("d"))
                     _assert_restores_exactly(store._require("d").published)
             assert stores[0].text("d") == stores[1].text("d")
         finally:
@@ -251,21 +251,22 @@ class TestSnapshotFidelity:
                                max_code_length=budget) as store:
                 store.open("d", text)
                 _run_session(store, batches)
-                entry = store._require("d")
-                assert getattr(entry, counter) > 0
-                _assert_restores_exactly(entry)
+                version = store._require("d").published
+                assert getattr(version, counter) > 0
+                _assert_restores_exactly(version)
 
 
-def _entry_of(text):
+def _version_of(text):
     with DocumentStore(workers=1, backend="serial") as store:
-        return store.open("d", text)
+        return store.open("d", text).published
 
 
 def _hostile_payloads():
     """``(case, payload)`` pairs no restore may accept."""
-    entry = _entry_of('<r k="v"><a>one</a><b x="1" y="2"><c/>two</b></r>')
-    document, labeling = entry.document, entry.labeling
-    good = document_payload(entry)
+    version = _version_of(
+        '<r k="v"><a>one</a><b x="1" y="2"><c/>two</b></r>')
+    document, labeling = version.document, version.labeling
+    good = document_payload(version)
     rows = json.loads(good["nodes"])
 
     def with_rows(edit):
@@ -319,6 +320,9 @@ def _hostile_payloads():
         ("next-id-not-an-integer", dict(good, next_id="9")),
         ("counter-missing", {key: good[key] for key in good
                              if key != "version"}),
+        ("doc-id-missing", {key: good[key] for key in good
+                            if key != "doc_id"}),
+        ("doc-id-unhashable", dict(good, doc_id=["d"])),
         ("not-an-object", ["d"]),
         ("retired-tree-and-labels-form", retired),
     ]
@@ -363,7 +367,7 @@ class TestHostilePayloads:
         from repro.cluster import ReplicaStore
 
         with ReplicaStore(workers=1, backend="serial") as replica:
-            replica.bootstrap([document_payload(_entry_of(DOC))], 0,
+            replica.bootstrap([document_payload(_version_of(DOC))], 0,
                               stream="s")
             with pytest.raises(RecoveryError):
                 replica.bootstrap([payload], 1, stream="s")
@@ -512,6 +516,27 @@ class TestRecovery:
         with _durable_store(tmp_path, "log") as recovered:
             assert recovered.doc_ids() == ["b"]
 
+    def test_ids_of_mixed_types_list_flush_and_restart(self, tmp_path):
+        """The in-process store keeps any hashable id: an int beside a
+        string lists, flushes and recovers in ``str(doc_id)`` order."""
+        from repro.xquery import compile_pul
+
+        with _durable_store(tmp_path, "log") as store:
+            for doc_id in ("a", 5):
+                store.open(doc_id, DOC)
+                store.submit(doc_id, compile_pul(
+                    "delete node /bib/paper[1]", store.document(doc_id)))
+            assert store.doc_ids() == [5, "a"]
+            assert [result.doc_id for result in store.flush_all()] \
+                == [5, "a"]
+            text = store.text(5)
+        with _durable_store(tmp_path, "log") as recovered:
+            assert recovered.doc_ids() == [5, "a"]
+            assert recovered.recovery.documents == [(5, 1), ("a", 1)]
+            assert recovered.text(5) == recovered.text("a") == text
+        assert replay_oracle(str(tmp_path / "wal")) == {
+            5: (text, 1), "a": (text, 1)}
+
     def test_conflict_rejected_flush_touches_nothing(self, tmp_path):
         """A flush rejected while coalescing fails *before* the
         logged-version fence: nothing was logged or applied, so nothing
@@ -610,7 +635,6 @@ class TestRecovery:
             seq0 = source.next_seq
             entry = store.open("d", DOC)
             published = entry.published
-            pinned = entry.pin()
             fsyncs = store.obs.counter("repro_wal_fsyncs_total")
             fsyncs_before = fsyncs.value
             stats_before = store.stats("d")
@@ -623,12 +647,8 @@ class TestRecovery:
             # the leader: the very objects it published before
             assert entry.published is published
             assert entry.published.index is published.index
-            assert entry.pin() is pinned
-            entry.unpin(pinned)
-            entry.unpin(pinned)
-            assert pinned.pins == 0
             assert store.stats("d") == dict(stats_before, pending=1)
-            assert entry.logged_version == entry.version == 0
+            assert entry.logged_version == published.version == 0
             assert fsyncs.value == fsyncs_before + 1   # the batch record
             state = load_durable_state(wal_dir, repair=False)
             assert [r["kind"] for r in state.records] == ["open", "batch"]

@@ -257,7 +257,8 @@ class TestStoreIntegration:
                            wal_dir=str(tmp_path / "wal")) as store:
             for doc_id in docs:
                 entry = store.open(doc_id, doc)
-                title = next(n.node_id for n in entry.document.nodes()
+                title = next(n.node_id
+                             for n in entry.published.document.nodes()
                              if n.is_element and n.name == "title")
                 store.submit(doc_id, PUL([Rename(title, "headline")]))
             barrier = threading.Barrier(len(docs))

@@ -9,6 +9,7 @@ concurrent reader then observes from the MVCC store must byte-match
 that timeline.
 """
 
+import gc
 import sys
 import threading
 import time
@@ -182,22 +183,20 @@ class TestReadersVersusWriter:
 
 class TestVersionPinning:
     def test_pinned_version_is_immutable_across_later_flushes(self):
-        """A pinned version's tree never changes: every later flush
+        """A held version's tree never changes: every later flush
         path-copies the version it derives from and edits the copy."""
         with DocumentStore(backend="serial") as store:
             store.open("d", DOC)
-            entry = store._entries["d"]
-            pinned = entry.pin()
-            text0 = serialize(pinned.document)
+            held = store._entries["d"].published
+            text0 = serialize(held.document)
             title = _id_of(store.document("d"), "title")
             for i in range(3):
                 store.submit("d", PUL([Rename(title, "v{}".format(i))]))
                 store.flush("d")
             assert store.version("d") == 3
             # the reader's world has not moved
-            assert pinned.version == 0
-            assert serialize(pinned.document) == text0
-            entry.unpin(pinned)
+            assert held.version == 0
+            assert serialize(held.document) == text0
             assert "<v2>" in store.text("d")
 
     def test_path_copied_pair_matches_a_fresh_deep_copy(self):
@@ -257,11 +256,11 @@ class TestCaptureFence:
         with DocumentStore(backend="serial") as store:
             store.open("d", DOC)
             entry = store._entries["d"]
-            entry.mark_logged(entry.version + 1)
+            entry.mark_logged(entry.published.version + 1)
             with pytest.raises(DurabilityError, match="never published"):
                 entry.wait_published(0.1)
             # unwind so close() paths stay clean
-            entry.mark_logged(entry.version)
+            entry.mark_logged(entry.published.version)
 
     def test_snapshot_waits_for_the_logged_batch_to_publish(
             self, tmp_path, monkeypatch):
@@ -349,7 +348,6 @@ class TestCaptureFence:
             capture.join(10)
             assert failures and not capture.is_alive()
             assert captured == [published]
-            entry.unpin(published)
             assert entry.published is published
             stats = store.stats("d")
             assert (stats["pending"], stats["pending_batches"]) == (2, 0)
@@ -386,29 +384,28 @@ class TestVersionTextMemo:
             assert store.text_version("d") == (exported, 0)
 
     def test_a_retired_version_keeps_no_text(self):
-        """A reader that pinned N before a flush still reads N's text
+        """A reader that held N before a flush still reads N's text
         after N retired — and then nothing reachable from the entry
         holds it: a document keeps one text, however many retired
-        versions readers still pin."""
+        versions readers still hold."""
         with DocumentStore(backend="serial") as store:
             store.open("d", DOC)
             entry = store._entries["d"]
             text0 = store.text("d")
-            pinned = entry.pin()
-            assert pinned.text is text0
+            held = entry.published
+            assert held.text is text0
             title = _id_of(store.document("d"), "title")
             store.submit("d", PUL([Rename(title, "renamed")]))
             store.flush("d")
-            assert entry.published is not pinned
-            assert pinned.text is None          # cleared, not just unread
+            assert entry.published is not held
+            assert held.text is None            # cleared, not just unread
             assert entry.published.text is None
-            # the pinned reader still gets N's bytes, and leaves none
-            assert store._version_text(entry, pinned) == text0
-            assert pinned.text is None
-            entry.unpin(pinned)
+            # the holding reader still gets N's bytes, and leaves none
+            assert store._version_text(entry, held) == text0
+            assert held.text is None
             assert "<renamed>" in store.text("d")
             assert entry.published.text is not None
-            assert pinned.text is None
+            assert held.text is None
 
     def test_a_write_heavy_document_never_holds_a_text(self):
         with DocumentStore(backend="serial") as store:
@@ -637,7 +634,7 @@ def _answer_counts(store):
 
 
 _STEPS = st.lists(st.tuples(
-    st.sampled_from(["write", "read", "pin", "reopen"]),
+    st.sampled_from(["write", "read", "hold", "reopen"]),
     st.integers(0, 1), st.integers(0, len(MEMO_PATHS) - 1)), max_size=30)
 
 
@@ -650,10 +647,10 @@ class TestAnswerMemo:
            budget=st.sampled_from([0, 700, store_module.ANSWER_MEMO_BYTES]))
     @example(steps=[("read", 0, 0), ("reopen", 0, 0), ("read", 0, 0)],
              budget=store_module.ANSWER_MEMO_BYTES)
-    @example(steps=[("read", 1, 6), ("pin", 1, 6), ("read", 1, 6)],
+    @example(steps=[("read", 1, 6), ("hold", 1, 6), ("read", 1, 6)],
              budget=store_module.ANSWER_MEMO_BYTES)
     def test_a_memoized_answer_is_never_stale(self, steps, budget):
-        """Writes, repeated reads, a reader pinning a version across the
+        """Writes, repeated reads, a reader holding a version across the
         publish that retires it, and close + re-open of an id with
         another document (its version restarts at 0): every answer
         equals the walker's at the version it reports."""
@@ -670,20 +667,15 @@ class TestAnswerMemo:
                     for __ in range(2):     # a hit once the first is kept
                         assert store.query(doc_id, path) == store.query(
                             doc_id, path, engine="walk")
-                elif kind == "pin":
+                elif kind == "hold":
                     entry = store._entries[doc_id]
-                    pinned = entry.pin()
-                    try:
-                        store.query(doc_id, path)   # kept on `pinned`
-                        _write(store, doc_id, number)
-                        assert pinned.answers is None
-                        nodes, __ = store._version_answer(entry, pinned,
-                                                          path)
-                        assert nodes == store._evaluate(pinned, path,
-                                                        "walk")[0]
-                        assert pinned.answers is None
-                    finally:
-                        entry.unpin(pinned)
+                    held = entry.published
+                    store.query(doc_id, path)   # kept on `held`
+                    _write(store, doc_id, number)
+                    assert held.answers is None
+                    nodes, __ = store._version_answer(entry, held, path)
+                    assert nodes == store._evaluate(held, path, "walk")[0]
+                    assert held.answers is None
                 else:
                     store.close_document(doc_id)
                     sources[doc_id] = (OTHER_DOC if sources[doc_id] == DOC
@@ -875,7 +867,7 @@ class TestAnswerBudget:
             _assert_memo_accounting(store)
 
 
-#: the document the pinned-version schedule edits, and what it reads of
+#: the document the held-version schedule edits, and what it reads of
 #: every version: walker and index routes, predicates included
 PIN_DOC = ('<r><p k="v">t<q/></p><p><q>u</q><s k="w">x</s></p>'
            '<s/></r>')
@@ -885,8 +877,8 @@ PIN_UPDATE = 'insert node <z/> as last into /*, delete node //p[q]/q'
 #: schedule steps; ``number`` picks the target among eligible nodes
 _PIN_STEPS = st.lists(st.tuples(
     st.sampled_from(["insert", "before", "attribute", "delete", "rename",
-                     "value", "children", "relabel", "fail", "pin",
-                     "unpin"]),
+                     "value", "children", "relabel", "fail", "hold",
+                     "drop"]),
     st.integers(0, 60)), max_size=24)
 
 
@@ -960,13 +952,13 @@ class TestPinnedVersionNeverMoves:
     what the batch touches, so versions share most of their nodes — and
     still, whatever a schedule of inserts, deletes, renames,
     replace-values, replace-children, full relabels and failed batches
-    does afterwards, a pinned version reads exactly as it did when it
+    does afterwards, a held version reads exactly as it did when it
     was published, and the store after a failed batch is the one
     ``replay_oracle`` rebuilds from the log."""
 
     @settings(max_examples=50, deadline=None)
     @given(steps=_PIN_STEPS)
-    @example(steps=[("pin", 0), ("fail", 0), ("rename", 3), ("pin", 0),
+    @example(steps=[("hold", 0), ("fail", 0), ("rename", 3), ("hold", 0),
                     ("relabel", 5), ("delete", 2), ("children", 1)])
     @example(steps=[("fail", 1), ("rename", 4)])
     def test_a_pinned_version_never_moves(self, steps):
@@ -982,7 +974,7 @@ class TestPinnedVersionNeverMoves:
             entry = store.open("d", PIN_DOC)
             budget = store.max_code_length
             published = {0: _version_view(store, entry.published)}
-            pinned = []
+            held = []
 
             def flush(puls):
                 for client, pul in puls:
@@ -999,13 +991,12 @@ class TestPinnedVersionNeverMoves:
 
             for kind, number in steps:
                 document = store.document("d")
-                if kind == "pin":
-                    version = entry.pin()
-                    pinned.append((version, published[version.version]))
-                elif kind == "unpin":
-                    if pinned:
-                        version, __ = pinned.pop(number % len(pinned))
-                        entry.unpin(version)
+                if kind == "hold":
+                    version = entry.published
+                    held.append((version, published[version.version]))
+                elif kind == "drop":
+                    if held:
+                        held.pop(number % len(held))
                 elif kind == "fail":
                     # a duplicate attribute: found after the path copy
                     # was edited, so the batch fails on the copy
@@ -1024,16 +1015,48 @@ class TestPinnedVersionNeverMoves:
                     op = _pin_op(document, kind, number)
                     if op is not None:
                         flush([("c", PUL([op]))])
-                for version, view in pinned:
+                for version, view in held:
                     assert _version_view(store, version) == view
-            for version, __ in pinned:
-                entry.unpin(version)
+
+
+def _live_nodes():
+    """How many :class:`~repro.xdm.node.Node` objects are alive."""
+    from repro.xdm.node import Node
+
+    return sum(1 for obj in gc.get_objects() if type(obj) is Node)
+
+
+class TestRetiredVersionRelease:
+    """A retired version lives only while a reader holds it, and goes
+    the moment the last reader drops its reference — by reference
+    counting, with no help from the cyclic collector: ``publish``
+    clears the parent pointers of the nodes the path copy replaced,
+    so no cycle runs through the retired tree."""
+
+    def test_a_dropped_reader_frees_its_retired_version(self):
+        gc.collect()
+        gc.disable()
+        try:
+            with DocumentStore(backend="serial") as store:
+                store.open("d", '<r><a k="v">t</a><b/></r>')
+                held = store._entries["d"].published
+                others = _live_nodes() - len(held.document)
+                store.submit_xquery("d", 'rename node /r/a as "x"')
+                store.flush("d")
+                published = store._entries["d"].published
+                # the reader still has its version: the copied <r> and
+                # <a> are alive beside the published tree
+                assert _live_nodes() - others == len(published.document) + 2
+                del held
+                assert _live_nodes() - others == len(published.document)
+        finally:
+            gc.enable()
 
 
 class TestNoWholeDocumentCopy:
     """One tree per document: the store's flush and replay paths copy
     the paths a batch touches and never a whole document — not for a
-    plain flush, not after a failed batch, not while a reader pins the
+    plain flush, not after a failed batch, not while a reader holds the
     published version, and not in a restart that replays a batch
     tail — and they classify each batch once."""
 
@@ -1092,14 +1115,12 @@ class TestNoWholeDocumentCopy:
                 store.discard_pending("d")
                 store.submit("d", PUL([Rename(title, "after")]))
                 store.flush("d")
-                # a flush while a reader pins the published version
-                entry = store._entries["d"]
-                pinned = entry.pin()
-                text = serialize(pinned.document)
+                # a flush while a reader holds the published version
+                held = store._entries["d"].published
+                text = serialize(held.document)
                 store.submit("d", PUL([Rename(title, "pinned")]))
                 store.flush("d")
-                assert serialize(pinned.document) == text
-                entry.unpin(pinned)
+                assert serialize(held.document) == text
                 final = store.text("d"), store.version("d")
         assert final[1] == 3
         with monkeypatch.context() as patch:

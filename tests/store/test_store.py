@@ -39,9 +39,9 @@ def _text_id(document, value):
 
 class TestLifecycle:
     def test_open_parses_and_labels(self, store):
-        entry = store.open("d1", DOC)
-        assert entry.version == 0
-        assert len(entry.document) == len(entry.labeling)
+        version = store.open("d1", DOC).published
+        assert version.version == 0
+        assert len(version.document) == len(version.labeling)
         assert "d1" in store
         assert store.doc_ids() == ["d1"]
 

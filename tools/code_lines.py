@@ -45,13 +45,34 @@ def token_lines(source):
 
 
 def code_lines(root):
+    """Code lines of ``root``: a ``*.py`` file counts as itself, a
+    directory as every ``*.py`` file under it. A path that does not
+    exist is a ``FileNotFoundError``, never a count of 0."""
+    root = pathlib.Path(root)
+    if root.is_file():
+        paths = [root]
+    elif root.is_dir():
+        paths = root.rglob("*.py")
+    else:
+        raise FileNotFoundError("no such file or directory: {}".format(root))
     total = 0
-    for path in pathlib.Path(root).rglob("*.py"):
+    for path in paths:
         source = path.read_text()
         total += len(token_lines(source) - docstring_lines(source))
     return total
 
 
+def main(roots):
+    """Print one count per root; returns the exit status (1 when a
+    root does not exist)."""
+    for root in roots or ["src/repro"]:
+        try:
+            print("{}\t{}".format(code_lines(root), root))
+        except FileNotFoundError as error:
+            print(error, file=sys.stderr)
+            return 1
+    return 0
+
+
 if __name__ == "__main__":
-    for root in sys.argv[1:] or ["src/repro"]:
-        print("{}\t{}".format(code_lines(root), root))
+    sys.exit(main(sys.argv[1:]))
