@@ -37,6 +37,7 @@ import threading
 
 from repro.cluster.tokens import decode_token
 from repro.errors import ClusterError, NotLeaderError
+from repro.obs.collector import collector_paused
 from repro.store.durability.snapshot import restore_document
 from repro.store.store import DocumentStore, StoredDocument
 
@@ -125,9 +126,11 @@ class ReplicaStore(DocumentStore):
         change). A durable replica seals the transfer into its own
         snapshot generation immediately — its WAL must describe the
         *new* timeline, not prepend stale opens to it — and logs the
-        cursor.
+        cursor. Like a restart, the restore runs with the cyclic
+        collector paused (store README, invariant 10), and the replaced
+        entries are evicted (:meth:`DocumentStore._evicted`).
         """
-        with self._apply_lock:
+        with self._apply_lock, collector_paused():
             fresh = {}
             for payload in payloads:
                 entry = StoredDocument(restore_document(payload))
@@ -137,6 +140,7 @@ class ReplicaStore(DocumentStore):
                             entry.doc_id))
                 fresh[entry.doc_id] = entry
             with self._lock:
+                self._check_open()
                 # swapped in as one assignment: a concurrent read sees
                 # the old timeline or the new one, never a half-empty
                 # store mid-rebootstrap

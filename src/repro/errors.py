@@ -223,6 +223,17 @@ class RecoveryError(DurabilityError):
     wire_doc = "durable state cannot be reconstructed"
 
 
+class StoreClosedError(ReproError):
+    """Raised by every write to a document store after its ``close()``,
+    under every durability policy alike: closing left its trees to
+    reference counting, without the parent pointers a batch needs.
+    Reads of a closed store go on."""
+
+    code = "store-closed"
+    wire_doc = ("a write reached a closed store (every durability "
+                "policy alike); reads still answer")
+
+
 class RemoteOSError(ReproError):
     """Client-side reconstruction of an operating-system failure the
     server hit while executing a command (``OSError`` — disk full,

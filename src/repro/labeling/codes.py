@@ -115,17 +115,20 @@ class _EncoderBase:
         """``count`` fresh increasing codes strictly between the bounds."""
         codes = [None] * count
         between = self.between
-
-        def assign(lo, hi, lo_code, hi_code):
+        # the midpoint of each range first, then both halves: a stack,
+        # not a recursive closure, which would be a reference cycle
+        # (function -> cell -> function) left to the cyclic collector
+        # on every insert
+        ranges = [(0, count - 1, left, right)]
+        while ranges:
+            lo, hi, lo_code, hi_code = ranges.pop()
             if lo > hi:
-                return
+                continue
             mid = (lo + hi) // 2
             code = between(lo_code, hi_code)
             codes[mid] = code
-            assign(lo, mid - 1, lo_code, code)
-            assign(mid + 1, hi, code, hi_code)
-
-        assign(0, count - 1, left, right)
+            ranges.append((mid + 1, hi, code, hi_code))
+            ranges.append((lo, mid - 1, lo_code, code))
         return codes
 
 

@@ -14,6 +14,11 @@ bundles the three instruments every subsystem shares:
   slow queries (with their recorded plans) and slow flushes (with
   per-stage timings).
 
+The cyclic collector's collections and seconds per generation are the
+process's, not one store's: one ``gc.callbacks`` hook
+(:mod:`repro.obs.collector`) counts them, and every enabled store's
+exposition appends them the way it appends its uptime.
+
 The store owns the facade (``store.obs``); the server, durability
 manager and replication feed reach it through the store, so the whole
 process shares one registry and one trace ring. See ``README.md`` in
@@ -26,6 +31,11 @@ import contextvars
 import time
 from contextlib import contextmanager
 
+from repro.obs.collector import (
+    collection_counters,
+    collection_text,
+    watch_collections,
+)
 from repro.obs.metrics import (
     DEFAULT_BUCKETS,
     SIZE_BUCKETS,
@@ -120,6 +130,8 @@ class StoreObs:
                                slow_flush_s=slow_flush_s,
                                path=slow_log_path)
         self._stage_hists = {}
+        if self.enabled:
+            watch_collections()
         self._started_monotonic = time.monotonic()
         self.started_at = time.time()
 
@@ -175,6 +187,20 @@ class StoreObs:
             self._stage_hists[name] = hist
         return _StageTimer(name, hist)
 
+    def recovery_stage(self, name):
+        """Time one restart stage — ``load`` (read the directory),
+        ``restore`` (rebuild the snapshot's documents), ``replay`` (the
+        record tail) — into ``repro_store_recovery_stage_seconds``."""
+        return _StageTimer(name, self.recovery_histogram(name))
+
+    def recovery_histogram(self, name):
+        """The ``repro_store_recovery_stage_seconds`` series of
+        ``stage=name`` (``collect`` is observed directly: it is the
+        exit of the collector pause, not a block)."""
+        return self.registry.histogram(
+            "repro_store_recovery_stage_seconds",
+            "Per-stage restart latency", stage=name)
+
     def uptime_seconds(self):
         return time.monotonic() - self._started_monotonic
 
@@ -185,6 +211,8 @@ class StoreObs:
         optionally the last ``traces`` span trees / ``slow`` log
         entries."""
         payload = self.registry.snapshot()
+        if self.enabled:
+            payload["counters"].update(collection_counters())
         payload["uptime_seconds"] = round(self.uptime_seconds(), 3)
         payload["metrics_enabled"] = self.enabled
         if traces:
@@ -194,8 +222,11 @@ class StoreObs:
         return payload
 
     def render_text(self):
-        """Prometheus text exposition, uptime included."""
+        """Prometheus text exposition, uptime and (when enabled) the
+        collector's series included."""
         text = self.registry.render_text()
+        if self.enabled:
+            text += collection_text()
         uptime = ("# TYPE repro_uptime_seconds gauge\n"
                   "repro_uptime_seconds {}\n".format(
                       round(self.uptime_seconds(), 3)))

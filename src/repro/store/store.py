@@ -63,10 +63,12 @@ from repro.errors import (
     QuerySyntaxError,
     RecoveryError,
     ReproError,
+    StoreClosedError,
 )
 from repro.integration import reconcile
 from repro.labeling.scheme import ContainmentLabeling
 from repro.obs import SIZE_BUCKETS, StoreObs
+from repro.obs.collector import collector_paused
 from repro.pipeline.merge import merge_shards
 from repro.pipeline.parallel import ParallelReducer
 from repro.pipeline.shard import shard_pul
@@ -80,7 +82,12 @@ from repro.store.durability import (
     restore_document,
 )
 from repro.store.versions import DocumentVersion, answer_size
-from repro.xdm.document import Document, restore_parents
+from repro.xdm.document import (
+    Document,
+    drop_copy_parents,
+    drop_parents,
+    restore_parents,
+)
 from repro.xdm.parser import parse_document
 from repro.xdm.serializer import serialize, serialize_node
 from repro.xquery.parser import (
@@ -180,7 +187,8 @@ class StoredDocument:
     """
 
     __slots__ = ("doc_id", "lock", "flush_lock", "pending", "published",
-                 "logged_version", "_publish_cond", "_originals")
+                 "logged_version", "_publish_cond", "_originals",
+                 "_removed", "_copy_root")
 
     def __init__(self, version):
         """Publish ``version`` — a fresh or restored one — as the
@@ -193,9 +201,11 @@ class StoredDocument:
         #: installs and the logged-version fence live under it, and
         #: nothing is ever acquired while holding it
         self._publish_cond = threading.Condition()
-        #: the nodes of the published tree the in-flight batch's path
-        #: copy copied (``checkout``), until it publishes or is abandoned
-        self._originals = None
+        #: of the in-flight batch (``checkout``), until it publishes or
+        #: is abandoned: the nodes of the published tree its path copy
+        #: copied, the published nodes it removes, and the root of its
+        #: path copy
+        self._originals = self._removed = self._copy_root = None
         #: highest batch version write-ahead logged so far; a state
         #: capture must wait until the published version covers it, or
         #: the captured payload would *lag* the log/stream position it
@@ -237,6 +247,16 @@ class StoredDocument:
         answers from now on. Returns the bytes they held."""
         with self._publish_cond:
             return self.published.forget_answers()
+
+    def release(self):
+        """No batch will be applied to this entry again (it left the
+        store, or the store closed): its published tree drops its
+        parent pointers, so it is freed by reference counting with the
+        last reference to it. Reads go on as before — no reader follows
+        ``.parent`` (the parent-pointer rule of
+        :mod:`repro.store.versions`). Callers hold ``flush_lock`` or
+        have waited out the last flush."""
+        drop_parents(self.published.document.nodes())
 
     def wait_published(self, timeout):
         """The published version, once it covers every logged batch.
@@ -280,6 +300,9 @@ class StoredDocument:
         published = self.published
         document, self._originals = published.document.path_copy(
             chain(footprint.site_ids, footprint.touched_ids))
+        find = published.document.find
+        self._removed = [find(node_id) for node_id in footprint.removed_ids]
+        self._copy_root = document.root
         return document, published.labeling.copy()
 
     def publish(self, document, labeling, full_relabel=False, index=None):
@@ -298,7 +321,8 @@ class StoredDocument:
             self.doc_id, previous.version + 1, document, labeling,
             previous.batches + 1, previous.incremental_relabels + 1 - full,
             previous.full_relabels + full, index=index)
-        originals, self._originals = self._originals, None
+        originals, removed = self._originals, self._removed
+        self._originals = self._removed = self._copy_root = None
         document.commit()
         with self._publish_cond:
             # the retiring version keeps no memo (the memo rule of
@@ -307,13 +331,13 @@ class StoredDocument:
             freed = previous.forget_answers()
             self.published = version
             self._publish_cond.notify_all()
-        # the retired tree's copied nodes drop their parent pointers,
-        # which mean nothing on a retired version (the parent-pointer
-        # rule of repro.store.versions): no reference cycle then runs
-        # through them, and they are freed with the version by reference
+        # the retired tree's copied nodes and the subtrees the batch
+        # removed drop their parent pointers, which mean nothing on a
+        # retired version (the parent-pointer rule of
+        # repro.store.versions): no reference cycle then runs through
+        # them, and they are freed with the version by reference
         # counting rather than left to the cyclic collector
-        for node in originals:
-            node.parent = None
+        drop_parents(chain(originals, removed))
         return freed
 
     def abandon(self):
@@ -321,10 +345,16 @@ class StoredDocument:
         no reader, log or follower ever saw it — the published tree's
         parent pointers are restored where the path copy moved them,
         and the logged-version fence is clamped back so captures
-        waiting on a publish that will never come are released."""
-        if self._originals is not None:
-            restore_parents(self._originals)
-            self._originals = None
+        waiting on a publish that will never come are released. The
+        nodes only the dropped copy held — its copies and whatever the
+        batch inserted into them — drop their parent pointers, so they
+        die by reference counting with it."""
+        originals, root = self._originals, self._copy_root
+        self._originals = self._removed = self._copy_root = None
+        if originals:
+            restore_parents(originals)
+            # (with nothing copied, the copy's root is the published one)
+            drop_copy_parents(root)
         with self._publish_cond:
             self.logged_version = self.published.version
             self._publish_cond.notify_all()
@@ -419,6 +449,9 @@ class DocumentStore:
         self.policies = dict(policies) if policies else {}
         self._entries = {}
         self._lock = threading.Lock()
+        #: set once by close(): from then on every write is refused
+        #: (StoreClosedError); reads go on
+        self._closed = False
         self._arrivals = 0
         self._replaying = False
         self._compacting = threading.Lock()
@@ -504,13 +537,27 @@ class DocumentStore:
         self._reducer = ParallelReducer(workers=workers, backend=backend)
         if self._durability is not None:
             try:
-                state = self._durability.load()
-                if not state.empty:
-                    self._recover_state(state)
-                self._durability.start()
+                self._restart()
             except Exception:
                 self._reducer.close()
                 raise
+
+    def _restart(self):
+        """Recover the directory's durable state and open the log for
+        appending, with the cyclic collector paused: everything a
+        restore allocates stays alive, so a collection meanwhile would
+        free nothing (store README, invariant 10). The pause ends with
+        one young-generation pass, timed as stage ``collect``."""
+        obs = self.obs
+        with collector_paused():
+            with obs.recovery_stage("load"):
+                state = self._durability.load()
+            if not state.empty:
+                self._recover_state(state)
+            self._durability.start()
+            resumed = time.perf_counter()
+        obs.recovery_histogram("collect").observe(
+            time.perf_counter() - resumed)
 
     # -- document lifecycle --------------------------------------------------
 
@@ -579,6 +626,7 @@ class DocumentStore:
         supersedes, and an export that read a stream position past them
         finds the documents."""
         with self._lock:
+            self._check_open()
             for entry in entries:
                 if entry.doc_id in self._entries:
                     raise ReproError(
@@ -600,6 +648,7 @@ class DocumentStore:
         # for a document the log already closed
         with entry.flush_lock:
             with self._lock:
+                self._check_open()
                 if self._entries.get(entry.doc_id) is not entry:
                     raise ReproError(
                         "document {!r} was closed concurrently".format(
@@ -614,8 +663,10 @@ class DocumentStore:
 
     def _evicted(self, entry):
         """``entry`` left ``_entries``: it keeps no answers from now on,
-        and the bytes it held come back to the budget."""
+        the bytes it held come back to the budget, and its tree is left
+        to reference counting (:meth:`StoredDocument.release`)."""
         self._give_answer_bytes(entry.drop_answers())
+        entry.release()
 
     def doc_ids(self):
         """The resident ids in ``str(doc_id)`` order — the order of
@@ -626,6 +677,13 @@ class DocumentStore:
     def __contains__(self, doc_id):
         with self._lock:
             return doc_id in self._entries
+
+    def _check_open(self):
+        """Refuse a write on a closed store — the same refusal under
+        every durability policy (:meth:`close`)."""
+        if self._closed:
+            raise StoreClosedError(
+                "the store is closed: it accepts no writes")
 
     def _require(self, doc_id):
         entry = self._entries.get(doc_id)
@@ -708,6 +766,7 @@ class DocumentStore:
         chain when the batch is coalesced.
         """
         start = time.perf_counter()
+        self._check_open()
         entry = self._require(doc_id)
         if client is None:
             client = pul.origin
@@ -725,6 +784,7 @@ class DocumentStore:
     def discard_pending(self, doc_id):
         """Withdraw everything queued against ``doc_id`` (e.g. after a
         rejected flush); returns the discarded submission count."""
+        self._check_open()
         entry = self._require(doc_id)
         with entry.lock:
             dropped = len(entry.pending)
@@ -933,6 +993,9 @@ class DocumentStore:
         entry = self._require(doc_id)
         with entry.flush_lock:
             with self._lock:
+                # under the flush lock: close() releases the tree
+                # under it, after which no batch may be applied
+                self._check_open()
                 if self._entries.get(doc_id) is not entry:
                     raise ReproError(
                         "document {!r} was closed while the flush "
@@ -969,6 +1032,7 @@ class DocumentStore:
         (per :meth:`flush`), and a single :class:`ReproError` naming all
         failures is raised afterwards.
         """
+        self._check_open()
         results = []
         errors = []
         for doc_id in self.doc_ids():
@@ -1025,6 +1089,11 @@ class DocumentStore:
         except Exception:
             entry.abandon()
             raise
+        finally:
+            # coalescing copied the submitted parameter trees and the
+            # apply inserts copies of its own: the batch's trees are the
+            # store's, and nothing reads them again
+            batch.release_trees()
         if self._durability is not None and not self._replaying \
                 and self._durability.snapshot_due():
             with self.obs.stage("snapshot"):
@@ -1051,49 +1120,56 @@ class DocumentStore:
         with obs.stage("reduce"):
             shards = shard_pul(batch, num_shards or self.workers)
             reduced = merge_shards(self._reducer.reduce_shards(shards))
-        # one classification against the published version serves the
-        # path copy, the apply and the index delta
-        with obs.stage("copy"):
-            footprint = classify(previous.document, reduced)
-            document, labeling = entry.checkout(footprint)
-        # in-place application on the *private working pair*:
-        # identifiers of removed nodes stay burned (the allocator is the
-        # pair's own, position-identical to the published tree's), fresh
-        # ids are assigned in document order across the insertion sites
-        # — identical to the stateless baseline's, per the differential
-        # suite. Readers keep walking the published version untouched.
-        with obs.stage("apply"):
-            apply_mode = apply_batch_in_place(document, labeling,
-                                              reduced, footprint=footprint)
-        relabel = "incremental"
-        if labeling.max_code_length > self.max_code_length:
-            with obs.stage("relabel"):
-                labeling.build(document)
-            relabel = "full"
-        # the secondary index rides the same publish: derived from the
-        # retiring version's index by re-reading the reduced PUL when
-        # the label repair stayed per-site, rebuilt from the tree when
-        # codes moved wholesale (label sync or a full relabel)
-        index = None
-        if (apply_mode == "incremental" and relabel == "incremental"
-                and previous.index is not None):
-            with obs.stage("index-derive"):
-                index = previous.index.derive(
-                    previous.document, document, labeling, reduced,
-                    footprint=footprint)
-        # one atomic reference swap makes the batch visible
-        with obs.stage("publish"):
-            self._give_answer_bytes(entry.publish(
-                document, labeling,
-                full_relabel=(relabel == "full"), index=index))
-        return BatchResult(
-            doc_id=entry.doc_id, version=version,
-            clients=clients,
-            submitted_ops=submitted, reduced_ops=len(reduced),
-            shard_sizes=[len(s) for s in shards], relabel=relabel,
-            max_code_length=labeling.max_code_length,
-            index_maintenance=("incremental" if index is not None
-                               else "rebuild"))
+        try:
+            # one classification against the published version serves
+            # the path copy, the apply and the index delta
+            with obs.stage("copy"):
+                footprint = classify(previous.document, reduced)
+                document, labeling = entry.checkout(footprint)
+            # in-place application on the *private working pair*:
+            # identifiers of removed nodes stay burned (the allocator is
+            # the pair's own, position-identical to the published
+            # tree's), fresh ids are assigned in document order across
+            # the insertion sites — identical to the stateless
+            # baseline's, per the differential suite. Readers keep
+            # walking the published version untouched.
+            with obs.stage("apply"):
+                apply_mode = apply_batch_in_place(
+                    document, labeling, reduced, footprint=footprint)
+            relabel = "incremental"
+            if labeling.max_code_length > self.max_code_length:
+                with obs.stage("relabel"):
+                    labeling.build(document)
+                relabel = "full"
+            # the secondary index rides the same publish: derived from
+            # the retiring version's index by re-reading the reduced PUL
+            # when the label repair stayed per-site, rebuilt from the
+            # tree when codes moved wholesale (label sync or a full
+            # relabel)
+            index = None
+            if (apply_mode == "incremental" and relabel == "incremental"
+                    and previous.index is not None):
+                with obs.stage("index-derive"):
+                    index = previous.index.derive(
+                        previous.document, document, labeling, reduced,
+                        footprint=footprint)
+            # one atomic reference swap makes the batch visible
+            with obs.stage("publish"):
+                self._give_answer_bytes(entry.publish(
+                    document, labeling,
+                    full_relabel=(relabel == "full"), index=index))
+            return BatchResult(
+                doc_id=entry.doc_id, version=version,
+                clients=clients,
+                submitted_ops=submitted, reduced_ops=len(reduced),
+                shard_sizes=[len(s) for s in shards], relabel=relabel,
+                max_code_length=labeling.max_code_length,
+                index_maintenance=("incremental" if index is not None
+                                   else "rebuild"))
+        finally:
+            # the reduced batch's trees are the batch's or copies the
+            # reduction made (shards hold the batch's own operations)
+            reduced.release_trees()
 
     # -- durability ----------------------------------------------------------
 
@@ -1107,6 +1183,7 @@ class DocumentStore:
         """
         if self._durability is None:
             return None
+        self._check_open()
         return self._write_snapshot()
 
     def _write_snapshot(self):
@@ -1233,10 +1310,12 @@ class DocumentStore:
         self._replaying = True
         outcomes = Counter()
         try:
-            for payload in state.documents:
-                self._install_restored(restore_document(payload))
-            for record in state.records:
-                outcomes[self._apply_record(record)] += 1
+            with self.obs.recovery_stage("restore"):
+                for payload in state.documents:
+                    self._install_restored(restore_document(payload))
+            with self.obs.recovery_stage("replay"):
+                for record in state.records:
+                    outcomes[self._apply_record(record)] += 1
         finally:
             self._replaying = False
         with self._lock:
@@ -1281,6 +1360,7 @@ class DocumentStore:
         same entry to live flushes) and reads never block on it, they
         hold published versions (invariant 9).
         """
+        self._check_open()
         kind = record.get("kind")
         durability = None if self._replaying else self._durability
         if kind == "open":
@@ -1360,8 +1440,18 @@ class DocumentStore:
     # -- lifecycle -----------------------------------------------------------
 
     def close(self):
-        """Shut the shared reduction pool down and seal the write-ahead
-        log (idempotent)."""
+        """Refuse every write from now on, whatever the durability
+        policy (:class:`~repro.errors.StoreClosedError`), leave every
+        resident tree to reference counting once an in-flight flush of
+        it finished (:meth:`StoredDocument.release`; reads go on), shut
+        the shared reduction pool down and seal the write-ahead log
+        (idempotent)."""
+        with self._lock:
+            entries = [] if self._closed else list(self._entries.values())
+            self._closed = True
+        for entry in entries:
+            with entry.flush_lock:
+                entry.release()
         self._reducer.close()
         if self._durability is not None:
             self._durability.close()

@@ -42,9 +42,15 @@ exact — the writer's classification, apply, relabel and
 ``Node.detach`` rely on them — while a retired version's shared nodes
 may point into a newer version (and a node a later batch removed
 points nowhere). Publishing N+1 even clears the parent pointers of N's
-copied nodes: then no reference cycle runs through them, and they are
-freed by reference counting when the retired version's last reader
-drops it, instead of waiting for the cyclic collector. Therefore no
+copied nodes and of every subtree the batch removed (``del``,
+``repN``, ``repC``) — nodes that belong to retired versions only: then
+no reference cycle runs through them, and they are freed by reference
+counting when the retired version's last reader drops it, instead of
+waiting for the cyclic collector. The same holds wherever the store
+lets go of a tree: an abandoned path copy, an entry that left the
+store (``close``, a replayed ``close`` record, a replica's
+re-bootstrap) and every entry of a closed store drop their parent
+pointers too (store README, invariant 10). Therefore no
 reader of a version follows ``.parent``: the serializer,
 :func:`document_payload`, the index build and the query walker all
 descend from the root, and the walker orders its results by the
@@ -58,7 +64,11 @@ of every copied original back at it
 (:func:`repro.xdm.document.restore_parents`) — O(copy set), and it also
 restores the parent of a node the batch had detached, because that
 parent is a site. Nothing of it was published, so readers, the log and
-every follower still see version N exactly as it was.
+every follower still see version N exactly as it was. The copy's
+own nodes — the copies and whatever the batch inserted into them —
+then drop their parent pointers
+(:func:`repro.xdm.document.drop_copy_parents`), so they die with the
+dropped copy by reference counting.
 
 Invariant of the memos: a version is immutable, so the first reader
 that asks for its text serializes it and leaves the string on the

@@ -12,6 +12,8 @@ maintains the properties the paper requires of node identity (Section 4.1):
 
 from __future__ import annotations
 
+from itertools import chain
+
 from repro.errors import DocumentError, UnknownNodeError
 
 
@@ -376,3 +378,28 @@ def restore_parents(originals):
             item.parent = node
         for item in node.attributes:
             item.parent = node
+
+
+def drop_parents(nodes):
+    """Clear the parent pointer of every node of ``nodes``: a tree whose
+    nodes point only downwards holds no reference cycle, so it is freed
+    by reference counting the moment its last holder drops it. Only for
+    nodes whose parent pointers nothing will read again (the
+    parent-pointer rule of :mod:`repro.store.versions`)."""
+    for node in nodes:
+        node.parent = None
+
+
+def drop_copy_parents(root):
+    """:func:`drop_parents` over the nodes only a dropped path copy
+    holds: ``root`` — the copy's root, itself a copy — and, below it,
+    every node whose parent pointer names the node it hangs from (the
+    other copies and whatever was inserted into them). Run after
+    :func:`restore_parents`, which points every shared node back at an
+    original, so the walk never enters a tree the copy shared."""
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        stack.extend(item for item in chain(node.children, node.attributes)
+                     if item.parent is node)
+        node.parent = None

@@ -1,5 +1,7 @@
 """Unit and property tests for the CDBS/CDQS dynamic code encoders."""
 
+import gc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -33,6 +35,21 @@ class TestInitialCodes:
 
     def test_no_trailing_zero(self, encoder):
         assert all(code[-1] != "0" for code in encoder.initial_codes(200))
+
+
+class TestCodesBetween:
+    def test_leaves_no_cycle_for_the_collector(self, encoder):
+        # every insert of a run asks for codes: the run's codes and the
+        # encoder's temporaries must die by reference counting
+        gc.collect()
+        gc.disable()
+        try:
+            codes = encoder.codes_between("1", "3", 50)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+        assert codes == sorted(codes) and len(set(codes)) == 50
+        assert "1" < codes[0] and codes[-1] < "3"
 
 
 class TestBetween:
