@@ -23,7 +23,7 @@ about to change; the resulting :class:`Footprint` names every node
 whose child list, attribute list, name or value the batch changes. The
 store uses that one footprint three times: to path-copy the published
 version above those nodes
-(:meth:`repro.store.store.StoredDocument.checkout`), for this module's
+(:meth:`repro.store.versions.StoredDocument.checkout`), for this module's
 apply and label repair, and for the index delta
 (:meth:`repro.index.structural.DocumentIndex.derive`).
 

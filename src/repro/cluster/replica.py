@@ -39,7 +39,8 @@ from repro.cluster.tokens import decode_token
 from repro.errors import ClusterError, NotLeaderError
 from repro.obs.collector import collector_paused
 from repro.store.durability.snapshot import restore_document
-from repro.store.store import DocumentStore, StoredDocument
+from repro.store.store import DocumentStore
+from repro.store.versions import StoredDocument
 
 
 class ReplicaStore(DocumentStore):
@@ -67,41 +68,12 @@ class ReplicaStore(DocumentStore):
 
     # -- write rejection ------------------------------------------------------
 
-    def _reject_write(self, operation):
-        if self.role == "replica":
+    def _check_writable(self, operation=None):
+        # a client write goes to the leader; the replay switch and the
+        # re-checks under a lock name no operation
+        if operation is not None and self.role == "replica":
             raise NotLeaderError(self.leader_address, operation=operation)
-
-    def open(self, doc_id, source):
-        self._reject_write("open")
-        return super().open(doc_id, source)
-
-    def close_document(self, doc_id):
-        self._reject_write("close")
-        return super().close_document(doc_id)
-
-    def bulk_load(self, docs):
-        self._reject_write("bulk-import")
-        return super().bulk_load(docs)
-
-    def submit(self, doc_id, pul, client=None):
-        self._reject_write("submit")
-        return super().submit(doc_id, pul, client=client)
-
-    def submit_xquery(self, doc_id, expression, client=None):
-        self._reject_write("submit-xquery")
-        return super().submit_xquery(doc_id, expression, client=client)
-
-    def discard_pending(self, doc_id):
-        self._reject_write("discard")
-        return super().discard_pending(doc_id)
-
-    def flush(self, doc_id, num_shards=None):
-        self._reject_write("flush")
-        return super().flush(doc_id, num_shards=num_shards)
-
-    def flush_all(self, num_shards=None):
-        self._reject_write("flush")
-        return super().flush_all(num_shards=num_shards)
+        super()._check_writable(operation)
 
     # -- the streaming apply path ---------------------------------------------
 
@@ -128,7 +100,8 @@ class ReplicaStore(DocumentStore):
         *new* timeline, not prepend stale opens to it — and logs the
         cursor. Like a restart, the restore runs with the cyclic
         collector paused (store README, invariant 10), and the replaced
-        entries are evicted (:meth:`DocumentStore._evicted`).
+        entries are evicted
+        (:meth:`~repro.store.reads.StoreReads._evicted`).
         """
         with self._apply_lock, collector_paused():
             fresh = {}
@@ -140,7 +113,7 @@ class ReplicaStore(DocumentStore):
                             entry.doc_id))
                 fresh[entry.doc_id] = entry
             with self._lock:
-                self._check_open()
+                self._check_writable()
                 # swapped in as one assignment: a concurrent read sees
                 # the old timeline or the new one, never a half-empty
                 # store mid-rebootstrap

@@ -48,6 +48,7 @@ the seam a fault plane plugs into: one method in, ``os.fsync`` and
 
 from __future__ import annotations
 
+import fcntl
 import json
 import os
 import re
@@ -282,6 +283,16 @@ def load_durable_state(directory, repair=True):
 class DurabilityManager:
     """Owns one durability directory on behalf of one store.
 
+    One owner per directory: the constructor takes an exclusive advisory
+    lock on the directory's ``owner.lock`` file before anything reads
+    the directory, and :meth:`close` releases it (a process that dies
+    releases it with its descriptors). Two stores appending to one log,
+    each compacting it under the other, would lose acknowledged records,
+    so a second owner — in this process or another — is refused with a
+    :class:`DurabilityError` naming the directory, before it touches any
+    file. Readers that only scan a directory (:func:`replay_oracle`,
+    ``load_durable_state(repair=False)``) take no lock.
+
     Thread-safe: :meth:`append` calls from concurrent flushes, opens and
     closes buffer their frames under an internal lock and share fsyncs;
     compaction swaps the active segment under the same lock.
@@ -337,6 +348,14 @@ class DurabilityManager:
         #: manager.
         self.feed_listener = None
         os.makedirs(directory, exist_ok=True)
+        self._owner = open(os.path.join(directory, "owner.lock"), "a")
+        try:
+            fcntl.flock(self._owner, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            self._owner.close()
+            raise DurabilityError(
+                "durability directory {} is owned by another store "
+                "(its owner.lock is held)".format(directory)) from None
 
     # -- paths ---------------------------------------------------------------
 
@@ -368,11 +387,17 @@ class DurabilityManager:
         self._settled = (self._writer, self._writer.synced_size)
 
     def close(self):
+        """Seal the active segment and give the directory up — also
+        when the seal raises (idempotent)."""
         with self._lock:
-            if self._writer is not None:
-                self._settle(self._writer.close)
-                self._writer = None
-                self._settled = (None, 0)
+            try:
+                if self._writer is not None:
+                    self._settle(self._writer.close)
+                    self._writer = None
+                    self._settled = (None, 0)
+            finally:
+                # closing the descriptor releases the lock
+                self._owner.close()
 
     def wal_position(self):
         """``(generation, synced byte offset)`` of the write-ahead log

@@ -39,35 +39,33 @@ with an XQUF dynamic error found only after mutation — changes
 nothing: the path copy is abandoned, the published version, its labels
 and its index are the same objects as before, and the pending queue is
 restored.
+
+This module holds the write half: the residency table, the document
+lifecycle, submission, the flush pipeline (``_execute_batch`` ->
+``_run_batch`` -> ``_publish_batch``), durability and the one replay
+switch ``_apply_record``. A resident entry and its publish protocol are
+:class:`~repro.store.versions.StoredDocument`; the reads and their memo
+policy are the base class :class:`~repro.store.reads.StoreReads`.
 """
 
 from __future__ import annotations
 
-import functools
 import threading
 import time
 from collections import Counter
-from itertools import chain
 
 from repro.aggregation import aggregate
-from repro.apply.inplace import (
-    apply_batch_in_place,
-    check_nesting,
-    classify,
-)
-from repro.index.structural import build_index
+from repro.apply.inplace import apply_batch_in_place, check_nesting, classify
 from repro.errors import (
     ClusterError,
-    DurabilityError,
     QueryEvaluationError,
-    QuerySyntaxError,
     RecoveryError,
     ReproError,
     StoreClosedError,
 )
 from repro.integration import reconcile
 from repro.labeling.scheme import ContainmentLabeling
-from repro.obs import SIZE_BUCKETS, StoreObs
+from repro.obs import StoreObs
 from repro.obs.collector import collector_paused
 from repro.pipeline.merge import merge_shards
 from repro.pipeline.parallel import ParallelReducer
@@ -81,36 +79,14 @@ from repro.store.durability import (
     document_payload,
     restore_document,
 )
-from repro.store.versions import DocumentVersion, answer_size
-from repro.xdm.document import (
-    Document,
-    drop_copy_parents,
-    drop_parents,
-    restore_parents,
-)
+from repro.store.reads import StoreReads
+from repro.store.versions import DocumentVersion, StoredDocument
+from repro.xdm.document import Document
 from repro.xdm.parser import parse_document
-from repro.xdm.serializer import serialize, serialize_node
-from repro.xquery.parser import (
-    MAX_CACHED_PATH_CHARS,
-    PATH_MEMO_ENTRIES,
-    parse_path,
-)
 
 #: default headroom budget: containment codes may grow to this many digits
 #: before the store schedules a full relabel of the document
 DEFAULT_MAX_CODE_LENGTH = 64
-
-#: how long a state capture waits for a logged batch to publish before
-#: declaring the writer stalled — generous, the window it bridges is a
-#: single batch application
-CAPTURE_TIMEOUT = 60.0
-
-#: store-wide byte budget of the published versions' query-answer
-#: memos (:mod:`repro.store.versions`), counted by ``answer_size``. A
-#: Zipf read load over 160 resident documents fills it (keeping every
-#: answer would take ~3 MB) for +2% of the server's resident memory
-ANSWER_MEMO_BYTES = 2 * 1024 * 1024
-
 
 def coalesce_batch(pending, labeling, on_conflict="error", policies=None):
     """Collapse pending submissions into one batch PUL.
@@ -174,219 +150,14 @@ class BatchResult:
                     self.submitted_ops, self.reduced_ops, self.relabel))
 
 
-class StoredDocument:
-    """One resident document: pending queue, writer state and its
-    published :class:`~repro.store.versions.DocumentVersion` — the one
-    holder of the document's state (see :mod:`repro.store.versions`).
-
-    The writer side (``checkout``/``publish``/``abandon``) is
-    serialized by ``flush_lock``; a reader reads :attr:`published` once
-    and never touches a lock a writer holds across a batch.
-    ``pending`` keeps its own small lock so submissions stay concurrent
-    with both.
-    """
-
-    __slots__ = ("doc_id", "lock", "flush_lock", "pending", "published",
-                 "logged_version", "_publish_cond", "_originals",
-                 "_removed", "_copy_root")
-
-    def __init__(self, version):
-        """Publish ``version`` — a fresh or restored one — as the
-        entry's first, building its index if it has none."""
-        self.doc_id = version.doc_id
-        self.lock = threading.Lock()         # guards `pending`
-        self.flush_lock = threading.Lock()   # serializes batch execution
-        self.pending = []   # (arrival index, client, PUL) in arrival order
-        #: leaf lock of the whole store: publication swaps, the memos'
-        #: installs and the logged-version fence live under it, and
-        #: nothing is ever acquired while holding it
-        self._publish_cond = threading.Condition()
-        #: of the in-flight batch (``checkout``), until it publishes or
-        #: is abandoned: the nodes of the published tree its path copy
-        #: copied, the published nodes it removes, and the root of its
-        #: path copy
-        self._originals = self._removed = self._copy_root = None
-        #: highest batch version write-ahead logged so far; a state
-        #: capture must wait until the published version covers it, or
-        #: the captured payload would *lag* the log/stream position it
-        #: is paired with (leading is safe — replay is idempotent —
-        #: lagging loses acknowledged records)
-        self.logged_version = version.version
-        if version.index is None:
-            version.index = build_index(version.document, version.labeling)
-        self.published = version
-
-    # -- the reader side -----------------------------------------------------
-
-    def keep_text(self, version, text):
-        """Memoize ``text`` as the serialization of ``version`` — only
-        while it is still the published one: a version that retired
-        while the reader serialized it stays without (see
-        :mod:`repro.store.versions`)."""
-        with self._publish_cond:
-            if version is self.published:
-                version.text = text
-
-    def keep_answer(self, version, path, nodes, size):
-        """Memoize ``nodes`` as the answer of ``path`` on ``version`` —
-        under :meth:`keep_text`'s rule, and only while the entry is
-        resident and no other reader kept one first. ``size`` is what
-        the caller charged to the store's budget; returns whether the
-        answer was kept (if not, the caller hands ``size`` back)."""
-        with self._publish_cond:
-            answers = version.answers
-            if (version is self.published and answers is not None
-                    and path not in answers):
-                answers[path] = nodes
-                version.answer_bytes += size
-                return True
-            return False
-
-    def drop_answers(self):
-        """The entry left the store: its published version keeps no
-        answers from now on. Returns the bytes they held."""
-        with self._publish_cond:
-            return self.published.forget_answers()
-
-    def release(self):
-        """No batch will be applied to this entry again (it left the
-        store, or the store closed): its published tree drops its
-        parent pointers, so it is freed by reference counting with the
-        last reference to it. Reads go on as before — no reader follows
-        ``.parent`` (the parent-pointer rule of
-        :mod:`repro.store.versions`). Callers hold ``flush_lock`` or
-        have waited out the last flush."""
-        drop_parents(self.published.document.nodes())
-
-    def wait_published(self, timeout):
-        """The published version, once it covers every logged batch.
-
-        The capture-side half of the logged-version fence: a batch
-        record enters the WAL (and the replication stream) *before* its
-        version is published, so a capture pairing payloads with a
-        log/stream position must wait out that window — the returned
-        version may lead the position (idempotent replay absorbs the
-        overlap) but never lag it.
-        """
-        deadline = time.monotonic() + timeout
-        with self._publish_cond:
-            while self.published.version < self.logged_version:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    raise DurabilityError(
-                        "document {!r} logged version {} but never "
-                        "published it (writer stalled?)".format(
-                            self.doc_id, self.logged_version))
-                self._publish_cond.wait(remaining)
-            return self.published
-
-    # -- the writer side (callers hold flush_lock) ---------------------------
-
-    def mark_logged(self, version):
-        """Raise the logged-version fence *before* the WAL append — a
-        group-commit train can expose the record to the replication
-        feed before ``log_batch`` returns, and from that instant a
-        capture must know a publish is owed."""
-        with self._publish_cond:
-            self.logged_version = version
-
-    def checkout(self, footprint):
-        """The writer's private ``(document, labeling)`` working pair
-        for a batch with ``footprint`` (classified against the
-        published version): the published tree path-copied above the
-        footprint's sites and touched nodes, and a copy of its label
-        map. The published version stays as it was; :meth:`publish`
-        the pair or :meth:`abandon` it."""
-        published = self.published
-        document, self._originals = published.document.path_copy(
-            chain(footprint.site_ids, footprint.touched_ids))
-        find = published.document.find
-        self._removed = [find(node_id) for node_id in footprint.removed_ids]
-        self._copy_root = document.root
-        return document, published.labeling.copy()
-
-    def publish(self, document, labeling, full_relabel=False, index=None):
-        """Atomically publish the working pair as the next version,
-        whose counters are the retiring version's advanced by one
-        batch. ``index`` is the version's secondary index — derived
-        incrementally from the retiring version's by the caller, or
-        rebuilt here when the delta could not be localized. Returns
-        the answer-memo bytes the retiring version gave up, for the
-        caller to hand back to the budget."""
-        if index is None:
-            index = build_index(document, labeling)
-        full = 1 if full_relabel else 0
-        previous = self.published
-        version = DocumentVersion(
-            self.doc_id, previous.version + 1, document, labeling,
-            previous.batches + 1, previous.incremental_relabels + 1 - full,
-            previous.full_relabels + full, index=index)
-        originals, removed = self._originals, self._removed
-        self._originals = self._removed = self._copy_root = None
-        document.commit()
-        with self._publish_cond:
-            # the retiring version keeps no memo (the memo rule of
-            # repro.store.versions)
-            previous.text = None
-            freed = previous.forget_answers()
-            self.published = version
-            self._publish_cond.notify_all()
-        # the retired tree's copied nodes and the subtrees the batch
-        # removed drop their parent pointers, which mean nothing on a
-        # retired version (the parent-pointer rule of
-        # repro.store.versions): no reference cycle then runs through
-        # them, and they are freed with the version by reference
-        # counting rather than left to the cyclic collector
-        drop_parents(chain(originals, removed))
-        return freed
-
-    def abandon(self):
-        """A batch failed: its working pair is dropped by the caller —
-        no reader, log or follower ever saw it — the published tree's
-        parent pointers are restored where the path copy moved them,
-        and the logged-version fence is clamped back so captures
-        waiting on a publish that will never come are released. The
-        nodes only the dropped copy held — its copies and whatever the
-        batch inserted into them — drop their parent pointers, so they
-        die by reference counting with it."""
-        originals, root = self._originals, self._copy_root
-        self._originals = self._removed = self._copy_root = None
-        if originals:
-            restore_parents(originals)
-            # (with nothing copied, the copy's root is the published one)
-            drop_copy_parents(root)
-        with self._publish_cond:
-            self.logged_version = self.published.version
-            self._publish_cond.notify_all()
-
-    def stats(self):
-        version = self.published
-        with self._publish_cond:
-            logged = self.logged_version
-        return {
-            "doc_id": self.doc_id,
-            "version": version.version,
-            "nodes": len(version.document),
-            "pending": len(self.pending),
-            # batches already write-ahead logged whose publish is still
-            # owed (nonzero only inside the log->publish window of an
-            # in-flight flush)
-            "pending_batches": max(0, logged - version.version),
-            "batches": version.batches,
-            "incremental_relabels": version.incremental_relabels,
-            "full_relabels": version.full_relabels,
-            "max_code_length": version.labeling.max_code_length,
-            "answer_memo_bytes": version.answer_bytes,
-        }
-
-
-class DocumentStore:
+class DocumentStore(StoreReads):
     """Resident multi-document server over the sharded pipeline.
 
     Parameters
     ----------
     workers / backend:
-        Concurrency of the per-batch shard reduction: ``backend`` is
+        Concurrency of the per-batch shard reduction: every batch is
+        split into at most ``workers`` shards, and ``backend`` is
         ``"thread"`` (a single warm :class:`ParallelReducer` pool shared
         by all documents) or ``"serial"``.
     max_code_length:
@@ -402,7 +173,9 @@ class DocumentStore:
         ``client name -> ProducerPolicy`` used by ``"reconcile"``.
     durability / wal_dir:
         A :class:`DurabilityPolicy` (or its CLI spec string) and the
-        directory holding the write-ahead log and snapshots. With a
+        directory holding the write-ahead log and snapshots — only a
+        durable policy takes one, and a directory has one owner store
+        at a time (:class:`DurabilityManager`). With a
         durable policy every flushed batch is logged (write-ahead,
         fsynced) before the flush returns, and — mode ``snapshot`` —
         the log is compacted into a full-state snapshot every
@@ -467,9 +240,9 @@ class DocumentStore:
         #: every subsystem serving this store shares — built before
         #: the durability manager so the fsync path is instrumented
         #: from the first record
-        self.obs = StoreObs(enabled=metrics, slow_query_s=slow_query_s,
-                            slow_flush_s=slow_flush_s,
-                            slow_log_path=slow_log_path)
+        super().__init__(StoreObs(
+            enabled=metrics, slow_query_s=slow_query_s,
+            slow_flush_s=slow_flush_s, slow_log_path=slow_log_path))
         obs = self.obs
         self._m_submits = obs.counter(
             "repro_store_submits_total", "PUL submissions accepted")
@@ -484,62 +257,32 @@ class DocumentStore:
         self._op_latency = {
             op: obs.histogram("repro_store_op_latency_seconds",
                               "Store operation latency", op=op)
-            for op in ("submit", "flush", "query", "text", "open")}
-        self._route_counters = {
-            mode: obs.counter("repro_planner_route_total",
-                              "Query routes chosen by the planner",
-                              mode=mode)
-            for mode in ("indexed", "mixed", "walker")}
-        self._m_bucket_rows = obs.histogram(
-            "repro_planner_bucket_rows",
-            "Index bucket sizes scanned by index-scan steps",
-            buckets=SIZE_BUCKETS)
-        #: parsed paths by their text, behind :meth:`_parsed_path`
-        self._paths = functools.lru_cache(PATH_MEMO_ENTRIES)(parse_path)
-        self._path_cache = {
-            result: obs.counter("repro_store_path_cache_total",
-                                "Parsed-path memo lookups of query",
-                                result=result)
-            for result in ("hit", "miss", "uncached")}
-        self._text_cache = {
-            result: obs.counter("repro_store_text_cache_total",
-                                "Version-text memo lookups of text "
-                                "and export",
-                                result=result)
-            for result in ("hit", "miss")}
-        self._answer_cache = {
-            result: obs.counter("repro_store_answer_cache_total",
-                                "Query-answer memo lookups of query",
-                                result=result)
-            for result in ("hit", "miss", "unkept")}
-        self._m_answer_bytes = obs.gauge(
-            "repro_store_answer_memo_bytes",
-            "Bytes the query-answer memos of published versions hold")
-        #: bytes charged to ANSWER_MEMO_BYTES; a leaf lock of its own,
-        #: since the entries' publish locks do not serialize it
-        self._answer_bytes = 0
-        self._answer_lock = threading.Lock()
+            for op in ("submit", "flush", "open")}
         if isinstance(durability, str):
             durability = DurabilityPolicy.parse(durability)
         if durability is None:
             durability = (DurabilityPolicy("log") if wal_dir is not None
                           else DurabilityPolicy("off"))
+        if durability.durable != (wal_dir is not None):
+            # a wal_dir under a policy that keeps nothing would be
+            # silently ignored: the caller believes writes are durable
+            raise ReproError(
+                "durability policy {!r} {} a wal_dir".format(
+                    durability, "needs" if durability.durable
+                    else "keeps nothing in"))
         self.durability_policy = durability
         self._durability = None
-        if durability.durable:
-            if wal_dir is None:
-                raise ReproError(
-                    "durability policy {!r} needs a wal_dir".format(
-                        durability))
-            self._durability = DurabilityManager(wal_dir, durability,
-                                                 group_window=group_window,
-                                                 obs=self.obs)
         self._reducer = ParallelReducer(workers=workers, backend=backend)
-        if self._durability is not None:
+        if durability.durable:
             try:
+                self._durability = DurabilityManager(
+                    wal_dir, durability, group_window=group_window,
+                    obs=obs)
                 self._restart()
             except Exception:
-                self._reducer.close()
+                # releases the directory too: a store that failed to
+                # start owns nothing
+                self.close()
                 raise
 
     def _restart(self):
@@ -563,15 +306,14 @@ class DocumentStore:
 
     def open(self, doc_id, source):
         """Make ``source`` (XML text or a :class:`Document`) resident
-        under ``doc_id``; parses and labels it once."""
+        under ``doc_id``; parses and labels it once — a one-document
+        :meth:`bulk_load`."""
         start = time.perf_counter()
-        if not isinstance(source, Document):
-            source = parse_document(source)
-        labeling = ContainmentLabeling().build(source)
-        entry = StoredDocument(DocumentVersion(doc_id, 0, source, labeling))
-        self._make_resident([entry])
+        self._check_writable("open")
+        entries = self._prepare([(doc_id, source)])
+        self._make_resident(entries)
         self._op_latency["open"].observe(time.perf_counter() - start)
-        return entry
+        return entries[0]
 
     def bulk_load(self, docs):
         """Make a chunk of documents resident in one durable step.
@@ -588,17 +330,28 @@ class DocumentStore:
 
         Returns ``{"loaded", "nodes", "doc_ids"}``.
         """
+        self._check_writable("bulk-import")
+        prepared = self._prepare(docs)
+        self._make_resident(prepared)
+        return {"loaded": len(prepared),
+                "nodes": sum(len(entry.published.document)
+                             for entry in prepared),
+                "doc_ids": [entry.doc_id for entry in prepared]}
+
+    @staticmethod
+    def _prepare(docs):
+        """The parse -> label -> entry step of :meth:`open` and
+        :meth:`bulk_load`: one fresh, not yet resident entry per
+        ``{"doc_id", "xml"}`` object or ``(doc_id, source)`` pair."""
         prepared = []
         chunk_ids = set()
-        nodes = 0
         for doc in docs:
             if isinstance(doc, dict):
                 doc_id, source = doc.get("doc_id"), doc.get("xml")
             else:
                 doc_id, source = doc
             if doc_id is None or source is None:
-                raise ReproError(
-                    "bulk-load documents need doc_id and xml")
+                raise ReproError("a document to load needs doc_id and xml")
             if doc_id in chunk_ids:
                 raise ReproError(
                     "bulk-load chunk names {!r} twice".format(doc_id))
@@ -608,10 +361,7 @@ class DocumentStore:
             labeling = ContainmentLabeling().build(source)
             prepared.append(StoredDocument(
                 DocumentVersion(doc_id, 0, source, labeling)))
-            nodes += len(source)
-        self._make_resident(prepared)
-        return {"loaded": len(prepared), "nodes": nodes,
-                "doc_ids": [entry.doc_id for entry in prepared]}
+        return prepared
 
     def _make_resident(self, entries):
         """Install ``entries`` (all of them or none) behind their
@@ -626,7 +376,7 @@ class DocumentStore:
         supersedes, and an export that read a stream position past them
         finds the documents."""
         with self._lock:
-            self._check_open()
+            self._check_writable()
             for entry in entries:
                 if entry.doc_id in self._entries:
                     raise ReproError(
@@ -641,32 +391,34 @@ class DocumentStore:
 
     def close_document(self, doc_id):
         """Evict a resident document (pending submissions are lost)."""
+        self._check_writable("close")
         with self._lock:
             entry = self._require(doc_id)
-        # wait out any in-flight flush first: its batch record must
-        # precede the close record in the log, or replay finds a batch
-        # for a document the log already closed
+        self._evict(entry)
+
+    def _evict(self, entry):
+        """Remove ``entry`` from the store — the one eviction routine,
+        of :meth:`close_document` and of a replayed ``close`` record.
+
+        An in-flight flush of the entry is waited out first: its batch
+        record must precede the close record in the log, or replay
+        finds a batch for a document the log already closed. The close
+        is logged before the entry goes (a close the log refused evicts
+        nothing), and then the entry's memo and tree are handed back
+        (:meth:`_evicted`)."""
         with entry.flush_lock:
             with self._lock:
-                self._check_open()
+                self._check_writable()
                 if self._entries.get(entry.doc_id) is not entry:
                     raise ReproError(
                         "document {!r} was closed concurrently".format(
                             entry.doc_id))
-                # logged first: a close the log refused evicts nothing
-                if self._durability is not None:
+                if self._durability is not None and not self._replaying:
                     self._durability.log_close(entry.doc_id)
                 del self._entries[entry.doc_id]
         self._evicted(entry)
         with entry.lock:
             self._m_pending.dec(len(entry.pending))
-
-    def _evicted(self, entry):
-        """``entry`` left ``_entries``: it keeps no answers from now on,
-        the bytes it held come back to the budget, and its tree is left
-        to reference counting (:meth:`StoredDocument.release`)."""
-        self._give_answer_bytes(entry.drop_answers())
-        entry.release()
 
     def doc_ids(self):
         """The resident ids in ``str(doc_id)`` order — the order of
@@ -678,9 +430,17 @@ class DocumentStore:
         with self._lock:
             return doc_id in self._entries
 
-    def _check_open(self):
-        """Refuse a write on a closed store — the same refusal under
-        every durability policy (:meth:`close`)."""
+    def _check_writable(self, operation=None):
+        """The one write guard: refuse a write on a closed store — the
+        same refusal under every durability policy (:meth:`close`).
+
+        Every client write calls it first, naming itself as
+        ``operation`` (``open``, ``close``, ``bulk-import``, ``submit``,
+        ``submit-xquery``, ``discard``, ``flush``), before it parses,
+        compiles or queues anything;
+        :class:`~repro.cluster.replica.ReplicaStore` overrides it to
+        refuse those while it follows a leader. The re-checks under a
+        lock and the replay switch name no operation."""
         if self._closed:
             raise StoreClosedError(
                 "the store is closed: it accepts no writes")
@@ -691,69 +451,6 @@ class DocumentStore:
             raise ReproError(
                 "no resident document {!r} (open it first)".format(doc_id))
         return entry
-
-    def document(self, doc_id):
-        return self._require(doc_id).published.document
-
-    def labeling(self, doc_id):
-        return self._require(doc_id).published.labeling
-
-    def version(self, doc_id):
-        return self._require(doc_id).published.version
-
-    def text(self, doc_id):
-        """Serialized text of the latest published version."""
-        return self.text_version(doc_id)[0]
-
-    def text_version(self, doc_id):
-        """``(serialized text, version)`` of one published version — a
-        consistent pair even while a flush applies: the reader holds
-        the published version and serializes it with no flush lock, so
-        a slow serialization never stalls the write path and a slow
-        batch never stalls the reader. A version is immutable, so it is
-        serialized once (:meth:`_version_text`)."""
-        start = time.perf_counter()
-        entry = self._require(doc_id)
-        version = entry.published
-        text = self._version_text(entry, version)
-        self._op_latency["text"].observe(time.perf_counter() - start)
-        return text, version.version
-
-    def _version_text(self, entry, version):
-        """Serialized text of the held ``version`` of ``entry`` —
-        the one place a version's text is produced: read from the
-        version's memo, or serialized and offered to it."""
-        text = version.text
-        if text is not None:
-            self._text_cache["hit"].inc()
-            return text
-        self._text_cache["miss"].inc()
-        text = serialize(version.document)
-        entry.keep_text(version, text)
-        return text
-
-    def stats(self, doc_id=None):
-        if doc_id is not None:
-            return self._require(doc_id).stats()
-        with self._lock:
-            entries = list(self._entries.values())
-        return [entry.stats() for entry in entries]
-
-    def uptime_seconds(self):
-        """Seconds since this store was constructed."""
-        return self.obs.uptime_seconds()
-
-    # -- observability reads -------------------------------------------------
-
-    def metrics_snapshot(self, traces=None, slow=None):
-        """The ``metrics`` op result: every metric series plus uptime;
-        optionally the last ``traces`` span trees and ``slow`` log
-        entries (see :meth:`repro.obs.StoreObs.snapshot`)."""
-        return self.obs.snapshot(traces=traces, slow=slow)
-
-    def metrics_text(self):
-        """Prometheus text exposition of the metrics registry."""
-        return self.obs.render_text()
 
     # -- submission ----------------------------------------------------------
 
@@ -766,7 +463,7 @@ class DocumentStore:
         chain when the batch is coalesced.
         """
         start = time.perf_counter()
-        self._check_open()
+        self._check_writable("submit")
         entry = self._require(doc_id)
         if client is None:
             client = pul.origin
@@ -784,7 +481,7 @@ class DocumentStore:
     def discard_pending(self, doc_id):
         """Withdraw everything queued against ``doc_id`` (e.g. after a
         rejected flush); returns the discarded submission count."""
-        self._check_open()
+        self._check_writable("discard")
         entry = self._require(doc_id)
         with entry.lock:
             dropped = len(entry.pending)
@@ -812,6 +509,7 @@ class DocumentStore:
         # which the store core does not otherwise need
         from repro.xquery.compiler import compile_pul
 
+        self._check_writable("submit-xquery")
         version = self._require(doc_id).published
         pul = compile_pul(expression, version.document,
                           labeling=version.labeling, origin=client)
@@ -825,158 +523,9 @@ class DocumentStore:
         depth = self.submit(doc_id, pul, client=client)
         return depth, ops
 
-    def query(self, doc_id, path, explain=False, engine="auto"):
-        """Evaluate a read-only path expression against the resident
-        document; returns the selected nodes serialized, in document
-        order.
-
-        This is the read surface replicas scale out: unlike
-        :meth:`submit_xquery` it queues nothing and never mutates, so a
-        read-only node serves it freely. Evaluation holds one published
-        version — tree, labeling *and* secondary index travel together
-        — and runs the planner (:mod:`repro.index.planner`) over it
-        with no locks: a slow path expression never stalls the
-        document's write path, and the reported ``version`` is exactly
-        the version the paths ran against (never a concurrent flush's
-        half-applied successor). ``engine`` forces ``"walk"`` or
-        ``"index"`` execution (the differential harness's lever);
-        every engine returns identical bytes. With ``explain=True``
-        the response carries the recorded per-step plan.
-
-        A version never changes, so a planned (``engine="auto"``),
-        unexplained query is answered once per version and path
-        (:meth:`_version_answer`); ``explain`` and a forced engine
-        always evaluate.
-        """
-        start = time.perf_counter()
-        entry = self._require(doc_id)
-        version = entry.published
-        with self.obs.span("query"):
-            if explain or engine != "auto":
-                nodes, plan = self._evaluate(version, path, engine)
-            else:
-                nodes, plan = self._version_answer(entry, version, path)
-        self._observe_query(doc_id, path,
-                            time.perf_counter() - start, plan)
-        result = {"doc_id": doc_id, "version": version.version,
-                  "count": len(nodes), "nodes": list(nodes)}
-        if explain:
-            result["plan"] = plan
-        return result
-
-    def _evaluate(self, version, path, engine):
-        """Run ``path`` on the held ``version``: ``(tuple of
-        serialized nodes in document order, recorded plan)``."""
-        # local import: the read path should not drag the query stack
-        # into store-only deployments
-        from repro.index.planner import run_query
-
-        nodes, plan = run_query(
-            self._parsed_path(path), version.document,
-            labeling=version.labeling, index=version.index, engine=engine)
-        return tuple(serialize_node(node) for node in nodes), plan
-
-    def _version_answer(self, entry, version, path):
-        """``(nodes, plan)`` of ``path`` on the held ``version`` of
-        ``entry`` — the one place a query answer is memoized: read from
-        the version's memo (``plan`` is then ``None``: nothing was
-        planned), or evaluated and offered to it. A path too long for
-        the path memo is never kept, and neither is an answer the byte
-        budget has no room for."""
-        keepable = (isinstance(path, str)
-                    and len(path) <= MAX_CACHED_PATH_CHARS)
-        answers = version.answers if keepable else None
-        if answers:
-            nodes = answers.get(path)
-            if nodes is not None:
-                self._answer_cache["hit"].inc()
-                return nodes, None
-        nodes, plan = self._evaluate(version, path, "auto")
-        kept = False
-        if keepable:
-            size = answer_size(path, nodes)
-            if self._take_answer_bytes(size):
-                kept = entry.keep_answer(version, path, nodes, size)
-                if not kept:
-                    self._give_answer_bytes(size)
-        self._answer_cache["miss" if kept else "unkept"].inc()
-        return nodes, plan
-
-    def _take_answer_bytes(self, size):
-        """Charge ``size`` to the answer budget, if it has room."""
-        with self._answer_lock:
-            if self._answer_bytes + size > ANSWER_MEMO_BYTES:
-                return False
-            self._answer_bytes += size
-            self._m_answer_bytes.set(self._answer_bytes)
-            return True
-
-    def _give_answer_bytes(self, size):
-        if size:
-            with self._answer_lock:
-                self._answer_bytes -= size
-                self._m_answer_bytes.set(self._answer_bytes)
-
-    def _parsed_path(self, path):
-        """``path`` parsed — the one place this store obtains a parsed
-        path. Clients send the same few strings again and again, and
-        planner and engines only read the tree they are handed, so
-        every evaluation of one string shares one tree: a bounded LRU
-        over the pure parser. A string too long to keep (the memo is
-        bounded in bytes, not only in entries) is parsed every time;
-        a syntax error is raised every time, never kept."""
-        if not isinstance(path, str):
-            raise QuerySyntaxError("a path is text, not {}".format(
-                type(path).__name__))
-        if len(path) > MAX_CACHED_PATH_CHARS:
-            self._path_cache["uncached"].inc()
-            return parse_path(path)
-        # a concurrent reader's miss between the two looks can make a
-        # hit count as a miss: the counters are telemetry
-        misses = self._paths.cache_info().misses
-        parsed = self._paths(path)
-        self._path_cache[
-            "hit" if self._paths.cache_info().misses == misses
-            else "miss"].inc()
-        return parsed
-
-    def _observe_query(self, doc_id, path, duration, plan):
-        """Feed the read-path telemetry from one executed query: the
-        op latency, the route counter for the plan's overall mode, the
-        scanned-bucket-size histogram for every index-scan step, and —
-        past the threshold — the slow-query log (plan embedded). An
-        answer read from the memo has ``plan`` ``None``: nothing was
-        planned, so the two planner metrics do not move."""
-        self._op_latency["query"].observe(duration)
-        mode = plan.get("mode") if isinstance(plan, dict) else None
-        counter = self._route_counters.get(mode)
-        if counter is not None:
-            counter.inc()
-        if isinstance(plan, dict):
-            for step in plan.get("steps") or ():
-                if (isinstance(step, dict)
-                        and step.get("choice") == "index-scan"
-                        and isinstance(step.get("bucket"), (int, float))):
-                    self._m_bucket_rows.observe(step["bucket"])
-        self.obs.slowlog.note_query(
-            doc_id, path, duration, plan,
-            trace_id=self.obs.tracer.current_trace_id())
-
-    def explain(self, doc_id, path):
-        """Run ``path`` like :meth:`query` and return the plan the
-        cost model chose — per step: index-scan vs. walk, the bucket
-        and estimate sizes — without the serialized nodes. The query
-        *is* executed (plans depend on per-step context sizes), so
-        ``count`` and ``version`` match what :meth:`query` would have
-        returned for the same published version."""
-        result = self.query(doc_id, path, explain=True)
-        return {"doc_id": result["doc_id"],
-                "version": result["version"], "path": path,
-                "count": result["count"], "plan": result["plan"]}
-
     # -- batch execution -----------------------------------------------------
 
-    def flush(self, doc_id, num_shards=None):
+    def flush(self, doc_id):
         """Coalesce and execute everything pending against ``doc_id``.
 
         Returns a :class:`BatchResult`, or ``None`` when nothing was
@@ -990,12 +539,13 @@ class DocumentStore:
         labels and its index stay the very objects they were.
         """
         start = time.perf_counter()
+        self._check_writable("flush")
         entry = self._require(doc_id)
         with entry.flush_lock:
             with self._lock:
                 # under the flush lock: close() releases the tree
                 # under it, after which no batch may be applied
-                self._check_open()
+                self._check_writable()
                 if self._entries.get(doc_id) is not entry:
                     raise ReproError(
                         "document {!r} was closed while the flush "
@@ -1008,8 +558,7 @@ class DocumentStore:
             self._m_pending.dec(len(pending))
             try:
                 with self.obs.collect_stages() as stages:
-                    result = self._execute_batch(entry, pending,
-                                                 num_shards)
+                    result = self._execute_batch(entry, pending)
             except Exception:
                 self._m_pending.inc(len(pending))
                 self._m_flush_failures.inc()
@@ -1024,7 +573,7 @@ class DocumentStore:
             trace_id=self.obs.tracer.current_trace_id())
         return result
 
-    def flush_all(self, num_shards=None):
+    def flush_all(self):
         """Flush every resident document; returns its batch results.
 
         One document's failing batch must not starve the others: every
@@ -1032,12 +581,12 @@ class DocumentStore:
         (per :meth:`flush`), and a single :class:`ReproError` naming all
         failures is raised afterwards.
         """
-        self._check_open()
+        self._check_writable("flush")
         results = []
         errors = []
         for doc_id in self.doc_ids():
             try:
-                result = self.flush(doc_id, num_shards=num_shards)
+                result = self.flush(doc_id)
             except ReproError as error:
                 if doc_id not in self:
                     # closed cleanly while flush_all iterated — nothing
@@ -1055,7 +604,7 @@ class DocumentStore:
                     "; ".join(str(error) for __, error in errors)))
         return results
 
-    def _execute_batch(self, entry, pending, num_shards):
+    def _execute_batch(self, entry, pending):
         # whichever step fails, the caller restoring the queue is the
         # whole recovery: coalescing and the nesting check precede the
         # logged-version fence (nothing logged, nothing checked out)
@@ -1067,9 +616,9 @@ class DocumentStore:
                                    policies=self.policies)
             check_nesting(batch, labeling)
         clients = len({client for __, client, __unused in pending})
-        return self._run_batch(entry, batch, num_shards, clients)
+        return self._run_batch(entry, batch, clients)
 
-    def _run_batch(self, entry, batch, num_shards, clients):
+    def _run_batch(self, entry, batch, clients):
         """Make one coalesced ``batch`` effective on ``entry``.
 
         Shared by the live flush path and WAL replay: both shard the
@@ -1084,8 +633,7 @@ class DocumentStore:
         every host that replays the record.
         """
         try:
-            result = self._publish_batch(entry, batch, num_shards,
-                                         clients)
+            result = self._publish_batch(entry, batch, clients)
         except Exception:
             entry.abandon()
             raise
@@ -1100,7 +648,7 @@ class DocumentStore:
                 self._write_snapshot()
         return result
 
-    def _publish_batch(self, entry, batch, num_shards, clients):
+    def _publish_batch(self, entry, batch, clients):
         """:meth:`_run_batch` from the fence to the publish; raising
         anywhere in between leaves ``entry`` as it was."""
         obs = self.obs
@@ -1118,7 +666,7 @@ class DocumentStore:
                     entry.doc_id, version, clients, pul_to_xml(batch))
         submitted = len(batch)
         with obs.stage("reduce"):
-            shards = shard_pul(batch, num_shards or self.workers)
+            shards = shard_pul(batch, self.workers)
             reduced = merge_shards(self._reducer.reduce_shards(shards))
         try:
             # one classification against the published version serves
@@ -1183,7 +731,7 @@ class DocumentStore:
         """
         if self._durability is None:
             return None
-        self._check_open()
+        self._check_writable()
         return self._write_snapshot()
 
     def _write_snapshot(self):
@@ -1241,70 +789,6 @@ class DocumentStore:
         raise ClusterError(
             "this node is not a replica (nothing to promote)")
 
-    def export_state(self, doc_ids=None, cursor=None, limit=None,
-                     form="state", timeout=CAPTURE_TIMEOUT):
-        """One page of a filtered, resumable corpus export.
-
-        Documents are walked in stable ``str(doc_id)`` order; ``cursor``
-        (the last key of the previous page) resumes after it, ``limit``
-        bounds the page, ``doc_ids`` restricts the walk. Each document
-        is read from its *published version* — the MVCC read path — so
-        a concurrent flush never tears a page.
-
-        ``form`` selects the payload shape: ``"state"`` returns
-        snapshot-form payloads (node identifiers and labels preserved —
-        what a replica bootstrap, a re-import and snapshot
-        compaction need to stay batch-addressable — made from the
-        :class:`~repro.store.versions.DocumentVersion` itself),
-        ``"xml"`` returns serialized text.
-
-        Stream pairing: when replication is enabled, ``(stream, seq)``
-        are read **before** any payload is captured, and each payload
-        waits until its document's published version covers every batch
-        already logged (:meth:`StoredDocument.wait_published`). The
-        payloads therefore describe a state at or *past* ``seq``, never
-        behind it: a follower that installs them and streams records
-        from ``seq`` misses nothing (the fatal direction), and
-        re-receives at most records the payloads already reflect —
-        which the apply path absorbs idempotently (batch version-skip,
-        open skip-if-present, tolerated-missing close).
-        A multi-page bootstrap anchors at the *first* page's position:
-        later pages only lead it further.
-
-        Returns ``{"docs", "cursor", "done", "seq", "stream"}``.
-        """
-        if form not in ("state", "xml"):
-            raise ReproError(
-                "export form must be 'state' or 'xml', got {!r}".format(
-                    form))
-        seq = stream = None
-        if self.replication is not None:
-            seq = self.replication.next_seq
-            stream = self.replication.stream_id
-        wanted = (None if doc_ids is None
-                  else {str(doc_id) for doc_id in doc_ids})
-        with self._lock:
-            entries = sorted(self._entries.values(),
-                             key=lambda entry: str(entry.doc_id))
-        selected = [
-            entry for entry in entries
-            if (wanted is None or str(entry.doc_id) in wanted)
-            and (cursor is None or str(entry.doc_id) > str(cursor))]
-        page = selected if limit is None else selected[:max(1, int(limit))]
-        docs = []
-        for entry in page:
-            version = entry.wait_published(timeout)
-            if form == "state":
-                docs.append(document_payload(version))
-            else:
-                docs.append({"doc_id": entry.doc_id,
-                             "text": self._version_text(entry, version),
-                             "version": version.version})
-        return {"docs": docs,
-                "cursor": (str(page[-1].doc_id) if page else cursor),
-                "done": len(page) == len(selected),
-                "seq": seq, "stream": stream}
-
     def _recover_state(self, state):
         """Replay a :class:`~repro.store.durability.LoadedState`."""
         self._replaying = True
@@ -1360,16 +844,15 @@ class DocumentStore:
         same entry to live flushes) and reads never block on it, they
         hold published versions (invariant 9).
         """
-        self._check_open()
+        self._check_writable()
         kind = record.get("kind")
-        durability = None if self._replaying else self._durability
         if kind == "open":
             restored = restore_document(record["doc"])
             with self._lock:
                 if restored.doc_id in self._entries:
                     return "skipped"
-            if durability is not None:
-                durability.log_open(record["doc"])
+            if self._durability is not None and not self._replaying:
+                self._durability.log_open(record["doc"])
             self._install_restored(restored)
             return kind
         if kind == "repl-pos":
@@ -1390,16 +873,10 @@ class DocumentStore:
             raise RecoveryError(
                 "log record targets {!r} which the log never "
                 "opened".format(record["doc_id"]))
+        if kind == "close":
+            self._evict(entry)
+            return kind
         with entry.flush_lock:
-            if kind == "close":
-                # same order as close_document: an in-flight apply of
-                # this entry is waited out before the eviction
-                if durability is not None:
-                    durability.log_close(entry.doc_id)
-                with self._lock:
-                    self._entries.pop(entry.doc_id, None)
-                self._evicted(entry)
-                return kind
             version = record["version"]
             reached = entry.published.version
             if version <= reached:
@@ -1412,8 +889,7 @@ class DocumentStore:
             try:
                 # live, _run_batch write-ahead logs into our own WAL
                 self._run_batch(entry, pul_from_xml(record["pul"]),
-                                num_shards=None,
-                                clients=record.get("clients", 0))
+                                record.get("clients", 0))
             except Exception:
                 # breadth matching the live flush path: whatever the
                 # original flush raised on this logged batch, it left

@@ -93,7 +93,7 @@ every replica alike.
 
 Answers, unlike texts, are bounded: every answer the store keeps is
 charged to one store-wide byte budget
-(:data:`repro.store.store.ANSWER_MEMO_BYTES`, counted as string and
+(:data:`repro.store.reads.ANSWER_MEMO_BYTES`, counted as string and
 tuple sizes by :func:`answer_size`). An answer that does not fit is
 served and not kept — nothing is evicted — and the bytes come back at
 exactly two points: when ``publish`` retires the version holding them,
@@ -106,13 +106,28 @@ A version is also what a payload is made from and restored to:
 held version — snapshot compaction and snapshot transfer capture
 published versions without quiescing writers — and
 :func:`~repro.store.durability.snapshot.restore_document` returns an
-unpublished one, which :class:`~repro.store.store.StoredDocument`
-publishes.
+unpublished one, which a :class:`StoredDocument` publishes.
+
+The rules above are kept by two classes of this module: a
+:class:`DocumentVersion` is the immutable value a reader holds, and a
+:class:`StoredDocument` is one resident entry of the store — its
+pending queue, its writer side (``checkout``, ``publish``, ``abandon``:
+the parent-pointer rule) and the only code that installs a memo
+(``keep_text``, ``keep_answer``: the memo rule). The store's residency
+table holds the entries (:mod:`repro.store.store`); its reads charge
+the memos to the budget (:mod:`repro.store.reads`).
 """
 
 from __future__ import annotations
 
 import sys
+import threading
+import time
+from itertools import chain
+
+from repro.errors import DurabilityError
+from repro.index.structural import build_index
+from repro.xdm.document import drop_copy_parents, drop_parents, restore_parents
 
 
 def answer_size(path, nodes):
@@ -170,3 +185,209 @@ class DocumentVersion:
     def __repr__(self):
         return "DocumentVersion(doc={!r}, v{})".format(
             self.doc_id, self.version)
+
+
+class StoredDocument:
+    """One resident document: pending queue, writer state and its
+    published :class:`DocumentVersion` — the one holder of the
+    document's state (see the module docstring).
+
+    The writer side (``checkout``/``publish``/``abandon``) is
+    serialized by ``flush_lock``; a reader reads :attr:`published` once
+    and never touches a lock a writer holds across a batch.
+    ``pending`` keeps its own small lock so submissions stay concurrent
+    with both.
+    """
+
+    __slots__ = ("doc_id", "lock", "flush_lock", "pending", "published",
+                 "logged_version", "_publish_cond", "_originals",
+                 "_removed", "_copy_root")
+
+    def __init__(self, version):
+        """Publish ``version`` — a fresh or restored one — as the
+        entry's first, building its index if it has none."""
+        self.doc_id = version.doc_id
+        self.lock = threading.Lock()         # guards `pending`
+        self.flush_lock = threading.Lock()   # serializes batch execution
+        self.pending = []   # (arrival index, client, PUL) in arrival order
+        #: leaf lock of the whole store: publication swaps, the memos'
+        #: installs and the logged-version fence live under it, and
+        #: nothing is ever acquired while holding it
+        self._publish_cond = threading.Condition()
+        #: of the in-flight batch (``checkout``), until it publishes or
+        #: is abandoned: the nodes of the published tree its path copy
+        #: copied, the published nodes it removes, and the root of its
+        #: path copy
+        self._originals = self._removed = self._copy_root = None
+        #: highest batch version write-ahead logged so far; a state
+        #: capture must wait until the published version covers it, or
+        #: the captured payload would *lag* the log/stream position it
+        #: is paired with (leading is safe — replay is idempotent —
+        #: lagging loses acknowledged records)
+        self.logged_version = version.version
+        if version.index is None:
+            version.index = build_index(version.document, version.labeling)
+        self.published = version
+
+    # -- the reader side -----------------------------------------------------
+
+    def keep_text(self, version, text):
+        """Memoize ``text`` as the serialization of ``version`` — only
+        while it is still the published one: a version that retired
+        while the reader serialized it stays without (see
+        :mod:`repro.store.versions`)."""
+        with self._publish_cond:
+            if version is self.published:
+                version.text = text
+
+    def keep_answer(self, version, path, nodes, size):
+        """Memoize ``nodes`` as the answer of ``path`` on ``version`` —
+        under :meth:`keep_text`'s rule, and only while the entry is
+        resident and no other reader kept one first. ``size`` is what
+        the caller charged to the store's budget; returns whether the
+        answer was kept (if not, the caller hands ``size`` back)."""
+        with self._publish_cond:
+            answers = version.answers
+            if (version is self.published and answers is not None
+                    and path not in answers):
+                answers[path] = nodes
+                version.answer_bytes += size
+                return True
+            return False
+
+    def drop_answers(self):
+        """The entry left the store: its published version keeps no
+        answers from now on. Returns the bytes they held."""
+        with self._publish_cond:
+            return self.published.forget_answers()
+
+    def release(self):
+        """No batch will be applied to this entry again (it left the
+        store, or the store closed): its published tree drops its
+        parent pointers, so it is freed by reference counting with the
+        last reference to it. Reads go on as before — no reader follows
+        ``.parent`` (the parent-pointer rule of
+        :mod:`repro.store.versions`). Callers hold ``flush_lock`` or
+        have waited out the last flush."""
+        drop_parents(self.published.document.nodes())
+
+    def wait_published(self, timeout):
+        """The published version, once it covers every logged batch.
+
+        The capture-side half of the logged-version fence: a batch
+        record enters the WAL (and the replication stream) *before* its
+        version is published, so a capture pairing payloads with a
+        log/stream position must wait out that window — the returned
+        version may lead the position (idempotent replay absorbs the
+        overlap) but never lag it.
+        """
+        deadline = time.monotonic() + timeout
+        with self._publish_cond:
+            while self.published.version < self.logged_version:
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    raise DurabilityError(
+                        "document {!r} logged version {} but never "
+                        "published it (writer stalled?)".format(
+                            self.doc_id, self.logged_version))
+                self._publish_cond.wait(remaining)
+            return self.published
+
+    # -- the writer side (callers hold flush_lock) ---------------------------
+
+    def mark_logged(self, version):
+        """Raise the logged-version fence *before* the WAL append — a
+        group-commit train can expose the record to the replication
+        feed before ``log_batch`` returns, and from that instant a
+        capture must know a publish is owed."""
+        with self._publish_cond:
+            self.logged_version = version
+
+    def checkout(self, footprint):
+        """The writer's private ``(document, labeling)`` working pair
+        for a batch with ``footprint`` (classified against the
+        published version): the published tree path-copied above the
+        footprint's sites and touched nodes, and a copy of its label
+        map. The published version stays as it was; :meth:`publish`
+        the pair or :meth:`abandon` it."""
+        published = self.published
+        document, self._originals = published.document.path_copy(
+            chain(footprint.site_ids, footprint.touched_ids))
+        find = published.document.find
+        self._removed = [find(node_id) for node_id in footprint.removed_ids]
+        self._copy_root = document.root
+        return document, published.labeling.copy()
+
+    def publish(self, document, labeling, full_relabel=False, index=None):
+        """Atomically publish the working pair as the next version,
+        whose counters are the retiring version's advanced by one
+        batch. ``index`` is the version's secondary index — derived
+        incrementally from the retiring version's by the caller, or
+        rebuilt here when the delta could not be localized. Returns
+        the answer-memo bytes the retiring version gave up, for the
+        caller to hand back to the budget."""
+        if index is None:
+            index = build_index(document, labeling)
+        full = 1 if full_relabel else 0
+        previous = self.published
+        version = DocumentVersion(
+            self.doc_id, previous.version + 1, document, labeling,
+            previous.batches + 1, previous.incremental_relabels + 1 - full,
+            previous.full_relabels + full, index=index)
+        originals, removed = self._originals, self._removed
+        self._originals = self._removed = self._copy_root = None
+        document.commit()
+        with self._publish_cond:
+            # the retiring version keeps no memo (the memo rule of
+            # repro.store.versions)
+            previous.text = None
+            freed = previous.forget_answers()
+            self.published = version
+            self._publish_cond.notify_all()
+        # the retired tree's copied nodes and the subtrees the batch
+        # removed drop their parent pointers, which mean nothing on a
+        # retired version (the parent-pointer rule of
+        # repro.store.versions): no reference cycle then runs through
+        # them, and they are freed with the version by reference
+        # counting rather than left to the cyclic collector
+        drop_parents(chain(originals, removed))
+        return freed
+
+    def abandon(self):
+        """A batch failed: its working pair is dropped by the caller —
+        no reader, log or follower ever saw it — the published tree's
+        parent pointers are restored where the path copy moved them,
+        and the logged-version fence is clamped back so captures
+        waiting on a publish that will never come are released. The
+        nodes only the dropped copy held — its copies and whatever the
+        batch inserted into them — drop their parent pointers, so they
+        die by reference counting with it."""
+        originals, root = self._originals, self._copy_root
+        self._originals = self._removed = self._copy_root = None
+        if originals:
+            restore_parents(originals)
+            # (with nothing copied, the copy's root is the published one)
+            drop_copy_parents(root)
+        with self._publish_cond:
+            self.logged_version = self.published.version
+            self._publish_cond.notify_all()
+
+    def stats(self):
+        version = self.published
+        with self._publish_cond:
+            logged = self.logged_version
+        return {
+            "doc_id": self.doc_id,
+            "version": version.version,
+            "nodes": len(version.document),
+            "pending": len(self.pending),
+            # batches already write-ahead logged whose publish is still
+            # owed (nonzero only inside the log->publish window of an
+            # in-flight flush)
+            "pending_batches": max(0, logged - version.version),
+            "batches": version.batches,
+            "incremental_relabels": version.incremental_relabels,
+            "full_relabels": version.full_relabels,
+            "max_code_length": version.labeling.max_code_length,
+            "answer_memo_bytes": version.answer_bytes,
+        }

@@ -9,7 +9,7 @@ concurrently mid-walk. These tests nail the contract at the dispatcher
 
 import threading
 
-import repro.store.store as store_module
+import repro.store.reads as reads_module
 from repro.api.dispatch import StoreDispatcher
 from repro.pul.ops import Rename
 from repro.pul.pul import PUL
@@ -60,7 +60,7 @@ class TestPinSemantics:
 
             in_walk = threading.Event()
             release = threading.Event()
-            real_serialize = store_module.serialize_node
+            real_serialize = reads_module.serialize_node
 
             def stalling_serialize(node):
                 # the query result is rendered inside the pin window;
@@ -69,7 +69,7 @@ class TestPinSemantics:
                 release.wait(10)
                 return real_serialize(node)
 
-            monkeypatch.setattr(store_module, "serialize_node",
+            monkeypatch.setattr(reads_module, "serialize_node",
                                 stalling_serialize)
 
             results = []
@@ -79,7 +79,7 @@ class TestPinSemantics:
                 daemon=True)
             querier.start()
             assert in_walk.wait(10)
-            monkeypatch.setattr(store_module, "serialize_node",
+            monkeypatch.setattr(reads_module, "serialize_node",
                                 real_serialize)
             store.flush("d")
             assert store.version("d") == 1

@@ -187,6 +187,59 @@ class TestReadOnly:
             assert result["nodes"] == ['<x n="0"/>', '<x n="1"/>']
 
 
+#: every client write of a store: (operation name the refusal carries,
+#: the call); each call succeeds once the replica is promoted
+CLIENT_WRITES = [
+    ("open", lambda store, pul: store.open("d2", DOC)),
+    ("close", lambda store, pul: store.close_document("d1")),
+    ("bulk-import", lambda store, pul: store.bulk_load(
+        [{"doc_id": "d3", "xml": DOC}])),
+    ("submit", lambda store, pul: store.submit("d1", pul)),
+    ("submit-xquery", lambda store, pul: store.submit_xquery(
+        "d1", "insert node <y/> as last into /doc/items")),
+    ("discard", lambda store, pul: store.discard_pending("d1")),
+    ("flush", lambda store, pul: store.flush("d1")),
+    ("flush", lambda store, pul: store.flush_all()),
+]
+
+
+class TestWriteGuard:
+    """A replica refuses each client write in the store's one write
+    guard, before anything is parsed, compiled or queued."""
+
+    @pytest.mark.parametrize(
+        "operation, write", CLIENT_WRITES,
+        ids=[name for name, __ in CLIENT_WRITES[:-1]] + ["flush-all"])
+    def test_refused_before_any_work_then_served_once_promoted(
+            self, monkeypatch, operation, write):
+        import repro.store.store as store_module
+        import repro.xquery.compiler as compiler
+
+        with DocumentStore(workers=1, backend="serial") as source, \
+                make_replica() as replica:
+            source.open("d1", DOC)
+            replica.bootstrap(source.export_state()["docs"], 0)
+            pul = compile_pul("delete nodes /doc/meta",
+                              replica.document("d1"))
+            with monkeypatch.context() as patch:
+                def refused(*args, **kwargs):
+                    raise AssertionError("a refused write did work")
+
+                patch.setattr(store_module, "parse_document", refused)
+                patch.setattr(compiler, "compile_pul", refused)
+                with pytest.raises(NotLeaderError) as excinfo:
+                    write(replica, pul)
+            assert excinfo.value.leader == LEADER_ADDR
+            assert "cannot accept {} (leader: {})".format(
+                operation, LEADER_ADDR) in str(excinfo.value)
+            assert replica.doc_ids() == ["d1"]
+            assert replica.stats("d1")["pending"] == 0
+            assert replica.version("d1") == 0
+            replica.promote(allow_non_durable=True)
+            replica.submit("d1", pul)
+            write(replica, pul)
+
+
 class TestDurableReplica:
     def test_restart_recovers_state_and_cursor(self, tmp_path):
         with make_leader(tmp_path) as leader:

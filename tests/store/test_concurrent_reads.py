@@ -137,12 +137,12 @@ class TestFlushAllClose:
 
             real_flush = DocumentStore.flush
 
-            def racing_flush(doc_id, num_shards=None):
+            def racing_flush(doc_id):
                 # "b" is closed between flush_all's doc_ids() listing
                 # and its flush — the mid-iteration close race
                 if doc_id == "b" and "b" in store:
                     store.close_document("b")
-                return real_flush(store, doc_id, num_shards=num_shards)
+                return real_flush(store, doc_id)
 
             store.flush = racing_flush
             results = store.flush_all()

@@ -63,7 +63,7 @@ class TestReductionOracleDifferential:
 
 
 def _run_session(document, seed, clients=3, rounds=4, ops_per_round=12,
-                 max_code_length=64, num_shards=None, min_depth=0):
+                 max_code_length=64, workers=2, min_depth=0):
     """Drive one store-vs-baseline session; asserts byte identity after
     every flush and returns the store's final stats."""
     text = serialize(document)
@@ -71,7 +71,7 @@ def _run_session(document, seed, clients=3, rounds=4, ops_per_round=12,
         document, clients=clients, rounds=rounds,
         ops_per_round=ops_per_round, seed=seed, min_depth=min_depth)
     baseline = StatelessBaseline(measure_parse=False)
-    with DocumentStore(workers=2, backend="serial",
+    with DocumentStore(workers=workers, backend="serial",
                        max_code_length=max_code_length) as store:
         store.open("d", text)
         baseline.open("d", text)
@@ -79,7 +79,7 @@ def _run_session(document, seed, clients=3, rounds=4, ops_per_round=12,
             for client, pul in submissions:
                 store.submit("d", pul.copy(), client=client)
                 baseline.submit("d", pul.copy(), client=client)
-            store.flush("d", num_shards=num_shards)
+            store.flush("d")
             baseline.flush("d")
             assert store.text("d") == baseline.text("d")
         assert store.text("d") == serialize(expected)
@@ -103,9 +103,9 @@ class TestStoreDifferential:
                              max_code_length=14)
         assert stats["full_relabels"] >= 1
 
-    @pytest.mark.parametrize("num_shards", (1, 3, 8))
-    def test_shard_count_invariance(self, document, num_shards):
-        _run_session(document, seed=9, num_shards=num_shards)
+    @pytest.mark.parametrize("workers", (1, 3, 8))
+    def test_shard_count_invariance(self, document, workers):
+        _run_session(document, seed=9, workers=workers)
 
     def test_record_local_sessions(self, document):
         """The sharding-friendly min_depth workload shape."""

@@ -19,6 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import repro.store.reads as reads_module
 import repro.store.store as store_module
 from repro.errors import DurabilityError, ReproError
 from repro.pul.ops import Rename
@@ -620,7 +621,7 @@ def _assert_memo_accounting(store):
             answer_size(path, nodes)
             for path, nodes in version.answers.items())
         held += version.answer_bytes
-    assert store._answer_bytes == held <= store_module.ANSWER_MEMO_BYTES
+    assert store._answer_bytes == held <= reads_module.ANSWER_MEMO_BYTES
     assert store.metrics_snapshot()["gauges"][
         "repro_store_answer_memo_bytes"] == held
 
@@ -644,17 +645,17 @@ class TestAnswerMemo:
 
     @settings(max_examples=60, deadline=None)
     @given(steps=_STEPS,
-           budget=st.sampled_from([0, 700, store_module.ANSWER_MEMO_BYTES]))
+           budget=st.sampled_from([0, 700, reads_module.ANSWER_MEMO_BYTES]))
     @example(steps=[("read", 0, 0), ("reopen", 0, 0), ("read", 0, 0)],
-             budget=store_module.ANSWER_MEMO_BYTES)
+             budget=reads_module.ANSWER_MEMO_BYTES)
     @example(steps=[("read", 1, 6), ("hold", 1, 6), ("read", 1, 6)],
-             budget=store_module.ANSWER_MEMO_BYTES)
+             budget=reads_module.ANSWER_MEMO_BYTES)
     def test_a_memoized_answer_is_never_stale(self, steps, budget):
         """Writes, repeated reads, a reader holding a version across the
         publish that retires it, and close + re-open of an id with
         another document (its version restarts at 0): every answer
         equals the walker's at the version it reports."""
-        with mock.patch.object(store_module, "ANSWER_MEMO_BYTES", budget), \
+        with mock.patch.object(reads_module, "ANSWER_MEMO_BYTES", budget), \
                 DocumentStore(backend="serial") as store:
             sources = {"a": DOC, "b": DOC}
             for doc_id, source in sources.items():
@@ -701,7 +702,7 @@ class TestAnswerMemo:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            with mock.patch.object(store_module, "ANSWER_MEMO_BYTES",
+            with mock.patch.object(reads_module, "ANSWER_MEMO_BYTES",
                                    3000), \
                     DocumentStore(backend="serial") as store:
                 store.open("d", DOC)
@@ -783,7 +784,7 @@ class TestAnswerMemo:
 
 class TestAnswerBudget:
     def test_the_budget_holds_and_comes_back_on_close(self):
-        with mock.patch.object(store_module, "ANSWER_MEMO_BYTES", 2000), \
+        with mock.patch.object(reads_module, "ANSWER_MEMO_BYTES", 2000), \
                 DocumentStore(backend="serial") as store:
             doc_ids = ["d{}".format(number) for number in range(6)]
             for doc_id in doc_ids:
@@ -853,7 +854,7 @@ class TestAnswerBudget:
             store.open("d", DOC)
             room = answer_size("//note", tuple(store.query(
                 "d", "//note")["nodes"]))
-        with mock.patch.object(store_module, "ANSWER_MEMO_BYTES", room), \
+        with mock.patch.object(reads_module, "ANSWER_MEMO_BYTES", room), \
                 DocumentStore(backend="serial") as store:
             store.open("d", DOC)
             store.query("d", "//note")
@@ -1132,7 +1133,8 @@ class TestNoWholeDocumentCopy:
                 recovered.submit("d", PUL([Rename(title, "restarted")]))
                 recovered.flush("d")
                 assert recovered.recovery.replayed_batches == 3
-                assert (store.text("d"), store.version("d")) == final
+                assert (recovered.text("d"), recovered.version("d")) == (
+                    final[0].replace("pinned", "restarted"), 4)
             finally:
                 recovered.close()
         assert replay_oracle(wal_dir)["d"] == (

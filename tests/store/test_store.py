@@ -292,10 +292,10 @@ class TestConcurrency:
         started = threading.Event()
         release = threading.Event()
 
-        def slow_execute(entry, pending, num_shards):
+        def slow_execute(entry, pending):
             started.set()
             assert release.wait(5)
-            return inner(entry, pending, num_shards)
+            return inner(entry, pending)
 
         store._execute_batch = slow_execute
         store.submit("d1", PUL([InsertIntoAsLast(
