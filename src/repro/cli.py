@@ -21,13 +21,13 @@ Subcommands mirror the library's pipeline (``-`` reads stdin):
   HOST:PORT``);
   ``store recover`` rebuilds state from a durability directory
   (``--verify`` byte-compares against the stateless replay oracle);
-  ``store bench`` reports resident-incremental vs parse+full-relabel
-  throughput; ``store import``/``store export`` are the streaming bulk
-  ETL pair — chunked group-committed loads of XML corpora, and
-  filtered resumable dumps whose resume token anchors a CDC
-  subscription (``--target`` a running server or ``--wal-dir`` a local
-  directory); ``store metrics`` dumps the observability series
-  (Prometheus text or ``--json``) and ``store top`` is a live,
+  ``store import``/``store export`` are the streaming bulk ETL pair —
+  chunked group-committed loads of XML corpora, and filtered resumable
+  dumps whose resume token anchors a CDC subscription; ``store
+  metrics`` dumps the observability series (Prometheus text or
+  ``--json``). Those four and ``store query`` talk to ``--target`` (a
+  running server) or ``--wal-dir`` (a local directory, opened by a
+  one-worker serial store) alike. ``store top`` is a live,
   curses-free dashboard over a running server (ops/sec, latency
   percentiles, fsync rate, replication lag);
 * ``cluster``   — operating a replicated deployment of ``store serve``
@@ -46,6 +46,7 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -70,7 +71,6 @@ from repro.store import (
     DurabilityPolicy,
     replay_oracle,
 )
-from repro.store.bench import run_store_benchmark
 from repro.xdm.parser import parse_document
 from repro.xquery import compile_pul
 
@@ -299,16 +299,24 @@ def cmd_store_serve(args, out):
     return 0
 
 
+def _offline_store(max_code_length, policy, wal_dir):
+    """The store a command opens on a local durability directory: one
+    pipeline worker, serial backend (only ``store serve`` offers the
+    concurrency knobs)."""
+    return DocumentStore(workers=1, backend="serial",
+                         max_code_length=max_code_length,
+                         durability=policy, wal_dir=wal_dir)
+
+
 def cmd_store_recover(args, out):
     if not os.path.isdir(args.wal_dir):
         # recover inspects existing state; creating the directory here
         # would turn a path typo into fresh, durable-looking emptiness
         raise ReproError(
             "--wal-dir {} does not exist".format(args.wal_dir))
-    policy = DurabilityPolicy.parse(args.durability or "log")
-    store = DocumentStore(workers=args.workers, backend=args.backend,
-                          max_code_length=args.max_code_length,
-                          durability=policy, wal_dir=args.wal_dir)
+    store = _offline_store(args.max_code_length,
+                           DurabilityPolicy.parse(args.durability or "log"),
+                           args.wal_dir)
     try:
         report = store.recovery
         if report is None:
@@ -343,62 +351,56 @@ def cmd_store_recover(args, out):
     return 0
 
 
-def cmd_store_bench(args, out):
-    report = run_store_benchmark(
-        scale=args.scale, clients=args.clients, rounds=args.rounds,
-        ops_per_round=args.ops, workers=args.workers,
-        backend=args.backend, max_code_length=args.max_code_length,
-        seed=args.seed, min_depth=args.min_depth)
-    for line in report.lines():
-        out.write(line + "\n")
-    return 0
+@contextlib.contextmanager
+def _store_surface(args, retries=0):
+    """The one surface ``store import``/``export``/``query``/``metrics``
+    talk to, closed on exit: a :class:`~repro.api.client.StoreClient`
+    for ``--target``, or a :class:`~repro.api.dispatch.StoreDispatcher`
+    over the local store of ``--wal-dir`` (existing state is recovered
+    first, its report on stderr). Both answer the same methods."""
+    if args.target:
+        from repro.api.client import StoreClient
+        from repro.cluster import parse_address
 
+        host, port = parse_address(args.target)
+        with StoreClient.connect(host=host, port=port,
+                                 retries=retries) as client:
+            yield client
+        return
+    from repro.api.dispatch import StoreDispatcher
 
-def _etl_store(args):
-    """Open the local store an ETL command targets (``--wal-dir``)."""
     policy, wal_dir = _durability_policy(args)
     if wal_dir is None:
         raise ReproError("store import/export/query/metrics needs "
                          "--target host:port (a running server) or "
                          "--wal-dir (a durability directory)")
-    store = DocumentStore(workers=args.workers, backend=args.backend,
-                          max_code_length=args.max_code_length,
-                          durability=policy, wal_dir=wal_dir)
-    if store.recovery is not None:
-        for line in store.recovery.lines():
-            sys.stderr.write("recover: {}\n".format(line))
-    return store
+    store = _offline_store(args.max_code_length, policy, wal_dir)
+    try:
+        if store.recovery is not None:
+            for line in store.recovery.lines():
+                sys.stderr.write("recover: {}\n".format(line))
+        yield StoreDispatcher(store)
+    finally:
+        store.close()
+
+
+def _progress(args, out):
+    """The ``--verbose`` per-chunk/per-page progress callback."""
+    def progress(line):
+        if args.verbose:
+            out.write(line + "\n")
+    return progress
 
 
 def cmd_store_import(args, out):
     from repro.etl import BulkImporter
 
-    def progress(line):
-        if args.verbose:
-            out.write(line + "\n")
-
-    store = client = None
-    try:
-        if args.target:
-            from repro.api.client import StoreClient
-            from repro.cluster import parse_address
-
-            host, port = parse_address(args.target)
-            client = StoreClient.connect(host=host, port=port)
-            load = client.bulk_import
-        else:
-            store = _etl_store(args)
-            load = store.bulk_load
-        importer = BulkImporter(load, chunk_docs=args.chunk_docs,
-                                max_errors=args.max_errors,
-                                doc_prefix=args.doc_prefix,
-                                progress=progress)
-        report = importer.run(args.paths)
-    finally:
-        if client is not None:
-            client.close()
-        if store is not None:
-            store.close()
+    with _store_surface(args) as surface:
+        report = BulkImporter(surface.bulk_import,
+                              chunk_docs=args.chunk_docs,
+                              max_errors=args.max_errors,
+                              doc_prefix=args.doc_prefix,
+                              progress=_progress(args, out)).run(args.paths)
     for reject in report.rejected:
         out.write("reject {}: {}\n".format(reject["source"],
                                            reject["reason"]))
@@ -412,33 +414,12 @@ def cmd_store_import(args, out):
 def cmd_store_export(args, out):
     from repro.etl import export_corpus
 
-    def progress(line):
-        if args.verbose:
-            out.write(line + "\n")
-
-    store = client = None
-    try:
-        if args.target:
-            from repro.api.client import StoreClient
-            from repro.cluster import parse_address
-
-            host, port = parse_address(args.target)
-            client = StoreClient.connect(host=host, port=port)
-            export = client.export
-        else:
-            from repro.api.dispatch import StoreDispatcher
-
-            store = _etl_store(args)
-            export = StoreDispatcher(store).export
-        result = export_corpus(export, out_dir=args.out_dir,
+    with _store_surface(args) as surface:
+        result = export_corpus(surface.export, out_dir=args.out_dir,
                                doc_ids=args.docs or None,
                                page_size=args.page_size,
-                               form=args.format, progress=progress)
-    finally:
-        if client is not None:
-            client.close()
-        if store is not None:
-            store.close()
+                               form=args.format,
+                               progress=_progress(args, out))
     out.write("exported {} document(s) in {} page(s) to {}\n".format(
         result["docs"], result["pages"],
         args.out_dir if args.out_dir else "stdout report"))
@@ -472,29 +453,11 @@ def _write_plan(plan, out):
 
 
 def cmd_store_query(args, out):
-    store = client = None
-    try:
-        if args.target:
-            from repro.api.client import StoreClient
-            from repro.cluster import parse_address
-
-            host, port = parse_address(args.target)
-            client = StoreClient.connect(host=host, port=port)
-            surface = client
-        else:
-            from repro.api.dispatch import StoreDispatcher
-
-            store = _etl_store(args)
-            surface = StoreDispatcher(store)
+    with _store_surface(args) as surface:
         if args.explain:
             result = surface.explain(args.doc, args.path)
         else:
             result = surface.query(args.doc, args.path)
-    finally:
-        if client is not None:
-            client.close()
-        if store is not None:
-            store.close()
     out.write("doc {} version {}: {} node(s)\n".format(
         result["doc_id"], result["version"], result["count"]))
     if args.explain:
@@ -506,21 +469,7 @@ def cmd_store_query(args, out):
 
 
 def cmd_store_metrics(args, out):
-    store = client = None
-    try:
-        if args.target:
-            from repro.api.client import StoreClient
-            from repro.cluster import parse_address
-
-            host, port = parse_address(args.target)
-            client = StoreClient.connect(host=host, port=port,
-                                         retries=args.retries)
-            surface = client
-        else:
-            from repro.api.dispatch import StoreDispatcher
-
-            store = _etl_store(args)
-            surface = StoreDispatcher(store)
+    with _store_surface(args, retries=args.retries) as surface:
         if args.json:
             result = surface.metrics(traces=args.traces,
                                      slow=args.slow)
@@ -528,11 +477,6 @@ def cmd_store_metrics(args, out):
                       + "\n")
         else:
             out.write(surface.metrics(format="prometheus")["text"])
-    finally:
-        if client is not None:
-            client.close()
-        if store is not None:
-            store.close()
     return 0
 
 
@@ -767,11 +711,7 @@ def build_parser():
     store_commands = store_cmd.add_subparsers(dest="store_command",
                                               required=True)
 
-    def _store_options(parser_):
-        parser_.add_argument("--workers", type=int, default=2,
-                             help="concurrent reduction workers")
-        parser_.add_argument("--backend", default="thread",
-                             choices=("thread", "serial"))
+    def _budget_option(parser_):
         parser_.add_argument("--max-code-length", type=int,
                              default=DEFAULT_MAX_CODE_LENGTH,
                              help="containment-code headroom budget "
@@ -820,7 +760,11 @@ def build_parser():
 
     serve_cmd = store_commands.add_parser(
         "serve", help="serve the store over the network protocol")
-    _store_options(serve_cmd)
+    serve_cmd.add_argument("--workers", type=int, default=2,
+                           help="concurrent reduction workers")
+    serve_cmd.add_argument("--backend", default="thread",
+                           choices=("thread", "serial"))
+    _budget_option(serve_cmd)
     _durability_options(serve_cmd)
     _observability_options(serve_cmd)
     serve_cmd.add_argument("--listen", required=True,
@@ -856,7 +800,7 @@ def build_parser():
     recover_cmd = store_commands.add_parser(
         "recover", help="rebuild store state from a durability "
                         "directory and report it")
-    _store_options(recover_cmd)
+    _budget_option(recover_cmd)
     recover_cmd.add_argument("--wal-dir", required=True,
                              help="durability directory to recover")
     recover_cmd.add_argument("--durability", default=None,
@@ -870,20 +814,6 @@ def build_parser():
                                   "into this directory")
     recover_cmd.set_defaults(func=cmd_store_recover)
 
-    store_bench_cmd = store_commands.add_parser(
-        "bench", help="resident-incremental vs parse+full-relabel "
-                      "throughput")
-    _store_options(store_bench_cmd)
-    store_bench_cmd.add_argument("--scale", type=float, default=0.05,
-                                 help="XMark document scale")
-    store_bench_cmd.add_argument("--clients", type=int, default=4)
-    store_bench_cmd.add_argument("--rounds", type=int, default=8)
-    store_bench_cmd.add_argument("--ops", type=int, default=50,
-                                 help="operations per round")
-    store_bench_cmd.add_argument("--seed", type=int, default=11)
-    store_bench_cmd.add_argument("--min-depth", type=int, default=0)
-    store_bench_cmd.set_defaults(func=cmd_store_bench)
-
     def _etl_target_options(parser_):
         _durability_options(parser_, target="a running store server (the "
                                             "leader in a cluster)")
@@ -893,7 +823,7 @@ def build_parser():
     import_cmd = store_commands.add_parser(
         "import", help="streaming bulk load: XML files/directories -> "
                        "parse -> label -> group-committed chunks")
-    _store_options(import_cmd)
+    _budget_option(import_cmd)
     _etl_target_options(import_cmd)
     import_cmd.add_argument("paths", nargs="+",
                             help=".xml files or directories (walked "
@@ -912,7 +842,7 @@ def build_parser():
     export_cmd = store_commands.add_parser(
         "export", help="filtered, resumable corpus dump from published "
                        "MVCC versions")
-    _store_options(export_cmd)
+    _budget_option(export_cmd)
     _etl_target_options(export_cmd)
     export_cmd.add_argument("--out-dir", default=None,
                             help="write each document's XML here "
@@ -931,7 +861,7 @@ def build_parser():
         "query", help="read-only path query against a published MVCC "
                       "version (server or local WAL directory); "
                       "--explain prints the chosen plan per step")
-    _store_options(query_cmd)
+    _budget_option(query_cmd)
     _etl_target_options(query_cmd)
     query_cmd.add_argument("doc", help="document id")
     query_cmd.add_argument("path",
@@ -944,7 +874,7 @@ def build_parser():
     metrics_cmd = store_commands.add_parser(
         "metrics", help="dump the observability metrics (Prometheus "
                         "text exposition by default)")
-    _store_options(metrics_cmd)
+    _budget_option(metrics_cmd)
     _durability_options(metrics_cmd, target="a running store server")
     metrics_cmd.add_argument("--retries", type=int, default=1,
                              help="connect retries with backoff")

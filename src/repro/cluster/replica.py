@@ -106,7 +106,8 @@ class ReplicaStore(DocumentStore):
         with self._apply_lock, collector_paused():
             fresh = {}
             for payload in payloads:
-                entry = StoredDocument(restore_document(payload))
+                entry = StoredDocument(
+                    restore_document(payload, self.max_code_length))
                 if entry.doc_id in fresh:
                     raise ClusterError(
                         "state export names {!r} twice".format(

@@ -1,28 +1,19 @@
-"""The stateless per-batch baseline: parse → reduce → apply → full relabel.
+"""The stateless per-batch baseline: full relabel → reduce → apply.
 
 :class:`StatelessBaseline` exposes the same ``open`` / ``submit`` /
 ``flush`` / ``text`` surface as :class:`~repro.store.store.DocumentStore`
 but processes every batch the way a stateless service would: the whole
 document is (re)labeled from scratch, the batch is reduced sequentially
 (no sharding), and the PUL is made effective with the in-memory
-evaluator. It is both
+evaluator. It is the **differential oracle**: the store's
+resident-incremental output must be byte-identical to this path on
+every batch (the property the fuzz suite checks).
 
-* the **differential oracle** — the store's resident-incremental output
-  must be byte-identical to this path on every batch (the property the
-  fuzz suite checks), and
-* the **benchmark baseline** — ``benchmarks/bench_store_throughput.py``
-  compares resident-incremental flushes against this per-batch
-  parse + full-relabel cost.
-
-One deliberate simulation: a genuinely stateless service would re-parse
-the document text per batch (with identifiers stored inline, Section 6).
-Our parser derives identifiers from document order instead of reading
-them back, so re-parsing would renumber nodes and break the id-addressed
-workload. The baseline therefore keeps the document resident for
-*semantics* but still pays the parse bill per batch when
-``measure_parse=True`` — parsing its own serialized text and discarding
-the result — which models the stateless cost honestly without changing
-the observable behaviour.
+The baseline keeps its document resident for *semantics* only — a
+genuinely stateless service would re-parse the text per batch, but our
+parser derives identifiers from document order instead of reading them
+back (Section 6 stores them inline), so a re-parse would renumber nodes
+and break the id-addressed workload.
 """
 
 from __future__ import annotations
@@ -49,13 +40,11 @@ class _BaselineEntry:
 
 
 class StatelessBaseline:
-    """Sequential parse → reduce → apply → full-relabel per batch."""
+    """Full relabel → sequential reduce → apply, per batch."""
 
-    def __init__(self, on_conflict="error", policies=None,
-                 measure_parse=True):
+    def __init__(self, on_conflict="error", policies=None):
         self.on_conflict = on_conflict
         self.policies = dict(policies) if policies else {}
-        self.measure_parse = measure_parse
         self._entries = {}
         self._arrivals = 0
 
@@ -98,9 +87,6 @@ class StatelessBaseline:
             return None
         pending, entry.pending = entry.pending, []
         try:
-            if self.measure_parse:
-                # the stateless bill: re-parse the document from its text
-                parse_document(serialize(entry.document))
             # full relabel: a stateless service derives labels per request
             entry.labeling = ContainmentLabeling().build(entry.document)
             batch = coalesce_batch(pending, entry.labeling,

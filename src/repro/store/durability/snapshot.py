@@ -21,9 +21,11 @@ ids — is what the tree says it is, so it is not written: the restore
 reads it off the tree while one iterative walk over the rows builds
 both. The rows travel as one compact JSON text in the ``nodes`` field
 (a single string costs a wire codec one copy instead of a walk over
-every term), beside ``doc_id``, ``next_id``, ``max_code_len`` and the
-version counters. A payload of any other shape — the retired
-``tree``/``labels`` form among them — is a :class:`RecoveryError`.
+every term), beside ``doc_id``, ``next_id``, ``max_code_len``, the
+headroom ``budget`` the document was opened under and the version
+counters. A payload of any other shape — the retired ``tree``/``labels``
+form among them — is a :class:`RecoveryError`; one written before
+payloads carried a budget restores under the restoring host's.
 
 This module is the only code that knows the form: the snapshot file,
 the WAL ``open`` record, the ``export`` state page, a replica's
@@ -38,7 +40,7 @@ import json
 from repro.errors import LabelingError, RecoveryError
 from repro.labeling.containment import ExtendedLabel
 from repro.labeling.scheme import ContainmentLabeling
-from repro.store.versions import DocumentVersion
+from repro.store.versions import DEFAULT_MAX_CODE_LENGTH, DocumentVersion
 from repro.xdm.document import Document, IdAllocator
 from repro.xdm.node import Node, NodeType
 
@@ -79,18 +81,20 @@ def document_payload(version):
         "nodes": json.dumps(rows, ensure_ascii=False,
                             separators=(",", ":")),
         "max_code_len": version.labeling.max_code_length,
+        "budget": version.budget,
     }
     for counter in _COUNTERS:
         payload[counter] = getattr(version, counter)
     return payload
 
 
-def restore_document(payload):
+def restore_document(payload, budget=DEFAULT_MAX_CODE_LENGTH):
     """Rebuild the :class:`DocumentVersion` a payload dict describes —
     unpublished, and with no index (a store entry builds one when it
-    publishes the version; the replay oracle needs none). Anything
-    malformed, a missing or unhashable ``doc_id`` among it, is a
-    :class:`RecoveryError`."""
+    publishes the version; the replay oracle needs none) — under the
+    headroom budget the payload carries, or ``budget`` (the restoring
+    host's) when it carries none. Anything malformed, a missing or
+    unhashable ``doc_id`` among it, is a :class:`RecoveryError`."""
     if not isinstance(payload, dict):
         raise RecoveryError("a document payload is an object, not a "
                             "{}".format(type(payload).__name__))
@@ -110,6 +114,9 @@ def restore_document(payload):
         document = Document.indexed(root, nodes, allocator)
         labeling = ContainmentLabeling.restored(
             labels, _integer(payload["max_code_len"]))
+        budget = _integer(payload.get("budget", budget))
+        if budget < 1:
+            raise ValueError("budget {} is below 1".format(budget))
         counters = [_integer(payload[name]) for name in _COUNTERS]
     except KeyError as exc:
         raise RecoveryError(
@@ -121,8 +128,8 @@ def restore_document(payload):
             "malformed document payload for {!r}: {}".format(
                 doc_id, exc)) from exc
     version, batches, incremental_relabels, full_relabels = counters
-    return DocumentVersion(doc_id, version, document, labeling, batches,
-                           incremental_relabels, full_relabels)
+    return DocumentVersion(doc_id, version, document, labeling, budget,
+                           batches, incremental_relabels, full_relabels)
 
 
 def _integer(value):

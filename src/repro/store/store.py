@@ -23,7 +23,7 @@ crosses ``max_code_length`` (the headroom budget), falls back to a full
 relabel — one :meth:`ContainmentLabeling.build` pass that rebalances every
 code back to ``O(log n)`` digits. The differential test suite checks that
 the resident-incremental path stays byte-identical to the stateless
-parse → reduce → apply → full-relabel baseline
+relabel → reduce → apply oracle
 (:class:`~repro.store.baseline.StatelessBaseline`) on every batch.
 
 Batch coalescing follows the paper's two intents: submissions from the
@@ -80,13 +80,14 @@ from repro.store.durability import (
     restore_document,
 )
 from repro.store.reads import StoreReads
-from repro.store.versions import DocumentVersion, StoredDocument
+from repro.store.versions import (
+    DEFAULT_MAX_CODE_LENGTH,
+    DocumentVersion,
+    StoredDocument,
+)
 from repro.xdm.document import Document
 from repro.xdm.parser import parse_document
 
-#: default headroom budget: containment codes may grow to this many digits
-#: before the store schedules a full relabel of the document
-DEFAULT_MAX_CODE_LENGTH = 64
 
 def coalesce_batch(pending, labeling, on_conflict="error", policies=None):
     """Collapse pending submissions into one batch PUL.
@@ -161,10 +162,14 @@ class DocumentStore(StoreReads):
         ``"thread"`` (a single warm :class:`ParallelReducer` pool shared
         by all documents) or ``"serial"``.
     max_code_length:
-        Headroom budget: when the labeling's longest containment code
-        exceeds this many digits after a batch, the document is fully
-        relabeled (codes rebalanced); below it, labels are maintained
-        incrementally.
+        Headroom budget of the documents this store opens: when a
+        labeling's longest containment code exceeds this many digits
+        after a batch, the document is fully relabeled (codes
+        rebalanced); below it, labels are maintained incrementally. A
+        document keeps the budget it was opened under — its payload
+        carries it — so a restart, a replica or an ``open`` record
+        replayed here adopts the logged budget; only a payload written
+        before payloads carried one restores under this store's.
     on_conflict:
         ``"error"`` (reject the whole batch, pending queue preserved) or
         ``"reconcile"`` (resolve cross-client conflicts under
@@ -338,8 +343,7 @@ class DocumentStore(StoreReads):
                              for entry in prepared),
                 "doc_ids": [entry.doc_id for entry in prepared]}
 
-    @staticmethod
-    def _prepare(docs):
+    def _prepare(self, docs):
         """The parse -> label -> entry step of :meth:`open` and
         :meth:`bulk_load`: one fresh, not yet resident entry per
         ``{"doc_id", "xml"}`` object or ``(doc_id, source)`` pair."""
@@ -359,8 +363,8 @@ class DocumentStore(StoreReads):
             if not isinstance(source, Document):
                 source = parse_document(source)
             labeling = ContainmentLabeling().build(source)
-            prepared.append(StoredDocument(
-                DocumentVersion(doc_id, 0, source, labeling)))
+            prepared.append(StoredDocument(DocumentVersion(
+                doc_id, 0, source, labeling, self.max_code_length)))
         return prepared
 
     def _make_resident(self, entries):
@@ -685,7 +689,7 @@ class DocumentStore(StoreReads):
                 apply_mode = apply_batch_in_place(
                     document, labeling, reduced, footprint=footprint)
             relabel = "incremental"
-            if labeling.max_code_length > self.max_code_length:
+            if labeling.max_code_length > previous.budget:
                 with obs.stage("relabel"):
                     labeling.build(document)
                 relabel = "full"
@@ -796,7 +800,8 @@ class DocumentStore(StoreReads):
         try:
             with self.obs.recovery_stage("restore"):
                 for payload in state.documents:
-                    self._install_restored(restore_document(payload))
+                    self._install_restored(
+                        restore_document(payload, self.max_code_length))
             with self.obs.recovery_stage("replay"):
                 for record in state.records:
                     outcomes[self._apply_record(record)] += 1
@@ -847,7 +852,8 @@ class DocumentStore(StoreReads):
         self._check_writable()
         kind = record.get("kind")
         if kind == "open":
-            restored = restore_document(record["doc"])
+            restored = restore_document(record["doc"],
+                                        self.max_code_length)
             with self._lock:
                 if restored.doc_id in self._entries:
                     return "skipped"

@@ -129,6 +129,9 @@ from repro.errors import DurabilityError
 from repro.index.structural import build_index
 from repro.xdm.document import drop_copy_parents, drop_parents, restore_parents
 
+#: default headroom budget: containment codes may grow to this many digits
+#: before the store schedules a full relabel of the document
+DEFAULT_MAX_CODE_LENGTH = 64
 
 def answer_size(path, nodes):
     """Bytes one memoized answer holds: the path key, the tuple and
@@ -147,16 +150,22 @@ class DocumentVersion:
     reference, and is freed then.
     """
 
-    __slots__ = ("doc_id", "version", "document", "labeling", "batches",
-                 "incremental_relabels", "full_relabels",
+    __slots__ = ("doc_id", "version", "document", "labeling", "budget",
+                 "batches", "incremental_relabels", "full_relabels",
                  "index", "text", "answers", "answer_bytes")
 
-    def __init__(self, doc_id, version, document, labeling, batches=0,
-                 incremental_relabels=0, full_relabels=0, index=None):
+    def __init__(self, doc_id, version, document, labeling, budget,
+                 batches=0, incremental_relabels=0, full_relabels=0,
+                 index=None):
         self.doc_id = doc_id
         self.version = version
         self.document = document
         self.labeling = labeling
+        #: the headroom budget the document was opened under: a batch
+        #: that leaves a code longer than this many digits is followed
+        #: by a full relabel. It travels in every payload, so every
+        #: host of the document's log relabels after the same batches
+        self.budget = budget
         self.batches = batches
         self.incremental_relabels = incremental_relabels
         self.full_relabels = full_relabels
@@ -332,7 +341,7 @@ class StoredDocument:
         previous = self.published
         version = DocumentVersion(
             self.doc_id, previous.version + 1, document, labeling,
-            previous.batches + 1, previous.incremental_relabels + 1 - full,
+            previous.budget, previous.batches + 1, previous.incremental_relabels + 1 - full,
             previous.full_relabels + full, index=index)
         originals, removed = self._originals, self._removed
         self._originals = self._removed = self._copy_root = None

@@ -109,7 +109,7 @@ class TestConcurrentClientsMatchBaseline:
         run(scenario())
 
         # the oracle: same submissions, same per-client order
-        baseline = StatelessBaseline(measure_parse=False)
+        baseline = StatelessBaseline()
         for index in range(CLIENTS):
             doc_id = "d{}".format(index)
             doc_text = client_doc(index)
@@ -193,7 +193,7 @@ class TestSigtermDrainRecovery:
         with DocumentStore(backend="serial", durability="log",
                            wal_dir=wal_dir) as recovered:
             assert recovered.recovery is not None
-            baseline = StatelessBaseline(measure_parse=False)
+            baseline = StatelessBaseline()
             for index in range(CLIENTS):
                 doc_id = "d{}".format(index)
                 doc_text = client_doc(index)

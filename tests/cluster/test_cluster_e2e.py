@@ -141,7 +141,7 @@ def test_leader_sigkill_promote_preserves_every_acked_batch(tmp_path):
         assert "now leader" in promote.stdout
 
         # the oracle: exactly the acknowledged submissions
-        baseline = StatelessBaseline(measure_parse=False)
+        baseline = StatelessBaseline()
         for index in range(CLIENTS):
             doc_id = "d{}".format(index)
             baseline.open(doc_id, client_doc(index))

@@ -76,7 +76,7 @@ class TestConsumerIdentity:
     def test_subscriber_matches_leader_and_baseline(self, tmp_path,
                                                     workload):
         text, batches, expected = workload
-        baseline = StatelessBaseline(measure_parse=False)
+        baseline = StatelessBaseline()
         with make_leader_store(tmp_path) as store, \
                 ServerThread(store) as node, connect(node) as client:
             subscriber = consumer()
@@ -177,7 +177,7 @@ class TestFailover:
                     # paired resume token of the new epoch
                     token = bootstrap(client, subscriber)
                     # the new leader keeps writing; the subscriber follows
-                    baseline = StatelessBaseline(measure_parse=False)
+                    baseline = StatelessBaseline()
                     baseline.open("d", text)
                     for submissions in batches:
                         for producer, pul in submissions:

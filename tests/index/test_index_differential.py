@@ -260,7 +260,7 @@ class TestEngineDifferential:
             + ["failing batch", "conflict", "hot spot", "root"]),
             label="schedule")
         schedule = _Schedule()
-        baseline = StatelessBaseline(measure_parse=False)
+        baseline = StatelessBaseline()
         with tempfile.TemporaryDirectory() as wal_dir:
             with _durable(DocumentStore, wal_dir, headroom) as store:
                 source = store.enable_replication()
@@ -380,7 +380,7 @@ class TestEngineDifferential:
                         for n in parse_document(text).nodes()
                         if n.is_element and n.name == "b")
         serial = 1000
-        baseline = StatelessBaseline(measure_parse=False)
+        baseline = StatelessBaseline()
         with DocumentStore(workers=1, backend="serial",
                            max_code_length=8) as store:
             store.open("d", text)

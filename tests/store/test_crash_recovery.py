@@ -77,7 +77,7 @@ def expected_states():
     batches, __ = generate_client_batches(
         document, clients=CLIENTS, rounds=ROUNDS,
         ops_per_round=OPS_PER_ROUND, seed=WORKLOAD_SEED)
-    baseline = StatelessBaseline(measure_parse=False)
+    baseline = StatelessBaseline()
     baseline.open("d", serialize(document))
     states = {0: baseline.text("d")}
     for submissions in batches:

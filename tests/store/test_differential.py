@@ -7,8 +7,8 @@ Every stateful path is checked against a stateless sequential oracle:
   :class:`~repro.reasoning.oracle.DocumentOracle`;
 * **store**: multi-round concurrent-client sessions through the resident
   :class:`DocumentStore` (incremental relabeling) must stay byte-identical
-  to the :class:`StatelessBaseline` (parse → reduce → apply → full
-  relabel) after every flush — including sessions whose headroom budget
+  to the :class:`StatelessBaseline` (full relabel → reduce → apply)
+  after every flush — including sessions whose headroom budget
   forces full-relabel fallbacks mid-stream, and across every pipeline
   shard count.
 """
@@ -70,7 +70,7 @@ def _run_session(document, seed, clients=3, rounds=4, ops_per_round=12,
     batches, expected = generate_client_batches(
         document, clients=clients, rounds=rounds,
         ops_per_round=ops_per_round, seed=seed, min_depth=min_depth)
-    baseline = StatelessBaseline(measure_parse=False)
+    baseline = StatelessBaseline()
     with DocumentStore(workers=workers, backend="serial",
                        max_code_length=max_code_length) as store:
         store.open("d", text)
@@ -126,7 +126,7 @@ class TestStoreDifferential:
 
         text = serialize(document)
         victim = next(n.node_id for n in document.nodes() if n.is_text)
-        baseline = StatelessBaseline(measure_parse=False)
+        baseline = StatelessBaseline()
         with DocumentStore(workers=2, backend="serial") as store:
             store.open("d", text)
             baseline.open("d", text)

@@ -177,8 +177,8 @@ def _operations(draw, document):
 
 def _assert_restores_exactly(version):
     """``restore_document(document_payload(version))`` is ``version``:
-    text, node ids, allocator, watermark, counters and every label
-    field — as an unpublished version with no index."""
+    text, node ids, allocator, watermark, budget, counters and every
+    label field — as an unpublished version with no index."""
     restored = restore_document(document_payload(version))
     document, labeling = version.document, version.labeling
     assert restored.doc_id == version.doc_id
@@ -194,6 +194,7 @@ def _assert_restores_exactly(version):
     assert restored.document.allocator.next_value \
         == document.allocator.next_value
     assert restored.labeling.max_code_length == labeling.max_code_length
+    assert restored.budget == version.budget
     assert {node_id: label.to_string()
             for node_id, label in restored.labeling.as_mapping().items()} \
         == {node_id: label.to_string()
@@ -318,6 +319,9 @@ def _hostile_payloads():
         ("rows-nested-past-the-stack", dict(
             good, nodes="[" * 100000 + "]" * 100000)),
         ("next-id-not-an-integer", dict(good, next_id="9")),
+        ("budget-not-an-integer", dict(good, budget="6")),
+        ("budget-below-one", dict(good, budget=0)),
+        ("budget-a-boolean", dict(good, budget=True)),
         ("counter-missing", {key: good[key] for key in good
                              if key != "version"}),
         ("doc-id-missing", {key: good[key] for key in good

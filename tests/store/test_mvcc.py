@@ -54,7 +54,7 @@ def _batch_specs(document, rounds):
 def _baseline_timeline(specs):
     """``{version: text}`` of every version the batch sequence
     publishes, computed by the stateless differential oracle."""
-    baseline = StatelessBaseline(measure_parse=False)
+    baseline = StatelessBaseline()
     baseline.open("d", DOC)
     timeline = {0: baseline.text("d")}
     for spec in specs:
@@ -362,7 +362,7 @@ class TestVersionTextMemo:
         with DocumentStore(backend="serial") as store:
             store.open("d", DOC)
             entry = store._entries["d"]
-            baseline = StatelessBaseline(measure_parse=False)
+            baseline = StatelessBaseline()
             baseline.open("d", DOC)
             for spec in _batch_specs(store.document("d"), 5):
                 for executor in (store, baseline):

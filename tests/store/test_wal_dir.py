@@ -165,10 +165,9 @@ class TestOneOwner:
             corpus = tmp_path / "corpus"
             corpus.mkdir()
             (corpus / "doc.xml").write_text("<r/>", encoding="utf-8")
-            assert _cli(["store", "recover", "--wal-dir", wal_dir,
-                         "--backend", "serial"])[0] == 2
+            assert _cli(["store", "recover", "--wal-dir", wal_dir])[0] == 2
             assert _cli(["store", "import", str(corpus),
-                         "--wal-dir", wal_dir, "--backend", "serial"])[0] == 2
+                         "--wal-dir", wal_dir])[0] == 2
             assert _files(wal_dir) == before
         finally:
             holder.stdin.close()

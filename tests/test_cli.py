@@ -357,8 +357,7 @@ class TestStore:
 
     def test_recover_refuses_missing_wal_dir(self, tmp_path):
         missing = tmp_path / "nonexistent"
-        code, __ = run(["store", "recover", "--backend", "serial",
-                        "--wal-dir", str(missing)])
+        code, __ = run(["store", "recover", "--wal-dir", str(missing)])
         assert code == 2
         # and the typo'd path was not conjured into existence
         assert not missing.exists()
@@ -372,8 +371,7 @@ class TestStore:
             store.open("../escaped", DOC)
             store.open("sub/dir", DOC)
         dump_dir = tmp_path / "dump" / "inner"
-        code, output = run(["store", "recover", "--backend", "serial",
-                            "--wal-dir", wal_dir,
+        code, output = run(["store", "recover", "--wal-dir", wal_dir,
                             "--dump-dir", str(dump_dir)])
         assert code == 0
         assert sorted(os.listdir(str(dump_dir))) == [
@@ -381,19 +379,32 @@ class TestStore:
         assert os.listdir(str(tmp_path / "dump")) == ["inner"]
         assert (dump_dir / "sub_dir.xml").read_text() == DOC
 
+    def test_process_backend_is_an_invalid_choice(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            run(["store", "serve", "--listen", "127.0.0.1:0",
+                 "--backend", "process"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'process'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", [
+        ["--workers", "1"], ["--backend", "serial"],
+        ["--backend", "process"]])
     @pytest.mark.parametrize("argv", [
-        ["serve", "--listen", "127.0.0.1:0"],
         ["recover", "--wal-dir", "unused"],
-        ["bench"],
         ["import", "doc.xml"],
         ["export"],
         ["query", "d1", "//author"],
         ["metrics"]])
-    def test_process_backend_is_an_invalid_choice(self, argv, capsys):
+    def test_offline_commands_offer_no_concurrency_knobs(self, argv,
+                                                         flag, capsys):
+        """Only ``store serve`` takes ``--workers``/``--backend``; a
+        command on a local directory opens a one-worker serial
+        store, so none of them accepts the process backend either."""
         with pytest.raises(SystemExit) as excinfo:
-            run(["store"] + argv + ["--backend", "process"])
+            run(["store"] + argv + flag)
         assert excinfo.value.code == 2
-        assert "invalid choice: 'process'" in capsys.readouterr().err
+        assert "unrecognized arguments: " + " ".join(flag) \
+            in capsys.readouterr().err
 
     def test_serve_parses_the_serial_single_worker_argv(self):
         args = build_parser().parse_args(
@@ -417,21 +428,18 @@ class TestStore:
     def test_query_against_a_durability_directory(self, doc_path,
                                                   tmp_path):
         wal_dir = str(tmp_path / "wal")
-        code, __ = run(["store", "import", "--backend", "serial",
-                        "--wal-dir", wal_dir, doc_path])
+        code, __ = run(["store", "import", "--wal-dir", wal_dir, doc_path])
         assert code == 0
-        code, output = run(["store", "query", "--backend", "serial",
-                            "--wal-dir", wal_dir, "doc", "//author"])
+        code, output = run(["store", "query", "--wal-dir", wal_dir,
+                            "doc", "//author"])
         assert code == 0
         assert "doc doc version 0: 1 node(s)" in output
         assert "<author>A</author>" in output
 
     def test_query_explain_prints_the_plan(self, doc_path, tmp_path):
         wal_dir = str(tmp_path / "wal")
-        run(["store", "import", "--backend", "serial",
-             "--wal-dir", wal_dir, doc_path])
-        code, output = run(["store", "query", "--backend", "serial",
-                            "--wal-dir", wal_dir, "doc",
+        run(["store", "import", "--wal-dir", wal_dir, doc_path])
+        code, output = run(["store", "query", "--wal-dir", wal_dir, "doc",
                             "//paper//author", "--explain"])
         assert code == 0
         assert "plan: indexed execution" in output
@@ -441,15 +449,6 @@ class TestStore:
     def test_query_requires_a_store_location(self):
         code, __ = run(["store", "query", "d1", "//author"])
         assert code == 2
-
-    def test_bench_reports_comparison(self):
-        code, output = run(["store", "bench", "--backend", "serial",
-                            "--scale", "0.01", "--rounds", "2",
-                            "--ops", "6", "--clients", "2"])
-        assert code == 0
-        assert "resident-incremental" in output
-        assert "parse+full-relabel" in output
-        assert "byte-identical" in output
 
 
 #: ports a host:port address refuses: out of range, signed, with an
