@@ -4,7 +4,7 @@ setup(
     name="repro-xquery-pul",
     version="0.3.0",
     description=(
-        "Reproduction of 'Updating XML documents through PULs' "
+        "Reproduction of 'Dynamic Reasoning on XML Updates' "
         "(EDBT 2011): PUL reduction, aggregation, integration, and a "
         "resident multi-document update store with incremental "
         "relabeling"),

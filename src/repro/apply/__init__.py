@@ -8,10 +8,9 @@
 
 Both evaluators assign identifiers to new nodes in final-document order
 with identical tie-breaking, so their outputs are directly comparable,
-and refuse the same PULs with the same message. Only the in-memory one
-maintains a labeling (``InMemoryEvaluator(labeling=...)``, through
-:meth:`~repro.labeling.scheme.ContainmentLabeling.sync`); the store's
-in-place applier (:mod:`repro.apply.inplace`) repairs labels per site.
+and refuse the same PULs with the same message. Neither maintains a
+labeling; the store's in-place applier (:mod:`repro.apply.inplace`)
+repairs labels per site.
 """
 
 from repro.apply.events import (
@@ -23,13 +22,13 @@ from repro.apply.events import (
     events_to_xml,
     parse_events,
 )
-from repro.apply.inmemory import InMemoryEvaluator, apply_in_memory
+from repro.apply.inmemory import apply_in_memory
 from repro.apply.streaming import StreamingEvaluator, apply_streaming
 
 __all__ = [
     "StartElement", "EndElement", "TextEvent",
     "document_events", "parse_events", "events_to_xml",
     "events_to_document",
-    "InMemoryEvaluator", "apply_in_memory",
+    "apply_in_memory",
     "StreamingEvaluator", "apply_streaming",
 ]

@@ -5,13 +5,15 @@ predicates of Table 1 on *labels* attached to the operations' target nodes.
 The adopted scheme is Zhang containment encoded with the CDBS or CDQS
 dynamic encoders ([14], [15]), extended with the node type and sibling
 identifiers so that every Table 1 relationship is decidable in constant
-time and document updates never force a relabeling.
+time and document updates never force a relabeling. The predicates
+themselves are the methods of
+:class:`~repro.reasoning.oracle.StructuralOracle`; a
+:class:`~repro.reasoning.oracle.LabelOracle` answers them from labels.
 """
 
 from repro.labeling.codes import CDBSEncoder, CDQSEncoder, code_between
 from repro.labeling.containment import ExtendedLabel
 from repro.labeling.scheme import ContainmentLabeling
-from repro.labeling import predicates
 
 __all__ = [
     "CDBSEncoder",
@@ -19,5 +21,4 @@ __all__ = [
     "code_between",
     "ExtendedLabel",
     "ContainmentLabeling",
-    "predicates",
 ]

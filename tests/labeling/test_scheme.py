@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 
 from repro.labeling import CDQSEncoder, ContainmentLabeling
-from repro.labeling import predicates as P
+from repro.reasoning import LabelOracle
+from repro.workloads import generate_xmark
 from repro.xdm.navigation import (
     depth,
     is_ancestor,
@@ -21,7 +22,8 @@ from tests.strategies import documents
 
 
 def assert_labels_match_tree(document, labeling):
-    """Every Table 1 predicate computed on labels must agree with the
+    """Every Table 1 predicate the reasoning modules evaluate on labels
+    (a :class:`LabelOracle` over the labeling) must agree with the
     navigational ground truth."""
     nodes = list(document.nodes())
     for node in nodes:
@@ -30,22 +32,26 @@ def assert_labels_match_tree(document, labeling):
         assert label.level == depth(node)
         parent = node.parent
         assert label.parent_id == (parent.node_id if parent else None)
+    oracle = LabelOracle(labeling.as_mapping())
     for one in nodes:
-        l1 = labeling.label_of(one.node_id)
+        v1 = one.node_id
         for two in nodes:
             if one is two:
                 continue
-            l2 = labeling.label_of(two.node_id)
-            assert P.is_descendant(l1, l2) == is_ancestor(two, one)
-            assert P.is_child(l1, l2) == is_parent(two, one)
-            assert P.is_attribute_of(l1, l2) == is_attribute_of(one, two)
-            assert P.is_left_sibling(l1, l2) == is_left_sibling(one, two)
-            assert P.is_first_child(l1, l2) == (
+            v2 = two.node_id
+            assert oracle.is_descendant(v1, v2) == is_ancestor(two, one)
+            assert oracle.is_child(v1, v2) == is_parent(two, one)
+            assert oracle.is_attribute_of(v1, v2) == \
+                is_attribute_of(one, two)
+            assert oracle.is_left_sibling(v1, v2) == \
+                is_left_sibling(one, two)
+            assert oracle.is_first_child(v1, v2) == (
                 is_parent(two, one) and is_first_child(one))
-            assert P.is_last_child(l1, l2) == (
+            assert oracle.is_last_child(v1, v2) == (
                 is_parent(two, one) and is_last_child(one))
-            assert P.precedes(l1, l2) == precedes(one, two)
-            assert P.is_nonattribute_descendant(l1, l2) == (
+            assert (oracle.order_key(v1) < oracle.order_key(v2)) == \
+                precedes(one, two)
+            assert oracle.is_nonattr_descendant(v1, v2) == (
                 is_ancestor(two, one) and not is_attribute_of(one, two))
 
 
@@ -57,6 +63,19 @@ class TestBuild:
     def test_cdqs_encoder(self, figure1):
         labeling = ContainmentLabeling(encoder=CDQSEncoder()).build(figure1)
         assert_labels_match_tree(figure1, labeling)
+
+    def test_cdqs_codes_are_shorter(self):
+        """Over one document, CDQS codes total fewer characters than CDBS
+        codes for the same positions — the reason [15] proposes them."""
+        document = generate_xmark(scale=0.02, seed=29)
+
+        def total_chars(labeling):
+            return sum(len(label.start) + len(label.end)
+                       for label in labeling.as_mapping().values())
+
+        cdbs = ContainmentLabeling().build(document)
+        cdqs = ContainmentLabeling(encoder=CDQSEncoder()).build(document)
+        assert total_chars(cdqs) < total_chars(cdbs)
 
     def test_empty_document(self):
         from repro.xdm.document import Document
