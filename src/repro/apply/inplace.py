@@ -39,8 +39,8 @@ the copy moved are pointed back.
 One check fires *before* anything is logged or copied:
 :func:`check_nesting` refuses a batch whose insertion would nest
 elements deeper than :data:`~repro.xdm.parser.MAX_ELEMENT_NESTING`,
-the bound a parsed document already keeps — the label slot walk and
-the serializer recurse once per level.
+the bound a parsed document already keeps — the serializer recurses
+once per level.
 
 Structural edits the per-site repair cannot localize (replacing or
 deleting the document root) fall back to a whole-tree

@@ -31,6 +31,9 @@ from __future__ import annotations
 from bisect import insort
 
 from repro.apply.inplace import classify
+from repro.xdm.node import NodeType
+
+_ELEMENT, _ATTRIBUTE = NodeType.ELEMENT, NodeType.ATTRIBUTE
 
 
 class DocumentIndex:
@@ -49,26 +52,28 @@ class DocumentIndex:
 
     @classmethod
     def build(cls, document, labeling):
-        """Index ``document`` from scratch against ``labeling``."""
+        """Index ``document`` from scratch against ``labeling``, in one
+        walk over the tree."""
         index = cls()
         root = document.root
         if root is None:
             return index
+        elements, attributes, values, texts = (
+            index.elements, index.attributes, index.values, index.texts)
+        label_of = labeling.label_of
         for node in root.iter_subtree():
-            index._add(node, labeling.label_of(node.node_id))
+            label = label_of(node.node_id)
+            entry = (label.start, label.end, label.node_id, label.parent_id)
+            kind = node.node_type
+            if kind is _ELEMENT:
+                elements.setdefault(node.name, []).append(entry)
+            elif kind is _ATTRIBUTE:
+                attributes.setdefault(node.name, []).append(entry)
+                values.setdefault((node.name, node.value), []).append(entry)
+            else:
+                texts.append(entry)
         index._sort()
         return index
-
-    def _add(self, node, label):
-        entry = (label.start, label.end, label.node_id, label.parent_id)
-        if node.is_element:
-            self.elements.setdefault(node.name, []).append(entry)
-        elif node.is_attribute:
-            self.attributes.setdefault(node.name, []).append(entry)
-            self.values.setdefault(
-                (node.name, node.value), []).append(entry)
-        else:
-            self.texts.append(entry)
 
     def _sort(self):
         for bucket in self.elements.values():

@@ -90,13 +90,6 @@ class ExtendedLabel:
             right_sibling_id=_opt(parts[7]),
         )
 
-    def replaced(self, **changes):
-        """A copy of this label with some fields changed (labels behave as
-        values; sibling-pointer maintenance goes through the scheme)."""
-        fields = {slot: getattr(self, slot) for slot in self.__slots__}
-        fields.update(changes)
-        return ExtendedLabel(**fields)
-
     def __eq__(self, other):
         if not isinstance(other, ExtendedLabel):
             return NotImplemented

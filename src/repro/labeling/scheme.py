@@ -7,6 +7,17 @@ updated, :meth:`sync` assigns codes to the *new* nodes only, generated
 between the surviving neighbor codes — existing codes are never modified,
 which is the update-tolerance property the paper requires (Section 4.1:
 "document updates should not lead to relabeling of nodes").
+
+Every label is made by one walk over the tree (:meth:`_walk`), shared by
+:meth:`build`, :meth:`sync` and :meth:`assign_run`: given the boundary
+codes of the trees it labels, in document order, it makes each new
+label once and complete — codes from that sequence, level, parent and
+both sibling ids from the walk. The three differ only in where the codes
+come from: the encoder's balanced ``initial_codes`` for a build, the
+surviving codes with fresh ``codes_between`` runs in their gaps for a
+sync, one ``codes_between`` run for a run of inserted subtrees. An
+existing label is replaced only when its sibling ids changed
+(:meth:`repoint_children` does the same per site).
 """
 
 from __future__ import annotations
@@ -14,6 +25,9 @@ from __future__ import annotations
 from repro.errors import LabelingError
 from repro.labeling.codes import CDBSEncoder
 from repro.labeling.containment import ExtendedLabel
+from repro.xdm.node import NodeType
+
+_ELEMENT, _ATTRIBUTE = NodeType.ELEMENT, NodeType.ATTRIBUTE
 
 
 class ContainmentLabeling:
@@ -79,10 +93,12 @@ class ContainmentLabeling:
         """
         return self._max_code_len
 
-    def _track(self, *codes):
-        for code in codes:
-            if len(code) > self._max_code_len:
-                self._max_code_len = len(code)
+    def _track(self, codes):
+        """Raise the watermark to the longest of the freshly installed
+        ``codes``."""
+        longest = max(map(len, codes), default=0)
+        if longest > self._max_code_len:
+            self._max_code_len = longest
 
     @classmethod
     def restored(cls, labels, max_code_length):
@@ -105,11 +121,12 @@ class ContainmentLabeling:
         """Label every node of ``document`` with balanced fresh codes."""
         self._labels = {}
         self._max_code_len = 0
-        if document.root is None:
+        root = document.root
+        if root is None:
             return self
-        slots = _leveled_slots(document.root, 0, [])
-        self._install(slots, self.encoder.initial_codes(len(slots)))
-        self._refresh_pointers(document.root)
+        codes = self.encoder.initial_codes(2 * len(document))
+        self._track(codes)
+        self._walk([(root, 0, None, None, None, None)], codes)
         return self
 
     def sync(self, document):
@@ -120,27 +137,55 @@ class ContainmentLabeling:
         codes. Labels of nodes no longer in the document are dropped, and
         sibling pointers are refreshed where adjacency changed.
         """
-        if document.root is None:
+        root = document.root
+        if root is None:
             self._labels = {}
             self._max_code_len = 0
             return self
-        slots = _leveled_slots(document.root, 0, [])
-        live = {node.node_id for node, __, __ in slots}
+        known, live = self._known_codes(root)
         for node_id in list(self._labels):
             if node_id not in live:
                 del self._labels[node_id]
-        self._install(slots, self._fill_codes(slots))
-        self._refresh_pointers(document.root)
+        self._walk([(root, 0, None, None, None, None)],
+                   self._fill_codes(known))
         return self
 
-    def _fill_codes(self, slots):
-        """Produce the full code sequence for ``slots``, reusing existing
-        codes and generating fresh ones for unlabeled runs."""
-        codes = [None] * len(slots)
-        for index, (node, which, __) in enumerate(slots):
-            existing = self._labels.get(node.node_id)
-            if existing is not None:
-                codes[index] = existing.start if which == 0 else existing.end
+    def _known_codes(self, root):
+        """``(codes, live)``: the existing code of every boundary slot
+        under ``root`` in document order (``None`` where the node has no
+        label; attributes contribute both boundaries right after their
+        owner's start), and the set of the ids of the nodes walked."""
+        get = self._labels.get
+        codes = []
+        live = set()
+        # (node, None), or (None, code) for an element's end slot
+        stack = [(root, None)]
+        while stack:
+            node, end = stack.pop()
+            if node is None:
+                codes.append(end)
+                continue
+            live.add(node.node_id)
+            label = get(node.node_id)
+            start, end = ((label.start, label.end) if label is not None
+                          else (None, None))
+            codes.append(start)
+            if node.node_type is not _ELEMENT:
+                codes.append(end)
+                continue
+            for attr in node.attributes:
+                live.add(attr.node_id)
+                label = get(attr.node_id)
+                codes += ((label.start, label.end) if label is not None
+                          else (None, None))
+            stack.append((None, end))
+            stack.extend((child, None) for child in reversed(node.children))
+        return codes, live
+
+    def _fill_codes(self, codes):
+        """Complete the boundary codes ``codes`` in place: each run of
+        ``None`` receives fresh codes strictly between its neighbors.
+        Returns ``codes``."""
         index = 0
         while index < len(codes):
             if codes[index] is not None:
@@ -153,51 +198,67 @@ class ContainmentLabeling:
             right = codes[index] if index < len(codes) else None
             fresh = self.encoder.codes_between(left, right,
                                                index - run_start)
+            self._track(fresh)
             codes[run_start:index] = fresh
         return codes
 
-    def _install(self, slots, codes):
-        """Label the unlabeled nodes of the boundary sequence ``slots``
-        with the parallel ``codes`` (labeled nodes keep their label) —
-        the one install loop of :meth:`build`, :meth:`sync` and
-        :meth:`assign_run`. Sibling pointers are left to the caller."""
+    def _walk(self, stack, codes):
+        """Label the trees on ``stack`` — the one labeling walk of
+        :meth:`build`, :meth:`sync` and :meth:`assign_run`.
+
+        ``stack`` holds one entry ``(node, level, parent id, left
+        sibling id, right sibling id, None)`` per tree, the first tree
+        last; ``codes`` are the trees' boundary codes in document order
+        (attributes contribute both boundaries right after their
+        owner's start). Each node without a label gets its label, made
+        once and complete: its codes come from ``codes``, its level,
+        parent and sibling ids from the walk. A node that has one keeps
+        it, unless its sibling ids changed; then a label with the new
+        ids replaces it (labels are shared with published versions and
+        never mutated).
+        """
         labels = self._labels
-        open_code = {}
-        for index, (node, which, level) in enumerate(slots):
-            if which == 0:
-                open_code[id(node)] = codes[index]
-                continue
-            start = open_code.pop(id(node))
-            if node.node_id in labels:
-                continue
-            end = codes[index]
-            labels[node.node_id] = ExtendedLabel(
-                node_id=node.node_id,
-                node_type=node.node_type,
-                start=start,
-                end=end,
-                level=level,
-                parent_id=(node.parent.node_id
-                           if node.parent is not None else None),
-            )
-            self._track(start, end)
-        if open_code:
-            raise LabelingError("unbalanced boundary sequence")
-
-    def _refresh_pointers(self, root):
-        """Recompute the sibling pointers of every label under ``root``."""
-        for node in root.iter_subtree():
-            if node.is_element:
-                self.repoint_children(node)
-
-    def _point(self, node, **changes):
-        label = self._labels.get(node.node_id)
-        if label is None:
-            return
-        updated = {key: value for key, value in changes.items()
-                   if getattr(label, key) != value}
-        if updated:
-            self._labels[node.node_id] = label.replaced(**updated)
+        get = labels.get
+        position = 0
+        pop, push = stack.pop, stack.append
+        while stack:
+            node, level, parent_id, left, right, start = pop()
+            if start is None:
+                start = codes[position]
+                position += 1
+                if node.node_type is _ELEMENT:
+                    node_id = node.node_id
+                    inner = level + 1
+                    for attr in node.attributes:
+                        if attr.node_id not in labels:
+                            labels[attr.node_id] = ExtendedLabel(
+                                attr.node_id, _ATTRIBUTE, codes[position],
+                                codes[position + 1], inner, node_id)
+                        position += 2
+                    children = node.children
+                    if children:
+                        push((node, level, parent_id, left, right, start))
+                        right_id = None
+                        for index in range(len(children) - 1, -1, -1):
+                            child = children[index]
+                            push((child, inner, node_id,
+                                  children[index - 1].node_id
+                                  if index else None, right_id, None))
+                            right_id = child.node_id
+                        continue
+            node_id = node.node_id
+            label = get(node_id)
+            if label is None:
+                labels[node_id] = ExtendedLabel(
+                    node_id, node.node_type, start, codes[position],
+                    level, parent_id, left, right)
+            elif (label.left_sibling_id != left
+                    or label.right_sibling_id != right):
+                labels[node_id] = _with_siblings(label, left, right)
+            position += 1
+        if position != len(codes):
+            raise LabelingError("{} codes for {} boundaries".format(
+                len(codes), position))
 
     # -- per-site maintenance (used by the in-place batch applier) ----------
 
@@ -215,46 +276,56 @@ class ContainmentLabeling:
         neighbors inside the parent's interval, so containment holds by
         construction). This is the per-site counterpart of a whole-tree
         :meth:`sync` — the in-place applier calls it once per insertion
-        site. The sibling pointers *inside* the inserted subtrees are
-        set here; those of the run itself are the site's, which callers
-        finish with :meth:`repoint_children`.
+        site. Every label of the run is made complete, the sibling ids
+        of the run's own nodes included; the labels of the site's
+        *existing* children whose neighbors changed are the callers',
+        who finish them with :meth:`repoint_children`.
         """
-        slots = []
+        if not nodes:
+            return
+        count = 0
         for node in nodes:
-            _leveled_slots(node, parent_label.level + 1, slots)
-        self._install(slots, self.encoder.codes_between(
-            left_code, right_code, len(slots)))
-        for node, which, __ in slots:
-            if which == 0 and len(node.children) > 1:
-                self.repoint_children(node)
+            for __ in node.iter_subtree():
+                count += 1
+        codes = self.encoder.codes_between(left_code, right_code,
+                                           2 * count)
+        self._track(codes)
+        level = parent_label.level + 1
+        parent = nodes[0].parent
+        children = parent.children
+        entries = []
+        first = None  # the position of the run's first child
+        for offset, node in enumerate(nodes):
+            left = right = None
+            if node.node_type is not _ATTRIBUTE:
+                if first is None:
+                    first = children.index(node) - offset
+                index = first + offset
+                if index:
+                    left = children[index - 1].node_id
+                if index + 1 < len(children):
+                    right = children[index + 1].node_id
+            entries.append((node, level, parent.node_id, left, right, None))
+        entries.reverse()
+        self._walk(entries, codes)
 
     def repoint_children(self, parent):
         """Recompute the sibling pointers of ``parent``'s direct children
-        (one element's worth of :meth:`_refresh_pointers`, for sites whose
-        child list an in-place batch changed)."""
-        previous = None
-        for child in parent.children:
-            if previous is None:
-                self._point(child, left_sibling_id=None)
-            else:
-                self._point(child, left_sibling_id=previous.node_id)
-                self._point(previous, right_sibling_id=child.node_id)
-            previous = child
-        if previous is not None:
-            self._point(previous, right_sibling_id=None)
+        (for sites whose child list an in-place batch changed)."""
+        labels = self._labels
+        children = parent.children
+        last = len(children) - 1
+        for index, child in enumerate(children):
+            left = children[index - 1].node_id if index else None
+            right = children[index + 1].node_id if index < last else None
+            label = labels.get(child.node_id)
+            if label is not None and (label.left_sibling_id != left
+                                      or label.right_sibling_id != right):
+                labels[child.node_id] = _with_siblings(label, left, right)
 
 
-def _leveled_slots(root, level, slots):
-    """Append ``root``'s boundary slots to ``slots`` as ``(node, 0=start /
-    1=end, level)`` triples, in document order (attributes contribute both
-    boundaries right after their owner's start); ``level`` is the absolute
-    level of ``root`` itself. Returns ``slots``."""
-    slots.append((root, 0, level))
-    if root.is_element:
-        for attr in root.attributes:
-            slots.append((attr, 0, level + 1))
-            slots.append((attr, 1, level + 1))
-        for child in root.children:
-            _leveled_slots(child, level + 1, slots)
-    slots.append((root, 1, level))
-    return slots
+def _with_siblings(label, left, right):
+    """A copy of ``label`` with the sibling ids ``left`` and ``right``."""
+    return ExtendedLabel(label.node_id, label.node_type, label.start,
+                         label.end, label.level, label.parent_id, left,
+                         right)

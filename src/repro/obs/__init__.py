@@ -201,6 +201,22 @@ class StoreObs:
             "repro_store_recovery_stage_seconds",
             "Per-stage restart latency", stage=name)
 
+    def open_stage(self, name):
+        """Time one step of opening a document — ``parse`` (text to
+        tree, ids assigned), ``label`` (the bulk-load labeling),
+        ``index`` (the secondary index) — into
+        ``repro_store_open_stage_seconds``, once per document."""
+        return _StageTimer(name, self.open_histogram(name))
+
+    def open_histogram(self, name):
+        """The ``repro_store_open_stage_seconds`` series of
+        ``stage=name`` (``log`` is observed directly: one append carries
+        a whole chunk's ``open`` records, and each document is observed
+        with its share)."""
+        return self.registry.histogram(
+            "repro_store_open_stage_seconds",
+            "Per-stage document open latency", stage=name)
+
     def uptime_seconds(self):
         return time.monotonic() - self._started_monotonic
 

@@ -63,6 +63,7 @@ from repro.errors import (
     ReproError,
     StoreClosedError,
 )
+from repro.index.structural import build_index
 from repro.integration import reconcile
 from repro.labeling.scheme import ContainmentLabeling
 from repro.obs import StoreObs
@@ -344,9 +345,11 @@ class DocumentStore(StoreReads):
                 "doc_ids": [entry.doc_id for entry in prepared]}
 
     def _prepare(self, docs):
-        """The parse -> label -> entry step of :meth:`open` and
+        """The parse -> label -> index -> entry step of :meth:`open` and
         :meth:`bulk_load`: one fresh, not yet resident entry per
-        ``{"doc_id", "xml"}`` object or ``(doc_id, source)`` pair."""
+        ``{"doc_id", "xml"}`` object or ``(doc_id, source)`` pair, each
+        step timed as an open stage."""
+        obs = self.obs
         prepared = []
         chunk_ids = set()
         for doc in docs:
@@ -361,10 +364,15 @@ class DocumentStore(StoreReads):
                     "bulk-load chunk names {!r} twice".format(doc_id))
             chunk_ids.add(doc_id)
             if not isinstance(source, Document):
-                source = parse_document(source)
-            labeling = ContainmentLabeling().build(source)
+                with obs.open_stage("parse"):
+                    source = parse_document(source)
+            with obs.open_stage("label"):
+                labeling = ContainmentLabeling().build(source)
+            with obs.open_stage("index"):
+                index = build_index(source, labeling)
             prepared.append(StoredDocument(DocumentVersion(
-                doc_id, 0, source, labeling, self.max_code_length)))
+                doc_id, 0, source, labeling, self.max_code_length,
+                index=index)))
         return prepared
 
     def _make_resident(self, entries):
@@ -387,9 +395,14 @@ class DocumentStore(StoreReads):
                         "document {!r} is already resident".format(
                             entry.doc_id))
             if self._durability is not None:
+                started = time.perf_counter()
                 self._durability.log_open(
                     *[document_payload(entry.published)
                       for entry in entries])
+                share = (time.perf_counter() - started) / len(entries)
+                log_stage = self.obs.open_histogram("log")
+                for __ in entries:
+                    log_stage.observe(share)
             for entry in entries:
                 self._entries[entry.doc_id] = entry
 

@@ -166,9 +166,9 @@ class Document:
     def indexed(cls, root, nodes, allocator):
         """A document over the detached element ``root`` whose id index
         the caller already built: ``nodes`` maps the id of every node of
-        the tree, and nothing else, to the node (a durability restore
-        checks the ids as it builds the tree, so it skips
-        :meth:`register_tree`'s walk)."""
+        the tree, and nothing else, to the node (the parser numbers the
+        nodes and a durability restore checks their ids as each builds
+        the tree, so both skip :meth:`register_tree`'s walk)."""
         document = cls(allocator=allocator)
         document.root = root
         document._nodes = nodes
@@ -186,16 +186,17 @@ class Document:
     def register_tree(self, root):
         """Register every node of ``root``'s subtree in the id index,
         allocating identifiers for nodes lacking one."""
+        highest = -1
         for node in root.iter_subtree():
-            if node.node_id is None:
-                node.node_id = self.fresh_id()
-            elif self.find(node.node_id) not in (None, node):
-                raise DocumentError(
-                    "duplicate node id: {}".format(node.node_id))
-            self._index(node.node_id, node)
-        self._allocator.reserve_at_least(
-            1 + max((n.node_id for n in root.iter_subtree()
-                     if isinstance(n.node_id, int)), default=-1))
+            node_id = node.node_id
+            if node_id is None:
+                node_id = node.node_id = self.fresh_id()
+            elif self.find(node_id) not in (None, node):
+                raise DocumentError("duplicate node id: {}".format(node_id))
+            self._index(node_id, node)
+            if isinstance(node_id, int) and node_id > highest:
+                highest = node_id
+        self._allocator.reserve_at_least(highest + 1)
 
     def unregister_tree(self, root):
         """Drop every node of ``root``'s subtree from the id index.

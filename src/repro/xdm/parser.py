@@ -18,10 +18,13 @@ at most :data:`MAX_ELEMENT_NESTING` elements deep. Every
 :class:`XMLSyntaxError` carries the offset of the offending ``<`` or
 ``&`` — for input that ends early, of the start tag left open.
 
-Identifiers are assigned in document order (elements first, then their
-attributes in appearance order, then content), matching the uniform
-identifier-assignment requirement of Section 4.1: every producer parsing
-the same serialized document derives the same ids.
+:func:`parse_document` assigns identifiers while it builds the tree, in
+document order (elements first, then their attributes in appearance
+order, then content), and hands the id index it filled on the way to the
+:class:`Document`, which therefore never walks the tree to register it.
+This matches the uniform identifier-assignment requirement of Section
+4.1: every producer parsing the same serialized document derives the
+same ids.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ import re
 
 from repro.errors import XMLSyntaxError
 from repro.xdm.document import Document, IdAllocator
-from repro.xdm.node import Node
+from repro.xdm.node import Node, NodeType
 
 #: token kinds; a token is ``(kind, value, extra)``:
 #: ``(_START, name, {attribute name: value})`` (in document order),
@@ -38,12 +41,15 @@ from repro.xdm.node import Node
 #: An empty-element tag yields a start token and an end token.
 _START, _END, _TEXT = range(3)
 
+#: the node kinds :func:`_build` creates
+_ELEMENT_NODE, _ATTRIBUTE_NODE, _TEXT_NODE = (
+    NodeType.ELEMENT, NodeType.ATTRIBUTE, NodeType.TEXT)
+
 #: bound on element nesting: a start tag inside ``MAX_ELEMENT_NESTING``
-#: open elements is a syntax error. The store's label slot walk and its
-#: serializer recurse once per level and exhaust the interpreter's
-#: stack near 1000 levels, so a document that deep could be
-#: acknowledged by ``open`` and then fail every restart; the bound
-#: leaves those walks half the stack. The store refuses a batch that
+#: open elements is a syntax error. The serializer recurses once per
+#: level and exhausts the interpreter's stack near 1000 levels, so a
+#: document that deep could be acknowledged by ``open`` and then fail
+#: every read of its text; the bound leaves that walk half the stack. The store refuses a batch that
 #: would nest past it too (:func:`repro.apply.inplace.check_nesting`).
 #: Wire terms have their own bound, :data:`repro.api.protocol.MAX_NESTING`.
 MAX_ELEMENT_NESTING = 512
@@ -223,28 +229,57 @@ def _document_tokens(text, keep_whitespace):
                              position=end)
 
 
-def _build(tokens):
+def _build(tokens, allocator=None):
     """Build the trees a token stream describes: the list of top-level
-    nodes (detached, no ids assigned) and the offset the last element
-    ended at."""
+    nodes (detached), the offset the last element ended at, and the id
+    index. Without ``allocator`` no ids are assigned and the index is
+    empty; with it, every node takes the allocator's next id as it is
+    created — an element, then its attributes in appearance order, then
+    its content: document order, the order of
+    :meth:`~repro.xdm.node.Node.iter_subtree` — and the index maps each
+    id to its node. The allocator advances past the ids only once the
+    whole stream was read, so a syntax error consumes none.
+
+    Nodes are linked directly: the scanner has already checked that the
+    tags nest."""
     top = []
     path = []  # the open elements, innermost last
     end = None
+    nodes = {}
+    next_id, stride = ((allocator.next_value, allocator.stride)
+                       if allocator is not None else (None, 0))
     for kind, value, extra in tokens:
         if kind == _END:
             path.pop()
             end = extra
             continue
-        node = Node.text(value) if kind == _TEXT else Node.element(value)
+        if kind == _TEXT:
+            node = Node(_TEXT_NODE, value=value, node_id=next_id)
+        else:
+            node = Node(_ELEMENT_NODE, name=value, node_id=next_id)
+        if allocator is not None:
+            nodes[next_id] = node
+            next_id += stride
         if path:
-            path[-1].append_child(node)
+            parent = path[-1]
+            node.parent = parent
+            parent.children.append(node)
         else:
             top.append(node)
         if kind == _START:
+            attributes = node.attributes
             for name, attr_value in extra.items():
-                node.append_attribute(Node.attribute(name, attr_value))
+                attr = Node(_ATTRIBUTE_NODE, name=name, value=attr_value,
+                            node_id=next_id)
+                attr.parent = node
+                attributes.append(attr)
+                if allocator is not None:
+                    nodes[next_id] = attr
+                    next_id += stride
             path.append(node)
-    return top, end
+    if allocator is not None:
+        allocator.reserve_at_least(next_id)
+    return top, end, nodes
 
 
 def parse_fragment(text, keep_whitespace=False):
@@ -267,6 +302,12 @@ def parse_forest(text, keep_whitespace=False):
 
 def parse_document(text, keep_whitespace=False, allocator=None):
     """Parse ``text`` into a :class:`Document`, assigning node identifiers
-    in document order."""
-    root = parse_fragment(text, keep_whitespace=keep_whitespace)
-    return Document(root=root, allocator=allocator or IdAllocator())
+    in document order from ``allocator`` (a fresh :class:`IdAllocator`
+    by default) while the tree is built: the same ids, and the same
+    allocator position afterwards, as registering the parsed tree with
+    ``Document(root=parse_fragment(text), allocator=allocator)``."""
+    if allocator is None:
+        allocator = IdAllocator()
+    top, __, nodes = _build(_document_tokens(text, keep_whitespace),
+                            allocator)
+    return Document.indexed(top[0], nodes, allocator)

@@ -48,13 +48,6 @@ class TestLabel:
         with pytest.raises(LabelingError):
             ExtendedLabel.from_string("1;e;01")
 
-    def test_replaced(self):
-        label = make_label()
-        changed = label.replaced(left_sibling_id=None)
-        assert changed.left_sibling_id is None
-        assert changed.start == label.start
-        assert label.left_sibling_id == 4  # original untouched
-
     def test_equality_and_hash(self):
         assert make_label() == make_label()
         assert hash(make_label()) == hash(make_label())

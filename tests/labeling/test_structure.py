@@ -1,0 +1,170 @@
+"""Label structure against the tree alone, and the pinned label digits.
+
+:func:`tree_structure` works out every node's level, parent id and
+left/right sibling ids by walking the tree, without a label in sight.
+Every path that makes labels — a bulk :meth:`build`, a whole-tree
+:meth:`sync`, the per-site ``assign_run`` of the in-place applier, and
+the full relabel a flush falls back on when codes outgrow the budget —
+must leave exactly one label per live node, each with that structure.
+
+The digit pin holds the codes themselves: a hash over every label's
+``to_string()`` after :meth:`build` of fixed XMark documents, one per
+encoder. Label digits travel in every payload, WAL record and replica
+bootstrap, so a change of the pinned value is a change of the durable
+format, never a refactoring's side effect.
+"""
+
+import hashlib
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.apply.inplace import replay_batch
+from repro.errors import NotApplicableError
+from repro.labeling import CDBSEncoder, CDQSEncoder, ContainmentLabeling
+from repro.pul.semantics import apply_pul
+from repro.reduction import reduce_deterministic
+from repro.store import DocumentStore
+from repro.workloads import generate_xmark
+from repro.xdm.parser import parse_document
+from repro.xdm.serializer import serialize
+
+from tests.strategies import applicable_puls, documents
+
+ENCODERS = [CDBSEncoder, CDQSEncoder]
+
+
+def tree_structure(document):
+    """``{id: (node type, level, parent id, left sibling id, right
+    sibling id)}`` of every node of ``document``, from the tree alone
+    (attributes have no siblings)."""
+    structure = {}
+    stack = [(document.root, 0, None, None, None)]
+    while stack:
+        node, level, parent_id, left, right = stack.pop()
+        structure[node.node_id] = (node.node_type, level, parent_id, left,
+                                   right)
+        for attr in node.attributes:
+            structure[attr.node_id] = (attr.node_type, level + 1,
+                                       node.node_id, None, None)
+        ids = [child.node_id for child in node.children]
+        for index, child in enumerate(node.children):
+            stack.append((child, level + 1, node.node_id,
+                          ids[index - 1] if index else None,
+                          ids[index + 1] if index + 1 < len(ids) else None))
+    return structure
+
+
+def assert_structure(document, labeling):
+    """One label per live node, with the structure the tree gives it."""
+    assert {node_id: (label.node_type, label.level, label.parent_id,
+                      label.left_sibling_id, label.right_sibling_id)
+            for node_id, label in labeling.as_mapping().items()} \
+        == tree_structure(document)
+
+
+@settings(max_examples=60, deadline=None)
+@given(documents(max_depth=4, max_children=4), st.sampled_from(ENCODERS))
+def test_build(document, encoder_cls):
+    labeling = ContainmentLabeling(encoder=encoder_cls()).build(document)
+    assert_structure(document, labeling)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.sampled_from(ENCODERS))
+def test_sync(data, encoder_cls):
+    """A whole-tree sync after batches applied to the tree alone."""
+    document = data.draw(documents())
+    labeling = ContainmentLabeling(encoder=encoder_cls()).build(document)
+    for __ in range(data.draw(st.integers(1, 3), label="batches")):
+        pul = data.draw(applicable_puls(document, max_ops=6))
+        try:
+            apply_pul(document, pul)
+        except NotApplicableError:
+            return
+        labeling.sync(document)
+        assert_structure(document, labeling)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.sampled_from(ENCODERS))
+def test_assign_run(data, encoder_cls):
+    """The in-place applier's per-site repair: each ``assign_run`` makes
+    its run's labels complete — sibling ids of the run's own nodes
+    included — before ``repoint_children`` fixes the sites' existing
+    children."""
+    document = data.draw(documents())
+    labeling = ContainmentLabeling(encoder=encoder_cls()).build(document)
+    for __ in range(data.draw(st.integers(1, 3), label="batches")):
+        pul = data.draw(applicable_puls(document, max_ops=6))
+        pul.attach_labels(labeling)
+        try:
+            site_runs = replay_batch(document, labeling,
+                                     reduce_deterministic(pul))
+        except NotApplicableError:
+            return
+        if site_runs is None:
+            labeling.sync(document)
+        else:
+            runs, sites = site_runs
+            structure = tree_structure(document)
+            for left, right, site_label, run in runs:
+                labeling.assign_run(site_label, run, left, right)
+                for tree in run:
+                    for node in tree.iter_subtree():
+                        label = labeling.label_of(node.node_id)
+                        assert (label.node_type, label.level,
+                                label.parent_id, label.left_sibling_id,
+                                label.right_sibling_id) \
+                            == structure[node.node_id]
+            for site in sites:
+                labeling.repoint_children(site)
+        assert_structure(document, labeling)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_flushes_with_a_full_relabel(data):
+    """A budget of one digit makes every flush relabel the whole
+    document; the published labels have the tree's structure."""
+    text = serialize(data.draw(documents()))
+    with DocumentStore(workers=1, backend="serial",
+                       max_code_length=1) as store:
+        store.open("d", text)
+        for __ in range(data.draw(st.integers(1, 3), label="batches")):
+            store.submit("d", data.draw(
+                applicable_puls(store.document("d"), max_ops=6)))
+            try:
+                result = store.flush("d")
+            except NotApplicableError:
+                return
+            assert result.relabel == "full"
+            assert_structure(store.document("d"), store.labeling("d"))
+
+
+#: sha256 over the ``to_string()`` of every label after ``build``, in
+#: document order, of the XMark documents of scale 0.02 and seeds 3 and
+#: 7, each followed by its code-length watermark
+DIGIT_PINS = {
+    "CDBS": "6c6f62c409a219b475a17d0954ccd2c6"
+            "995fade6ad94a86826331206b288bc92",
+    "CDQS": "ffbbd535a2666bc6dfbf1172e9c9ed2a"
+            "601c8942006d9bb640e0b03f202ac9e1",
+}
+
+
+@pytest.mark.parametrize("encoder_cls", ENCODERS, ids=["CDBS", "CDQS"])
+def test_label_digits_are_pinned(encoder_cls):
+    digest = hashlib.sha256()
+    for seed in (3, 7):
+        document = parse_document(
+            serialize(generate_xmark(scale=0.02, seed=seed)))
+        labeling = ContainmentLabeling(encoder=encoder_cls()).build(document)
+        assert_structure(document, labeling)
+        for node in document.nodes():
+            digest.update(labeling.label_of(node.node_id).to_string()
+                          .encode())
+            digest.update(b"\n")
+        digest.update(str(labeling.max_code_length).encode())
+    assert digest.hexdigest() == DIGIT_PINS[encoder_cls.__name__[:4]]

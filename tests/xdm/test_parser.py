@@ -2,9 +2,11 @@
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import XMLSyntaxError
 from repro.xdm import parse_document, serialize
+from repro.xdm.document import Document, IdAllocator
 from repro.xdm.parser import parse_forest, parse_fragment
 
 from tests.strategies import documents
@@ -146,3 +148,47 @@ class TestRoundtrip:
         text = serialize(document)
         reparsed = parse_document(text, keep_whitespace=True)
         assert serialize(reparsed) == text
+
+
+def _shape(node):
+    return (node.node_id, node.node_type, node.name, node.value,
+            None if node.parent is None else node.parent.node_id)
+
+
+class TestIdAssignment:
+    """``parse_document`` numbers the nodes while it builds the tree; the
+    result is the document registering the parsed tree would give."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(documents(), st.integers(0, 40), st.integers(1, 5),
+           st.booleans())
+    def test_equals_registering_the_parsed_tree(self, document, start,
+                                                stride, keep_whitespace):
+        # whitespace between tags: text nodes only one mode keeps
+        text = serialize(document).replace("><", ">\n  <")
+        parsed = parse_document(
+            text, keep_whitespace=keep_whitespace,
+            allocator=IdAllocator(start=start, stride=stride))
+        registered = Document(
+            root=parse_fragment(text, keep_whitespace=keep_whitespace),
+            allocator=IdAllocator(start=start, stride=stride))
+        assert [_shape(node) for node in parsed.nodes()] == \
+            [_shape(node) for node in registered.nodes()]
+        assert parsed.allocator.next_value == \
+            registered.allocator.next_value
+        assert len(parsed) == len(registered)
+        for node_id in registered.node_ids():
+            assert _shape(parsed.find(node_id)) == \
+                _shape(registered.find(node_id))
+        assert parsed.find(start - 1) is None
+        assert parsed.find(parsed.allocator.next_value) is None
+        assert serialize(parsed) == serialize(registered)
+
+    def test_a_syntax_error_consumes_no_id(self):
+        allocator = IdAllocator(start=7, stride=3)
+        with pytest.raises(XMLSyntaxError):
+            parse_document("<a><b x='1'>t</b><c>", allocator=allocator)
+        assert allocator.next_value == 7
+        assert [node.node_id for node in parse_document(
+            "<a x='1'>t</a>", allocator=allocator).nodes()] == [7, 10, 13]
+        assert allocator.next_value == 16
