@@ -33,8 +33,8 @@ copy and publishes it only when the whole batch went through. Two XQUF
 dynamic checks fire *after* mutation (duplicate-attribute detection and
 a duplicate node id at registration); when either raises, the copy is
 left mid-mutation and the caller abandons it — the published version's
-lists, names and values were never touched, and the parent pointers
-the copy moved are pointed back.
+lists, names and values, and its id index and parent map, were never
+touched.
 
 One check fires *before* anything is logged or copied:
 :func:`check_nesting` refuses a batch whose insertion would nest
@@ -119,7 +119,7 @@ def classify(document, pul):
         if kind in _TARGET_SITE_OPS:
             site = target
         elif kind in _PARENT_SITE_OPS:
-            site = target.parent
+            site = document.parent(target)
             if site is None:
                 needs_sync = True  # root replaced/deleted/flanked
         if site is not None and site.node_id not in seen_sites:
@@ -195,8 +195,8 @@ def apply_batch_in_place(document, labeling, pul, preserve_ids=True,
         return "sync"
     runs, repoint = site_runs
     try:
-        for left, right, site_label, run in runs:
-            labeling.assign_run(site_label, run, left, right)
+        for left, right, site, run in runs:
+            labeling.assign_run(site, run, left, right)
         for site in repoint:
             labeling.repoint_children(site)
     except Exception:
@@ -273,9 +273,10 @@ def _site_runs(document, labeling, site_ids):
 
 
 def _register_runs(document, runs):
-    """Enter the runs' subtrees into the id index, fresh identifiers
-    assigned in run order above every identifier they carry; an
-    identifier already in the index raises (``register_tree``)."""
+    """Enter the runs' subtrees into the id index and the parent map,
+    fresh identifiers assigned in run order above every identifier they
+    carry; an identifier already in the index raises
+    (``register_tree``)."""
     highest = -1
     for __, __, __, run in runs:
         for tree in run:
@@ -283,15 +284,16 @@ def _register_runs(document, runs):
                 if node.node_id is not None and node.node_id > highest:
                     highest = node.node_id
     document.allocator.reserve_at_least(highest + 1)
-    for __, __, __, run in runs:
+    for __, __, site, run in runs:
         for tree in run:
-            document.register_tree(tree)
+            document.register_tree(tree, site)
 
 
 def _collect_runs(labeling, site, site_label, runs):
     """Append ``site``'s unlabeled runs to ``runs`` as ``(left_code,
-    right_code, site_label, nodes)`` — consecutive label-less attributes
-    and children, bounded by the neighboring existing codes."""
+    right_code, site, nodes)`` — consecutive label-less attributes and
+    children, bounded by the neighboring existing codes (``site_label``
+    is the site's)."""
     run = []
     left = site_label.start
     for item in list(site.attributes) + list(site.children):
@@ -301,8 +303,8 @@ def _collect_runs(labeling, site, site_label, runs):
             run.append(item)
             continue
         if run:
-            runs.append((left, label.start, site_label, run))
+            runs.append((left, label.start, site, run))
             run = []
         left = label.end
     if run:
-        runs.append((left, site_label.end, site_label, run))
+        runs.append((left, site_label.end, site, run))

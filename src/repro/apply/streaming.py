@@ -117,20 +117,21 @@ class _Seen:
     """A planned node as the stream shows it: all that the conditions of
     Table 2 (``UpdateOperation._conditions``) read of a node."""
 
-    __slots__ = ("is_element", "is_attribute", "is_text", "parent")
+    __slots__ = ("is_element", "is_attribute", "is_text")
 
-    def __init__(self, kind, has_parent):
+    def __init__(self, kind):
         self.is_element = kind is StartElement
         self.is_attribute = kind is AttributeEvent
         self.is_text = kind is TextEvent
-        self.parent = True if has_parent else None  # only tested for None
 
 
 class _Sightings(dict):
     """The planned nodes the stream has shown, by identifier: the document
-    :meth:`repro.pul.pul.PUL.applicability_errors` checks against."""
+    :meth:`repro.pul.pul.PUL.applicability_errors` checks against. Its
+    ``root`` is the sighting of the root element, when planned."""
 
     find = dict.get
+    root = None
 
 
 class StreamingEvaluator:
@@ -181,9 +182,12 @@ class StreamingEvaluator:
         conditions."""
         plan = self.plans.get(node_id)
         if plan is not None:
-            seen = self._sightings[node_id] = _Seen(kind, has_parent)
+            sightings = self._sightings
+            seen = sightings[node_id] = _Seen(kind)
+            if not has_parent:
+                sightings.root = seen
             for op in plan.ops:
-                if op._conditions(seen):
+                if op._conditions(seen, sightings):
                     self._refused = True
 
     def _finish(self, stream, root):

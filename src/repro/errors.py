@@ -225,9 +225,8 @@ class RecoveryError(DurabilityError):
 
 class StoreClosedError(ReproError):
     """Raised by every write to a document store after its ``close()``,
-    under every durability policy alike: closing left its trees to
-    reference counting, without the parent pointers a batch needs.
-    Reads of a closed store go on."""
+    under every durability policy alike: closing shut its reduction
+    pool down and sealed its log. Reads of a closed store go on."""
 
     code = "store-closed"
     wire_doc = ("a write reached a closed store (every durability "

@@ -135,4 +135,4 @@ def run_query(path, document, labeling=None, index=None, engine="auto"):
     plan["mode"] = ("indexed" if indexed_steps == len(plan["steps"])
                     and indexed_steps else
                     "mixed" if indexed_steps else "walker")
-    return document_order(context, labeling), plan
+    return document_order(context, labeling, [document.root]), plan

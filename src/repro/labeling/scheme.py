@@ -266,14 +266,14 @@ class ContainmentLabeling:
         """Forget one node's label (a node the batch removed)."""
         self._labels.pop(node_id, None)
 
-    def assign_run(self, parent_label, nodes, left_code, right_code):
+    def assign_run(self, site, nodes, left_code, right_code):
         """Label a run of freshly inserted *attached* subtrees.
 
         ``nodes`` are consecutive unlabeled attributes and/or children of
-        the element labeled ``parent_label``, already attached and with
-        node ids assigned; their subtree boundaries receive codes strictly
+        the labeled element ``site``, already attached and with node ids
+        assigned; their subtree boundaries receive codes strictly
         between ``left_code`` and ``right_code`` (both codes of existing
-        neighbors inside the parent's interval, so containment holds by
+        neighbors inside the site's interval, so containment holds by
         construction). This is the per-site counterpart of a whole-tree
         :meth:`sync` — the in-place applier calls it once per insertion
         site. Every label of the run is made complete, the sibling ids
@@ -290,9 +290,8 @@ class ContainmentLabeling:
         codes = self.encoder.codes_between(left_code, right_code,
                                            2 * count)
         self._track(codes)
-        level = parent_label.level + 1
-        parent = nodes[0].parent
-        children = parent.children
+        level = self._labels[site.node_id].level + 1
+        children = site.children
         entries = []
         first = None  # the position of the run's first child
         for offset, node in enumerate(nodes):
@@ -305,7 +304,7 @@ class ContainmentLabeling:
                     left = children[index - 1].node_id
                 if index + 1 < len(children):
                     right = children[index + 1].node_id
-            entries.append((node, level, parent.node_id, left, right, None))
+            entries.append((node, level, site.node_id, left, right, None))
         entries.reverse()
         self._walk(entries, codes)
 

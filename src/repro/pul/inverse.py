@@ -80,10 +80,10 @@ def _deleted_sibling_runs(document, delete_targets):
     by_parent = {}
     for target_id in delete_targets:
         node = document.get(target_id)
-        if node.is_attribute or node.parent is None:
+        parent = document.parent(node)
+        if node.is_attribute or parent is None:
             continue
-        by_parent.setdefault(id(node.parent), (node.parent, set()))[1].add(
-            target_id)
+        by_parent.setdefault(id(parent), (parent, set()))[1].add(target_id)
     runs = []
     for parent, removed in by_parent.values():
         current = None
@@ -141,9 +141,9 @@ def invert_pul(pul, document):
             forward_ops.append(op)
             if target.is_attribute:
                 inverse_ops.append(InsertAttributes(
-                    target.parent.node_id,
+                    document.parent_id(op.target),
                     [target.deep_copy(keep_ids=True)]))
-            elif target.parent is None:
+            elif target is document.root:
                 raise NotApplicableError(
                     "cannot invert the deletion of the document root")
             else:

@@ -47,9 +47,6 @@ def _check_trees(trees, what):
         if not isinstance(tree, Node):
             raise InvalidOperationError(
                 "{} parameter must contain nodes".format(what))
-        if tree.parent is not None:
-            raise InvalidOperationError(
-                "{} parameter trees must be detached".format(what))
         checked.append(tree)
     return tuple(checked)
 
@@ -95,7 +92,7 @@ class UpdateOperation:
         node = document.find(self.target)
         if node is None:
             return ["target {} not in document".format(self.target)]
-        return self._conditions(node)
+        return self._conditions(node, document)
 
     def is_applicable(self, document):
         return not self.applicability_errors(document)
@@ -107,7 +104,9 @@ class UpdateOperation:
                 "{} not applicable: {}".format(
                     self.describe(), "; ".join(errors)))
 
-    def _conditions(self, node):
+    def _conditions(self, node, document):
+        """What keeps this operation off ``node``, a node of
+        ``document``."""
         return []
 
     # -- identity -----------------------------------------------------------
@@ -221,11 +220,11 @@ class InsertBefore(_TreeParameterOperation):
     root_constraint = "non-attribute"
     allow_empty = False
 
-    def _conditions(self, node):
+    def _conditions(self, node, document):
         errors = []
         if node.is_attribute:
             errors.append("target must not be an attribute")
-        if node.parent is None:
+        if node is document.root:
             errors.append("target must have a parent")
         return errors
 
@@ -247,7 +246,7 @@ class InsertIntoAsFirst(_TreeParameterOperation):
     root_constraint = "non-attribute"
     allow_empty = False
 
-    def _conditions(self, node):
+    def _conditions(self, node, document):
         if not node.is_element:
             return ["target must be an element"]
         return []
@@ -280,7 +279,7 @@ class InsertAttributes(_TreeParameterOperation):
     root_constraint = "attribute"
     allow_empty = False
 
-    def _conditions(self, node):
+    def _conditions(self, node, document):
         if not node.is_element:
             return ["target must be an element"]
         return []
@@ -322,9 +321,9 @@ class ReplaceNode(_TreeParameterOperation):
     root_constraint = "uniform"
     allow_empty = True
 
-    def _conditions(self, node):
+    def _conditions(self, node, document):
         errors = []
-        if node.parent is None:
+        if node is document.root:
             errors.append("target must have a parent")
         for tree in self._trees:
             same_kind = (tree.is_attribute and node.is_attribute) or \
@@ -359,7 +358,7 @@ class ReplaceValue(UpdateOperation):
     def param_key(self):
         return self.value
 
-    def _conditions(self, node):
+    def _conditions(self, node, document):
         if node.is_element:
             return ["target must be a text or attribute node"]
         return []
@@ -395,7 +394,7 @@ class ReplaceChildren(_TreeParameterOperation):
                     "strict repC takes nothing or a single text node")
         self.strict = strict
 
-    def _conditions(self, node):
+    def _conditions(self, node, document):
         if not node.is_element:
             return ["target must be an element"]
         return []
@@ -429,7 +428,7 @@ class Rename(UpdateOperation):
     def param_key(self):
         return self.name
 
-    def _conditions(self, node):
+    def _conditions(self, node, document):
         if node.is_text:
             return ["target must be an element or attribute node"]
         return []

@@ -23,7 +23,6 @@ from repro.pul.ops import (
     ReplaceNode,
     UpdateOperation,
 )
-from repro.xdm.document import drop_parents
 
 
 class PUL:
@@ -153,14 +152,6 @@ class PUL:
         """Deep copy (operations duplicated, labels shared by value)."""
         return PUL([op.copy() for op in self._ops], labels=self.labels,
                    origin=self.origin)
-
-    def release_trees(self):
-        """Clear the parent pointers inside the parameter trees, so that
-        no reference cycle runs through them and they are freed by
-        reference counting with their last holder — for a PUL whose
-        trees nothing reads again."""
-        drop_parents(node for op in self._ops for tree in op.trees
-                     for node in tree.iter_subtree())
 
     def label_of(self, node_id):
         """The carried label of a target node (raises KeyError if the PUL

@@ -17,10 +17,11 @@ inserted groups of multiple same-variant insertions on the same target.
 groups in PUL order); :func:`obtainable_set` enumerates every outcome —
 the set ``O(∆, D)`` of Definition 2 / Example 3.
 
-Operations are applied *by node object*: targets are resolved before any
-mutation, so an operation whose target was meanwhile detached (e.g. by a
-replacement higher up) still executes, but on an invisible tree — exactly
-the "overridden operation" behaviour the reduction rules exploit.
+Operations are applied *by node object*: targets, and their parents, are
+resolved before any mutation, so an operation whose target was meanwhile
+detached (e.g. by a replacement higher up) still executes, but on an
+invisible tree — exactly the "overridden operation" behaviour the
+reduction rules exploit.
 """
 
 from __future__ import annotations
@@ -51,11 +52,20 @@ class Scope:
 
     Holds one tree for whole-document application, or the parameter forest
     of an operation when aggregation applies a PUL *inside* another
-    operation's parameter (rule D6).
+    operation's parameter (rule D6). ``parents`` maps the id of every
+    node an operation may resolve to that node's parent (``None`` at top
+    level): XQUF never moves an existing node, so a parent resolved
+    before the first operation holds through the last. ``removed``
+    collects the ids of the nodes the operations detach.
     """
 
-    def __init__(self, roots):
+    def __init__(self, roots, parents):
         self.roots = list(roots)
+        self.parents = parents
+        self.removed = set()
+
+    def parent(self, node):
+        return self.parents.get(node.node_id)
 
     def replace_top(self, node, trees):
         index = self.roots.index(node)
@@ -65,21 +75,40 @@ class Scope:
         return any(root is node for root in self.roots)
 
 
+def _forest_maps(roots):
+    """The id index and the parent map (id -> parent node) of the nodes
+    with an id in the trees ``roots``, from one walk."""
+    index = {}
+    parents = {}
+    for root in roots:
+        for node, parent in root.iter_with_parents():
+            if node.node_id is not None:
+                index[node.node_id] = node
+                parents[node.node_id] = parent
+    return index, parents
+
+
 def _detach(scope, node):
-    if node.parent is None:
+    """Take ``node`` out of the forest; a node already taken out (an
+    overridden deletion) stays as it is."""
+    scope.removed.add(node.node_id)
+    parent = scope.parent(node)
+    if parent is None:
         if scope.contains_top(node):
             scope.replace_top(node, [])
-    else:
-        node.detach()
+        return
+    siblings = parent.attributes if node.is_attribute else parent.children
+    for index, item in enumerate(siblings):
+        if item is node:
+            del siblings[index]
+            break
 
 
 def _insert_siblings(scope, anchor, trees, after):
-    parent = anchor.parent
+    parent = scope.parent(anchor)
     if parent is None:
         index = scope.roots.index(anchor) + (1 if after else 0)
         scope.roots[index:index] = trees
-        for tree in trees:
-            tree.parent = None
         return
     index = parent.children.index(anchor) + (1 if after else 0)
     for offset, tree in enumerate(trees):
@@ -121,23 +150,21 @@ def apply_to_node(scope, node, op, gap=None, preserve_ids=False):
         for tree in trees:
             node.append_child(tree)
     elif kind == ReplaceNode.op_name:
-        parent = node.parent
+        scope.removed.add(node.node_id)
+        parent = scope.parent(node)
         if parent is None:
             scope.replace_top(node, trees)
         elif node.is_attribute:
             position = parent.attributes.index(node)
-            node.detach()
-            for offset, tree in enumerate(trees):
-                tree.parent = parent
-                parent.attributes.insert(position + offset, tree)
+            parent.attributes[position:position + 1] = trees
         else:
             position = parent.children.index(node)
-            node.detach()
+            del parent.children[position]
             for offset, tree in enumerate(trees):
                 parent.insert_child(position + offset, tree)
     elif kind == ReplaceChildren.op_name:
-        for child in list(node.children):
-            child.detach()
+        scope.removed.update(child.node_id for child in node.children)
+        del node.children[:]
         for tree in trees:
             node.append_child(tree)
     elif kind == Delete.op_name:
@@ -155,39 +182,57 @@ def _staged(pul):
     return stages
 
 
-def _attribute_checked_elements(pul, targets):
+def _attribute_checked_elements(pul, targets, scope):
     """The elements whose attribute sets ``pul`` modifies — ``insA``
-    targets plus the owners of renamed or replaced attributes. Resolved
-    before application (a replaced attribute loses its parent pointer)."""
+    targets plus the owners of renamed or replaced attributes."""
     elements = {}
     for op in pul:
         node = targets[op.target]
-        if node is None:
-            continue
         if isinstance(op, InsertAttributes):
             elements[id(node)] = node
-        elif isinstance(op, (Rename, ReplaceNode)) and node.is_attribute \
-                and node.parent is not None:
-            elements[id(node.parent)] = node.parent
+        elif isinstance(op, (Rename, ReplaceNode)) and node.is_attribute:
+            owner = scope.parent(node)
+            if owner is not None:
+                elements[id(owner)] = owner
     return list(elements.values())
 
 
-def _check_attribute_uniqueness(elements, root):
+def _check_attribute_uniqueness(elements, document, removed):
     """The XQUF dynamic error on duplicate attribute names (the error
     integration's conflict type 2 guards against), checked on every
     element whose attribute set the PUL modified and that is still part
-    of the result — matching the streaming evaluator exactly."""
+    of the result — matching the streaming evaluator exactly. The
+    document's parent map still holds the parents from before the PUL,
+    which no operation changed; an element is out of the result when it
+    or an ancestor was detached (``removed``)."""
+    root = document.root
     for element in elements:
-        node = element
-        while node.parent is not None:
-            node = node.parent
-        if node is not root:
+        node_id = element.node_id
+        while node_id not in removed:
+            above = document.parent_id(node_id)
+            if above is None:
+                break
+            node_id = above
+        if node_id in removed or root is None or node_id != root.node_id:
             continue  # detached by a replacement/deletion higher up
         names = [attr.name for attr in element.attributes]
         if len(names) != len(set(names)):
             raise NotApplicableError(
                 "duplicate attribute on element {}: {}".format(
                     element.node_id, sorted(names)))
+
+
+def _resolved_scope(document, target_ids):
+    """The targets ``target_ids`` name in ``document`` (id -> node) and
+    the scope over its tree that knows their parents: both resolved
+    before any mutation."""
+    targets = {}
+    parents = {}
+    for target_id in target_ids:
+        if target_id not in targets:
+            node = targets[target_id] = document.get(target_id)
+            parents[target_id] = document.parent(node)
+    return targets, Scope([document.root], parents)
 
 
 def apply_pul(document, pul, check=True, preserve_ids=False,
@@ -207,16 +252,15 @@ def apply_pul(document, pul, check=True, preserve_ids=False,
     """
     if check:
         pul.require_applicable(document)
-    targets = {op.target: document.get(op.target) for op in pul}
-    checked = _attribute_checked_elements(pul, targets)
-    scope = Scope([document.root])
+    targets, scope = _resolved_scope(document, (op.target for op in pul))
+    checked = _attribute_checked_elements(pul, targets, scope)
     stages = _staged(pul)
     for stage in STAGES:
         for op in stages[stage]:
             apply_to_node(scope, targets[op.target], op,
                           preserve_ids=preserve_ids)
     document.root = scope.roots[0] if scope.roots else None
-    _check_attribute_uniqueness(checked, document.root)
+    _check_attribute_uniqueness(checked, document, scope.removed)
     if reindex:
         document.rebuild_index()
     return document
@@ -226,8 +270,8 @@ def apply_operation(document, op, gap=None, check=True, preserve_ids=False):
     """Apply a single operation to ``document`` in place."""
     if check:
         op.require_applicable(document)
-    scope = Scope([document.root])
-    apply_to_node(scope, document.get(op.target), op, gap=gap,
+    targets, scope = _resolved_scope(document, [op.target])
+    apply_to_node(scope, targets[op.target], op, gap=gap,
                   preserve_ids=preserve_ids)
     document.root = scope.roots[0] if scope.roots else None
     document.rebuild_index()
@@ -243,12 +287,8 @@ def apply_to_forest(roots, operations, preserve_ids=True):
     operation. Parameter identifiers are preserved by default so that
     still-later PULs can keep referring to them.
     """
-    index = {}
-    for root in roots:
-        for node in root.iter_subtree():
-            if node.node_id is not None:
-                index[node.node_id] = node
-    scope = Scope(roots)
+    index, parents = _forest_maps(roots)
+    scope = Scope(roots, parents)
     stages = {stage: [] for stage in STAGES}
     for op in operations:
         stages[op.stage].append(op)
@@ -296,13 +336,11 @@ def _branching(group):
 
 
 def _copy_forest_state(roots):
+    """A scope over a deep copy of the trees ``roots``, and its id
+    index."""
     new_roots = [root.deep_copy(keep_ids=True) for root in roots]
-    index = {}
-    for root in new_roots:
-        for node in root.iter_subtree():
-            if node.node_id is not None:
-                index[node.node_id] = node
-    return new_roots, index
+    index, parents = _forest_maps(new_roots)
+    return Scope(new_roots, parents), index
 
 
 def obtainable_set(document, pul, limit=20000, with_ids=False, check=True,
@@ -367,18 +405,15 @@ def obtainable_set(document, pul, limit=20000, with_ids=False, check=True,
                 target = index[op.target]
                 gap_count = len(target.children) + 1
                 for gap in range(gap_count):
-                    roots, new_index = _copy_forest_state(scope.roots)
-                    branch = Scope(roots)
+                    branch, new_index = _copy_forest_state(scope.roots)
                     apply_to_node(branch, new_index[op.target], op,
                                   gap=gap, preserve_ids=preserve_ids)
                     explore(branch, new_index, group_number, rest)
             else:
-                roots, new_index = _copy_forest_state(scope.roots)
-                branch = Scope(roots)
+                branch, new_index = _copy_forest_state(scope.roots)
                 apply_to_node(branch, new_index[op.target], op,
                               preserve_ids=preserve_ids)
                 explore(branch, new_index, group_number, rest)
 
-    roots, index = _copy_forest_state([document.root])
-    explore(Scope(roots), index, 0, None)
+    explore(*_copy_forest_state([document.root]), 0, None)
     return results

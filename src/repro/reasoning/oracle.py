@@ -146,10 +146,11 @@ class DocumentOracle(StructuralOracle):
         counter = 0
         if document.root is None:
             return
-        stack = [(document.root, False)]
+        # (node, its parent, closing)
+        stack = [(document.root, None, False)]
         open_marks = {}
         while stack:
-            node, closing = stack.pop()
+            node, parent, closing = stack.pop()
             if closing:
                 self._intervals[node.node_id] = (
                     open_marks.pop(node.node_id), counter)
@@ -157,19 +158,18 @@ class DocumentOracle(StructuralOracle):
                 continue
             open_marks[node.node_id] = counter
             counter += 1
-            stack.append((node, True))
+            stack.append((node, parent, True))
             if node.is_element:
                 for attr in node.attributes:
                     self._intervals[attr.node_id] = (counter, counter + 1)
                     counter += 2
-                    self._register(attr)
+                    self._register(attr, node)
                 for child in reversed(node.children):
-                    stack.append((child, False))
-            self._register(node)
+                    stack.append((child, node, False))
+            self._register(node, parent)
 
-    def _register(self, node):
+    def _register(self, node, parent):
         self._types[node.node_id] = node.node_type
-        parent = node.parent
         self._parents[node.node_id] = \
             parent.node_id if parent is not None else None
         left = right = None

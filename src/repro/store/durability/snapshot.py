@@ -107,11 +107,12 @@ def restore_document(payload, budget=DEFAULT_MAX_CODE_LENGTH):
         raise RecoveryError("malformed document payload: doc_id {!r} "
                             "names no document".format(doc_id)) from exc
     try:
-        root, nodes, labels = _rebuild(json.loads(payload["nodes"]))
+        root, nodes, parents, labels = _rebuild(
+            json.loads(payload["nodes"]))
         allocator = IdAllocator()
         allocator.reserve_at_least(max(nodes) + 1)
         allocator.reserve_at_least(_integer(payload["next_id"]))
-        document = Document.indexed(root, nodes, allocator)
+        document = Document.indexed(root, nodes, parents, allocator)
         labeling = ContainmentLabeling.restored(
             labels, _integer(payload["max_code_len"]))
         budget = _integer(payload.get("budget", budget))
@@ -141,14 +142,15 @@ def _integer(value):
 def _rebuild(rows):
     """Build the tree and its labels from node rows in one walk.
 
-    Returns ``(root, {id: node}, {id: label})``. Each label's level,
-    parent and sibling ids come from the place its row takes in the
-    tree; a row that does not fit the tree the rows before it describe
-    is a ``ValueError``.
+    Returns ``(root, {id: node}, {id: parent id}, {id: label})``. Each
+    node's parent id, and each label's level, parent and sibling ids,
+    come from the place its row takes in the tree; a row that does not
+    fit the tree the rows before it describe is a ``ValueError``.
     """
     if type(rows) is not list or not rows:
         raise ValueError("no node rows")
     nodes = {}
+    parents = {}
     labels = {}
     # the open elements: [node, attributes left, children left, label
     # of the last child placed]
@@ -184,12 +186,12 @@ def _rebuild(rows):
                 parent.children.append(node)
                 top[2] -= 1
                 left = top[3]
-        node.parent = parent
+        parent_id = None if parent is None else parent.node_id
         label = ExtendedLabel(
             node_id, node.node_type, row[-2], row[-1], len(open_elements),
-            None if parent is None else parent.node_id,
-            None if left is None else left.node_id)
+            parent_id, None if left is None else left.node_id)
         nodes[node_id] = node
+        parents[node_id] = parent_id
         labels[node_id] = label
         if left is not None:
             left.right_sibling_id = node_id
@@ -207,4 +209,4 @@ def _rebuild(rows):
         raise ValueError(
             "node rows cut short: the counts of <{}> point past the "
             "last row".format(open_elements[-1][0].name))
-    return nodes[rows[0][0]], nodes, labels
+    return nodes[rows[0][0]], nodes, parents, labels

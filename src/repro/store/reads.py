@@ -8,9 +8,7 @@ residency table (``_entries`` under ``_lock``, one entry looked up by
 :class:`~repro.store.versions.DocumentVersion` — read once from
 ``entry.published``, with no lock and no count — and takes no flush
 lock, so a slow read never stalls the write path and a slow batch never
-stalls a reader (store README, invariant 9). A reader follows no
-``.parent`` pointer (the parent-pointer rule of
-:mod:`repro.store.versions`).
+stalls a reader (store README, invariant 9).
 
 A version never changes, so what a read makes of it is made once and
 left on the version while it is the published one (the memo rule of
@@ -253,10 +251,8 @@ class StoreReads:
 
     def _evicted(self, entry):
         """``entry`` left ``_entries``: it keeps no answers from now on,
-        the bytes it held come back to the budget, and its tree is left
-        to reference counting (:meth:`StoredDocument.release`)."""
+        and the bytes it held come back to the budget."""
         self._give_answer_bytes(entry.drop_answers())
-        entry.release()
 
     def _parsed_path(self, path):
         """``path`` parsed — the one place this store obtains a parsed

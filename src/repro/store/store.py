@@ -654,11 +654,6 @@ class DocumentStore(StoreReads):
         except Exception:
             entry.abandon()
             raise
-        finally:
-            # coalescing copied the submitted parameter trees and the
-            # apply inserts copies of its own: the batch's trees are the
-            # store's, and nothing reads them again
-            batch.release_trees()
         if self._durability is not None and not self._replaying \
                 and self._durability.snapshot_due():
             with self.obs.stage("snapshot"):
@@ -685,56 +680,49 @@ class DocumentStore(StoreReads):
         with obs.stage("reduce"):
             shards = shard_pul(batch, self.workers)
             reduced = merge_shards(self._reducer.reduce_shards(shards))
-        try:
-            # one classification against the published version serves
-            # the path copy, the apply and the index delta
-            with obs.stage("copy"):
-                footprint = classify(previous.document, reduced)
-                document, labeling = entry.checkout(footprint)
-            # in-place application on the *private working pair*:
-            # identifiers of removed nodes stay burned (the allocator is
-            # the pair's own, position-identical to the published
-            # tree's), fresh ids are assigned in document order across
-            # the insertion sites — identical to the stateless
-            # baseline's, per the differential suite. Readers keep
-            # walking the published version untouched.
-            with obs.stage("apply"):
-                apply_mode = apply_batch_in_place(
-                    document, labeling, reduced, footprint=footprint)
-            relabel = "incremental"
-            if labeling.max_code_length > previous.budget:
-                with obs.stage("relabel"):
-                    labeling.build(document)
-                relabel = "full"
-            # the secondary index rides the same publish: derived from
-            # the retiring version's index by re-reading the reduced PUL
-            # when the label repair stayed per-site, rebuilt from the
-            # tree when codes moved wholesale (label sync or a full
-            # relabel)
-            index = None
-            if (apply_mode == "incremental" and relabel == "incremental"
-                    and previous.index is not None):
-                with obs.stage("index-derive"):
-                    index = previous.index.derive(
-                        previous.document, document, labeling, reduced,
-                        footprint=footprint)
-            # one atomic reference swap makes the batch visible
-            with obs.stage("publish"):
-                self._give_answer_bytes(entry.publish(
-                    document, labeling,
-                    full_relabel=(relabel == "full"), index=index))
-            return BatchResult(
-                doc_id=entry.doc_id, version=version,
-                clients=clients,
-                submitted_ops=submitted, reduced_ops=len(reduced),
-                shard_sizes=[len(s) for s in shards], relabel=relabel,
-                max_code_length=labeling.max_code_length,
-                index_maintenance=("incremental" if index is not None
-                                   else "rebuild"))
-        finally:
-            # the reduced batch's trees are the batch's or copies the
-            # reduction made (shards hold the batch's own operations)
-            reduced.release_trees()
+        # one classification against the published version serves the
+        # path copy, the apply and the index delta
+        with obs.stage("copy"):
+            footprint = classify(previous.document, reduced)
+            document, labeling = entry.checkout(footprint)
+        # in-place application on the *private working pair*:
+        # identifiers of removed nodes stay burned (the allocator is the
+        # pair's own, position-identical to the published tree's), fresh
+        # ids are assigned in document order across the insertion sites
+        # — identical to the stateless baseline's, per the differential
+        # suite. Readers keep walking the published version untouched.
+        with obs.stage("apply"):
+            apply_mode = apply_batch_in_place(
+                document, labeling, reduced, footprint=footprint)
+        relabel = "incremental"
+        if labeling.max_code_length > previous.budget:
+            with obs.stage("relabel"):
+                labeling.build(document)
+            relabel = "full"
+        # the secondary index rides the same publish: derived from the
+        # retiring version's index by re-reading the reduced PUL when
+        # the label repair stayed per-site, rebuilt from the tree when
+        # codes moved wholesale (label sync or a full relabel)
+        index = None
+        if (apply_mode == "incremental" and relabel == "incremental"
+                and previous.index is not None):
+            with obs.stage("index-derive"):
+                index = previous.index.derive(
+                    previous.document, document, labeling, reduced,
+                    footprint=footprint)
+        # one atomic reference swap makes the batch visible
+        with obs.stage("publish"):
+            self._give_answer_bytes(entry.publish(
+                document, labeling,
+                full_relabel=(relabel == "full"), index=index))
+        return BatchResult(
+            doc_id=entry.doc_id, version=version,
+            clients=clients,
+            submitted_ops=submitted, reduced_ops=len(reduced),
+            shard_sizes=[len(s) for s in shards], relabel=relabel,
+            max_code_length=labeling.max_code_length,
+            index_maintenance=("incremental" if index is not None
+                               else "rebuild"))
 
     # -- durability ----------------------------------------------------------
 
@@ -936,17 +924,17 @@ class DocumentStore(StoreReads):
 
     def close(self):
         """Refuse every write from now on, whatever the durability
-        policy (:class:`~repro.errors.StoreClosedError`), leave every
-        resident tree to reference counting once an in-flight flush of
-        it finished (:meth:`StoredDocument.release`; reads go on), shut
-        the shared reduction pool down and seal the write-ahead log
-        (idempotent)."""
+        policy (:class:`~repro.errors.StoreClosedError`), wait out every
+        in-flight flush (reads go on), shut the shared reduction pool
+        down and seal the write-ahead log (idempotent)."""
         with self._lock:
             entries = [] if self._closed else list(self._entries.values())
             self._closed = True
         for entry in entries:
+            # an in-flight flush finishes before the pool and the log
+            # close under it
             with entry.flush_lock:
-                entry.release()
+                pass
         self._reducer.close()
         if self._durability is not None:
             self._durability.close()

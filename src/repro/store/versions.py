@@ -25,50 +25,32 @@ writer classifies the reduced batch once against N
 child list, attribute list, name or value the batch changes — the
 footprint's sites and touched nodes — and every ancestor of those is
 copied shallowly, with its own child and attribute lists; every other
-node is shared with N. The copy shares N's id index but keeps its
-own entries apart until ``publish`` folds them in
+node is shared with N. The copy shares N's id index and parent map
+but keeps its own entries apart until ``publish`` folds them in
 (:meth:`repro.xdm.document.Document.commit`); from then on N answers
-id lookups from an index of its own tree, built only if a reader
-still holding N asks. The copy has its own allocator, and N's label
-map is copied (labels are immutable and shared). The batch is applied
-in place to that copy and published. A flush thus copies O(touched ×
+lookups from maps of its own tree, built only if a reader still
+holding N asks. The copy has its own allocator, and N's label map is
+copied (labels are immutable and shared). The batch is applied in
+place to that copy and published. A flush thus copies O(touched ×
 depth) nodes and no per-node table but the label map, and a resident
 document holds one tree plus whatever its retired versions' readers
 still hold.
 
-**The parent-pointer rule.** Copying a node re-points its children and
-attributes to the copy. So the *newest* version's parent pointers are
-exact — the writer's classification, apply, relabel and
-``Node.detach`` rely on them — while a retired version's shared nodes
-may point into a newer version (and a node a later batch removed
-points nowhere). Publishing N+1 even clears the parent pointers of N's
-copied nodes and of every subtree the batch removed (``del``,
-``repN``, ``repC``) — nodes that belong to retired versions only: then
-no reference cycle runs through them, and they are freed by reference
-counting when the retired version's last reader drops it, instead of
-waiting for the cyclic collector. The same holds wherever the store
-lets go of a tree: an abandoned path copy, an entry that left the
-store (``close``, a replayed ``close`` record, a replica's
-re-bootstrap) and every entry of a closed store drop their parent
-pointers too (store README, invariant 10). Therefore no
-reader of a version follows ``.parent``: the serializer,
-:func:`document_payload`, the index build and the query walker all
-descend from the root, and the walker orders its results by the
-version's own label codes (``run_query(...,
+A node holds no pointer to its parent: where a node hangs is its
+version's document's to answer (``Document.parent``), and ids are
+stable, so a path copy writes nothing into a node N shares, and N
+keeps answering exactly as it did. No tree holds a reference cycle, so
+whatever the store lets go of — a retired version, a removed subtree,
+an abandoned copy, a PUL — is freed by reference counting with its
+last holder. The serializer, :func:`document_payload`, the index build
+and the query walker all descend from the root, and the walker orders
+its results by the version's own label codes (``run_query(...,
 labeling=version.labeling)``; its predicates never order at all).
 ``submit_xquery`` compiles through the same walker.
 
 A batch that fails on the copy leaves no trace: the copy is dropped,
-and :meth:`StoredDocument.abandon` points the children and attributes
-of every copied original back at it
-(:func:`repro.xdm.document.restore_parents`) — O(copy set), and it also
-restores the parent of a node the batch had detached, because that
-parent is a site. Nothing of it was published, so readers, the log and
-every follower still see version N exactly as it was. The copy's
-own nodes — the copies and whatever the batch inserted into them —
-then drop their parent pointers
-(:func:`repro.xdm.document.drop_copy_parents`), so they die with the
-dropped copy by reference counting.
+and nothing of it was published, so readers, the log and every
+follower still see version N exactly as it was.
 
 Invariant of the memos: a version is immutable, so the first reader
 that asks for its text serializes it and leaves the string on the
@@ -111,8 +93,8 @@ unpublished one, which a :class:`StoredDocument` publishes.
 The rules above are kept by two classes of this module: a
 :class:`DocumentVersion` is the immutable value a reader holds, and a
 :class:`StoredDocument` is one resident entry of the store — its
-pending queue, its writer side (``checkout``, ``publish``, ``abandon``:
-the parent-pointer rule) and the only code that installs a memo
+pending queue, its writer side (``checkout``, ``publish``, ``abandon``)
+and the only code that installs a memo
 (``keep_text``, ``keep_answer``: the memo rule). The store's residency
 table holds the entries (:mod:`repro.store.store`); its reads charge
 the memos to the budget (:mod:`repro.store.reads`).
@@ -127,7 +109,6 @@ from itertools import chain
 
 from repro.errors import DurabilityError
 from repro.index.structural import build_index
-from repro.xdm.document import drop_copy_parents, drop_parents, restore_parents
 
 #: default headroom budget: containment codes may grow to this many digits
 #: before the store schedules a full relabel of the document
@@ -209,8 +190,7 @@ class StoredDocument:
     """
 
     __slots__ = ("doc_id", "lock", "flush_lock", "pending", "published",
-                 "logged_version", "_publish_cond", "_originals",
-                 "_removed", "_copy_root")
+                 "logged_version", "_publish_cond")
 
     def __init__(self, version):
         """Publish ``version`` — a fresh or restored one — as the
@@ -223,11 +203,6 @@ class StoredDocument:
         #: installs and the logged-version fence live under it, and
         #: nothing is ever acquired while holding it
         self._publish_cond = threading.Condition()
-        #: of the in-flight batch (``checkout``), until it publishes or
-        #: is abandoned: the nodes of the published tree its path copy
-        #: copied, the published nodes it removes, and the root of its
-        #: path copy
-        self._originals = self._removed = self._copy_root = None
         #: highest batch version write-ahead logged so far; a state
         #: capture must wait until the published version covers it, or
         #: the captured payload would *lag* the log/stream position it
@@ -270,16 +245,6 @@ class StoredDocument:
         with self._publish_cond:
             return self.published.forget_answers()
 
-    def release(self):
-        """No batch will be applied to this entry again (it left the
-        store, or the store closed): its published tree drops its
-        parent pointers, so it is freed by reference counting with the
-        last reference to it. Reads go on as before — no reader follows
-        ``.parent`` (the parent-pointer rule of
-        :mod:`repro.store.versions`). Callers hold ``flush_lock`` or
-        have waited out the last flush."""
-        drop_parents(self.published.document.nodes())
-
     def wait_published(self, timeout):
         """The published version, once it covers every logged batch.
 
@@ -320,11 +285,8 @@ class StoredDocument:
         map. The published version stays as it was; :meth:`publish`
         the pair or :meth:`abandon` it."""
         published = self.published
-        document, self._originals = published.document.path_copy(
+        document = published.document.path_copy(
             chain(footprint.site_ids, footprint.touched_ids))
-        find = published.document.find
-        self._removed = [find(node_id) for node_id in footprint.removed_ids]
-        self._copy_root = document.root
         return document, published.labeling.copy()
 
     def publish(self, document, labeling, full_relabel=False, index=None):
@@ -343,8 +305,6 @@ class StoredDocument:
             self.doc_id, previous.version + 1, document, labeling,
             previous.budget, previous.batches + 1, previous.incremental_relabels + 1 - full,
             previous.full_relabels + full, index=index)
-        originals, removed = self._originals, self._removed
-        self._originals = self._removed = self._copy_root = None
         document.commit()
         with self._publish_cond:
             # the retiring version keeps no memo (the memo rule of
@@ -353,30 +313,13 @@ class StoredDocument:
             freed = previous.forget_answers()
             self.published = version
             self._publish_cond.notify_all()
-        # the retired tree's copied nodes and the subtrees the batch
-        # removed drop their parent pointers, which mean nothing on a
-        # retired version (the parent-pointer rule of
-        # repro.store.versions): no reference cycle then runs through
-        # them, and they are freed with the version by reference
-        # counting rather than left to the cyclic collector
-        drop_parents(chain(originals, removed))
         return freed
 
     def abandon(self):
         """A batch failed: its working pair is dropped by the caller —
-        no reader, log or follower ever saw it — the published tree's
-        parent pointers are restored where the path copy moved them,
-        and the logged-version fence is clamped back so captures
-        waiting on a publish that will never come are released. The
-        nodes only the dropped copy held — its copies and whatever the
-        batch inserted into them — drop their parent pointers, so they
-        die by reference counting with it."""
-        originals, root = self._originals, self._copy_root
-        self._originals = self._removed = self._copy_root = None
-        if originals:
-            restore_parents(originals)
-            # (with nothing copied, the copy's root is the published one)
-            drop_copy_parents(root)
+        no reader, log or follower ever saw it — and the logged-version
+        fence is clamped back so captures waiting on a publish that will
+        never come are released."""
         with self._publish_cond:
             self.logged_version = self.published.version
             self._publish_cond.notify_all()

@@ -45,7 +45,7 @@ def generate_conflicting_puls(document, pul_count=10, ops_per_pul=400,
     """
     rng = random.Random(seed)
     elements = [n for n in document.nodes()
-                if n.is_element and n.parent is not None]
+                if n.is_element and n is not document.root]
     texts = [n for n in document.nodes() if n.is_text]
     rng.shuffle(elements)
     pool = iter(elements)

@@ -35,6 +35,7 @@ from repro.pul.ops import (
 )
 from repro.pul.pul import PUL
 from repro.pul.semantics import apply_pul
+from repro.xdm.navigation import depth
 from repro.xdm.node import Node
 
 _OP_KINDS = (
@@ -42,14 +43,6 @@ _OP_KINDS = (
     "insertInto", "insertAttributes", "delete", "replaceNode",
     "replaceValue", "replaceChildren", "rename",
 )
-
-
-def _depth(node):
-    level = 0
-    while node.parent is not None:
-        node = node.parent
-        level += 1
-    return level
 
 
 class _PulBuilder:
@@ -69,7 +62,7 @@ class _PulBuilder:
         self.texts = []
         self.attributes = []
         for node in document.nodes():
-            if min_depth and _depth(node) < min_depth:
+            if min_depth and depth(document, node) < min_depth:
                 continue
             if node.is_element:
                 self.elements.append(node)
@@ -98,7 +91,7 @@ class _PulBuilder:
             return None
         for __ in range(16):
             node = self.rng.choice(pool)
-            if exclude_root and node.parent is None:
+            if exclude_root and node is self.document.root:
                 continue
             return node
         return None

@@ -12,8 +12,6 @@ maintains the properties the paper requires of node identity (Section 4.1):
 
 from __future__ import annotations
 
-from itertools import chain
-
 from repro.errors import DocumentError, UnknownNodeError
 
 
@@ -56,26 +54,33 @@ class IdAllocator:
 class Document:
     """A rooted XML document with identified nodes.
 
-    The index ``V`` (``node_by_id``) gives O(1) access from identifiers to
-    nodes; it is kept consistent by the mutation helpers, which are the only
-    supported way to restructure an attached tree.
+    The index ``V`` (:meth:`find`) gives O(1) access from identifiers to
+    nodes, and the parent map (:meth:`parent_id`) gives each node's
+    parent id (``None`` for the root): the tree points downwards only,
+    so where a node hangs is the document's to answer. Both are filled
+    by the same walks — the parser's, :meth:`register_tree`'s and
+    :meth:`rebuild_index`'s — and kept by :meth:`forget_ids`.
 
-    A :meth:`path_copy` shares the index of the document it copies: the
-    copy records its own changes apart (``_delta``, id -> node, ``None``
-    for a removed id) until :meth:`commit` folds them in. From then on
-    the index answers for the copy, and the copied document answers
-    lookups from an index it builds from its own tree on first use.
+    A :meth:`path_copy` shares both maps with the document it copies:
+    the copy records its own changes apart (``_delta``, id -> node,
+    ``None`` for a removed id; ``_parent_delta``, id -> parent id, for
+    the ids it entered or removed) until :meth:`commit` folds them in.
+    Ids are stable, so copying a node changes no parent entry. From then
+    on the maps answer for the copy, and the copied document answers
+    from maps it builds from its own tree on first use.
     """
 
     def __init__(self, root=None, allocator=None):
         self._allocator = allocator or IdAllocator()
         self._nodes = {}
-        #: a path copy's changes over the shared ``_nodes`` until commit
-        self._delta = None
+        self._parents = {}
+        #: a path copy's changes over the shared maps until commit
+        self._delta = self._parent_delta = None
         #: the document this path copy was made from, until commit
         self._base = None
         #: once a path copy of this document committed: its node count
-        #: then, and its own index, built from the tree on first lookup
+        #: then, and its own ``(index, parent map)``, built from the
+        #: tree on first lookup
         self._handed_on = None
         self._own = None
         self.root = None
@@ -101,11 +106,20 @@ class Document:
         return self.find(node_id) is not None
 
     def __len__(self):
-        count = len(self._nodes)
+        nodes = self._nodes
+        count = len(nodes)
         if self._handed_on is not None:
             return self._handed_on
-        if self._delta is not None:
-            return len(self.node_ids())
+        # a path copy: the shared index, plus the ids it entered, less
+        # the ids it removed
+        delta = self._delta
+        if delta:
+            for node_id, node in delta.items():
+                if node_id in nodes:
+                    if node is None:
+                        count -= 1
+                elif node is not None:
+                    count += 1
         return count
 
     def get(self, node_id):
@@ -125,14 +139,37 @@ class Document:
         # raced the fold sees the flag and answers from the tree
         node = self._nodes.get(node_id)
         if self._handed_on is not None:
-            return self._own_index().get(node_id)
+            return self._own_maps()[0].get(node_id)
         return node
 
-    def _own_index(self):
+    def parent_id(self, node_id):
+        """The id of the parent of the node ``node_id``: ``None`` for the
+        root and for an id the document does not hold."""
+        delta = self._parent_delta
+        if delta is not None and node_id in delta:
+            return delta[node_id]
+        # read before the flag, as in find
+        parent_id = self._parents.get(node_id)
+        if self._handed_on is not None:
+            return self._own_maps()[1].get(node_id)
+        return parent_id
+
+    def parent(self, node):
+        """The parent of ``node`` in this document, or ``None`` for the
+        root (and for a node the document does not hold)."""
+        parent_id = self.parent_id(node.node_id)
+        return None if parent_id is None else self.find(parent_id)
+
+    def _own_maps(self):
         own = self._own
         if own is None:
-            own = {node.node_id: node for node in self.nodes()}
-            self._own = own
+            nodes, parents = {}, {}
+            if self.root is not None:
+                for node, parent in self.root.iter_with_parents():
+                    nodes[node.node_id] = node
+                    parents[node.node_id] = (None if parent is None
+                                             else parent.node_id)
+            own = self._own = (nodes, parents)
         return own
 
     def node_ids(self):
@@ -156,57 +193,59 @@ class Document:
             raise DocumentError("document already has a root")
         if not root.is_element:
             raise DocumentError("document root must be an element")
-        if root.parent is not None:
-            raise DocumentError("root must be detached")
         self.root = root
         self.register_tree(root)
         return root
 
     @classmethod
-    def indexed(cls, root, nodes, allocator):
-        """A document over the detached element ``root`` whose id index
-        the caller already built: ``nodes`` maps the id of every node of
-        the tree, and nothing else, to the node (the parser numbers the
-        nodes and a durability restore checks their ids as each builds
-        the tree, so both skip :meth:`register_tree`'s walk)."""
+    def indexed(cls, root, nodes, parents, allocator):
+        """A document over the detached element ``root`` whose maps the
+        caller already built: ``nodes`` maps the id of every node of the
+        tree, and nothing else, to the node, and ``parents`` the same
+        ids to their parents' ids (the root's to ``None``). The parser
+        numbers the nodes and a durability restore checks their ids as
+        each builds the tree, so both skip :meth:`register_tree`'s
+        walk."""
         document = cls(allocator=allocator)
         document.root = root
         document._nodes = nodes
+        document._parents = parents
         return document
 
-    def _index(self, node_id, node):
-        """Enter ``node`` under ``node_id`` (``None``: drop the id)."""
+    def _index(self, node_id, node, parent_id=None):
+        """Enter ``node`` under ``node_id``, below the node ``parent_id``
+        (``node`` ``None``: drop the id)."""
         if self._delta is not None:
             self._delta[node_id] = node
+            self._parent_delta[node_id] = parent_id
         elif node is None:
             self._nodes.pop(node_id, None)
+            self._parents.pop(node_id, None)
         else:
             self._nodes[node_id] = node
+            self._parents[node_id] = parent_id
 
-    def register_tree(self, root):
-        """Register every node of ``root``'s subtree in the id index,
-        allocating identifiers for nodes lacking one."""
+    def register_tree(self, root, parent=None):
+        """Register every node of ``root``'s subtree in the id index and
+        the parent map, ``root`` below ``parent`` (``None``: ``root`` is
+        the document root), allocating identifiers for nodes lacking
+        one."""
         highest = -1
-        for node in root.iter_subtree():
+        for node, above in root.iter_with_parents(parent):
             node_id = node.node_id
             if node_id is None:
                 node_id = node.node_id = self.fresh_id()
             elif self.find(node_id) not in (None, node):
                 raise DocumentError("duplicate node id: {}".format(node_id))
-            self._index(node_id, node)
+            self._index(node_id, node,
+                        None if above is None else above.node_id)
             if isinstance(node_id, int) and node_id > highest:
                 highest = node_id
         self._allocator.reserve_at_least(highest + 1)
 
-    def unregister_tree(self, root):
-        """Drop every node of ``root``'s subtree from the id index.
-
-        Their identifiers remain burned (never reassigned)."""
-        for node in root.iter_subtree():
-            self._index(node.node_id, None)
-
     def forget_ids(self, node_ids):
-        """Drop ``node_ids`` from the id index (identifiers stay burned).
+        """Drop ``node_ids`` from the id index and the parent map
+        (identifiers stay burned).
 
         The incremental counterpart of :meth:`rebuild_index` for removed
         subtrees whose nodes the caller enumerated before detaching them
@@ -214,66 +253,38 @@ class Document:
         for node_id in node_ids:
             self._index(node_id, None)
 
-    # -- mutation helpers (index-preserving) --------------------------------
-
-    def detach_node(self, node):
-        """Detach ``node`` from its parent and unregister its subtree."""
-        node.detach()
-        self.unregister_tree(node)
-        return node
-
-    def insert_children(self, parent, index, trees):
-        """Insert detached ``trees`` as children of ``parent`` at ``index``,
-        registering them."""
-        for offset, tree in enumerate(trees):
-            parent.insert_child(index + offset, tree)
-            self.register_tree(tree)
-
-    def replace_node(self, node, trees):
-        """Replace ``node`` with the detached ``trees`` (possibly empty)."""
-        parent = node.parent
-        if parent is None:
-            raise DocumentError("cannot replace a detached or root node")
-        if node.is_attribute:
-            position = parent.attributes.index(node)
-            self.detach_node(node)
-            for offset, tree in enumerate(trees):
-                tree.parent = parent
-                parent.attributes.insert(position + offset, tree)
-                self.register_tree(tree)
-        else:
-            position = parent.children.index(node)
-            self.detach_node(node)
-            self.insert_children(parent, position, trees)
-
     def rebuild_index(self):
-        """Re-derive the id index from the live tree.
+        """Re-derive the id index and the parent map from the live tree.
 
         Used after bulk structural edits performed directly on nodes (the
         PUL evaluator works this way): unreachable nodes are dropped from
         the index (their ids stay burned) and nodes without an identifier
         receive fresh ones **in document order**, which makes id assignment
-        deterministic and identical across evaluators. The index is the
+        deterministic and identical across evaluators. The maps are the
         document's own afterwards, shared with no other document.
         """
-        self._nodes = {}
-        self._delta = self._base = None
+        nodes = self._nodes = {}
+        parents = self._parents = {}
+        self._delta = self._parent_delta = self._base = None
         if self.root is None:
             return
         highest = -1
         for node in self.root.iter_subtree():
             if node.node_id is not None:
-                if node.node_id in self._nodes:
+                if node.node_id in nodes:
                     raise DocumentError(
                         "duplicate node id: {}".format(node.node_id))
-                self._nodes[node.node_id] = node
+                nodes[node.node_id] = node
                 if node.node_id > highest:
                     highest = node.node_id
         self._allocator.reserve_at_least(highest + 1)
-        for node in self.root.iter_subtree():
+        # a parent comes before its children, so its id is known here
+        for node, parent in self.root.iter_with_parents():
             if node.node_id is None:
                 node.node_id = self.fresh_id()
-                self._nodes[node.node_id] = node
+                nodes[node.node_id] = node
+            parents[node.node_id] = (None if parent is None
+                                     else parent.node_id)
 
     # -- copying -----------------------------------------------------------
 
@@ -290,28 +301,26 @@ class Document:
         return clone
 
     def path_copy(self, node_ids):
-        """``(document, originals)``: a document that shares this one's
-        tree except on the paths from the root to ``node_ids``.
+        """A document that shares this one's tree except on the paths
+        from the root to ``node_ids``.
 
         Every node on those paths is copied shallowly (same id, name and
         value) and gets its own child and attribute lists, in which the
         copied children replace their originals; every other node is
-        shared with this document. The copy shares this document's id
-        index, keeping its own changes apart until :meth:`commit`, and
-        has an allocator at the same position and stride. So the copy
-        may be edited anywhere on those paths while this tree keeps its
-        lists, names and values. Copying re-points the children and
-        attributes of each copied node to the copy, so the copy's parent
-        pointers are exact and this tree's shared nodes point into the
-        copy; :func:`restore_parents` over ``originals`` (the copied
-        nodes of this tree) points them back."""
-        find = self.find
+        shared with this document, which is left as it was. The copy
+        shares this document's id index and parent map, keeping its own
+        changes apart until :meth:`commit`, and has an allocator at the
+        same position and stride. So the copy may be edited anywhere on
+        those paths while this tree keeps its lists, names and values."""
+        find, parent_id = self.find, self.parent_id
         originals = {}
         for node_id in node_ids:
-            node = find(node_id)
-            while node is not None and node.node_id not in originals:
-                originals[node.node_id] = node
-                node = node.parent
+            while node_id is not None and node_id not in originals:
+                node = find(node_id)
+                if node is None:
+                    break
+                originals[node_id] = node
+                node_id = parent_id(node_id)
         copies = {node_id: node.shallow_copy()
                   for node_id, node in originals.items()}
         for node_id, node in originals.items():
@@ -320,37 +329,39 @@ class Document:
                              for child in node.children]
             copy.attributes = [copies.get(attr.node_id, attr)
                                for attr in node.attributes]
-            for item in copy.children:
-                item.parent = copy
-            for item in copy.attributes:
-                item.parent = copy
         root = self.root
         if root is not None:
             root = copies.get(root.node_id, root)
-        clone = Document.indexed(root, self._nodes, IdAllocator(
-            start=self._allocator.next_value,
-            stride=self._allocator.stride))
+        clone = Document.indexed(root, self._nodes, self._parents,
+                                 IdAllocator(
+                                     start=self._allocator.next_value,
+                                     stride=self._allocator.stride))
         clone._delta = copies
+        clone._parent_delta = {}
         clone._base = self
-        return clone, list(originals.values())
+        return clone
 
     def commit(self):
-        """Fold this path copy's changes into the id index it shares
-        with the document it was copied from; that document then answers
-        lookups from an index of its own tree, built on first use. The
-        copy has to be the only one of that document to commit."""
+        """Fold this path copy's changes into the maps it shares with
+        the document it was copied from; that document then answers
+        lookups from maps of its own tree, built on first use. The copy
+        has to be the only one of that document to commit."""
         delta, base = self._delta, self._base
         if delta is None:
             return
-        nodes = self._nodes
+        nodes, parents = self._nodes, self._parents
+        parent_delta = self._parent_delta
         # before the fold: a lookup racing it on the base sees the flag
         base._handed_on = len(base)
         for node_id, node in delta.items():
             if node is None:
                 nodes.pop(node_id, None)
+                parents.pop(node_id, None)
             else:
                 nodes[node_id] = node
-        self._delta = self._base = None
+                if node_id in parent_delta:
+                    parents[node_id] = parent_delta[node_id]
+        self._delta = self._parent_delta = self._base = None
 
     # -- convenience lookups -------------------------------------------------
 
@@ -367,40 +378,3 @@ class Document:
     def __repr__(self):
         root = self.root.name if self.root is not None else None
         return "Document(root={!r}, nodes={})".format(root, len(self))
-
-
-def restore_parents(originals):
-    """Point the children and attributes of every node of ``originals``
-    back at that node: undoes the re-pointing of
-    :meth:`Document.path_copy`, whose ``originals`` these are, once its
-    copy is dropped."""
-    for node in originals:
-        for item in node.children:
-            item.parent = node
-        for item in node.attributes:
-            item.parent = node
-
-
-def drop_parents(nodes):
-    """Clear the parent pointer of every node of ``nodes``: a tree whose
-    nodes point only downwards holds no reference cycle, so it is freed
-    by reference counting the moment its last holder drops it. Only for
-    nodes whose parent pointers nothing will read again (the
-    parent-pointer rule of :mod:`repro.store.versions`)."""
-    for node in nodes:
-        node.parent = None
-
-
-def drop_copy_parents(root):
-    """:func:`drop_parents` over the nodes only a dropped path copy
-    holds: ``root`` — the copy's root, itself a copy — and, below it,
-    every node whose parent pointer names the node it hangs from (the
-    other copies and whatever was inserted into them). Run after
-    :func:`restore_parents`, which points every shared node back at an
-    original, so the walk never enters a tree the copy shared."""
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        stack.extend(item for item in chain(node.children, node.attributes)
-                     if item.parent is node)
-        node.parent = None

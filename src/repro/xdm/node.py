@@ -5,6 +5,13 @@ The paper models a document as a labeled tree over three node kinds
 Coherently with XDM, an attribute's value is a property of the attribute
 node itself, while the textual content of an element is modeled by separate
 text-node children.
+
+A tree points downwards only, as the paper's ``gamma`` does: a node holds
+its children and attributes and knows nothing of where it hangs. The
+parent of a node of a document is the document's to answer
+(:meth:`repro.xdm.document.Document.parent`); a walk from a root knows
+it as it goes (:meth:`Node.iter_with_parents`). So no tree holds a
+reference cycle, and a tree nothing refers to is freed at once.
 """
 
 from __future__ import annotations
@@ -54,13 +61,10 @@ class Node:
     attributes:
         Attribute children, in insertion order (their relative order is not
         semantically relevant).
-    parent:
-        Back pointer to the parent node, ``None`` for roots.
     """
 
     __slots__ = (
-        "node_id", "node_type", "name", "value",
-        "children", "attributes", "parent",
+        "node_id", "node_type", "name", "value", "children", "attributes",
     )
 
     def __init__(self, node_type, name=None, value=None, node_id=None):
@@ -87,7 +91,6 @@ class Node:
         self.value = value
         self.children = []
         self.attributes = []
-        self.parent = None
 
     # -- constructors ------------------------------------------------------
 
@@ -126,14 +129,12 @@ class Node:
     def append_child(self, child):
         """Attach ``child`` (element or text) as last child."""
         self._check_child(child)
-        child.parent = self
         self.children.append(child)
         return child
 
     def insert_child(self, index, child):
         """Attach ``child`` (element or text) at ``index``."""
         self._check_child(child)
-        child.parent = self
         self.children.insert(index, child)
         return child
 
@@ -143,30 +144,8 @@ class Node:
             raise DocumentError("only elements hold attributes")
         if not attr.is_attribute:
             raise DocumentError("append_attribute requires an attribute")
-        attr.parent = self
         self.attributes.append(attr)
         return attr
-
-    def detach(self):
-        """Remove this node from its parent (no-op when detached)."""
-        parent = self.parent
-        if parent is None:
-            return self
-        if self.is_attribute:
-            parent.attributes.remove(self)
-        else:
-            parent.children.remove(self)
-        self.parent = None
-        return self
-
-    def child_index(self):
-        """Position of this node among its parent's children.
-
-        Raises :class:`DocumentError` for detached or attribute nodes.
-        """
-        if self.parent is None or self.is_attribute:
-            raise DocumentError("node has no child position")
-        return self.parent.children.index(self)
 
     def _check_child(self, child):
         if not self.is_element:
@@ -192,18 +171,27 @@ class Node:
                     yield from node.attributes
                 stack.extend(reversed(node.children))
 
+    def iter_with_parents(self, parent=None):
+        """Yield ``(node, its parent)`` for this node and its descendants,
+        attributes included, in the order of :meth:`iter_subtree`;
+        ``parent`` is what this node's own parent is given as."""
+        stack = [(self, parent)]
+        pop, push = stack.pop, stack.append
+        while stack:
+            node, parent = pop()
+            yield node, parent
+            if node.node_type is NodeType.ELEMENT:
+                for attr in node.attributes:
+                    yield attr, node
+                children = node.children
+                for index in range(len(children) - 1, -1, -1):
+                    push((children[index], node))
+
     def descendants(self, include_attributes=True):
         """Yield the proper descendants of this node in document order."""
         iterator = self.iter_subtree(include_attributes=include_attributes)
         next(iterator)  # skip self
         yield from iterator
-
-    def ancestors(self):
-        """Yield the proper ancestors of this node, nearest first."""
-        node = self.parent
-        while node is not None:
-            yield node
-            node = node.parent
 
     def string_value(self):
         """XDM string value: concatenation of descendant text, or the value
@@ -228,7 +216,6 @@ class Node:
         copy.value = self.value
         copy.children = []
         copy.attributes = []
-        copy.parent = None
         return copy
 
     def deep_copy(self, keep_ids=False):

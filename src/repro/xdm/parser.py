@@ -231,14 +231,15 @@ def _document_tokens(text, keep_whitespace):
 
 def _build(tokens, allocator=None):
     """Build the trees a token stream describes: the list of top-level
-    nodes (detached), the offset the last element ended at, and the id
-    index. Without ``allocator`` no ids are assigned and the index is
-    empty; with it, every node takes the allocator's next id as it is
-    created — an element, then its attributes in appearance order, then
-    its content: document order, the order of
-    :meth:`~repro.xdm.node.Node.iter_subtree` — and the index maps each
-    id to its node. The allocator advances past the ids only once the
-    whole stream was read, so a syntax error consumes none.
+    nodes (detached), the offset the last element ended at, the id index
+    and the parent map. Without ``allocator`` no ids are assigned and
+    both maps are empty; with it, every node takes the allocator's next
+    id as it is created — an element, then its attributes in appearance
+    order, then its content: document order, the order of
+    :meth:`~repro.xdm.node.Node.iter_subtree` — the index maps each id
+    to its node and the parent map to its parent's id (``None`` at top
+    level). The allocator advances past the ids only once the whole
+    stream was read, so a syntax error consumes none.
 
     Nodes are linked directly: the scanner has already checked that the
     tags nest."""
@@ -246,6 +247,7 @@ def _build(tokens, allocator=None):
     path = []  # the open elements, innermost last
     end = None
     nodes = {}
+    parents = {}
     next_id, stride = ((allocator.next_value, allocator.stride)
                        if allocator is not None else (None, 0))
     for kind, value, extra in tokens:
@@ -257,29 +259,30 @@ def _build(tokens, allocator=None):
             node = Node(_TEXT_NODE, value=value, node_id=next_id)
         else:
             node = Node(_ELEMENT_NODE, name=value, node_id=next_id)
-        if allocator is not None:
-            nodes[next_id] = node
-            next_id += stride
         if path:
             parent = path[-1]
-            node.parent = parent
             parent.children.append(node)
         else:
+            parent = None
             top.append(node)
+        if allocator is not None:
+            nodes[next_id] = node
+            parents[next_id] = None if parent is None else parent.node_id
+            next_id += stride
         if kind == _START:
             attributes = node.attributes
             for name, attr_value in extra.items():
                 attr = Node(_ATTRIBUTE_NODE, name=name, value=attr_value,
                             node_id=next_id)
-                attr.parent = node
                 attributes.append(attr)
                 if allocator is not None:
                     nodes[next_id] = attr
+                    parents[next_id] = node.node_id
                     next_id += stride
             path.append(node)
     if allocator is not None:
         allocator.reserve_at_least(next_id)
-    return top, end, nodes
+    return top, end, nodes, parents
 
 
 def parse_fragment(text, keep_whitespace=False):
@@ -308,6 +311,6 @@ def parse_document(text, keep_whitespace=False, allocator=None):
     ``Document(root=parse_fragment(text), allocator=allocator)``."""
     if allocator is None:
         allocator = IdAllocator()
-    top, __, nodes = _build(_document_tokens(text, keep_whitespace),
-                            allocator)
-    return Document.indexed(top[0], nodes, allocator)
+    top, __, nodes, parents = _build(
+        _document_tokens(text, keep_whitespace), allocator)
+    return Document.indexed(top[0], nodes, parents, allocator)

@@ -59,7 +59,7 @@ def tokenize(text):
             # an XML constructor: the XML tree builder reads one element
             # from here and tells us where it ended
             try:
-                (node,), end, __ = _build(_tokens(text, pos, False))
+                (node,), end = _build(_tokens(text, pos, False))[:2]
             except XMLSyntaxError as exc:
                 raise QuerySyntaxError(
                     "bad XML constructor: {}".format(exc),

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 from repro.errors import QueryEvaluationError
 from repro.xquery import ast
-from repro.xdm.navigation import document_position
 
 
 def evaluate_path(path, document=None, context=None, labeling=None):
@@ -18,16 +17,17 @@ def evaluate_path(path, document=None, context=None, labeling=None):
     paths require ``document``. When ``labeling`` is given the final
     sort orders by label start code (see :func:`document_order`).
     """
-    return document_order(_select(path, document, context), labeling)
+    roots = (context if document is None or document.root is None
+             else [document.root])
+    return document_order(_select(path, document, context), labeling,
+                          roots)
 
 
 def _select(path, document=None, context=None):
     """The nodes ``path`` selects, duplicate-free, in the walker's
     accumulation order. Predicates use it as it is: they only ask
     whether anything, or anything equal to a literal, was selected, so
-    they never sort — and never re-derive tree positions through parent
-    pointers, which a retired store version does not keep (the rule of
-    :mod:`repro.store.versions`)."""
+    they never sort."""
     if path.absolute:
         if document is None or document.root is None:
             raise QueryEvaluationError(
@@ -145,15 +145,16 @@ def _apply_predicate(predicate, nodes):
         "unknown predicate: {!r}".format(predicate))
 
 
-def document_order(nodes, labeling=None):
-    """Sort ``nodes`` into document order.
+def document_order(nodes, labeling=None, roots=()):
+    """Sort ``nodes``, all of them in the trees ``roots``, into document
+    order.
 
     With a ``labeling``, order by label *start code* — the paper's
     order: start codes are unique, compare lexicographically, and
     enumerate the document — which is O(1) per comparison and the
     primitive the index engine's bucket order shares. Without one (or
     when a node is unlabeled, e.g. the compiler's source fragments),
-    fall back to re-deriving tree positions.
+    fall back to the positions of one pre-order walk of ``roots``.
     """
     if labeling is not None:
         keys = {}
@@ -165,4 +166,8 @@ def document_order(nodes, labeling=None):
             keys[id(node)] = label.start
         if keys is not None:
             return sorted(nodes, key=lambda node: keys[id(node)])
-    return sorted(nodes, key=document_position)
+    positions = {}
+    for root in roots:
+        for node in root.iter_subtree():
+            positions.setdefault(id(node), len(positions))
+    return sorted(nodes, key=lambda node: positions[id(node)])

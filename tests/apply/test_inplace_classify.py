@@ -94,7 +94,7 @@ def test_footprint_and_consumer_agreement(row):
     # path copy, apply and index delta read the same footprint:
     # either all of them localize, or all of them fall back
     before = serialize(document, with_ids=True)
-    working, __ = document.path_copy(
+    working = document.path_copy(
         chain(footprint.site_ids, footprint.touched_ids))
     working_labels = labeling.copy()
     rebuilds = []

@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings
 
 from repro.labeling import CDQSEncoder, ContainmentLabeling
+from repro.pul.ops import Delete
+from repro.pul.semantics import apply_operation
 from repro.reasoning import LabelOracle
 from repro.workloads import generate_xmark
 from repro.xdm.navigation import (
@@ -29,30 +31,31 @@ def assert_labels_match_tree(document, labeling):
     for node in nodes:
         label = labeling.label_of(node.node_id)
         assert label.node_type is node.node_type
-        assert label.level == depth(node)
-        parent = node.parent
-        assert label.parent_id == (parent.node_id if parent else None)
+        assert label.level == depth(document, node)
+        assert label.parent_id == document.parent_id(node.node_id)
     oracle = LabelOracle(labeling.as_mapping())
+    doc = document
     for one in nodes:
         v1 = one.node_id
         for two in nodes:
             if one is two:
                 continue
             v2 = two.node_id
-            assert oracle.is_descendant(v1, v2) == is_ancestor(two, one)
-            assert oracle.is_child(v1, v2) == is_parent(two, one)
+            assert oracle.is_descendant(v1, v2) == is_ancestor(doc, two, one)
+            assert oracle.is_child(v1, v2) == is_parent(doc, two, one)
             assert oracle.is_attribute_of(v1, v2) == \
-                is_attribute_of(one, two)
+                is_attribute_of(doc, one, two)
             assert oracle.is_left_sibling(v1, v2) == \
-                is_left_sibling(one, two)
+                is_left_sibling(doc, one, two)
             assert oracle.is_first_child(v1, v2) == (
-                is_parent(two, one) and is_first_child(one))
+                is_parent(doc, two, one) and is_first_child(doc, one))
             assert oracle.is_last_child(v1, v2) == (
-                is_parent(two, one) and is_last_child(one))
+                is_parent(doc, two, one) and is_last_child(doc, one))
             assert (oracle.order_key(v1) < oracle.order_key(v2)) == \
-                precedes(one, two)
+                precedes(doc, one, two)
             assert oracle.is_nonattr_descendant(v1, v2) == (
-                is_ancestor(two, one) and not is_attribute_of(one, two))
+                is_ancestor(doc, two, one)
+                and not is_attribute_of(doc, one, two))
 
 
 class TestBuild:
@@ -116,7 +119,7 @@ class TestSync:
         for position in (0, 2, len(parent.children)):
             tree = Node.element("ins{}".format(position))
             parent.insert_child(min(position, len(parent.children)), tree)
-            small_doc.register_tree(tree)
+            small_doc.register_tree(tree, parent)
         labeling.sync(small_doc)
         for node_id, codes in before.items():
             label = labeling.label_of(node_id)
@@ -128,14 +131,13 @@ class TestSync:
         tree = Node.element("kid")
         tree.append_child(Node.text("payload"))
         parent.append_child(tree)
-        small_doc.register_tree(tree)
+        small_doc.register_tree(tree, parent)
         labeling.sync(small_doc)
         assert_labels_match_tree(small_doc, labeling)
 
     def test_removed_nodes_forgotten(self, small_doc):
         labeling = ContainmentLabeling().build(small_doc)
-        victim = small_doc.get(2)
-        small_doc.detach_node(victim)
+        apply_operation(small_doc, Delete(2))
         labeling.sync(small_doc)
         assert 2 not in labeling
         assert_labels_match_tree(small_doc, labeling)
@@ -145,7 +147,7 @@ class TestSync:
         parent = small_doc.get(0)
         middle = Node.element("mid")
         parent.insert_child(1, middle)
-        small_doc.register_tree(middle)
+        small_doc.register_tree(middle, parent)
         labeling.sync(small_doc)
         left = labeling.label_of(parent.children[0].node_id)
         mid = labeling.label_of(middle.node_id)
@@ -164,7 +166,7 @@ class TestSync:
         host = document.root
         graft = extra.root.deep_copy()
         host.insert_child(len(host.children) // 2, graft)
-        document.register_tree(graft)
+        document.register_tree(graft, host)
         labeling.sync(document)
         assert_labels_match_tree(document, labeling)
         for node_id, codes in before.items():
@@ -194,9 +196,9 @@ def test_assign_run_labels_as_sync_does(small_doc, encoder):
     run = [kid, Node.element("kin")]
     for offset, node in enumerate(run):
         host.insert_child(offset, node)
-        small_doc.register_tree(node)
-    labeling.assign_run(labeling.label_of(5), run,
-                        labeling.label_of(6).end, labeling.label_of(7).start)
+        small_doc.register_tree(node, host)
+    labeling.assign_run(host, run, labeling.label_of(6).end,
+                        labeling.label_of(7).start)
     labeling.repoint_children(host)
     expected = before.sync(small_doc)
     assert {node_id: label.to_string()
@@ -218,8 +220,8 @@ def hot_spot(document, labeling, count):
     for __ in range(count):
         node = Node.element("hot")
         root.insert_child(root.children.index(previous) + 1, node)
-        document.register_tree(node)
-        labeling.assign_run(labeling.label_of(0), [node],
+        document.register_tree(node, root)
+        labeling.assign_run(root, [node],
                             labeling.label_of(previous.node_id).end, right)
         labeling.repoint_children(root)
         previous = node

@@ -3,9 +3,12 @@
 :func:`tree_structure` works out every node's level, parent id and
 left/right sibling ids by walking the tree, without a label in sight.
 Every path that makes labels — a bulk :meth:`build`, a whole-tree
-:meth:`sync`, the per-site ``assign_run`` of the in-place applier, and
-the full relabel a flush falls back on when codes outgrow the budget —
-must leave exactly one label per live node, each with that structure.
+:meth:`sync`, the per-site ``assign_run`` of the in-place applier, the
+full relabel a flush falls back on when codes outgrow the budget, a
+restart's restore and a replica's replay — must leave exactly one label
+per live node, each with that structure. A node's parent has one
+source, its document's parent map, which must give every node the
+parent its tree and its label give it.
 
 The digit pin holds the codes themselves: a hash over every label's
 ``to_string()`` after :meth:`build` of fixed XMark documents, one per
@@ -20,13 +23,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.apply.inplace import replay_batch
+from repro.apply.inplace import apply_batch_in_place, classify, replay_batch
+from repro.cluster import ReplicaStore
+from repro.cluster.tokens import decode_token
 from repro.errors import NotApplicableError
 from repro.labeling import CDBSEncoder, CDQSEncoder, ContainmentLabeling
 from repro.pul.semantics import apply_pul
 from repro.reduction import reduce_deterministic
 from repro.store import DocumentStore
-from repro.workloads import generate_xmark
+from repro.workloads import generate_pul, generate_xmark
+from repro.xdm.document import Document
 from repro.xdm.parser import parse_document
 from repro.xdm.serializer import serialize
 
@@ -57,11 +63,16 @@ def tree_structure(document):
 
 
 def assert_structure(document, labeling):
-    """One label per live node, with the structure the tree gives it."""
+    """One label per live node, with the structure the tree gives it,
+    and the document's parent map and length agreeing with both."""
+    structure = tree_structure(document)
     assert {node_id: (label.node_type, label.level, label.parent_id,
                       label.left_sibling_id, label.right_sibling_id)
             for node_id, label in labeling.as_mapping().items()} \
-        == tree_structure(document)
+        == structure
+    assert {node_id: document.parent_id(node_id) for node_id in structure} \
+        == {node_id: entry[2] for node_id, entry in structure.items()}
+    assert len(document) == len(structure)
 
 
 @settings(max_examples=60, deadline=None)
@@ -109,8 +120,8 @@ def test_assign_run(data, encoder_cls):
         else:
             runs, sites = site_runs
             structure = tree_structure(document)
-            for left, right, site_label, run in runs:
-                labeling.assign_run(site_label, run, left, right)
+            for left, right, site, run in runs:
+                labeling.assign_run(site, run, left, right)
                 for tree in run:
                     for node in tree.iter_subtree():
                         label = labeling.label_of(node.node_id)
@@ -141,6 +152,108 @@ def test_flushes_with_a_full_relabel(data):
                 return
             assert result.relabel == "full"
             assert_structure(store.document("d"), store.labeling("d"))
+
+
+def test_a_full_relabel_flush_walks_no_copy_for_its_length(monkeypatch):
+    """A full relabel sizes its codes by ``len`` of the path copy, which
+    counts from the shared index and the copy's delta: the flush lists
+    no path copy's ids."""
+    listed = []
+    node_ids = Document.node_ids
+
+    def counting(document):
+        if document._delta is not None:
+            listed.append(document)
+        return node_ids(document)
+
+    monkeypatch.setattr(Document, "node_ids", counting)
+    text = serialize(generate_xmark(scale=0.01, seed=5))
+    with DocumentStore(workers=1, backend="serial",
+                       max_code_length=1) as store:
+        store.open("d", text)
+        for seed in range(3):
+            store.submit("d", generate_pul(store.document("d"), 8,
+                                           seed=seed))
+            assert store.flush("d").relabel == "full"
+            assert_structure(store.document("d"), store.labeling("d"))
+    assert listed == []
+
+
+def _edit_session(store, doc_id, rounds):
+    """Flush ``rounds`` generated batches — inserts, deletes and
+    replacements — into the document ``doc_id``."""
+    for round_index in range(rounds):
+        store.submit(doc_id, generate_pul(store.document(doc_id), 12,
+                                          seed=round_index))
+        try:
+            store.flush(doc_id)
+        except NotApplicableError:
+            store.discard_pending(doc_id)
+
+
+def test_a_restart_and_a_replica_restore_the_structure(tmp_path):
+    """A restart's restore and a replica's ``apply_records`` of the
+    leader's stream rebuild labels and parent map with the tree's
+    structure — also across full relabels (a two-digit budget)."""
+    wal = str(tmp_path / "wal")
+    text = serialize(generate_xmark(scale=0.01, seed=11))
+    with DocumentStore(workers=1, backend="serial", durability="log",
+                       wal_dir=wal, max_code_length=2) as store:
+        source = store.enable_replication()
+        anchor = source.tail_token()
+        store.open("d", text)
+        _edit_session(store, "d", 4)
+        assert store.stats("d")["full_relabels"] > 0
+        assert_structure(store.document("d"), store.labeling("d"))
+        expected = store.text("d")
+        page = source.read(from_token=anchor, decode=False,
+                           max_events=500)
+    with DocumentStore(workers=1, backend="serial", durability="log",
+                       wal_dir=wal) as restarted:
+        assert restarted.text("d") == expected
+        assert_structure(restarted.document("d"),
+                         restarted.labeling("d"))
+    stream, seq = decode_token(anchor)
+    with ReplicaStore(workers=1, backend="serial",
+                      max_code_length=2) as replica:
+        replica.bootstrap([], seq, stream=stream)
+        replica.apply_records(page)
+        assert replica.text("d") == expected
+        assert_structure(replica.document("d"), replica.labeling("d"))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_an_abandoned_checkout_leaves_the_published_maps(data):
+    """A checkout applied to and then abandoned leaves the published
+    version's id index and parent map answering as before."""
+    text = serialize(data.draw(documents()))
+    with DocumentStore(workers=1, backend="serial") as store:
+        store.open("d", text)
+        entry = store._entries["d"]
+        published = entry.published
+        document = published.document
+        before = {node.node_id: (document.find(node.node_id),
+                                 document.parent_id(node.node_id))
+                  for node in document.nodes()}
+        pul = data.draw(applicable_puls(document, max_ops=6))
+        pul.attach_labels(published.labeling)
+        reduced = reduce_deterministic(pul)
+        footprint = classify(document, reduced)
+        working, labeling = entry.checkout(footprint)
+        try:
+            apply_batch_in_place(working, labeling, reduced,
+                                 footprint=footprint)
+        except NotApplicableError:
+            pass
+        else:
+            assert_structure(working, labeling)
+        entry.abandon()
+        assert entry.published is published
+        assert {node.node_id: (document.find(node.node_id),
+                               document.parent_id(node.node_id))
+                for node in document.nodes()} == before
+        assert_structure(document, published.labeling)
 
 
 #: sha256 over the ``to_string()`` of every label after ``build``, in

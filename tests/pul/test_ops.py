@@ -21,15 +21,30 @@ from repro.pul.ops import (
     compatible,
     same_insert_kind,
 )
+from repro.pul.semantics import apply_operation
 from repro.xdm.node import Node
 from repro.xdm.parser import parse_forest
+from repro.xdm.serializer import serialize
 
 
 class TestStaticConditions:
-    def test_insert_requires_detached_trees(self, small_doc):
-        attached = small_doc.get(2)
-        with pytest.raises(InvalidOperationError):
-            InsertBefore(3, [attached])
+    def test_a_tree_inside_a_document_applies_like_a_detached_copy(
+            self, small_doc):
+        """A node does not know where it hangs, so an operation may be
+        built from a tree still inside a document; the apply copies its
+        parameter trees, so it inserts what a detached copy inserts and
+        leaves the tree where it was."""
+        inside = small_doc.get(5)  # <d k='v'>tail<e/></d>
+        before = serialize(small_doc, with_ids=True)
+        detached = small_doc.copy()
+        apply_operation(detached, InsertBefore(
+            2, [inside.deep_copy(keep_ids=True)]))
+        apply_operation(small_doc, InsertBefore(2, [inside]))
+        assert serialize(small_doc, with_ids=True) \
+            == serialize(detached, with_ids=True)
+        assert serialize(small_doc, with_ids=True) != before
+        assert small_doc.parent(inside) is small_doc.root
+        assert small_doc.root.children[-1] is inside
 
     def test_insert_rejects_string_parameter(self):
         with pytest.raises(InvalidOperationError):

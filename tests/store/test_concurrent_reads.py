@@ -20,8 +20,9 @@ import pytest
 
 import repro.store.store as store_module
 from repro.errors import ReproError
-from repro.pul.ops import Delete, Rename
+from repro.pul.ops import Delete, InsertIntoAsFirst, Rename
 from repro.pul.pul import PUL
+from repro.pul.semantics import apply_operation
 from repro.store import DocumentStore
 
 DOC = ("<bib><paper><title>T1</title><authors><author>A</author>"
@@ -51,10 +52,11 @@ class _TornApplyWindow:
 
         def torn_apply(document, labeling, pul, **options):
             first = document.root.children[0]
-            document.detach_node(first)
+            apply_operation(document, Delete(first.node_id))
             self.in_window.set()
             self.release.wait(10)
-            document.insert_children(document.root, 0, [first])
+            apply_operation(document, InsertIntoAsFirst(
+                document.root.node_id, [first]), preserve_ids=True)
             return real_apply(document, labeling, pul,
                               **options)
 

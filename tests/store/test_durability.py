@@ -151,16 +151,16 @@ def _operations(draw, document):
         st.one_of(st.sampled_from(_VALUES).map(Node.text),
                   _trees(depth=2)), min_size=1, max_size=3))
     if node.is_attribute or node.is_text:
-        if node.parent is not None and draw(st.booleans()):
+        if node is not document.root and draw(st.booleans()):
             return Delete(node.node_id)
         if node.is_text and draw(st.booleans()):
             return InsertAfter(node.node_id, content)
         return ReplaceValue(node.node_id, draw(st.sampled_from(_VALUES)))
     kind = draw(st.sampled_from(
         ("delete", "before", "into", "first", "attributes", "rename")))
-    if node.parent is not None and kind == "delete":
+    if node is not document.root and kind == "delete":
         return Delete(node.node_id)
-    if node.parent is not None and kind == "before":
+    if node is not document.root and kind == "before":
         return InsertBefore(node.node_id, content)
     if kind == "first":
         return InsertIntoAsFirst(node.node_id, content)

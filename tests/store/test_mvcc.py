@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 import repro.store.reads as reads_module
 import repro.store.store as store_module
+from repro.apply.inplace import apply_batch_in_place
 from repro.errors import DurabilityError, ReproError
 from repro.pul.ops import Rename
 from repro.pul.pul import PUL
@@ -40,6 +41,19 @@ OTHER_DOC = ("<bib><paper><title>Z</title><authors><author>B</author>"
 def _id_of(document, name):
     return next(n.node_id for n in document.nodes()
                 if n.is_element and n.name == name)
+
+
+def _parents(document):
+    """What ``document``'s parent map answers for every node of its
+    tree."""
+    return {node.node_id: document.parent_id(node.node_id)
+            for node in document.nodes()}
+
+
+def _walked_parents(document):
+    """Every node's parent id, from ``document``'s tree alone."""
+    return {node.node_id: None if parent is None else parent.node_id
+            for node, parent in document.root.iter_with_parents()}
 
 
 def _batch_specs(document, rounds):
@@ -203,9 +217,9 @@ class TestVersionPinning:
     def test_path_copied_pair_matches_a_fresh_deep_copy(self):
         """The writer's path-copied working pair is byte-, id- and
         label-identical to a from-scratch deep copy of the published
-        version; it shares every node off the copied paths, and an
-        abandon leaves the published tree's parent pointers as a
-        fresh parse of its text would have them."""
+        version; it shares every node off the copied paths, both
+        documents give every node the parent its own tree gives it, and
+        after an abandon the published version answers as before."""
         from repro.apply.inplace import classify
         from repro.xquery import compile_pul
 
@@ -233,22 +247,21 @@ class TestVersionPinning:
             assert labeling is not published.labeling
             assert document.allocator.next_value \
                 == published.document.allocator.next_value
-            copied = {node.node_id for node in entry._originals}
+            copied = {node.node_id for node in published.document.nodes()
+                      if document.get(node.node_id) is not node}
             # the renamed node and its ancestors, nothing else
             assert copied == {_id_of(published.document, name)
                               for name in ("bib", "paper", "authors",
                                            "author")}
-            for node in published.document.nodes():
-                shared = document.get(node.node_id) is node
-                assert shared is (node.node_id not in copied)
-            for node in document.nodes():
-                for item in node.children + node.attributes:
-                    assert item.parent is node
+            answers = _parents(published.document)
+            assert answers == _walked_parents(published.document)
+            assert _parents(document) == _walked_parents(document)
+            apply_batch_in_place(document, labeling, pul,
+                                 footprint=footprint)
+            assert _parents(document) == _walked_parents(document)
             entry.abandon()
-            assert entry._originals is None
-            for node in published.document.nodes():
-                for item in node.children + node.attributes:
-                    assert item.parent is node
+            assert entry.published is published
+            assert _parents(published.document) == answers
             assert serialize(published.document) == store.text("d")
 
 

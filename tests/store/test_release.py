@@ -1,5 +1,6 @@
-"""Store garbage dies by reference counting; the collector is paused
-only across a restore: store-README invariant 10.
+"""Store garbage dies by reference counting — a tree points downwards
+only — and the collector is paused only across a restore: store-README
+invariant 10.
 
 Every test of the release paths runs with the cyclic collector off: a
 tree the store let go of must be freed by reference counting alone,
@@ -20,10 +21,12 @@ from repro.obs.collector import collector_paused
 from repro.pul.ops import (
     Delete,
     InsertAttributes,
+    InsertIntoAsLast,
     ReplaceChildren,
     ReplaceNode,
 )
 from repro.pul.pul import PUL
+from repro.pul.serialize import pul_from_xml, pul_to_xml
 from repro.store import DocumentStore
 from repro.xdm.node import Node
 
@@ -41,7 +44,7 @@ def _id(store, doc_id, name):
 
 
 def _tree():
-    """A two-level parameter tree: its own nodes hold a parent cycle."""
+    """A two-level parameter tree."""
     tree = Node.element("n")
     tree.append_child(Node.element("m"))
     return tree
@@ -132,6 +135,53 @@ class TestReleasePaths:
             replica.bootstrap(payloads[1:], 0, stream="s2")
             assert "d" not in replica
             assert _live_nodes() - others == len(replica.document("e"))
+
+
+def _decoded_round(store, serial):
+    """One round's PUL, as a client's bytes decode it: three trees
+    inserted under the root and, once there are three ``n`` elements,
+    a delete, a ``repN`` and a ``repC`` of the first three."""
+    document = store.document("d")
+    root = document.root
+    trees = []
+    for index in range(3):
+        tree = Node.element("n")
+        tree.append_attribute(Node.attribute("k", str(serial)))
+        tree.append_child(_tree())
+        trees.append(tree)
+    ops = [InsertIntoAsLast(root.node_id, trees)]
+    old = [child.node_id for child in root.children
+           if child.is_element and child.name == "n"]
+    if len(old) >= 3:
+        ops += [Delete(old[0]), ReplaceNode(old[1], [_tree()]),
+                ReplaceChildren(old[2], "text {}".format(serial))]
+    return pul_from_xml(pul_to_xml(PUL(ops)))
+
+
+def test_nothing_the_store_holds_or_decodes_is_cyclic(tmp_path):
+    """With the collector off and every unreachable object saved, a
+    loop of durable flushes of decoded PULs, then closing the store,
+    leaves no :class:`Node` for the collector to find."""
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        store = DocumentStore(backend="serial", durability="log",
+                              wal_dir=str(tmp_path))
+        store.open("d", DOC)
+        for serial in range(8):
+            store.submit("d", _decoded_round(store, serial))
+            store.flush("d")
+        assert store.version("d") == 8
+        store.close()
+        del store
+        gc.collect()
+        cyclic = [obj for obj in gc.garbage if type(obj) is Node]
+        assert cyclic == []
+    finally:
+        gc.set_debug(0)
+        del gc.garbage[:]
+        gc.enable()
 
 
 class TestCollectorPause:

@@ -223,9 +223,9 @@ class TestIdentifierDiscipline:
         document = store.document("d1")
         burned = max(document.node_ids())
         victim = document.get(burned)
-        while victim.parent is not None and \
-                victim.parent.parent is not None:
-            victim = victim.parent
+        while document.parent_id(document.parent_id(victim.node_id)) \
+                is not None:
+            victim = document.parent(victim)
         store.submit("d1", PUL([Delete(victim.node_id)]))
         store.flush("d1")
         removed = {victim.node_id, burned}

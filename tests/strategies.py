@@ -92,7 +92,7 @@ def applicable_puls(draw, document, max_ops=6, stamp_ids=False,
     nodes = list(document.nodes())
     elements = [n for n in nodes if n.is_element]
     non_root = [n for n in nodes
-                if n.parent is not None and not n.is_attribute]
+                if n is not document.root and not n.is_attribute]
     texts_attrs = [n for n in nodes if n.is_text or n.is_attribute]
     attributes = [n for n in nodes if n.is_attribute]
 

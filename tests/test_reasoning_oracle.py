@@ -5,7 +5,9 @@ from hypothesis import given, settings
 
 from repro.errors import ReproError
 from repro.labeling import ContainmentLabeling
+from repro.pul.ops import Delete
 from repro.pul.pul import PUL
+from repro.pul.semantics import apply_operation
 from repro.reasoning import DocumentOracle, LabelOracle, oracle_for
 from repro.xdm.node import NodeType
 
@@ -71,8 +73,7 @@ class TestAgreement:
 class TestDocumentOracleSnapshot:
     def test_answers_survive_mutation(self, small_doc):
         oracle = DocumentOracle(small_doc)
-        node = small_doc.get(2)
-        small_doc.detach_node(node)
+        apply_operation(small_doc, Delete(2))
         # the oracle still answers about the original state
         assert oracle.is_child(2, 0)
         assert oracle.node_type(2) is NodeType.ELEMENT

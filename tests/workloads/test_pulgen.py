@@ -97,7 +97,7 @@ class TestMinDepth:
             "<r><s><c>t</c></s><u><v>w</v></u></r>")
         pul = generate_pul(document, 8, seed=1, min_depth=2)
         for op in pul:
-            assert depth(document.find(op.target)) >= 2
+            assert depth(document, document.find(op.target)) >= 2
 
     def test_unreachable_depth_raises_cleanly(self):
         from repro.errors import ReproError

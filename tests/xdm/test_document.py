@@ -2,9 +2,19 @@
 
 import pytest
 
-from repro.errors import DocumentError, UnknownNodeError
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.apply.inplace import classify, replay_batch
+from repro.errors import DocumentError, NotApplicableError, UnknownNodeError
+from repro.labeling import ContainmentLabeling
+from repro.pul.ops import Delete
+from repro.pul.semantics import apply_operation
+from repro.reduction import reduce_deterministic
 from repro.xdm.document import Document, IdAllocator
 from repro.xdm.node import Node
+
+from tests.strategies import applicable_puls, documents
 
 
 class TestIdAllocator:
@@ -63,34 +73,32 @@ class TestDocument:
             small_doc.set_root(Node.element("again"))
 
     def test_ids_never_reused_after_detach(self, small_doc):
-        node = small_doc.get(2)
-        small_doc.detach_node(node)
+        apply_operation(small_doc, Delete(2))
         assert 2 not in small_doc
         fresh = small_doc.fresh_id()
         assert fresh != 2
         assert fresh > max(small_doc.node_ids())
 
-    def test_insert_children_registers(self, small_doc):
-        parent = small_doc.get(0)
+    def test_parent_map(self, small_doc):
+        """Every node's parent id is the one its tree gives it, the root
+        has none, and so has an id the document does not hold."""
+        for node, parent in small_doc.root.iter_with_parents():
+            assert small_doc.parent(node) is parent
+            assert small_doc.parent_id(node.node_id) == (
+                None if parent is None else parent.node_id)
+        assert small_doc.parent_id(999) is None
+
+    def test_register_tree_enters_parents(self, small_doc):
+        host = small_doc.get(4)
         tree = Node.element("new")
-        small_doc.insert_children(parent, 0, [tree])
-        assert tree.node_id in small_doc
-        assert parent.children[0] is tree
-
-    def test_replace_node(self, small_doc):
-        target = small_doc.get(2)  # <b>
-        replacement = Node.element("z")
-        small_doc.replace_node(target, [replacement])
-        assert 2 not in small_doc
-        assert replacement.node_id in small_doc
-        assert small_doc.get(0).children[0] is replacement
-
-    def test_replace_attribute(self, small_doc):
-        attr = small_doc.get(1)
-        assert attr.is_attribute
-        new_attr = Node.attribute("y", "2")
-        small_doc.replace_node(attr, [new_attr])
-        assert small_doc.get(0).attributes == [new_attr]
+        tree.append_child(Node.text("t"))
+        host.append_child(tree)
+        small_doc.register_tree(tree, host)
+        assert small_doc.parent(tree) is host
+        assert small_doc.parent(tree.children[0]) is tree
+        small_doc.forget_ids([tree.node_id, tree.children[0].node_id])
+        assert small_doc.find(tree.node_id) is None
+        assert small_doc.parent_id(tree.node_id) is None
 
     def test_copy_preserves_ids_and_is_independent(self, small_doc):
         clone = small_doc.copy()
@@ -114,10 +122,10 @@ class TestDocument:
         assert first.node_id >= len(list(small_doc.nodes())) - 2
 
     def test_rebuild_index_drops_unreachable(self, small_doc):
-        node = small_doc.get(2)
-        node.detach()
+        small_doc.root.children.remove(small_doc.get(2))
         small_doc.rebuild_index()
         assert 2 not in small_doc
+        assert small_doc.parent_id(3) is None  # 3 hung below 2
 
     def test_rebuild_index_rejects_duplicates(self, small_doc):
         dup = Node.element("dup", node_id=0)
@@ -137,10 +145,25 @@ class TestDocument:
         assert list(document.nodes()) == []
 
 
+def _walked(document):
+    """``{id: parent id}`` of every node of ``document``'s tree, from
+    the tree alone."""
+    return {node.node_id: None if parent is None else parent.node_id
+            for node, parent in document.root.iter_with_parents()}
+
+
+def _answers(document):
+    """What ``document``'s maps answer for every node of its tree."""
+    return {node.node_id: (document.find(node.node_id),
+                           document.parent_id(node.node_id))
+            for node in document.nodes()}
+
+
 class TestPathCopy:
-    """A path copy shares its document's id index and keeps its own
-    changes apart until it commits; from then on the document it was
-    copied from answers lookups from an index of its own tree."""
+    """A path copy shares its document's id index and parent map and
+    keeps its own changes apart until it commits; from then on the
+    document it was copied from answers lookups from maps of its own
+    tree."""
 
     def test_copy_and_original_each_answer_for_their_own_tree(self):
         from repro.xdm.parser import parse_document
@@ -148,14 +171,21 @@ class TestPathCopy:
         document = parse_document('<r><a><b/>t</a><c x="1"/></r>')
         by_name = {node.name: node for node in document.nodes()
                    if node.name is not None}
-        copy, originals = document.path_copy([by_name["b"].node_id])
-        assert {node.name for node in originals} == {"r", "a", "b"}
+        copy = document.path_copy([by_name["b"].node_id])
+        assert {node.name for node in copy.nodes()
+                if node.name is not None
+                and document.find(node.node_id) is not node} \
+            == {"r", "a", "b"}
         assert copy.get(by_name["c"].node_id) is by_name["c"]  # shared
         copied_a = copy.get(by_name["a"].node_id)
         assert copied_a is not by_name["a"]
-        copy.detach_node(by_name["c"])      # c and its attribute x
+        # drop c and its attribute x, insert d into a
+        copy.root.children.remove(by_name["c"])
+        copy.forget_ids(node.node_id
+                        for node in by_name["c"].iter_subtree())
         fresh = Node.element("d")
-        copy.insert_children(copied_a, 0, [fresh])
+        copied_a.insert_child(0, fresh)
+        copy.register_tree(fresh, copied_a)
         ids = sorted(document.node_ids())
         assert len(copy) == len(ids) - 1
         assert fresh.node_id in copy and fresh.node_id not in document
@@ -170,3 +200,41 @@ class TestPathCopy:
         assert copy.get(by_name["a"].node_id) is copied_a
         assert copy.find(by_name["c"].node_id) is None
         assert copy.get(fresh.node_id) is fresh
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_length_and_parents_of_path_copies(data):
+    """``len`` of a path copy counts from the shared index and the
+    delta, and its parent map gives every node the parent its tree
+    does, across inserts, deletes and replacements, before and after
+    commit; the copied document keeps answering as before."""
+    document = data.draw(documents())
+    labeling = ContainmentLabeling().build(document)
+    for __ in range(data.draw(st.integers(1, 3), label="batches")):
+        pul = data.draw(applicable_puls(document, max_ops=6))
+        pul.attach_labels(labeling)
+        reduced = reduce_deterministic(pul)
+        before = _answers(document)
+        footprint = classify(document, reduced)
+        copy = document.path_copy(
+            footprint.site_ids + footprint.touched_ids)
+        copy_labels = labeling.copy()
+        try:
+            if replay_batch(copy, copy_labels, reduced,
+                            footprint=footprint) is not None:
+                copy_labels.sync(copy)
+        except NotApplicableError:
+            return
+        walked = _walked(copy)
+        assert len(copy) == len(walked)
+        assert {node_id: copy.parent_id(node_id) for node_id in walked} \
+            == walked
+        assert _answers(document) == before
+        copy.commit()
+        assert len(copy) == len(walked)
+        assert {node_id: copy.parent_id(node_id) for node_id in walked} \
+            == walked
+        assert _answers(document) == before
+        assert len(document) == len(before)
+        document, labeling = copy, copy_labels

@@ -23,65 +23,65 @@ def nodes_by_id(document):
 class TestOrder:
     def test_document_order_matches_ids(self, small_doc):
         ordered = sorted(small_doc.nodes(),
-                         key=document_position)
+                         key=lambda node: document_position(small_doc, node))
         assert [n.node_id for n in ordered] == \
             sorted(n.node_id for n in small_doc.nodes())
 
     def test_precedes(self, small_doc):
         nodes = nodes_by_id(small_doc)
-        assert precedes(nodes[0], nodes[2])
-        assert not precedes(nodes[2], nodes[0])
-        assert compare_document_order(nodes[3], nodes[3]) == 0
+        assert precedes(small_doc, nodes[0], nodes[2])
+        assert not precedes(small_doc, nodes[2], nodes[0])
+        assert compare_document_order(small_doc, nodes[3], nodes[3]) == 0
 
     def test_attribute_sorts_after_owner_before_children(self, small_doc):
         nodes = nodes_by_id(small_doc)
         # 5=<d>, 6=@k, 7='tail'
-        assert precedes(nodes[5], nodes[6])
-        assert precedes(nodes[6], nodes[7])
+        assert precedes(small_doc, nodes[5], nodes[6])
+        assert precedes(small_doc, nodes[6], nodes[7])
 
 
 class TestAxes:
     def test_parent_child(self, small_doc):
         nodes = nodes_by_id(small_doc)
-        assert is_parent(nodes[0], nodes[2])
-        assert not is_parent(nodes[0], nodes[3])
-        assert not is_parent(nodes[0], nodes[1])  # attribute
+        assert is_parent(small_doc, nodes[0], nodes[2])
+        assert not is_parent(small_doc, nodes[0], nodes[3])
+        assert not is_parent(small_doc, nodes[0], nodes[1])  # attribute
 
     def test_ancestor(self, small_doc):
         nodes = nodes_by_id(small_doc)
-        assert is_ancestor(nodes[0], nodes[3])
-        assert is_ancestor(nodes[0], nodes[1])
-        assert not is_ancestor(nodes[3], nodes[0])
+        assert is_ancestor(small_doc, nodes[0], nodes[3])
+        assert is_ancestor(small_doc, nodes[0], nodes[1])
+        assert not is_ancestor(small_doc, nodes[3], nodes[0])
 
     def test_attribute_of(self, small_doc):
         nodes = nodes_by_id(small_doc)
-        assert is_attribute_of(nodes[1], nodes[0])
-        assert not is_attribute_of(nodes[2], nodes[0])
+        assert is_attribute_of(small_doc, nodes[1], nodes[0])
+        assert not is_attribute_of(small_doc, nodes[2], nodes[0])
 
     def test_siblings(self, small_doc):
         nodes = nodes_by_id(small_doc)
-        assert left_sibling(nodes[4]) is nodes[2]
-        assert right_sibling(nodes[4]) is nodes[5]
-        assert left_sibling(nodes[2]) is None
-        assert right_sibling(nodes[5]) is None
-        assert is_left_sibling(nodes[2], nodes[4])
-        assert not is_left_sibling(nodes[4], nodes[2])
+        assert left_sibling(small_doc, nodes[4]) is nodes[2]
+        assert right_sibling(small_doc, nodes[4]) is nodes[5]
+        assert left_sibling(small_doc, nodes[2]) is None
+        assert right_sibling(small_doc, nodes[5]) is None
+        assert is_left_sibling(small_doc, nodes[2], nodes[4])
+        assert not is_left_sibling(small_doc, nodes[4], nodes[2])
 
     def test_first_last_child(self, small_doc):
         nodes = nodes_by_id(small_doc)
-        assert is_first_child(nodes[2])
-        assert is_last_child(nodes[5])
-        assert not is_first_child(nodes[4])
-        assert not is_last_child(nodes[4])
+        assert is_first_child(small_doc, nodes[2])
+        assert is_last_child(small_doc, nodes[5])
+        assert not is_first_child(small_doc, nodes[4])
+        assert not is_last_child(small_doc, nodes[4])
 
     def test_root_has_no_siblings(self, small_doc):
         root = small_doc.root
-        assert left_sibling(root) is None
-        assert right_sibling(root) is None
-        assert not is_first_child(root)
+        assert left_sibling(small_doc, root) is None
+        assert right_sibling(small_doc, root) is None
+        assert not is_first_child(small_doc, root)
 
     def test_depth(self, small_doc):
         nodes = nodes_by_id(small_doc)
-        assert depth(nodes[0]) == 0
-        assert depth(nodes[2]) == 1
-        assert depth(nodes[3]) == 2
+        assert depth(small_doc, nodes[0]) == 0
+        assert depth(small_doc, nodes[2]) == 1
+        assert depth(small_doc, nodes[3]) == 2

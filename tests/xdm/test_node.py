@@ -45,11 +45,17 @@ class TestConstruction:
 
 
 class TestStructure:
-    def test_append_child_sets_parent(self):
+    def test_append_child(self):
         parent = Node.element("a")
         child = parent.append_child(Node.element("b"))
-        assert child.parent is parent
         assert parent.children == [child]
+
+    def test_a_node_holds_no_parent(self):
+        """The tree points downwards only: where a node hangs is its
+        document's to answer."""
+        assert "parent" not in Node.__slots__
+        child = Node.element("a").append_child(Node.element("b"))
+        assert not hasattr(child, "parent")
 
     def test_insert_child_position(self):
         parent = Node.element("a")
@@ -83,33 +89,6 @@ class TestStructure:
         with pytest.raises(DocumentError):
             text.append_child(Node.element("b"))
 
-    def test_detach(self):
-        parent = Node.element("a")
-        child = parent.append_child(Node.element("b"))
-        child.detach()
-        assert child.parent is None
-        assert parent.children == []
-
-    def test_detach_attribute(self):
-        parent = Node.element("a")
-        attr = parent.append_attribute(Node.attribute("k", "v"))
-        attr.detach()
-        assert parent.attributes == []
-
-    def test_detach_detached_is_noop(self):
-        node = Node.element("a")
-        assert node.detach() is node
-
-    def test_child_index(self):
-        parent = Node.element("a")
-        parent.append_child(Node.element("b"))
-        second = parent.append_child(Node.element("c"))
-        assert second.child_index() == 1
-
-    def test_child_index_on_detached_raises(self):
-        with pytest.raises(DocumentError):
-            Node.element("a").child_index()
-
 
 class TestTraversal:
     def _tree(self):
@@ -137,10 +116,14 @@ class TestTraversal:
         root = self._tree()
         assert root not in list(root.descendants())
 
-    def test_ancestors(self):
+    def test_iter_with_parents(self):
         root = self._tree()
-        leaf = root.children[0].children[0]
-        assert [n.name for n in leaf.ancestors()] == ["a", "r"]
+        pairs = [(n.name or n.value, p.name if p is not None else None)
+                 for n, p in root.iter_with_parents()]
+        assert pairs == [("r", None), ("k", "r"), ("a", "r"), ("t1", "a"),
+                         ("b", "r")]
+        assert [n for n, __ in root.iter_with_parents()] \
+            == list(root.iter_subtree())
 
     def test_string_value(self):
         root = self._tree()
@@ -155,7 +138,6 @@ class TestDeepCopy:
         root.append_child(Node.text("x"))
         copy = root.deep_copy()
         assert copy is not root
-        assert copy.parent is None
         assert copy.attributes[0].value == "v"
         assert copy.children[0].value == "x"
 

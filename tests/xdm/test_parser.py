@@ -127,7 +127,6 @@ class TestForest:
     def test_multiple_roots(self):
         trees = parse_forest("<a/><b>x</b>text")
         assert [t.name or t.value for t in trees] == ["a", "b", "text"]
-        assert all(t.parent is None for t in trees)
 
     def test_empty_forest(self):
         assert parse_forest("") == []
@@ -150,9 +149,9 @@ class TestRoundtrip:
         assert serialize(reparsed) == text
 
 
-def _shape(node):
+def _shape(document, node):
     return (node.node_id, node.node_type, node.name, node.value,
-            None if node.parent is None else node.parent.node_id)
+            document.parent_id(node.node_id))
 
 
 class TestIdAssignment:
@@ -172,14 +171,14 @@ class TestIdAssignment:
         registered = Document(
             root=parse_fragment(text, keep_whitespace=keep_whitespace),
             allocator=IdAllocator(start=start, stride=stride))
-        assert [_shape(node) for node in parsed.nodes()] == \
-            [_shape(node) for node in registered.nodes()]
+        assert [_shape(parsed, node) for node in parsed.nodes()] == \
+            [_shape(registered, node) for node in registered.nodes()]
         assert parsed.allocator.next_value == \
             registered.allocator.next_value
         assert len(parsed) == len(registered)
         for node_id in registered.node_ids():
-            assert _shape(parsed.find(node_id)) == \
-                _shape(registered.find(node_id))
+            assert _shape(parsed, parsed.find(node_id)) == \
+                _shape(registered, registered.find(node_id))
         assert parsed.find(start - 1) is None
         assert parsed.find(parsed.allocator.next_value) is None
         assert serialize(parsed) == serialize(registered)

@@ -57,7 +57,7 @@ class TestSteps:
 
     def test_document_order_and_dedup(self):
         nodes = select("//paper/title")
-        positions = [n.parent.attributes[0].value for n in nodes]
+        positions = [DOC.parent(n).attributes[0].value for n in nodes]
         assert positions == ["p1", "p2"]
 
 
