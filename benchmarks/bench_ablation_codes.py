@@ -21,8 +21,8 @@ def test_build_labeling(benchmark, xmark_medium, name):
             xmark_medium)
 
     labeling = benchmark(run)
-    total = sum(len(label.start) + len(label.end)
-                for label in labeling.as_mapping().values())
+    total = sum(len(start) + len(end)
+                for start, end in labeling.as_mapping().values())
     benchmark.extra_info["total_code_chars"] = total
 
 

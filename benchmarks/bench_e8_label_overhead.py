@@ -12,8 +12,8 @@ from repro.xdm.serializer import serialize
 
 def test_label_overhead_factor(benchmark, xmark_small):
     labeling = ContainmentLabeling().build(xmark_small)
-    labels = {node_id: label.to_string()
-              for node_id, label in labeling.as_mapping().items()}
+    labels = {node_id: labeling.exchange_label(node_id).to_string()
+              for node_id in labeling.as_mapping()}
 
     def run():
         plain = serialize(xmark_small)

@@ -14,9 +14,11 @@ repairs the containment labeling only around the touched sites:
   between the surviving neighbor codes
   (:meth:`~repro.labeling.scheme.ContainmentLabeling.assign_run` — the
   update-tolerance property is preserved: existing codes are never
-  rewritten);
-* sibling pointers are re-derived for exactly the parents whose child
-  lists changed.
+  rewritten).
+
+A resident label is its two codes only, so nothing else needs repair:
+a label's level, parent and siblings are read off the tree it labels
+when it travels.
 
 The batch is classified once (:func:`classify`) against the tree it is
 about to change; the resulting :class:`Footprint` names every node
@@ -67,6 +69,7 @@ from repro.pul.ops import (
     ReplaceValue,
 )
 from repro.pul.semantics import apply_pul
+from repro.xdm.navigation import depth
 from repro.xdm.parser import MAX_ELEMENT_NESTING
 
 #: operations whose label repair anchors at the *target* element
@@ -137,22 +140,24 @@ def classify(document, pul):
     return Footprint(site_ids, removed_ids, touched_ids, needs_sync)
 
 
-def check_nesting(pul, labeling):
+def check_nesting(pul, document):
     """Refuse ``pul`` when one of its insertions would put an element
-    deeper than :data:`~repro.xdm.parser.MAX_ELEMENT_NESTING` (the root
-    element is at depth 1). The target's label level places the new
-    trees' parent, and each tree adds its own element height. An
-    operation whose target has no label is left to the apply, which
-    refuses an absent target anyway."""
+    of ``document`` deeper than
+    :data:`~repro.xdm.parser.MAX_ELEMENT_NESTING` (the root element is
+    at depth 1). The target's depth in the tree places the new trees'
+    parent, and each tree adds its own element height. An operation
+    whose target is not in the document is left to the apply, which
+    refuses it anyway."""
     for op in pul:
         if not op.trees:
             continue
-        label = labeling.find(op.target)
-        if label is None:
+        target = document.find(op.target)
+        if target is None:
             continue
-        # the parent's depth: the target (level + 1) for the
-        # target-site operations, the target's parent (level) else
-        parent_depth = label.level + (op.op_name in _TARGET_SITE_OPS)
+        # the parent's depth: the target's (ancestors + 1) for the
+        # target-site operations, the target's parent's else
+        parent_depth = (depth(document, target)
+                        + (op.op_name in _TARGET_SITE_OPS))
         height = max(map(_element_height, op.trees))
         if parent_depth + height > MAX_ELEMENT_NESTING:
             raise NotApplicableError(
@@ -178,7 +183,8 @@ def apply_batch_in_place(document, labeling, pul, preserve_ids=True,
                          footprint=None):
     """Make ``pul`` effective on ``document`` in place, maintaining
     ``labeling`` incrementally: :func:`replay_batch`'s structural
-    routine, then label repair around the touched sites. ``footprint``
+    routine, then codes for the inserted runs, and ``labeling`` labels
+    ``document`` from then on. ``footprint``
     is the batch's :func:`classify` result when the caller already has
     it (same ids on a path copy of the classified tree).
 
@@ -187,18 +193,15 @@ def apply_batch_in_place(document, labeling, pul, preserve_ids=True,
     sync. A failure leaves both arguments mid-mutation: they are the
     writer's private pair and the caller abandons them.
     """
-    site_runs = replay_batch(document, labeling, pul,
-                             preserve_ids=preserve_ids,
-                             footprint=footprint)
-    if site_runs is None:
+    labeling.document = document
+    runs = replay_batch(document, labeling, pul, preserve_ids=preserve_ids,
+                        footprint=footprint)
+    if runs is None:
         labeling.sync(document)
         return "sync"
-    runs, repoint = site_runs
     try:
-        for left, right, site, run in runs:
-            labeling.assign_run(site, run, left, right)
-        for site in repoint:
-            labeling.repoint_children(site)
+        for left, right, __, run in runs:
+            labeling.assign_run(run, left, right)
     except Exception:
         # the tree and its id index are complete; a label repair that
         # cannot be localized is finished wholesale instead of failing
@@ -212,9 +215,9 @@ def replay_batch(document, labeling, pul, preserve_ids=True,
                  footprint=None):
     """Apply the reduced batch ``pul`` to ``document``'s *tree*,
     maintaining the id index; of ``labeling`` only the labels of removed
-    nodes are forgotten. Returns the ``(runs, sites)`` still to be
-    labeled, or ``None`` when the change could not be localized and the
-    id index was rebuilt wholesale.
+    nodes are forgotten. Returns the runs still to be labeled, or
+    ``None`` when the change could not be localized and the id index
+    was rebuilt wholesale.
 
     This is the structural half of :func:`apply_batch_in_place`, which
     labels the returned runs. On its own it replays a batch's tree
@@ -228,25 +231,25 @@ def replay_batch(document, labeling, pul, preserve_ids=True,
     root = document.root
     apply_pul(document, pul, check=False, preserve_ids=preserve_ids,
               reindex=False)
-    site_runs = None
+    runs = None
     if not footprint.needs_sync and document.root is root:
         document.forget_ids(footprint.removed_ids)
         for node_id in footprint.removed_ids:
             labeling.forget(node_id)
-        site_runs = _site_runs(document, labeling, footprint.site_ids)
-    if site_runs is None:
+        runs = _site_runs(document, labeling, footprint.site_ids)
+    if runs is None:
         # root-level structural change, or a site with no labeled
         # anchor: re-derive the id index wholesale — document-order id
         # assignment, which every replay of this batch reproduces
         document.rebuild_index()
         return None
-    _register_runs(document, site_runs[0])
-    return site_runs
+    _register_runs(document, runs)
+    return runs
 
 
 def _site_runs(document, labeling, site_ids):
     """Collect the unlabeled runs under every surviving site; returns
-    ``(runs, sites)``, or ``None`` when a site has no labeled anchor
+    them, or ``None`` when a site has no labeled anchor
     (it was created by this very batch — shouldn't survive reduction,
     but a wholesale repair is always correct).
 
@@ -258,7 +261,6 @@ def _site_runs(document, labeling, site_ids):
     reproduces the rebuild's scan order; within a run, tree order.
     """
     runs = []
-    sites = []
     for site_id in site_ids:
         site = document.find(site_id)
         if site is None:
@@ -267,9 +269,8 @@ def _site_runs(document, labeling, site_ids):
         if site_label is None:
             return None
         _collect_runs(labeling, site, site_label, runs)
-        sites.append(site)
     runs.sort(key=lambda entry: entry[0])
-    return runs, sites
+    return runs
 
 
 def _register_runs(document, runs):
@@ -293,9 +294,9 @@ def _collect_runs(labeling, site, site_label, runs):
     """Append ``site``'s unlabeled runs to ``runs`` as ``(left_code,
     right_code, site, nodes)`` — consecutive label-less attributes and
     children, bounded by the neighboring existing codes (``site_label``
-    is the site's)."""
+    is the site's ``(start, end)``)."""
     run = []
-    left = site_label.start
+    left, site_end = site_label
     for item in list(site.attributes) + list(site.children):
         label = (labeling.find(item.node_id)
                  if item.node_id is not None else None)
@@ -303,8 +304,8 @@ def _collect_runs(labeling, site, site_label, runs):
             run.append(item)
             continue
         if run:
-            runs.append((left, label.start, site, run))
+            runs.append((left, label[0], site, run))
             run = []
-        left = label.end
+        left = label[1]
     if run:
-        runs.append((left, site_label.end, site, run))
+        runs.append((left, site_end, site, run))

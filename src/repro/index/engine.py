@@ -4,8 +4,8 @@ Every primitive here is a sorted merge over label codes, replacing a
 tree walk with work proportional to the touched buckets:
 
 * **child / attribute steps** scan one name bucket and keep the entries
-  whose ``parent_id`` is a context node — the label's parent pointer is
-  the child axis, no tree access needed;
+  whose ``parent_id`` is a context node — the entry's parent id is the
+  child axis, no tree access needed;
 * **descendant steps** are the paper's containment test as a sweep:
   contexts and candidates are both sorted by start code, so one pass
   keeps each candidate whose interval is strictly inside some context
@@ -43,13 +43,12 @@ def node_interval(node, labeling):
     """``(start, end)`` of ``node``; the virtual root is ``("", None)``."""
     if isinstance(node, _Root):
         return ROOT_INTERVAL
-    label = labeling.label_of(node.node_id)
-    return (label.start, label.end)
+    return labeling.label_of(node.node_id)
 
 
 def context_ids(context):
     """Parent-match keys of the context: the virtual root matches the
-    labeling's ``parent_id is None`` convention for the root element."""
+    root element's entry, whose parent id is ``None``."""
     return {None if isinstance(node, _Root) else node.node_id
             for node in context}
 
@@ -102,11 +101,9 @@ def execute_index_step(step, context, index, labeling, document):
         intervals = sorted(node_interval(node, labeling)
                            for node in context)
         if step.axis == ast.DESCENDANT_ATTRIBUTE:
-            def owner_interval(entry):
-                owner = labeling.label_of(entry[3])
-                return (owner.start, owner.end)
-            entries = descendant_sweep(intervals, bucket,
-                                       key=owner_interval)
+            labels = labeling.as_mapping()
+            entries = descendant_sweep(
+                intervals, bucket, key=lambda entry: labels[entry[3]])
         else:
             entries = descendant_sweep(intervals, bucket)
     return [document.get(entry[2]) for entry in entries]

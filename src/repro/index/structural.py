@@ -53,17 +53,19 @@ class DocumentIndex:
     @classmethod
     def build(cls, document, labeling):
         """Index ``document`` from scratch against ``labeling``, in one
-        walk over the tree."""
+        walk over the tree, which gives each entry its parent id."""
         index = cls()
         root = document.root
         if root is None:
             return index
         elements, attributes, values, texts = (
             index.elements, index.attributes, index.values, index.texts)
-        label_of = labeling.label_of
-        for node in root.iter_subtree():
-            label = label_of(node.node_id)
-            entry = (label.start, label.end, label.node_id, label.parent_id)
+        labels = labeling.as_mapping()
+        for node, parent in root.iter_with_parents():
+            node_id = node.node_id
+            start, end = labels[node_id]
+            entry = (start, end, node_id,
+                     None if parent is None else parent.node_id)
             kind = node.node_type
             if kind is _ELEMENT:
                 elements.setdefault(node.name, []).append(entry)
@@ -119,12 +121,15 @@ class DocumentIndex:
             for key in self._keys_for(node):
                 removals.setdefault(key, set()).add(node.node_id)
 
+        labels = new_labeling.as_mapping()
+
+        def entry_of(node_id):
+            # a node with no label raises KeyError: no delta
+            start, end = labels[node_id]
+            return (start, end, node_id, new_document.parent_id(node_id))
+
         def add(node):
-            label = new_labeling.find(node.node_id)
-            if label is None:
-                raise LookupError(node.node_id)
-            entry = (label.start, label.end, label.node_id,
-                     label.parent_id)
+            entry = entry_of(node.node_id)
             for key in self._keys_for(node):
                 additions.setdefault(key, []).append(entry)
 
@@ -141,11 +146,7 @@ class DocumentIndex:
                 new_keys = self._keys_for(new_node)
                 if old_keys == new_keys:
                     continue
-                label = new_labeling.find(node_id)
-                if label is None:
-                    return None
-                entry = (label.start, label.end, label.node_id,
-                         label.parent_id)
+                entry = entry_of(node_id)
                 for key in old_keys:
                     removals.setdefault(key, set()).add(node_id)
                 for key in new_keys:

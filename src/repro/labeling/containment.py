@@ -1,15 +1,22 @@
-"""Extended Zhang containment labels.
+"""Extended Zhang containment labels: the form a label travels in.
 
-A node's label is the pair of containment codes ``(start, end)`` plus its
-``level``; an ancestor's interval strictly contains every descendant's
-interval and document order coincides with ``start`` order.
+A node's containment label is the pair of codes ``(start, end)``; an
+ancestor's interval strictly contains every descendant's interval and
+document order coincides with ``start`` order.
 
 Per Section 4.1, plain containment cannot decide the left-sibling
 relationship nor tell attributes from children, so the paper extends the
 label with the node type and the identifier of the left sibling. We
-additionally record the parent and right-sibling identifiers, which makes
-the first-child / last-child predicates (``/<-c`` and ``/->c`` of Table 1)
-constant-time lookups as well.
+additionally record the level and the parent and right-sibling
+identifiers, which makes the first-child / last-child predicates
+(``/<-c`` and ``/->c`` of Table 1) constant-time lookups as well.
+
+An :class:`ExtendedLabel` is the exchange form: what a PUL carries so
+that it can be reasoned about without the document, on the wire and in
+the log. A resident labeling keeps only the two codes per node
+(:class:`~repro.labeling.scheme.ContainmentLabeling`); the other fields
+are read off the tree when a label is made to travel
+(:meth:`~repro.labeling.scheme.ContainmentLabeling.exchange_label`).
 """
 
 from __future__ import annotations

@@ -1,42 +1,52 @@
 """The containment labeling scheme: construction and update-tolerant
 maintenance.
 
-A :class:`ContainmentLabeling` instance owns the ``node id -> label`` map of
-one document. Building it bulk-assigns balanced codes; after the document is
-updated, :meth:`sync` assigns codes to the *new* nodes only, generated
-between the surviving neighbor codes — existing codes are never modified,
+A :class:`ContainmentLabeling` instance owns the ``node id -> (start,
+end)`` code map of one document, and the document it labels. Building
+it bulk-assigns balanced codes; after the document is updated,
+:meth:`sync` assigns codes to the *new* nodes only, generated between
+the surviving neighbor codes — existing codes are never modified,
 which is the update-tolerance property the paper requires (Section 4.1:
 "document updates should not lead to relabeling of nodes").
 
-Every label is made by one walk over the tree (:meth:`_walk`), shared by
-:meth:`build`, :meth:`sync` and :meth:`assign_run`: given the boundary
-codes of the trees it labels, in document order, it makes each new
-label once and complete — codes from that sequence, level, parent and
-both sibling ids from the walk. The three differ only in where the codes
-come from: the encoder's balanced ``initial_codes`` for a build, the
+A resident label is its two codes, kept as a plain tuple. The rest of
+the paper's extended label — node type, level, parent and sibling ids
+— is what the tree says it is, so it is not kept beside it:
+:meth:`exchange_label` reads it off the labeled document when a label
+travels (attached to a PUL, written to the log or the wire).
+
+Every code is assigned by one walk over the tree (:meth:`_walk`), shared
+by :meth:`build`, :meth:`sync` and :meth:`assign_run`: given the
+boundary codes of the trees it labels, in document order, it gives each
+unlabeled node its pair. The three differ only in where the codes come
+from: the encoder's balanced ``initial_codes`` for a build, the
 surviving codes with fresh ``codes_between`` runs in their gaps for a
-sync, one ``codes_between`` run for a run of inserted subtrees. An
-existing label is replaced only when its sibling ids changed
-(:meth:`repoint_children` does the same per site).
+sync, one ``codes_between`` run for a run of inserted subtrees.
 """
 
 from __future__ import annotations
 
+from types import MappingProxyType
+
 from repro.errors import LabelingError
 from repro.labeling.codes import CDBSEncoder
 from repro.labeling.containment import ExtendedLabel
+from repro.xdm.navigation import depth, left_sibling, right_sibling
 from repro.xdm.node import NodeType
 
-_ELEMENT, _ATTRIBUTE = NodeType.ELEMENT, NodeType.ATTRIBUTE
+_ELEMENT = NodeType.ELEMENT
 
 
 class ContainmentLabeling:
-    """Zhang containment labels with CDBS/CDQS codes for one document."""
+    """Zhang containment codes, CDBS or CDQS, for one document."""
 
     def __init__(self, encoder=None):
         self.encoder = encoder or CDBSEncoder()
         self._labels = {}
         self._max_code_len = 0
+        #: the document the codes label (set by build, sync, restored
+        #: and the in-place applier; carried by copy)
+        self.document = None
 
     # -- lookup -------------------------------------------------------------
 
@@ -47,7 +57,7 @@ class ContainmentLabeling:
         return len(self._labels)
 
     def label_of(self, node_id):
-        """Return the label of ``node_id``."""
+        """Return the ``(start, end)`` codes of ``node_id``."""
         try:
             return self._labels[node_id]
         except KeyError:
@@ -55,25 +65,42 @@ class ContainmentLabeling:
                 "no label for node id {!r}".format(node_id)) from None
 
     def find(self, node_id):
-        """Return the label of ``node_id`` or ``None``."""
+        """Return the ``(start, end)`` codes of ``node_id`` or ``None``."""
         return self._labels.get(node_id)
 
     def as_mapping(self):
-        """Read-only view of the id -> label map (for serializers)."""
-        return dict(self._labels)
+        """Read-only view of the id -> ``(start, end)`` map."""
+        return MappingProxyType(self._labels)
+
+    def exchange_label(self, node_id):
+        """The :class:`~repro.labeling.containment.ExtendedLabel` of
+        ``node_id`` as it travels in a PUL: its codes, and its node
+        type, level, parent and sibling ids read off the labeled
+        document."""
+        start, end = self.label_of(node_id)
+        document = self.document
+        node = document.get(node_id)
+        left = left_sibling(document, node)
+        right = right_sibling(document, node)
+        return ExtendedLabel(
+            node_id, node.node_type, start, end, depth(document, node),
+            document.parent_id(node_id),
+            None if left is None else left.node_id,
+            None if right is None else right.node_id)
 
     def copy(self):
-        """Structural copy sharing the (immutable) labels.
+        """A copy with its own code map, over the same document.
 
-        :class:`~repro.labeling.containment.ExtendedLabel` instances are
-        never mutated in place — maintenance replaces map entries — so a
-        copy only needs its own map and watermark. This is what makes an
-        MVCC working copy of a labeled document cheap: O(nodes) dict
-        duplication, no code re-derivation.
+        Code pairs are immutable tuples, so a copy only needs its own
+        map and watermark: an MVCC working copy of a labeled document
+        costs one O(nodes) dict duplication, no code re-derivation.
+        The writer points the copy at its working tree when it applies
+        a batch (:func:`repro.apply.inplace.apply_batch_in_place`).
         """
         clone = ContainmentLabeling(encoder=self.encoder)
         clone._labels = dict(self._labels)
         clone._max_code_len = self._max_code_len
+        clone.document = self.document
         return clone
 
     # -- code headroom -------------------------------------------------------
@@ -101,9 +128,10 @@ class ContainmentLabeling:
             self._max_code_len = longest
 
     @classmethod
-    def restored(cls, labels, max_code_length):
-        """A labeling over ``labels`` (an ``id -> label`` dict it takes
-        over) with the watermark a durability snapshot recorded.
+    def restored(cls, document, labels, max_code_length):
+        """A labeling of ``document`` over ``labels`` (an ``id ->
+        (start, end)`` dict it takes over) with the watermark a
+        durability snapshot recorded.
 
         The watermark is restored verbatim, not recomputed: the tracker
         is monotone between rebuilds, so it may exceed the longest code
@@ -111,6 +139,7 @@ class ContainmentLabeling:
         under-read the spent headroom.
         """
         labeling = cls()
+        labeling.document = document
         labeling._labels = labels
         labeling._max_code_len = max_code_length
         return labeling
@@ -119,6 +148,7 @@ class ContainmentLabeling:
 
     def build(self, document):
         """Label every node of ``document`` with balanced fresh codes."""
+        self.document = document
         self._labels = {}
         self._max_code_len = 0
         root = document.root
@@ -126,7 +156,7 @@ class ContainmentLabeling:
             return self
         codes = self.encoder.initial_codes(2 * len(document))
         self._track(codes)
-        self._walk([(root, 0, None, None, None, None)], codes)
+        self._walk([root], codes)
         return self
 
     def sync(self, document):
@@ -134,9 +164,9 @@ class ContainmentLabeling:
 
         Existing labels keep their codes; runs of unlabeled boundary slots
         receive codes generated strictly between the neighboring existing
-        codes. Labels of nodes no longer in the document are dropped, and
-        sibling pointers are refreshed where adjacency changed.
+        codes. Labels of nodes no longer in the document are dropped.
         """
+        self.document = document
         root = document.root
         if root is None:
             self._labels = {}
@@ -146,8 +176,7 @@ class ContainmentLabeling:
         for node_id in list(self._labels):
             if node_id not in live:
                 del self._labels[node_id]
-        self._walk([(root, 0, None, None, None, None)],
-                   self._fill_codes(known))
+        self._walk([root], self._fill_codes(known))
         return self
 
     def _known_codes(self, root):
@@ -156,6 +185,7 @@ class ContainmentLabeling:
         label; attributes contribute both boundaries right after their
         owner's start), and the set of the ids of the nodes walked."""
         get = self._labels.get
+        unlabeled = (None, None)
         codes = []
         live = set()
         # (node, None), or (None, code) for an element's end slot
@@ -166,18 +196,14 @@ class ContainmentLabeling:
                 codes.append(end)
                 continue
             live.add(node.node_id)
-            label = get(node.node_id)
-            start, end = ((label.start, label.end) if label is not None
-                          else (None, None))
+            start, end = get(node.node_id, unlabeled)
             codes.append(start)
             if node.node_type is not _ELEMENT:
                 codes.append(end)
                 continue
             for attr in node.attributes:
                 live.add(attr.node_id)
-                label = get(attr.node_id)
-                codes += ((label.start, label.end) if label is not None
-                          else (None, None))
+                codes += get(attr.node_id, unlabeled)
             stack.append((None, end))
             stack.extend((child, None) for child in reversed(node.children))
         return codes, live
@@ -202,59 +228,41 @@ class ContainmentLabeling:
             codes[run_start:index] = fresh
         return codes
 
-    def _walk(self, stack, codes):
-        """Label the trees on ``stack`` — the one labeling walk of
-        :meth:`build`, :meth:`sync` and :meth:`assign_run`.
+    def _walk(self, trees, codes):
+        """Label the ``trees`` — the one labeling walk of :meth:`build`,
+        :meth:`sync` and :meth:`assign_run`.
 
-        ``stack`` holds one entry ``(node, level, parent id, left
-        sibling id, right sibling id, None)`` per tree, the first tree
-        last; ``codes`` are the trees' boundary codes in document order
-        (attributes contribute both boundaries right after their
-        owner's start). Each node without a label gets its label, made
-        once and complete: its codes come from ``codes``, its level,
-        parent and sibling ids from the walk. A node that has one keeps
-        it, unless its sibling ids changed; then a label with the new
-        ids replaces it (labels are shared with published versions and
-        never mutated).
+        ``trees`` are subtree roots in document order; ``codes`` are
+        their boundary codes in document order (attributes contribute
+        both boundaries right after their owner's start). Each node
+        without a label gets its ``(start, end)`` pair from ``codes``;
+        a node that has one keeps it.
         """
         labels = self._labels
-        get = labels.get
         position = 0
+        # (node, None) to enter a node; (element, its start code) to
+        # close it after its children
+        stack = [(tree, None) for tree in reversed(trees)]
         pop, push = stack.pop, stack.append
         while stack:
-            node, level, parent_id, left, right, start = pop()
+            node, start = pop()
             if start is None:
                 start = codes[position]
                 position += 1
                 if node.node_type is _ELEMENT:
-                    node_id = node.node_id
-                    inner = level + 1
                     for attr in node.attributes:
                         if attr.node_id not in labels:
-                            labels[attr.node_id] = ExtendedLabel(
-                                attr.node_id, _ATTRIBUTE, codes[position],
-                                codes[position + 1], inner, node_id)
+                            labels[attr.node_id] = (codes[position],
+                                                    codes[position + 1])
                         position += 2
                     children = node.children
                     if children:
-                        push((node, level, parent_id, left, right, start))
-                        right_id = None
+                        push((node, start))
                         for index in range(len(children) - 1, -1, -1):
-                            child = children[index]
-                            push((child, inner, node_id,
-                                  children[index - 1].node_id
-                                  if index else None, right_id, None))
-                            right_id = child.node_id
+                            push((children[index], None))
                         continue
-            node_id = node.node_id
-            label = get(node_id)
-            if label is None:
-                labels[node_id] = ExtendedLabel(
-                    node_id, node.node_type, start, codes[position],
-                    level, parent_id, left, right)
-            elif (label.left_sibling_id != left
-                    or label.right_sibling_id != right):
-                labels[node_id] = _with_siblings(label, left, right)
+            if node.node_id not in labels:
+                labels[node.node_id] = (start, codes[position])
             position += 1
         if position != len(codes):
             raise LabelingError("{} codes for {} boundaries".format(
@@ -266,20 +274,17 @@ class ContainmentLabeling:
         """Forget one node's label (a node the batch removed)."""
         self._labels.pop(node_id, None)
 
-    def assign_run(self, site, nodes, left_code, right_code):
+    def assign_run(self, nodes, left_code, right_code):
         """Label a run of freshly inserted *attached* subtrees.
 
         ``nodes`` are consecutive unlabeled attributes and/or children of
-        the labeled element ``site``, already attached and with node ids
+        one labeled element, already attached and with node ids
         assigned; their subtree boundaries receive codes strictly
         between ``left_code`` and ``right_code`` (both codes of existing
-        neighbors inside the site's interval, so containment holds by
-        construction). This is the per-site counterpart of a whole-tree
-        :meth:`sync` — the in-place applier calls it once per insertion
-        site. Every label of the run is made complete, the sibling ids
-        of the run's own nodes included; the labels of the site's
-        *existing* children whose neighbors changed are the callers',
-        who finish them with :meth:`repoint_children`.
+        neighbors inside the element's interval, so containment holds
+        by construction). This is the per-site counterpart of a
+        whole-tree :meth:`sync` — the in-place applier calls it once per
+        run of inserted nodes.
         """
         if not nodes:
             return
@@ -290,41 +295,4 @@ class ContainmentLabeling:
         codes = self.encoder.codes_between(left_code, right_code,
                                            2 * count)
         self._track(codes)
-        level = self._labels[site.node_id].level + 1
-        children = site.children
-        entries = []
-        first = None  # the position of the run's first child
-        for offset, node in enumerate(nodes):
-            left = right = None
-            if node.node_type is not _ATTRIBUTE:
-                if first is None:
-                    first = children.index(node) - offset
-                index = first + offset
-                if index:
-                    left = children[index - 1].node_id
-                if index + 1 < len(children):
-                    right = children[index + 1].node_id
-            entries.append((node, level, site.node_id, left, right, None))
-        entries.reverse()
-        self._walk(entries, codes)
-
-    def repoint_children(self, parent):
-        """Recompute the sibling pointers of ``parent``'s direct children
-        (for sites whose child list an in-place batch changed)."""
-        labels = self._labels
-        children = parent.children
-        last = len(children) - 1
-        for index, child in enumerate(children):
-            left = children[index - 1].node_id if index else None
-            right = children[index + 1].node_id if index < last else None
-            label = labels.get(child.node_id)
-            if label is not None and (label.left_sibling_id != left
-                                      or label.right_sibling_id != right):
-                labels[child.node_id] = _with_siblings(label, left, right)
-
-
-def _with_siblings(label, left, right):
-    """A copy of ``label`` with the sibling ids ``left`` and ``right``."""
-    return ExtendedLabel(label.node_id, label.node_type, label.start,
-                         label.end, label.level, label.parent_id, left,
-                         right)
+        self._walk(nodes, codes)

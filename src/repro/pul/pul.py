@@ -159,13 +159,13 @@ class PUL:
         return self.labels[node_id]
 
     def attach_labels(self, labeling):
-        """Record the labels of all targets from a
+        """Record the labels of all labeled targets from a
         :class:`~repro.labeling.scheme.ContainmentLabeling` (producer side,
-        before shipping the PUL)."""
+        before shipping the PUL): each in its exchange form, made from
+        the target's codes and the labeled document."""
         for op in self._ops:
-            label = labeling.find(op.target)
-            if label is not None:
-                self.labels[op.target] = label
+            if op.target in labeling:
+                self.labels[op.target] = labeling.exchange_label(op.target)
         return self
 
     def describe(self):

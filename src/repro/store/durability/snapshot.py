@@ -16,10 +16,11 @@ codes::
     attribute  [id, name, value, start, end]
     text       [id, value, start, end]
 
-The rest of an extended label — node type, level, parent and sibling
-ids — is what the tree says it is, so it is not written: the restore
-reads it off the tree while one iterative walk over the rows builds
-both. The rows travel as one compact JSON text in the ``nodes`` field
+A resident label is just those two codes; the rest of the label a PUL
+carries — node type, level, parent and sibling ids — is what the tree
+says it is, so it is neither written nor restored: one iterative walk
+over the rows builds the tree, its parent map and the code map. The
+rows travel as one compact JSON text in the ``nodes`` field
 (a single string costs a wire codec one copy instead of a walk over
 every term), beside ``doc_id``, ``next_id``, ``max_code_len``, the
 headroom ``budget`` the document was opened under and the version
@@ -37,8 +38,7 @@ from __future__ import annotations
 
 import json
 
-from repro.errors import LabelingError, RecoveryError
-from repro.labeling.containment import ExtendedLabel
+from repro.errors import RecoveryError
 from repro.labeling.scheme import ContainmentLabeling
 from repro.store.versions import DEFAULT_MAX_CODE_LENGTH, DocumentVersion
 from repro.xdm.document import Document, IdAllocator
@@ -65,16 +65,15 @@ def document_payload(version):
     rows = []
     append = rows.append
     for node in version.document.root.iter_subtree():
-        label = labels[node.node_id]
+        start, end = labels[node.node_id]
         kind = node.node_type
         if kind is _ELEMENT:
             append([node.node_id, node.name, len(node.attributes),
-                    len(node.children), label.start, label.end])
+                    len(node.children), start, end])
         elif kind is _ATTRIBUTE:
-            append([node.node_id, node.name, node.value, label.start,
-                    label.end])
+            append([node.node_id, node.name, node.value, start, end])
         else:
-            append([node.node_id, node.value, label.start, label.end])
+            append([node.node_id, node.value, start, end])
     payload = {
         "doc_id": version.doc_id,
         "next_id": version.document.allocator.next_value,
@@ -114,7 +113,7 @@ def restore_document(payload, budget=DEFAULT_MAX_CODE_LENGTH):
         allocator.reserve_at_least(_integer(payload["next_id"]))
         document = Document.indexed(root, nodes, parents, allocator)
         labeling = ContainmentLabeling.restored(
-            labels, _integer(payload["max_code_len"]))
+            document, labels, _integer(payload["max_code_len"]))
         budget = _integer(payload.get("budget", budget))
         if budget < 1:
             raise ValueError("budget {} is below 1".format(budget))
@@ -124,7 +123,7 @@ def restore_document(payload, budget=DEFAULT_MAX_CODE_LENGTH):
             "malformed document payload for {!r}: no {} field{}".format(
                 doc_id, exc, " (a payload in the retired tree/labels "
                 "form)" if "tree" in payload else "")) from exc
-    except (TypeError, ValueError, RecursionError, LabelingError) as exc:
+    except (TypeError, ValueError, RecursionError) as exc:
         raise RecoveryError(
             "malformed document payload for {!r}: {}".format(
                 doc_id, exc)) from exc
@@ -140,20 +139,20 @@ def _integer(value):
 
 
 def _rebuild(rows):
-    """Build the tree and its labels from node rows in one walk.
+    """Build the tree and its codes from node rows in one walk.
 
-    Returns ``(root, {id: node}, {id: parent id}, {id: label})``. Each
-    node's parent id, and each label's level, parent and sibling ids,
-    come from the place its row takes in the tree; a row that does not
-    fit the tree the rows before it describe is a ``ValueError``.
+    Returns ``(root, {id: node}, {id: parent id}, {id: (start,
+    end)})``. Each node's parent id comes from the place its row takes
+    in the tree; a row that does not fit the tree the rows before it
+    describe, or whose codes make an empty interval, is a
+    ``ValueError``.
     """
     if type(rows) is not list or not rows:
         raise ValueError("no node rows")
     nodes = {}
     parents = {}
     labels = {}
-    # the open elements: [node, attributes left, children left, label
-    # of the last child placed]
+    # the open elements: [node, attributes left, children left]
     open_elements = []
     for row in rows:
         if type(row) is not list or \
@@ -162,7 +161,7 @@ def _rebuild(rows):
         node_id, arity = row[0], len(row)
         if node_id in nodes:
             raise ValueError("duplicate node id {}".format(node_id))
-        top = parent = left = None
+        top = parent = None
         if open_elements:
             top = open_elements[-1]
             parent = top[0]
@@ -185,22 +184,17 @@ def _rebuild(rows):
             if top is not None:
                 parent.children.append(node)
                 top[2] -= 1
-                left = top[3]
-        parent_id = None if parent is None else parent.node_id
-        label = ExtendedLabel(
-            node_id, node.node_type, row[-2], row[-1], len(open_elements),
-            parent_id, None if left is None else left.node_id)
+        start, end = row[-2], row[-1]
+        if not start < end:
+            raise ValueError("label interval is empty: [{!r}, {!r}]"
+                             .format(start, end))
         nodes[node_id] = node
-        parents[node_id] = parent_id
-        labels[node_id] = label
-        if left is not None:
-            left.right_sibling_id = node_id
-        if top is not None and arity != 5:
-            top[3] = label
+        parents[node_id] = None if parent is None else parent.node_id
+        labels[node_id] = (start, end)
         if arity == 6 and (row[2] or row[3]):
             if row[2] < 0 or row[3] < 0:
                 raise ValueError("negative count in row {!r}".format(row))
-            open_elements.append([node, row[2], row[3], None])
+            open_elements.append([node, row[2], row[3]])
             continue
         while open_elements and not (open_elements[-1][1]
                                      or open_elements[-1][2]):

@@ -626,12 +626,12 @@ class DocumentStore(StoreReads):
         # whole recovery: coalescing and the nesting check precede the
         # logged-version fence (nothing logged, nothing checked out)
         # and _run_batch abandons its own working pair
-        labeling = entry.published.labeling
+        published = entry.published
         with self.obs.stage("coalesce"):
-            batch = coalesce_batch(pending, labeling,
+            batch = coalesce_batch(pending, published.labeling,
                                    on_conflict=self.on_conflict,
                                    policies=self.policies)
-            check_nesting(batch, labeling)
+            check_nesting(batch, published.document)
         clients = len({client for __, client, __unused in pending})
         return self._run_batch(entry, batch, clients)
 

@@ -29,12 +29,15 @@ node is shared with N. The copy shares N's id index and parent map
 but keeps its own entries apart until ``publish`` folds them in
 (:meth:`repro.xdm.document.Document.commit`); from then on N answers
 lookups from maps of its own tree, built only if a reader still
-holding N asks. The copy has its own allocator, and N's label map is
-copied (labels are immutable and shared). The batch is applied in
-place to that copy and published. A flush thus copies O(touched ×
-depth) nodes and no per-node table but the label map, and a resident
-document holds one tree plus whatever its retired versions' readers
-still hold.
+holding N asks. The copy has its own allocator, and N's code map is
+copied (a resident label is an immutable ``(start, end)`` tuple, shared
+between the maps). The batch is applied in place to that copy, whose
+labeling then labels the copy, and published. A flush thus copies
+O(touched × depth) nodes and no per-node table but the code map, and a
+resident document holds one tree plus whatever its retired versions'
+readers still hold. A label's level, parent and sibling ids are read
+off the version's own tree when it travels, so a reader holding N gets
+N's, whatever N+1 changed.
 
 A node holds no pointer to its parent: where a node hangs is its
 version's document's to answer (``Document.parent``), and ids are
@@ -281,9 +284,10 @@ class StoredDocument:
         """The writer's private ``(document, labeling)`` working pair
         for a batch with ``footprint`` (classified against the
         published version): the published tree path-copied above the
-        footprint's sites and touched nodes, and a copy of its label
-        map. The published version stays as it was; :meth:`publish`
-        the pair or :meth:`abandon` it."""
+        footprint's sites and touched nodes, and a copy of its code
+        map, which labels the path copy once the batch is applied to
+        it. The published version stays as it was; :meth:`publish` the
+        pair or :meth:`abandon` it."""
         published = self.published
         document = published.document.path_copy(
             chain(footprint.site_ids, footprint.touched_ids))

@@ -163,7 +163,7 @@ def document_order(nodes, labeling=None, roots=()):
             if label is None:
                 keys = None
                 break
-            keys[id(node)] = label.start
+            keys[id(node)] = label[0]
         if keys is not None:
             return sorted(nodes, key=lambda node: keys[id(node)])
     positions = {}

@@ -73,8 +73,7 @@ class TestBuild:
         document, labeling = fresh()
         index = build_index(document, labeling)
         (entry,) = index.elements["note"]
-        label = labeling.label_of(entry[2])
-        assert (entry[0], entry[1]) == (label.start, label.end)
+        assert (entry[0], entry[1]) == labeling.label_of(entry[2])
         assert entry[3] == document.root.node_id
 
     def test_rootless_document_indexes_empty(self):

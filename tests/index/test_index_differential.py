@@ -110,11 +110,8 @@ def assert_index_is_rebuild(store):
 def _state(version):
     """Everything a host of the replay path must reproduce of one
     published version: bytes, digit-exact label codes, index."""
-    labeling = version.labeling
-    codes = {}
-    for node in version.document.nodes():
-        label = labeling.label_of(node.node_id)
-        codes[node.node_id] = (label.start, label.end)
+    codes = {node.node_id: version.labeling.label_of(node.node_id)
+             for node in version.document.nodes()}
     return serialize(version.document), codes, version.index
 
 

@@ -23,17 +23,24 @@ from repro.xdm.node import Node
 from tests.strategies import documents
 
 
+def exchange_labels(labeling):
+    """Every label of ``labeling`` in the form it travels in."""
+    return {node_id: labeling.exchange_label(node_id)
+            for node_id in labeling.as_mapping()}
+
+
 def assert_labels_match_tree(document, labeling):
     """Every Table 1 predicate the reasoning modules evaluate on labels
-    (a :class:`LabelOracle` over the labeling) must agree with the
-    navigational ground truth."""
+    (a :class:`LabelOracle` over the labeling's exchange labels) must
+    agree with the navigational ground truth."""
     nodes = list(document.nodes())
+    labels = exchange_labels(labeling)
     for node in nodes:
-        label = labeling.label_of(node.node_id)
+        label = labels[node.node_id]
         assert label.node_type is node.node_type
         assert label.level == depth(document, node)
         assert label.parent_id == document.parent_id(node.node_id)
-    oracle = LabelOracle(labeling.as_mapping())
+    oracle = LabelOracle(labels)
     doc = document
     for one in nodes:
         v1 = one.node_id
@@ -73,8 +80,8 @@ class TestBuild:
         document = generate_xmark(scale=0.02, seed=29)
 
         def total_chars(labeling):
-            return sum(len(label.start) + len(label.end)
-                       for label in labeling.as_mapping().values())
+            return sum(len(start) + len(end)
+                       for start, end in labeling.as_mapping().values())
 
         cdbs = ContainmentLabeling().build(document)
         cdqs = ContainmentLabeling(encoder=CDQSEncoder()).build(document)
@@ -92,6 +99,30 @@ class TestBuild:
         from repro.errors import LabelingError
         with pytest.raises(LabelingError):
             labeling.label_of(999)
+        with pytest.raises(LabelingError):
+            labeling.exchange_label(999)
+
+    def test_a_resident_label_is_its_two_codes(self, small_doc):
+        """``find`` and ``label_of`` give the plain ``(start, end)``
+        tuple the map holds; ``exchange_label`` adds the rest."""
+        labeling = ContainmentLabeling().build(small_doc)
+        pair = labeling.label_of(5)
+        assert type(pair) is tuple and len(pair) == 2
+        assert labeling.find(5) is pair
+        label = labeling.exchange_label(5)
+        assert (label.node_id, label.start, label.end) == (5, *pair)
+
+    def test_the_mapping_is_a_read_only_view(self, small_doc):
+        """``as_mapping`` is a live view of the code map, not a copy,
+        and refuses writes."""
+        labeling = ContainmentLabeling().build(small_doc)
+        view = labeling.as_mapping()
+        with pytest.raises(TypeError):
+            view[999] = ("1", "2")
+        with pytest.raises(TypeError):
+            del view[0]
+        labeling.forget(2)
+        assert 2 not in view
 
     @pytest.mark.parametrize("encoder", [None, CDQSEncoder()],
                              ids=["CDBS", "CDQS"])
@@ -99,8 +130,8 @@ class TestBuild:
         """``build`` hands out exactly ``initial_codes`` over the
         document's boundary slots: every start and end, in order."""
         labeling = ContainmentLabeling(encoder=encoder).build(small_doc)
-        codes = sorted(code for label in labeling.as_mapping().values()
-                       for code in (label.start, label.end))
+        codes = sorted(code for pair in labeling.as_mapping().values()
+                       for code in pair)
         assert codes == labeling.encoder.initial_codes(2 * len(labeling))
 
     @settings(max_examples=30, deadline=None)
@@ -113,8 +144,7 @@ class TestBuild:
 class TestSync:
     def test_existing_codes_never_change(self, small_doc):
         labeling = ContainmentLabeling().build(small_doc)
-        before = {nid: (lab.start, lab.end)
-                  for nid, lab in labeling.as_mapping().items()}
+        before = dict(labeling.as_mapping())
         parent = small_doc.get(0)
         for position in (0, 2, len(parent.children)):
             tree = Node.element("ins{}".format(position))
@@ -122,8 +152,7 @@ class TestSync:
             small_doc.register_tree(tree, parent)
         labeling.sync(small_doc)
         for node_id, codes in before.items():
-            label = labeling.label_of(node_id)
-            assert (label.start, label.end) == codes
+            assert labeling.label_of(node_id) == codes
 
     def test_new_nodes_labeled_consistently(self, small_doc):
         labeling = ContainmentLabeling().build(small_doc)
@@ -149,9 +178,9 @@ class TestSync:
         parent.insert_child(1, middle)
         small_doc.register_tree(middle, parent)
         labeling.sync(small_doc)
-        left = labeling.label_of(parent.children[0].node_id)
-        mid = labeling.label_of(middle.node_id)
-        right = labeling.label_of(parent.children[2].node_id)
+        left = labeling.exchange_label(parent.children[0].node_id)
+        mid = labeling.exchange_label(middle.node_id)
+        right = labeling.exchange_label(parent.children[2].node_id)
         assert left.right_sibling_id == middle.node_id
         assert mid.left_sibling_id == parent.children[0].node_id
         assert mid.right_sibling_id == parent.children[2].node_id
@@ -161,8 +190,7 @@ class TestSync:
     @given(documents(), documents(max_depth=1))
     def test_random_insertion_keeps_invariants(self, document, extra):
         labeling = ContainmentLabeling().build(document)
-        before = {nid: (lab.start, lab.end)
-                  for nid, lab in labeling.as_mapping().items()}
+        before = dict(labeling.as_mapping())
         host = document.root
         graft = extra.root.deep_copy()
         host.insert_child(len(host.children) // 2, graft)
@@ -170,8 +198,7 @@ class TestSync:
         labeling.sync(document)
         assert_labels_match_tree(document, labeling)
         for node_id, codes in before.items():
-            label = labeling.label_of(node_id)
-            assert (label.start, label.end) == codes
+            assert labeling.label_of(node_id) == codes
 
 
 def test_forget(small_doc):
@@ -185,9 +212,8 @@ def test_forget(small_doc):
                          ids=["CDBS", "CDQS"])
 def test_assign_run_labels_as_sync_does(small_doc, encoder):
     """A run of attached subtrees labeled by ``assign_run`` between its
-    neighbors' codes, then ``repoint_children``, carries the labels a
-    whole-tree ``sync`` from the same pre-state gives it: codes, levels,
-    parent and sibling pointers."""
+    neighbors' codes carries the labels a whole-tree ``sync`` from the
+    same pre-state gives it: codes, levels, parent and sibling ids."""
     labeling = ContainmentLabeling(encoder=encoder).build(small_doc)
     before = labeling.copy()
     host = small_doc.get(5)  # <d k='v'>tail<e/></d>
@@ -197,14 +223,13 @@ def test_assign_run_labels_as_sync_does(small_doc, encoder):
     for offset, node in enumerate(run):
         host.insert_child(offset, node)
         small_doc.register_tree(node, host)
-    labeling.assign_run(host, run, labeling.label_of(6).end,
-                        labeling.label_of(7).start)
-    labeling.repoint_children(host)
+    labeling.assign_run(run, labeling.label_of(6)[1],
+                        labeling.label_of(7)[0])
     expected = before.sync(small_doc)
     assert {node_id: label.to_string()
-            for node_id, label in labeling.as_mapping().items()} == \
+            for node_id, label in exchange_labels(labeling).items()} == \
         {node_id: label.to_string()
-         for node_id, label in expected.as_mapping().items()}
+         for node_id, label in exchange_labels(expected).items()}
     assert_labels_match_tree(small_doc, labeling)
 
 
@@ -214,16 +239,15 @@ def hot_spot(document, labeling, count):
     label each attached node with ``assign_run`` as the in-place applier
     does. Returns ``max_code_length`` before and after every insertion."""
     root = document.root
-    right = labeling.label_of(4).start
+    right = labeling.label_of(4)[0]
     previous = document.get(2)
     observed = [labeling.max_code_length]
     for __ in range(count):
         node = Node.element("hot")
         root.insert_child(root.children.index(previous) + 1, node)
         document.register_tree(node, root)
-        labeling.assign_run(root, [node],
-                            labeling.label_of(previous.node_id).end, right)
-        labeling.repoint_children(root)
+        labeling.assign_run([node], labeling.label_of(previous.node_id)[1],
+                            right)
         previous = node
         observed.append(labeling.max_code_length)
     return observed
@@ -233,8 +257,8 @@ class TestMaxCodeLength:
     def test_build_tracks_longest_code(self, small_doc):
         labeling = ContainmentLabeling().build(small_doc)
         expected = max(
-            max(len(label.start), len(label.end))
-            for label in labeling.as_mapping().values())
+            max(len(start), len(end))
+            for start, end in labeling.as_mapping().values())
         assert labeling.max_code_length == expected
         assert ContainmentLabeling().max_code_length == 0
 
@@ -261,7 +285,8 @@ class TestMaxCodeLength:
         labeling keeps the one recorded, above its longest code."""
         built = ContainmentLabeling().build(small_doc)
         watermark = built.max_code_length + 5
-        restored = ContainmentLabeling.restored(built.as_mapping(),
-                                                watermark)
+        restored = ContainmentLabeling.restored(
+            small_doc, dict(built.as_mapping()), watermark)
         assert restored.max_code_length == watermark
         assert restored.as_mapping() == built.as_mapping()
+        assert restored.document is small_doc

@@ -5,14 +5,15 @@ left/right sibling ids by walking the tree, without a label in sight.
 Every path that makes labels — a bulk :meth:`build`, a whole-tree
 :meth:`sync`, the per-site ``assign_run`` of the in-place applier, the
 full relabel a flush falls back on when codes outgrow the budget, a
-restart's restore and a replica's replay — must leave exactly one label
-per live node, each with that structure. A node's parent has one
-source, its document's parent map, which must give every node the
-parent its tree and its label give it.
+restart's restore and a replica's replay — must leave exactly one code
+pair per live node, over the document it labels, and each label made
+to travel (``exchange_label``) must have that structure. A node's
+parent has one source, its document's parent map, which must give
+every node the parent its tree and its label give it.
 
-The digit pin holds the codes themselves: a hash over every label's
-``to_string()`` after :meth:`build` of fixed XMark documents, one per
-encoder. Label digits travel in every payload, WAL record and replica
+The digit pin holds the codes themselves: a hash over every exchange
+label's ``to_string()`` after :meth:`build` of fixed XMark documents,
+one per encoder. Label digits travel in every payload, WAL record and replica
 bootstrap, so a change of the pinned value is a change of the durable
 format, never a refactoring's side effect.
 """
@@ -62,14 +63,23 @@ def tree_structure(document):
     return structure
 
 
+def exchanged_structure(labeling, node_id):
+    """The structure fields of ``node_id``'s exchange label."""
+    label = labeling.exchange_label(node_id)
+    assert (label.start, label.end) == labeling.label_of(node_id)
+    return (label.node_type, label.level, label.parent_id,
+            label.left_sibling_id, label.right_sibling_id)
+
+
 def assert_structure(document, labeling):
-    """One label per live node, with the structure the tree gives it,
-    and the document's parent map and length agreeing with both."""
+    """One code pair per live node over ``document``, exchange labels
+    with the structure the tree gives them, and the document's parent
+    map and length agreeing with both."""
     structure = tree_structure(document)
-    assert {node_id: (label.node_type, label.level, label.parent_id,
-                      label.left_sibling_id, label.right_sibling_id)
-            for node_id, label in labeling.as_mapping().items()} \
-        == structure
+    assert labeling.document is document
+    assert labeling.as_mapping().keys() == structure.keys()
+    assert {node_id: exchanged_structure(labeling, node_id)
+            for node_id in structure} == structure
     assert {node_id: document.parent_id(node_id) for node_id in structure} \
         == {node_id: entry[2] for node_id, entry in structure.items()}
     assert len(document) == len(structure)
@@ -101,36 +111,30 @@ def test_sync(data, encoder_cls):
 @settings(max_examples=60, deadline=None)
 @given(st.data(), st.sampled_from(ENCODERS))
 def test_assign_run(data, encoder_cls):
-    """The in-place applier's per-site repair: each ``assign_run`` makes
-    its run's labels complete — sibling ids of the run's own nodes
-    included — before ``repoint_children`` fixes the sites' existing
-    children."""
+    """The in-place applier's per-site repair: each ``assign_run``
+    gives its run's nodes their codes, and their exchange labels the
+    structure of the tree they were inserted into."""
     document = data.draw(documents())
     labeling = ContainmentLabeling(encoder=encoder_cls()).build(document)
     for __ in range(data.draw(st.integers(1, 3), label="batches")):
         pul = data.draw(applicable_puls(document, max_ops=6))
         pul.attach_labels(labeling)
         try:
-            site_runs = replay_batch(document, labeling,
-                                     reduce_deterministic(pul))
+            runs = replay_batch(document, labeling,
+                                reduce_deterministic(pul))
         except NotApplicableError:
             return
-        if site_runs is None:
+        if runs is None:
             labeling.sync(document)
         else:
-            runs, sites = site_runs
             structure = tree_structure(document)
-            for left, right, site, run in runs:
-                labeling.assign_run(site, run, left, right)
+            for left, right, __, run in runs:
+                labeling.assign_run(run, left, right)
                 for tree in run:
                     for node in tree.iter_subtree():
-                        label = labeling.label_of(node.node_id)
-                        assert (label.node_type, label.level,
-                                label.parent_id, label.left_sibling_id,
-                                label.right_sibling_id) \
+                        assert exchanged_structure(
+                            labeling, node.node_id) \
                             == structure[node.node_id]
-            for site in sites:
-                labeling.repoint_children(site)
         assert_structure(document, labeling)
 
 
@@ -256,9 +260,9 @@ def test_an_abandoned_checkout_leaves_the_published_maps(data):
         assert_structure(document, published.labeling)
 
 
-#: sha256 over the ``to_string()`` of every label after ``build``, in
-#: document order, of the XMark documents of scale 0.02 and seeds 3 and
-#: 7, each followed by its code-length watermark
+#: sha256 over the ``to_string()`` of every exchange label after
+#: ``build``, in document order, of the XMark documents of scale 0.02
+#: and seeds 3 and 7, each followed by its code-length watermark
 DIGIT_PINS = {
     "CDBS": "6c6f62c409a219b475a17d0954ccd2c6"
             "995fade6ad94a86826331206b288bc92",
@@ -276,8 +280,8 @@ def test_label_digits_are_pinned(encoder_cls):
         labeling = ContainmentLabeling(encoder=encoder_cls()).build(document)
         assert_structure(document, labeling)
         for node in document.nodes():
-            digest.update(labeling.label_of(node.node_id).to_string()
-                          .encode())
+            digest.update(labeling.exchange_label(node.node_id)
+                          .to_string().encode())
             digest.update(b"\n")
         digest.update(str(labeling.max_code_length).encode())
     assert digest.hexdigest() == DIGIT_PINS[encoder_cls.__name__[:4]]

@@ -50,7 +50,7 @@ class TestRoundtrip:
         labeling = ContainmentLabeling().build(small_doc)
         pul = PUL([Delete(2)]).attach_labels(labeling)
         restored = roundtrip(pul)
-        assert restored.labels[2] == labeling.label_of(2)
+        assert restored.labels[2] == labeling.exchange_label(2)
 
     def test_generalized_repc_flag_preserved(self):
         pul = PUL([ReplaceChildren(1, parse_forest("<a/><b/>"),

@@ -29,8 +29,8 @@ def _labels(store):
     """``(max code length, full relabels, label digits)`` of ``d``."""
     version = store._entries["d"].published
     return (version.labeling.max_code_length, version.full_relabels,
-            {node_id: label.to_string() for node_id, label
-             in version.labeling.as_mapping().items()})
+            {node_id: version.labeling.exchange_label(node_id).to_string()
+             for node_id in version.labeling.as_mapping()})
 
 
 def _hot_spot(store, inserts=INSERTS, doc_id="d"):

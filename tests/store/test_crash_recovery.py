@@ -176,9 +176,9 @@ FAILED_FLUSH_SCRIPT = textwrap.dedent("""
         version = store._entries["d"].published
         print(json.dumps({{
             "text": store.text("d"), "version": version.version,
-            "labels": {{str(node_id): label.to_string()
-                        for node_id, label
-                        in version.labeling.as_mapping().items()}},
+            "labels": {{str(node_id): version.labeling
+                        .exchange_label(node_id).to_string()
+                        for node_id in version.labeling.as_mapping()}},
             "paths": store.query("d", "//paper/@year")["nodes"],
         }}), flush=True)
 
@@ -234,9 +234,9 @@ def test_sigkill_right_after_a_failed_flush(tmp_path):
     def observed(store):
         version = store._entries["d"].published
         return {"text": store.text("d"), "version": version.version,
-                "labels": {str(node_id): label.to_string()
-                           for node_id, label
-                           in version.labeling.as_mapping().items()},
+                "labels": {str(node_id): version.labeling
+                           .exchange_label(node_id).to_string()
+                           for node_id in version.labeling.as_mapping()},
                 "paths": store.query("d", "//paper/@year")["nodes"]}
 
     crashed_dir = str(tmp_path / "crashed")

@@ -76,9 +76,9 @@ def _full_state(store, doc_id):
         "batches": version.batches,
         "incremental_relabels": version.incremental_relabels,
         "full_relabels": version.full_relabels,
-        "labels": {node_id: label.to_string()
-                   for node_id, label
-                   in version.labeling.as_mapping().items()},
+        "labels": {node_id: version.labeling.exchange_label(node_id)
+                   .to_string()
+                   for node_id in version.labeling.as_mapping()},
         "max_code_length": version.labeling.max_code_length,
     }
 
@@ -195,19 +195,21 @@ def _assert_restores_exactly(version):
         == document.allocator.next_value
     assert restored.labeling.max_code_length == labeling.max_code_length
     assert restored.budget == version.budget
-    assert {node_id: label.to_string()
-            for node_id, label in restored.labeling.as_mapping().items()} \
-        == {node_id: label.to_string()
-            for node_id, label in labeling.as_mapping().items()}
+    assert restored.labeling.document is restored.document
+    assert restored.labeling.as_mapping() == labeling.as_mapping()
+    assert {node_id: restored.labeling.exchange_label(node_id).to_string()
+            for node_id in restored.labeling.as_mapping()} \
+        == {node_id: labeling.exchange_label(node_id).to_string()
+            for node_id in labeling.as_mapping()}
     for counter in ("version", "batches", "incremental_relabels",
                     "full_relabels"):
         assert getattr(restored, counter) == getattr(version, counter)
 
 
 class TestSnapshotFidelity:
-    """A payload restores exactly what it was taken from — which also
-    pins that a label's type, level, parent and sibling ids are what
-    the tree says they are, since the payload carries only the codes."""
+    """A payload restores exactly what it was taken from — codes, and
+    the exchange labels made from them and the restored tree, which the
+    payload does not carry beyond the codes."""
 
     @settings(max_examples=40, deadline=None,
               suppress_health_check=[HealthCheck.too_slow,
@@ -285,8 +287,8 @@ def _hostile_payloads():
 
     retired = {key: good[key] for key in good if key != "nodes"}
     retired["tree"] = tree_to_xml(document.root)
-    retired["labels"] = [label.to_string()
-                         for label in labeling.as_mapping().values()]
+    retired["labels"] = [labeling.exchange_label(node_id).to_string()
+                         for node_id in labeling.as_mapping()]
     return [
         ("cut-short", with_rows(lambda edited: edited.pop())),
         ("child-count-past-the-end", with_rows(set_field(0, 3, 9))),

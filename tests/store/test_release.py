@@ -184,6 +184,44 @@ def test_nothing_the_store_holds_or_decodes_is_cyclic(tmp_path):
         gc.enable()
 
 
+def test_resident_code_pairs_are_not_tracked_by_the_collector(tmp_path):
+    """A resident label is a plain tuple of two code strings, which a
+    collection untracks: after ``gc.collect()`` no value of a resident
+    labeling's map — built at open, extended by an incremental flush,
+    rebuilt by a full relabel, restored by a restart — is left for the
+    collector to walk (a namedtuple or a slotted object would be)."""
+    wal = str(tmp_path / "wal")
+
+    def assert_untracked(store):
+        gc.collect()
+        for doc_id in ("d", "e"):
+            labels = store.labeling(doc_id).as_mapping()
+            assert len(labels) == len(store.document(doc_id))
+            assert not any(map(gc.is_tracked, labels.values()))
+
+    with DocumentStore(backend="serial", durability="log",
+                       wal_dir=wal) as store:
+        store.open("d", DOC)
+        store.open("e", OTHER)
+        store.submit("d", PUL([InsertIntoAsLast(_id(store, "d", "a"),
+                                                [_tree()])]))
+        assert store.flush("d").relabel == "incremental"
+        store.submit("e", PUL([InsertAttributes(_id(store, "e", "e"), [
+            Node.attribute("k", "v")])]))
+        store.flush("e")
+        assert_untracked(store)
+    with DocumentStore(backend="serial", durability="log",
+                       wal_dir=wal) as restarted:
+        assert_untracked(restarted)
+    with DocumentStore(backend="serial", max_code_length=1) as store:
+        store.open("d", DOC)
+        store.open("e", OTHER)
+        store.submit("d", PUL([InsertIntoAsLast(_id(store, "d", "a"),
+                                                [_tree()])]))
+        assert store.flush("d").relabel == "full"
+        assert_untracked(store)
+
+
 class TestCollectorPause:
     """The one helper that touches the collector's state."""
 

@@ -14,9 +14,15 @@ from repro.xdm.node import NodeType
 from tests.strategies import documents
 
 
-def oracles_for(document):
+def exchange_labels(document):
+    """The labels a PUL on ``document`` would carry, for every node."""
     labeling = ContainmentLabeling().build(document)
-    return DocumentOracle(document), LabelOracle(labeling.as_mapping())
+    return {node_id: labeling.exchange_label(node_id)
+            for node_id in labeling.as_mapping()}
+
+
+def oracles_for(document):
+    return DocumentOracle(document), LabelOracle(exchange_labels(document))
 
 
 class TestAgreement:
@@ -96,18 +102,17 @@ class TestLabelOracle:
         assert not oracle.knows(999)
 
     def test_add_merges(self, figure1):
-        labeling = ContainmentLabeling().build(figure1)
         partial = LabelOracle({})
-        partial.add(labeling.as_mapping())
+        partial.add(exchange_labels(figure1))
         assert partial.knows(0)
 
 
 class TestOracleFor:
     def test_dispatch(self, figure1):
-        labeling = ContainmentLabeling().build(figure1)
+        labels = exchange_labels(figure1)
         assert isinstance(oracle_for(figure1), DocumentOracle)
-        assert isinstance(oracle_for(labeling.as_mapping()), LabelOracle)
-        pul = PUL([], labels=labeling.as_mapping())
+        assert isinstance(oracle_for(labels), LabelOracle)
+        pul = PUL([], labels=labels)
         assert isinstance(oracle_for(pul), LabelOracle)
         assert isinstance(oracle_for([pul, pul]), LabelOracle)
         existing = DocumentOracle(figure1)
