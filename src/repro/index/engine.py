@@ -1,11 +1,14 @@
 """Interval execution of path steps over index buckets.
 
 Every primitive here is a sorted merge over label codes, replacing a
-tree walk with work proportional to the touched buckets:
+tree walk with work proportional to the touched buckets. A bucket holds
+node ids in start-code order; a node's codes come from the version's
+labeling and its parent from the version's document
+(:meth:`~repro.xdm.document.Document.parent_ids`):
 
-* **child / attribute steps** scan one name bucket and keep the entries
-  whose ``parent_id`` is a context node — the entry's parent id is the
-  child axis, no tree access needed;
+* **child / attribute steps** scan one name bucket and keep the ids
+  whose parent is a context node — the parent map is the child axis,
+  no tree access needed;
 * **descendant steps** are the paper's containment test as a sweep:
   contexts and candidates are both sorted by start code, so one pass
   keeps each candidate whose interval is strictly inside some context
@@ -17,8 +20,7 @@ tree walk with work proportional to the touched buckets:
   their owner's interval, so bucket order keeps owner starts
   non-decreasing and the same sweep applies.
 
-Bucket entries are ``(start, end, node_id, parent_id)`` tuples; the
-virtual document root (the walker's ``_Root``) is the interval
+The virtual document root (the walker's ``_Root``) is the interval
 ``("", None)`` — the empty string precedes every code and ``None``
 stands for +infinity, so it strictly contains every node.
 
@@ -31,6 +33,8 @@ on the walker's accumulation order.
 """
 
 from __future__ import annotations
+
+from itertools import compress
 
 from repro.xquery import ast
 from repro.xquery.xpath import _apply_predicate, _evaluate_step, _Root
@@ -48,35 +52,34 @@ def node_interval(node, labeling):
 
 def context_ids(context):
     """Parent-match keys of the context: the virtual root matches the
-    root element's entry, whose parent id is ``None``."""
+    root element, whose parent id is ``None``."""
     return {None if isinstance(node, _Root) else node.node_id
             for node in context}
 
 
-def child_scan(bucket, parent_ids):
-    """Entries of ``bucket`` whose parent is a context node, in bucket
-    (= document) order."""
-    return [entry for entry in bucket if entry[3] in parent_ids]
+def child_scan(bucket, parent_ids, document):
+    """Ids of ``bucket`` whose parent in ``document`` is a context node,
+    in bucket (= document) order."""
+    return list(compress(bucket, map(parent_ids.__contains__,
+                                     document.parent_ids(bucket))))
 
 
-def descendant_sweep(intervals, entries, key=None):
+def descendant_sweep(intervals, ids, key):
     """One-pass sorted-interval containment merge.
 
-    ``intervals`` are ``(start, end)`` pairs sorted by start;
-    ``entries`` are bucket entries whose test interval — ``key(entry)``
-    when given, else the entry's own ``(start, end)`` — has
-    non-decreasing start. Returns the entries strictly contained in at
-    least one interval, preserving entry order. ``None`` ends are
-    +infinity (the virtual root).
+    ``intervals`` are ``(start, end)`` pairs sorted by start; ``ids``
+    are node ids whose test interval ``key(id)`` has non-decreasing
+    start. Returns the ids strictly contained in at least one interval,
+    preserving their order. ``None`` ends are +infinity (the virtual
+    root).
     """
     kept = []
     position = 0
     total = len(intervals)
     best_end = None       # max finite end among passed intervals
     unbounded = False     # a passed interval reaches +infinity
-    for entry in entries:
-        start, end = key(entry) if key is not None else (entry[0],
-                                                         entry[1])
+    for node_id in ids:
+        start, end = key(node_id)
         while position < total and intervals[position][0] < start:
             passed_end = intervals[position][1]
             if passed_end is None:
@@ -86,7 +89,7 @@ def descendant_sweep(intervals, entries, key=None):
             position += 1
         if unbounded or (best_end is not None and end is not None
                          and end < best_end):
-            kept.append(entry)
+            kept.append(node_id)
     return kept
 
 
@@ -96,17 +99,17 @@ def execute_index_step(step, context, index, labeling, document):
     one :func:`supported_bucket` said yes to."""
     bucket = supported_bucket(step, index)
     if step.axis in (ast.CHILD, ast.ATTRIBUTE):
-        entries = child_scan(bucket, context_ids(context))
+        ids = child_scan(bucket, context_ids(context), document)
     else:
         intervals = sorted(node_interval(node, labeling)
                            for node in context)
+        codes = labeling.as_mapping().__getitem__
         if step.axis == ast.DESCENDANT_ATTRIBUTE:
-            labels = labeling.as_mapping()
-            entries = descendant_sweep(
-                intervals, bucket, key=lambda entry: labels[entry[3]])
-        else:
-            entries = descendant_sweep(intervals, bucket)
-    return [document.get(entry[2]) for entry in entries]
+            # an attribute is tested by its owner's interval
+            codes = dict(zip(bucket, map(
+                codes, document.parent_ids(bucket)))).__getitem__
+        ids = descendant_sweep(intervals, bucket, codes)
+    return list(map(document.get, ids))
 
 
 def supported_bucket(step, index):
@@ -123,10 +126,11 @@ def supported_bucket(step, index):
     return None
 
 
-def value_filter_ids(predicate, index):
+def value_filter_ids(predicate, index, document):
     """Owner ids satisfying ``[@name = "literal"]`` via the
-    attribute-value bucket, or ``None`` when the predicate does not
-    have that shape (the walker filter applies instead)."""
+    attribute-value bucket and ``document``'s parent map, or ``None``
+    when the predicate does not have that shape (the walker filter
+    applies instead)."""
     if not isinstance(predicate, ast.ComparePredicate):
         return None
     path = predicate.path
@@ -137,16 +141,17 @@ def value_filter_ids(predicate, index):
             or inner.predicates):
         return None
     bucket = index.values.get((inner.name, predicate.literal), ())
-    return {entry[3] for entry in bucket}
+    return set(document.parent_ids(bucket))
 
 
-def apply_predicates(step, nodes, index):
+def apply_predicates(step, nodes, index, document):
     """Apply a step's (non-positional) predicates to index-selected
-    nodes; returns ``(nodes, strategies)`` where ``strategies`` names
-    how each predicate ran (for the explain output)."""
+    nodes of ``document``; returns ``(nodes, strategies)`` where
+    ``strategies`` names how each predicate ran (for the explain
+    output)."""
     strategies = []
     for predicate in step.predicates:
-        ids = value_filter_ids(predicate, index)
+        ids = value_filter_ids(predicate, index, document)
         if ids is not None:
             nodes = [node for node in nodes if node.node_id in ids]
             strategies.append("attr-value-index")

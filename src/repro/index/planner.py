@@ -125,7 +125,7 @@ def run_query(path, document, labeling=None, index=None, engine="auto"):
             indexed_steps += 1
             if step.predicates:
                 context, strategies = apply_predicates(
-                    step, context, index)
+                    step, context, index, document)
                 record["predicates"] = strategies
         else:
             context = walk_step(step, context)

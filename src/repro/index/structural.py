@@ -1,13 +1,16 @@
-"""The structural secondary index: name buckets of label-code entries.
+"""The structural secondary index: name buckets of node ids.
 
 A :class:`DocumentIndex` is a set of *buckets* — one per element name,
 attribute name, attribute ``(name, value)`` pair, and one for text
-nodes. Each bucket is a list of ``(start, end, node_id, parent_id)`` entries sorted by the
-node's *start code*. The paper's containment property makes this the
-only order the query engine ever needs: start codes are unique,
-compare lexicographically, and **start-code order is document order**,
-so a bucket is simultaneously a name lookup, a document-order stream,
-and one side of a sorted-interval merge (:mod:`repro.index.engine`).
+nodes. Each bucket is a list of node ids sorted by the node's *start
+code*. An id is all a bucket holds: a node's codes are in the version's
+labeling and its parent is in the version's
+:class:`~repro.xdm.document.Document`, and the query engine reads them
+there. The paper's containment property makes start-code order the
+only order the engine ever needs: start codes are unique, compare
+lexicographically, and **start-code order is document order**, so a
+bucket is simultaneously a name lookup, a document-order stream, and
+one side of a sorted-interval merge (:mod:`repro.index.engine`).
 
 Maintenance mirrors the incremental-label pattern of
 :func:`repro.apply.inplace.apply_batch_in_place`: the index is built
@@ -17,9 +20,12 @@ removed subtrees leave their buckets, surviving rename/replace-value
 targets move buckets, freshly labeled subtrees enter theirs. Only the
 touched buckets are copied (copy-on-write); untouched buckets are
 shared by reference between versions, which is safe because a bucket
-is immutable once published. Anything the delta cannot localize — a
-whole-tree relabel, a ``sync`` fallback, a site with no label — falls
-back to a full rebuild, exactly like the labeling it shadows.
+is immutable once published and an incremental relabel never changes
+the codes of a node that stays, so a shared bucket is still in
+start-code order under the next version's labeling. Anything the delta
+cannot localize — a whole-tree relabel, a ``sync`` fallback, a site
+with no label — falls back to a full rebuild, exactly like the
+labeling it shadows.
 
 The invariant the differential suite pins: at every published version,
 the maintained index equals :meth:`DocumentIndex.build` run from
@@ -27,8 +33,6 @@ scratch on that version's tree and labeling.
 """
 
 from __future__ import annotations
-
-from bisect import insort
 
 from repro.apply.inplace import classify
 from repro.xdm.node import NodeType
@@ -52,39 +56,31 @@ class DocumentIndex:
 
     @classmethod
     def build(cls, document, labeling):
-        """Index ``document`` from scratch against ``labeling``, in one
-        walk over the tree, which gives each entry its parent id."""
+        """Index ``document`` from scratch against ``labeling``: one
+        walk over the tree, then each bucket sorted with the labeling
+        as the key."""
         index = cls()
         root = document.root
         if root is None:
             return index
         elements, attributes, values, texts = (
             index.elements, index.attributes, index.values, index.texts)
-        labels = labeling.as_mapping()
-        for node, parent in root.iter_with_parents():
-            node_id = node.node_id
-            start, end = labels[node_id]
-            entry = (start, end, node_id,
-                     None if parent is None else parent.node_id)
+        for node, __ in root.iter_with_parents():
             kind = node.node_type
             if kind is _ELEMENT:
-                elements.setdefault(node.name, []).append(entry)
+                elements.setdefault(node.name, []).append(node.node_id)
             elif kind is _ATTRIBUTE:
-                attributes.setdefault(node.name, []).append(entry)
-                values.setdefault((node.name, node.value), []).append(entry)
+                attributes.setdefault(node.name, []).append(node.node_id)
+                values.setdefault((node.name, node.value),
+                                  []).append(node.node_id)
             else:
-                texts.append(entry)
-        index._sort()
+                texts.append(node.node_id)
+        codes = labeling.as_mapping().__getitem__
+        for buckets in (elements, attributes, values):
+            for bucket in buckets.values():
+                bucket.sort(key=codes)
+        texts.sort(key=codes)
         return index
-
-    def _sort(self):
-        for bucket in self.elements.values():
-            bucket.sort()
-        for bucket in self.attributes.values():
-            bucket.sort()
-        for bucket in self.values.values():
-            bucket.sort()
-        self.texts.sort()
 
     # -- incremental maintenance ----------------------------------------------
 
@@ -115,23 +111,15 @@ class DocumentIndex:
             return None  # root-level change: the applier synced
         removed_set = set(footprint.removed_ids)
         removals = {}   # bucket key -> set of node ids leaving it
-        additions = {}  # bucket key -> [entry]
+        additions = {}  # bucket key -> [node id]
 
         def remove(node):
             for key in self._keys_for(node):
                 removals.setdefault(key, set()).add(node.node_id)
 
-        labels = new_labeling.as_mapping()
-
-        def entry_of(node_id):
-            # a node with no label raises KeyError: no delta
-            start, end = labels[node_id]
-            return (start, end, node_id, new_document.parent_id(node_id))
-
         def add(node):
-            entry = entry_of(node.node_id)
             for key in self._keys_for(node):
-                additions.setdefault(key, []).append(entry)
+                additions.setdefault(key, []).append(node.node_id)
 
         try:
             for node_id in removed_set:
@@ -146,11 +134,10 @@ class DocumentIndex:
                 new_keys = self._keys_for(new_node)
                 if old_keys == new_keys:
                     continue
-                entry = entry_of(node_id)
                 for key in old_keys:
                     removals.setdefault(key, set()).add(node_id)
                 for key in new_keys:
-                    additions.setdefault(key, []).append(entry)
+                    additions.setdefault(key, []).append(node_id)
             for site_id in footprint.site_ids:
                 site = new_document.find(site_id)
                 if site is None:
@@ -161,9 +148,11 @@ class DocumentIndex:
                         continue
                     for node in item.iter_subtree():
                         add(node)
+            # an added node with no label raises KeyError: no delta
+            return self._rewrite(removals, additions,
+                                 new_labeling.as_mapping())
         except LookupError:
             return None
-        return self._rewrite(removals, additions)
 
     def _keys_for(self, node):
         """The bucket keys ``node`` occupies. A key is ``("e", name)``,
@@ -184,10 +173,10 @@ class DocumentIndex:
             return self.values, (key[1], key[2])
         return None, None  # ("t",): the single text bucket
 
-    def _rewrite(self, removals, additions):
+    def _rewrite(self, removals, additions, labels):
         """Copy-on-write application of the delta: only buckets named
         in ``removals``/``additions`` are copied; every other bucket is
-        shared with ``self``."""
+        shared with ``self``. ``labels`` are the new version's codes."""
         new = DocumentIndex(
             elements=dict(self.elements),
             attributes=dict(self.attributes),
@@ -195,15 +184,12 @@ class DocumentIndex:
             texts=self.texts)
         for key in set(removals) | set(additions):
             mapping, name = new._bucket_map(key)
-            if mapping is None:
-                bucket = list(new.texts)
-            else:
-                bucket = list(mapping.get(name, ()))
+            bucket = new.texts if mapping is None else mapping.get(name, ())
             gone = removals.get(key)
-            if gone:
-                bucket = [e for e in bucket if e[2] not in gone]
-            for entry in additions.get(key, ()):
-                insort(bucket, entry)
+            bucket = ([node_id for node_id in bucket if node_id not in gone]
+                      if gone else list(bucket))
+            for node_id in additions.get(key, ()):
+                _insort(bucket, node_id, labels)
             if mapping is None:
                 new.texts = bucket
             elif bucket:
@@ -256,6 +242,21 @@ class DocumentIndex:
     def __repr__(self):
         return ("DocumentIndex(names={}, entries={})"
                 .format(len(self.elements), self.entry_count()))
+
+
+def _insort(bucket, node_id, labels):
+    """Insert ``node_id`` into ``bucket`` at the place of its start code
+    in ``labels``: a binary search over the codes of the bucket's ids
+    (``bisect``'s ``key=`` needs Python 3.10)."""
+    start = labels[node_id][0]
+    low, high = 0, len(bucket)
+    while low < high:
+        middle = (low + high) // 2
+        if labels[bucket[middle]][0] < start:
+            low = middle + 1
+        else:
+            high = middle
+    bucket.insert(low, node_id)
 
 
 def build_index(document, labeling):

@@ -27,6 +27,9 @@ from repro.xdm.node import NodeType
 #: sentinel encoding "no sibling" in the serialized form
 _NONE = "-"
 
+#: the node type of each type letter of the serialized form
+_NODE_TYPES = {node_type.value: node_type for node_type in NodeType}
+
 
 class ExtendedLabel:
     """Immutable-by-convention label of a document node.
@@ -84,17 +87,16 @@ class ExtendedLabel:
         parts = text.split(";")
         if len(parts) != 8:
             raise LabelingError("malformed label: {!r}".format(text))
-        def _opt(token):
-            return None if token == _NONE else int(token)
+        (node_id, letter, start, end, level, parent_id, left_sibling_id,
+         right_sibling_id) = parts
+        node_type = _NODE_TYPES.get(letter)
+        if node_type is None:
+            node_type = NodeType.from_code(letter)  # raises its error
         return cls(
-            node_id=int(parts[0]),
-            node_type=NodeType.from_code(parts[1]),
-            start=parts[2],
-            end=parts[3],
-            level=int(parts[4]),
-            parent_id=_opt(parts[5]),
-            left_sibling_id=_opt(parts[6]),
-            right_sibling_id=_opt(parts[7]),
+            int(node_id), node_type, start, end, int(level),
+            None if parent_id == _NONE else int(parent_id),
+            None if left_sibling_id == _NONE else int(left_sibling_id),
+            None if right_sibling_id == _NONE else int(right_sibling_id),
         )
 
     def __eq__(self, other):

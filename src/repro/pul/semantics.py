@@ -102,6 +102,16 @@ def _detach(scope, node):
         if item is node:
             del siblings[index]
             break
+    _settle(parent)
+
+
+def _settle(element):
+    """Give back the lists an edit of ``element`` emptied: a node with
+    nothing to hold holds the shared ``()``."""
+    if not element.children:
+        element.children = ()
+    if not element.attributes:
+        element.attributes = ()
 
 
 def _insert_siblings(scope, anchor, trees, after):
@@ -157,14 +167,16 @@ def apply_to_node(scope, node, op, gap=None, preserve_ids=False):
         elif node.is_attribute:
             position = parent.attributes.index(node)
             parent.attributes[position:position + 1] = trees
+            _settle(parent)
         else:
             position = parent.children.index(node)
             del parent.children[position]
             for offset, tree in enumerate(trees):
                 parent.insert_child(position + offset, tree)
+            _settle(parent)
     elif kind == ReplaceChildren.op_name:
         scope.removed.update(child.node_id for child in node.children)
-        del node.children[:]
+        node.children = ()
         for tree in trees:
             node.append_child(tree)
     elif kind == Delete.op_name:

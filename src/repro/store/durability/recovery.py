@@ -594,11 +594,15 @@ class DurabilityManager:
         ``> sealed``, absorbing any overlap idempotently. A state
         *behind* the seal would lose records — that ordering is the
         caller's contract.
+
+        The payloads are encoded before the manager lock is taken, so
+        an :meth:`append` on another thread never waits for the
+        encode; the write and the deletions hold it.
         """
+        payload = encode_payload({
+            "kind": "snapshot", "generation": sealed,
+            "docs": list(document_payloads)})
         with self._lock:
-            payload = encode_payload({
-                "kind": "snapshot", "generation": sealed,
-                "docs": list(document_payloads)})
             write_file_atomically(self._snap_path(sealed), payload)
             wals, snaps = _scan_directory(self.directory)
             superseded = (

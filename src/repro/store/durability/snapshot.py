@@ -37,6 +37,7 @@ and :func:`restore_document`.
 from __future__ import annotations
 
 import json
+from sys import intern
 
 from repro.errors import RecoveryError
 from repro.labeling.scheme import ContainmentLabeling
@@ -145,7 +146,9 @@ def _rebuild(rows):
     end)})``. Each node's parent id comes from the place its row takes
     in the tree; a row that does not fit the tree the rows before it
     describe, or whose codes make an empty interval, is a
-    ``ValueError``.
+    ``ValueError``. An element's child and attribute lists are made
+    at its row, exactly as long as its counts say (a leaf keeps the
+    shared ``()``), and names are interned as in the parser.
     """
     if type(rows) is not list or not rows:
         raise ValueError("no node rows")
@@ -154,7 +157,7 @@ def _rebuild(rows):
     labels = {}
     # the open elements: [node, attributes left, children left]
     open_elements = []
-    for row in rows:
+    for position, row in enumerate(rows):
         if type(row) is not list or \
                 list(map(type, row)) != _ROW_TYPES.get(len(row)):
             raise ValueError("malformed node row {!r}".format(row))
@@ -171,18 +174,20 @@ def _rebuild(rows):
         if top is not None and top[1]:
             if arity != 5:
                 raise ValueError("row {!r} is out of place".format(row))
-            node = Node(_ATTRIBUTE, name=row[1], value=row[2],
+            node = Node(_ATTRIBUTE, name=intern(row[1]), value=row[2],
                         node_id=node_id)
-            parent.attributes.append(node)
+            attributes = parent.attributes
+            attributes[len(attributes) - top[1]] = node
             top[1] -= 1
         elif arity == 5 or (top is None and arity == 4):
             raise ValueError("row {!r} is out of place".format(row))
         else:
-            node = (Node(_ELEMENT, name=row[1], node_id=node_id)
+            node = (Node(_ELEMENT, name=intern(row[1]), node_id=node_id)
                     if arity == 6 else
                     Node(_TEXT, value=row[1], node_id=node_id))
             if top is not None:
-                parent.children.append(node)
+                children = parent.children
+                children[len(children) - top[2]] = node
                 top[2] -= 1
         start, end = row[-2], row[-1]
         if not start < end:
@@ -194,13 +199,22 @@ def _rebuild(rows):
         if arity == 6 and (row[2] or row[3]):
             if row[2] < 0 or row[3] < 0:
                 raise ValueError("negative count in row {!r}".format(row))
+            if row[2] + row[3] >= len(rows) - position:
+                raise _cut_short(node)
+            if row[2]:
+                node.attributes = [None] * row[2]
+            if row[3]:
+                node.children = [None] * row[3]
             open_elements.append([node, row[2], row[3]])
             continue
         while open_elements and not (open_elements[-1][1]
                                      or open_elements[-1][2]):
             open_elements.pop()
     if open_elements:
-        raise ValueError(
-            "node rows cut short: the counts of <{}> point past the "
-            "last row".format(open_elements[-1][0].name))
+        raise _cut_short(open_elements[-1][0])
     return nodes[rows[0][0]], nodes, parents, labels
+
+
+def _cut_short(element):
+    return ValueError("node rows cut short: the counts of <{}> point "
+                      "past the last row".format(element.name))

@@ -154,6 +154,16 @@ class Document:
             return self._own_maps()[1].get(node_id)
         return parent_id
 
+    def parent_ids(self, node_ids):
+        """The parent ids of ``node_ids``, in their order, as
+        :meth:`parent_id` answers each: one pass over the parent map."""
+        if self._parent_delta is None:
+            found = list(map(self._parents.get, node_ids))
+            # read before the flag, as in find
+            if self._handed_on is None:
+                return found
+        return list(map(self.parent_id, node_ids))
+
     def parent(self, node):
         """The parent of ``node`` in this document, or ``None`` for the
         root (and for a node the document does not hold)."""
@@ -305,30 +315,38 @@ class Document:
         from the root to ``node_ids``.
 
         Every node on those paths is copied shallowly (same id, name and
-        value) and gets its own child and attribute lists, in which the
-        copied children replace their originals; every other node is
+        value) and gets its own child and attribute lists (a node with
+        none keeps the shared ``()``), in which the copied children
+        replace their originals; every other node is
         shared with this document, which is left as it was. The copy
         shares this document's id index and parent map, keeping its own
         changes apart until :meth:`commit`, and has an allocator at the
         same position and stride. So the copy may be edited anywhere on
         those paths while this tree keeps its lists, names and values."""
         find, parent_id = self.find, self.parent_id
-        originals = {}
+        originals = {}  # id -> (node, its parent's id)
         for node_id in node_ids:
             while node_id is not None and node_id not in originals:
                 node = find(node_id)
                 if node is None:
                     break
-                originals[node_id] = node
-                node_id = parent_id(node_id)
-        copies = {node_id: node.shallow_copy()
-                  for node_id, node in originals.items()}
-        for node_id, node in originals.items():
-            copy = copies[node_id]
-            copy.children = [copies.get(child.node_id, child)
-                             for child in node.children]
-            copy.attributes = [copies.get(attr.node_id, attr)
-                               for attr in node.attributes]
+                above = parent_id(node_id)
+                originals[node_id] = (node, above)
+                node_id = above
+        copies = {}
+        for node_id, (node, __) in originals.items():
+            copy = copies[node_id] = node.shallow_copy()
+            # slices: lists of exactly their size, and ``()`` stays
+            if node.children:
+                copy.children = node.children[:]
+            if node.attributes:
+                copy.attributes = node.attributes[:]
+        for node_id, (node, above) in originals.items():
+            parent = copies.get(above)
+            if parent is not None:
+                siblings = (parent.attributes if node.is_attribute
+                            else parent.children)
+                siblings[siblings.index(node)] = copies[node_id]
         root = self.root
         if root is not None:
             root = copies.get(root.node_id, root)

@@ -12,6 +12,15 @@ parent of a node of a document is the document's to answer
 (:meth:`repro.xdm.document.Document.parent`); a walk from a root knows
 it as it goes (:meth:`Node.iter_with_parents`). So no tree holds a
 reference cycle, and a tree nothing refers to is freed at once.
+
+A node holds only what it has. An empty child or attribute sequence is
+the one shared empty tuple ``()``, so a leaf holds no list; the first
+child or attribute gives the node a list of its own. So an edit grows
+a node only through :meth:`Node.append_child`, :meth:`Node.insert_child`
+and :meth:`Node.append_attribute` (the builders — the parser, the
+snapshot restore, the copies — hand a node its finished list). An edit
+may remove from a list in place, and gives a list it empties back as
+``()``.
 """
 
 from __future__ import annotations
@@ -57,10 +66,11 @@ class Node:
     value:
         Text/attribute value (``nu``); ``None`` for elements.
     children:
-        Ordered non-attribute children (elements and text nodes).
+        Ordered non-attribute children (elements and text nodes): a
+        list, or ``()`` when there are none.
     attributes:
         Attribute children, in insertion order (their relative order is not
-        semantically relevant).
+        semantically relevant): a list, or ``()`` when there are none.
     """
 
     __slots__ = (
@@ -89,8 +99,8 @@ class Node:
         self.node_type = node_type
         self.name = name
         self.value = value
-        self.children = []
-        self.attributes = []
+        self.children = ()
+        self.attributes = ()
 
     # -- constructors ------------------------------------------------------
 
@@ -129,13 +139,19 @@ class Node:
     def append_child(self, child):
         """Attach ``child`` (element or text) as last child."""
         self._check_child(child)
-        self.children.append(child)
+        if self.children:
+            self.children.append(child)
+        else:
+            self.children = [child]
         return child
 
     def insert_child(self, index, child):
         """Attach ``child`` (element or text) at ``index``."""
         self._check_child(child)
-        self.children.insert(index, child)
+        if self.children:
+            self.children.insert(index, child)
+        else:
+            self.children = [child]
         return child
 
     def append_attribute(self, attr):
@@ -144,7 +160,10 @@ class Node:
             raise DocumentError("only elements hold attributes")
         if not attr.is_attribute:
             raise DocumentError("append_attribute requires an attribute")
-        self.attributes.append(attr)
+        if self.attributes:
+            self.attributes.append(attr)
+        else:
+            self.attributes = [attr]
         return attr
 
     def _check_child(self, child):
@@ -208,14 +227,13 @@ class Node:
 
     def shallow_copy(self):
         """A detached copy of this node alone: same id, kind, name and
-        value, and empty child and attribute lists of its own."""
+        value, and no children or attributes."""
         copy = Node.__new__(Node)
         copy.node_id = self.node_id
         copy.node_type = self.node_type
         copy.name = self.name
         copy.value = self.value
-        copy.children = []
-        copy.attributes = []
+        copy.children = copy.attributes = ()
         return copy
 
     def deep_copy(self, keep_ids=False):
@@ -234,10 +252,17 @@ class Node:
             # must carry it faithfully or re-copying an updated tree
             # fails the constructor's freshness check
             copy.value = self.value
-            for attr in self.attributes:
-                copy.append_attribute(attr.deep_copy(keep_ids=keep_ids))
-            for child in self.children:
-                copy.append_child(child.deep_copy(keep_ids=keep_ids))
+            if self.attributes:
+                copy.attributes = [attr.deep_copy(keep_ids)
+                                   for attr in self.attributes]
+            if self.children:
+                # a loop, not a comprehension: before Python 3.12 a
+                # comprehension is a frame of its own, and the copy
+                # recurses once per level of a tree that may nest
+                # MAX_ELEMENT_NESTING elements deep
+                children = copy.children = []
+                for child in self.children:
+                    children.append(child.deep_copy(keep_ids))
         return copy
 
     # -- debugging ---------------------------------------------------------

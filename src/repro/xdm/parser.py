@@ -30,6 +30,7 @@ same ids.
 from __future__ import annotations
 
 import re
+from sys import intern
 
 from repro.errors import XMLSyntaxError
 from repro.xdm.document import Document, IdAllocator
@@ -242,9 +243,17 @@ def _build(tokens, allocator=None):
     stream was read, so a syntax error consumes none.
 
     Nodes are linked directly: the scanner has already checked that the
-    tags nest."""
+    tags nest. The children of the open elements wait in one list, and
+    an element takes its own as a slice when it closes, so every child
+    list is exactly its size; a node with no children or attributes
+    keeps the shared ``()``. Names are interned here (not in the
+    scanner, whose tokens every reader pays for): the elements and
+    attributes of one name share one string."""
     top = []
-    path = []  # the open elements, innermost last
+    pending = []  # the children of the open elements, in order
+    # the open elements, innermost last, each with the offset in
+    # ``pending`` where its children start
+    path = []
     end = None
     nodes = {}
     parents = {}
@@ -252,34 +261,39 @@ def _build(tokens, allocator=None):
                        if allocator is not None else (None, 0))
     for kind, value, extra in tokens:
         if kind == _END:
-            path.pop()
+            element, first = path.pop()
+            if len(pending) > first:
+                element.children = pending[first:]
+                del pending[first:]
             end = extra
             continue
         if kind == _TEXT:
             node = Node(_TEXT_NODE, value=value, node_id=next_id)
         else:
-            node = Node(_ELEMENT_NODE, name=value, node_id=next_id)
+            node = Node(_ELEMENT_NODE, name=intern(value), node_id=next_id)
         if path:
-            parent = path[-1]
-            parent.children.append(node)
+            parent_id = path[-1][0].node_id
+            pending.append(node)
         else:
-            parent = None
+            parent_id = None
             top.append(node)
         if allocator is not None:
             nodes[next_id] = node
-            parents[next_id] = None if parent is None else parent.node_id
+            parents[next_id] = parent_id
             next_id += stride
         if kind == _START:
-            attributes = node.attributes
-            for name, attr_value in extra.items():
-                attr = Node(_ATTRIBUTE_NODE, name=name, value=attr_value,
-                            node_id=next_id)
-                attributes.append(attr)
-                if allocator is not None:
-                    nodes[next_id] = attr
-                    parents[next_id] = node.node_id
-                    next_id += stride
-            path.append(node)
+            if extra:
+                attributes = node.attributes = [None] * len(extra)
+                for position, (name, attr_value) in enumerate(
+                        extra.items()):
+                    attr = Node(_ATTRIBUTE_NODE, name=intern(name),
+                                value=attr_value, node_id=next_id)
+                    attributes[position] = attr
+                    if allocator is not None:
+                        nodes[next_id] = attr
+                        parents[next_id] = node.node_id
+                        next_id += stride
+            path.append((node, len(pending)))
     if allocator is not None:
         allocator.reserve_at_least(next_id)
     return top, end, nodes, parents

@@ -12,7 +12,7 @@ import pytest
 
 from repro.api.dispatch import StoreDispatcher
 from repro.apply.inplace import apply_batch_in_place
-from repro.index import DocumentIndex, build_index
+from repro.index import build_index
 from repro.index.engine import descendant_sweep, value_filter_ids
 from repro.index.planner import run_query
 from repro.labeling import ContainmentLabeling
@@ -69,12 +69,16 @@ class TestBuild:
         assert len(index.values[("status", "retracted")]) == 1
         assert len(index.texts) == 5
 
-    def test_entries_carry_label_codes_and_parent_ids(self):
+    def test_entries_are_node_ids_in_start_code_order(self):
         document, labeling = fresh()
         index = build_index(document, labeling)
         (entry,) = index.elements["note"]
-        assert (entry[0], entry[1]) == labeling.label_of(entry[2])
-        assert entry[3] == document.root.node_id
+        assert entry == by_name(document, "note")[0].node_id
+        assert document.parent_id(entry) == document.root.node_id
+        authors = index.elements["author"]
+        assert authors == [n.node_id for n in by_name(document, "author")]
+        starts = [labeling.label_of(node_id)[0] for node_id in authors]
+        assert starts == sorted(starts)
 
     def test_rootless_document_indexes_empty(self):
         index = build_index(Document(), ContainmentLabeling())
@@ -178,20 +182,48 @@ class TestDerive:
         assert derived.texts is not None
 
 
+def assert_buckets_hold_ints(index):
+    buckets = (list(index.elements.values())
+               + list(index.attributes.values())
+               + list(index.values.values()) + [index.texts])
+    assert all(type(node_id) is int
+               for bucket in buckets for node_id in bucket)
+
+
+class TestShape:
+    """A bucket entry is a node id and nothing else: its codes are the
+    labeling's and its parent the document's."""
+
+    def test_built_buckets_hold_ints(self):
+        document, labeling = fresh()
+        assert_buckets_hold_ints(build_index(document, labeling))
+
+    def test_derived_buckets_hold_ints(self):
+        document, __ = fresh()
+        (authors,) = by_name(document, "authors")
+        tree = Node.element("author")
+        tree.append_attribute(Node.attribute("id", "a3"))
+        tree.append_child(Node.text("C"))
+        derived, __, __, __ = derive_after(
+            [InsertIntoAsLast(authors.node_id, [tree])])
+        assert_buckets_hold_ints(derived)
+
+
 class TestSweep:
     def test_strict_containment(self):
         intervals = [("1", "4"), ("6", "9")]
-        entries = [("0", "05", 1, None),   # before both
-                   ("2", "3", 2, None),    # inside the first
-                   ("1", "4", 3, None),    # equal, not strict
-                   ("5", "55", 4, None),   # in the gap
-                   ("7", "8", 5, None)]    # inside the second
-        kept = descendant_sweep(intervals, entries)
-        assert [e[2] for e in kept] == [2, 5]
+        codes = {1: ("0", "05"),   # before both
+                 2: ("2", "3"),    # inside the first
+                 3: ("1", "4"),    # equal, not strict
+                 4: ("5", "55"),   # in the gap
+                 5: ("7", "8")}    # inside the second
+        kept = descendant_sweep(intervals, sorted(codes, key=codes.get),
+                                codes.get)
+        assert kept == [2, 5]
 
     def test_virtual_root_contains_everything(self):
-        entries = [("1", "2", 1, None), ("3", "9", 2, None)]
-        assert descendant_sweep([("", None)], entries) == entries
+        codes = {1: ("1", "2"), 2: ("3", "9")}
+        assert descendant_sweep([("", None)], [1, 2], codes.get) == [1, 2]
 
     def test_key_projection(self):
         entries = [("2", "2a", 7, "owner")]
@@ -206,7 +238,7 @@ class TestValueFilter:
         index = build_index(document, labeling)
         path = parse_path('/doc/paper[@status = "ok"]')
         (predicate,) = path.steps[1].predicates
-        ids = value_filter_ids(predicate, index)
+        ids = value_filter_ids(predicate, index, document)
         papers = by_name(document, "paper")
         assert ids == {papers[0].node_id}
 
@@ -216,7 +248,7 @@ class TestValueFilter:
         for text in ('/doc/paper[title = "Alpha"]',   # element compare
                      '/doc/paper[authors]'):          # exists
             (predicate,) = parse_path(text).steps[1].predicates
-            assert value_filter_ids(predicate, index) is None
+            assert value_filter_ids(predicate, index, document) is None
 
 
 QUERIES = (

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import LabelingError
+from repro.errors import DocumentError, LabelingError
 from repro.labeling.containment import ExtendedLabel
 from repro.xdm.node import NodeType
 
@@ -47,6 +47,12 @@ class TestLabel:
     def test_malformed_string(self):
         with pytest.raises(LabelingError):
             ExtendedLabel.from_string("1;e;01")
+
+    def test_unknown_type_letter(self):
+        text = make_label().to_string().replace(";e;", ";x;")
+        with pytest.raises(DocumentError) as raised:
+            ExtendedLabel.from_string(text)
+        assert str(raised.value) == "unknown node type code: 'x'"
 
     def test_equality_and_hash(self):
         assert make_label() == make_label()

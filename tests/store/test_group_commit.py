@@ -14,6 +14,7 @@ import time
 
 import pytest
 
+import repro.store.durability.recovery as recovery_module
 import repro.store.durability.wal as wal_module
 from repro.errors import DurabilityError
 from repro.pul.ops import Rename
@@ -22,6 +23,7 @@ from repro.store import DocumentStore
 from repro.store.durability.recovery import (
     DurabilityManager,
     DurabilityPolicy,
+    decode_payload,
 )
 from repro.store.durability.wal import WalWriter, scan_wal
 
@@ -157,6 +159,41 @@ class TestCommitTrain:
         manager.close()
         assert unlocked_writes == []
         assert sum(counted) == threads * per_thread
+
+
+class TestSnapshotEncode:
+    def test_an_append_does_not_wait_out_the_snapshot_encode(
+            self, tmp_path, monkeypatch):
+        """``commit_snapshot`` encodes its payloads before it takes the
+        manager lock: while that encode is held, an append from another
+        thread returns with its record durable in the next segment."""
+        manager = _manager(tmp_path)
+        manager.log_batch("d", 1, 1, "<x/>")
+        encoding, release = threading.Event(), threading.Event()
+        released = []
+        real_encode = recovery_module.encode_payload
+
+        def held_encode(record):
+            if record["kind"] == "snapshot":
+                encoding.set()
+                # the append below releases it; the deadline only keeps
+                # an append that waits for the encode from hanging
+                released.append(release.wait(30))
+            return real_encode(record)
+
+        monkeypatch.setattr(recovery_module, "encode_payload", held_encode)
+        sealed = manager.begin_rotation()
+        snapshot = threading.Thread(target=manager.commit_snapshot,
+                                    args=(sealed, [{"doc_id": "d"}]))
+        snapshot.start()
+        assert encoding.wait(30)
+        manager.log_batch("d", 2, 1, "<y/>")
+        payloads, __, __ = scan_wal(manager._wal_path(sealed + 1))
+        release.set()
+        snapshot.join(30)
+        manager.close()
+        assert released == [True]
+        assert [decode_payload(p)["version"] for p in payloads] == [2]
 
 
 class TestFsyncFailure:

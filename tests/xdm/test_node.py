@@ -72,7 +72,7 @@ class TestStructure:
         parent = Node.element("a")
         attr = parent.append_attribute(Node.attribute("k", "v"))
         assert parent.attributes == [attr]
-        assert parent.children == []
+        assert parent.children == ()
 
     def test_attribute_cannot_be_child(self):
         parent = Node.element("a")

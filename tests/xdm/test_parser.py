@@ -16,7 +16,7 @@ class TestBasics:
     def test_simple_element(self):
         doc = parse_document("<a/>")
         assert doc.root.name == "a"
-        assert doc.root.children == []
+        assert doc.root.children == ()
 
     def test_nested(self):
         doc = parse_document("<a><b><c/></b></a>")
