@@ -4,7 +4,7 @@ Every primitive here is a sorted merge over label codes, replacing a
 tree walk with work proportional to the touched buckets. A bucket holds
 node ids in start-code order; a node's codes come from the version's
 labeling and its parent from the version's document
-(:meth:`~repro.xdm.document.Document.parent_ids`):
+(:meth:`~repro.xdm.document.Document.parent_id`):
 
 * **child / attribute steps** scan one name bucket and keep the ids
   whose parent is a context node — the parent map is the child axis,
@@ -61,7 +61,7 @@ def child_scan(bucket, parent_ids, document):
     """Ids of ``bucket`` whose parent in ``document`` is a context node,
     in bucket (= document) order."""
     return list(compress(bucket, map(parent_ids.__contains__,
-                                     document.parent_ids(bucket))))
+                                     map(document.parent_id, bucket))))
 
 
 def descendant_sweep(intervals, ids, key):
@@ -107,7 +107,7 @@ def execute_index_step(step, context, index, labeling, document):
         if step.axis == ast.DESCENDANT_ATTRIBUTE:
             # an attribute is tested by its owner's interval
             codes = dict(zip(bucket, map(
-                codes, document.parent_ids(bucket)))).__getitem__
+                codes, map(document.parent_id, bucket)))).__getitem__
         ids = descendant_sweep(intervals, bucket, codes)
     return list(map(document.get, ids))
 
@@ -141,7 +141,7 @@ def value_filter_ids(predicate, index, document):
             or inner.predicates):
         return None
     bucket = index.values.get((inner.name, predicate.literal), ())
-    return set(document.parent_ids(bucket))
+    return set(map(document.parent_id, bucket))
 
 
 def apply_predicates(step, nodes, index, document):

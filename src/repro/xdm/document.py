@@ -154,16 +154,6 @@ class Document:
             return self._own_maps()[1].get(node_id)
         return parent_id
 
-    def parent_ids(self, node_ids):
-        """The parent ids of ``node_ids``, in their order, as
-        :meth:`parent_id` answers each: one pass over the parent map."""
-        if self._parent_delta is None:
-            found = list(map(self._parents.get, node_ids))
-            # read before the flag, as in find
-            if self._handed_on is None:
-                return found
-        return list(map(self.parent_id, node_ids))
-
     def parent(self, node):
         """The parent of ``node`` in this document, or ``None`` for the
         root (and for a node the document does not hold)."""

@@ -18,7 +18,7 @@ the one shared empty tuple ``()``, so a leaf holds no list; the first
 child or attribute gives the node a list of its own. So an edit grows
 a node only through :meth:`Node.append_child`, :meth:`Node.insert_child`
 and :meth:`Node.append_attribute` (the builders — the parser, the
-snapshot restore, the copies — hand a node its finished list). An edit
+snapshot restore, the path copy — hand a node its finished list). An edit
 may remove from a list in place, and gives a list it empties back as
 ``()``.
 """
@@ -252,17 +252,10 @@ class Node:
             # must carry it faithfully or re-copying an updated tree
             # fails the constructor's freshness check
             copy.value = self.value
-            if self.attributes:
-                copy.attributes = [attr.deep_copy(keep_ids)
-                                   for attr in self.attributes]
-            if self.children:
-                # a loop, not a comprehension: before Python 3.12 a
-                # comprehension is a frame of its own, and the copy
-                # recurses once per level of a tree that may nest
-                # MAX_ELEMENT_NESTING elements deep
-                children = copy.children = []
-                for child in self.children:
-                    children.append(child.deep_copy(keep_ids))
+            for attr in self.attributes:
+                copy.append_attribute(attr.deep_copy(keep_ids=keep_ids))
+            for child in self.children:
+                copy.append_child(child.deep_copy(keep_ids=keep_ids))
         return copy
 
     # -- debugging ---------------------------------------------------------
