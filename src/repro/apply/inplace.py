@@ -12,13 +12,13 @@ repairs the containment labeling only around the touched sites:
 * labels of removed subtrees are forgotten (their ids stay burned);
 * runs of freshly inserted siblings receive codes generated strictly
   between the surviving neighbor codes
-  (:meth:`~repro.labeling.scheme.ContainmentLabeling.assign_run` — the
+  (:meth:`~repro.labeling.scheme.ContainmentLabeling.assign_runs` — the
   update-tolerance property is preserved: existing codes are never
   rewritten).
 
-A resident label is its two codes only, so nothing else needs repair:
-a label's level, parent and siblings are read off the tree it labels
-when it travels.
+A resident label is one integer holding its two codes, so nothing else
+needs repair: a label's level, parent and siblings are read off the
+tree it labels when it travels.
 
 The batch is classified once (:func:`classify`) against the tree it is
 about to change; the resulting :class:`Footprint` names every node
@@ -200,8 +200,8 @@ def apply_batch_in_place(document, labeling, pul, preserve_ids=True,
         labeling.sync(document)
         return "sync"
     try:
-        for left, right, __, run in runs:
-            labeling.assign_run(run, left, right)
+        labeling.assign_runs((left, right, run)
+                             for left, right, __, run in runs)
     except Exception:
         # the tree and its id index are complete; a label repair that
         # cannot be localized is finished wholesale instead of failing
@@ -293,10 +293,14 @@ def _register_runs(document, runs):
 def _collect_runs(labeling, site, site_label, runs):
     """Append ``site``'s unlabeled runs to ``runs`` as ``(left_code,
     right_code, site, nodes)`` — consecutive label-less attributes and
-    children, bounded by the neighboring existing codes (``site_label``
-    is the site's ``(start, end)``)."""
+    children, bounded by the neighboring existing codes, as integers
+    (:meth:`~repro.labeling.scheme.ContainmentLabeling.interval`;
+    ``site_label`` is the site's label)."""
     run = []
-    left, site_end = site_label
+    # the next run's left bound is the site's start (side 0), then the
+    # end (side 1) of the labeled item before it; a label is split
+    # only where a run needs its codes
+    left, side = site_label, 0
     for item in list(site.attributes) + list(site.children):
         label = (labeling.find(item.node_id)
                  if item.node_id is not None else None)
@@ -304,8 +308,10 @@ def _collect_runs(labeling, site, site_label, runs):
             run.append(item)
             continue
         if run:
-            runs.append((left, label[0], site, run))
+            runs.append((labeling.interval(left)[side],
+                         labeling.interval(label)[0], site, run))
             run = []
-        left = label[1]
+        left, side = label, 1
     if run:
-        runs.append((left, site_end, site, run))
+        runs.append((labeling.interval(left)[side],
+                     labeling.interval(site_label)[1], site, run))

@@ -1,4 +1,4 @@
-"""Secondary indexes and cost-based query planning over label codes.
+"""Secondary indexes and cost-based query planning over labels.
 
 See :mod:`repro.index.structural` for the index and its incremental
 maintenance, :mod:`repro.index.engine` for the sorted-interval merge

@@ -1,28 +1,30 @@
 """Interval execution of path steps over index buckets.
 
-Every primitive here is a sorted merge over label codes, replacing a
-tree walk with work proportional to the touched buckets. A bucket holds
-node ids in start-code order; a node's codes come from the version's
-labeling and its parent from the version's document
+Every primitive here is a sorted merge over labels, replacing a tree
+walk with work proportional to the touched buckets. A bucket holds node
+ids in label order (= document order); a node's label comes from the
+version's labeling and its parent from the version's document
 (:meth:`~repro.xdm.document.Document.parent_id`):
 
 * **child / attribute steps** scan one name bucket and keep the ids
   whose parent is a context node — the parent map is the child axis,
   no tree access needed;
 * **descendant steps** are the paper's containment test as a sweep:
-  contexts and candidates are both sorted by start code, so one pass
-  keeps each candidate whose interval is strictly inside some context
-  interval (``ctx.start < cand.start`` and ``cand.end < ctx.end``);
+  contexts and candidates are both sorted by label, and a candidate's
+  interval is strictly inside a context's iff ``ctx < cand <
+  labeling.after(ctx)`` (labels are integers ordered by start code,
+  and intervals nest or are disjoint), so one pass keeps each candidate
+  below the largest ``after`` of the contexts it has passed;
 * **descendant-attribute steps** test containment of the *owner's*
   interval, mirroring the walker's behaviour of yielding attributes of
   proper-descendant elements (a context node's own attributes are never
   selected by ``//@name``). Attribute start codes sit directly inside
-  their owner's interval, so bucket order keeps owner starts
+  their owner's interval, so bucket order keeps owner labels
   non-decreasing and the same sweep applies.
 
 The virtual document root (the walker's ``_Root``) is the interval
-``("", None)`` — the empty string precedes every code and ``None``
-stands for +infinity, so it strictly contains every node.
+``(0, None)`` — no label is 0, since no start code is empty, and
+``None`` stands for +infinity, so it strictly contains every node.
 
 Exists/compare predicates are order-independent node filters and are
 delegated to the walker's ``_apply_predicate`` — with one fast path:
@@ -40,14 +42,16 @@ from repro.xquery import ast
 from repro.xquery.xpath import _apply_predicate, _evaluate_step, _Root
 
 #: the virtual root's interval: contains every labeled node strictly
-ROOT_INTERVAL = ("", None)
+ROOT_INTERVAL = (0, None)
 
 
 def node_interval(node, labeling):
-    """``(start, end)`` of ``node``; the virtual root is ``("", None)``."""
+    """``(label, after)`` of ``node``: its label and the least label
+    past its interval; the virtual root is ``(0, None)``."""
     if isinstance(node, _Root):
         return ROOT_INTERVAL
-    return labeling.label_of(node.node_id)
+    label = labeling.label_of(node.node_id)
+    return label, labeling.after(label)
 
 
 def context_ids(context):
@@ -67,28 +71,27 @@ def child_scan(bucket, parent_ids, document):
 def descendant_sweep(intervals, ids, key):
     """One-pass sorted-interval containment merge.
 
-    ``intervals`` are ``(start, end)`` pairs sorted by start; ``ids``
-    are node ids whose test interval ``key(id)`` has non-decreasing
-    start. Returns the ids strictly contained in at least one interval,
-    preserving their order. ``None`` ends are +infinity (the virtual
-    root).
+    ``intervals`` are ``(label, after)`` pairs sorted by label; ``ids``
+    are node ids whose test label ``key(id)`` is non-decreasing.
+    Returns the ids whose test label lies strictly inside at least one
+    interval, preserving their order. ``None`` afters are +infinity
+    (the virtual root).
     """
     kept = []
     position = 0
     total = len(intervals)
-    best_end = None       # max finite end among passed intervals
+    best_after = None     # max finite after among passed intervals
     unbounded = False     # a passed interval reaches +infinity
     for node_id in ids:
-        start, end = key(node_id)
-        while position < total and intervals[position][0] < start:
-            passed_end = intervals[position][1]
-            if passed_end is None:
+        label = key(node_id)
+        while position < total and intervals[position][0] < label:
+            passed_after = intervals[position][1]
+            if passed_after is None:
                 unbounded = True
-            elif best_end is None or passed_end > best_end:
-                best_end = passed_end
+            elif best_after is None or passed_after > best_after:
+                best_after = passed_after
             position += 1
-        if unbounded or (best_end is not None and end is not None
-                         and end < best_end):
+        if unbounded or (best_after is not None and label < best_after):
             kept.append(node_id)
     return kept
 
@@ -103,12 +106,12 @@ def execute_index_step(step, context, index, labeling, document):
     else:
         intervals = sorted(node_interval(node, labeling)
                            for node in context)
-        codes = labeling.as_mapping().__getitem__
+        labels = labeling.as_mapping().__getitem__
         if step.axis == ast.DESCENDANT_ATTRIBUTE:
-            # an attribute is tested by its owner's interval
-            codes = dict(zip(bucket, map(
-                codes, map(document.parent_id, bucket)))).__getitem__
-        ids = descendant_sweep(intervals, bucket, codes)
+            # an attribute is tested by its owner's label
+            labels = dict(zip(bucket, map(
+                labels, map(document.parent_id, bucket)))).__getitem__
+        ids = descendant_sweep(intervals, bucket, labels)
     return list(map(document.get, ids))
 
 

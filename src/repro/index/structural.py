@@ -2,15 +2,16 @@
 
 A :class:`DocumentIndex` is a set of *buckets* — one per element name,
 attribute name, attribute ``(name, value)`` pair, and one for text
-nodes. Each bucket is a list of node ids sorted by the node's *start
-code*. An id is all a bucket holds: a node's codes are in the version's
+nodes. Each bucket is a list of node ids sorted by the node's label.
+An id is all a bucket holds: a node's label is in the version's
 labeling and its parent is in the version's
 :class:`~repro.xdm.document.Document`, and the query engine reads them
 there. The paper's containment property makes start-code order the
-only order the engine ever needs: start codes are unique, compare
-lexicographically, and **start-code order is document order**, so a
-bucket is simultaneously a name lookup, a document-order stream, and
-one side of a sorted-interval merge (:mod:`repro.index.engine`).
+only order the engine ever needs: start codes are unique, a label is
+one integer ordered by its start code, and **label order is document
+order**, so a bucket is simultaneously a name lookup, a document-order
+stream, and one side of a sorted-interval merge
+(:mod:`repro.index.engine`).
 
 Maintenance mirrors the incremental-label pattern of
 :func:`repro.apply.inplace.apply_batch_in_place`: the index is built
@@ -21,8 +22,9 @@ targets move buckets, freshly labeled subtrees enter theirs. Only the
 touched buckets are copied (copy-on-write); untouched buckets are
 shared by reference between versions, which is safe because a bucket
 is immutable once published and an incremental relabel never changes
-the codes of a node that stays, so a shared bucket is still in
-start-code order under the next version's labeling. Anything the delta
+the codes of a node that stays (a widened labeling rescales every
+label alike), so a shared bucket is still in label order under the
+next version's labeling. Anything the delta
 cannot localize — a whole-tree relabel, a ``sync`` fallback, a site
 with no label — falls back to a full rebuild, exactly like the
 labeling it shadows.
@@ -41,7 +43,7 @@ _ELEMENT, _ATTRIBUTE = NodeType.ELEMENT, NodeType.ATTRIBUTE
 
 
 class DocumentIndex:
-    """Versioned per-document secondary index over label codes."""
+    """Versioned per-document secondary index over labels."""
 
     __slots__ = ("elements", "attributes", "values", "texts")
 
@@ -75,11 +77,11 @@ class DocumentIndex:
                                   []).append(node.node_id)
             else:
                 texts.append(node.node_id)
-        codes = labeling.as_mapping().__getitem__
+        labels = labeling.as_mapping().__getitem__
         for buckets in (elements, attributes, values):
             for bucket in buckets.values():
-                bucket.sort(key=codes)
-        texts.sort(key=codes)
+                bucket.sort(key=labels)
+        texts.sort(key=labels)
         return index
 
     # -- incremental maintenance ----------------------------------------------
@@ -176,7 +178,7 @@ class DocumentIndex:
     def _rewrite(self, removals, additions, labels):
         """Copy-on-write application of the delta: only buckets named
         in ``removals``/``additions`` are copied; every other bucket is
-        shared with ``self``. ``labels`` are the new version's codes."""
+        shared with ``self``. ``labels`` are the new version's labels."""
         new = DocumentIndex(
             elements=dict(self.elements),
             attributes=dict(self.attributes),
@@ -245,14 +247,14 @@ class DocumentIndex:
 
 
 def _insort(bucket, node_id, labels):
-    """Insert ``node_id`` into ``bucket`` at the place of its start code
-    in ``labels``: a binary search over the codes of the bucket's ids
+    """Insert ``node_id`` into ``bucket`` at the place of its label in
+    ``labels``: a binary search over the labels of the bucket's ids
     (``bisect``'s ``key=`` needs Python 3.10)."""
-    start = labels[node_id][0]
+    label = labels[node_id]
     low, high = 0, len(bucket)
     while low < high:
         middle = (low + high) // 2
-        if labels[bucket[middle]][0] < start:
+        if labels[bucket[middle]] < label:
             low = middle + 1
         else:
             high = middle

@@ -13,12 +13,18 @@ what makes the containment labeling update-tolerant.
   digits (two bits per digit on the wire), insertion via a midpoint search;
   codes are shorter at equal fan-out, trading slightly more work per digit.
 
-Codes have one representation, the digit string (``"1011"``): it is what
-labels store, what travels on the wire and in snapshots, and what the
-generators compute on. Single-character digits without trailing zeros
-compare as their fractional values, so ordering is a plain ``str``
-comparison; the CDQS midpoint search likewise compares digit characters
-and converts only the first pair that differs to numbers.
+Codes are generated as digit strings (``"1011"``): the generators
+compute on them, and they are what travels on the wire and in
+snapshots. Single-character digits without trailing zeros compare as
+their fractional values, so ordering is a plain ``str`` comparison; the
+CDQS midpoint search likewise compares digit characters and converts
+only the first pair that differs to numbers. A resident label keeps a
+code as an integer instead (:mod:`repro.labeling.scheme`):
+:meth:`~_EncoderBase.to_int` reads a code's digits padded on the right
+to a fixed width as one number in the encoder's base, and
+:meth:`~_EncoderBase.to_digits` gives the padded digits back. Since no
+code ends in ``0``, the padding is one-to-one and integer order is
+string order.
 """
 
 from __future__ import annotations
@@ -28,6 +34,10 @@ from repro.errors import LabelingError
 #: digit characters, indexed by digit value (bases beyond 10 would need a
 #: wider alphabet; both paper encoders use base <= 4)
 _DIGITS = "0123456789"
+
+#: each hex character as its two base-4 digits
+_QUATERNARY = {ord(char): _DIGITS[value >> 2] + _DIGITS[value & 3]
+               for value, char in enumerate("0123456789abcdef")}
 
 
 def code_between(left, right, base):
@@ -102,6 +112,17 @@ class _EncoderBase:
     #: digit base; subclasses override.
     base = 2
 
+    def to_int(self, code, width):
+        """The integer whose ``width`` digits are ``code`` padded on the
+        right with zeros (``code`` has at most ``width`` digits)."""
+        raise NotImplementedError
+
+    def to_digits(self, value, width):
+        """The ``width`` digits of ``value`` (``0 <= value <
+        base ** width``), leading zeros kept: :meth:`to_int` inverted,
+        with the right padding still on."""
+        raise NotImplementedError
+
     def initial_codes(self, count):
         """Assign ``count`` codes in increasing order, balanced so code
         length grows logarithmically with ``count`` (bulk loading)."""
@@ -118,17 +139,17 @@ class _EncoderBase:
         # the midpoint of each range first, then both halves: a stack,
         # not a recursive closure, which would be a reference cycle
         # (function -> cell -> function) left to the cyclic collector
-        # on every insert
-        ranges = [(0, count - 1, left, right)]
+        # on every insert; an empty half is never pushed
+        ranges = [(0, count - 1, left, right)] if count > 0 else []
+        pop, push = ranges.pop, ranges.append
         while ranges:
-            lo, hi, lo_code, hi_code = ranges.pop()
-            if lo > hi:
-                continue
+            lo, hi, lo_code, hi_code = pop()
             mid = (lo + hi) // 2
-            code = between(lo_code, hi_code)
-            codes[mid] = code
-            ranges.append((mid + 1, hi, code, hi_code))
-            ranges.append((lo, mid - 1, lo_code, code))
+            code = codes[mid] = between(lo_code, hi_code)
+            if mid < hi:
+                push((mid + 1, hi, code, hi_code))
+            if lo < mid:
+                push((lo, mid - 1, lo_code, code))
         return codes
 
 
@@ -144,6 +165,13 @@ class CDBSEncoder(_EncoderBase):
     """
 
     base = 2
+
+    def to_int(self, code, width):
+        return int(code, 2) << width - len(code)
+
+    def to_digits(self, value, width):
+        # a set bit above the digits keeps the leading zeros in ``bin``
+        return bin(value | 1 << width)[3:]
 
     def between(self, left, right):
         if left is None and right is None:
@@ -169,6 +197,16 @@ class CDQSEncoder(_EncoderBase):
     """
 
     base = 4
+
+    def to_int(self, code, width):
+        return int(code, 4) << 2 * (width - len(code))
+
+    def to_digits(self, value, width):
+        # one hex character is two base-4 digits: an odd width reads
+        # one padding digit more and drops it
+        odd = width & 1
+        value = value << 2 * odd | 1 << 2 * (width + odd)
+        return hex(value)[3:].translate(_QUATERNARY)[:width]
 
     def between(self, left, right):
         return code_between(left, right, self.base)

@@ -55,7 +55,12 @@ import re
 import threading
 import time
 
-from repro.errors import DurabilityError, RecoveryError, WalPoisonedError
+from repro.errors import (
+    DurabilityError,
+    RecoveryError,
+    ReproError,
+    WalPoisonedError,
+)
 from repro.obs import SIZE_BUCKETS, StoreObs
 from repro.pul.serialize import pul_from_xml
 from repro.pul.semantics import apply_pul
@@ -666,8 +671,10 @@ def replay_oracle(directory):
                 reduced.check_compatible()
                 working = document.copy()
                 apply_pul(working, reduced, check=False, preserve_ids=True)
-            except Exception:
-                continue  # the store skipped this batch too
+            except ReproError:
+                # a typed refusal: the store skipped this batch too;
+                # anything else is the oracle's own fault and escapes
+                continue
             entries[doc_id] = working
             versions[doc_id] = record["version"]
         else:

@@ -16,11 +16,14 @@ codes::
     attribute  [id, name, value, start, end]
     text       [id, value, start, end]
 
-A resident label is just those two codes; the rest of the label a PUL
-carries — node type, level, parent and sibling ids — is what the tree
-says it is, so it is neither written nor restored: one iterative walk
-over the rows builds the tree, its parent map and the code map. The
-rows travel as one compact JSON text in the ``nodes`` field
+The codes are digit strings, as they travel everywhere; a resident
+label is one integer holding the two, which the labeling converts from
+and to digits (:meth:`~repro.labeling.scheme.ContainmentLabeling.digits`,
+:meth:`~repro.labeling.scheme.ContainmentLabeling.restored`). The rest
+of the label a PUL carries — node type, level, parent and sibling ids —
+is what the tree says it is, so it is neither written nor restored: one
+iterative walk over the rows builds the tree, its parent map and the
+codes. The rows travel as one compact JSON text in the ``nodes`` field
 (a single string costs a wire codec one copy instead of a walk over
 every term), beside ``doc_id``, ``next_id``, ``max_code_len``, the
 headroom ``budget`` the document was opened under and the version
@@ -39,7 +42,7 @@ from __future__ import annotations
 import json
 from sys import intern
 
-from repro.errors import RecoveryError
+from repro.errors import LabelingError, RecoveryError
 from repro.labeling.scheme import ContainmentLabeling
 from repro.store.versions import DEFAULT_MAX_CODE_LENGTH, DocumentVersion
 from repro.xdm.document import Document, IdAllocator
@@ -62,11 +65,11 @@ _ROW_TYPES = {
 def document_payload(version):
     """Serialize one :class:`DocumentVersion` to a payload dict
     (JSON-compatible)."""
-    labels = version.labeling.as_mapping()
+    digits = version.labeling.digits
     rows = []
     append = rows.append
     for node in version.document.root.iter_subtree():
-        start, end = labels[node.node_id]
+        start, end = digits(node.node_id)
         kind = node.node_type
         if kind is _ELEMENT:
             append([node.node_id, node.name, len(node.attributes),
@@ -124,7 +127,7 @@ def restore_document(payload, budget=DEFAULT_MAX_CODE_LENGTH):
             "malformed document payload for {!r}: no {} field{}".format(
                 doc_id, exc, " (a payload in the retired tree/labels "
                 "form)" if "tree" in payload else "")) from exc
-    except (TypeError, ValueError, RecursionError) as exc:
+    except (TypeError, ValueError, RecursionError, LabelingError) as exc:
         raise RecoveryError(
             "malformed document payload for {!r}: {}".format(
                 doc_id, exc)) from exc
@@ -143,12 +146,13 @@ def _rebuild(rows):
     """Build the tree and its codes from node rows in one walk.
 
     Returns ``(root, {id: node}, {id: parent id}, {id: (start,
-    end)})``. Each node's parent id comes from the place its row takes
-    in the tree; a row that does not fit the tree the rows before it
-    describe, or whose codes make an empty interval, is a
-    ``ValueError``. An element's child and attribute lists are made
-    at its row, exactly as long as its counts say (a leaf keeps the
-    shared ``()``), and names are interned as in the parser.
+    end)})``, the codes as digit strings. Each node's parent id comes
+    from the place its row takes in the tree; a row that does not fit
+    the tree the rows before it describe, or whose codes make an empty
+    interval, is a ``ValueError``. An element's child and attribute
+    lists are made at its row, exactly as long as its counts say (a
+    leaf keeps the shared ``()``), and names are interned as in the
+    parser.
     """
     if type(rows) is not list or not rows:
         raise ValueError("no node rows")

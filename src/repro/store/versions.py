@@ -29,11 +29,11 @@ node is shared with N. The copy shares N's id index and parent map
 but keeps its own entries apart until ``publish`` folds them in
 (:meth:`repro.xdm.document.Document.commit`); from then on N answers
 lookups from maps of its own tree, built only if a reader still
-holding N asks. The copy has its own allocator, and N's code map is
-copied (a resident label is an immutable ``(start, end)`` tuple, shared
-between the maps). The batch is applied in place to that copy, whose
-labeling then labels the copy, and published. A flush thus copies
-O(touched × depth) nodes and no per-node table but the code map, and a
+holding N asks. The copy has its own allocator, and N's label map is
+copied (a resident label is one immutable integer holding its two
+codes, shared between the maps). The batch is applied in place to that
+copy, whose labeling then labels the copy, and published. A flush thus copies
+O(touched × depth) nodes and no per-node table but the label map, and a
 resident document holds one tree plus whatever its retired versions'
 readers still hold. A label's level, parent and sibling ids are read
 off the version's own tree when it travels, so a reader holding N gets

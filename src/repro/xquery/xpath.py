@@ -149,12 +149,13 @@ def document_order(nodes, labeling=None, roots=()):
     """Sort ``nodes``, all of them in the trees ``roots``, into document
     order.
 
-    With a ``labeling``, order by label *start code* — the paper's
-    order: start codes are unique, compare lexicographically, and
-    enumerate the document — which is O(1) per comparison and the
-    primitive the index engine's bucket order shares. Without one (or
-    when a node is unlabeled, e.g. the compiler's source fragments),
-    fall back to the positions of one pre-order walk of ``roots``.
+    With a ``labeling``, order by label — the paper's order: a label
+    is one integer ordered by its start code, and start codes are
+    unique and enumerate the document — which is O(1) per comparison
+    and the primitive the index engine's bucket order shares. Without
+    one (or when a node is unlabeled, e.g. the compiler's source
+    fragments), fall back to the positions of one pre-order walk of
+    ``roots``.
     """
     if labeling is not None:
         keys = {}
@@ -163,7 +164,7 @@ def document_order(nodes, labeling=None, roots=()):
             if label is None:
                 keys = None
                 break
-            keys[id(node)] = label[0]
+            keys[id(node)] = label
         if keys is not None:
             return sorted(nodes, key=lambda node: keys[id(node)])
     positions = {}

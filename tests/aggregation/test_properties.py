@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from repro.aggregation import aggregate
 from repro.pul.equivalence import sequential_obtainable_strings
-from repro.pul.pul import PUL
 from repro.pul.semantics import (
     ObtainableLimitExceeded,
     apply_pul,

@@ -21,7 +21,7 @@ import struct
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.api import (

@@ -1,14 +1,15 @@
 """In-place label repair equals a whole-tree ``sync``.
 
 The store repairs labels only around the sites a batch touched
-(:func:`repro.apply.inplace.apply_batch_in_place`: ``assign_run`` per
-run of fresh nodes). The oracle is
+(:func:`repro.apply.inplace.apply_batch_in_place`: ``assign_runs``
+over the runs of fresh nodes). The oracle is
 :meth:`~repro.labeling.scheme.ContainmentLabeling.sync` run from the
-pre-batch labels over the post-batch document: every node's ``(start,
-end)`` codes must be the same, batch after batch, for both encoders,
-and the repaired labeling must label the post-batch document. A
-resident label holds nothing else; the level, parent and sibling ids
-an exchange label carries are read off that document.
+pre-batch labels over the post-batch document: every node's label —
+one integer holding its ``(start, end)`` codes — must be the same,
+batch after batch, for both encoders, and the repaired labeling must
+label the post-batch document. A resident label holds nothing else;
+the level, parent and sibling ids an exchange label carries are read
+off that document.
 """
 
 from hypothesis import given, settings

@@ -20,7 +20,7 @@ DOC = "<doc><items/><meta/></doc>"
 
 def _label_codes(document, labeling):
     """Digit-exact label timeline of one tree: id -> (start, end)."""
-    return {node.node_id: labeling.label_of(node.node_id)
+    return {node.node_id: labeling.digits(node.node_id)
             for node in document.nodes()}
 
 

@@ -13,7 +13,11 @@ import pytest
 from repro.api.dispatch import StoreDispatcher
 from repro.apply.inplace import apply_batch_in_place
 from repro.index import build_index
-from repro.index.engine import descendant_sweep, value_filter_ids
+from repro.index.engine import (
+    ROOT_INTERVAL,
+    descendant_sweep,
+    value_filter_ids,
+)
 from repro.index.planner import run_query
 from repro.labeling import ContainmentLabeling
 from repro.pul.ops import (
@@ -77,8 +81,8 @@ class TestBuild:
         assert document.parent_id(entry) == document.root.node_id
         authors = index.elements["author"]
         assert authors == [n.node_id for n in by_name(document, "author")]
-        starts = [labeling.label_of(node_id)[0] for node_id in authors]
-        assert starts == sorted(starts)
+        labels = [labeling.label_of(node_id) for node_id in authors]
+        assert labels == sorted(labels)
 
     def test_rootless_document_indexes_empty(self):
         index = build_index(Document(), ContainmentLabeling())
@@ -209,26 +213,33 @@ class TestShape:
         assert_buckets_hold_ints(derived)
 
 
+def packed(start, end):
+    """A label at a scale of 10 (one-digit codes): ``(label, after)``
+    as :func:`~repro.index.engine.node_interval` gives them."""
+    return start * 10 + end, end * 10
+
+
 class TestSweep:
     def test_strict_containment(self):
-        intervals = [("1", "4"), ("6", "9")]
-        codes = {1: ("0", "05"),   # before both
-                 2: ("2", "3"),    # inside the first
-                 3: ("1", "4"),    # equal, not strict
-                 4: ("5", "55"),   # in the gap
-                 5: ("7", "8")}    # inside the second
-        kept = descendant_sweep(intervals, sorted(codes, key=codes.get),
-                                codes.get)
+        intervals = [packed(1, 4), packed(6, 9)]
+        labels = {1: packed(0, 5)[0],   # before both
+                  2: packed(2, 3)[0],   # inside the first
+                  3: packed(1, 4)[0],   # equal, not strict
+                  4: packed(5, 6)[0],   # in the gap
+                  5: packed(7, 8)[0]}   # inside the second
+        kept = descendant_sweep(intervals, sorted(labels, key=labels.get),
+                                labels.get)
         assert kept == [2, 5]
 
     def test_virtual_root_contains_everything(self):
-        codes = {1: ("1", "2"), 2: ("3", "9")}
-        assert descendant_sweep([("", None)], [1, 2], codes.get) == [1, 2]
+        labels = {1: packed(1, 2)[0], 2: packed(3, 9)[0]}
+        assert descendant_sweep([ROOT_INTERVAL], [1, 2], labels.get) \
+            == [1, 2]
 
     def test_key_projection(self):
         entries = [("2", "2a", 7, "owner")]
-        kept = descendant_sweep([("1", "4")], entries,
-                                key=lambda e: ("2", "3"))
+        kept = descendant_sweep([packed(1, 4)], entries,
+                                key=lambda e: packed(2, 3)[0])
         assert kept == entries
 
 

@@ -8,7 +8,6 @@ from repro.pul.ops import (
     InsertBefore,
     InsertAttributes,
     InsertInto,
-    InsertIntoAsFirst,
     Rename,
     ReplaceChildren,
     ReplaceNode,

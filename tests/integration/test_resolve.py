@@ -7,7 +7,6 @@ from repro.integration import (
     ConflictType,
     ProducerPolicy,
     detect_conflicts,
-    integrate,
     reconcile,
 )
 from repro.integration.policies import (
@@ -21,8 +20,6 @@ from repro.pul.ops import (
     Delete,
     InsertAfter,
     InsertAttributes,
-    InsertBefore,
-    InsertIntoAsFirst,
     Rename,
     ReplaceChildren,
     ReplaceNode,

@@ -1,9 +1,10 @@
 """The labels a store attaches to a batch equal an independent oracle.
 
-A resident labeling keeps two codes per node; the level, parent and
-sibling ids of the label a batch carries into the log are read off the
-published tree when :func:`repro.store.store.coalesce_batch` attaches
-them (:meth:`~repro.labeling.scheme.ContainmentLabeling.exchange_label`).
+A resident labeling keeps one integer per node, its two codes; the
+level, parent and sibling ids of the label a batch carries into the
+log are read off the published tree when
+:func:`repro.store.store.coalesce_batch` attaches them
+(:meth:`~repro.labeling.scheme.ContainmentLabeling.exchange_label`).
 The oracle is :class:`~repro.reasoning.oracle.DocumentOracle` over the
 version the batch was coalesced against — a snapshot of node type,
 parent and siblings taken by its own walk — and
@@ -51,7 +52,7 @@ def assert_labels_equal_oracle(labels, version, oracle):
     for node_id, label in labels.items():
         assert label.node_id == node_id
         assert (label.start, label.end) == \
-            version.labeling.label_of(node_id)
+            version.labeling.digits(node_id)
         assert _label_structure(label) == _oracle_structure(oracle, node_id)
         assert label.level == depth(document, document.get(node_id))
 

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 
 from repro.labeling import CDQSEncoder, ContainmentLabeling
+from repro.labeling.scheme import WIDTH
 from repro.pul.ops import Delete
 from repro.pul.semantics import apply_operation
 from repro.reasoning import LabelOracle
@@ -21,6 +22,12 @@ from repro.xdm.navigation import (
 from repro.xdm.node import Node
 
 from tests.strategies import documents
+
+
+def digit_codes(labeling):
+    """Every node's ``(start, end)`` digit strings."""
+    return {node_id: labeling.digits(node_id)
+            for node_id in labeling.as_mapping()}
 
 
 def exchange_labels(labeling):
@@ -81,7 +88,7 @@ class TestBuild:
 
         def total_chars(labeling):
             return sum(len(start) + len(end)
-                       for start, end in labeling.as_mapping().values())
+                       for start, end in digit_codes(labeling).values())
 
         cdbs = ContainmentLabeling().build(document)
         cdqs = ContainmentLabeling(encoder=CDQSEncoder()).build(document)
@@ -102,18 +109,44 @@ class TestBuild:
         with pytest.raises(LabelingError):
             labeling.exchange_label(999)
 
-    def test_a_resident_label_is_its_two_codes(self, small_doc):
-        """``find`` and ``label_of`` give the plain ``(start, end)``
-        tuple the map holds; ``exchange_label`` adds the rest."""
+    def test_a_resident_label_is_one_integer(self, small_doc):
+        """After every way of making labels — build, sync, a batch's
+        runs, a restore and a full relabel — the map holds one ``int``
+        per labeled node, and ``find``/``label_of`` give it;
+        ``digits`` and ``exchange_label`` give the codes back."""
+        def assert_one_int_each(labeling):
+            assert len(labeling) == len(small_doc)
+            for node_id, label in labeling.as_mapping().items():
+                assert type(label) is int
+                assert labeling.find(node_id) is label
+                assert labeling.label_of(node_id) is label
+                exchanged = labeling.exchange_label(node_id)
+                assert (exchanged.start, exchanged.end) == \
+                    labeling.digits(node_id)
+
         labeling = ContainmentLabeling().build(small_doc)
-        pair = labeling.label_of(5)
-        assert type(pair) is tuple and len(pair) == 2
-        assert labeling.find(5) is pair
-        label = labeling.exchange_label(5)
-        assert (label.node_id, label.start, label.end) == (5, *pair)
+        assert_one_int_each(labeling)
+        root = small_doc.root
+        synced = Node.element("synced")
+        root.insert_child(1, synced)
+        small_doc.register_tree(synced, root)
+        labeling.sync(small_doc)
+        assert_one_int_each(labeling)
+        run = [Node.element("run")]
+        root.insert_child(0, run[0])
+        small_doc.register_tree(run[0], root)
+        left = labeling.interval(labeling.label_of(root.node_id))[0]
+        right = labeling.interval(
+            labeling.label_of(root.children[1].node_id))[0]
+        labeling.assign_runs([(left, right, run)])
+        assert_one_int_each(labeling)
+        assert_one_int_each(ContainmentLabeling.restored(
+            small_doc, digit_codes(labeling), labeling.max_code_length))
+        labeling.build(small_doc)
+        assert_one_int_each(labeling)
 
     def test_the_mapping_is_a_read_only_view(self, small_doc):
-        """``as_mapping`` is a live view of the code map, not a copy,
+        """``as_mapping`` is a live view of the label map, not a copy,
         and refuses writes."""
         labeling = ContainmentLabeling().build(small_doc)
         view = labeling.as_mapping()
@@ -130,7 +163,7 @@ class TestBuild:
         """``build`` hands out exactly ``initial_codes`` over the
         document's boundary slots: every start and end, in order."""
         labeling = ContainmentLabeling(encoder=encoder).build(small_doc)
-        codes = sorted(code for pair in labeling.as_mapping().values()
+        codes = sorted(code for pair in digit_codes(labeling).values()
                        for code in pair)
         assert codes == labeling.encoder.initial_codes(2 * len(labeling))
 
@@ -144,7 +177,7 @@ class TestBuild:
 class TestSync:
     def test_existing_codes_never_change(self, small_doc):
         labeling = ContainmentLabeling().build(small_doc)
-        before = dict(labeling.as_mapping())
+        before = digit_codes(labeling)
         parent = small_doc.get(0)
         for position in (0, 2, len(parent.children)):
             tree = Node.element("ins{}".format(position))
@@ -152,7 +185,7 @@ class TestSync:
             small_doc.register_tree(tree, parent)
         labeling.sync(small_doc)
         for node_id, codes in before.items():
-            assert labeling.label_of(node_id) == codes
+            assert labeling.digits(node_id) == codes
 
     def test_new_nodes_labeled_consistently(self, small_doc):
         labeling = ContainmentLabeling().build(small_doc)
@@ -190,7 +223,7 @@ class TestSync:
     @given(documents(), documents(max_depth=1))
     def test_random_insertion_keeps_invariants(self, document, extra):
         labeling = ContainmentLabeling().build(document)
-        before = dict(labeling.as_mapping())
+        before = digit_codes(labeling)
         host = document.root
         graft = extra.root.deep_copy()
         host.insert_child(len(host.children) // 2, graft)
@@ -198,7 +231,7 @@ class TestSync:
         labeling.sync(document)
         assert_labels_match_tree(document, labeling)
         for node_id, codes in before.items():
-            assert labeling.label_of(node_id) == codes
+            assert labeling.digits(node_id) == codes
 
 
 def test_forget(small_doc):
@@ -211,7 +244,7 @@ def test_forget(small_doc):
 @pytest.mark.parametrize("encoder", [None, CDQSEncoder()],
                          ids=["CDBS", "CDQS"])
 def test_assign_run_labels_as_sync_does(small_doc, encoder):
-    """A run of attached subtrees labeled by ``assign_run`` between its
+    """A run of attached subtrees labeled by ``assign_runs`` between its
     neighbors' codes carries the labels a whole-tree ``sync`` from the
     same pre-state gives it: codes, levels, parent and sibling ids."""
     labeling = ContainmentLabeling(encoder=encoder).build(small_doc)
@@ -223,8 +256,8 @@ def test_assign_run_labels_as_sync_does(small_doc, encoder):
     for offset, node in enumerate(run):
         host.insert_child(offset, node)
         small_doc.register_tree(node, host)
-    labeling.assign_run(run, labeling.label_of(6)[1],
-                        labeling.label_of(7)[0])
+    labeling.assign_runs([(bound(labeling, 6, 1), bound(labeling, 7, 0),
+                           run)])
     expected = before.sync(small_doc)
     assert {node_id: label.to_string()
             for node_id, label in exchange_labels(labeling).items()} == \
@@ -233,24 +266,72 @@ def test_assign_run_labels_as_sync_does(small_doc, encoder):
     assert_labels_match_tree(small_doc, labeling)
 
 
+def bound(labeling, node_id, side):
+    """The start (``side`` 0) or end (1) code of ``node_id`` as a run
+    bound of :meth:`ContainmentLabeling.assign_runs`."""
+    return labeling.interval(labeling.label_of(node_id))[side]
+
+
 def hot_spot(document, labeling, count):
     """Insert ``count`` elements into ``document``, each right after the
     previous one, between the root's children ``b`` (2) and ``c`` (4);
-    label each attached node with ``assign_run`` as the in-place applier
-    does. Returns ``max_code_length`` before and after every insertion."""
+    label each attached node with ``assign_runs`` as the in-place
+    applier does. Returns ``max_code_length`` before and after every
+    insertion."""
     root = document.root
-    right = labeling.label_of(4)[0]
     previous = document.get(2)
     observed = [labeling.max_code_length]
     for __ in range(count):
         node = Node.element("hot")
         root.insert_child(root.children.index(previous) + 1, node)
         document.register_tree(node, root)
-        labeling.assign_run([node], labeling.label_of(previous.node_id)[1],
-                            right)
+        labeling.assign_runs([(bound(labeling, previous.node_id, 1),
+                               bound(labeling, 4, 0), [node])])
         previous = node
         observed.append(labeling.max_code_length)
     return observed
+
+
+@pytest.mark.parametrize("encoder", [None, CDQSEncoder()],
+                         ids=["CDBS", "CDQS"])
+def test_a_widen_keeps_digits_and_document_order(small_doc, encoder):
+    """Codes grown past the 64-digit width at one spot in the middle of
+    the document widen the labeling. Every label keeps its digits,
+    label order stays document order, a run labeled in the batch that
+    widens gets the codes a sync gives it, and a restore from the
+    digits packs the same integers."""
+    labeling = ContainmentLabeling(encoder=encoder).build(small_doc)
+    before_digits = digit_codes(labeling)
+    root, host = small_doc.root, small_doc.get(5)  # <d k='v'>
+    previous = small_doc.get(2)
+    while labeling.max_code_length <= WIDTH:
+        pre_batch = labeling.copy()
+        hot, cold = Node.element("hot"), Node.element("cold")
+        root.insert_child(root.children.index(previous) + 1, hot)
+        small_doc.register_tree(hot, root)
+        host.insert_child(0, cold)
+        small_doc.register_tree(cold, host)
+        labeling.assign_runs([
+            (bound(labeling, previous.node_id, 1), bound(labeling, 4, 0),
+             [hot]),
+            (bound(labeling, 6, 1),
+             bound(labeling, host.children[1].node_id, 0), [cold])])
+        synced = pre_batch.sync(small_doc)
+        assert {node_id: label.to_string()
+                for node_id, label in exchange_labels(labeling).items()} \
+            == {node_id: label.to_string()
+                for node_id, label in exchange_labels(synced).items()}
+        previous = hot
+    assert labeling.max_code_length > WIDTH
+    for node_id, codes in before_digits.items():
+        assert labeling.digits(node_id) == codes
+    order = [node.node_id for node in root.iter_subtree()]
+    assert sorted(order, key=labeling.label_of) == order
+    assert_labels_match_tree(small_doc, labeling)
+    if encoder is None:  # a restore labels with the store's encoder
+        restored = ContainmentLabeling.restored(
+            small_doc, digit_codes(labeling), labeling.max_code_length)
+        assert restored.as_mapping() == labeling.as_mapping()
 
 
 class TestMaxCodeLength:
@@ -258,7 +339,7 @@ class TestMaxCodeLength:
         labeling = ContainmentLabeling().build(small_doc)
         expected = max(
             max(len(start), len(end))
-            for start, end in labeling.as_mapping().values())
+            for start, end in digit_codes(labeling).values())
         assert labeling.max_code_length == expected
         assert ContainmentLabeling().max_code_length == 0
 
@@ -286,7 +367,7 @@ class TestMaxCodeLength:
         built = ContainmentLabeling().build(small_doc)
         watermark = built.max_code_length + 5
         restored = ContainmentLabeling.restored(
-            small_doc, dict(built.as_mapping()), watermark)
+            small_doc, digit_codes(built), watermark)
         assert restored.max_code_length == watermark
         assert restored.as_mapping() == built.as_mapping()
         assert restored.document is small_doc

@@ -3,10 +3,10 @@
 :func:`tree_structure` works out every node's level, parent id and
 left/right sibling ids by walking the tree, without a label in sight.
 Every path that makes labels — a bulk :meth:`build`, a whole-tree
-:meth:`sync`, the per-site ``assign_run`` of the in-place applier, the
+:meth:`sync`, the per-site ``assign_runs`` of the in-place applier, the
 full relabel a flush falls back on when codes outgrow the budget, a
-restart's restore and a replica's replay — must leave exactly one code
-pair per live node, over the document it labels, and each label made
+restart's restore and a replica's replay — must leave exactly one
+label per live node, over the document it labels, and each label made
 to travel (``exchange_label``) must have that structure. A node's
 parent has one source, its document's parent map, which must give
 every node the parent its tree and its label give it.
@@ -66,13 +66,13 @@ def tree_structure(document):
 def exchanged_structure(labeling, node_id):
     """The structure fields of ``node_id``'s exchange label."""
     label = labeling.exchange_label(node_id)
-    assert (label.start, label.end) == labeling.label_of(node_id)
+    assert (label.start, label.end) == labeling.digits(node_id)
     return (label.node_type, label.level, label.parent_id,
             label.left_sibling_id, label.right_sibling_id)
 
 
 def assert_structure(document, labeling):
-    """One code pair per live node over ``document``, exchange labels
+    """One label per live node over ``document``, exchange labels
     with the structure the tree gives them, and the document's parent
     map and length agreeing with both."""
     structure = tree_structure(document)
@@ -111,8 +111,8 @@ def test_sync(data, encoder_cls):
 @settings(max_examples=60, deadline=None)
 @given(st.data(), st.sampled_from(ENCODERS))
 def test_assign_run(data, encoder_cls):
-    """The in-place applier's per-site repair: each ``assign_run``
-    gives its run's nodes their codes, and their exchange labels the
+    """The in-place applier's per-site repair: ``assign_runs`` gives
+    each run's nodes their codes, and their exchange labels the
     structure of the tree they were inserted into."""
     document = data.draw(documents())
     labeling = ContainmentLabeling(encoder=encoder_cls()).build(document)
@@ -128,8 +128,9 @@ def test_assign_run(data, encoder_cls):
             labeling.sync(document)
         else:
             structure = tree_structure(document)
-            for left, right, __, run in runs:
-                labeling.assign_run(run, left, right)
+            labeling.assign_runs((left, right, run)
+                                 for left, right, __, run in runs)
+            for __, __, __, run in runs:
                 for tree in run:
                     for node in tree.iter_subtree():
                         assert exchanged_structure(

@@ -4,7 +4,6 @@ from repro.labeling import ContainmentLabeling
 from repro.pul.ops import (
     Delete,
     InsertAfter,
-    InsertAttributes,
     InsertBefore,
     InsertInto,
     InsertIntoAsFirst,

@@ -46,6 +46,7 @@ from repro.store.durability import (
     load_durable_state,
     restore_document,
 )
+from repro.store.durability import recovery as recovery_module
 from repro.store.store import DEFAULT_MAX_CODE_LENGTH
 from repro.workloads import generate_client_batches, generate_xmark
 from repro.xdm.document import Document
@@ -313,6 +314,13 @@ def _hostile_payloads():
         ("boolean-id", with_rows(set_field(2, 0, True))),
         ("start-after-end", with_rows(swap_codes)),
         ("start-equals-end", with_rows(set_field(2, -2, rows[2][-1]))),
+        # codes that would not read back as the same digits
+        ("code-ending-in-zero", with_rows(
+            set_field(2, -1, rows[2][-1] + "0"))),
+        ("empty-code", with_rows(set_field(2, -2, ""))),
+        ("code-not-binary", with_rows(set_field(2, -1, rows[2][-2] + "2"))),
+        ("code-past-the-width", with_rows(
+            set_field(2, -1, rows[2][-2] + "1" * 70))),
         ("first-row-not-an-element", with_rows(
             lambda edited: edited.insert(0, [99, "t", "0", "1"]))),
         ("no-rows", dict(good, nodes="[]")),
@@ -481,6 +489,32 @@ class TestRecovery:
             assert _full_state(recovered, "d") == before
             oracle = replay_oracle(str(tmp_path / "wal"))
             assert oracle["d"] == (before["text"], before["version"])
+
+    def test_the_oracle_skips_only_a_typed_refusal(self, tmp_path,
+                                                   monkeypatch):
+        """``replay_oracle`` reads a batch its own apply refuses with a
+        library error as one the store skipped too; any other exception
+        is the oracle's own fault and escapes."""
+        with _durable_store(tmp_path, "log") as store:
+            store.open("d", DOC)
+            title = store.document("d").root.children[0].children[0]
+            store.submit("d", PUL([Rename(title.node_id, "headline")]))
+            store.flush("d")
+        wal_dir = str(tmp_path / "wal")
+        assert replay_oracle(wal_dir)["d"][1] == 1
+
+        def refusing(*args, **kwargs):
+            raise NotApplicableError("refused")
+
+        monkeypatch.setattr(recovery_module, "apply_pul", refusing)
+        assert replay_oracle(wal_dir)["d"] == (DOC, 0)
+
+        def faulty(*args, **kwargs):
+            raise RuntimeError("an oracle fault")
+
+        monkeypatch.setattr(recovery_module, "apply_pul", faulty)
+        with pytest.raises(RuntimeError, match="an oracle fault"):
+            replay_oracle(wal_dir)
 
     def test_recovered_store_keeps_serving(self, tmp_path, workload):
         """Recovery is a working store, not a read-only reconstruction:
