@@ -16,9 +16,9 @@ repairs the containment labeling only around the touched sites:
   update-tolerance property is preserved: existing codes are never
   rewritten).
 
-A resident label is one integer holding its two codes, so nothing else
-needs repair: a label's level, parent and siblings are read off the
-tree it labels when it travels.
+A resident label is a node's two codes in the labeling's columns, so
+nothing else needs repair: a label's level, parent and siblings are
+read off the tree it labels when it travels.
 
 The batch is classified once (:func:`classify`) against the tree it is
 about to change; the resulting :class:`Footprint` names every node
@@ -180,13 +180,16 @@ def _element_height(tree):
 
 
 def apply_batch_in_place(document, labeling, pul, preserve_ids=True,
-                         footprint=None):
+                         footprint=None, budget=None):
     """Make ``pul`` effective on ``document`` in place, maintaining
     ``labeling`` incrementally: :func:`replay_batch`'s structural
     routine, then codes for the inserted runs, and ``labeling`` labels
     ``document`` from then on. ``footprint``
     is the batch's :func:`classify` result when the caller already has
-    it (same ids on a path copy of the classified tree).
+    it (same ids on a path copy of the classified tree). Fresh codes
+    longer than ``budget`` digits are not installed: the labeling takes
+    their length as its watermark, for a caller that relabels the whole
+    document past its budget (the store).
 
     Returns ``"incremental"`` when the labeling was repaired per-site, or
     ``"sync"`` when a root-level structural change forced a whole-tree
@@ -197,16 +200,16 @@ def apply_batch_in_place(document, labeling, pul, preserve_ids=True,
     runs = replay_batch(document, labeling, pul, preserve_ids=preserve_ids,
                         footprint=footprint)
     if runs is None:
-        labeling.sync(document)
+        labeling.sync(document, budget)
         return "sync"
     try:
-        labeling.assign_runs((left, right, run)
-                             for left, right, __, run in runs)
+        labeling.assign_runs(((left, right, run)
+                              for left, right, __, run in runs), budget)
     except Exception:
         # the tree and its id index are complete; a label repair that
         # cannot be localized is finished wholesale instead of failing
         # a batch that applied
-        labeling.sync(document)
+        labeling.sync(document, budget)
         return "sync"
     return "incremental"
 
@@ -265,10 +268,10 @@ def _site_runs(document, labeling, site_ids):
         site = document.find(site_id)
         if site is None:
             continue  # the site itself was removed by a sibling op
-        site_label = labeling.find(site_id)
-        if site_label is None:
+        site_codes = labeling.find(site_id)
+        if site_codes is None:
             return None
-        _collect_runs(labeling, site, site_label, runs)
+        _collect_runs(labeling, site, site_codes, runs)
     runs.sort(key=lambda entry: entry[0])
     return runs
 
@@ -290,28 +293,24 @@ def _register_runs(document, runs):
             document.register_tree(tree, site)
 
 
-def _collect_runs(labeling, site, site_label, runs):
+def _collect_runs(labeling, site, site_codes, runs):
     """Append ``site``'s unlabeled runs to ``runs`` as ``(left_code,
     right_code, site, nodes)`` — consecutive label-less attributes and
     children, bounded by the neighboring existing codes, as integers
-    (:meth:`~repro.labeling.scheme.ContainmentLabeling.interval`;
-    ``site_label`` is the site's label)."""
+    (``site_codes`` are the site's ``(start, end)``)."""
     run = []
-    # the next run's left bound is the site's start (side 0), then the
-    # end (side 1) of the labeled item before it; a label is split
-    # only where a run needs its codes
-    left, side = site_label, 0
+    # the next run's left bound is the site's start, then the end of
+    # the labeled item before it
+    left = site_codes[0]
     for item in list(site.attributes) + list(site.children):
-        label = (labeling.find(item.node_id)
+        codes = (labeling.find(item.node_id)
                  if item.node_id is not None else None)
-        if label is None:
+        if codes is None:
             run.append(item)
             continue
         if run:
-            runs.append((labeling.interval(left)[side],
-                         labeling.interval(label)[0], site, run))
+            runs.append((left, codes[0], site, run))
             run = []
-        left, side = label, 1
+        left = codes[1]
     if run:
-        runs.append((labeling.interval(left)[side],
-                     labeling.interval(site_label)[1], site, run))
+        runs.append((left, site_codes[1], site, run))

@@ -1,30 +1,31 @@
 """Interval execution of path steps over index buckets.
 
-Every primitive here is a sorted merge over labels, replacing a tree
-walk with work proportional to the touched buckets. A bucket holds node
-ids in label order (= document order); a node's label comes from the
-version's labeling and its parent from the version's document
-(:meth:`~repro.xdm.document.Document.parent_id`):
+Every primitive here is a sorted merge over start codes, replacing a
+tree walk with work proportional to the touched buckets. A bucket holds
+node ids in start-code order (= document order); a node's codes come
+from the version's labeling and its parent from the version's document
+(:meth:`~repro.xdm.document.Document.parents_of`), each read off its
+id-indexed column:
 
 * **child / attribute steps** scan one name bucket and keep the ids
-  whose parent is a context node — the parent map is the child axis,
-  no tree access needed;
+  whose parent is a context node — the parent column is the child
+  axis, no tree access needed;
 * **descendant steps** are the paper's containment test as a sweep:
-  contexts and candidates are both sorted by label, and a candidate's
-  interval is strictly inside a context's iff ``ctx < cand <
-  labeling.after(ctx)`` (labels are integers ordered by start code,
-  and intervals nest or are disjoint), so one pass keeps each candidate
-  below the largest ``after`` of the contexts it has passed;
+  contexts are ``(start, end)`` intervals sorted by start, candidates
+  come in start order, and a candidate lies strictly inside a context
+  iff ``ctx.start < cand.start < ctx.end`` (intervals nest or are
+  disjoint), so one pass keeps each candidate whose start is below the
+  largest end of the contexts it has passed;
 * **descendant-attribute steps** test containment of the *owner's*
   interval, mirroring the walker's behaviour of yielding attributes of
   proper-descendant elements (a context node's own attributes are never
   selected by ``//@name``). Attribute start codes sit directly inside
-  their owner's interval, so bucket order keeps owner labels
+  their owner's interval, so bucket order keeps owner start codes
   non-decreasing and the same sweep applies.
 
 The virtual document root (the walker's ``_Root``) is the interval
-``(0, None)`` — no label is 0, since no start code is empty, and
-``None`` stands for +infinity, so it strictly contains every node.
+``(0, None)`` — no code is 0, since no code is empty, and ``None``
+stands for +infinity, so it strictly contains every node.
 
 Exists/compare predicates are order-independent node filters and are
 delegated to the walker's ``_apply_predicate`` — with one fast path:
@@ -46,12 +47,11 @@ ROOT_INTERVAL = (0, None)
 
 
 def node_interval(node, labeling):
-    """``(label, after)`` of ``node``: its label and the least label
-    past its interval; the virtual root is ``(0, None)``."""
+    """``(start, end)`` of ``node``'s codes; the virtual root is
+    ``(0, None)``."""
     if isinstance(node, _Root):
         return ROOT_INTERVAL
-    label = labeling.label_of(node.node_id)
-    return label, labeling.after(label)
+    return labeling.label_of(node.node_id)
 
 
 def context_ids(context):
@@ -65,33 +65,32 @@ def child_scan(bucket, parent_ids, document):
     """Ids of ``bucket`` whose parent in ``document`` is a context node,
     in bucket (= document) order."""
     return list(compress(bucket, map(parent_ids.__contains__,
-                                     map(document.parent_id, bucket))))
+                                     document.parents_of(bucket))))
 
 
-def descendant_sweep(intervals, ids, key):
+def descendant_sweep(intervals, ids, starts):
     """One-pass sorted-interval containment merge.
 
-    ``intervals`` are ``(label, after)`` pairs sorted by label; ``ids``
-    are node ids whose test label ``key(id)`` is non-decreasing.
-    Returns the ids whose test label lies strictly inside at least one
-    interval, preserving their order. ``None`` afters are +infinity
-    (the virtual root).
+    ``intervals`` are ``(start, end)`` pairs sorted by start; ``ids``
+    are node ids and ``starts`` their test codes, non-decreasing, in
+    the same order. Returns the ids whose test code lies strictly
+    inside at least one interval, preserving their order. ``None``
+    ends are +infinity (the virtual root).
     """
     kept = []
     position = 0
     total = len(intervals)
-    best_after = None     # max finite after among passed intervals
-    unbounded = False     # a passed interval reaches +infinity
-    for node_id in ids:
-        label = key(node_id)
-        while position < total and intervals[position][0] < label:
-            passed_after = intervals[position][1]
-            if passed_after is None:
+    best_end = None     # max finite end among passed intervals
+    unbounded = False   # a passed interval reaches +infinity
+    for node_id, start in zip(ids, starts):
+        while position < total and intervals[position][0] < start:
+            passed_end = intervals[position][1]
+            if passed_end is None:
                 unbounded = True
-            elif best_after is None or passed_after > best_after:
-                best_after = passed_after
+            elif best_end is None or passed_end > best_end:
+                best_end = passed_end
             position += 1
-        if unbounded or (best_after is not None and label < best_after):
+        if unbounded or (best_end is not None and start < best_end):
             kept.append(node_id)
     return kept
 
@@ -106,13 +105,14 @@ def execute_index_step(step, context, index, labeling, document):
     else:
         intervals = sorted(node_interval(node, labeling)
                            for node in context)
-        labels = labeling.as_mapping().__getitem__
+        key = labeling.order_key()
         if step.axis == ast.DESCENDANT_ATTRIBUTE:
-            # an attribute is tested by its owner's label
-            labels = dict(zip(bucket, map(
-                labels, map(document.parent_id, bucket)))).__getitem__
-        ids = descendant_sweep(intervals, bucket, labels)
-    return list(map(document.get, ids))
+            # an attribute is tested by its owner's start code
+            starts = map(key, document.parents_of(bucket))
+        else:
+            starts = map(key, bucket)
+        ids = descendant_sweep(intervals, bucket, starts)
+    return list(document.nodes_of(ids))
 
 
 def supported_bucket(step, index):

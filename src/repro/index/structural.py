@@ -2,16 +2,15 @@
 
 A :class:`DocumentIndex` is a set of *buckets* — one per element name,
 attribute name, attribute ``(name, value)`` pair, and one for text
-nodes. Each bucket is a list of node ids sorted by the node's label.
-An id is all a bucket holds: a node's label is in the version's
+nodes. Each bucket is a list of node ids sorted by the node's start
+code. An id is all a bucket holds: a node's codes are in the version's
 labeling and its parent is in the version's
-:class:`~repro.xdm.document.Document`, and the query engine reads them
-there. The paper's containment property makes start-code order the
-only order the engine ever needs: start codes are unique, a label is
-one integer ordered by its start code, and **label order is document
-order**, so a bucket is simultaneously a name lookup, a document-order
-stream, and one side of a sorted-interval merge
-(:mod:`repro.index.engine`).
+:class:`~repro.xdm.document.Document`, each an id-indexed column, and
+the query engine reads them there. The paper's containment property
+makes start-code order the only order the engine ever needs: start
+codes are unique and **start-code order is document order**, so a
+bucket is simultaneously a name lookup, a document-order stream, and
+one side of a sorted-interval merge (:mod:`repro.index.engine`).
 
 Maintenance mirrors the incremental-label pattern of
 :func:`repro.apply.inplace.apply_batch_in_place`: the index is built
@@ -23,7 +22,7 @@ touched buckets are copied (copy-on-write); untouched buckets are
 shared by reference between versions, which is safe because a bucket
 is immutable once published and an incremental relabel never changes
 the codes of a node that stays (a widened labeling rescales every
-label alike), so a shared bucket is still in label order under the
+code alike), so a shared bucket is still in start-code order under the
 next version's labeling. Anything the delta
 cannot localize — a whole-tree relabel, a ``sync`` fallback, a site
 with no label — falls back to a full rebuild, exactly like the
@@ -59,8 +58,9 @@ class DocumentIndex:
     @classmethod
     def build(cls, document, labeling):
         """Index ``document`` from scratch against ``labeling``: one
-        walk over the tree, then each bucket sorted with the labeling
-        as the key."""
+        walk over the tree, then each bucket sorted by its ids' start
+        codes (:meth:`~repro.labeling.scheme.ContainmentLabeling.order_key`),
+        each read once."""
         index = cls()
         root = document.root
         if root is None:
@@ -77,11 +77,11 @@ class DocumentIndex:
                                   []).append(node.node_id)
             else:
                 texts.append(node.node_id)
-        labels = labeling.as_mapping().__getitem__
+        key = labeling.order_key()
         for buckets in (elements, attributes, values):
             for bucket in buckets.values():
-                bucket.sort(key=labels)
-        texts.sort(key=labels)
+                bucket.sort(key=key)
+        texts.sort(key=key)
         return index
 
     # -- incremental maintenance ----------------------------------------------
@@ -150,9 +150,8 @@ class DocumentIndex:
                         continue
                     for node in item.iter_subtree():
                         add(node)
-            # an added node with no label raises KeyError: no delta
-            return self._rewrite(removals, additions,
-                                 new_labeling.as_mapping())
+            # an added node with no label raises LookupError: no delta
+            return self._rewrite(removals, additions, new_labeling)
         except LookupError:
             return None
 
@@ -175,10 +174,10 @@ class DocumentIndex:
             return self.values, (key[1], key[2])
         return None, None  # ("t",): the single text bucket
 
-    def _rewrite(self, removals, additions, labels):
+    def _rewrite(self, removals, additions, labeling):
         """Copy-on-write application of the delta: only buckets named
         in ``removals``/``additions`` are copied; every other bucket is
-        shared with ``self``. ``labels`` are the new version's labels."""
+        shared with ``self``. ``labeling`` is the new version's."""
         new = DocumentIndex(
             elements=dict(self.elements),
             attributes=dict(self.attributes),
@@ -191,7 +190,7 @@ class DocumentIndex:
             bucket = ([node_id for node_id in bucket if node_id not in gone]
                       if gone else list(bucket))
             for node_id in additions.get(key, ()):
-                _insort(bucket, node_id, labels)
+                _insort(bucket, node_id, labeling)
             if mapping is None:
                 new.texts = bucket
             elif bucket:
@@ -246,15 +245,19 @@ class DocumentIndex:
                 .format(len(self.elements), self.entry_count()))
 
 
-def _insort(bucket, node_id, labels):
-    """Insert ``node_id`` into ``bucket`` at the place of its label in
-    ``labels``: a binary search over the labels of the bucket's ids
-    (``bisect``'s ``key=`` needs Python 3.10)."""
-    label = labels[node_id]
+def _insort(bucket, node_id, labeling):
+    """Insert ``node_id`` into ``bucket`` at the place of its start
+    code in ``labeling``: a binary search over the start codes of the
+    bucket's ids (``bisect``'s ``key=`` needs Python 3.10). An id with
+    no label raises ``KeyError``."""
+    start = labeling.start_of(node_id)
+    if start is None:
+        raise KeyError(node_id)
+    key = labeling.order_key()
     low, high = 0, len(bucket)
     while low < high:
         middle = (low + high) // 2
-        if labels[bucket[middle]] < label:
+        if key(bucket[middle]) < start:
             low = middle + 1
         else:
             high = middle

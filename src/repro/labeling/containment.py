@@ -13,10 +13,11 @@ identifiers, which makes the first-child / last-child predicates
 
 An :class:`ExtendedLabel` is the exchange form: what a PUL carries so
 that it can be reasoned about without the document, on the wire and in
-the log. A resident labeling keeps one integer per node that holds its
-two codes (:class:`~repro.labeling.scheme.ContainmentLabeling`); the
-codes go back to digit strings, and the other fields are read off the
-tree, when a label is made to travel
+the log. A resident labeling keeps a node's two codes as integers in
+two columns indexed by node id
+(:class:`~repro.labeling.scheme.ContainmentLabeling`); the codes go
+back to digit strings, and the other fields are read off the tree,
+when a label is made to travel
 (:meth:`~repro.labeling.scheme.ContainmentLabeling.exchange_label`).
 """
 

@@ -1,25 +1,31 @@
 """The containment labeling scheme: construction and update-tolerant
 maintenance.
 
-A :class:`ContainmentLabeling` instance owns the ``node id -> label``
-map of one document, and the document it labels. Building it
+A :class:`ContainmentLabeling` instance owns the containment codes of
+one document's nodes, and the document it labels. Building it
 bulk-assigns balanced codes; after the document is updated,
 :meth:`sync` assigns codes to the *new* nodes only, generated between
 the surviving neighbor codes — existing codes are never modified,
 which is the update-tolerance property the paper requires (Section 4.1:
 "document updates should not lead to relabeling of nodes").
 
-A resident label is one integer, ``start · base^W + end``: each code
-is the integer of its digits in the encoder's base, padded on the
-right to the labeling's width ``W`` (the encoder's ``to_int``).
-No code ends in ``0``, so the padding is one-to-one and keeps the
-order, and since start codes are unique, label order is start-code
-order — document order. The width starts at :data:`WIDTH` digits; a
-longer code widens the labeling (doubling) and rescales every label
-once, and a :meth:`build` starts over at :data:`WIDTH`, so the width is
-a function of :attr:`max_code_length`. Only this module knows the
-packing: readers order labels as integers and take their parts through
-:meth:`interval`, :meth:`after` and :meth:`digits`.
+A labeling is an id table (:mod:`repro.xdm.idtable`) of two code
+columns, ``_starts`` and ``_ends``: each code is the integer of its
+digits in the encoder's base, padded on the right to the labeling's
+width ``W`` (the encoder's ``to_int``). No code ends in ``0``, so the
+padding is one-to-one, keeps the order, and never gives 0 — the
+columns' blank. Codes of one width compare as their digit strings do,
+whichever column they come from: a node's start code is its order key
+(start codes are unique, and their order is document order), and a
+node ``d`` lies strictly inside ``a`` iff ``a.start < d.start <
+a.end``. The width starts at the digits of :data:`WIDTH` bits, so the
+columns are ``array('Q')``, 8 bytes a slot; a longer code widens the
+labeling (doubling) and rescales every code once, and the columns
+become lists of ints. A :meth:`build` starts over at the first width,
+so the width is a function of :attr:`max_code_length`. A caller that
+relabels the whole document once a code passes its budget passes the
+budget to :meth:`sync` and :meth:`assign_runs`, which then install no
+code past it, and so never widen for codes the relabel replaces.
 
 Digits appear only at the edges. Codes are generated as digit strings
 and each new code is converted once, when it is installed; a label
@@ -40,25 +46,32 @@ sync, one ``codes_between`` run per run of inserted subtrees.
 
 from __future__ import annotations
 
+from array import array
 from types import MappingProxyType
 
 from repro.errors import LabelingError
 from repro.labeling.codes import CDBSEncoder
 from repro.labeling.containment import ExtendedLabel
+from repro.xdm import idtable
 from repro.xdm.navigation import depth, left_sibling, right_sibling
 from repro.xdm.node import NodeType
 
 _ELEMENT = NodeType.ELEMENT
 
-#: the width, in digits, labels are packed at until a longer code is
-#: installed (the store's default headroom budget)
+#: the bits of a code column's slot: a labeling whose width fits them
+#: keeps its codes in ``array('Q')`` columns (the store's default
+#: headroom budget is this many CDBS digits)
 WIDTH = 64
 
+#: the code columns' blanks: no code is 0
+_BLANKS = (0, 0)
 
-def _width_for(length):
-    """The width that holds a code of ``length`` digits: :data:`WIDTH`,
-    doubled until it does."""
-    width = WIDTH
+
+def _width_for(length, bits):
+    """The width, in digits of ``bits`` bits, that holds a code of
+    ``length`` digits: the digits of :data:`WIDTH` bits, doubled until
+    it does."""
+    width = WIDTH // bits
     while width < length:
         width *= 2
     return width
@@ -69,63 +82,111 @@ class ContainmentLabeling:
 
     def __init__(self, encoder=None):
         self.encoder = encoder or CDBSEncoder()
-        self._labels = {}
-        self._max_code_len = 0
-        self._set_width(WIDTH)
+        #: bits per digit
+        self._bits = self.encoder.base.bit_length() - 1
+        self._reset(0)
         #: the document the codes label (set by build, sync, restored
         #: and the in-place applier; carried by copy)
         self.document = None
 
-    def _set_width(self, width):
-        self._width = width
-        #: ``base ** width``: a label is ``start * scale | end`` (an
-        #: ``|``, not a ``+``, makes an int of exactly its size)
-        self._scale = self.encoder.base ** width
+    def _columns(self, length):
+        """Two blank code columns of ``length`` slots, of the kind the
+        width takes: ``array('Q')`` while a code fits its 64 bits."""
+        if self._width * self._bits <= WIDTH:
+            blank = bytes(8 * length)
+            return array("Q", blank), array("Q", blank)
+        return [0] * length, [0] * length
+
+    def _reset(self, length):
+        """No labels, at the first width, over ``length`` blank slots."""
+        self._max_code_len = 0
+        self._width = WIDTH // self._bits
+        self._starts, self._ends = self._columns(length)
+        #: far ids: id -> (start, end)
+        self._far = {}
+        #: how many ids hold a label
+        self._count = 0
 
     # -- lookup -------------------------------------------------------------
 
     def __contains__(self, node_id):
-        return node_id in self._labels
+        return self.start_of(node_id) is not None
 
     def __len__(self):
-        return len(self._labels)
+        return self._count
 
-    def label_of(self, node_id):
-        """Return the label of ``node_id``: one integer, ordered by the
-        node's start code."""
+    def start_of(self, node_id):
+        """The start code of ``node_id``, its order key, or ``None``."""
         try:
-            return self._labels[node_id]
-        except KeyError:
-            raise LabelingError(
-                "no label for node id {!r}".format(node_id)) from None
+            if node_id >= 0:
+                return self._starts[node_id] or None
+        except (IndexError, TypeError):
+            pass
+        label = self._far.get(node_id)
+        return None if label is None else label[0]
 
     def find(self, node_id):
-        """Return the label of ``node_id`` or ``None``."""
-        return self._labels.get(node_id)
+        """Return the ``(start, end)`` codes of ``node_id``, as
+        integers, or ``None``."""
+        try:
+            if node_id >= 0:
+                start = self._starts[node_id]
+                return (start, self._ends[node_id]) if start else None
+        except (IndexError, TypeError):
+            pass
+        return self._far.get(node_id)
+
+    def label_of(self, node_id):
+        """Return the ``(start, end)`` codes of ``node_id`` as integers;
+        a tuple of two orders by its start code."""
+        label = self.find(node_id)
+        if label is None:
+            raise LabelingError("no label for node id {!r}".format(node_id))
+        return label
+
+    def order_key(self):
+        """A function from an id that holds a label to its start code,
+        the id's order key: the column's own ``__getitem__`` when no id
+        is far, so a sort or a sweep reads each code in C, once."""
+        if self._far:
+            return self._far_start
+        return self._starts.__getitem__
+
+    def _far_start(self, node_id):
+        return self.label_of(node_id)[0]
 
     def as_mapping(self):
-        """Read-only view of the id -> label map."""
-        return MappingProxyType(self._labels)
-
-    def interval(self, label):
-        """``(start, end)`` of ``label`` as integers: codes of one
-        labeling compare as their digit strings do, whichever half of
-        a label they come from (the in-place applier's run bounds)."""
-        return divmod(label, self._scale)
-
-    def after(self, label):
-        """The least label past ``label``'s interval: a label ``d`` lies
-        strictly inside ``a``'s interval iff ``a < d < after(a)`` —
-        its start code falls between ``a``'s codes, and intervals nest
-        or are disjoint."""
-        return label % self._scale * self._scale
+        """A read-only id -> ``(start, end)`` map of the labels as they
+        are now (for tests and tools: the columns hold no map)."""
+        return MappingProxyType(
+            {node_id: self.label_of(node_id)
+             for node_id in idtable.ids_of(self._starts, self._far)})
 
     def digits(self, node_id):
         """The ``(start, end)`` digit strings of ``node_id``: the form
         codes travel in (exchange labels, snapshot rows)."""
-        width = self._width
-        padded = self.encoder.to_digits(self.label_of(node_id), 2 * width)
-        return padded[:width].rstrip("0"), padded[width:].rstrip("0")
+        start, end = self.label_of(node_id)
+        to_digits, width = self.encoder.to_digits, self._width
+        return (to_digits(start, width).rstrip("0"),
+                to_digits(end, width).rstrip("0"))
+
+    def digits_of(self, node_ids):
+        """:meth:`digits` of every id of ``node_ids``, in order, as an
+        iterator: when no id is far, the codes are read off the columns
+        in C and converted by the encoder in one pass each."""
+        ids = list(node_ids)
+        if self._far or not ids or min(ids) < 0:
+            return map(self.digits, ids)
+        try:
+            starts = list(map(self._starts.__getitem__, ids))
+            ends = list(map(self._ends.__getitem__, ids))
+        except IndexError:
+            starts = [0]
+        if 0 in starts:
+            # an id that holds no label: digits names it
+            return map(self.digits, ids)
+        strings, width = self.encoder.digit_strings, self._width
+        return zip(strings(starts, width), strings(ends, width))
 
     def exchange_label(self, node_id):
         """The :class:`~repro.labeling.containment.ExtendedLabel` of
@@ -143,22 +204,36 @@ class ContainmentLabeling:
             None if left is None else left.node_id,
             None if right is None else right.node_id)
 
-    def copy(self):
-        """A copy with its own label map, over the same document.
+    def code_bytes(self):
+        """What the code columns and their overflow dict take
+        (:func:`repro.xdm.idtable.table_bytes`; O(1))."""
+        return idtable.table_bytes((self._starts, self._ends), self._far)
 
-        Labels are immutable integers, so a copy only needs its own
-        map, width and watermark: an MVCC working copy of a labeled
-        document costs one O(nodes) dict duplication, no code
-        re-derivation. The writer points the copy at its working tree
-        when it applies a batch
+    def copy(self):
+        """A copy with its own code columns, over the same document.
+
+        A copy needs only its own columns — two C-level slices — and
+        overflow dict, width and watermark: an MVCC working copy of a
+        labeled document costs no code re-derivation. The writer
+        points the copy at its working tree when it applies a batch
         (:func:`repro.apply.inplace.apply_batch_in_place`).
         """
         clone = ContainmentLabeling(encoder=self.encoder)
-        clone._labels = dict(self._labels)
         clone._max_code_len = self._max_code_len
-        clone._set_width(self._width)
+        clone._width = self._width
+        clone._starts = self._starts[:]
+        clone._ends = self._ends[:]
+        clone._far = dict(self._far)
+        clone._count = self._count
         clone.document = self.document
         return clone
+
+    def _place(self, node_id, start, end):
+        """Label ``node_id``, which holds no label, with codes ``start``
+        and ``end`` by the id table's rule."""
+        self._count += 1
+        idtable.place((self._starts, self._ends), _BLANKS, self._far,
+                      self._count, node_id, (start, end))
 
     # -- code headroom -------------------------------------------------------
 
@@ -184,19 +259,29 @@ class ContainmentLabeling:
         if longest > self._max_code_len:
             self._max_code_len = longest
             if longest > self._width:
-                self._widen(_width_for(longest))
+                self._widen(_width_for(longest, self._bits))
 
     def _widen(self, width):
-        """Pack every label at ``width`` digits: each code gains
-        ``width - W`` zero digits on the right, so order is kept."""
+        """Rescale every code to ``width`` digits: each gains ``width -
+        W`` zero digits on the right, so order is kept, and the columns
+        become lists (a code no longer fits 64 bits)."""
         factor = self.encoder.base ** (width - self._width)
-        scale = self._scale
-        wide = scale * factor
-        labels = self._labels
-        for node_id, label in labels.items():
-            start, end = divmod(label, scale)
-            labels[node_id] = start * factor * wide | end * factor
-        self._set_width(width)
+        self._starts = [start * factor for start in self._starts]
+        self._ends = [end * factor for end in self._ends]
+        self._far = {node_id: (start * factor, end * factor)
+                     for node_id, (start, end) in self._far.items()}
+        self._width = width
+
+    def _over(self, longest, budget):
+        """Whether codes as long as ``longest`` break ``budget``. If
+        so, the labeling takes the watermark and the caller installs
+        nothing: it relabels the whole document next (the store's
+        headroom rule), so no width changes for codes never
+        installed."""
+        if budget is None or longest <= budget:
+            return False
+        self._max_code_len = max(self._max_code_len, longest)
+        return True
 
     @classmethod
     def restored(cls, document, codes, max_code_length):
@@ -204,7 +289,8 @@ class ContainmentLabeling:
         (start, end)`` dict of digit strings) with the watermark a
         durability snapshot recorded. A code ending in ``0`` is a
         :class:`LabelingError`; an empty one, or one longer than the
-        width the watermark gives, a ``ValueError``.
+        width the watermark gives, a ``ValueError``. Codes are read as
+        CDBS, the encoder of every payload.
 
         The watermark is restored verbatim, not recomputed: the tracker
         is monotone between rebuilds, so it may exceed the longest code
@@ -215,17 +301,27 @@ class ContainmentLabeling:
         labeling = cls()
         labeling.document = document
         labeling._max_code_len = max_code_length
-        labeling._set_width(_width_for(max_code_length))
-        width, scale = labeling._width, labeling._scale
+        labeling._width = _width_for(max_code_length, labeling._bits)
+        width = labeling._width
+        starts, ends = labeling._starts, labeling._ends = \
+            labeling._columns(document.span)
+        span = len(starts)
         to_int = labeling.encoder.to_int
-        labels = labeling._labels
+        beyond = []
         for node_id, (start, end) in codes.items():
             # an empty code, or one past the width, fails to convert
-            labels[node_id] = (to_int(start, width) * scale
-                               | to_int(end, width))
+            start_code, end_code = to_int(start, width), to_int(end, width)
             if start[-1] == "0" or end[-1] == "0":
                 raise LabelingError("malformed codes of node {}: {!r}, "
                                     "{!r}".format(node_id, start, end))
+            if type(node_id) is int and 0 <= node_id < span:
+                starts[node_id] = start_code
+                ends[node_id] = end_code
+            else:
+                beyond.append((node_id, start_code, end_code))
+        labeling._count = len(codes) - len(beyond)
+        for node_id, start_code, end_code in beyond:
+            labeling._place(node_id, start_code, end_code)
         return labeling
 
     # -- construction --------------------------------------------------------
@@ -233,9 +329,7 @@ class ContainmentLabeling:
     def build(self, document):
         """Label every node of ``document`` with balanced fresh codes."""
         self.document = document
-        self._labels = {}
-        self._max_code_len = 0
-        self._set_width(WIDTH)
+        self._reset(document.span)
         root = document.root
         if root is None:
             return self
@@ -244,25 +338,28 @@ class ContainmentLabeling:
         self._walk([root], codes)
         return self
 
-    def sync(self, document):
+    def sync(self, document, budget=None):
         """Incrementally label the nodes of ``document`` lacking a label.
 
         Existing labels keep their codes; runs of unlabeled boundary slots
         receive codes generated strictly between the neighboring existing
         codes. Labels of nodes no longer in the document are dropped.
+        Fresh codes longer than ``budget`` digits are not installed
+        (:meth:`_over`).
         """
         self.document = document
         root = document.root
         if root is None:
-            self._labels = {}
-            self._max_code_len = 0
-            self._set_width(WIDTH)
+            self._reset(0)
             return self
         known, live = self._known_codes(root)
-        for node_id in list(self._labels):
+        for node_id in idtable.ids_of(self._starts, self._far):
             if node_id not in live:
-                del self._labels[node_id]
-        self._track(self._fill_codes(known))
+                self.forget(node_id)
+        longest = self._fill_codes(known)
+        if self._over(longest, budget):
+            return self
+        self._track(longest)
         self._walk([root], known)
         return self
 
@@ -272,8 +369,7 @@ class ContainmentLabeling:
         the node has no label; attributes contribute both boundaries
         right after their owner's start), and the set of the ids of the
         nodes walked."""
-        get = self._labels.get
-        split = self.interval
+        find = self.find
         unlabeled = (None, None)
         codes = []
         live = set()
@@ -285,16 +381,14 @@ class ContainmentLabeling:
                 codes.append(end)
                 continue
             live.add(node.node_id)
-            label = get(node.node_id)
-            start, end = unlabeled if label is None else split(label)
+            start, end = find(node.node_id) or unlabeled
             codes.append(start)
             if node.node_type is not _ELEMENT:
                 codes.append(end)
                 continue
             for attr in node.attributes:
                 live.add(attr.node_id)
-                label = get(attr.node_id)
-                codes += unlabeled if label is None else split(label)
+                codes += find(attr.node_id) or unlabeled
             stack.append((None, end))
             stack.extend((child, None) for child in reversed(node.children))
         return codes, live
@@ -335,18 +429,28 @@ class ContainmentLabeling:
         ``trees`` are subtree roots in document order; ``codes`` are
         their boundary codes in document order (attributes contribute
         both boundaries right after their owner's start). Each node
-        without a label gets its label from its two codes, digit
-        strings converted here; a node that has one keeps it (its
-        slots in ``codes`` are not read).
+        without a label gets its two codes, digit strings converted
+        here; a node that has one keeps it (its slots in ``codes`` are
+        not read).
         """
-        labels = self._labels
-        width, scale = self._width, self._scale
+        document = self.document
+        if document is not None and document.span > len(self._starts):
+            # the document's columns cover its near ids: so do these
+            idtable.grow((self._starts, self._ends), _BLANKS, self._far,
+                         document.span)
+        starts, ends = self._starts, self._ends
+        span = len(starts)
+        width = self._width
         to_int = self.encoder.to_int
+        installed = 0
         position = 0
         # (node, None) to enter a node; (element, its start code) to
-        # close it after its children
+        # close it after its children; ``beyond`` holds ``(id, start,
+        # end)`` of the nodes whose ids the columns do not cover, to be
+        # placed after the walk
         stack = [(tree, None) for tree in reversed(trees)]
         pop, push = stack.pop, stack.append
+        beyond = []
         while stack:
             node, start = pop()
             if start is None:
@@ -354,10 +458,17 @@ class ContainmentLabeling:
                 position += 1
                 if node.node_type is _ELEMENT:
                     for attr in node.attributes:
-                        if attr.node_id not in labels:
-                            labels[attr.node_id] = (
-                                to_int(codes[position], width) * scale
-                                | to_int(codes[position + 1], width))
+                        node_id = attr.node_id
+                        if type(node_id) is int and 0 <= node_id < span:
+                            if not starts[node_id]:
+                                starts[node_id] = to_int(codes[position],
+                                                         width)
+                                ends[node_id] = to_int(codes[position + 1],
+                                                       width)
+                                installed += 1
+                        else:
+                            beyond.append((node_id, codes[position],
+                                           codes[position + 1]))
                         position += 2
                     children = node.children
                     if children:
@@ -365,34 +476,48 @@ class ContainmentLabeling:
                         for index in range(len(children) - 1, -1, -1):
                             push((children[index], None))
                         continue
-            if node.node_id not in labels:
-                labels[node.node_id] = (to_int(start, width) * scale
-                                        | to_int(codes[position], width))
+            node_id = node.node_id
+            if type(node_id) is int and 0 <= node_id < span:
+                if not starts[node_id]:
+                    starts[node_id] = to_int(start, width)
+                    ends[node_id] = to_int(codes[position], width)
+                    installed += 1
+            else:
+                beyond.append((node_id, start, codes[position]))
             position += 1
         if position != len(codes):
             raise LabelingError("{} codes for {} boundaries".format(
                 len(codes), position))
+        self._count += installed
+        for node_id, start, end in beyond:
+            if self.find(node_id) is None:
+                self._place(node_id, to_int(start, width),
+                            to_int(end, width))
 
     # -- per-site maintenance (used by the in-place batch applier) ----------
 
     def forget(self, node_id):
         """Forget one node's label (a node the batch removed)."""
-        self._labels.pop(node_id, None)
+        if self.find(node_id) is not None:
+            self._count -= 1
+            idtable.remove((self._starts, self._ends), _BLANKS, self._far,
+                           node_id)
 
-    def assign_runs(self, runs):
+    def assign_runs(self, runs, budget=None):
         """Label runs of freshly inserted *attached* subtrees.
 
         Each run is ``(left, right, nodes)``: ``nodes`` are consecutive
         unlabeled attributes and/or children of one labeled element,
         already attached and with node ids assigned; their subtree
         boundaries receive codes strictly between ``left`` and
-        ``right``, codes of existing neighbors inside the element's
-        interval as :meth:`interval` gives them (so containment holds
-        by construction). This is the per-site counterpart of a
-        whole-tree :meth:`sync` — the in-place applier calls it once
-        per batch. Every run's two bounds go back to digits before any
-        code is installed, so a run whose codes widen the labeling
-        leaves the other runs' bounds valid.
+        ``right``, integer codes of existing neighbors inside the
+        element's interval (so containment holds by construction). This
+        is the per-site counterpart of a whole-tree :meth:`sync` — the
+        in-place applier calls it once per batch. Every run's two
+        bounds go back to digits before any code is installed, so a run
+        whose codes widen the labeling leaves the other runs' bounds
+        valid. Fresh codes longer than ``budget`` digits are not
+        installed at all (:meth:`_over`).
         """
         work = []
         longest = 0
@@ -408,6 +533,8 @@ class ContainmentLabeling:
                 2 * count)
             longest = max(longest, max(map(len, codes)))
             work.append((nodes, codes))
+        if self._over(longest, budget):
+            return
         self._track(longest)
         for nodes, codes in work:
             self._walk(nodes, codes)

@@ -16,13 +16,15 @@ codes::
     attribute  [id, name, value, start, end]
     text       [id, value, start, end]
 
-The codes are digit strings, as they travel everywhere; a resident
-label is one integer holding the two, which the labeling converts from
-and to digits (:meth:`~repro.labeling.scheme.ContainmentLabeling.digits`,
+The codes are CDBS digit strings, as they travel everywhere (a
+labeling under another encoder is refused at write, for a restore
+reads every code as CDBS); a resident labeling keeps them as integers
+in its code columns, and converts from and to digits
+(:meth:`~repro.labeling.scheme.ContainmentLabeling.digits`,
 :meth:`~repro.labeling.scheme.ContainmentLabeling.restored`). The rest
 of the label a PUL carries — node type, level, parent and sibling ids —
 is what the tree says it is, so it is neither written nor restored: one
-iterative walk over the rows builds the tree, its parent map and the
+iterative walk over the rows builds the tree, its id table and the
 codes. The rows travel as one compact JSON text in the ``nodes`` field
 (a single string costs a wire codec one copy instead of a walk over
 every term), beside ``doc_id``, ``next_id``, ``max_code_len``, the
@@ -43,6 +45,7 @@ import json
 from sys import intern
 
 from repro.errors import LabelingError, RecoveryError
+from repro.labeling.codes import CDBSEncoder
 from repro.labeling.scheme import ContainmentLabeling
 from repro.store.versions import DEFAULT_MAX_CODE_LENGTH, DocumentVersion
 from repro.xdm.document import Document, IdAllocator
@@ -64,12 +67,21 @@ _ROW_TYPES = {
 
 def document_payload(version):
     """Serialize one :class:`DocumentVersion` to a payload dict
-    (JSON-compatible)."""
-    digits = version.labeling.digits
+    (JSON-compatible). A version whose labeling is not CDBS is a
+    :class:`LabelingError`: :func:`restore_document` reads every code
+    as CDBS, and a CDQS code of ``0``/``1`` digits would read back as
+    another code."""
+    labeling = version.labeling
+    if type(labeling.encoder) is not CDBSEncoder:
+        raise LabelingError(
+            "a payload carries CDBS codes; document {!r} is labeled "
+            "with {}".format(version.doc_id,
+                             type(labeling.encoder).__name__))
+    nodes = list(version.document.root.iter_subtree())
     rows = []
     append = rows.append
-    for node in version.document.root.iter_subtree():
-        start, end = digits(node.node_id)
+    for node, (start, end) in zip(nodes, labeling.digits_of(
+            [node.node_id for node in nodes])):
         kind = node.node_type
         if kind is _ELEMENT:
             append([node.node_id, node.name, len(node.attributes),
@@ -83,7 +95,7 @@ def document_payload(version):
         "next_id": version.document.allocator.next_value,
         "nodes": json.dumps(rows, ensure_ascii=False,
                             separators=(",", ":")),
-        "max_code_len": version.labeling.max_code_length,
+        "max_code_len": labeling.max_code_length,
         "budget": version.budget,
     }
     for counter in _COUNTERS:
@@ -110,12 +122,12 @@ def restore_document(payload, budget=DEFAULT_MAX_CODE_LENGTH):
         raise RecoveryError("malformed document payload: doc_id {!r} "
                             "names no document".format(doc_id)) from exc
     try:
-        root, nodes, parents, labels = _rebuild(
+        root, ids, nodes, parents, labels = _rebuild(
             json.loads(payload["nodes"]))
         allocator = IdAllocator()
-        allocator.reserve_at_least(max(nodes) + 1)
+        allocator.reserve_at_least(max(ids) + 1)
         allocator.reserve_at_least(_integer(payload["next_id"]))
-        document = Document.indexed(root, nodes, parents, allocator)
+        document = Document.numbered(root, ids, nodes, parents, allocator)
         labeling = ContainmentLabeling.restored(
             document, labels, _integer(payload["max_code_len"]))
         budget = _integer(payload.get("budget", budget))
@@ -145,9 +157,10 @@ def _integer(value):
 def _rebuild(rows):
     """Build the tree and its codes from node rows in one walk.
 
-    Returns ``(root, {id: node}, {id: parent id}, {id: (start,
-    end)})``, the codes as digit strings. Each node's parent id comes
-    from the place its row takes in the tree; a row that does not fit
+    Returns ``(root, ids, nodes, parent ids, {id: (start, end)})``,
+    the middle three lists in row order and the codes digit strings.
+    Each node's parent id comes from the place its row takes in the
+    tree; a row that does not fit
     the tree the rows before it describe, or whose codes make an empty
     interval, is a ``ValueError``. An element's child and attribute
     lists are made at its row, exactly as long as its counts say (a
@@ -156,8 +169,8 @@ def _rebuild(rows):
     """
     if type(rows) is not list or not rows:
         raise ValueError("no node rows")
-    nodes = {}
-    parents = {}
+    nodes = []
+    parents = []
     labels = {}
     # the open elements: [node, attributes left, children left]
     open_elements = []
@@ -166,7 +179,7 @@ def _rebuild(rows):
                 list(map(type, row)) != _ROW_TYPES.get(len(row)):
             raise ValueError("malformed node row {!r}".format(row))
         node_id, arity = row[0], len(row)
-        if node_id in nodes:
+        if node_id in labels:
             raise ValueError("duplicate node id {}".format(node_id))
         top = parent = None
         if open_elements:
@@ -197,8 +210,8 @@ def _rebuild(rows):
         if not start < end:
             raise ValueError("label interval is empty: [{!r}, {!r}]"
                              .format(start, end))
-        nodes[node_id] = node
-        parents[node_id] = None if parent is None else parent.node_id
+        nodes.append(node)
+        parents.append(None if parent is None else parent.node_id)
         labels[node_id] = (start, end)
         if arity == 6 and (row[2] or row[3]):
             if row[2] < 0 or row[3] < 0:
@@ -216,7 +229,7 @@ def _rebuild(rows):
             open_elements.pop()
     if open_elements:
         raise _cut_short(open_elements[-1][0])
-    return nodes[rows[0][0]], nodes, parents, labels
+    return nodes[0], list(labels), nodes, parents, labels
 
 
 def _cut_short(element):

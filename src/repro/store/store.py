@@ -691,9 +691,12 @@ class DocumentStore(StoreReads):
         # ids are assigned in document order across the insertion sites
         # — identical to the stateless baseline's, per the differential
         # suite. Readers keep walking the published version untouched.
+        # codes past the budget are not installed: the full relabel
+        # below labels every node anyway
         with obs.stage("apply"):
             apply_mode = apply_batch_in_place(
-                document, labeling, reduced, footprint=footprint)
+                document, labeling, reduced, footprint=footprint,
+                budget=previous.budget)
         relabel = "incremental"
         if labeling.max_code_length > previous.budget:
             with obs.stage("relabel"):

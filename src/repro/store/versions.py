@@ -25,19 +25,18 @@ writer classifies the reduced batch once against N
 child list, attribute list, name or value the batch changes — the
 footprint's sites and touched nodes — and every ancestor of those is
 copied shallowly, with its own child and attribute lists; every other
-node is shared with N. The copy shares N's id index and parent map
-but keeps its own entries apart until ``publish`` folds them in
-(:meth:`repro.xdm.document.Document.commit`); from then on N answers
-lookups from maps of its own tree, built only if a reader still
-holding N asks. The copy has its own allocator, and N's label map is
-copied (a resident label is one immutable integer holding its two
-codes, shared between the maps). The batch is applied in place to that
-copy, whose labeling then labels the copy, and published. A flush thus copies
-O(touched × depth) nodes and no per-node table but the label map, and a
-resident document holds one tree plus whatever its retired versions'
-readers still hold. A label's level, parent and sibling ids are read
-off the version's own tree when it travels, so a reader holding N gets
-N's, whatever N+1 changed.
+node is shared with N. The copy has its own id table — N's node and
+parent columns sliced, the copied nodes written into its own slots
+(:meth:`repro.xdm.document.Document.path_copy`) — and its own code
+columns, N's sliced. So N's tables are never written again: a retired
+N answers every lookup from its own columns as it did when it was
+published. The batch is applied in place to that copy, whose labeling
+then labels the copy, and published. A flush thus copies O(touched ×
+depth) nodes and four id-indexed columns — C-level slices, 8 bytes a
+slot — and a resident document holds one tree plus whatever its
+retired versions' readers still hold. A label's level, parent and
+sibling ids are read off the version's own tree when it travels, so a
+reader holding N gets N's, whatever N+1 changed.
 
 A node holds no pointer to its parent: where a node hangs is its
 version's document's to answer (``Document.parent``), and ids are
@@ -309,7 +308,6 @@ class StoredDocument:
             self.doc_id, previous.version + 1, document, labeling,
             previous.budget, previous.batches + 1, previous.incremental_relabels + 1 - full,
             previous.full_relabels + full, index=index)
-        document.commit()
         with self._publish_cond:
             # the retiring version keeps no memo (the memo rule of
             # repro.store.versions)
@@ -346,4 +344,7 @@ class StoredDocument:
             "full_relabels": version.full_relabels,
             "max_code_length": version.labeling.max_code_length,
             "answer_memo_bytes": version.answer_bytes,
+            # the id table's and the code columns' containers (O(1))
+            "id_table_bytes": version.document.table_bytes(),
+            "code_bytes": version.labeling.code_bytes(),
         }

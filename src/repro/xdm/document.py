@@ -13,6 +13,11 @@ maintains the properties the paper requires of node identity (Section 4.1):
 from __future__ import annotations
 
 from repro.errors import DocumentError, UnknownNodeError
+from repro.xdm import idtable
+
+#: the id table's blanks, no node and no parent: also what the table
+#: answers for an id it does not hold
+_BLANKS = (None, None)
 
 
 class IdAllocator:
@@ -57,32 +62,29 @@ class Document:
     The index ``V`` (:meth:`find`) gives O(1) access from identifiers to
     nodes, and the parent map (:meth:`parent_id`) gives each node's
     parent id (``None`` for the root): the tree points downwards only,
-    so where a node hangs is the document's to answer. Both are filled
-    by the same walks — the parser's, :meth:`register_tree`'s and
+    so where a node hangs is the document's to answer. Both are one id
+    table (:mod:`repro.xdm.idtable`): the column ``_nodes`` holds the
+    node of each id, ``None`` in a slot no node holds, and ``_parents``
+    the parent's id — the parent's own ``node_id`` int, so the column
+    allocates none. An id the columns do not cover lives in ``_far``,
+    ``id -> (node, parent id)``. The table is filled by the same walks
+    that build the tree — the parser's, :meth:`register_tree`'s and
     :meth:`rebuild_index`'s — and kept by :meth:`forget_ids`.
 
-    A :meth:`path_copy` shares both maps with the document it copies:
-    the copy records its own changes apart (``_delta``, id -> node,
-    ``None`` for a removed id; ``_parent_delta``, id -> parent id, for
-    the ids it entered or removed) until :meth:`commit` folds them in.
-    Ids are stable, so copying a node changes no parent entry. From then
-    on the maps answer for the copy, and the copied document answers
-    from maps it builds from its own tree on first use.
+    A :meth:`path_copy` slices both columns, copies the overflow dict
+    and writes its copied nodes into its own slots. Ids are stable, so
+    copying a node changes no parent entry, and the document copied
+    from keeps its table as it was: a document whose copy was published
+    still answers for its own tree, from its own columns.
     """
 
     def __init__(self, root=None, allocator=None):
         self._allocator = allocator or IdAllocator()
-        self._nodes = {}
-        self._parents = {}
-        #: a path copy's changes over the shared maps until commit
-        self._delta = self._parent_delta = None
-        #: the document this path copy was made from, until commit
-        self._base = None
-        #: once a path copy of this document committed: its node count
-        #: then, and its own ``(index, parent map)``, built from the
-        #: tree on first lookup
-        self._handed_on = None
-        self._own = None
+        self._nodes = []
+        self._parents = []
+        self._far = {}
+        #: how many ids the table holds
+        self._count = 0
         self.root = None
         if root is not None:
             self.set_root(root)
@@ -106,21 +108,7 @@ class Document:
         return self.find(node_id) is not None
 
     def __len__(self):
-        nodes = self._nodes
-        count = len(nodes)
-        if self._handed_on is not None:
-            return self._handed_on
-        # a path copy: the shared index, plus the ids it entered, less
-        # the ids it removed
-        delta = self._delta
-        if delta:
-            for node_id, node in delta.items():
-                if node_id in nodes:
-                    if node is None:
-                        count -= 1
-                elif node is not None:
-                    count += 1
-        return count
+        return self._count
 
     def get(self, node_id):
         """Return the node with ``node_id`` or raise UnknownNodeError."""
@@ -131,28 +119,22 @@ class Document:
 
     def find(self, node_id):
         """Return the node with ``node_id`` or ``None``."""
-        delta = self._delta
-        if delta is not None and node_id in delta:
-            return delta[node_id]
-        # the shared index first, then the hand-on flag: commit sets the
-        # flag before it folds a copy's changes in, so a lookup that
-        # raced the fold sees the flag and answers from the tree
-        node = self._nodes.get(node_id)
-        if self._handed_on is not None:
-            return self._own_maps()[0].get(node_id)
-        return node
+        try:
+            if node_id >= 0:
+                return self._nodes[node_id]
+        except (IndexError, TypeError):
+            pass
+        return self._far.get(node_id, _BLANKS)[0]
 
     def parent_id(self, node_id):
         """The id of the parent of the node ``node_id``: ``None`` for the
         root and for an id the document does not hold."""
-        delta = self._parent_delta
-        if delta is not None and node_id in delta:
-            return delta[node_id]
-        # read before the flag, as in find
-        parent_id = self._parents.get(node_id)
-        if self._handed_on is not None:
-            return self._own_maps()[1].get(node_id)
-        return parent_id
+        try:
+            if node_id >= 0:
+                return self._parents[node_id]
+        except (IndexError, TypeError):
+            pass
+        return self._far.get(node_id, _BLANKS)[1]
 
     def parent(self, node):
         """The parent of ``node`` in this document, or ``None`` for the
@@ -160,29 +142,42 @@ class Document:
         parent_id = self.parent_id(node.node_id)
         return None if parent_id is None else self.find(parent_id)
 
-    def _own_maps(self):
-        own = self._own
-        if own is None:
-            nodes, parents = {}, {}
-            if self.root is not None:
-                for node, parent in self.root.iter_with_parents():
-                    nodes[node.node_id] = node
-                    parents[node.node_id] = (None if parent is None
-                                             else parent.node_id)
-            own = self._own = (nodes, parents)
-        return own
+    def nodes_of(self, node_ids):
+        """The nodes of ``node_ids``, ids the document holds, in order:
+        read off the column in C when no id is far."""
+        if self._far:
+            return map(self.get, node_ids)
+        return map(self._nodes.__getitem__, node_ids)
+
+    def parents_of(self, node_ids):
+        """The parent ids of ``node_ids``, ids the document holds, in
+        order (as :meth:`nodes_of` reads them)."""
+        if self._far:
+            return map(self.parent_id, node_ids)
+        return map(self._parents.__getitem__, node_ids)
 
     def node_ids(self):
-        """Return a view over all live node ids."""
-        if self._delta is None and self._handed_on is None:
-            return self._nodes.keys()
-        return [node.node_id for node in self.nodes()]
+        """Return a list of all live node ids: the columns' in id
+        order, then the far ones."""
+        return idtable.ids_of(self._nodes, self._far)
 
     def nodes(self):
         """Iterate over all live nodes in document order."""
         if self.root is None:
             return iter(())
         return self.root.iter_subtree()
+
+    @property
+    def span(self):
+        """The slots of the id table's columns: the ids ``0 .. span -
+        1`` are the ones they cover (a labeling of the document sizes
+        its code columns by it)."""
+        return len(self._nodes)
+
+    def table_bytes(self):
+        """What the id table takes: its two columns and its overflow
+        dict (:func:`repro.xdm.idtable.table_bytes`; O(1))."""
+        return idtable.table_bytes((self._nodes, self._parents), self._far)
 
     # -- construction ------------------------------------------------------
 
@@ -198,32 +193,45 @@ class Document:
         return root
 
     @classmethod
-    def indexed(cls, root, nodes, parents, allocator):
-        """A document over the detached element ``root`` whose maps the
-        caller already built: ``nodes`` maps the id of every node of the
-        tree, and nothing else, to the node, and ``parents`` the same
-        ids to their parents' ids (the root's to ``None``). The parser
-        numbers the nodes and a durability restore checks their ids as
-        each builds the tree, so both skip :meth:`register_tree`'s
-        walk."""
+    def indexed(cls, root, nodes, parents, far, count, allocator):
+        """A document over the detached element ``root`` whose id table
+        the caller already built by :mod:`repro.xdm.idtable`'s rule:
+        the columns ``nodes`` and ``parents`` and the overflow dict
+        ``far`` hold the ``count`` ids of the tree, and nothing else.
+        The parser numbers the nodes and a durability restore checks
+        their ids as each builds the tree, so both skip
+        :meth:`register_tree`'s walk."""
         document = cls(allocator=allocator)
         document.root = root
         document._nodes = nodes
         document._parents = parents
+        document._far = far
+        document._count = count
         return document
 
-    def _index(self, node_id, node, parent_id=None):
-        """Enter ``node`` under ``node_id``, below the node ``parent_id``
-        (``node`` ``None``: drop the id)."""
-        if self._delta is not None:
-            self._delta[node_id] = node
-            self._parent_delta[node_id] = parent_id
-        elif node is None:
-            self._nodes.pop(node_id, None)
-            self._parents.pop(node_id, None)
-        else:
-            self._nodes[node_id] = node
+    @classmethod
+    def numbered(cls, root, ids, nodes, parents, allocator):
+        """:meth:`indexed` over a tree whose nodes hold the distinct
+        ``ids``, in the order of ``nodes`` and of ``parents``, their
+        parents' ids (laid out by :func:`repro.xdm.idtable.lay_out`)."""
+        (nodes, parents), far = idtable.lay_out(_BLANKS, ids,
+                                                (nodes, parents))
+        return cls.indexed(root, nodes, parents, far, len(ids), allocator)
+
+    def _enter(self, node_id, node, parent_id):
+        """Enter ``node`` under ``node_id``, below the node
+        ``parent_id``."""
+        nodes = self._nodes
+        if type(node_id) is int and 0 <= node_id < len(nodes):
+            if nodes[node_id] is None:
+                self._count += 1
+            nodes[node_id] = node
             self._parents[node_id] = parent_id
+            return
+        if self.find(node_id) is None:
+            self._count += 1
+        idtable.place((nodes, self._parents), _BLANKS, self._far,
+                      self._count, node_id, (node, parent_id))
 
     def register_tree(self, root, parent=None):
         """Register every node of ``root``'s subtree in the id index and
@@ -237,7 +245,7 @@ class Document:
                 node_id = node.node_id = self.fresh_id()
             elif self.find(node_id) not in (None, node):
                 raise DocumentError("duplicate node id: {}".format(node_id))
-            self._index(node_id, node,
+            self._enter(node_id, node,
                         None if above is None else above.node_id)
             if isinstance(node_id, int) and node_id > highest:
                 highest = node_id
@@ -250,8 +258,11 @@ class Document:
         The incremental counterpart of :meth:`rebuild_index` for removed
         subtrees whose nodes the caller enumerated before detaching them
         (the in-place batch applier works this way)."""
+        columns, far = (self._nodes, self._parents), self._far
         for node_id in node_ids:
-            self._index(node_id, None)
+            if self.find(node_id) is not None:
+                self._count -= 1
+                idtable.remove(columns, _BLANKS, far, node_id)
 
     def rebuild_index(self):
         """Re-derive the id index and the parent map from the live tree.
@@ -260,31 +271,37 @@ class Document:
         PUL evaluator works this way): unreachable nodes are dropped from
         the index (their ids stay burned) and nodes without an identifier
         receive fresh ones **in document order**, which makes id assignment
-        deterministic and identical across evaluators. The maps are the
-        document's own afterwards, shared with no other document.
+        deterministic and identical across evaluators.
         """
-        nodes = self._nodes = {}
-        parents = self._parents = {}
-        self._delta = self._parent_delta = self._base = None
+        self._nodes, self._parents, self._far = [], [], {}
+        self._count = 0
         if self.root is None:
             return
+        ids, nodes, parents = [], [], []
         highest = -1
-        for node in self.root.iter_subtree():
-            if node.node_id is not None:
-                if node.node_id in nodes:
-                    raise DocumentError(
-                        "duplicate node id: {}".format(node.node_id))
-                nodes[node.node_id] = node
-                if node.node_id > highest:
-                    highest = node.node_id
-        self._allocator.reserve_at_least(highest + 1)
-        # a parent comes before its children, so its id is known here
         for node, parent in self.root.iter_with_parents():
+            node_id = node.node_id
+            if node_id is not None and node_id > highest:
+                highest = node_id
+            ids.append(node_id)
+            nodes.append(node)
+            parents.append(parent)
+        if len(set(ids)) != len(ids):
+            seen = set()
+            for node_id in ids:
+                if node_id is not None and node_id in seen:
+                    raise DocumentError(
+                        "duplicate node id: {}".format(node_id))
+                seen.add(node_id)
+        self._allocator.reserve_at_least(highest + 1)
+        for position, node in enumerate(nodes):
             if node.node_id is None:
-                node.node_id = self.fresh_id()
-                nodes[node.node_id] = node
-            parents[node.node_id] = (None if parent is None
-                                     else parent.node_id)
+                node.node_id = ids[position] = self._allocator.allocate()
+        parents = [None if parent is None else parent.node_id
+                   for parent in parents]
+        (self._nodes, self._parents), self._far = idtable.lay_out(
+            _BLANKS, ids, (nodes, parents))
+        self._count = len(ids)
 
     # -- copying -----------------------------------------------------------
 
@@ -309,10 +326,10 @@ class Document:
         none keeps the shared ``()``), in which the copied children
         replace their originals; every other node is
         shared with this document, which is left as it was. The copy
-        shares this document's id index and parent map, keeping its own
-        changes apart until :meth:`commit`, and has an allocator at the
-        same position and stride. So the copy may be edited anywhere on
-        those paths while this tree keeps its lists, names and values."""
+        has its own id table — this one's columns sliced, the copies in
+        their slots — and an allocator at the same position and stride.
+        So the copy may be edited anywhere on those paths while this
+        tree keeps its lists, names, values and table."""
         find, parent_id = self.find, self.parent_id
         originals = {}  # id -> (node, its parent's id)
         for node_id in node_ids:
@@ -340,36 +357,19 @@ class Document:
         root = self.root
         if root is not None:
             root = copies.get(root.node_id, root)
-        clone = Document.indexed(root, self._nodes, self._parents,
-                                 IdAllocator(
-                                     start=self._allocator.next_value,
+        clone = Document.indexed(
+            root, self._nodes[:], self._parents[:], dict(self._far),
+            self._count, IdAllocator(start=self._allocator.next_value,
                                      stride=self._allocator.stride))
-        clone._delta = copies
-        clone._parent_delta = {}
-        clone._base = self
-        return clone
-
-    def commit(self):
-        """Fold this path copy's changes into the maps it shares with
-        the document it was copied from; that document then answers
-        lookups from maps of its own tree, built on first use. The copy
-        has to be the only one of that document to commit."""
-        delta, base = self._delta, self._base
-        if delta is None:
-            return
-        nodes, parents = self._nodes, self._parents
-        parent_delta = self._parent_delta
-        # before the fold: a lookup racing it on the base sees the flag
-        base._handed_on = len(base)
-        for node_id, node in delta.items():
-            if node is None:
-                nodes.pop(node_id, None)
-                parents.pop(node_id, None)
+        # ids are stable: a copy takes its original's node slot, and
+        # its parent entry stands
+        nodes, far = clone._nodes, clone._far
+        for node_id, copy in copies.items():
+            if node_id in far:
+                far[node_id] = (copy, far[node_id][1])
             else:
-                nodes[node_id] = node
-                if node_id in parent_delta:
-                    parents[node_id] = parent_delta[node_id]
-        self._delta = self._parent_delta = self._base = None
+                nodes[node_id] = copy
+        return clone
 
     # -- convenience lookups -------------------------------------------------
 

@@ -20,8 +20,9 @@ at most :data:`MAX_ELEMENT_NESTING` elements deep. Every
 
 :func:`parse_document` assigns identifiers while it builds the tree, in
 document order (elements first, then their attributes in appearance
-order, then content), and hands the id index it filled on the way to the
-:class:`Document`, which therefore never walks the tree to register it.
+order, then content), and hands the nodes and parent ids it listed on
+the way, in id order, to the :class:`Document` as its id table's
+columns, so the document never walks the tree to register it.
 This matches the uniform identifier-assignment requirement of Section
 4.1: every producer parsing the same serialized document derives the
 same ids.
@@ -232,14 +233,14 @@ def _document_tokens(text, keep_whitespace):
 
 def _build(tokens, allocator=None):
     """Build the trees a token stream describes: the list of top-level
-    nodes (detached), the offset the last element ended at, the id index
-    and the parent map. Without ``allocator`` no ids are assigned and
-    both maps are empty; with it, every node takes the allocator's next
+    nodes (detached), the offset the last element ended at, the nodes
+    and their parents' ids. Without ``allocator`` no ids are assigned and
+    both lists are empty; with it, every node takes the allocator's next
     id as it is created — an element, then its attributes in appearance
     order, then its content: document order, the order of
-    :meth:`~repro.xdm.node.Node.iter_subtree` — the index maps each id
-    to its node and the parent map to its parent's id (``None`` at top
-    level). The allocator advances past the ids only once the whole
+    :meth:`~repro.xdm.node.Node.iter_subtree` — and the lists give the
+    nodes and their parents' ids (``None`` at top level) in id
+    order. The allocator advances past the ids only once the whole
     stream was read, so a syntax error consumes none.
 
     Nodes are linked directly: the scanner has already checked that the
@@ -255,8 +256,8 @@ def _build(tokens, allocator=None):
     # ``pending`` where its children start
     path = []
     end = None
-    nodes = {}
-    parents = {}
+    nodes = []
+    parents = []
     next_id, stride = ((allocator.next_value, allocator.stride)
                        if allocator is not None else (None, 0))
     for kind, value, extra in tokens:
@@ -278,8 +279,8 @@ def _build(tokens, allocator=None):
             parent_id = None
             top.append(node)
         if allocator is not None:
-            nodes[next_id] = node
-            parents[next_id] = parent_id
+            nodes.append(node)
+            parents.append(parent_id)
             next_id += stride
         if kind == _START:
             if extra:
@@ -290,8 +291,8 @@ def _build(tokens, allocator=None):
                                 value=attr_value, node_id=next_id)
                     attributes[position] = attr
                     if allocator is not None:
-                        nodes[next_id] = attr
-                        parents[next_id] = node.node_id
+                        nodes.append(attr)
+                        parents.append(node.node_id)
                         next_id += stride
             path.append((node, len(pending)))
     if allocator is not None:
@@ -325,6 +326,9 @@ def parse_document(text, keep_whitespace=False, allocator=None):
     ``Document(root=parse_fragment(text), allocator=allocator)``."""
     if allocator is None:
         allocator = IdAllocator()
+    first, stride = allocator.next_value, allocator.stride
     top, __, nodes, parents = _build(
         _document_tokens(text, keep_whitespace), allocator)
-    return Document.indexed(top[0], nodes, parents, allocator)
+    return Document.numbered(
+        top[0], range(first, first + len(nodes) * stride, stride), nodes,
+        parents, allocator)

@@ -149,10 +149,10 @@ def document_order(nodes, labeling=None, roots=()):
     """Sort ``nodes``, all of them in the trees ``roots``, into document
     order.
 
-    With a ``labeling``, order by label — the paper's order: a label
-    is one integer ordered by its start code, and start codes are
-    unique and enumerate the document — which is O(1) per comparison
-    and the primitive the index engine's bucket order shares. Without
+    With a ``labeling``, order by start code — the paper's order: start
+    codes are unique and enumerate the document — which is O(1) per
+    comparison and the primitive the index engine's bucket order
+    shares. Without
     one (or when a node is unlabeled, e.g. the compiler's source
     fragments), fall back to the positions of one pre-order walk of
     ``roots``.
@@ -160,11 +160,11 @@ def document_order(nodes, labeling=None, roots=()):
     if labeling is not None:
         keys = {}
         for node in nodes:
-            label = labeling.find(getattr(node, "node_id", None))
-            if label is None:
+            start = labeling.start_of(getattr(node, "node_id", None))
+            if start is None:
                 keys = None
                 break
-            keys[id(node)] = label
+            keys[id(node)] = start
         if keys is not None:
             return sorted(nodes, key=lambda node: keys[id(node)])
     positions = {}

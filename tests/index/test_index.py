@@ -213,33 +213,29 @@ class TestShape:
         assert_buckets_hold_ints(derived)
 
 
-def packed(start, end):
-    """A label at a scale of 10 (one-digit codes): ``(label, after)``
-    as :func:`~repro.index.engine.node_interval` gives them."""
-    return start * 10 + end, end * 10
-
-
 class TestSweep:
+    """Intervals are ``(start, end)`` codes as
+    :func:`~repro.index.engine.node_interval` gives them, candidates
+    come with their start codes."""
+
     def test_strict_containment(self):
-        intervals = [packed(1, 4), packed(6, 9)]
-        labels = {1: packed(0, 5)[0],   # before both
-                  2: packed(2, 3)[0],   # inside the first
-                  3: packed(1, 4)[0],   # equal, not strict
-                  4: packed(5, 6)[0],   # in the gap
-                  5: packed(7, 8)[0]}   # inside the second
-        kept = descendant_sweep(intervals, sorted(labels, key=labels.get),
-                                labels.get)
+        intervals = [(1, 4), (6, 9)]
+        starts = {1: 0,   # before both
+                  2: 2,   # inside the first
+                  3: 1,   # equal, not strict
+                  4: 5,   # in the gap
+                  5: 7}   # inside the second
+        ids = sorted(starts, key=starts.get)
+        kept = descendant_sweep(intervals, ids, map(starts.get, ids))
         assert kept == [2, 5]
 
     def test_virtual_root_contains_everything(self):
-        labels = {1: packed(1, 2)[0], 2: packed(3, 9)[0]}
-        assert descendant_sweep([ROOT_INTERVAL], [1, 2], labels.get) \
+        assert descendant_sweep([ROOT_INTERVAL], [1, 2], [1, 3]) \
             == [1, 2]
 
-    def test_key_projection(self):
+    def test_ids_are_kept_as_given(self):
         entries = [("2", "2a", 7, "owner")]
-        kept = descendant_sweep([packed(1, 4)], entries,
-                                key=lambda e: packed(2, 3)[0])
+        kept = descendant_sweep([(1, 4)], entries, [2])
         assert kept == entries
 
 

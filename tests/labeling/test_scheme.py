@@ -1,5 +1,7 @@
 """Tests for label construction and update-tolerant maintenance."""
 
+from array import array
+
 import pytest
 from hypothesis import given, settings
 
@@ -109,53 +111,63 @@ class TestBuild:
         with pytest.raises(LabelingError):
             labeling.exchange_label(999)
 
-    def test_a_resident_label_is_one_integer(self, small_doc):
+    def test_the_codes_are_two_array_columns(self, small_doc):
         """After every way of making labels — build, sync, a batch's
-        runs, a restore and a full relabel — the map holds one ``int``
-        per labeled node, and ``find``/``label_of`` give it;
-        ``digits`` and ``exchange_label`` give the codes back."""
-        def assert_one_int_each(labeling):
+        runs, a restore and a full relabel — a labeling at its first
+        width keeps its codes in two ``array('Q')`` columns indexed by
+        id and nothing else: no per-node int object, no far id.
+        ``find``/``label_of`` give a node's two codes, ``digits`` and
+        ``exchange_label`` give them back as digits."""
+        def assert_columns(labeling):
             assert len(labeling) == len(small_doc)
-            for node_id, label in labeling.as_mapping().items():
-                assert type(label) is int
-                assert labeling.find(node_id) is label
-                assert labeling.label_of(node_id) is label
+            for column in (labeling._starts, labeling._ends):
+                assert type(column) is array and column.typecode == "Q"
+            assert labeling._far == {}
+            for node in small_doc.nodes():
+                node_id = node.node_id
+                start, end = labeling.label_of(node_id)
+                assert (labeling._starts[node_id],
+                        labeling._ends[node_id]) == (start, end)
+                assert labeling.find(node_id) == (start, end)
+                assert labeling.start_of(node_id) == start
                 exchanged = labeling.exchange_label(node_id)
                 assert (exchanged.start, exchanged.end) == \
                     labeling.digits(node_id)
 
         labeling = ContainmentLabeling().build(small_doc)
-        assert_one_int_each(labeling)
+        assert_columns(labeling)
         root = small_doc.root
         synced = Node.element("synced")
         root.insert_child(1, synced)
         small_doc.register_tree(synced, root)
         labeling.sync(small_doc)
-        assert_one_int_each(labeling)
+        assert_columns(labeling)
         run = [Node.element("run")]
         root.insert_child(0, run[0])
         small_doc.register_tree(run[0], root)
-        left = labeling.interval(labeling.label_of(root.node_id))[0]
-        right = labeling.interval(
-            labeling.label_of(root.children[1].node_id))[0]
+        left = labeling.label_of(root.node_id)[0]
+        right = labeling.label_of(root.children[1].node_id)[0]
         labeling.assign_runs([(left, right, run)])
-        assert_one_int_each(labeling)
-        assert_one_int_each(ContainmentLabeling.restored(
+        assert_columns(labeling)
+        assert_columns(ContainmentLabeling.restored(
             small_doc, digit_codes(labeling), labeling.max_code_length))
         labeling.build(small_doc)
-        assert_one_int_each(labeling)
+        assert_columns(labeling)
 
-    def test_the_mapping_is_a_read_only_view(self, small_doc):
-        """``as_mapping`` is a live view of the label map, not a copy,
-        and refuses writes."""
+    def test_the_mapping_is_a_read_only_copy(self, small_doc):
+        """``as_mapping`` gives the labels as they are when it is
+        called, each node's two codes, and refuses writes: the columns
+        hold no map to view."""
         labeling = ContainmentLabeling().build(small_doc)
         view = labeling.as_mapping()
+        assert view == {node.node_id: labeling.label_of(node.node_id)
+                        for node in small_doc.nodes()}
         with pytest.raises(TypeError):
             view[999] = ("1", "2")
         with pytest.raises(TypeError):
             del view[0]
         labeling.forget(2)
-        assert 2 not in view
+        assert 2 in view and 2 not in labeling.as_mapping()
 
     @pytest.mark.parametrize("encoder", [None, CDQSEncoder()],
                              ids=["CDBS", "CDQS"])
@@ -269,7 +281,7 @@ def test_assign_run_labels_as_sync_does(small_doc, encoder):
 def bound(labeling, node_id, side):
     """The start (``side`` 0) or end (1) code of ``node_id`` as a run
     bound of :meth:`ContainmentLabeling.assign_runs`."""
-    return labeling.interval(labeling.label_of(node_id))[side]
+    return labeling.label_of(node_id)[side]
 
 
 def hot_spot(document, labeling, count):
@@ -297,9 +309,9 @@ def hot_spot(document, labeling, count):
 def test_a_widen_keeps_digits_and_document_order(small_doc, encoder):
     """Codes grown past the 64-digit width at one spot in the middle of
     the document widen the labeling. Every label keeps its digits,
-    label order stays document order, a run labeled in the batch that
-    widens gets the codes a sync gives it, and a restore from the
-    digits packs the same integers."""
+    start-code order stays document order, a run labeled in the batch
+    that widens gets the codes a sync gives it, and a restore from the
+    digits gives the same integers."""
     labeling = ContainmentLabeling(encoder=encoder).build(small_doc)
     before_digits = digit_codes(labeling)
     root, host = small_doc.root, small_doc.get(5)  # <d k='v'>

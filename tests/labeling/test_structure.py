@@ -161,14 +161,13 @@ def test_flushes_with_a_full_relabel(data):
 
 def test_a_full_relabel_flush_walks_no_copy_for_its_length(monkeypatch):
     """A full relabel sizes its codes by ``len`` of the path copy, which
-    counts from the shared index and the copy's delta: the flush lists
-    no path copy's ids."""
+    its id table counts as ids enter and leave: the flush lists no
+    document's ids."""
     listed = []
     node_ids = Document.node_ids
 
     def counting(document):
-        if document._delta is not None:
-            listed.append(document)
+        listed.append(document)
         return node_ids(document)
 
     monkeypatch.setattr(Document, "node_ids", counting)

@@ -10,12 +10,17 @@ and agree on label digits, not only on text (store README, invariant
 the restoring host's.
 """
 
+import hashlib
+import os
+
 import pytest
 
 from repro.api.dispatch import StoreDispatcher
 from repro.cluster import ReplicaStore
+from repro.labeling import ContainmentLabeling
 from repro.pul.ops import InsertBefore
 from repro.pul.pul import PUL
+from repro.pul.serialize import tree_to_xml
 from repro.store import DocumentStore
 from repro.store.durability import document_payload, restore_document
 from repro.xdm.node import Node
@@ -167,3 +172,53 @@ def test_a_document_opened_after_a_restart_takes_the_hosts_budget(
         assert host._entries["d"].published.budget == TIGHT
         assert host._entries["e"].published.budget == LOOSE
         assert host._entries["e"].published.full_relabels == 0
+
+
+#: what the hot spot below leaves — the published version's tree with
+#: ids, counters and label digits, then the write-ahead log's bytes —
+#: as a working copy that rescaled its codes before each full relabel
+#: left it too
+PAST_THE_BUDGET = (
+    "45d1edbf1809ebafdd64f6a1e605ec2b8829d56726482383c279fa11b06e1016")
+
+
+def test_a_flush_past_the_budget_widens_nothing(tmp_path, monkeypatch):
+    """A batch whose fresh codes break the budget is followed by a full
+    relabel, so the working copy installs none of them and never widens
+    its columns for codes the relabel replaces: past a 64-digit budget,
+    twice, ``_widen`` runs 0 times, and the version, its digits and the
+    log are the same bytes as when it ran."""
+    widened = []
+    widen = ContainmentLabeling._widen
+
+    def counting(labeling, width):
+        widened.append(width)
+        return widen(labeling, width)
+
+    monkeypatch.setattr(ContainmentLabeling, "_widen", counting)
+    wal_dir = str(tmp_path / "wal")
+    with DocumentStore(workers=1, backend="serial", durability="log",
+                       wal_dir=wal_dir) as store:
+        store.open("d", HOT)
+        hot = store.document("d").root.children[-1].node_id
+        relabels = []
+        for __ in range(80):
+            store.submit("d", PUL([InsertBefore(hot,
+                                                [Node.element("x")])]))
+            relabels.append(store.flush("d").relabel)
+        version = store._entries["d"].published
+        digest = hashlib.sha256()
+        digest.update(tree_to_xml(version.document.root).encode())
+        digest.update(repr([version.version,
+                            version.labeling.max_code_length,
+                            version.full_relabels]).encode())
+        for node in version.document.nodes():
+            digest.update(repr(
+                version.labeling.digits(node.node_id)).encode())
+    for name in sorted(os.listdir(wal_dir)):
+        with open(os.path.join(wal_dir, name), "rb") as handle:
+            digest.update(name.encode())
+            digest.update(handle.read())
+    assert relabels.count("full") == 2
+    assert widened == []
+    assert digest.hexdigest() == PAST_THE_BUDGET

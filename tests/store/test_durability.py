@@ -11,6 +11,7 @@ import copy
 import json
 import os
 import threading
+import tracemalloc
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 
 from repro.errors import (
     DurabilityError,
+    LabelingError,
     NotApplicableError,
     RecoveryError,
     ReproError,
@@ -47,8 +49,11 @@ from repro.store.durability import (
     restore_document,
 )
 from repro.store.durability import recovery as recovery_module
+from repro.labeling import CDQSEncoder, ContainmentLabeling
 from repro.store.store import DEFAULT_MAX_CODE_LENGTH
+from repro.store.versions import DocumentVersion
 from repro.workloads import generate_client_batches, generate_xmark
+from repro.xdm import idtable
 from repro.xdm.document import Document
 from repro.xdm.node import Node
 from repro.xdm.parser import MAX_ELEMENT_NESTING
@@ -388,6 +393,80 @@ class TestHostilePayloads:
             # the refused page replaced nothing
             assert replica.doc_ids() == ["d"]
             assert replica.applied_seq == 0
+
+
+    @staticmethod
+    def far_payload(far_id):
+        """A good payload whose ``<a>`` row, the parent of a text row,
+        holds ``far_id``."""
+        payload = document_payload(_version_of(FAR_TEXT))
+        rows = json.loads(payload["nodes"])
+        assert rows[2][1] == "a" and len(rows[3]) == 4
+        rows[2][0] = far_id
+        return dict(payload, nodes=json.dumps(rows))
+
+    @staticmethod
+    def assert_far(version, far_id):
+        """``version`` holds ``far_id`` in its tables' overflow dicts,
+        found and parented as its tree says, and no column longer than
+        its live ids give."""
+        document, labeling = version.document, version.labeling
+        assert far_id in document._far and far_id in labeling._far
+        node = document.get(far_id)
+        assert node.name == "a"
+        assert document.parent_id(node.children[0].node_id) == far_id
+        assert document.parent_id(far_id) == document.root.node_id
+        assert labeling.start_of(far_id) is not None
+        assert document.span < idtable.reach(len(document))
+        assert len(labeling._starts) < idtable.reach(len(labeling))
+
+    @pytest.mark.parametrize("far_id", [2 ** 62, -1], ids=["2**62", "-1"])
+    def test_a_far_id_restores_through_the_overflow_dict(self, tmp_path,
+                                                         far_id):
+        """A row id far past the live count, or below 0, is a slot of
+        no column: a restore, a restart and a bootstrap each keep it in
+        the overflow dicts (or would refuse it with RecoveryError), and
+        none allocates a column of that length."""
+        payload = self.far_payload(far_id)
+        tracemalloc.start()
+        try:
+            version = restore_document(payload)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1024 * 1024
+        self.assert_far(version, far_id)
+        wal_dir = str(tmp_path / "wal")
+        manager = DurabilityManager(wal_dir, DurabilityPolicy("log"))
+        manager.start()
+        manager.log_open(payload)
+        manager.close()
+        with _durable_store(tmp_path, "log") as restarted:
+            self.assert_far(restarted._entries["d"].published, far_id)
+            assert restarted.text("d") == FAR_TEXT
+        from repro.cluster import ReplicaStore
+
+        with ReplicaStore(workers=1, backend="serial") as replica:
+            replica.bootstrap([payload], 0, stream="s")
+            self.assert_far(replica._entries["d"].published, far_id)
+
+
+#: the document of the far-id payloads
+FAR_TEXT = '<r k="v"><a>one</a><b x="1" y="2"><c/>two</b></r>'
+
+
+def test_a_payload_refuses_a_cdqs_labeling():
+    """A restore reads every code as CDBS, so a version labeled with
+    CDQS is refused when its payload is written: its codes — those of
+    ``0``/``1`` digits alike — would read back as other codes."""
+    version = _version_of(FAR_TEXT)
+    cdqs = ContainmentLabeling(encoder=CDQSEncoder()).build(
+        version.document)
+    assert any(set(code) <= {"0", "1"} for node in version.document.nodes()
+               for code in cdqs.digits(node.node_id))
+    with pytest.raises(LabelingError, match="CDBS"):
+        document_payload(DocumentVersion(
+            "d", 0, version.document, cdqs, version.budget))
 
 
 class TestNestingBound:

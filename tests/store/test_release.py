@@ -12,6 +12,7 @@ published trees' size plus the nodes the test itself still holds
 import gc
 import sys
 import threading
+from array import array
 
 import pytest
 
@@ -185,19 +186,22 @@ def test_nothing_the_store_holds_or_decodes_is_cyclic(tmp_path):
 
 
 def test_resident_code_pairs_are_not_tracked_by_the_collector(tmp_path):
-    """A resident label is a plain tuple of two code strings, which a
-    collection untracks: after ``gc.collect()`` no value of a resident
-    labeling's map — built at open, extended by an incremental flush,
-    rebuilt by a full relabel, restored by a restart — is left for the
-    collector to walk (a namedtuple or a slotted object would be)."""
+    """A node's two codes are two slots of its labeling's ``array('Q')``
+    columns, not objects: after ``gc.collect()`` a resident labeling —
+    built at open, extended by an incremental flush, rebuilt by a full
+    relabel, restored by a restart — leaves the collector its two
+    columns to walk and nothing per node (a dict of per-node values
+    would leave one entry each)."""
     wal = str(tmp_path / "wal")
 
     def assert_untracked(store):
         gc.collect()
         for doc_id in ("d", "e"):
-            labels = store.labeling(doc_id).as_mapping()
-            assert len(labels) == len(store.document(doc_id))
-            assert not any(map(gc.is_tracked, labels.values()))
+            labeling = store.labeling(doc_id)
+            assert len(labeling) == len(store.document(doc_id))
+            for column in (labeling._starts, labeling._ends):
+                assert type(column) is array and column.typecode == "Q"
+            assert labeling._far == {}
 
     with DocumentStore(backend="serial", durability="log",
                        wal_dir=wal) as store:

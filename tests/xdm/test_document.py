@@ -160,10 +160,10 @@ def _answers(document):
 
 
 class TestPathCopy:
-    """A path copy shares its document's id index and parent map and
-    keeps its own changes apart until it commits; from then on the
-    document it was copied from answers lookups from maps of its own
-    tree."""
+    """A path copy slices its document's id table and writes its copied
+    nodes into its own slots: from the copy on, each answers for its
+    own tree, and the document copied from keeps its table as it was
+    (a published version's columns are never written again)."""
 
     def test_copy_and_original_each_answer_for_their_own_tree(self):
         from repro.xdm.parser import parse_document
@@ -171,6 +171,7 @@ class TestPathCopy:
         document = parse_document('<r><a><b/>t</a><c x="1"/></r>')
         by_name = {node.name: node for node in document.nodes()
                    if node.name is not None}
+        before = _answers(document)
         copy = document.path_copy([by_name["b"].node_id])
         assert {node.name for node in copy.nodes()
                 if node.name is not None
@@ -179,6 +180,8 @@ class TestPathCopy:
         assert copy.get(by_name["c"].node_id) is by_name["c"]  # shared
         copied_a = copy.get(by_name["a"].node_id)
         assert copied_a is not by_name["a"]
+        assert copy._nodes is not document._nodes
+        assert copy._parents is not document._parents
         # drop c and its attribute x, insert d into a
         copy.root.children.remove(by_name["c"])
         copy.forget_ids(node.node_id
@@ -191,12 +194,12 @@ class TestPathCopy:
         assert fresh.node_id in copy and fresh.node_id not in document
         assert by_name["c"].node_id not in copy
         assert by_name["c"].node_id in document
-        copy.commit()
         assert sorted(document.node_ids()) == ids
-        assert len(document) == len(ids) and len(copy) == len(ids) - 1
+        assert len(document) == len(ids)
+        assert _answers(document) == before
         assert document.get(by_name["a"].node_id) is by_name["a"]
-        assert document.get(by_name["c"].node_id) is by_name["c"]
         assert document.find(fresh.node_id) is None
+        assert copy.parent_id(fresh.node_id) == copied_a.node_id
         assert copy.get(by_name["a"].node_id) is copied_a
         assert copy.find(by_name["c"].node_id) is None
         assert copy.get(fresh.node_id) is fresh
@@ -205,17 +208,18 @@ class TestPathCopy:
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_length_and_parents_of_path_copies(data):
-    """``len`` of a path copy counts from the shared index and the
-    delta, and its parent map gives every node the parent its tree
-    does, across inserts, deletes and replacements, before and after
-    commit; the copied document keeps answering as before."""
+    """``len`` of a path copy is its tree's node count, and its parent
+    column gives every node the parent its tree does, across inserts,
+    deletes and replacements; the copied document keeps answering as
+    before, and so does every earlier version of the chain."""
     document = data.draw(documents())
     labeling = ContainmentLabeling().build(document)
+    versions = []
     for __ in range(data.draw(st.integers(1, 3), label="batches")):
         pul = data.draw(applicable_puls(document, max_ops=6))
         pul.attach_labels(labeling)
         reduced = reduce_deterministic(pul)
-        before = _answers(document)
+        versions.append((document, _answers(document)))
         footprint = classify(document, reduced)
         copy = document.path_copy(
             footprint.site_ids + footprint.touched_ids)
@@ -230,11 +234,7 @@ def test_length_and_parents_of_path_copies(data):
         assert len(copy) == len(walked)
         assert {node_id: copy.parent_id(node_id) for node_id in walked} \
             == walked
-        assert _answers(document) == before
-        copy.commit()
-        assert len(copy) == len(walked)
-        assert {node_id: copy.parent_id(node_id) for node_id in walked} \
-            == walked
-        assert _answers(document) == before
-        assert len(document) == len(before)
+        for version, answers in versions:
+            assert _answers(version) == answers
+            assert len(version) == len(answers)
         document, labeling = copy, copy_labels
