@@ -58,16 +58,17 @@ class DocumentIndex:
     @classmethod
     def build(cls, document, labeling):
         """Index ``document`` from scratch against ``labeling``: one
-        walk over the tree, then each bucket sorted by its ids' start
-        codes (:meth:`~repro.labeling.scheme.ContainmentLabeling.order_key`),
-        each read once."""
+        walk over the tree in document order, which is start-code
+        order, so each bucket fills in the order it keeps and nothing
+        is sorted. ``labeling`` is what the buckets are ordered by; the
+        walk reads none of it."""
         index = cls()
         root = document.root
         if root is None:
             return index
         elements, attributes, values, texts = (
             index.elements, index.attributes, index.values, index.texts)
-        for node, __ in root.iter_with_parents():
+        for node in root.iter_subtree():
             kind = node.node_type
             if kind is _ELEMENT:
                 elements.setdefault(node.name, []).append(node.node_id)
@@ -77,11 +78,6 @@ class DocumentIndex:
                                   []).append(node.node_id)
             else:
                 texts.append(node.node_id)
-        key = labeling.order_key()
-        for buckets in (elements, attributes, values):
-            for bucket in buckets.values():
-                bucket.sort(key=key)
-        texts.sort(key=key)
         return index
 
     # -- incremental maintenance ----------------------------------------------

@@ -14,8 +14,8 @@ what makes the containment labeling update-tolerant.
   codes are shorter at equal fan-out, trading slightly more work per digit.
 
 Codes are generated as digit strings (``"1011"``): the generators
-compute on them, and they are what travels on the wire and in
-snapshots. Single-character digits without trailing zeros compare as
+compute on them, and they are what travels on the wire in exchange
+labels. Single-character digits without trailing zeros compare as
 their fractional values, so ordering is a plain ``str`` comparison; the
 CDQS midpoint search likewise compares digit characters and converts
 only the first pair that differs to numbers. A resident labeling keeps
@@ -24,8 +24,8 @@ each code as an integer instead, one slot of a start or end column
 code's digits padded on the right to a fixed width as one number in
 the encoder's base — at a width of 64 bits, a slot of an
 ``array('Q')`` — and :meth:`~_EncoderBase.to_digits` gives the padded
-digits back (:meth:`~_EncoderBase.digit_strings` many at once, without
-the padding). Since no code ends in ``0``, the padding is one-to-one,
+digits back. A durability payload carries these integers as they are.
+Since no code ends in ``0``, the padding is one-to-one,
 never gives 0, and integer order is string order.
 """
 
@@ -125,13 +125,6 @@ class _EncoderBase:
         with the right padding still on."""
         raise NotImplementedError
 
-    def digit_strings(self, values, width):
-        """The codes whose :meth:`to_int` at ``width`` are ``values``:
-        :meth:`to_digits` without the padding, for many values at
-        once."""
-        return [self.to_digits(value, width).rstrip("0")
-                for value in values]
-
     def initial_codes(self, count):
         """Assign ``count`` codes in increasing order, balanced so code
         length grows logarithmically with ``count`` (bulk loading)."""
@@ -181,10 +174,6 @@ class CDBSEncoder(_EncoderBase):
     def to_digits(self, value, width):
         # a set bit above the digits keeps the leading zeros in ``bin``
         return bin(value | 1 << width)[3:]
-
-    def digit_strings(self, values, width):
-        top = 1 << width
-        return [bin(value | top)[3:].rstrip("0") for value in values]
 
     def between(self, left, right):
         if left is None and right is None:

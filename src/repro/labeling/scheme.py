@@ -29,7 +29,9 @@ code past it, and so never widen for codes the relabel replaces.
 
 Digits appear only at the edges. Codes are generated as digit strings
 and each new code is converted once, when it is installed; a label
-goes back to digits (:meth:`digits`) when it travels. The rest of the
+goes back to digits (:meth:`digits`) when it travels in a PUL. A
+durability payload carries the integers themselves, column by column
+(:meth:`code_columns` out, :meth:`restored` in). The rest of the
 paper's extended label — node type, level, parent and sibling ids — is
 what the tree says it is, so it is not kept beside it:
 :meth:`exchange_label` reads it off the labeled document when a label
@@ -164,29 +166,32 @@ class ContainmentLabeling:
 
     def digits(self, node_id):
         """The ``(start, end)`` digit strings of ``node_id``: the form
-        codes travel in (exchange labels, snapshot rows)."""
+        codes travel in as exchange labels."""
         start, end = self.label_of(node_id)
         to_digits, width = self.encoder.to_digits, self._width
         return (to_digits(start, width).rstrip("0"),
                 to_digits(end, width).rstrip("0"))
 
-    def digits_of(self, node_ids):
-        """:meth:`digits` of every id of ``node_ids``, in order, as an
-        iterator: when no id is far, the codes are read off the columns
-        in C and converted by the encoder in one pass each."""
-        ids = list(node_ids)
-        if self._far or not ids or min(ids) < 0:
-            return map(self.digits, ids)
-        try:
-            starts = list(map(self._starts.__getitem__, ids))
-            ends = list(map(self._ends.__getitem__, ids))
-        except IndexError:
-            starts = [0]
-        if 0 in starts:
-            # an id that holds no label: digits names it
-            return map(self.digits, ids)
-        strings, width = self.encoder.digit_strings, self._width
-        return zip(strings(starts, width), strings(ends, width))
+    def code_columns(self, span):
+        """The labels as a payload carries them: ``(starts, ends,
+        far)``, the start and end codes of the ids ``0 .. span - 1`` as
+        two lists of ``span`` ints (0 where an id holds no label), read
+        off the columns in C, and an ``id -> (start, end)`` dict of
+        every other id's."""
+        starts, ends = self._starts[:span], self._ends[:span]
+        if type(starts) is array:
+            starts, ends = starts.tolist(), ends.tolist()
+        if len(starts) < span:
+            blanks = [0] * (span - len(starts))
+            starts += blanks
+            ends += blanks
+        far = {}
+        for node_id, (start, end) in self._far.items():
+            if type(node_id) is int and 0 <= node_id < span:
+                starts[node_id], ends[node_id] = start, end
+            else:
+                far[node_id] = (start, end)
+        return starts, ends, far
 
     def exchange_label(self, node_id):
         """The :class:`~repro.labeling.containment.ExtendedLabel` of
@@ -284,13 +289,19 @@ class ContainmentLabeling:
         return True
 
     @classmethod
-    def restored(cls, document, codes, max_code_length):
-        """A labeling of ``document`` over ``codes`` (an ``id ->
-        (start, end)`` dict of digit strings) with the watermark a
-        durability snapshot recorded. A code ending in ``0`` is a
-        :class:`LabelingError`; an empty one, or one longer than the
-        width the watermark gives, a ``ValueError``. Codes are read as
-        CDBS, the encoder of every payload.
+    def restored(cls, starts, ends, far, max_code_length, document=None):
+        """A labeling over the code columns a durability payload
+        carries (:meth:`code_columns`) — ``starts`` and ``ends``, lists
+        of ints, slot ``i`` holding id ``i``'s codes or 0, and ``far``,
+        an ``id -> (start, end)`` dict of ids past them — with the
+        watermark the payload recorded. The codes are read as CDBS at
+        the width the watermark gives, so each must be an int (no
+        ``bool``) below ``2 ** W``; anything else, columns of unequal
+        length, or a far code of 0, is a ``ValueError``. The columns
+        become ``array('Q')`` while the width fits one, as
+        :meth:`_columns` makes them. ``document`` is the document they
+        label (a restore that builds the tree from these codes sets it
+        afterwards).
 
         The watermark is restored verbatim, not recomputed: the tracker
         is monotone between rebuilds, so it may exceed the longest code
@@ -302,26 +313,31 @@ class ContainmentLabeling:
         labeling.document = document
         labeling._max_code_len = max_code_length
         labeling._width = _width_for(max_code_length, labeling._bits)
-        width = labeling._width
-        starts, ends = labeling._starts, labeling._ends = \
-            labeling._columns(document.span)
-        span = len(starts)
-        to_int = labeling.encoder.to_int
-        beyond = []
-        for node_id, (start, end) in codes.items():
-            # an empty code, or one past the width, fails to convert
-            start_code, end_code = to_int(start, width), to_int(end, width)
-            if start[-1] == "0" or end[-1] == "0":
-                raise LabelingError("malformed codes of node {}: {!r}, "
-                                    "{!r}".format(node_id, start, end))
-            if type(node_id) is int and 0 <= node_id < span:
-                starts[node_id] = start_code
-                ends[node_id] = end_code
-            else:
-                beyond.append((node_id, start_code, end_code))
-        labeling._count = len(codes) - len(beyond)
-        for node_id, start_code, end_code in beyond:
-            labeling._place(node_id, start_code, end_code)
+        limit = labeling.encoder.base ** labeling._width
+        far = dict(far)
+        for column in (starts, ends, [code for pair in far.values()
+                                      for code in pair]):
+            if type(column) is not list or \
+                    not set(map(type, column)) <= {int}:
+                raise ValueError("a code column holds a value that is "
+                                 "no integer")
+            if column and not (0 <= min(column) and max(column) < limit):
+                raise ValueError("a code is out of the range of {} "
+                                 "digits".format(labeling._width))
+        if len(starts) != len(ends):
+            raise ValueError("code columns of {} and {} slots".format(
+                len(starts), len(ends)))
+        for node_id, (start, end) in far.items():
+            if not (start and end):
+                raise ValueError("far id {!r} holds a blank code".format(
+                    node_id))
+        if labeling._width * labeling._bits <= WIDTH:
+            starts, ends = array("Q", starts), array("Q", ends)
+        else:
+            starts, ends = starts[:], ends[:]
+        labeling._starts, labeling._ends = starts, ends
+        labeling._far = far
+        labeling._count = len(starts) - starts.count(0) + len(far)
         return labeling
 
     # -- construction --------------------------------------------------------

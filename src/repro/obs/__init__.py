@@ -201,6 +201,18 @@ class StoreObs:
             "repro_store_recovery_stage_seconds",
             "Per-stage restart latency", stage=name)
 
+    def snapshot_histogram(self, name):
+        """The ``repro_store_snapshot_stage_seconds`` series of
+        ``stage=name``, observed once per snapshot compaction:
+        ``capture`` (the documents' payloads), ``encode`` (each into the
+        record), ``write`` (the file, its fsync and its rename) and
+        ``compact`` (seal the segment, delete what the snapshot
+        supersedes). Capture and encode run inside the write, one
+        document at a time; the write's seconds leave them out."""
+        return self.registry.histogram(
+            "repro_store_snapshot_stage_seconds",
+            "Per-stage snapshot compaction latency", stage=name)
+
     def open_stage(self, name):
         """Time one step of opening a document — ``parse`` (text to
         tree, ids assigned), ``label`` (the bulk-load labeling),

@@ -8,12 +8,15 @@ resident state deterministically. The package splits into
 * :mod:`.wal` — CRC-framed, fsync-batched record framing (torn-tail
   tolerant);
 * :mod:`.snapshot` — exact serialization of resident document state
-  (node rows with identifiers and containment codes, allocator
-  position, watermark), the one payload form of snapshots, ``open``
-  records and state exports;
+  (the document's id table: each id's kind, name, value and two
+  integer containment codes, plus allocator position and watermark),
+  the one payload form of snapshots, ``open`` records and state
+  exports; a restore rebuilds the tree from the nesting of the codes'
+  intervals;
 * :mod:`.recovery` — policies, the generation-numbered directory with
-  snapshot compaction, state loading, and the stateless replay oracle
-  recovery is verified against.
+  snapshot compaction (one document's payload held at a time), state
+  loading, and the stateless replay oracle recovery is verified
+  against.
 """
 
 from repro.store.durability.recovery import (

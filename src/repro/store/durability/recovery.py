@@ -68,10 +68,11 @@ from repro.reduction import reduce_deterministic
 from repro.store.durability.snapshot import restore_document
 from repro.store.durability.wal import (
     WalWriter,
+    install_file,
     read_single_record,
     scan_wal,
     truncate_torn_tail,
-    write_file_atomically,
+    write_record_file,
 )
 from repro.xdm.serializer import serialize
 
@@ -79,6 +80,12 @@ _WAL_PATTERN = re.compile(r"^wal-(\d{8})\.log$")
 _SNAP_PATTERN = re.compile(r"^snapshot-(\d{8})\.snap$")
 
 DEFAULT_SNAPSHOT_EVERY = 8
+
+#: the stages of a snapshot compaction, each timed once per snapshot
+SNAPSHOT_STAGES = ("capture", "encode", "write", "compact")
+
+#: what ``next`` gives for a drawn-out iterator of payloads
+_DRAWN = object()
 
 
 class DurabilityPolicy:
@@ -326,6 +333,12 @@ class DurabilityManager:
             "repro_wal_train_records",
             "Records made durable by one group-commit fsync",
             buckets=SIZE_BUCKETS)
+        self._m_snapshot_stages = {
+            stage: self._obs.snapshot_histogram(stage)
+            for stage in SNAPSHOT_STAGES}
+        #: seconds the last :meth:`begin_rotation` took: the seal is
+        #: the first part of a compaction's ``compact`` stage
+        self._rotation_seconds = 0.0
         #: extra seconds a commit-train leader waits before its fsync so
         #: more concurrent appends can board (0 = fsync immediately; the
         #: train still forms naturally while a previous fsync is in
@@ -577,6 +590,7 @@ class DurabilityManager:
         leader's: what it made durable is on the feed before the method
         returns, so compaction may delete the sealed files.
         """
+        started = time.perf_counter()
         with self._lock:
             sealed = self.generation
             if self._writer is not None:
@@ -587,6 +601,7 @@ class DurabilityManager:
             self.batches_since_snapshot = 0
         with self._commit_cv:
             self._commit_cv.notify_all()
+        self._rotation_seconds = time.perf_counter() - started
         return sealed
 
     def commit_snapshot(self, sealed, document_payloads):
@@ -600,27 +615,72 @@ class DurabilityManager:
         *behind* the seal would lose records — that ordering is the
         caller's contract.
 
-        The payloads are encoded before the manager lock is taken, so
-        an :meth:`append` on another thread never waits for the
-        encode; the write and the deletions hold it.
+        The payloads are an iterable drawn one at a time: each is
+        encoded into the record as it is drawn and written to the
+        snapshot's temporary file at once, so compaction holds one
+        document's payload, not the store's. The record is the bytes
+        :func:`encode_payload` gives for ``{"kind": "snapshot",
+        "generation": sealed, "docs": [...]}``. Nothing of that takes
+        the manager lock, so an :meth:`append` on another thread never
+        waits for a capture or an encode; the rename and the deletions
+        hold it. Each stage is observed once, into
+        ``repro_store_snapshot_stage_seconds``.
         """
-        payload = encode_payload({
-            "kind": "snapshot", "generation": sealed,
-            "docs": list(document_payloads)})
+        clock = time.perf_counter
+        spent = dict.fromkeys(SNAPSHOT_STAGES, 0.0)
+
+        def chunks():
+            payloads = iter(document_payloads)
+            yield b'{"docs":['
+            separator = b""
+            while True:
+                started = clock()
+                payload = next(payloads, _DRAWN)
+                captured = clock()
+                spent["capture"] += captured - started
+                if payload is _DRAWN:
+                    break
+                encoded = encode_payload(payload)
+                spent["encode"] += clock() - captured
+                yield separator
+                yield encoded
+                # written: let go of it before the next capture
+                del payload, encoded
+                separator = b","
+            yield '],"generation":{},"kind":"snapshot"}}'.format(
+                sealed).encode("ascii")
+
+        path = self._snap_path(sealed)
+        tmp_path = path + ".tmp"
+        started = clock()
+        try:
+            write_record_file(tmp_path, chunks())
+        except BaseException:
+            try:
+                os.unlink(tmp_path)
+            except OSError:
+                pass
+            raise
         with self._lock:
-            write_file_atomically(self._snap_path(sealed), payload)
+            install_file(tmp_path, path)
+            written = clock()
             wals, snaps = _scan_directory(self.directory)
             superseded = (
-                [path for generation, path in wals.items()
+                [stale for generation, stale in wals.items()
                  if generation <= sealed]
-                + [path for generation, path in snaps.items()
+                + [stale for generation, stale in snaps.items()
                    if generation < sealed])
-            for path in superseded:
+            for stale in superseded:
                 try:
-                    os.unlink(path)
+                    os.unlink(stale)
                 except OSError:
                     pass
-            return sealed
+        spent["write"] = written - started - spent["capture"] \
+            - spent["encode"]
+        spent["compact"] = self._rotation_seconds + clock() - written
+        for stage, seconds in spent.items():
+            self._m_snapshot_stages[stage].observe(seconds)
+        return sealed
 
 
 # -- the stateless recovery oracle -------------------------------------------

@@ -269,10 +269,39 @@ def write_file_atomically(path, payload):
     complete new one, never a torn snapshot.
     """
     tmp_path = path + ".tmp"
-    with open(tmp_path, "wb") as handle:
-        handle.write(encode_record(payload))
+    write_record_file(tmp_path, [payload])
+    install_file(tmp_path, path)
+
+
+def write_record_file(path, chunks):
+    """Write the payload made of ``chunks`` — an iterable of bytes,
+    drawn one at a time — as a single-record file at ``path`` and
+    fsync it. The header needs the payload's length and CRC, so it is
+    written last, into the room left for it at the start: no more than
+    one chunk is held at a time. A payload past :data:`MAX_PAYLOAD` is
+    a :class:`DurabilityError`. Returns the payload's length."""
+    length = 0
+    crc = 0
+    with open(path, "wb") as handle:
+        handle.write(bytes(_HEADER.size))
+        for chunk in chunks:
+            length += len(chunk)
+            if length > MAX_PAYLOAD:
+                raise DurabilityError(
+                    "record payload of more than {} bytes exceeds the "
+                    "frame bound".format(MAX_PAYLOAD))
+            crc = zlib.crc32(chunk, crc)
+            handle.write(chunk)
+        handle.seek(0)
+        handle.write(_HEADER.pack(MAGIC, length, crc & 0xFFFFFFFF))
         handle.flush()
         os.fsync(handle.fileno())
+    return length
+
+
+def install_file(tmp_path, path):
+    """Rename the written file ``tmp_path`` over ``path`` and make the
+    rename durable."""
     os.replace(tmp_path, path)
     _fsync_directory(os.path.dirname(path) or ".")
 

@@ -363,12 +363,12 @@ class StoreReads:
             if (wanted is None or str(entry.doc_id) in wanted)
             and (cursor is None or str(entry.doc_id) > str(cursor))]
         page = selected if limit is None else selected[:max(1, int(limit))]
-        docs = []
-        for entry in page:
-            version = entry.wait_published(timeout)
-            if form == "state":
-                docs.append(document_payload(version))
-            else:
+        if form == "state":
+            docs = list(self._payloads(page, timeout))
+        else:
+            docs = []
+            for entry in page:
+                version = entry.wait_published(timeout)
                 docs.append({"doc_id": entry.doc_id,
                              "text": self._version_text(entry, version),
                              "version": version.version})
@@ -376,6 +376,16 @@ class StoreReads:
                 "cursor": (str(page[-1].doc_id) if page else cursor),
                 "done": len(page) == len(selected),
                 "seq": seq, "stream": stream}
+
+    @staticmethod
+    def _payloads(entries, timeout=CAPTURE_TIMEOUT):
+        """The state payloads of ``entries``, one at a time, each
+        captured from the published version that covers every batch
+        already logged (:meth:`StoredDocument.wait_published`): what an
+        ``export`` page lists and a snapshot compaction writes as it
+        draws them."""
+        for entry in entries:
+            yield document_payload(entry.wait_published(timeout))
 
     # -- observability reads -------------------------------------------------
 

@@ -766,8 +766,12 @@ class DocumentStore(StoreReads):
             return None
         try:
             sealed = self._durability.begin_rotation()
+            with self._lock:
+                entries = sorted(self._entries.values(),
+                                 key=lambda entry: str(entry.doc_id))
+            # drawn one document at a time by the record's writer
             return self._durability.commit_snapshot(
-                sealed, self.export_state()["docs"])
+                sealed, self._payloads(entries))
         finally:
             self._compacting.release()
 

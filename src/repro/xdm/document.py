@@ -174,6 +174,13 @@ class Document:
         its code columns by it)."""
         return len(self._nodes)
 
+    def table(self):
+        """The id table as it stands, for a reader that takes it whole
+        (a durability payload): the node column, ``None`` in a slot no
+        node holds, and the overflow dict, ``id -> (node, parent
+        id)``. Neither is a copy, and neither is to be written to."""
+        return self._nodes, self._far
+
     def table_bytes(self):
         """What the id table takes: its two columns and its overflow
         dict (:func:`repro.xdm.idtable.table_bytes`; O(1))."""

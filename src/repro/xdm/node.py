@@ -182,13 +182,15 @@ class Node:
         (their relative order among themselves is insertion order).
         """
         stack = [self]
+        pop, extend = stack.pop, stack.extend
+        element = NodeType.ELEMENT
         while stack:
-            node = stack.pop()
+            node = pop()
             yield node
-            if node.is_element:
+            if node.node_type is element:
                 if include_attributes:
                     yield from node.attributes
-                stack.extend(reversed(node.children))
+                extend(reversed(node.children))
 
     def iter_with_parents(self, parent=None):
         """Yield ``(node, its parent)`` for this node and its descendants,

@@ -23,6 +23,7 @@ from repro.labeling import ContainmentLabeling
 from repro.pul.ops import (
     Delete,
     InsertAttributes,
+    InsertIntoAsFirst,
     InsertIntoAsLast,
     Rename,
     ReplaceChildren,
@@ -33,9 +34,12 @@ from repro.pul.pul import PUL
 from repro.reasoning import DocumentOracle
 from repro.reduction import reduce_deterministic
 from repro.store import DocumentStore
+from repro.store.durability import document_payload, restore_document
+from repro.workloads.xmark import generate_xmark
 from repro.xdm import parse_document
 from repro.xdm.document import Document
 from repro.xdm.node import Node
+from repro.xdm.serializer import serialize
 from repro.xquery import parse_path
 
 DOC = ("<doc>"
@@ -44,6 +48,15 @@ DOC = ("<doc>"
        "<paper id='p2' status='retracted'><title>Beta</title></paper>"
        "<note>n</note>"
        "</doc>")
+
+
+def assert_start_code_order(index, labeling):
+    """Every bucket's ids have strictly increasing start codes."""
+    key = labeling.order_key()
+    for bucket in [*index.elements.values(), *index.attributes.values(),
+                   *index.values.values(), index.texts]:
+        starts = [key(node_id) for node_id in bucket]
+        assert all(map(int.__lt__, starts, starts[1:])), bucket
 
 
 def fresh():
@@ -83,6 +96,44 @@ class TestBuild:
         assert authors == [n.node_id for n in by_name(document, "author")]
         labels = [labeling.label_of(node_id) for node_id in authors]
         assert labels == sorted(labels)
+
+    def test_buckets_fill_in_start_code_order(self):
+        """The build sorts nothing: its walk meets each bucket's ids in
+        start-code order — after a parse, a restore, a labeling widened
+        past 64 digits by a hot spot of inserted elements and
+        attributes (each element before the last, so id order is not
+        document order), and a full relabel."""
+        text = serialize(generate_xmark(scale=0.01, seed=5))
+        with DocumentStore(workers=1, backend="serial",
+                           max_code_length=200) as store:
+            store.open("d", text)
+            parsed = store._require("d").published
+            assert_start_code_order(parsed.index, parsed.labeling)
+            restored = restore_document(document_payload(parsed))
+            assert_start_code_order(
+                build_index(restored.document, restored.labeling),
+                restored.labeling)
+            hot = store.document("d").root.children[-1]
+            for round_index in range(200):
+                if store._require("d").published.labeling \
+                        .max_code_length > 64:
+                    break
+                inserted = Node.element("hot")
+                inserted.append_attribute(Node.attribute("at", "v"))
+                store.submit("d", PUL([
+                    InsertIntoAsFirst(hot.node_id, [inserted]),
+                    InsertAttributes(hot.node_id, [Node.attribute(
+                        "a{}".format(round_index), "v")])]))
+                store.flush("d")
+            widened = store._require("d").published
+        labeling = widened.labeling
+        assert labeling.max_code_length > 64
+        assert type(labeling._starts) is list
+        assert_start_code_order(
+            build_index(widened.document, labeling), labeling)
+        relabeled = labeling.copy().build(widened.document)
+        assert_start_code_order(
+            build_index(widened.document, relabeled), relabeled)
 
     def test_rootless_document_indexes_empty(self):
         index = build_index(Document(), ContainmentLabeling())

@@ -32,6 +32,14 @@ def digit_codes(labeling):
             for node_id in labeling.as_mapping()}
 
 
+def restored_from(labeling, document):
+    """:meth:`ContainmentLabeling.restored` over the code columns a
+    payload of ``labeling`` carries."""
+    return ContainmentLabeling.restored(
+        *labeling.code_columns(document.span), labeling.max_code_length,
+        document=document)
+
+
 def exchange_labels(labeling):
     """Every label of ``labeling`` in the form it travels in."""
     return {node_id: labeling.exchange_label(node_id)
@@ -149,8 +157,7 @@ class TestBuild:
         right = labeling.label_of(root.children[1].node_id)[0]
         labeling.assign_runs([(left, right, run)])
         assert_columns(labeling)
-        assert_columns(ContainmentLabeling.restored(
-            small_doc, digit_codes(labeling), labeling.max_code_length))
+        assert_columns(restored_from(labeling, small_doc))
         labeling.build(small_doc)
         assert_columns(labeling)
 
@@ -341,9 +348,10 @@ def test_a_widen_keeps_digits_and_document_order(small_doc, encoder):
     assert sorted(order, key=labeling.label_of) == order
     assert_labels_match_tree(small_doc, labeling)
     if encoder is None:  # a restore labels with the store's encoder
-        restored = ContainmentLabeling.restored(
-            small_doc, digit_codes(labeling), labeling.max_code_length)
+        restored = restored_from(labeling, small_doc)
+        assert type(restored._starts) is list
         assert restored.as_mapping() == labeling.as_mapping()
+        assert digit_codes(restored) == digit_codes(labeling)
 
 
 class TestMaxCodeLength:
@@ -379,7 +387,8 @@ class TestMaxCodeLength:
         built = ContainmentLabeling().build(small_doc)
         watermark = built.max_code_length + 5
         restored = ContainmentLabeling.restored(
-            small_doc, digit_codes(built), watermark)
+            *built.code_columns(small_doc.span), watermark,
+            document=small_doc)
         assert restored.max_code_length == watermark
         assert restored.as_mapping() == built.as_mapping()
         assert restored.document is small_doc

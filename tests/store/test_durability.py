@@ -197,6 +197,8 @@ def _assert_restores_exactly(version):
         == sorted(document.node_ids())
     for node in restored.document.nodes():
         assert restored.document.get(node.node_id) is node
+        assert restored.document.parent_id(node.node_id) \
+            == document.parent_id(node.node_id)
     assert restored.document.allocator.next_value \
         == document.allocator.next_value
     assert restored.labeling.max_code_length == labeling.max_code_length
@@ -265,74 +267,252 @@ class TestSnapshotFidelity:
                 _assert_restores_exactly(version)
 
 
+    def test_codes_past_64_digits_round_trip(self):
+        """Under a budget past 64 digits, a hot spot grows codes past
+        the first width: the labeling's columns are lists, and so are
+        the restored one's."""
+        with DocumentStore(workers=1, backend="serial",
+                           max_code_length=200) as store:
+            store.open("d", DOC)
+            hot = store.document("d").root.children[-1].node_id
+            for __ in range(70):
+                store.submit("d", PUL([InsertBefore(
+                    hot, [Node.element("x")])]))
+                store.flush("d")
+            version = store._require("d").published
+        assert version.labeling.max_code_length > 64
+        assert type(version.labeling._starts) is list
+        _assert_restores_exactly(version)
+        restored = restore_document(document_payload(version))
+        assert type(restored.labeling._starts) is list
+
+    def test_a_far_id_round_trips(self):
+        """A node stamped from a producer's band far above the
+        document's ids lives in both tables' overflow dicts, and comes
+        back there, as the parent of its subtree."""
+        document = Document(root=Node.element("r"))
+        band = Node.element("band", node_id=10 ** 9)
+        band.append_child(Node.text("t"))
+        document.root.append_child(band)
+        document.register_tree(band, document.root)
+        labeling = ContainmentLabeling().build(document)
+        version = DocumentVersion("d", 3, document, labeling,
+                                  DEFAULT_MAX_CODE_LENGTH)
+        assert 10 ** 9 in document._far and 10 ** 9 in labeling._far
+        _assert_restores_exactly(version)
+        restored = restore_document(document_payload(version))
+        assert 10 ** 9 in restored.document._far
+        assert 10 ** 9 in restored.labeling._far
+        assert restored.document.parent_id(
+            band.children[0].node_id) == 10 ** 9
+
+
 def _version_of(text):
     with DocumentStore(workers=1, backend="serial") as store:
         return store.open("d", text).published
 
 
+#: the document of the hostile and far-id payloads: ids 0-8 are
+#: r, @k, a, "one", b, @x, @y, c, "two"
+FAR_TEXT = '<r k="v"><a>one</a><b x="1" y="2"><c/>two</b></r>'
+
+
+def _table_payload():
+    """A good payload of :data:`FAR_TEXT` and its decoded table."""
+    good = document_payload(_version_of(FAR_TEXT))
+    table = json.loads(good["table"])
+    assert table["kinds"] == "eaeteaaet"
+    return good, table
+
+
+def _with_table(good, table, edit):
+    """``good`` with ``edit`` applied to a copy of its decoded
+    ``table``."""
+    edited = copy.deepcopy(table)
+    edit(edited)
+    return dict(good, table=json.dumps(edited))
+
+
+def _far_table(table, far_id):
+    """Edit ``table`` so the ``<a>`` slot — the parent of a text — moves
+    to a far row under ``far_id``."""
+    kinds = table["kinds"]
+    table["far"] = [[far_id, "e", "a", None, table["starts"][2],
+                     table["ends"][2]]]
+    table["kinds"] = kinds[:2] + "-" + kinds[3:]
+    table["names"][2] = None
+    table["starts"][2] = table["ends"][2] = 0
+
+
+def _row_form(version):
+    """``version``'s payload in the retired node-row form: one row per
+    node in document order, with its digit codes."""
+    document, labeling = version.document, version.labeling
+    rows = []
+    for node in document.nodes():
+        start, end = labeling.digits(node.node_id)
+        if node.is_element:
+            rows.append([node.node_id, node.name, len(node.attributes),
+                         len(node.children), start, end])
+        elif node.is_attribute:
+            rows.append([node.node_id, node.name, node.value, start, end])
+        else:
+            rows.append([node.node_id, node.value, start, end])
+    payload = {key: value for key, value in document_payload(version).items()
+               if key != "table"}
+    payload["nodes"] = json.dumps(rows)
+    return payload
+
+
 def _hostile_payloads():
     """``(case, payload)`` pairs no restore may accept."""
-    version = _version_of(
-        '<r k="v"><a>one</a><b x="1" y="2"><c/>two</b></r>')
+    version = _version_of(FAR_TEXT)
     document, labeling = version.document, version.labeling
-    good = document_payload(version)
-    rows = json.loads(good["nodes"])
+    good, table = _table_payload()
+    starts, ends = table["starts"], table["ends"]
 
-    def with_rows(edit):
-        edited = copy.deepcopy(rows)
-        edit(edited)
-        return dict(good, nodes=json.dumps(edited))
+    def with_table(edit):
+        return _with_table(good, table, edit)
 
-    def set_field(index, field, value):
+    def set_slot(column, slot, value):
         def edit(edited):
-            edited[index][field] = value
+            edited[column][slot] = value
         return edit
 
-    def swap_codes(edited):
-        edited[0][4], edited[0][5] = edited[0][5], edited[0][4]
+    def set_kind(slot, kind):
+        def edit(edited):
+            kinds = edited["kinds"]
+            edited["kinds"] = kinds[:slot] + kind + kinds[slot + 1:]
+        return edit
 
-    retired = {key: good[key] for key in good if key != "nodes"}
+    def set_codes(slot, start, end):
+        def edit(edited):
+            edited["starts"][slot], edited["ends"][slot] = start, end
+        return edit
+
+    def add_slot(kind, name, value, start, end):
+        def edit(edited):
+            edited["kinds"] += kind
+            edited["names"].append(name)
+            edited["values"].append(value)
+            edited["starts"].append(start)
+            edited["ends"].append(end)
+        return edit
+
+    def then(*edits):
+        def edit(edited):
+            for each in edits:
+                each(edited)
+        return edit
+
+    def with_far(edit):
+        return with_table(then(lambda edited: _far_table(edited, 2 ** 62),
+                               edit))
+
+    def set_far(field, value):
+        def edit(edited):
+            edited["far"][0][field] = value
+        return edit
+
+    retired = {key: good[key] for key in good if key != "table"}
     retired["tree"] = tree_to_xml(document.root)
     retired["labels"] = [labeling.exchange_label(node_id).to_string()
                          for node_id in labeling.as_mapping()]
+    blank = add_slot("-", None, None, 0, 0)
     return [
-        ("cut-short", with_rows(lambda edited: edited.pop())),
-        ("child-count-past-the-end", with_rows(set_field(0, 3, 9))),
-        ("left-over-row", with_rows(
-            lambda edited: edited.append([99, "z", "0", "1"]))),
-        ("left-over-root", with_rows(
-            lambda edited: edited.append([99, "r", 0, 0, "0", "1"]))),
-        ("short-row", with_rows(lambda edited: edited[2].pop())),
-        ("long-row", with_rows(lambda edited: edited[2].append("x"))),
-        ("empty-row", with_rows(lambda edited: edited.insert(2, []))),
-        ("row-not-a-list", with_rows(
-            lambda edited: edited.__setitem__(2, "row"))),
-        ("attribute-row-as-child", with_rows(set_field(0, 2, 0))),
-        ("child-row-as-attribute", with_rows(set_field(0, 2, 2))),
-        ("name-not-a-string", with_rows(set_field(0, 1, 7))),
-        ("code-not-a-string", with_rows(set_field(3, 2, 1))),
-        ("count-not-an-integer", with_rows(set_field(0, 3, "2"))),
-        ("negative-count", with_rows(set_field(0, 3, -1))),
-        ("duplicate-id", with_rows(set_field(2, 0, rows[0][0]))),
-        ("string-id", with_rows(set_field(2, 0, "3"))),
-        ("float-id", with_rows(set_field(2, 0, 3.5))),
-        ("boolean-id", with_rows(set_field(2, 0, True))),
-        ("start-after-end", with_rows(swap_codes)),
-        ("start-equals-end", with_rows(set_field(2, -2, rows[2][-1]))),
-        # codes that would not read back as the same digits
-        ("code-ending-in-zero", with_rows(
-            set_field(2, -1, rows[2][-1] + "0"))),
-        ("empty-code", with_rows(set_field(2, -2, ""))),
-        ("code-not-binary", with_rows(set_field(2, -1, rows[2][-2] + "2"))),
-        ("code-past-the-width", with_rows(
-            set_field(2, -1, rows[2][-2] + "1" * 70))),
-        ("first-row-not-an-element", with_rows(
-            lambda edited: edited.insert(0, [99, "t", "0", "1"]))),
-        ("no-rows", dict(good, nodes="[]")),
-        ("rows-not-json", dict(good, nodes="[[1,")),
-        ("rows-as-a-list", dict(good, nodes=rows)),
-        ("rows-nested-past-the-stack", dict(
-            good, nodes="[" * 100000 + "]" * 100000)),
+        # the table's shape
+        ("column-cut-short", with_table(lambda edited: edited["ends"].pop())),
+        ("column-too-long", with_table(
+            lambda edited: edited["names"].append(None))),
+        ("kinds-cut-short", with_table(
+            lambda edited: edited.__setitem__("kinds", "eaeteaae"))),
+        ("codes-not-a-list", with_table(
+            lambda edited: edited.__setitem__("starts", "1,2"))),
+        ("names-not-a-list", with_table(
+            lambda edited: edited.__setitem__("names", {"0": "r"}))),
+        ("kinds-not-a-string", with_table(
+            lambda edited: edited.__setitem__("kinds",
+                                              list(edited["kinds"])))),
+        ("far-not-a-list", with_table(
+            lambda edited: edited.__setitem__("far", {}))),
+        ("column-missing", with_table(
+            lambda edited: edited.__delitem__("values"))),
+        ("extra-column", with_table(
+            lambda edited: edited.__setitem__("parents", []))),
+        ("table-not-an-object", dict(good, table=json.dumps(
+            [table[name] for name in table]))),
+        ("table-not-json", dict(good, table="[[1,")),
+        ("table-decoded", dict(good, table=table)),
+        ("table-nested-past-the-stack", dict(
+            good, table="[" * 100000 + "]" * 100000)),
+        # a slot's kind, name and value
+        ("unknown-kind", with_table(set_kind(2, "x"))),
+        ("blank-kind-on-a-held-slot", with_table(set_kind(3, "-"))),
+        ("name-not-a-string", with_table(set_slot("names", 0, 7))),
+        ("element-with-a-value", with_table(set_slot("values", 0, "v"))),
+        ("text-with-a-name", with_table(set_slot("names", 3, "t"))),
+        ("attribute-without-a-value", with_table(
+            set_slot("values", 1, None))),
+        ("name-on-a-blank-slot", with_table(then(
+            blank, set_slot("names", -1, "z")))),
+        ("value-on-a-blank-slot", with_table(then(
+            blank, set_slot("values", -1, "z")))),
+        # the codes
+        ("code-a-boolean", with_table(set_slot("starts", 3, True))),
+        ("code-a-string", with_table(set_slot("starts", 3, "3"))),
+        ("code-a-float", with_table(set_slot("ends", 3, float(ends[3])))),
+        ("code-negative", with_table(set_slot("starts", 3, -starts[3]))),
+        ("code-zero-on-a-held-slot", with_table(set_codes(3, 0, 0))),
+        ("end-zero-on-a-held-slot", with_table(set_slot("ends", 3, 0))),
+        ("code-past-the-width", with_table(set_slot("ends", 0, 2 ** 64))),
+        ("code-past-the-watermark-width", dict(with_table(
+            set_slot("ends", 0, 2 ** 128)), max_code_len=65)),
+        ("code-on-a-blank-slot", with_table(then(
+            blank, set_codes(-1, ends[0] + 1, ends[0] + 2),
+            set_slot("starts", -1, 0)))),
+        ("codes-on-a-blank-slot", with_table(then(
+            blank, set_codes(-1, ends[0] + 1, ends[0] + 2)))),
+        # the intervals
+        ("start-after-end", with_table(set_codes(2, ends[2], starts[2]))),
+        ("start-equals-end", with_table(set_codes(2, starts[2], starts[2]))),
+        ("duplicate-start", with_table(set_slot("starts", 4, starts[2]))),
+        ("start-equals-an-end", with_table(
+            set_codes(7, ends[5], ends[7]))),
+        ("overlap-without-nesting", with_table(
+            set_slot("ends", 2, (starts[4] + ends[4]) // 2))),
+        ("end-equals-the-parents", with_table(set_slot("ends", 8, ends[0]))),
+        ("node-inside-a-text", with_table(
+            set_codes(7, starts[3] + 1, starts[3] + 2))),
+        ("node-inside-an-attribute", with_table(
+            set_codes(7, starts[1] + 1, starts[1] + 2))),
+        ("attribute-after-the-first-child", with_table(
+            set_codes(6, ends[7] + 1, ends[7] + 2))),
+        ("second-root", with_table(
+            add_slot("e", "z", None, ends[0] + 1, ends[0] + 2))),
+        ("second-root-a-text", with_table(
+            add_slot("t", None, "z", ends[0] + 1, ends[0] + 2))),
+        ("root-not-an-element", with_table(
+            add_slot("t", None, "z", 1, 2))),
+        ("no-held-slot", with_table(lambda edited: edited.update(
+            kinds="", names=[], values=[], starts=[], ends=[]))),
+        # the far section
+        ("far-row-short", with_far(lambda edited: edited["far"][0].pop())),
+        ("far-row-not-a-list", with_far(
+            lambda edited: edited["far"].__setitem__(0, "row"))),
+        ("far-id-the-columns-cover", with_far(set_far(0, 3))),
+        ("far-id-a-string", with_far(set_far(0, "2"))),
+        ("far-id-a-float", with_far(set_far(0, 1e30))),
+        ("far-id-a-boolean", with_far(set_far(0, True))),
+        ("duplicate-far-id", with_far(
+            lambda edited: edited["far"].append(list(edited["far"][0])))),
+        ("far-kind-unknown", with_far(set_far(1, "x"))),
+        ("far-kind-blank", with_far(set_far(1, "-"))),
+        ("far-code-blank", with_far(set_far(4, 0))),
+        ("far-code-a-string", with_far(set_far(5, "1"))),
+        ("far-node-a-second-root", with_far(then(
+            set_far(4, ends[0] + 1), set_far(5, ends[0] + 2)))),
+        # the fields beside the table
+        ("max-code-len-not-an-integer", dict(good, max_code_len="5")),
         ("next-id-not-an-integer", dict(good, next_id="9")),
         ("budget-not-an-integer", dict(good, budget="6")),
         ("budget-below-one", dict(good, budget=0)),
@@ -343,6 +523,8 @@ def _hostile_payloads():
                             if key != "doc_id"}),
         ("doc-id-unhashable", dict(good, doc_id=["d"])),
         ("not-an-object", ["d"]),
+        # retired forms
+        ("retired-node-row-form", _row_form(version)),
         ("retired-tree-and-labels-form", retired),
     ]
 
@@ -397,13 +579,11 @@ class TestHostilePayloads:
 
     @staticmethod
     def far_payload(far_id):
-        """A good payload whose ``<a>`` row, the parent of a text row,
-        holds ``far_id``."""
-        payload = document_payload(_version_of(FAR_TEXT))
-        rows = json.loads(payload["nodes"])
-        assert rows[2][1] == "a" and len(rows[3]) == 4
-        rows[2][0] = far_id
-        return dict(payload, nodes=json.dumps(rows))
+        """A good payload whose ``<a>`` slot, the parent of a text, is
+        a far row of ``far_id``."""
+        good, table = _table_payload()
+        return _with_table(good, table,
+                           lambda edited: _far_table(edited, far_id))
 
     @staticmethod
     def assert_far(version, far_id):
@@ -449,10 +629,6 @@ class TestHostilePayloads:
         with ReplicaStore(workers=1, backend="serial") as replica:
             replica.bootstrap([payload], 0, stream="s")
             self.assert_far(replica._entries["d"].published, far_id)
-
-
-#: the document of the far-id payloads
-FAR_TEXT = '<r k="v"><a>one</a><b x="1" y="2"><c/>two</b></r>'
 
 
 def test_a_payload_refuses_a_cdqs_labeling():
@@ -982,6 +1158,13 @@ class TestCompaction:
             generation = store.snapshot()
             assert generation is not None
             before = _full_state(store, "d")
+            # written one document at a time, the record is the one
+            # encode of the whole snapshot
+            assert recovery_module.read_single_record(
+                store._durability._snap_path(generation)) \
+                == recovery_module.encode_payload({
+                    "kind": "snapshot", "generation": generation,
+                    "docs": store.export_state()["docs"]})
         with _durable_store(tmp_path, "log") as recovered:
             assert recovered.recovery.replayed_batches == 0
             assert recovered.recovery.snapshot_generation == generation

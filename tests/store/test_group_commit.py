@@ -164,9 +164,10 @@ class TestCommitTrain:
 class TestSnapshotEncode:
     def test_an_append_does_not_wait_out_the_snapshot_encode(
             self, tmp_path, monkeypatch):
-        """``commit_snapshot`` encodes its payloads before it takes the
-        manager lock: while that encode is held, an append from another
-        thread returns with its record durable in the next segment."""
+        """``commit_snapshot`` encodes its payloads, one document at a
+        time, without the manager lock: while a document's encode is
+        held, an append from another thread returns with its record
+        durable in the next segment."""
         manager = _manager(tmp_path)
         manager.log_batch("d", 1, 1, "<x/>")
         encoding, release = threading.Event(), threading.Event()
@@ -174,7 +175,7 @@ class TestSnapshotEncode:
         real_encode = recovery_module.encode_payload
 
         def held_encode(record):
-            if record["kind"] == "snapshot":
+            if "kind" not in record:  # a document of the snapshot
                 encoding.set()
                 # the append below releases it; the deadline only keeps
                 # an append that waits for the encode from hanging
