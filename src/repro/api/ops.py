@@ -124,7 +124,10 @@ OPS = (
                   "wait_s", "subscriber"),
         group="cdc", poll=True,
         result="`events` (decoded, or raw `{seq, token, record}` log "
-               "records with `decode: false` — what replicas apply), "
+               "records with `decode: false` — what replicas apply; a "
+               "`batch` event's `pul` is the reduced batch that took "
+               "effect, without labels, and a refused batch has no "
+               "event), "
                "`token` (resume token covering everything scanned), "
                "`end_seq`, `stream`; long-polls up to `wait_s`; "
                "`subscription-lagged` when the token fell out of the "

@@ -4,9 +4,11 @@ A replica is a :class:`~repro.store.store.DocumentStore` that gets its
 batches from a leader's record stream instead of from clients: it
 bootstraps from a state export (the leader's full resident state
 paired with the stream position it describes), then applies streamed
-WAL records through the exact replay machinery PR 3 recovery uses — so
-replica state is, by construction, what the leader would recover to at
-the same log position (store-README invariant 8).
+WAL records through the exact replay machinery crash recovery uses — a
+batch record is the reduced batch that took effect on the leader, so
+it is decoded and applied, never reduced again — and replica state is,
+by construction, what the leader would recover to at the same log
+position (store-README invariant 8).
 
 Reads (``text`` / ``stats`` / ``docs`` / read-only ``query``) are
 served locally; every write is rejected with a typed
@@ -14,10 +16,11 @@ served locally; every write is rejected with a typed
 a client that dialed the wrong node knows which one to dial.
 
 A replica may itself be durable (its own ``wal_dir``): applied records
-are write-ahead logged *locally* before application, and a ``repl-pos``
-cursor record after every applied page remembers how far the stream
-got — a SIGKILLed replica replays its own WAL tail on restart and
-resumes streaming from the recovered position. That same local WAL is
+are logged *locally* — a batch once it applied here, as the very text
+the leader logged — and a ``repl-pos`` cursor record after every
+applied page remembers how far the stream got: a SIGKILLed replica
+replays its own WAL tail on restart and resumes streaming from the
+recovered position. That same local WAL is
 what :meth:`ReplicaStore.promote` turns into leadership: the promoted
 node's log already holds everything it acknowledged applying, so it
 attaches a :class:`~repro.cluster.feed.ReplicationSource` and starts
@@ -141,8 +144,12 @@ class ReplicaStore(DocumentStore):
         replays (:meth:`DocumentStore._apply_record`, run live):
         already-applied sequences are skipped (idempotent redelivery),
         a gap or a page of another stream epoch is a stream bug and
-        raises. A durable replica write-ahead logs each record into its
-        own WAL before applying it, then records the advanced cursor.
+        raises. A batch record applies or is a
+        :class:`~repro.errors.RecoveryError` — the leader logged only
+        what took effect — and so is a batch in the retired labelled
+        form; the cursor stops short of a refused record. A durable
+        replica logs each record into its own WAL once it applied,
+        then records the advanced cursor.
         Reads never block on the apply path — they hold published
         versions — so a replica serves reads at full speed while the
         sync thread streams.

@@ -25,6 +25,7 @@ from repro.store.durability.recovery import (
     DurabilityPolicy,
     LoadedState,
     RecoveryReport,
+    decode_batch,
     load_durable_state,
     replay_oracle,
 )
@@ -49,6 +50,7 @@ __all__ = [
     "LoadedState",
     "RecoveryReport",
     "WalWriter",
+    "decode_batch",
     "document_payload",
     "encode_record",
     "load_durable_state",

@@ -19,10 +19,14 @@ Record payloads are JSON objects (framed by :mod:`.wal`):
     state, so replay restores identifiers and labels exactly);
 ``{"kind": "batch", "doc_id": ..., "version": n, "clients": k,
 "pul": <exchange XML>}``
-    one coalesced batch, logged *before* application (write-ahead) —
-    version ``n`` is the version the batch produces. A batch whose
-    application failed stays in the log and fails again, changing
-    nothing, wherever it is replayed;
+    one batch that took effect: the reduced batch, without labels,
+    logged once it was applied, relabeled and indexed, and before it
+    was published — version ``n`` is the version it produced. A batch
+    that failed left no record, so the log names each version of a
+    document once, and every host replays a record by decoding and
+    applying it: nothing is reduced again, and a record that does not
+    apply is a :class:`RecoveryError` of that host (:func:`decode_batch`
+    refuses the retired form, a coalesced batch with labels);
 ``{"kind": "close", "doc_id": ...}``
     the document was evicted;
 ``{"kind": "repl-pos", "seq": n}``
@@ -54,6 +58,7 @@ import os
 import re
 import threading
 import time
+from collections import namedtuple
 
 from repro.errors import (
     DurabilityError,
@@ -64,7 +69,6 @@ from repro.errors import (
 from repro.obs import SIZE_BUCKETS, StoreObs
 from repro.pul.serialize import pul_from_xml
 from repro.pul.semantics import apply_pul
-from repro.reduction import reduce_deterministic
 from repro.store.durability.snapshot import restore_document
 from repro.store.durability.wal import (
     WalWriter,
@@ -174,20 +178,17 @@ class LoadedState:
         return not self.documents and not self.records
 
 
-class RecoveryReport:
-    """Human- and test-facing summary of one recovery."""
+class RecoveryReport(namedtuple(
+        "RecoveryReport", "documents replayed_batches skipped_records "
+        "snapshot_generation clean truncated_bytes")):
+    """Human- and test-facing summary of one recovery: the documents
+    as ``[(doc_id, version), ...]``, the batches replayed, the records
+    skipped — redeliveries and the overlap of a snapshot that leads its
+    log position, never a batch that failed — the snapshot generation
+    (``None``: no snapshot), and whether a torn tail of
+    ``truncated_bytes`` was dropped (``clean`` false)."""
 
-    __slots__ = ("documents", "replayed_batches", "skipped_records",
-                 "snapshot_generation", "clean", "truncated_bytes")
-
-    def __init__(self, documents, replayed_batches, skipped_records,
-                 snapshot_generation, clean, truncated_bytes):
-        self.documents = documents      # [(doc_id, version), ...]
-        self.replayed_batches = replayed_batches
-        self.skipped_records = skipped_records
-        self.snapshot_generation = snapshot_generation
-        self.clean = clean
-        self.truncated_bytes = truncated_bytes
+    __slots__ = ()
 
     def lines(self):
         yield ("recovered {} document(s): {}".format(
@@ -220,6 +221,24 @@ def decode_payload(payload):
         raise RecoveryError(
             "log record is not a tagged object: {!r}".format(record))
     return record
+
+
+def decode_batch(record):
+    """The reduced PUL a ``batch`` record logged, as every replay host
+    applies it. A log written before batch records held the reduced
+    batch holds the coalesced one, labels attached, which replay
+    reduced again; applied as it stands, such a batch could give
+    another tree or other ids. No writer of the reduced form logs a
+    label, so a batch record whose PUL carries labels is refused as
+    that retired form."""
+    pul = pul_from_xml(record["pul"])
+    if pul.labels:
+        raise RecoveryError(
+            "batch record of {!r} version {} is in the retired form (a "
+            "coalesced batch with labels, reduced on replay): this log "
+            "predates logging the reduced batch and cannot be "
+            "replayed".format(record.get("doc_id"), record.get("version")))
+    return pul
 
 
 def _scan_directory(directory):
@@ -688,16 +707,19 @@ class DurabilityManager:
 
 def replay_oracle(directory):
     """Replay a durability directory the way :class:`StatelessBaseline`
-    would process the batches: sequential deterministic reduction, the
-    in-memory evaluator, producer identifiers preserved — none of the
-    incremental machinery under test.
+    would make its batches effective: the in-memory evaluator,
+    producer identifiers preserved — none of the incremental machinery
+    under test.
 
     Returns ``{doc_id: (serialized text, version)}`` for every document
     resident at the end of the log. Byte-equality of the recovered
     store against this oracle is the recovery correctness property: it
-    holds because logged batches carry their labels, per-shard reduction
-    merges to the sequential reduction, and the store's in-place applier
-    and the in-memory evaluator assign identical fresh identifiers.
+    holds because a batch record is the reduced batch that took effect,
+    each version of a document is logged once, and the store's in-place
+    applier and the in-memory evaluator assign identical fresh
+    identifiers. A record the evaluator refuses is a
+    :class:`RecoveryError`: what the log holds took effect where it was
+    written.
     """
     state = load_durable_state(directory, repair=False)
     entries = {}
@@ -723,20 +745,17 @@ def replay_oracle(directory):
             if document is None:
                 raise RecoveryError(
                     "batch record for unknown document {!r}".format(doc_id))
-            if record["version"] <= versions[doc_id]:
-                continue  # already covered (post-divergence duplicate)
+            version = record["version"]
+            if version <= versions[doc_id]:
+                continue  # covered by the snapshot it follows
+            pul = decode_batch(record)
             try:
-                reduced = reduce_deterministic(
-                    pul_from_xml(record["pul"]))
-                reduced.check_compatible()
-                working = document.copy()
-                apply_pul(working, reduced, check=False, preserve_ids=True)
-            except ReproError:
-                # a typed refusal: the store skipped this batch too;
-                # anything else is the oracle's own fault and escapes
-                continue
-            entries[doc_id] = working
-            versions[doc_id] = record["version"]
+                apply_pul(document, pul, check=False, preserve_ids=True)
+            except ReproError as exc:
+                raise RecoveryError(
+                    "logged version {} of {!r} does not apply: {}".format(
+                        version, doc_id, exc)) from exc
+            versions[doc_id] = version
         else:
             raise RecoveryError(
                 "unknown record kind {!r}".format(kind))

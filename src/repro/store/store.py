@@ -37,8 +37,9 @@ reconciled under per-client policies (``on_conflict="reconcile"``).
 A batch that fails — while coalescing, on the nesting bound, or later
 with an XQUF dynamic error found only after mutation — changes
 nothing: the path copy is abandoned, the published version, its labels
-and its index are the same objects as before, and the pending queue is
-restored.
+and its index are the same objects as before, nothing is logged, and
+the pending queue is restored. What the log holds is what took effect:
+the reduced batch, appended after the apply and before the publish.
 
 This module holds the write half: the residency table, the document
 lifecycle, submission, the flush pipeline (``_execute_batch`` ->
@@ -52,12 +53,13 @@ from __future__ import annotations
 
 import threading
 import time
-from collections import Counter
+from collections import Counter, namedtuple
 
 from repro.aggregation import aggregate
 from repro.apply.inplace import apply_batch_in_place, check_nesting, classify
 from repro.errors import (
     ClusterError,
+    DurabilityError,
     QueryEvaluationError,
     RecoveryError,
     ReproError,
@@ -71,12 +73,13 @@ from repro.obs.collector import collector_paused
 from repro.pipeline.merge import merge_shards
 from repro.pipeline.parallel import ParallelReducer
 from repro.pipeline.shard import shard_pul
-from repro.pul.pul import merge as merge_puls
-from repro.pul.serialize import pul_from_xml, pul_to_xml
+from repro.pul.pul import PUL, merge as merge_puls
+from repro.pul.serialize import pul_to_xml
 from repro.store.durability import (
     DurabilityManager,
     DurabilityPolicy,
     RecoveryReport,
+    decode_batch,
     document_payload,
     restore_document,
 )
@@ -124,32 +127,12 @@ def coalesce_batch(pending, labeling, on_conflict="error", policies=None):
     return merged
 
 
-class BatchResult:
-    """Telemetry of one flushed batch."""
-
-    __slots__ = ("doc_id", "version", "clients", "submitted_ops",
-                 "reduced_ops", "shard_sizes", "relabel",
-                 "max_code_length", "index_maintenance")
-
-    def __init__(self, doc_id, version, clients, submitted_ops,
-                 reduced_ops, shard_sizes, relabel,
-                 max_code_length, index_maintenance="rebuild"):
-        self.doc_id = doc_id
-        self.version = version
-        self.clients = clients
-        self.submitted_ops = submitted_ops
-        self.reduced_ops = reduced_ops
-        self.shard_sizes = shard_sizes
-        self.relabel = relabel          # "incremental" | "full"
-        self.max_code_length = max_code_length
-        # "incremental" (derived from the reduced PUL) or "rebuild"
-        self.index_maintenance = index_maintenance
-
-    def __repr__(self):
-        return ("BatchResult(doc={!r}, v{}, {} clients, {} -> {} ops, "
-                "relabel={})".format(
-                    self.doc_id, self.version, self.clients,
-                    self.submitted_ops, self.reduced_ops, self.relabel))
+#: Telemetry of one flushed batch: ``relabel`` is ``"incremental"`` or
+#: ``"full"``; ``index_maintenance`` is ``"incremental"`` (derived from
+#: the reduced PUL) or ``"rebuild"``.
+BatchResult = namedtuple(
+    "BatchResult", "doc_id version clients submitted_ops reduced_ops "
+    "shard_sizes relabel max_code_length index_maintenance")
 
 
 class DocumentStore(StoreReads):
@@ -182,12 +165,13 @@ class DocumentStore(StoreReads):
         directory holding the write-ahead log and snapshots — only a
         durable policy takes one, and a directory has one owner store
         at a time (:class:`DurabilityManager`). With a
-        durable policy every flushed batch is logged (write-ahead,
-        fsynced) before the flush returns, and — mode ``snapshot`` —
+        durable policy every flushed batch is logged (its reduced
+        form, once applied; fsynced) before it is published and the
+        flush returns, and — mode ``snapshot`` —
         the log is compacted into a full-state snapshot every
         ``snapshot_every`` batches. If ``wal_dir`` already holds durable
         state the store *recovers* it on construction: latest valid
-        snapshot, then the logged batch tail replayed through the
+        snapshot, then the logged batch tail applied through the
         incremental-relabel machinery (a torn final record is dropped);
         the :class:`RecoveryReport` is left on :attr:`recovery`.
         Concurrent flushes *group-commit*: each batch record is
@@ -622,35 +606,54 @@ class DocumentStore(StoreReads):
         return results
 
     def _execute_batch(self, entry, pending):
-        # whichever step fails, the caller restoring the queue is the
-        # whole recovery: coalescing and the nesting check precede the
-        # logged-version fence (nothing logged, nothing checked out)
-        # and _run_batch abandons its own working pair
+        """Coalesce, check, reduce and encode ``pending`` — the steps
+        only a live flush takes — and make the reduced batch effective
+        through the tail every replay host shares (:meth:`_run_batch`).
+        Whichever step fails, the caller restoring the queue is the
+        whole recovery: nothing before the tail logged or checked out
+        anything, and the tail abandons its own working pair."""
         published = entry.published
         with self.obs.stage("coalesce"):
             batch = coalesce_batch(pending, published.labeling,
                                    on_conflict=self.on_conflict,
                                    policies=self.policies)
             check_nesting(batch, published.document)
+        with self.obs.stage("reduce"):
+            shards = shard_pul(batch, self.workers)
+            reduced = merge_shards(self._reducer.reduce_shards(shards))
+        text = None
+        if self._durability is not None:
+            # encoded before the apply adopts the parameter trees and
+            # stamps fresh ids on them; without labels, which no
+            # replay host reads
+            with self.obs.stage("log"):
+                text = pul_to_xml(PUL(reduced))
         clients = len({client for __, client, __unused in pending})
-        return self._run_batch(entry, batch, clients)
+        relabel, index_maintenance = self._run_batch(
+            entry, reduced, clients, text)
+        published = entry.published
+        return BatchResult(
+            entry.doc_id, published.version, clients, len(batch),
+            len(reduced), [len(shard) for shard in shards], relabel,
+            published.labeling.max_code_length, index_maintenance)
 
-    def _run_batch(self, entry, batch, clients):
-        """Make one coalesced ``batch`` effective on ``entry``.
+    def _run_batch(self, entry, reduced, clients, text):
+        """Make the ``reduced`` batch effective on ``entry``: copy ->
+        apply -> relabel -> index -> log -> publish, then the
+        compaction it makes due. Returns the relabel kind and the index
+        maintenance.
 
-        Shared by the live flush path and WAL replay: both shard the
-        batch, reduce, merge, apply in place with per-site incremental
-        label maintenance (:func:`apply_batch_in_place`) and run the
-        headroom rule — so a replayed batch reproduces the original
-        flush exactly. On the live path the batch is appended to the
-        write-ahead log (and made durable) *before* application; a batch
-        whose application then fails is a no-op — the working pair is
-        abandoned, the published version stays the one from before, and
-        only the batch record is left behind — and fails the same way on
-        every host that replays the record.
+        Shared by the live flush and every replay host, so a replayed
+        batch reproduces the original flush exactly. ``text`` is the
+        batch as the log holds it — encoded by the flush, the received
+        record's bytes on a replica — and is appended, on a durable
+        store that is not recovering, only once everything that can
+        refuse the batch has accepted it: a batch that fails leaves no
+        record, its working pair is abandoned and the published version
+        stays the one from before.
         """
         try:
-            result = self._publish_batch(entry, batch, clients)
+            outcome = self._publish_batch(entry, reduced, clients, text)
         except Exception:
             entry.abandon()
             raise
@@ -658,28 +661,15 @@ class DocumentStore(StoreReads):
                 and self._durability.snapshot_due():
             with self.obs.stage("snapshot"):
                 self._write_snapshot()
-        return result
+        return outcome
 
-    def _publish_batch(self, entry, batch, clients):
-        """:meth:`_run_batch` from the fence to the publish; raising
-        anywhere in between leaves ``entry`` as it was."""
+    def _publish_batch(self, entry, reduced, clients, text):
+        """:meth:`_run_batch` up to the publish; raising anywhere in
+        it leaves ``entry`` as it was."""
         obs = self.obs
         # the version the batch is classified against and derived from
         previous = entry.published
         version = previous.version + 1
-        if self._durability is not None and not self._replaying:
-            # fence first, then append: a group-commit train may expose
-            # the record to the replication feed before log_batch
-            # returns, and from that instant a state capture must wait
-            # for the matching publish (entry.mark_logged docs)
-            entry.mark_logged(version)
-            with obs.stage("log"):
-                self._durability.log_batch(
-                    entry.doc_id, version, clients, pul_to_xml(batch))
-        submitted = len(batch)
-        with obs.stage("reduce"):
-            shards = shard_pul(batch, self.workers)
-            reduced = merge_shards(self._reducer.reduce_shards(shards))
         # one classification against the published version serves the
         # path copy, the apply and the index delta
         with obs.stage("copy"):
@@ -702,30 +692,32 @@ class DocumentStore(StoreReads):
             with obs.stage("relabel"):
                 labeling.build(document)
             relabel = "full"
-        # the secondary index rides the same publish: derived from the
-        # retiring version's index by re-reading the reduced PUL when
-        # the label repair stayed per-site, rebuilt from the tree when
-        # codes moved wholesale (label sync or a full relabel)
-        index = None
-        if (apply_mode == "incremental" and relabel == "incremental"
-                and previous.index is not None):
-            with obs.stage("index-derive"):
-                index = previous.index.derive(
-                    previous.document, document, labeling, reduced,
-                    footprint=footprint)
+        # the secondary index: derived from the retiring version's by
+        # re-reading the reduced PUL when the label repair stayed
+        # per-site, rebuilt from the tree when codes moved wholesale
+        # (label sync or a full relabel) — before the log either way
+        derived = (apply_mode == "incremental" and relabel == "incremental"
+                   and previous.index is not None)
+        with obs.stage("index-derive"):
+            index = (previous.index.derive(previous.document, document,
+                                           labeling, reduced,
+                                           footprint=footprint)
+                     if derived else build_index(document, labeling))
+        if self._durability is not None and not self._replaying:
+            # fence first, then append: a group-commit train may expose
+            # the record to the replication feed before log_batch
+            # returns, and from that instant a state capture must wait
+            # for the matching publish (entry.mark_logged docs)
+            entry.mark_logged(version)
+            with obs.stage("log"):
+                self._durability.log_batch(entry.doc_id, version,
+                                           clients, text)
         # one atomic reference swap makes the batch visible
         with obs.stage("publish"):
             self._give_answer_bytes(entry.publish(
-                document, labeling,
-                full_relabel=(relabel == "full"), index=index))
-        return BatchResult(
-            doc_id=entry.doc_id, version=version,
-            clients=clients,
-            submitted_ops=submitted, reduced_ops=len(reduced),
-            shard_sizes=[len(s) for s in shards], relabel=relabel,
-            max_code_length=labeling.max_code_length,
-            index_maintenance=("incremental" if index is not None
-                               else "rebuild"))
+                document, labeling, index,
+                full_relabel=(relabel == "full")))
+        return relabel, "incremental" if derived else "rebuild"
 
     # -- durability ----------------------------------------------------------
 
@@ -831,14 +823,14 @@ class DocumentStore(StoreReads):
         """Advance the resident state by one logged ``record`` — THE
         record switch, run by crash recovery (``_replaying`` set:
         nothing is logged, ``repl-pos`` cursors are restored) and by
-        the replica streaming path (live: every applied record
-        is write-ahead logged into this store's own WAL, when it has
-        one). Store-README invariants 7-8 are structural only as long
-        as every host of a log runs this one routine.
+        the replica streaming path (live: every applied record is
+        logged into this store's own WAL, when it has one).
+        Store-README invariants 7-8 are structural only as long as
+        every host of a log runs this one routine.
 
         Returns the record's kind (``"open"``/``"close"``/``"batch"``)
         when resident documents changed, ``"skipped"`` when an open or
-        batch was absorbed, ``None`` for records that never change
+        batch was redelivered, ``None`` for records that never change
         document bytes.
 
         Idempotence: leading snapshots, a crash between applying a
@@ -849,8 +841,13 @@ class DocumentStore(StoreReads):
         recovery with "log opens twice"). Opens skip when present,
         closes tolerate a missing document, batches are version-gated.
 
-        A batch that fails here failed on the host that logged it too
-        (invariant 5): on both it changed nothing, so it is skipped.
+        A batch record is the reduced batch that took effect where it
+        was logged, so its arm decodes it (:func:`decode_batch`, which
+        refuses the retired labelled form) and runs :meth:`_run_batch`
+        — no coalescing, no reduction. A batch that fails here is this
+        host's fault, a :class:`RecoveryError`; only this host's own
+        log refusing the record stays the :class:`DurabilityError` it
+        is.
 
         Locking: this is a writer like :meth:`flush` — each mutation
         runs under the entry's ``flush_lock`` (promotion can hand the
@@ -901,14 +898,19 @@ class DocumentStore(StoreReads):
                     "the replay reached version {}".format(
                         entry.doc_id, version, reached))
             try:
-                # live, _run_batch write-ahead logs into our own WAL
-                self._run_batch(entry, pul_from_xml(record["pul"]),
-                                record.get("clients", 0))
-            except Exception:
-                # breadth matching the live flush path: whatever the
-                # original flush raised on this logged batch, it left
-                # no trace there — and _run_batch left none here
-                return "skipped"
+                # live, _run_batch logs the record's own text into our
+                # own WAL once the batch took effect here
+                self._run_batch(entry, decode_batch(record),
+                                record.get("clients", 0), record["pul"])
+            except DurabilityError:
+                # this host's own log refused it, or the record is in
+                # the retired form (decode_batch)
+                raise
+            except Exception as exc:
+                raise RecoveryError(
+                    "logged version {} of {!r} took effect where it was "
+                    "logged but fails here: {}".format(
+                        version, entry.doc_id, exc)) from exc
             return kind
 
     def _replay_position(self, record):

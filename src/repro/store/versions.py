@@ -292,16 +292,14 @@ class StoredDocument:
             chain(footprint.site_ids, footprint.touched_ids))
         return document, published.labeling.copy()
 
-    def publish(self, document, labeling, full_relabel=False, index=None):
+    def publish(self, document, labeling, index, full_relabel=False):
         """Atomically publish the working pair as the next version,
         whose counters are the retiring version's advanced by one
         batch. ``index`` is the version's secondary index — derived
         incrementally from the retiring version's by the caller, or
-        rebuilt here when the delta could not be localized. Returns
-        the answer-memo bytes the retiring version gave up, for the
-        caller to hand back to the budget."""
-        if index is None:
-            index = build_index(document, labeling)
+        rebuilt when the delta could not be localized. Returns the
+        answer-memo bytes the retiring version gave up, for the caller
+        to hand back to the budget."""
         full = 1 if full_relabel else 0
         previous = self.published
         version = DocumentVersion(

@@ -131,23 +131,28 @@ class TestStreaming:
             with pytest.raises(ClusterError):
                 replica.apply_records(gapped)
 
-    def test_failed_leader_batch_is_skipped_identically(self, tmp_path):
+    def test_failed_leader_batch_never_reaches_the_stream(self, tmp_path):
         """Two clients renaming one node is an incompatible union: the
-        leader's flush fails *after* the write-ahead append. The
-        streamed record must fail on the replica the same way and leave
-        its state tracking the leader."""
+        leader's flush fails before anything is logged, so no record of
+        it reaches the stream, and the replica, fed the next good
+        batch, tracks the leader at version 1."""
         with make_leader(tmp_path) as leader, make_replica() as replica:
             leader.open("d1", DOC)
             bootstrap(leader, replica)
+            seq = leader.replication.next_seq
             leader.submit_xquery(
                 "d1", 'rename node /doc/meta/owner as "a"', client="c1")
             leader.submit_xquery(
                 "d1", 'rename node /doc/meta/owner as "b"', client="c2")
             with pytest.raises(Exception):
                 leader.flush("d1")
+            assert leader.replication.next_seq == seq
+            assert read_page(leader, seq)["events"] == []
             leader.discard_pending("d1")
             writes(leader, rounds=1)
-            pump(leader, replica)
+            shipped = [event["record"] for event in pump(leader, replica)]
+            assert [(record["kind"], record["version"])
+                    for record in shipped] == [("batch", 1)]
             assert replica.text("d1") == leader.text("d1")
             assert replica.version("d1") == leader.version("d1") == 1
 

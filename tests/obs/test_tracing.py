@@ -128,11 +128,14 @@ class TestTracedFlush:
                        if t["trace_id"] == trace_id]
             stages = {child["name"]: child
                       for child in trace["spans"]["children"]}
-            assert {"coalesce", "log", "reduce", "apply",
-                    "publish"} <= set(stages)
-            # the durability spans nest under the WAL stage: one flush
-            # reconstructs as coalesce -> log(wal-append, fsync-wait)
-            # -> reduce -> apply -> publish
+            # one flush reconstructs in pipeline order: the reduced
+            # batch is encoded (the first log span) before the apply
+            # and appended (the second, holding the durability spans)
+            # only once the index is derived, before the publish
+            assert [child["name"] for child in
+                    trace["spans"]["children"]] == [
+                "coalesce", "reduce", "log", "copy", "apply",
+                "index-derive", "log", "publish"]
             wal_children = [child["name"]
                             for child in stages["log"]["children"]]
             assert "wal-append" in wal_children

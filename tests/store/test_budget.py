@@ -181,9 +181,10 @@ PAST_THE_BUDGET = (
     "29e4ec32d3f19699efadaafa785d4ba343c613d7186f6aa1b7450ca3a18b5b7a")
 
 #: the write-ahead log's bytes after the same hot spot: its ``open``
-#: record carries the document in the id-table payload form
+#: record carries the document in the id-table payload form, and each
+#: ``batch`` record the reduced batch that took effect, without labels
 PAST_THE_BUDGET_LOG = (
-    "015994e8e61e3d79e1f1d44ff7f5390245556cdee897fb8b5d0be573038cae14")
+    "a6e65020dd12384edb53c806fb0679e14caf33a4aab56616348f24b90a42ca4a")
 
 
 def test_a_flush_past_the_budget_widens_nothing(tmp_path, monkeypatch):

@@ -30,6 +30,7 @@ import textwrap
 import pytest
 
 from repro.store import DocumentStore, StatelessBaseline, replay_oracle
+from repro.store.durability import encode_record, scan_wal
 from repro.workloads import generate_client_batches, generate_xmark
 from repro.xdm.serializer import serialize
 
@@ -150,8 +151,8 @@ FAILED_FLUSH_DOC = ("<bib><paper year=\"2011\"><title>T1</title></paper>"
                    "<paper year=\"2024\"><title>T2</title></paper></bib>")
 
 #: one session, cut short by ``die_after`` (sys.argv[2]): a good batch,
-#: a batch that is logged write-ahead and then fails on the duplicate
-#: attribute, another good batch — printing the observable state last
+#: a batch that fails on the duplicate attribute after mutation and is
+#: never logged, another good batch — printing the observable state last
 FAILED_FLUSH_SCRIPT = textwrap.dedent("""
     import json
     import os
@@ -204,13 +205,12 @@ FAILED_FLUSH_SCRIPT = textwrap.dedent("""
 
 
 def test_sigkill_right_after_a_failed_flush(tmp_path):
-    """The failed batch's write-ahead record is the last thing on disk
-    when the process dies. Recovery fails the batch the same way and is
-    left exactly where the dead process stood — text, label digits,
-    indexed reads — and a good batch applied after recovery lands where
-    it lands in a session that never crashed. (Until this PR the dead
-    process would have been between a label rebuild and the ``relabel``
-    record meant to replay it.)"""
+    """The process dies right after a flush that failed after mutation.
+    The failed batch left no record: the last thing on disk is the good
+    batch before it, so recovery replays that one batch, skips nothing,
+    and is left exactly where the dead process stood — text, label
+    digits, indexed reads — and a good batch applied after recovery
+    lands where it lands in a session that never crashed."""
     import json
 
     from repro.pul.ops import InsertAttributes
@@ -246,12 +246,12 @@ def test_sigkill_right_after_a_failed_flush(tmp_path):
     assert returncode == 0, err
     kinds = [record["kind"] for record in
              load_durable_state(crashed_dir, repair=False).records]
-    assert kinds == ["open", "batch", "batch"]
+    assert kinds == ["open", "batch"]
     assert replay_oracle(crashed_dir)["d"] == (at_death["text"], 1)
     with DocumentStore(workers=2, backend="serial", durability="log",
                        wal_dir=crashed_dir) as recovered:
         assert recovered.recovery.replayed_batches == 1
-        assert recovered.recovery.skipped_records == 1
+        assert recovered.recovery.skipped_records == 0
         assert observed(recovered) == at_death
         paper = next(n.node_id for n in recovered.document("d").nodes()
                      if n.name == "paper")
@@ -263,9 +263,10 @@ def test_sigkill_right_after_a_failed_flush(tmp_path):
 
 def test_truncation_point_sweep_recovers_a_valid_prefix(
         tmp_path, expected_states):
-    """Crash = the log ends at an arbitrary byte. Sample cut points over
-    the whole segment; every cut must recover to an exact flushed
-    state."""
+    """Crash = the log ends at an arbitrary byte. Sample cut points in
+    the ``open`` record and in the batch tail after it, apart, so the
+    tail is cut however its share of the segment changes; every cut
+    must recover to an exact flushed state."""
     wal_dir = str(tmp_path / "wal")
     document = generate_xmark(scale=0.02, seed=7)
     batches, __ = generate_client_batches(
@@ -280,9 +281,11 @@ def test_truncation_point_sweep_recovers_a_valid_prefix(
             store.flush("d")
     segment = os.path.join(wal_dir, "wal-00000000.log")
     size = os.path.getsize(segment)
+    opened = len(encode_record(scan_wal(segment)[0][0]))
     rng = random.Random(7)
     seen_versions = set()
-    for cut in sorted(rng.sample(range(1, size), 8)):
+    for cut in sorted(rng.sample(range(1, opened), 2)
+                      + rng.sample(range(opened, size), 6)):
         trial_dir = str(tmp_path / "cut-{}".format(cut))
         shutil.copytree(wal_dir, trial_dir)
         with open(os.path.join(trial_dir, "wal-00000000.log"),

@@ -745,24 +745,53 @@ class TestRecovery:
             oracle = replay_oracle(str(tmp_path / "wal"))
             assert oracle["d"] == (before["text"], before["version"])
 
-    def test_the_oracle_skips_only_a_typed_refusal(self, tmp_path,
-                                                   monkeypatch):
-        """``replay_oracle`` reads a batch its own apply refuses with a
-        library error as one the store skipped too; any other exception
-        is the oracle's own fault and escapes."""
+    def test_a_replay_failure_is_a_recovery_error_on_every_host(
+            self, tmp_path, monkeypatch):
+        """A logged batch took effect where it was logged, so a host
+        that cannot apply it is at fault: a restart, a replica and
+        ``replay_oracle`` each raise a :class:`RecoveryError` naming the
+        version — none skips the record and serves a state the log does
+        not describe. An oracle fault that is no library error escapes
+        as it is."""
+        import repro.store.store as store_module
+        from repro.cluster import ReplicaStore
+        from repro.cluster.tokens import encode_token
+
         with _durable_store(tmp_path, "log") as store:
+            source = store.enable_replication()
             store.open("d", DOC)
             title = store.document("d").root.children[0].children[0]
             store.submit("d", PUL([Rename(title.node_id, "headline")]))
             store.flush("d")
+            stream = source.stream_id
+            page = source.read(from_token=encode_token(stream, 0),
+                               decode=False, max_events=10)
         wal_dir = str(tmp_path / "wal")
         assert replay_oracle(wal_dir)["d"][1] == 1
 
         def refusing(*args, **kwargs):
             raise NotApplicableError("refused")
 
+        with monkeypatch.context() as patch:
+            patch.setattr(store_module, "apply_batch_in_place", refusing)
+            with pytest.raises(RecoveryError,
+                               match="version 1 of 'd'.*refused"):
+                _durable_store(tmp_path, "log")
+            with ReplicaStore(workers=1, backend="serial") as replica:
+                replica.bootstrap([], 0, stream=stream)
+                with pytest.raises(RecoveryError,
+                                   match="version 1 of 'd'.*refused"):
+                    replica.apply_records(page)
+                # the open before it was applied; the cursor stops
+                # short of the batch, which changed nothing
+                assert replica.applied_seq == 1
+                assert replica.version("d") == 0
+                assert replica.text("d") == DOC
+        with _durable_store(tmp_path, "log") as recovered:
+            assert recovered.version("d") == 1
         monkeypatch.setattr(recovery_module, "apply_pul", refusing)
-        assert replay_oracle(wal_dir)["d"] == (DOC, 0)
+        with pytest.raises(RecoveryError, match="version 1 of 'd'.*refused"):
+            replay_oracle(wal_dir)
 
         def faulty(*args, **kwargs):
             raise RuntimeError("an oracle fault")
@@ -888,17 +917,12 @@ class TestRecovery:
 
     def test_failed_batch_leaves_no_trace(self, tmp_path):
         """A batch that fails mid-apply (the XQUF duplicate attribute,
-        found only after mutation) is logged write-ahead and then
-        changes nothing, on any host of the log: nothing is published,
-        relabeled, index-rebuilt or logged beyond that one record, and
-        the next good batch lands on the untouched label timeline
-        everywhere.
-
-        Replaces ``test_crash_before_relabel_record_still_converges``:
-        the failed flush used to republish rebuilt labels and log a
-        ``relabel`` record, and a crash between the two appends was a
-        window replay had to close. Neither the record nor the window
-        exists any more."""
+        found only after mutation) changes nothing, on any host of the
+        log: nothing is published, relabeled, index-rebuilt, logged or
+        fsynced for it, and the next good batch lands on the untouched
+        label timeline everywhere. The log then holds exactly the
+        batches that took effect, so every host replays each of them
+        and skips none."""
         import random
 
         from repro.cluster import ReplicaStore
@@ -912,18 +936,6 @@ class TestRecovery:
         paper = next(document.elements_by_name("paper"))
         title = next(document.elements_by_name("title"))
         wal_dir = str(tmp_path / "wal")
-
-        def deliver(replica, position):
-            """The page of event ``position`` into ``replica``; the
-            failing batch's must leave the published version the same
-            object."""
-            event = events[position]
-            entry = replica._entries.get("d")
-            before = entry and entry.published
-            replica.apply_records({"events": [event],
-                                   "token": event["token"]})
-            if event["record"] is failing:
-                assert replica._entries["d"].published is before
 
         with _durable_store(tmp_path, "log") as store:
             source = store.enable_replication()
@@ -944,9 +956,9 @@ class TestRecovery:
             assert entry.published.index is published.index
             assert store.stats("d") == dict(stats_before, pending=1)
             assert entry.logged_version == published.version == 0
-            assert fsyncs.value == fsyncs_before + 1   # the batch record
+            assert fsyncs.value == fsyncs_before   # nothing was logged
             state = load_durable_state(wal_dir, repair=False)
-            assert [r["kind"] for r in state.records] == ["open", "batch"]
+            assert [r["kind"] for r in state.records] == ["open"]
             assert store.discard_pending("d") == 1
             store.submit("d", PUL([Rename(title.node_id, "headline")]),
                          client="alice")
@@ -962,9 +974,8 @@ class TestRecovery:
                 from_token=encode_token(source.stream_id, seq0),
                 decode=False, max_events=10)["events"]
             records = [event["record"] for event in events]
-            assert [r["kind"] for r in records] \
-                == ["open", "batch", "batch"]
-            failing = records[1]
+            assert [r["kind"] for r in records] == ["open", "batch"]
+            assert records[1]["version"] == 1
 
             # a replica streaming record by record, in order and
             # under at-least-once rewinds
@@ -974,26 +985,17 @@ class TestRecovery:
                     replica.bootstrap([], seq0, stream=source.stream_id)
                     position = 0
                     while position < len(events):
-                        deliver(replica, position)
+                        event = events[position]
+                        replica.apply_records({"events": [event],
+                                               "token": event["token"]})
                         position += 1
                         if rng.random() < rewind:
                             position = rng.randrange(position + 1)
                     assert equals_leader(replica)
 
-        # crash recovery, record by record
-        class CheckedRecovery(DocumentStore):
-            def _apply_record(self, record):
-                entry = self._entries.get("d")
-                before = entry and entry.published
-                outcome = super()._apply_record(record)
-                if record.get("version") == 1 and outcome == "skipped":
-                    assert self._entries["d"].published is before
-                    self.saw_failure = True
-                return outcome
-
-        with _durable_store(tmp_path, "log",
-                            store_class=CheckedRecovery) as recovered:
-            assert recovered.saw_failure
+        with _durable_store(tmp_path, "log") as recovered:
+            assert recovered.recovery.replayed_batches == 1
+            assert recovered.recovery.skipped_records == 0
             assert equals_leader(recovered)
         assert replay_oracle(wal_dir)["d"] == (before["text"], 1)
 
@@ -1043,20 +1045,31 @@ class TestRecovery:
             assert replica.applied_seq == 1
             assert replica.version("d") == 0
 
-    def test_environmental_apply_failure_skips_on_replay(
+    def test_environmental_apply_failure_leaves_no_record(
             self, tmp_path, workload, monkeypatch):
-        """A batch logged write-ahead whose application then failed is
-        skipped identically at replay; recovered bytes match the oracle
-        even though the original failure was environmental."""
+        """A batch whose application fails for a reason of the host (a
+        simulated mid-apply crash) is refused with no record and no
+        fsync; the same pending queue, flushed again, is logged once as
+        the next version, and a restart replays every logged batch,
+        skipping none, to the bytes the leader and the oracle hold."""
         import repro.store.store as store_module
 
         text, batches, __ = workload
         real_apply = store_module.apply_batch_in_place
+        wal_dir = str(tmp_path / "wal")
+
+        def logged_versions():
+            return [record["version"] for record in
+                    load_durable_state(wal_dir, repair=False).records
+                    if record["kind"] == "batch"]
+
         with _durable_store(tmp_path, "log") as store:
             store.open("d", text)
             _run_session(store, batches[:2])
             for client, pul in batches[2]:
                 store.submit("d", pul.copy(), client=client)
+            fsyncs = store.obs.counter("repro_wal_fsyncs_total")
+            fsyncs_before = fsyncs.value
 
             def exploding_apply(*args, **kwargs):
                 raise ReproError("simulated mid-apply crash")
@@ -1065,16 +1078,180 @@ class TestRecovery:
                                 exploding_apply)
             with pytest.raises(ReproError):
                 store.flush("d")
+            assert fsyncs.value == fsyncs_before
+            assert logged_versions() == [1, 2]
             monkeypatch.setattr(store_module, "apply_batch_in_place",
                                 real_apply)
             store.flush("d")  # same pending, now succeeds
+            assert logged_versions() == [1, 2, 3]
             before_text = store.text("d")
             before_version = store.version("d")
         with _durable_store(tmp_path, "log") as recovered:
+            assert recovered.recovery.replayed_batches == 3
+            assert recovered.recovery.skipped_records == 0
             assert recovered.text("d") == before_text
-            assert recovered.version("d") == before_version
-            oracle = replay_oracle(str(tmp_path / "wal"))
-            assert oracle["d"][0] == before_text
+            assert recovered.version("d") == before_version == 3
+        assert replay_oracle(wal_dir)["d"] == (before_text, 3)
+
+    def test_a_retired_batch_record_is_refused_by_every_reader(
+            self, tmp_path):
+        """Logs written before batch records held the reduced batch hold
+        the coalesced one, labels attached, which replay reduced again.
+        Applied as it stands such a batch could give another tree or
+        other ids, so recovery, ``replay_oracle`` and a replica's
+        ``apply_records`` each refuse a batch record whose PUL carries
+        labels with a typed :class:`RecoveryError` naming the retired
+        form."""
+        from repro.cluster import ReplicaStore
+        from repro.cluster.tokens import encode_token
+        from repro.pul.serialize import pul_to_xml
+        from repro.store.durability.recovery import encode_payload
+        from repro.store.durability.wal import WalWriter
+        from repro.xdm.parser import parse_document
+
+        document = parse_document(DOC)
+        title = next(document.elements_by_name("title"))
+        labeled = PUL([Rename(title.node_id, "headline")]).attach_labels(
+            ContainmentLabeling().build(document))
+        assert labeled.labels
+        with _durable_store(tmp_path, "log") as store:
+            store.open("d", DOC)
+        [opened] = load_durable_state(str(tmp_path / "wal"),
+                                      repair=False).records
+        records = [opened, {"kind": "batch", "doc_id": "d", "version": 1,
+                            "clients": 1, "pul": pul_to_xml(labeled)}]
+        old = tmp_path / "old"
+        os.makedirs(str(old / "wal"))
+        writer = WalWriter(str(old / "wal" / "wal-00000000.log"))
+        for record in records:
+            writer.append(encode_payload(record))
+        writer.close()
+        with pytest.raises(RecoveryError, match="retired form"):
+            _durable_store(old, "log")
+        with pytest.raises(RecoveryError, match="retired form"):
+            replay_oracle(str(old / "wal"))
+        with ReplicaStore(workers=1, backend="serial") as replica:
+            replica.bootstrap([], 0, stream="s")
+            with pytest.raises(RecoveryError, match="retired form"):
+                replica.apply_records({
+                    "events": [{"seq": seq, "record": record}
+                               for seq, record in enumerate(records)],
+                    "token": encode_token("s", len(records))})
+            assert replica.applied_seq == 1
+            assert replica.version("d") == 0
+
+    def test_a_batch_refused_after_mutation_leaves_the_log_as_it_was(
+            self, tmp_path):
+        """The duplicate attribute is found only after the working copy
+        was mutated. Refused there, the batch leaves every file of the
+        log byte for byte as it was and the change feed without an
+        event, and the next good batch is logged once, as the next
+        version — a CDC event whose ``pul`` is the reduced batch,
+        without labels."""
+        from repro.cluster.tokens import encode_token
+        from repro.xdm.parser import parse_document
+
+        document = parse_document(DOC)
+        paper = next(document.elements_by_name("paper")).node_id
+        title = next(document.elements_by_name("title")).node_id
+        wal_dir = str(tmp_path / "wal")
+
+        def log_bytes():
+            files = {}
+            for name in sorted(os.listdir(wal_dir)):
+                if name != "owner.lock":
+                    with open(os.path.join(wal_dir, name), "rb") as handle:
+                        files[name] = handle.read()
+            return files
+
+        with _durable_store(tmp_path, "log") as store:
+            source = store.enable_replication()
+            store.open("d", DOC)
+            store.submit("d", PUL([Rename(title, "headline")]))
+            assert store.flush("d").version == 1
+            before = log_bytes()
+            next_seq = source.next_seq
+            store.submit("d", PUL([InsertAttributes(
+                paper, [Node.attribute("year", "1999")])]))
+            with pytest.raises(NotApplicableError):
+                store.flush("d")
+            assert log_bytes() == before
+            assert source.next_seq == next_seq
+            store.discard_pending("d")
+            store.submit("d", PUL([InsertAttributes(
+                paper, [Node.attribute("lang", "en")])]))
+            assert store.flush("d").version == 2
+            events = source.read(
+                from_token=encode_token(source.stream_id, next_seq),
+                max_events=10)["events"]
+        assert [(event["kind"], event["version"]) for event in events] \
+            == [("batch", 2)]
+        assert "label=" not in events[0]["pul"]
+        assert [(record["doc_id"], record["version"]) for record in
+                load_durable_state(wal_dir, repair=False).records
+                if record["kind"] == "batch"] == [("d", 1), ("d", 2)]
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_logged_versions_are_contiguous_under_failing_batches(
+            self, tmp_path, seed):
+        """A random schedule of good batches, batches refused while
+        coalescing (two clients renaming one node) and batches refused
+        after mutation (a duplicate attribute), over two documents: each
+        document's logged versions run 1, 2, ... without a gap or a
+        repeat up to its published version, and a restart and the
+        oracle land on the leader's state, replaying every record."""
+        import random
+
+        from repro.xdm.parser import parse_document
+
+        rng = random.Random(seed)
+        document = parse_document(DOC)
+        paper = next(document.elements_by_name("paper")).node_id
+        title = next(document.elements_by_name("title")).node_id
+        root = document.root.node_id
+        wal_dir = str(tmp_path / "wal")
+        with _durable_store(tmp_path, "log") as store:
+            for doc_id in ("a", "b"):
+                store.open(doc_id, DOC)
+            for step in range(30):
+                doc_id = rng.choice("ab")
+                kind = rng.choice(("good", "good", "conflict", "duplicate"))
+                if kind == "good":
+                    store.submit(doc_id, PUL([InsertIntoAsLast(
+                        root, [Node.element("x{}".format(step))])]))
+                elif kind == "conflict":
+                    for client in ("alice", "bob"):
+                        store.submit(doc_id, PUL([Rename(
+                            title, client)]), client=client)
+                else:
+                    store.submit(doc_id, PUL([InsertAttributes(
+                        paper, [Node.attribute("year", "1999")])]))
+                try:
+                    store.flush(doc_id)
+                except ReproError:
+                    assert kind != "good"
+                    store.discard_pending(doc_id)
+                else:
+                    assert kind == "good"
+            final = {doc_id: _full_state(store, doc_id)
+                     for doc_id in ("a", "b")}
+        logged = {"a": [], "b": []}
+        for record in load_durable_state(wal_dir, repair=False).records:
+            if record["kind"] == "batch":
+                logged[record["doc_id"]].append(record["version"])
+        for doc_id, versions in logged.items():
+            assert versions == list(
+                range(1, final[doc_id]["version"] + 1))
+        with _durable_store(tmp_path, "log") as recovered:
+            assert recovered.recovery.skipped_records == 0
+            assert recovered.recovery.replayed_batches == sum(
+                map(len, logged.values()))
+            for doc_id in ("a", "b"):
+                assert _full_state(recovered, doc_id) == final[doc_id]
+        oracle = replay_oracle(wal_dir)
+        for doc_id in ("a", "b"):
+            assert oracle[doc_id] == (final[doc_id]["text"],
+                                      final[doc_id]["version"])
 
 
 class TestWriterFailure:

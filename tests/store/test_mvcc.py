@@ -80,8 +80,8 @@ def _baseline_timeline(specs):
 
 class _StalledApplyWindow:
     """Patch the batch applier to park mid-flush: the flush signals
-    ``in_window`` with the batch logged but not yet published, and only
-    proceeds once ``release`` is set."""
+    ``in_window`` mid-apply, with nothing logged or published yet, and
+    only proceeds once ``release`` is set."""
 
     def __init__(self, monkeypatch):
         self.in_window = threading.Event()
@@ -196,6 +196,30 @@ class TestReadersVersusWriter:
             assert store.version("d") == 1
 
 
+class _StalledLogWindow:
+    """Patch ``store``'s log append to park mid-flush: the flush signals
+    ``in_window`` with the batch's logged-version fence raised and the
+    batch not yet published — its record appended, or with ``refuse``
+    about to be refused by the log — and only proceeds once ``release``
+    is set."""
+
+    def __init__(self, monkeypatch, store, refuse=False):
+        self.in_window = threading.Event()
+        self.release = threading.Event()
+        manager = store._durability
+        real_append = manager.append
+
+        def stalled_append(records):
+            if not refuse:
+                real_append(records)
+            self.in_window.set()
+            self.release.wait(10)
+            if refuse:
+                raise DurabilityError("the log refused the record")
+
+        monkeypatch.setattr(manager, "append", stalled_append)
+
+
 class TestVersionPinning:
     def test_pinned_version_is_immutable_across_later_flushes(self):
         """A held version's tree never changes: every later flush
@@ -278,18 +302,19 @@ class TestCaptureFence:
 
     def test_snapshot_waits_for_the_logged_batch_to_publish(
             self, tmp_path, monkeypatch):
-        """Compaction during a mid-apply flush: the capture must wait
-        out the logged-but-unpublished batch (a snapshot pairing the
-        rotated log with a pre-batch payload would be fine — leading
-        only — but one *missing an acked record* would not), and the
-        compacted directory must recover to the post-batch state."""
+        """Compaction while a flush stands between its append and its
+        publish: the capture must wait out the logged-but-unpublished
+        batch (a snapshot pairing the rotated log with a post-batch
+        payload would be fine — leading only — but one *missing an
+        acked record* would not), and the compacted directory must
+        recover to the post-batch state."""
         wal_dir = str(tmp_path / "wal")
         with DocumentStore(backend="serial", durability="log",
                            wal_dir=wal_dir) as store:
             store.open("d", DOC)
             title = _id_of(store.document("d"), "title")
             store.submit("d", PUL([Rename(title, "headline")]))
-            window = _StalledApplyWindow(monkeypatch)
+            window = _StalledLogWindow(monkeypatch, store)
 
             flusher = threading.Thread(target=store.flush, args=("d",),
                                        daemon=True)
@@ -315,26 +340,24 @@ class TestCaptureFence:
             assert recovered.text("d") == final
             assert recovered.version("d") == 1
 
-    def test_a_failed_batch_releases_the_captures_it_parked(
+    def test_a_refused_append_releases_the_captures_it_parked(
             self, tmp_path, monkeypatch):
-        """A batch that is logged and then fails to apply owes no
-        publish: the failure clamps the fence back, and a capture that
-        was waiting on it is handed the published version — the very
-        one from before the flush, since the failure changed nothing."""
-        from repro.errors import ReproError
-        from repro.pul.ops import InsertAttributes
-        from repro.xdm.node import Node
+        """A batch whose record the log refuses owes no publish: the
+        refusal clamps the fence back, and a capture that was waiting
+        on it is handed the published version — the very one from
+        before the flush, since the refusal changed nothing. (A batch
+        that fails to apply never raises the fence: it is refused
+        before the log.)"""
+        from repro.store.durability import load_durable_state
 
+        wal_dir = str(tmp_path / "wal")
         with DocumentStore(backend="serial", durability="log",
-                           wal_dir=str(tmp_path / "wal")) as store:
+                           wal_dir=wal_dir) as store:
             entry = store.open("d", DOC)
             published = entry.published
-            paper = _id_of(store.document("d"), "paper")
-            for client in ("alice", "bob"):     # a duplicate attribute
-                store.submit("d", PUL([InsertAttributes(
-                    paper, [Node.attribute("dup", client)])]),
-                    client=client)
-            window = _StalledApplyWindow(monkeypatch)
+            title = _id_of(store.document("d"), "title")
+            store.submit("d", PUL([Rename(title, "headline")]))
+            window = _StalledLogWindow(monkeypatch, store, refuse=True)
 
             failures = []
 
@@ -361,10 +384,13 @@ class TestCaptureFence:
             flusher.join(10)
             capture.join(10)
             assert failures and not capture.is_alive()
+            assert isinstance(failures[0], DurabilityError)
             assert captured == [published]
             assert entry.published is published
             stats = store.stats("d")
-            assert (stats["pending"], stats["pending_batches"]) == (2, 0)
+            assert (stats["pending"], stats["pending_batches"]) == (1, 0)
+        assert [record["kind"] for record in load_durable_state(
+            wal_dir, repair=False).records] == ["open"]
 
 
 class TestVersionTextMemo:
@@ -1138,14 +1164,15 @@ class TestNoWholeDocumentCopy:
                 final = store.text("d"), store.version("d")
         assert final[1] == 3
         with monkeypatch.context() as patch:
-            # the restart replays the whole log: the open and four
-            # batch records, the failed one skipped
+            # the restart replays the whole log: the open and the
+            # three batch records — the failed batch left none
             recovered = store_at(wal_dir)
             try:
                 self._refuse_copies(patch, recovered)
                 recovered.submit("d", PUL([Rename(title, "restarted")]))
                 recovered.flush("d")
                 assert recovered.recovery.replayed_batches == 3
+                assert recovered.recovery.skipped_records == 0
                 assert (recovered.text("d"), recovered.version("d")) == (
                     final[0].replace("pinned", "restarted"), 4)
             finally:
