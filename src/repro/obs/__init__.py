@@ -204,10 +204,10 @@ class StoreObs:
     def snapshot_histogram(self, name):
         """The ``repro_store_snapshot_stage_seconds`` series of
         ``stage=name``, observed once per snapshot compaction:
-        ``capture`` (the documents' payloads), ``encode`` (each into the
-        record), ``write`` (the file, its fsync and its rename) and
-        ``compact`` (seal the segment, delete what the snapshot
-        supersedes). Capture and encode run inside the write, one
+        ``capture`` (the documents' payloads), ``encode`` (each into its
+        framed ``open`` record), ``write`` (the file, its fsync and its
+        rename) and ``compact`` (seal the segment, delete what the
+        snapshot supersedes). Capture and encode run inside the write, one
         document at a time; the write's seconds leave them out."""
         return self.registry.histogram(
             "repro_store_snapshot_stage_seconds",

@@ -36,11 +36,9 @@ from repro.store.durability.snapshot import (
 from repro.store.durability.wal import (
     WalWriter,
     encode_record,
-    read_single_record,
     scan_records,
     scan_wal,
     truncate_torn_tail,
-    write_file_atomically,
 )
 
 __all__ = [
@@ -54,11 +52,9 @@ __all__ = [
     "document_payload",
     "encode_record",
     "load_durable_state",
-    "read_single_record",
     "replay_oracle",
     "restore_document",
     "scan_records",
     "scan_wal",
     "truncate_torn_tail",
-    "write_file_atomically",
 ]

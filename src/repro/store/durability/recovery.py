@@ -12,10 +12,19 @@ rename), opens the next generation's segment and only then deletes the
 files the snapshot made redundant. Every crash point in that sequence
 leaves a directory that recovers to the same state.
 
+A snapshot is framed like a segment: one ``open`` record per resident
+document, then the seal ``{"kind": "snapshot", "generation": g,
+"docs": n}``. A file counts as the snapshot of generation ``g`` only
+when it scans clean and its last record is that seal, with exactly
+``n`` ``open`` records before it; any other file is skipped. Its
+``open`` records are restored one at a time by the code that restores
+the log's own. The retired form, one ``snapshot`` record whose
+``docs`` lists every document, is a :class:`RecoveryError`.
+
 Record payloads are JSON objects (framed by :mod:`.wal`):
 
 ``{"kind": "open", "doc": <document payload>}``
-    a document became resident (the payload is the full snapshot-form
+    a document became resident (the payload is the document's full
     state, so replay restores identifiers and labels exactly);
 ``{"kind": "batch", "doc_id": ..., "version": n, "clients": k,
 "pul": <exchange XML>}``
@@ -59,6 +68,7 @@ import re
 import threading
 import time
 from collections import namedtuple
+from itertools import chain
 
 from repro.errors import (
     DurabilityError,
@@ -72,11 +82,10 @@ from repro.pul.semantics import apply_pul
 from repro.store.durability.snapshot import restore_document
 from repro.store.durability.wal import (
     WalWriter,
+    encode_record,
     install_file,
-    read_single_record,
     scan_wal,
     truncate_torn_tail,
-    write_record_file,
 )
 from repro.xdm.serializer import serialize
 
@@ -87,9 +96,6 @@ DEFAULT_SNAPSHOT_EVERY = 8
 
 #: the stages of a snapshot compaction, each timed once per snapshot
 SNAPSHOT_STAGES = ("capture", "encode", "write", "compact")
-
-#: what ``next`` gives for a drawn-out iterator of payloads
-_DRAWN = object()
 
 
 class DurabilityPolicy:
@@ -161,12 +167,12 @@ class DurabilityPolicy:
 class LoadedState:
     """What :func:`load_durable_state` found on disk."""
 
-    __slots__ = ("documents", "records", "generation",
+    __slots__ = ("snapshot", "records", "generation",
                  "snapshot_generation", "clean", "truncated_bytes")
 
-    def __init__(self, documents, records, generation,
+    def __init__(self, snapshot, records, generation,
                  snapshot_generation, clean, truncated_bytes):
-        self.documents = documents      # snapshot document payloads
+        self.snapshot = snapshot        # the snapshot's open records, raw
         self.records = records          # decoded tail records, in order
         self.generation = generation    # generation new appends go to
         self.snapshot_generation = snapshot_generation  # None = no snap
@@ -175,7 +181,16 @@ class LoadedState:
 
     @property
     def empty(self):
-        return not self.documents and not self.records
+        return not self.snapshot and not self.records
+
+    def drain_snapshot(self):
+        """The snapshot's ``open`` records, decoded one at a time; each
+        raw payload is let go of as it is decoded, so a restore holds
+        one document's record, not the snapshot's."""
+        payloads = self.snapshot
+        payloads.reverse()
+        while payloads:
+            yield decode_payload(payloads.pop())
 
 
 class RecoveryReport(namedtuple(
@@ -259,28 +274,60 @@ def _scan_directory(directory):
     return wals, snaps
 
 
+def _is_open(payload):
+    """Whether ``payload`` is an ``open`` record: in the canonical
+    encoding (sorted keys) its first key is ``doc`` and its last
+    ``kind``, so the test needs no decode."""
+    return (payload.startswith(b'{"doc":')
+            and payload.endswith(b',"kind":"open"}'))
+
+
+def _read_snapshot(path, generation):
+    """The raw ``open`` records of the snapshot at ``path``, or
+    ``None`` when the file is not a sealed snapshot of ``generation``
+    (torn, cut short, unsealed, or sealed for another generation or
+    count)."""
+    payloads, __, clean = scan_wal(path)
+    if not clean or not payloads or _is_open(payloads[-1]):
+        return None
+    try:
+        seal = decode_payload(payloads.pop())
+    except RecoveryError:
+        return None
+    if seal.get("kind") != "snapshot":
+        return None
+    if isinstance(seal.get("docs"), list):
+        raise RecoveryError(
+            "snapshot {} is in the retired form (one record listing "
+            "every document): this directory predates snapshots of "
+            "open records and cannot be recovered".format(path))
+    if (seal.get("generation") != generation
+            or seal.get("docs") != len(payloads)
+            or not all(map(_is_open, payloads))):
+        return None
+    return payloads
+
+
 def load_durable_state(directory, repair=True):
     """Read a durability directory back into a :class:`LoadedState`.
 
-    Picks the newest validating snapshot, decodes the record tail of
-    every later segment, and (with ``repair=True``) truncates a torn
-    final segment to its valid prefix so appends can resume in place. A
-    torn *non-final* segment means records were lost in the middle of
-    the history and raises :class:`RecoveryError`.
+    Picks the newest sealed snapshot, decodes the record tail of every
+    later segment, and (with ``repair=True``) truncates a torn final
+    segment to its valid prefix so appends can resume in place. A torn
+    *non-final* segment means records were lost in the middle of the
+    history and raises :class:`RecoveryError`. The snapshot's ``open``
+    records stay raw until :meth:`LoadedState.drain_snapshot` decodes
+    them.
     """
     wals, snaps = _scan_directory(directory)
-    documents = []
+    snapshot = []
     snapshot_generation = None
     for generation in sorted(snaps, reverse=True):
-        payload = read_single_record(snaps[generation])
-        if payload is None:
-            continue
-        snapshot = decode_payload(payload)
-        if snapshot.get("kind") != "snapshot":
-            continue
-        documents = snapshot["docs"]
-        snapshot_generation = generation
-        break
+        opens = _read_snapshot(snaps[generation], generation)
+        if opens is not None:
+            snapshot = opens
+            snapshot_generation = generation
+            break
     base = -1 if snapshot_generation is None else snapshot_generation
     replay_generations = sorted(g for g in wals if g > base)
     expected = list(range(base + 1, base + 1 + len(replay_generations)))
@@ -307,7 +354,7 @@ def load_durable_state(directory, repair=True):
         records.extend(decode_payload(p) for p in payloads)
     generation = max([base + 1] + replay_generations) if (
         wals or snaps) else 0
-    return LoadedState(documents, records, generation,
+    return LoadedState(snapshot, records, generation,
                        snapshot_generation, clean, truncated)
 
 
@@ -634,66 +681,67 @@ class DurabilityManager:
         *behind* the seal would lose records — that ordering is the
         caller's contract.
 
-        The payloads are an iterable drawn one at a time: each is
-        encoded into the record as it is drawn and written to the
-        snapshot's temporary file at once, so compaction holds one
-        document's payload, not the store's. The record is the bytes
-        :func:`encode_payload` gives for ``{"kind": "snapshot",
-        "generation": sealed, "docs": [...]}``. Nothing of that takes
-        the manager lock, so an :meth:`append` on another thread never
-        waits for a capture or an encode; the rename and the deletions
-        hold it. Each stage is observed once, into
-        ``repro_store_snapshot_stage_seconds``.
+        The file is a segment of its own: one framed ``open`` record
+        per payload, then the seal naming ``sealed`` and the count. The
+        payloads are an iterable drawn one at a time, each framed as it
+        is drawn and written at once, so compaction holds one
+        document's payload, not the store's, and the frame bound
+        (:data:`~.wal.MAX_PAYLOAD`) bounds each document on its own.
+        The file is written to ``.tmp``, fsynced and renamed into
+        place; a compaction that fails removes the ``.tmp`` file.
+        Nothing of that takes the manager lock, so an :meth:`append` on
+        another thread never waits for a capture or an encode; the
+        rename and the deletions hold it. Nothing goes through
+        :meth:`append` either: the snapshot is not in the log, on the
+        replication stream or in its byte counters. Each stage is
+        observed once, into ``repro_store_snapshot_stage_seconds``.
         """
         clock = time.perf_counter
         spent = dict.fromkeys(SNAPSHOT_STAGES, 0.0)
-
-        def chunks():
-            payloads = iter(document_payloads)
-            yield b'{"docs":['
-            separator = b""
-            while True:
-                started = clock()
-                payload = next(payloads, _DRAWN)
-                captured = clock()
-                spent["capture"] += captured - started
-                if payload is _DRAWN:
-                    break
-                encoded = encode_payload(payload)
-                spent["encode"] += clock() - captured
-                yield separator
-                yield encoded
-                # written: let go of it before the next capture
-                del payload, encoded
-                separator = b","
-            yield '],"generation":{},"kind":"snapshot"}}'.format(
-                sealed).encode("ascii")
-
         path = self._snap_path(sealed)
         tmp_path = path + ".tmp"
         started = clock()
         try:
-            write_record_file(tmp_path, chunks())
+            with open(tmp_path, "wb") as handle:
+                count = 0
+                drawn = clock()
+                for payload in document_payloads:
+                    captured = clock()
+                    spent["capture"] += captured - drawn
+                    record = encode_record(encode_payload(
+                        {"kind": "open", "doc": payload}))
+                    spent["encode"] += clock() - captured
+                    handle.write(record)
+                    count += 1
+                    # written: let go of it before the next capture
+                    del payload, record
+                    drawn = clock()
+                spent["capture"] += clock() - drawn
+                handle.write(encode_record(encode_payload(
+                    {"kind": "snapshot", "generation": sealed,
+                     "docs": count})))
+                handle.flush()
+                os.fsync(handle.fileno())
+            with self._lock:
+                install_file(tmp_path, path)
+                written = clock()
+                wals, snaps = _scan_directory(self.directory)
+                superseded = (
+                    [stale for generation, stale in wals.items()
+                     if generation <= sealed]
+                    + [stale for generation, stale in snaps.items()
+                       if generation < sealed])
+                for stale in superseded:
+                    try:
+                        os.unlink(stale)
+                    except OSError:
+                        pass
         except BaseException:
             try:
-                os.unlink(tmp_path)
+                os.unlink(tmp_path)     # gone once it was installed
             except OSError:
                 pass
             raise
-        with self._lock:
-            install_file(tmp_path, path)
-            written = clock()
-            wals, snaps = _scan_directory(self.directory)
-            superseded = (
-                [stale for generation, stale in wals.items()
-                 if generation <= sealed]
-                + [stale for generation, stale in snaps.items()
-                   if generation < sealed])
-            for stale in superseded:
-                try:
-                    os.unlink(stale)
-                except OSError:
-                    pass
         spent["write"] = written - started - spent["capture"] \
             - spent["encode"]
         spent["compact"] = self._rotation_seconds + clock() - written
@@ -724,11 +772,7 @@ def replay_oracle(directory):
     state = load_durable_state(directory, repair=False)
     entries = {}
     versions = {}
-    for payload in state.documents:
-        restored = restore_document(payload)
-        entries[restored.doc_id] = restored.document
-        versions[restored.doc_id] = restored.version
-    for record in state.records:
+    for record in chain(state.drain_snapshot(), state.records):
         kind = record["kind"]
         if kind == "open":
             restored = restore_document(record["doc"])

@@ -27,6 +27,11 @@ so (:attr:`WalWriter.rollback_epoch`), so the records it destroyed fail
 their callers and are never replicated. Nothing reads a segment while
 it is being written: recovery scans closed files, and the replication
 feed is handed the synced payloads by the manager.
+
+A snapshot is a file of the same framing — one ``open`` record per
+document, then a seal — written whole to a temporary file, fsynced and
+renamed into place by :func:`install_file`; recovery reads it with
+:func:`scan_wal` like any segment.
 """
 
 from __future__ import annotations
@@ -42,7 +47,8 @@ MAGIC = b"RWL1"
 
 _HEADER = struct.Struct(">4sII")
 
-#: sanity bound on a single payload (a coalesced batch or a snapshot)
+#: sanity bound on a single payload (one record: a batch, or one
+#: document's ``open`` record, in a segment or in a snapshot)
 MAX_PAYLOAD = 1 << 30
 
 
@@ -261,58 +267,11 @@ class WalWriter:
                                                      self.appended)
 
 
-def write_file_atomically(path, payload):
-    """Write ``payload`` as a single-record file, atomically.
-
-    The record is written to ``path + '.tmp'``, fsynced, and renamed over
-    ``path``; readers therefore observe either the previous file or the
-    complete new one, never a torn snapshot.
-    """
-    tmp_path = path + ".tmp"
-    write_record_file(tmp_path, [payload])
-    install_file(tmp_path, path)
-
-
-def write_record_file(path, chunks):
-    """Write the payload made of ``chunks`` — an iterable of bytes,
-    drawn one at a time — as a single-record file at ``path`` and
-    fsync it. The header needs the payload's length and CRC, so it is
-    written last, into the room left for it at the start: no more than
-    one chunk is held at a time. A payload past :data:`MAX_PAYLOAD` is
-    a :class:`DurabilityError`. Returns the payload's length."""
-    length = 0
-    crc = 0
-    with open(path, "wb") as handle:
-        handle.write(bytes(_HEADER.size))
-        for chunk in chunks:
-            length += len(chunk)
-            if length > MAX_PAYLOAD:
-                raise DurabilityError(
-                    "record payload of more than {} bytes exceeds the "
-                    "frame bound".format(MAX_PAYLOAD))
-            crc = zlib.crc32(chunk, crc)
-            handle.write(chunk)
-        handle.seek(0)
-        handle.write(_HEADER.pack(MAGIC, length, crc & 0xFFFFFFFF))
-        handle.flush()
-        os.fsync(handle.fileno())
-    return length
-
-
 def install_file(tmp_path, path):
     """Rename the written file ``tmp_path`` over ``path`` and make the
     rename durable."""
     os.replace(tmp_path, path)
     _fsync_directory(os.path.dirname(path) or ".")
-
-
-def read_single_record(path):
-    """Read a :func:`write_file_atomically` file; ``None`` when the file
-    is missing, empty, or fails validation."""
-    payloads, __, clean = scan_wal(path)
-    if not clean or len(payloads) != 1:
-        return None
-    return payloads[0]
 
 
 def _fsync_directory(path):

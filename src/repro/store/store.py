@@ -244,6 +244,10 @@ class DocumentStore(StoreReads):
         self._m_flush_failures = obs.counter(
             "repro_store_flush_failures_total",
             "Flushes that failed and restored their pending queue")
+        self._m_snapshot_failures = obs.counter(
+            "repro_store_snapshot_failures_total",
+            "Compactions a batch made due that failed after it took "
+            "effect")
         self._op_latency = {
             op: obs.histogram("repro_store_op_latency_seconds",
                               "Store operation latency", op=op)
@@ -557,15 +561,18 @@ class DocumentStore(StoreReads):
             if not pending:
                 return None
             self._m_pending.dec(len(pending))
-            try:
-                with self.obs.collect_stages() as stages:
+            with self.obs.collect_stages() as stages:
+                try:
                     result = self._execute_batch(entry, pending)
-            except Exception:
-                self._m_pending.inc(len(pending))
-                self._m_flush_failures.inc()
-                with entry.lock:
-                    entry.pending = pending + entry.pending
-                raise
+                except Exception:
+                    self._m_pending.inc(len(pending))
+                    self._m_flush_failures.inc()
+                    with entry.lock:
+                        entry.pending = pending + entry.pending
+                    raise
+                # the batch took effect: nothing after this point may
+                # give its queue back
+                self._compact_if_due()
         duration = time.perf_counter() - start
         self._m_flushes.inc()
         self._op_latency["flush"].observe(duration)
@@ -639,9 +646,8 @@ class DocumentStore(StoreReads):
 
     def _run_batch(self, entry, reduced, clients, text):
         """Make the ``reduced`` batch effective on ``entry``: copy ->
-        apply -> relabel -> index -> log -> publish, then the
-        compaction it makes due. Returns the relabel kind and the index
-        maintenance.
+        apply -> relabel -> index -> log -> publish. Returns the
+        relabel kind and the index maintenance.
 
         Shared by the live flush and every replay host, so a replayed
         batch reproduces the original flush exactly. ``text`` is the
@@ -653,15 +659,10 @@ class DocumentStore(StoreReads):
         stays the one from before.
         """
         try:
-            outcome = self._publish_batch(entry, reduced, clients, text)
+            return self._publish_batch(entry, reduced, clients, text)
         except Exception:
             entry.abandon()
             raise
-        if self._durability is not None and not self._replaying \
-                and self._durability.snapshot_due():
-            with self.obs.stage("snapshot"):
-                self._write_snapshot()
-        return outcome
 
     def _publish_batch(self, entry, reduced, clients, text):
         """:meth:`_run_batch` up to the publish; raising anywhere in
@@ -734,6 +735,20 @@ class DocumentStore(StoreReads):
         self._check_writable()
         return self._write_snapshot()
 
+    def _compact_if_due(self):
+        """Run the compaction the batch just published made due. The
+        batch took effect whatever happens here, so a compaction that
+        fails is counted, not raised: its ``.tmp`` file is gone and the
+        sealed segment it would have superseded still recovers."""
+        if self._durability is None or self._replaying \
+                or not self._durability.snapshot_due():
+            return
+        with self.obs.stage("snapshot"):
+            try:
+                self._write_snapshot()
+            except (OSError, DurabilityError):
+                self._m_snapshot_failures.inc()
+
     def _write_snapshot(self):
         """Compact by capturing *published versions* — no flush lock,
         no store-wide quiesce; writers keep flushing throughout.
@@ -799,9 +814,8 @@ class DocumentStore(StoreReads):
         outcomes = Counter()
         try:
             with self.obs.recovery_stage("restore"):
-                for payload in state.documents:
-                    self._install_restored(
-                        restore_document(payload, self.max_code_length))
+                for record in state.drain_snapshot():
+                    self._apply_record(record)
             with self.obs.recovery_stage("replay"):
                 for record in state.records:
                     outcomes[self._apply_record(record)] += 1
@@ -821,8 +835,9 @@ class DocumentStore(StoreReads):
 
     def _apply_record(self, record):
         """Advance the resident state by one logged ``record`` — THE
-        record switch, run by crash recovery (``_replaying`` set:
-        nothing is logged, ``repl-pos`` cursors are restored) and by
+        record switch, run by crash recovery on the snapshot's ``open``
+        records and then the log's tail (``_replaying`` set: nothing is
+        logged, ``repl-pos`` cursors are restored) and by
         the replica streaming path (live: every applied record is
         logged into this store's own WAL, when it has one).
         Store-README invariants 7-8 are structural only as long as
@@ -847,7 +862,8 @@ class DocumentStore(StoreReads):
         — no coalescing, no reduction. A batch that fails here is this
         host's fault, a :class:`RecoveryError`; only this host's own
         log refusing the record stays the :class:`DurabilityError` it
-        is.
+        is. The compaction an applied batch made due runs after that
+        (:meth:`_compact_if_due`), so its failure is never the batch's.
 
         Locking: this is a writer like :meth:`flush` — each mutation
         runs under the entry's ``flush_lock`` (promotion can hand the
@@ -911,6 +927,7 @@ class DocumentStore(StoreReads):
                     "logged version {} of {!r} took effect where it was "
                     "logged but fails here: {}".format(
                         version, entry.doc_id, exc)) from exc
+            self._compact_if_due()
             return kind
 
     def _replay_position(self, record):

@@ -302,7 +302,8 @@ class TestStreamEqualsLog:
             self, tmp_path, monkeypatch, seed):
         wal_dir = str(tmp_path / "wal")
         # compaction keeps its segments, so the whole log can be read
-        # back at the end (write_file_atomically renames, never unlinks)
+        # back at the end (a snapshot's .tmp file is renamed, never
+        # unlinked)
         monkeypatch.setattr(os, "unlink", lambda path: None)
         faults = random.Random(seed)
         with _store(wal_dir) as store:

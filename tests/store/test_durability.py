@@ -45,10 +45,12 @@ from repro.store import (
 from repro.store.durability import (
     DurabilityManager,
     document_payload,
+    encode_record,
     load_durable_state,
     restore_document,
 )
 from repro.store.durability import recovery as recovery_module
+from repro.store.durability import scan_records, wal
 from repro.labeling import CDQSEncoder, ContainmentLabeling
 from repro.store.store import DEFAULT_MAX_CODE_LENGTH
 from repro.store.versions import DocumentVersion
@@ -1335,13 +1337,17 @@ class TestCompaction:
             generation = store.snapshot()
             assert generation is not None
             before = _full_state(store, "d")
-            # written one document at a time, the record is the one
-            # encode of the whole snapshot
-            assert recovery_module.read_single_record(
-                store._durability._snap_path(generation)) \
-                == recovery_module.encode_payload({
-                    "kind": "snapshot", "generation": generation,
-                    "docs": store.export_state()["docs"]})
+            # written one document at a time, the file is the framed
+            # open record of each exported payload, then the seal
+            docs = store.export_state()["docs"]
+            with open(store._durability._snap_path(generation),
+                      "rb") as handle:
+                assert handle.read() == b"".join(
+                    encode_record(recovery_module.encode_payload(record))
+                    for record in [{"kind": "open", "doc": doc}
+                                   for doc in docs]
+                    + [{"kind": "snapshot", "generation": generation,
+                        "docs": len(docs)}])
         with _durable_store(tmp_path, "log") as recovered:
             assert recovered.recovery.replayed_batches == 0
             assert recovered.recovery.snapshot_generation == generation
@@ -1404,3 +1410,227 @@ class TestCompaction:
         state = load_durable_state(str(tmp_path / "wal"))
         assert state.snapshot_generation is not None
         assert state.clean
+
+    @pytest.mark.parametrize("fault", ["commit_snapshot", "install_file"])
+    def test_a_failed_compaction_keeps_the_batch_that_made_it_due(
+            self, tmp_path, monkeypatch, fault):
+        """A due compaction runs after its batch took effect, so when
+        it fails (a full disk, in the write or in the rename) the flush
+        still returns that batch's result with its queue emptied: the
+        failure is counted, the ``.tmp`` file is gone and the next
+        flush applies its own batch once. The sealed segment stays, so
+        a restart, ``replay_oracle`` and a replica all agree. An
+        explicit snapshot still raises."""
+        import errno
+
+        from repro.cluster import ReplicaStore
+        from repro.cluster.tokens import encode_token
+
+        def full_disk(*args):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        wal_dir = str(tmp_path / "wal")
+        with _durable_store(tmp_path, "log+snapshot:1") as store:
+            source = store.enable_replication()
+            seq0 = source.next_seq
+            store.open("d", "<r/>")
+            if fault == "commit_snapshot":
+                monkeypatch.setattr(DurabilityManager, "commit_snapshot",
+                                    full_disk)
+            else:
+                monkeypatch.setattr(recovery_module, "install_file",
+                                    full_disk)
+            failures = store.obs.counter(
+                "repro_store_snapshot_failures_total")
+            store.submit_xquery("d", "insert node <x/> as last into /r")
+            assert store.flush("d").version == 1
+            assert store.stats("d")["pending"] == 0
+            assert failures.value == 1
+            assert not [name for name in os.listdir(wal_dir)
+                        if name.endswith(".tmp")]
+            store.submit_xquery("d", "insert node <y/> as last into /r")
+            assert store.flush("d").version == 2
+            assert failures.value == 2
+            with pytest.raises(OSError):
+                store.snapshot()
+            before = _full_state(store, "d")
+            assert before["text"] == "<r><x/><y/></r>"
+            events = source.read(
+                from_token=encode_token(source.stream_id, seq0),
+                decode=False, max_events=10)["events"]
+        with ReplicaStore(workers=1, backend="serial") as replica:
+            replica.bootstrap([], seq0, stream=source.stream_id)
+            replica.apply_records({"events": events,
+                                   "token": events[-1]["token"]})
+            assert _full_state(replica, "d") == before
+        with _durable_store(tmp_path, "log+snapshot:1") as recovered:
+            assert recovered.recovery.replayed_batches == 2
+            assert _full_state(recovered, "d") == before
+        assert replay_oracle(wal_dir)["d"] == (before["text"], 2)
+
+
+class TestSnapshotFile:
+    """A snapshot is a segment of framed ``open`` records closed by a
+    seal naming its generation and count. A file that is anything else
+    — cut short, unsealed, sealed for another generation or count,
+    holding another record kind, damaged — is skipped, never restored
+    with fewer documents: its segments compacted away, every reader
+    finds the segment chain broken."""
+
+    DOCS = ("a", "b", "c")
+
+    def compacted(self, tmp_path):
+        """A directory whose state is all in a snapshot of three
+        documents; returns the snapshot's path and its framed
+        records."""
+        with _durable_store(tmp_path, "log") as store:
+            for doc_id in self.DOCS:
+                store.open(doc_id, DOC)
+            path = store._durability._snap_path(store.snapshot())
+        with open(path, "rb") as handle:
+            data = handle.read()
+        payloads, __, clean = scan_records(data)
+        assert clean
+        assert [recovery_module.decode_payload(payload)["kind"]
+                for payload in payloads] \
+            == ["open"] * len(self.DOCS) + ["snapshot"]
+        frames = []
+        for payload in payloads:
+            frames.append(data[:len(encode_record(payload))])
+            data = data[len(frames[-1]):]
+        return path, frames
+
+    @staticmethod
+    def frame(record):
+        return encode_record(recovery_module.encode_payload(record))
+
+    @staticmethod
+    def write(path, *frames):
+        with open(path, "wb") as handle:
+            handle.write(b"".join(frames))
+
+    @staticmethod
+    def assert_refused(tmp_path):
+        wal_dir = str(tmp_path / "wal")
+        for read in (lambda: load_durable_state(wal_dir, repair=False),
+                     lambda: _durable_store(tmp_path, "log"),
+                     lambda: replay_oracle(wal_dir)):
+            with pytest.raises(RecoveryError,
+                               match="segment chain has gaps"):
+                read()
+
+    def test_a_snapshot_cut_at_a_frame_boundary_is_skipped(self, tmp_path):
+        path, frames = self.compacted(tmp_path)
+        for kept in range(len(frames)):
+            self.write(path, *frames[:kept])
+            self.assert_refused(tmp_path)
+
+    @pytest.mark.parametrize("seal", [
+        None,
+        {"kind": "snapshot", "generation": 1, "docs": 3},
+        {"kind": "snapshot", "generation": 0, "docs": 2},
+        {"kind": "snapshot", "generation": 0, "docs": 4},
+        {"kind": "snapshot", "generation": 0}],
+        ids=["missing", "generation", "fewer", "more", "no-count"])
+    def test_a_wrong_seal_is_skipped(self, tmp_path, seal):
+        path, frames = self.compacted(tmp_path)
+        opens = frames[:-1]
+        if seal is None:
+            self.write(path, *opens)
+        else:
+            self.write(path, *opens, self.frame(seal))
+        self.assert_refused(tmp_path)
+
+    @pytest.mark.parametrize("record", [
+        {"kind": "close", "doc_id": "a"},
+        {"kind": "batch", "doc_id": "a", "version": 1, "clients": 1,
+         "pul": "<x/>"},
+        {"doc_id": "a", "kind": "open"}],
+        ids=["close", "batch", "open-without-doc"])
+    def test_a_record_of_another_kind_before_the_seal_is_skipped(
+            self, tmp_path, record):
+        path, frames = self.compacted(tmp_path)
+        self.write(path, frames[0], self.frame(record), *frames[2:])
+        self.assert_refused(tmp_path)
+
+    def test_a_flipped_byte_is_skipped(self, tmp_path):
+        path, frames = self.compacted(tmp_path)
+        offset = 0
+        for frame in frames:
+            for position in (4, 8, len(frame) // 2, len(frame) - 1):
+                data = bytearray(b"".join(frames))
+                data[offset + position] ^= 0x01
+                self.write(path, bytes(data))
+                self.assert_refused(tmp_path)
+            offset += len(frame)
+
+    def test_each_document_is_bounded_on_its_own(self, tmp_path,
+                                                 monkeypatch):
+        """With the frame bound between one document's record and the
+        three of them, the store compacts and restarts exactly; one
+        document's record past it is refused and removes its ``.tmp``
+        file, and the directory still restarts."""
+        wal_dir = str(tmp_path / "wal")
+        with _durable_store(tmp_path, "log") as store:
+            for doc_id in self.DOCS:
+                store.open(doc_id, DOC)
+            before = {doc_id: _full_state(store, doc_id)
+                      for doc_id in self.DOCS}
+            sizes = [len(recovery_module.encode_payload(
+                {"kind": "open", "doc": doc}))
+                for doc in store.export_state()["docs"]]
+            assert max(sizes) < sum(sizes)
+            monkeypatch.setattr(wal, "MAX_PAYLOAD", max(sizes))
+            generation = store.snapshot()
+            monkeypatch.setattr(wal, "MAX_PAYLOAD", max(sizes) - 1)
+            with pytest.raises(DurabilityError, match="frame bound"):
+                store.snapshot()
+            assert not [name for name in os.listdir(wal_dir)
+                        if name.endswith(".tmp")]
+        monkeypatch.setattr(wal, "MAX_PAYLOAD", max(sizes))
+        with _durable_store(tmp_path, "log") as recovered:
+            assert recovered.recovery.snapshot_generation == generation
+            assert {doc_id: _full_state(recovered, doc_id)
+                    for doc_id in self.DOCS} == before
+        assert replay_oracle(wal_dir) == {
+            doc_id: (state["text"], 0) for doc_id, state in before.items()}
+
+    def test_the_retired_form_is_refused_by_every_reader(self, tmp_path):
+        """A snapshot written as one record listing every document is
+        the typed :class:`RecoveryError` naming the retired form — from
+        loading the directory, a restart and ``replay_oracle`` — never
+        a directory restored from it."""
+        with _durable_store(tmp_path, "log") as store:
+            store.open("a", DOC)
+            docs = store.export_state()["docs"]
+        old = tmp_path / "old" / "wal"
+        os.makedirs(str(old))
+        self.write(str(old / "snapshot-00000000.snap"), self.frame(
+            {"kind": "snapshot", "generation": 0, "docs": docs}))
+        for read in (lambda: load_durable_state(str(old), repair=False),
+                     lambda: _durable_store(tmp_path / "old", "log"),
+                     lambda: replay_oracle(str(old))):
+            with pytest.raises(RecoveryError, match="retired form"):
+                read()
+
+    def test_a_restart_holds_one_document_at_a_time(self, tmp_path):
+        """A restart decodes the snapshot's ``open`` records one at a
+        time and lets go of each raw record as it does: its traced
+        peak stays within a small share of the snapshot above the
+        restored store, where decoding the whole snapshot first would
+        hold about the snapshot's size again."""
+        with _durable_store(tmp_path, "log") as store:
+            for seed in range(24):
+                store.open(seed, serialize(generate_xmark(scale=0.004,
+                                                          seed=seed)))
+            generation = store.snapshot()
+            size = os.path.getsize(store._durability._snap_path(generation))
+        tracemalloc.start()
+        try:
+            recovered = _durable_store(tmp_path, "log")
+            resident, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        with recovered:
+            assert len(recovered.doc_ids()) == 24
+        assert peak - resident < size / 4, (peak - resident, size)

@@ -175,7 +175,7 @@ class TestSnapshotEncode:
         real_encode = recovery_module.encode_payload
 
         def held_encode(record):
-            if "kind" not in record:  # a document of the snapshot
+            if record["kind"] == "open":  # a document of the snapshot
                 encoding.set()
                 # the append below releases it; the deadline only keeps
                 # an append that waits for the encode from hanging

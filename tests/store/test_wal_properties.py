@@ -10,13 +10,11 @@ real coalesced-batch XML (the ``wire_puls`` strategy), since PUL
 exchange documents are what the store actually logs.
 """
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import DurabilityError
 from repro.pul.serialize import pul_to_xml
-from repro.store.durability import encode_record, scan_records, wal
+from repro.store.durability import encode_record, scan_records
 from tests.strategies import wire_puls
 
 
@@ -96,41 +94,3 @@ def test_scan_of_missing_file_is_empty(tmp_path):
 
     decoded, valid_bytes, clean = scan_wal(str(tmp_path / "absent.log"))
     assert decoded == [] and valid_bytes == 0 and clean
-
-
-def test_atomic_single_record_file(tmp_path):
-    from repro.store.durability import (
-        read_single_record,
-        write_file_atomically,
-    )
-
-    path = str(tmp_path / "snap.snap")
-    write_file_atomically(path, b"state")
-    assert read_single_record(path) == b"state"
-    # a second write replaces, never appends
-    write_file_atomically(path, b"state2")
-    assert read_single_record(path) == b"state2"
-    # a torn file reads as invalid, not as a partial payload
-    with open(path, "r+b") as handle:
-        handle.truncate(5)
-    assert read_single_record(path) is None
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.lists(st.binary(max_size=40), max_size=6))
-def test_a_streamed_record_is_the_framed_payload(tmp_path_factory, chunks):
-    """A record written chunk by chunk, header last, is byte for byte
-    the record of the joined payload."""
-    path = str(tmp_path_factory.mktemp("stream") / "snap.tmp")
-    payload = b"".join(chunks)
-    assert wal.write_record_file(path, iter(chunks)) == len(payload)
-    with open(path, "rb") as handle:
-        assert handle.read() == encode_record(payload)
-
-
-def test_a_streamed_record_past_the_bound_is_refused(tmp_path,
-                                                     monkeypatch):
-    monkeypatch.setattr(wal, "MAX_PAYLOAD", 8)
-    with pytest.raises(DurabilityError):
-        wal.write_record_file(str(tmp_path / "snap.tmp"),
-                              iter([b"12345", b"6789"]))
