@@ -51,7 +51,7 @@ def main():
     sequential_time = time.perf_counter() - start
 
     # strategy 2: the store — submit the chain, flush once
-    with DocumentStore(workers=1, backend="serial") as store:
+    with DocumentStore() as store:
         store.open("site", text)
         start = time.perf_counter()
         for wire in wires:

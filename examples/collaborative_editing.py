@@ -72,8 +72,7 @@ def check_in(store, puls):
 
 
 def main():
-    with DocumentStore(workers=1, backend="serial",
-                       on_conflict="reconcile",
+    with DocumentStore(on_conflict="reconcile",
                        policies=POLICIES) as store:
         store.open("article", ARTICLE)
         puls = produce(store)
@@ -89,8 +88,7 @@ def main():
     # a variant that cannot be reconciled: everyone demands order
     strict = {name: ProducerPolicy(preserve_insertion_order=True)
               for name in EDITS}
-    with DocumentStore(workers=1, backend="serial",
-                       on_conflict="reconcile", policies=strict) as store:
+    with DocumentStore(on_conflict="reconcile", policies=strict) as store:
         store.open("article", ARTICLE)
         try:
             check_in(store, produce(store))

@@ -68,7 +68,7 @@ def edit_offline(document, labeling, query, ids):
 
 
 def main():
-    with DocumentStore(workers=1, backend="serial") as store:
+    with DocumentStore() as store:
         store.open("catalogue", CATALOGUE)
         payload = store.export_state(doc_ids=["catalogue"])["docs"][0]
         checkout = restore_document(payload)

@@ -300,11 +300,10 @@ def cmd_store_serve(args, out):
 
 
 def _offline_store(max_code_length, policy, wal_dir):
-    """The store a command opens on a local durability directory: one
-    pipeline worker, serial backend (only ``store serve`` offers the
-    concurrency knobs)."""
-    return DocumentStore(workers=1, backend="serial",
-                         max_code_length=max_code_length,
+    """The store a command opens on a local durability directory: the
+    default one pipeline worker, serial backend (only ``store serve``
+    offers the concurrency knobs)."""
+    return DocumentStore(max_code_length=max_code_length,
                          durability=policy, wal_dir=wal_dir)
 
 
@@ -760,10 +759,14 @@ def build_parser():
 
     serve_cmd = store_commands.add_parser(
         "serve", help="serve the store over the network protocol")
-    serve_cmd.add_argument("--workers", type=int, default=2,
-                           help="concurrent reduction workers")
-    serve_cmd.add_argument("--backend", default="thread",
-                           choices=("thread", "serial"))
+    serve_cmd.add_argument("--workers", type=int, default=1,
+                           help="shards a batch is reduced in (default "
+                                "1: one reduction, no partition or "
+                                "merge)")
+    serve_cmd.add_argument("--backend", default="serial",
+                           choices=("thread", "serial"),
+                           help="how the shards are reduced (default "
+                                "serial)")
     _budget_option(serve_cmd)
     _durability_options(serve_cmd)
     _observability_options(serve_cmd)

@@ -55,7 +55,7 @@ from repro.errors import LabelingError
 from repro.labeling.codes import CDBSEncoder
 from repro.labeling.containment import ExtendedLabel
 from repro.xdm import idtable
-from repro.xdm.navigation import depth, left_sibling, right_sibling
+from repro.xdm.navigation import adjacent_siblings, depth
 from repro.xdm.node import NodeType
 
 _ELEMENT = NodeType.ELEMENT
@@ -201,8 +201,7 @@ class ContainmentLabeling:
         start, end = self.digits(node_id)
         document = self.document
         node = document.get(node_id)
-        left = left_sibling(document, node)
-        right = right_sibling(document, node)
+        left, right = adjacent_siblings(document, node)
         return ExtendedLabel(
             node_id, node.node_type, start, end, depth(document, node),
             document.parent_id(node_id),

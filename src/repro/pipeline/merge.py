@@ -17,21 +17,23 @@ from repro.aggregation import aggregate
 from repro.errors import ReproError
 
 
-def merge_shards(shards, strict=True):
+def merge_shards(shards):
     """Merge reduced shard PULs (in shard order) into a single PUL.
 
-    With ``strict=True`` (the default) the merge verifies the shard
-    independence contract: the merged PUL must contain exactly the union
-    of the shard operations — nothing collapsed, nothing rewritten.
+    The merge verifies the shard independence contract: the merged PUL
+    must contain exactly the union of the shard operations — nothing
+    collapsed, nothing rewritten. One shard has no other to be
+    independent of and is returned as it is.
     """
     shards = list(shards)
     if not shards:
         raise ReproError("cannot merge zero shards")
+    if len(shards) == 1:
+        return shards[0]
     merged = aggregate(shards)
-    if strict:
-        expected = sum(len(shard) for shard in shards)
-        if len(merged) != expected:
-            raise ReproError(
-                "shard merge changed the operation count ({} -> {}): "
-                "shards were not independent".format(expected, len(merged)))
+    expected = sum(len(shard) for shard in shards)
+    if len(merged) != expected:
+        raise ReproError(
+            "shard merge changed the operation count ({} -> {}): "
+            "shards were not independent".format(expected, len(merged)))
     return merged

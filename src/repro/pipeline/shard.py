@@ -146,11 +146,14 @@ def shard_pul(pul, num_shards, structure=None):
     ``pul`` that preserves the relative order of same-shard operations.
 
     ``structure`` follows the :func:`~repro.reasoning.oracle.oracle_for`
-    convention; by default the PUL's own labels are used.
+    convention; by default the PUL's own labels are used. One shard is
+    ``[pul]`` itself: nothing is partitioned or packed.
     """
     if num_shards < 1:
         raise ReproError("num_shards must be >= 1, got {}".format(
             num_shards))
+    if num_shards == 1:
+        return [pul]
     ops = list(pul)
     if not ops:
         return [pul.replace_operations([])]

@@ -70,11 +70,13 @@ class _Engine:
         self.singles = {}
 
     def _op_key(self, op):
-        key = (self.oracle.order_key(op.target), op.op_name,
-               op.param_key())
-        # only Definition 9 needs the order total; the other reductions
-        # merely iterate in it, and ops of one kind never tie there
-        return key + (tree_keys(op),) if self.canonical else key
+        key = (self.oracle.order_key(op.target), op.op_name)
+        # only Definition 9 needs the order total (<lex on parameters);
+        # the other reductions merely iterate in document order, and ops
+        # of one kind never tie there, so they serialize no parameter
+        if self.canonical:
+            return key + (op.param_key(), tree_keys(op))
+        return key
 
     # -- stage 1 -------------------------------------------------------------
 

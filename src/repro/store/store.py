@@ -127,9 +127,11 @@ def coalesce_batch(pending, labeling, on_conflict="error", policies=None):
     return merged
 
 
-#: Telemetry of one flushed batch: ``relabel`` is ``"incremental"`` or
-#: ``"full"``; ``index_maintenance`` is ``"incremental"`` (derived from
-#: the reduced PUL) or ``"rebuild"``.
+#: Telemetry of one flushed batch: ``shard_sizes`` holds the operation
+#: count of each shard the batch was reduced in (``[submitted_ops]``
+#: when it was reduced once, as one shard); ``relabel`` is
+#: ``"incremental"`` or ``"full"``; ``index_maintenance`` is
+#: ``"incremental"`` (derived from the reduced PUL) or ``"rebuild"``.
 BatchResult = namedtuple(
     "BatchResult", "doc_id version clients submitted_ops reduced_ops "
     "shard_sizes relabel max_code_length index_maintenance")
@@ -144,7 +146,10 @@ class DocumentStore(StoreReads):
         Concurrency of the per-batch shard reduction: every batch is
         split into at most ``workers`` shards, and ``backend`` is
         ``"thread"`` (a single warm :class:`ParallelReducer` pool shared
-        by all documents) or ``"serial"``.
+        by all documents) or ``"serial"``. The default, one worker and
+        the serial backend, reduces each batch once as one shard, with
+        no partition and no merge; no core count has made the pool pay
+        under the interpreter lock.
     max_code_length:
         Headroom budget of the documents this store opens: when a
         labeling's longest containment code exceeds this many digits
@@ -193,7 +198,7 @@ class DocumentStore(StoreReads):
         path of the slow-query / slow-flush log (:attr:`obs`).
     """
 
-    def __init__(self, workers=2, backend="thread",
+    def __init__(self, workers=1, backend="serial",
                  max_code_length=DEFAULT_MAX_CODE_LENGTH,
                  on_conflict="error", policies=None,
                  durability=None, wal_dir=None, group_window=0.0,

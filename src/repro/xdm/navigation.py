@@ -68,26 +68,27 @@ def is_attribute_of(document, attr, element):
     return attr.is_attribute and document.parent(attr) is element
 
 
-def left_sibling(document, node):
-    """The sibling immediately preceding ``node``, or ``None``."""
+def adjacent_siblings(document, node):
+    """The siblings immediately preceding and following ``node``
+    (``None`` where there is none), from one scan of the parent's
+    children."""
     parent = document.parent(node)
     if parent is None or node.is_attribute:
-        return None
-    index = parent.children.index(node)
-    if index == 0:
-        return None
-    return parent.children[index - 1]
+        return None, None
+    children = parent.children
+    index = children.index(node)
+    return (children[index - 1] if index else None,
+            children[index + 1] if index + 1 < len(children) else None)
+
+
+def left_sibling(document, node):
+    """The sibling immediately preceding ``node``, or ``None``."""
+    return adjacent_siblings(document, node)[0]
 
 
 def right_sibling(document, node):
     """The sibling immediately following ``node``, or ``None``."""
-    parent = document.parent(node)
-    if parent is None or node.is_attribute:
-        return None
-    index = parent.children.index(node)
-    if index + 1 >= len(parent.children):
-        return None
-    return parent.children[index + 1]
+    return adjacent_siblings(document, node)[1]
 
 
 def is_left_sibling(document, node1, node2):

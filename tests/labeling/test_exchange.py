@@ -23,11 +23,13 @@ from hypothesis import strategies as st
 
 import repro.store.store
 from repro.errors import NotApplicableError
+from repro.labeling import ContainmentLabeling
 from repro.pul.ops import InsertBefore
 from repro.pul.pul import PUL
 from repro.reasoning import DocumentOracle
 from repro.store import DocumentStore
 from repro.store.store import coalesce_batch
+from repro.xdm import parse_document
 from repro.xdm.navigation import depth
 from repro.xdm.node import Node
 from repro.xdm.serializer import serialize
@@ -119,3 +121,33 @@ def test_a_reader_of_version_n_gets_its_sibling_ids():
         assert new.node_id not in held.labeling
         assert held.labeling.document is held.document
         assert published.labeling.document is published.document
+
+
+class _CountingChildren(list):
+    """A children list that counts the position scans made over it."""
+
+    def __init__(self, items, scans):
+        super().__init__(items)
+        self.scans = scans
+
+    def index(self, *args):
+        self.scans.append(args[0])
+        return super().index(*args)
+
+
+@pytest.mark.parametrize("position", (0, 1, 4))
+def test_a_label_finds_its_sibling_position_once(position):
+    """One scan of the parent's children gives both sibling ids: every
+    attached label is one O(fan-out) pass, not one per neighbour."""
+    document = parse_document("<r>" + "<c/>" * 5 + "</r>")
+    labeling = ContainmentLabeling().build(document)
+    scans = []
+    root = document.root
+    root.children = _CountingChildren(root.children, scans)
+    child = root.children[position]
+    label = labeling.exchange_label(child.node_id)
+    assert scans == [child]
+    assert label.left_sibling_id == (
+        None if position == 0 else root.children[position - 1].node_id)
+    assert label.right_sibling_id == (
+        None if position == 4 else root.children[position + 1].node_id)

@@ -406,10 +406,12 @@ class TestStore:
         assert "unrecognized arguments: " + " ".join(flag) \
             in capsys.readouterr().err
 
-    def test_serve_parses_the_serial_single_worker_argv(self):
+    @pytest.mark.parametrize("flags", (
+        [], ["--workers", "1", "--backend", "serial"]),
+        ids=("default", "explicit"))
+    def test_serve_parses_the_serial_single_worker_argv(self, flags):
         args = build_parser().parse_args(
-            ["store", "serve", "--listen", "unix:s.sock",
-             "--workers", "1", "--backend", "serial"])
+            ["store", "serve", "--listen", "unix:s.sock"] + flags)
         assert (args.workers, args.backend) == (1, "serial")
 
     @pytest.mark.parametrize("argv", [

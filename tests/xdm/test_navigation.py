@@ -1,6 +1,7 @@
 """Unit tests for tree navigation (the test oracle for label predicates)."""
 
 from repro.xdm.navigation import (
+    adjacent_siblings,
     compare_document_order,
     depth,
     document_position,
@@ -66,6 +67,15 @@ class TestAxes:
         assert right_sibling(small_doc, nodes[5]) is None
         assert is_left_sibling(small_doc, nodes[2], nodes[4])
         assert not is_left_sibling(small_doc, nodes[4], nodes[2])
+
+    def test_adjacent_siblings_pair_the_two_neighbours(self, small_doc):
+        nodes = nodes_by_id(small_doc)
+        assert adjacent_siblings(small_doc, nodes[4]) == (nodes[2], nodes[5])
+        assert adjacent_siblings(small_doc, nodes[2]) == (None, nodes[4])
+        assert adjacent_siblings(small_doc, nodes[5]) == (nodes[4], None)
+        assert adjacent_siblings(small_doc, small_doc.root) == (None, None)
+        # an attribute has no siblings
+        assert adjacent_siblings(small_doc, nodes[6]) == (None, None)
 
     def test_first_last_child(self, small_doc):
         nodes = nodes_by_id(small_doc)
