@@ -238,8 +238,7 @@ def cmd_store_serve(args, out):
     # every address is checked before the store is built
     metrics_listen = (_parse_metrics_listen(args.metrics_listen)
                       if args.metrics_listen else None)
-    options = dict(workers=args.workers, backend=args.backend,
-                   max_code_length=args.max_code_length,
+    options = dict(max_code_length=args.max_code_length,
                    on_conflict=args.on_conflict,
                    durability=policy, wal_dir=wal_dir,
                    **_observability_kwargs(args))
@@ -300,9 +299,7 @@ def cmd_store_serve(args, out):
 
 
 def _offline_store(max_code_length, policy, wal_dir):
-    """The store a command opens on a local durability directory: the
-    default one pipeline worker, serial backend (only ``store serve``
-    offers the concurrency knobs)."""
+    """The store a command opens on a local durability directory."""
     return DocumentStore(max_code_length=max_code_length,
                          durability=policy, wal_dir=wal_dir)
 
@@ -759,14 +756,12 @@ def build_parser():
 
     serve_cmd = store_commands.add_parser(
         "serve", help="serve the store over the network protocol")
-    serve_cmd.add_argument("--workers", type=int, default=1,
-                           help="shards a batch is reduced in (default "
-                                "1: one reduction, no partition or "
-                                "merge)")
+    serve_cmd.add_argument("--workers", type=int, default=1, choices=(1,),
+                           help="retired: a batch is reduced once, so "
+                                "only 1 is accepted")
     serve_cmd.add_argument("--backend", default="serial",
-                           choices=("thread", "serial"),
-                           help="how the shards are reduced (default "
-                                "serial)")
+                           choices=("serial",),
+                           help="retired: only serial is accepted")
     _budget_option(serve_cmd)
     _durability_options(serve_cmd)
     _observability_options(serve_cmd)

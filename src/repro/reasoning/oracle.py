@@ -20,10 +20,6 @@ from repro.xdm.node import NodeType
 class StructuralOracle:
     """Interface: structural facts about (original-document) node ids."""
 
-    def knows(self, node_id):
-        """Whether the oracle has information about ``node_id``."""
-        raise NotImplementedError
-
     def node_type(self, node_id):
         raise NotImplementedError
 
@@ -94,11 +90,6 @@ class LabelOracle(StructuralOracle):
     def __init__(self, labels):
         self._labels = dict(labels)
 
-    def add(self, labels):
-        """Merge further labels in (integration joins several PULs)."""
-        self._labels.update(labels)
-        return self
-
     def _label(self, node_id):
         try:
             return self._labels[node_id]
@@ -106,9 +97,6 @@ class LabelOracle(StructuralOracle):
             raise ReproError(
                 "no structural information for node {} — the PUL does not "
                 "carry its label".format(node_id)) from None
-
-    def knows(self, node_id):
-        return node_id in self._labels
 
     def node_type(self, node_id):
         return self._label(node_id).node_type
@@ -190,9 +178,6 @@ class DocumentOracle(StructuralOracle):
             raise ReproError(
                 "node {} not in the oracle's document".format(
                     node_id)) from None
-
-    def knows(self, node_id):
-        return node_id in self._types
 
     def node_type(self, node_id):
         return self._lookup(self._types, node_id)

@@ -1,8 +1,8 @@
 """Resident multi-document update store (serving layer).
 
 The store keeps parsed documents and their containment labelings warm
-between update batches, coalesces concurrent-client PUL streams, routes
-batches through the sharded reduction pipeline and maintains labels
+between update batches, coalesces concurrent-client PUL streams,
+reduces each batch once (``reduce_deterministic``) and maintains labels
 incrementally (full-relabel fallback on code-headroom exhaustion). See
 ``store.py`` for the machinery, ``baseline.py`` for the stateless
 differential oracle, ``durability/`` for the write-ahead log, snapshot

@@ -3,11 +3,12 @@
 :class:`StatelessBaseline` exposes the same ``open`` / ``submit`` /
 ``flush`` / ``text`` surface as :class:`~repro.store.store.DocumentStore`
 but processes every batch the way a stateless service would: the whole
-document is (re)labeled from scratch, the batch is reduced sequentially
-(no sharding), and the PUL is made effective with the in-memory
-evaluator. It is the **differential oracle**: the store's
-resident-incremental output must be byte-identical to this path on
-every batch (the property the fuzz suite checks).
+document is (re)labeled from scratch, the batch is reduced with
+``reduce_deterministic`` as the store reduces it, and the PUL is made
+effective with the in-memory evaluator. It is the **differential
+oracle**: the store's resident-incremental output must be
+byte-identical to this path on every batch (the property the fuzz
+suite checks).
 
 The baseline keeps its document resident for *semantics* only — a
 genuinely stateless service would re-parse the text per batch, but our

@@ -5,9 +5,10 @@ setting (Section 4): producers — its clients, each a ``client=`` name —
 ship PULs, and the store reasons on them and makes them effective. It
 keeps many parsed documents *and their containment labelings* resident
 between update batches, accepts PUL submissions from concurrent
-clients, coalesces them into per-document batches, routes every batch
-through the sharded reduction pipeline (:mod:`repro.pipeline`) and makes
-it effective in place on the writer's private path copy of the
+clients, coalesces them into per-document batches, reduces every batch
+once with the paper's deterministic reduction ``∆^H``
+(:func:`~repro.reduction.engine.reduce_deterministic`) and makes it
+effective in place on the writer's private path copy of the
 document — only the nodes the batch changes and their ancestors are
 copied (:func:`repro.apply.inplace.apply_batch_in_place`, then one
 atomic publish — :mod:`repro.store.versions`) — which maintains the labeling
@@ -70,11 +71,9 @@ from repro.integration import reconcile
 from repro.labeling.scheme import ContainmentLabeling
 from repro.obs import StoreObs
 from repro.obs.collector import collector_paused
-from repro.pipeline.merge import merge_shards
-from repro.pipeline.parallel import ParallelReducer
-from repro.pipeline.shard import shard_pul
 from repro.pul.pul import PUL, merge as merge_puls
 from repro.pul.serialize import pul_to_xml
+from repro.reduction.engine import reduce_deterministic
 from repro.store.durability import (
     DurabilityManager,
     DurabilityPolicy,
@@ -127,29 +126,25 @@ def coalesce_batch(pending, labeling, on_conflict="error", policies=None):
     return merged
 
 
-#: Telemetry of one flushed batch: ``shard_sizes`` holds the operation
-#: count of each shard the batch was reduced in (``[submitted_ops]``
-#: when it was reduced once, as one shard); ``relabel`` is
-#: ``"incremental"`` or ``"full"``; ``index_maintenance`` is
-#: ``"incremental"`` (derived from the reduced PUL) or ``"rebuild"``.
+#: Telemetry of one flushed batch: ``submitted_ops`` is the coalesced
+#: batch's operation count and ``reduced_ops`` its reduction's;
+#: ``relabel`` is ``"incremental"`` or ``"full"``; ``index_maintenance``
+#: is ``"incremental"`` (derived from the reduced PUL) or ``"rebuild"``.
 BatchResult = namedtuple(
     "BatchResult", "doc_id version clients submitted_ops reduced_ops "
-    "shard_sizes relabel max_code_length index_maintenance")
+    "relabel max_code_length index_maintenance")
 
 
 class DocumentStore(StoreReads):
-    """Resident multi-document server over the sharded pipeline.
+    """Resident multi-document server: every flushed batch is reduced
+    once (``reduce_deterministic``) and applied in place.
 
     Parameters
     ----------
     workers / backend:
-        Concurrency of the per-batch shard reduction: every batch is
-        split into at most ``workers`` shards, and ``backend`` is
-        ``"thread"`` (a single warm :class:`ParallelReducer` pool shared
-        by all documents) or ``"serial"``. The default, one worker and
-        the serial backend, reduces each batch once as one shard, with
-        no partition and no merge; no core count has made the pool pay
-        under the interpreter lock.
+        Retired: accepted only as ``1`` and ``"serial"`` (any other
+        value raises :class:`ReproError`) and read by nothing. A batch
+        is always reduced once, in the flushing thread.
     max_code_length:
         Headroom budget of the documents this store opens: when a
         labeling's longest containment code exceeds this many digits
@@ -198,7 +193,7 @@ class DocumentStore(StoreReads):
         path of the slow-query / slow-flush log (:attr:`obs`).
     """
 
-    def __init__(self, workers=1, backend="serial",
+    def __init__(self, *, workers=1, backend="serial",
                  max_code_length=DEFAULT_MAX_CODE_LENGTH,
                  on_conflict="error", policies=None,
                  durability=None, wal_dir=None, group_window=0.0,
@@ -211,7 +206,10 @@ class DocumentStore(StoreReads):
         if max_code_length < 1:
             raise ReproError("max_code_length must be >= 1, got {}"
                              .format(max_code_length))
-        self.workers = workers
+        if workers != 1 or backend != "serial":
+            raise ReproError(
+                "a batch is reduced once: workers must be 1 and backend "
+                "'serial', got {!r} and {!r}".format(workers, backend))
         self.max_code_length = max_code_length
         self.on_conflict = on_conflict
         self.policies = dict(policies) if policies else {}
@@ -271,7 +269,6 @@ class DocumentStore(StoreReads):
                     else "keeps nothing in"))
         self.durability_policy = durability
         self._durability = None
-        self._reducer = ParallelReducer(workers=workers, backend=backend)
         if durability.durable:
             try:
                 self._durability = DurabilityManager(
@@ -631,8 +628,7 @@ class DocumentStore(StoreReads):
                                    policies=self.policies)
             check_nesting(batch, published.document)
         with self.obs.stage("reduce"):
-            shards = shard_pul(batch, self.workers)
-            reduced = merge_shards(self._reducer.reduce_shards(shards))
+            reduced = reduce_deterministic(batch)
         text = None
         if self._durability is not None:
             # encoded before the apply adopts the parameter trees and
@@ -646,8 +642,8 @@ class DocumentStore(StoreReads):
         published = entry.published
         return BatchResult(
             entry.doc_id, published.version, clients, len(batch),
-            len(reduced), [len(shard) for shard in shards], relabel,
-            published.labeling.max_code_length, index_maintenance)
+            len(reduced), relabel, published.labeling.max_code_length,
+            index_maintenance)
 
     def _run_batch(self, entry, reduced, clients, text):
         """Make the ``reduced`` batch effective on ``entry``: copy ->
@@ -956,17 +952,15 @@ class DocumentStore(StoreReads):
     def close(self):
         """Refuse every write from now on, whatever the durability
         policy (:class:`~repro.errors.StoreClosedError`), wait out every
-        in-flight flush (reads go on), shut the shared reduction pool
-        down and seal the write-ahead log (idempotent)."""
+        in-flight flush (reads go on) and seal the write-ahead log
+        (idempotent)."""
         with self._lock:
             entries = [] if self._closed else list(self._entries.values())
             self._closed = True
         for entry in entries:
-            # an in-flight flush finishes before the pool and the log
-            # close under it
+            # an in-flight flush finishes before the log closes under it
             with entry.flush_lock:
                 pass
-        self._reducer.close()
         if self._durability is not None:
             self._durability.close()
 
@@ -979,5 +973,4 @@ class DocumentStore(StoreReads):
     def __repr__(self):
         with self._lock:
             count = len(self._entries)
-        return "DocumentStore({} documents, workers={})".format(
-            count, self.workers)
+        return "DocumentStore({} documents)".format(count)

@@ -50,8 +50,8 @@ class _PulBuilder:
 
     ``min_depth`` restricts the target pools to nodes at least that deep
     (document root at depth 0) — the "record-local edits" workload shape
-    where updates never touch the top-level structure, which is what keeps
-    the pipeline's shards independent.
+    where updates never touch the top-level structure (the shape of the
+    benchmark's batches).
     """
 
     def __init__(self, document, rng, labeling=None, min_depth=0):

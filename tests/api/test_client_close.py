@@ -20,7 +20,7 @@ def run(coro, timeout=60):
 
 @pytest.fixture()
 def node(tmp_path):
-    store = DocumentStore(workers=1, backend="serial")
+    store = DocumentStore()
     with ServerThread(store) as server:
         yield server
 
@@ -110,8 +110,7 @@ class TestSubscribeSurface:
 
     @pytest.fixture()
     def feed_node(self, tmp_path):
-        store = DocumentStore(workers=1, backend="serial",
-                              durability="log",
+        store = DocumentStore(durability="log",
                               wal_dir=str(tmp_path / "wal"))
         store.enable_replication()
         with ServerThread(store) as server:

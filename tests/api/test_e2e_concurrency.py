@@ -90,7 +90,7 @@ class TestConcurrentClientsMatchBaseline:
 
         async def scenario():
             server = StoreServer(
-                DocumentStore(workers=2, backend="thread"),
+                DocumentStore(),
                 host="127.0.0.1", port=0)
             async with server:
                 opener = await AsyncStoreClient.connect(
@@ -148,7 +148,7 @@ class TestSigtermDrainRecovery:
         env["PYTHONPATH"] = "src" + os.pathsep + env.get("PYTHONPATH", "")
         process = subprocess.Popen(
             [sys.executable, "-m", "repro.cli", "store", "serve",
-             "--listen", "127.0.0.1:0", "--backend", "thread",
+             "--listen", "127.0.0.1:0",
              "--wal-dir", wal_dir, "--durability", "log"],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE,
             text=True, env=env)
@@ -190,7 +190,7 @@ class TestSigtermDrainRecovery:
                 process.wait(timeout=30)
 
         from repro.xquery import compile_pul
-        with DocumentStore(backend="serial", durability="log",
+        with DocumentStore(durability="log",
                            wal_dir=wal_dir) as recovered:
             assert recovered.recovery is not None
             baseline = StatelessBaseline()

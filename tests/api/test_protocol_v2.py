@@ -398,7 +398,7 @@ def run(coro, timeout=60):
 
 
 def make_server():
-    return StoreServer(DocumentStore(workers=2, backend="serial"),
+    return StoreServer(DocumentStore(),
                        host="127.0.0.1", port=0)
 
 
@@ -641,8 +641,7 @@ class TestHostileArguments:
         for op, args in CASES])
     def test_a_malformed_argument_is_a_typed_protocol_error(
             self, tmp_path, op, args):
-        store = DocumentStore(workers=2, backend="serial",
-                              durability="log",
+        store = DocumentStore(durability="log",
                               wal_dir=str(tmp_path / "wal"))
         store.enable_replication()
 

@@ -42,7 +42,7 @@ class TestStaleUnixSocket:
 
         async def scenario():
             server = StoreServer(
-                DocumentStore(workers=1, backend="serial"),
+                DocumentStore(),
                 unix_path=path)
             async with server:
                 client = await AsyncStoreClient.connect(unix_path=path)
@@ -56,11 +56,11 @@ class TestStaleUnixSocket:
 
         async def scenario():
             first = StoreServer(
-                DocumentStore(workers=1, backend="serial"),
+                DocumentStore(),
                 unix_path=path)
             async with first:
                 second = StoreServer(
-                    DocumentStore(workers=1, backend="serial"),
+                    DocumentStore(),
                     unix_path=path)
                 with pytest.raises(OSError):
                     await second.start()
@@ -78,7 +78,7 @@ class TestStaleUnixSocket:
 
         async def scenario():
             server = StoreServer(
-                DocumentStore(workers=1, backend="serial"),
+                DocumentStore(),
                 unix_path=path)
             with pytest.raises(OSError):
                 await server.start()
@@ -101,7 +101,7 @@ class TestConnectRetries:
 
         def serve():
             time.sleep(delay)
-            store = DocumentStore(workers=1, backend="serial")
+            store = DocumentStore()
 
             async def main():
                 server = StoreServer(store, host="127.0.0.1", port=port)
@@ -160,8 +160,7 @@ class TestConnectRetries:
 class TestNotLeaderOnTheWire:
     def test_writes_answer_the_typed_redirect(self):
         async def scenario():
-            replica = ReplicaStore(leader_address="10.0.0.9:4100",
-                                   workers=1, backend="serial")
+            replica = ReplicaStore(leader_address="10.0.0.9:4100")
             async with StoreServer(replica, host="127.0.0.1",
                                    port=0) as server:
                 host, port = server.tcp_address
@@ -194,7 +193,7 @@ class TestNotLeaderOnTheWire:
     def test_replication_ops_on_a_plain_store_are_typed(self):
         async def scenario():
             async with StoreServer(
-                    DocumentStore(workers=1, backend="serial"),
+                    DocumentStore(),
                     host="127.0.0.1", port=0) as server:
                 host, port = server.tcp_address
                 client = await AsyncStoreClient.connect(host=host,
@@ -227,7 +226,7 @@ class TestUnencodableContent:
 
         async def scenario():
             server = StoreServer(
-                DocumentStore(workers=1, backend="serial"),
+                DocumentStore(),
                 host="127.0.0.1", port=0)
             async with server:
                 client = await AsyncStoreClient.connect(
@@ -247,7 +246,7 @@ class TestUnencodableContent:
         readers' connections either."""
         root = Node.element("a")
         root.append_child(Node.text("\ud800"))
-        store = DocumentStore(workers=1, backend="serial")
+        store = DocumentStore()
         store.open("poisoned", Document(root=root))
 
         async def scenario():

@@ -42,8 +42,6 @@ def run(coro, timeout=60):
 
 
 def make_server(**store_kwargs):
-    store_kwargs.setdefault("workers", 2)
-    store_kwargs.setdefault("backend", "serial")
     return StoreServer(DocumentStore(**store_kwargs),
                        host="127.0.0.1", port=0)
 
@@ -163,7 +161,7 @@ class TestSession:
 
         async def scenario():
             server = StoreServer(
-                DocumentStore(workers=2, backend="serial"),
+                DocumentStore(),
                 unix_path=path)
             async with server:
                 client = await AsyncStoreClient.connect(unix_path=path)
@@ -316,8 +314,7 @@ class TestErrors:
     def test_busy_compaction_is_not_reported_as_non_durable(
             self, tmp_path):
         async def scenario():
-            store = DocumentStore(workers=2, backend="serial",
-                                  durability="log",
+            store = DocumentStore(durability="log",
                                   wal_dir=str(tmp_path / "wal"))
             async with StoreServer(store, host="127.0.0.1",
                                    port=0) as server:
@@ -338,8 +335,7 @@ class TestErrors:
         log must answer the ``wal-poisoned`` error code over the wire,
         not tear the connection down with a traceback."""
         async def scenario():
-            store = DocumentStore(workers=2, backend="serial",
-                                  durability="log",
+            store = DocumentStore(durability="log",
                                   wal_dir=str(tmp_path / "wal"))
             async with StoreServer(store, host="127.0.0.1",
                                    port=0) as server:
@@ -575,8 +571,7 @@ class TestShutdown:
         wal_dir = str(tmp_path / "wal")
 
         async def scenario():
-            store = DocumentStore(workers=2, backend="serial",
-                                  durability="log", wal_dir=wal_dir)
+            store = DocumentStore(durability="log", wal_dir=wal_dir)
             server = StoreServer(store, host="127.0.0.1", port=0)
             await server.start()
             client = await connect(server, client="alice")
@@ -587,7 +582,7 @@ class TestShutdown:
             await server.aclose()   # no explicit flush anywhere
 
         run(scenario())
-        with DocumentStore(backend="serial", durability="log",
+        with DocumentStore(durability="log",
                            wal_dir=wal_dir) as recovered:
             assert recovered.version("d1") == 1
             assert "<headline>T1</headline>" in recovered.text("d1")
@@ -627,7 +622,7 @@ class TestShutdown:
         run(scenario())
 
     def test_max_pipeline_must_be_positive(self):
-        with DocumentStore(backend="serial") as store:
+        with DocumentStore() as store:
             with pytest.raises(ReproError):
                 StoreServer(store, host="127.0.0.1", port=0,
                             max_pipeline=0)
@@ -965,7 +960,7 @@ class TestBackpressure:
     READ = 256 * 1024
 
     def _server(self):
-        return StoreServer(DocumentStore(workers=1, backend="serial"),
+        return StoreServer(DocumentStore(),
                            host="127.0.0.1", port=0,
                            max_pipeline=self.PIPELINE)
 

@@ -26,7 +26,7 @@ def _title_id(store, doc_id):
 
 class TestDispatcherVersions:
     def test_text_carries_the_serialized_version(self):
-        with DocumentStore(backend="serial") as store:
+        with DocumentStore() as store:
             dispatcher = StoreDispatcher(store)
             store.open("d", DOC)
             result = dispatcher.text("d")
@@ -38,7 +38,7 @@ class TestDispatcherVersions:
             assert "<t2>" in result["text"]
 
     def test_query_reports_the_version_it_walked(self):
-        with DocumentStore(backend="serial") as store:
+        with DocumentStore() as store:
             dispatcher = StoreDispatcher(store)
             store.open("d", DOC)
             result = dispatcher.query("d", "/bib/paper/title")
@@ -53,7 +53,7 @@ class TestPinSemantics:
         N's nodes) even when a flush publishes N+1 while the query's
         evaluation is still walking — the pinned version, not the
         latest one, is the query's world."""
-        with DocumentStore(backend="serial") as store:
+        with DocumentStore() as store:
             store.open("d", DOC)
             store.submit("d", PUL([Rename(_title_id(store, "d"),
                                           "headline")]))
@@ -92,7 +92,7 @@ class TestPinSemantics:
             assert "<title>" in result["nodes"][0]
 
     def test_text_version_pair_is_consistent(self):
-        with DocumentStore(backend="serial") as store:
+        with DocumentStore() as store:
             store.open("d", DOC)
             title = _title_id(store, "d")
             for i in range(3):

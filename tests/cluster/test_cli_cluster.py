@@ -41,14 +41,12 @@ def test_serve_argument_validation(tmp_path):
 
 
 def test_status_and_promote_against_live_nodes(tmp_path):
-    leader_store = DocumentStore(workers=1, backend="serial",
-                                 durability="log",
+    leader_store = DocumentStore(durability="log",
                                  wal_dir=str(tmp_path / "wal"))
     leader_store.enable_replication()
     with ServerThread(leader_store) as leader_node:
         leader_store.open("d1", DOC)
         replica = ReplicaStore(leader_address=leader_node.address,
-                               workers=1, backend="serial",
                                durability="log",
                                wal_dir=str(tmp_path / "replica-wal"))
         with ServerThread(replica) as replica_node:

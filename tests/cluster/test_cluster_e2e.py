@@ -42,8 +42,7 @@ def insert_expr(round_index):
 def spawn_node(env, extra):
     process = subprocess.Popen(
         [sys.executable, "-m", "repro.cli", "store", "serve",
-         "--listen", "127.0.0.1:0", "--backend", "thread",
-         "--poll-wait", "0.5"] + extra,
+         "--listen", "127.0.0.1:0", "--poll-wait", "0.5"] + extra,
         stdout=subprocess.PIPE, stderr=subprocess.PIPE,
         text=True, env=env)
     banner = process.stdout.readline().strip()

@@ -28,8 +28,7 @@ def consumer(anchor, max_code_length=DEFAULT_MAX_CODE_LENGTH,
              payloads=()):
     """A WAL-less replica installed at token ``anchor`` (with
     ``payloads``, the state the leader had there)."""
-    replica = ReplicaStore(workers=1, backend="serial",
-                           max_code_length=max_code_length)
+    replica = ReplicaStore(max_code_length=max_code_length)
     stream, seq = decode_token(anchor)
     replica.bootstrap(list(payloads), seq, stream=stream)
     return replica
@@ -73,7 +72,7 @@ def trace(tmp_path_factory):
     """A real leader session captured as anchor, raw events and
     expected bytes."""
     wal = tmp_path_factory.mktemp("consumer") / "wal"
-    with DocumentStore(workers=1, backend="serial", durability="log",
+    with DocumentStore(durability="log",
                        wal_dir=str(wal)) as store:
         source = store.enable_replication()
         anchor = source.tail_token()
@@ -207,8 +206,7 @@ class TestGuards:
 
 class TestBootstrap:
     def test_bootstrap_pairs_with_export_state_form(self, tmp_path):
-        with DocumentStore(workers=1, backend="serial",
-                           durability="log",
+        with DocumentStore(durability="log",
                            wal_dir=str(tmp_path / "wal")) as store:
             source = store.enable_replication()
             store.open("a", DOC)
@@ -283,8 +281,7 @@ class TestIndexParityAcrossRelabels:
     @pytest.fixture(scope="class")
     def tight_trace(self, tmp_path_factory):
         wal = tmp_path_factory.mktemp("consumer-tight") / "wal"
-        with DocumentStore(workers=1, backend="serial",
-                           durability="log", wal_dir=str(wal),
+        with DocumentStore(durability="log", wal_dir=str(wal),
                            max_code_length=self.HEADROOM) as store:
             source = store.enable_replication()
             anchor = source.tail_token()

@@ -20,8 +20,7 @@ from tests.cluster.harness import ServerThread
 
 
 def make_leader_store(tmp_path, name="leader-wal"):
-    store = DocumentStore(workers=1, backend="serial",
-                          durability="log", wal_dir=str(tmp_path / name))
+    store = DocumentStore(durability="log", wal_dir=str(tmp_path / name))
     store.enable_replication()
     return store
 
@@ -32,7 +31,7 @@ def connect(node):
 
 
 def consumer():
-    return ReplicaStore(workers=1, backend="serial")
+    return ReplicaStore()
 
 
 def bootstrap(client, replica):
@@ -147,7 +146,6 @@ class TestFailover:
         leader_store = make_leader_store(tmp_path)
         leader_node = ServerThread(leader_store).start()
         replica = ReplicaStore(leader_address=leader_node.address,
-                               workers=1, backend="serial",
                                durability="log",
                                wal_dir=str(tmp_path / "replica-wal"))
         sync = ReplicaSync(replica, leader_node.address, "r1",

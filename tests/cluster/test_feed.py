@@ -21,8 +21,6 @@ DOC = "<doc><items/></doc>"
 
 def make_leader(tmp_path, name="wal", backlog=None, durability="log",
                 **kwargs):
-    kwargs.setdefault("workers", 1)
-    kwargs.setdefault("backend", "serial")
     store = DocumentStore(durability=durability,
                           wal_dir=str(tmp_path / name), **kwargs)
     store.enable_replication(backlog=backlog)
@@ -101,12 +99,10 @@ class TestNumbering:
         anchors at the log end: old records are state-export
         territory, never stream records."""
         wal_dir = str(tmp_path / "pre")
-        with DocumentStore(workers=1, backend="serial",
-                           durability="log", wal_dir=wal_dir) as store:
+        with DocumentStore(durability="log", wal_dir=wal_dir) as store:
             store.open("d1", DOC)
             flush_insert(store)
-        with DocumentStore(workers=1, backend="serial",
-                           durability="log", wal_dir=wal_dir) as store:
+        with DocumentStore(durability="log", wal_dir=wal_dir) as store:
             source = store.enable_replication()
             assert source.next_seq == 0
             flush_insert(store)
@@ -240,7 +236,7 @@ class TestBacklog:
             make_leader(tmp_path, backlog=0)
 
     def test_replication_requires_durability(self):
-        with DocumentStore(workers=1, backend="serial") as store:
+        with DocumentStore() as store:
             with pytest.raises(ClusterError):
                 store.enable_replication()
 

@@ -40,7 +40,7 @@ HEADROOM = 8    # tight: the hot spot must force a full relabel
 
 
 def make_leader(tmp_path, name="leader", backlog=None, **kwargs):
-    store = DocumentStore(workers=1, backend="serial", durability="log",
+    store = DocumentStore(durability="log",
                           wal_dir=str(tmp_path / name), **kwargs)
     store.enable_replication(backlog=backlog)
     return store
@@ -50,8 +50,7 @@ def make_replica(leader_address, tmp_path=None, **kwargs):
     if tmp_path is not None:
         kwargs.update(durability="log",
                       wal_dir=str(tmp_path / "replica"))
-    return ReplicaStore(leader_address=leader_address, workers=1,
-                        backend="serial", **kwargs)
+    return ReplicaStore(leader_address=leader_address, **kwargs)
 
 
 def follow(replica, address, **kwargs):
@@ -382,7 +381,7 @@ class TestUpstreamWithoutAFeed:
         ``subscribe`` answer supplies the type, and the loop backs
         off instead of spinning."""
         with ServerThread(
-                DocumentStore(workers=1, backend="serial")) as node:
+                DocumentStore()) as node:
             node.store.open("d", DOC)
             replica = make_replica(node.address)
             sync = follow(replica, node.address, backoff=0.1,
@@ -458,7 +457,6 @@ class TestSyncLoop:
         with ServerThread(leader_store) as leader_node:
             leader_store.open("d1", ITEMS_DOC)
             replica = ReplicaStore(leader_address=leader_node.address,
-                                   workers=1, backend="serial",
                                    durability="log",
                                    wal_dir=str(tmp_path / "replica"))
             sync = ReplicaSync(replica, leader_node.address, "r1",
@@ -487,14 +485,12 @@ class TestSyncLoop:
             assert sync.stopped
 
     def test_sync_rebootstraps_after_backlog_reset(self, tmp_path):
-        leader_store = DocumentStore(workers=1, backend="serial",
-                                     durability="log",
+        leader_store = DocumentStore(durability="log",
                                      wal_dir=str(tmp_path / "leader"))
         leader_store.enable_replication(backlog=2)
         with ServerThread(leader_store) as leader_node:
             leader_store.open("d1", ITEMS_DOC)
-            replica = ReplicaStore(leader_address=leader_node.address,
-                                   workers=1, backend="serial")
+            replica = ReplicaStore(leader_address=leader_node.address)
             sync = ReplicaSync(replica, leader_node.address, "r1",
                                wait_s=0.2).start()
             try:
@@ -522,14 +518,12 @@ class TestSyncLoop:
         """A leader that dies and comes back renumbers its stream; the
         epoch check must force a re-bootstrap, never a silent splice."""
         wal = str(tmp_path / "leader")
-        leader_store = DocumentStore(workers=1, backend="serial",
-                                     durability="log", wal_dir=wal)
+        leader_store = DocumentStore(durability="log", wal_dir=wal)
         leader_store.enable_replication()
         leader_node = ServerThread(leader_store).start()
         address = leader_node.address
         leader_store.open("d1", ITEMS_DOC)
-        replica = ReplicaStore(leader_address=address, workers=1,
-                               backend="serial")
+        replica = ReplicaStore(leader_address=address)
         sync = ReplicaSync(replica, address, "r1", wait_s=0.2,
                            backoff=0.05).start()
         try:
@@ -537,8 +531,7 @@ class TestSyncLoop:
             old_stream = replica.stream_id
             leader_node.stop()
             # reincarnate on a fresh port with the same durable state
-            restarted = DocumentStore(workers=1, backend="serial",
-                                      durability="log", wal_dir=wal)
+            restarted = DocumentStore(durability="log", wal_dir=wal)
             restarted.enable_replication()
             with ServerThread(restarted) as reborn:
                 sync.leader = reborn.address

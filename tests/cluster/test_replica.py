@@ -14,8 +14,6 @@ LEADER_ADDR = "127.0.0.1:7000"
 
 
 def make_leader(tmp_path, name="leader-wal", **kwargs):
-    kwargs.setdefault("workers", 1)
-    kwargs.setdefault("backend", "serial")
     store = DocumentStore(durability="log",
                           wal_dir=str(tmp_path / name), **kwargs)
     store.enable_replication()
@@ -23,8 +21,6 @@ def make_leader(tmp_path, name="leader-wal", **kwargs):
 
 
 def make_replica(tmp_path=None, name="replica-wal", **kwargs):
-    kwargs.setdefault("workers", 1)
-    kwargs.setdefault("backend", "serial")
     kwargs.setdefault("leader_address", LEADER_ADDR)
     if tmp_path is not None:
         kwargs.setdefault("durability", "log")
@@ -220,7 +216,7 @@ class TestWriteGuard:
         import repro.store.store as store_module
         import repro.xquery.compiler as compiler
 
-        with DocumentStore(workers=1, backend="serial") as source, \
+        with DocumentStore() as source, \
                 make_replica() as replica:
             source.open("d1", DOC)
             replica.bootstrap(source.export_state()["docs"], 0)
@@ -384,6 +380,6 @@ class TestPromote:
     def test_promoting_a_plain_store_is_refused(self, tmp_path):
         from repro.api.dispatch import StoreDispatcher
 
-        with DocumentStore(workers=1, backend="serial") as store:
+        with DocumentStore() as store:
             with pytest.raises(ClusterError):
                 StoreDispatcher(store).promote()

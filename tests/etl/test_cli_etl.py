@@ -79,8 +79,7 @@ class TestLocal:
         wal = str(tmp_path / "wal")
         assert run(["store", "import", str(root), "--wal-dir", wal,
                     "--doc-prefix", "crawl/"])[0] == 0
-        with DocumentStore(workers=1, backend="serial",
-                           durability="log", wal_dir=wal) as store:
+        with DocumentStore(durability="log", wal_dir=wal) as store:
             assert store.doc_ids() == ["crawl/doc0"]
 
     def test_needs_a_target_or_a_wal_dir(self, tmp_path, capsys):
@@ -93,8 +92,7 @@ class TestLocal:
 class TestRemote:
     def test_import_and_export_against_a_server(self, tmp_path):
         root = corpus(tmp_path)
-        store = DocumentStore(workers=1, backend="serial",
-                              durability="log",
+        store = DocumentStore(durability="log",
                               wal_dir=str(tmp_path / "wal"))
         store.enable_replication()
         with ServerThread(store) as node:

@@ -15,7 +15,7 @@ DOC = "<doc><items/></doc>"
 
 
 def loaded_store(tmp_path=None, count=5, replicate=False):
-    kwargs = {"workers": 1, "backend": "serial"}
+    kwargs = {}
     if tmp_path is not None:
         kwargs.update(durability="log", wal_dir=str(tmp_path / "wal"))
     store = DocumentStore(**kwargs)
@@ -59,7 +59,7 @@ class TestExportState:
         from repro.cluster import ReplicaStore
 
         with loaded_store() as store, \
-                ReplicaStore(workers=1, backend="serial") as replica:
+                ReplicaStore() as replica:
             store.submit_xquery(
                 "d0", 'insert node <x/> as last into /r')
             store.flush("d0")

@@ -47,16 +47,14 @@ class TestImporter:
     def test_loads_a_corpus_durably(self, tmp_path):
         root = corpus(tmp_path)
         wal = tmp_path / "wal"
-        with DocumentStore(workers=1, backend="serial",
-                           durability="log", wal_dir=str(wal)) as store:
+        with DocumentStore(durability="log", wal_dir=str(wal)) as store:
             report = BulkImporter(store.bulk_load).run([str(root)])
             assert report.scanned == report.loaded == 5
             assert report.rejected == []
             assert report.chunks == 1
             assert store.text("doc3") == "<r><v>3</v></r>"
         # the chunk survives a restart: bulk loads are WAL-first
-        with DocumentStore(workers=1, backend="serial",
-                           durability="log", wal_dir=str(wal)) as store:
+        with DocumentStore(durability="log", wal_dir=str(wal)) as store:
             assert sorted(store.doc_ids()) == \
                 ["doc0", "doc1", "doc2", "doc3", "doc4"]
 
@@ -84,7 +82,7 @@ class TestImporter:
 
     def test_doc_prefix_namespaces_the_corpus(self, tmp_path):
         root = corpus(tmp_path, count=2)
-        with DocumentStore(workers=1, backend="serial") as store:
+        with DocumentStore() as store:
             BulkImporter(store.bulk_load,
                          doc_prefix="feed/").run([str(root)])
             assert sorted(store.doc_ids()) == \
@@ -94,7 +92,7 @@ class TestImporter:
         root = corpus(tmp_path, count=2)
         (root / "broken.xml").write_text("<r><open>",
                                          encoding="utf-8")
-        with DocumentStore(workers=1, backend="serial") as store:
+        with DocumentStore() as store:
             report = BulkImporter(store.bulk_load).run([str(root)])
             assert report.loaded == 2
             assert len(report.rejected) == 1
@@ -104,7 +102,7 @@ class TestImporter:
     def test_duplicate_ids_within_a_run_are_rejected(self, tmp_path):
         left = corpus(tmp_path, count=1, subdir="left")
         right = corpus(tmp_path, count=1, subdir="right")
-        with DocumentStore(workers=1, backend="serial") as store:
+        with DocumentStore() as store:
             report = BulkImporter(store.bulk_load).run(
                 [str(left), str(right)])
             assert report.loaded == 1
@@ -118,15 +116,13 @@ class TestImporter:
         (root / "x.xml").write_text("<bad", encoding="utf-8")
         (root / "y.xml").write_text("<bad", encoding="utf-8")
         wal = tmp_path / "wal"
-        with DocumentStore(workers=1, backend="serial",
-                           durability="log", wal_dir=str(wal)) as store:
+        with DocumentStore(durability="log", wal_dir=str(wal)) as store:
             with pytest.raises(ImportAbortedError) as info:
                 BulkImporter(store.bulk_load, chunk_docs=1,
                              max_errors=1).run([str(root)])
             assert info.value.loaded == 1      # "a" was group-committed
             assert info.value.rejected == 2
-        with DocumentStore(workers=1, backend="serial",
-                           durability="log", wal_dir=str(wal)) as store:
+        with DocumentStore(durability="log", wal_dir=str(wal)) as store:
             assert store.doc_ids() == ["a"]  # durable despite abort
 
     def test_chunk_docs_must_be_positive(self):
@@ -137,7 +133,7 @@ class TestImporter:
 class TestBulkLoad:
     def test_duplicate_against_the_store_fails_the_whole_chunk(
             self, tmp_path):
-        with DocumentStore(workers=1, backend="serial") as store:
+        with DocumentStore() as store:
             store.open("dup", DOC)
             with pytest.raises(ReproError):
                 store.bulk_load([{"doc_id": "fresh", "xml": DOC},
@@ -146,14 +142,14 @@ class TestBulkLoad:
             assert store.doc_ids() == ["dup"]
 
     def test_chunk_internal_duplicates_fail_before_any_install(self):
-        with DocumentStore(workers=1, backend="serial") as store:
+        with DocumentStore() as store:
             with pytest.raises(ReproError):
                 store.bulk_load([{"doc_id": "d", "xml": DOC},
                                  {"doc_id": "d", "xml": DOC}])
             assert store.doc_ids() == []
 
     def test_pairs_and_missing_fields(self):
-        with DocumentStore(workers=1, backend="serial") as store:
+        with DocumentStore() as store:
             result = store.bulk_load([("t1", DOC)])
             assert result == {"loaded": 1, "nodes": result["nodes"],
                               "doc_ids": ["t1"]}
@@ -161,8 +157,7 @@ class TestBulkLoad:
                 store.bulk_load([{"doc_id": "t2"}])
 
     def test_loaded_chunk_reaches_the_change_feed(self, tmp_path):
-        with DocumentStore(workers=1, backend="serial",
-                           durability="log",
+        with DocumentStore(durability="log",
                            wal_dir=str(tmp_path / "wal")) as store:
             anchor = store.enable_replication().tail_token()
             store.bulk_load([{"doc_id": "a", "xml": DOC},
@@ -174,7 +169,6 @@ class TestBulkLoad:
     def test_replicas_refuse_bulk_loads(self):
         from repro.cluster import ReplicaStore
 
-        with ReplicaStore(leader_address="127.0.0.1:7000", workers=1,
-                          backend="serial") as replica:
+        with ReplicaStore(leader_address="127.0.0.1:7000") as replica:
             with pytest.raises(NotLeaderError):
                 replica.bulk_load([{"doc_id": "d", "xml": DOC}])

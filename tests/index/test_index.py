@@ -104,8 +104,7 @@ class TestBuild:
         attributes (each element before the last, so id order is not
         document order), and a full relabel."""
         text = serialize(generate_xmark(scale=0.01, seed=5))
-        with DocumentStore(workers=1, backend="serial",
-                           max_code_length=200) as store:
+        with DocumentStore(max_code_length=200) as store:
             store.open("d", text)
             parsed = store._require("d").published
             assert_start_code_order(parsed.index, parsed.labeling)
@@ -382,7 +381,7 @@ class TestPlanner:
 
 class TestStoreIntegration:
     def test_flush_maintains_the_index_incrementally(self):
-        with DocumentStore(workers=1, backend="serial") as store:
+        with DocumentStore() as store:
             store.open("d", DOC)
             store.submit_xquery(
                 "d", 'insert node <note>fresh</note> as last into /doc')
@@ -393,8 +392,7 @@ class TestStoreIntegration:
                                                 version.labeling)
 
     def test_tight_headroom_falls_back_to_rebuild(self):
-        with DocumentStore(workers=1, backend="serial",
-                           max_code_length=6) as store:
+        with DocumentStore(max_code_length=6) as store:
             store.open("d", DOC)
             modes = set()
             for __ in range(6):
@@ -408,7 +406,7 @@ class TestStoreIntegration:
             assert "rebuild" in modes
 
     def test_pinned_versions_keep_their_index(self):
-        with DocumentStore(workers=1, backend="serial") as store:
+        with DocumentStore() as store:
             store.open("d", DOC)
             before = store._entries["d"].published
             snapshot = before.index.as_dict()
@@ -423,7 +421,7 @@ class TestStoreIntegration:
                 before.index.elements["author"]
 
     def test_query_engines_are_byte_identical(self):
-        with DocumentStore(workers=1, backend="serial") as store:
+        with DocumentStore() as store:
             store.open("d", DOC)
             for text in QUERIES:
                 walk = store.query("d", text, engine="walk")
@@ -432,7 +430,7 @@ class TestStoreIntegration:
                 assert walk["nodes"] == auto["nodes"] == forced["nodes"]
 
     def test_query_explain_attaches_the_plan(self):
-        with DocumentStore(workers=1, backend="serial") as store:
+        with DocumentStore() as store:
             store.open("d", DOC)
             plain = store.query("d", "//author")
             assert "plan" not in plain
@@ -441,7 +439,7 @@ class TestStoreIntegration:
             assert explained["nodes"] == plain["nodes"]
 
     def test_explain_surface_omits_the_nodes(self):
-        with DocumentStore(workers=1, backend="serial") as store:
+        with DocumentStore() as store:
             dispatcher = StoreDispatcher(store)
             store.open("d", DOC)
             result = dispatcher.explain("d", "//paper//author")
@@ -452,7 +450,7 @@ class TestStoreIntegration:
 
     def test_explain_requires_text(self):
         from repro.errors import ProtocolError
-        with DocumentStore(workers=1, backend="serial") as store:
+        with DocumentStore() as store:
             dispatcher = StoreDispatcher(store)
             store.open("d", DOC)
             with pytest.raises(ProtocolError):

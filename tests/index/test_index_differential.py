@@ -166,8 +166,7 @@ class _Schedule:
 
 
 def _durable(store_class, wal_dir, headroom):
-    return store_class(workers=1, backend="serial",
-                       max_code_length=headroom,
+    return store_class(max_code_length=headroom,
                        durability=DurabilityPolicy("log", fsync=False),
                        wal_dir=wal_dir)
 
@@ -193,8 +192,7 @@ def _stream_to_replica(data, source, seq0, headroom, timeline, final,
         label="rewinds")
     rebootstrap_at = data.draw(st.integers(0, total),
                                label="re-bootstrap after page")
-    with ReplicaStore(workers=1, backend="serial",
-                      max_code_length=headroom) as replica:
+    with ReplicaStore(max_code_length=headroom) as replica:
         replica.bootstrap([], seq0, stream=stream)
         position = pages = 0
         rebootstrapped = False
@@ -378,8 +376,7 @@ class TestEngineDifferential:
                         if n.is_element and n.name == "b")
         serial = 1000
         baseline = StatelessBaseline()
-        with DocumentStore(workers=1, backend="serial",
-                           max_code_length=8) as store:
+        with DocumentStore(max_code_length=8) as store:
             store.open("d", text)
             baseline.open("d", text)
             rebuilds = 0
@@ -412,8 +409,7 @@ class TestRecoveryParity:
         queries = ("//item", "//item/name", "//@id",
                    "/site//keyword", "//text/text()")
         wal_dir = str(tmp_path / "wal")
-        with DocumentStore(workers=1, backend="serial",
-                           durability="log", wal_dir=wal_dir) as store:
+        with DocumentStore(durability="log", wal_dir=wal_dir) as store:
             store.open("d", serialize(document))
             for submissions in batches:
                 for client, pul in submissions:
@@ -423,8 +419,7 @@ class TestRecoveryParity:
             leader = {q: store.query("d", q) for q in queries}
             leader_index = store._entries["d"].published.index
             expected = store.text("d")
-        with DocumentStore(workers=1, backend="serial",
-                           durability="log", wal_dir=wal_dir) as twin:
+        with DocumentStore(durability="log", wal_dir=wal_dir) as twin:
             assert twin.text("d") == expected
             # restore builds from scratch; the leader maintained
             # incrementally — same index either way

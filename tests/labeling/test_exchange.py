@@ -71,8 +71,7 @@ def test_attached_labels_equal_the_oracle(data, budget):
         return batch
 
     with pytest.MonkeyPatch.context() as patch, \
-            DocumentStore(workers=1, backend="serial",
-                          max_code_length=budget) as store:
+            DocumentStore(max_code_length=budget) as store:
         patch.setattr(repro.store.store, "coalesce_batch", capturing)
         store.open("d", text)
         for __ in range(data.draw(st.integers(1, 3), label="batches")):
@@ -101,7 +100,7 @@ def test_attached_labels_equal_the_oracle(data, budget):
 def test_a_reader_of_version_n_gets_its_sibling_ids():
     """An insertion between ``a`` and ``b`` gives them a new neighbor
     in version N+1; the version N a reader holds keeps them adjacent."""
-    with DocumentStore(workers=1, backend="serial") as store:
+    with DocumentStore() as store:
         store.open("d", "<r><a/><b/></r>")
         held = store._entries["d"].published
         a, b = held.document.root.children

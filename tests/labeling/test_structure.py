@@ -145,8 +145,7 @@ def test_flushes_with_a_full_relabel(data):
     """A budget of one digit makes every flush relabel the whole
     document; the published labels have the tree's structure."""
     text = serialize(data.draw(documents()))
-    with DocumentStore(workers=1, backend="serial",
-                       max_code_length=1) as store:
+    with DocumentStore(max_code_length=1) as store:
         store.open("d", text)
         for __ in range(data.draw(st.integers(1, 3), label="batches")):
             store.submit("d", data.draw(
@@ -172,8 +171,7 @@ def test_a_full_relabel_flush_walks_no_copy_for_its_length(monkeypatch):
 
     monkeypatch.setattr(Document, "node_ids", counting)
     text = serialize(generate_xmark(scale=0.01, seed=5))
-    with DocumentStore(workers=1, backend="serial",
-                       max_code_length=1) as store:
+    with DocumentStore(max_code_length=1) as store:
         store.open("d", text)
         for seed in range(3):
             store.submit("d", generate_pul(store.document("d"), 8,
@@ -201,7 +199,7 @@ def test_a_restart_and_a_replica_restore_the_structure(tmp_path):
     structure — also across full relabels (a two-digit budget)."""
     wal = str(tmp_path / "wal")
     text = serialize(generate_xmark(scale=0.01, seed=11))
-    with DocumentStore(workers=1, backend="serial", durability="log",
+    with DocumentStore(durability="log",
                        wal_dir=wal, max_code_length=2) as store:
         source = store.enable_replication()
         anchor = source.tail_token()
@@ -212,14 +210,13 @@ def test_a_restart_and_a_replica_restore_the_structure(tmp_path):
         expected = store.text("d")
         page = source.read(from_token=anchor, decode=False,
                            max_events=500)
-    with DocumentStore(workers=1, backend="serial", durability="log",
+    with DocumentStore(durability="log",
                        wal_dir=wal) as restarted:
         assert restarted.text("d") == expected
         assert_structure(restarted.document("d"),
                          restarted.labeling("d"))
     stream, seq = decode_token(anchor)
-    with ReplicaStore(workers=1, backend="serial",
-                      max_code_length=2) as replica:
+    with ReplicaStore(max_code_length=2) as replica:
         replica.bootstrap([], seq, stream=stream)
         replica.apply_records(page)
         assert replica.text("d") == expected
@@ -232,7 +229,7 @@ def test_an_abandoned_checkout_leaves_the_published_maps(data):
     """A checkout applied to and then abandoned leaves the published
     version's id index and parent map answering as before."""
     text = serialize(data.draw(documents()))
-    with DocumentStore(workers=1, backend="serial") as store:
+    with DocumentStore() as store:
         store.open("d", text)
         entry = store._entries["d"]
         published = entry.published

@@ -20,12 +20,12 @@ def _gc_series(counters):
 
 class TestCollectorSeries:
     def test_one_hook_for_every_store(self):
-        with DocumentStore(backend="serial"), \
-                DocumentStore(backend="serial"):
+        with DocumentStore(), \
+                DocumentStore():
             assert gc.callbacks.count(_on_collection) == 1
 
     def test_a_collection_counts_in_its_generation(self):
-        with DocumentStore(backend="serial") as store:
+        with DocumentStore() as store:
             before = store.metrics_snapshot()["counters"]
             gc.collect()
             after = store.metrics_snapshot()["counters"]
@@ -38,7 +38,7 @@ class TestCollectorSeries:
         assert after[seconds] > before[seconds]
 
     def test_the_text_exposition_appends_the_series(self):
-        with DocumentStore(backend="serial") as store:
+        with DocumentStore() as store:
             text = store.metrics_text()
         assert "# TYPE repro_gc_collections_total counter\n" in text
         assert "# TYPE repro_gc_seconds_total counter\n" in text
@@ -50,7 +50,7 @@ class TestCollectorSeries:
             "repro_uptime_seconds ")
 
     def test_a_store_without_metrics_shows_none(self):
-        with DocumentStore(backend="serial", metrics=False) as store:
+        with DocumentStore(metrics=False) as store:
             assert _gc_series(store.metrics_snapshot()["counters"]) == {}
             assert "repro_gc_" not in store.metrics_text()
 
@@ -67,8 +67,7 @@ class TestRecoveryStages:
             for stage in TestRecoveryStages.STAGES}
 
     def test_a_restart_times_each_stage_once(self, tmp_path):
-        with DocumentStore(durability="log", wal_dir=str(tmp_path),
-                           backend="serial") as store:
+        with DocumentStore(durability="log", wal_dir=str(tmp_path)) as store:
             # a fresh directory: nothing to restore or replay
             assert self._counts(store) == {
                 "load": 1, "restore": 0, "replay": 0, "collect": 1}
@@ -76,13 +75,12 @@ class TestRecoveryStages:
             store.snapshot()
             store.submit_xquery("d", 'rename node /bib/paper as "p"')
             store.flush("d")
-        with DocumentStore(durability="log", wal_dir=str(tmp_path),
-                           backend="serial") as store:
+        with DocumentStore(durability="log", wal_dir=str(tmp_path)) as store:
             assert self._counts(store) == dict.fromkeys(self.STAGES, 1)
             assert store.recovery.replayed_batches == 1
 
     def test_a_store_without_a_log_has_no_restart(self):
-        with DocumentStore(backend="serial") as store:
+        with DocumentStore() as store:
             assert self._counts(store) == dict.fromkeys(self.STAGES, 0)
 
 

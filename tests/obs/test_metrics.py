@@ -153,7 +153,7 @@ class TestRegistry:
 
 class TestStoreInstrumentation:
     def test_counters_stay_monotone_under_concurrent_flushes(self):
-        store = DocumentStore(workers=2, backend="serial")
+        store = DocumentStore()
         try:
             doc_ids = ["d{}".format(index) for index in range(4)]
             for doc_id in doc_ids:
@@ -195,7 +195,7 @@ class TestStoreInstrumentation:
             store.close()
 
     def test_metrics_off_store_reports_disabled(self):
-        store = DocumentStore(backend="serial", metrics=False)
+        store = DocumentStore(metrics=False)
         try:
             store.open("d1", DOC)
             store.flush("d1")
@@ -210,7 +210,7 @@ class TestStoreInstrumentation:
             store.close()
 
     def test_planner_route_counters_move(self):
-        store = DocumentStore(backend="serial")
+        store = DocumentStore()
         try:
             store.open("d1", DOC)
             store.query("d1", "/bib/paper/title")

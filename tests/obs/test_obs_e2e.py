@@ -21,7 +21,7 @@ def run(coro, timeout=60):
 
 
 def make_server(**kwargs):
-    return StoreServer(DocumentStore(workers=2, backend="serial"),
+    return StoreServer(DocumentStore(),
                        host="127.0.0.1", port=0, **kwargs)
 
 
@@ -90,8 +90,7 @@ class TestMetricsOp:
 
         async def scenario(metrics):
             server = await StoreServer(
-                DocumentStore(workers=2, backend="serial",
-                              metrics=metrics),
+                DocumentStore(metrics=metrics),
                 host="127.0.0.1", port=0).start()
             try:
                 client = await connect(server)
@@ -235,7 +234,7 @@ class TestRequestTracing:
         run(scenario())
 
     def test_blocking_client_refuses_a_malformed_trace(self):
-        with ServerThread(DocumentStore(backend="serial")) as node:
+        with ServerThread(DocumentStore()) as node:
             host, port = node.address.rsplit(":", 1)
             with StoreClient.connect(host=host,
                                      port=int(port)) as client:
@@ -305,7 +304,7 @@ class TestStatsExtensions:
 
 class TestCli:
     def test_store_metrics_against_a_live_server(self):
-        with ServerThread(DocumentStore(backend="serial")) as node:
+        with ServerThread(DocumentStore()) as node:
             out = io.StringIO()
             assert cli_main(["store", "metrics", "--target",
                              node.address], out=out) == 0
@@ -317,7 +316,7 @@ class TestCli:
             assert payload["metrics_enabled"] is True
 
     def test_store_top_renders_live_frames(self):
-        store = DocumentStore(backend="serial")
+        store = DocumentStore()
         with ServerThread(store) as node:
             host, port = node.address.rsplit(":", 1)
             with StoreClient.connect(host=host,

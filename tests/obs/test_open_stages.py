@@ -19,8 +19,7 @@ def _counts(store):
 
 
 def test_each_stage_once_per_opened_document(tmp_path):
-    with DocumentStore(durability="log", wal_dir=str(tmp_path),
-                       backend="serial") as store:
+    with DocumentStore(durability="log", wal_dir=str(tmp_path)) as store:
         assert _counts(store) == dict.fromkeys(STAGES, 0)
         store.open("a", DOC)
         assert _counts(store) == dict.fromkeys(STAGES, 1)
@@ -36,14 +35,13 @@ def test_each_stage_once_per_opened_document(tmp_path):
         store.query("a", "//title")
         assert _counts(store) == {"parse": 4, "label": 5, "index": 5,
                                   "log": 5}
-    with DocumentStore(durability="log", wal_dir=str(tmp_path),
-                       backend="serial") as store:
+    with DocumentStore(durability="log", wal_dir=str(tmp_path)) as store:
         assert len(store.doc_ids()) == 5
         assert _counts(store) == dict.fromkeys(STAGES, 0)
 
 
 def test_a_store_without_a_log_times_no_log_stage():
-    with DocumentStore(backend="serial") as store:
+    with DocumentStore() as store:
         store.bulk_load([{"doc_id": d, "xml": DOC} for d in "ab"])
         assert _counts(store) == {"parse": 2, "label": 2, "index": 2,
                                   "log": 0}

@@ -35,7 +35,7 @@ class TestThresholds:
 
 class TestStoreIntegration:
     def test_slow_query_entry_embeds_the_recorded_plan(self):
-        store = DocumentStore(backend="serial", slow_query_s=0.0)
+        store = DocumentStore(slow_query_s=0.0)
         try:
             store.open("d1", DOC)
             store.query("d1", "/bib/paper/title")
@@ -52,7 +52,7 @@ class TestStoreIntegration:
             store.close()
 
     def test_slow_flush_entry_carries_stage_timings(self, tmp_path):
-        store = DocumentStore(backend="serial", slow_flush_s=0.0,
+        store = DocumentStore(slow_flush_s=0.0,
                               wal_dir=str(tmp_path / "wal"))
         try:
             store.open("d1", DOC)
@@ -73,7 +73,7 @@ class TestStoreIntegration:
 
     def test_jsonl_file_matches_the_ring(self, tmp_path):
         path = tmp_path / "slow.jsonl"
-        store = DocumentStore(backend="serial", slow_query_s=0.0,
+        store = DocumentStore(slow_query_s=0.0,
                               slow_log_path=str(path))
         try:
             store.open("d1", DOC)
@@ -86,7 +86,7 @@ class TestStoreIntegration:
             == store.obs.slowlog.recent()
 
     def test_trace_id_rides_the_entry_when_traced(self):
-        store = DocumentStore(backend="serial", slow_query_s=0.0)
+        store = DocumentStore(slow_query_s=0.0)
         try:
             store.open("d1", DOC)
             store.obs.run_traced(

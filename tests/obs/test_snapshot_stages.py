@@ -21,8 +21,7 @@ def _series(store):
 
 
 def test_each_stage_once_per_snapshot(tmp_path):
-    with DocumentStore(durability="log", wal_dir=str(tmp_path),
-                       backend="serial") as store:
+    with DocumentStore(durability="log", wal_dir=str(tmp_path)) as store:
         assert {stage: series["count"] for stage, series
                 in _series(store).items()} == dict.fromkeys(STAGES, 0)
         store.bulk_load([{"doc_id": d, "xml": DOC} for d in "abc"])
@@ -50,8 +49,8 @@ def test_each_stage_once_per_snapshot(tmp_path):
 
 
 def test_a_flush_triggered_compaction_is_timed(tmp_path):
-    with DocumentStore(durability="log+snapshot:1", wal_dir=str(tmp_path),
-                       backend="serial") as store:
+    with DocumentStore(durability="log+snapshot:1",
+                       wal_dir=str(tmp_path)) as store:
         store.open("a", DOC)
         store.submit_xquery("a", 'rename node /bib/paper as "p"')
         store.flush("a")
@@ -60,7 +59,7 @@ def test_a_flush_triggered_compaction_is_timed(tmp_path):
 
 
 def test_a_store_without_a_log_has_no_snapshot_stages():
-    with DocumentStore(backend="serial") as store:
+    with DocumentStore() as store:
         assert store.snapshot() is None
         assert {stage: each["count"] for stage, each
                 in _series(store).items()} == dict.fromkeys(STAGES, 0)

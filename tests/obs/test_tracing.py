@@ -114,8 +114,7 @@ class TestWireEnvelope:
 
 class TestTracedFlush:
     def test_flush_reconstructs_the_stage_span_tree(self, tmp_path):
-        store = DocumentStore(backend="serial",
-                              wal_dir=str(tmp_path / "wal"))
+        store = DocumentStore(wal_dir=str(tmp_path / "wal"))
         try:
             store.open("d1", DOC)
             store.submit_xquery(
@@ -147,7 +146,7 @@ class TestTracedFlush:
             store.close()
 
     def test_stage_timings_feed_the_histogram_even_untraced(self):
-        store = DocumentStore(backend="serial")
+        store = DocumentStore()
         try:
             store.open("d1", DOC)
             store.submit_xquery(

@@ -52,8 +52,7 @@ def leader(tmp_path):
     """A replicating leader of ``d`` under the tight budget, with the
     hot-spot log written; yields ``(store, wal_dir, its labels)``."""
     wal_dir = str(tmp_path / "leader")
-    store = DocumentStore(workers=1, backend="serial",
-                          max_code_length=TIGHT, durability="log",
+    store = DocumentStore(max_code_length=TIGHT, durability="log",
                           wal_dir=wal_dir)
     try:
         store.enable_replication()
@@ -70,7 +69,7 @@ def leader(tmp_path):
 def test_a_restart_under_another_budget_keeps_the_logged_one(leader):
     store, wal_dir, written = leader
     store.close()
-    with DocumentStore(workers=1, backend="serial", max_code_length=LOOSE,
+    with DocumentStore(max_code_length=LOOSE,
                        durability="log", wal_dir=wal_dir) as recovered:
         assert _labels(recovered) == written
         assert recovered._entries["d"].published.budget == TIGHT
@@ -82,11 +81,9 @@ def test_a_replica_under_another_budget_keeps_the_logged_one(
     """Bootstrapped before the document exists (it arrives as an
     ``open`` record) or partway (as an ``export`` page), then streamed
     the rest of the hot spot."""
-    leader = DocumentStore(workers=1, backend="serial",
-                           max_code_length=TIGHT, durability="log",
+    leader = DocumentStore(max_code_length=TIGHT, durability="log",
                            wal_dir=str(tmp_path / "leader"))
-    replica = ReplicaStore(workers=1, backend="serial",
-                           max_code_length=LOOSE)
+    replica = ReplicaStore(max_code_length=LOOSE)
     try:
         leader.enable_replication()
         surface = StoreDispatcher(leader)
@@ -120,7 +117,7 @@ def test_a_payload_without_a_budget_restores_under_the_hosts(leader):
 def _tight_log(wal_dir, durability):
     """Open ``d`` under the tight budget on ``wal_dir`` and write the
     hot spot; returns its labels."""
-    with DocumentStore(workers=1, backend="serial", max_code_length=TIGHT,
+    with DocumentStore(max_code_length=TIGHT,
                        durability=durability, wal_dir=wal_dir) as store:
         store.open("d", HOT)
         _hot_spot(store)
@@ -128,7 +125,7 @@ def _tight_log(wal_dir, durability):
 
 
 def _loose(wal_dir, durability):
-    return DocumentStore(workers=1, backend="serial", max_code_length=LOOSE,
+    return DocumentStore(max_code_length=LOOSE,
                          durability=durability, wal_dir=wal_dir)
 
 
@@ -147,8 +144,7 @@ def test_writes_after_a_restart_relabel_under_the_logged_budget(
     """A host under another budget goes on relabelling the document
     after the same batches as one that never restarted, and logs (or
     snapshots) the budget forward for the next restart."""
-    with DocumentStore(workers=1, backend="serial",
-                       max_code_length=TIGHT) as reference:
+    with DocumentStore(max_code_length=TIGHT) as reference:
         reference.open("d", HOT)
         _hot_spot(reference, 2 * INSERTS)
         expected = _labels(reference)
@@ -203,7 +199,7 @@ def test_a_flush_past_the_budget_widens_nothing(tmp_path, monkeypatch):
 
     monkeypatch.setattr(ContainmentLabeling, "_widen", counting)
     wal_dir = str(tmp_path / "wal")
-    with DocumentStore(workers=1, backend="serial", durability="log",
+    with DocumentStore(durability="log",
                        wal_dir=wal_dir) as store:
         store.open("d", HOT)
         hot = store.document("d").root.children[-1].node_id

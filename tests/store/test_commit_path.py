@@ -1,8 +1,8 @@
 """One commit path: residency changes only behind a durable record,
-and the replication stream is exactly what the commit train made
-durable.
+the replication stream is exactly what the commit train made durable,
+and a flush logs its batch as its one reduction left it.
 
-Two contracts, both under injected ``fsync`` faults:
+Two contracts under injected ``fsync`` faults:
 
 * a call that changes which documents are resident (``open``,
   ``bulk_load``, ``close_document``) and whose log record does not
@@ -15,6 +15,12 @@ Two contracts, both under injected ``fsync`` faults:
   segment files — a torn or unsynced record never surfaces — holds here
   because the feed is handed the bytes of each successful sync and
   nothing else.)
+
+And one without faults: a flush runs ``reduce_deterministic`` once over
+the whole coalesced batch, and the log holds that reduction as it
+stands — a strict ``repC`` strict, the operations in the reduction's
+order — so a restart, a replica and ``replay_oracle`` stand where the
+leader stands.
 """
 
 import errno
@@ -26,9 +32,15 @@ import time
 
 import pytest
 
+import repro.store.store as store_mod
+from repro.cluster import ReplicaStore
 from repro.cluster.tokens import decode_token, encode_token
 from repro.errors import DurabilityError, WalPoisonedError
-from repro.store import DocumentStore
+from repro.pul.ops import Delete, InsertIntoAsLast, Rename, ReplaceChildren
+from repro.pul.pul import PUL
+from repro.pul.serialize import pul_from_xml
+from repro.reduction import reduce_deterministic
+from repro.store import DocumentStore, StatelessBaseline
 from repro.store.durability import (
     DurabilityManager,
     DurabilityPolicy,
@@ -37,13 +49,14 @@ from repro.store.durability import (
     scan_wal,
 )
 from repro.store.durability.recovery import decode_payload
+from repro.xdm.node import Node
+from repro.xdm.serializer import serialize
 
 DOC = "<doc><items/></doc>"
 
 
 def _store(wal_dir):
-    return DocumentStore(workers=1, backend="serial", durability="log",
-                         wal_dir=str(wal_dir))
+    return DocumentStore(durability="log", wal_dir=str(wal_dir))
 
 
 def _is_segment(fd):
@@ -405,3 +418,96 @@ class TestPoisonedWriter:
         assert isinstance(outcome[0], WalPoisonedError)
         manager._writer._file = manager._writer._file.inner
         manager.close()
+
+
+def _state(store, doc_id="d"):
+    """Text, label digits of every node, and the index of the published
+    version: what every host of the log must agree on."""
+    version = store._entries[doc_id].published
+    labeling = version.labeling
+    digits = {node.node_id: labeling.digits(node.node_id)
+              for node in version.document.nodes()}
+    return serialize(version.document), digits, version.index
+
+
+class TestOneReduction:
+    DOC = "<r>" + "".join(
+        "<s{0}><c{0}>t</c{0}></s{0}>".format(i) for i in range(8)) + "</r>"
+
+    def test_a_flush_reduces_its_whole_batch_once(self, monkeypatch):
+        """Three clients edit eight independent subtrees, two operations
+        each: the flush coalesces them into one batch and runs
+        ``reduce_deterministic`` on it once, and ends where the
+        stateless baseline ends."""
+        calls = []
+
+        def counted(pul):
+            calls.append(len(pul))
+            return reduce_deterministic(pul)
+
+        monkeypatch.setattr(store_mod, "reduce_deterministic", counted)
+        baseline = StatelessBaseline()
+        with DocumentStore() as store:
+            for executor in (store, baseline):
+                executor.open("d", self.DOC)
+            for index, subtree in enumerate(
+                    store.document("d").root.children):
+                child = subtree.children[0]
+                for executor in (store, baseline):
+                    # each executor adopts its own parameter trees
+                    second = (Delete(child.children[0].node_id)
+                              if index % 2 else InsertIntoAsLast(
+                                  child.node_id, [Node.element("n")]))
+                    executor.submit(
+                        "d", PUL([Rename(child.node_id,
+                                         "x{}".format(index)), second]),
+                        client="c{}".format(index % 3))
+            result = store.flush("d")
+            baseline.flush("d")
+            assert (result.clients, result.submitted_ops) == (3, 16)
+            assert calls == [16]
+            assert store.text("d") == baseline.text("d")
+
+
+class TestLoggedAsReduced:
+    DOC = "<r><a><b/></a><c/></r>"
+
+    def _batch(self, document):
+        a, c = (node for node in document.root.children)
+        return PUL([ReplaceChildren(a.node_id, [Node.text("x")]),
+                    Rename(c.node_id, "d")])
+
+    def test_a_strict_repc_is_logged_strict_and_in_reduction_order(
+            self, tmp_path):
+        wal_dir = str(tmp_path / "wal")
+        with DocumentStore(durability="log", wal_dir=wal_dir) as store:
+            source = store.enable_replication()
+            seq0 = source.next_seq
+            store.open("d", self.DOC)
+            batch = self._batch(store.document("d"))
+            batch.attach_labels(store._entries["d"].published.labeling)
+            expected = reduce_deterministic(batch)
+            store.submit("d", self._batch(store.document("d")))
+            store.flush("d")
+            leader = _state(store)
+            page = source.read(from_token=encode_token(
+                source.stream_id, seq0), decode=False)
+            [record] = [event["record"] for event in page["events"]
+                        if event["record"]["kind"] == "batch"]
+            logged = pul_from_xml(record["pul"])
+            # an aggregation pass over the reduced batch would rewrite
+            # the repC as strict="false" and put the stage-1 rename first
+            assert 'strict="false"' not in record["pul"]
+            assert [op.op_name for op in logged] == \
+                ["replaceChildren", "rename"]
+            assert list(logged) == list(expected)
+            assert all(op.strict for op in logged
+                       if op.op_name == "replaceChildren")
+            with ReplicaStore() as replica:
+                replica.bootstrap([], seq0, stream=source.stream_id)
+                replica.apply_records(page)
+                assert _state(replica) == leader
+        with DocumentStore(durability="log", wal_dir=wal_dir) as restarted:
+            assert _state(restarted) == leader
+        assert replay_oracle(wal_dir)["d"] == (leader[0], 1)
+        assert leader[0] == "<r><a>x</a><d/></r>"

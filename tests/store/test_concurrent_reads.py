@@ -66,7 +66,7 @@ class _TornApplyWindow:
 
 class TestTornReads:
     def test_text_never_observes_a_half_applied_batch(self, monkeypatch):
-        with DocumentStore(backend="serial") as store:
+        with DocumentStore() as store:
             store.open("d1", DOC)
             before = store.text("d1")
             title = _ids_by_name(store.document("d1"), "title")[0]
@@ -96,7 +96,7 @@ class TestTornReads:
             assert observed == [before] or observed == [after]
 
     def test_stats_pair_version_with_node_count(self, monkeypatch):
-        with DocumentStore(backend="serial") as store:
+        with DocumentStore() as store:
             store.open("d1", DOC)
             nodes_before = store.stats("d1")["nodes"]
             victim = _ids_by_name(store.document("d1"), "authors")[0]
@@ -130,7 +130,7 @@ class TestTornReads:
 
 class TestFlushAllClose:
     def test_close_during_flush_all_is_not_a_failure(self):
-        with DocumentStore(backend="serial") as store:
+        with DocumentStore() as store:
             store.open("a", DOC)
             store.open("b", DOC)
             for doc_id in ("a", "b"):
@@ -154,7 +154,7 @@ class TestFlushAllClose:
             assert "b" not in store
 
     def test_genuine_failures_still_raise(self):
-        with DocumentStore(backend="serial") as store:
+        with DocumentStore() as store:
             store.open("a", DOC)
             title = _ids_by_name(store.document("a"), "title")[0]
             # two clients renaming the same target conflict under the

@@ -54,8 +54,7 @@ CHILD_SCRIPT = textwrap.dedent("""
     batches, __ = generate_client_batches(
         document, clients={clients}, rounds={rounds},
         ops_per_round={ops}, seed={seed})
-    store = DocumentStore(workers=2, backend="serial",
-                          durability="log", wal_dir=wal_dir)
+    store = DocumentStore(durability="log", wal_dir=wal_dir)
     store.open("d", serialize(document))
     for submissions in batches:
         for client, pul in submissions:
@@ -90,7 +89,7 @@ def expected_states():
 
 
 def _recover_and_check(wal_dir, expected_states, acked):
-    with DocumentStore(workers=2, backend="serial", durability="log",
+    with DocumentStore(durability="log",
                        wal_dir=wal_dir) as recovered:
         if not recovered.doc_ids():
             # the cut fell inside the very first record: the valid
@@ -166,8 +165,7 @@ FAILED_FLUSH_SCRIPT = textwrap.dedent("""
     from repro.xdm.node import Node
 
     wal_dir, die_after = sys.argv[1], sys.argv[2]
-    store = DocumentStore(workers=2, backend="serial",
-                          durability="log", wal_dir=wal_dir)
+    store = DocumentStore(durability="log", wal_dir=wal_dir)
     store.open("d", {doc!r})
     nodes = list(store.document("d").nodes())
     title = next(n.node_id for n in nodes if n.name == "title")
@@ -248,7 +246,7 @@ def test_sigkill_right_after_a_failed_flush(tmp_path):
              load_durable_state(crashed_dir, repair=False).records]
     assert kinds == ["open", "batch"]
     assert replay_oracle(crashed_dir)["d"] == (at_death["text"], 1)
-    with DocumentStore(workers=2, backend="serial", durability="log",
+    with DocumentStore(durability="log",
                        wal_dir=crashed_dir) as recovered:
         assert recovered.recovery.replayed_batches == 1
         assert recovered.recovery.skipped_records == 0
@@ -272,7 +270,7 @@ def test_truncation_point_sweep_recovers_a_valid_prefix(
     batches, __ = generate_client_batches(
         document, clients=CLIENTS, rounds=ROUNDS,
         ops_per_round=OPS_PER_ROUND, seed=WORKLOAD_SEED)
-    with DocumentStore(workers=2, backend="serial", durability="log",
+    with DocumentStore(durability="log",
                        wal_dir=wal_dir) as store:
         store.open("d", serialize(document))
         for submissions in batches:

@@ -99,8 +99,6 @@ def _run_session(store, batches, doc_id="d"):
 
 
 def _durable_store(tmp_path, spec, store_class=DocumentStore, **kwargs):
-    kwargs.setdefault("workers", 2)
-    kwargs.setdefault("backend", "serial")
     return store_class(durability=spec, wal_dir=str(tmp_path / "wal"),
                        **kwargs)
 
@@ -122,8 +120,7 @@ class TestPolicy:
             DocumentStore(durability="log")
 
     def test_wal_dir_implies_log_policy(self, tmp_path):
-        with DocumentStore(backend="serial",
-                           wal_dir=str(tmp_path / "w")) as store:
+        with DocumentStore(wal_dir=str(tmp_path / "w")) as store:
             assert store.durability_policy.mode == "log"
 
 
@@ -230,8 +227,7 @@ class TestSnapshotFidelity:
         # the same batches under two code-length budgets: the default
         # relabels incrementally, a budget of one digit relabels every
         # batch that inserts anything in full
-        stores = [DocumentStore(workers=1, backend="serial",
-                                max_code_length=budget)
+        stores = [DocumentStore(max_code_length=budget)
                   for budget in (DEFAULT_MAX_CODE_LENGTH, 1)]
         try:
             for store in stores:
@@ -260,8 +256,7 @@ class TestSnapshotFidelity:
         for budget, counter in ((DEFAULT_MAX_CODE_LENGTH,
                                  "incremental_relabels"),
                                 (4, "full_relabels")):
-            with DocumentStore(workers=1, backend="serial",
-                               max_code_length=budget) as store:
+            with DocumentStore(max_code_length=budget) as store:
                 store.open("d", text)
                 _run_session(store, batches)
                 version = store._require("d").published
@@ -273,8 +268,7 @@ class TestSnapshotFidelity:
         """Under a budget past 64 digits, a hot spot grows codes past
         the first width: the labeling's columns are lists, and so are
         the restored one's."""
-        with DocumentStore(workers=1, backend="serial",
-                           max_code_length=200) as store:
+        with DocumentStore(max_code_length=200) as store:
             store.open("d", DOC)
             hot = store.document("d").root.children[-1].node_id
             for __ in range(70):
@@ -310,7 +304,7 @@ class TestSnapshotFidelity:
 
 
 def _version_of(text):
-    with DocumentStore(workers=1, backend="serial") as store:
+    with DocumentStore() as store:
         return store.open("d", text).published
 
 
@@ -569,7 +563,7 @@ class TestHostilePayloads:
     def test_bootstrap_refuses(self, case, payload):
         from repro.cluster import ReplicaStore
 
-        with ReplicaStore(workers=1, backend="serial") as replica:
+        with ReplicaStore() as replica:
             replica.bootstrap([document_payload(_version_of(DOC))], 0,
                               stream="s")
             with pytest.raises(RecoveryError):
@@ -628,7 +622,7 @@ class TestHostilePayloads:
             assert restarted.text("d") == FAR_TEXT
         from repro.cluster import ReplicaStore
 
-        with ReplicaStore(workers=1, backend="serial") as replica:
+        with ReplicaStore() as replica:
             replica.bootstrap([payload], 0, stream="s")
             self.assert_far(replica._entries["d"].published, far_id)
 
@@ -779,7 +773,7 @@ class TestRecovery:
             with pytest.raises(RecoveryError,
                                match="version 1 of 'd'.*refused"):
                 _durable_store(tmp_path, "log")
-            with ReplicaStore(workers=1, backend="serial") as replica:
+            with ReplicaStore() as replica:
                 replica.bootstrap([], 0, stream=stream)
                 with pytest.raises(RecoveryError,
                                    match="version 1 of 'd'.*refused"):
@@ -907,7 +901,7 @@ class TestRecovery:
             store.flush("d")
             assert logged_kinds() == ["open", "batch"]
             before = _full_state(store, "d")
-            with ReplicaStore(workers=1, backend="serial") as replica:
+            with ReplicaStore() as replica:
                 stream, seq = decode_token(anchor)
                 replica.bootstrap([], seq, stream=stream)
                 replica.apply_records(source.read(
@@ -983,7 +977,7 @@ class TestRecovery:
             # under at-least-once rewinds
             for rewind in (0.0, 0.5):
                 rng = random.Random(7)
-                with ReplicaStore(workers=1, backend="serial") as replica:
+                with ReplicaStore() as replica:
                     replica.bootstrap([], seq0, stream=source.stream_id)
                     position = 0
                     while position < len(events):
@@ -1035,7 +1029,7 @@ class TestRecovery:
             _durable_store(old, "log")
         with pytest.raises(RecoveryError, match="relabel"):
             replay_oracle(str(old / "wal"))
-        with ReplicaStore(workers=1, backend="serial") as replica:
+        with ReplicaStore() as replica:
             replica.bootstrap([], 0, stream="s")
             with pytest.raises(RecoveryError, match="relabel"):
                 replica.apply_records({
@@ -1132,7 +1126,7 @@ class TestRecovery:
             _durable_store(old, "log")
         with pytest.raises(RecoveryError, match="retired form"):
             replay_oracle(str(old / "wal"))
-        with ReplicaStore(workers=1, backend="serial") as replica:
+        with ReplicaStore() as replica:
             replica.bootstrap([], 0, stream="s")
             with pytest.raises(RecoveryError, match="retired form"):
                 replica.apply_records({
@@ -1399,7 +1393,7 @@ class TestCompaction:
             assert sorted(recovered.doc_ids()) == ["a", "b", "c"]
 
     def test_snapshot_on_non_durable_store_is_refused(self):
-        with DocumentStore(backend="serial") as store:
+        with DocumentStore() as store:
             assert store.snapshot() is None
 
     def test_load_state_reports_generations(self, tmp_path, workload):
@@ -1458,7 +1452,7 @@ class TestCompaction:
             events = source.read(
                 from_token=encode_token(source.stream_id, seq0),
                 decode=False, max_events=10)["events"]
-        with ReplicaStore(workers=1, backend="serial") as replica:
+        with ReplicaStore() as replica:
             replica.bootstrap([], seq0, stream=source.stream_id)
             replica.apply_records({"events": events,
                                    "token": events[-1]["token"]})

@@ -291,7 +291,7 @@ class TestStoreIntegration:
         every acknowledged batch."""
         doc = "<bib><paper><title>T</title></paper></bib>"
         docs = ["d{}".format(i) for i in range(6)]
-        with DocumentStore(backend="serial", durability="log",
+        with DocumentStore(durability="log",
                            wal_dir=str(tmp_path / "wal")) as store:
             for doc_id in docs:
                 entry = store.open(doc_id, doc)
@@ -317,7 +317,7 @@ class TestStoreIntegration:
                 thread.join()
             assert not errors
             expected = {doc_id: store.text(doc_id) for doc_id in docs}
-        with DocumentStore(backend="serial", durability="log",
+        with DocumentStore(durability="log",
                            wal_dir=str(tmp_path / "wal")) as recovered:
             for doc_id in docs:
                 assert recovered.version(doc_id) == 1

@@ -107,7 +107,7 @@ class TestReadersVersusWriter:
         timeline at the version it reports, and per-reader versions
         must be monotone (a published version never un-publishes)."""
         rounds = 25
-        with DocumentStore(backend="serial") as probe:
+        with DocumentStore() as probe:
             probe.open("d", DOC)
             specs = _batch_specs(probe.document("d"), rounds)
         timeline = _baseline_timeline(specs)
@@ -122,7 +122,7 @@ class TestReadersVersusWriter:
         monkeypatch.setattr(store_module, "apply_batch_in_place",
                             slowed_apply)
 
-        with DocumentStore(backend="serial") as store:
+        with DocumentStore() as store:
             store.open("d", DOC)
             stop = threading.Event()
             mismatches = []
@@ -163,7 +163,7 @@ class TestReadersVersusWriter:
         """No blocking: a read issued while the writer is mid-apply
         finishes *before* the flush does, reporting the still-current
         published version."""
-        with DocumentStore(backend="serial") as store:
+        with DocumentStore() as store:
             store.open("d", DOC)
             before = store.text("d")
             title = _id_of(store.document("d"), "title")
@@ -224,7 +224,7 @@ class TestVersionPinning:
     def test_pinned_version_is_immutable_across_later_flushes(self):
         """A held version's tree never changes: every later flush
         path-copies the version it derives from and edits the copy."""
-        with DocumentStore(backend="serial") as store:
+        with DocumentStore() as store:
             store.open("d", DOC)
             held = store._entries["d"].published
             text0 = serialize(held.document)
@@ -247,7 +247,7 @@ class TestVersionPinning:
         from repro.apply.inplace import classify
         from repro.xquery import compile_pul
 
-        with DocumentStore(backend="serial") as store:
+        with DocumentStore() as store:
             store.open("d", DOC)
             title = _id_of(store.document("d"), "title")
             for i in range(4):
@@ -291,7 +291,7 @@ class TestVersionPinning:
 
 class TestCaptureFence:
     def test_wait_published_times_out_on_a_stalled_writer(self):
-        with DocumentStore(backend="serial") as store:
+        with DocumentStore() as store:
             store.open("d", DOC)
             entry = store._entries["d"]
             entry.mark_logged(entry.published.version + 1)
@@ -309,7 +309,7 @@ class TestCaptureFence:
         acked record* would not), and the compacted directory must
         recover to the post-batch state."""
         wal_dir = str(tmp_path / "wal")
-        with DocumentStore(backend="serial", durability="log",
+        with DocumentStore(durability="log",
                            wal_dir=wal_dir) as store:
             store.open("d", DOC)
             title = _id_of(store.document("d"), "title")
@@ -335,7 +335,7 @@ class TestCaptureFence:
             assert not snapshotter.is_alive()
             assert generations and generations[0] is not None
             final = store.text("d")
-        with DocumentStore(backend="serial", durability="log",
+        with DocumentStore(durability="log",
                            wal_dir=wal_dir) as recovered:
             assert recovered.text("d") == final
             assert recovered.version("d") == 1
@@ -351,7 +351,7 @@ class TestCaptureFence:
         from repro.store.durability import load_durable_state
 
         wal_dir = str(tmp_path / "wal")
-        with DocumentStore(backend="serial", durability="log",
+        with DocumentStore(durability="log",
                            wal_dir=wal_dir) as store:
             entry = store.open("d", DOC)
             published = entry.published
@@ -398,7 +398,7 @@ class TestVersionTextMemo:
     outlives the version's time as the published one."""
 
     def test_text_is_the_published_tree_after_every_publish(self):
-        with DocumentStore(backend="serial") as store:
+        with DocumentStore() as store:
             store.open("d", DOC)
             entry = store._entries["d"]
             baseline = StatelessBaseline()
@@ -417,7 +417,7 @@ class TestVersionTextMemo:
                 assert entry.published.text is first
 
     def test_export_and_text_share_the_one_memo(self):
-        with DocumentStore(backend="serial") as store:
+        with DocumentStore() as store:
             store.open("d", DOC)
             exported = store.export_state(form="xml")["docs"][0]["text"]
             assert store.text("d") is exported
@@ -428,7 +428,7 @@ class TestVersionTextMemo:
         after N retired — and then nothing reachable from the entry
         holds it: a document keeps one text, however many retired
         versions readers still hold."""
-        with DocumentStore(backend="serial") as store:
+        with DocumentStore() as store:
             store.open("d", DOC)
             entry = store._entries["d"]
             text0 = store.text("d")
@@ -448,7 +448,7 @@ class TestVersionTextMemo:
             assert held.text is None
 
     def test_a_write_heavy_document_never_holds_a_text(self):
-        with DocumentStore(backend="serial") as store:
+        with DocumentStore() as store:
             store.open("d", DOC)
             entry = store._entries["d"]
             for spec in _batch_specs(store.document("d"), 4):
@@ -464,7 +464,7 @@ class TestVersionTextMemo:
         from repro.pul.ops import InsertAttributes
         from repro.xdm.node import Node
 
-        with DocumentStore(backend="serial") as store:
+        with DocumentStore() as store:
             store.open("d", DOC)
             entry = store._entries["d"]
             text0 = store.text("d")
@@ -484,7 +484,7 @@ class TestVersionTextMemo:
         ``(text, version)`` pair is on the baseline's timeline."""
         specs = _batch_specs(parse_document(DOC), 25)
         timeline = _baseline_timeline(specs)
-        with DocumentStore(backend="serial") as store:
+        with DocumentStore() as store:
             store.open("d", DOC)
             stop = threading.Event()
             wrong = []
@@ -530,7 +530,7 @@ class TestPathMemo:
                      for result in ("hit", "miss", "uncached"))
 
     def test_a_repeated_path_is_the_identical_tree(self):
-        with DocumentStore(backend="serial") as store:
+        with DocumentStore() as store:
             store.open("d", DOC)
             store.query("d", "//title")
             first = store._parsed_path("//title")
@@ -544,7 +544,7 @@ class TestPathMemo:
         paths = ['//paper[title = "T1"]/authors/author', "//paper[1]/title",
                  "//paper[authors[author]]", "/bib/*/title/text()",
                  "//@*", "//paper[last()]"]
-        with DocumentStore(backend="serial") as store:
+        with DocumentStore() as store:
             store.open("d", DOC)
             for path in paths:
                 parsed = store._parsed_path(path)
@@ -559,7 +559,7 @@ class TestPathMemo:
     def test_a_syntax_error_is_never_cached(self):
         from repro.errors import QuerySyntaxError
 
-        with DocumentStore(backend="serial") as store:
+        with DocumentStore() as store:
             store.open("d", DOC)
             for __ in range(2):
                 with pytest.raises(QuerySyntaxError):
@@ -572,7 +572,7 @@ class TestPathMemo:
         from repro.xquery.parser import MAX_CACHED_PATH_CHARS
 
         at_bound = "//" + "t" * (MAX_CACHED_PATH_CHARS - 2)
-        with DocumentStore(backend="serial") as store:
+        with DocumentStore() as store:
             store.open("d", DOC)
             store._parsed_path(at_bound)
             store._parsed_path(at_bound)
@@ -586,7 +586,7 @@ class TestPathMemo:
     def test_distinct_paths_leave_a_constant_number_of_entries(self):
         from repro.xquery.parser import PATH_MEMO_ENTRIES
 
-        with DocumentStore(backend="serial") as store:
+        with DocumentStore() as store:
             store.open("d", DOC)
             for number in range(10000):
                 store._parsed_path("//t{}".format(number))
@@ -600,7 +600,7 @@ class TestPathMemo:
     def test_lookups_are_counted(self):
         """A planned query asks the answer memo first and parses only
         what it missed; a forced engine parses without asking it."""
-        with DocumentStore(backend="serial") as store:
+        with DocumentStore() as store:
             store.open("d", DOC)
             store.open("e", DOC)
             for __ in range(3):
@@ -695,7 +695,7 @@ class TestAnswerMemo:
         another document (its version restarts at 0): every answer
         equals the walker's at the version it reports."""
         with mock.patch.object(reads_module, "ANSWER_MEMO_BYTES", budget), \
-                DocumentStore(backend="serial") as store:
+                DocumentStore() as store:
             sources = {"a": DOC, "b": DOC}
             for doc_id, source in sources.items():
                 store.open(doc_id, source)
@@ -730,7 +730,7 @@ class TestAnswerMemo:
         byte count is exact afterwards."""
         specs = _batch_specs(parse_document(DOC), 25)
         timeline = _baseline_timeline(specs)
-        with DocumentStore(backend="serial") as oracle:
+        with DocumentStore() as oracle:
             for version, text in timeline.items():
                 oracle.open(version, text)
             expected = {
@@ -743,7 +743,7 @@ class TestAnswerMemo:
         try:
             with mock.patch.object(reads_module, "ANSWER_MEMO_BYTES",
                                    3000), \
-                    DocumentStore(backend="serial") as store:
+                    DocumentStore() as store:
                 store.open("d", DOC)
                 store.open("e", DOC)
                 stop = threading.Event()
@@ -792,7 +792,7 @@ class TestAnswerMemo:
         from repro.xquery.parser import MAX_CACHED_PATH_CHARS
 
         padded = "//title" + " " * MAX_CACHED_PATH_CHARS
-        with DocumentStore(backend="serial") as store:
+        with DocumentStore() as store:
             store.open("d", DOC)
             expected = store.query("d", "//title")["nodes"]
             answers = store._entries["d"].published.answers
@@ -808,7 +808,7 @@ class TestAnswerMemo:
             assert set(answers) == {"//title", padded}
 
     def test_a_returned_list_is_the_callers_own(self):
-        with DocumentStore(backend="serial") as store:
+        with DocumentStore() as store:
             store.open("d", DOC)
             first = store.query("d", "//title")
             expected = list(first["nodes"])
@@ -824,7 +824,7 @@ class TestAnswerMemo:
 class TestAnswerBudget:
     def test_the_budget_holds_and_comes_back_on_close(self):
         with mock.patch.object(reads_module, "ANSWER_MEMO_BYTES", 2000), \
-                DocumentStore(backend="serial") as store:
+                DocumentStore() as store:
             doc_ids = ["d{}".format(number) for number in range(6)]
             for doc_id in doc_ids:
                 store.open(doc_id, DOC)
@@ -857,7 +857,7 @@ class TestAnswerBudget:
         from repro.cluster import ReplicaStore
         from repro.cluster.tokens import decode_token
 
-        with DocumentStore(workers=1, backend="serial", durability="log",
+        with DocumentStore(durability="log",
                            wal_dir=str(tmp_path / "wal")) as leader:
             source = leader.enable_replication()
             anchor = source.tail_token()
@@ -869,7 +869,7 @@ class TestAnswerBudget:
             page = leader.export_state(form="state")
         assert len(events) == 3
         stream, seq = decode_token(anchor)
-        with ReplicaStore(workers=1, backend="serial") as replica:
+        with ReplicaStore() as replica:
             replica.bootstrap([], seq, stream=stream)
             replica.apply_records({"events": events[:2],
                                    "token": events[1]["token"]})
@@ -889,12 +889,12 @@ class TestAnswerBudget:
             _assert_memo_accounting(replica)
 
     def test_an_answer_larger_than_what_is_left_is_served_not_kept(self):
-        with DocumentStore(backend="serial") as store:
+        with DocumentStore() as store:
             store.open("d", DOC)
             room = answer_size("//note", tuple(store.query(
                 "d", "//note")["nodes"]))
         with mock.patch.object(reads_module, "ANSWER_MEMO_BYTES", room), \
-                DocumentStore(backend="serial") as store:
+                DocumentStore() as store:
             store.open("d", DOC)
             store.query("d", "//note")
             assert store._answer_bytes == room
@@ -1009,7 +1009,7 @@ class TestPinnedVersionNeverMoves:
         from repro.xdm.node import Node
 
         with tempfile.TemporaryDirectory() as wal_dir, \
-                DocumentStore(backend="serial", durability="log",
+                DocumentStore(durability="log",
                               wal_dir=wal_dir) as store:
             entry = store.open("d", PIN_DOC)
             budget = store.max_code_length
@@ -1077,7 +1077,7 @@ class TestRetiredVersionRelease:
         gc.collect()
         gc.disable()
         try:
-            with DocumentStore(backend="serial") as store:
+            with DocumentStore() as store:
                 store.open("d", '<r><a k="v">t</a><b/></r>')
                 held = store._entries["d"].published
                 others = _live_nodes() - len(held.document)
@@ -1132,7 +1132,7 @@ class TestNoWholeDocumentCopy:
         wal_dir = str(tmp_path / "wal")
 
         def store_at(directory):
-            return DocumentStore(backend="serial", durability="log",
+            return DocumentStore(durability="log",
                                  wal_dir=directory)
 
         with store_at(wal_dir) as store:
@@ -1195,7 +1195,7 @@ class TestNoWholeDocumentCopy:
 
         for module in (inplace, structural, store_module):
             monkeypatch.setattr(module, "classify", counted)
-        with DocumentStore(backend="serial") as store:
+        with DocumentStore() as store:
             store.open("d", DOC)
             document = store.document("d")
             store.submit("d", PUL([

@@ -52,7 +52,7 @@ BAND = 10 ** 9
 def _store(tmp_path=None, **kwargs):
     durable = {} if tmp_path is None else dict(
         durability="log", wal_dir=str(tmp_path / "wal"))
-    return DocumentStore(workers=1, backend="serial", **durable, **kwargs)
+    return DocumentStore(**durable, **kwargs)
 
 
 def _checkout(store, doc_id):

@@ -71,7 +71,7 @@ class TestReleasePaths:
         lambda a: ReplaceChildren(a, "new text"),
     ], ids=["delete", "repN", "repC"])
     def test_a_removed_subtree_is_freed_at_publish(self, make_op):
-        with DocumentStore(backend="serial") as store:
+        with DocumentStore() as store:
             store.open("d", DOC)
             others = _live_nodes() - len(store.document("d"))
             pul = PUL([make_op(_id(store, "d", "a"))])
@@ -85,7 +85,7 @@ class TestReleasePaths:
                 == len(store.document("d")) + held
 
     def test_a_failed_batch_leaves_no_copy_behind(self):
-        with DocumentStore(backend="serial") as store:
+        with DocumentStore() as store:
             store.open("d", DOC)
             published = store._entries["d"].published
             others = _live_nodes() - len(published.document)
@@ -102,7 +102,7 @@ class TestReleasePaths:
             assert _live_nodes() - others == len(published.document) + 2
 
     def test_a_closed_document_is_freed(self):
-        with DocumentStore(backend="serial") as store:
+        with DocumentStore() as store:
             store.open("d", DOC)
             store.open("e", OTHER)
             others = (_live_nodes() - len(store.document("d"))
@@ -111,7 +111,7 @@ class TestReleasePaths:
             assert _live_nodes() - others == len(store.document("e"))
 
     def test_a_closed_store_is_freed_with_its_last_reference(self):
-        store = DocumentStore(backend="serial")
+        store = DocumentStore()
         store.open("d", DOC)
         store.submit("d", PUL([Delete(_id(store, "d", "c"))]))
         store.flush("d")
@@ -125,11 +125,11 @@ class TestReleasePaths:
         assert _live_nodes() == others
 
     def test_a_rebootstrapped_replica_frees_what_it_replaced(self):
-        with DocumentStore(backend="serial") as leader:
+        with DocumentStore() as leader:
             leader.open("d", DOC)
             leader.open("e", OTHER)
             payloads = leader.export_state()["docs"]
-        with ReplicaStore(workers=1, backend="serial") as replica:
+        with ReplicaStore() as replica:
             replica.bootstrap(payloads, 0, stream="s1")
             others = (_live_nodes() - len(replica.document("d"))
                       - len(replica.document("e")))
@@ -167,7 +167,7 @@ def test_nothing_the_store_holds_or_decodes_is_cyclic(tmp_path):
     gc.disable()
     gc.set_debug(gc.DEBUG_SAVEALL)
     try:
-        store = DocumentStore(backend="serial", durability="log",
+        store = DocumentStore(durability="log",
                               wal_dir=str(tmp_path))
         store.open("d", DOC)
         for serial in range(8):
@@ -203,7 +203,7 @@ def test_resident_code_pairs_are_not_tracked_by_the_collector(tmp_path):
                 assert type(column) is array and column.typecode == "Q"
             assert labeling._far == {}
 
-    with DocumentStore(backend="serial", durability="log",
+    with DocumentStore(durability="log",
                        wal_dir=wal) as store:
         store.open("d", DOC)
         store.open("e", OTHER)
@@ -214,10 +214,10 @@ def test_resident_code_pairs_are_not_tracked_by_the_collector(tmp_path):
             Node.attribute("k", "v")])]))
         store.flush("e")
         assert_untracked(store)
-    with DocumentStore(backend="serial", durability="log",
+    with DocumentStore(durability="log",
                        wal_dir=wal) as restarted:
         assert_untracked(restarted)
-    with DocumentStore(backend="serial", max_code_length=1) as store:
+    with DocumentStore(max_code_length=1) as store:
         store.open("d", DOC)
         store.open("e", OTHER)
         store.submit("d", PUL([InsertIntoAsLast(_id(store, "d", "a"),
@@ -346,7 +346,7 @@ class TestClosedStore:
     def closed(self, request, tmp_path):
         kwargs = ({} if request.param == "off"
                   else {"durability": "log", "wal_dir": str(tmp_path)})
-        store = DocumentStore(backend="serial", **kwargs)
+        store = DocumentStore(**kwargs)
         store.open("d", DOC)
         store.close()
         return store

@@ -23,7 +23,7 @@ DOC = ("<bib><paper><title>T1</title><authors><author>A</author>"
 
 @pytest.fixture
 def store():
-    with DocumentStore(workers=2, backend="serial") as store:
+    with DocumentStore() as store:
         yield store
 
 
@@ -176,8 +176,7 @@ class TestBatches:
         assert "<headline>" in store.text("d1")
 
     def test_reconcile_mode_resolves_conflicts(self):
-        with DocumentStore(backend="serial",
-                           on_conflict="reconcile") as store:
+        with DocumentStore(on_conflict="reconcile") as store:
             store.open("d1", DOC)
             note = _text_id(store.document("d1"), "n")
             store.submit("d1", PUL([ReplaceValue(note, "from-alice")],
@@ -240,7 +239,7 @@ class TestIdentifierDiscipline:
 
 class TestHeadroomFallback:
     def test_hot_spot_triggers_full_relabel(self):
-        with DocumentStore(backend="serial", max_code_length=10) as store:
+        with DocumentStore(max_code_length=10) as store:
             store.open("d1", "<list><slot/></list>")
             relabels = []
             for round_index in range(12):

@@ -32,7 +32,7 @@ HOLDER_SCRIPT = textwrap.dedent("""
 
     from repro.store import DocumentStore
 
-    store = DocumentStore(backend="serial", durability="log",
+    store = DocumentStore(durability="log",
                           wal_dir=sys.argv[1])
     store.open("held", "<r/>")
     print("ready", flush=True)
@@ -42,7 +42,7 @@ HOLDER_SCRIPT = textwrap.dedent("""
 
 
 def _store(wal_dir, durability="log"):
-    return DocumentStore(backend="serial", durability=durability,
+    return DocumentStore(durability=durability,
                          wal_dir=str(wal_dir))
 
 
@@ -86,6 +86,22 @@ class TestOneOwner:
             first.open("x", "<r/>")
         with _store(wal_dir, "log+snapshot:1") as second:
             assert second.doc_ids() == ["x"]
+
+    @pytest.mark.parametrize("retired", (
+        {"workers": 2}, {"backend": "thread"}),
+        ids=("workers=2", "backend=thread"))
+    def test_a_retired_reduction_knob_is_refused_before_the_lock(
+            self, tmp_path, retired):
+        """A batch is reduced once: a worker count other than 1 or a
+        backend other than serial is refused with the other argument
+        checks, before the directory is made or locked."""
+        wal_dir = tmp_path / "wal"
+        with pytest.raises(ReproError, match="reduced once"):
+            DocumentStore(durability="log", wal_dir=str(wal_dir),
+                          **retired)
+        assert not wal_dir.exists()
+        with _store(wal_dir) as store:
+            assert store.doc_ids() == []
 
     def test_a_store_that_fails_to_start_gives_the_directory_up(
             self, tmp_path):
@@ -180,7 +196,7 @@ class TestOnlyDurablePoliciesTakeADirectory:
     def test_a_wal_dir_under_durability_off_is_refused(self, tmp_path):
         wal_dir = tmp_path / "wal"
         with pytest.raises(ReproError, match="keeps nothing"):
-            DocumentStore(backend="serial", durability="off",
+            DocumentStore(durability="off",
                           wal_dir=str(wal_dir))
         assert not wal_dir.exists()
 

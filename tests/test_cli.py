@@ -285,7 +285,7 @@ def served(*options):
     env["PYTHONPATH"] = "src" + os.pathsep + env.get("PYTHONPATH", "")
     process = subprocess.Popen(
         [sys.executable, "-m", "repro.cli", "store", "serve",
-         "--listen", "127.0.0.1:0", "--backend", "serial", *options],
+         "--listen", "127.0.0.1:0", *options],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
         env=env)
     try:
@@ -319,7 +319,7 @@ class TestStore:
                 client.flush("nowhere")
 
     @pytest.mark.parametrize("argv", [
-        ["--backend", "serial"],
+        [],
         ["--listen", "127.0.0.1:0", "--script", "/dev/null"]])
     def test_serve_has_one_mode(self, argv, capsys):
         """No ``--listen``, no server: argparse usage, exit 2 (the
@@ -342,13 +342,12 @@ class TestStore:
                    for name in os.listdir(str(wal_dir)))
 
     def test_snapshot_every_requires_wal_dir(self):
-        code, __ = run(["store", "serve", "--backend", "serial",
-                        "--snapshot-every", "4",
+        code, __ = run(["store", "serve", "--snapshot-every", "4",
                         "--listen", "127.0.0.1:0"])
         assert code == 2
 
     def test_snapshot_every_rejects_non_snapshot_mode(self, tmp_path):
-        code, __ = run(["store", "serve", "--backend", "serial",
+        code, __ = run(["store", "serve",
                         "--wal-dir", str(tmp_path / "wal"),
                         "--durability", "log",
                         "--snapshot-every", "4",
@@ -367,7 +366,7 @@ class TestStore:
         --out-dir`` names them: separators and ``..`` cannot leave the
         directory, and every document is dumped."""
         wal_dir = str(tmp_path / "wal")
-        with DocumentStore(backend="serial", wal_dir=wal_dir) as store:
+        with DocumentStore(wal_dir=wal_dir) as store:
             store.open("../escaped", DOC)
             store.open("sub/dir", DOC)
         dump_dir = tmp_path / "dump" / "inner"
@@ -379,12 +378,18 @@ class TestStore:
         assert os.listdir(str(tmp_path / "dump")) == ["inner"]
         assert (dump_dir / "sub_dir.xml").read_text() == DOC
 
-    def test_process_backend_is_an_invalid_choice(self, capsys):
+    @pytest.mark.parametrize("flag", [
+        ["--workers", "2"], ["--workers", "0"],
+        ["--backend", "thread"], ["--backend", "process"]])
+    def test_serve_refuses_any_other_worker_count_or_backend(
+            self, flag, capsys):
+        """A batch is reduced once: ``--workers`` takes only 1 and
+        ``--backend`` only serial, and anything else is an argparse
+        refusal before a store is built."""
         with pytest.raises(SystemExit) as excinfo:
-            run(["store", "serve", "--listen", "127.0.0.1:0",
-                 "--backend", "process"])
+            run(["store", "serve", "--listen", "127.0.0.1:0"] + flag)
         assert excinfo.value.code == 2
-        assert "invalid choice: 'process'" in capsys.readouterr().err
+        assert "invalid choice: " in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag", [
         ["--workers", "1"], ["--backend", "serial"],
@@ -397,9 +402,9 @@ class TestStore:
         ["metrics"]])
     def test_offline_commands_offer_no_concurrency_knobs(self, argv,
                                                          flag, capsys):
-        """Only ``store serve`` takes ``--workers``/``--backend``; a
-        command on a local directory opens a one-worker serial
-        store, so none of them accepts the process backend either."""
+        """Only ``store serve`` takes the retired ``--workers``/
+        ``--backend`` (the values the benchmark passes); a command on a
+        local directory offers neither."""
         with pytest.raises(SystemExit) as excinfo:
             run(["store"] + argv + flag)
         assert excinfo.value.code == 2

@@ -96,16 +96,6 @@ class TestLabelOracle:
         with pytest.raises(ReproError, match="label"):
             oracle.parent(7)
 
-    def test_knows(self, figure1):
-        __, oracle = oracles_for(figure1)
-        assert oracle.knows(0)
-        assert not oracle.knows(999)
-
-    def test_add_merges(self, figure1):
-        partial = LabelOracle({})
-        partial.add(exchange_labels(figure1))
-        assert partial.knows(0)
-
 
 class TestOracleFor:
     def test_dispatch(self, figure1):

@@ -173,7 +173,7 @@ def test_a_path_copy_leaves_every_lookup_on_its_base():
     """A path copy slices the base's columns: edits on the copy, and
     the copy's publication as the next version, change no lookup on
     the base — for column ids and far ids alike."""
-    with DocumentStore(workers=1, backend="serial") as store:
+    with DocumentStore() as store:
         store.open("d", TEXT)
         base = store._entries["d"].published
         far = Node.element("far", node_id=10 ** 9)
@@ -222,7 +222,7 @@ def test_stats_give_the_tables_bytes_without_a_walk(monkeypatch):
     """``stats`` reports each document's id table and code columns as
     ``sys.getsizeof`` gives their containers, through the store and the
     wire's ``stats`` op, and walks no tree to do it."""
-    with DocumentStore(workers=1, backend="serial") as store:
+    with DocumentStore() as store:
         store.open("d", TEXT)
         version = store._entries["d"].published
         document, labeling = version.document, version.labeling

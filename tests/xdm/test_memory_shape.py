@@ -29,7 +29,7 @@ def _text():
 
 
 def _restored(text):
-    with DocumentStore(workers=1, backend="serial") as store:
+    with DocumentStore() as store:
         store.open("d", text)
         payload = store.export_state(doc_ids=["d"])["docs"][0]
     return restore_document(payload).document
@@ -86,7 +86,7 @@ class TestCopies:
         """The flush empties the note's children and the first paper's
         attributes, replaces the second paper's children with nothing
         and inserts a leaf: every one of them ends up holding ``()``."""
-        with DocumentStore(workers=1, backend="serial") as store:
+        with DocumentStore() as store:
             store.open("d", DOC)
             for expression in (
                     "delete node /doc/note/text()",

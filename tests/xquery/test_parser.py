@@ -166,7 +166,7 @@ class TestPredicateNesting:
             path = path.steps[0].predicates[0].path
             depth += 1
         assert depth == MAX_PREDICATE_NESTING
-        with DocumentStore(backend="serial") as store:
+        with DocumentStore() as store:
             store.open("d", "<a><b/></a>")
             assert store.query("d", text)["count"] == 0
             assert store.explain("d", text)["plan"]["steps"]

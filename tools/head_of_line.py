@@ -65,8 +65,7 @@ def serve(checkout):
         sock = os.path.join(directory, "store.sock")
         server = subprocess.Popen(
             [sys.executable, "-m", "repro.cli", "store", "serve",
-             "--listen", "unix:" + sock, "--workers", "1",
-             "--backend", "serial"],
+             "--listen", "unix:" + sock],
             env=dict(os.environ, PYTHONPATH=source),
             stdout=subprocess.PIPE, text=True)
         try:
