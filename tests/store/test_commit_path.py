@@ -17,7 +17,10 @@ Two contracts under injected ``fsync`` faults:
   nothing else.)
 
 And one without faults: a flush runs ``reduce_deterministic`` once over
-the whole coalesced batch, and the log holds that reduction as it
+the whole coalesced batch — for every workload generator's batches, for
+flushes of several documents at once, and once only when it raises,
+which fails the batch before anything is logged — and ends where the
+sequential reduce + apply ends. The log holds that reduction as it
 stands — a strict ``repC`` strict, the operations in the reduction's
 order — so a restart, a replica and ``replay_oracle`` stand where the
 leader stands.
@@ -31,11 +34,20 @@ import threading
 import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import repro.store.store as store_mod
+from repro.apply.inmemory import apply_in_memory
 from repro.cluster import ReplicaStore
 from repro.cluster.tokens import decode_token, encode_token
-from repro.errors import DurabilityError, WalPoisonedError
+from repro.errors import (
+    DurabilityError,
+    NotApplicableError,
+    ReproError,
+    WalPoisonedError,
+)
+from repro.labeling import ContainmentLabeling
 from repro.pul.ops import Delete, InsertIntoAsLast, Rename, ReplaceChildren
 from repro.pul.pul import PUL
 from repro.pul.serialize import pul_from_xml
@@ -49,8 +61,16 @@ from repro.store.durability import (
     scan_wal,
 )
 from repro.store.durability.recovery import decode_payload
+from repro.workloads import (
+    generate_client_batches,
+    generate_pul,
+    generate_sequential_puls,
+    generate_xmark,
+)
 from repro.xdm.node import Node
 from repro.xdm.serializer import serialize
+
+from tests.strategies import applicable_puls, documents
 
 DOC = "<doc><items/></doc>"
 
@@ -430,6 +450,52 @@ def _state(store, doc_id="d"):
     return serialize(version.document), digits, version.index
 
 
+def _counted(calls):
+    """``reduce_deterministic``, noting the size of each batch it is
+    called on."""
+    def counted(pul):
+        calls.append(len(pul))
+        return reduce_deterministic(pul)
+    return counted
+
+
+def _independent_ops(document):
+    """Two operations on each of the eight independent subtrees of
+    :attr:`TestOneReduction.DOC`."""
+    ops = []
+    for index, subtree in enumerate(document.root.children):
+        child = subtree.children[0]
+        ops.append(Rename(child.node_id, "x{}".format(index)))
+        if index % 2:
+            ops.append(Delete(child.children[0].node_id))
+        else:
+            ops.append(InsertIntoAsLast(child.node_id,
+                                        [Node.element("n")]))
+    return ops
+
+
+FAMILIES = ("clients", "sequential", "lone")
+
+
+def _chain(family, seed):
+    """The document and batches of submissions one workload generator
+    makes for it: concurrent clients' rounds, one producer's sequential
+    chain, or a lone large record-local PUL."""
+    document = generate_xmark(scale=0.02, seed=seed)
+    if family == "clients":
+        batches, __ = generate_client_batches(
+            document, clients=3, rounds=3, ops_per_round=10, seed=seed)
+    elif family == "sequential":
+        puls, __ = generate_sequential_puls(document, 3, 8, seed=seed)
+        batches = [[("p", pul) for pul in puls]]
+    else:
+        labeling = ContainmentLabeling().build(document)
+        pul = generate_pul(document, 60, seed=seed, labeling=labeling,
+                           min_depth=3)
+        batches = [[("l", pul)]]
+    return serialize(document), batches
+
+
 class TestOneReduction:
     DOC = "<r>" + "".join(
         "<s{0}><c{0}>t</c{0}></s{0}>".format(i) for i in range(8)) + "</r>"
@@ -467,6 +533,140 @@ class TestOneReduction:
             assert (result.clients, result.submitted_ops) == (3, 16)
             assert calls == [16]
             assert store.text("d") == baseline.text("d")
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("seed", (0, 1, 2, 3))
+    def test_every_generator_s_batches_are_reduced_once(
+            self, monkeypatch, family, seed):
+        """Batch by batch, the store calls ``reduce_deterministic`` once
+        over everything the batch submitted and stands where the
+        stateless baseline stands."""
+        calls = []
+        monkeypatch.setattr(store_mod, "reduce_deterministic",
+                            _counted(calls))
+        # each executor gets its own draw: a copy would drop the ids a
+        # sequential chain's later PULs target
+        text, batches = _chain(family, seed)
+        __, twins = _chain(family, seed)
+        baseline = StatelessBaseline()
+        submitted = []
+        with DocumentStore() as store:
+            for executor in (store, baseline):
+                executor.open("d", text)
+            for submissions, twin in zip(batches, twins):
+                for executor, drawn in ((store, submissions),
+                                        (baseline, twin)):
+                    for client, pul in drawn:
+                        executor.submit("d", pul, client=client)
+                submitted.append(store.flush("d").submitted_ops)
+                baseline.flush("d")
+                assert store.text("d") == baseline.text("d")
+        assert calls == submitted
+
+    def test_an_empty_submission_is_one_empty_reduction(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(store_mod, "reduce_deterministic",
+                            _counted(calls))
+        with DocumentStore() as store:
+            store.open("d", self.DOC)
+            store.submit("d", PUL([]))
+            assert store.flush("d").reduced_ops == 0
+            assert store.text("d") == self.DOC
+        assert calls == [0]
+
+    @pytest.mark.parametrize("seed", (7, 11, 19))
+    def test_a_flush_ends_where_reduce_then_apply_ends(
+            self, figure1, figure1_labeling, seed):
+        """On the Figure 1 document the store's incremental flush is the
+        sequential reduce + in-memory apply, byte for byte."""
+        pul = generate_pul(figure1, 30, seed=seed,
+                           labeling=figure1_labeling)
+        text = serialize(figure1)
+        expected = apply_in_memory(text, reduce_deterministic(pul))
+        with DocumentStore() as store:
+            store.open("d", text)
+            store.submit("d", pul)
+            store.flush("d")
+            assert store.text("d") == expected
+
+    @pytest.mark.parametrize("durability", (None, "log"))
+    @pytest.mark.parametrize("error", (ReproError, RuntimeError))
+    def test_a_failing_reduction_fails_the_batch(
+            self, tmp_path, monkeypatch, error, durability):
+        """The error reaches the caller as raised, after one attempt:
+        the published version is the same object, the queue is given
+        back, nothing is logged, and the next flush succeeds."""
+        calls = []
+
+        def failing(pul):
+            calls.append(len(pul))
+            raise error("poisoned reduction")
+
+        wal_dir = str(tmp_path / "wal")
+        options = {} if durability is None else {
+            "durability": durability, "wal_dir": wal_dir}
+        with DocumentStore(**options) as store:
+            store.open("d", self.DOC)
+            store.submit("d", PUL(_independent_ops(store.document("d"))))
+            published = store._entries["d"].published
+            monkeypatch.setattr(store_mod, "reduce_deterministic", failing)
+            with pytest.raises(error, match="poisoned") as raised:
+                store.flush("d")
+            assert type(raised.value) is error
+            assert calls == [16]
+            assert store._entries["d"].published is published
+            assert len(store._entries["d"].pending) == 1
+            monkeypatch.setattr(store_mod, "reduce_deterministic",
+                                reduce_deterministic)
+            assert store.flush("d").version == 1
+            leader = _state(store)
+        if durability is not None:
+            with DocumentStore(durability=durability,
+                               wal_dir=wal_dir) as restarted:
+                assert _state(restarted) == leader
+            assert replay_oracle(wal_dir)["d"] == (leader[0], 1)
+
+    def test_concurrent_flushes_of_different_documents(self, monkeypatch):
+        """Eight documents flushed at once: each batch is reduced once,
+        on its own, and ends where it ends flushed alone."""
+        calls = []
+        monkeypatch.setattr(store_mod, "reduce_deterministic",
+                            _counted(calls))
+        doc_ids = ["d{}".format(index) for index in range(8)]
+        baseline = StatelessBaseline()
+        with DocumentStore() as store:
+            for doc_id in doc_ids:
+                for executor in (store, baseline):
+                    executor.open(doc_id, self.DOC)
+                    executor.submit(doc_id, PUL(_independent_ops(
+                        store.document(doc_id))))
+                baseline.flush(doc_id)
+            start = threading.Barrier(len(doc_ids))
+            failures = []
+
+            def flush(doc_id):
+                try:
+                    start.wait(timeout=10)
+                    store.flush(doc_id)
+                except Exception as exc:
+                    failures.append(exc)
+
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                threads = [threading.Thread(target=flush, args=(doc_id,))
+                           for doc_id in doc_ids]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30)
+                    assert not thread.is_alive()
+            finally:
+                sys.setswitchinterval(interval)
+            assert failures == []
+            for doc_id in doc_ids:
+                assert store.text(doc_id) == baseline.text(doc_id)
+        assert calls == [16] * len(doc_ids)
 
 
 class TestLoggedAsReduced:
@@ -511,3 +711,61 @@ class TestLoggedAsReduced:
             assert _state(restarted) == leader
         assert replay_oracle(wal_dir)["d"] == (leader[0], 1)
         assert leader[0] == "<r><a>x</a><d/></r>"
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("seed", (0, 1, 2, 3))
+    def test_every_host_of_the_log_stands_where_the_leader_stands(
+            self, tmp_path, family, seed):
+        """Batch by batch, a replica fed the stream stands at the
+        leader's text, label digits and index; at the end a restart and
+        ``replay_oracle`` do too."""
+        wal_dir = str(tmp_path / "wal")
+        text, batches = _chain(family, seed)
+        with DocumentStore(durability="log", wal_dir=wal_dir) as store, \
+                ReplicaStore() as replica:
+            source = store.enable_replication()
+            seq0 = source.next_seq
+            replica.bootstrap([], seq0, stream=source.stream_id)
+            token = encode_token(source.stream_id, seq0)
+            store.open("d", text)
+            for submissions in batches:
+                for client, pul in submissions:
+                    store.submit("d", pul, client=client)
+                store.flush("d")
+                page = source.read(from_token=token, decode=False)
+                replica.apply_records(page)
+                token = page["token"]
+                assert _state(replica) == _state(store)
+            leader = _state(store)
+        with DocumentStore(durability="log", wal_dir=wal_dir) as restarted:
+            assert _state(restarted) == leader
+        assert replay_oracle(wal_dir)["d"] == (leader[0], len(batches))
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_a_flush_applies_what_reduce_then_apply_gives(data):
+    """For any document and applicable PUL, a flush ends at the bytes of
+    the sequential reduce + in-memory apply — and where that refuses
+    the PUL (e.g. renames colliding on an attribute name), the flush
+    refuses it too and the document stays as it was."""
+    document = data.draw(documents())
+    pul = data.draw(applicable_puls(document, max_ops=8))
+    text = serialize(document)
+    labeled = pul.copy()
+    labeled.attach_labels(ContainmentLabeling().build(document))
+    try:
+        expected = apply_in_memory(text, reduce_deterministic(labeled))
+    except NotApplicableError:
+        expected = None
+    with DocumentStore() as store:
+        store.open("d", text)
+        store.submit("d", pul)
+        if expected is None:
+            with pytest.raises(NotApplicableError):
+                store.flush("d")
+            assert store.text("d") == text
+        else:
+            store.flush("d")
+            assert store.text("d") == expected

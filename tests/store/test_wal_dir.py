@@ -88,8 +88,10 @@ class TestOneOwner:
             assert second.doc_ids() == ["x"]
 
     @pytest.mark.parametrize("retired", (
-        {"workers": 2}, {"backend": "thread"}),
-        ids=("workers=2", "backend=thread"))
+        {"workers": 2}, {"workers": 0}, {"workers": 8},
+        {"backend": "thread"}, {"backend": "process"}, {"backend": "gpu"}),
+        ids=("workers=2", "workers=0", "workers=8", "backend=thread",
+             "backend=process", "backend=gpu"))
     def test_a_retired_reduction_knob_is_refused_before_the_lock(
             self, tmp_path, retired):
         """A batch is reduced once: a worker count other than 1 or a
